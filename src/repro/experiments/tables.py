@@ -40,18 +40,22 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
     ``kernel_perf`` is ``stats.kernel_perf`` from :func:`repro.pared.
     run_pared` — ``{span name: (calls, seconds)}`` aggregated over all
     ranks.  The top block is the round phases P0–P3 (+audit when enabled)
-    with their share of the round total; below are the refinement spans
-    nested *inside* P3 — ``pared.repartition.serial`` (the coordinator's
-    serial merge+repartition) and the ``dkl.*`` tournament steps — whose
-    shares read as fractions of the same total, so the coordinator-serial
-    share of wall time is visible at a glance.
+    with their share of the round total; below are the spans nested
+    *inside* them — under P0 the marker, the LEPP walk, the request
+    exchange (``pared.P0.*``) and the mesh kernel (``mesh.refine`` /
+    ``mesh.coarsen``); under P3 ``pared.repartition.serial`` (the
+    coordinator's serial merge+repartition) and the ``dkl.*`` tournament
+    steps — whose shares read as fractions of the same total, so where P0
+    goes and the coordinator-serial share of wall time are visible at a
+    glance.
     """
     kernel_perf = kernel_perf or {}
     phases = [n for n in _ROUND_PHASES if n in kernel_perf]
     nested = [
         n
         for n in sorted(kernel_perf)
-        if n == "pared.repartition.serial" or n.startswith("dkl.")
+        if n == "pared.repartition.serial"
+        or n.startswith(("dkl.", "mesh.", "pared.P0."))
     ]
     total = sum(kernel_perf[n][1] for n in phases)
     rows = []

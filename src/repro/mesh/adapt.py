@@ -15,6 +15,7 @@ from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
 from repro.mesh.rivara2d import refine2d
 from repro.mesh.rivara3d import refine3d
+from repro.perf import PERF
 
 
 class AdaptiveMesh:
@@ -61,14 +62,16 @@ class AdaptiveMesh:
     def refine(self, leaf_ids) -> list:
         """Bisect the given leaf elements once (with conformality
         propagation); returns all bisected element ids."""
-        out = self._refine(self.mesh, leaf_ids)
+        with PERF.span("mesh.refine"):
+            out = self._refine(self.mesh, leaf_ids)
         self.time_step += 1
         return out
 
     def coarsen(self, leaf_ids) -> list:
         """Coarsen complete bisection groups among the marked leaves;
         returns the merged parents."""
-        out = _coarsen(self.mesh, leaf_ids)
+        with PERF.span("mesh.coarsen"):
+            out = _coarsen(self.mesh, leaf_ids)
         self.time_step += 1
         return out
 

@@ -6,11 +6,14 @@ of active leaves of the :class:`~repro.mesh.forest.RefinementForest`.  Edge
 midpoints are memoized so that coarsening followed by re-refinement
 reproduces identical vertex ids (PARED's persistent-tree behaviour).
 
-Subclasses (:class:`~repro.mesh.mesh2d.TriMesh`,
-:class:`~repro.mesh.mesh3d.TetMesh`) maintain incremental facet-adjacency
-dictionaries via the ``_on_activate`` / ``_on_deactivate`` hooks that the
-refinement and coarsening kernels call whenever an element enters or leaves
-the active leaf set.
+Subclasses mirror the active leaf set in a facet adjacency that the
+adaptation kernels keep current, and rebuild it from cells + forest in
+``_rebuild_adjacency`` (construction and restart).
+:class:`~repro.mesh.mesh2d.TriMesh` holds it in flat arrays and adapts whole
+batches (``_split_many`` / ``_merge_many``);
+:class:`~repro.mesh.mesh3d.TetMesh` still keeps dictionaries updated one
+element at a time through the ``_on_activate`` / ``_on_deactivate`` hooks
+behind ``_new_children`` / ``_merge_children``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,24 @@ def pair_key(a: int, b: int) -> int:
 def split_pair_key(key: int) -> tuple:
     """Inverse of :func:`pair_key`: ``(lo, hi)``."""
     return key >> 32, key & 0xFFFFFFFF
+
+
+def id_array(ids) -> np.ndarray:
+    """Any iterable of element ids as an int64 array."""
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    return np.asarray(ids, dtype=np.int64)
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` for a 1-D integer array by sort + neighbour compare —
+    numpy's hash-based ``unique`` is ~10x slower on the small id batches
+    the adaptation kernels dedupe every wave."""
+    a = np.sort(a)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 class SimplexMesh:
@@ -61,15 +82,16 @@ class SimplexMesh:
         self.forest.add_roots(cells.shape[0])
         #: memo: pair_key(a, b) -> midpoint vertex id
         self._midpoint: dict = {}
+        self._rebuild_adjacency()
+
+    def _rebuild_adjacency(self) -> None:
+        """(Re)derive everything that follows from cells + forest: the
+        per-version leaf caches and the longest-edge memo here, the facet
+        adjacency of the current leaves in the subclass override.  Called
+        at construction and by the restart loader, which builds meshes via
+        ``__new__``."""
         #: memo: element id -> sorted global vertex pair of its longest edge
         self._longest: dict = {}
-        self._init_caches()
-        self._bulk_activate(np.arange(cells.shape[0], dtype=np.int64))
-
-    def _init_caches(self) -> None:
-        """(Re)initialize the leaf-derived caches, keyed on the forest's
-        structure version; also called by the restart loader, which builds
-        meshes via ``__new__``."""
         self._leaf_cells_cache = None
         self._leaf_cells_version = -1
         self._leaf_roots_cache = None
@@ -175,6 +197,21 @@ class SimplexMesh:
             self._midpoint[key] = vid
         return vid
 
+    def midpoints(self, keys: np.ndarray) -> np.ndarray:
+        """Bulk :meth:`midpoint` for distinct :func:`pair_key` edge keys.
+        Missing midpoints are created in one ``extend``, in the order given,
+        with the same arithmetic as the scalar path."""
+        memo = self._midpoint
+        mids = np.array([memo.get(k, -1) for k in keys.tolist()], dtype=np.int64)
+        new = np.nonzero(mids < 0)[0]
+        if new.size:
+            pts = self._pts.data
+            nk = keys[new]
+            first = self._pts.extend(0.5 * (pts[nk >> 32] + pts[nk & 0xFFFFFFFF]))
+            mids[new] = np.arange(first, first + new.size)
+            memo.update(zip(nk.tolist(), mids[new].tolist()))
+        return mids
+
     # ------------------------------------------------------------------ #
     # geometry queries
     # ------------------------------------------------------------------ #
@@ -201,13 +238,6 @@ class SimplexMesh:
         """Called when ``eid`` stops being an active leaf."""
         raise NotImplementedError
 
-    def _bulk_activate(self, eids: np.ndarray) -> None:
-        """Activate many elements at once.  Subclasses may override with a
-        vectorized adjacency build; the result must equal calling
-        :meth:`_on_activate` per id."""
-        for eid in np.asarray(eids).tolist():
-            self._on_activate(eid)
-
     # shared refinement plumbing ---------------------------------------- #
 
     def _new_children(self, parent: int, cell0, cell1) -> tuple:
@@ -231,6 +261,11 @@ class SimplexMesh:
         self._on_deactivate(c0)
         self._on_deactivate(c1)
         self._on_activate(parent)
+
+    def _merge_many(self, parents: np.ndarray) -> None:
+        """Coarsen every parent in ``parents`` (ascending)."""
+        for p in parents.tolist():
+            self._merge_children(p)
 
     # ------------------------------------------------------------------ #
     # validation helpers (used by the test-suite)

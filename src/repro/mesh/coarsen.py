@@ -16,24 +16,17 @@ Elements are never destroyed: merged children become ``INACTIVE`` in the
 forest and are reactivated verbatim if the region is refined again.  ``M^0``
 is the coarsest mesh the system can represent (roots have no parents).
 
-The implementation is dimension-generic: it relies only on the forest and on
-the ``_merge_children`` hook of the mesh.
+The implementation is dimension-generic and works on whole arrays: it
+relies only on the forest, the stored connectivity and the ``_merge_many``
+hook of the mesh.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
-
-def _bisection_midpoint(mesh, parent: int) -> int:
-    """The midpoint vertex introduced when ``parent`` was bisected: the one
-    vertex of a child that the parent does not have."""
-    c0, _ = mesh.forest.children(parent)
-    pcell = set(mesh.cell(parent))
-    for v in mesh.cell(c0):
-        if v not in pcell:
-            return v
-    raise AssertionError("child has no vertex outside its parent")
+from repro.mesh.base import id_array, sorted_unique
+from repro.mesh.forest import LEAF
 
 
 def coarsen(mesh, marked) -> list:
@@ -52,58 +45,36 @@ def coarsen(mesh, marked) -> list:
     Returns
     -------
     list of int
-        The parents that were merged (now active leaves).
+        The parents that were merged (now active leaves), ascending.
     """
     forest = mesh.forest
-    marked = {int(e) for e in marked if forest.is_leaf(int(e))}
-    if not marked:
+    status = forest.status_array
+    marked = id_array(marked)
+    if not marked.size:
         return []
+    is_marked = np.zeros(len(forest), dtype=bool)
+    is_marked[marked[status[marked] == LEAF]] = True
 
     # Candidate parents: both children are marked leaves.
-    parents = {}
-    for leaf in marked:
-        p = forest.parent(leaf)
-        if p < 0 or p in parents:
-            continue
-        kids = forest.children(p)
-        c0, c1 = kids
-        if (
-            c0 in marked
-            and c1 in marked
-            and forest.is_leaf(c0)
-            and forest.is_leaf(c1)
-        ):
-            parents[p] = _bisection_midpoint(mesh, p)
-
-    if not parents:
+    parents = sorted_unique(forest.parent_array[is_marked.nonzero()[0]])
+    parents = parents[parents >= 0]
+    parents = parents[
+        is_marked[forest.child0_array[parents]]
+        & is_marked[forest.child1_array[parents]]
+    ]
+    if not parents.size:
         return []
 
-    # Group candidates by their bisection midpoint.
-    groups = defaultdict(list)
-    for p, m in parents.items():
-        groups[m].append(p)
+    # Bisection midpoint of each candidate: the one vertex of a child that
+    # the parent does not have.
+    kid = mesh.cells[forest.child0_array[parents]]
+    extra = (kid[:, :, None] != mesh.cells[parents][:, None, :]).all(axis=2)
+    mids = kid[extra]
 
-    # For each candidate midpoint, collect all active leaves that use it
-    # (one sweep over the leaf mesh).
-    wanted = set(groups)
-    users = defaultdict(set)
-    cells = mesh.leaf_cells()
-    for leaf, cell in zip(mesh.leaf_ids(), cells):
-        for v in cell:
-            v = int(v)
-            if v in wanted:
-                users[v].add(int(leaf))
-
-    merged = []
-    for m, ps in groups.items():
-        children = set()
-        for p in ps:
-            c0, c1 = forest.children(p)
-            children.add(c0)
-            children.add(c1)
-        if users[m] <= children:
-            # Every active user of the midpoint disappears with the merge.
-            for p in ps:
-                mesh._merge_children(p)
-                merged.append(p)
-    return merged
+    # A group merges iff its children are the only active users of its
+    # midpoint: every child uses it, so counting leaf incidences suffices.
+    users = np.bincount(mesh.leaf_cells().ravel(), minlength=mesh.n_verts)
+    group = np.bincount(mids, minlength=mesh.n_verts)
+    parents = parents[users[mids] == 2 * group[mids]]
+    mesh._merge_many(parents)
+    return parents.tolist()

@@ -176,6 +176,68 @@ class RefinementForest:
         self._version += 1
         return c0, c1
 
+    def split_many(self, parents) -> tuple:
+        """Batched :meth:`split` of strictly ascending LEAF ids: one
+        ``extend`` per storage array.  Fresh children take consecutive id
+        pairs in parent order, so ids depend on the *set* split, never on
+        how it was discovered.  Returns ``(child0, child1, created)``
+        arrays aligned with ``parents``."""
+        parents = np.asarray(parents, dtype=np.int64)
+        if np.any(parents[1:] <= parents[:-1]):
+            raise ValueError("split_many needs strictly ascending element ids")
+        status = self._status.data
+        if np.any(status[parents] != LEAF):
+            raise ValueError("can only split LEAF elements")
+        c0 = self._child0.data[parents]
+        c1 = self._child1.data[parents]
+        created = c0 == _NO
+        fresh = parents[created]
+        k = fresh.shape[0]
+        if k < parents.shape[0]:
+            old = ~created
+            if np.any(status[c0[old]] != INACTIVE) or np.any(status[c1[old]] != INACTIVE):
+                raise AssertionError("children of a LEAF must be INACTIVE")
+        if k:
+            ids = len(self) + np.arange(2 * k, dtype=np.int64)
+            c0[created] = ids[0::2]
+            c1[created] = ids[1::2]
+            no = np.full(2 * k, _NO, dtype=np.int64)
+            self._parent.extend(np.repeat(fresh, 2))
+            self._child0.extend(no)
+            self._child1.extend(no)
+            self._root.extend(np.repeat(self._root.data[fresh], 2))
+            self._depth.extend(np.repeat(self._depth.data[fresh] + 1, 2))
+            self._status.extend(np.full(2 * k, LEAF, dtype=np.uint8))
+            self._child0.data[fresh] = ids[0::2]
+            self._child1.data[fresh] = ids[1::2]
+            status = self._status.data
+        status[c0] = LEAF
+        status[c1] = LEAF
+        status[parents] = INTERIOR
+        self._n_leaves += parents.shape[0]
+        self._version += 1
+        return c0, c1, created
+
+    def merge_many(self, parents) -> tuple:
+        """Batched :meth:`merge` of strictly ascending INTERIOR ids whose
+        children are all LEAF.  Returns the ``(child0, child1)`` arrays."""
+        parents = np.asarray(parents, dtype=np.int64)
+        if np.any(parents[1:] <= parents[:-1]):
+            raise ValueError("merge_many needs strictly ascending element ids")
+        status = self._status.data
+        if np.any(status[parents] != INTERIOR):
+            raise ValueError("can only merge INTERIOR elements")
+        c0 = self._child0.data[parents]
+        c1 = self._child1.data[parents]
+        if np.any(status[c0] != LEAF) or np.any(status[c1] != LEAF):
+            raise ValueError("both children must be LEAF to merge")
+        status[c0] = INACTIVE
+        status[c1] = INACTIVE
+        status[parents] = LEAF
+        self._n_leaves -= parents.shape[0]
+        self._version += 1
+        return c0, c1
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -229,6 +291,14 @@ class RefinementForest:
     @property
     def parent_array(self) -> np.ndarray:
         return self._parent.data
+
+    @property
+    def child0_array(self) -> np.ndarray:
+        return self._child0.data
+
+    @property
+    def child1_array(self) -> np.ndarray:
+        return self._child1.data
 
     def leaves(self) -> np.ndarray:
         """Ids of all active leaf elements, ascending.

@@ -148,8 +148,8 @@ def save_state(path, mesh) -> None:
         verts=mesh.verts,
         cells=mesh.cells,
         parent=f.parent_array,
-        child0=f._child0.data,
-        child1=f._child1.data,
+        child0=f.child0_array,
+        child1=f.child1_array,
         root=f.root_array,
         depth=f.depth_array,
         status=f.status_array,
@@ -198,14 +198,8 @@ def load_state(path):
         (int(a) << 32) | int(b): int(v)
         for (a, b), v in zip(data["mid_keys"], data["mid_vals"])
     }
-    mesh._longest = {}
-    mesh._edge_elems = {}
-    if dim == 3:
-        mesh._face_elems = {}
     forest._init_caches()
-    mesh._init_caches()
-    for eid in forest.leaves():
-        mesh._on_activate(int(eid))
+    mesh._rebuild_adjacency()
     return mesh
 
 

@@ -1,11 +1,24 @@
-"""Nested 2-D triangular mesh with incremental edge adjacency.
+"""Nested 2-D triangular mesh over a flat-array edge adjacency.
 
-The active leaf set is mirrored in ``_edge_elems``: a dictionary mapping each
-edge of the leaf mesh (as a packed :func:`~repro.mesh.base.pair_key`) to the
-set of active leaf triangles containing it.  A conformal triangulation has at
-most two triangles per edge; the refinement kernel
-(:mod:`repro.mesh.rivara2d`) relies on this map for neighbor lookups during
-longest-edge propagation.
+Three arrays grow in lockstep with the element connectivity:
+
+* ``_nbr[e, i]`` — the active leaf across the edge of ``e`` opposite its
+  local vertex ``i`` (``-1`` on the domain boundary).  Rows are current
+  for leaves only; a row is rewritten whenever its element (re)enters the
+  leaf set.
+* ``_le[e]`` — local index of the longest edge of ``e``, fixed at creation
+  (ties go to the smallest vertex pair, so the two triangles sharing an
+  edge agree on "longest").
+* ``_ekey[e, i]`` — packed :func:`~repro.mesh.base.pair_key` of that same
+  edge, fixed at creation: what the stitch sorts and the midpoint memo is
+  keyed by, so neither recomputes it.
+
+The adaptation kernels (:mod:`repro.mesh.rivara2d`,
+:mod:`repro.mesh.coarsen`) change the leaf set a whole batch at a time
+through :meth:`TriMesh._split_many` / :meth:`TriMesh._merge_many`; each
+batch ends in one :meth:`TriMesh._stitch`, which pairs the edges of the
+elements that entered the leaf set with each other and with the surviving
+neighbours of those that left by sorting packed edge keys.
 """
 
 from __future__ import annotations
@@ -13,7 +26,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.primitives import tri_areas
-from repro.mesh.base import SimplexMesh
+from repro.mesh.base import SimplexMesh, pair_key, sorted_unique
+from repro.mesh.forest import LEAF
+from repro.mesh.growable import GrowableMatrix, GrowableVector
+
+
+_LOCAL = np.arange(3)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _edge_keys(cells: np.ndarray) -> np.ndarray:
+    """``(k, 3)`` packed :func:`~repro.mesh.base.pair_key` of the edge
+    opposite each local vertex."""
+    a = cells[:, _NEXT]
+    b = cells[:, _PREV]
+    return (np.minimum(a, b) << 32) | np.maximum(a, b)
 
 
 class TriMesh(SimplexMesh):
@@ -24,8 +52,6 @@ class TriMesh(SimplexMesh):
     nodes_per_cell = 3
 
     def __init__(self, verts, cells):
-        #: pair_key(edge) -> set of active leaf triangle ids
-        self._edge_elems: dict = {}
         super().__init__(verts, cells)
         # Reject tangled input early: zero-area triangles break bisection.
         areas = tri_areas(self.verts, self.cells)
@@ -34,99 +60,165 @@ class TriMesh(SimplexMesh):
 
     # -- facet adjacency -------------------------------------------------- #
 
-    @staticmethod
-    def _edges_of(cell) -> tuple:
-        v0, v1, v2 = cell
-        return (
-            (v1 << 32 | v2) if v1 < v2 else (v2 << 32 | v1),
-            (v2 << 32 | v0) if v2 < v0 else (v0 << 32 | v2),
-            (v0 << 32 | v1) if v0 < v1 else (v1 << 32 | v0),
-        )
+    def _rebuild_adjacency(self) -> None:
+        super()._rebuild_adjacency()
+        cells = self._cells.data
+        capacity = max(16, 2 * cells.shape[0])
+        self._nbr = GrowableMatrix(3, np.int64, capacity=capacity)
+        self._le = GrowableVector(np.int64, capacity=capacity)
+        self._ekey = GrowableMatrix(3, np.int64, capacity=capacity)
+        self._grow_adjacency(cells)
+        self._stitch(self.forest.leaves(), np.empty(0, dtype=np.int64))
 
-    def _on_activate(self, eid: int) -> None:
-        for key in self._edges_of(self.cell(eid)):
-            s = self._edge_elems.get(key)
-            if s is None:
-                self._edge_elems[key] = {eid}
-            else:
-                s.add(eid)
+    def _grow_adjacency(self, cells: np.ndarray) -> None:
+        """Extend ``_nbr`` / ``_le`` / ``_ekey`` for freshly stored
+        ``cells``."""
+        keys = _edge_keys(cells)
+        self._nbr.extend(np.full(cells.shape, -1, dtype=np.int64))
+        self._ekey.extend(keys)
+        self._le.extend(self._longest_local(cells, keys))
 
-    def _on_deactivate(self, eid: int) -> None:
-        for key in self._edges_of(self.cell(eid)):
-            s = self._edge_elems[key]
-            s.discard(eid)
-            if not s:
-                del self._edge_elems[key]
+    def _longest_local(self, cells: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Local index of each cell's longest edge: edges are scanned in
+        local order; a later edge wins when longer by more than ``1e-12``
+        relative, or within that band of the running best length with a
+        smaller vertex pair (``keys`` are the cells' packed edge keys)."""
+        p = self.verts[cells]
+        d = p[:, _NEXT] - p[:, _PREV]
+        lens = d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1]
+        best = np.zeros(cells.shape[0], dtype=np.int64)
+        best_len = lens[:, 0]
+        best_key = keys[:, 0]
+        for j in (1, 2):
+            lj, kj = lens[:, j], keys[:, j]
+            longer = lj > best_len * (1.0 + 1e-12)
+            take = longer | ((lj >= best_len * (1.0 - 1e-12)) & (kj < best_key))
+            best = np.where(take, j, best)
+            best_key = np.where(take, kj, best_key)
+            best_len = np.where(longer, lj, best_len)
+        return best
 
-    def _bulk_activate(self, eids: np.ndarray) -> None:
-        # Vectorized edge-map build: pack all 3·k edge keys in numpy, group
-        # equal keys by one sort, then fill the dict per *edge* instead of
-        # per (element, edge) incidence.
-        eids = np.asarray(eids, dtype=np.int64)
-        if eids.size < 64:
-            for eid in eids.tolist():
-                self._on_activate(eid)
-            return
-        cells = self._cells.data[eids]
-        edges = np.concatenate(
-            [cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=0
-        )
-        keys = (edges.min(axis=1) << 32) | edges.max(axis=1)
-        tris = np.concatenate([eids, eids, eids])
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order].tolist()
-        ts = tris[order].tolist()
-        ee = self._edge_elems
-        i = 0
-        m = len(ks)
-        while i < m:
-            k = ks[i]
-            j = i + 1
-            while j < m and ks[j] == k:
-                j += 1
-            s = ee.get(k)
-            if s is None:
-                ee[k] = set(ts[i:j])
-            else:
-                s.update(ts[i:j])
-            i = j
+    def _stitch(self, born: np.ndarray, died: np.ndarray) -> None:
+        """Make ``_nbr`` current after ``born`` entered and ``died`` left
+        the leaf set: every edge of a born element and every edge through
+        which a surviving leaf saw a died element is reset to boundary,
+        then equal packed keys are paired by one sort.  Works on flat
+        *slots* ``3 * element + local index``."""
+        nbr = self._nbr.data
+        flat = nbr.reshape(-1)
+        dslot = (3 * died[:, None] + _LOCAL).ravel()
+        surv = flat[dslot]
+        keep = (surv >= 0) & (self.forest.status_array[surv] == LEAF)
+        surv, dslot = surv[keep], dslot[keep]
+        back = (nbr[surv] == (dslot // 3)[:, None]).argmax(axis=1)
+        slot = np.concatenate([(3 * born[:, None] + _LOCAL).ravel(), 3 * surv + back])
+        keys = self._ekey.data.reshape(-1)[slot]
+        flat[slot] = -1
+        order = np.argsort(keys)  # equal keys pair up whatever their order
+        keys = keys[order]
+        same = np.nonzero(keys[1:] == keys[:-1])[0]
+        lo, hi = slot[order[same]], slot[order[same + 1]]
+        flat[lo] = hi // 3
+        flat[hi] = lo // 3
+
+    def _split_many(self, parents: np.ndarray, kids: np.ndarray) -> tuple:
+        """Bisect ascending leaves ``parents`` in one batch: forest split,
+        geometry ``kids[j] = (cell0, cell1)`` for the freshly created
+        children (reactivated children keep theirs), one stitch.  Returns
+        the child id arrays."""
+        c0, c1, created = self.forest.split_many(parents)
+        if created.any():
+            fresh = kids[created].reshape(-1, 3)
+            first = self._cells.extend(fresh)
+            assert first == c0[created][0], "forest and cell ids must stay in lockstep"
+            self._grow_adjacency(fresh)
+        self._stitch(np.concatenate([c0, c1]), parents)
+        return c0, c1
+
+    def bisect_many(self, parents: np.ndarray) -> tuple:
+        """Bisect ascending leaves ``parents`` across their longest edges
+        (both elements of a terminal pair must be in the batch).  Returns
+        the child id arrays."""
+        i = self._le.data[parents]
+        base = 3 * parents
+        cells = self._cells.data.reshape(-1)
+        apex, a, b = cells[base + i], cells[base + _NEXT[i]], cells[base + _PREV[i]]
+        keys = self._ekey.data.reshape(-1)[base + i]
+        ukeys = sorted_unique(keys)
+        m = self.midpoints(ukeys)[np.searchsorted(ukeys, keys)]
+        # (a, m, apex) and (m, b, apex) inherit the parent's orientation
+        kids = np.empty((parents.shape[0], 2, 3), dtype=np.int64)
+        kids[:, 0, 0] = a
+        kids[:, 0, 1] = kids[:, 1, 0] = m
+        kids[:, 1, 1] = b
+        kids[:, :, 2] = apex[:, None]
+        return self._split_many(parents, kids)
+
+    def _new_children(self, parent: int, cell0, cell1) -> tuple:
+        c0, c1 = self._split_many(np.array([parent]), np.array([[cell0, cell1]]))
+        return int(c0[0]), int(c1[0])
+
+    def _merge_many(self, parents: np.ndarray) -> None:
+        c0, c1 = self.forest.merge_many(parents)
+        self._stitch(parents, np.concatenate([c0, c1]))
+
+    def lepp_next(self, elems: np.ndarray) -> tuple:
+        """One step of every longest-edge propagation path: ``(nb,
+        terminal)`` where ``nb`` is the leaf across the longest edge of
+        each leaf in ``elems`` (``-1`` on the boundary) and ``terminal``
+        flags the elements that can be bisected now — boundary edge, or
+        ``nb`` has the same longest edge."""
+        nbr = self._nbr.data
+        le = self._le.data
+        nb = nbr[elems, le[elems]]
+        return nb, (nb < 0) | (nbr[nb, le[nb]] == elems)
 
     def edge_elements(self, a: int, b: int) -> frozenset:
         """Active leaf triangles containing edge ``(a, b)`` (possibly empty)."""
-        key = (a << 32 | b) if a < b else (b << 32 | a)
-        return frozenset(self._edge_elems.get(key, ()))
+        leaves = self.leaf_ids()
+        hit = (self._ekey.data[leaves] == pair_key(a, b)).any(axis=1)
+        return frozenset(leaves[hit].tolist())
 
     def neighbor_across(self, eid: int, a: int, b: int):
         """The other active leaf across edge ``(a, b)``, or ``None`` if the
         edge is on the boundary."""
-        key = (a << 32 | b) if a < b else (b << 32 | a)
-        s = self._edge_elems.get(key)
-        if s is None:
-            return None
-        for other in s:
-            if other != eid:
-                return other
-        return None
+        for i, v in enumerate(self.cell(eid)):
+            if v != a and v != b:
+                nb = int(self._nbr.data[eid, i])
+                return None if nb < 0 else nb
+        raise ValueError(f"({a}, {b}) is not an edge of element {eid}")
+
+    def check_adjacency(self) -> None:
+        """Assert ``_nbr`` over the leaves is symmetric, ``-1`` exactly on
+        the boundary, and equal to the brute-force leaf adjacency."""
+        from repro.mesh.dualgraph import _compute_leaf_adjacency_pairs
+
+        leaves = self.leaf_ids()
+        nbr = self._nbr.data
+        pos, loc = np.nonzero(nbr[leaves] >= 0)
+        e = leaves[pos]
+        nb = nbr[e, loc]
+        assert np.all(self.forest.status_array[nb] == LEAF), "neighbour is not a leaf"
+        back = nbr[nb] == e[:, None]
+        assert np.all(back.sum(axis=1) == 1), "neighbour does not point back"
+        keys = _edge_keys(self.cells)
+        assert np.array_equal(keys, self._ekey.data), "stale edge-key cache"
+        assert np.array_equal(
+            keys[e, loc], keys[nb, np.argmax(back, axis=1)]
+        ), "neighbours disagree on the shared edge"
+        brute = leaves[_compute_leaf_adjacency_pairs(self)]
+        assert np.array_equal(
+            np.unique(np.concatenate([brute, brute[:, ::-1]]), axis=0),
+            np.unique(np.column_stack([e, nb]), axis=0),
+        ), "_nbr differs from the brute-force leaf adjacency"
 
     # -- geometry --------------------------------------------------------- #
 
     def _compute_longest_edge(self, eid: int) -> tuple:
-        v0, v1, v2 = self.cell(eid)
-        pts = self.verts
-        pairs = ((v1, v2), (v2, v0), (v0, v1))
-        best = None
-        best_len = -1.0
-        for p, q in pairs:
-            d = pts[p] - pts[q]
-            ln = float(d[0] * d[0] + d[1] * d[1])
-            key = (p, q) if p < q else (q, p)
-            if ln > best_len * (1.0 + 1e-12):
-                best, best_len = key, ln
-            elif ln >= best_len * (1.0 - 1e-12) and key < best:
-                # exact/near tie: take the smallest vertex pair so that the
-                # two triangles sharing this edge agree on "longest"
-                best = key
-        return best
+        cell = self.cell(eid)
+        i = int(self._le.data[eid])
+        p, q = cell[(i + 1) % 3], cell[(i + 2) % 3]
+        return (p, q) if p < q else (q, p)
 
     # -- validation -------------------------------------------------------- #
 

@@ -27,8 +27,6 @@ class TetMesh(SimplexMesh):
     nodes_per_cell = 4
 
     def __init__(self, verts, cells):
-        self._edge_elems: dict = {}
-        self._face_elems: dict = {}
         super().__init__(verts, cells)
         vols = tet_volumes(self.verts, self.cells)
         if np.any(vols <= 0):
@@ -43,6 +41,13 @@ class TetMesh(SimplexMesh):
     @staticmethod
     def _faces_of(cell) -> list:
         return [tuple(sorted(f)) for f in combinations(cell, 3)]
+
+    def _rebuild_adjacency(self) -> None:
+        super()._rebuild_adjacency()
+        self._edge_elems: dict = {}
+        self._face_elems: dict = {}
+        for eid in self.forest.leaves().tolist():
+            self._on_activate(eid)
 
     def _on_activate(self, eid: int) -> None:
         cell = self.cell(eid)

@@ -1,44 +1,37 @@
 """Rivara longest-edge bisection of triangles (2-D), with conformality
-propagation [Rivara 1989].
+propagation [Rivara 1989], a wave at a time.
 
 ``refine2d`` bisects each selected triangle once.  A triangle may only be
 bisected together with its neighbor across the longest edge (a *terminal
 pair*), or alone if that edge is on the boundary.  When the neighbor's
 longest edge differs, the neighbor is refined first — the classic LEPP
-(longest-edge propagation path) iteration.  The propagation is implemented
-with an explicit stack; LEPP paths follow strictly increasing edge lengths,
-so they are simple and finite.
+(longest-edge propagation path) iteration.  LEPP paths follow strictly
+increasing edge lengths, so they are simple and finite.
 
-The same refined mesh is produced regardless of the order in which the
-selected triangles are processed (the property PARED relies on for its
-parallel refinement; see :mod:`repro.pared.distmesh`).
+Each wave walks every still-leaf target along
+:meth:`~repro.mesh.mesh2d.TriMesh.lepp_next` to the terminal element of its
+path, then bisects the *union* of terminal pairs as one array batch; waves
+repeat until no target is a leaf (a handful per call: a target needs one
+wave per element on its path).  A wave is a function of the *set* of
+remaining targets, and children and midpoints are numbered in ascending
+parent / edge-key order, so element and vertex ids — not only the refined
+geometry — are independent of the order, multiplicity and redundancy of
+``targets`` (the property PARED relies on for its parallel refinement; see
+:mod:`repro.pared.distmesh`).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.mesh.base import id_array, sorted_unique
+from repro.mesh.forest import LEAF
 from repro.mesh.mesh2d import TriMesh
 
 
 class PropagationLimitError(RuntimeError):
     """Raised if longest-edge propagation fails to terminate (should never
     happen on a valid conformal triangulation; acts as a corruption guard)."""
-
-
-def _bisect_tri(mesh: TriMesh, eid: int, a: int, b: int, m: int) -> tuple:
-    """Bisect triangle ``eid`` across edge ``(a, b)`` at midpoint vertex
-    ``m``.  Child ordering preserves the parent's orientation."""
-    cell = mesh.cell(eid)
-    # Rotate so the cell reads (a', b', c) with {a', b'} == {a, b}: child
-    # triangles (a', m, c) and (m, b', c) then inherit the orientation.
-    for i in range(3):
-        if cell[i] != a and cell[i] != b:
-            c = cell[i]
-            a2 = cell[(i + 1) % 3]
-            b2 = cell[(i + 2) % 3]
-            break
-    else:  # pragma: no cover - guarded by caller
-        raise AssertionError("bisection edge not part of the triangle")
-    return mesh._new_children(eid, (a2, m, c), (m, b2, c))
 
 
 def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
@@ -50,48 +43,38 @@ def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
     mesh:
         The nested triangle mesh.
     targets:
-        Iterable of leaf element ids to refine.  Ids that stop being leaves
-        while earlier targets propagate are skipped (they were already
-        bisected).
+        Iterable of leaf element ids to refine, in any order.  Ids that are
+        not (or stop being) leaves are skipped.
     max_steps_factor:
-        Safety cap on propagation steps per call, as a multiple of the
-        initial leaf count.
+        Safety cap on the total number of path steps walked per call, as a
+        multiple of the initial leaf count.
 
     Returns
     -------
     list of int
         Ids of every element bisected by this call (targets and propagated
-        neighbors).
+        neighbors), wave by wave, ascending within a wave.
     """
-    bisected: list = []
+    targets = sorted_unique(id_array(targets))
     limit = max(1000, max_steps_factor * max(mesh.n_leaves, 1))
     steps = 0
-    forest = mesh.forest
-    for t in targets:
-        t = int(t)
-        if not forest.is_leaf(t):
-            continue
-        stack = [t]
-        while stack:
-            steps += 1
+    bisected: list = []
+    while True:
+        # re-read per wave: a batch may regrow the forest storage
+        cur = targets = targets[mesh.forest.status_array[targets] == LEAF]
+        if not cur.size:
+            return bisected
+        ready = []
+        while cur.size:
+            steps += cur.size
             if steps > limit:
                 raise PropagationLimitError(
                     f"2-D propagation exceeded {limit} steps; mesh corrupt?"
                 )
-            top = stack[-1]
-            if not forest.is_leaf(top):
-                stack.pop()
-                continue
-            a, b = mesh.longest_edge(top)
-            nb = mesh.neighbor_across(top, a, b)
-            if nb is None or mesh.longest_edge(nb) == (a, b):
-                m = mesh.midpoint(a, b)
-                _bisect_tri(mesh, top, a, b, m)
-                bisected.append(top)
-                if nb is not None:
-                    _bisect_tri(mesh, nb, a, b, m)
-                    bisected.append(nb)
-                stack.pop()
-            else:
-                stack.append(nb)
-    return bisected
+            nb, terminal = mesh.lepp_next(cur)
+            ready += [cur[terminal], nb[terminal]]
+            cur = sorted_unique(nb[~terminal])
+        ready = sorted_unique(np.concatenate(ready))
+        ready = ready[ready >= 0]  # boundary terminals have no partner
+        mesh.bisect_many(ready)
+        bisected += ready.tolist()

@@ -23,7 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh.adapt import AdaptiveMesh
-from repro.mesh.coarsen import coarsen as serial_coarsen
+from repro.mesh.base import sorted_unique
+from repro.mesh.forest import LEAF
+from repro.perf import PERF
 from repro.runtime.faults import recv_with_retry
 
 
@@ -118,12 +120,36 @@ class DistributedMesh:
         protocol would send across processor boundaries."""
         mesh = self.amesh.mesh
         forest = mesh.forest
-        requests: dict = {r: set() for r in range(self.comm.size)}
-        for t in marked:
-            t = int(t)
-            if not forest.is_leaf(t):
-                continue
-            # bounded read-only LEPP walk (2-D path / 3-D star frontier)
+        marked = np.asarray(marked, dtype=np.int64)
+        marked = marked[forest.status_array[marked] == LEAF]
+        path = self._lepp_2d(marked) if mesh.dim == 2 else self._lepp_3d(marked)
+        own = self.owner[forest.root_array[path]]
+        return {
+            r: path[own == r].tolist()
+            for r in range(self.comm.size)
+            if r != self.rank
+        }
+
+    def _lepp_2d(self, marked: np.ndarray) -> np.ndarray:
+        """Sorted union of the 2-D paths from ``marked``: all walkers step
+        together along :meth:`~repro.mesh.mesh2d.TriMesh.lepp_next`."""
+        mesh = self.amesh.mesh
+        seen = np.zeros(mesh.n_elements, dtype=bool)
+        cur = sorted_unique(marked)
+        while cur.size:
+            seen[cur] = True
+            nb, terminal = mesh.lepp_next(cur)
+            nxt = nb[~terminal]
+            cur = sorted_unique(nxt[~seen[nxt]])
+        return np.nonzero(seen)[0]
+
+    def _lepp_3d(self, marked: np.ndarray) -> np.ndarray:
+        """Sorted union of the 3-D star frontiers from ``marked`` (bounded
+        per-element walk)."""
+        mesh = self.amesh.mesh
+        forest = mesh.forest
+        reached = set()
+        for t in marked.tolist():
             seen = set()
             frontier = [t]
             steps = 0
@@ -133,21 +159,14 @@ class DistributedMesh:
                 if e in seen or not forest.is_leaf(e):
                     continue
                 seen.add(e)
-                own = self.owner[forest.root(e)]
-                if own != self.rank:
-                    requests[int(own)].add(e)
                 a, b = mesh.longest_edge(e)
-                if hasattr(mesh, "edge_star"):  # 3-D
-                    star = mesh.edge_star(a, b)
-                    nxt = [s for s in star if mesh.longest_edge(s) != (a, b)]
-                else:  # 2-D
-                    nb = mesh.neighbor_across(e, a, b)
-                    nxt = []
-                    if nb is not None and mesh.longest_edge(nb) != (a, b):
-                        nxt = [nb]
-                frontier.extend(x for x in nxt if x not in seen)
-        requests.pop(self.rank, None)
-        return {r: sorted(s) for r, s in requests.items()}
+                star = mesh.edge_star(a, b)
+                frontier.extend(
+                    s for s in star
+                    if s not in seen and mesh.longest_edge(s) != (a, b)
+                )
+            reached |= seen
+        return np.array(sorted(reached), dtype=np.int64)
 
     def parallel_refine(self, marked_owned) -> list:
         """Refine the marked owned leaves with cross-rank propagation.
@@ -161,39 +180,35 @@ class DistributedMesh:
         (identical across ranks).
         """
         comm = self.comm
-        marked_owned = [int(e) for e in marked_owned]
-        requests = self._lepp_remote_targets(marked_owned)
-        # deterministic request exchange: every live rank sends to every
-        # other live rank; requests travel as typed int64 arrays
-        for dst in self.live:
-            if dst != comm.rank:
-                comm.send(
-                    np.asarray(requests.get(dst, []), dtype=np.int64), dst, tag=10
-                )
-        received = [np.asarray(marked_owned, dtype=np.int64)]
-        for src in self.live:
-            if src != comm.rank:
-                received.append(comm.recv(src, tag=10))
-        local_targets = np.unique(np.concatenate(received))
-        all_targets = comm.allgather(local_targets, tag=11, ranks=self.group)
-        union = (
-            np.unique(np.concatenate(all_targets)).tolist() if all_targets else []
-        )
+        marked_owned = np.asarray(marked_owned, dtype=np.int64)
+        with PERF.span("pared.P0.lepp"):
+            requests = self._lepp_remote_targets(marked_owned)
+        with PERF.span("pared.P0.exchange"):
+            # deterministic request exchange: every live rank sends to every
+            # other live rank; requests travel as typed int64 arrays
+            for dst in self.live:
+                if dst != comm.rank:
+                    comm.send(
+                        np.asarray(requests.get(dst, []), dtype=np.int64), dst, tag=10
+                    )
+            received = [marked_owned]
+            for src in self.live:
+                if src != comm.rank:
+                    received.append(comm.recv(src, tag=10))
+            local_targets = sorted_unique(np.concatenate(received))
+            all_targets = comm.allgather(local_targets, tag=11, ranks=self.group)
+        union = sorted_unique(np.concatenate(all_targets)) if all_targets else []
         return self.amesh.refine(union)
 
     def parallel_coarsen(self, marked_owned) -> list:
         """Coarsen marked owned leaves; bisection groups spanning ownership
         boundaries are completed by the allgather union (both owners must
         have marked their children, exactly as in the serial rule)."""
-        comm = self.comm
-        local = np.unique(np.asarray(sorted(int(e) for e in marked_owned), dtype=np.int64))
-        all_marked = comm.allgather(local, tag=12, ranks=self.group)
-        union = (
-            np.unique(np.concatenate(all_marked)).tolist() if all_marked else []
-        )
-        merged = serial_coarsen(self.amesh.mesh, union)
-        self.amesh.time_step += 1
-        return merged
+        local = sorted_unique(np.asarray(marked_owned, dtype=np.int64))
+        with PERF.span("pared.P0.exchange"):
+            all_marked = self.comm.allgather(local, tag=12, ranks=self.group)
+        union = np.concatenate(all_marked) if all_marked else []
+        return self.amesh.coarsen(union)
 
     # ------------------------------------------------------------------ #
     # P1/P2: weight computation and reporting

@@ -76,6 +76,7 @@ from repro.testing import (
     check_dual_graph_weights,
     check_halo_weights,
     check_history_agreement,
+    check_leaf_adjacency,
     check_migration_conservation,
     check_monotone_refinement,
     check_partition_validity,
@@ -308,7 +309,8 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
     # ---- P0: adapt ------------------------------------------------ #
     tick = perf_counter()
     comm.set_phase("P0")
-    refine_ids, coarsen_ids = cfg.marker(amesh, rnd)
+    with PERF.span("pared.P0.mark"):
+        refine_ids, coarsen_ids = cfg.marker(amesh, rnd)
     my_refine = np.intersect1d(
         np.asarray(refine_ids, dtype=np.int64), dmesh.owned_leaf_ids()
     )
@@ -447,6 +449,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.group
         )
         check_migration_conservation(leaves_before, amesh.leaf_ids(), owned_all)
+        check_leaf_adjacency(amesh.mesh)
         if dkl:
             # every rank's halo view was assembled purely from P2
             # neighbor messages (plus proposal payloads as roots changed

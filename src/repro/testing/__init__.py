@@ -19,6 +19,7 @@ from repro.testing.invariants import (
     check_dual_graph_weights,
     check_halo_weights,
     check_history_agreement,
+    check_leaf_adjacency,
     check_migration_conservation,
     check_monotone_refinement,
     check_partition_validity,
@@ -31,6 +32,7 @@ __all__ = [
     "check_partition_validity",
     "check_migration_conservation",
     "check_dual_graph_weights",
+    "check_leaf_adjacency",
     "check_halo_weights",
     "check_monotone_refinement",
     "check_replica_agreement",

@@ -80,7 +80,8 @@ class TestCommands:
         assert "PARED phase timing" in out
         for col in ("phase", "calls", "seconds", "share", "ms/call"):
             assert col in out
-        for row in ("pared.P0", "pared.P3"):
+        for row in ("pared.P0", "pared.P3", "pared.P0.mark", "pared.P0.lepp",
+                    "pared.P0.exchange", "mesh.refine", "mesh.coarsen"):
             assert row in out
 
     def test_pared_dkl_partitioner(self, capsys):

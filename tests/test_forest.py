@@ -151,3 +151,84 @@ class TestInvariants:
                     f.merge(sorted(cands)[0])
         f.validate()
         assert f.leaf_counts_by_root().sum() == f.n_leaves
+
+
+def _arrays(f) -> list:
+    return [
+        f.parent_array.copy(), f.child0_array.copy(), f.child1_array.copy(),
+        f.root_array.copy(), f.depth_array.copy(), f.status_array.copy(),
+    ]
+
+
+class TestBatchParity:
+    """``split_many`` / ``merge_many`` are the scalar operations applied in
+    ascending id order: same arrays, same ids, same errors."""
+
+    def test_random_batches_match_scalar(self):
+        rng = np.random.default_rng(7)
+        batch, scalar = RefinementForest(), RefinementForest()
+        for f in (batch, scalar):
+            f.add_roots(6)
+        for step in range(60):
+            leaves = batch.leaves()
+            if step % 3 != 2:
+                pick = np.sort(rng.choice(leaves, size=max(1, leaves.size // 3),
+                                          replace=False))
+                c0, c1, created = batch.split_many(pick)
+                got = [scalar.split(int(p)) for p in pick]
+                assert [(int(a), int(b), bool(c)) for a, b, c in zip(c0, c1, created)] == got
+            else:
+                parents = np.unique(batch.parent_array[leaves])
+                parents = parents[parents >= 0]
+                ok = (batch.status_array[batch.child0_array[parents]] == LEAF) & (
+                    batch.status_array[batch.child1_array[parents]] == LEAF
+                )
+                pick = parents[ok][::2]
+                c0, c1 = batch.merge_many(pick)
+                assert list(zip(c0.tolist(), c1.tolist())) == [
+                    scalar.merge(int(p)) for p in pick
+                ]
+            assert batch.n_leaves == scalar.n_leaves
+            for x, y in zip(_arrays(batch), _arrays(scalar)):
+                assert np.array_equal(x, y)
+            batch.validate()
+        # the mix above must have exercised reactivation as well as creation
+        assert (batch.status_array == INACTIVE).any()
+
+    def test_empty_batches_are_noops(self, forest3):
+        before = _arrays(forest3)
+        c0, c1, created = forest3.split_many([])
+        assert c0.size == c1.size == created.size == 0
+        assert forest3.merge_many([])[0].size == 0
+        for x, y in zip(before, _arrays(forest3)):
+            assert np.array_equal(x, y)
+
+    def test_split_many_error_paths(self, forest3):
+        forest3.split(0)
+        with pytest.raises(ValueError, match="LEAF"):
+            forest3.split_many([0, 1])  # 0 is INTERIOR, as scalar split(0)
+        with pytest.raises(ValueError, match="ascending"):
+            forest3.split_many([2, 1])
+        with pytest.raises(ValueError, match="ascending"):
+            forest3.split_many([1, 1])
+        # a rejected batch changes nothing
+        assert forest3.n_leaves == 4 and forest3.is_leaf(1) and forest3.is_leaf(2)
+        # corrupt memo: a LEAF whose remembered children are not INACTIVE
+        c0, c1 = forest3.children(0)
+        forest3.merge(0)
+        forest3._status[c0] = LEAF
+        with pytest.raises(AssertionError, match="INACTIVE"):
+            forest3.split_many([0])
+
+    def test_merge_many_error_paths(self, forest3):
+        c0, _, _ = forest3.split(0)
+        forest3.split(1)
+        with pytest.raises(ValueError, match="INTERIOR"):
+            forest3.merge_many([1, 2])  # 2 is a LEAF, as scalar merge(2)
+        with pytest.raises(ValueError, match="ascending"):
+            forest3.merge_many([1, 0])
+        forest3.split(c0)
+        with pytest.raises(ValueError, match="children must be LEAF"):
+            forest3.merge_many([0, 1])  # 0 has an INTERIOR child
+        assert forest3.status(0) == INTERIOR and forest3.status(1) == INTERIOR
+        forest3.validate()

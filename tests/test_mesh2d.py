@@ -122,15 +122,20 @@ class TestBisection:
         refine2d(m1, marked)
         refine2d(m2, list(reversed(marked)))
 
-        def geo(m):
-            # midpoint vertex *ids* depend on creation order; compare the
-            # geometric leaf set instead
-            return {
-                tuple(sorted(map(tuple, np.round(m.verts[c], 12))))
-                for c in m.leaf_cells()
-            }
+        # ids are numbered from the target *set*, so the arrays agree
+        assert np.array_equal(m1.cells, m2.cells)
+        assert np.array_equal(m1.verts, m2.verts)
 
-        assert geo(m1) == geo(m2)
+    def test_propagation_limit_caps_total_walk_steps(self):
+        from repro.geometry import structured_tri_mesh
+        from repro.mesh.rivara2d import PropagationLimitError
+
+        m = TriMesh(*structured_tri_mesh(24, 24))  # 1152 walkers > 1000 steps
+        with pytest.raises(PropagationLimitError):
+            refine2d(m, m.leaf_ids(), max_steps_factor=0)
+        # the cap fires while walking, before the wave's batch is applied
+        assert m.n_leaves == m.n_roots
+        m.check_adjacency()
 
 
 class TestBoundary:

@@ -79,6 +79,64 @@ class TestDistributedMesh:
             assert n == serial.n_leaves
             assert geo == serial_geo
 
+    def test_lepp_remote_targets_match_scalar_walk(self):
+        """The array walk collects exactly the off-rank path elements the
+        element-at-a-time walk over the scalar accessors finds."""
+        am = AdaptiveMesh.unit_square(5)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            am.refine(rng.choice(am.leaf_ids(), size=am.n_leaves // 4, replace=False))
+        mesh = am.mesh
+        owner = np.arange(am.n_roots) % 3
+
+        def prog(comm):
+            dm = DistributedMesh(comm, am, owner)
+            mine = dm.owned_leaf_ids()[::2]
+            expect = {r: set() for r in range(3) if r != comm.rank}
+            for e in mine.tolist():
+                while True:
+                    own = owner[mesh.forest.root(e)]
+                    if own != comm.rank:
+                        expect[own].add(e)
+                    a, b = mesh.longest_edge(e)
+                    nb = mesh.neighbor_across(e, a, b)
+                    if nb is None or mesh.longest_edge(nb) == (a, b):
+                        break
+                    e = nb
+            got = dm._lepp_remote_targets(mine)
+            assert got == {r: sorted(v) for r, v in expect.items()}
+            return sum(map(len, got.values()))
+
+        assert sum(spmd_run(3, prog)) > 0
+
+    def test_parallel_refine_is_id_exact(self):
+        """Element and vertex ids, not only geometry: the kernel numbers
+        children per wave from the *set* of targets, and the remote LEPP
+        elements the ranks add to that set would be bisected anyway."""
+        rounds = [[0, 7, 13, 20], [33, 36, 40, 41, 47], [50, 61, 62, 70, 75]]
+
+        def prog(comm):
+            am = AdaptiveMesh.unit_square(4)
+            owner = np.arange(am.n_roots) % comm.size
+            dm = DistributedMesh(comm, am, owner)
+            remote = 0
+            for marked in rounds:
+                mine = np.intersect1d(marked, dm.owned_leaf_ids())
+                remote += sum(map(len, dm._lepp_remote_targets(mine).values()))
+                dm.parallel_refine(mine)
+            f = am.mesh.forest
+            return remote, am.mesh.cells.copy(), am.verts.copy(), f.parent_array.copy()
+
+        results = spmd_run(3, prog)
+        serial = AdaptiveMesh.unit_square(4)
+        for marked in rounds:
+            serial.refine(marked)
+        assert sum(r[0] for r in results) > 0  # requests did cross ranks
+        for _, cells, verts, parent in results:
+            assert np.array_equal(cells, serial.mesh.cells)
+            assert np.array_equal(verts, serial.verts)
+            assert np.array_equal(parent, serial.mesh.forest.parent_array)
+
     def test_parallel_coarsen_equals_serial(self):
         def prog(comm):
             am = AdaptiveMesh.unit_square(4)

@@ -17,6 +17,7 @@ from repro.testing import (
     brute_force_cross_root_edges,
     brute_force_leaf_counts,
     check_dual_graph_weights,
+    check_leaf_adjacency,
 )
 
 
@@ -33,6 +34,7 @@ def _random_adapt(am, rng, ops: int) -> None:
         else:
             am.coarsen(marked)
         am.mesh.forest.validate()
+        check_leaf_adjacency(am.mesh)
 
 
 @given(seed=st.integers(0, 10_000), ops=st.integers(1, 5))

@@ -48,6 +48,7 @@ def test_2d_adaptation_invariants(script):
         else:
             am.coarsen(marked)
         am.mesh.check_conformal()
+        am.mesh.check_adjacency()
         am.mesh.forest.validate()
         assert am.mesh.leaf_areas().sum() == pytest.approx(4.0)
         # weights of the coarse dual graph always sum to the leaf count
