@@ -12,14 +12,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.repartition_kl import multilevel_repartition
 from repro.fem import CornerLaplace2D, interpolation_error_indicator
 from repro.fem.p1 import stiffness_matrix
 from repro.graph import fiedler_vector
 from repro.graph.contract import contract
+from repro.graph.csr import WeightedGraph
 from repro.graph.matching import heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph, fine_dual_graph
 from repro.mesh.metrics import shared_vertex_count
 from repro.partition import KLConfig, kl_refine, multilevel_partition
+from repro.runtime.envflags import effective_cpu_count
+
+
+@pytest.fixture(autouse=True)
+def _record_cores(request):
+    """Every entry carries the cores the run could actually use (the
+    committed baselines are only comparable between like hosts)."""
+    if "benchmark" in request.fixturenames:
+        bench = request.getfixturevalue("benchmark")
+        bench.extra_info["effective_cpu_count"] = effective_cpu_count()
+    yield
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +137,38 @@ def test_kernel_multilevel_partition_large(benchmark, adapted_large):
     g = coarse_dual_graph(adapted_large.mesh)
     a = benchmark(multilevel_partition, g, 8, 0)
     assert len(np.unique(a)) == 8
+
+
+def _drifted(graph, p):
+    """A partition of ``graph`` and the same graph after a refinement-like
+    weight drift — what one PNR repartitioning call is handed."""
+    current = multilevel_partition(graph, p, 0)
+    rng = np.random.default_rng(0)
+    grown = graph.vwts * rng.choice([1.0, 1.0, 2.0, 4.0], graph.n_vertices)
+    return WeightedGraph(graph.xadj, graph.adjncy, graph.ewts, grown), current
+
+
+def test_kernel_multilevel_repartition(benchmark, adapted):
+    """The paper's kernel (Section 9): constrained HEM hierarchy + KL with
+    the Equation-1 gain, from the current partition."""
+    g, current = _drifted(coarse_dual_graph(adapted.mesh), 8)
+    a = benchmark(multilevel_repartition, g, 8, current)
+    assert len(np.unique(a)) == 8
+
+
+def test_kernel_multilevel_repartition_large(benchmark, adapted_large):
+    g, current = _drifted(coarse_dual_graph(adapted_large.mesh), 8)
+    a = benchmark(multilevel_repartition, g, 8, current)
+    assert len(np.unique(a)) == 8
+
+
+def test_kernel_multilevel_repartition_3d_k16(benchmark):
+    """One rung of the repo benchmark's ladder: 10 368 tets, k = 16."""
+    am = AdaptiveMesh.unit_cube(12)
+    am.refine_where(lambda c: c.sum(axis=1) > 2.2)
+    g, current = _drifted(coarse_dual_graph(am.mesh), 16)
+    a = benchmark(multilevel_repartition, g, 16, current)
+    assert len(np.unique(a)) == 16
 
 
 def test_kernel_stiffness_assembly(benchmark, adapted):

@@ -31,6 +31,7 @@ from repro.partition.metrics import (
     validate_assignment,
 )
 from repro.partition.multilevel import build_hierarchy, project_up
+from repro.perf import PERF
 
 
 def _equation1(graph, home, assignment, p, alpha, beta) -> float:
@@ -117,12 +118,13 @@ def multilevel_repartition(
         window=16,
         balance_mode="deadband",
     )
-    assignment = kl_refine(coarsest, assignment, p, home=homes[-1], config=cfg)
-    for level in range(len(cmaps) - 1, -1, -1):
-        assignment = project_up(assignment, cmaps[level])
-        assignment = kl_refine(
-            graphs[level], assignment, p, home=homes[level], config=cfg
-        )
+    with PERF.span("multilevel.refine"):
+        assignment = kl_refine(coarsest, assignment, p, home=homes[-1], config=cfg)
+        for level in range(len(cmaps) - 1, -1, -1):
+            assignment = project_up(assignment, cmaps[level])
+            assignment = kl_refine(
+                graphs[level], assignment, p, home=homes[level], config=cfg
+            )
     # Monotone-or-rollback: the repartitioner hill-climbs from ``current``,
     # so identity is always a candidate.  KL optimizes the deadband form of
     # the balance term; under the literal quadratic Equation 1 an in-band

@@ -44,10 +44,12 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
     *inside* them — under P0 the marker, the LEPP walk, the request
     exchange (``pared.P0.*``) and the mesh kernel (``mesh.refine`` /
     ``mesh.coarsen``); under P3 ``pared.repartition.serial`` (the
-    coordinator's serial merge+repartition) and the ``dkl.*`` tournament
-    steps — whose shares read as fractions of the same total, so where P0
-    goes and the coordinator-serial share of wall time are visible at a
-    glance.
+    coordinator's serial merge+repartition), the two halves of its
+    multilevel V-cycle (``multilevel.coarsen`` / ``multilevel.refine``;
+    the initial partition at launch counts in too) and the ``dkl.*``
+    tournament steps — whose shares read as fractions of the same total,
+    so where P0 goes and the coordinator-serial share of wall time are
+    visible at a glance.
     """
     kernel_perf = kernel_perf or {}
     phases = [n for n in _ROUND_PHASES if n in kernel_perf]
@@ -55,7 +57,7 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
         n
         for n in sorted(kernel_perf)
         if n == "pared.repartition.serial"
-        or n.startswith(("dkl.", "mesh.", "pared.P0."))
+        or n.startswith(("dkl.", "mesh.", "multilevel.", "pared.P0."))
     ]
     total = sum(kernel_perf[n][1] for n in phases)
     rows = []

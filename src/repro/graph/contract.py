@@ -34,29 +34,41 @@ def contract(graph: WeightedGraph, match: np.ndarray) -> tuple:
     """
     with PERF.span("contract"):
         n = graph.n_vertices
-        match = np.asarray(match, dtype=np.int64)
+        match = np.ascontiguousarray(match, dtype=np.int64)
         if match.shape[0] != n:
             raise ValueError("match must have one entry per vertex")
-        # Assign coarse ids: the smaller endpoint of each matched pair owns
-        # it, and ids are dealt in owner order — a cumsum over the owner
-        # mask gives the same numbering the old sequential scan produced,
-        # bit for bit.
-        verts = np.arange(n, dtype=np.int64)
-        is_owner = verts <= match
-        cmap = np.cumsum(is_owner, dtype=np.int64) - 1
-        cmap[~is_owner] = cmap[match[~is_owner]]
-        nc = int(is_owner.sum())
+        from repro.partition import _klnative  # deferred: partition imports graph
 
-        cvwts = np.bincount(cmap, weights=graph.vwts, minlength=nc)
+        out = _klnative.contract(graph, match)
+        if out is None:
+            return _contract_py(graph, match)
+        *coarse, cmap = out
+        return WeightedGraph(*coarse), cmap
 
-        # Coarse edges: map endpoints, drop collapsed pairs, merge parallels.
-        src = np.repeat(verts, np.diff(graph.xadj))
-        cu = cmap[src]
-        cv = cmap[graph.adjncy]
-        keep = cu != cv
-        # each undirected fine edge appears twice in CSR; keep one direction
-        keep &= cu < cv
-        edges = np.column_stack([cu[keep], cv[keep]])
-        wts = graph.ewts[keep]
-        coarse = WeightedGraph.from_edges(nc, edges, wts, cvwts)
-        return coarse, cmap
+
+def _contract_py(graph: WeightedGraph, match: np.ndarray) -> tuple:
+    """The numpy reference of :func:`contract` (and of ``_klcore.c:
+    contract``, which must emit the same arrays bit for bit)."""
+    n = graph.n_vertices
+    # Assign coarse ids: the smaller endpoint of each matched pair owns
+    # it, and ids are dealt in owner order — a cumsum over the owner
+    # mask gives the same numbering the old sequential scan produced,
+    # bit for bit.
+    verts = np.arange(n, dtype=np.int64)
+    is_owner = verts <= match
+    cmap = np.cumsum(is_owner, dtype=np.int64) - 1
+    cmap[~is_owner] = cmap[match[~is_owner]]
+    nc = int(is_owner.sum())
+
+    cvwts = np.bincount(cmap, weights=graph.vwts, minlength=nc)
+
+    # Coarse edges: map endpoints, drop collapsed pairs, merge parallels.
+    cu = cmap[graph.edge_src]
+    cv = cmap[graph.adjncy]
+    # each undirected fine edge appears twice in CSR; keep one direction
+    # (which also drops the edges a matched pair collapsed)
+    keep = cu < cv
+    edges = np.column_stack([cu[keep], cv[keep]])
+    wts = graph.ewts[keep]
+    coarse = WeightedGraph.from_edges(nc, edges, wts, cvwts)
+    return coarse, cmap

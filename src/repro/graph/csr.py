@@ -27,9 +27,10 @@ class WeightedGraph:
         ``(nv,)`` float64 — vertex weights.
     """
 
-    __slots__ = ("xadj", "adjncy", "ewts", "vwts")
+    __slots__ = ("xadj", "adjncy", "ewts", "vwts", "_edge_src")
 
     def __init__(self, xadj, adjncy, ewts, vwts):
+        self._edge_src = None
         self.xadj = np.asarray(xadj, dtype=np.int64)
         self.adjncy = np.asarray(adjncy, dtype=np.int64)
         self.ewts = np.asarray(ewts, dtype=np.float64)
@@ -38,6 +39,13 @@ class WeightedGraph:
             raise ValueError("xadj must be 1-D and start at 0")
         if self.xadj[-1] != self.adjncy.shape[0]:
             raise ValueError("xadj[-1] must equal len(adjncy)")
+        # the compiled kernels index with these unchecked
+        if np.any(self.xadj[1:] < self.xadj[:-1]):
+            raise ValueError("xadj must be non-decreasing")
+        if self.adjncy.size and (
+            self.adjncy.min() < 0 or self.adjncy.max() >= self.n_vertices
+        ):
+            raise ValueError("adjncy entry out of range")
         if self.ewts.shape != self.adjncy.shape:
             raise ValueError("ewts must align with adjncy")
         if self.vwts.shape[0] != self.n_vertices:
@@ -111,6 +119,21 @@ class WeightedGraph:
         return self.xadj.shape[0] - 1
 
     @property
+    def edge_src(self) -> np.ndarray:
+        """``(2*ne,)`` int64 — the source vertex of every ``adjncy`` entry
+        (``repeat(arange(nv), diff(xadj))``), built once per graph: the CSR
+        arrays are never mutated after construction."""
+        if self._edge_src is None:
+            self._edge_src = np.repeat(
+                np.arange(self.n_vertices, dtype=np.int64), np.diff(self.xadj)
+            )
+        return self._edge_src
+
+    def __reduce__(self):
+        # pickle the four defining arrays, never the derived cache
+        return (WeightedGraph, (self.xadj, self.adjncy, self.ewts, self.vwts))
+
+    @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
         return self.adjncy.shape[0] // 2
@@ -172,7 +195,7 @@ class WeightedGraph:
             assert abs(asym).max() < 1e-9, "adjacency not symmetric"
         assert np.all(self.ewts > 0), "nonpositive edge weight"
         assert np.all(self.vwts >= 0), "negative vertex weight"
-        assert not np.any(self.adjncy == np.repeat(np.arange(self.n_vertices), np.diff(self.xadj))), "self loop"
+        assert not np.any(self.adjncy == self.edge_src), "self loop"
 
     def __repr__(self) -> str:
         return (

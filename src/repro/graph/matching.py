@@ -5,16 +5,21 @@ Heavy-edge matching (HEM) matches vertices across heavy edges
 edge weight as possible from the coarser graph, which keeps coarse cuts
 representative of fine cuts.
 
-Both matchings here are computed with the same array-round machinery
-(so ablation benches share a cost shape): every undirected edge gets a
-unique priority — edge weight with a seeded random tie-break for HEM, a
-pure seeded shuffle for :func:`random_matching` — and then mutual-proposal
-rounds run until no edge joins two unmatched vertices.  Each round, every
-unmatched vertex proposes along its highest-priority surviving edge and
-mutual proposals become matches.  The globally best surviving edge is both
-of its endpoints' best, so every round matches at least one pair and the
-loop terminates with a *maximal* matching.  Randomness is drawn only at
-setup, so results are a pure function of ``(graph, seed, constraint)``.
+Both matchings here are computed with the same machinery (so ablation
+benches share a cost shape): every undirected edge gets a unique priority
+— edge weight with a seeded random tie-break for HEM, a pure seeded
+shuffle for :func:`random_matching` — and the matching is the *greedy*
+one for that priority order: scan the edges from best to worst and match
+every edge whose endpoints are both still free.  The compiled core does
+exactly that scan (``_klcore.c: hem_match``); the numpy reference reaches
+the same matching by mutual-proposal rounds (:func:`_match_rounds`): each
+round, every unmatched vertex proposes along its highest-priority
+surviving edge and mutual proposals become matches.  The two agree because
+priorities are unique — the globally best surviving edge is both of its
+endpoints' best, so the rounds match it exactly when the scan would, and
+by induction every later edge too.  Either way the result is a *maximal*
+matching, and randomness is drawn only at setup, so results are a pure
+function of ``(graph, seed, constraint)``.
 
 ``constraint`` support: the repartitioning variant of the multilevel scheme
 (PNR, Section 9) must contract only *within* subsets of the current
@@ -34,8 +39,7 @@ from repro.perf import PERF
 
 def _candidate_edges(graph: WeightedGraph, constraint):
     """One row per undirected constraint-respecting edge: (src, dst, ewts)."""
-    n = graph.n_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = graph.edge_src
     dst = graph.adjncy
     keep = src < dst  # CSR stores each undirected edge twice
     if constraint is not None:
@@ -84,6 +88,19 @@ def _match_rounds(n: int, es, ed, rank) -> np.ndarray:
     return match
 
 
+def _greedy_matching(n: int, es, ed, order) -> np.ndarray:
+    """The greedy matching over candidate edges listed in ``order`` by
+    ascending priority: the compiled scan, else the mutual-proposal rounds."""
+    from repro.partition import _klnative  # deferred: partition imports graph
+
+    match = _klnative.hem_match(n, es, ed, order)
+    if match is None:
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size, dtype=np.int64)
+        match = _match_rounds(n, es, ed, rank)
+    return match
+
+
 def heavy_edge_matching(
     graph: WeightedGraph,
     seed: int = 0,
@@ -97,12 +114,14 @@ def heavy_edge_matching(
     with PERF.span("matching.hem"):
         es, ed, ew = _candidate_edges(graph, constraint)
         rng = np.random.default_rng(seed)
-        # dense unique rank: heavier edges first, seeded shuffle breaks ties
+        # unique priority: heavier edges first, seeded shuffle breaks ties.
+        # ``tie`` is a permutation, so laying the edges out in tie order and
+        # stable-sorting by weight is np.lexsort((tie, ew)) at half the cost
         tie = rng.permutation(es.size)
-        order = np.lexsort((tie, ew))
-        rank = np.empty(es.size, dtype=np.int64)
-        rank[order] = np.arange(es.size, dtype=np.int64)
-        return _match_rounds(graph.n_vertices, es, ed, rank)
+        by_tie = np.empty(es.size, dtype=np.int64)
+        by_tie[tie] = np.arange(es.size, dtype=np.int64)
+        order = by_tie[np.argsort(ew[by_tie], kind="stable")]
+        return _greedy_matching(graph.n_vertices, es, ed, order)
 
 
 def random_matching(graph: WeightedGraph, seed: int = 0, constraint=None) -> np.ndarray:
@@ -111,5 +130,5 @@ def random_matching(graph: WeightedGraph, seed: int = 0, constraint=None) -> np.
     with PERF.span("matching.random"):
         es, ed, _ = _candidate_edges(graph, constraint)
         rng = np.random.default_rng(seed)
-        rank = rng.permutation(es.size).astype(np.int64)
-        return _match_rounds(graph.n_vertices, es, ed, rank)
+        order = np.argsort(rng.permutation(es.size))
+        return _greedy_matching(graph.n_vertices, es, ed, order)

@@ -1,22 +1,27 @@
-"""Build & load the compiled KL pass kernel (:mod:`_klcore.c`).
+"""Build & load the compiled multilevel core (:mod:`_klcore.c`).
 
-The kernel is compiled on first use with the system C compiler into a
-content-hashed shared object next to the source (or a temporary directory
-when the package directory is read-only) and loaded through :mod:`ctypes`.
-Everything degrades gracefully: no compiler, a failed build, a failed
-allocation inside the kernel, or ``REPRO_KL_NATIVE=0`` all fall back to the
-pure-Python pass in :mod:`repro.partition.kl`, which remains the reference
-implementation.  ``tests/test_kl_native.py`` asserts the two paths are
-decision-for-decision identical.
+The core — heavy-edge matching, contraction and the whole KL refinement —
+is compiled on first use with the system C compiler into a content-hashed
+shared object next to the source (or a temporary directory when the package
+directory is read-only) and loaded through :mod:`ctypes`.  Everything
+degrades gracefully: no compiler, a failed build, a failed allocation
+inside a kernel, or ``REPRO_KL_NATIVE=0`` make every wrapper here return
+``None``, and the caller runs its numpy/Python reference instead
+(:func:`repro.graph.matching._match_rounds`,
+:func:`repro.graph.contract._contract_py`,
+:func:`repro.partition.kl._kl_refine_py`).  ``tests/test_kl_native.py`` and
+``tests/test_multilevel_native.py`` assert the two paths agree array for
+array.
 
-The build deliberately avoids ``-ffast-math`` (and any flag that would let
-the compiler reassociate float expressions): gain keys must be bit-identical
-to the Python arithmetic or heap pop order — and therefore the refinement
-output — could drift.
+The build deliberately avoids ``-ffast-math`` and FMA contraction (any flag
+that would let the compiler reassociate or fuse float expressions): gain
+keys and merged weights must be bit-identical to the Python/numpy
+arithmetic or heap pop order — and therefore the refinement output — could
+drift.
 
 A welcome side effect of the ctypes boundary: the GIL is released for the
-duration of a pass, so under the threaded SimMPI runtime worker ranks keep
-running while the coordinator refines.
+duration of a kernel, so under the threaded SimMPI runtime worker ranks keep
+running while the coordinator repartitions.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.perf import PERF
 from repro.runtime.envflags import env_bool
 
 _SRC = Path(__file__).with_name("_klcore.c")
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math"]
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
 _LOCK = threading.Lock()
 _LIB = None
 _TRIED = False
@@ -48,28 +54,37 @@ def _configure(lib) -> None:
     c_f64 = ctypes.c_double
     i64p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     f64p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    lib.kl_pass.restype = c_f64
-    lib.kl_pass.argtypes = [
-        c_i64, c_i64,            # n, p
-        i64p, i64p, f64p, f64p,  # xadj, adjncy, ewts, vw
-        i64p, c_f64,             # hom, alpha
-        c_f64, c_i64, c_f64, c_f64,  # beta, deadband, maxcap, floor_w
-        c_i64, c_i64, c_f64,     # window, stall_limit, min_gain
-        i64p, f64p, f64p,        # asg, wt, connf  (mutated in place)
-        c_i64, f64p, i64p, i64p,  # n0, g0, v0, j0 (initial candidates)
+    lib.hem_match.restype = None
+    lib.hem_match.argtypes = [c_i64, c_i64, i64p, i64p, i64p, i64p]
+    lib.contract.restype = c_i64
+    lib.contract.argtypes = [
+        c_i64, i64p, i64p, f64p, f64p, i64p,  # n, CSR, vwts, match
+        i64p, f64p, i64p, i64p, f64p,         # cmap, cvw, cxadj, cadj, cew
     ]
+    lib.kl_refine.restype = c_i64
+    lib.kl_refine.argtypes = [
+        c_i64, c_i64,                  # n, p
+        i64p, i64p, f64p, f64p,        # xadj, adjncy, ewts, vw
+        i64p, c_f64,                   # hom, alpha
+        c_f64, c_i64,                  # beta, deadband
+        c_f64, c_f64, c_f64,           # mean, maxcap, floor_w
+        c_i64, c_i64, c_f64, c_i64,    # window, stall_limit, min_gain, max_passes
+        i64p, f64p,                    # asg (in/out), stats (out)
+    ]
+    lib.klcore_fail_after.restype = None
+    lib.klcore_fail_after.argtypes = [c_i64]
 
 
 def _compile_and_load():
     src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
+    tag = hashlib.sha256(src + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     cc = os.environ.get("CC", "cc")
     so = _SRC.with_name(f"_klcore-{tag}.so")
     if not so.exists():
         with tempfile.TemporaryDirectory() as td:
             tmp = Path(td) / "klcore.so"
             subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC), "-lm"],
+                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC)],
                 check=True, capture_output=True,
             )
             try:
@@ -86,7 +101,7 @@ def _compile_and_load():
 
 
 def load():
-    """The compiled kernel, built on first call; ``None`` if unavailable."""
+    """The compiled core, built on first call; ``None`` if unavailable."""
     global _LIB, _TRIED
     if _DISABLED:
         return None
@@ -102,44 +117,92 @@ def load():
     return _LIB
 
 
-def kl_pass_native(state, conn2d, weights_np, gs, vs, cs):
-    """Run one pass in the compiled kernel; ``None`` means "fall back".
+def _csr(graph) -> tuple:
+    """``(xadj, adjncy, ewts, vwts)`` as the kernels take them (a no-op for
+    every graph the constructors build)."""
+    return (
+        np.ascontiguousarray(graph.xadj, dtype=np.int64),
+        np.ascontiguousarray(graph.adjncy, dtype=np.int64),
+        np.ascontiguousarray(graph.ewts, dtype=np.float64),
+        np.ascontiguousarray(graph.vwts, dtype=np.float64),
+    )
 
-    Receives the prelude's results (connectivity matrix, subset weights,
-    initial candidate gains/vertices/destinations).  The kernel mutates
-    private copies, so a ``None`` return leaves ``state`` untouched.
+
+def hem_match(n: int, es, ed, order):
+    """Greedy matching over candidate edges ``(es, ed)`` listed in ``order``
+    by ascending priority; ``None`` means "fall back"."""
+    lib = load()
+    if lib is None:
+        return None
+    match = np.empty(n, dtype=np.int64)
+    lib.hem_match(
+        n, es.shape[0],
+        np.ascontiguousarray(es, dtype=np.int64),
+        np.ascontiguousarray(ed, dtype=np.int64),
+        np.ascontiguousarray(order, dtype=np.int64),
+        match,
+    )
+    return match
+
+
+def contract(graph, match):
+    """Contract ``graph`` along ``match``: ``(xadj, adjncy, ewts, vwts,
+    cmap)`` of the coarse graph (the first four as views of fine-sized
+    buffers), or ``None`` for "fall back"."""
+    lib = load()
+    if lib is None:
+        return None
+    n = graph.n_vertices
+    nnz = graph.adjncy.shape[0]
+    cmap = np.empty(n, dtype=np.int64)
+    cvw = np.empty(n, dtype=np.float64)
+    cxadj = np.empty(n + 1, dtype=np.int64)
+    cadj = np.empty(nnz, dtype=np.int64)
+    cew = np.empty(nnz, dtype=np.float64)
+    nc = lib.contract(n, *_csr(graph), match, cmap, cvw, cxadj, cadj, cew)
+    if nc < 0:
+        return None
+    end = int(cxadj[nc])
+    return cxadj[: nc + 1], cadj[:end], cew[:end], cvw[:nc], cmap
+
+
+def kl_refine(state):
+    """Run every pass of one ``kl_refine`` call in the compiled core and
+    return the refined assignment; ``None`` means "fall back".
+
+    The kernel works on a private copy, so a ``None`` return leaves
+    ``state`` untouched.
     """
+    out = _kl_refine_stats(state)
+    if out is None:
+        return None
+    asg, (passes, seconds, _) = out
+    PERF.add("kl.pass", float(seconds), calls=int(passes))
+    return asg
+
+
+def _kl_refine_stats(state):
+    """``(assignment, [passes, seconds in them, best objective])``."""
     lib = load()
     if lib is None:
         return None
     cfg = state.cfg
-    graph = state.graph
-    n = graph.n_vertices
     alpha = float(cfg.alpha) if state.home is not None else 0.0
     if alpha:
         hom = np.ascontiguousarray(state.home, dtype=np.int64)
     else:
         hom = _DUMMY_I64  # never dereferenced when alpha == 0
-    asg = state.assign.astype(np.int64)      # working copies: the kernel
-    wt = weights_np.astype(np.float64)       # must not corrupt state on a
-    connf = conn2d.astype(np.float64).ravel()  # mid-pass failure
-    best = lib.kl_pass(
-        n, state.p,
-        np.ascontiguousarray(graph.xadj, dtype=np.int64),
-        np.ascontiguousarray(graph.adjncy, dtype=np.int64),
-        np.ascontiguousarray(graph.ewts, dtype=np.float64),
-        np.ascontiguousarray(graph.vwts, dtype=np.float64),
+    asg = state.assign.copy()
+    stats = np.zeros(3, dtype=np.float64)
+    status = lib.kl_refine(
+        state.graph.n_vertices, state.p, *_csr(state.graph),
         hom, alpha,
         float(cfg.beta), int(cfg.balance_mode == "deadband"),
-        state.maxcap, state.mean - state.band,
+        state.mean, state.maxcap, state.mean - state.band,
         int(cfg.window), int(cfg.stall_limit), float(cfg.min_gain),
-        asg, wt, connf,
-        int(gs.shape[0]),
-        np.ascontiguousarray(gs, dtype=np.float64),
-        np.ascontiguousarray(vs, dtype=np.int64),
-        np.ascontiguousarray(cs, dtype=np.int64),
+        int(cfg.max_passes),
+        asg, stats,
     )
-    if best != best:  # NaN: allocation failure inside the kernel
+    if status:  # allocation failure inside the kernel
         return None
-    state.assign[:] = asg
-    return float(best)
+    return asg, stats

@@ -114,7 +114,7 @@ class _KLState:
 
     __slots__ = (
         "graph", "p", "assign", "home", "cfg", "mean", "maxcap", "band",
-        "xadj", "adjncy", "ewts", "vwts", "src",
+        "xadj", "adjncy", "ewts", "vwts",
         "xadj_l", "adj_l", "ewt_l", "vw_l", "hom_l",
     )
 
@@ -137,8 +137,6 @@ class _KLState:
         self.xadj = graph.xadj
         self.adjncy = graph.adjncy
         self.ewts = graph.ewts
-        n = graph.n_vertices
-        self.src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.xadj))
         # Hot-loop list mirrors of the immutable arrays, built lazily on
         # the first pure-Python pass and shared by every later one
         # (tolist() per pass is measurable at bench scale: ~15% of a
@@ -184,10 +182,9 @@ def _kl_pass(state: _KLState) -> float:
     """One KL pass with rollback; returns the objective improvement kept.
 
     The vectorized prelude (connectivity, boundary seeding, initial
-    candidates) runs here in numpy for both paths; the sequential
-    hill-climb dispatches to the compiled kernel when it is available
-    (decision-for-decision identical — see ``_klcore.c``) and otherwise to
-    the pure-Python reference loop :func:`_kl_pass_py`.
+    candidates) runs here in numpy; the sequential hill-climb is
+    :func:`_kl_pass_py`.  Together they are the reference of ``_klcore.c:
+    kl_pass``, which builds the same candidates in the same order.
     """
     cfg = state.cfg
     n = state.graph.n_vertices
@@ -200,7 +197,7 @@ def _kl_pass(state: _KLState) -> float:
     # Flat connectivity: conn2d[v, s] = edge weight from v into subset s,
     # built by one vectorized bincount over the CSR arrays.
     conn2d = np.bincount(
-        state.src * p + assign[state.adjncy], weights=state.ewts,
+        state.graph.edge_src * p + assign[state.adjncy], weights=state.ewts,
         minlength=n * p,
     ).reshape(n, p)
 
@@ -243,9 +240,6 @@ def _kl_pass(state: _KLState) -> float:
         gs = np.empty(0, dtype=np.float64)
         vs = c = np.empty(0, dtype=np.int64)
 
-    res = _klnative.kl_pass_native(state, conn2d, weights_np, gs, vs, c)
-    if res is not None:
-        return res
     return _kl_pass_py(state, conn2d, weights_np, gs, vs, c)
 
 
@@ -253,8 +247,9 @@ def _kl_pass_py(state: _KLState, conn2d, weights_np, gs, vs, cs) -> float:
     """Pure-Python reference for the sequential half of one KL pass.
 
     ``gs``/``vs``/``cs`` are the prelude's initial candidates (gain,
-    vertex, destination).  The compiled kernel mirrors this loop exactly;
-    change them together (``tests/test_kl_native.py`` enforces parity).
+    vertex, destination).  The compiled core mirrors this loop exactly;
+    change them together (``tests/test_kl_native.py`` and
+    ``tests/test_multilevel_native.py`` enforce parity).
     """
     cfg = state.cfg
     n = state.graph.n_vertices
@@ -523,24 +518,34 @@ def kl_refine(
         home = validate_assignment(graph, home, p)
     with PERF.span("kl.refine"):
         state = _KLState(graph, p, assign, home, cfg)
-        # Track the best-seen partition under the *full* objective.  The
-        # per-pass incremental gains telescope that objective exactly, but
-        # guarding on the evaluated value makes refinement monotone-or-rollback
-        # by construction: a pass whose bookkeeping drifts (or a later pass
-        # that trades away an earlier gain) can never make the returned
-        # partition worse than the best state ever reached — in particular
-        # never worse than the input.
-        best = state.assign.copy()
-        best_obj = state.objective()
-        for _ in range(cfg.max_passes):
-            with PERF.span("kl.pass"):
-                improved = _kl_pass(state)
-            obj = state.objective()
-            if obj < best_obj - cfg.min_gain:
-                best_obj = obj
-                best[:] = state.assign
-            if improved <= cfg.min_gain:
-                break
-        if state.objective() > best_obj + cfg.min_gain:
-            return best
+        out = _klnative.kl_refine(state)
+        if out is None:
+            out = _kl_refine_py(state)
+    return out
+
+
+def _kl_refine_py(state: _KLState) -> np.ndarray:
+    """The pass loop of :func:`kl_refine` — the reference of ``_klcore.c:
+    kl_refine`` and the path taken when no compiled core is available."""
+    cfg = state.cfg
+    # Track the best-seen partition under the *full* objective.  The
+    # per-pass incremental gains telescope that objective exactly, but
+    # guarding on the evaluated value makes refinement monotone-or-rollback
+    # by construction: a pass whose bookkeeping drifts (or a later pass
+    # that trades away an earlier gain) can never make the returned
+    # partition worse than the best state ever reached — in particular
+    # never worse than the input.
+    best = state.assign.copy()
+    best_obj = obj = state.objective()
+    for _ in range(cfg.max_passes):
+        with PERF.span("kl.pass"):
+            improved = _kl_pass(state)
+        obj = state.objective()
+        if obj < best_obj - cfg.min_gain:
+            best_obj = obj
+            best[:] = state.assign
+        if improved <= cfg.min_gain:
+            break
+    if obj > best_obj + cfg.min_gain:
+        return best
     return state.assign

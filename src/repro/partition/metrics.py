@@ -28,8 +28,7 @@ def validate_assignment(graph: WeightedGraph, assignment, p: int) -> np.ndarray:
 def graph_cut(graph: WeightedGraph, assignment) -> float:
     """Total weight of edges crossing subsets (``C_cut`` on the graph)."""
     a = np.asarray(assignment)
-    src = np.repeat(np.arange(graph.n_vertices), np.diff(graph.xadj))
-    cross = a[src] != a[graph.adjncy]
+    cross = a[graph.edge_src] != a[graph.adjncy]
     # each undirected edge counted twice in CSR
     return float(graph.ewts[cross].sum()) / 2.0
 

@@ -54,9 +54,12 @@ def build_hierarchy(
         while graphs[-1].n_vertices > coarsen_to and level < max_levels:
             g = graphs[-1]
             m = match_fn(g, seed=seed + level, constraint=cur_constraint)
-            coarse, cmap = contract(g, m)
-            if coarse.n_vertices >= g.n_vertices * min_shrink:
+            # every matched pair removes one vertex: decide before contracting
+            n = g.n_vertices
+            n_coarse = n - np.count_nonzero(m != np.arange(n)) // 2
+            if n_coarse >= n * min_shrink:
                 break  # contraction stalled (e.g. star graphs, tiny subsets)
+            coarse, cmap = contract(g, m)
             graphs.append(coarse)
             cmaps.append(cmap)
             if cur_constraint is not None:

@@ -42,10 +42,12 @@ class PerfRegistry:
         self.seconds = defaultdict(float)
         self.calls = defaultdict(int)
 
-    def add(self, name: str, elapsed: float) -> None:
+    def add(self, name: str, elapsed: float, calls: int = 1) -> None:
+        """Credit ``elapsed`` seconds over ``calls`` calls to ``name`` (the
+        compiled kernels report their own pass count and time this way)."""
         with self._lock:
             self.seconds[name] += elapsed
-            self.calls[name] += 1
+            self.calls[name] += calls
 
     def span(self, name: str):
         """Context manager timing one phase under ``name``."""

@@ -81,7 +81,8 @@ class TestCommands:
         for col in ("phase", "calls", "seconds", "share", "ms/call"):
             assert col in out
         for row in ("pared.P0", "pared.P3", "pared.P0.mark", "pared.P0.lepp",
-                    "pared.P0.exchange", "mesh.refine", "mesh.coarsen"):
+                    "pared.P0.exchange", "mesh.refine", "mesh.coarsen",
+                    "multilevel.coarsen", "multilevel.refine"):
             assert row in out
 
     def test_pared_dkl_partitioner(self, capsys):

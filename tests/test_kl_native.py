@@ -1,5 +1,6 @@
-"""Parity of the compiled KL pass (:mod:`repro.partition._klnative`) with
-the pure-Python reference loop.
+"""Parity of the compiled KL refinement (:mod:`repro.partition._klnative`)
+with the pure-Python reference loop (the whole-V-cycle suite is
+``tests/test_multilevel_native.py``).
 
 The compiled kernel must be *decision-for-decision* identical: same heap pop
 order (total order on ``(key, counter)``), same float arithmetic, same
@@ -14,9 +15,7 @@ from repro.graph.csr import WeightedGraph
 from repro.partition import _klnative
 from repro.partition.kl import KLConfig, kl_refine
 
-native_only = pytest.mark.skipif(
-    _klnative.load() is None, reason="compiled KL kernel unavailable"
-)
+from tests.conftest import pure_path
 
 
 def _rand_graph(n, avg_deg, rng):
@@ -34,16 +33,12 @@ def _rand_graph(n, avg_deg, rng):
 
 def _both_paths(graph, asg, p, home, cfg):
     out_native = kl_refine(graph, asg, p, home=home, config=cfg)
-    saved = _klnative._DISABLED
-    _klnative._DISABLED = True
-    try:
+    with pure_path():
         out_pure = kl_refine(graph, asg, p, home=home, config=cfg)
-    finally:
-        _klnative._DISABLED = saved
     return out_native, out_pure
 
 
-@native_only
+@pytest.mark.usefixtures("native_core")
 class TestNativeParity:
     def test_randomized_configs(self):
         rng = np.random.default_rng(42)

@@ -36,6 +36,18 @@ class TestHierarchy:
         # stops the hierarchy rather than looping for 95 levels
         assert len(graphs) < 10
 
+    def test_stall_is_decided_before_contracting(self):
+        # the level that fails the min_shrink test is never built: one
+        # `contract` per level kept, none thrown away
+        from repro.perf import PERF
+
+        g = star_graph(100)
+        PERF.reset()
+        graphs, cmaps = build_hierarchy(g, coarsen_to=5, seed=0)
+        snap = PERF.snapshot()
+        assert snap["matching.hem"][0] == len(cmaps) + 1  # the stalled try
+        assert snap.get("contract", (0, 0.0))[0] == len(cmaps)
+
     def test_constraint_projected_down(self):
         g = grid_graph(12)
         constraint = (np.arange(144) // 72).astype(np.int64)

@@ -1,0 +1,504 @@
+"""Native ≡ pure, array for array, for the whole multilevel V-cycle.
+
+``_klcore.c`` compiles heavy-edge matching, contraction and the KL
+refinement; every kernel keeps its numpy/Python reference as the fallback
+(``REPRO_KL_NATIVE=0``, no compiler, a failed allocation).  The goldens pin
+partitions without saying which path produced them, so the two paths must
+agree *bit for bit* — including on non-integer weights, where only the
+order of float additions separates them:
+
+* ``hem_match``: one greedy scan in descending rank ≡ mutual-proposal rounds;
+* ``contract``: cmap, coarse vertex weights and the merged CSR, parallel
+  edges summed in ``np.add.reduceat``'s order;
+* ``kl_refine``: prelude, hill-climb, best-state tracking and the
+  monotone-or-rollback guard, reductions in numpy's pairwise order;
+* end to end through ``multilevel_partition`` / ``multilevel_repartition``
+  and a PARED run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import PNR
+from repro.core.repartition_kl import multilevel_repartition
+from repro.fem import CornerLaplace2D, interpolation_error_indicator, mark_top_fraction
+from repro.graph.contract import contract
+from repro.graph.csr import WeightedGraph
+from repro.graph.generators import grid_graph, star_graph
+from repro.graph.matching import _match_rounds, heavy_edge_matching, random_matching
+from repro.mesh import AdaptiveMesh, coarse_dual_graph
+from repro.pared import ParedConfig, run_pared
+from repro.partition import _klnative
+from repro.partition.kl import KLConfig, kl_refine
+from repro.partition.multilevel import build_hierarchy, multilevel_partition
+
+from tests.conftest import pure_path
+
+needs_native = pytest.mark.usefixtures("native_core")
+
+
+def _rand_graph(n, avg_deg, rng, float_weights=True):
+    edges = rng.integers(0, n, size=(max(1, n * avg_deg // 2), 2))
+    m = len(edges)
+    if float_weights:
+        ewts, vwts = rng.uniform(0.5, 3.0, m), rng.uniform(0.5, 4.0, n)
+    else:
+        ewts, vwts = rng.integers(1, 4, m), rng.integers(1, 6, n)
+    return WeightedGraph.from_edges(n, edges, ewts, vwts)
+
+
+def _both(fn):
+    """``fn()`` on the compiled path and on the reference path."""
+    native = fn()
+    with pure_path():
+        pure = fn()
+    return native, pure
+
+
+def _same_graph(a: WeightedGraph, b: WeightedGraph) -> None:
+    for name in ("xadj", "adjncy", "ewts", "vwts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+# --------------------------------------------------------------------- #
+# hem_match
+# --------------------------------------------------------------------- #
+
+
+@needs_native
+class TestMatching:
+    @pytest.mark.parametrize("fn", [heavy_edge_matching, random_matching])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_random_graphs(self, fn, constrained):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            n = int(rng.integers(2, 250))
+            g = _rand_graph(n, int(rng.integers(1, 8)), rng, trial % 2 == 0)
+            constraint = rng.integers(0, 4, n) if constrained else None
+            native, pure = _both(lambda: fn(g, seed=trial, constraint=constraint))
+            assert native.dtype == pure.dtype
+            assert np.array_equal(native, pure), f"trial {trial}"
+
+    def test_empty_edge_set_and_isolated_vertices(self):
+        lonely = WeightedGraph.from_edges(5, np.empty((0, 2), dtype=np.int64))
+        native, pure = _both(lambda: heavy_edge_matching(lonely, seed=0))
+        assert np.array_equal(native, np.arange(5))
+        assert np.array_equal(pure, np.arange(5))
+        # one edge among isolated vertices; a constraint that forbids it
+        g = WeightedGraph.from_edges(6, np.array([[1, 4]]))
+        native, pure = _both(lambda: heavy_edge_matching(g, seed=0))
+        assert np.array_equal(native, [0, 4, 2, 3, 1, 5])
+        assert np.array_equal(native, pure)
+        labels = np.array([0, 0, 0, 0, 1, 1])
+        native, pure = _both(
+            lambda: heavy_edge_matching(g, seed=0, constraint=labels)
+        )
+        assert np.array_equal(native, np.arange(6))
+        assert np.array_equal(pure, np.arange(6))
+
+    def test_all_equal_weights_only_the_seed_orders_edges(self):
+        g = grid_graph(9)
+        seen = set()
+        for seed in range(6):
+            native, pure = _both(lambda: heavy_edge_matching(g, seed=seed))
+            assert np.array_equal(native, pure)
+            seen.add(native.tobytes())
+        assert len(seen) > 1, "the seeded tie-break must matter on unit weights"
+
+    def test_star_matches_exactly_one_leaf(self):
+        g = star_graph(30)
+        native, pure = _both(lambda: heavy_edge_matching(g, seed=3))
+        assert np.array_equal(native, pure)
+        assert np.count_nonzero(native != np.arange(g.n_vertices)) == 2
+
+
+def _greedy_scan(n, es, ed, rank):
+    """Pure-Python statement of the scan: best-ranked edge first, match an
+    edge iff both endpoints are still free."""
+    match = np.full(n, -1, dtype=np.int64)
+    for e in np.argsort(rank)[::-1]:
+        a, b = int(es[e]), int(ed[e])
+        if match[a] < 0 and match[b] < 0:
+            match[a], match[b] = b, a
+    free = match < 0
+    match[free] = np.nonzero(free)[0]
+    return match
+
+
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(0, 160),
+    seed=st.integers(0, 10_000),
+    nlabels=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_greedy_scan_equals_match_rounds(n, m, seed, nlabels):
+    """The argument the compiled matching rests on: with unique ranks the
+    greedy descending-rank scan and the mutual-proposal rounds build the
+    same matching (multigraphs and constraint-filtered edge sets too)."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, size=(m, 2))
+    labels = rng.integers(0, nlabels, n)
+    keep = (edges[:, 0] != edges[:, 1]) & (labels[edges[:, 0]] == labels[edges[:, 1]])
+    es, ed = edges[keep, 0], edges[keep, 1]
+    rank = rng.permutation(es.size).astype(np.int64)
+    expect = _greedy_scan(n, es, ed, rank)
+    assert np.array_equal(_match_rounds(n, es, ed, rank), expect)
+    if _klnative.load() is not None:
+        assert np.array_equal(_klnative.hem_match(n, es, ed, np.argsort(rank)), expect)
+
+
+# --------------------------------------------------------------------- #
+# contract
+# --------------------------------------------------------------------- #
+
+
+@needs_native
+class TestContract:
+    @pytest.mark.parametrize("float_weights", [False, True])
+    def test_random_graphs(self, float_weights):
+        rng = np.random.default_rng(11)
+        for trial in range(25):
+            n = int(rng.integers(2, 300))
+            g = _rand_graph(n, int(rng.integers(1, 9)), rng, float_weights)
+            constraint = rng.integers(0, 3, n) if trial % 3 == 0 else None
+            match = heavy_edge_matching(g, seed=trial, constraint=constraint)
+            (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+            assert np.array_equal(mn, mp), f"trial {trial}: cmap"
+            _same_graph(cn, cp)
+
+    def test_identity_and_perfect_matchings(self):
+        g = _rand_graph(40, 5, np.random.default_rng(2))
+        for match in (np.arange(40), np.arange(40) ^ 1):
+            (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+            assert np.array_equal(mn, mp)
+            _same_graph(cn, cp)
+
+    def test_edgeless_graph(self):
+        g = WeightedGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))
+        (cn, mn), (cp, mp) = _both(lambda: contract(g, np.array([1, 0, 2, 3])))
+        assert np.array_equal(mn, mp)
+        _same_graph(cn, cp)
+
+    @pytest.mark.parametrize("copies", [3, 9, 20, 140, 300])
+    def test_parallel_edges_sum_in_reduceat_order(self, copies):
+        """A multigraph handed to the constructor directly: ``copies``
+        parallel float-weight entries between two coarse vertices, enough
+        to take numpy's pairwise summation through every one of its block
+        shapes (< 8, ≤ 128, recursive)."""
+        rng = np.random.default_rng(copies)
+        # vertices 0-1 and 2-3 are matched; 0..1 × 2..3 carry the copies
+        src = rng.integers(0, 2, copies)
+        dst = rng.integers(2, 4, copies)
+        w = rng.uniform(0.1, 3.0, copies)
+        rows = np.concatenate([src, dst])
+        cols = np.concatenate([dst, src])
+        wts = np.concatenate([w, w])
+        order = np.lexsort((rng.permutation(rows.size), rows))  # rows grouped, cols shuffled
+        rows, cols, wts = rows[order], cols[order], wts[order]
+        xadj = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=4))])
+        g = WeightedGraph(xadj, cols, wts, rng.uniform(0.5, 2.0, 4))
+        match = np.array([1, 0, 3, 2])
+        (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+        assert np.array_equal(mn, mp)
+        _same_graph(cn, cp)
+        assert cn.n_vertices == 2 and cn.n_edges == 1
+
+    def test_non_involution_takes_the_reference_path(self):
+        g = _rand_graph(12, 4, np.random.default_rng(0))
+        bad = np.arange(12)
+        bad[0] = 5  # 5 does not point back
+        assert _klnative.contract(g, bad) is None
+        (cn, mn), (cp, mp) = _both(lambda: contract(g, bad))
+        assert np.array_equal(mn, mp)
+        _same_graph(cn, cp)
+
+    def test_hierarchy_identical_level_by_level(self):
+        rng = np.random.default_rng(4)
+        g = _rand_graph(600, 6, rng)
+        constraint = rng.integers(0, 4, 600)
+        for c in (None, constraint):
+            (gn, mn), (gp, mp) = _both(
+                lambda: build_hierarchy(g, coarsen_to=20, seed=1, constraint=c)
+            )
+            assert len(gn) == len(gp) > 2
+            for a, b in zip(gn, gp):
+                _same_graph(a, b)
+            for a, b in zip(mn, mp):
+                assert np.array_equal(a, b)
+
+
+# --------------------------------------------------------------------- #
+# kl_refine
+# --------------------------------------------------------------------- #
+
+
+def _kl_both(graph, asg, p, home, cfg):
+    return _both(lambda: kl_refine(graph, asg, p, home=home, config=cfg))
+
+
+@needs_native
+class TestKLRefine:
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    @pytest.mark.parametrize("with_home", [False, True])
+    @pytest.mark.parametrize("mode", ["quadratic", "deadband"])
+    def test_matrix(self, p, with_home, mode):
+        rng = np.random.default_rng(1000 * p + 10 * with_home + (mode == "deadband"))
+        for trial in range(25):
+            n = int(rng.integers(20, 300))
+            graph = _rand_graph(n, 6, rng, float_weights=trial % 3 != 0)
+            asg = rng.integers(0, p, n)
+            home = rng.integers(0, p, n) if with_home else None
+            cfg = KLConfig(
+                alpha=float(rng.choice([0.0, 0.5, 2.0])),
+                beta=float(rng.choice([0.0, 0.1, 1.0])),
+                balance_mode=mode,
+                balance_tol=float(rng.choice([0.02, 0.05, 0.3])),
+                window=int(rng.choice([1, 4, 16])),
+                stall_limit=int(rng.choice([0, 16, 256])),
+                max_passes=int(rng.choice([1, 3, 10])),
+            )
+            native, pure = _kl_both(graph, asg, p, home, cfg)
+            assert native.dtype == pure.dtype
+            assert np.array_equal(native, pure), f"trial {trial}: {cfg}"
+
+    @pytest.mark.parametrize("mode", ["quadratic", "deadband"])
+    def test_overweight_subset_seeds_interior_vertices(self, mode):
+        # everything starts in subset 0: no boundary at all, so only the
+        # overweight seeding (and the lightest-subset teleport) can move
+        rng = np.random.default_rng(8)
+        graph = _rand_graph(120, 6, rng)
+        asg = np.zeros(120, dtype=np.int64)
+        cfg = KLConfig(beta=1.0, balance_mode=mode, window=16)
+        native, pure = _kl_both(graph, asg, 4, None, cfg)
+        assert np.array_equal(native, pure)
+        assert np.unique(native).size > 1, "rebalancing must have moved weight"
+
+    def test_empty_part_is_reseeded_identically(self):
+        rng = np.random.default_rng(9)
+        graph = _rand_graph(150, 6, rng)
+        asg = rng.integers(0, 3, 150)  # subset 3 of 4 is empty
+        for beta in (0.0, 0.8):
+            cfg = KLConfig(alpha=0.1, beta=beta, balance_mode="deadband", window=16)
+            native, pure = _kl_both(graph, asg, 4, asg.copy(), cfg)
+            assert np.array_equal(native, pure)
+
+    def test_zero_passes_and_zero_window(self):
+        rng = np.random.default_rng(10)
+        graph = _rand_graph(60, 5, rng)
+        asg = rng.integers(0, 3, 60)
+        for cfg in (KLConfig(max_passes=0), KLConfig(window=0, beta=0.5)):
+            native, pure = _kl_both(graph, asg, 3, None, cfg)
+            assert np.array_equal(native, asg)
+            assert np.array_equal(pure, asg)
+
+    def test_large_row_sums_take_the_pairwise_branches(self):
+        # p = 16 and p = 40 put the boundary test's row sum and the balance
+        # term through numpy's 8-accumulator block; a long crossing-edge
+        # list puts graph_cut through the recursive split
+        rng = np.random.default_rng(12)
+        for p in (16, 40):
+            graph = _rand_graph(900, 8, rng)
+            asg = rng.integers(0, p, 900)
+            cfg = KLConfig(alpha=0.3, beta=0.7, window=8, max_passes=4)
+            native, pure = _kl_both(graph, asg, p, asg.copy(), cfg)
+            assert np.array_equal(native, pure)
+
+    @pytest.mark.parametrize("mode", ["quadratic", "deadband"])
+    def test_objective_reductions_follow_numpy_order(self, mode):
+        """The guard compares objectives to 1e-9, so a reordered float sum
+        almost never changes a decision — which is why the kernel's
+        objective is checked here directly, bit for bit, against
+        ``_KLState.objective()`` on non-integer weights: the cut over 1 to
+        ~4000 crossing edges, the migration term, and the balance term
+        over p from 1 through numpy's unrolled and recursive blocks."""
+        from repro.partition.kl import _KLState
+
+        rng = np.random.default_rng(77)
+        for p in (1, 2, 7, 8, 9, 16, 40, 130, 300):
+            for n in (p, 3 * p + 5, 1200):
+                graph = _rand_graph(n, 7, rng)
+                asg = rng.integers(0, p, n)
+                home = rng.integers(0, p, n)
+                cfg = KLConfig(alpha=0.37, beta=0.81, balance_mode=mode, max_passes=0)
+                state = _KLState(graph, p, asg, home, cfg)
+                out, stats = _klnative._kl_refine_stats(state)
+                assert np.array_equal(out, asg)
+                assert stats[2] == state.objective(), (p, n)
+
+    def test_inputs_are_never_mutated(self):
+        rng = np.random.default_rng(13)
+        graph = _rand_graph(100, 6, rng)
+        asg = rng.integers(0, 4, 100)
+        home = rng.integers(0, 4, 100)
+        keep = [a.copy() for a in (asg, home, graph.xadj, graph.adjncy, graph.ewts, graph.vwts)]
+        kl_refine(graph, asg, 4, home=home, config=KLConfig(alpha=0.5, beta=0.5))
+        for before, after in zip(
+            keep, (asg, home, graph.xadj, graph.adjncy, graph.ewts, graph.vwts)
+        ):
+            assert np.array_equal(before, after)
+
+
+# --------------------------------------------------------------------- #
+# a failing allocation falls back without touching caller state
+# --------------------------------------------------------------------- #
+
+
+@needs_native
+class TestAllocationFailure:
+    @staticmethod
+    def _sweep(native_core, monkeypatch, name, run, expect_equal):
+        """Make the k-th allocation inside kernel ``name`` fail, for every k
+        until the kernel gets through: each time the wrapper must report
+        "fall back" and the public function must still return ``expect``."""
+        verdicts = []
+        real = getattr(_klnative, name)
+
+        def spy(*args):
+            out = real(*args)
+            verdicts.append(out is not None)
+            return out
+
+        monkeypatch.setattr(_klnative, name, spy)
+        failures = 0
+        for k in range(200):
+            native_core.klcore_fail_after(k)
+            try:
+                out = run()
+            finally:
+                native_core.klcore_fail_after(-1)
+            expect_equal(out)
+            if verdicts[-1]:
+                break
+            failures += 1
+        else:
+            pytest.fail("the kernel never got through")
+        return failures
+
+    def test_kl_refine(self, native_core, monkeypatch):
+        rng = np.random.default_rng(21)
+        graph = _rand_graph(200, 6, rng)
+        asg = rng.integers(0, 4, 200)
+        asg0 = asg.copy()
+        cfg = KLConfig(alpha=0.5, beta=0.8, balance_mode="deadband", window=16)
+        with pure_path():
+            expect = kl_refine(graph, asg, 4, home=asg, config=cfg)
+        assert not np.array_equal(expect, asg), "the case must move something"
+
+        def check(out):
+            assert np.array_equal(out, expect)
+            assert np.array_equal(asg, asg0), "caller's assignment touched"
+
+        failures = self._sweep(
+            native_core, monkeypatch, "kl_refine",
+            lambda: kl_refine(graph, asg, 4, home=asg, config=cfg), check,
+        )
+        assert failures >= 6  # five workspace blocks, then heap growth
+
+    def test_contract(self, native_core, monkeypatch):
+        g = _rand_graph(150, 6, np.random.default_rng(22))
+        match = heavy_edge_matching(g, seed=0)
+        with pure_path():
+            coarse, cmap = contract(g, match)
+
+        def check(out):
+            assert np.array_equal(out[1], cmap)
+            _same_graph(out[0], coarse)
+
+        failures = self._sweep(
+            native_core, monkeypatch, "contract", lambda: contract(g, match), check
+        )
+        assert failures == 2  # its two scratch blocks
+
+
+# --------------------------------------------------------------------- #
+# end to end
+# --------------------------------------------------------------------- #
+
+
+def _adapted_dual(amesh, rounds):
+    prob = CornerLaplace2D()
+    for _ in range(rounds):
+        if amesh.mesh.dim == 2:
+            ind = interpolation_error_indicator(amesh, prob.exact)
+            amesh.refine(mark_top_fraction(amesh, ind, 0.2))
+        else:
+            amesh.refine_where(lambda c: c.sum(axis=1) > 1.6)
+    return coarse_dual_graph(amesh.mesh)
+
+
+@pytest.fixture(scope="module")
+def e2e_graphs():
+    rng = np.random.default_rng(31)
+    return {
+        "2d": _adapted_dual(AdaptiveMesh.unit_square(14), 3),
+        "3d": _adapted_dual(AdaptiveMesh.unit_cube(5), 2),
+        "random": _rand_graph(1500, 6, rng),
+    }
+
+
+@needs_native
+class TestEndToEnd:
+    @pytest.mark.parametrize("kind", ["2d", "3d", "random"])
+    @pytest.mark.parametrize("p", [2, 16])
+    def test_multilevel_partition(self, e2e_graphs, kind, p):
+        g = e2e_graphs[kind]
+        native, pure = _both(lambda: multilevel_partition(g, p, seed=3))
+        assert np.array_equal(native, pure)
+
+    @pytest.mark.parametrize("kind", ["2d", "3d", "random"])
+    @pytest.mark.parametrize("p", [2, 16])
+    def test_multilevel_repartition(self, e2e_graphs, kind, p):
+        g = e2e_graphs[kind]
+        rng = np.random.default_rng(p)
+        current = multilevel_partition(g, p, seed=0)
+        # unbalance it the way a refinement step would: weights drift
+        drifted = WeightedGraph(
+            g.xadj, g.adjncy, g.ewts, g.vwts * rng.choice([1.0, 1.0, 2.0, 4.0], g.n_vertices)
+        )
+        for kwargs in ({}, {"constrain_matching": False}, {"repartition_coarsest": True}):
+            native, pure = _both(
+                lambda: multilevel_repartition(drifted, p, current, seed=5, **kwargs)
+            )
+            assert np.array_equal(native, pure), kwargs
+
+    def test_run_pared_histories(self):
+        prob = CornerLaplace2D()
+
+        def marker(amesh, rnd):
+            ind = interpolation_error_indicator(amesh, prob.exact)
+            return mark_top_fraction(amesh, ind, 0.2), []
+
+        cfg = ParedConfig(
+            p=3,
+            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            marker=marker,
+            rounds=3,
+            pnr=PNR(seed=0),
+            transport="thread",
+        )
+        (hn, _), (hp, _) = _both(lambda: run_pared(cfg))
+        for a, b in zip(hn[0], hp[0]):
+            assert a["leaves"] == b["leaves"] and a["cut"] == b["cut"]
+            assert np.array_equal(a["owner"], b["owner"])
+
+    def test_phase_spans_cover_pnr_refinement(self):
+        """`multilevel_repartition` reports its refinement like
+        `multilevel_partition` does, and the kernel's pass counter feeds
+        `kl.pass` on the compiled path."""
+        from repro.perf import PERF
+
+        g = _rand_graph(400, 6, np.random.default_rng(41))
+        current = multilevel_partition(g, 4, seed=0)
+        PERF.reset()
+        multilevel_repartition(g, 4, current, seed=1)
+        snap = PERF.snapshot()
+        for name in ("multilevel.coarsen", "multilevel.refine", "matching.hem",
+                     "contract", "kl.refine", "kl.pass"):
+            assert snap[name][0] >= 1, name
+        assert snap["multilevel.refine"][0] == 1
+        assert snap["kl.pass"][0] >= snap["kl.refine"][0]
+        assert snap["kl.pass"][1] <= snap["kl.refine"][1]
