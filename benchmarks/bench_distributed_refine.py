@@ -162,7 +162,7 @@ def test_dkl_round_reduced(benchmark, write_result):
             assert np.array_equal(a["owner"], b["owner"])
 
     # the refinement ran distributed: tournament spans present on the
-    # perf snapshot (including the overlapped proposal exchange), the
+    # perf snapshot (including the proposal exchange), the
     # coordinator-serial span never opened, the refinement traffic is
     # attributed to its own phase label, and every proposal round's wire
     # bytes landed on the per-round ledger
@@ -210,7 +210,7 @@ def test_dkl_round_reduced(benchmark, write_result):
     ]
     benchmark.extra_info["proposal_bytes_per_round"] = proposal_bytes
     benchmark.extra_info["crossover"] = rows
-    benchmark.extra_info["cpu_count"] = effective_cpu_count()
+    benchmark.extra_info["effective_cpu_count"] = effective_cpu_count()
     write_result(
         "distributed_refine",
         crossover_table([r for r in rows if r["seconds"] is not None]),
@@ -226,7 +226,7 @@ def test_proposal_bytes_shrink_vs_codec_dict(write_result):
     from repro.partition.distributed import (
         DKLConfig,
         PartView,
-        _propose_moves,
+        _PartState,
         pack_proposal_frame,
     )
     from repro.runtime.codec import encode
@@ -260,14 +260,18 @@ def test_proposal_bytes_shrink_vs_codec_dict(write_result):
     dict_total = 0
     for part in range(p):
         view = PartView.from_graph(g, part, assign)
-        prop = _propose_moves(
-            view, assign, assign, loads, list(range(p)), cfg,
-            mean + band, mean - band, locked,
+        # the first round's real frame: regular rows, escape offer attached
+        prop = _PartState(view, assign, p).propose(
+            assign, assign, loads, list(range(p)), cfg,
+            mean + band, mean - band, locked, escape=True,
         )
         if prop is None:
             continue
         packed_total += len(encode(pack_proposal_frame(prop)))
-        dict_total += len(encode(prop))
+        # the dict the exchange used to ship carried no escape offer
+        dict_total += len(
+            encode({k: prop[k] for k in prop if k not in ("n_reg", "esc")})
+        )
     assert packed_total > 0, "striped start must yield proposals"
     assert packed_total < dict_total, (
         f"packed frame {packed_total}B must shrink vs dict {dict_total}B"

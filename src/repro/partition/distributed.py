@@ -52,6 +52,17 @@ what made early distributed KL variants measurably worse than the serial
 pass (it cannot cross objective ridges); the escape/rollback pair restores
 that ability without a coordinator.
 
+A round costs **one exchange and O(touched) scoring**.  Each part keeps a
+persistent :class:`_PartState` — the adjacency and part-connectivity rows
+of every root it knows — built once per call from its view and then only
+patched: an accepted (or rolled-back) move changes the connectivity of the
+mover's neighbors alone, so exactly those rows are recomputed, in the
+summation order a from-scratch rebuild would use (bit-identical whatever
+the weights), and scoring reads boundary rows only.  The escape offer is
+scored with the regular proposal and rides in the same frame (an escape
+round only ever resolves against the state that scoring saw), so a round
+in which nothing moves still costs a single allgather.
+
 Every rank executes the same resolve on the same allgathered inputs, so
 the final assignment is replica-identical with **no coordinator
 involvement** — in a ``dkl`` PARED round the coordinator's only remaining
@@ -263,57 +274,320 @@ def _phi(W, maxcap: float, floor: float):
     return over * over + under * under
 
 
-def _conn_matrix(view: PartView, assign, p: int):
-    """Members of the part, their (n_members, p) part-connectivity matrix,
-    and the directed incident-edge arrays with per-member CSR offsets."""
-    mine = np.flatnonzero(np.asarray(assign) == view.part)
-    src, dst, w = view.directed(assign)
-    li = np.searchsorted(mine, src)
-    conn = np.bincount(
-        li * p + np.asarray(assign)[dst], weights=w, minlength=mine.size * p
-    ).reshape(mine.size, p)
-    off = np.empty(mine.size + 1, dtype=np.int64)
-    off[:-1] = np.searchsorted(src, mine)
-    off[-1] = src.size
-    return mine, conn, (src, dst, w, off)
+def _phi_scalar(W: float, maxcap: float, floor: float) -> float:
+    """:func:`_phi` on plain floats — the same IEEE operations without the
+    ufunc dispatches, for the resolve's per-candidate balance terms."""
+    over = max(W - maxcap, 0.0)
+    under = max(floor - W, 0.0)
+    return over * over + under * under
 
 
-def _pack_proposal(part, v, dst, prio, static, vw, rows, adj):
-    """Flatten the chosen rows into the wire proposal: struct-of-arrays
-    plus each mover's incident neighbor list (CSR), so any rank can lock
-    the neighbors and the winning part can absorb the root sight unseen."""
-    _, adst, aw, off = adj
-    starts = off[rows]
-    lens = off[rows + 1] - starts
-    total = int(lens.sum())
-    e_off = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=e_off[1:])
-    idx = np.repeat(starts, lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(e_off[:-1], lens)
+def _ranges(starts, lens):
+    """Flat indices of the concatenated ranges ``[starts[k], starts[k] +
+    lens[k])`` and their CSR offsets."""
+    off = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    idx = np.repeat(starts - off[:-1], lens) + np.arange(off[-1], dtype=np.int64)
+    return idx, off
+
+
+def _room(arr, used: int, extra: int):
+    """``arr`` with room for ``extra`` entries behind its first ``used``
+    (amortized doubling; only the live prefix is carried over)."""
+    need = used + extra
+    if need <= arr.shape[0]:
+        return arr
+    out = np.empty(
+        (max(need, 2 * arr.shape[0]),) + arr.shape[1:], dtype=arr.dtype
     )
-    return {
-        "part": int(part),
-        "v": v,
-        "dst": dst,
-        "prio": prio,
-        "static": static,
-        "vw": vw,
-        "e_off": e_off,
-        "adj": adst[idx],
-        "adj_w": aw[idx],
-    }
+    out[:used] = arr[:used]
+    return out
+
+
+class _PartState:
+    """One part's round state, built once per :func:`_refine_loop` call
+    from its :class:`PartView` and then only patched.
+
+    It holds, for every root the part *knows* — its members at entry plus
+    every root it adopted since, whose row arrives in the winning proposal
+    — the adjacency row (neighbors ascending, as :meth:`PartView.directed`
+    sorts them) and the part-connectivity row.  A move changes the
+    connectivity of the mover's neighbors only, so :meth:`patch` recomputes
+    exactly those rows, each as a ``bincount`` over the row in
+    ascending-neighbor order — the order a whole-part ``bincount`` over the
+    ``(src, dst)``-sorted edge list adds in, so the sums are bit-identical
+    to a from-scratch rebuild whatever the weights.  Rows of roots that
+    left stay known and current (a root may return, and the pass-end
+    rollback returns many).
+
+    Scoring reads boundary rows only (``bnd``: member with positive
+    connectivity to another part — no other row can be proposed), in
+    ascending root id, so ``argmax`` ties and the frame's row order are
+    those of a full members x p gain matrix.
+    """
+
+    __slots__ = (
+        "view", "part", "p", "slot", "start", "deg", "dst", "w", "n_edges",
+        "conn", "n_rows", "adopted", "bnd",
+    )
+
+    def __init__(self, view: PartView, assign, p: int):
+        self.view = view
+        self.part = view.part
+        self.p = p
+        n = view.n
+        mine = np.flatnonzero(assign == self.part)
+        src, self.dst, self.w = view.directed(assign)
+        self.n_edges = src.size
+        self.n_rows = mine.size
+        #: root id -> row of ``conn`` (-1: unknown), start and length of
+        #: its adjacency row in the flat ``dst``/``w`` arrays
+        self.slot = np.full(n, -1, dtype=np.int64)
+        self.slot[mine] = np.arange(mine.size)
+        bounds = np.searchsorted(src, np.append(mine, n))
+        self.start = np.zeros(n, dtype=np.int64)
+        self.start[mine] = bounds[:-1]
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.deg[mine] = np.diff(bounds)
+        # (an empty bincount comes back integer whatever the weights)
+        self.conn = np.bincount(
+            self.slot[src] * p + assign[self.dst],
+            weights=self.w,
+            minlength=mine.size * p,
+        ).astype(np.float64, copy=False).reshape(mine.size, p)
+        self.adopted = []
+        self.bnd = np.zeros(n, dtype=bool)
+        self._flag(mine, assign)
+
+    def _flag(self, roots, assign) -> None:
+        """Refresh the boundary flag of the known roots ``roots``."""
+        off = self.conn[self.slot[roots]]
+        off[:, self.part] = 0.0
+        self.bnd[roots] = (assign[roots] == self.part) & (off > 0.0).any(axis=1)
+
+    def patch(self, recs, assign) -> None:
+        """Catch up with a batch of move records already applied to — or
+        rolled back on — ``assign``: adopt the rows of roots this part won
+        sight unseen (weight and incident edges ride in the record), then
+        recompute the connectivity row of every known root next to a
+        mover.  The movers themselves are redone too: a fresh adoptee has
+        no row yet, and all of them need their boundary flag refreshed."""
+        if not recs:
+            return
+        won = [
+            r for r in recs
+            if assign[r["v"]] == self.part and self.slot[r["v"]] < 0
+        ]
+        if won:
+            self._adopt(won)
+        touched = np.concatenate(
+            [r["adj"] for r in recs]
+            + [np.array([r["v"] for r in recs], dtype=np.int64)]
+        )
+        touched = touched[self.slot[touched] >= 0]
+        if touched.size == 0:
+            return  # the batch moved nothing next to a root we know
+        lens = self.deg[touched]
+        idx, _ = _ranges(self.start[touched], lens)
+        row = np.repeat(np.arange(touched.size), lens)
+        self.conn[self.slot[touched]] = np.bincount(
+            row * self.p + assign[self.dst[idx]],
+            weights=self.w[idx],
+            minlength=touched.size * self.p,
+        ).reshape(touched.size, self.p)
+        self._flag(touched, assign)
+
+    def _adopt(self, recs) -> None:
+        v = np.array([r["v"] for r in recs], dtype=np.int64)
+        lens = np.array([r["adj"].size for r in recs], dtype=np.int64)
+        m = int(lens.sum())
+        lo = self.n_edges
+        self.conn = _room(self.conn, self.n_rows, v.size)
+        self.dst = _room(self.dst, lo, m)
+        self.w = _room(self.w, lo, m)
+        self.dst[lo : lo + m] = np.concatenate([r["adj"] for r in recs])
+        self.w[lo : lo + m] = np.concatenate([r["adj_w"] for r in recs])
+        self.slot[v] = self.n_rows + np.arange(v.size)
+        self.start[v] = lo + np.cumsum(lens) - lens
+        self.deg[v] = lens
+        self.n_rows += v.size
+        self.n_edges += m
+        # scoring reads the weight from the view; the edges follow in
+        # flush(), once
+        self.view.vwts[v] = [r["vw"] for r in recs]
+        self.adopted.extend(v.tolist())
+
+    def flush(self, assign) -> None:
+        """Hand the view the incident edges of the adopted roots that
+        stayed, in one :meth:`PartView.absorb` ahead of the final prune.
+        Adoptees that left again need no trace: any edge of theirs that
+        ends at a member is already in that member's row."""
+        v = np.array(
+            [u for u in self.adopted if assign[u] == self.part], dtype=np.int64
+        )
+        if v.size == 0:
+            return
+        idx, _ = _ranges(self.start[v], self.deg[v])
+        a = np.repeat(v, self.deg[v])
+        b = self.dst[idx]
+        self.view.absorb(
+            v,
+            self.view.vwts[v],
+            edge_keys(np.minimum(a, b), np.maximum(a, b), self.view.n),
+            self.w[idx],
+        )
+
+    def _pack(self, v, dst, prio, static, vw, n_reg: int, esc: int):
+        """The wire proposal for roots ``v``: struct-of-arrays plus each
+        mover's adjacency row (CSR), so any rank can lock the neighbors
+        and the winning part can adopt the root sight unseen.  The first
+        ``n_reg`` rows are the regular offer; row ``esc`` (-1: none) is the
+        escape offer — one of the regular rows, or the lone row of a
+        proposal with no regular ones."""
+        idx, e_off = _ranges(self.start[v], self.deg[v])
+        return {
+            "part": self.part,
+            "v": v,
+            "dst": dst,
+            "prio": prio,
+            "static": static,
+            "vw": vw,
+            "e_off": e_off,
+            "adj": self.dst[idx],
+            "adj_w": self.w[idx],
+            "n_reg": int(n_reg),
+            "esc": int(esc),
+        }
+
+    def propose(
+        self, assign, home, loads, live, cfg: DKLConfig, maxcap, floor,
+        locked, escape: bool,
+    ):
+        """Evaluate the Equation-1 gain of every unlocked boundary root
+        toward every live part and propose the best strictly-positive move
+        per root, or ``None``.  ``prio`` is the full gain at round-start
+        loads (the tournament key); ``static`` is the cut+migration
+        component — the balance term is recomputed against live loads at
+        accept time.
+
+        With ``escape`` the single best candidate regardless of sign rides
+        along as the escape offer: the hill-climbing move the tournament
+        falls back to when no positive move was accepted anywhere.  That
+        fallback only ever runs on the state this scoring saw, so offering
+        it up front costs no second scoring and no second exchange."""
+        i, p = self.part, self.p
+        mine = np.flatnonzero(self.bnd & ~locked)  # a root moves once a pass
+        if mine.size == 0:
+            return None
+        conn = self.conn[self.slot[mine]]
+        vw = self.view.vwts[mine]
+        hm = home[mine]
+        moved_now = (i != hm).astype(np.float64)
+        moved_if = (np.arange(p)[None, :] != hm[:, None]).astype(np.float64)
+        bal = (
+            _phi(loads[i], maxcap, floor)
+            + _phi(loads[None, :], maxcap, floor)
+            - _phi(loads[i] - vw[:, None], maxcap, floor)
+            - _phi(loads[None, :] + vw[:, None], maxcap, floor)
+        )
+        gain = (
+            conn
+            - conn[:, i][:, None]
+            - cfg.alpha * vw[:, None] * (moved_if - moved_now[:, None])
+            + cfg.beta * bal
+        )
+        gain[:, i] = -np.inf
+        dead = np.ones(p, dtype=bool)
+        dead[live] = False
+        gain[:, dead] = -np.inf
+        gain[conn <= 0.0] = -np.inf  # boundary moves only
+        best = np.argmax(gain, axis=1)
+        bg = gain[np.arange(mine.size), best]
+        rows = np.flatnonzero(bg > 0.0)
+        n_reg, esc = rows.size, -1
+        if escape:
+            top = int(np.argmax(bg))
+            if np.isfinite(bg[top]):
+                if n_reg:  # the maximum is positive: one of the rows
+                    esc = int(np.searchsorted(rows, top))
+                else:
+                    rows = np.array([top], dtype=np.int64)
+                    esc = 0
+        if rows.size == 0:
+            return None
+        static = (
+            conn[rows, best[rows]]
+            - conn[rows, i]
+            - cfg.alpha * vw[rows]
+            * (moved_if[rows, best[rows]] - moved_now[rows])
+        )
+        return self._pack(
+            mine[rows], best[rows], bg[rows], static, vw[rows], n_reg, esc
+        )
+
+    def propose_rebalance(
+        self, assign, home, loads, live, cfg: DKLConfig, locked, maxcap
+    ):
+        """Donations from an overweight part: candidates ordered by least
+        cut damage toward the lightest underweight live parts (teleports
+        allowed, so every member is a candidate), cumulative weight just
+        covering the excess, at most ``rebalance_cap``."""
+        i = self.part
+        if loads[i] <= maxcap:
+            return None
+        mine = np.flatnonzero(assign == i)
+        if mine.size == 0:
+            return None
+        # any strictly lighter live part may receive: weight *diffuses*
+        # along part boundaries toward the light end over successive rounds
+        # instead of teleporting straight to the global minimum and leaving
+        # islands
+        under = [r for r in live if r != i and loads[r] < loads[i]]
+        if not under:
+            return None
+        under = np.asarray(under, dtype=np.int64)
+        # lightest-first, id-stable: argmax below prefers the
+        # max-connectivity target, and on all-zero rows (no lighter
+        # neighbor — the teleport fallback) the lightest lighter part
+        under = under[np.lexsort((under, loads[under]))]
+        conn = self.conn[self.slot[mine]]
+        vw = self.view.vwts[mine]
+        sub = conn[:, under]
+        jidx = np.argmax(sub, axis=1)
+        j = under[jidx]
+        cj = sub[np.arange(mine.size), jidx]
+        moved_now = (i != home[mine]).astype(np.float64)
+        moved_if = (j != home[mine]).astype(np.float64)
+        static = cj - conn[:, i] - cfg.alpha * vw * (moved_if - moved_now)
+        cand = np.flatnonzero(~locked[mine])
+        if cand.size == 0:
+            return None
+        order = np.lexsort((mine[cand], -static[cand]))
+        cand = cand[order]
+        excess = float(loads[i] - maxcap)
+        take = int(np.searchsorted(np.cumsum(vw[cand]), excess) + 1)
+        cand = cand[: min(take, cfg.rebalance_cap)]
+        return self._pack(
+            mine[cand], j[cand], static[cand], static[cand], vw[cand],
+            cand.size, -1,
+        )
 
 
 def pack_proposal_frame(prop):
     """Pack one part's proposal into a struct-of-arrays frame
     ``(head, ints, floats)`` for the wire: the codec serializes three
-    contiguous buffers instead of a dict of nine objects, and the integer
+    contiguous buffers instead of a dict of objects, and the integer
     payload rides as int32 whenever every id fits (the common case — root
     ids are bounded by the mesh size), which halves the index half of the
     frame.  ``None`` (no proposal) packs to empty arrays.
 
-    Layout: ``head = [part, n, m, int_width]`` (int64; ``int_width`` is 4
-    or 8), ``ints = v ++ dst ++ e_off(n+1) ++ adj`` at the declared width,
+    Layout: ``head = [part, n_reg, m, int_width, esc]`` (int64;
+    ``int_width`` is 4 or 8).  The frame carries ``n = max(n_reg, esc + 1)``
+    rows: the ``n_reg`` regular ones, or — when there is none but an escape
+    offer exists — that offer alone; ``esc`` is the escape offer's row
+    (-1: none attached), so a round's regular and escape proposals share
+    one head and, when the offer is one of the regular rows, its row.
+    ``ints = v ++ dst ++ e_off(n+1) ++ adj`` at the declared width,
     ``floats = prio ++ static ++ vw ++ adj_w`` (always float64 — the
     priorities feed the deterministic tournament, so they must travel
     bit-exact).
@@ -338,7 +612,10 @@ def pack_proposal_frame(prop):
         width = 4
     else:
         width = 8  # ids beyond int32: ship verbatim (exactness first)
-    head = np.array([prop["part"], v.size, adj.size, width], dtype=np.int64)
+    head = np.array(
+        [prop["part"], prop["n_reg"], adj.size, width, prop["esc"]],
+        dtype=np.int64,
+    )
     floats = np.concatenate(
         [np.asarray(prop["prio"], dtype=np.float64),
          np.asarray(prop["static"], dtype=np.float64),
@@ -357,7 +634,8 @@ def unpack_proposal_frame(frame):
     floats = np.asarray(floats, dtype=np.float64)
     if head.size == 0:
         return None
-    part, n, m = int(head[0]), int(head[1]), int(head[2])
+    part, n_reg, m, esc = int(head[0]), int(head[1]), int(head[2]), int(head[4])
+    n = max(n_reg, esc + 1)
     ints = np.asarray(ints).astype(np.int64)
     o = 0
     v = ints[o : o + n]
@@ -377,150 +655,9 @@ def unpack_proposal_frame(frame):
         "e_off": e_off,
         "adj": adj,
         "adj_w": floats[3 * n :],
+        "n_reg": n_reg,
+        "esc": esc,
     }
-
-
-def _score_moves(
-    view: PartView, assign, home, loads, live, cfg: DKLConfig, maxcap, floor,
-    locked,
-):
-    """Evaluate this part's full Equation-1 gain matrix once and return the
-    scoring context (best destination and gain per member), or ``None`` for
-    an empty part.  Both the regular and the escape proposal of a round are
-    read off the same context — the expensive :func:`_conn_matrix` pass and
-    gain evaluation happen once, and the escape candidate can be extracted
-    *while the regular proposals are still on the wire* (the escape round
-    only ever runs when the regular round accepted nothing, so the state the
-    context was scored against is still current)."""
-    p = loads.size
-    i = view.part
-    mine, conn, adj = _conn_matrix(view, assign, p)
-    if mine.size == 0:
-        return None
-    vw = view.vwts[mine]
-    cols = np.arange(p)
-    moved_now = (i != home[mine]).astype(np.float64)
-    moved_if = (cols[None, :] != home[mine, None]).astype(np.float64)
-    bal = (
-        _phi(loads[i], maxcap, floor)
-        + _phi(loads[None, :], maxcap, floor)
-        - _phi(loads[i] - vw[:, None], maxcap, floor)
-        - _phi(loads[None, :] + vw[:, None], maxcap, floor)
-    )
-    gain = (
-        conn
-        - conn[:, i][:, None]
-        - cfg.alpha * vw[:, None] * (moved_if - moved_now[:, None])
-        + cfg.beta * bal
-    )
-    gain[:, i] = -np.inf
-    dead = np.ones(p, dtype=bool)
-    dead[live] = False
-    gain[:, dead] = -np.inf
-    gain[conn <= 0.0] = -np.inf  # boundary moves only
-    gain[locked[mine], :] = -np.inf  # a vertex moves once per pass
-    best = np.argmax(gain, axis=1)
-    bg = gain[np.arange(mine.size), best]
-    return {
-        "part": i,
-        "mine": mine,
-        "conn": conn,
-        "adj": adj,
-        "vw": vw,
-        "moved_now": moved_now,
-        "moved_if": moved_if,
-        "best": best,
-        "bg": bg,
-    }
-
-
-def _proposal_from(ctx, cfg: DKLConfig, escape=False):
-    """Extract a wire proposal from a :func:`_score_moves` context: the
-    best strictly-positive move per unlocked boundary root, or ``None``.
-    ``prio`` is the full gain at round-start loads (the tournament key);
-    ``static`` is the cut+migration component — the balance term is
-    recomputed against live loads at accept time.
-
-    With ``escape=True`` the sign requirement is dropped and only the
-    single best candidate is proposed: the hill-climbing offer made when
-    no positive move exists anywhere (the tournament accepts exactly one).
-    """
-    if ctx is None:
-        return None
-    i, mine, conn = ctx["part"], ctx["mine"], ctx["conn"]
-    vw, best, bg = ctx["vw"], ctx["best"], ctx["bg"]
-    if escape:
-        top = int(np.argmax(bg))
-        rows = np.array([top], dtype=np.int64) if np.isfinite(bg[top]) else \
-            np.empty(0, dtype=np.int64)
-    else:
-        rows = np.flatnonzero(bg > 0.0)
-    if rows.size == 0:
-        return None
-    static = (
-        conn[rows, best[rows]]
-        - conn[rows, i]
-        - cfg.alpha * vw[rows]
-        * (ctx["moved_if"][rows, best[rows]] - ctx["moved_now"][rows])
-    )
-    return _pack_proposal(
-        i, mine[rows], best[rows], bg[rows], static, vw[rows], rows, ctx["adj"]
-    )
-
-
-def _propose_moves(
-    view: PartView, assign, home, loads, live, cfg: DKLConfig, maxcap, floor,
-    locked, escape=False,
-):
-    """Score-and-extract in one call (the non-overlapped convenience form
-    of :func:`_score_moves` + :func:`_proposal_from`)."""
-    ctx = _score_moves(
-        view, assign, home, loads, live, cfg, maxcap, floor, locked
-    )
-    return _proposal_from(ctx, cfg, escape=escape)
-
-
-def _propose_rebalance(view, assign, home, loads, live, cfg, locked, maxcap):
-    """Donations from an overweight part: candidates ordered by least cut
-    damage toward the lightest underweight live parts (teleports allowed),
-    cumulative weight just covering the excess, at most ``rebalance_cap``."""
-    i = view.part
-    if loads[i] <= maxcap:
-        return None
-    p = loads.size
-    mine, conn, adj = _conn_matrix(view, assign, p)
-    if mine.size == 0:
-        return None
-    # any strictly lighter live part may receive: weight *diffuses* along
-    # part boundaries toward the light end over successive rounds instead
-    # of teleporting straight to the global minimum and leaving islands
-    under = [r for r in live if r != i and loads[r] < loads[i]]
-    if not under:
-        return None
-    under = np.asarray(under, dtype=np.int64)
-    # lightest-first, id-stable: argmax below prefers the max-connectivity
-    # target, and on all-zero rows (no lighter neighbor — the teleport
-    # fallback) the lightest lighter part
-    under = under[np.lexsort((under, loads[under]))]
-    vw = view.vwts[mine]
-    sub = conn[:, under]
-    jidx = np.argmax(sub, axis=1)
-    j = under[jidx]
-    cj = sub[np.arange(mine.size), jidx]
-    moved_now = (i != home[mine]).astype(np.float64)
-    moved_if = (j != home[mine]).astype(np.float64)
-    static = cj - conn[:, i] - cfg.alpha * vw * (moved_if - moved_now)
-    cand = np.flatnonzero(~locked[mine])
-    if cand.size == 0:
-        return None
-    order = np.lexsort((mine[cand], -static[cand]))
-    cand = cand[order]
-    excess = float(loads[i] - maxcap)
-    take = int(np.searchsorted(np.cumsum(vw[cand]), excess) + 1)
-    cand = cand[: min(take, cfg.rebalance_cap)]
-    return _pack_proposal(
-        i, mine[cand], j[cand], static[cand], static[cand], vw[cand], cand, adj
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -545,9 +682,11 @@ def _resolve(
     """Replay the deterministic tournament — identical on every rank given
     the same allgathered ``props``.  Mutates ``assign``/``loads``/
     ``counts``/``locked`` in place; returns the accepted move records.
-    ``escape`` accepts exactly one admissible candidate regardless of the
-    sign of its gain — the hill-climbing step; the pass-end rollback
-    guarantees a bad escape can never survive into the result.
+    The candidates are each proposal's regular rows; with ``escape`` they
+    are the escape offers instead, and exactly one admissible candidate is
+    accepted regardless of the sign of its gain — the hill-climbing step;
+    the pass-end rollback guarantees a bad escape can never survive into
+    the result.
 
     Candidates are visited in ``(-prio, seeded part rotation, vertex id)``
     order.  A vertex moves at most once per round (``locked``), but its
@@ -556,21 +695,31 @@ def _resolve(
     list its proposal carries — so a coherent front can cascade through a
     single round with no stale-gain accounting, instead of advancing one
     independent set per round."""
-    props = [q for q in props if q is not None and q["v"].size]
-    if not props:
+    picks = []  # (proposal, its candidate rows, their span of adj)
+    for q in props:
+        if q is None:
+            continue
+        lo, hi = (q["esc"], q["esc"] + 1) if escape else (0, q["n_reg"])
+        if lo >= 0 and hi > lo:
+            e_off = q["e_off"]
+            picks.append((q, slice(lo, hi), slice(e_off[lo], e_off[hi])))
+    if not picks:
         return []
     p = loads.size
-    v = np.concatenate([q["v"] for q in props])
-    dst = np.concatenate([q["dst"] for q in props])
-    prio = np.concatenate([q["prio"] for q in props])
-    static = np.concatenate([q["static"] for q in props])
-    vw = np.concatenate([q["vw"] for q in props])
+    v = np.concatenate([q["v"][rows] for q, rows, _ in picks])
+    dst = np.concatenate([q["dst"][rows] for q, rows, _ in picks])
+    prio = np.concatenate([q["prio"][rows] for q, rows, _ in picks])
+    static = np.concatenate([q["static"][rows] for q, rows, _ in picks])
+    vw = np.concatenate([q["vw"][rows] for q, rows, _ in picks])
     part = np.concatenate(
-        [np.full(q["v"].size, q["part"], dtype=np.int64) for q in props]
+        [np.full(rows.stop - rows.start, q["part"], dtype=np.int64)
+         for q, rows, _ in picks]
     )
-    adj = np.concatenate([q["adj"] for q in props])
-    adj_w = np.concatenate([q["adj_w"] for q in props])
-    widths = np.concatenate([np.diff(q["e_off"]) for q in props])
+    adj = np.concatenate([q["adj"][edges] for q, _, edges in picks])
+    adj_w = np.concatenate([q["adj_w"][edges] for q, _, edges in picks])
+    widths = np.concatenate(
+        [np.diff(q["e_off"][rows.start : rows.stop + 1]) for q, rows, _ in picks]
+    )
     starts = np.zeros(widths.size, dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
     tie = (part + cfg.seed + rnd) % p
@@ -598,21 +747,22 @@ def _resolve(
                 st -= cfg.alpha * w * (float(j != h) - float(i != h))
         else:
             st = float(static[k])
-        after = loads[j] + w
+        load_i, load_j = float(loads[i]), float(loads[j])
+        after = load_j + w
         bal = (
-            _phi(loads[i], maxcap, floor)
-            + _phi(loads[j], maxcap, floor)
-            - _phi(loads[i] - w, maxcap, floor)
-            - _phi(after, maxcap, floor)
+            _phi_scalar(load_i, maxcap, floor)
+            + _phi_scalar(load_j, maxcap, floor)
+            - _phi_scalar(load_i - w, maxcap, floor)
+            - _phi_scalar(after, maxcap, floor)
         )
-        g = st + cfg.beta * float(bal)
+        g = st + cfg.beta * bal
         if rebalance:
-            if loads[i] <= maxcap:
+            if load_i <= maxcap:
                 continue  # donor already back inside the envelope
-            if after > maxcap and after > loads[i] - w:
+            if after > maxcap and after > load_i - w:
                 continue  # would just relocate the peak
         else:
-            if after > maxcap and after > loads[i]:
+            if after > maxcap and after > load_i:
                 continue  # KL balance envelope
             if g <= 0.0 and not escape:
                 continue
@@ -639,49 +789,9 @@ def _resolve(
     return accepted
 
 
-def _absorb_accepted(views, accepted) -> None:
-    """Fold the winners into the local views: the destination part learns
-    each adopted root's weight and incident edges from the proposal
-    payload (no extra messages needed)."""
-    for part, view in views.items():
-        recs = [r for r in accepted if r["dst"] == part]
-        if not recs:
-            continue
-        v_ids = np.array([r["v"] for r in recs], dtype=np.int64)
-        v_wts = np.array([r["vw"] for r in recs], dtype=np.float64)
-        keys = []
-        wts = []
-        for r in recs:
-            a = np.minimum(r["adj"], r["v"])
-            b = np.maximum(r["adj"], r["v"])
-            keys.append(edge_keys(a, b, view.n))
-            wts.append(r["adj_w"])
-        view.absorb(
-            v_ids,
-            v_wts,
-            np.concatenate(keys) if keys else np.empty(0, np.int64),
-            np.concatenate(wts) if wts else np.empty(0, np.float64),
-        )
-
-
 # ---------------------------------------------------------------------- #
 # the round loop (shared by the serial and SPMD drivers)
 # ---------------------------------------------------------------------- #
-
-
-class _Ready:
-    """Already-completed exchange handle — the serial drivers' rank loop
-    has the full proposal set the moment it is built, but presents the
-    same post/``wait`` surface as the SPMD iallgather so :func:`_refine_loop`
-    is written once."""
-
-    __slots__ = ("_props",)
-
-    def __init__(self, props):
-        self._props = props
-
-    def wait(self):
-        return self._props
 
 
 def _refine_loop(
@@ -697,7 +807,14 @@ def _refine_loop(
     floor = mean - band
     counts = np.bincount(assign, minlength=p).astype(np.int64)
     locked = np.zeros(n_roots, dtype=bool)
+    with PERF.span("dkl.propose"):
+        states = {part: _PartState(views[part], assign, p) for part in my_parts}
     grnd = 0
+
+    def patch(recs):
+        with PERF.span("dkl.propose"):
+            for state in states.values():
+                state.patch(recs, assign)
 
     for pss in range(cfg.max_passes):
         locked[:] = False
@@ -709,75 +826,58 @@ def _refine_loop(
         log = []
         escapes = 0
         for rnd in range(cfg.max_rounds):
+            # ``escapes`` is replicated state, so every part attaches its
+            # escape offer — or none does
+            offer = escapes < cfg.escape_cap
             with PERF.span("dkl.propose"):
-                ctxs = {
-                    part: _score_moves(
-                        views[part], assign, home, loads, live, cfg, maxcap,
-                        floor, locked,
+                local = {
+                    part: states[part].propose(
+                        assign, home, loads, live, cfg, maxcap, floor,
+                        locked, offer,
                     )
                     for part in my_parts
                 }
-                local = {
-                    part: _proposal_from(ctxs[part], cfg)
-                    for part in my_parts
-                }
-            pending = exchange(local, grnd)
-            # overlap window: while the proposal frames are in flight,
-            # prestage the escape offer from the same scoring context.  An
-            # escape round only runs when the regular round accepted
-            # nothing — assignment, loads and locks unchanged since the
-            # context was scored — so this is bit-identical to recomputing
-            # it after the resolve, minus a full _conn_matrix pass
-            with PERF.span("dkl.propose"):
-                esc_local = {
-                    part: _proposal_from(ctxs[part], cfg, escape=True)
-                    for part in my_parts
-                }
-            props = pending.wait()
+            props = exchange(local, grnd)
             with PERF.span("dkl.resolve"):
                 moved = _resolve(
                     props, assign, loads, counts, locked, maxcap, floor,
                     home, cfg, grnd, rebalance=False,
                 )
-            _absorb_accepted(views, moved)
-
-            esc = []
-            if not moved and escapes < cfg.escape_cap:
-                escapes += 1
-                # no positive move anywhere: offer each part's single
-                # least-damaging move and accept the best one — KL's
-                # hill-climb across objective ridges, batch edition
-                props = exchange(esc_local, grnd).wait()
-                with PERF.span("dkl.resolve"):
+                esc = []
+                if not moved and offer:
+                    escapes += 1
+                    # no positive move anywhere: each part's single
+                    # least-damaging move is already in the frames held
+                    # — accept the best one, KL's hill-climb across
+                    # objective ridges, batch edition
                     esc = _resolve(
                         props, assign, loads, counts, locked, maxcap, floor,
                         home, cfg, grnd, rebalance=False, escape=True,
                     )
-                _absorb_accepted(views, esc)
+            patch(moved or esc)
 
             rb = []
             if np.any(loads[live] > maxcap):
                 with PERF.span("dkl.rebalance"):
                     local = {
-                        part: _propose_rebalance(
-                            views[part], assign, home, loads, live, cfg,
-                            locked, maxcap,
+                        part: states[part].propose_rebalance(
+                            assign, home, loads, live, cfg, locked, maxcap
                         )
                         for part in my_parts
                     }
-                props = exchange(local, grnd).wait()
+                props = exchange(local, grnd)
                 with PERF.span("dkl.rebalance"):
                     rb = _resolve(
                         props, assign, loads, counts, locked, maxcap, floor,
                         home, cfg, grnd, rebalance=True,
                     )
-                _absorb_accepted(views, rb)
+                patch(rb)
 
             # accepted gains are exact objective deltas: track the best
             # prefix at single-move granularity, in application order
             for m in moved + esc + rb:
                 cum += m["gain"]
-                log.append((m["v"], m["src"], m["dst"], m["vw"]))
+                log.append(m)
                 if cum > best_cum + cfg.min_gain:
                     best_cum = cum
                     best_len = len(log)
@@ -798,28 +898,37 @@ def _refine_loop(
                 break  # the tail would be rolled back anyway
 
         # roll back the suffix after the best prefix (lockstep: same log
-        # on every rank) — the views keep their superset knowledge and
-        # the final prune restores the exact incident set
-        undone = []
-        for v, src, dst, w in reversed(log[best_len:]):
-            assign[v] = src
-            loads[dst] -= w
-            loads[src] += w
-            counts[dst] -= 1
-            counts[src] += 1
-            undone.append({"v": int(v), "to": int(src)})
+        # on every rank); the records keep each mover's neighbor list, so
+        # the states redo exactly the rows the rollback touches
+        undone = log[best_len:][::-1]
+        for m in undone:
+            assign[m["v"]] = m["src"]
+            loads[m["dst"]] -= m["vw"]
+            loads[m["src"]] += m["vw"]
+            counts[m["dst"]] -= 1
+            counts[m["src"]] += 1
+        patch(undone)
         if trace is not None and undone:
-            trace.append({"pass": pss, "rollback": undone})
+            trace.append(
+                {
+                    "pass": pss,
+                    "rollback": [{"v": m["v"], "to": m["src"]} for m in undone],
+                }
+            )
         if best_cum <= cfg.min_gain:
             break
 
+    # the views learn the adopted edges once and drop what left: the exact
+    # incident set of the final assignment again
+    for state in states.values():
+        state.flush(assign)
     for view in views.values():
         view.prune(assign)
     return assign
 
 
 # ---------------------------------------------------------------------- #
-# exchange plumbing (serial rank loop vs SPMD iallgather)
+# exchange plumbing (serial rank loop vs SPMD allgather)
 # ---------------------------------------------------------------------- #
 
 
@@ -829,41 +938,27 @@ def _serial_exchange(live):
     order :meth:`SimComm.allgather` assembles its blocks in."""
 
     def exchange(local, rnd):
-        return _Ready([local[part] for part in live])
+        return [local[part] for part in live]
 
     return exchange
 
 
-class _FramePending:
-    """In-flight proposal exchange: wraps the iallgather
-    :class:`~repro.runtime.simmpi.Request` and unpacks the gathered frames
-    on :meth:`wait`."""
-
-    __slots__ = ("_req",)
-
-    def __init__(self, req):
-        self._req = req
-
-    def wait(self):
-        with PERF.span("dkl.exchange"):
-            frames = self._req.wait()
-        return [unpack_proposal_frame(f) for f in frames]
-
-
 def _comm_exchange(comm, group):
     """Exchange for the SPMD drivers: pack this rank's proposal into the
-    struct-of-arrays frame, post a nonblocking allgather on
-    :data:`PROPOSAL_TAG`, and account the posted bytes against the round
-    (``dkl.proposals`` in :class:`~repro.runtime.stats.TrafficStats`) —
-    the caller overlaps local scoring with the flight and ``wait()``\\ s
-    before the resolve."""
+    struct-of-arrays frame, allgather on :data:`PROPOSAL_TAG`, and account
+    the posted bytes against the round (``dkl.proposals`` in
+    :class:`~repro.runtime.stats.TrafficStats`)."""
 
     def exchange(local, rnd):
         with PERF.span("dkl.exchange"):
-            frame = pack_proposal_frame(local[comm.rank])
-            req = comm.iallgather(frame, tag=PROPOSAL_TAG, ranks=group)
-        comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
-        return _FramePending(req)
+            req = comm.iallgather(
+                pack_proposal_frame(local[comm.rank]),
+                tag=PROPOSAL_TAG,
+                ranks=group,
+            )
+            comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
+            frames = req.wait()
+        return [unpack_proposal_frame(f) for f in frames]
 
     return exchange
 
@@ -967,7 +1062,7 @@ def _handoff_reports(view: PartView, old_assign, new_assign):
 
 def _ml_refine(
     n, p, views, assign, loads, live, cfg, wmax, my_parts, exchange,
-    gather_pairs, reduce_max, handoff,
+    gather_pairs, reduce_max, handoff, trace=None,
 ):
     """The multilevel wrapper around :func:`_refine_loop`: coarsen up to
     ``cfg.ml_levels`` times by intra-part matching, run the tournament at
@@ -1014,7 +1109,7 @@ def _ml_refine(
     # coarsest-level tournament (home == the coarsened entry assignment)
     _refine_loop(
         cur_n, p, cur_views, cur_assign, cur_assign.copy(), loads, live,
-        cfg, cur_wmax, exchange, my_parts,
+        cfg, cur_wmax, exchange, my_parts, trace=trace,
     )
 
     # project down: hand fine payloads across the new boundaries, then
@@ -1027,7 +1122,7 @@ def _ml_refine(
         fassign[:] = projected
         _refine_loop(
             fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax,
-            exchange, my_parts,
+            exchange, my_parts, trace=trace,
         )
         cur_assign = fassign
     return assign

@@ -29,7 +29,7 @@ from repro.runtime.recovery import (
     expand_owner,
 )
 from repro.runtime.simmpi import Request, SimComm, spmd_run
-from repro.runtime.stats import TrafficStats, PhaseTimer
+from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import (
     FrameAssembler,
     SimMPIAborted,
@@ -73,7 +73,6 @@ __all__ = [
     "compact_owner",
     "expand_owner",
     "TrafficStats",
-    "PhaseTimer",
     "NetworkProfile",
     "IBM_SP",
     "NOW_ETHERNET",

@@ -9,7 +9,6 @@ and byte totals from these counters.
 from __future__ import annotations
 
 import threading
-import time
 from collections import defaultdict
 
 
@@ -152,35 +151,3 @@ class TrafficStats:
             self.round_bytes.clear()
             self.wire.clear()
 
-
-class PhaseTimer:
-    """Wall-clock accumulator per phase (coordinator-side bookkeeping)."""
-
-    def __init__(self) -> None:
-        self.totals = defaultdict(float)
-        self._start = {}
-
-    def start(self, phase: str) -> None:
-        self._start[phase] = time.perf_counter()
-
-    def stop(self, phase: str) -> None:
-        t0 = self._start.pop(phase, None)
-        if t0 is not None:
-            self.totals[phase] += time.perf_counter() - t0
-
-    def __enter__(self):
-        return self
-
-    def phase(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                timer.start(name)
-                return timer
-
-            def __exit__(self_inner, *exc):
-                timer.stop(name)
-                return False
-
-        return _Ctx()

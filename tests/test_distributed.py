@@ -32,6 +32,7 @@ from repro.partition import validate_assignment
 from repro.partition.distributed import (
     DKLConfig,
     PartView,
+    _PartState,
     _phi,
     dkl_ml_refine_comm,
     dkl_ml_refine_serial,
@@ -339,7 +340,16 @@ def _frame_strategy():
 
     @st.composite
     def frames(draw):
-        n = draw(st.integers(0, 6))
+        # the three shapes a round ships: regular rows with the escape
+        # offer among them, the escape offer alone, regular rows only
+        shape = draw(st.sampled_from(["both", "escape", "regular"]))
+        n = 1 if shape == "escape" else draw(st.integers(0, 6))
+        if shape == "both" and n:
+            n_reg, esc = n, draw(st.integers(0, n - 1))
+        elif shape == "escape":
+            n_reg, esc = 0, 0
+        else:
+            n_reg, esc = n, -1
         degs = [draw(st.integers(0, 4)) for _ in range(n)]
         m = sum(degs)
         big = st.integers(0, 2**40)
@@ -357,9 +367,35 @@ def _frame_strategy():
             "e_off": e_off,
             "adj": np.array([draw(big) for _ in range(m)], dtype=np.int64),
             "adj_w": np.array([draw(finite) for _ in range(m)]),
+            "n_reg": n_reg,
+            "esc": esc,
         }
 
     return frames()
+
+
+def _legacy_frames(prop):
+    """The two frames the fused one replaces: the regular rows, and the
+    escape offer that used to travel in an exchange of its own."""
+    from tests._reference_kernels import pack_proposal_frame_reference
+
+    def rows(lo, hi):
+        if hi <= lo:
+            return None
+        a, b = prop["e_off"][lo], prop["e_off"][hi]
+        out = {k: prop[k][lo:hi] for k in ("v", "dst", "prio", "static", "vw")}
+        out.update(
+            part=prop["part"],
+            e_off=prop["e_off"][lo : hi + 1] - a,
+            adj=prop["adj"][a:b],
+            adj_w=prop["adj_w"][a:b],
+        )
+        return out
+
+    return (
+        pack_proposal_frame_reference(rows(0, prop["n_reg"])),
+        pack_proposal_frame_reference(rows(prop["esc"], prop["esc"] + 1)),
+    )
 
 
 class TestProposalFrame:
@@ -367,7 +403,9 @@ class TestProposalFrame:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_bit_identical(self, prop):
         got = unpack_proposal_frame(pack_proposal_frame(prop))
-        assert got["part"] == prop["part"]
+        assert got.keys() == prop.keys()
+        for key in ("part", "n_reg", "esc"):
+            assert got[key] == prop[key]
         for key in ("v", "dst", "e_off", "adj"):
             assert np.array_equal(got[key], prop[key])
             assert got[key].dtype == np.int64
@@ -378,6 +416,18 @@ class TestProposalFrame:
             assert np.array_equal(
                 got[key].view(np.int64), prop[key].astype(np.float64).view(np.int64)
             )
+
+    @given(prop=_frame_strategy())
+    @settings(max_examples=50, deadline=None)
+    def test_fused_frame_no_bigger_than_the_two_it_replaces(self, prop):
+        """One head and, when the escape offer is one of the regular rows,
+        one row less: the fused frame never costs more wire bytes than the
+        regular frame plus the escape frame of the two-exchange round."""
+        from repro.runtime.codec import encode
+
+        regular, escape = _legacy_frames(prop)
+        fused = len(encode(pack_proposal_frame(prop)))
+        assert fused <= len(encode(regular)) + len(encode(escape))
 
     def test_none_round_trips_to_none(self):
         head, ints, floats = pack_proposal_frame(None)
@@ -397,6 +447,8 @@ class TestProposalFrame:
             "e_off": np.array([0, 1], np.int64),
             "adj": np.array([9], np.int64),
             "adj_w": np.array([1.0]),
+            "n_reg": 1,
+            "esc": 0,
         }
         head, ints, _ = pack_proposal_frame(small)
         assert head[3] == 4 and ints.dtype == np.int32
@@ -416,6 +468,8 @@ class TestProposalFrame:
             "e_off": np.zeros(1, np.int64),
             "adj": np.empty(0, np.int64),
             "adj_w": np.empty(0, np.float64),
+            "n_reg": 0,
+            "esc": -1,
         }
         got = unpack_proposal_frame(pack_proposal_frame(prop))
         assert got["part"] == 3 and got["v"].size == 0
@@ -432,6 +486,8 @@ class TestProposalFrame:
             "e_off": np.array([0, 2], np.int64),
             "adj": np.array([3, 11], np.int64),
             "adj_w": np.array([1.0, 2.0]),
+            "n_reg": 0,
+            "esc": 0,
         }
         got = unpack_proposal_frame(pack_proposal_frame(prop))
         for key in prop:
@@ -448,17 +504,18 @@ class TestProposalFrame:
         # positive moves to propose
         a0 = np.arange(g.n_vertices, dtype=np.int64) % p
         view = PartView.from_graph(g, 0, a0)
-        from repro.partition.distributed import _propose_moves
-
         cfg = DKLConfig()
         maxcap, floor = envelope(g, p, cfg)
         loads = np.bincount(a0, weights=g.vwts, minlength=p)
-        prop = _propose_moves(
-            view, a0, a0, loads, list(range(p)), cfg, maxcap, floor,
-            np.zeros(g.n_vertices, dtype=bool),
+        prop = _PartState(view, a0, p).propose(
+            a0, a0, loads, list(range(p)), cfg, maxcap, floor,
+            np.zeros(g.n_vertices, dtype=bool), escape=True,
         )
         assert prop is not None, "scenario must produce a proposal"
-        assert len(encode(pack_proposal_frame(prop))) < len(encode(prop))
+        assert prop["n_reg"] > 1 and 0 <= prop["esc"] < prop["n_reg"]
+        # the dict the exchange used to ship had no escape offer in it
+        legacy = {k: prop[k] for k in prop if k not in ("n_reg", "esc")}
+        assert len(encode(pack_proposal_frame(prop))) < len(encode(legacy))
 
 
 # --------------------------------------------------------------------- #

@@ -291,6 +291,53 @@ class TestFullLoop:
         loads = [h[-1]["local_load"] for h in histories]
         assert max(loads) / (final["leaves"] / cfg.p) - 1 < 0.8
 
+    def test_dkl_escape_rounds_cost_no_extra_exchange(self, monkeypatch):
+        """One allgather per scoring round plus one per rebalance: the
+        escape offer rides in the round's proposal frame, so the rounds in
+        which nothing moved and an escape was resolved add no message."""
+        from repro.partition import distributed
+
+        prob = CornerLaplace2D()
+
+        def marker(amesh, rnd):
+            ind = interpolation_error_indicator(amesh, prob.exact)
+            return mark_top_fraction(amesh, ind, 0.2), []
+
+        traces = []
+        real_loop = distributed._refine_loop
+
+        def traced_loop(*args, **kwargs):
+            if kwargs["my_parts"] == [0]:  # one replica's record is enough
+                traces.append(kwargs.setdefault("trace", []))
+            return real_loop(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "_refine_loop", traced_loop)
+        cfg = ParedConfig(
+            p=2,
+            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            marker=marker,
+            rounds=3,
+            pnr=PNR(seed=0),
+            partitioner="dkl",
+            transport="thread",
+        )
+        _, stats = run_pared(cfg)
+        assert traces, "no repartition ran"
+        rounds = [
+            [rec for rec in trace if "round" in rec] for trace in traces
+        ]
+        n_rounds = sum(len(r) for r in rounds)
+        n_rebalances = sum(bool(rec["rebalance"]) for r in rounds for rec in r)
+        n_escapes = sum(bool(rec["escape"]) for r in rounds for rec in r)
+        assert n_escapes > 0 and n_rebalances > 0
+        # at p=2 an allgather is one message each way
+        messages = stats.phase_report()["dkl"][0]
+        assert messages == 2 * (n_rounds + n_rebalances)
+        # and the per-round byte ledger saw every round of the longest call
+        profile = stats.round_profile("dkl.proposals")
+        assert len(profile) == max(len(r) for r in rounds)
+        assert all(nbytes > 0 for nbytes in profile)
+
     def test_marker_with_coarsening(self):
         from repro.fem import MovingPeakPoisson2D, mark_under_threshold
 

@@ -21,7 +21,7 @@ from repro.runtime.simmpi import (
     spmd_run,
 )
 from repro.runtime.faults import FaultPlan
-from repro.runtime.stats import PhaseTimer, TrafficStats
+from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import resolve_backend
 
 BACKENDS = ("thread", "process", "shm")
@@ -778,10 +778,3 @@ class TestStatsObjects:
         assert a.total_messages == 3
         assert a.bytes["P1"] == 150 and a.bytes["P2"] == 70
         assert a.by_pair[(1, 0)] == 1 and a.by_pair[(1, 2)] == 1
-
-    def test_phase_timer(self):
-        t = PhaseTimer()
-        with t.phase("solve"):
-            time.sleep(0.01)
-        assert t.totals["solve"] > 0.005
-        t.stop("never-started")  # no-op
