@@ -16,7 +16,12 @@ communicate in the phases of Figure 2:
 * **P3** — the coordinator updates ``G``, repartitions it (PNR by default),
   and directs tree migrations; ranks execute the moves.
 
-All traffic is counted per phase by the runtime's
+There is one round engine (:mod:`repro.pared.system`): :func:`run_pared`
+marks from a user marker, :func:`run_workflow` from a distributed solve and
+an a-posteriori estimate, and P1–P3 follow the weight protocol of the
+chosen strategy's family (:mod:`repro.pared.protocols` — the coordinator
+shape above, or neighbor halos plus an SPMD tournament under ``dkl``).  All
+traffic is counted per phase by the runtime's
 :class:`~repro.runtime.stats.TrafficStats`.
 """
 

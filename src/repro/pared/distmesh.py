@@ -24,7 +24,10 @@ import numpy as np
 
 from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.base import sorted_unique
+from repro.mesh.dualgraph import coarse_dual_graph
 from repro.mesh.forest import LEAF
+from repro.pared.weights import full_weight_report, split_report_by_owner
+from repro.partition.distributed import PartView
 from repro.perf import PERF
 from repro.runtime.faults import recv_with_retry
 
@@ -214,30 +217,25 @@ class DistributedMesh:
     # P1/P2: weight computation and reporting
     # ------------------------------------------------------------------ #
 
-    def local_weight_update(self, prev=None) -> dict:
-        """Packed vertex/edge weight report of ``G`` for this rank's owned
-        roots (phase P1): flat sorted arrays, see
-        :mod:`repro.pared.weights`.  With a previous full report ``prev``,
-        only changed entries (plus tombstones) are included — what actually
-        travels in P2.
+    def local_weight_update(self) -> dict:
+        """Full packed vertex/edge weight report of ``G`` for this rank's
+        owned roots (phase P1): flat sorted arrays, see
+        :mod:`repro.pared.weights`.  What travels in P2 is the protocol's
+        business — a delta of it, or its boundary slices; the dual graph it
+        was cut from is kept for :meth:`exchange_halo_weights`.
 
         Edge ``(a, b)`` (with ``a < b``) is reported by the owner of ``a``.
         """
-        from repro.mesh.dualgraph import coarse_dual_graph
-        from repro.pared.weights import diff_weight_report, full_weight_report
+        self._dual = coarse_dual_graph(self.amesh.mesh)
+        return full_weight_report(self._dual, self.owner, self.rank)
 
-        graph = coarse_dual_graph(self.amesh.mesh)
-        full = full_weight_report(graph, self.owner, self.rank)
-        if prev is not None:
-            return diff_weight_report(full, prev)
-        return full
-
-    def exchange_halo_weights(self, full: dict, graph):
+    def exchange_halo_weights(self, full: dict):
         """Phase P2, ``dkl`` variant: neighbor-to-neighbor halo exchange.
 
         Instead of funnelling every report through the coordinator, each
-        rank sends the slice of its canonical edge report incident to a
-        neighbor's roots directly to that neighbor
+        rank sends the slice of ``full`` (this round's
+        :meth:`local_weight_update`) incident to a neighbor's roots
+        directly to that neighbor
         (:func:`~repro.pared.weights.split_report_by_owner`) and receives
         the symmetric slices back.  The set of ranks to expect messages
         from is computed from the *replicated structure* (which edges
@@ -245,10 +243,8 @@ class DistributedMesh:
         weights travel), so no handshake round is needed.  Returns this
         rank's assembled :class:`~repro.partition.distributed.PartView`.
         """
-        from repro.pared.weights import split_report_by_owner
-        from repro.partition.distributed import PartView
-
         n = self.amesh.n_roots
+        graph = self._dual
         payloads = split_report_by_owner(full, self.owner, n, self.rank)
         for t in sorted(payloads):
             self.comm.send(payloads[t], t, tag=21)

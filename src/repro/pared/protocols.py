@@ -1,0 +1,295 @@
+"""The two weight protocols of a PARED round.
+
+Between adaptation (P0) and migration, a round must learn the new weights
+of the coarse dual graph ``G``, measure the imbalance and — past the
+trigger — choose a new owner map.  How is a property of the repartitioning
+strategy's family, and the only thing about a round that varies with it:
+
+* :class:`_CoordinatorProtocol` (``pnr``/``mlkl``/``sfc``): every rank diffs
+  its report against last round's, the deltas travel to ``P_C``, which
+  merges them into its :class:`_CoordinatorGraph` and runs the registry
+  strategy on it.  Round state: the delta baseline on every rank, ``G`` on
+  ``P_C`` — both checkpointed.
+* :class:`_HaloProtocol` (``dkl``/``dkl-ml``): boundary slices of the full
+  report travel neighbor-to-neighbor into a
+  :class:`~repro.partition.distributed.PartView`, ``P_C`` keeps only an
+  O(p) gather of load sums, and the tournament runs SPMD on every rank
+  (phase label ``dkl``).  No state survives a round, so nothing is
+  checkpointed.
+
+The round engine (:mod:`repro.pared.system`) calls ``weigh`` (P1),
+``exchange`` (P2), ``decide`` (P3, up to the migration) and ``audit`` on
+whichever :func:`_weight_protocol` picked, and never asks which.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.graph.csr import WeightedGraph
+from repro.mesh.dualgraph import coarse_dual_graph, coarse_root_centroids
+from repro.pared.weights import (
+    diff_weight_report,
+    keep_last,
+    merge_fresh_values,
+    split_edge_keys,
+)
+from repro.partition.distributed import (
+    DKLConfig,
+    dkl_ml_refine_comm,
+    dkl_refine_comm,
+)
+from repro.partition.registry import make_repartitioner
+from repro.perf import PERF
+from repro.runtime.recovery import compact_owner, expand_owner
+from repro.testing import (
+    check_dual_graph_weights,
+    check_halo_weights,
+    check_monotone_refinement,
+)
+
+#: strategies that run the halo protocol, with their SPMD tournament
+_HALO_REFINE = {"dkl": dkl_refine_comm, "dkl-ml": dkl_ml_refine_comm}
+
+
+def _imbalance(loads: np.ndarray) -> float:
+    """Relative overload of the heaviest live rank (0 on an empty mesh)."""
+    mean = loads.sum() / len(loads)
+    return float(loads.max() / mean - 1.0) if mean else 0.0
+
+
+def _on_live(live, size: int, fn, *owners):
+    """``fn(k, *owners)`` over the ``k`` live ranks.  The partition kernels
+    need labels dense in ``range(k)``: after a death the owner maps are
+    compacted on the way in and an owner-map result expanded on the way
+    out; while the full communicator is alive this is a plain call."""
+    if len(live) == size:
+        return fn(size, *owners)
+    out = fn(len(live), *(compact_owner(o, live) for o in owners))
+    return out if out is None else expand_owner(out, live)
+
+
+class _CoordinatorGraph:
+    """P_C's view of ``G``, built purely from packed P2 weight messages.
+
+    State is struct-of-arrays: a dense vertex-weight vector plus sorted
+    packed edge keys (:func:`~repro.pared.weights.edge_keys`) with aligned
+    weights — merges and deletions are sorted-int64 array ops, no per-entry
+    Python loops.
+    """
+
+    def __init__(self, n_roots: int):
+        self.n = n_roots
+        self.vwts = np.zeros(n_roots)
+        self.ekeys = np.empty(0, dtype=np.int64)
+        self.ewts = np.empty(0, dtype=np.float64)
+
+    def merge(self, messages) -> None:
+        """Apply one round's deltas.  A key in a ``v_dead``/``e_dead``
+        array is a *tombstone*: the reporter's owned set no longer contains
+        it (the root was handed to another rank, or coarsening collapsed it
+        away).  Values are applied first and a tombstone only wins when no
+        message of the same batch re-reported the key, so an ownership
+        handoff — old owner sending the tombstone, new owner the fresh
+        value — merges to the same state in any arrival order.
+        """
+        fv_ids = np.concatenate([m["v_ids"] for m in messages])
+        fv_wts = np.concatenate([m["v_wts"] for m in messages])
+        fe_keys = np.concatenate([m["e_keys"] for m in messages])
+        fe_wts = np.concatenate([m["e_wts"] for m in messages])
+        dv = np.concatenate([m["v_dead"] for m in messages])
+        de = np.concatenate([m["e_dead"] for m in messages])
+        uids, uw = keep_last(fv_ids, fv_wts)
+        self.vwts[uids] = uw
+        self.vwts[np.setdiff1d(dv, fv_ids)] = 0.0
+        self.ekeys, self.ewts = merge_fresh_values(
+            self.ekeys, self.ewts, fe_keys, fe_wts
+        )
+        dead_e = np.setdiff1d(de, fe_keys)
+        if dead_e.size:
+            keep = np.isin(self.ekeys, dead_e, invert=True)
+            self.ekeys = self.ekeys[keep]
+            self.ewts = self.ewts[keep]
+
+    def graph(self) -> WeightedGraph:
+        a, b = split_edge_keys(self.ekeys, self.n)
+        edges = np.column_stack([a, b])
+        return WeightedGraph.from_edges(self.n, edges, self.ewts.copy(), self.vwts.copy())
+
+
+class _WeightProtocol:
+    """What both protocols share: ``P_C``'s strategy object (it carries the
+    sfc curve-order cache across rounds) for the initial partition."""
+
+    def __init__(self, comm, cfg, coordinator: int, amesh):
+        self.comm, self.cfg, self.C = comm, cfg, coordinator
+        self.repart = self.root_coords = None
+        if comm.rank == coordinator:
+            self.repart = make_repartitioner(
+                cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
+            )
+            self.root_coords = coarse_root_centroids(amesh.mesh)
+
+    def initial_owner(self, amesh, live) -> np.ndarray:
+        """``P_C`` only: partition of the unrefined coarse dual graph."""
+        graph0 = coarse_dual_graph(amesh.mesh)
+        return _on_live(
+            live,
+            self.comm.size,
+            lambda k: self.repart.initial(graph0, k, coords=self.root_coords),
+        )
+
+    def snapshot(self) -> dict:
+        """The :class:`~repro.runtime.recovery.RoundCheckpoint` fields this
+        protocol owns."""
+        return {}
+
+    def restore(self, ckpt):
+        """Adopt the checkpointed round state (only called while ``P_C`` is
+        who it was at the checkpoint).  Returns the ``G`` that ``P_C`` held
+        then, when the protocol keeps one."""
+        return None
+
+
+class _CoordinatorProtocol(_WeightProtocol):
+    def __init__(self, comm, cfg, coordinator: int, amesh):
+        super().__init__(comm, cfg, coordinator, amesh)
+        #: last round's full report — the baseline P2 deltas are cut against
+        self.prev_full = None
+        #: assembled *only* from P2 messages, never from the replica
+        self.G = _CoordinatorGraph(amesh.n_roots) if comm.rank == coordinator else None
+        self.graph = None  # G as of this round's merge (P_C only)
+
+    def weigh(self, dmesh) -> dict:
+        full = dmesh.local_weight_update()
+        delta = diff_weight_report(full, self.prev_full)
+        self.prev_full = full
+        return delta
+
+    def exchange(self, dmesh, delta):
+        return dmesh.send_weights_to_coordinator(delta, self.C)
+
+    def decide(self, dmesh, msgs):
+        """``(new_owner, imbalance)`` on ``P_C``, ``(None, None)`` elsewhere."""
+        comm = self.comm
+        if comm.rank != self.C:
+            return None, None
+        with PERF.span("pared.repartition.serial"):
+            self.G.merge(msgs)
+            graph = self.graph = self.G.graph()
+            loads = np.bincount(dmesh.owner, weights=graph.vwts, minlength=comm.size)
+            imb = _imbalance(loads[dmesh.live])
+            if imb <= self.cfg.imbalance_trigger:
+                return dmesh.owner.copy(), imb
+            new_owner = _on_live(
+                dmesh.live,
+                comm.size,
+                lambda k, owner: self.repart.repartition(
+                    graph, k, owner, coords=self.root_coords
+                ),
+                dmesh.owner,
+            )
+        return new_owner, imb
+
+    def audit(self, dmesh, old_owner, imb) -> None:
+        if self.comm.rank != self.C:
+            return
+        # G was assembled purely from P2 messages — auditing it against a
+        # brute-force recount verifies the weight protocol end to end
+        check_dual_graph_weights(dmesh.amesh.mesh, self.graph)
+        # the monotone-or-rollback invariant is a property of the
+        # Equation-1 KL engine; the mlkl/sfc strategies optimize other
+        # objectives and are checked by validity/balance alone
+        cfg = self.cfg
+        if imb > cfg.imbalance_trigger and cfg.partitioner == "pnr":
+            _on_live(
+                dmesh.live,
+                self.comm.size,
+                lambda k, old, new: check_monotone_refinement(
+                    self.graph, k, old, new, cfg.pnr.alpha, cfg.pnr.beta
+                ),
+                old_owner,
+                dmesh.owner,
+            )
+
+    def snapshot(self) -> dict:
+        snap = {"prev_full": self.prev_full}
+        if self.G is not None:
+            snap["coord_vwts"] = self.G.vwts.copy()
+            snap["coord_edges"] = (self.G.ekeys.copy(), self.G.ewts.copy())
+        return snap
+
+    def restore(self, ckpt):
+        self.prev_full = ckpt.prev_full
+        if self.G is None:
+            return None
+        self.G.vwts = np.asarray(ckpt.coord_vwts, dtype=float).copy()
+        ekeys, ewts = ckpt.coord_edges
+        self.G.ekeys = np.asarray(ekeys, dtype=np.int64).copy()
+        self.G.ewts = np.asarray(ewts, dtype=np.float64).copy()
+        return self.G.graph()
+
+
+class _HaloProtocol(_WeightProtocol):
+    view = None  # this round's PartView (the audit reads it)
+
+    def weigh(self, dmesh) -> dict:
+        # no delta machinery: the halo exchange ships each round's full
+        # (small, per-neighbor) boundary slices, so there is no baseline
+        # to diff against and nothing for a coordinator to accumulate
+        return dmesh.local_weight_update()
+
+    def exchange(self, dmesh, full):
+        """Halo slices to the neighbors; ``P_C``'s only job is the O(p)
+        scalar imbalance check on gathered load sums.  Returns the
+        replica-identical ``(loads, wmax, imbalance)``."""
+        comm, live = self.comm, dmesh.live
+        self.view = dmesh.exchange_halo_weights(full)
+        wsum = float(full["v_wts"].sum())
+        wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
+        gathered = comm.gather(
+            (wsum, wmax_local), root=self.C, tag=42, ranks=dmesh.group
+        )
+        measured = None
+        if comm.rank == self.C:
+            loads = np.zeros(comm.size)
+            loads[live] = [s for s, _ in gathered]
+            wmax = max(m for _, m in gathered)
+            measured = (loads, float(wmax), _imbalance(loads[live]))
+        return comm.bcast(measured, root=self.C, tag=43, ranks=dmesh.group)
+
+    def decide(self, dmesh, measured):
+        comm, pnr = self.comm, self.cfg.pnr
+        loads, wmax, imb = measured
+        if imb <= self.cfg.imbalance_trigger:
+            assign = dmesh.owner.copy()
+        else:
+            dcfg = DKLConfig(
+                alpha=pnr.alpha,
+                beta=pnr.beta,
+                seed=pnr.seed,
+                balance_tol=pnr.balance_tol,
+            )
+            comm.set_phase("dkl")
+            loads = np.asarray(loads, dtype=np.float64)
+            assign = _HALO_REFINE[self.cfg.partitioner](
+                comm, self.view, dmesh.owner, loads, wmax, dmesh.live, dcfg,
+                group=dmesh.group,
+            )
+            comm.set_phase("P3")
+        # every rank computed the identical assignment; the migration
+        # machinery still takes it from the coordinator side unchanged
+        return (assign if comm.rank == self.C else None), imb
+
+    def audit(self, dmesh, old_owner, imb) -> None:
+        # every rank's halo view was assembled purely from P2 neighbor
+        # messages (plus proposal payloads as roots changed hands) — audit
+        # it against a brute-force recount of the incident set of the
+        # roots it now owns
+        check_halo_weights(dmesh.amesh.mesh, self.view, dmesh.owner, self.comm.rank)
+
+
+def _weight_protocol(comm, cfg, coordinator: int, amesh) -> _WeightProtocol:
+    """The protocol of ``cfg.partitioner``'s family, with fresh round state."""
+    cls = _HaloProtocol if cfg.partitioner in _HALO_REFINE else _CoordinatorProtocol
+    return cls(comm, cfg, coordinator, amesh)

@@ -14,6 +14,15 @@ exception is coordinator *failover*: a freshly promoted ``P_C`` bootstraps
 the recovery re-assignment from its replica, then rebuilds ``G`` from full
 P2 reports on the next round.)
 
+A round is one staged pipeline — mark → adapt (P0) → weigh (P1) → exchange
+(P2) → decide → migrate (P3) → audit → record — in which two things vary,
+each behind one private seam: the *mark* stage (``mark(dmesh, rnd) ->
+(refine_ids, coarsen_ids, record_extras)``; the default evaluates
+``cfg.marker`` on the replica, :mod:`repro.pared.workflow` substitutes a
+distributed solve + a-posteriori estimate) and the *weight protocol*
+(:mod:`repro.pared.protocols`, chosen once from ``cfg.partitioner``'s
+family).  docs/runtime.md describes both.
+
 Crash survival (``ParedConfig(recover=True)``): every rank checkpoints its
 protocol state at each round barrier (:class:`~repro.runtime.recovery.
 CheckpointStore`).  When a peer dies, the runtime raises
@@ -30,35 +39,17 @@ recovered histories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.pnr import PNR
-from repro.graph.csr import WeightedGraph
 from repro.mesh.adapt import AdaptiveMesh
-from repro.mesh.dualgraph import (
-    coarse_dual_graph,
-    coarse_root_centroids,
-    leaf_assignment_from_roots,
-)
+from repro.mesh.dualgraph import coarse_dual_graph, leaf_assignment_from_roots
 from repro.mesh.metrics import cut_size, shared_vertex_count
 from repro.pared.distmesh import DistributedMesh
 from repro.pared.migrate import execute_migration, plan_recovery_assignment
-from repro.pared.weights import (
-    diff_weight_report,
-    full_weight_report,
-    keep_last,
-    merge_fresh_values,
-    split_edge_keys,
-)
-from repro.partition.distributed import (
-    DKLConfig,
-    dkl_ml_refine_comm,
-    dkl_refine_comm,
-)
-from repro.partition.registry import make_repartitioner
+from repro.pared.protocols import _weight_protocol, _WeightProtocol
 from repro.perf import PERF
 from repro.runtime.faults import FaultPlan
 from repro.runtime.recovery import (
@@ -67,18 +58,13 @@ from repro.runtime.recovery import (
     PeerCrashed,
     RoundCheckpoint,
     agree_replay_round,
-    compact_owner,
-    expand_owner,
     flush_channels,
 )
 from repro.runtime.simmpi import spmd_run
 from repro.testing import (
-    check_dual_graph_weights,
-    check_halo_weights,
     check_history_agreement,
     check_leaf_adjacency,
     check_migration_conservation,
-    check_monotone_refinement,
     check_partition_validity,
     check_recovery_partition,
     check_replica_agreement,
@@ -86,10 +72,6 @@ from repro.testing import (
 
 #: collective-commit tag: no rank returns before every live rank finished
 COMMIT_TAG = 73
-
-#: strategies that run the decentralized round shape (neighbor halo P2,
-#: SPMD tournament P3, no coordinator graph)
-_DKL_FAMILY = ("dkl", "dkl-ml")
 
 
 @dataclass
@@ -178,310 +160,103 @@ class ParedConfig:
     sfc_curve: str = "morton"
 
 
-class _CoordinatorGraph:
-    """P_C's view of ``G``, built purely from packed P2 weight messages.
 
-    State is struct-of-arrays: a dense vertex-weight vector plus sorted
-    packed edge keys (:func:`~repro.pared.weights.edge_keys`) with aligned
-    weights — merges and deletions are sorted-int64 array ops, no per-entry
-    Python loops.
-    """
+def _replica_mark(cfg: ParedConfig):
+    """The default *mark* stage: ``cfg.marker`` evaluated on the replica."""
 
-    def __init__(self, n_roots: int):
-        self.n = n_roots
-        self.vwts = np.zeros(n_roots)
-        self.ekeys = np.empty(0, dtype=np.int64)
-        self.ewts = np.empty(0, dtype=np.float64)
+    def mark(dmesh, rnd):
+        refine_ids, coarsen_ids = cfg.marker(dmesh.amesh, rnd)
+        return refine_ids, coarsen_ids, {}
 
-    def merge(self, messages) -> None:
-        """Apply one round's deltas.  A key in a ``v_dead``/``e_dead``
-        array is a *tombstone*: the reporter's owned set no longer contains
-        it (the root was handed to another rank, or coarsening collapsed it
-        away).  Values are applied first and a tombstone only wins when no
-        message of the same batch re-reported the key, so an ownership
-        handoff — old owner sending the tombstone, new owner the fresh
-        value — merges to the same state in any arrival order.
-        """
-        fv_ids = np.concatenate([m["v_ids"] for m in messages])
-        fv_wts = np.concatenate([m["v_wts"] for m in messages])
-        fe_keys = np.concatenate([m["e_keys"] for m in messages])
-        fe_wts = np.concatenate([m["e_wts"] for m in messages])
-        dv = np.concatenate([m["v_dead"] for m in messages])
-        de = np.concatenate([m["e_dead"] for m in messages])
-        uids, uw = keep_last(fv_ids, fv_wts)
-        self.vwts[uids] = uw
-        self.vwts[np.setdiff1d(dv, fv_ids)] = 0.0
-        self.ekeys, self.ewts = merge_fresh_values(
-            self.ekeys, self.ewts, fe_keys, fe_wts
-        )
-        dead_e = np.setdiff1d(de, fe_keys)
-        if dead_e.size:
-            keep = np.isin(self.ekeys, dead_e, invert=True)
-            self.ekeys = self.ekeys[keep]
-            self.ewts = self.ewts[keep]
-
-    def snapshot(self):
-        """Checkpointable copy of the graph state."""
-        return self.vwts.copy(), (self.ekeys.copy(), self.ewts.copy())
-
-    @classmethod
-    def from_snapshot(cls, n_roots: int, vwts, edges) -> "_CoordinatorGraph":
-        g = cls(n_roots)
-        g.vwts = np.asarray(vwts, dtype=float).copy()
-        ekeys, ewts = edges
-        g.ekeys = np.asarray(ekeys, dtype=np.int64).copy()
-        g.ewts = np.asarray(ewts, dtype=np.float64).copy()
-        return g
-
-    def graph(self) -> WeightedGraph:
-        a, b = split_edge_keys(self.ekeys, self.n)
-        edges = np.column_stack([a, b])
-        return WeightedGraph.from_edges(self.n, edges, self.ewts.copy(), self.vwts.copy())
+    return mark
 
 
 @dataclass
 class _RankState:
     """Everything a rank mutates across rounds (checkpointed wholesale)."""
 
-    amesh: AdaptiveMesh
     dmesh: DistributedMesh
-    coord_graph: Optional[_CoordinatorGraph]
-    prev_full: Optional[dict]
+    #: the weight protocol with its round state; knows who ``P_C`` is
+    proto: _WeightProtocol
     history: list
-    coordinator: int
-    #: the coordinator's repartitioning strategy (None on other ranks);
-    #: carries the sfc curve-order cache across rounds
-    repart: Optional[object] = None
-    #: coarse-root centroids (coordinator only; static for the run)
-    root_coords: Optional[np.ndarray] = None
+
+
+def _elect(cfg: ParedConfig, live) -> int:
+    """``P_C``: the configured rank while it lives, else the lowest live."""
+    return cfg.coordinator if cfg.coordinator in live else live[0]
 
 
 def _pared_setup(comm, cfg: ParedConfig, live) -> _RankState:
     """Initial (or post-wipeout re-initial) partition and distribution."""
     live = sorted(live)
-    C = cfg.coordinator if cfg.coordinator in live else live[0]
+    C = _elect(cfg, live)
     amesh = cfg.make_mesh()
 
     # initial partition at the coordinator (the mesh "is loaded into P_C")
     comm.set_phase("P3")
+    proto = _weight_protocol(comm, cfg, C, amesh)
+    owner0 = proto.initial_owner(amesh, live) if comm.rank == C else None
     group = live if len(live) < comm.size else None
-    repart = root_coords = None
-    if comm.rank == C:
-        repart = make_repartitioner(
-            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
-        )
-        root_coords = coarse_root_centroids(amesh.mesh)
-        graph0 = coarse_dual_graph(amesh.mesh)
-        if group is None:
-            owner0 = repart.initial(graph0, comm.size, coords=root_coords)
-        else:
-            owner0 = expand_owner(
-                repart.initial(graph0, len(live), coords=root_coords), live
-            )
-    else:
-        owner0 = None
     owner = comm.bcast(owner0, root=C, tag=40, ranks=group)
-    dmesh = DistributedMesh(comm, amesh, owner, live=live)
-    # under dkl the coordinator never assembles G — weights stay
-    # distributed and travel neighbor-to-neighbor in P2
-    coord_graph = (
-        _CoordinatorGraph(amesh.n_roots)
-        if comm.rank == C and cfg.partitioner not in _DKL_FAMILY
-        else None
-    )
-    return _RankState(
-        amesh=amesh,
-        dmesh=dmesh,
-        coord_graph=coord_graph,
-        prev_full=None,
-        history=[],
-        coordinator=C,
-        repart=repart,
-        root_coords=root_coords,
-    )
+    return _RankState(DistributedMesh(comm, amesh, owner, live=live), proto, [])
 
 
-def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
-    amesh, dmesh, C = st.amesh, st.dmesh, st.coordinator
-    live = dmesh.live
-    dkl = cfg.partitioner in _DKL_FAMILY
+def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None:
+    dmesh, proto = st.dmesh, st.proto
+    amesh = dmesh.amesh
 
-    # ---- P0: adapt ------------------------------------------------ #
-    tick = perf_counter()
+    # ---- P0: mark, adapt ------------------------------------------ #
     comm.set_phase("P0")
-    with PERF.span("pared.P0.mark"):
-        refine_ids, coarsen_ids = cfg.marker(amesh, rnd)
-    my_refine = np.intersect1d(
-        np.asarray(refine_ids, dtype=np.int64), dmesh.owned_leaf_ids()
-    )
-    dmesh.parallel_refine(my_refine)
-    my_coarsen = np.intersect1d(
-        np.asarray(coarsen_ids, dtype=np.int64), dmesh.owned_leaf_ids()
-    )
-    dmesh.parallel_coarsen(my_coarsen)
-
-    leaves_before = amesh.leaf_ids().copy()
-
-    # ---- P1: local weights ---------------------------------------- #
-    PERF.add("pared.P0", perf_counter() - tick)
-    tick = perf_counter()
-    comm.set_phase("P1")
-    if dkl:
-        # no delta machinery: the halo exchange ships each round's full
-        # (small, per-neighbor) boundary slices, so there is no baseline
-        # to diff against and nothing for a coordinator to accumulate
-        graph_struct = coarse_dual_graph(amesh.mesh)
-        full = full_weight_report(graph_struct, dmesh.owner, comm.rank)
-        st.prev_full = None
-    else:
-        full = dmesh.local_weight_update(None)
-        delta = diff_weight_report(full, st.prev_full)
-        st.prev_full = full
-
-    # ---- P2: ship weights ------------------------------------------ #
-    PERF.add("pared.P1", perf_counter() - tick)
-    tick = perf_counter()
-    comm.set_phase("P2")
-    if dkl:
-        # neighbor-to-neighbor halo exchange; the coordinator's only job
-        # is the O(p) scalar imbalance check on gathered load sums
-        view = dmesh.exchange_halo_weights(full, graph_struct)
-        wsum = float(full["v_wts"].sum())
-        wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
-        gathered = comm.gather(
-            (wsum, wmax_local), root=C, tag=42, ranks=dmesh.group
+    with PERF.span("pared.P0"):
+        with PERF.span("pared.P0.mark"):
+            refine_ids, coarsen_ids, extras = mark(dmesh, rnd)
+        my_refine = np.intersect1d(
+            np.asarray(refine_ids, dtype=np.int64), dmesh.owned_leaf_ids()
         )
-        if comm.rank == C:
-            loads = np.zeros(comm.size)
-            for r, (s, _) in zip(live, gathered):
-                loads[r] = s
-            wmax = max(m for _, m in gathered)
-            live_loads = loads[live]
-            mean = live_loads.sum() / len(live)
-            imb = float(live_loads.max() / mean - 1.0) if mean else 0.0
-            decision = (loads, float(wmax), imb)
-        else:
-            decision = None
-        loads, wmax, imb = comm.bcast(decision, root=C, tag=43, ranks=dmesh.group)
-    else:
-        msgs = dmesh.send_weights_to_coordinator(delta, C)
+        dmesh.parallel_refine(my_refine)
+        my_coarsen = np.intersect1d(
+            np.asarray(coarsen_ids, dtype=np.int64), dmesh.owned_leaf_ids()
+        )
+        dmesh.parallel_coarsen(my_coarsen)
+        leaves_before = amesh.leaf_ids().copy() if cfg.audit else None
 
-    # ---- P3: repartition & migrate -------------------------------- #
-    PERF.add("pared.P2", perf_counter() - tick)
-    tick = perf_counter()
+    # ---- P1: weigh — local weights of owned roots ------------------- #
+    comm.set_phase("P1")
+    with PERF.span("pared.P1"):
+        report = proto.weigh(dmesh)
+
+    # ---- P2: exchange — ship them where the protocol decides -------- #
+    comm.set_phase("P2")
+    with PERF.span("pared.P2"):
+        inbox = proto.exchange(dmesh, report)
+
+    # ---- P3: decide, migrate -------------------------------------- #
     comm.set_phase("P3")
-    if dkl:
-        if imb > cfg.imbalance_trigger:
-            comm.set_phase("dkl")
-            dcfg = DKLConfig(
-                alpha=cfg.pnr.alpha,
-                beta=cfg.pnr.beta,
-                seed=cfg.pnr.seed,
-                balance_tol=cfg.pnr.balance_tol,
-            )
-            refine = (
-                dkl_ml_refine_comm
-                if cfg.partitioner == "dkl-ml"
-                else dkl_refine_comm
-            )
-            assign = refine(
-                comm,
-                view,
-                dmesh.owner,
-                np.asarray(loads, dtype=np.float64),
-                wmax,
-                live,
-                dcfg,
-                group=dmesh.group,
-            )
-            comm.set_phase("P3")
-        else:
-            assign = dmesh.owner.copy()
-        # every rank computed the identical assignment; the migration
-        # machinery still takes it from the coordinator side unchanged
-        new_owner = assign if comm.rank == C else None
-    elif comm.rank == C:
-        with PERF.span("pared.repartition.serial"):
-            st.coord_graph.merge(msgs)
-            graph = st.coord_graph.graph()
-            loads = np.bincount(
-                dmesh.owner, weights=graph.vwts, minlength=comm.size
-            )
-            live_loads = loads[live]
-            mean = live_loads.sum() / len(live)
-            imb = float(live_loads.max() / mean - 1.0) if mean else 0.0
-            if imb > cfg.imbalance_trigger:
-                if len(live) == comm.size:
-                    new_owner = st.repart.repartition(
-                        graph, comm.size, dmesh.owner, coords=st.root_coords
-                    )
-                else:
-                    new_owner = expand_owner(
-                        st.repart.repartition(
-                            graph,
-                            len(live),
-                            compact_owner(dmesh.owner, live),
-                            coords=st.root_coords,
-                        ),
-                        live,
-                    )
-            else:
-                new_owner = dmesh.owner.copy()
-    else:
-        new_owner = None
-        imb = None
-    old_owner = dmesh.owner.copy()
-    mig = execute_migration(comm, dmesh, new_owner, coordinator=C, extra=imb)
-    # the measured imbalance rides the owner broadcast, so the per-round
-    # record is replica-identical on every rank (not just P_C)
-    imb = mig["extra"]
+    with PERF.span("pared.P3"):
+        new_owner, imb = proto.decide(dmesh, inbox)
+        old_owner = dmesh.owner.copy()
+        mig = execute_migration(comm, dmesh, new_owner, coordinator=proto.C, extra=imb)
+        # the measured imbalance rides the owner broadcast, so the per-round
+        # record is replica-identical on every rank (not just P_C)
+        imb = mig["extra"]
 
     # ---- audit: executable invariants of the round ----------------- #
-    PERF.add("pared.P3", perf_counter() - tick)
     if cfg.audit:
-        tick = perf_counter()
         comm.set_phase("audit")
-        check_partition_validity(dmesh.owner, comm.size, amesh.n_roots)
-        if len(live) < comm.size:
-            check_recovery_partition(dmesh.owner, live, amesh.n_roots)
-        check_replica_agreement(comm, dmesh.owner, ranks=dmesh.group)
-        owned_all = comm.allgather(
-            dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.group
-        )
-        check_migration_conservation(leaves_before, amesh.leaf_ids(), owned_all)
-        check_leaf_adjacency(amesh.mesh)
-        if dkl:
-            # every rank's halo view was assembled purely from P2
-            # neighbor messages (plus proposal payloads as roots changed
-            # hands) — audit it against a brute-force recount of the
-            # incident set of the roots it now owns
-            check_halo_weights(amesh.mesh, view, dmesh.owner, comm.rank)
-        elif comm.rank == C:
-            # the coordinator's G was assembled purely from P2
-            # messages — auditing it against a brute-force recount
-            # verifies the distributed weight protocol end to end
-            check_dual_graph_weights(amesh.mesh, graph)
-            # the monotone-or-rollback invariant is a property of the
-            # Equation-1 KL engine; the mlkl/sfc strategies optimize
-            # other objectives and are checked by validity/balance alone
-            if imb > cfg.imbalance_trigger and cfg.partitioner == "pnr":
-                if len(live) == comm.size:
-                    check_monotone_refinement(
-                        graph, comm.size, old_owner, dmesh.owner,
-                        cfg.pnr.alpha, cfg.pnr.beta,
-                    )
-                else:
-                    check_monotone_refinement(
-                        graph,
-                        len(live),
-                        compact_owner(old_owner, live),
-                        compact_owner(dmesh.owner, live),
-                        cfg.pnr.alpha,
-                        cfg.pnr.beta,
-                    )
-        PERF.add("pared.audit", perf_counter() - tick)
+        with PERF.span("pared.audit"):
+            check_partition_validity(dmesh.owner, comm.size, amesh.n_roots)
+            if dmesh.group is not None:
+                check_recovery_partition(dmesh.owner, dmesh.live, amesh.n_roots)
+            check_replica_agreement(comm, dmesh.owner, ranks=dmesh.group)
+            owned_all = comm.allgather(
+                dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.group
+            )
+            check_migration_conservation(leaves_before, amesh.leaf_ids(), owned_all)
+            check_leaf_adjacency(amesh.mesh)
+            # the weights the decision was taken on, against a recount
+            proto.audit(dmesh, old_owner, imb)
 
-    # ---- metrics (identical on every replica) ---------------------- #
+    # ---- record: metrics (identical on every replica) -------------- #
     fine = leaf_assignment_from_roots(amesh.mesh, dmesh.owner)
     st.history.append(
         {
@@ -495,25 +270,21 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             "local_load": dmesh.local_load(),
             "owner": dmesh.owner.copy(),
             "old_owner": old_owner,
-            "p_live": len(live),
+            "p_live": len(dmesh.live),
+            **extras,
         }
     )
 
 
 def _save_checkpoint(store: CheckpointStore, rnd: int, st: _RankState) -> None:
-    vwts = edges = None
-    if st.coord_graph is not None:
-        vwts, edges = st.coord_graph.snapshot()
     store.save(
         RoundCheckpoint(
             round=rnd,
-            amesh=st.amesh,
+            amesh=st.dmesh.amesh,
             owner=st.dmesh.owner,
-            prev_full=st.prev_full,
             history=st.history,
-            coordinator=st.coordinator,
-            coord_vwts=vwts,
-            coord_edges=edges,
+            coordinator=st.proto.C,
+            **st.proto.snapshot(),
         )
     )
 
@@ -535,42 +306,25 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
 
     ckpt = store.restore(decision)
     store.discard_after(decision)
-    C = cfg.coordinator if cfg.coordinator in live else live[0]
-    coordinator_changed = C != ckpt.coordinator
-    dkl = cfg.partitioner in _DKL_FAMILY
-    if coordinator_changed or dkl:
-        # a freshly promoted P_C starts with an empty G; every survivor
-        # resets its delta baseline so the next round's P2 carries full
-        # reports and G is rebuilt from messages alone.  (Under dkl there
-        # is no coordinator G at all — every round's P2 rebuilds the halo
-        # views from full reports, so recovery has nothing to restore.)
-        prev_full = None
-        coord_graph = (
-            _CoordinatorGraph(ckpt.amesh.n_roots)
-            if comm.rank == C and not dkl
-            else None
-        )
-    else:
-        prev_full = ckpt.prev_full
-        coord_graph = (
-            _CoordinatorGraph.from_snapshot(
-                ckpt.amesh.n_roots, ckpt.coord_vwts, ckpt.coord_edges
-            )
-            if comm.rank == C
-            else None
-        )
-    dmesh = DistributedMesh(comm, ckpt.amesh, ckpt.owner, live=live)
+    amesh = ckpt.amesh
+    C = _elect(cfg, live)
+    # fresh round state and a fresh strategy object (the sfc curve-order
+    # cache rebuilds deterministically from the static root centroids).  It
+    # stays fresh under a newly promoted P_C: every survivor starts without
+    # a delta baseline, so the next round's P2 carries full reports and G
+    # is rebuilt from messages alone.
+    proto = _weight_protocol(comm, cfg, C, amesh)
+    known = proto.restore(ckpt) if C == ckpt.coordinator else None
+    dmesh = DistributedMesh(comm, amesh, ckpt.owner, live=live)
 
     # coordinator-led re-assignment of the dead rank's roots, executed by
     # the ordinary migration machinery; payloads owed by the dead rank are
     # reconstructed from the replica inside execute_migration
-    leaves_before = ckpt.amesh.leaf_ids().copy()
+    leaves_before = amesh.leaf_ids().copy()
+    new_owner = None
     if comm.rank == C:
-        graph = (
-            coarse_dual_graph(ckpt.amesh.mesh)  # failover bootstrap
-            if coordinator_changed or dkl
-            else coord_graph.graph()
-        )
+        # a P_C holding no G of its own bootstraps from its replica
+        graph = known if known is not None else coarse_dual_graph(amesh.mesh)
         new_owner = plan_recovery_assignment(
             graph,
             ckpt.owner,
@@ -580,40 +334,21 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
             seed=cfg.pnr.seed,
             balance_tol=cfg.pnr.balance_tol,
         )
-    else:
-        new_owner = None
     mig = execute_migration(comm, dmesh, new_owner, coordinator=C)
 
     # recovery invariants: the survivors hold a valid p-1 partition and the
     # leaf multiset is untouched
-    check_recovery_partition(dmesh.owner, live, ckpt.amesh.n_roots)
-    check_migration_conservation(leaves_before, ckpt.amesh.leaf_ids())
+    check_recovery_partition(dmesh.owner, live, amesh.n_roots)
+    check_migration_conservation(leaves_before, amesh.leaf_ids())
     if cfg.audit:
         check_replica_agreement(comm, dmesh.owner, ranks=live)
 
-    repart = root_coords = None
-    if comm.rank == C:
-        # a fresh strategy object: the sfc curve-order cache rebuilds
-        # deterministically from the replica's (static) root centroids
-        repart = make_repartitioner(
-            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
-        )
-        root_coords = coarse_root_centroids(ckpt.amesh.mesh)
-    st = _RankState(
-        amesh=ckpt.amesh,
-        dmesh=dmesh,
-        coord_graph=coord_graph,
-        prev_full=prev_full,
-        history=ckpt.history,
-        coordinator=C,
-        repart=repart,
-        root_coords=root_coords,
-    )
+    st = _RankState(dmesh, proto, ckpt.history)
     st.history.append(
         {
             "round": ckpt.round,
             "recovery": True,
-            "leaves": st.amesh.n_leaves,
+            "leaves": amesh.n_leaves,
             "elements_moved": mig["elements_moved"],
             "trees_moved": mig["trees_moved"],
             "owner": dmesh.owner.copy(),
@@ -625,7 +360,8 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     return ckpt.round + 1, st, live
 
 
-def _pared_rank(comm, cfg: ParedConfig):
+def _pared_rank(comm, cfg: ParedConfig, mark=None):
+    mark = mark or _replica_mark(cfg)
     recover = cfg.recover and getattr(comm, "recovery_enabled", False)
     store = CheckpointStore(keep=2) if recover else None
     flush_seen: dict = {}
@@ -640,7 +376,7 @@ def _pared_rank(comm, cfg: ParedConfig):
                     _save_checkpoint(store, -1, st)
                 rnd = 0
             while rnd < cfg.rounds:
-                _pared_round(comm, cfg, st, rnd)
+                _pared_round(comm, cfg, st, rnd, mark)
                 if recover:
                     _save_checkpoint(store, rnd, st)
                 rnd += 1
@@ -662,6 +398,25 @@ def _pared_rank(comm, cfg: ParedConfig):
                     continue  # another death mid-recovery: restart it
 
 
+def _run_rounds(cfg: ParedConfig, mark=None):
+    """The SPMD entry both public drivers share: ``cfg.p`` ranks of the
+    round engine with the given (picklable) mark stage."""
+    PERF.reset()
+    histories, stats = spmd_run(
+        cfg.p,
+        _pared_rank,
+        cfg,
+        mark,
+        return_stats=True,
+        faults=cfg.faults,
+        recover=cfg.recover,
+        transport=cfg.transport,
+    )
+    check_history_agreement(histories)
+    stats.kernel_perf = PERF.snapshot()
+    return histories, stats
+
+
 def run_pared(cfg: ParedConfig):
     """Run the PARED loop; returns ``(histories, traffic_stats)`` where
     ``histories[r]`` is rank ``r``'s per-round record list (replica metrics
@@ -675,16 +430,4 @@ def run_pared(cfg: ParedConfig):
     (``pared.P0``..``pared.P3``, ``pared.audit``) and the multilevel kernels
     underneath them (``kl.refine``, ``matching.hem``, ``contract``, ...).
     See docs/performance.md."""
-    PERF.reset()
-    histories, stats = spmd_run(
-        cfg.p,
-        _pared_rank,
-        cfg,
-        return_stats=True,
-        faults=cfg.faults,
-        recover=cfg.recover,
-        transport=cfg.transport,
-    )
-    check_history_agreement(histories)
-    stats.kernel_perf = PERF.snapshot()
-    return histories, stats
+    return _run_rounds(cfg)

@@ -16,7 +16,7 @@ message:
     current one (ownership handoff or coarsening).  A tombstone carries no
     weight; the coordinator zeroes/deletes the entry unless another message
     of the same batch re-reports it (see
-    :meth:`~repro.pared.system._CoordinatorGraph.merge`).
+    :meth:`~repro.pared.protocols._CoordinatorGraph.merge`).
 
 All arrays in a report are sorted ascending and duplicate-free.
 """

@@ -1,18 +1,19 @@
 """The complete PARED workflow with a *real* distributed solve.
 
-:mod:`repro.pared.system` drives adaptation from an exact-solution
-indicator (deterministic, the experiment benches' need).  This module runs
-the loop the paper actually describes for production use:
+:func:`repro.pared.system.run_pared` drives adaptation from an
+exact-solution indicator (deterministic, the experiment benches' need).
+:func:`run_workflow` runs the same round engine the way the paper describes
+it for production use, by swapping in a different *mark* stage:
 
 1. **solve** the PDE with the distributed CG solver (halo exchange at
    shared vertices — the cost the partition quality controls);
 2. **estimate** the error from the discrete solution itself
    (gradient-jump indicator, computed per owned element);
-3. **adapt** — refine the worst fraction, with cross-rank propagation;
-4. **repartition** with PNR and **migrate** trees (phases P1–P3).
+3. **mark** the worst fraction of each rank's own elements.
 
-Everything is SPMD over the simulated runtime; per-phase traffic lands in
-the shared :class:`~repro.runtime.stats.TrafficStats`.
+Adaptation with cross-rank propagation, the weight protocol, repartitioning
+and tree migration (P0–P3), auditing, spans and the per-round record are the
+engine's; the solve's traffic lands under phase ``solve``.
 """
 
 from __future__ import annotations
@@ -25,23 +26,10 @@ import numpy as np
 from repro.core.pnr import PNR
 from repro.fem.estimate import gradient_jump_indicator
 from repro.mesh.adapt import AdaptiveMesh
-from repro.mesh.dualgraph import (
-    coarse_dual_graph,
-    coarse_root_centroids,
-    leaf_assignment_from_roots,
-)
-from repro.mesh.metrics import cut_size, shared_vertex_count
-from repro.pared.distmesh import DistributedMesh
-from repro.pared.migrate import execute_migration
 from repro.pared.solver import DistributedPoissonSolver
-from repro.partition.registry import make_repartitioner
+from repro.pared.system import ParedConfig, _run_rounds
+from repro.perf import PERF
 from repro.runtime.faults import FaultPlan
-from repro.runtime.simmpi import spmd_run
-from repro.testing import (
-    check_migration_conservation,
-    check_partition_validity,
-    check_replica_agreement,
-)
 
 
 @dataclass
@@ -55,12 +43,9 @@ class WorkflowConfig:
     every round, the third selects the rank backend
     (``"thread"``/``"process"``/``"shm"``, ``None`` defers to
     ``REPRO_TRANSPORT``),
-    and the last two select the coordinator's repartitioning strategy from
-    the registry (``"pnr"``/``"mlkl"``/``"sfc"``/``"dkl"``).  On this
-    workflow path every strategy — ``dkl`` included, in its
-    serial-exchange flavour — runs on the coordinator; the SPMD
-    neighbor-exchange P2/P3 variant lives in
-    :func:`repro.pared.system.run_pared`.
+    and the last two select the repartitioning strategy from the registry
+    (``"pnr"``/``"mlkl"``/``"sfc"``/``"dkl"``/``"dkl-ml"``) — and with it
+    the round's weight protocol, exactly as there.
     """
 
     p: int
@@ -79,123 +64,53 @@ class WorkflowConfig:
     sfc_curve: str = "morton"
 
 
-def _workflow_rank(comm, cfg: WorkflowConfig):
-    C = cfg.coordinator
-    amesh = cfg.make_mesh()
+@dataclass
+class _SolveMark:
+    """Mark stage of the solve-driven loop (see the module docstring); the
+    record gains ``cg_iterations`` and ``eta_max``."""
 
-    comm.set_phase("P3")
-    repart = root_coords = None
-    if comm.rank == C:
-        repart = make_repartitioner(
-            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
-        )
-        root_coords = coarse_root_centroids(amesh.mesh)
-        owner0 = repart.initial(
-            coarse_dual_graph(amesh.mesh), comm.size, coords=root_coords
-        )
-    else:
-        owner0 = None
-    owner = comm.bcast(owner0, root=C, tag=50)
-    dmesh = DistributedMesh(comm, amesh, owner)
+    problem: object
+    refine_fraction: float
+    cg_rtol: float
 
-    history = []
-    for rnd in range(cfg.rounds):
-        # ---- solve (distributed CG) ----------------------------------- #
+    def __call__(self, dmesh, rnd):
+        comm, amesh = dmesh.comm, dmesh.amesh
         comm.set_phase("solve")
-        solver = DistributedPoissonSolver(dmesh)
-        f = getattr(cfg.problem, "source", None)
-        u, iters = solver.solve(
-            f=f, g=cfg.problem.dirichlet, rtol=cfg.cg_rtol
-        )
-
-        # ---- estimate (a-posteriori, per owned element) ---------------- #
+        with PERF.span("pared.solve"):
+            u, iters = DistributedPoissonSolver(dmesh).solve(
+                f=getattr(self.problem, "source", None),
+                g=self.problem.dirichlet,
+                rtol=self.cg_rtol,
+            )
         comm.set_phase("P0")
         eta = gradient_jump_indicator(amesh, u)
         owned_mask = dmesh.leaf_owners() == comm.rank
         # each rank marks the worst of *its* elements (local decision, as
         # in a real system); the global refinement emerges from the union
-        k = max(1, int(round(cfg.refine_fraction * int(owned_mask.sum()))))
-        local_eta = np.where(owned_mask, eta, -np.inf)
-        order = np.argsort(local_eta)[::-1][:k]
-        marked = amesh.leaf_ids()[order]
-        dmesh.parallel_refine([int(e) for e in marked])
-
-        # ---- weights to the coordinator ------------------------------- #
-        comm.set_phase("P1")
-        update = dmesh.local_weight_update(None)
-        comm.set_phase("P2")
-        msgs = dmesh.send_weights_to_coordinator(update, C)
-
-        # ---- repartition + migrate ------------------------------------ #
-        comm.set_phase("P3")
-        if comm.rank == C:
-            from repro.graph.csr import WeightedGraph
-            from repro.pared.weights import split_edge_keys
-
-            # full packed reports from disjoint owners: assembling G is a
-            # scatter of the concatenated arrays, no per-entry merging
-            v_ids = np.concatenate([m["v_ids"] for m in msgs])
-            v_wts = np.concatenate([m["v_wts"] for m in msgs])
-            e_keys = np.concatenate([m["e_keys"] for m in msgs])
-            e_wts = np.concatenate([m["e_wts"] for m in msgs])
-            vwts = np.zeros(amesh.n_roots)
-            vwts[v_ids] = v_wts
-            a, b = split_edge_keys(e_keys, amesh.n_roots)
-            graph = WeightedGraph.from_edges(
-                amesh.n_roots, np.column_stack([a, b]), e_wts, vwts
-            )
-            loads = np.bincount(dmesh.owner, weights=graph.vwts, minlength=comm.size)
-            mean = loads.sum() / comm.size
-            imb = float(loads.max() / mean - 1.0) if mean else 0.0
-            if imb > cfg.imbalance_trigger:
-                new_owner = repart.repartition(
-                    graph, comm.size, dmesh.owner, coords=root_coords
-                )
-            else:
-                new_owner = dmesh.owner.copy()
-        else:
-            new_owner = None
-            imb = None
-        leaves_before = amesh.leaf_ids().copy()
-        mig = execute_migration(comm, dmesh, new_owner, coordinator=C, extra=imb)
-        # the measured imbalance rides the owner broadcast, so every rank's
-        # record carries it (not just the coordinator's)
-        imb = mig["extra"]
-
-        if cfg.audit:
-            comm.set_phase("audit")
-            check_partition_validity(dmesh.owner, comm.size, amesh.n_roots)
-            check_replica_agreement(comm, dmesh.owner)
-            owned_all = comm.allgather(dmesh.owned_leaf_ids().tolist(), tag=91)
-            check_migration_conservation(
-                leaves_before, amesh.leaf_ids(), owned_all
-            )
-
-        fine = leaf_assignment_from_roots(amesh.mesh, dmesh.owner)
-        history.append(
-            {
-                "round": rnd,
-                "leaves": amesh.n_leaves,
-                "cg_iterations": iters,
-                "eta_max": float(eta.max()),
-                "cut": cut_size(amesh.mesh, fine),
-                "shared_vertices": shared_vertex_count(amesh.mesh, fine),
-                "elements_moved": mig["elements_moved"],
-                "imbalance_before": imb,
-                "local_load": dmesh.local_load(),
-            }
-        )
-    return history
+        k = max(1, int(round(self.refine_fraction * int(owned_mask.sum()))))
+        order = np.argsort(np.where(owned_mask, eta, -np.inf))[::-1][:k]
+        extras = {"cg_iterations": iters, "eta_max": float(eta.max())}
+        return amesh.leaf_ids()[order], [], extras
 
 
 def run_workflow(cfg: WorkflowConfig):
     """Run the solve→estimate→adapt→repartition loop on ``cfg.p`` ranks;
-    returns ``(histories, traffic_stats)``."""
-    return spmd_run(
-        cfg.p,
-        _workflow_rank,
-        cfg,
-        return_stats=True,
+    returns ``(histories, traffic_stats)`` like
+    :func:`~repro.pared.system.run_pared`, each record carrying
+    ``cg_iterations`` and ``eta_max`` as well."""
+    engine_cfg = ParedConfig(
+        p=cfg.p,
+        make_mesh=cfg.make_mesh,
+        marker=None,  # the solve-driven mark stage stands in
+        rounds=cfg.rounds,
+        pnr=cfg.pnr,
+        imbalance_trigger=cfg.imbalance_trigger,
+        coordinator=cfg.coordinator,
         faults=cfg.faults,
+        audit=cfg.audit,
         transport=cfg.transport,
+        partitioner=cfg.partitioner,
+        sfc_curve=cfg.sfc_curve,
     )
+    mark = _SolveMark(cfg.problem, cfg.refine_fraction, cfg.cg_rtol)
+    return _run_rounds(engine_cfg, mark)

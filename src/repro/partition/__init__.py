@@ -24,8 +24,8 @@ strategy and its multilevel ``dkl-ml`` flavour), greedy graph growing for
 coarsest-level partitions, the Biswas–Oliker subset permutation that
 minimizes data movement [5], partition metrics, and the named
 repartitioner registry (:mod:`repro.partition.registry`:
-``pnr``/``mlkl``/``sfc``/``dkl``/``dkl-ml``) the PARED drivers and CLI
-select strategies from.
+``pnr``/``mlkl``/``sfc``/``dkl``/``dkl-ml``) the PARED round engine and
+CLI select strategies from.
 """
 
 from repro.partition.metrics import (
@@ -64,12 +64,6 @@ from repro.partition.geometric import recursive_coordinate_bisection
 from repro.partition.greedy import greedy_graph_growing
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.permute import minimize_migration_permutation, apply_permutation
-from repro.partition.inertial import inertial_bisection
-from repro.partition.connectivity import (
-    connectivity_report,
-    repair_disconnected,
-    subset_components,
-)
 
 __all__ = [
     "graph_cut",
@@ -103,8 +97,4 @@ __all__ = [
     "multilevel_partition",
     "minimize_migration_permutation",
     "apply_permutation",
-    "inertial_bisection",
-    "connectivity_report",
-    "repair_disconnected",
-    "subset_components",
 ]

@@ -1,7 +1,7 @@
 """Named repartitioner registry: ``pnr`` / ``mlkl`` / ``sfc`` / ``dkl``.
 
-The PARED drivers (:mod:`repro.pared.system`, :mod:`repro.pared.workflow`)
-and the CLI select the coordinator's repartitioning strategy by name.  A
+The PARED round engine (:mod:`repro.pared.system`) and the CLI select the
+repartitioning strategy — and with it the round's weight protocol — by name.  A
 registry entry is a small stateful object with two operations on the coarse
 dual graph:
 

@@ -90,18 +90,20 @@ class RoundCheckpoint:
     """A rank's recoverable state at one round barrier.
 
     ``round`` is the last completed round (``-1`` = setup finished, round 0
-    not yet run).  ``coord_vwts``/``coord_edges`` snapshot the coordinator's
-    ``G`` and are ``None`` on every other rank.  The adaptation inputs need
-    no checkpointing: markers are pure functions of ``(mesh, round)`` and
-    the repartitioner is seeded, so replaying from here is deterministic.
+    not yet run).  The last three fields are the weight protocol's: the P2
+    delta baseline, and ``coord_vwts``/``coord_edges``, the coordinator's
+    ``G`` (``None`` on every other rank, and all ``None`` under ``dkl``).
+    The adaptation inputs need no checkpointing: markers are pure functions
+    of ``(mesh, round)`` and the repartitioner is seeded, so replaying from
+    here is deterministic.
     """
 
     round: int
     amesh: object
     owner: np.ndarray
-    prev_full: Optional[dict]
     history: list
     coordinator: int
+    prev_full: Optional[dict] = None
     coord_vwts: Optional[np.ndarray] = None
     coord_edges: Optional[tuple] = None  # (sorted packed edge keys, weights)
 
@@ -155,18 +157,15 @@ class CheckpointStore:
 def compact_owner(owner: np.ndarray, live) -> np.ndarray:
     """Relabel an owner map over the sorted ``live`` ranks into the dense
     range ``0..len(live)-1`` (what ``multilevel_repartition`` requires)."""
-    live = sorted(int(r) for r in live)
-    lookup = {r: i for i, r in enumerate(live)}
+    live_arr = np.asarray(sorted(int(r) for r in live), dtype=np.int64)
     owner = np.asarray(owner, dtype=np.int64)
-    out = np.empty_like(owner)
-    for a in range(owner.shape[0]):
-        try:
-            out[a] = lookup[int(owner[a])]
-        except KeyError:
-            raise ValueError(
-                f"root {a} owned by non-live rank {int(owner[a])}"
-            ) from None
-    return out
+    pos = np.searchsorted(live_arr, owner)
+    hit = pos < live_arr.size
+    hit[hit] = live_arr[pos[hit]] == owner[hit]
+    if not hit.all():
+        a = int(np.argmin(hit))
+        raise ValueError(f"root {a} owned by non-live rank {int(owner[a])}")
+    return pos
 
 
 def expand_owner(compact: np.ndarray, live) -> np.ndarray:

@@ -1,87 +1,10 @@
-"""Tests for the extension modules: inertial bisection, connectivity
-repair, quadrature, SVG rendering, nonblocking runtime ops, and the
-distributed solver."""
+"""Tests for the extension modules: quadrature, SVG rendering,
+nonblocking runtime ops, and the distributed solver."""
 
 import numpy as np
 import pytest
 
 from repro.fem.quadrature import integrate, quad_load_vector, rule_for
-from repro.graph.csr import WeightedGraph
-from repro.partition import (
-    connectivity_report,
-    graph_imbalance,
-    inertial_bisection,
-    repair_disconnected,
-    subset_components,
-)
-
-
-class TestInertial:
-    def test_rotated_strip_split(self):
-        """Points along a diagonal strip: inertial bisection splits across
-        the diagonal, which axis-aligned RCB cannot do in one cut."""
-        rng = np.random.default_rng(0)
-        t = rng.uniform(0, 10, 300)
-        pts = np.column_stack([t, t]) + rng.normal(0, 0.1, (300, 2))
-        a = inertial_bisection(pts, None, 2)
-        proj = pts @ np.array([1.0, 1.0])
-        # side 0 occupies one end of the diagonal
-        assert abs(proj[a == 0].mean() - proj[a == 1].mean()) > 3.0
-
-    def test_balance(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-1, 1, (200, 2))
-        w = rng.uniform(0.5, 2.0, 200)
-        a = inertial_bisection(pts, w, 4)
-        loads = np.bincount(a, weights=w, minlength=4)
-        assert loads.max() / (w.sum() / 4) - 1 < 0.2
-
-    def test_p1(self):
-        assert np.all(inertial_bisection(np.zeros((5, 2)), None, 1) == 0)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            inertial_bisection(np.zeros((5, 2)), None, 0)
-
-
-class TestConnectivity:
-    def _two_fragment_partition(self):
-        # path graph 0..9; subset 0 = {0,1, 8,9} (two fragments)
-        g = WeightedGraph.from_edges(10, [(i, i + 1) for i in range(9)])
-        a = np.ones(10, dtype=np.int64)
-        a[[0, 1, 8, 9]] = 0
-        return g, a
-
-    def test_components_detected(self):
-        g, a = self._two_fragment_partition()
-        comps = subset_components(g, a, 2)
-        assert len(comps[0]) == 2
-        assert len(comps[1]) == 1
-
-    def test_report(self):
-        g, a = self._two_fragment_partition()
-        rep = connectivity_report(g, a, 2)
-        assert rep["n_disconnected_subsets"] == 1
-        assert rep["fragments"][0] == 2
-        assert rep["total_stranded"] == 2.0
-
-    def test_repair(self):
-        g, a = self._two_fragment_partition()
-        fixed, moved = repair_disconnected(g, a, 2)
-        rep = connectivity_report(g, fixed, 2)
-        assert rep["n_disconnected_subsets"] == 0
-        assert moved == 2.0
-
-    def test_repair_noop_when_connected(self, grid_graph):
-        a = (np.arange(64) // 32).astype(np.int64)
-        fixed, moved = repair_disconnected(grid_graph, a, 2)
-        assert moved == 0.0
-        assert np.array_equal(fixed, a)
-
-    def test_empty_subset_ok(self, grid_graph):
-        a = np.zeros(64, dtype=np.int64)
-        rep = connectivity_report(grid_graph, a, 3)
-        assert rep["fragments"][1] == 0
 
 
 class TestQuadrature:

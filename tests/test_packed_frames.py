@@ -165,7 +165,7 @@ class TestFrameCoalescing:
             owner = np.arange(am.n_roots, dtype=np.int64) % comm.size
             dmesh = DistributedMesh(comm, am, owner)
             comm.set_phase("P2")
-            update = dmesh.local_weight_update(None)
+            update = dmesh.local_weight_update()
             return dmesh.send_weights_to_coordinator(update, 0)
 
         _, stats = spmd_run(4, prog, return_stats=True)

@@ -10,10 +10,13 @@ from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import (
     DistributedMesh,
     ParedConfig,
+    WorkflowConfig,
     execute_migration,
     migration_directives,
     run_pared,
+    run_workflow,
 )
+from repro.runtime import FaultPlan
 from repro.runtime.simmpi import spmd_run
 
 
@@ -161,7 +164,7 @@ class TestDistributedMesh:
             am.refine([0, 3])
             owner = np.arange(am.n_roots) % comm.size
             dm = DistributedMesh(comm, am, owner)
-            upd = dm.local_weight_update(None)
+            upd = dm.local_weight_update()
             all_updates = comm.allgather(upd)
             if comm.rank == 0:
                 g = coarse_dual_graph(am.mesh)
@@ -410,7 +413,7 @@ class TestDeltaTombstones:
         assert delta["e_dead"].tolist() == [int(edge_keys(1, 2, n))]
 
     def test_merge_handoff_is_order_independent(self):
-        from repro.pared.system import _CoordinatorGraph
+        from repro.pared.protocols import _CoordinatorGraph
         from repro.pared.weights import edge_keys
 
         # root 3 moves from the old owner (tombstone) to a new owner
@@ -435,7 +438,7 @@ class TestDeltaTombstones:
         by the same audit the PARED loop runs."""
         from repro.geometry.generators import structured_tri_mesh
         from repro.mesh.mesh2d import TriMesh
-        from repro.pared.system import _CoordinatorGraph
+        from repro.pared.protocols import _CoordinatorGraph
         from repro.pared.weights import diff_weight_report
         from repro.testing import check_dual_graph_weights
 
@@ -533,3 +536,53 @@ class TestTransportParity:
         hist_p, stats_p = run_pared(self._cfg("process", partitioner="dkl"))
         self._assert_bit_identical(hist_t, stats_t, hist_p, stats_p)
         assert "dkl" in stats_t.phase_report()  # refinement actually ran
+
+
+class TestWorkflow:
+    """``run_workflow`` is the round engine with a solve-driven mark stage:
+    same spans, record, audit and weight protocols as ``run_pared``."""
+
+    #: per-round (leaves, cut, shared_vertices, elements_moved,
+    #: cg_iterations) of the hand-written driver this engine replaced
+    PINNED = [(88, 13, 15, 0, 13), (116, 16, 18, 4, 22)]
+
+    @staticmethod
+    def _cfg(**kw):
+        return WorkflowConfig(
+            p=3,
+            make_mesh=lambda: AdaptiveMesh.unit_square(6),
+            problem=CornerLaplace2D(),
+            rounds=2,
+            pnr=PNR(seed=1),
+            **kw,
+        )
+
+    @staticmethod
+    def _trace(hist):
+        keys = ("leaves", "cut", "shared_vertices", "elements_moved", "cg_iterations")
+        return [tuple(rec[k] for k in keys) for rec in hist]
+
+    def test_solve_driven_loop(self):
+        histories, stats = run_workflow(self._cfg(audit=True))
+        assert [self._trace(h) for h in histories] == [self.PINNED] * 3
+        # the solve phase communicates (halo + reductions)
+        assert stats.phase_report()["solve"][0] > 0
+        # what the engine gives every driver: spans and the full record
+        assert {"pared.P0", "pared.P1", "pared.P2", "pared.P3"} <= set(
+            stats.kernel_perf
+        )
+        for rec in histories[0]:
+            assert {"owner", "trees_moved", "p_live", "eta_max"} <= set(rec)
+
+    def test_dkl_runs_the_spmd_tournament(self):
+        histories, stats = run_workflow(self._cfg(partitioner="dkl", audit=True))
+        assert stats.phase_report()["dkl"][0] > 0
+        assert histories[0][-1]["elements_moved"] > 0
+
+    def test_fault_plan_reproduces_clean_history(self):
+        # a reordered message is held 0.12 s and CG sends hundreds: keep few
+        plan = FaultPlan(seed=3, reorder_rate=0.02, duplicate_rate=0.3)
+        histories, stats = run_workflow(self._cfg(faults=plan))
+        assert [self._trace(h) for h in histories] == [self.PINNED] * 3
+        kinds = stats.fault_log.kinds()
+        assert kinds.get("reorder") and kinds.get("duplicate")

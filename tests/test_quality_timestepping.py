@@ -140,30 +140,3 @@ class TestHeatEquation:
             np.unique(am.leaf_cells().ravel()), am.mesh.boundary_vertices()
         )
         assert np.abs(u1[interior] - u0[interior]).max() < 1e-3
-
-
-class TestWorkflow:
-    def test_solve_driven_loop(self):
-        from repro.core import PNR
-        from repro.fem import CornerLaplace2D
-        from repro.pared import WorkflowConfig, run_workflow
-
-        cfg = WorkflowConfig(
-            p=3,
-            make_mesh=lambda: AdaptiveMesh.unit_square(6),
-            problem=CornerLaplace2D(),
-            rounds=2,
-            pnr=PNR(seed=1),
-        )
-        histories, stats = run_workflow(cfg)
-        hist = histories[0]
-        assert len(hist) == 2
-        assert hist[1]["leaves"] > hist[0]["leaves"]
-        assert all(rec["cg_iterations"] > 0 for rec in hist)
-        # the solve phase communicates (halo + reductions)
-        report = stats.phase_report()
-        assert report["solve"][0] > 0
-        # replicas agree
-        for other in histories[1:]:
-            for a, b in zip(hist, other):
-                assert a["leaves"] == b["leaves"]

@@ -157,12 +157,21 @@ class TestCheckpointStore:
 
 
 class TestOwnerCompaction:
-    def test_roundtrip(self):
-        owner = np.array([0, 2, 5, 2, 0, 5])
-        live = [0, 2, 5]
+    @given(live=st.sets(st.integers(0, 12), min_size=1), data=st.data())
+    def test_roundtrip(self, live, data):
+        ranks = st.sampled_from(sorted(live))
+        owner = np.array(data.draw(st.lists(ranks, max_size=30)), dtype=np.int64)
         compact = compact_owner(owner, live)
-        assert compact.max() < len(live)
+        assert np.all(compact < len(live))
         assert np.array_equal(expand_owner(compact, live), owner)
+        # a root of a non-live rank is an error naming the first offender
+        dead = data.draw(st.integers(0, 13).filter(lambda r: r not in live))
+        at = data.draw(st.integers(0, owner.size))
+        bad = np.append(np.insert(owner, at, dead), dead)
+        with pytest.raises(
+            ValueError, match=f"root {at} owned by non-live rank {dead}$"
+        ):
+            compact_owner(bad, live)
 
     def test_plan_recovery_assignment_moves_orphans_to_live(self, grid_graph):
         rng = np.random.default_rng(0)
