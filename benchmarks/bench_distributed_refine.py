@@ -26,7 +26,7 @@ Two modes:
   and records the crossover table over p in ``extra_info``.  Two sibling
   tests cover the wire and wall-time claims: the packed proposal frame
   must encode smaller than the old codec-dict format, and on runners with
-  >= 4 cores the process-backend `dkl` round must beat `pnr` on wall time
+  >= 4 cores the shm-backend `dkl` round must beat `pnr` on wall time
   (skipped with a ``::notice`` elsewhere).  Re-baseline after an
   intentional change with::
 
@@ -307,12 +307,12 @@ def test_dkl_beats_pnr_wall_time_multicore(write_result):
         samples = []
         for _ in range(3):
             t0 = time.perf_counter()
-            run_pared(_cfg(p, n, _ROUNDS, name, transport="process"))
+            run_pared(_cfg(p, n, _ROUNDS, name, transport="shm"))
             samples.append(time.perf_counter() - t0)
         seconds[name] = sorted(samples)[1]  # median of 3
     write_result(
         "dkl_wall_time",
-        f"process-backend wall time at p={p} ({ncpu} cores): "
+        f"shm-backend wall time at p={p} ({ncpu} cores): "
         f"pnr {seconds['pnr']:.3f}s, dkl {seconds['dkl']:.3f}s",
     )
     assert seconds["dkl"] < seconds["pnr"], (

@@ -91,46 +91,6 @@ def test_pared_round_8192(benchmark):
     )
 
 
-def test_pared_round_8192_process(benchmark):
-    """Same fixture on the process backend: ranks are forked OS processes
-    exchanging length-prefixed codec frames over sockets, so on a
-    multi-core runner the ranks' Python work actually overlaps (no GIL).
-    Ungated for now — the committed `BENCH_pared_process.json` is the
-    first baseline, published from CI as an artifact; `extra_info`
-    records the host's CPU count so single-core measurements (where
-    process overhead cannot be amortised) read as what they are.
-    """
-    from repro.runtime.envflags import effective_cpu_count
-
-    histories, stats = benchmark.pedantic(
-        lambda: _run_round_fixture(transport="process"),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-    # identical correctness guard — and the histories must match what the
-    # threaded backend produces (bit-for-bit, see TestTransportParity)
-    hist = histories[0]
-    assert hist[0]["leaves"] >= 2 * _N * _N
-    for other in histories[1:]:
-        for a, b in zip(hist, other):
-            assert a["leaves"] == b["leaves"] and a["cut"] == b["cut"]
-            assert np.array_equal(a["owner"], b["owner"])
-    loads = [h[-1]["local_load"] for h in histories]
-    assert sum(loads) == hist[-1]["leaves"]
-
-    perf = stats.kernel_perf or {}
-    benchmark.extra_info["kernel_perf"] = {
-        name: [calls, round(secs, 4)] for name, (calls, secs) in perf.items()
-    }
-    benchmark.extra_info["traffic"] = {
-        ph: list(v) for ph, v in stats.phase_report().items()
-    }
-    benchmark.extra_info["cpu_count"] = effective_cpu_count()
-    assert any(name.startswith("pared.") for name in perf)
-
-
 def _noop_rank(comm):
     return comm.rank
 
@@ -144,11 +104,9 @@ def test_pared_round_8192_shm(benchmark):
 
     `extra_info` additionally records the pool economics: wall seconds of
     a no-op run that had to fork+wire a fresh pool (cold) vs the same
-    no-op on the already-warm pool, plus the shm-vs-process wall-time
-    ratio of the benched fixture.  On a >= 4-core host the warm dispatch
-    must be >= 5x cheaper than the cold fork and shm must beat the
-    process backend by >= 1.25x; single-core runners record the numbers
-    as what they are.
+    no-op on the already-warm pool.  On a >= 4-core host the warm dispatch
+    must be >= 5x cheaper than the cold fork; single-core runners record
+    the numbers as what they are.
     """
     from time import perf_counter
 
@@ -184,7 +142,7 @@ def test_pared_round_8192_shm(benchmark):
         warmup_rounds=1,
     )
 
-    # identical correctness guard as the thread/process legs
+    # identical correctness guard as the thread leg
     hist = histories[0]
     assert hist[0]["leaves"] >= 2 * _N * _N
     for other in histories[1:]:
@@ -214,28 +172,14 @@ def test_pared_round_8192_shm(benchmark):
         "an shm run must move data frames through the rings"
     )
 
-    # shm-vs-process wall time, one sample each (recorded always, gated
-    # only where ranks can actually run in parallel)
-    t0 = perf_counter()
-    _run_round_fixture(transport="process")
-    process_run = perf_counter() - t0
-    benchmark.extra_info["process_run_seconds"] = round(process_run, 4)
-    benchmark.extra_info["shm_vs_process_speedup"] = round(
-        process_run / warm_run, 3
-    )
-
     if ncpu >= 4:
         assert cold_setup >= 5 * warm_dispatch, (
             f"warm pool dispatch ({warm_dispatch:.4f}s) must be >=5x "
             f"cheaper than the cold fork ({cold_setup:.4f}s)"
         )
-        assert process_run >= 1.25 * warm_run, (
-            f"shm ({warm_run:.3f}s) must beat the process backend "
-            f"({process_run:.3f}s) by >=1.25x on a multi-core host"
-        )
     else:
         print(
             f"::notice title=shm perf gate skipped::runner reports {ncpu} "
-            f"usable core(s) (<4); shm-vs-process and pool-economics "
-            f"ratios recorded in extra_info but not gated on this run"
+            f"usable core(s) (<4); pool-economics ratio recorded in "
+            f"extra_info but not gated on this run"
         )

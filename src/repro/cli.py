@@ -378,13 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=int, default=12)
     pa.add_argument("--rounds", type=int, default=4)
     pa.add_argument("--seed", type=int, default=2)
-    pa.add_argument(
-        "--transport", choices=("thread", "process", "shm"), default=None,
-        help="rank backend: threads (default), one OS process per rank "
-             "over socketpairs, or shm (process ranks exchanging frames "
-             "through shared-memory rings; also via REPRO_TRANSPORT)",
-    )
     from repro.partition.registry import available_partitioners
+    from repro.runtime.transport import BACKENDS
+
+    pa.add_argument(
+        "--transport", choices=BACKENDS, default=None,
+        help="rank backend: threads (default), or shm (one OS process per "
+             "rank exchanging frames through shared-memory rings, sockets "
+             "as the spill channel; also via REPRO_TRANSPORT)",
+    )
 
     pa.add_argument(
         "--partitioner", choices=available_partitioners(), default="pnr",

@@ -117,11 +117,10 @@ class ParedConfig:
         default) a crash surfaces as a clean
         :class:`~repro.runtime.faults.SimRankCrashed`, exactly as before.
     transport:
-        Wire backend for the ranks: ``"thread"`` (default), ``"process"``
-        (one OS process per rank over sockets — real multi-core
-        wall-clock), ``"shm"`` (process ranks exchanging data frames
-        through shared-memory rings with a persistent rank pool — the
-        low-copy fast path, see :mod:`repro.runtime.shm`), or ``None``
+        Wire backend for the ranks: ``"thread"`` (default), ``"shm"``
+        (one OS process per rank — real multi-core wall-clock —
+        exchanging data frames through shared-memory rings with a
+        persistent rank pool, see :mod:`repro.runtime.shm`), or ``None``
         to defer to the ``REPRO_TRANSPORT`` environment variable.
         ``faults``/``recover`` require the thread backend (see
         :func:`~repro.runtime.transport.resolve_backend`).

@@ -41,8 +41,7 @@ class WorkflowConfig:
     seeded :class:`~repro.runtime.faults.FaultPlan` into the wire, the
     second runs the :mod:`repro.testing` invariant checks at the end of
     every round, the third selects the rank backend
-    (``"thread"``/``"process"``/``"shm"``, ``None`` defers to
-    ``REPRO_TRANSPORT``),
+    (``"thread"``/``"shm"``, ``None`` defers to ``REPRO_TRANSPORT``),
     and the last two select the repartitioning strategy from the registry
     (``"pnr"``/``"mlkl"``/``"sfc"``/``"dkl"``/``"dkl-ml"``) — and with it
     the round's weight protocol, exactly as there.

@@ -65,7 +65,7 @@ class PerfRegistry:
 
     def merge_snapshot(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` from another registry into this one —
-        the process transport ships each rank's spans to the parent so
+        the forked backend ships each rank's spans to the parent so
         multi-process runs aggregate exactly like threaded ones."""
         with self._lock:
             for name, (calls, secs) in snap.items():

@@ -41,10 +41,8 @@ Zero-copy path (shared-memory transport)
 buffers instead of one joined ``bytes`` — array payloads stay memoryviews
 of the live array, so a transport that can write segments directly into
 its destination (the shm ring) skips the join copy entirely.
-:func:`encode_into` gathers the parts into a caller-supplied writable
-buffer; ``b"".join(encode_parts(obj)) == encode(obj)`` always, so the
-ledger rule (record ``sum(part sizes)``) accounts identically on every
-backend.
+``b"".join(encode_parts(obj)) == encode(obj)`` always, so the ledger rule
+(record ``sum(part sizes)``) accounts identically on every backend.
 
 :func:`decode_view` is the matching receive side: given a *read-only
 memoryview* of a frame (a ring slot), arrays of at least
@@ -68,7 +66,6 @@ import numpy as np
 __all__ = [
     "encode",
     "encode_parts",
-    "encode_into",
     "decode",
     "decode_view",
     "materialize",
@@ -202,20 +199,6 @@ def parts_nbytes(parts) -> int:
     """Total frame bytes of a :func:`encode_parts` list (``len`` of a
     memoryview is elements, not bytes — this sums byte sizes)."""
     return sum(p.nbytes if isinstance(p, memoryview) else len(p) for p in parts)
-
-
-def encode_into(obj, buf, offset: int = 0) -> int:
-    """Serialize ``obj`` directly into writable buffer ``buf`` starting at
-    ``offset``; returns the end offset.  This is the gather side of
-    :func:`encode_parts` — one write per part, no intermediate join."""
-    mv = buf if isinstance(buf, memoryview) else memoryview(buf)
-    if mv.format != "B":
-        mv = mv.cast("B")
-    for part in encode_parts(obj):
-        n = part.nbytes if isinstance(part, memoryview) else len(part)
-        mv[offset : offset + n] = part
-        offset += n
-    return offset
 
 
 def _decode_node(buf: bytes, pos: int):

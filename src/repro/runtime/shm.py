@@ -1,17 +1,24 @@
-"""Shared-memory transport and persistent rank pool for SimMPI.
+"""The forked backend of SimMPI: rank processes over shared-memory rings.
 
-This is the third backend behind the 4-op transport seam
-(:mod:`repro.runtime.transport`): forked rank processes like the process
-backend, but the data plane runs through **shared-memory ring buffers** —
-one single-producer/single-consumer ring per *ordered* rank pair, all
-carved out of a single :class:`multiprocessing.shared_memory.SharedMemory`
+This is the second backend behind the 4-op transport seam
+(:mod:`repro.runtime.transport`): one forked OS process per rank, so
+phases execute on real cores with no GIL serialization.  The data plane
+runs through **shared-memory ring buffers** — one
+single-producer/single-consumer ring per *ordered* rank pair, all carved
+out of a single :class:`multiprocessing.shared_memory.SharedMemory`
 segment.  Senders gather codec parts straight into the ring
 (:func:`repro.runtime.codec.encode_parts`, no intermediate join) and
 receivers decode large arrays as zero-copy read-only views of ring memory
-(:func:`repro.runtime.codec.decode_view`).  The existing socketpair wire
-stays connected per pair and carries whatever cannot ride the ring — a
-frame bigger than half the ring, or any frame while the ring is full —
-so correctness never depends on ring capacity.
+(:func:`repro.runtime.codec.decode_view`).  Every rank pair is also
+joined by a Unix socketpair — the **spill and control channel**.  It
+carries whatever cannot ride the ring (a frame bigger than half the ring,
+or any frame while the ring is full), so correctness never depends on
+ring capacity, plus the barrier's control frames; a further socketpair
+per rank is the control channel to the parent.  Socket messages are the
+typed codec frames of :mod:`repro.runtime.codec` behind the 16-byte
+``(tag, length)`` header of :data:`~repro.runtime.transport.HEADER`,
+reassembled from partial reads by
+:class:`~repro.runtime.transport.FrameAssembler`.
 
 Ring layout (all offsets byte offsets into the pair's region)::
 
@@ -37,15 +44,29 @@ across the two physical channels (ring and spill socket), and ``job``
 isolates pool runs from each other — stragglers of an aborted earlier run
 are dropped, early frames of the next run are held.
 
+Why sends never deadlock: sockets are non-blocking, and a sender that
+finds the ring or the kernel buffer full drains its *own* receive side
+into user-space inboxes while retrying (one send loop,
+:meth:`ShmTransport._send_frame`).  In any cycle of blocked senders every
+participant is therefore also draining, so some peer's send always
+progresses — the forked backend keeps the threaded wire's
+unbounded-buffer semantics.
+
 The **rank pool** keeps the forked workers alive across ``spmd_run``
 calls (keyed by world size): a job is a pickled ``(fn, args, kwargs)``
 shipped over the framed control channel, amortizing fork+import cost over
 rounds and repeated bench invocations.  Functions that cannot be pickled
-(closures, test-local helpers) transparently fall back to a one-shot fork
-that inherits the function, same transport, no pool.  Worker death
-surfaces as :class:`~repro.runtime.transport.SimRankDied` and poisons the
-pool (it is torn down and rebuilt on next use); pools shut down explicitly
-via :func:`shutdown_pools` and automatically at interpreter exit.
+(closures, test-local helpers) transparently run on a one-shot fork that
+inherits the function — same workers, same transport, nothing pooled.
+Every worker records traffic into its own
+:class:`~repro.runtime.stats.TrafficStats` ledger and ships it to the
+parent with its result, where the ledgers are merged — the accounting
+rule (one ``len(frame)`` record per logical message, on the sender) is
+the threaded backend's.  Worker death surfaces as
+:class:`~repro.runtime.transport.SimRankDied` on peers and in the caller,
+never a hang, and poisons the pool (it is torn down and rebuilt on next
+use); pools shut down explicitly via :func:`shutdown_pools` and
+automatically at interpreter exit.
 """
 
 from __future__ import annotations
@@ -56,6 +77,7 @@ import pickle
 import selectors
 import socket
 import struct
+import threading
 import time
 import weakref
 from collections import deque
@@ -66,15 +88,10 @@ from repro.perf import PERF
 from repro.runtime.codec import decode_view
 from repro.runtime.envflags import env_int
 from repro.runtime.transport import (
-    _BARRIER_TAG,
-    _PARENT,
-    _POLL,
     FrameAssembler,
-    ProcessTransport,
     SimMPIAborted,
     SimRankDied,
     TransportEmpty,
-    _close_quietly,
     finish_spmd_run,
     pack_frame,
 )
@@ -110,6 +127,10 @@ _I64 = struct.Struct("<q")
 #: wrap sentinel tag: "rest of the ring is dead space, continue at 0"
 _WRAP = -(2**61)
 
+#: reserved tag for barrier control frames between peers — routed inside
+#: the transport, never surfaced to SimComm, never recorded on the ledger
+_BARRIER_TAG = -(2**62)
+
 # framed control-channel tags (parent <-> worker); disjoint from user tags
 # by magnitude, and from _BARRIER_TAG which never crosses the ctrl channel
 _CTRL_JOB = -(2**62) + 11
@@ -117,8 +138,21 @@ _CTRL_ABORT = -(2**62) + 12
 _CTRL_RELEASE = -(2**62) + 13
 _CTRL_RESULT = -(2**62) + 14
 
+#: selector key for the parent control channel
+_PARENT = -1
+
 #: how long a sender courts a full ring before spilling to the socket
 _RING_PATIENCE = 0.005
+
+#: select slice of the parked loops (between jobs, barrier, release)
+_POLL = 0.05
+
+
+def _close_quietly(sock) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def default_ring_bytes() -> int:
@@ -296,19 +330,40 @@ class Ring:
         self._mv.release()
 
 
-class ShmTransport(ProcessTransport):
-    """Ring-first transport: shared-memory data plane, socketpair spill
-    and control plane, run/job isolation for pooled workers.
+class ShmTransport:
+    """The forked backend's wire, one instance per rank process.
 
-    Reuses :class:`ProcessTransport`'s select loop, frame reassembly and
-    non-blocking send discipline; overrides delivery (sequencing across
-    the two channels), the parent protocol (framed, so job dispatch and
-    job-stamped release share the channel), and the barrier (job-stamped
-    control frames).
+    Data frames go ring-first (shared memory, zero-copy receive) and
+    spill to the Unix stream socket shared with the peer; the same
+    sockets carry the barrier's control frames, and ``ctrl`` is the
+    framed channel to the parent (job dispatch, abort, job-stamped
+    release, result).  All sockets are non-blocking, and every wait — a
+    full ring, a full socket buffer, an empty inbox — drains this rank's
+    *own* inbound side into per-source inboxes, so sends always make
+    progress (see the module docstring).  ``(job, seq)`` stamps isolate
+    pooled runs and restore per-pair FIFO order across the two channels.
     """
 
     def __init__(self, rank, size, peers, ctrl, rings_in, rings_out):
-        super().__init__(rank, size, peers, ctrl)
+        self.rank = rank
+        self.size = size
+        #: physical-channel counters (frames/bytes per channel, memcpy'd
+        #: bytes), folded into ``stats.wire`` by the worker at end of run
+        self.wire = {}
+        self._peers = dict(peers)  # rank -> socket shared with that peer
+        self._ctrl = ctrl
+        self._sel = selectors.DefaultSelector()
+        for r, s in self._peers.items():
+            s.setblocking(False)
+            self._sel.register(s, selectors.EVENT_READ, r)
+        ctrl.setblocking(False)
+        self._sel.register(ctrl, selectors.EVENT_READ, _PARENT)
+        self._asm = {r: FrameAssembler() for r in (*self._peers, _PARENT)}
+        self._inbox = {r: deque() for r in self._peers}
+        self._inbox[rank] = deque()  # self-sends loop back locally
+        self._barrier_seen = {r: 0 for r in self._peers}
+        self._eof: set = set()
+        self._aborted = False
         self._rings_in = dict(rings_in)  # src  -> Ring (consumer role)
         self._rings_out = dict(rings_out)  # dest -> Ring (producer role)
         self._job = 0
@@ -318,7 +373,6 @@ class ShmTransport(ProcessTransport):
         self._early = deque()  # frames stamped for a job we're not in yet
         self._early_barriers = []
         self._jobs = deque()  # job payloads from the parent, undispatched
-        self._ctrl_asm = FrameAssembler()
         self._parent_gone = False
         self._released_job = 0
         self._sinks = {
@@ -331,9 +385,52 @@ class ShmTransport(ProcessTransport):
     # ------------------------------------------------------------------ #
 
     def _drain(self, timeout: float) -> None:
-        super()._drain(timeout)
+        """Read whatever is available on any socket (waiting at most
+        ``timeout``), then poll every inbound ring, completing messages
+        into the per-source inboxes."""
+        for key, _ in self._sel.select(timeout):
+            src, sock = key.data, key.fileobj
+            while True:
+                try:
+                    chunk = sock.recv(1 << 16)
+                except (BlockingIOError, InterruptedError):
+                    break
+                except OSError:
+                    chunk = b""
+                if not chunk:
+                    self._sel.unregister(sock)
+                    if src == _PARENT:
+                        self._parent_gone = True
+                        self._aborted = True  # parent died: run is over
+                    else:
+                        self._eof.add(src)
+                    break
+                for tag, payload in self._asm[src].feed(chunk):
+                    self._on_socket_frame(src, tag, payload)
         for src, ring in self._rings_in.items():
             ring.poll(self._sinks[src])
+
+    def _on_socket_frame(self, src, tag, payload) -> None:
+        """Route one reassembled socket frame: a parent control frame, a
+        peer's barrier stamp, or a spilled (job/seq-prefixed) data frame."""
+        if src == _PARENT:
+            if tag == _CTRL_ABORT:
+                self._aborted = True
+            elif tag == _CTRL_RELEASE:
+                job = _U64.unpack(payload)[0]
+                if job > self._released_job:
+                    self._released_job = job
+            elif tag == _CTRL_JOB:
+                self._jobs.append(payload)
+        elif tag == _BARRIER_TAG:
+            job = _U64.unpack(payload)[0]
+            if job == self._job:
+                self._barrier_seen[src] += 1
+            elif job > self._job:
+                self._early_barriers.append((job, src))
+        else:
+            job, seq = _SPILL.unpack_from(payload, 0)
+            self._sequence(src, job, seq, tag, payload[_SPILL.size :])
 
     def _sequence(self, src, job, seq, tag, payload) -> None:
         """Deliver ``seq`` in order within the current job; park frames of
@@ -354,42 +451,33 @@ class ShmTransport(ProcessTransport):
         else:
             self._held[src][seq] = (tag, payload)
 
-    def _deliver(self, src, tag, payload) -> None:
-        # a data frame on the socket is a spill: job/seq-prefixed
-        job, seq = _SPILL.unpack_from(payload, 0)
-        self._sequence(src, job, seq, tag, payload[_SPILL.size :])
-
-    def _on_parent_chunk(self, chunk) -> None:
-        for tag, payload in self._ctrl_asm.feed(chunk):
-            if tag == _CTRL_ABORT:
-                self._aborted = True
-            elif tag == _CTRL_RELEASE:
-                job = _U64.unpack(payload)[0]
-                if job > self._released_job:
-                    self._released_job = job
-            elif tag == _CTRL_JOB:
-                self._jobs.append(payload)
-
-    def _on_channel_eof(self, src) -> None:
-        if src == _PARENT:
-            self._parent_gone = True
-        super()._on_channel_eof(src)
-
-    def _on_barrier(self, src, payload) -> None:
-        job = _U64.unpack(payload)[0]
-        if job == self._job:
-            self._barrier_seen[src] += 1
-        elif job > self._job:
-            self._early_barriers.append((job, src))
-
     # ------------------------------------------------------------------ #
     # outbound: ring first, spill to the socket
     # ------------------------------------------------------------------ #
 
+    def _send_frame(self, sock, frame) -> bool:
+        """Write one whole :func:`pack_frame` frame to a non-blocking
+        socket — the only socket send loop on the worker side (spill,
+        barrier and result frames all come through here).  While the far
+        buffer is full we keep draining our own inbound side so the global
+        send graph cannot wedge.  A frame once started is always finished,
+        even with an abort pending: pooled sockets outlive the job, and the
+        stream must stay parseable for the next one — callers check the
+        abort flag *before* the first byte.  Returns ``False`` when the far
+        end has hung up (nobody is left to parse the stream)."""
+        data = memoryview(frame)
+        while data:
+            try:
+                sent = sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                self._drain(0.002)
+                continue
+            except OSError:
+                return False
+            data = data[sent:]
+        return True
+
     def push(self, dest, tag, payload) -> None:
-        if tag == _BARRIER_TAG:
-            ProcessTransport.push(self, dest, tag, payload)
-            return
         self.push_parts(dest, tag, (payload,), len(payload))
 
     def push_parts(self, dest, tag, parts, total) -> None:
@@ -402,6 +490,8 @@ class ShmTransport(ProcessTransport):
             self._inbox[dest].append((tag, b"".join(parts)))
             return
         if dest in self._eof:
+            # like the threaded wire's send-to-a-dead-rank: the message is
+            # void; the failure surfaces through the parent's abort
             return
         seq = self._out_seq[dest]
         self._out_seq[dest] = seq + 1
@@ -431,24 +521,12 @@ class ShmTransport(ProcessTransport):
                     return
                 if perf_counter() >= deadline:
                     break
-        frame = b"".join(parts)
-        data = memoryview(
-            pack_frame(tag, _SPILL.pack(self._job, seq) + frame)
+        frame = pack_frame(
+            tag, _SPILL.pack(self._job, seq) + b"".join(parts)
         )
-        sock = self._peers[dest]
-        while data:
-            try:
-                sent = sock.send(data)
-            except (BlockingIOError, InterruptedError):
-                # never abandon a partially-sent frame: the stream must
-                # stay parseable for the next pooled job, so we complete
-                # the write even while an abort is pending
-                self._drain(0.002)
-                continue
-            except OSError:
-                self._eof.add(dest)
-                return
-            data = data[sent:]
+        if not self._send_frame(self._peers[dest], frame):
+            self._eof.add(dest)
+            return
         wire["spill_frames"] = wire.get("spill_frames", 0) + 1
         wire["spill_bytes"] = wire.get("spill_bytes", 0) + total
         wire["copied_bytes"] = wire.get("copied_bytes", 0) + total
@@ -484,25 +562,49 @@ class ShmTransport(ProcessTransport):
             )
         raise TransportEmpty()
 
+    def aborted(self) -> bool:
+        return self._aborted
+
     def barrier(self, timeout: float) -> None:
-        """Same flat rendezvous as the process backend, with job-stamped
-        control frames so an aborted run's stragglers cannot satisfy the
-        next pooled run's barrier."""
+        """Flat rendezvous through rank 0 over the sockets, using control
+        frames the traffic ledger never sees (the threaded barrier records
+        none either); job-stamped, so an aborted run's stragglers cannot
+        satisfy the next pooled run's barrier."""
         if self.size == 1:
             return
-        stamp = _U64.pack(self._job)
         deadline = time.monotonic() + timeout
         if self.rank == 0:
             for r in self._peers:
                 self._await_barrier_frame(r, deadline)
             for r in self._peers:
-                ProcessTransport.push(self, r, _BARRIER_TAG, stamp)
+                self._send_barrier_frame(r)
         else:
-            ProcessTransport.push(self, 0, _BARRIER_TAG, stamp)
+            self._send_barrier_frame(0)
             self._await_barrier_frame(0, deadline)
 
+    def _send_barrier_frame(self, dest: int) -> None:
+        self._drain(0)
+        if self._aborted:
+            raise SimMPIAborted("run aborted")
+        if dest in self._eof:
+            return
+        frame = pack_frame(_BARRIER_TAG, _U64.pack(self._job))
+        if not self._send_frame(self._peers[dest], frame):
+            self._eof.add(dest)
+
+    def _await_barrier_frame(self, r: int, deadline: float) -> None:
+        while self._barrier_seen[r] == 0:
+            if self._aborted:
+                raise SimMPIAborted("run aborted")
+            if r in self._eof:
+                raise SimRankDied(f"rank {r} terminated during barrier")
+            if time.monotonic() >= deadline:
+                raise threading.BrokenBarrierError
+            self._drain(_POLL)
+        self._barrier_seen[r] -= 1
+
     # ------------------------------------------------------------------ #
-    # pooled-run lifecycle (worker side)
+    # run lifecycle (worker side)
     # ------------------------------------------------------------------ #
 
     def begin_job(self, job: int) -> None:
@@ -542,29 +644,26 @@ class ShmTransport(ProcessTransport):
             self._drain(_POLL)
 
     def send_result(self, frame: bytes) -> None:
-        """Ship this run's result frame on the framed control channel."""
-        data = memoryview(pack_frame(_CTRL_RESULT, frame))
-        while data:
-            try:
-                sent = self._ctrl.send(data)
-            except (BlockingIOError, InterruptedError):
-                self._drain(0.005)
-                continue
-            except OSError:
-                return  # parent is gone; nothing left to report to
-            data = data[sent:]
+        """Ship this run's result frame on the framed control channel (if
+        the parent is gone there is nothing left to report to)."""
+        self._send_frame(self._ctrl, pack_frame(_CTRL_RESULT, frame))
 
     def wait_release(self) -> None:
         """Hold sockets and rings live until the parent stamps this job
-        released (it always does, abort or not) or hangs up."""
+        released (it always does, abort or not) or hangs up: peers may
+        still be receiving buffered frames, and an early close would turn
+        their pending receives into spurious EOFs."""
         while self._released_job < self._job and not self._parent_gone:
             self._drain(_POLL)
 
     def close(self) -> None:
-        super().close()
-        for ring in list(self._rings_in.values()) + list(
-            self._rings_out.values()
-        ):
+        try:
+            self._sel.close()
+        except OSError:
+            pass
+        for s in (*self._peers.values(), self._ctrl):
+            _close_quietly(s)
+        for ring in (*self._rings_in.values(), *self._rings_out.values()):
             try:
                 ring.release_views()
             except BufferError:
@@ -593,31 +692,28 @@ def _build_rings(buf, ring_bytes, rank, size):
 def _run_one_job(transport, rank, size, job_id, fn, fargs, fkwargs):
     """One spmd run on a pooled (or one-shot) worker: fresh SimComm and
     ledger, result shipped framed, slot held until the job's release."""
+    from repro.runtime.codec import encode as _encode
     from repro.runtime.simmpi import SimComm, _Shared
 
-    from repro.runtime.codec import encode as _encode
-
     transport.begin_job(job_id)
-    shared = _Shared(size)
+    shared = _Shared(size)  # process-local: traffic ledger + inert extras
     comm = SimComm(shared, rank, transport=transport)
-    PERF.reset()
+    PERF.reset()  # fork copies the parent registry; report only our own
     try:
-        result = fn(comm, *fargs, **fkwargs)
-        for k, v in transport.wire.items():
-            shared.stats.wire[k] += v
-        msg = ("ok", result, shared.stats.as_dict(), PERF.snapshot())
+        kind, payload = "ok", fn(comm, *fargs, **fkwargs)
     except BaseException as exc:  # noqa: BLE001 - report, never hang peers
-        for k, v in transport.wire.items():
-            shared.stats.wire[k] += v
-        msg = ("err", exc, shared.stats.as_dict(), PERF.snapshot())
+        kind, payload = "err", exc
+    for k, v in transport.wire.items():
+        shared.stats.wire[k] += v
+    ledgers = (shared.stats.as_dict(), PERF.snapshot())
     try:
-        frame = _encode(msg)
+        frame = _encode((kind, payload) + ledgers)
     except Exception:
-        kind, payload = msg[0], msg[1]
+        # unpicklable result or exception: degrade to a repr that still
+        # carries the rank outcome
         frame = _encode(
             ("err", RuntimeError(f"rank {rank} {kind} payload not "
-                                 f"serializable: {payload!r}"),
-             shared.stats.as_dict(), PERF.snapshot())
+                                 f"serializable: {payload!r}")) + ledgers
         )
     transport.send_result(frame)
     transport.wait_release()
@@ -642,11 +738,11 @@ def _fail_job(transport, rank, job_id, exc) -> None:
 
 def _shm_worker_main(rank, size, segment, ring_bytes, pair_socks,
                      ctrl_pairs, oneshot):
-    """Entry point of one pooled rank process (fork start method).
+    """Entry point of one rank process (fork start method).
 
     ``oneshot`` is ``None`` for a pooled worker (jobs arrive pickled over
-    the control channel) or the inherited ``(fn, args, kwargs)`` for a
-    one-shot run of an unpicklable function.
+    the control channel) or the inherited — never pickled — ``(fn, args,
+    kwargs)`` of a one-shot run.
     """
     peers = {}
     for (i, j), (si, sj) in pair_socks.items():
@@ -945,11 +1041,15 @@ def shm_spmd_run(size, fn, args, kwargs, return_stats=False):
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` pooled rank processes
     over the shared-memory transport.
 
-    Same contract as :func:`~repro.runtime.transport.process_spmd_run`
-    (result list, merged stats, typed errors, ``SimRankDied`` on worker
-    death — which also poisons the pool).  Picklable functions reuse the
-    persistent pool; unpicklable ones run on a one-shot fork that inherits
-    them.
+    Mirrors the threaded ``spmd_run`` contract: returns the per-rank
+    result list (plus the merged :class:`TrafficStats` when
+    ``return_stats``), re-raises the first primary rank failure as
+    ``RuntimeError("rank N failed: ...")``, and re-raises a rank process
+    death as :class:`SimRankDied` — typed and clean, never a hang (it also
+    poisons the pool).  Per-worker perf spans are merged into the parent's
+    :data:`repro.perf.PERF` so ``stats.kernel_perf`` keeps working.
+    Picklable functions reuse the persistent pool; unpicklable ones run on
+    a one-shot fork that inherits them.
     """
     ring_bytes = default_ring_bytes()
     try:

@@ -19,12 +19,12 @@ Transports: the wire behind ``send``/``recv`` is pluggable
 (:mod:`repro.runtime.transport`).  The default backend runs one *thread*
 per rank over in-process queues — deterministic, cheap, and the substrate
 for fault injection and crash recovery.  ``spmd_run(...,
-transport="process")`` (or ``REPRO_TRANSPORT=process``) runs one forked
-*process* per rank over Unix sockets instead, so phases execute on real
-cores with no GIL serialization; frames on the socket wire are exactly the
-typed codec bytes behind a 16-byte length prefix, and per-worker traffic
-ledgers are merged at the end of the run, so accounting is identical on
-both backends.
+transport="shm")`` (or ``REPRO_TRANSPORT=shm``) runs one forked *process*
+per rank instead (:mod:`repro.runtime.shm`), so phases execute on real
+cores with no GIL serialization; frames cross through shared-memory rings
+or, behind a 16-byte length prefix, the spill sockets — the same typed
+codec bytes either way — and per-worker traffic ledgers are merged at the
+end of the run, so accounting is identical on both backends.
 
 Error containment: an exception on any rank cancels the run and is re-raised
 in the caller (with the originating rank), instead of deadlocking the other
@@ -79,7 +79,6 @@ from repro.runtime.transport import (  # noqa: F401  (re-exported API)
     SimRankDied,
     ThreadTransport,
     TransportEmpty,
-    process_spmd_run,
     resolve_backend,
 )
 
@@ -635,7 +634,7 @@ class SimComm:
         other group member immediately (simulated sends buffer without
         blocking), and the returned :class:`Request` performs the ``k - 1``
         receives on ``wait()`` — so local work scheduled between post and
-        wait genuinely overlaps the peers' sends on the process backend.
+        wait genuinely overlaps the peers' sends on the forked backend.
         ``wait(timeout=...)`` budgets the timeout across the receives and
         raises :class:`SimMPITimeout` like a blocking ``recv`` would;
         ``req.sent_bytes`` is the total frame bytes posted."""
@@ -723,17 +722,16 @@ def spmd_run(
     re-raised with its rank attached.
 
     ``transport`` selects the wire backend: ``"thread"`` (the default —
-    one thread per rank, in-process queues), ``"process"`` (one forked
-    process per rank over Unix sockets, for real multi-core wall-clock;
-    see :mod:`repro.runtime.transport`), or ``"shm"`` (forked ranks from
-    a persistent pool exchanging frames through shared-memory rings with
-    zero-copy receive; see :mod:`repro.runtime.shm`).  When omitted, the
-    ``REPRO_TRANSPORT`` environment variable decides.  Fault injection and
-    ``recover=True`` are thread-backend features: an environment
-    preference for the process or shm backend falls back to threads, while
-    an explicit ``transport="process"``/``"shm"`` with either active
-    raises.  On the process and shm backends a rank process death surfaces
-    as :class:`~repro.runtime.transport.SimRankDied`, never a hang.
+    one thread per rank, in-process queues) or ``"shm"`` (one forked
+    process per rank, for real multi-core wall-clock: pooled workers
+    exchanging frames through shared-memory rings with zero-copy receive,
+    sockets as the spill channel; see :mod:`repro.runtime.shm`).  When
+    omitted, the ``REPRO_TRANSPORT`` environment variable decides.  Fault
+    injection and ``recover=True`` are thread-backend features: an
+    environment preference for the shm backend falls back to threads,
+    while an explicit ``transport="shm"`` with either active raises.  On
+    the shm backend a rank process death surfaces as
+    :class:`~repro.runtime.transport.SimRankDied`, never a hang.
 
     ``faults`` activates the deterministic fault-injection wire of
     :mod:`repro.runtime.faults`; injected events land on
@@ -753,8 +751,6 @@ def spmd_run(
     if size < 1:
         raise ValueError("need at least one rank")
     backend = resolve_backend(transport, faults=faults, recover=recover)
-    if backend == "process":
-        return process_spmd_run(size, fn, args, kwargs, return_stats=return_stats)
     if backend == "shm":
         return shm_spmd_run(size, fn, args, kwargs, return_stats=return_stats)
     shared = _Shared(size, faults=faults, recover=recover)

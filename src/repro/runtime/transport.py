@@ -1,4 +1,4 @@
-"""Transport backends for the SimMPI runtime.
+"""The transport seam of the SimMPI runtime.
 
 :class:`~repro.runtime.simmpi.SimComm` owns everything *semantic* about
 message passing — tag matching, stashes, collectives, phase accounting,
@@ -23,81 +23,61 @@ posts all its first-step frames immediately and returns a ``Request``;
 the deferred ``wait()`` only ever *pulls*, so no new wire primitive
 (and no per-backend code) was needed for overlap.
 
-Three backends implement the seam:
+Two backends implement the seam (:data:`BACKENDS`):
 
-* :class:`ThreadTransport` — the original in-process wire: one
-  ``queue.Queue`` per ordered rank pair, a ``threading.Barrier``, the
-  shared abort event.  This is the default and the only backend that
-  supports fault injection and crash recovery.
-* :class:`ProcessTransport` — ``p`` forked worker processes connected by
-  Unix socketpairs.  Messages are exactly the typed codec frames of
-  :mod:`repro.runtime.codec` behind a 16-byte ``(tag, length)`` header
-  (:data:`HEADER`); partial socket reads are reassembled by
-  :class:`FrameAssembler`.  Every worker records traffic into its own
-  :class:`~repro.runtime.stats.TrafficStats` ledger and ships it to the
-  parent at the end of the run, where the ledgers are merged — the
-  accounting rule (one ``len(frame)`` record per logical message, on the
-  sender) is identical on both backends.  Rank process death surfaces as
-  :class:`SimRankDied` (a :class:`SimMPIAborted`) on peers and in the
-  caller, never a hang.
+* :class:`ThreadTransport` — the in-process wire: one ``queue.Queue`` per
+  ordered rank pair, a ``threading.Barrier``, the shared abort event.
+  This is the default and the only backend that supports fault injection
+  and crash recovery.
+* :class:`~repro.runtime.shm.ShmTransport` — the forked backend: one OS
+  process per rank (pooled, or a one-shot fork for unpicklable jobs),
+  frames through per-rank-pair shared-memory rings with a Unix socketpair
+  per pair as the spill and control channel.  See
+  :mod:`repro.runtime.shm`.
 
-* :class:`~repro.runtime.shm.ShmTransport` — forked ranks like the
-  process backend, but bulk frames travel through per-rank-pair shared
-  memory rings (zero-copy on the receive side) and the workers persist
-  in a rank pool across runs; the socketpairs remain as the spill and
-  control channel.  See :mod:`repro.runtime.shm`.
+This module holds the seam's vocabulary: the exceptions, backend
+selection (:func:`resolve_backend`), the socket framing the forked
+backend speaks (:data:`HEADER`, :func:`pack_frame`,
+:class:`FrameAssembler`) and the error precedence of a finished forked
+run (:func:`finish_spmd_run`).
 
-Backend selection: ``spmd_run(..., transport="thread"|"process"|"shm")``,
-or the ``REPRO_TRANSPORT`` environment variable when the argument is
-omitted (see :func:`resolve_backend`).  Fault plans and ``recover=True``
-force the thread backend; asking for the process or shm backend
-*explicitly* with either active is an error.
-
-Why sends never deadlock: sockets are non-blocking and a sender whose
-kernel buffer is full drains its *own* receive side into user-space
-inboxes while retrying.  In any cycle of blocked senders every participant
-is therefore also draining, so some peer's send always progresses — the
-process backend keeps the threaded wire's unbounded-buffer semantics.
+Backend selection: ``spmd_run(..., transport="thread"|"shm")``, or the
+``REPRO_TRANSPORT`` environment variable when the argument is omitted
+(see :func:`resolve_backend`).  Fault plans and ``recover=True`` force
+the thread backend; asking for the shm backend *explicitly* with either
+active is an error.
 """
 
 from __future__ import annotations
 
 import queue
-import selectors
-import socket
 import struct
 import threading
-import time
 import warnings
-from collections import deque
 
 from repro.runtime.envflags import env_choice
 
 __all__ = [
+    "BACKENDS",
     "HEADER",
     "FrameAssembler",
     "SimMPIAborted",
     "SimMPITimeout",
     "SimRankDied",
     "ThreadTransport",
-    "ProcessTransport",
     "TransportEmpty",
     "finish_spmd_run",
     "pack_frame",
     "resolve_backend",
 ]
 
-#: wire header of the process backend: tag (int64) + payload length (uint64)
+#: every settable transport name — ``resolve_backend``, ``REPRO_TRANSPORT``,
+#: the CLI's ``--transport`` choices and the conformance suite all read this
+BACKENDS = ("thread", "shm")
+
+#: socket frame header of the forked backend: tag (int64) + payload
+#: length (uint64)
 HEADER = struct.Struct("<qQ")
-
-#: reserved tag for barrier control frames — routed inside the transport,
-#: never surfaced to SimComm, never recorded on the traffic ledger
-_BARRIER_TAG = -(2**62)
-
-#: selector key for the parent control channel
-_PARENT = -1
-
-_POLL = 0.05
 
 
 class SimMPIAborted(RuntimeError):
@@ -105,7 +85,7 @@ class SimMPIAborted(RuntimeError):
 
 
 class SimRankDied(SimMPIAborted):
-    """A rank's worker process terminated mid-run (process backend)."""
+    """A rank's worker process terminated mid-run (forked backend)."""
 
 
 class SimMPITimeout(TimeoutError):
@@ -121,7 +101,7 @@ class TransportEmpty(Exception):
     """No message arrived within the pull slice (internal signal)."""
 
 
-#: one-shot latch of the quiet process→thread fallback warning: CI logs
+#: one-shot latch of the quiet shm→thread fallback warning: CI logs
 #: need the notice once, not once per spmd_run of a fault suite
 _FALLBACK_WARNED = False
 
@@ -131,28 +111,27 @@ def resolve_backend(explicit=None, faults=None, recover: bool = False) -> str:
 
     ``explicit`` (the ``transport=`` argument) wins; otherwise the
     ``REPRO_TRANSPORT`` environment variable; otherwise ``"thread"``.
+    Either must name one of :data:`BACKENDS`; anything else raises
+    ``ValueError``.
     Fault injection and crash recovery are thread-backend features: with
-    either active an *environment* preference for ``"process"`` falls back
+    either active an *environment* preference for ``"shm"`` falls back
     to ``"thread"`` (so fault suites run unchanged under
-    ``REPRO_TRANSPORT=process``) with a one-shot ``RuntimeWarning`` — a CI
+    ``REPRO_TRANSPORT=shm``) with a one-shot ``RuntimeWarning`` — a CI
     matrix leg must be able to see in its log that a run it believed was
-    exercising the process backend was not.  An *explicit* ``transport=
-    "process"`` raises — the caller asked for an unsupported combination.
+    exercising the forked backend was not.  An *explicit* ``transport=
+    "shm"`` raises — the caller asked for an unsupported combination.
 
     The backend actually used is also recorded on the run's
     ``TrafficStats`` as ``stats.backend``, so tests can assert it rather
     than trust the configuration.
     """
     global _FALLBACK_WARNED
-    name = explicit or env_choice(
-        "REPRO_TRANSPORT", ("thread", "process", "shm"), default="thread"
-    )
-    if name not in ("thread", "process", "shm"):
+    name = explicit or env_choice("REPRO_TRANSPORT", BACKENDS, default="thread")
+    if name not in BACKENDS:
         raise ValueError(
-            f"unknown transport {name!r} "
-            "(expected 'thread', 'process' or 'shm')"
+            f"unknown transport {name!r} (expected one of {BACKENDS})"
         )
-    if name in ("process", "shm") and (faults is not None or recover):
+    if name != "thread" and (faults is not None or recover):
         if explicit is not None:
             raise ValueError(
                 "fault injection and crash recovery run on the thread "
@@ -214,7 +193,7 @@ class FrameAssembler:
 
 
 class ThreadTransport:
-    """The original in-process wire, behind the transport seam."""
+    """The in-process wire, behind the transport seam."""
 
     __slots__ = ("_shared", "_rank")
 
@@ -242,408 +221,8 @@ class ThreadTransport:
         self._shared.barrier.wait(timeout=timeout)
 
 
-class ProcessTransport:
-    """Socket wire between forked rank processes (one rank per process).
-
-    ``peers`` maps each peer rank to the bidirectional Unix stream socket
-    shared with it; ``ctrl`` is the control channel to the parent (abort
-    and end-of-run release).  All sockets are non-blocking; incoming bytes
-    are drained opportunistically into per-source inboxes so sends can
-    always make progress (see the module docstring).
-    """
-
-    def __init__(self, rank: int, size: int, peers: dict, ctrl):
-        self.rank = rank
-        self.size = size
-        #: physical-channel counters (frames/bytes per channel, memcpy'd
-        #: bytes), folded into ``stats.wire`` by the worker at end of run
-        self.wire = {}
-        self._peers = dict(peers)
-        self._ctrl = ctrl
-        self._sel = selectors.DefaultSelector()
-        for r, s in self._peers.items():
-            s.setblocking(False)
-            self._sel.register(s, selectors.EVENT_READ, r)
-        ctrl.setblocking(False)
-        self._sel.register(ctrl, selectors.EVENT_READ, _PARENT)
-        self._asm = {r: FrameAssembler() for r in self._peers}
-        self._inbox = {r: deque() for r in self._peers}
-        self._inbox[rank] = deque()  # self-sends loop back locally
-        self._barrier_seen = {r: 0 for r in self._peers}
-        self._eof: set = set()
-        self._aborted = False
-        self._released = False
-
-    # ------------------------------------------------------------------ #
-    # draining
-    # ------------------------------------------------------------------ #
-
-    def _drain(self, timeout: float) -> None:
-        """Read whatever is available on any channel (waiting at most
-        ``timeout``), completing messages into the per-source inboxes."""
-        for key, _ in self._sel.select(timeout):
-            src, sock = key.data, key.fileobj
-            while True:
-                try:
-                    chunk = sock.recv(1 << 16)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    chunk = b""
-                if not chunk:
-                    self._sel.unregister(sock)
-                    self._on_channel_eof(src)
-                    break
-                if src == _PARENT:
-                    self._on_parent_chunk(chunk)
-                else:
-                    for tag, payload in self._asm[src].feed(chunk):
-                        if tag == _BARRIER_TAG:
-                            self._on_barrier(src, payload)
-                        else:
-                            self._deliver(src, tag, payload)
-
-    # The four hooks below are the subclassing seam of the shared-memory
-    # transport (:class:`repro.runtime.shm.ShmTransport`): it reuses the
-    # select loop, frame reassembly and the non-blocking send discipline,
-    # and overrides only what reaches the inbox and how the parent speaks.
-
-    def _on_channel_eof(self, src: int) -> None:
-        if src == _PARENT:
-            self._aborted = True  # parent died: run is over
-        else:
-            self._eof.add(src)
-
-    def _on_parent_chunk(self, chunk: bytes) -> None:
-        if b"A" in chunk:
-            self._aborted = True
-        if b"R" in chunk:
-            self._released = True
-
-    def _on_barrier(self, src: int, payload) -> None:
-        self._barrier_seen[src] += 1
-
-    def _deliver(self, src: int, tag: int, payload) -> None:
-        self._inbox[src].append((tag, payload))
-
-    # ------------------------------------------------------------------ #
-    # transport interface
-    # ------------------------------------------------------------------ #
-
-    def push(self, dest: int, tag: int, payload: bytes) -> None:
-        self._drain(0)
-        if self._aborted:
-            raise SimMPIAborted("run aborted")
-        if dest == self.rank:
-            self._inbox[dest].append((tag, bytes(payload)))
-            return
-        if dest in self._eof:
-            # like the threaded wire's send-to-a-dead-rank: the message is
-            # void; the failure surfaces through the parent's abort
-            return
-        if tag != _BARRIER_TAG:  # barrier control frames are not traffic
-            wire = self.wire
-            wire["socket_frames"] = wire.get("socket_frames", 0) + 1
-            wire["socket_bytes"] = wire.get("socket_bytes", 0) + len(payload)
-            wire["copied_bytes"] = wire.get("copied_bytes", 0) + len(payload)
-        sock = self._peers[dest]
-        data = memoryview(pack_frame(tag, payload))
-        while data:
-            try:
-                sent = sock.send(data)
-            except (BlockingIOError, InterruptedError):
-                # receiver's buffer is full: keep draining our own inbound
-                # side so the global send graph cannot wedge
-                self._drain(0.005)
-                if self._aborted:
-                    raise SimMPIAborted("run aborted")
-                continue
-            except OSError:
-                self._eof.add(dest)
-                return
-            data = data[sent:]
-
-    def pull(self, source: int, slice_s: float):
-        box = self._inbox[source]
-        if not box:
-            self._drain(slice_s)
-        if box:
-            return box.popleft()
-        if self._aborted:
-            raise SimMPIAborted("run aborted")
-        if source in self._eof:
-            raise SimRankDied(
-                f"rank {source} terminated mid-run; receive on rank "
-                f"{self.rank} is void"
-            )
-        raise TransportEmpty()
-
-    def aborted(self) -> bool:
-        return self._aborted
-
-    def barrier(self, timeout: float) -> None:
-        """Flat rendezvous through rank 0 using unrecorded control frames
-        (the threaded barrier records no traffic either)."""
-        if self.size == 1:
-            return
-        deadline = time.monotonic() + timeout
-        if self.rank == 0:
-            for r in self._peers:
-                self._await_barrier_frame(r, deadline)
-            for r in self._peers:
-                self.push(r, _BARRIER_TAG, b"")
-        else:
-            self.push(0, _BARRIER_TAG, b"")
-            self._await_barrier_frame(0, deadline)
-
-    def _await_barrier_frame(self, r: int, deadline: float) -> None:
-        while self._barrier_seen[r] == 0:
-            if self._aborted:
-                raise SimMPIAborted("run aborted")
-            if r in self._eof:
-                raise SimRankDied(f"rank {r} terminated during barrier")
-            if time.monotonic() >= deadline:
-                raise threading.BrokenBarrierError
-            self._drain(_POLL)
-        self._barrier_seen[r] -= 1
-
-    # ------------------------------------------------------------------ #
-    # end of run
-    # ------------------------------------------------------------------ #
-
-    def send_to_parent(self, frame: bytes) -> None:
-        """Ship this rank's result frame to the parent over the control
-        channel (non-blocking with inbound draining, like any send)."""
-        data = memoryview(pack_frame(0, frame))
-        while data:
-            try:
-                sent = self._ctrl.send(data)
-            except (BlockingIOError, InterruptedError):
-                self._drain(0.005)
-                continue
-            except OSError:
-                return  # parent is gone; nothing left to report to
-            data = data[sent:]
-
-    def wait_release(self) -> None:
-        """Hold this rank's sockets open until the parent releases the run
-        (or aborts): peers may still be receiving buffered frames, and an
-        early close would turn their pending receives into spurious EOFs."""
-        while not (self._released or self._aborted):
-            self._drain(_POLL)
-
-    def close(self) -> None:
-        try:
-            self._sel.close()
-        except OSError:
-            pass
-        for s in list(self._peers.values()) + [self._ctrl]:
-            try:
-                s.close()
-            except OSError:
-                pass
-
-
-# ---------------------------------------------------------------------- #
-# process-backend spmd_run
-# ---------------------------------------------------------------------- #
-
-
-def _close_quietly(sock) -> None:
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-def _worker_main(rank, size, fn, args, kwargs, pair_socks, ctrl_pairs):
-    """Entry point of one rank process (fork start method: ``fn`` and its
-    arguments are inherited, never pickled)."""
-    from repro.perf import PERF
-    from repro.runtime.codec import encode as _encode
-    from repro.runtime.simmpi import SimComm, _Shared
-
-    peers = {}
-    for (i, j), (si, sj) in pair_socks.items():
-        if i == rank:
-            peers[j] = si
-            _close_quietly(sj)
-        elif j == rank:
-            peers[i] = sj
-            _close_quietly(si)
-        else:
-            _close_quietly(si)
-            _close_quietly(sj)
-    ctrl = None
-    for r, (parent_end, child_end) in enumerate(ctrl_pairs):
-        _close_quietly(parent_end)
-        if r == rank:
-            ctrl = child_end
-        else:
-            _close_quietly(child_end)
-
-    transport = ProcessTransport(rank, size, peers, ctrl)
-    shared = _Shared(size)  # process-local: traffic ledger + inert extras
-    comm = SimComm(shared, rank, transport=transport)
-    PERF.reset()  # fork copies the parent registry; report only our own
-    try:
-        result = fn(comm, *args, **kwargs)
-        for k, v in transport.wire.items():
-            shared.stats.wire[k] += v
-        msg = ("ok", result, shared.stats.as_dict(), PERF.snapshot())
-    except BaseException as exc:  # noqa: BLE001 - report, never hang peers
-        for k, v in transport.wire.items():
-            shared.stats.wire[k] += v
-        msg = ("err", exc, shared.stats.as_dict(), PERF.snapshot())
-    try:
-        frame = _encode(msg)
-    except Exception:
-        # unpicklable result or exception: degrade to a repr that still
-        # carries the rank outcome
-        kind, payload = msg[0], msg[1]
-        frame = _encode(
-            ("err", RuntimeError(f"rank {rank} {kind} payload not "
-                                 f"serializable: {payload!r}"),
-             shared.stats.as_dict(), PERF.snapshot())
-        )
-    transport.send_to_parent(frame)
-    transport.wait_release()
-    transport.close()
-
-
-def process_spmd_run(size, fn, args, kwargs, return_stats=False):
-    """Run ``fn(comm, *args, **kwargs)`` on ``size`` rank *processes*.
-
-    Mirrors the threaded ``spmd_run`` contract: returns the per-rank
-    result list (plus the merged :class:`TrafficStats` when
-    ``return_stats``), re-raises the first primary rank failure as
-    ``RuntimeError("rank N failed: ...")``, and re-raises a rank process
-    death as :class:`SimRankDied` — typed and clean, never a hang.
-    Per-worker perf spans are merged into the parent's
-    :data:`repro.perf.PERF` so ``stats.kernel_perf`` keeps working.
-    """
-    import multiprocessing
-
-    from repro.perf import PERF
-    from repro.runtime.codec import decode as _decode
-    from repro.runtime.stats import TrafficStats
-
-    ctx = multiprocessing.get_context("fork")
-    pair_socks = {}
-    ctrl_pairs = []
-    procs = []
-    sel = None
-
-    results = [None] * size
-    errors = [None] * size
-    done = [False] * size
-    deaths = []  # parent-detected process deaths: the root cause wins
-    asm = [FrameAssembler() for _ in range(size)]
-    stats = TrafficStats()
-    stats.backend = "process"
-
-    def abort_all() -> None:
-        for r, (pe, _) in enumerate(ctrl_pairs):
-            if not done[r]:
-                try:
-                    pe.send(b"A")
-                except OSError:
-                    pass
-
-    # Setup runs *inside* the try so a failure mid-fork (say rank 3's
-    # Process.start() raising) still aborts, reaps and closes the ranks
-    # that were already forked — no leaked children, no leaked FDs.
-    try:
-        pair_socks.update(
-            ((i, j), socket.socketpair())
-            for i in range(size)
-            for j in range(i + 1, size)
-        )
-        ctrl_pairs.extend(socket.socketpair() for _ in range(size))
-        for r in range(size):
-            p = ctx.Process(
-                target=_worker_main,
-                args=(r, size, fn, args, kwargs, pair_socks, ctrl_pairs),
-                name=f"simmpi-rank-{r}",
-                daemon=True,
-            )
-            p.start()
-            procs.append(p)
-        for si, sj in pair_socks.values():
-            _close_quietly(si)
-            _close_quietly(sj)
-        for _, child_end in ctrl_pairs:
-            _close_quietly(child_end)
-        parent_ends = [pe for pe, _ in ctrl_pairs]
-
-        sel = selectors.DefaultSelector()
-        for r, pe in enumerate(parent_ends):
-            pe.setblocking(False)
-            sel.register(pe, selectors.EVENT_READ, r)
-        while not all(done):
-            for key, _ in sel.select(_POLL):
-                r, sock = key.data, key.fileobj
-                while True:
-                    try:
-                        chunk = sock.recv(1 << 16)
-                    except (BlockingIOError, InterruptedError):
-                        break
-                    except OSError:
-                        chunk = b""
-                    if not chunk:
-                        sel.unregister(sock)
-                        if not done[r]:
-                            done[r] = True
-                            procs[r].join(timeout=1.0)  # reap for the exitcode
-                            errors[r] = SimRankDied(
-                                f"rank {r} process died without reporting "
-                                f"(exitcode {procs[r].exitcode})"
-                            )
-                            deaths.append(errors[r])
-                            abort_all()
-                        break
-                    for _tag, frame in asm[r].feed(chunk):
-                        kind, payload, st, perf = _decode(frame)
-                        done[r] = True
-                        stats.merge_dict(st)
-                        PERF.merge_snapshot(perf)
-                        if kind == "ok":
-                            results[r] = payload
-                        else:
-                            errors[r] = payload
-                            if not isinstance(payload, SimMPIAborted):
-                                abort_all()
-    except BaseException:
-        abort_all()  # setup failure or interrupt: running ranks must stop
-        raise
-    finally:
-        for pe, _ in ctrl_pairs:
-            try:
-                pe.send(b"R")
-            except OSError:
-                pass
-        for p in procs:
-            p.join(timeout=10)
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5)
-        if sel is not None:
-            sel.close()
-        # closing a socket twice is a no-op, so sweeping everything here
-        # also covers setups that failed before the normal close pass
-        for si, sj in pair_socks.values():
-            _close_quietly(si)
-            _close_quietly(sj)
-        for pe, ce in ctrl_pairs:
-            _close_quietly(pe)
-            _close_quietly(ce)
-
-    return finish_spmd_run(results, errors, deaths, stats, return_stats)
-
-
 def finish_spmd_run(results, errors, deaths, stats, return_stats):
-    """Apply the forked backends' shared error precedence and return shape.
+    """Apply the forked backend's error precedence and return shape.
 
     Mirrors the threaded ``spmd_run``: SimMPIAborted and BrokenBarrierError
     on peers are consequences, not causes.  A rank process death is the

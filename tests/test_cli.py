@@ -95,11 +95,11 @@ class TestCommands:
         assert "dkl:" in out
         assert "dkl.propose" in out and "dkl.resolve" in out
 
-    def test_pared_process_transport(self, capsys):
+    def test_pared_shm_transport(self, capsys):
         assert main(["pared", "--p", "2", "--n", "6", "--rounds", "1",
-                     "--transport", "process"]) == 0
+                     "--transport", "shm"]) == 0
         out = capsys.readouterr().out
-        assert "process backend" in out
+        assert "shm backend" in out
         assert "P2:" in out
 
     def test_render(self, capsys, tmp_path):

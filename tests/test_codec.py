@@ -204,25 +204,21 @@ class TestWireAccounting:
 
 
 class TestZeroCopyViews:
-    """The scatter-gather side of the codec: ``encode_parts`` /
-    ``encode_into`` must produce the exact bytes of ``encode``, and
-    ``decode_view`` must return read-only aliases of the frame buffer for
-    large arrays — aliases that survive the frame's ring slot being
-    pinned, and that ``materialize`` detaches into private writable
-    copies."""
+    """The scatter-gather side of the codec: ``encode_parts`` must
+    produce the exact bytes of ``encode``, and ``decode_view`` must return
+    read-only aliases of the frame buffer for large arrays — aliases that
+    survive the frame's ring slot being pinned, and that ``materialize``
+    detaches into private writable copies."""
 
     @settings(max_examples=150, deadline=None)
     @given(_payloads)
-    def test_encode_into_matches_encode_bitwise(self, obj):
-        from repro.runtime.codec import encode_into, encode_parts, parts_nbytes
+    def test_encode_parts_matches_encode_bitwise(self, obj):
+        from repro.runtime.codec import encode_parts, parts_nbytes
 
         frame = encode(obj)
         parts = encode_parts(obj)
         assert parts_nbytes(parts) == len(frame)
-        buf = bytearray(len(frame) + 16)
-        end = encode_into(obj, buf, offset=8)
-        assert end == 8 + len(frame)
-        assert bytes(buf[8:end]) == frame
+        assert b"".join(parts) == frame
 
     @settings(max_examples=150, deadline=None)
     @given(_payloads)

@@ -232,13 +232,13 @@ class TestSerialSPMDParity:
         for r in self._spmd(g, p, a0, cfg, "thread"):
             assert np.array_equal(ref, r)
 
-    def test_process_backend_matches_serial(self):
+    def test_shm_backend_matches_serial(self):
         p = 3
         g = skewed_grid(8, seed=2)
         a0 = start(g, p)
         cfg = DKLConfig()
         ref = dkl_refine_serial(g, p, a0, cfg)
-        for r in self._spmd(g, p, a0, cfg, "process"):
+        for r in self._spmd(g, p, a0, cfg, "shm"):
             assert np.array_equal(ref, r)
 
     @given(seed=st.integers(0, 200))
@@ -545,13 +545,13 @@ class TestMultilevel:
         for r in self._spmd(g, p, a0, cfg, "thread"):
             assert np.array_equal(ref, r)
 
-    def test_process_backend_matches_serial(self):
+    def test_shm_backend_matches_serial(self):
         p = 3
         g = skewed_grid(8, seed=2)
         a0 = start(g, p)
         cfg = DKLConfig()
         ref = dkl_ml_refine_serial(g, p, a0, cfg)
-        for r in self._spmd(g, p, a0, cfg, "process"):
+        for r in self._spmd(g, p, a0, cfg, "shm"):
             assert np.array_equal(ref, r)
 
     @given(seed=st.integers(0, 200))

@@ -17,6 +17,7 @@ from repro.pared import (
     run_workflow,
 )
 from repro.runtime import FaultPlan
+from repro.runtime.shm import pool_stats, shutdown_pools
 from repro.runtime.simmpi import spmd_run
 
 
@@ -485,22 +486,38 @@ class TestDeltaTombstones:
         assert leaf_trace[2] < leaf_trace[1], "ladder must actually coarsen"
 
 
+_PARITY_PROBLEM = CornerLaplace2D()
+
+
+def _parity_mesh():
+    # large enough that migration and halo frames outgrow a 4 KiB ring
+    return AdaptiveMesh.unit_square(12)
+
+
+def _parity_marker(amesh, rnd):
+    ind = interpolation_error_indicator(amesh, _PARITY_PROBLEM.exact)
+    return mark_top_fraction(amesh, ind, 0.2), []
+
+
 class TestTransportParity:
     """One PARED run must be bit-identical across transport backends: the
-    algorithm is deterministic given the seed, and the process backend
-    changes only how bytes move between ranks — never what they say."""
+    algorithm is deterministic given the seed, and the forked backend
+    changes only how bytes move between ranks — never what they say.
+    Covered once per way a frame can travel on shm: a one-shot fork (the
+    closure config cannot be pickled), pooled workers over the ring, and
+    pooled workers whose 4 KiB ring sends every mid-size frame down the
+    spill socket."""
 
     @staticmethod
-    def _cfg(transport, partitioner="pnr"):
-        prob = CornerLaplace2D()
-
-        def marker(amesh, rnd):
-            ind = interpolation_error_indicator(amesh, prob.exact)
-            return mark_top_fraction(amesh, ind, 0.2), []
-
+    def _cfg(transport, partitioner, picklable=False):
+        mesh, marker = _parity_mesh, _parity_marker
+        if not picklable:
+            mesh, marker = (lambda: _parity_mesh()), (
+                lambda amesh, rnd: _parity_marker(amesh, rnd)
+            )
         return ParedConfig(
             p=3,
-            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            make_mesh=mesh,
             marker=marker,
             rounds=2,
             pnr=PNR(seed=0),
@@ -508,34 +525,40 @@ class TestTransportParity:
             partitioner=partitioner,
         )
 
-    @staticmethod
-    def _assert_bit_identical(hist_t, stats_t, hist_p, stats_p):
-        for per_rank_t, per_rank_p in zip(hist_t, hist_p):
-            for a, b in zip(per_rank_t, per_rank_p):
-                assert a["leaves"] == b["leaves"]
-                assert a["cut"] == b["cut"]
-                assert a["shared_vertices"] == b["shared_vertices"]
-                assert a["elements_moved"] == b["elements_moved"]
-                assert a["local_load"] == b["local_load"]
-                assert a["imbalance_before"] == b["imbalance_before"]
-                assert np.array_equal(a["owner"], b["owner"])
+    @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
+    @pytest.mark.parametrize("route", ["oneshot", "pooled", "spill"])
+    def test_shm_run_matches_thread_bit_for_bit(
+        self, monkeypatch, route, partitioner
+    ):
+        hist_t, stats_t = run_pared(self._cfg("thread", partitioner))
+        if route == "spill":
+            monkeypatch.setenv("REPRO_SHM_RING", "4096")
+        shutdown_pools()
+        try:
+            hist_s, stats_s = run_pared(
+                self._cfg("shm", partitioner, picklable=route != "oneshot")
+            )
+            jobs = {size: n for size, (n, _) in pool_stats().items()}
+        finally:
+            shutdown_pools()  # do not leave a 4 KiB-ring pool behind
+        assert stats_s.backend == "shm"
+        assert jobs == ({} if route == "oneshot" else {3: 1})
+        wire = stats_s.wire_report()
+        assert wire.get("ring_frames", 0) > 0
+        assert (wire.get("spill_frames", 0) > 0) == (route == "spill")
+
+        for per_rank_t, per_rank_s in zip(hist_t, hist_s):
+            assert len(per_rank_t) == len(per_rank_s)
+            for a, b in zip(per_rank_t, per_rank_s):
+                assert a.keys() == b.keys()
+                for key in a:
+                    assert np.array_equal(a[key], b[key]), key
         # the wire ledger is part of the contract too: same phases, same
-        # message and byte counts, same pair matrix
-        assert stats_t.phase_report() == stats_p.phase_report()
-        assert dict(stats_t.by_pair) == dict(stats_p.by_pair)
-
-    def test_process_run_matches_thread_bit_for_bit(self):
-        hist_t, stats_t = run_pared(self._cfg("thread"))
-        hist_p, stats_p = run_pared(self._cfg("process"))
-        self._assert_bit_identical(hist_t, stats_t, hist_p, stats_p)
-
-    def test_dkl_process_run_matches_thread_bit_for_bit(self):
-        """The distributed-refinement tournament must replay identically on
-        both wires — including the halo exchange and proposal allgathers."""
-        hist_t, stats_t = run_pared(self._cfg("thread", partitioner="dkl"))
-        hist_p, stats_p = run_pared(self._cfg("process", partitioner="dkl"))
-        self._assert_bit_identical(hist_t, stats_t, hist_p, stats_p)
-        assert "dkl" in stats_t.phase_report()  # refinement actually ran
+        # message and byte counts, same pair matrix — for dkl that includes
+        # the halo exchange and the proposal allgathers of the tournament
+        assert stats_t.phase_report() == stats_s.phase_report()
+        assert dict(stats_t.by_pair) == dict(stats_s.by_pair)
+        assert ("dkl" in stats_t.phase_report()) == (partitioner == "dkl")
 
 
 class TestWorkflow:

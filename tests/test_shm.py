@@ -4,26 +4,31 @@ The cross-backend *semantics* of shm live in the conformance suite
 (`test_simmpi.py`); this file covers what is unique to the backend: the
 SPSC ring protocol itself (wrap, refusal, zero-copy pinning, the
 producer-forked-first startup race), the persistent rank pool (reuse,
-poisoning on death, shutdown hygiene) and the ring/spill split of the
-data plane.
+poisoning on death, shutdown hygiene), the ring/spill split of the
+data plane and the socket send discipline.
 """
 
 import multiprocessing
 import os
+import socket
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.runtime.shm import (
+    _CTRL_ABORT,
     RING_COPY_MAX,
     Ring,
     RingFrame,
+    ShmTransport,
     default_ring_bytes,
     pool_stats,
     shutdown_pools,
 )
 from repro.runtime.simmpi import spmd_run
+from repro.runtime.transport import FrameAssembler, pack_frame
 
 _RING_HDR = 64
 
@@ -285,6 +290,8 @@ class TestRingSpillSplit:
         wire = stats.wire_report()
         assert wire.get("spill_frames", 0) >= 1
         assert wire.get("spill_bytes", 0) >= 1 << 23
+        # a spilled frame crosses the socket by memcpy, every byte of it
+        assert wire.get("copied_bytes", 0) >= 1 << 23
 
     def test_tiny_ring_spills_midsize_frames(self, monkeypatch):
         """REPRO_SHM_RING floors at 4 KiB, a ~2 KiB max_frame: the
@@ -303,11 +310,16 @@ class TestRingSpillSplit:
 
     def test_zero_copy_view_is_read_only(self):
         shutdown_pools()
-        res = spmd_run(2, _view_prog, transport="shm")
+        res, stats = spmd_run(
+            2, _view_prog, transport="shm", return_stats=True
+        )
         assert res == [True, True]
+        # the 32 KiB frame rode the ring as a view: on the wire, not copied
+        wire = stats.wire_report()
+        assert wire.get("copied_bytes", 0) < 4096 * 8 < wire["ring_bytes"]
 
     def test_wire_counters_name_the_backend_channel(self):
-        progs = {"thread": "queue", "process": "socket", "shm": "ring"}
+        progs = {"thread": "queue", "shm": "ring"}
         for backend, channel in progs.items():
             _, stats = spmd_run(
                 2, _pool_prog, transport=backend, return_stats=True
@@ -330,3 +342,45 @@ def _view_prog(comm):
         return False
     except ValueError:
         return ok
+
+
+# ---------------------------------------------------------------------- #
+# the one socket send loop
+# ---------------------------------------------------------------------- #
+
+
+class TestSendDiscipline:
+    def test_started_frame_is_finished_across_an_abort(self):
+        """The abort lands while a frame is half-written into a full
+        socket buffer: the send loop must still complete it, because a
+        pooled socket outlives the job and the next job's frames follow on
+        the same stream."""
+        near, far = socket.socketpair()
+        ctrl, parent = socket.socketpair()
+        far.settimeout(20.0)
+        transport = ShmTransport(0, 2, {1: near}, ctrl, {}, {})
+        body = bytes(range(256)) * (1 << 14)  # 4 MiB: no buffer holds it
+        got = []
+
+        def reader():
+            while not transport.aborted():  # i.e. the frame is half-sent
+                time.sleep(0.001)
+            asm = FrameAssembler()
+            while len(got) < 2:
+                got.extend(asm.feed(far.recv(1 << 16)))
+
+        thread = threading.Thread(target=reader, daemon=True)
+        try:
+            # read by the drain of the first blocked send
+            parent.sendall(pack_frame(_CTRL_ABORT, b""))
+            thread.start()
+            assert transport._send_frame(near, pack_frame(7, body))
+            assert transport.aborted()
+            assert transport._send_frame(near, pack_frame(8, b"next job"))
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        finally:
+            transport.close()
+            far.close()
+            parent.close()
+        assert got == [(7, body), (8, b"next job")]

@@ -1,11 +1,10 @@
 """Transport conformance suite for the simulated message-passing runtime.
 
-Every semantic case runs on *all three* backends — ``thread``
-(in-process queues), ``process`` (forked ranks over sockets) and ``shm``
-(pooled forked ranks over shared-memory rings) — through the ``backend``
-fixture, and the traffic-ledger cases assert byte-for-byte identical
-accounting across them.  A new transport earns its place by passing this
-file unchanged.
+Every semantic case runs on *both* backends — ``thread`` (in-process
+queues) and ``shm`` (forked ranks over shared-memory rings, sockets as the
+spill channel) — through the ``backend`` fixture, and the traffic-ledger
+cases assert byte-for-byte identical accounting across them.  A new
+transport earns its place by passing this file unchanged.
 """
 
 import os
@@ -22,12 +21,10 @@ from repro.runtime.simmpi import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.stats import TrafficStats
-from repro.runtime.transport import resolve_backend
-
-BACKENDS = ("thread", "process", "shm")
+from repro.runtime.transport import BACKENDS, resolve_backend
 
 #: the backends whose ranks are OS processes (can die, can pool)
-FORKED_BACKENDS = ("process", "shm")
+FORKED_BACKENDS = tuple(b for b in BACKENDS if b != "thread")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -110,8 +107,9 @@ class TestPointToPoint:
         assert np.array_equal(res[1], np.arange(100))
 
     def test_large_payload_exceeds_socket_buffer(self, backend):
-        """Multi-megabyte frames force partial reads (and, on the process
-        backend, blocked non-blocking sends) — reassembly must be exact."""
+        """Multi-megabyte frames force partial reads (and, on the forked
+        backend's spill socket, blocked non-blocking sends) — reassembly
+        must be exact."""
         big = np.arange(1_000_000, dtype=np.int64)  # ~8 MB on the wire
 
         def prog(comm):
@@ -570,7 +568,7 @@ def forked_backend(request):
 
 
 class TestForkedBackendsOnly:
-    """Behaviour only the forked (process/shm) backends can exhibit."""
+    """Behaviour only a forked backend (shm) can exhibit."""
 
     def test_rank_process_death_is_clean(self, forked_backend):
         """A rank's OS process dying mid-run surfaces as a typed
@@ -663,20 +661,21 @@ class TestForkedBackendsOnly:
 
     def test_children_and_fds_reaped_when_setup_raises(self, monkeypatch):
         """A failure *mid-setup* (here: the third fork refused) must not
-        leak the ranks that did start, nor their sockets: the teardown
-        path reaps children and closes every pair/ctrl FD before the
-        error leaves spmd_run."""
+        leak the ranks that did start, nor their sockets, nor the ring
+        segment: the teardown path reaps children, closes every pair/ctrl
+        FD and unlinks the segment before the error leaves spmd_run."""
         import gc
         import multiprocessing
         from multiprocessing.context import ForkProcess
 
         gc.collect()
         fds_before = len(os.listdir("/proc/self/fd"))
+        segments_before = set(os.listdir("/dev/shm"))
         real_start = ForkProcess.start
         calls = {"n": 0}
 
         def flaky_start(proc):
-            if proc.name.startswith("simmpi-rank-"):
+            if proc.name.startswith("simmpi-shm-rank-"):
                 calls["n"] += 1
                 if calls["n"] == 3:
                     raise OSError("fork refused")
@@ -684,13 +683,13 @@ class TestForkedBackendsOnly:
 
         monkeypatch.setattr(ForkProcess, "start", flaky_start)
         with pytest.raises(OSError, match="fork refused"):
-            run("process", 3, lambda comm: None)
+            run("shm", 3, lambda comm: None)
         monkeypatch.undo()
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             stragglers = [
                 p for p in multiprocessing.active_children()
-                if p.name.startswith("simmpi-rank-")
+                if p.name.startswith("simmpi-shm-rank-")
             ]
             if not stragglers:
                 break
@@ -701,40 +700,50 @@ class TestForkedBackendsOnly:
         assert fds_after <= fds_before + 2, (
             f"fd leak across failed setup: {fds_before} -> {fds_after}"
         )
+        assert set(os.listdir("/dev/shm")) <= segments_before
 
 
 class TestBackendSelection:
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         assert resolve_backend("thread") == "thread"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
-        assert resolve_backend(None) == "process"
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
+        assert resolve_backend(None) == "shm"
         monkeypatch.delenv("REPRO_TRANSPORT")
         assert resolve_backend(None) == "thread"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            resolve_backend("carrier-pigeon")
+    def test_unknown_backend_rejected(self, monkeypatch):
+        """Exactly BACKENDS is settable; the folded ``process`` name fails
+        loudly on every route instead of mapping to shm."""
+        assert BACKENDS == ("thread", "shm")
+        for name in ("carrier-pigeon", "process"):
+            with pytest.raises(ValueError, match=f"unknown transport '{name}'"):
+                resolve_backend(name)
+        with pytest.raises(ValueError, match="unknown transport 'process'"):
+            spmd_run(2, lambda comm: None, transport="process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        with pytest.raises(ValueError, match="REPRO_TRANSPORT"):
+            spmd_run(2, lambda comm: None)
 
     def test_faults_force_thread_from_env(self, monkeypatch):
         from repro.runtime.faults import FaultPlan
 
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         assert resolve_backend(None, faults=FaultPlan(seed=0)) == "thread"
         assert resolve_backend(None, recover=True) == "thread"
 
-    def test_explicit_process_with_faults_raises(self):
+    def test_explicit_shm_with_faults_raises(self):
         from repro.runtime.faults import FaultPlan
 
         with pytest.raises(ValueError, match="thread backend only"):
-            resolve_backend("process", faults=FaultPlan(seed=0))
+            resolve_backend("shm", faults=FaultPlan(seed=0))
         with pytest.raises(ValueError, match="thread backend only"):
-            spmd_run(2, lambda comm: None, recover=True, transport="process")
+            spmd_run(2, lambda comm: None, recover=True, transport="shm")
 
     def test_env_fallback_warns_once(self, monkeypatch):
-        """The quiet env-process -> thread fallback announces itself with a
+        """The quiet env-shm -> thread fallback announces itself with a
         one-shot RuntimeWarning so a CI leg can see its runs were not on
         the backend it configured."""
         import warnings as warnings_mod
@@ -742,7 +751,7 @@ class TestBackendSelection:
         import repro.runtime.transport as transport
         from repro.runtime.faults import FaultPlan
 
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         monkeypatch.setattr(transport, "_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="falls back to transport='thread'"):
             assert resolve_backend(None, faults=FaultPlan(seed=0)) == "thread"
@@ -752,9 +761,9 @@ class TestBackendSelection:
             assert resolve_backend(None, recover=True) == "thread"
 
     def test_env_value_case_insensitive_and_strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "Process")
-        assert resolve_backend(None) == "process"
-        monkeypatch.setenv("REPRO_TRANSPORT", "prcoess")
+        monkeypatch.setenv("REPRO_TRANSPORT", "Shm")
+        assert resolve_backend(None) == "shm"
+        monkeypatch.setenv("REPRO_TRANSPORT", "smh")
         with pytest.raises(ValueError, match="REPRO_TRANSPORT"):
             resolve_backend(None)
 
