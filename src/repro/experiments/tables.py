@@ -43,7 +43,8 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
     with their share of the round total; below are the spans nested
     *inside* them — under P0 the marker, the LEPP walk, the request
     exchange (``pared.P0.*``) and the mesh kernel (``mesh.refine`` /
-    ``mesh.coarsen``); under P3 ``pared.repartition.serial`` (the
+    ``mesh.coarsen``); under P1 ``mesh.dual_graph`` (the recount of ``G``'s
+    weights); under P3 ``pared.repartition.serial`` (the
     coordinator's serial merge+repartition), the two halves of its
     multilevel V-cycle (``multilevel.coarsen`` / ``multilevel.refine``;
     the initial partition at launch counts in too) and the ``dkl.*``

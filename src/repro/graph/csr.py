@@ -99,6 +99,23 @@ class WeightedGraph:
             vweights = np.ones(n)
         return cls(xadj, adjncy, data, vweights)
 
+    def with_weights(self, ewts, vwts) -> "WeightedGraph":
+        """The same structure under new weights (``ewts`` aligned with
+        ``adjncy``).  ``xadj``, ``adjncy`` and the ``edge_src`` cache are
+        shared, not copied, and not validated a second time: a graph whose
+        topology is fixed — the dual graph of ``M^0`` — is re-weighed every
+        round without re-deriving it."""
+        graph = object.__new__(WeightedGraph)
+        graph.xadj, graph.adjncy = self.xadj, self.adjncy
+        graph._edge_src = self.edge_src
+        graph.ewts = np.asarray(ewts, dtype=np.float64)
+        graph.vwts = np.asarray(vwts, dtype=np.float64)
+        if graph.ewts.shape != self.adjncy.shape:
+            raise ValueError("ewts must align with adjncy")
+        if graph.vwts.shape != self.vwts.shape:
+            raise ValueError("vwts must have one entry per vertex")
+        return graph
+
     @classmethod
     def from_scipy(cls, mat, vweights=None) -> "WeightedGraph":
         """Build from a symmetric scipy sparse adjacency matrix."""

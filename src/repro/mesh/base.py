@@ -98,6 +98,8 @@ class SimplexMesh:
         self._leaf_roots_version = -1
         self._adj_pairs_cache = None
         self._adj_pairs_version = -1
+        #: dual graph of ``M^0``, see :meth:`coarse_skeleton`
+        self._coarse_skeleton = None
 
     # ------------------------------------------------------------------ #
     # storage accessors
@@ -165,19 +167,39 @@ class SimplexMesh:
 
     def leaf_adjacency_pairs(self) -> np.ndarray:
         """``(k, 2)`` leaf-position pairs for every shared facet of the leaf
-        mesh (see :func:`repro.mesh.dualgraph._leaf_adjacency_pairs`).
-        Cached per forest version — the fine adjacency is recomputed once
-        per structural change instead of once per consumer (dual graph, cut
-        size, shared-vertex count, processor graph all read it)."""
+        mesh (see :func:`repro.mesh.dualgraph._leaf_adjacency_pairs`), each
+        pair once.  Cached per forest version — the fine adjacency is
+        recomputed once per structural change instead of once per consumer
+        (dual graph, cut size, processor graph, ghost layer, the jump
+        estimator all read it)."""
         version = self.forest.version
         if self._adj_pairs_version != version:
-            from repro.mesh.dualgraph import _compute_leaf_adjacency_pairs
-
-            pairs = _compute_leaf_adjacency_pairs(self)
+            pairs = self._leaf_adjacency_pairs_uncached()
             pairs.setflags(write=False)
             self._adj_pairs_cache = pairs
             self._adj_pairs_version = version
         return self._adj_pairs_cache
+
+    def _leaf_adjacency_pairs_uncached(self) -> np.ndarray:
+        """One sort over every leaf facet, pairs in facet-key order.
+        Subclasses that keep the adjacency current read it off instead."""
+        from repro.mesh.dualgraph import _compute_leaf_adjacency_pairs
+
+        return _compute_leaf_adjacency_pairs(self)
+
+    def coarse_skeleton(self):
+        """The dual graph of ``M^0`` itself (unit weights) — the fixed CSR
+        skeleton of the coarse dual graph ``G``, in the row-major order
+        :meth:`~repro.graph.csr.WeightedGraph.from_edges` produces.  Built
+        on first use from the root cells alone and never mutated, so no
+        adaptation, migration or restore has to keep it current."""
+        if self._coarse_skeleton is None:
+            from repro.graph.csr import WeightedGraph
+            from repro.mesh.dualgraph import _facet_adjacency_pairs
+
+            pairs = _facet_adjacency_pairs(self.cells[: self.n_roots], self.n_verts)
+            self._coarse_skeleton = WeightedGraph.from_edges(self.n_roots, pairs)
+        return self._coarse_skeleton
 
     # ------------------------------------------------------------------ #
     # vertices

@@ -7,9 +7,19 @@ The **coarse dual graph** ``G`` — PNR's partitioning substrate — has one
 vertex ``w_a`` per coarse element ``Ω_a`` of ``M^0``; the weight of ``w_a``
 is the number of active leaves of its refinement tree ``τ_a``, and the
 weight of edge ``(w_a, w_b)`` is the number of *adjacent leaf pairs* whose
-trees are ``τ_a`` and ``τ_b``.  We compute these exactly by classifying
-every fine adjacency by the roots of its two leaves, so the coarse weights
-track refinement and coarsening automatically.
+trees are ``τ_a`` and ``τ_b``.
+
+``G``'s *structure* is ``M^0``'s and never changes: two trees hold adjacent
+leaves exactly when their roots share a facet, because conformal refinement
+and coarsening tile a shared coarse facet from both sides and never join
+trees whose roots do not touch.  So the CSR skeleton is derived once per
+mesh (:meth:`~repro.mesh.base.SimplexMesh.coarse_skeleton`, one sort over
+the facets of ``M^0``) and
+:func:`coarse_dual_graph` — phase P1 of Fig. 2 — is a *recount*: every
+cross-tree leaf adjacency is classified to its skeleton slot and counted,
+O(leaves), and successive graphs share the skeleton arrays.  A leaf
+adjacency the skeleton has no slot for, or a slot no leaf pair fills, means
+the mesh is no longer a conformal refinement of ``M^0``; both raise.
 """
 
 from __future__ import annotations
@@ -17,32 +27,39 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import WeightedGraph
+from repro.perf import PERF
 
 
 def _leaf_adjacency_pairs(mesh) -> np.ndarray:
     """``(k, 2)`` array of leaf-*position* pairs (indices into
     ``mesh.leaf_ids()``) for every shared facet of the leaf mesh.
 
-    Served from the mesh's per-version cache: the dual graph, cut size,
-    shared-vertex count and processor graph all consume this, and between
-    structural changes they now share one computation."""
+    Served from the mesh's per-version cache: the dual graphs, cut size,
+    processor graph and ghost layer all consume this, and between
+    structural changes they share one computation."""
     return mesh.leaf_adjacency_pairs()
 
 
 def _compute_leaf_adjacency_pairs(mesh) -> np.ndarray:
-    """The actual adjacency computation behind
-    :meth:`~repro.mesh.base.SimplexMesh.leaf_adjacency_pairs`.
+    """The sort-based leaf adjacency: 3-D's path behind
+    :meth:`~repro.mesh.base.SimplexMesh.leaf_adjacency_pairs` and the
+    brute-force oracle of :meth:`~repro.mesh.mesh2d.TriMesh.check_adjacency`
+    (2-D reads its pairs off ``_nbr``)."""
+    return _facet_adjacency_pairs(mesh.leaf_cells(), mesh.n_verts)
+
+
+def _facet_adjacency_pairs(cells: np.ndarray, n_verts: int) -> np.ndarray:
+    """``(k, 2)`` row-index pairs of the ``cells`` sharing a facet.
 
     Facets are folded into scalar sort keys (base ``n_verts`` positional
     encoding of the sorted vertex tuple) when they fit an int64 — a single
     scalar argsort instead of a multi-key lexsort; the stable sort keeps
     the pair orientation identical to the historical lexsort path, which
     remains as the (overflow-safe) fallback."""
-    cells = mesh.leaf_cells()
     nl = cells.shape[0]
     if nl == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if mesh.nodes_per_cell == 3:
+    if cells.shape[1] == 3:
         facets = np.concatenate(
             [cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=0
         )
@@ -59,7 +76,7 @@ def _compute_leaf_adjacency_pairs(mesh) -> np.ndarray:
         )
         owner = np.tile(np.arange(nl, dtype=np.int64), 4)
     facets = np.sort(facets, axis=1)
-    nv = mesh.n_verts
+    nv = n_verts
     width = facets.shape[1]
     if nv ** width < 2 ** 62:
         keys = facets[:, 0]
@@ -96,18 +113,34 @@ def fine_dual_graph(mesh) -> tuple:
 def coarse_dual_graph(mesh) -> WeightedGraph:
     """The weighted dual graph ``G`` of ``M^0`` (Section 5): vertex ``a``
     weighs ``#leaves(τ_a)``; edge ``(a, b)`` weighs the number of adjacent
-    leaf pairs across the coarse boundary."""
-    vwts = mesh.forest.leaf_counts_by_root().astype(np.float64)
-    leaf_roots = mesh.leaf_roots()
-    pairs = _leaf_adjacency_pairs(mesh)
-    ra = leaf_roots[pairs[:, 0]]
-    rb = leaf_roots[pairs[:, 1]]
-    cross = ra != rb
-    edges = np.column_stack([ra[cross], rb[cross]])
-    graph = WeightedGraph.from_edges(
-        mesh.n_roots, edges, np.ones(edges.shape[0]), vwts
-    )
-    return graph
+    leaf pairs across the coarse boundary.  Recounted on
+    :meth:`~repro.mesh.base.SimplexMesh.coarse_skeleton`; raises
+    ``ValueError`` when the leaf adjacency does not fit it."""
+    with PERF.span("mesh.dual_graph"):
+        skeleton = mesh.coarse_skeleton()
+        xadj, adjncy = skeleton.xadj, skeleton.adjncy
+        leaf_roots = mesh.leaf_roots()
+        pairs = _leaf_adjacency_pairs(mesh)
+        ra = leaf_roots[pairs[:, 0]]
+        rb = leaf_roots[pairs[:, 1]]
+        cross = ra != rb
+        src = np.concatenate([ra[cross], rb[cross]])
+        dst = np.concatenate([rb[cross], ra[cross]])
+        # the slot of dst in row src: a row is sorted and no longer than a
+        # simplex has facets, so step along it while its entry is smaller
+        slot = xadj[src]
+        for _ in range(int(np.diff(xadj).max(initial=0)) - 1):
+            slot += adjncy.take(slot, mode="clip") < dst
+        if np.any(slot >= xadj[src + 1]) or np.any(adjncy[slot] != dst):
+            raise ValueError(
+                "adjacent leaves in trees whose coarse elements share no facet"
+            )
+        ewts = np.bincount(slot, minlength=adjncy.size)
+        if not ewts.all():
+            raise ValueError(
+                "coarse elements share a facet but their trees no leaf pair"
+            )
+        return skeleton.with_weights(ewts, mesh.forest.leaf_counts_by_root())
 
 
 def coarse_root_centroids(mesh) -> np.ndarray:
@@ -126,21 +159,3 @@ def leaf_assignment_from_roots(mesh, coarse_assignment: np.ndarray) -> np.ndarra
     if coarse_assignment.shape[0] != mesh.n_roots:
         raise ValueError("coarse assignment must cover every root")
     return coarse_assignment[mesh.leaf_roots()]
-
-
-def coarse_weight_update(mesh, prev_vwts=None, prev_graph=None):
-    """Incremental weight recomputation (phase P1 of Fig. 2).
-
-    Returns ``(graph, changed_roots)`` where ``changed_roots`` are the coarse
-    elements whose vertex weight differs from ``prev_vwts`` — the updates the
-    processors would send to the coordinator in phase P2.  The full graph is
-    rebuilt (exact), but the changed-set is what travels over the network in
-    the PARED simulation.
-    """
-    graph = coarse_dual_graph(mesh)
-    if prev_vwts is None:
-        changed = np.arange(mesh.n_roots)
-    else:
-        prev_vwts = np.asarray(prev_vwts)
-        changed = np.nonzero(graph.vwts != prev_vwts)[0]
-    return graph, changed

@@ -5,7 +5,8 @@ Three arrays grow in lockstep with the element connectivity:
 * ``_nbr[e, i]`` — the active leaf across the edge of ``e`` opposite its
   local vertex ``i`` (``-1`` on the domain boundary).  Rows are current
   for leaves only; a row is rewritten whenever its element (re)enters the
-  leaf set.
+  leaf set.  :meth:`TriMesh.leaf_adjacency_pairs` — hence the dual graphs
+  and the cut — is read off these rows.
 * ``_le[e]`` — local index of the longest edge of ``e``, fixed at creation
   (ties go to the smallest vertex pair, so the two triangles sharing an
   edge agree on "longest").
@@ -172,6 +173,17 @@ class TriMesh(SimplexMesh):
         le = self._le.data
         nb = nbr[elems, le[elems]]
         return nb, (nb < 0) | (nbr[nb, le[nb]] == elems)
+
+    def _leaf_adjacency_pairs_uncached(self) -> np.ndarray:
+        """Read off ``_nbr``, no sort: row-major over ``_nbr[leaf_ids()]``
+        — ascending leaf, then local edge — keeping each edge from its
+        lower-numbered side, so a pair is ``(position, higher position)``."""
+        leaves = self.leaf_ids()
+        nbr = self._nbr.data[leaves]
+        slot = np.flatnonzero(nbr > leaves[:, None])
+        position = np.full(self.n_elements, -1, dtype=np.int64)
+        position[leaves] = np.arange(leaves.shape[0])
+        return np.column_stack([slot // 3, position[nbr.reshape(-1)[slot]]])
 
     def edge_elements(self, a: int, b: int) -> frozenset:
         """Active leaf triangles containing edge ``(a, b)`` (possibly empty)."""

@@ -50,25 +50,16 @@ def shared_vertex_count(mesh, assignment: np.ndarray) -> int:
     quality metric the paper reports (communication volume on a mesh
     partitioned by elements)."""
     cells = mesh.leaf_cells()
-    assignment = np.asarray(assignment)
-    if cells.shape[0] == 0:
-        return 0
     verts = cells.ravel()
-    parts = np.repeat(assignment, cells.shape[1])
-    # Count distinct partitions per vertex: sort by (vertex, part), count
-    # vertices having more than one distinct part.
-    order = np.lexsort((parts, verts))
-    v = verts[order]
-    q = parts[order]
-    new_vertex = np.empty(v.shape[0], dtype=bool)
-    new_vertex[0] = True
-    new_vertex[1:] = v[1:] != v[:-1]
-    new_pair = new_vertex.copy()
-    new_pair[1:] |= q[1:] != q[:-1]
-    # distinct (vertex, part) pairs per vertex
-    vert_of_pair = v[new_pair]
-    uniq, counts = np.unique(vert_of_pair, return_counts=True)
-    return int(np.count_nonzero(counts >= 2))
+    parts = np.repeat(np.asarray(assignment), cells.shape[1])
+    # a vertex is shared iff its incident parts are not all equal: compare
+    # every incidence with one reference part per vertex (whichever
+    # incidence was scattered last) — no sort, exact for any labels
+    ref = np.empty(mesh.n_verts, dtype=parts.dtype)
+    ref[verts] = parts
+    shared = np.zeros(mesh.n_verts, dtype=bool)
+    shared[verts[parts != ref[verts]]] = True
+    return int(np.count_nonzero(shared))
 
 
 def migrated_weight(old_assignment, new_assignment, weights=None) -> float:

@@ -28,8 +28,10 @@ import numpy as np
 
 from repro.graph.csr import WeightedGraph
 from repro.mesh.dualgraph import coarse_dual_graph, coarse_root_centroids
+from repro.mesh.base import sorted_unique
 from repro.pared.weights import (
     diff_weight_report,
+    in_sorted,
     keep_last,
     merge_fresh_values,
     split_edge_keys,
@@ -75,7 +77,9 @@ class _CoordinatorGraph:
     State is struct-of-arrays: a dense vertex-weight vector plus sorted
     packed edge keys (:func:`~repro.pared.weights.edge_keys`) with aligned
     weights — merges and deletions are sorted-int64 array ops, no per-entry
-    Python loops.
+    Python loops.  ``G``'s structure is ``M^0``'s, so the key *set* only
+    moves on the first full report, a tombstone or a recovery: the CSR
+    skeleton :meth:`graph` derives from it is kept until then.
     """
 
     def __init__(self, n_roots: int):
@@ -83,6 +87,8 @@ class _CoordinatorGraph:
         self.vwts = np.zeros(n_roots)
         self.ekeys = np.empty(0, dtype=np.int64)
         self.ewts = np.empty(0, dtype=np.float64)
+        #: (keys it was built for, unit-weight CSR, slot of a→b, of b→a)
+        self._skeleton = None
 
     def merge(self, messages) -> None:
         """Apply one round's deltas.  A key in a ``v_dead``/``e_dead``
@@ -101,20 +107,32 @@ class _CoordinatorGraph:
         de = np.concatenate([m["e_dead"] for m in messages])
         uids, uw = keep_last(fv_ids, fv_wts)
         self.vwts[uids] = uw
-        self.vwts[np.setdiff1d(dv, fv_ids)] = 0.0
+        self.vwts[dv[~in_sorted(uids, dv)]] = 0.0
         self.ekeys, self.ewts = merge_fresh_values(
             self.ekeys, self.ewts, fe_keys, fe_wts
         )
-        dead_e = np.setdiff1d(de, fe_keys)
-        if dead_e.size:
-            keep = np.isin(self.ekeys, dead_e, invert=True)
+        if de.size:
+            dead_e = sorted_unique(de[~in_sorted(sorted_unique(fe_keys), de)])
+            keep = ~in_sorted(dead_e, self.ekeys)
             self.ekeys = self.ekeys[keep]
             self.ewts = self.ewts[keep]
 
     def graph(self) -> WeightedGraph:
-        a, b = split_edge_keys(self.ekeys, self.n)
-        edges = np.column_stack([a, b])
-        return WeightedGraph.from_edges(self.n, edges, self.ewts.copy(), self.vwts.copy())
+        held = self._skeleton
+        if held is None or not np.array_equal(held[0], self.ekeys):
+            a, b = split_edge_keys(self.ekeys, self.n)
+            csr = WeightedGraph.from_edges(self.n, np.column_stack([a, b]))
+            slots = csr.edge_src * self.n + csr.adjncy  # ascending
+            held = self._skeleton = (
+                self.ekeys,
+                csr,
+                np.searchsorted(slots, self.ekeys),
+                np.searchsorted(slots, b * self.n + a),
+            )
+        _, csr, fwd, rev = held
+        ewts = np.empty(csr.adjncy.shape[0])
+        ewts[fwd] = ewts[rev] = self.ewts
+        return csr.with_weights(ewts, self.vwts.copy())
 
 
 class _WeightProtocol:

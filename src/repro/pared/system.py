@@ -209,14 +209,8 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
     with PERF.span("pared.P0"):
         with PERF.span("pared.P0.mark"):
             refine_ids, coarsen_ids, extras = mark(dmesh, rnd)
-        my_refine = np.intersect1d(
-            np.asarray(refine_ids, dtype=np.int64), dmesh.owned_leaf_ids()
-        )
-        dmesh.parallel_refine(my_refine)
-        my_coarsen = np.intersect1d(
-            np.asarray(coarsen_ids, dtype=np.int64), dmesh.owned_leaf_ids()
-        )
-        dmesh.parallel_coarsen(my_coarsen)
+        dmesh.parallel_refine(dmesh.owned_leaves_among(refine_ids))
+        dmesh.parallel_coarsen(dmesh.owned_leaves_among(coarsen_ids))
         leaves_before = amesh.leaf_ids().copy() if cfg.audit else None
 
     # ---- P1: weigh — local weights of owned roots ------------------- #

@@ -64,8 +64,7 @@ def full_weight_report(graph, owner: np.ndarray, rank: int) -> dict:
     n = owner.shape[0]
     v_ids = np.nonzero(owner == rank)[0].astype(np.int64)
     v_wts = graph.vwts[v_ids].astype(np.float64, copy=True)
-    counts = np.diff(graph.xadj)
-    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    src = graph.edge_src
     dst = graph.adjncy
     mask = (owner[src] == rank) & (src < dst)
     keys = edge_keys(src[mask], dst[mask], n)
@@ -93,11 +92,19 @@ def _changed(ids, wts, prev_ids, prev_wts):
     return ids[~same], wts[~same]
 
 
+def in_sorted(sorted_ids, ids) -> np.ndarray:
+    """Mask of the ``ids`` present in ``sorted_ids`` (ascending,
+    duplicate-free): ``np.isin`` by binary search, without its sort and
+    hash-``unique``."""
+    if sorted_ids.size == 0:
+        return np.zeros(ids.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return sorted_ids[pos] == ids
+
+
 def _gone(prev_ids, ids):
     """Previous keys absent from the current report (→ tombstones)."""
-    if prev_ids.size == 0:
-        return _EMPTY_I
-    return prev_ids[np.isin(prev_ids, ids, invert=True)]
+    return prev_ids[~in_sorted(ids, prev_ids)]
 
 
 def diff_weight_report(full: dict, prev) -> dict:

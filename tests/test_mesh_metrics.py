@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.mesh import AdaptiveMesh, TriMesh
 from repro.mesh.metrics import (
     cut_size,
     imbalance,
@@ -68,6 +71,37 @@ class TestCutAndShared:
             for v in cell:
                 owners.setdefault(int(v), set()).add(int(s))
         expected = sum(1 for parts in owners.values() if len(parts) >= 2)
+        assert shared_vertex_count(mesh, a) == expected
+
+
+def _adapted(dim: int, seed: int):
+    if dim == 0:  # the empty mesh
+        return TriMesh(np.empty((0, 2)), np.empty((0, 3), dtype=np.int64))
+    am = AdaptiveMesh.unit_square(3) if dim == 2 else AdaptiveMesh.unit_cube(2)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        leaves = am.leaf_ids()
+        am.refine(leaves[rng.random(leaves.size) < 0.3])
+    return am.mesh
+
+
+class TestSharedVerticesProperty:
+    """The sort-free count against a per-vertex Python ``set``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([0, 2, 3]),
+        p=st.sampled_from([1, 2, 8, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_set_oracle(self, dim, p, seed):
+        mesh = _adapted(dim, seed)
+        a = np.random.default_rng(seed + 1).integers(0, p, mesh.n_leaves)
+        touching = {}
+        for cell, part in zip(mesh.leaf_cells().tolist(), a.tolist()):
+            for v in cell:
+                touching.setdefault(v, set()).add(part)
+        expected = sum(1 for parts in touching.values() if len(parts) >= 2)
         assert shared_vertex_count(mesh, a) == expected
 
 

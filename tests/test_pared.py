@@ -46,6 +46,35 @@ class TestDistributedMesh:
 
         assert all(spmd_run(4, prog))
 
+    def test_owned_leaves_among_is_intersect1d(self):
+        """The round's own-marks lookup returns what ``np.intersect1d``
+        against ``owned_leaf_ids()`` did, on everything a marker may hand
+        it: repeats, interior and inactive elements, other ranks' leaves,
+        ids outside the forest, nothing at all."""
+
+        def prog(comm):
+            am = AdaptiveMesh.unit_square(4)
+            am.refine(am.leaf_ids()[::3])
+            am.refine(am.leaf_ids()[::5])
+            am.coarsen(am.leaf_ids()[-12:])
+            dm = DistributedMesh(comm, am, np.arange(am.n_roots) % comm.size)
+            rng = np.random.default_rng(comm.rank)
+            n = am.mesh.n_elements
+            for ids in (
+                rng.integers(-3, n + 3, size=4 * n),
+                list(range(n)) + [0, 0, n, -1],
+                am.leaf_ids()[::-1],
+                [],
+            ):
+                want = np.intersect1d(
+                    np.asarray(ids, dtype=np.int64), dm.owned_leaf_ids()
+                )
+                got = dm.owned_leaves_among(ids)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            return True
+
+        assert all(spmd_run(3, prog))
+
     def test_owner_validation(self):
         def prog(comm):
             am = AdaptiveMesh.unit_square(2)
@@ -227,6 +256,17 @@ class TestMigration:
         assert all(spmd_run(3, prog))
 
 
+def _moving_peak_marker(amesh, rnd):
+    """Refine the top of the moving peak's indicator, coarsen its floor."""
+    from repro.fem import MovingPeakPoisson2D, mark_under_threshold
+
+    prob = MovingPeakPoisson2D(-0.5 + 0.2 * rnd)
+    ind = interpolation_error_indicator(amesh, prob.exact)
+    refine = mark_top_fraction(amesh, ind, 0.15)
+    coarsen = mark_under_threshold(amesh, ind, 1e-4)
+    return refine, coarsen
+
+
 class TestFullLoop:
     def test_run_pared_end_to_end(self):
         prob = CornerLaplace2D()
@@ -342,20 +382,34 @@ class TestFullLoop:
         assert len(profile) == max(len(r) for r in rounds)
         assert all(nbytes > 0 for nbytes in profile)
 
-    def test_marker_with_coarsening(self):
-        from repro.fem import MovingPeakPoisson2D, mark_under_threshold
+    @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
+    def test_2d_round_never_sorts_the_leaf_facets(self, monkeypatch, partitioner):
+        """P1, the cut and every other consumer of the leaf adjacency read
+        it off ``_nbr`` in 2-D: with the audit (whose oracle is the sort)
+        off, a round with refinement and coarsening never reaches it."""
+        from repro.mesh import dualgraph
 
-        def marker(amesh, rnd):
-            prob = MovingPeakPoisson2D(-0.5 + 0.2 * rnd)
-            ind = interpolation_error_indicator(amesh, prob.exact)
-            refine = mark_top_fraction(amesh, ind, 0.15)
-            coarsen = mark_under_threshold(amesh, ind, 1e-4)
-            return refine, coarsen
+        def no_sort(mesh):
+            raise AssertionError("whole-mesh facet sort reached from a round")
 
+        monkeypatch.setattr(dualgraph, "_compute_leaf_adjacency_pairs", no_sort)
         cfg = ParedConfig(
             p=2,
             make_mesh=lambda: AdaptiveMesh.unit_square(8),
-            marker=marker,
+            marker=_moving_peak_marker,
+            rounds=3,
+            pnr=PNR(seed=1),
+            partitioner=partitioner,
+            transport="thread",
+        )
+        histories, _ = run_pared(cfg)
+        assert histories[0][-1]["cut"] > 0
+
+    def test_marker_with_coarsening(self):
+        cfg = ParedConfig(
+            p=2,
+            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            marker=_moving_peak_marker,
             rounds=3,
             pnr=PNR(seed=1),
         )
@@ -457,6 +511,50 @@ class TestDeltaTombstones:
         cg.merge([diff_weight_report(full_strip, full_grid)])
         assert not np.isin(cg.ekeys, gone).any()
         check_dual_graph_weights(strip.mesh, cg.graph())
+
+    def test_coordinator_graph_reuses_its_skeleton(self):
+        """``graph()`` scatters weights into a kept CSR skeleton and
+        re-derives it only when the key *set* moved; either way it equals
+        ``from_edges`` over the keys it holds."""
+        from repro.graph.csr import WeightedGraph
+        from repro.pared.protocols import _CoordinatorGraph
+        from repro.pared.weights import split_edge_keys
+
+        def check(cg):
+            graph = cg.graph()
+            a, b = split_edge_keys(cg.ekeys, cg.n)
+            want = WeightedGraph.from_edges(
+                cg.n, np.column_stack([a, b]), cg.ewts, cg.vwts
+            )
+            for name in ("xadj", "adjncy", "ewts", "vwts"):
+                assert np.array_equal(getattr(graph, name), getattr(want, name))
+            return graph
+
+        n = 6
+        cg = _CoordinatorGraph(n)
+        edges = {(0, 1): 1.0, (0, 3): 2.0, (1, 2): 3.0, (2, 5): 4.0, (3, 4): 5.0}
+        cg.merge([_packed_report(dict.fromkeys(range(n), 1.0), edges, n)])
+        first = check(cg)
+        # same key set, new weights: the structure arrays are shared
+        cg.merge([_packed_report({1: 2.0}, {(0, 3): 7.0, (2, 5): 1.0}, n)])
+        second = check(cg)
+        assert second.adjncy is first.adjncy and second.xadj is first.xadj
+        assert second.ewts.sum() != first.ewts.sum()
+        # ownership hand-off: tombstone and fresh value in one batch
+        cg.merge(
+            [
+                _packed_report({}, {}, n, v_dead=[3], e_dead=[(3, 4)]),
+                _packed_report({3: 9.0}, {(3, 4): 6.0}, n),
+            ]
+        )
+        assert check(cg).adjncy is first.adjncy
+        # a tombstone nobody answers removes the edge: structure re-derived
+        cg.merge([_packed_report({}, {}, n, e_dead=[(1, 2)])])
+        shrunk = check(cg)
+        assert shrunk.n_edges == first.n_edges - 1
+        # and the removed edge coming back re-derives it again
+        cg.merge([_packed_report({}, {(1, 2): 3.0}, n)])
+        assert np.array_equal(check(cg).adjncy, first.adjncy)
 
     def test_coarsen_heavy_audited_run_keeps_graph_exact(self):
         """End-to-end: a refine-then-coarsen ladder with migrations keeps

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.pared import weights as W
 from repro.pared.weights import (
+    diff_weight_report,
     edge_keys,
     empty_report,
+    in_sorted,
     keep_last,
     merge_fresh_values,
     split_edge_keys,
@@ -116,6 +118,63 @@ class TestMergeFreshValues:
         )
         assert k.tolist() == [7]
         assert v.tolist() == [3.0]
+
+
+_SORTED_IDS = st.lists(st.integers(0, 60), unique=True, max_size=25).map(
+    lambda ids: np.array(sorted(ids), dtype=I)
+)
+
+
+class TestSortedMembership:
+    """The ``searchsorted`` membership behind the P2 diff and the
+    coordinator's merge, against ``np.isin``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(haystack=_SORTED_IDS, ids=st.lists(st.integers(-5, 70), max_size=25))
+    def test_matches_isin(self, haystack, ids):
+        ids = np.array(ids, dtype=I)  # any order, repeats allowed
+        assert np.array_equal(in_sorted(haystack, ids), np.isin(ids, haystack))
+
+    @settings(max_examples=100, deadline=None)
+    @given(prev=_SORTED_IDS, ids=_SORTED_IDS)
+    def test_tombstones_are_the_set_difference(self, prev, ids):
+        gone = W._gone(prev, ids)
+        assert gone.dtype == I
+        assert np.array_equal(gone, np.setdiff1d(prev, ids))
+
+    @staticmethod
+    def _report(v_ids, e_keys):
+        return {
+            **empty_report(),
+            "v_ids": np.array(v_ids, dtype=I),
+            "v_wts": np.ones(len(v_ids)),
+            "e_keys": np.array(e_keys, dtype=I),
+            "e_wts": np.ones(len(e_keys)),
+        }
+
+    def test_diff_with_empty_current_report_tombstones_everything(self):
+        prev = self._report([1, 4], [14, 41])
+        delta = diff_weight_report(self._report([], []), prev)
+        assert delta["v_ids"].size == delta["e_keys"].size == 0
+        assert delta["v_dead"].tolist() == [1, 4]
+        assert delta["e_dead"].tolist() == [14, 41]
+
+    def test_diff_against_empty_previous_report_sends_everything(self):
+        full = self._report([1, 4], [14, 41])
+        delta = diff_weight_report(full, self._report([], []))
+        assert delta["v_ids"].tolist() == [1, 4]
+        assert delta["e_keys"].tolist() == [14, 41]
+        assert delta["v_dead"].size == delta["e_dead"].size == 0
+        assert delta["v_dead"].dtype == delta["e_dead"].dtype == I
+
+    def test_diff_with_disjoint_reports_all_gone_all_new(self):
+        delta = diff_weight_report(
+            self._report([2, 3], [23]), self._report([0, 1], [1, 10])
+        )
+        assert delta["v_ids"].tolist() == [2, 3]
+        assert delta["v_dead"].tolist() == [0, 1]
+        assert delta["e_keys"].tolist() == [23]
+        assert delta["e_dead"].tolist() == [1, 10]
 
 
 class TestEdgeKeyPacking:
