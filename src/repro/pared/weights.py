@@ -25,21 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.partition.distributed import edge_keys, split_edge_keys
+
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
-
-
-def edge_keys(a, b, n_roots: int) -> np.ndarray:
-    """Pack edge endpoint arrays (``a < b`` elementwise) into scalar keys."""
-    return np.asarray(a, dtype=np.int64) * np.int64(n_roots) + np.asarray(
-        b, dtype=np.int64
-    )
-
-
-def split_edge_keys(keys, n_roots: int):
-    """Inverse of :func:`edge_keys`: ``(a, b)`` endpoint arrays."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return keys // n_roots, keys % n_roots
 
 
 def empty_report() -> dict:

@@ -109,8 +109,8 @@ REDUCE_TAG = 48
 
 def edge_keys(a, b, n_roots: int) -> np.ndarray:
     """Pack edge endpoint arrays (``a < b`` elementwise) into scalar keys —
-    the packing rule of :mod:`repro.pared.weights` (kept local so the
-    partition layer stays importable without the pared package)."""
+    the one packing rule of the weight reports (:mod:`repro.pared.weights`
+    re-exports it) and of the halo views here."""
     return np.asarray(a, dtype=np.int64) * np.int64(n_roots) + np.asarray(
         b, dtype=np.int64
     )

@@ -235,13 +235,22 @@ def make_repartitioner(name: str, pnr=None, curve: str = "morton",
 
     ``pnr`` (a :class:`repro.core.pnr.PNR` parameter object) supplies
     α/β/seed/balance_tol to the graph-based strategies; ``curve``/``bits``
-    configure ``sfc``.
+    configure ``sfc``.  Its ablation switches are honoured only by the
+    mesh-level :meth:`PNR.repartition <repro.core.pnr.PNR.repartition>`:
+    a non-default one raises here rather than being silently dropped.
     """
     if name not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {name!r} "
             f"(expected one of {available_partitioners()})"
         )
+    for field, default in (("repartition_coarsest", False),
+                           ("constrain_matching", True)):
+        if getattr(pnr, field, default) != default:
+            raise ValueError(
+                f"PNR.{field}={getattr(pnr, field)!r} is not supported by "
+                "registry strategies; call PNR.repartition on the mesh"
+            )
     alpha = getattr(pnr, "alpha", 0.1)
     beta = getattr(pnr, "beta", 0.8)
     seed = getattr(pnr, "seed", 0)

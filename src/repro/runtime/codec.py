@@ -44,16 +44,15 @@ its destination (the shm ring) skips the join copy entirely.
 ``b"".join(encode_parts(obj)) == encode(obj)`` always, so the ledger rule
 (record ``sum(part sizes)``) accounts identically on every backend.
 
-:func:`decode_view` is the matching receive side: given a *read-only
-memoryview* of a frame (a ring slot), arrays of at least
-:data:`ZERO_COPY_MIN` bytes decode as **read-only views into the frame
-memory** — no copy.  The view pins its frame (the ring cannot recycle the
-slot while any view is alive; see :mod:`repro.runtime.shm`), which is what
-makes handing out views safe.  Receivers that need to mutate — or to keep
-an array past the communication epoch — take a private copy via
-:func:`materialize` (or plain ``np.array(x)``).  Small arrays are copied
-at decode time exactly like :func:`decode`, since a copy is cheaper than
-pinning a slot for them.
+:func:`decode_view` is the matching receive side, and the same decoder
+as :func:`decode` with one switch thrown: given a *read-only memoryview*
+of a frame (a ring slot), arrays of at least :data:`ZERO_COPY_MIN` bytes
+come back as **read-only views into the frame memory** instead of copies
+(smaller ones are cheaper to copy than to pin).  A view pins its frame —
+the ring cannot recycle the slot while any view is alive; see
+:mod:`repro.runtime.shm` — which is what makes handing out views safe.
+Receivers that need to mutate, or to keep an array past the communication
+epoch, take a private copy via :func:`materialize` (or ``np.array(x)``).
 """
 
 from __future__ import annotations
@@ -201,7 +200,11 @@ def parts_nbytes(parts) -> int:
     return sum(p.nbytes if isinstance(p, memoryview) else len(p) for p in parts)
 
 
-def _decode_node(buf: bytes, pos: int):
+def _decode_node(buf, pos: int, on_view, zero_copy: bool):
+    """Decode the node at ``buf[pos]`` -> ``(object, next pos)``.  ``buf``
+    is ``bytes`` or a memoryview; with ``zero_copy`` arrays of at least
+    :data:`ZERO_COPY_MIN` bytes come back as read-only views into ``buf``
+    (each reported to ``on_view``), everything else is copied out."""
     tag = buf[pos]
     pos += 1
     if tag == _NONE:
@@ -217,17 +220,17 @@ def _decode_node(buf: bytes, pos: int):
     if tag == _STR:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
-        return buf[pos : pos + n].decode("utf-8"), pos + n
+        return str(buf[pos : pos + n], "utf-8"), pos + n
     if tag == _BYTES:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
-        return buf[pos : pos + n], pos + n
+        return bytes(buf[pos : pos + n]), pos + n
     if tag == _LIST or tag == _TUPLE:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
         items = []
         for _ in range(n):
-            item, pos = _decode_node(buf, pos)
+            item, pos = _decode_node(buf, pos, on_view, zero_copy)
             items.append(item)
         return (items if tag == _LIST else tuple(items)), pos
     if tag == _DICT:
@@ -235,14 +238,14 @@ def _decode_node(buf: bytes, pos: int):
         pos += 4
         d = {}
         for _ in range(n):
-            k, pos = _decode_node(buf, pos)
-            v, pos = _decode_node(buf, pos)
+            k, pos = _decode_node(buf, pos, on_view, zero_copy)
+            v, pos = _decode_node(buf, pos, on_view, zero_copy)
             d[k] = v
         return d, pos
     if tag == _ARRAY:
         dlen = buf[pos]
         pos += 1
-        dtype = np.dtype(buf[pos : pos + dlen].decode("ascii"))
+        dtype = np.dtype(str(buf[pos : pos + dlen], "ascii"))
         pos += dlen
         ndim = buf[pos]
         pos += 1
@@ -255,8 +258,19 @@ def _decode_node(buf: bytes, pos: int):
             count *= s
         nbytes = count * dtype.itemsize
         arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        # copy out of the frame: receivers own (and may mutate) their data
-        return arr.reshape(shape).copy(), pos + nbytes
+        if zero_copy and nbytes >= ZERO_COPY_MIN:
+            # the array aliases the frame memory and pins it (its .base
+            # chain holds the frame view); read-only so the alias can
+            # never corrupt the wire
+            arr = arr.reshape(shape)
+            arr.flags.writeable = False
+            if on_view is not None:
+                on_view(arr)
+        else:
+            # copy out of the frame: receivers own (and may mutate) their
+            # data — for a small array that is also cheaper than a pin
+            arr = arr.reshape(shape).copy()
+        return arr, pos + nbytes
     if tag == _INTLIST:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
@@ -269,12 +283,10 @@ def _decode_node(buf: bytes, pos: int):
     raise ValueError(f"corrupt typed frame: unknown tag 0x{tag:02x} at {pos - 1}")
 
 
-def decode(frame: bytes):
-    """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
-    is decoded as a legacy whole-message pickle."""
-    if not frame or frame[0] != MAGIC:
-        return pickle.loads(frame)
-    obj, pos = _decode_node(frame, 1)
+def _decode_frame(frame, on_view, zero_copy: bool):
+    if len(frame) == 0 or frame[0] != MAGIC:
+        return pickle.loads(frame)  # legacy whole-message pickle
+    obj, pos = _decode_node(frame, 1, on_view, zero_copy)
     if pos != len(frame):
         raise ValueError(
             f"corrupt typed frame: {len(frame) - pos} trailing bytes"
@@ -282,85 +294,10 @@ def decode(frame: bytes):
     return obj
 
 
-def _decode_node_view(buf, pos: int, on_view=None):
-    """Like :func:`_decode_node` over a memoryview, but large arrays come
-    back as read-only views into ``buf`` instead of copies."""
-    tag = buf[pos]
-    pos += 1
-    if tag == _NONE:
-        return None, pos
-    if tag == _TRUE:
-        return True, pos
-    if tag == _FALSE:
-        return False, pos
-    if tag == _INT:
-        return _i64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _FLOAT:
-        return _f64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _STR:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return bytes(buf[pos : pos + n]).decode("utf-8"), pos + n
-    if tag == _BYTES:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return bytes(buf[pos : pos + n]), pos + n
-    if tag == _LIST or tag == _TUPLE:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        items = []
-        for _ in range(n):
-            item, pos = _decode_node_view(buf, pos, on_view)
-            items.append(item)
-        return (items if tag == _LIST else tuple(items)), pos
-    if tag == _DICT:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        d = {}
-        for _ in range(n):
-            k, pos = _decode_node_view(buf, pos, on_view)
-            v, pos = _decode_node_view(buf, pos, on_view)
-            d[k] = v
-        return d, pos
-    if tag == _ARRAY:
-        dlen = buf[pos]
-        pos += 1
-        dtype = np.dtype(bytes(buf[pos : pos + dlen]).decode("ascii"))
-        pos += dlen
-        ndim = buf[pos]
-        pos += 1
-        shape = tuple(
-            _i64.unpack_from(buf, pos + 8 * i)[0] for i in range(ndim)
-        )
-        pos += 8 * ndim
-        count = 1
-        for s in shape:
-            count *= s
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        if nbytes >= ZERO_COPY_MIN:
-            # zero-copy: the array aliases the frame memory and pins it
-            # (its .base chain holds the frame view); read-only so the
-            # alias can never corrupt the wire
-            arr = arr.reshape(shape)
-            arr.flags.writeable = False
-            if on_view is not None:
-                on_view(arr)
-        else:
-            # small array: a copy is cheaper than pinning the slot, and
-            # matches decode()'s receivers-own-their-memory contract
-            arr = arr.reshape(shape).copy()
-        return arr, pos + nbytes
-    if tag == _INTLIST:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        arr = np.frombuffer(buf, dtype=np.int64, count=n, offset=pos)
-        return arr.tolist(), pos + 8 * n
-    if tag == _PICKLE:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return pickle.loads(bytes(buf[pos : pos + n])), pos + n
-    raise ValueError(f"corrupt typed frame: unknown tag 0x{tag:02x} at {pos - 1}")
+def decode(frame: bytes):
+    """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
+    is decoded as a legacy whole-message pickle."""
+    return _decode_frame(frame, None, False)
 
 
 def decode_view(frame, on_view=None):
@@ -370,20 +307,13 @@ def decode_view(frame, on_view=None):
     ``decode_view(mv)`` equals :func:`decode` ``(bytes(mv))`` value-wise for
     every frame, including legacy plain-pickle frames; only the memory
     ownership of large arrays differs (views alias — and pin — the frame
-    buffer instead of owning a copy).  Pass a *read-only* memoryview so
-    the views come out read-only; a ``bytes`` frame simply delegates to
-    :func:`decode`.
+    buffer instead of owning a copy, and each is passed to ``on_view``).
+    Pass a *read-only* memoryview so the views come out read-only; a
+    ``bytes`` frame simply delegates to :func:`decode`.
     """
     if isinstance(frame, (bytes, bytearray)):
         return decode(bytes(frame))
-    if len(frame) == 0 or frame[0] != MAGIC:
-        return pickle.loads(bytes(frame))
-    obj, pos = _decode_node_view(frame, 1, on_view)
-    if pos != len(frame):
-        raise ValueError(
-            f"corrupt typed frame: {len(frame) - pos} trailing bytes"
-        )
-    return obj
+    return _decode_frame(frame, on_view, True)
 
 
 def materialize(obj):

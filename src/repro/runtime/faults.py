@@ -23,11 +23,17 @@ from its own channels, the set of injected faults is a pure function of the
 plan — independent of thread scheduling — so every failing schedule can be
 replayed from its seed.
 
-When a plan is active, messages travel in *envelopes* ``(tag, seq,
-not_before, payload)`` and the receiving side resequences by ``seq``,
-drops duplicates, and honours ``not_before`` (the injected network latency).
-With ``plan=None`` the runtime uses its original wire format and code path
-untouched — fault injection is strictly zero-overhead when disabled.
+Injection is a *decorator over the transport seam*
+(:class:`FaultyTransport`, the four operations of
+:mod:`repro.runtime.transport`): ``spmd_run`` wraps each rank's transport
+in one iff a plan is present.  Its ``push_parts`` prepends a fixed ``(seq,
+not_before)`` header part to the frame and pushes it once or twice through
+the wrapped transport; its ``pull`` strips the header, resequences by
+``seq``, drops duplicates and honours ``not_before`` (the injected network
+latency) before handing ``(tag, payload)`` up.  It touches nothing but the
+seam, and :class:`~repro.runtime.simmpi.SimComm` nothing of it: with
+``plan=None`` no decorator is constructed and the wire format is the
+original — fault injection is strictly zero-overhead when disabled.
 
 Every injected event is appended to a shared :class:`FaultLog` so tests can
 assert that a plan actually perturbed the wire (a chaos run that injected
@@ -37,13 +43,19 @@ nothing proves nothing).
 from __future__ import annotations
 
 import random
+import struct
 import threading
+import time
 from dataclasses import dataclass
 
 #: seconds a "reordered" message is held — long enough for the receiver's
 #: 50 ms poll to observe the inversion, short enough never to trip a
 #: default timeout
 _REORDER_HOLD = 0.12
+
+#: the header part a :class:`FaultyTransport` prepends to every frame:
+#: channel sequence number (int64) + monotonic ``not_before`` (float64)
+_ENVELOPE = struct.Struct("<qd")
 
 
 class SimRankCrashed(RuntimeError):
@@ -158,6 +170,103 @@ class FaultLog:
             return len(self.events)
 
 
+class FaultyTransport:
+    """The plan's wire perturbations, as a decorator over the 4-op seam.
+
+    ``inner`` is any transport; ``log`` the run's :class:`FaultLog`.
+    Physical frames (what ``inner`` pushes, duplicates and the 16-byte
+    header included) are the wrapped transport's to count; the *logical*
+    message is recorded exactly once, above the seam.
+    """
+
+    def __init__(self, inner, plan: FaultPlan, log: FaultLog, rank: int):
+        self._inner = inner
+        self._plan = plan
+        self._log = log
+        self._rank = rank
+        self._out_seq = {}  # dst -> next sequence number to send
+        self._rng = {}  # dst -> per-channel decision stream
+        self._next_seq = {}  # src -> next sequence number to deliver
+        self._held = {}  # src -> {seq: (tag, not_before, payload)}
+        self.aborted = inner.aborted
+        self.barrier = inner.barrier
+
+    def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
+        plan, log = self._plan, self._log
+        seq = self._out_seq.get(dest, 0)
+        self._out_seq[dest] = seq + 1
+        rng = self._rng.get(dest)
+        if rng is None:
+            rng = self._rng[dest] = plan.channel_rng(self._rank, dest)
+        # one draw per knob, always, so decision streams stay aligned
+        # across plans that differ only in rates
+        u_dup, u_reorder, u_delay = rng.random(), rng.random(), rng.random()
+        not_before = 0.0
+        if plan.delay_rate and u_delay < plan.delay_rate:
+            not_before = time.monotonic() + plan.delay
+            log.record("delay", self._rank, dest, seq)
+        elif plan.reorder_rate and u_reorder < plan.reorder_rate:
+            # held just long enough for the channel's next message to
+            # overtake it on the wire
+            not_before = time.monotonic() + _REORDER_HOLD
+            log.record("reorder", self._rank, dest, seq)
+        framed = [_ENVELOPE.pack(seq, not_before), *parts]
+        total += _ENVELOPE.size
+        self._inner.push_parts(dest, tag, framed, total)
+        if plan.duplicate_rate and u_dup < plan.duplicate_rate:
+            self._inner.push_parts(dest, tag, framed, total)
+            log.record("duplicate", self._rank, dest, seq)
+
+    def pull(self, source: int, slice_s: float):
+        """The next in-sequence ``(tag, payload)`` whose injected latency
+        has elapsed.  An empty inner wire raises ``TransportEmpty`` straight
+        through — the caller owns the deadline and simply pulls again."""
+        held = self._held.setdefault(source, {})
+        deadline = time.monotonic() + slice_s
+        while True:
+            nxt = self._next_seq.get(source, 0)
+            entry = held.get(nxt)
+            now = time.monotonic()
+            wake = deadline
+            if entry is not None:
+                tag, due, payload = entry
+                if due <= now:
+                    del held[nxt]
+                    self._next_seq[source] = nxt + 1
+                    return tag, payload
+                wake = min(deadline, due)
+            tag, frame = self._inner.pull(source, max(wake - now, 0.0))
+            seq, not_before = _ENVELOPE.unpack_from(frame)
+            if seq >= nxt and seq not in held:  # else a duplicate: drop
+                held[seq] = (tag, not_before, frame[_ENVELOPE.size :])
+
+
+def patient_recv(attempt, rank, source, tag, timeout, retries, backoff, log):
+    """The one retry schedule: call ``attempt(timeout)`` up to ``retries +
+    1`` times, multiplying the per-attempt timeout by ``backoff`` and
+    logging a ``retry`` event after each :class:`TimeoutError`; when the
+    budget is spent raise :class:`FaultToleranceExhausted` naming the full
+    attempt schedule.  ``timeout=None`` means the runtime default patience
+    per attempt."""
+    attempt_timeout = timeout
+    for i in range(retries + 1):
+        try:
+            return attempt(attempt_timeout)
+        except FaultToleranceExhausted:
+            raise  # the attempt already ran a schedule of its own
+        except TimeoutError:
+            if i == retries:
+                raise FaultToleranceExhausted(
+                    f"rank {rank} gave up receiving from rank {source} "
+                    f"tag {tag} after {retries + 1} attempts "
+                    f"(attempt timeouts: {attempt_schedule(timeout, retries, backoff)})"
+                )
+            if log is not None:
+                log.record("retry", rank, source, attempt=i)
+            if attempt_timeout is not None:
+                attempt_timeout *= backoff
+
+
 def recv_with_retry(
     comm,
     source: int,
@@ -175,36 +284,21 @@ def recv_with_retry(
     gather, P3 tree payloads) survive injected delivery delays by retrying
     instead of dying on the first timeout.
 
-    Raises :class:`FaultToleranceExhausted` when the budget is spent.
+    Raises :class:`FaultToleranceExhausted` when the budget is spent —
+    even a budget of zero retries, unlike a bare ``comm.recv()``, whose
+    unretried timeout stays a plain ``SimMPITimeout``.
     """
     plan = getattr(comm, "fault_plan", None)
-    log = getattr(comm, "fault_log", None)
     if timeout is None:
         timeout = plan.recv_timeout if plan is not None else None
     if retries is None:
         retries = plan.max_retries if plan is not None else 0
     if backoff is None:
         backoff = plan.backoff if plan is not None else 2.0
-    kwargs = {} if timeout is None else {"timeout": timeout}
-    attempt_timeout = timeout
-    for attempt in range(retries + 1):
-        try:
-            return comm.recv(source, tag, **kwargs)
-        except FaultToleranceExhausted:
-            raise  # comm.recv already ran its own retry schedule
-        except TimeoutError:
-            if attempt == retries:
-                raise FaultToleranceExhausted(
-                    f"rank {comm.rank} gave up receiving from rank {source} "
-                    f"tag {tag} after {retries + 1} attempts "
-                    f"(attempt timeouts: {attempt_schedule(timeout, retries, backoff)})"
-                )
-            if log is not None:
-                log.record("retry", comm.rank, source, attempt=attempt)
-            if attempt_timeout is not None:
-                attempt_timeout *= backoff
-                kwargs = {"timeout": attempt_timeout}
-    raise AssertionError("unreachable")
+    return patient_recv(
+        lambda t: comm.recv(source, tag, timeout=t), comm.rank, source, tag,
+        timeout, retries, backoff, getattr(comm, "fault_log", None),
+    )
 
 
 def attempt_schedule(timeout, retries: int, backoff: float) -> str:

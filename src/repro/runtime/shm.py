@@ -477,9 +477,6 @@ class ShmTransport:
             data = data[sent:]
         return True
 
-    def push(self, dest, tag, payload) -> None:
-        self.push_parts(dest, tag, (payload,), len(payload))
-
     def push_parts(self, dest, tag, parts, total) -> None:
         """Scatter-gather send: write the codec parts straight into the
         destination ring, or spill the joined frame to the socket."""

@@ -33,8 +33,12 @@ ranks; their pending ``recv`` calls raise :class:`SimMPIAborted`.
 Fault injection: ``spmd_run(..., faults=FaultPlan(...))`` perturbs the wire
 (reorder, delay, duplication, rank crash) while the communicator keeps its
 exactly-once in-order delivery guarantee — see :mod:`repro.runtime.faults`.
-With ``faults=None`` (the default) every code path below is byte-for-byte
-the original: fault support costs nothing when disabled.
+The perturbation is a decorator over the transport seam
+(:class:`~repro.runtime.faults.FaultyTransport`); ``SimComm`` keeps only
+the plan's semantics — the crash clock, ticking once per ``send`` /
+``recv`` / ``barrier`` call, and the receive patience.  There is one
+message path either way: with ``faults=None`` (the default) no decorator
+is constructed, so fault support costs nothing when disabled.
 
 Crash survival: ``spmd_run(..., recover=True)`` converts a rank dying of
 :class:`SimRankCrashed` or :class:`FaultToleranceExhausted` into a
@@ -58,7 +62,6 @@ from time import perf_counter
 from repro.perf import PERF
 from repro.runtime.codec import (
     decode as _decode,
-    encode as _encode,
     encode_parts as _encode_parts,
     parts_nbytes as _parts_nbytes,
 )
@@ -66,9 +69,9 @@ from repro.runtime.faults import (
     FaultLog,
     FaultPlan,
     FaultToleranceExhausted,
+    FaultyTransport,
     SimRankCrashed,
-    _REORDER_HOLD,
-    attempt_schedule,
+    patient_recv,
 )
 from repro.runtime.recovery import MembershipChange, PeerCrashed
 from repro.runtime.stats import TrafficStats
@@ -79,6 +82,7 @@ from repro.runtime.transport import (  # noqa: F401  (re-exported API)
     SimRankDied,
     ThreadTransport,
     TransportEmpty,
+    finish_spmd_run,
     resolve_backend,
 )
 
@@ -219,31 +223,20 @@ class Request:
 class SimComm:
     """Per-rank communicator handle."""
 
-    def __init__(self, shared: _Shared, rank: int, transport=None):
+    def __init__(self, shared: _Shared, rank: int, transport):
         self._shared = shared
         self.rank = rank
         self.size = shared.size
-        # the wire itself is pluggable (see repro.runtime.transport); the
-        # threaded queue wire remains the default and the only transport
-        # the fault-injection and recovery paths below run on
-        self._transport = (
-            transport if transport is not None else ThreadTransport(shared, rank)
-        )
-        # scatter-gather send capability (the shm ring writes payload
-        # parts straight into shared memory, skipping the big join)
-        self._push_parts = getattr(self._transport, "push_parts", None)
+        # the wire itself: the four operations of repro.runtime.transport
+        self._transport = transport
         self.phase = "default"
         # out-of-order tag buffer per source
         self._stash = {}
         self._recover = shared.recover
         self._ack_epoch = 0
         self._faults = shared.faults
-        if self._faults is not None:
-            self._ops = 0  # communication-op counter for crash-at-op
-            self._out_seq = {}  # dst -> next sequence number to send
-            self._rng = {}  # dst -> per-channel decision stream
-            self._next_seq = {}  # src -> next sequence number to deliver
-            self._reseq = {}  # src -> {seq: (tag, not_before, payload)}
+        # the plan's crash clock: communication ops so far (-1: no plan)
+        self._ops = 0 if self._faults is not None else -1
 
     @property
     def fault_plan(self) -> FaultPlan:
@@ -325,28 +318,17 @@ class SimComm:
             # connection the transport already tore down
             return 0
         if self._faults is not None:
-            return self._send_faulty(obj, dest, tag)
-        if self._push_parts is not None:
-            # scatter-gather path: the ledger records the exact frame
-            # length (the parts concatenate to the very bytes ``encode``
-            # would produce), so accounting parity across backends holds
-            tick = perf_counter()
-            parts = _encode_parts(obj)
-            n = _parts_nbytes(parts)
-            PERF.add("codec.encode." + self.phase, perf_counter() - tick)
-            self._shared.stats.record(self.rank, dest, n, self.phase)
-            self._push_parts(dest, tag, parts, n)
-            return n
-        payload = self._encode_timed(obj)
-        self._shared.stats.record(self.rank, dest, len(payload), self.phase)
-        self._transport.push(dest, tag, payload)
-        return len(payload)
-
-    def _encode_timed(self, obj) -> bytes:
+            self._count_op()
+        # the ledger records the *logical* message exactly once, at its
+        # exact frame length (the parts concatenate to the very bytes
+        # ``encode`` would produce) — whatever the wire below does with it
         tick = perf_counter()
-        payload = _encode(obj)
+        parts = _encode_parts(obj)
+        n = _parts_nbytes(parts)
         PERF.add("codec.encode." + self.phase, perf_counter() - tick)
-        return payload
+        self._shared.stats.record(self.rank, dest, n, self.phase)
+        self._transport.push_parts(dest, tag, parts, n)
+        return n
 
     def _decode_timed(self, payload):
         tick = perf_counter()
@@ -357,46 +339,8 @@ class SimComm:
         PERF.add("codec.decode." + self.phase, perf_counter() - tick)
         return obj
 
-    def recv(self, source: int, tag: int = 0, timeout: float = None):
-        """Blocking receive of the next message from ``source`` with ``tag``
-        (out-of-order tags are stashed)."""
-        if not (0 <= source < self.size):
-            raise ValueError(f"invalid source {source}")
-        if self._faults is not None:
-            return self._recv_faulty(source, tag, timeout)
-        if timeout is None:
-            timeout = _DEFAULT_TIMEOUT
-        stash = self._stash.setdefault(source, {})
-        if tag in stash and stash[tag]:
-            return self._decode_timed(stash[tag].pop(0))
-        tick = perf_counter()
-        while True:
-            if self._transport.aborted():
-                raise SimMPIAborted("run aborted")
-            try:
-                got_tag, payload = self._transport.pull(source, 0.05)
-            except TransportEmpty:
-                # only raise PeerCrashed when actually stuck: available
-                # messages are always drained first, so ranks whose answer
-                # already arrived make progress through a membership change
-                self._membership_check()
-                timeout -= 0.05
-                if timeout <= 0:
-                    raise SimMPITimeout(
-                        f"rank {self.rank} timed out receiving from {source} tag {tag}"
-                    )
-                continue
-            if got_tag == tag:
-                PERF.add("simmpi.wait." + self.phase, perf_counter() - tick)
-                return self._decode_timed(payload)
-            stash.setdefault(got_tag, []).append(payload)
-
-    # ------------------------------------------------------------------ #
-    # fault-injected wire (active only under a FaultPlan)
-    # ------------------------------------------------------------------ #
-
     def _count_op(self) -> None:
-        """Advance the crash clock; dies when the plan says so."""
+        """Advance the plan's crash clock; dies when the plan says so."""
         plan = self._faults
         self._ops += 1
         if plan.crash_rank == self.rank and self._ops >= plan.crash_at_op:
@@ -406,120 +350,65 @@ class SimComm:
                 f"communication op {self._ops}"
             )
 
-    def _send_faulty(self, obj, dest: int, tag: int) -> int:
-        """Envelope the message and apply the plan's wire perturbations.
+    def recv(self, source: int, tag: int = 0, timeout: float = None):
+        """Blocking receive of the next message from ``source`` with ``tag``
+        (out-of-order tags are stashed).
 
-        Traffic statistics record the *logical* message exactly once —
-        duplicates and delays are wire artifacts, visible in the fault log
-        but not in the algorithm's communication accounting.
-        """
+        Under a :class:`FaultPlan`, a receive with no explicit ``timeout``
+        has the plan's patience: ``recv_timeout`` per attempt, and with
+        ``max_retries`` the retry/backoff schedule that ends in
+        :class:`FaultToleranceExhausted` (a documented error, never a
+        hang).  An explicit ``timeout`` is one attempt — the caller manages
+        its own retries (:func:`repro.runtime.faults.recv_with_retry`)."""
+        if not (0 <= source < self.size):
+            raise ValueError(f"invalid source {source}")
         plan = self._faults
-        self._count_op()
-        payload = self._encode_timed(obj)
-        self._shared.stats.record(self.rank, dest, len(payload), self.phase)
-        seq = self._out_seq.get(dest, 0)
-        self._out_seq[dest] = seq + 1
-        rng = self._rng.get(dest)
-        if rng is None:
-            rng = self._rng[dest] = plan.channel_rng(self.rank, dest)
-        # one draw per knob, always, so decision streams stay aligned
-        # across plans that differ only in rates
-        u_dup, u_reorder, u_delay = rng.random(), rng.random(), rng.random()
-        log = self._shared.fault_log
-        not_before = 0.0
-        if plan.delay_rate and u_delay < plan.delay_rate:
-            not_before = time.monotonic() + plan.delay
-            log.record("delay", self.rank, dest, seq)
-        elif plan.reorder_rate and u_reorder < plan.reorder_rate:
-            # held just long enough for the channel's next message to
-            # overtake it on the wire
-            not_before = time.monotonic() + _REORDER_HOLD
-            log.record("reorder", self.rank, dest, seq)
-        q = self._shared.queues[(self.rank, dest)]
-        envelope = (tag, seq, not_before, payload)
-        q.put(envelope)
-        if plan.duplicate_rate and u_dup < plan.duplicate_rate:
-            q.put(envelope)
-            log.record("duplicate", self.rank, dest, seq)
-        return len(payload)
-
-    def _recv_faulty(self, source: int, tag: int, timeout):
-        """Resequencing receive: dedupes, restores per-channel order, and
-        honours injected latency.
-
-        When the caller passes no explicit ``timeout``, patience is the
-        plan's ``recv_timeout`` per attempt with ``max_retries`` retries and
-        exponential backoff; exhaustion raises
-        :class:`FaultToleranceExhausted` (a documented error, never a hang).
-        An explicit ``timeout`` means the caller manages its own retries
-        (see :func:`repro.runtime.faults.recv_with_retry`).
-        """
-        plan = self._faults
-        self._count_op()
-        if timeout is not None:
-            return self._recv_attempt(source, tag, timeout)
-        base_timeout = (
-            plan.recv_timeout if plan.recv_timeout is not None else _DEFAULT_TIMEOUT
+        patient = False
+        if plan is not None:
+            self._count_op()
+            if timeout is None:
+                timeout, patient = plan.recv_timeout, plan.max_retries > 0
+        if timeout is None:
+            timeout = _DEFAULT_TIMEOUT
+        if not patient:
+            return self._recv_within(source, tag, timeout)
+        return patient_recv(
+            lambda t: self._recv_within(source, tag, t),
+            self.rank, source, tag, timeout,
+            plan.max_retries, plan.backoff, self._shared.fault_log,
         )
-        attempt_timeout = base_timeout
-        for attempt in range(plan.max_retries + 1):
-            try:
-                return self._recv_attempt(source, tag, attempt_timeout)
-            except TimeoutError:
-                if attempt == plan.max_retries:
-                    if plan.max_retries:
-                        raise FaultToleranceExhausted(
-                            f"rank {self.rank} gave up receiving from rank "
-                            f"{source} tag {tag} after {plan.max_retries + 1} "
-                            f"attempts (attempt timeouts: "
-                            f"{attempt_schedule(base_timeout, plan.max_retries, plan.backoff)})"
-                        )
-                    raise
-                self._shared.fault_log.record(
-                    "retry", self.rank, source, attempt=attempt
-                )
-                attempt_timeout *= plan.backoff
 
-    def _recv_attempt(self, source: int, tag: int, timeout: float):
-        """One bounded attempt at delivering the next in-order message."""
+    def _recv_within(self, source: int, tag: int, timeout: float):
+        """The receive loop: pull until ``tag`` arrives or ``timeout``
+        seconds from now have passed, stashing every other tag."""
         stash = self._stash.setdefault(source, {})
-        if tag in stash and stash[tag]:
+        if stash.get(tag):
             return self._decode_timed(stash[tag].pop(0))
-        buf = self._reseq.setdefault(source, {})
-        q = self._shared.queues[(source, self.rank)]
-        remaining = timeout
         tick = perf_counter()
+        remaining = max(timeout, 0.0)
+        deadline = time.monotonic() + remaining
         while True:
-            if self._shared.abort.is_set():
+            if self._transport.aborted():
                 raise SimMPIAborted("run aborted")
-            # deliver the next in-sequence envelope once its injected
-            # latency has elapsed
-            nxt = self._next_seq.get(source, 0)
-            entry = buf.get(nxt)
-            if entry is not None and entry[1] <= time.monotonic():
-                del buf[nxt]
-                self._next_seq[source] = nxt + 1
-                got_tag, _, payload = entry
+            try:
+                got_tag, payload = self._transport.pull(
+                    source, min(0.05, remaining)
+                )
+            except TransportEmpty:
+                # only raise PeerCrashed when actually stuck: available
+                # messages are always drained first, so ranks whose answer
+                # already arrived make progress through a membership change
+                self._membership_check()
+            else:
                 if got_tag == tag:
                     PERF.add("simmpi.wait." + self.phase, perf_counter() - tick)
                     return self._decode_timed(payload)
                 stash.setdefault(got_tag, []).append(payload)
-                continue
-            try:
-                got_tag, seq, not_before, payload = q.get(timeout=0.05)
-            except queue.Empty:
-                # stuck, not just slow: surface a membership change before
-                # burning the rest of the attempt budget on a dead peer
-                self._membership_check()
-                remaining -= 0.05
-                if remaining <= 0:
-                    raise SimMPITimeout(
-                        f"rank {self.rank} timed out receiving from {source} tag {tag}"
-                    )
-                continue
-            if seq < self._next_seq.get(source, 0) or seq in buf:
-                continue  # duplicate delivery — drop
-            buf[seq] = (got_tag, not_before, payload)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise SimMPITimeout(
+                    f"rank {self.rank} timed out receiving from {source} tag {tag}"
+                )
 
     def isend(self, obj, dest: int, tag: int = 0) -> "Request":
         """Nonblocking send.  The simulated send buffers immediately, so the
@@ -538,17 +427,10 @@ class SimComm:
 
     def bcast(self, obj, root: int = 0, tag: int = -1, ranks=None):
         """Broadcast from ``root``.  ``ranks`` restricts the collective to a
-        subgroup (e.g. the live ranks after a crash); ``None`` keeps the
-        original full-communicator behaviour unchanged."""
-        if ranks is None:
-            if self.rank == root:
-                for dst in range(self.size):
-                    if dst != root:
-                        self.send(obj, dst, tag)
-                return obj
-            return self.recv(root, tag)
+        subgroup (e.g. the live ranks after a crash); ``None`` is the full
+        communicator."""
         if self.rank == root:
-            for dst in ranks:
+            for dst in range(self.size) if ranks is None else ranks:
                 if dst != root:
                     self.send(obj, dst, tag)
             return obj
@@ -557,19 +439,10 @@ class SimComm:
     def gather(self, obj, root: int = 0, tag: int = -2, ranks=None):
         """Gather to ``root``.  With ``ranks`` the result list is aligned
         with (and only covers) the subgroup, in the given order."""
-        if ranks is None:
-            if self.rank == root:
-                out = [None] * self.size
-                out[root] = obj
-                for src in range(self.size):
-                    if src != root:
-                        out[src] = self.recv(src, tag)
-                return out
-            self.send(obj, root, tag)
-            return None
         if self.rank == root:
             return [
-                obj if src == root else self.recv(src, tag) for src in ranks
+                obj if src == root else self.recv(src, tag)
+                for src in (range(self.size) if ranks is None else ranks)
             ]
         self.send(obj, root, tag)
         return None
@@ -760,14 +633,17 @@ def spmd_run(
     deaths = (SimRankCrashed, FaultToleranceExhausted)
 
     def runner(rank: int):
-        comm = SimComm(shared, rank)
+        transport = ThreadTransport(shared, rank)
+        if faults is not None:
+            transport = FaultyTransport(transport, faults, shared.fault_log, rank)
+        comm = SimComm(shared, rank, transport)
         try:
             results[rank] = fn(comm, *args, **kwargs)
         except deaths as exc:
             errors[rank] = exc
             if shared.recover:
                 cause = "crash" if isinstance(exc, SimRankCrashed) else "timeout"
-                shared.mark_dead(rank, cause, op=getattr(comm, "_ops", -1))
+                shared.mark_dead(rank, cause, op=comm._ops)
             else:
                 shared.abort.set()
                 shared.barrier.abort()
@@ -785,38 +661,12 @@ def spmd_run(
     for t in threads:
         t.join()
     shared.stats.membership_events = list(shared.membership_events)
-    # Re-raise the root cause: secondary BrokenBarrier/SimMPIAborted errors
-    # on peer ranks are consequences of the abort, not the failure itself.
-    secondary = (SimMPIAborted, threading.BrokenBarrierError)
+    died = []
     if recover:
-        # rank deaths were absorbed into membership events; anything else
-        # (including an unhandled PeerCrashed) is still a real failure
-        primary = [
-            (r, e) for r, e in enumerate(errors)
-            if e is not None and not isinstance(e, secondary + deaths)
-        ]
-        if primary:
-            rank, exc = primary[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        # rank deaths were absorbed into membership events — unless every
+        # rank died, in which case the first death is the run's outcome;
+        # anything else (an unhandled PeerCrashed included) is a failure
         if len(shared.dead) == size:
-            raise next(e for e in errors if isinstance(e, deaths))
-        if return_stats:
-            return results, shared.stats
-        return results
-    primary = [
-        (r, e) for r, e in enumerate(errors)
-        if e is not None and not isinstance(e, secondary)
-    ]
-    if primary:
-        rank, exc = primary[0]
-        if isinstance(exc, SimRankCrashed):
-            # A plan-injected crash is an expected diagnostic, not a wrapped
-            # failure: surface it typed and clean.
-            raise exc
-        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    for rank, exc in enumerate(errors):
-        if exc is not None and not isinstance(exc, SimMPIAborted):
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    if return_stats:
-        return results, shared.stats
-    return results
+            died = [e for e in errors if isinstance(e, deaths)]
+        errors = [None if isinstance(e, deaths) else e for e in errors]
+    return finish_spmd_run(results, errors, died, shared.stats, return_stats)

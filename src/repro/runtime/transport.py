@@ -1,12 +1,16 @@
 """The transport seam of the SimMPI runtime.
 
 :class:`~repro.runtime.simmpi.SimComm` owns everything *semantic* about
-message passing — tag matching, stashes, collectives, phase accounting,
-fault injection, membership — and delegates the raw wire to a transport
-object with four operations:
+message passing — tag matching, the stash, collectives, phase accounting,
+the crash clock and membership — and delegates the raw wire to a
+transport object with four operations:
 
-``push(dest, tag, payload)``
+``push_parts(dest, tag, parts, total)``
     Put one framed message on the wire (non-blocking, buffered).
+    ``parts`` is the scatter-gather list of
+    :func:`~repro.runtime.codec.encode_parts` and ``total`` its byte
+    length; the transport gathers them once, wherever its frames live (a
+    joined ``bytes`` on the queue wire, the ring slot itself on shm).
 ``pull(source, slice_s)``
     Return the next ``(tag, payload)`` from ``source`` or raise
     :class:`TransportEmpty` after waiting at most ``slice_s`` seconds.
@@ -17,7 +21,7 @@ object with four operations:
 
 The seam is deliberately small: even the pairwise collectives
 (recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``)
-are built entirely from these four operations.  ``push`` being
+are built entirely from these four operations.  ``push_parts`` being
 non-blocking and buffered is what makes ``iallgather`` legal — a rank
 posts all its first-step frames immediately and returns a ``Request``;
 the deferred ``wait()`` only ever *pulls*, so no new wire primitive
@@ -35,11 +39,16 @@ Two backends implement the seam (:data:`BACKENDS`):
   per pair as the spill and control channel.  See
   :mod:`repro.runtime.shm`.
 
+Fault injection is a *decorator* over the same four operations
+(:class:`~repro.runtime.faults.FaultyTransport`, wrapped around a rank's
+transport by ``spmd_run`` iff a plan is present): it never looks behind
+the seam, and ``SimComm`` never looks at it.
+
 This module holds the seam's vocabulary: the exceptions, backend
 selection (:func:`resolve_backend`), the socket framing the forked
 backend speaks (:data:`HEADER`, :func:`pack_frame`,
-:class:`FrameAssembler`) and the error precedence of a finished forked
-run (:func:`finish_spmd_run`).
+:class:`FrameAssembler`) and the error precedence of a finished run on
+either backend (:func:`finish_spmd_run`).
 
 Backend selection: ``spmd_run(..., transport="thread"|"shm")``, or the
 ``REPRO_TRANSPORT`` environment variable when the argument is omitted
@@ -56,6 +65,7 @@ import threading
 import warnings
 
 from repro.runtime.envflags import env_choice
+from repro.runtime.faults import SimRankCrashed
 
 __all__ = [
     "BACKENDS",
@@ -201,10 +211,11 @@ class ThreadTransport:
         self._shared = shared
         self._rank = rank
 
-    def push(self, dest: int, tag: int, payload: bytes) -> None:
-        # frames cross by reference — nothing is memcpy'd on this channel
-        self._shared.stats.record_wire("queue", len(payload), 0)
-        self._shared.queues[(self._rank, dest)].put((tag, payload))
+    def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
+        # the joined frame crosses by reference — nothing is memcpy'd on
+        # this channel
+        self._shared.stats.record_wire("queue", total, 0)
+        self._shared.queues[(self._rank, dest)].put((tag, b"".join(parts)))
 
     def pull(self, source: int, slice_s: float):
         try:
@@ -222,12 +233,16 @@ class ThreadTransport:
 
 
 def finish_spmd_run(results, errors, deaths, stats, return_stats):
-    """Apply the forked backend's error precedence and return shape.
+    """Apply a finished run's error precedence and return shape (both
+    backends).
 
-    Mirrors the threaded ``spmd_run``: SimMPIAborted and BrokenBarrierError
-    on peers are consequences, not causes.  A rank process death is the
-    root cause and surfaces typed and clean — survivors' SimRankDied views
-    of the same death are its consequences.
+    ``deaths`` are rank deaths that end the run — a forked rank's process
+    dying, or every rank of a ``recover=True`` run — and surface first,
+    typed and clean; survivors' SimRankDied views of the same death are
+    its consequences.  Otherwise the lowest-rank *primary* error wins:
+    SimMPIAborted and BrokenBarrierError on peers are consequences of the
+    abort, not causes.  A plan-injected crash is an expected diagnostic,
+    not a wrapped failure, and is re-raised as itself.
     """
     if deaths:
         raise deaths[0]
@@ -239,6 +254,8 @@ def finish_spmd_run(results, errors, deaths, stats, return_stats):
     ]
     if primary:
         rank, exc = primary[0]
+        if isinstance(exc, SimRankCrashed):
+            raise exc
         raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
     for rank, exc in enumerate(errors):
         if exc is not None and not isinstance(exc, SimMPIAborted):

@@ -40,6 +40,18 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _arrays_in(obj):
+    """Every ndarray reachable through lists, tuples and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_in(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays_in(item)
+
+
 _dtypes = st.sampled_from(
     [np.int8, np.uint8, np.int32, np.int64, np.float32, np.float64, np.bool_]
 )
@@ -241,6 +253,36 @@ class TestZeroCopyViews:
         out = decode_view(memoryview(frame).toreadonly())
         if not arrays_banned:
             assert _same(out, pickle.loads(frame))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_payloads)
+    def test_memory_ownership_of_both_entry_points(self, obj):
+        """One decoder, two contracts: ``decode`` hands out owned writable
+        arrays; ``decode_view`` hands out read-only frame views for arrays
+        of at least ``ZERO_COPY_MIN`` bytes — each reported to ``on_view``
+        exactly once — and owned copies below it."""
+        from repro.runtime.codec import ZERO_COPY_MIN, decode_view
+
+        edge = ZERO_COPY_MIN // 8  # int64 elements at the threshold
+        obj = [
+            obj,
+            np.arange(edge),
+            (np.arange(edge - 1), {"big": np.arange(2.0 * edge).reshape(2, -1)}),
+        ]
+        frame = encode(obj)
+        for arr in _arrays_in(decode(frame)):
+            assert arr.flags.writeable and arr.base is None
+
+        seen = []
+        out = decode_view(memoryview(frame).toreadonly(), on_view=seen.append)
+        large = [a for a in _arrays_in(out) if a.nbytes >= ZERO_COPY_MIN]
+        assert len(large) == 2
+        assert sorted(map(id, seen)) == sorted(map(id, large))
+        for arr in _arrays_in(out):
+            if arr.nbytes >= ZERO_COPY_MIN:
+                assert not arr.flags.writeable and arr.base is not None
+            else:
+                assert arr.flags.writeable and arr.base is None
 
     def test_large_array_view_aliases_frame(self):
         from repro.runtime.codec import ZERO_COPY_MIN, decode_view

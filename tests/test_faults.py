@@ -1,9 +1,14 @@
 """Unit tests of the deterministic fault-injection layer.
 
 Covers the wire semantics (exactly-once, in-order delivery under reorder /
-duplication / delay), decision determinism, the zero-overhead guarantee of
-the disabled path, crash diagnostics, and the PARED-side retry helper.
+duplication / delay), decision determinism (pinned event logs), the
+decorator's conformance to the bare transport seam, the zero-overhead
+guarantee of the disabled path, crash diagnostics and error precedence,
+and the PARED-side retry helper.
 """
+
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,12 +17,16 @@ from repro.core.pnr import PNR
 from repro.mesh.adapt import AdaptiveMesh
 from repro.pared.system import ParedConfig, run_pared
 from repro.runtime import (
+    FaultLog,
     FaultPlan,
     FaultToleranceExhausted,
+    SimMPITimeout,
     SimRankCrashed,
     recv_with_retry,
     spmd_run,
 )
+from repro.runtime.faults import _REORDER_HOLD, FaultyTransport
+from repro.runtime.transport import TransportEmpty
 
 #: decision events are a pure function of the plan; 'retry' events depend on
 #: wall-clock scheduling and are excluded from determinism comparisons
@@ -107,6 +116,142 @@ class TestWireSemantics:
         assert d1 != d2
 
 
+#: the four plan shapes of the pinned logs: no ``recv_timeout``, so no
+#: (wall-clock dependent) ``retry`` event can occur
+_PIN_PLANS = {
+    "reorder": dict(reorder_rate=0.4),
+    "duplicate": dict(duplicate_rate=0.4),
+    "delay": dict(delay_rate=0.15, delay=0.25),
+    "combined": dict(
+        reorder_rate=0.4, duplicate_rate=0.4, delay_rate=0.15, delay=0.25
+    ),
+}
+
+#: the complete ``FaultLog.events`` of ``spmd_run(3, _pingpong)`` per (plan,
+#: seed), captured at the commit *before* injection became a decorator over
+#: the transport seam (PR 21's parent, where ``SimComm._send_faulty`` wrote
+#: envelopes into the queues itself).  One token per event, in log order:
+#: kind initial (r/d/l = reorder/duplicate/delay), destination, ``.``,
+#: channel sequence number; the source is rank 0 (the only sender, so the
+#: order is its program order) and ``attempt`` is -1 throughout.
+_PINNED = {
+    ("reorder", 3): "r1.1 r2.1 r1.3 r1.4 r2.4 r2.5 r1.6 r1.7 r2.8 r1.10 r1.11 r2.11",
+    ("reorder", 11): "r2.0 r1.1 r1.2 r2.2 r2.3 r2.4 r1.5 r2.7 r1.8 r2.8 r1.9 r2.9 r2.10 r2.11",
+    ("reorder", 29): "r1.0 r2.0 r1.1 r2.1 r2.2 r2.3 r1.5 r1.6 r1.7 r2.8 r1.11 r2.11",
+    ("duplicate", 3): "d1.0 d1.1 d2.3 d2.4 d1.7 d1.9 d1.10 d1.11",
+    ("duplicate", 11): "d2.1 d1.2 d1.3 d2.4 d2.7 d1.8 d1.11 d2.11",
+    ("duplicate", 29): "d1.1 d2.2 d2.3 d2.4 d2.5 d1.6 d2.7 d1.8 d1.10 d2.10 d2.11",
+    ("delay", 3): "l2.1 l2.4 l2.5 l2.7 l1.8 l2.8",
+    ("delay", 11): "l2.6 l1.8 l1.9",
+    ("delay", 29): "l1.0 l2.0 l2.6 l1.8 l2.9",
+    ("combined", 3): "d1.0 r1.1 d1.1 l2.1 r1.3 d2.3 r1.4 l2.4 d2.4 l2.5 r1.6 r1.7 d1.7 l2.7 l1.8 l2.8 d1.9 r1.10 d1.10 r1.11 d1.11 r2.11",
+    ("combined", 11): "r2.0 r1.1 d2.1 r1.2 d1.2 r2.2 d1.3 r2.3 r2.4 d2.4 r1.5 l2.6 r2.7 d2.7 l1.8 d1.8 r2.8 l1.9 r2.9 r2.10 d1.11 r2.11 d2.11",
+    ("combined", 29): "l1.0 l2.0 r1.1 d1.1 r2.1 r2.2 d2.2 r2.3 d2.3 d2.4 r1.5 d2.5 r1.6 d1.6 l2.6 r1.7 d2.7 l1.8 d1.8 r2.8 l2.9 d1.10 d2.10 r1.11 r2.11 d2.11",
+}
+
+_KINDS = {"r": "reorder", "d": "duplicate", "l": "delay"}
+
+
+def _expand(tokens: str) -> list:
+    return [
+        (_KINDS[t[0]], 0, int(t[1]), int(t[3:]), -1) for t in tokens.split()
+    ]
+
+
+class TestPinnedLogs:
+    """Same faults, event for event, as the pre-decorator implementation."""
+
+    @pytest.mark.parametrize("shape,seed", sorted(_PINNED))
+    def test_event_log_matches_parent(self, shape, seed):
+        plan = FaultPlan(seed=seed, **_PIN_PLANS[shape])
+        results, stats = spmd_run(3, _pingpong, return_stats=True, faults=plan)
+        assert stats.fault_log.events == _expand(_PINNED[(shape, seed)])
+        assert results == spmd_run(3, _pingpong)
+        # physical frames are what the decorator really pushed: one per
+        # message plus one per duplicate, each 16 header bytes longer than
+        # the logical frame the ledger recorded (once) above the seam
+        wire = stats.wire_report()
+        assert stats.total_messages == 24
+        assert wire["queue_frames"] == 24 + stats.fault_log.count("duplicate")
+        assert wire["queue_bytes"] > stats.total_bytes
+
+
+class _FakeWire:
+    """A 20-line in-memory implementation of the four seam operations —
+    no ``_Shared``, no queues, no threads.  ``pull`` on an empty channel
+    sleeps out its slice like a real wire would."""
+
+    def __init__(self, rank, channels, calls):
+        self.rank, self.channels, self.calls = rank, channels, calls
+
+    def push_parts(self, dest, tag, parts, total):
+        frame = b"".join(parts)
+        assert len(frame) == total
+        self.channels.setdefault((self.rank, dest), deque()).append((tag, frame))
+
+    def pull(self, source, slice_s):
+        box = self.channels.get((source, self.rank))
+        if not box:
+            time.sleep(slice_s)
+            raise TransportEmpty()
+        return box.popleft()
+
+    def barrier(self, timeout):
+        self.calls.append(("barrier", timeout))
+
+    def aborted(self):
+        self.calls.append(("aborted",))
+        return False
+
+
+class TestSeamConformance:
+    """``FaultyTransport`` needs nothing but the four operations."""
+
+    def test_exactly_once_fifo_holds_and_dedup_over_a_fake_seam(self):
+        plan = FaultPlan(
+            seed=7, reorder_rate=0.4, duplicate_rate=0.5, delay_rate=0.2,
+            delay=0.2,
+        )
+        log, channels, calls = FaultLog(), {}, []
+        tx = FaultyTransport(_FakeWire(0, channels, calls), plan, log, 0)
+        rx = FaultyTransport(_FakeWire(1, channels, calls), plan, log, 1)
+        n = 20
+        pushed_at = []
+        for i in range(n):
+            pushed_at.append(time.monotonic())
+            tx.push_parts(1, i % 3, [b"msg", bytes([i])], 4)
+        kinds = log.kinds()
+        assert min(kinds.get(k, 0) for k in _DECISIONS) > 0
+        # physical frames: duplicates included, header on every one
+        wire = channels[(0, 1)]
+        assert len(wire) == n + kinds["duplicate"]
+        assert all(len(frame) == 4 + 16 for _, frame in wire)
+
+        got, got_at = [], []
+        give_up = time.monotonic() + 10.0
+        while len(got) < n and time.monotonic() < give_up:
+            try:
+                got.append(rx.pull(0, 0.02))
+                got_at.append(time.monotonic())
+            except TransportEmpty:
+                pass
+        # exactly once, per-pair FIFO, tags and payloads intact
+        assert got == [(i % 3, b"msg" + bytes([i])) for i in range(n)]
+        # duplicates were consumed and dropped, never delivered
+        with pytest.raises(TransportEmpty):
+            rx.pull(0, 0.0)
+        assert not wire
+        # holds honoured: nothing is handed up before its injected latency
+        hold = {"delay": plan.delay, "reorder": _REORDER_HOLD}
+        for kind, _, _, seq, _ in log.events:
+            if kind in hold:
+                assert got_at[seq] - pushed_at[seq] >= hold[kind]
+        # the other two operations are the inner transport's own
+        rx.barrier(3.0)
+        assert rx.aborted() is False
+        assert calls == [("barrier", 3.0), ("aborted",)]
+
+
 class TestZeroOverhead:
     def test_no_fault_plan_accounting_identical(self):
         """A PARED run with fault support disabled and one with an inert
@@ -141,7 +286,90 @@ class TestCrash:
         assert time.monotonic() - t0 < 30.0
 
 
+class TestErrorPrecedence:
+    """The thread backend's end-of-run precedence, now the shared
+    ``finish_spmd_run`` (pinned at the parent, where ``spmd_run`` restated
+    it)."""
+
+    CRASH_1 = FaultPlan(crash_rank=1, crash_at_op=1)
+
+    def test_lowest_rank_primary_beats_injected_crash(self):
+        def fn(comm):
+            if comm.rank == 0:
+                raise ValueError("boom")
+            comm.barrier()
+
+        with pytest.raises(RuntimeError, match=r"rank 0 failed: ValueError") as ei:
+            spmd_run(2, fn, faults=self.CRASH_1)
+        assert not isinstance(ei.value, SimRankCrashed)
+        assert isinstance(ei.value.__cause__, ValueError)
+
+    def test_injected_crash_alone_surfaces_bare(self):
+        with pytest.raises(SimRankCrashed, match="communication op 1") as ei:
+            spmd_run(2, lambda comm: comm.barrier(), faults=self.CRASH_1)
+        assert type(ei.value) is SimRankCrashed
+        assert ei.value.__cause__ is None
+
+
 class TestRetry:
+    #: a patience with no retry budgeted — the two entry points differ here
+    #: and only here (pinned at the parent)
+    NO_RETRY = FaultPlan(recv_timeout=0.05)
+
+    @staticmethod
+    def _starved(receive):
+        def fn(comm):
+            if comm.rank == 0:
+                try:
+                    receive(comm)
+                except TimeoutError as exc:
+                    return type(exc), str(exc)
+            return None
+
+        return fn
+
+    def test_bare_recv_without_retry_budget_is_plain_timeout(self):
+        kind, msg = spmd_run(
+            2, self._starved(lambda c: c.recv(1, tag=9)), faults=self.NO_RETRY
+        )[0]
+        assert kind is SimMPITimeout
+        assert msg == "rank 0 timed out receiving from 1 tag 9"
+
+    def test_helper_without_retry_budget_is_exhaustion(self):
+        kind, msg = spmd_run(
+            2,
+            self._starved(lambda c: recv_with_retry(c, 1, tag=9)),
+            faults=self.NO_RETRY,
+        )[0]
+        assert kind is FaultToleranceExhausted
+        assert msg == (
+            "rank 0 gave up receiving from rank 1 tag 9 after 1 attempts "
+            "(attempt timeouts: 0.05s)"
+        )
+
+    def test_only_exhaustion_is_a_rank_death_under_recover(self):
+        """``recover=True`` absorbs :class:`FaultToleranceExhausted` into a
+        membership change; a plain timeout stays a run failure."""
+
+        def bare(comm):
+            if comm.rank == 0:
+                comm.recv(1, tag=9)
+
+        def helper(comm):
+            if comm.rank == 0:
+                recv_with_retry(comm, 1, tag=9)
+            return comm.rank
+
+        with pytest.raises(RuntimeError, match="rank 0 failed: SimMPITimeout"):
+            spmd_run(2, bare, faults=self.NO_RETRY, recover=True)
+        results, stats = spmd_run(
+            2, helper, faults=self.NO_RETRY, recover=True, return_stats=True
+        )
+        assert results == [None, 1]
+        assert [(e.rank, e.cause) for e in stats.membership_events] == [
+            (0, "timeout")
+        ]
+
     def test_plain_comm_single_attempt(self):
         def fn(comm):
             if comm.rank == 0:

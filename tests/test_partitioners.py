@@ -231,6 +231,23 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown partitioner"):
             make_repartitioner("metis")
 
+    def test_pnr_repartition_coarsest_switch_rejected(self):
+        """The registry strategies implement the default algorithm only; a
+        ``PNR`` ablation switch must fail loudly, not be dropped."""
+        from repro.core.pnr import PNR
+
+        with pytest.raises(ValueError, match="PNR.repartition_coarsest=True"):
+            make_repartitioner("pnr", pnr=PNR(repartition_coarsest=True))
+
+    def test_pnr_constrain_matching_switch_rejected(self):
+        from repro.core.pnr import PNR
+
+        with pytest.raises(ValueError, match="PNR.constrain_matching=False"):
+            make_repartitioner("dkl", pnr=PNR(constrain_matching=False))
+        # the parameters the strategies do take still pass through
+        r = make_repartitioner("pnr", pnr=PNR(alpha=0.3, seed=5))
+        assert (r.alpha, r.seed) == (0.3, 5)
+
     @pytest.mark.parametrize("name", ("pnr", "mlkl", "sfc", "dkl", "dkl-ml"))
     def test_initial_conformance(self, name):
         g, coords = grid_with_coords(8)

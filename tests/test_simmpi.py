@@ -450,6 +450,28 @@ class TestTimeouts:
         for b in BACKENDS[1:]:
             assert captured[b] == captured["thread"], b
 
+    def test_timeout_is_a_deadline_under_other_traffic(self, backend):
+        """A peer that keeps delivering *other* tags must not postpone the
+        timeout: it is a deadline fixed when ``recv`` is entered, not a
+        count of empty polls — and what arrived meanwhile stays stashed."""
+        n = 120
+
+        def prog(comm):
+            if comm.rank == 0:
+                for i in range(n):
+                    comm.send(i, 1, tag=1)
+                    time.sleep(0.01)
+                return None
+            t0 = time.monotonic()
+            with pytest.raises(SimMPITimeout, match="from 0 tag 99"):
+                comm.recv(0, tag=99, timeout=0.3)
+            elapsed = time.monotonic() - t0
+            return elapsed, [comm.recv(0, tag=1) for _ in range(n)]
+
+        elapsed, streamed = run(backend, 2, prog)[1]
+        assert 0.3 <= elapsed < 0.6
+        assert streamed == list(range(n))
+
     def test_uncaught_timeout_propagates(self, backend):
         def prog(comm):
             if comm.rank == 1:
