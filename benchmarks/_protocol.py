@@ -1,123 +1,19 @@
-"""Shared driver for the Figure 4 / Figure 5 repartitioning protocol.
-
-For each processor count: walk the size ladder of
-:func:`repro.experiments.laplace.ladder_pairs`; at every size, partition
-``M^{t-1}`` ("before"), apply the small refinement, repartition ``M^t``
-("after"), and record cut before/after plus raw and label-permuted
-migration (measured at the *element* level with an
-:class:`~repro.experiments.tracking.AssignmentTracker`, so methods that cut
-through refinement trees are accounted fairly).
-
-Results are memoized per (method, dims, plist) so the PNR bench can compare
-against the RSB numbers without recomputing them.
-"""
+"""Per-process memo of the 2-D Figure 4 / Figure 5 protocol
+(:func:`repro.experiments.run_repartition_protocol`), so the PNR bench can
+compare against the RSB rows without recomputing them."""
 
 from __future__ import annotations
 
-import numpy as np
+from repro.experiments import pnr_stepper, rsb_stepper, run_repartition_protocol
 
-from repro.core import PNR
-from repro.experiments import AssignmentTracker
-from repro.experiments.laplace import ladder_pairs
-from repro.mesh import cut_size, fine_dual_graph
-from repro.partition import (
-    apply_permutation,
-    minimize_migration_permutation,
-    recursive_spectral_bisection,
-)
-
-
-class RSBMethod:
-    """Fresh recursive spectral bisection of the fine dual graph each round
-    (the paper's Figure 4 baseline)."""
-
-    name = "RSB"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._round = 0
-
-    def partition(self, amesh, p):
-        graph, _ = fine_dual_graph(amesh.mesh)
-        self._round += 1
-        return recursive_spectral_bisection(
-            graph, p, seed=self.seed + self._round, refine=True
-        )
-
-    repartition = partition
-
-
-class PNRMethod:
-    """PNR on the coarse dual graph, carrying its current assignment."""
-
-    name = "PNR"
-
-    def __init__(self, seed: int = 0, alpha: float = 0.1, beta: float = 0.8):
-        self.pnr = PNR(alpha=alpha, beta=beta, seed=seed)
-        self.coarse = None
-
-    def partition(self, amesh, p):
-        if self.coarse is None:
-            self.coarse = self.pnr.initial_partition(amesh, p)
-        else:
-            self.coarse = self.pnr.repartition(amesh, p, self.coarse)
-        return self.pnr.induced_fine(amesh, self.coarse)
-
-    repartition = partition
-
-
-def run_repartition_protocol(method_factory, plist, dim: int = 2, **ladder_kw):
-    """Rows: ``(p, elems_before, cut_before, elems_after, cut_after,
-    mig_raw, mig_perm)`` ordered by (size, p) like Figure 4/5."""
-    rows = []
-    for p in plist:
-        method = method_factory()
-        tracker = None
-        pending = {}
-        for phase, k, amesh in ladder_pairs(dim=dim, **ladder_kw):
-            if phase == "grow":
-                # repartition after every adaptation, as in the paper; the
-                # resulting distribution is the baseline for the next round
-                fine = np.asarray(method.partition(amesh, p))
-                tracker.stamp(fine)
-            elif phase == "before":
-                fine = np.asarray(method.partition(amesh, p))
-                if tracker is None:
-                    tracker = AssignmentTracker(amesh)
-                tracker.stamp(fine)
-                pending = {
-                    "elems_before": amesh.n_leaves,
-                    "cut_before": cut_size(amesh.mesh, fine),
-                    "size_index": k,
-                }
-            else:
-                fine_new = np.asarray(method.repartition(amesh, p))
-                inherited = tracker.inherited()
-                mig_raw = int(np.count_nonzero(inherited != fine_new))
-                perm = minimize_migration_permutation(inherited, fine_new, p)
-                fine_perm = apply_permutation(fine_new, perm)
-                mig_perm = int(np.count_nonzero(inherited != fine_perm))
-                rows.append(
-                    (
-                        pending["size_index"],
-                        p,
-                        pending["elems_before"],
-                        pending["cut_before"],
-                        amesh.n_leaves,
-                        cut_size(amesh.mesh, fine_new),
-                        mig_raw,
-                        mig_perm,
-                    )
-                )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
+# Figure 4's RSB has always drawn its first partition at seed 1
+METHODS = {"rsb": rsb_stepper(seed=1), "pnr": pnr_stepper(seed=0)}
 
 _CACHE: dict = {}
 
 
-def cached_protocol(name: str, method_factory, plist, dim: int = 2):
-    key = (name, tuple(plist), dim)
+def cached_protocol(name: str, plist):
+    key = (name, tuple(plist))
     if key not in _CACHE:
-        _CACHE[key] = run_repartition_protocol(method_factory, plist, dim=dim)
+        _CACHE[key] = run_repartition_protocol(METHODS[name], plist)
     return _CACHE[key]

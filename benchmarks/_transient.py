@@ -1,66 +1,23 @@
-"""Shared driver of the Section 10 transient experiment (Figures 7 and 8).
-
-Three methods replay the same adaptation sequence:
-
-* ``RSB``       — fresh recursive spectral bisection of the fine dual graph
-                  every step (raw labels);
-* ``RSB-perm``  — the same, followed by the Biswas–Oliker subset
-                  permutation against the current distribution;
-* ``PNR``       — nested repartitioning of the coarse dual graph with
-                  α = 0.1, β = 0.8.
-
-Memoized so the Figure 7 (quality) and Figure 8 (migration) benches share
-one run per processor count.
-"""
+"""Per-process memo of the Section 10 transient experiment, so the Figure 7
+(quality) and Figure 8 (migration) benches share one run per processor
+count.  Three methods replay the same adaptation sequence: fresh RSB every
+step (raw labels), RSB followed by the Biswas–Oliker subset permutation
+against the current distribution, and PNR with α = 0.1, β = 0.8."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import PNR
-from repro.experiments import AssignmentTracker, TransientRunner
-from repro.mesh import fine_dual_graph
-from repro.partition import (
-    apply_permutation,
-    minimize_migration_permutation,
-    recursive_spectral_bisection,
+from repro.experiments import (
+    TransientRunner,
+    pnr_stepper,
+    rsb_perm_stepper,
+    rsb_stepper,
 )
 
-
-def rsb_method(amesh, p, state):
-    graph, _ = fine_dual_graph(amesh.mesh)
-    step = 0 if state is None else state
-    fine = recursive_spectral_bisection(graph, p, seed=11 + step, refine=True)
-    return fine, step + 1
-
-
-def rsb_perm_method(amesh, p, state):
-    graph, _ = fine_dual_graph(amesh.mesh)
-    if state is None:
-        state = {"tracker": None, "step": 0}
-    fine = recursive_spectral_bisection(graph, p, seed=11 + state["step"], refine=True)
-    state["step"] += 1
-    if state["tracker"] is None:
-        state["tracker"] = AssignmentTracker(amesh)
-    else:
-        inherited = state["tracker"].inherited()
-        perm = minimize_migration_permutation(inherited, fine, p)
-        fine = apply_permutation(fine, perm)
-    state["tracker"].stamp(fine)
-    return fine, state
-
-
-def pnr_method(amesh, p, state):
-    if state is None:
-        state = {"pnr": PNR(seed=5), "coarse": None}
-    if state["coarse"] is None:
-        state["coarse"] = state["pnr"].initial_partition(amesh, p)
-    else:
-        state["coarse"] = state["pnr"].repartition(amesh, p, state["coarse"])
-    return state["pnr"].induced_fine(amesh, state["coarse"]), state
-
-
-METHODS = {"RSB": rsb_method, "RSB-perm": rsb_perm_method, "PNR": pnr_method}
+METHODS = {
+    "RSB": rsb_stepper(seed=11),
+    "RSB-perm": rsb_perm_stepper(seed=11),
+    "PNR": pnr_stepper(seed=5),
+}
 
 _CACHE: dict = {}
 
@@ -68,6 +25,5 @@ _CACHE: dict = {}
 def transient_series(p: int, **kw) -> dict:
     key = (p, tuple(sorted(kw.items())))
     if key not in _CACHE:
-        runner = TransientRunner(p, METHODS, **kw)
-        _CACHE[key] = runner.run()
+        _CACHE[key] = TransientRunner(p, METHODS, **kw).run()
     return _CACHE[key]

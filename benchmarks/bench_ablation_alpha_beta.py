@@ -13,12 +13,9 @@ round.  Expected shape:
 
 from __future__ import annotations
 
-import numpy as np
-
 from conftest import paper_scale
 from repro.core import PNR
-from repro.experiments import format_table
-from repro.experiments.laplace import ladder_pairs
+from repro.experiments import format_table, ladder_pairs, pnr_stepper
 from repro.mesh import coarse_dual_graph
 from repro.partition import graph_cut, graph_imbalance, graph_migration
 
@@ -28,20 +25,14 @@ def _setup(p: int, final_fraction: float = 0.05):
     (so the corner region is spread over several subsets, as it would be in
     a live run), then receives one more concentrated refinement that has
     *not* been repartitioned yet."""
-    from _protocol import PNRMethod
     from repro.fem import CornerLaplace2D, interpolation_error_indicator, mark_top_fraction
 
-    method = PNRMethod(seed=9)
-    last = None
-    for phase, k, amesh in ladder_pairs(
+    pnr = pnr_stepper(seed=9)
+    current = None
+    for _, _, amesh in ladder_pairs(
         dim=2, n_measure=2, n=(28 if not paper_scale() else 40)
     ):
-        last = amesh
-        method.partition(amesh, p)
-        if phase == "after" and k == 1:
-            break
-    amesh = last
-    current = method.coarse
+        _, current = pnr(amesh, p, current)
     ind = interpolation_error_indicator(amesh, CornerLaplace2D().exact)
     amesh.refine(mark_top_fraction(amesh, ind, final_fraction))
     return amesh, current

@@ -15,14 +15,16 @@ repartition), compare:
 
 from __future__ import annotations
 
-import numpy as np
-
 from bench_ablation_alpha_beta import _setup
-from conftest import paper_scale
-from repro.core import PNR, diffusion_repartition, scratch_remap_repartition
+from repro.core import PNR, diffusion_repartition
 from repro.experiments import format_table
 from repro.mesh import coarse_dual_graph
-from repro.partition import graph_cut, graph_imbalance, graph_migration
+from repro.partition import (
+    graph_cut,
+    graph_imbalance,
+    graph_migration,
+    make_repartitioner,
+)
 
 
 def run_design_ablation(p: int):
@@ -38,7 +40,9 @@ def run_design_ablation(p: int):
         "PNR/free-matching": PNR(seed=9, constrain_matching=False).repartition(
             amesh, p, current
         ),
-        "scratch-remap": scratch_remap_repartition(graph, p, current, seed=9),
+        "scratch-remap": make_repartitioner("mlkl", pnr=PNR(seed=9)).repartition(
+            graph, p, current
+        ),
         "diffusion": diffusion_repartition(graph, p, current),
     }
     rows = [

@@ -14,57 +14,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import paper_scale, proc_counts
-from repro.core import PNR
-from repro.experiments import format_table, laplace_ladder
-from repro.mesh import fine_dual_graph, shared_vertex_count
-from repro.partition import multilevel_partition
+from conftest import proc_counts
+from repro.experiments import (
+    format_table,
+    mlkl_stepper,
+    pnr_stepper,
+    quality_headers,
+    run_quality_ladder,
+)
 
 
-def run_quality_ladder(dim: int, plist):
-    rows = []
-    ratios = []
-    pnr_state = {p: None for p in plist}
-    pnr = PNR(seed=1)
-    for level, amesh in laplace_ladder(dim=dim):
-        mesh = amesh.mesh
-        fine_graph, _ = fine_dual_graph(mesh)
-        row_ml = []
-        row_pnr = []
-        for p in plist:
-            aml = multilevel_partition(fine_graph, p, seed=1)
-            sv_ml = shared_vertex_count(mesh, aml)
-            if pnr_state[p] is None:
-                coarse = pnr.initial_partition(amesh, p)
-            else:
-                coarse = pnr.repartition(amesh, p, pnr_state[p])
-            pnr_state[p] = coarse
-            sv_pnr = shared_vertex_count(mesh, pnr.induced_fine(amesh, coarse))
-            row_ml.append(sv_ml)
-            row_pnr.append(sv_pnr)
-            if sv_ml > 0:
-                ratios.append(sv_pnr / sv_ml)
-        rows.append((level, amesh.n_leaves, *row_ml, *row_pnr))
-    return rows, ratios
-
-
-def test_fig3_2d(benchmark, write_result):
+def check_fig3(benchmark, write_result, dim: int):
+    """Run the Figure 3 protocol in ``dim`` dimensions, write its table and
+    assert the paper's shape: PNR's shared-vertex counts stay in
+    Multilevel-KL's ballpark (generous slack for the reduced scale)."""
     plist = proc_counts(reduced=[4, 8, 16], paper=[4, 8, 16, 32, 64, 128])
-    rows, ratios = benchmark.pedantic(
-        run_quality_ladder, args=(2, plist), rounds=1, iterations=1
-    )
-    headers = (
-        ["level", "elems"]
-        + [f"MLKL p={p}" for p in plist]
-        + [f"PNR p={p}" for p in plist]
+    rows = benchmark.pedantic(
+        run_quality_ladder,
+        args=(mlkl_stepper(seed=1), pnr_stepper(seed=1), plist),
+        kwargs={"dim": dim},
+        rounds=1,
+        iterations=1,
     )
     write_result(
-        "fig3_quality_2d",
-        format_table(headers, rows, title="Figure 3 (2D): shared vertices, Multilevel-KL vs PNR"),
+        f"fig3_quality_{dim}d",
+        format_table(
+            quality_headers(plist), rows,
+            title=f"Figure 3 ({dim}D): shared vertices, Multilevel-KL vs PNR",
+        ),
     )
-    ratios = np.asarray(ratios)
-    # Paper: "PNR provides very high quality partitions" — same ballpark as
-    # Multilevel-KL.  Allow generous slack for the reduced scale.
+    sv = np.array([r[2:] for r in rows], dtype=float)
+    mlkl, pnr = sv[:, : len(plist)], sv[:, len(plist):]
+    ratios = pnr[mlkl > 0] / mlkl[mlkl > 0]
     assert ratios.mean() < 1.5, f"PNR quality degraded on average: {ratios.mean():.2f}x"
     assert ratios.max() < 2.5, f"PNR quality outlier: {ratios.max():.2f}x"
     benchmark.extra_info["mean_quality_ratio"] = float(ratios.mean())
+
+
+def test_fig3_2d(benchmark, write_result):
+    check_fig3(benchmark, write_result, 2)

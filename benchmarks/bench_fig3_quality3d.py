@@ -7,28 +7,8 @@ Same protocol and expected shape as the 2-D bench; the paper reports the
 
 from __future__ import annotations
 
-import numpy as np
-
-from bench_fig3_quality2d import run_quality_ladder
-from conftest import proc_counts
-from repro.experiments import format_table
+from bench_fig3_quality2d import check_fig3
 
 
 def test_fig3_3d(benchmark, write_result):
-    plist = proc_counts(reduced=[4, 8, 16], paper=[4, 8, 16, 32, 64, 128])
-    rows, ratios = benchmark.pedantic(
-        run_quality_ladder, args=(3, plist), rounds=1, iterations=1
-    )
-    headers = (
-        ["level", "elems"]
-        + [f"MLKL p={p}" for p in plist]
-        + [f"PNR p={p}" for p in plist]
-    )
-    write_result(
-        "fig3_quality_3d",
-        format_table(headers, rows, title="Figure 3 (3D): shared vertices, Multilevel-KL vs PNR"),
-    )
-    ratios = np.asarray(ratios)
-    assert ratios.mean() < 1.5, f"PNR quality degraded on average: {ratios.mean():.2f}x"
-    assert ratios.max() < 2.5, f"PNR quality outlier: {ratios.max():.2f}x"
-    benchmark.extra_info["mean_quality_ratio"] = float(ratios.mean())
+    check_fig3(benchmark, write_result, 3)

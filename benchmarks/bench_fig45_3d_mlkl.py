@@ -14,34 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from _protocol import PNRMethod, RSBMethod, run_repartition_protocol
+from _protocol import METHODS
 from conftest import paper_scale, proc_counts
-from repro.experiments import format_table
-from repro.mesh import fine_dual_graph
-from repro.partition import multilevel_partition
-
-
-class MLKLMethod:
-    """Fresh Multilevel-KL partition of the fine dual graph each round."""
-
-    name = "MLKL"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._round = 0
-
-    def partition(self, amesh, p):
-        graph, _ = fine_dual_graph(amesh.mesh)
-        self._round += 1
-        return multilevel_partition(graph, p, seed=self.seed + self._round)
-
-    repartition = partition
-
-
-HEADERS = [
-    "size#", "p", "elem t-1", "cut t-1", "elem t", "cut t",
-    "C_mig raw", "C_mig perm",
-]
+from repro.experiments import (
+    REPARTITION_HEADERS,
+    format_table,
+    mlkl_stepper,
+    run_repartition_protocol,
+)
 
 
 def test_fig45_3d(benchmark, write_result):
@@ -50,19 +30,19 @@ def test_fig45_3d(benchmark, write_result):
 
     def run():
         rsb = run_repartition_protocol(
-            lambda: RSBMethod(seed=0), plist, dim=3, n_measure=n_measure
+            METHODS["rsb"], plist, dim=3, n_measure=n_measure
         )
         pnr = run_repartition_protocol(
-            lambda: PNRMethod(seed=0), plist, dim=3, n_measure=n_measure
+            METHODS["pnr"], plist, dim=3, n_measure=n_measure
         )
         return rsb, pnr
 
     rsb_rows, pnr_rows = benchmark.pedantic(run, rounds=1, iterations=1)
     write_result(
         "fig45_3d",
-        format_table(HEADERS, rsb_rows, title="3D repartitioning: RSB")
+        format_table(REPARTITION_HEADERS, rsb_rows, title="3D repartitioning: RSB")
         + "\n\n"
-        + format_table(HEADERS, pnr_rows, title="3D repartitioning: PNR"),
+        + format_table(REPARTITION_HEADERS, pnr_rows, title="3D repartitioning: PNR"),
     )
     rsb_frac = np.array([r[6] / r[4] for r in rsb_rows])
     pnr_frac = np.array([r[6] / r[4] for r in pnr_rows])
@@ -76,14 +56,15 @@ def test_fig4_mlkl_baseline(benchmark, write_result):
     plist = proc_counts(reduced=[4, 8], paper=[4, 8, 16, 32])
 
     def run():
+        # seed 1: the same schedule as Figure 4's RSB baseline
         return run_repartition_protocol(
-            lambda: MLKLMethod(seed=0), plist, dim=2, n_measure=2
+            mlkl_stepper(seed=1), plist, dim=2, n_measure=2
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     write_result(
         "fig4_mlkl_migration",
-        format_table(HEADERS, rows, title="Repartitioning with Multilevel-KL (2D)"),
+        format_table(REPARTITION_HEADERS, rows, title="Repartitioning with Multilevel-KL (2D)"),
     )
     raw = np.array([r[6] / r[4] for r in rows])
     perm = np.array([r[7] / r[4] for r in rows])

@@ -15,26 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from _protocol import RSBMethod, cached_protocol
+from _protocol import cached_protocol
 from conftest import proc_counts
-from repro.experiments import format_table
+from repro.experiments import REPARTITION_HEADERS, format_table
 
 
 def test_fig4_rsb_migration(benchmark, write_result):
     plist = proc_counts(reduced=[4, 8, 16], paper=[4, 8, 16, 32, 64])
     rows = benchmark.pedantic(
-        cached_protocol,
-        args=("rsb", lambda: RSBMethod(seed=0), plist),
-        rounds=1,
-        iterations=1,
+        cached_protocol, args=("rsb", plist), rounds=1, iterations=1
     )
-    headers = [
-        "size#", "p", "elem t-1", "cut t-1", "elem t", "cut t",
-        "C_mig raw", "C_mig perm",
-    ]
     write_result(
         "fig4_rsb_migration",
-        format_table(headers, rows, title="Figure 4: repartitioning with RSB"),
+        format_table(REPARTITION_HEADERS, rows, title="Figure 4: repartitioning with RSB"),
     )
     raw_frac = np.array([r[6] / r[4] for r in rows])
     perm_frac = np.array([r[7] / r[4] for r in rows])

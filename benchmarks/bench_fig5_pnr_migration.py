@@ -14,26 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from _protocol import PNRMethod, RSBMethod, cached_protocol
+from _protocol import cached_protocol
 from conftest import proc_counts
-from repro.experiments import format_table
+from repro.experiments import REPARTITION_HEADERS, format_table
 
 
 def test_fig5_pnr_migration(benchmark, write_result):
     plist = proc_counts(reduced=[4, 8, 16], paper=[4, 8, 16, 32, 64])
     rows = benchmark.pedantic(
-        cached_protocol,
-        args=("pnr", lambda: PNRMethod(seed=0), plist),
-        rounds=1,
-        iterations=1,
+        cached_protocol, args=("pnr", plist), rounds=1, iterations=1
     )
-    headers = [
-        "size#", "p", "elem t-1", "cut t-1", "elem t", "cut t",
-        "C_mig raw", "C_mig perm",
-    ]
     write_result(
         "fig5_pnr_migration",
-        format_table(headers, rows, title="Figure 5: repartitioning with PNR (alpha=0.1, beta=0.8)"),
+        format_table(REPARTITION_HEADERS, rows, title="Figure 5: repartitioning with PNR (alpha=0.1, beta=0.8)"),
     )
     pnr_frac = np.array([r[6] / r[4] for r in rows])
     assert pnr_frac.mean() < 0.12, f"PNR migration too large: {pnr_frac}"
@@ -44,7 +37,7 @@ def test_fig5_pnr_migration(benchmark, write_result):
     assert gain.mean() < 0.25, "permutation should barely help PNR"
 
     # head-to-head with the Figure 4 RSB numbers (same meshes, same sizes)
-    rsb_rows = cached_protocol("rsb", lambda: RSBMethod(seed=0), plist)
+    rsb_rows = cached_protocol("rsb", plist)
     rsb_perm_frac = np.array([r[7] / r[4] for r in rsb_rows])
     assert pnr_frac.mean() < 0.6 * rsb_perm_frac.mean(), (
         f"PNR ({pnr_frac.mean():.3f}) should migrate far less than even "

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from conftest import paper_scale
 from repro.core import PNR
 from repro.experiments import format_table
@@ -69,12 +67,10 @@ def test_scaling(benchmark, write_result):
         ),
     )
     for leaves, p, t_rep, t_solve, ratio, frac in rows:
-        # The absolute rep/solve ratio is skewed by the substitution: the
-        # solver is C-backed (scipy LU) while KL is pure Python — a
-        # constant-factor mismatch the paper's C implementation would not
-        # have.  What must hold is that the ratio stays bounded (no
-        # super-linear blowup of the repartitioner).
-        assert ratio < 250, f"repartitioning disproportionately slow: {ratio}x solve"
+        # a ratio of two wall times: measured 0.14-1.1x one direct sparse
+        # solve on 2 vCPUs with the compiled core (7-16x on the pure-Python
+        # fallback), bounded a decade above the former
+        assert ratio < 25, f"repartitioning disproportionately slow: {ratio}x solve"
         assert frac < 0.3
     # near-linear complexity: doubling the mesh must not quadruple the
     # repartition time (per processor count)

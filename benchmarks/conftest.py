@@ -12,18 +12,14 @@ Set ``REPRO_PAPER_SCALE=1`` for paper-scale meshes and processor counts
 
 from __future__ import annotations
 
-import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import default_scale as paper_scale  # REPRO_PAPER_SCALE
+
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def paper_scale() -> bool:
-    from repro.runtime.envflags import env_bool
-
-    return env_bool("REPRO_PAPER_SCALE", default=False)
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +28,30 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def provenance() -> str:
+    """First line of every results file: which code, on what, produced it.
+    Taken once per session, before any table is written, so the tables a run
+    rewrites do not mark its own checkout dirty."""
+    from repro.partition import _klnative
+    from repro.runtime.envflags import effective_cpu_count
+
+    sha = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+        cwd=RESULTS_DIR.parent, capture_output=True, text=True,
+    ).stdout.strip() or "unknown"
+    return (
+        f"# git {sha}, {effective_cpu_count()} cpus, "
+        f"native KL {'on' if _klnative.load() else 'off'}, "
+        f"{'paper' if paper_scale() else 'reduced'} scale"
+    )
+
+
 @pytest.fixture()
-def write_result(results_dir):
+def write_result(results_dir, provenance):
     def _write(name: str, text: str) -> None:
         path = results_dir / f"{name}.txt"
-        path.write_text(text + "\n")
+        path.write_text(f"{provenance}\n{text}\n")
         print(f"\n{text}\n[written to {path}]")
 
     return _write

@@ -14,8 +14,7 @@ Run:  python examples/adaptive_laplace.py
 
 import numpy as np
 
-from repro.core import PNR
-from repro.experiments import format_table
+from repro.experiments import format_table, mlkl_stepper, pnr_stepper
 from repro.fem import (
     CornerLaplace2D,
     fem_solution_error,
@@ -23,16 +22,16 @@ from repro.fem import (
     mark_top_fraction,
     solve_poisson,
 )
-from repro.mesh import AdaptiveMesh, fine_dual_graph, shared_vertex_count
-from repro.partition import multilevel_partition
+from repro.mesh import AdaptiveMesh, shared_vertex_count
 
 P = 8
 LEVELS = 4
 
 problem = CornerLaplace2D()
 amesh = AdaptiveMesh.unit_square(16)
-pnr = PNR(alpha=0.1, beta=0.8, seed=0)
-coarse = None
+mlkl = mlkl_stepper(seed=1)
+pnr = pnr_stepper(seed=0, alpha=0.1, beta=0.8)
+coarse = None  # PNR's carry-over: the current assignment of coarse trees
 rows = []
 
 for level in range(LEVELS + 1):
@@ -40,15 +39,12 @@ for level in range(LEVELS + 1):
     u = solve_poisson(amesh, f=None, g=problem.dirichlet)
     err = fem_solution_error(amesh, u, problem.exact)
 
-    # partition the adapted mesh both ways
-    fine_graph, _ = fine_dual_graph(amesh.mesh)
-    a_ml = multilevel_partition(fine_graph, P, seed=1)
-    sv_ml = shared_vertex_count(amesh.mesh, a_ml)
-    if coarse is None:
-        coarse = pnr.initial_partition(amesh, P)
-    else:
-        coarse = pnr.repartition(amesh, P, coarse)
-    sv_pnr = shared_vertex_count(amesh.mesh, pnr.induced_fine(amesh, coarse))
+    # partition the adapted mesh both ways: Multilevel-KL from scratch,
+    # PNR from where the trees are now
+    fine_ml, _ = mlkl(amesh, P, None)
+    sv_ml = shared_vertex_count(amesh.mesh, fine_ml)
+    fine_pnr, coarse = pnr(amesh, P, coarse)
+    sv_pnr = shared_vertex_count(amesh.mesh, fine_pnr)
 
     rows.append((level, amesh.n_leaves, f"{err['linf']:.2e}", sv_ml, sv_pnr))
 

@@ -11,56 +11,25 @@ with the shared-vertex quality.
 Run:  python examples/transient_tracking.py
 """
 
-import numpy as np
-
-from repro.core import PNR
-from repro.experiments import AssignmentTracker, TransientRunner, format_series
-from repro.experiments.tables import summarize_series
-from repro.mesh import fine_dual_graph
-from repro.partition import (
-    apply_permutation,
-    minimize_migration_permutation,
-    recursive_spectral_bisection,
+from repro.experiments import (
+    TransientRunner,
+    format_series,
+    pnr_stepper,
+    rsb_perm_stepper,
+    rsb_stepper,
 )
+from repro.experiments.tables import summarize_series
 
 P = 4
 STEPS = 16
 
-
-def rsb(amesh, p, state):
-    graph, _ = fine_dual_graph(amesh.mesh)
-    step = state or 0
-    return recursive_spectral_bisection(graph, p, seed=3 + step, refine=True), step + 1
-
-
-def rsb_perm(amesh, p, state):
-    graph, _ = fine_dual_graph(amesh.mesh)
-    if state is None:
-        state = {"tracker": None, "step": 0}
-    fine = recursive_spectral_bisection(graph, p, seed=3 + state["step"], refine=True)
-    state["step"] += 1
-    if state["tracker"] is None:
-        state["tracker"] = AssignmentTracker(amesh)
-    else:
-        perm = minimize_migration_permutation(state["tracker"].inherited(), fine, p)
-        fine = apply_permutation(fine, perm)
-    state["tracker"].stamp(fine)
-    return fine, state
-
-
-def pnr(amesh, p, state):
-    if state is None:
-        state = {"pnr": PNR(seed=5), "coarse": None}
-    if state["coarse"] is None:
-        state["coarse"] = state["pnr"].initial_partition(amesh, p)
-    else:
-        state["coarse"] = state["pnr"].repartition(amesh, p, state["coarse"])
-    return state["pnr"].induced_fine(amesh, state["coarse"]), state
-
-
 runner = TransientRunner(
     P,
-    {"RSB": rsb, "RSB-perm": rsb_perm, "PNR": pnr},
+    {
+        "RSB": rsb_stepper(seed=3),
+        "RSB-perm": rsb_perm_stepper(seed=3),
+        "PNR": pnr_stepper(seed=5),
+    },
     steps=STEPS,
     n=16,
 )

@@ -14,12 +14,12 @@ Repartitioning (PNR)** — together with every substrate it rests on:
                        error estimation, the paper's model problems
 :mod:`repro.graph`     CSR weighted graphs, Fiedler vectors, matchings,
                        contraction
-:mod:`repro.partition` RSB, Multilevel-KL, geometric and greedy
+:mod:`repro.partition` RSB, Multilevel-KL, space-filling-curve and greedy
                        partitioners, the p-way KL engine, Biswas-Oliker
                        permutation
 :mod:`repro.core`      PNR itself: the Equation-1 cost model, the
-                       migration-aware multilevel KL, baselines (diffusion,
-                       scratch-remap), the Section-8 bound model and the
+                       migration-aware multilevel KL, the diffusion
+                       baseline, the Section-8 bound model and the
                        Theorem-6.1 projection
 :mod:`repro.runtime`   simulated message-passing runtime (mpi4py-flavoured)
                        with traffic accounting

@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 
 def _cmd_info(args) -> int:
     import repro
@@ -31,152 +29,60 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_quality(args) -> int:
-    from repro.core import PNR
-    from repro.experiments import format_table, laplace_ladder
-    from repro.mesh import fine_dual_graph, shared_vertex_count
-    from repro.partition import multilevel_partition
-
-    plist = args.procs
-    pnr_state = {p: None for p in plist}
-    pnr = PNR(seed=args.seed)
-    rows = []
-    for level, amesh in laplace_ladder(dim=args.dim, n=args.n, levels=args.levels):
-        mesh = amesh.mesh
-        fg, _ = fine_dual_graph(mesh)
-        row_ml, row_pnr = [], []
-        for p in plist:
-            aml = multilevel_partition(fg, p, seed=args.seed)
-            row_ml.append(shared_vertex_count(mesh, aml))
-            if pnr_state[p] is None:
-                pnr_state[p] = pnr.initial_partition(amesh, p)
-            else:
-                pnr_state[p] = pnr.repartition(amesh, p, pnr_state[p])
-            row_pnr.append(
-                shared_vertex_count(mesh, pnr.induced_fine(amesh, pnr_state[p]))
-            )
-        rows.append((level, amesh.n_leaves, *row_ml, *row_pnr))
-    headers = (
-        ["level", "elems"]
-        + [f"MLKL p={p}" for p in plist]
-        + [f"PNR p={p}" for p in plist]
+    from repro.experiments import (
+        format_table,
+        mlkl_stepper,
+        pnr_stepper,
+        quality_headers,
+        run_quality_ladder,
     )
-    print(format_table(headers, rows, title=f"Quality ({args.dim}D): shared vertices"))
+
+    rows = run_quality_ladder(
+        mlkl_stepper(seed=args.seed), pnr_stepper(seed=args.seed), args.procs,
+        dim=args.dim, n=args.n, levels=args.levels,
+    )
+    print(format_table(quality_headers(args.procs), rows,
+                       title=f"Quality ({args.dim}D): shared vertices"))
     return 0
 
 
 def _cmd_repartition(args) -> int:
-    from repro.experiments import AssignmentTracker, format_table
-    from repro.experiments.laplace import ladder_pairs
-    from repro.mesh import cut_size
-    from repro.partition import apply_permutation, minimize_migration_permutation
+    from repro.experiments import (
+        REPARTITION_HEADERS,
+        format_table,
+        pnr_stepper,
+        rsb_stepper,
+        run_repartition_protocol,
+    )
 
     if args.method == "pnr":
-        from repro.core import PNR
-
-        class Method:
-            def __init__(self):
-                self.pnr = PNR(seed=args.seed)
-                self.coarse = None
-
-            def partition(self, amesh, p):
-                if self.coarse is None:
-                    self.coarse = self.pnr.initial_partition(amesh, p)
-                else:
-                    self.coarse = self.pnr.repartition(amesh, p, self.coarse)
-                return self.pnr.induced_fine(amesh, self.coarse)
-
+        method = pnr_stepper(seed=args.seed)
     else:
-        from repro.mesh import fine_dual_graph
-        from repro.partition import recursive_spectral_bisection
-
-        class Method:
-            def __init__(self):
-                self.k = 0
-
-            def partition(self, amesh, p):
-                g, _ = fine_dual_graph(amesh.mesh)
-                self.k += 1
-                return recursive_spectral_bisection(
-                    g, p, seed=args.seed + self.k, refine=True
-                )
-
-    rows = []
-    for p in args.procs:
-        method = Method()
-        tracker = None
-        pending = {}
-        for phase, k, amesh in ladder_pairs(
-            dim=args.dim, n=args.n, n_measure=args.sizes
-        ):
-            if phase == "grow":
-                fine = np.asarray(method.partition(amesh, p))
-                tracker.stamp(fine)
-            elif phase == "before":
-                fine = np.asarray(method.partition(amesh, p))
-                if tracker is None:
-                    tracker = AssignmentTracker(amesh)
-                tracker.stamp(fine)
-                pending = dict(
-                    n0=amesh.n_leaves, cut0=cut_size(amesh.mesh, fine), k=k
-                )
-            else:
-                new = np.asarray(method.partition(amesh, p))
-                inh = tracker.inherited()
-                raw = int(np.count_nonzero(inh != new))
-                perm = minimize_migration_permutation(inh, new, p)
-                permuted = int(
-                    np.count_nonzero(inh != apply_permutation(new, perm))
-                )
-                rows.append(
-                    (pending["k"], p, pending["n0"], pending["cut0"],
-                     amesh.n_leaves, cut_size(amesh.mesh, new), raw, permuted)
-                )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    print(
-        format_table(
-            ["size#", "p", "elem t-1", "cut t-1", "elem t", "cut t",
-             "C_mig raw", "C_mig perm"],
-            rows,
-            title=f"Repartitioning with {args.method.upper()}",
-        )
+        # Figure 4's RSB has always drawn its first partition at seed + 1
+        method = rsb_stepper(seed=args.seed + 1)
+    rows = run_repartition_protocol(
+        method, args.procs, dim=args.dim, n=args.n, n_measure=args.sizes
     )
+    print(format_table(REPARTITION_HEADERS, rows,
+                       title=f"Repartitioning with {args.method.upper()}"))
     return 0
 
 
 def _cmd_transient(args) -> int:
-    from repro.experiments import TransientRunner, format_series
+    from repro.experiments import (
+        TransientRunner,
+        format_series,
+        pnr_stepper,
+        rsb_stepper,
+    )
     from repro.experiments.tables import summarize_series
 
     methods = {}
     if "pnr" in args.methods:
-        from repro.core import PNR
-
-        def pnr_method(amesh, p, state):
-            if state is None:
-                state = {"pnr": PNR(seed=args.seed), "coarse": None}
-            if state["coarse"] is None:
-                state["coarse"] = state["pnr"].initial_partition(amesh, p)
-            else:
-                state["coarse"] = state["pnr"].repartition(amesh, p, state["coarse"])
-            return state["pnr"].induced_fine(amesh, state["coarse"]), state
-
-        methods["PNR"] = pnr_method
+        methods["PNR"] = pnr_stepper(seed=args.seed)
     if "rsb" in args.methods:
-        from repro.mesh import fine_dual_graph
-        from repro.partition import recursive_spectral_bisection
-
-        def rsb_method(amesh, p, state):
-            g, _ = fine_dual_graph(amesh.mesh)
-            step = state or 0
-            return (
-                recursive_spectral_bisection(g, p, seed=args.seed + step, refine=True),
-                step + 1,
-            )
-
-        methods["RSB"] = rsb_method
-
-    runner = TransientRunner(args.p, methods, n=args.n, steps=args.steps)
-    series = runner.run()
+        methods["RSB"] = rsb_stepper(seed=args.seed)
+    series = TransientRunner(args.p, methods, n=args.n, steps=args.steps).run()
     print(format_series(series, "shared_vertices", every=max(1, args.steps // 20),
                         title=f"shared vertices per step (p={args.p})"))
     print()

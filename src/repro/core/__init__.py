@@ -10,9 +10,9 @@ repartitioning tool-chain around it.
   weighted coarse dual graph ``G`` and induces fine partitions by moving
   whole refinement trees.
 * :mod:`repro.core.diffusion` — Hu–Blake diffusion baseline [8] (the
-  technique behind Walshaw et al. [6] and Schloegel et al. [7]).
-* :mod:`repro.core.scratch_remap` — partition-from-scratch + Biswas–Oliker
-  remap baseline [5].
+  technique behind Walshaw et al. [6] and Schloegel et al. [7]); the
+  partition-from-scratch + Biswas–Oliker remap baseline [5] is the
+  ``mlkl`` entry of :mod:`repro.partition.registry`.
 * :mod:`repro.core.bounds` — the Section 8 migration lower-bound model on
   the processor graph ``H^t``.
 * :mod:`repro.core.projection` — the constructive argument of Theorem 6.1:
@@ -23,19 +23,15 @@ from repro.core.cost import repartition_cost
 from repro.core.repartition_kl import multilevel_repartition
 from repro.core.pnr import PNR
 from repro.core.diffusion import hu_blake_flow, diffusion_repartition
-from repro.core.scratch_remap import scratch_remap_repartition
 from repro.core.bounds import migration_lower_bound, mesh_migration_bound
 from repro.core.projection import project_to_coarse, projection_report
-from repro.core.session import RepartitioningSession
 
 __all__ = [
-    "RepartitioningSession",
     "repartition_cost",
     "multilevel_repartition",
     "PNR",
     "hu_blake_flow",
     "diffusion_repartition",
-    "scratch_remap_repartition",
     "migration_lower_bound",
     "mesh_migration_bound",
     "project_to_coarse",

@@ -16,8 +16,11 @@ grid (12,482 triangles ≈ the paper's 12,498) and a 12³ grid (10,368 tets ≈
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.runtime.envflags import env_bool
 
+from repro.experiments.tracking import AssignmentTracker
 from repro.fem.estimate import (
     interpolation_error_indicator,
     mark_over_threshold,
@@ -25,6 +28,11 @@ from repro.fem.estimate import (
 )
 from repro.fem.problems import CornerLaplace2D, CornerLaplace3D
 from repro.mesh.adapt import AdaptiveMesh
+from repro.mesh.metrics import cut_size, shared_vertex_count
+from repro.partition.permute import (
+    apply_permutation,
+    minimize_migration_permutation,
+)
 
 
 def default_scale() -> bool:
@@ -34,11 +42,23 @@ def default_scale() -> bool:
     return env_bool("REPRO_PAPER_SCALE", default=False)
 
 
+# dim -> (initial mesh, problem, {paper scale?: (grid n, ladder levels)})
 _SCALES = {
-    # dim -> (reduced grid n, paper grid n, reduced levels, paper levels, tol)
-    2: {"reduced_n": 28, "paper_n": 79, "reduced_levels": 6, "paper_levels": 8},
-    3: {"reduced_n": 7, "paper_n": 12, "reduced_levels": 4, "paper_levels": 5},
+    2: (AdaptiveMesh.unit_square, CornerLaplace2D, {False: (28, 6), True: (79, 8)}),
+    3: (AdaptiveMesh.unit_cube, CornerLaplace3D, {False: (7, 4), True: (12, 5)}),
 }
+
+
+def _ladder_start(dim, paper_scale, n):
+    """``(amesh, problem, paper_scale, levels)``: a ladder's initial mesh and
+    problem, the resolved scale and its default number of levels."""
+    if dim not in _SCALES:
+        raise ValueError("dim must be 2 or 3")
+    if paper_scale is None:
+        paper_scale = default_scale()
+    make_mesh, problem, sizes = _SCALES[dim]
+    default_n, levels = sizes[bool(paper_scale)]
+    return make_mesh(default_n if n is None else n), problem(), paper_scale, levels
 
 
 def laplace_ladder(
@@ -64,21 +84,9 @@ def laplace_ladder(
     whose L∞ indicator exceeds ``tol``; the ladder then terminates when the
     error criterion is met).
     """
-    if dim not in _SCALES:
-        raise ValueError("dim must be 2 or 3")
-    if paper_scale is None:
-        paper_scale = default_scale()
-    conf = _SCALES[dim]
-    if n is None:
-        n = conf["paper_n"] if paper_scale else conf["reduced_n"]
+    amesh, problem, _, default_levels = _ladder_start(dim, paper_scale, n)
     if levels is None:
-        levels = conf["paper_levels"] if paper_scale else conf["reduced_levels"]
-    if dim == 2:
-        amesh = AdaptiveMesh.unit_square(n)
-        problem = CornerLaplace2D()
-    else:
-        amesh = AdaptiveMesh.unit_cube(n)
-        problem = CornerLaplace3D()
+        levels = default_levels
 
     yield 0, amesh
     for level in range(1, levels + 1):
@@ -91,6 +99,35 @@ def laplace_ladder(
             break
         amesh.refine(marked)
         yield level, amesh
+
+
+def quality_headers(plist) -> list:
+    """Column headers of Figure 3's :func:`run_quality_ladder` rows."""
+    cols = [f"{name} p={p}" for name in ("MLKL", "PNR") for p in plist]
+    return ["level", "elems"] + cols
+
+
+def run_quality_ladder(baseline, method, plist, **ladder_kw):
+    """The Figure 3 protocol: after every level of :func:`laplace_ladder`,
+    partition the adapted mesh for each ``p`` with the scratch ``baseline``
+    and with the incremental ``method`` (steppers, see
+    :mod:`repro.experiments.steppers`) and count shared vertices.
+
+    Rows: ``(level, elems, *baseline_sv, *method_sv)`` in ``plist`` order.
+    ``method`` carries one state per ``p`` across levels; ``baseline`` is
+    restarted at every level, so it draws the same seed each time.
+    """
+    states = {p: None for p in plist}
+    rows = []
+    for level, amesh in laplace_ladder(**ladder_kw):
+        base_sv, method_sv = [], []
+        for p in plist:
+            fine, _ = baseline(amesh, p, None)
+            base_sv.append(shared_vertex_count(amesh.mesh, fine))
+            fine, states[p] = method(amesh, p, states[p])
+            method_sv.append(shared_vertex_count(amesh.mesh, fine))
+        rows.append((level, amesh.n_leaves, *base_sv, *method_sv))
+    return rows
 
 
 def ladder_pairs(
@@ -116,19 +153,9 @@ def ladder_pairs(
     adaptation, as the paper does ("after each refinement, a new partition
     of the adapted mesh was computed").
     """
-    if paper_scale is None:
-        paper_scale = default_scale()
-    conf = _SCALES[dim]
-    if n is None:
-        n = conf["paper_n"] if paper_scale else conf["reduced_n"]
+    amesh, problem, paper_scale, _ = _ladder_start(dim, paper_scale, n)
     if n_measure is None:
         n_measure = 5 if paper_scale else 3
-    if dim == 2:
-        amesh = AdaptiveMesh.unit_square(n)
-        problem = CornerLaplace2D()
-    else:
-        amesh = AdaptiveMesh.unit_cube(n)
-        problem = CornerLaplace3D()
 
     def grow(fraction):
         ind = interpolation_error_indicator(amesh, problem.exact)
@@ -142,3 +169,51 @@ def ladder_pairs(
             for _ in range(growth_rounds):
                 grow(growth_fraction)
                 yield "grow", size_index, amesh
+
+
+REPARTITION_HEADERS = [
+    "size#", "p", "elem t-1", "cut t-1", "elem t", "cut t",
+    "C_mig raw", "C_mig perm",
+]
+
+
+def run_repartition_protocol(method, plist, **ladder_kw):
+    """The Figure 4/5 protocol: for each ``p``, step ``method`` (a stepper,
+    see :mod:`repro.experiments.steppers`) over :func:`ladder_pairs`,
+    repartitioning after every adaptation, and at each measured pair record
+    the cut before/after and the migration needed to adopt the new
+    partition — raw, and after the Biswas–Oliker subset permutation [5].
+    Migration is counted at the *element* level against an
+    :class:`~repro.experiments.tracking.AssignmentTracker`, so methods that
+    cut through refinement trees are accounted fairly.
+
+    Rows (:data:`REPARTITION_HEADERS`), ordered by (size, p) like the
+    paper's tables.
+    """
+    rows = []
+    for p in plist:
+        state = tracker = before = None
+        for phase, k, amesh in ladder_pairs(**ladder_kw):
+            fine, state = method(amesh, p, state)
+            fine = np.asarray(fine)
+            if phase == "after":
+                inherited = tracker.inherited()
+                perm = minimize_migration_permutation(inherited, fine, p)
+                rows.append(
+                    (
+                        k, p, *before, amesh.n_leaves, cut_size(amesh.mesh, fine),
+                        int(np.count_nonzero(inherited != fine)),
+                        int(np.count_nonzero(
+                            inherited != apply_permutation(fine, perm)
+                        )),
+                    )
+                )
+                continue
+            # "before" and "grow": the distribution the next round starts from
+            if tracker is None:
+                tracker = AssignmentTracker(amesh)
+            tracker.stamp(fine)
+            if phase == "before":
+                before = (amesh.n_leaves, cut_size(amesh.mesh, fine))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows

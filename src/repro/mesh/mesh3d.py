@@ -1,13 +1,9 @@
-"""Nested 3-D tetrahedral mesh with incremental edge and face adjacency.
+"""Nested 3-D tetrahedral mesh with incremental edge adjacency.
 
-Two dictionaries mirror the active leaf set:
-
-* ``_edge_elems``: packed :func:`~repro.mesh.base.pair_key` -> set of active
-  tets containing the edge.  The 3-D Rivara kernel bisects the entire *edge
-  star* at once, so it needs fast edge-to-elements lookup.
-* ``_face_elems``: sorted vertex triple -> set of active tets containing the
-  face (at most two in a conformal mesh); used for the dual graph and for
-  boundary detection.
+One dictionary mirrors the active leaf set, ``_edge_elems``: packed
+:func:`~repro.mesh.base.pair_key` -> set of active tets containing the edge.
+The 3-D Rivara kernel bisects the entire *edge star* at once, so it needs
+fast edge-to-elements lookup; face adjacency is read off two edge stars.
 """
 
 from __future__ import annotations
@@ -38,14 +34,9 @@ class TetMesh(SimplexMesh):
     def _edges_of(cell) -> list:
         return [pair_key(p, q) for p, q in combinations(cell, 2)]
 
-    @staticmethod
-    def _faces_of(cell) -> list:
-        return [tuple(sorted(f)) for f in combinations(cell, 3)]
-
     def _rebuild_adjacency(self) -> None:
         super()._rebuild_adjacency()
         self._edge_elems: dict = {}
-        self._face_elems: dict = {}
         for eid in self.forest.leaves().tolist():
             self._on_activate(eid)
 
@@ -57,12 +48,6 @@ class TetMesh(SimplexMesh):
                 self._edge_elems[key] = {eid}
             else:
                 s.add(eid)
-        for key in self._faces_of(cell):
-            s = self._face_elems.get(key)
-            if s is None:
-                self._face_elems[key] = {eid}
-            else:
-                s.add(eid)
 
     def _on_deactivate(self, eid: int) -> None:
         cell = self.cell(eid)
@@ -71,11 +56,6 @@ class TetMesh(SimplexMesh):
             s.discard(eid)
             if not s:
                 del self._edge_elems[key]
-        for key in self._faces_of(cell):
-            s = self._face_elems[key]
-            s.discard(eid)
-            if not s:
-                del self._face_elems[key]
 
     def edge_star(self, a: int, b: int) -> frozenset:
         """Active tets containing edge ``(a, b)`` — the simultaneous-bisection
@@ -83,18 +63,14 @@ class TetMesh(SimplexMesh):
         return frozenset(self._edge_elems.get(pair_key(a, b), ()))
 
     def face_elements(self, face) -> frozenset:
-        """Active tets containing the (sorted) face."""
-        return frozenset(self._face_elems.get(tuple(sorted(face)), ()))
+        """Active tets containing the face (at most two in a conformal
+        mesh): those in the stars of two of its edges."""
+        a, b, c = face
+        return self.edge_star(a, b) & self.edge_star(a, c)
 
     def neighbor_across(self, eid: int, face):
         """The other active tet across ``face``, or ``None`` on the boundary."""
-        s = self._face_elems.get(tuple(sorted(face)))
-        if s is None:
-            return None
-        for other in s:
-            if other != eid:
-                return other
-        return None
+        return next(iter(self.face_elements(face) - {eid}), None)
 
     # -- geometry --------------------------------------------------------- #
 

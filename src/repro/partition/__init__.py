@@ -7,8 +7,6 @@ The *standard* partitioning algorithms the paper compares against:
 * :func:`~repro.partition.multilevel.multilevel_partition` — Multilevel-KL
   [Hendrickson & Leland 1993], contraction + coarse partition + KL
   projection refinement.
-* :func:`~repro.partition.geometric.recursive_coordinate_bisection` —
-  geometric baseline [Miller et al. 1993].
 
 Plus the high-throughput geometric baseline:
 
@@ -60,7 +58,6 @@ from repro.partition.sfc import (
     weighted_curve_splits,
 )
 from repro.partition.spectral import recursive_spectral_bisection, spectral_bisect
-from repro.partition.geometric import recursive_coordinate_bisection
 from repro.partition.greedy import greedy_graph_growing
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.permute import minimize_migration_permutation, apply_permutation
@@ -92,7 +89,6 @@ __all__ = [
     "weighted_curve_splits",
     "recursive_spectral_bisection",
     "spectral_bisect",
-    "recursive_coordinate_bisection",
     "greedy_graph_growing",
     "multilevel_partition",
     "minimize_migration_permutation",

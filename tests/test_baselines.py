@@ -1,5 +1,5 @@
-"""Tests for the diffusion and scratch-remap repartitioning baselines and
-the Section 8 bound model."""
+"""Tests for the diffusion and scratch-remap (registry ``mlkl``)
+repartitioning baselines and the Section 8 bound model."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,8 @@ from repro.core.diffusion import (
     hu_blake_flow,
     processor_graph_from_assignment,
 )
-from repro.core.scratch_remap import scratch_remap_repartition
 from repro.graph.csr import WeightedGraph
-from repro.partition import graph_imbalance, graph_migration
+from repro.partition import graph_imbalance, graph_migration, make_repartitioner
 
 
 def grid(n, vweights=None):
@@ -91,22 +90,11 @@ class TestScratchRemap:
     def test_balances_and_labels_aligned(self):
         g = grid(8)
         a = (np.arange(64) // 16).astype(np.int64)
-        out = scratch_remap_repartition(g, 4, a, seed=0)
+        out = make_repartitioner("mlkl").repartition(g, 4, a)
         assert graph_imbalance(g, out, 4) < 0.2
         # with an already balanced grid, remap keeps most labels in place:
         # migration is below the no-remap worst case
         assert graph_migration(g, a, out) < 0.8 * 64
-
-    def test_rsb_method(self):
-        g = grid(8)
-        a = (np.arange(64) // 16).astype(np.int64)
-        out = scratch_remap_repartition(g, 4, a, method="rsb", seed=0)
-        assert graph_imbalance(g, out, 4) < 0.3
-
-    def test_unknown_method(self):
-        g = grid(4)
-        with pytest.raises(ValueError):
-            scratch_remap_repartition(g, 2, np.zeros(16, dtype=int), method="nope")
 
 
 class TestBounds:

@@ -1,9 +1,20 @@
 """Tests for the command-line interface (every subcommand at tiny scale)."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import (
+    REPARTITION_HEADERS,
+    TransientRunner,
+    format_series,
+    format_table,
+    mlkl_stepper,
+    pnr_stepper,
+    quality_headers,
+    rsb_stepper,
+    run_quality_ladder,
+    run_repartition_protocol,
+)
 
 
 class TestParser:
@@ -34,31 +45,43 @@ class TestCommands:
         assert "Linf" in out
 
     def test_quality(self, capsys):
-        assert main(["quality", "--n", "6", "--levels", "1", "--procs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "MLKL p=2" in out and "PNR p=2" in out
+        assert main(["quality", "--n", "8", "--levels", "2",
+                     "--procs", "2", "4"]) == 0
+        rows = run_quality_ladder(mlkl_stepper(seed=1), pnr_stepper(seed=1),
+                                  [2, 4], dim=2, n=8, levels=2)
+        assert capsys.readouterr().out == format_table(
+            quality_headers([2, 4]), rows,
+            title="Quality (2D): shared vertices") + "\n"
+
+    def _check_repartition(self, capsys, name, method):
+        rc = main(["repartition", "--method", name, "--n", "8",
+                   "--sizes", "2", "--procs", "2", "4"])
+        assert rc == 0
+        rows = run_repartition_protocol(method, [2, 4], dim=2, n=8, n_measure=2)
+        assert capsys.readouterr().out == format_table(
+            REPARTITION_HEADERS, rows,
+            title=f"Repartitioning with {name.upper()}") + "\n"
 
     def test_repartition_pnr(self, capsys):
-        rc = main(["repartition", "--method", "pnr", "--n", "8",
-                   "--sizes", "1", "--procs", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Repartitioning with PNR" in out
-        assert "C_mig raw" in out
+        self._check_repartition(capsys, "pnr", pnr_stepper(seed=0))
 
     def test_repartition_rsb(self, capsys):
-        rc = main(["repartition", "--method", "rsb", "--n", "8",
-                   "--sizes", "1", "--procs", "2"])
-        assert rc == 0
-        assert "RSB" in capsys.readouterr().out
+        # the CLI's RSB draws its first partition at --seed + 1
+        self._check_repartition(capsys, "rsb", rsb_stepper(seed=1))
 
     def test_transient(self, capsys, tmp_path):
         svg = str(tmp_path / "s.svg")
         rc = main(["transient", "--p", "2", "--n", "8", "--steps", "4",
-                   "--methods", "pnr", "--svg", svg])
+                   "--svg", svg])
         assert rc == 0
+        series = TransientRunner(
+            2, {"PNR": pnr_stepper(seed=5), "RSB": rsb_stepper(seed=5)},
+            n=8, steps=4,
+        ).run()
         out = capsys.readouterr().out
-        assert "PNR" in out
+        for key, title in (("shared_vertices", "shared vertices per step (p=2)"),
+                           ("moved", "elements moved per step")):
+            assert format_series(series, key, title=title) in out
         assert (tmp_path / "s.svg").read_text().startswith("<svg")
 
     def test_bound(self, capsys):

@@ -1,5 +1,5 @@
-"""Tests for the experiment drivers: ladders, transient sequence, tracking,
-tables."""
+"""Tests for the experiment drivers: ladders, the paper protocols and their
+steppers, transient sequence, tracking, tables."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,12 @@ from repro.experiments import (
     format_table,
     laplace_ladder,
     ladder_pairs,
+    mlkl_stepper,
+    pnr_stepper,
+    rsb_perm_stepper,
+    rsb_stepper,
+    run_quality_ladder,
+    run_repartition_protocol,
 )
 from repro.experiments.tables import summarize_series
 from repro.experiments.transient import adapt_step, transient_mesh_sequence
@@ -175,3 +181,61 @@ class TestRunnerAndTables:
         agg = summarize_series(series, "x")
         assert agg["m1"]["mean"] == 2.0
         assert agg["m2"]["max"] == 4
+
+
+class TestPinnedProtocols:
+    """Rows captured at commit c99ae73 from the drivers this module's
+    protocol functions replaced (``benchmarks/_protocol.py``,
+    ``benchmarks/_transient.py``, ``bench_fig3_quality2d.py``) — the shared
+    driver and steppers must reproduce them exactly.  All meshes stay under
+    the dense-eigensolver limit, so the RSB rows are reproducible."""
+
+    def test_fig45_rows_pnr(self):
+        rows = run_repartition_protocol(
+            pnr_stepper(seed=0), [2, 4], dim=2, n=8, n_measure=2
+        )
+        assert rows == [
+            (0, 2, 128, 12, 134, 12, 2, 2),
+            (0, 4, 128, 22, 134, 19, 17, 17),
+            (1, 2, 248, 7, 256, 7, 0, 0),
+            (1, 4, 248, 25, 256, 27, 0, 0),
+        ]
+
+    def test_fig45_rows_rsb(self):
+        rows = run_repartition_protocol(
+            rsb_stepper(seed=1), [2, 4], dim=2, n=8, n_measure=2
+        )
+        assert rows == [
+            (0, 2, 128, 8, 134, 8, 131, 3),
+            (0, 4, 128, 16, 134, 17, 131, 8),
+            (1, 2, 248, 6, 256, 6, 252, 4),
+            (1, 4, 248, 19, 256, 21, 252, 46),
+        ]
+
+    def test_transient_series(self):
+        methods = {
+            "RSB": rsb_stepper(seed=11),
+            "RSB-perm": rsb_perm_stepper(seed=11),
+            "PNR": pnr_stepper(seed=5),
+        }
+        series = TransientRunner(2, methods, n=8, steps=4).run()
+        got = {
+            name: ([r["moved"] for r in recs], [r["shared_vertices"] for r in recs])
+            for name, recs in series.items()
+        }
+        assert got == {
+            "RSB": ([0, 446, 408, 86], [17, 19, 17, 17]),
+            "RSB-perm": ([0, 72, 88, 92], [17, 19, 17, 17]),
+            "PNR": ([0, 31, 13, 45], [18, 21, 21, 18]),
+        }
+
+    def test_fig3_rows(self):
+        rows = run_quality_ladder(
+            mlkl_stepper(seed=1), pnr_stepper(seed=1), [2, 4],
+            dim=2, n=8, levels=2,
+        )
+        assert rows == [
+            (0, 128, 9, 23, 9, 23),
+            (1, 158, 9, 22, 10, 21),
+            (2, 190, 8, 23, 12, 26),
+        ]

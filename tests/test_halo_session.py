@@ -1,10 +1,9 @@
-"""Tests for halo analysis and the repartitioning session."""
+"""Tests for halo analysis."""
 
 import numpy as np
 import pytest
 
-from repro.core import PNR, RepartitioningSession
-from repro.mesh import AdaptiveMesh, shared_vertex_count
+from repro.mesh import shared_vertex_count
 from repro.pared.halo import (
     ghost_elements,
     halo_report,
@@ -67,45 +66,3 @@ class TestHalo:
         owners = (cents[:, 0] > 0).astype(np.int64)
         rep = halo_report(square8.mesh, owners, 2)
         assert rep["floats_per_accumulation"] == 2 * rep["shared_vertices_total"]
-
-
-class TestSession:
-    def _session(self):
-        am = AdaptiveMesh.unit_square(10)
-        am.refine_where(lambda c: (c[:, 0] > 0.2) & (c[:, 1] > 0.2))
-        return RepartitioningSession(am, 4, pnr=PNR(seed=2), imbalance_trigger=0.05)
-
-    def test_noop_round_when_balanced(self):
-        s = self._session()
-        rec = s.round()  # nothing adapted since the initial partition
-        assert not rec["triggered"]
-        assert rec["moved"] == 0
-
-    def test_triggered_round_rebalances(self):
-        s = self._session()
-        s.amesh.refine_where(lambda c: (c[:, 0] < -0.4) & (c[:, 1] < -0.4))
-        rec = s.round()
-        assert rec["triggered"]
-        assert rec["imbalance_after"] < rec["imbalance_before"]
-        assert rec["moved"] > 0
-
-    def test_history_and_summary(self):
-        s = self._session()
-        for k in range(3):
-            s.amesh.refine_where(lambda c: c[:, 0] > 0.6 - 0.2 * k)
-            s.round()
-        assert len(s.history) == 3
-        summ = s.summary()
-        assert summ["rounds"] == 3
-        assert summ["total_moved"] == sum(r["moved"] for r in s.history)
-        assert 0 <= summ["mean_moved_frac"] <= 1
-
-    def test_fine_assignment_tracks_coarse(self):
-        s = self._session()
-        fine = s.fine
-        assert fine.shape[0] == s.amesh.n_leaves
-        assert np.array_equal(fine, np.asarray(s.coarse)[s.amesh.leaf_roots()])
-
-    def test_empty_summary(self):
-        s = self._session()
-        assert s.summary()["rounds"] == 0

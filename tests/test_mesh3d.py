@@ -39,9 +39,16 @@ class TestConstruction:
 
     def test_face_adjacency(self):
         m = cube_mesh(1)
-        # every interior face shared by exactly two tets
-        for face, elems in m._face_elems.items():
-            assert 1 <= len(elems) <= 2
+        # every face belongs to one (boundary) or two tets, and
+        # face_elements finds exactly the leaves that contain it
+        from itertools import combinations
+
+        leaves = m.leaf_ids().tolist()
+        for eid in leaves:
+            for face in combinations(m.cell(eid), 3):
+                elems = m.face_elements(face)
+                assert eid in elems and 1 <= len(elems) <= 2
+                assert elems == {e for e in leaves if set(face) <= set(m.cell(e))}
 
     def test_neighbor_across(self):
         m = cube_mesh(1)

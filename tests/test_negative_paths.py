@@ -58,14 +58,6 @@ class TestSolverEdgeCases:
         err = fem_solution_error(am, u, prob.exact)
         assert np.isfinite(err["linf"])
 
-    def test_unknown_grow_method(self):
-        from repro.core.scratch_remap import scratch_remap_repartition
-        from repro.graph.generators import grid_graph
-
-        with pytest.raises(ValueError):
-            scratch_remap_repartition(grid_graph(4), 2, np.zeros(16, dtype=int),
-                                      method="bogus")
-
 
 class TestKLEdgeCases:
     def test_single_vertex_graph(self):

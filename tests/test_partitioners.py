@@ -1,4 +1,4 @@
-"""Tests for RSB, geometric RCB, greedy growing, Multilevel-KL and the
+"""Tests for RSB, greedy growing, Multilevel-KL and the
 named repartitioner registry (pnr / mlkl / sfc / dkl)."""
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.partition import (
     greedy_graph_growing,
     make_repartitioner,
     multilevel_partition,
-    recursive_coordinate_bisection,
     recursive_spectral_bisection,
     spectral_bisect,
     validate_assignment,
@@ -95,58 +94,6 @@ class TestRSB:
         raw = recursive_spectral_bisection(g, 4, seed=1, refine=False)
         pol = recursive_spectral_bisection(g, 4, seed=1, refine=True)
         assert graph_cut(g, pol) <= graph_cut(g, raw) + 2
-
-
-class TestGeometric:
-    def test_rcb_splits_widest_axis(self):
-        rng = np.random.default_rng(0)
-        pts = np.column_stack([rng.uniform(0, 10, 100), rng.uniform(0, 1, 100)])
-        a = recursive_coordinate_bisection(pts, None, 2)
-        # split must be along x: all of side 0 left of all of side 1
-        assert pts[a == 0][:, 0].max() <= pts[a == 1][:, 0].min() + 1e-12
-
-    def test_weighted_balance(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-1, 1, (200, 2))
-        w = rng.uniform(0.5, 2.0, 200)
-        a = recursive_coordinate_bisection(pts, w, 4)
-        loads = np.bincount(a, weights=w, minlength=4)
-        assert loads.max() / (w.sum() / 4) - 1 < 0.2
-
-    def test_p_must_be_positive(self):
-        with pytest.raises(ValueError):
-            recursive_coordinate_bisection(np.zeros((3, 2)), None, 0)
-
-    def test_zero_weights_still_fill_every_part(self):
-        """All-zero weights used to collapse the median to one side and
-        leave parts empty; the count-proportional fallback keeps every
-        part populated whenever n >= p."""
-        pts = np.column_stack([np.arange(8.0), np.zeros(8)])
-        a = recursive_coordinate_bisection(pts, np.zeros(8), 8)
-        assert np.bincount(a, minlength=8).min() == 1
-
-    def test_nan_weights_fall_back_to_counts(self):
-        pts = np.random.default_rng(2).uniform(0, 1, (12, 2))
-        w = np.ones(12)
-        w[3] = np.nan
-        a = recursive_coordinate_bisection(pts, w, 4)
-        assert np.bincount(a, minlength=4).min() > 0
-
-    def test_n_equals_p_one_point_each(self):
-        pts = np.random.default_rng(3).uniform(0, 1, (5, 3))
-        a = recursive_coordinate_bisection(pts, None, 5)
-        assert sorted(a) == [0, 1, 2, 3, 4]
-
-    def test_skewed_weight_never_empties_a_part(self):
-        pts = np.column_stack([np.arange(6.0), np.zeros(6)])
-        w = np.array([100.0, 1, 1, 1, 1, 1])
-        a = recursive_coordinate_bisection(pts, w, 3)
-        assert np.bincount(a, minlength=3).min() > 0
-
-    def test_coincident_points(self):
-        pts = np.ones((8, 2))
-        a = recursive_coordinate_bisection(pts, None, 4)
-        assert np.bincount(a, minlength=4).min() > 0
 
 
 class TestGreedy:
