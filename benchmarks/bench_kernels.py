@@ -14,7 +14,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.repartition_kl import multilevel_repartition
+from repro.core import PNR
 from repro.fem import CornerLaplace2D, interpolation_error_indicator
 from repro.fem.p1 import stiffness_matrix
 from repro.graph import fiedler_vector
@@ -23,7 +23,12 @@ from repro.graph.csr import WeightedGraph
 from repro.graph.matching import heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph, fine_dual_graph
 from repro.mesh.metrics import shared_vertex_count
-from repro.partition import KLConfig, kl_refine, multilevel_partition
+from repro.partition import (
+    KLConfig,
+    kl_refine,
+    multilevel_partition,
+    multilevel_repartition,
+)
 from repro.runtime.envflags import effective_cpu_count
 
 
@@ -175,13 +180,13 @@ def test_kernel_multilevel_repartition(benchmark, adapted):
     """The paper's kernel (Section 9): constrained HEM hierarchy + KL with
     the Equation-1 gain, from the current partition."""
     g, current = _drifted(coarse_dual_graph(adapted.mesh), 8)
-    a = benchmark(multilevel_repartition, g, 8, current)
+    a = benchmark(multilevel_repartition, g, 8, current, PNR())
     assert len(np.unique(a)) == 8
 
 
 def test_kernel_multilevel_repartition_large(benchmark, adapted_large):
     g, current = _drifted(coarse_dual_graph(adapted_large.mesh), 8)
-    a = benchmark(multilevel_repartition, g, 8, current)
+    a = benchmark(multilevel_repartition, g, 8, current, PNR())
     assert len(np.unique(a)) == 8
 
 
@@ -190,7 +195,7 @@ def test_kernel_multilevel_repartition_3d_k16(benchmark):
     am = AdaptiveMesh.unit_cube(12)
     am.refine_where(lambda c: c.sum(axis=1) > 2.2)
     g, current = _drifted(coarse_dual_graph(am.mesh), 16)
-    a = benchmark(multilevel_repartition, g, 16, current)
+    a = benchmark(multilevel_repartition, g, 16, current, PNR())
     assert len(np.unique(a)) == 16
 
 

@@ -49,6 +49,7 @@ import time
 
 import numpy as np
 
+from repro.core import PNR
 from repro.graph.csr import WeightedGraph
 from repro.mesh import AdaptiveMesh, coarse_dual_graph, coarse_root_centroids
 from repro.partition import (
@@ -83,7 +84,7 @@ def perturb_weights(graph: WeightedGraph, coords: np.ndarray) -> WeightedGraph:
 def one_round(name: str, graph0, graph1, coords, p: int) -> dict:
     """Initial partition on ``graph0`` (untimed), then the timed
     repartition of ``graph1`` — the steady-state per-round cost."""
-    strat = make_repartitioner(name)
+    strat = make_repartitioner(name, PNR())
     a0 = strat.initial(graph0, p, coords=coords)
     t0 = time.perf_counter()
     a1 = strat.repartition(graph1, p, a0, coords=coords)
@@ -113,7 +114,7 @@ def _reduced_fixture():
 def _bench_round(benchmark, name):
     graph0, graph1, coords = _reduced_fixture()
     p = _P["reduced"]
-    strat = make_repartitioner(name)
+    strat = make_repartitioner(name, PNR())
     a0 = strat.initial(graph0, p, coords=coords)
 
     a1 = benchmark.pedantic(

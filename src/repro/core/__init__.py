@@ -1,14 +1,17 @@
 """The paper's contribution: Parallel Nested Repartitioning (PNR) and the
 repartitioning tool-chain around it.
 
-* :mod:`repro.core.cost` — the composite objective of Equation 1.
-* :mod:`repro.core.repartition_kl` — the migration-aware multilevel KL
-  repartitioner (Section 9): contraction constrained to the current
-  partition, coarsest assignment *inherited* rather than recomputed, KL
-  with the ``C_cut + α·C_migrate + β·C_balance`` gain.
-* :mod:`repro.core.pnr` — the PNR driver: partitions/repartitions the
-  weighted coarse dual graph ``G`` and induces fine partitions by moving
-  whole refinement trees.
+* :mod:`repro.core.pnr` — the PNR driver and the one Equation-1 parameter
+  object: partitions/repartitions the weighted coarse dual graph ``G`` and
+  induces fine partitions by moving whole refinement trees.  Its
+  repartitioner is the ``pnr`` strategy of :mod:`repro.partition.registry`
+  — Section 9's migration-aware multilevel KL
+  (:func:`repro.partition.multilevel.multilevel_repartition`: contraction
+  constrained to the current partition, coarsest assignment *inherited*
+  rather than recomputed, KL with the ``C_cut + α·C_migrate + β·C_balance``
+  gain); the objective itself is
+  :func:`repro.partition.metrics.repartition_cost`.  Imports run one way:
+  ``core`` → ``partition``.
 * :mod:`repro.core.diffusion` — Hu–Blake diffusion baseline [8] (the
   technique behind Walshaw et al. [6] and Schloegel et al. [7]); the
   partition-from-scratch + Biswas–Oliker remap baseline [5] is the
@@ -19,16 +22,12 @@ repartitioning tool-chain around it.
   projecting a fine partition onto coarse-element boundaries.
 """
 
-from repro.core.cost import repartition_cost
-from repro.core.repartition_kl import multilevel_repartition
 from repro.core.pnr import PNR
 from repro.core.diffusion import hu_blake_flow, diffusion_repartition
 from repro.core.bounds import migration_lower_bound, mesh_migration_bound
 from repro.core.projection import project_to_coarse, projection_report
 
 __all__ = [
-    "repartition_cost",
-    "multilevel_repartition",
     "PNR",
     "hu_blake_flow",
     "diffusion_repartition",

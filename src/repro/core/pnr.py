@@ -9,28 +9,33 @@ moves whole refinement trees, so a partition of ``G`` induces a partition of
 moved).
 
 The :class:`PNR` driver holds the paper's parameters (α = 0.1, β = 0.8 in
-the experiments) and offers:
+the experiments) — it is the one Equation-1 parameter object, handed whole
+to :func:`repro.partition.registry.make_repartitioner` — and offers:
 
 * :meth:`initial_partition` — standard multilevel partition of ``G``
   (phase P3 on the first round, when there is no current assignment);
-* :meth:`repartition` — the migration-aware multilevel KL of
-  :mod:`repro.core.repartition_kl`;
+* :meth:`repartition` — the registry's ``pnr`` strategy (Section 9's
+  migration-aware multilevel KL) on ``G`` as rebuilt from the mesh;
 * :meth:`induced_fine` — the leaf assignment (trees move whole);
 * :meth:`report` — cut/balance/migration metrics of a round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import repartition_cost
-from repro.core.repartition_kl import multilevel_repartition
 from repro.mesh.dualgraph import coarse_dual_graph, leaf_assignment_from_roots
 from repro.mesh.metrics import cut_size, shared_vertex_count
-from repro.partition.metrics import graph_imbalance, graph_migration
+from repro.partition.metrics import (
+    graph_imbalance,
+    graph_migration,
+    repartition_cost,
+)
 from repro.partition.multilevel import multilevel_partition
+from repro.partition.registry import make_repartitioner
+from repro.testing import check_monotone_refinement, check_partition_validity
 
 
 @dataclass
@@ -48,8 +53,9 @@ class PNR:
     seed:
         Seed for matching / initial-partition randomness.
     repartition_coarsest, constrain_matching:
-        Ablation switches forwarded to
-        :func:`repro.core.repartition_kl.multilevel_repartition`.
+        Ablation switches of
+        :func:`repro.partition.multilevel.multilevel_repartition`; only the
+        ``pnr`` strategy honours them, the others raise.
     audit:
         When True, every :meth:`repartition` result is checked against the
         :mod:`repro.testing` invariants (partition validity,
@@ -81,24 +87,8 @@ class PNR:
         ``current`` (the assignment of coarse trees to processors)."""
         mesh = getattr(mesh, "mesh", mesh)
         graph = coarse_dual_graph(mesh)
-        new = multilevel_repartition(
-            graph,
-            p,
-            current,
-            alpha=self.alpha,
-            beta=self.beta,
-            seed=self.seed,
-            balance_tol=self.balance_tol,
-            repartition_coarsest=self.repartition_coarsest,
-            constrain_matching=self.constrain_matching,
-        )
+        new = make_repartitioner("pnr", pnr=self).repartition(graph, p, current)
         if self.audit:
-            # lazy import: repro.testing depends on repro.core.cost
-            from repro.testing import (
-                check_monotone_refinement,
-                check_partition_validity,
-            )
-
             check_partition_validity(new, p, graph.n_vertices)
             check_monotone_refinement(graph, p, current, new, self.alpha, self.beta)
         return new

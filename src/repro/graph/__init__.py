@@ -4,7 +4,7 @@ matching and contraction — the building blocks of the multilevel partitioners.
 
 from repro.graph.csr import WeightedGraph
 from repro.graph.laplacian import laplacian_matrix, fiedler_vector
-from repro.graph.matching import heavy_edge_matching, random_matching
+from repro.graph.matching import heavy_edge_matching
 from repro.graph.contract import contract
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "laplacian_matrix",
     "fiedler_vector",
     "heavy_edge_matching",
-    "random_matching",
     "contract",
 ]

@@ -5,13 +5,10 @@ Heavy-edge matching (HEM) matches vertices across heavy edges
 edge weight as possible from the coarser graph, which keeps coarse cuts
 representative of fine cuts.
 
-Both matchings here are computed with the same machinery (so ablation
-benches share a cost shape): every undirected edge gets a unique priority
-— edge weight with a seeded random tie-break for HEM, a pure seeded
-shuffle for :func:`random_matching` — and the matching is the *greedy*
-one for that priority order: scan the edges from best to worst and match
-every edge whose endpoints are both still free.  The compiled core does
-exactly that scan (``_klcore.c: hem_match``); the numpy reference reaches
+Every undirected edge gets a unique priority — edge weight with a seeded
+random tie-break — and the matching is the *greedy* one for that priority
+order: scan the edges from best to worst and match every edge whose
+endpoints are both still free.  The compiled core does exactly that scan (``_klcore.c: hem_match``); the numpy reference reaches
 the same matching by mutual-proposal rounds (:func:`_match_rounds`): each
 round, every unmatched vertex proposes along its highest-priority
 surviving edge and mutual proposals become matches.  The two agree because
@@ -121,14 +118,4 @@ def heavy_edge_matching(
         by_tie = np.empty(es.size, dtype=np.int64)
         by_tie[tie] = np.arange(es.size, dtype=np.int64)
         order = by_tie[np.argsort(ew[by_tie], kind="stable")]
-        return _greedy_matching(graph.n_vertices, es, ed, order)
-
-
-def random_matching(graph: WeightedGraph, seed: int = 0, constraint=None) -> np.ndarray:
-    """Maximal random matching (baseline for ablations; same contract as
-    :func:`heavy_edge_matching`)."""
-    with PERF.span("matching.random"):
-        es, ed, _ = _candidate_edges(graph, constraint)
-        rng = np.random.default_rng(seed)
-        order = np.argsort(rng.permutation(es.size))
         return _greedy_matching(graph.n_vertices, es, ed, order)

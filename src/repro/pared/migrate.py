@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.partition.registry import make_repartitioner
 from repro.runtime.faults import recv_with_retry
+from repro.runtime.recovery import compact_owner, expand_owner
 
 
 def migration_directives(old_owner: np.ndarray, new_owner: np.ndarray) -> list:
@@ -206,31 +208,21 @@ def execute_migration(
     }
 
 
-def plan_recovery_assignment(
-    graph,
-    owner: np.ndarray,
-    live,
-    alpha: float,
-    beta: float,
-    seed: int = 0,
-    balance_tol: float = 0.05,
-) -> np.ndarray:
+def plan_recovery_assignment(graph, owner: np.ndarray, live, pnr) -> np.ndarray:
     """Re-assign the coarse roots of dead ranks to survivors.
 
     Orphaned roots are first adopted greedily — each goes to the live rank
     with the strongest edge affinity (fine-adjacency weight to roots that
     rank already holds), ties broken toward the lighter rank, then the
     lower one, so the result is deterministic.  The provisional map is then
-    handed to ``multilevel_repartition`` in the compacted live-rank space
+    handed to the registry's ``pnr`` strategy (built from ``pnr``, the run's
+    Equation-1 parameter object) in the compacted live-rank space
     (partition labels must be dense), which rebalances under the Equation-1
     objective; its monotone-or-rollback guarantee means the final map is
     never worse than the greedy adoption.
 
     Returns a full owner map whose values are all live ranks.
     """
-    from repro.core.repartition_kl import multilevel_repartition
-    from repro.runtime.recovery import compact_owner, expand_owner
-
     live = sorted(int(r) for r in live)
     lookup = {r: i for i, r in enumerate(live)}
     owner = np.asarray(owner, dtype=np.int64)
@@ -254,13 +246,7 @@ def plan_recovery_assignment(
         )
         adopted[a] = live[best]
         loads[best] += graph.vwts[a]
-    compact = multilevel_repartition(
-        graph,
-        len(live),
-        compact_owner(adopted, live),
-        alpha=alpha,
-        beta=beta,
-        seed=seed,
-        balance_tol=balance_tol,
+    compact = make_repartitioner("pnr", pnr=pnr).repartition(
+        graph, len(live), compact_owner(adopted, live)
     )
     return expand_owner(compact, live)

@@ -5,12 +5,14 @@ of the coarse dual graph ``G``, measure the imbalance and — past the
 trigger — choose a new owner map.  How is a property of the repartitioning
 strategy's family, and the only thing about a round that varies with it:
 
-* :class:`_CoordinatorProtocol` (``pnr``/``mlkl``/``sfc``): every rank diffs
+* :class:`_CoordinatorProtocol` (strategies with ``halo = False``:
+  ``pnr``/``mlkl``/``sfc``): every rank diffs
   its report against last round's, the deltas travel to ``P_C``, which
   merges them into its :class:`_CoordinatorGraph` and runs the registry
   strategy on it.  Round state: the delta baseline on every rank, ``G`` on
   ``P_C`` — both checkpointed.
-* :class:`_HaloProtocol` (``dkl``/``dkl-ml``): boundary slices of the full
+* :class:`_HaloProtocol` (``halo = True``: ``dkl``/``dkl-ml``): boundary
+  slices of the full
   report travel neighbor-to-neighbor into a
   :class:`~repro.partition.distributed.PartView`, ``P_C`` keeps only an
   O(p) gather of load sums, and the tournament runs SPMD on every rank
@@ -36,11 +38,7 @@ from repro.pared.weights import (
     merge_fresh_values,
     split_edge_keys,
 )
-from repro.partition.distributed import (
-    DKLConfig,
-    dkl_ml_refine_comm,
-    dkl_refine_comm,
-)
+from repro.partition.metrics import imbalance
 from repro.partition.registry import make_repartitioner
 from repro.perf import PERF
 from repro.runtime.recovery import compact_owner, expand_owner
@@ -49,15 +47,6 @@ from repro.testing import (
     check_halo_weights,
     check_monotone_refinement,
 )
-
-#: strategies that run the halo protocol, with their SPMD tournament
-_HALO_REFINE = {"dkl": dkl_refine_comm, "dkl-ml": dkl_ml_refine_comm}
-
-
-def _imbalance(loads: np.ndarray) -> float:
-    """Relative overload of the heaviest live rank (0 on an empty mesh)."""
-    mean = loads.sum() / len(loads)
-    return float(loads.max() / mean - 1.0) if mean else 0.0
 
 
 def _on_live(live, size: int, fn, *owners):
@@ -136,16 +125,14 @@ class _CoordinatorGraph:
 
 
 class _WeightProtocol:
-    """What both protocols share: ``P_C``'s strategy object (it carries the
-    sfc curve-order cache across rounds) for the initial partition."""
+    """What both protocols share: the registry strategy (on ``P_C`` it
+    carries the sfc curve-order cache across rounds) and, on ``P_C``, the
+    root centroids for the initial partition."""
 
-    def __init__(self, comm, cfg, coordinator: int, amesh):
+    def __init__(self, comm, cfg, coordinator: int, amesh, repart):
         self.comm, self.cfg, self.C = comm, cfg, coordinator
-        self.repart = self.root_coords = None
+        self.repart, self.root_coords = repart, None
         if comm.rank == coordinator:
-            self.repart = make_repartitioner(
-                cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
-            )
             self.root_coords = coarse_root_centroids(amesh.mesh)
 
     def initial_owner(self, amesh, live) -> np.ndarray:
@@ -170,8 +157,8 @@ class _WeightProtocol:
 
 
 class _CoordinatorProtocol(_WeightProtocol):
-    def __init__(self, comm, cfg, coordinator: int, amesh):
-        super().__init__(comm, cfg, coordinator, amesh)
+    def __init__(self, comm, cfg, coordinator: int, amesh, repart):
+        super().__init__(comm, cfg, coordinator, amesh, repart)
         #: last round's full report — the baseline P2 deltas are cut against
         self.prev_full = None
         #: assembled *only* from P2 messages, never from the replica
@@ -196,7 +183,7 @@ class _CoordinatorProtocol(_WeightProtocol):
             self.G.merge(msgs)
             graph = self.graph = self.G.graph()
             loads = np.bincount(dmesh.owner, weights=graph.vwts, minlength=comm.size)
-            imb = _imbalance(loads[dmesh.live])
+            imb = imbalance(loads[dmesh.live])
             if imb <= self.cfg.imbalance_trigger:
                 return dmesh.owner.copy(), imb
             new_owner = _on_live(
@@ -215,11 +202,10 @@ class _CoordinatorProtocol(_WeightProtocol):
         # G was assembled purely from P2 messages — auditing it against a
         # brute-force recount verifies the weight protocol end to end
         check_dual_graph_weights(dmesh.amesh.mesh, self.graph)
-        # the monotone-or-rollback invariant is a property of the
-        # Equation-1 KL engine; the mlkl/sfc strategies optimize other
-        # objectives and are checked by validity/balance alone
+        # strategies that optimize another objective than Equation 1 are
+        # checked by validity/balance alone
         cfg = self.cfg
-        if imb > cfg.imbalance_trigger and cfg.partitioner == "pnr":
+        if imb > cfg.imbalance_trigger and self.repart.monotone:
             _on_live(
                 dmesh.live,
                 self.comm.size,
@@ -273,25 +259,19 @@ class _HaloProtocol(_WeightProtocol):
             loads = np.zeros(comm.size)
             loads[live] = [s for s, _ in gathered]
             wmax = max(m for _, m in gathered)
-            measured = (loads, float(wmax), _imbalance(loads[live]))
+            measured = (loads, float(wmax), imbalance(loads[live]))
         return comm.bcast(measured, root=self.C, tag=43, ranks=dmesh.group)
 
     def decide(self, dmesh, measured):
-        comm, pnr = self.comm, self.cfg.pnr
+        comm = self.comm
         loads, wmax, imb = measured
         if imb <= self.cfg.imbalance_trigger:
             assign = dmesh.owner.copy()
         else:
-            dcfg = DKLConfig(
-                alpha=pnr.alpha,
-                beta=pnr.beta,
-                seed=pnr.seed,
-                balance_tol=pnr.balance_tol,
-            )
             comm.set_phase("dkl")
             loads = np.asarray(loads, dtype=np.float64)
-            assign = _HALO_REFINE[self.cfg.partitioner](
-                comm, self.view, dmesh.owner, loads, wmax, dmesh.live, dcfg,
+            assign = self.repart.refine_spmd(
+                comm, self.view, dmesh.owner, loads, wmax, dmesh.live,
                 group=dmesh.group,
             )
             comm.set_phase("P3")
@@ -308,6 +288,8 @@ class _HaloProtocol(_WeightProtocol):
 
 
 def _weight_protocol(comm, cfg, coordinator: int, amesh) -> _WeightProtocol:
-    """The protocol of ``cfg.partitioner``'s family, with fresh round state."""
-    cls = _HaloProtocol if cfg.partitioner in _HALO_REFINE else _CoordinatorProtocol
-    return cls(comm, cfg, coordinator, amesh)
+    """The protocol of ``cfg.partitioner``'s family, with fresh round state
+    and a fresh strategy object."""
+    repart = make_repartitioner(cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve)
+    cls = _HaloProtocol if repart.halo else _CoordinatorProtocol
+    return cls(comm, cfg, coordinator, amesh, repart)

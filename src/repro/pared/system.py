@@ -92,7 +92,10 @@ class ParedConfig:
     rounds:
         Number of adapt/repartition rounds.
     pnr:
-        The repartitioner (Equation 1 parameters).
+        The Equation-1 parameter object, handed whole to the registry
+        strategy (and to crash recovery).  Its ablation switches reach the
+        coordinator's V-cycle under ``partitioner="pnr"``; any other
+        strategy raises on a non-default one.
     imbalance_trigger:
         Repartition only when the coordinator's measured imbalance exceeds
         this (the paper's "user-supplied workload imbalance").
@@ -318,15 +321,7 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     if comm.rank == C:
         # a P_C holding no G of its own bootstraps from its replica
         graph = known if known is not None else coarse_dual_graph(amesh.mesh)
-        new_owner = plan_recovery_assignment(
-            graph,
-            ckpt.owner,
-            live,
-            alpha=cfg.pnr.alpha,
-            beta=cfg.pnr.beta,
-            seed=cfg.pnr.seed,
-            balance_tol=cfg.pnr.balance_tol,
-        )
+        new_owner = plan_recovery_assignment(graph, ckpt.owner, live, cfg.pnr)
     mig = execute_migration(comm, dmesh, new_owner, coordinator=C)
 
     # recovery invariants: the survivors hold a valid p-1 partition and the

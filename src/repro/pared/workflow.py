@@ -18,49 +18,31 @@ engine's; the solve's traffic lands under phase ``solve``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.pnr import PNR
 from repro.fem.estimate import gradient_jump_indicator
-from repro.mesh.adapt import AdaptiveMesh
 from repro.pared.solver import DistributedPoissonSolver
 from repro.pared.system import ParedConfig, _run_rounds
 from repro.perf import PERF
-from repro.runtime.faults import FaultPlan
 
 
 @dataclass
-class WorkflowConfig:
-    """Configuration of the solve-driven PARED loop.
-
-    ``faults``, ``audit``, ``transport``, ``partitioner`` and ``sfc_curve``
-    mirror :class:`~repro.pared.system.ParedConfig`: the first injects a
-    seeded :class:`~repro.runtime.faults.FaultPlan` into the wire, the
-    second runs the :mod:`repro.testing` invariant checks at the end of
-    every round, the third selects the rank backend
-    (``"thread"``/``"shm"``, ``None`` defers to ``REPRO_TRANSPORT``),
-    and the last two select the repartitioning strategy from the registry
-    (``"pnr"``/``"mlkl"``/``"sfc"``/``"dkl"``/``"dkl-ml"``) — and with it
-    the round's weight protocol, exactly as there.
+class WorkflowConfig(ParedConfig):
+    """Configuration of the solve-driven PARED loop: every engine option of
+    :class:`~repro.pared.system.ParedConfig` (inherited, so the two can
+    never drift apart — ``faults``, ``audit``, ``recover``, ``transport``,
+    ``partitioner``, ... mean exactly what they mean there) plus the solve.
+    ``marker`` stays ``None``: the solve-driven mark stage stands in.
     """
 
-    p: int
-    make_mesh: Callable[[], AdaptiveMesh]
-    problem: object  # needs .source (or None) and .dirichlet(points)
+    marker: Optional[Callable] = None
     rounds: int = 3
+    problem: object = None  # required: .source (or None) and .dirichlet(points)
     refine_fraction: float = 0.15
-    pnr: PNR = field(default_factory=PNR)
-    imbalance_trigger: float = 0.05
-    coordinator: int = 0
     cg_rtol: float = 1e-8
-    faults: Optional[FaultPlan] = None
-    audit: bool = False
-    transport: Optional[str] = None
-    partitioner: str = "pnr"
-    sfc_curve: str = "morton"
 
 
 @dataclass
@@ -97,19 +79,7 @@ def run_workflow(cfg: WorkflowConfig):
     returns ``(histories, traffic_stats)`` like
     :func:`~repro.pared.system.run_pared`, each record carrying
     ``cg_iterations`` and ``eta_max`` as well."""
-    engine_cfg = ParedConfig(
-        p=cfg.p,
-        make_mesh=cfg.make_mesh,
-        marker=None,  # the solve-driven mark stage stands in
-        rounds=cfg.rounds,
-        pnr=cfg.pnr,
-        imbalance_trigger=cfg.imbalance_trigger,
-        coordinator=cfg.coordinator,
-        faults=cfg.faults,
-        audit=cfg.audit,
-        transport=cfg.transport,
-        partitioner=cfg.partitioner,
-        sfc_curve=cfg.sfc_curve,
-    )
+    if cfg.problem is None:
+        raise ValueError("WorkflowConfig.problem is required")
     mark = _SolveMark(cfg.problem, cfg.refine_fraction, cfg.cg_rtol)
-    return _run_rounds(engine_cfg, mark)
+    return _run_rounds(cfg, mark)

@@ -6,7 +6,9 @@ The *standard* partitioning algorithms the paper compares against:
   [Pothen/Simon/Liou 1990], Chaco's reference method.
 * :func:`~repro.partition.multilevel.multilevel_partition` — Multilevel-KL
   [Hendrickson & Leland 1993], contraction + coarse partition + KL
-  projection refinement.
+  projection refinement; :func:`~repro.partition.multilevel.
+  multilevel_repartition` is the same V-cycle configured as PNR's
+  migration-aware repartitioner (Section 9).
 
 Plus the high-throughput geometric baseline:
 
@@ -20,10 +22,12 @@ the distributed propose/resolve/rebalance refinement pass
 (:mod:`repro.partition.distributed` — the coordinator-free ``dkl``
 strategy and its multilevel ``dkl-ml`` flavour), greedy graph growing for
 coarsest-level partitions, the Biswas–Oliker subset permutation that
-minimizes data movement [5], partition metrics, and the named
-repartitioner registry (:mod:`repro.partition.registry`:
-``pnr``/``mlkl``/``sfc``/``dkl``/``dkl-ml``) the PARED round engine and
-CLI select strategies from.
+minimizes data movement [5], partition metrics with the Equation-1
+objective (:func:`~repro.partition.metrics.repartition_cost`), and the
+named repartitioner registry (:mod:`repro.partition.registry`:
+``pnr``/``mlkl``/``sfc``/``dkl``/``dkl-ml``) — the one door through which
+the PARED round engine, crash recovery, ``PNR.repartition`` and the CLI
+repartition ``G``.
 """
 
 from repro.partition.metrics import (
@@ -32,14 +36,13 @@ from repro.partition.metrics import (
     graph_imbalance,
     graph_migration,
     partition_targets,
+    repartition_cost,
     validate_assignment,
 )
 from repro.partition.kl import KLConfig, kl_refine
 from repro.partition.distributed import (
     DKLConfig,
     PartView,
-    dkl_ml_refine_comm,
-    dkl_ml_refine_serial,
     dkl_refine_comm,
     dkl_refine_serial,
 )
@@ -59,7 +62,7 @@ from repro.partition.sfc import (
 )
 from repro.partition.spectral import recursive_spectral_bisection, spectral_bisect
 from repro.partition.greedy import greedy_graph_growing
-from repro.partition.multilevel import multilevel_partition
+from repro.partition.multilevel import multilevel_partition, multilevel_repartition
 from repro.partition.permute import minimize_migration_permutation, apply_permutation
 
 __all__ = [
@@ -68,13 +71,12 @@ __all__ = [
     "graph_imbalance",
     "graph_migration",
     "partition_targets",
+    "repartition_cost",
     "validate_assignment",
     "KLConfig",
     "kl_refine",
     "DKLConfig",
     "PartView",
-    "dkl_ml_refine_comm",
-    "dkl_ml_refine_serial",
     "dkl_refine_comm",
     "dkl_refine_serial",
     "PARTITIONERS",
@@ -91,6 +93,7 @@ __all__ = [
     "spectral_bisect",
     "greedy_graph_growing",
     "multilevel_partition",
+    "multilevel_repartition",
     "minimize_migration_permutation",
     "apply_permutation",
 ]

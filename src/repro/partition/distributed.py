@@ -70,8 +70,11 @@ job is the O(p) scalar imbalance check.
 
 :func:`dkl_refine_serial` drives the identical propose/resolve/rebalance
 code from a single thread (a rank loop instead of an allgather).  It backs
-the ``dkl`` registry strategy and is the reference the SPMD path
-(:func:`dkl_refine_comm`) is tested bit-identical against.
+the ``dkl`` / ``dkl-ml`` registry strategies and is the reference the SPMD
+path (:func:`dkl_refine_comm`) is tested bit-identical against.  Both
+drivers run the multilevel wrapper (:func:`_ml_refine`); ``dkl`` is its
+``ml_levels=0`` case, in which no level is built and no level-change
+message sent.
 """
 
 from __future__ import annotations
@@ -89,8 +92,6 @@ __all__ = [
     "PartView",
     "dkl_refine_serial",
     "dkl_refine_comm",
-    "dkl_ml_refine_serial",
-    "dkl_ml_refine_comm",
     "pack_proposal_frame",
     "unpack_proposal_frame",
 ]
@@ -155,10 +156,10 @@ class DKLConfig:
     #: a pass must keep at least this much objective improvement for
     #: another pass to start
     min_gain: float = 1e-9
-    #: coarsening levels of the multilevel drivers (``dkl-ml``): each level
-    #: halves the boundary subgraph by intra-part heavy-edge matching
-    #: before the tournament runs; the flat drivers ignore this knob
-    ml_levels: int = 1
+    #: coarsening levels around the tournament: each level halves the
+    #: boundary subgraph by intra-part heavy-edge matching before it runs.
+    #: 0 is the flat engine (``dkl``), 1 the multilevel flavour (``dkl-ml``)
+    ml_levels: int = 0
 
 
 class PartView:
@@ -1109,7 +1110,7 @@ def _ml_refine(
     # coarsest-level tournament (home == the coarsened entry assignment)
     _refine_loop(
         cur_n, p, cur_views, cur_assign, cur_assign.copy(), loads, live,
-        cfg, cur_wmax, exchange, my_parts, trace=trace,
+        cfg, cur_wmax, exchange, my_parts=my_parts, trace=trace,
     )
 
     # project down: hand fine payloads across the new boundaries, then
@@ -1122,7 +1123,7 @@ def _ml_refine(
         fassign[:] = projected
         _refine_loop(
             fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax,
-            exchange, my_parts, trace=trace,
+            exchange, my_parts=my_parts, trace=trace,
         )
         cur_assign = fassign
     return assign
@@ -1136,9 +1137,12 @@ def _ml_refine(
 def dkl_refine_serial(
     graph, p, current, cfg: DKLConfig = None, live=None, return_trace=False
 ):
-    """Single-thread reference engine: every part's propose step runs in a
-    rank loop instead of an allgather, through the exact code the SPMD path
-    runs — the two are bit-identical by construction (and by test).
+    """Single-thread reference engine: every part's propose step and the
+    level-change collectives of the multilevel wrapper run in a rank loop
+    instead of over messages, through the exact code the SPMD path runs —
+    the two are bit-identical by construction (and by test).
+    ``cfg.ml_levels`` selects the flavour: 0 is ``dkl``, the flat
+    tournament; 1 is ``dkl-ml``.
 
     Returns the refined assignment, or ``(assignment, trace)`` with
     ``return_trace=True`` where ``trace[k]`` records round ``k``'s accepted
@@ -1146,7 +1150,6 @@ def dkl_refine_serial(
     """
     cfg = cfg if cfg is not None else DKLConfig()
     assign = np.asarray(current, dtype=np.int64).copy()
-    home = assign.copy()
     n = graph.n_vertices
     live = sorted(int(r) for r in (live if live is not None else range(p)))
     views = {part: PartView.from_graph(graph, part, assign) for part in live}
@@ -1155,53 +1158,6 @@ def dkl_refine_serial(
     ).astype(np.float64)
     wmax = float(graph.vwts.max()) if n else 0.0
     trace = [] if return_trace else None
-
-    exchange = _serial_exchange(live)
-
-    _refine_loop(
-        n, p, views, assign, home, loads, live, cfg, wmax, exchange,
-        my_parts=live, trace=trace,
-    )
-    return (assign, trace) if return_trace else assign
-
-
-def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=None):
-    """SPMD distributed refinement: this rank proposes for its own part,
-    proposals travel by allgather (tag :data:`PROPOSAL_TAG`), and every
-    rank replays the same resolve — the returned assignment is
-    replica-identical without coordinator involvement.
-
-    ``view`` is this rank's halo view (from
-    :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
-    it is updated in place as roots change hands and pruned to the final
-    assignment on return, ready for the honesty audit.  ``loads``/``wmax``
-    come from the coordinator's imbalance-check broadcast.
-    """
-    assign = np.asarray(owner, dtype=np.int64).copy()
-    home = assign.copy()
-    loads = np.asarray(loads, dtype=np.float64).copy()
-    views = {comm.rank: view}
-
-    return _refine_loop(
-        view.n, loads.size, views, assign, home, loads, live, cfg, wmax,
-        _comm_exchange(comm, group), my_parts=[comm.rank],
-    )
-
-
-def dkl_ml_refine_serial(graph, p, current, cfg: DKLConfig = None, live=None):
-    """Single-thread reference of the multilevel refiner (``dkl-ml``):
-    the level-change collectives are rank loops, the round loop is the
-    same :func:`_refine_loop` the flat engine runs.  Bit-identical to
-    :func:`dkl_ml_refine_comm` by construction (and by test)."""
-    cfg = cfg if cfg is not None else DKLConfig()
-    assign = np.asarray(current, dtype=np.int64).copy()
-    n = graph.n_vertices
-    live = sorted(int(r) for r in (live if live is not None else range(p)))
-    views = {part: PartView.from_graph(graph, part, assign) for part in live}
-    loads = np.bincount(
-        assign, weights=graph.vwts, minlength=p
-    ).astype(np.float64)
-    wmax = float(graph.vwts.max()) if n else 0.0
 
     def gather_pairs(local, lvl):
         return [local[part] for part in live]
@@ -1218,23 +1174,35 @@ def dkl_ml_refine_serial(graph, p, current, cfg: DKLConfig = None, live=None):
                     rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
                 )
 
-    return _ml_refine(
+    _ml_refine(
         n, p, views, assign, loads, live, cfg, wmax, live,
-        _serial_exchange(live), gather_pairs, reduce_max, handoff,
+        _serial_exchange(live), gather_pairs, reduce_max, handoff, trace=trace,
     )
+    return (assign, trace) if return_trace else assign
 
 
-def dkl_ml_refine_comm(
-    comm, view: PartView, owner, loads, wmax, live, cfg, group=None
-):
-    """SPMD multilevel refinement: each rank matches its own part's
-    internal subgraph, the matchings travel by allgather (tag
+def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=None):
+    """SPMD distributed refinement: this rank proposes for its own part,
+    proposals travel by allgather (tag :data:`PROPOSAL_TAG`), and every
+    rank replays the same resolve — the returned assignment is
+    replica-identical without coordinator involvement.
+
+    With ``cfg.ml_levels > 0`` (``dkl-ml``) each rank first matches its own
+    part's internal subgraph, the matchings travel by allgather (tag
     :data:`MATCHING_TAG`) so every rank derives the identical coarse map,
     the coarse tournament runs through the usual proposal exchange, and at
     each projection the losers ship the fine payloads of departed roots
     point-to-point (tag :data:`HANDOFF_TAG`) before the fine-level rounds.
-    Deterministic end to end: every collective input is replicated, so the
-    returned assignment is replica-identical like the flat refiner's."""
+    At ``ml_levels=0`` none of those messages exist: the call *is* the flat
+    tournament.  Deterministic end to end: every collective input is
+    replicated.
+
+    ``view`` is this rank's halo view (from
+    :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
+    it is updated in place as roots change hands and pruned to the final
+    assignment on return, ready for the honesty audit.  ``loads``/``wmax``
+    come from the coordinator's imbalance-check broadcast.
+    """
     assign = np.asarray(owner, dtype=np.int64).copy()
     loads = np.asarray(loads, dtype=np.float64).copy()
     views = {comm.rank: view}

@@ -1,12 +1,24 @@
-"""Graph-level partition metrics and validation.
+"""Graph-level partition metrics, validation and the Equation-1 objective.
 
 These operate directly on a :class:`~repro.graph.csr.WeightedGraph` and an
 assignment array (one subset label per vertex).  Mesh-level metrics (shared
 vertices, fine cut of an induced partition) live in
 :mod:`repro.mesh.metrics`.
+
+The repartitioning objective of Equation 1 is evaluated whole here:
+
+``C_repartition(Π^t, Π̂^t, α, β) = C_cut(Π̂) + α·C_migrate(Π, Π̂) + β·C_balance(Π̂)``
+
+with ``C_balance(Π̂) = Σ_i (weight(π̂_i) − weight(Π̂)/p)²``.  The KL gain in
+:mod:`repro.partition.kl` is the negated first difference of this function
+under a single vertex move; :func:`repartition_cost` is the one whole
+evaluation — the V-cycle's identity guard, the monotone-or-rollback
+invariant of :mod:`repro.testing` and the round reports all read it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +51,16 @@ def graph_subset_weights(graph: WeightedGraph, assignment, p: int) -> np.ndarray
     return np.bincount(a, weights=graph.vwts, minlength=p)
 
 
+def imbalance(weights: np.ndarray) -> float:
+    """``max_i W_i / mean(W) - 1``: relative overload of the heaviest subset
+    (0 when there is no weight at all)."""
+    mean = weights.sum() / len(weights)
+    return float(weights.max() / mean - 1.0) if mean else 0.0
+
+
 def graph_imbalance(graph: WeightedGraph, assignment, p: int) -> float:
-    """``max_i W_i / (W/p) - 1``."""
-    w = graph_subset_weights(graph, assignment, p)
-    mean = w.sum() / p
-    if mean == 0:
-        return 0.0
-    return float(w.max() / mean - 1.0)
+    """:func:`imbalance` of the subset weights of ``assignment``."""
+    return imbalance(graph_subset_weights(graph, assignment, p))
 
 
 def graph_migration(graph: WeightedGraph, old_assignment, new_assignment) -> float:
@@ -64,6 +79,57 @@ def balance_cost(graph: WeightedGraph, assignment, p: int) -> float:
     w = graph_subset_weights(graph, assignment, p)
     mean = w.sum() / p
     return float(((w - mean) ** 2).sum())
+
+
+@dataclass(frozen=True)
+class RepartitionCost:
+    """Breakdown of the Equation 1 objective."""
+
+    cut: float
+    migrate: float
+    balance: float
+    alpha: float
+    beta: float
+
+    @property
+    def total(self) -> float:
+        return self.cut + self.alpha * self.migrate + self.beta * self.balance
+
+
+def repartition_cost(
+    graph: WeightedGraph,
+    old_assignment,
+    new_assignment,
+    p: int,
+    alpha: float = 0.1,
+    beta: float = 0.8,
+) -> RepartitionCost:
+    """Evaluate Equation 1 for a proposed repartition.
+
+    ``old_assignment`` is the current (possibly unbalanced) partition Π^t;
+    ``new_assignment`` the proposed Π̂^t.  On the coarse dual graph,
+    ``migrate`` counts leaf elements (vertex weights), matching the paper's
+    ``C_migrate``.
+    """
+    return RepartitionCost(
+        cut=graph_cut(graph, new_assignment),
+        migrate=graph_migration(graph, old_assignment, new_assignment),
+        balance=balance_cost(graph, new_assignment, p),
+        alpha=alpha,
+        beta=beta,
+    )
+
+
+def summarize_partition(graph: WeightedGraph, assignment, p: int) -> dict:
+    """Quick report dict: cut, subset weights and their spread."""
+    w = graph_subset_weights(graph, assignment, p)
+    return {
+        "cut": graph_cut(graph, assignment),
+        "weights": w,
+        "imbalance": imbalance(w),
+        "min_weight": float(w.min()),
+        "max_weight": float(w.max()),
+    }
 
 
 def partition_targets(total_weight: float, p: int, proportions=None) -> np.ndarray:

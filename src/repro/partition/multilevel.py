@@ -1,73 +1,136 @@
 """Multilevel-KL graph partitioning [Hendrickson & Leland 1993;
-Karypis & Kumar 1995] — the "standard" partitioner of the paper.
+Karypis & Kumar 1995] — the "standard" partitioner of the paper — and the
+repartitioning variant PNR runs on the coarse dual graph ``G``.
 
-Three phases (Section 3.1):
+Three phases (Section 3.1), written once:
 
-1. **Contraction** — a series ``G_0, G_1, …, G_k`` built by collapsing
-   heavy-edge matchings until the graph is small (or stops shrinking).
-2. **Coarsest partition** — greedy graph growing (default) or recursive
-   spectral bisection on ``G_k``, followed by KL.
-3. **Projection & improvement** — walk back up, projecting the assignment
-   through each contraction map and polishing with p-way KL.
+1. **Contraction** — :func:`build_hierarchy`: a series ``G_0, G_1, …, G_k``
+   built by collapsing heavy-edge matchings until the graph is small (or
+   stops shrinking), returned as a :class:`Hierarchy` value.
+2. **Coarsest assignment** — a rule the caller supplies.
+3. **Projection & improvement** — :func:`v_cycle`: walk back up,
+   projecting the assignment through each contraction map and applying the
+   caller's per-level refine step.
 
-PNR's repartitioning variant reuses these phases with two modifications
-(Section 9) implemented in :mod:`repro.core.repartition_kl`: contraction is
-constrained to the current partition, the coarsest graph *keeps* its
-inherited assignment, and KL runs with the migration-aware gain.
+Two configurations of that one driver:
+
+* :func:`multilevel_partition` — partition from scratch: free contraction,
+  greedy graph growing on ``G_k``, and per level a rebalancing sweep
+  followed by a pure cut sweep.
+* :func:`multilevel_repartition` — Section 9's migration-aware variant,
+  *the standard scheme with two modifications*: (a) ``G_k`` is **not**
+  partitioned from scratch — it inherits the current assignment through
+  the contraction maps (matching is constrained to same-subset pairs so the
+  inherited assignment is well defined); (b) the KL refinement on the way
+  back up uses the gain of Equation 1 (``C_cut + α·C_migrate +
+  β·C_balance``), with the *home* assignment — the pre-repartition Π^t —
+  projected through the hierarchy.  Both modifications are individually
+  switchable for the design ablations (A2 in DESIGN.md):
+  ``repartition_coarsest=True`` turns the scheme into a scratch-remap-like
+  method; ``constrain_matching=False`` lets contraction mix subsets (the
+  inherited coarse assignment is then taken from the heavier constituent).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.graph.contract import contract
 from repro.graph.csr import WeightedGraph
-from repro.graph.matching import heavy_edge_matching, random_matching
+from repro.graph.matching import heavy_edge_matching
 from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import KLConfig, kl_refine
-from repro.partition.spectral import recursive_spectral_bisection
+from repro.partition.metrics import (
+    graph_imbalance,
+    repartition_cost,
+    validate_assignment,
+)
 from repro.perf import PERF
+
+#: a level that keeps more than this share of its vertices is not built:
+#: contraction stalled (e.g. star graphs, tiny subsets)
+MIN_SHRINK = 0.95
+#: hard cap on the number of contraction levels
+MAX_LEVELS = 40
+
+
+class Hierarchy(NamedTuple):
+    """A contraction hierarchy as a value: ``graphs[0]`` is the input,
+    ``cmaps[j]`` maps ``graphs[j]`` vertices to ``graphs[j+1]``, and
+    ``homes[j]`` is the home assignment projected to ``graphs[j]``
+    (``None`` at every level when the hierarchy was built without one)."""
+
+    graphs: list
+    cmaps: list
+    homes: list
+
+
+def coarsen_target(p: int) -> int:
+    """Stop contracting below this many vertices."""
+    return max(100, 4 * p)
+
+
+def _project_down(assignment: np.ndarray, cmap: np.ndarray, vwts: np.ndarray, nc: int):
+    """Coarse assignment induced by a fine one: the coarse vertex takes the
+    subset of its heaviest constituent (exact when matching was constrained
+    to same-subset pairs, a tie-broken majority vote otherwise).
+
+    A coarse vertex has at most two constituents (contraction collapses a
+    matching), so a stable sort by coarse id exposes each pair as a segment
+    ``[f1, f2]`` with ``f1`` the lower-indexed fine vertex — ties go to
+    ``f1``, matching the old sequential scan exactly."""
+    order = np.argsort(cmap, kind="stable")
+    cs = cmap[order]
+    ids = np.arange(nc)
+    f1 = order[np.searchsorted(cs, ids, side="left")]
+    f2 = order[np.searchsorted(cs, ids, side="right") - 1]
+    s1 = assignment[f1]
+    s2 = assignment[f2]
+    out = np.where((s2 != s1) & (vwts[f2] > vwts[f1]), s2, s1)
+    return out.astype(np.int64)
 
 
 def build_hierarchy(
     graph: WeightedGraph,
     coarsen_to: int,
     seed: int = 0,
-    constraint=None,
-    matching: str = "heavy",
-    min_shrink: float = 0.95,
-    max_levels: int = 40,
-):
-    """Contraction phase: returns ``(graphs, cmaps)`` with ``graphs[0]`` the
-    input and ``cmaps[j]`` mapping ``graphs[j]`` vertices to ``graphs[j+1]``.
+    home=None,
+    constrain: bool = True,
+) -> Hierarchy:
+    """Contraction phase by heavy-edge matching.
 
-    ``constraint`` (an assignment on ``graphs[0]``) restricts matching to
-    same-subset pairs at every level; the constraint is projected down the
-    hierarchy automatically.
+    ``home`` (an assignment on ``graph``) is projected down the hierarchy;
+    with ``constrain`` it also restricts matching to same-subset pairs at
+    every level, so all constituents of a coarse vertex agree on it.
     """
-    match_fn = heavy_edge_matching if matching == "heavy" else random_matching
     graphs = [graph]
     cmaps = []
-    cur_constraint = None if constraint is None else np.asarray(constraint)
-    level = 0
+    homes = [None if home is None else np.asarray(home)]
     with PERF.span("multilevel.coarsen"):
-        while graphs[-1].n_vertices > coarsen_to and level < max_levels:
-            g = graphs[-1]
-            m = match_fn(g, seed=seed + level, constraint=cur_constraint)
+        while graphs[-1].n_vertices > coarsen_to and len(cmaps) < MAX_LEVELS:
+            g, cur = graphs[-1], homes[-1]
+            m = heavy_edge_matching(
+                g, seed=seed + len(cmaps), constraint=cur if constrain else None
+            )
             # every matched pair removes one vertex: decide before contracting
             n = g.n_vertices
             n_coarse = n - np.count_nonzero(m != np.arange(n)) // 2
-            if n_coarse >= n * min_shrink:
-                break  # contraction stalled (e.g. star graphs, tiny subsets)
+            if n_coarse >= n * MIN_SHRINK:
+                break
             coarse, cmap = contract(g, m)
             graphs.append(coarse)
             cmaps.append(cmap)
-            if cur_constraint is not None:
-                nxt = np.empty(coarse.n_vertices, dtype=cur_constraint.dtype)
-                nxt[cmap] = cur_constraint
-                cur_constraint = nxt
-            level += 1
-    return graphs, cmaps
+            if cur is None:
+                nxt = None
+            elif constrain:
+                nxt = np.empty(coarse.n_vertices, dtype=cur.dtype)
+                nxt[cmap] = cur  # all constituents agree
+            else:
+                nxt = _project_down(cur, cmap, g.vwts, coarse.n_vertices)
+            homes.append(nxt)
+    return Hierarchy(graphs, cmaps, homes)
 
 
 def project_up(coarse_assignment: np.ndarray, cmap: np.ndarray) -> np.ndarray:
@@ -75,55 +138,85 @@ def project_up(coarse_assignment: np.ndarray, cmap: np.ndarray) -> np.ndarray:
     return np.asarray(coarse_assignment)[cmap]
 
 
-def multilevel_partition(
-    graph: WeightedGraph,
-    p: int,
-    seed: int = 0,
-    coarsen_to: int = None,
-    initial: str = "greedy",
-    balance_tol: float = 0.03,
-    kl_passes: int = 6,
-) -> np.ndarray:
-    """Partition ``graph`` into ``p`` subsets with the multilevel-KL scheme.
+def v_cycle(hierarchy: Hierarchy, coarsest, refine) -> np.ndarray:
+    """The one project-and-refine loop.  ``coarsest(graph, home)`` assigns
+    the coarsest graph; ``refine(graph, assignment, home)`` improves the
+    assignment at every level, coarsest first."""
+    graphs, cmaps, homes = hierarchy
+    assignment = coarsest(graphs[-1], homes[-1])
+    with PERF.span("multilevel.refine"):
+        assignment = refine(graphs[-1], assignment, homes[-1])
+        for level in range(len(cmaps) - 1, -1, -1):
+            assignment = refine(
+                graphs[level], project_up(assignment, cmaps[level]), homes[level]
+            )
+    return assignment
 
-    Parameters
-    ----------
-    initial:
-        Coarsest-graph partitioner: ``"greedy"`` (graph growing) or
-        ``"spectral"`` (RSB on the coarsest graph).
-    coarsen_to:
-        Stop contracting below this many vertices (default ``max(100, 4p)``).
-    """
-    if coarsen_to is None:
-        coarsen_to = max(100, 4 * p)
-    graphs, cmaps = build_hierarchy(graph, coarsen_to, seed=seed)
-    coarsest = graphs[-1]
-    if initial == "spectral":
-        assignment = recursive_spectral_bisection(coarsest, p, seed=seed)
-    else:
-        assignment = greedy_graph_growing(coarsest, p, seed=seed)
+
+def multilevel_partition(
+    graph: WeightedGraph, p: int, seed: int = 0, balance_tol: float = 0.03
+) -> np.ndarray:
+    """Partition ``graph`` into ``p`` subsets with the multilevel-KL scheme."""
     # Two alternating refinement modes per level, Metis-style: a balancing
     # sweep with a dominant quadratic term (the paper's β = 0.8 makes
     # balance gains dwarf cut gains, which is how ε < 0.01 is reached even
     # with heavy vertices), then a pure cut sweep under the hard envelope.
     rebalance_cfg = KLConfig(balance_tol=balance_tol, max_passes=3, beta=0.8, window=16)
-    cut_cfg = KLConfig(balance_tol=balance_tol, max_passes=kl_passes, beta=0.0)
-    with PERF.span("multilevel.refine"):
-        assignment = _refine_level(
-            coarsest, assignment, p, rebalance_cfg, cut_cfg, balance_tol
-        )
-        for level in range(len(cmaps) - 1, -1, -1):
-            assignment = project_up(assignment, cmaps[level])
-            assignment = _refine_level(
-                graphs[level], assignment, p, rebalance_cfg, cut_cfg, balance_tol
-            )
-    return assignment
+    cut_cfg = KLConfig(balance_tol=balance_tol, max_passes=6, beta=0.0)
+
+    def refine(g, assignment, _home):
+        if graph_imbalance(g, assignment, p) > balance_tol:
+            assignment = kl_refine(g, assignment, p, config=rebalance_cfg)
+        return kl_refine(g, assignment, p, config=cut_cfg)
+
+    return v_cycle(
+        build_hierarchy(graph, coarsen_target(p), seed=seed),
+        lambda g, _home: greedy_graph_growing(g, p, seed=seed),
+        refine,
+    )
 
 
-def _refine_level(graph, assignment, p, rebalance_cfg, cut_cfg, balance_tol):
-    """Rebalance if outside the envelope, then improve the cut."""
-    from repro.partition.metrics import graph_imbalance
+def multilevel_repartition(graph: WeightedGraph, p: int, current, pnr) -> np.ndarray:
+    """Repartition ``graph`` starting from ``current`` with PNR's multilevel
+    KL.  Returns the new assignment Π̂^t.
 
-    if graph_imbalance(graph, assignment, p) > balance_tol:
-        assignment = kl_refine(graph, assignment, p, config=rebalance_cfg)
-    return kl_refine(graph, assignment, p, config=cut_cfg)
+    ``pnr`` is the Equation-1 parameter object
+    (:class:`repro.core.pnr.PNR`): ``alpha`` penalizes migration from
+    ``current`` (the home partition), ``beta`` the quadratic imbalance,
+    ``repartition_coarsest`` / ``constrain_matching`` are the ablation
+    switches.
+    """
+    current = validate_assignment(graph, current, p)
+    cfg = KLConfig(
+        alpha=pnr.alpha,
+        beta=pnr.beta,
+        balance_tol=pnr.balance_tol,
+        max_passes=8,
+        window=16,
+        balance_mode="deadband",
+    )
+
+    def coarsest(g, home):
+        if pnr.repartition_coarsest:
+            return greedy_graph_growing(g, p, seed=pnr.seed)
+        return home.copy()
+
+    new = v_cycle(
+        build_hierarchy(
+            graph, coarsen_target(p), seed=pnr.seed, home=current,
+            constrain=pnr.constrain_matching,
+        ),
+        coarsest,
+        lambda g, assignment, home: kl_refine(g, assignment, p, home=home, config=cfg),
+    )
+    # Monotone-or-rollback: the repartitioner hill-climbs from ``current``,
+    # so identity is always a candidate.  KL optimizes the deadband form of
+    # the balance term; under the literal quadratic Equation 1 an in-band
+    # rebalance can still score worse than doing nothing, in which case
+    # doing nothing is what we return.
+    if (
+        repartition_cost(graph, current, new, p, pnr.alpha, pnr.beta).total
+        > repartition_cost(graph, current, current, p, pnr.alpha, pnr.beta).total + 1e-9
+    ):
+        return current.copy()
+    return new

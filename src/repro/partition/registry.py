@@ -1,9 +1,12 @@
-"""Named repartitioner registry: ``pnr`` / ``mlkl`` / ``sfc`` / ``dkl``.
+"""Named repartitioner registry — the one door to repartitioning ``G``.
 
-The PARED round engine (:mod:`repro.pared.system`) and the CLI select the
-repartitioning strategy — and with it the round's weight protocol — by name.  A
-registry entry is a small stateful object with two operations on the coarse
-dual graph:
+Everything that repartitions the coarse dual graph — the PARED round engine
+(:mod:`repro.pared.protocols`), crash recovery, the mesh-level
+:meth:`PNR.repartition <repro.core.pnr.PNR.repartition>` and the CLI — makes
+a strategy here by name (``pnr`` / ``mlkl`` / ``sfc`` / ``dkl`` /
+``dkl-ml``, described on the classes below) and calls it.  A strategy is a
+small stateful object built from the whole Equation-1 parameter object
+(:class:`repro.core.pnr.PNR`) with two operations on the graph:
 
 ``initial(graph, p, coords=...)``
     First partition of the run (no current assignment).
@@ -14,213 +17,157 @@ dual graph:
 ``sfc`` strategy reads them; the graph-based strategies ignore the
 argument, so callers can always pass what they have.
 
-Strategies
-----------
-``pnr``
-    The paper's method: migration-aware multilevel KL
-    (:func:`repro.core.repartition_kl.multilevel_repartition`) under the
-    Equation-1 gain.  Best cut *and* small migration, O(E) refinement per
-    round.
-``mlkl``
-    Scratch Multilevel-KL each round, label-aligned to the previous
-    assignment with the Biswas–Oliker subset permutation so its migration
-    numbers are the fair (permuted) column of Figure 4.
-``sfc``
-    Morton/Hilbert space-filling-curve splitting of the element centroids
-    with the current vertex weights (:mod:`repro.partition.sfc`).
-    O(n log n) once, O(n) per re-split, small migration by construction —
-    the cheap high-throughput baseline.
-``dkl``
-    Distributed boundary refinement
-    (:mod:`repro.partition.distributed`): per-part propose / deterministic
-    tie-break resolve / bounded rebalance under the Equation-1 gain.  This
-    registry entry runs the serial reference engine; inside the PARED
-    system the same code runs SPMD with neighbor-to-neighbor halo
-    exchange and no coordinator in the refinement loop.
-``dkl-ml``
-    Multilevel flavour of ``dkl``: each part coarsens its own subgraph by
-    intra-part heavy-edge matching, the same tournament runs on the coarse
-    view (moving whole clusters per accepted move), and the result is
-    projected and re-refined at the fine level — the standard multilevel
-    fix for the residual cut gap on heavy-imbalance starts.
+It also owns what a PARED round needs to know about it, so nothing outside
+this module tests a strategy *name*:
+
+``halo``
+    Which weight protocol the round runs: ``False`` — deltas to ``P_C``,
+    which calls ``repartition`` on its ``G``; ``True`` — neighbor-to-
+    neighbor halo slices, then ``refine_spmd`` on every rank.
+``monotone``
+    Whether the monotone-or-rollback audit applies (a property of the
+    Equation-1 V-cycle; the other strategies optimize other objectives).
+``refine_spmd(comm, view, owner, loads, wmax, live, group=...)``
+    Halo strategies only: the SPMD form of ``repartition``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.distributed import (
-    DKLConfig,
-    dkl_ml_refine_serial,
-    dkl_refine_serial,
-)
-from repro.partition.multilevel import multilevel_partition
-from repro.partition.permute import (
-    apply_permutation,
-    minimize_migration_permutation,
-)
-from repro.partition.sfc import DEFAULT_BITS, SFCPartitioner, sfc_partition
+from repro.partition.distributed import DKLConfig, dkl_refine_comm, dkl_refine_serial
+from repro.partition.multilevel import multilevel_partition, multilevel_repartition
+from repro.partition.permute import apply_permutation, minimize_migration_permutation
+from repro.partition.sfc import SFCPartitioner
 
-__all__ = [
-    "PARTITIONERS",
-    "available_partitioners",
-    "make_repartitioner",
-    "PNRRepartitioner",
-    "MLKLRepartitioner",
-    "SFCRepartitioner",
-    "DKLRepartitioner",
-    "DKLMLRepartitioner",
-]
+__all__ = ["PARTITIONERS", "available_partitioners", "make_repartitioner"]
 
 
-class PNRRepartitioner:
-    """Equation-1 multilevel KL (the default, the paper's method)."""
+class _Strategy:
+    """What the strategies share: the parameter object, the protocol family
+    defaults, and the bootstrap — ``multilevel_partition`` at its own
+    default tolerance, which the golden PARED metrics pin."""
 
-    name = "pnr"
+    halo = False
+    monotone = False
+    honours_ablations = False
 
-    def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02):
-        self.alpha = alpha
-        self.beta = beta
-        self.seed = seed
-        self.balance_tol = balance_tol
+    def __init__(self, pnr, curve):
+        if not self.honours_ablations and (
+            pnr.repartition_coarsest or not pnr.constrain_matching
+        ):
+            raise ValueError(
+                f"the {self.name!r} strategy cannot honour {pnr}: only 'pnr' "
+                "runs the V-cycle its ablation switches configure"
+            )
+        self.pnr, self.curve = pnr, curve
 
     def initial(self, graph, p, coords=None):
-        # default multilevel_partition tolerance, matching the historical
-        # coordinator bootstrap bit-for-bit (goldens pin this path)
-        return multilevel_partition(graph, p, seed=self.seed)
+        return multilevel_partition(graph, p, seed=self.pnr.seed)
+
+
+class PNRRepartitioner(_Strategy):
+    """The paper's method (the default): migration-aware multilevel KL under
+    the Equation-1 gain — best cut *and* small migration, O(E) refinement
+    per round.  The only strategy that honours ``PNR``'s ablation switches;
+    the others raise on a non-default one rather than drop it."""
+
+    name = "pnr"
+    monotone = True
+    honours_ablations = True
 
     def repartition(self, graph, p, current, coords=None):
-        from repro.core.repartition_kl import multilevel_repartition
-
-        return multilevel_repartition(
-            graph,
-            p,
-            current,
-            alpha=self.alpha,
-            beta=self.beta,
-            seed=self.seed,
-            balance_tol=self.balance_tol,
-        )
+        return multilevel_repartition(graph, p, current, self.pnr)
 
 
-class MLKLRepartitioner:
+class MLKLRepartitioner(_Strategy):
     """Scratch Multilevel-KL per round, label-aligned to the previous
-    assignment (the permuted-migration baseline of Figure 4)."""
+    assignment with the Biswas–Oliker subset permutation — the fair
+    (permuted) migration column of Figure 4."""
 
     name = "mlkl"
 
-    def __init__(self, seed=0, balance_tol=0.03, **_ignored):
-        self.seed = seed
-        self.balance_tol = balance_tol
-
     def initial(self, graph, p, coords=None):
         return multilevel_partition(
-            graph, p, seed=self.seed, balance_tol=self.balance_tol
+            graph, p, seed=self.pnr.seed,
+            balance_tol=max(self.pnr.balance_tol, 0.03),
         )
 
     def repartition(self, graph, p, current, coords=None):
-        fresh = multilevel_partition(
-            graph, p, seed=self.seed, balance_tol=self.balance_tol
-        )
+        fresh = self.initial(graph, p)
         perm = minimize_migration_permutation(
             np.asarray(current), fresh, p, weights=graph.vwts
         )
         return apply_permutation(fresh, perm)
 
 
-class SFCRepartitioner:
-    """Space-filling-curve splitting of centroids under the live weights.
-
-    The curve order is fitted on first use and reused while the element
-    set is unchanged (the coarse roots of ``M^0`` are static), so every
-    repartition is a cheap re-split and consecutive rounds migrate only
-    the elements the cut points slid across.
-    """
+class SFCRepartitioner(_Strategy):
+    """Morton/Hilbert space-filling-curve splitting of centroids under the
+    live weights (:mod:`repro.partition.sfc`) — the cheap high-throughput
+    baseline.  The curve order is fitted on first use and reused while the
+    element set is unchanged (the coarse roots of ``M^0`` are static), so
+    every repartition is an O(n) re-split and consecutive rounds migrate
+    only the elements the cut points slid across."""
 
     name = "sfc"
+    _state = None
 
-    def __init__(self, curve="morton", bits=DEFAULT_BITS, **_ignored):
-        self.curve = curve
-        self.bits = bits
-        self._state = None
-
-    def _partition(self, graph, p, coords):
+    def initial(self, graph, p, coords=None):
         if coords is None:
-            raise ValueError(
-                "the sfc partitioner needs element centroids (coords=)"
-            )
+            raise ValueError("the sfc partitioner needs element centroids (coords=)")
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape[0] != graph.n_vertices:
             raise ValueError("coords must have one row per graph vertex")
         if self._state is None or self._state.order.shape[0] != coords.shape[0]:
-            self._state = SFCPartitioner(curve=self.curve, bits=self.bits).fit(
-                coords
-            )
+            self._state = SFCPartitioner(curve=self.curve).fit(coords)
         return self._state.partition(graph.vwts, p)
 
-    def initial(self, graph, p, coords=None):
-        return self._partition(graph, p, coords)
-
     def repartition(self, graph, p, current, coords=None):
-        return self._partition(graph, p, coords)
+        return self.initial(graph, p, coords)
 
 
-class DKLRepartitioner:
-    """Distributed boundary refinement, serial reference engine.
-
-    ``initial`` matches the pnr bootstrap bit-for-bit (the golden PARED
-    metrics pin that path); ``repartition`` runs the
-    propose/resolve/rebalance tournament of
-    :mod:`repro.partition.distributed` from a single thread — bit-identical
-    to the SPMD neighbor-exchange path the PARED system runs.
-    """
+class DKLRepartitioner(_Strategy):
+    """Distributed boundary refinement: the propose / tie-break resolve /
+    bounded rebalance tournament of :mod:`repro.partition.distributed`
+    under the Equation-1 gain, from a single thread (``repartition``, the
+    reference engine) or SPMD over the halo exchange with no coordinator in
+    the loop (``refine_spmd``) — bit-identical."""
 
     name = "dkl"
+    halo = True
+    ml_levels = 0
 
-    def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02):
-        self.cfg = DKLConfig(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
+    def _config(self) -> DKLConfig:
+        pnr = self.pnr
+        return DKLConfig(
+            alpha=pnr.alpha, beta=pnr.beta, seed=pnr.seed,
+            balance_tol=pnr.balance_tol, ml_levels=self.ml_levels,
         )
 
-    def initial(self, graph, p, coords=None):
-        return multilevel_partition(graph, p, seed=self.cfg.seed)
-
     def repartition(self, graph, p, current, coords=None):
-        return dkl_refine_serial(graph, p, current, self.cfg)
+        return dkl_refine_serial(graph, p, current, self._config())
+
+    def refine_spmd(self, comm, view, owner, loads, wmax, live, group=None):
+        return dkl_refine_comm(
+            comm, view, owner, loads, wmax, live, self._config(), group=group
+        )
 
 
-class DKLMLRepartitioner:
-    """Multilevel distributed refinement, serial reference engine.
-
-    Same bootstrap as ``dkl`` (the golden metrics pin the pnr-identical
-    initial partition); ``repartition`` coarsens each part by intra-part
-    heavy-edge matching, refines at the coarse level, projects, and
-    re-refines — bit-identical to the SPMD path the PARED system runs.
-    """
+class DKLMLRepartitioner(DKLRepartitioner):
+    """``dkl`` around one level of intra-part heavy-edge coarsening: the
+    tournament moves whole clusters on the coarse view, then the result is
+    projected and re-refined — the multilevel fix for the residual cut gap
+    on heavy-imbalance starts."""
 
     name = "dkl-ml"
-
-    def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02,
-                 ml_levels=1):
-        self.cfg = DKLConfig(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol,
-            ml_levels=ml_levels,
-        )
-
-    def initial(self, graph, p, coords=None):
-        return multilevel_partition(graph, p, seed=self.cfg.seed)
-
-    def repartition(self, graph, p, current, coords=None):
-        return dkl_ml_refine_serial(graph, p, current, self.cfg)
+    ml_levels = 1
 
 
 #: name -> strategy class; the CLI's ``--partitioner`` choices come from here
 PARTITIONERS = {
-    "pnr": PNRRepartitioner,
-    "mlkl": MLKLRepartitioner,
-    "sfc": SFCRepartitioner,
-    "dkl": DKLRepartitioner,
-    "dkl-ml": DKLMLRepartitioner,
+    cls.name: cls
+    for cls in (PNRRepartitioner, MLKLRepartitioner, SFCRepartitioner,
+                DKLRepartitioner, DKLMLRepartitioner)
 }
 
 
@@ -229,44 +176,13 @@ def available_partitioners() -> tuple:
     return tuple(PARTITIONERS)
 
 
-def make_repartitioner(name: str, pnr=None, curve: str = "morton",
-                       bits: int = DEFAULT_BITS):
-    """Instantiate a registry strategy.
-
-    ``pnr`` (a :class:`repro.core.pnr.PNR` parameter object) supplies
-    α/β/seed/balance_tol to the graph-based strategies; ``curve``/``bits``
-    configure ``sfc``.  Its ablation switches are honoured only by the
-    mesh-level :meth:`PNR.repartition <repro.core.pnr.PNR.repartition>`:
-    a non-default one raises here rather than being silently dropped.
-    """
+def make_repartitioner(name: str, pnr, curve: str = "morton"):
+    """Instantiate a registry strategy from the Equation-1 parameter object
+    ``pnr`` (a :class:`repro.core.pnr.PNR`, carried whole); ``curve``
+    configures ``sfc``."""
     if name not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {name!r} "
             f"(expected one of {available_partitioners()})"
         )
-    for field, default in (("repartition_coarsest", False),
-                           ("constrain_matching", True)):
-        if getattr(pnr, field, default) != default:
-            raise ValueError(
-                f"PNR.{field}={getattr(pnr, field)!r} is not supported by "
-                "registry strategies; call PNR.repartition on the mesh"
-            )
-    alpha = getattr(pnr, "alpha", 0.1)
-    beta = getattr(pnr, "beta", 0.8)
-    seed = getattr(pnr, "seed", 0)
-    balance_tol = getattr(pnr, "balance_tol", 0.02)
-    if name == "pnr":
-        return PNRRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
-        )
-    if name == "mlkl":
-        return MLKLRepartitioner(seed=seed, balance_tol=max(balance_tol, 0.03))
-    if name == "dkl":
-        return DKLRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
-        )
-    if name == "dkl-ml":
-        return DKLMLRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
-        )
-    return SFCRepartitioner(curve=curve, bits=bits)
+    return PARTITIONERS[name](pnr, curve)

@@ -25,8 +25,9 @@ frame format (all integers little-endian)::
 The fallback keeps the wire total: any node the typed encoder does not
 recognise (object-dtype arrays, dataclasses, exceptions, int subclasses...)
 becomes a PICKLE leaf, so ``decode(encode(x)) == x`` for every picklable
-``x``.  A frame that does not start with :data:`MAGIC` is treated as a
-legacy whole-message pickle — useful for tests that hand-craft payloads.
+``x``.  A frame that does not start with :data:`MAGIC` is rejected: only
+:func:`encode` produces frames, and a whole-message pickle from anywhere
+else is never unpickled.
 
 Sizes reported to :class:`~repro.runtime.stats.TrafficStats` are simply
 ``len(frame)``: the accounting rule is unchanged ("bytes put on the wire
@@ -77,9 +78,9 @@ __all__ = [
 #: :func:`decode_view`; smaller ones are copied (cheaper than pinning)
 ZERO_COPY_MIN = 1024
 
-#: first byte of every typed frame; 0x80+ cannot open a pickle protocol-2+
-#: stream (pickle starts with b'\x80' PROTO — hence 0x93, which is also not
-#: printable ASCII, so plain-pickle legacy frames are never misdetected)
+#: first byte of every typed frame; not b'\x80' (pickle's PROTO opcode) and
+#: not printable ASCII, so a stray whole-message pickle is never misdetected
+#: as a frame — it is rejected
 MAGIC = 0x93
 
 _NONE = 0x00
@@ -285,7 +286,10 @@ def _decode_node(buf, pos: int, on_view, zero_copy: bool):
 
 def _decode_frame(frame, on_view, zero_copy: bool):
     if len(frame) == 0 or frame[0] != MAGIC:
-        return pickle.loads(frame)  # legacy whole-message pickle
+        first = f"first byte 0x{frame[0]:02x}" if len(frame) else "empty"
+        raise ValueError(
+            f"not a typed frame: {first}, expected MAGIC 0x{MAGIC:02x}"
+        )
     obj, pos = _decode_node(frame, 1, on_view, zero_copy)
     if pos != len(frame):
         raise ValueError(
@@ -296,7 +300,7 @@ def _decode_frame(frame, on_view, zero_copy: bool):
 
 def decode(frame: bytes):
     """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
-    is decoded as a legacy whole-message pickle."""
+    raises ``ValueError`` naming its first byte."""
     return _decode_frame(frame, None, False)
 
 
@@ -305,9 +309,9 @@ def decode_view(frame, on_view=None):
     array views for payloads of at least :data:`ZERO_COPY_MIN` bytes.
 
     ``decode_view(mv)`` equals :func:`decode` ``(bytes(mv))`` value-wise for
-    every frame, including legacy plain-pickle frames; only the memory
-    ownership of large arrays differs (views alias — and pin — the frame
-    buffer instead of owning a copy, and each is passed to ``on_view``).
+    every frame; only the memory ownership of large arrays differs (views
+    alias — and pin — the frame buffer instead of owning a copy, and each is
+    passed to ``on_view``).
     Pass a *read-only* memoryview so the views come out read-only; a
     ``bytes`` frame simply delegates to :func:`decode`.
     """

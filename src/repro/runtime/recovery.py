@@ -156,7 +156,7 @@ class CheckpointStore:
 
 def compact_owner(owner: np.ndarray, live) -> np.ndarray:
     """Relabel an owner map over the sorted ``live`` ranks into the dense
-    range ``0..len(live)-1`` (what ``multilevel_repartition`` requires)."""
+    range ``0..len(live)-1`` (what the partition kernels require)."""
     live_arr = np.asarray(sorted(int(r) for r in live), dtype=np.int64)
     owner = np.asarray(owner, dtype=np.int64)
     pos = np.searchsorted(live_arr, owner)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.partition.metrics import repartition_cost
 from repro.testing.bruteforce import (
     brute_force_cross_root_edges,
     brute_force_leaf_counts,
@@ -185,8 +186,6 @@ def check_monotone_refinement(graph, p: int, old, new, alpha: float, beta: float
     """Monotone-or-rollback: a repartitioner that starts from the current
     assignment may never return something scoring worse than identity under
     the Equation-1 objective it optimizes."""
-    from repro.core.cost import repartition_cost
-
     c_new = repartition_cost(graph, old, new, p, alpha, beta).total
     c_id = repartition_cost(graph, old, old, p, alpha, beta).total
     if c_new > c_id + 1e-9:

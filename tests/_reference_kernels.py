@@ -284,30 +284,6 @@ def heavy_edge_matching_reference(graph, seed=0, constraint=None):
     return match
 
 
-def random_matching_reference(graph, seed=0, constraint=None):
-    n = graph.n_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    xadj, adjncy = graph.xadj, graph.adjncy
-    if constraint is not None:
-        constraint = np.asarray(constraint)
-    for v in order:
-        if match[v] != -1:
-            continue
-        nbrs = adjncy[xadj[v] : xadj[v + 1]]
-        cands = [u for u in nbrs if match[u] == -1]
-        if constraint is not None:
-            cands = [u for u in cands if constraint[u] == constraint[v]]
-        if cands:
-            u = cands[rng.integers(len(cands))]
-            match[v] = u
-            match[u] = v
-        else:
-            match[v] = v
-    return match
-
-
 # --------------------------------------------------------------------- #
 # reference contraction (per-vertex coarse-id loop)
 # --------------------------------------------------------------------- #

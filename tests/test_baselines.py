@@ -11,6 +11,7 @@ from repro.core.bounds import (
     migration_lower_bound,
     routed_migration_cost,
 )
+from repro.core import PNR
 from repro.core.diffusion import (
     diffusion_repartition,
     hu_blake_flow,
@@ -90,7 +91,7 @@ class TestScratchRemap:
     def test_balances_and_labels_aligned(self):
         g = grid(8)
         a = (np.arange(64) // 16).astype(np.int64)
-        out = make_repartitioner("mlkl").repartition(g, 4, a)
+        out = make_repartitioner("mlkl", PNR()).repartition(g, 4, a)
         assert graph_imbalance(g, out, 4) < 0.2
         # with an already balanced grid, remap keeps most labels in place:
         # migration is below the no-remap worst case

@@ -146,8 +146,15 @@ class TestFallback:
         assert type(out) is _MyInt and out == 7
 
     def test_legacy_plain_pickle_frame(self):
+        """A whole-message pickle is not a frame: only ``encode`` produces
+        frames, and nothing else is ever unpickled."""
         legacy = pickle.dumps({"owner": [1, 2, 3]})
-        assert decode(legacy) == {"owner": [1, 2, 3]}
+        with pytest.raises(ValueError, match="first byte 0x80"):
+            decode(legacy)
+        with pytest.raises(ValueError, match="empty"):
+            decode(b"")
+        # the PICKLE leaf inside a typed frame is what ``encode`` emits
+        assert decode(encode({"owner": {1, 2, 3}})) == {"owner": {1, 2, 3}}
 
 
 class TestCorruptFrames:
@@ -244,15 +251,14 @@ class TestZeroCopyViews:
     @settings(max_examples=60, deadline=None)
     @given(_payloads)
     def test_decode_view_of_legacy_pickle_frame(self, obj):
-        """Spill frames and pre-codec peers still ship plain pickle; the
-        view decoder must accept those byte-identically (no MAGIC)."""
+        """The view decoder rejects a plain pickle (no MAGIC) exactly as
+        ``decode`` does, and accepts the same payload framed by ``encode``."""
         from repro.runtime.codec import decode_view
 
-        arrays_banned = "ndarray" in repr(type(obj))  # pickle eq is exact
-        frame = pickle.dumps(obj)
-        out = decode_view(memoryview(frame).toreadonly())
-        if not arrays_banned:
-            assert _same(out, pickle.loads(frame))
+        with pytest.raises(ValueError, match="not a typed frame"):
+            decode_view(memoryview(pickle.dumps(obj)).toreadonly())
+        out = decode_view(memoryview(encode(obj)).toreadonly())
+        assert _same(out, obj)
 
     @settings(max_examples=100, deadline=None)
     @given(_payloads)
@@ -361,9 +367,8 @@ class TestFrameAssembly:
     Sockets deliver a frame stream cut anywhere — mid-header, mid-payload,
     several frames in one read.  Whatever the fragmentation, the assembler
     must hand back the exact (tag, frame-bytes) sequence, and the frames
-    must decode bit-identically: codec frames *and* legacy plain-pickle
-    frames (no MAGIC byte) alike, since the assembler never inspects
-    payload contents.
+    must decode bit-identically (the assembler never inspects payload
+    contents).
     """
 
     @staticmethod
@@ -375,10 +380,7 @@ class TestFrameAssembly:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**31), _payloads,
-                st.booleans(),  # True: legacy plain-pickle frame
-            ),
+            st.tuples(st.integers(min_value=0, max_value=2**31), _payloads),
             min_size=1,
             max_size=5,
         ),
@@ -387,10 +389,7 @@ class TestFrameAssembly:
     def test_split_streams_reassemble_bit_identically(self, messages, cuts):
         from repro.runtime.transport import FrameAssembler, pack_frame
 
-        frames = [
-            (tag, pickle.dumps(obj) if legacy else encode(obj))
-            for tag, obj, legacy in messages
-        ]
+        frames = [(tag, encode(obj)) for tag, obj in messages]
         stream = b"".join(pack_frame(tag, body) for tag, body in frames)
 
         asm = FrameAssembler()
@@ -400,10 +399,9 @@ class TestFrameAssembly:
         assert not asm.pending  # stream ends on a frame boundary
 
         assert [tag for tag, _ in out] == [tag for tag, _ in frames]
-        for (_, got), (_, sent), (_, obj, legacy) in zip(out, frames, messages):
+        for (_, got), (_, sent), (_, obj) in zip(out, frames, messages):
             assert got == sent  # bit-identical payload bytes
-            recovered = pickle.loads(got) if legacy else decode(got)
-            assert _same(recovered, obj)
+            assert _same(decode(got), obj)
 
     def test_truncated_stream_stays_pending(self):
         from repro.runtime.transport import FrameAssembler, pack_frame

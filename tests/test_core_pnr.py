@@ -4,10 +4,16 @@ Equation 1 cost model."""
 import numpy as np
 import pytest
 
-from repro.core import PNR, multilevel_repartition, repartition_cost
-from repro.core.cost import summarize_partition
+from repro.core import PNR
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
-from repro.partition import graph_cut, graph_imbalance, graph_migration
+from repro.partition import (
+    graph_cut,
+    graph_imbalance,
+    graph_migration,
+    multilevel_repartition,
+    repartition_cost,
+)
+from repro.partition.metrics import summarize_partition
 
 
 @pytest.fixture()
@@ -116,6 +122,6 @@ class TestAblationSwitches:
     def test_direct_multilevel_repartition(self, workload):
         am, pnr, p, current = workload
         g = coarse_dual_graph(am.mesh)
-        new = multilevel_repartition(g, p, current, alpha=0.1, beta=0.8, seed=0)
+        new = multilevel_repartition(g, p, current, PNR(alpha=0.1, beta=0.8, seed=0))
         assert new.shape == (g.n_vertices,)
         assert graph_imbalance(g, new, p) < graph_imbalance(g, current, p) + 1e-9

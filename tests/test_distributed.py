@@ -34,8 +34,6 @@ from repro.partition.distributed import (
     PartView,
     _PartState,
     _phi,
-    dkl_ml_refine_comm,
-    dkl_ml_refine_serial,
     dkl_refine_comm,
     dkl_refine_serial,
     pack_proposal_frame,
@@ -210,6 +208,34 @@ class TestTournamentProperties:
 # --------------------------------------------------------------------- #
 
 
+def _traffic_rank(comm, ml_levels, graph, p, a0):
+    """Module-level so the shm pool can run it: ``ml_levels=None`` drives
+    the bare round loop the way the flat driver used to, an integer the
+    folded driver at that many levels."""
+    from repro.partition.distributed import _comm_exchange, _refine_loop
+
+    loads = np.bincount(a0, weights=graph.vwts, minlength=p).astype(np.float64)
+    wmax = float(graph.vwts.max())
+    view = PartView.from_graph(graph, comm.rank, a0)
+    if ml_levels is not None:
+        cfg = DKLConfig(ml_levels=ml_levels)
+        return dkl_refine_comm(comm, view, a0, loads, wmax, list(range(p)), cfg)
+    return _refine_loop(
+        graph.n_vertices, p, {comm.rank: view}, a0.copy(), a0.copy(), loads,
+        list(range(p)), DKLConfig(), wmax, _comm_exchange(comm, None),
+        my_parts=[comm.rank],
+    )
+
+
+def _spmd_traffic(ml_levels, graph, p, a0, transport):
+    owners, stats = spmd_run(
+        p, _traffic_rank, ml_levels, graph, p, a0,
+        transport=transport, return_stats=True,
+    )
+    assert all(np.array_equal(owners[0], o) for o in owners)
+    return owners[0].tolist(), stats.phase_report(), dict(stats.by_pair)
+
+
 class TestSerialSPMDParity:
     def _spmd(self, graph, p, a0, cfg, transport):
         loads = np.bincount(a0, weights=graph.vwts, minlength=p)
@@ -251,6 +277,21 @@ class TestSerialSPMDParity:
         ref = dkl_refine_serial(g, p, a0, cfg)
         for r in self._spmd(g, p, a0, cfg, "thread"):
             assert np.array_equal(ref, r)
+
+    @pytest.mark.parametrize("transport", ["thread", "shm"])
+    def test_ml_levels_zero_adds_no_message(self, transport):
+        """The flat driver was folded into the multilevel one: at
+        ``ml_levels=0`` the wrapper must put exactly the frames on the wire
+        that the bare round loop does — no matching allgather, no max
+        reduction, no handoff — and ``ml_levels=1`` must add some."""
+        p = 3
+        g = skewed_grid(8, seed=2)
+        a0 = start(g, p)
+        loop, ml0, ml1 = (
+            _spmd_traffic(levels, g, p, a0, transport) for levels in (None, 0, 1)
+        )
+        assert loop == ml0  # owners, phase_report and by_pair
+        assert ml1[1]["default"][0] > ml0[1]["default"][0] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -524,13 +565,15 @@ class TestProposalFrame:
 
 
 class TestMultilevel:
+    """``dkl-ml`` is the same two drivers at ``ml_levels=1``."""
+
     def _spmd(self, graph, p, a0, cfg, transport):
         loads = np.bincount(a0, weights=graph.vwts, minlength=p)
         wmax = float(graph.vwts.max())
 
         def rank_fn(comm, _):
             view = PartView.from_graph(graph, comm.rank, a0)
-            return dkl_ml_refine_comm(
+            return dkl_refine_comm(
                 comm, view, a0, loads, wmax, list(range(p)), cfg
             )
 
@@ -540,8 +583,8 @@ class TestMultilevel:
     def test_thread_backend_matches_serial(self, p):
         g = skewed_grid(8, seed=2)
         a0 = start(g, p)
-        cfg = DKLConfig()
-        ref = dkl_ml_refine_serial(g, p, a0, cfg)
+        cfg = DKLConfig(ml_levels=1)
+        ref = dkl_refine_serial(g, p, a0, cfg)
         for r in self._spmd(g, p, a0, cfg, "thread"):
             assert np.array_equal(ref, r)
 
@@ -549,8 +592,8 @@ class TestMultilevel:
         p = 3
         g = skewed_grid(8, seed=2)
         a0 = start(g, p)
-        cfg = DKLConfig()
-        ref = dkl_ml_refine_serial(g, p, a0, cfg)
+        cfg = DKLConfig(ml_levels=1)
+        ref = dkl_refine_serial(g, p, a0, cfg)
         for r in self._spmd(g, p, a0, cfg, "shm"):
             assert np.array_equal(ref, r)
 
@@ -560,8 +603,8 @@ class TestMultilevel:
         p = 3
         g = skewed_grid(8, seed=seed % 5)
         a0 = start(g, p)
-        cfg = DKLConfig(seed=seed)
-        ref = dkl_ml_refine_serial(g, p, a0, cfg)
+        cfg = DKLConfig(seed=seed, ml_levels=1)
+        ref = dkl_refine_serial(g, p, a0, cfg)
         for r in self._spmd(g, p, a0, cfg, "thread"):
             assert np.array_equal(ref, r)
 
@@ -569,8 +612,8 @@ class TestMultilevel:
         g = skewed_grid(10, seed=1)
         p = 4
         a0 = start(g, p)
-        cfg = DKLConfig()
-        a1 = dkl_ml_refine_serial(g, p, a0, cfg)
+        cfg = DKLConfig(ml_levels=1)
+        a1 = dkl_refine_serial(g, p, a0, cfg)
         validate_assignment(g, a1, p)
         maxcap, _ = envelope(g, p, cfg)
         loads = np.bincount(a1, weights=g.vwts, minlength=p)
@@ -580,7 +623,9 @@ class TestMultilevel:
         g = skewed_grid(10, seed=4)
         p = 4
         a0 = start(g, p)
-        runs = [dkl_ml_refine_serial(g, p, a0, DKLConfig()) for _ in range(2)]
+        runs = [
+            dkl_refine_serial(g, p, a0, DKLConfig(ml_levels=1)) for _ in range(2)
+        ]
         assert np.array_equal(runs[0], runs[1])
 
     def test_cut_no_worse_than_flat_on_heavy_imbalance(self):
@@ -594,17 +639,32 @@ class TestMultilevel:
             g = skewed_grid(12, seed=seed, hot=8.0)
             p = 4
             a0 = start(g, p)
-            cfg = DKLConfig()
-            flat_total += graph_cut(g, dkl_refine_serial(g, p, a0, cfg))
-            ml_total += graph_cut(g, dkl_ml_refine_serial(g, p, a0, cfg))
+            flat_total += graph_cut(g, dkl_refine_serial(g, p, a0, DKLConfig()))
+            ml_total += graph_cut(
+                g, dkl_refine_serial(g, p, a0, DKLConfig(ml_levels=1))
+            )
         assert ml_total <= flat_total
 
     def test_ml_levels_zero_is_flat(self):
-        """ml_levels=0 must reduce exactly to the flat engine (same
-        rounds, same tournament, same result)."""
+        """ml_levels=0 — the default — must reduce exactly to the flat
+        engine: the round loop driven directly (same rounds, same
+        tournament, same result)."""
+        from repro.partition.distributed import _refine_loop, _serial_exchange
+
         g = skewed_grid(8, seed=3)
         p = 4
         a0 = start(g, p)
-        flat = dkl_refine_serial(g, p, a0, DKLConfig())
-        ml0 = dkl_ml_refine_serial(g, p, a0, DKLConfig(ml_levels=0))
+        assert DKLConfig().ml_levels == 0
+        ml0, trace = dkl_refine_serial(g, p, a0, DKLConfig(), return_trace=True)
+        flat, flat_trace = a0.copy(), []
+        _refine_loop(
+            g.n_vertices, p,
+            {r: PartView.from_graph(g, r, a0) for r in range(p)},
+            flat, a0.copy(),
+            np.bincount(a0, weights=g.vwts, minlength=p).astype(float),
+            list(range(p)), DKLConfig(), float(g.vwts.max()),
+            _serial_exchange(list(range(p))),
+            my_parts=list(range(p)), trace=flat_trace,
+        )
         assert np.array_equal(flat, ml0)
+        assert len(trace) == len(flat_trace) > 0

@@ -219,7 +219,7 @@ def test_integer_weights_and_grid(ml):
     p = 4
     rows, cols = np.divmod(ids.ravel(), side)
     a0 = (rows // 5 * 2 + cols // 5).astype(np.int64)  # four quadrants
-    cfg = DKLConfig()
+    cfg = DKLConfig(ml_levels=int(ml))
     live = list(range(p))
     want = run_serial(frozen, graph, p, a0, cfg, live, ml)
     got = run_serial(engine, graph, p, a0, cfg, live, ml)

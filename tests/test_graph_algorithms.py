@@ -11,7 +11,6 @@ from repro.graph import (
     fiedler_vector,
     heavy_edge_matching,
     laplacian_matrix,
-    random_matching,
 )
 
 
@@ -92,11 +91,6 @@ class TestMatching:
         for v in range(64):
             if m[v] != v:
                 assert constraint[m[v]] == constraint[v]
-
-    def test_random_matching_valid(self, grid_graph):
-        m = random_matching(grid_graph, seed=1)
-        for v in range(64):
-            assert m[m[v]] == v
 
 
 class TestContraction:

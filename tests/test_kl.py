@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import repartition_cost
 from repro.graph.csr import WeightedGraph
 from repro.partition.kl import KLConfig, kl_refine
-from repro.partition.metrics import graph_cut, graph_imbalance
+from repro.partition.metrics import graph_cut, graph_imbalance, repartition_cost
 
 
 def grid(n=8, vweights=None):

@@ -22,17 +22,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PNR
-from repro.core.repartition_kl import multilevel_repartition
 from repro.fem import CornerLaplace2D, interpolation_error_indicator, mark_top_fraction
 from repro.graph.contract import contract
 from repro.graph.csr import WeightedGraph
 from repro.graph.generators import grid_graph, star_graph
-from repro.graph.matching import _match_rounds, heavy_edge_matching, random_matching
+from repro.graph.matching import _match_rounds, heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
 from repro.partition import _klnative
 from repro.partition.kl import KLConfig, kl_refine
-from repro.partition.multilevel import build_hierarchy, multilevel_partition
+from repro.partition.multilevel import (
+    build_hierarchy,
+    multilevel_partition,
+    multilevel_repartition,
+)
 
 from tests.conftest import pure_path
 
@@ -70,7 +73,7 @@ def _same_graph(a: WeightedGraph, b: WeightedGraph) -> None:
 
 @needs_native
 class TestMatching:
-    @pytest.mark.parametrize("fn", [heavy_edge_matching, random_matching])
+    @pytest.mark.parametrize("fn", [heavy_edge_matching])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_random_graphs(self, fn, constrained):
         rng = np.random.default_rng(5)
@@ -221,9 +224,12 @@ class TestContract:
         g = _rand_graph(600, 6, rng)
         constraint = rng.integers(0, 4, 600)
         for c in (None, constraint):
-            (gn, mn), (gp, mp) = _both(
-                lambda: build_hierarchy(g, coarsen_to=20, seed=1, constraint=c)
+            (gn, mn, hn), (gp, mp, hp) = _both(
+                lambda: build_hierarchy(g, coarsen_to=20, seed=1, home=c)
             )
+            assert len(hn) == len(gn)
+            for a, b in zip(hn, hp):
+                assert (a is None and b is None) or np.array_equal(a, b)
             assert len(gn) == len(gp) > 2
             for a, b in zip(gn, gp):
                 _same_graph(a, b)
@@ -461,7 +467,7 @@ class TestEndToEnd:
         )
         for kwargs in ({}, {"constrain_matching": False}, {"repartition_coarsest": True}):
             native, pure = _both(
-                lambda: multilevel_repartition(drifted, p, current, seed=5, **kwargs)
+                lambda: multilevel_repartition(drifted, p, current, PNR(seed=5, **kwargs))
             )
             assert np.array_equal(native, pure), kwargs
 
@@ -494,7 +500,7 @@ class TestEndToEnd:
         g = _rand_graph(400, 6, np.random.default_rng(41))
         current = multilevel_partition(g, 4, seed=0)
         PERF.reset()
-        multilevel_repartition(g, 4, current, seed=1)
+        multilevel_repartition(g, 4, current, PNR(seed=1))
         snap = PERF.snapshot()
         for name in ("multilevel.coarsen", "multilevel.refine", "matching.hem",
                      "contract", "kl.refine", "kl.pass"):

@@ -352,7 +352,8 @@ class TestFullLoop:
 
         def traced_loop(*args, **kwargs):
             if kwargs["my_parts"] == [0]:  # one replica's record is enough
-                traces.append(kwargs.setdefault("trace", []))
+                kwargs["trace"] = []
+                traces.append(kwargs["trace"])
             return real_loop(*args, **kwargs)
 
         monkeypatch.setattr(distributed, "_refine_loop", traced_loop)
@@ -707,3 +708,27 @@ class TestWorkflow:
         assert [self._trace(h) for h in histories] == [self.PINNED] * 3
         kinds = stats.fault_log.kinds()
         assert kinds.get("reorder") and kinds.get("duplicate")
+
+    def test_config_carries_every_engine_field(self):
+        """``WorkflowConfig`` once mirrored the engine's options by hand
+        and silently lost ``recover``: the engine's field list is stated
+        once, so an option added to ``ParedConfig`` is a workflow option."""
+        import dataclasses
+
+        engine = {f.name: f for f in dataclasses.fields(ParedConfig)}
+        workflow = {f.name: f for f in dataclasses.fields(WorkflowConfig)}
+        assert set(engine) <= set(workflow)
+        for name in set(engine) - {"marker", "rounds"}:
+            assert workflow[name].default == engine[name].default, name
+        with pytest.raises(ValueError, match="problem is required"):
+            run_workflow(
+                WorkflowConfig(p=1, make_mesh=lambda: AdaptiveMesh.unit_square(2))
+            )
+
+    def test_recover_reaches_the_engine(self):
+        """``recover=True`` checkpoints every round and ends in the
+        collective commit — on a fault-free run the histories are the
+        pinned ones and the commit phase shows in the traffic."""
+        histories, stats = run_workflow(self._cfg(recover=True, transport="thread"))
+        assert [self._trace(h) for h in histories] == [self.PINNED] * 3
+        assert stats.phase_report()["commit"][0] > 0

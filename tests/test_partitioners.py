@@ -1,12 +1,25 @@
 """Tests for RSB, greedy growing, Multilevel-KL and the
 named repartitioner registry (pnr / mlkl / sfc / dkl)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PNR
+from repro.fem import (
+    CornerLaplace2D,
+    CornerLaplace3D,
+    interpolation_error_indicator,
+    mark_top_fraction,
+)
 from repro.graph.csr import WeightedGraph
+from repro.mesh import AdaptiveMesh
+from repro.mesh.dualgraph import coarse_dual_graph, coarse_root_centroids
+from repro.pared import ParedConfig, run_pared
+from repro.pared.migrate import plan_recovery_assignment
 from repro.partition import (
     available_partitioners,
     graph_cut,
@@ -133,11 +146,6 @@ class TestMultilevel:
         a = multilevel_partition(g, 4, seed=0)
         assert graph_imbalance(g, a, 4) < 0.25
 
-    def test_spectral_initial(self):
-        g = grid(12)
-        a = multilevel_partition(g, 4, seed=0, initial="spectral")
-        assert graph_imbalance(g, a, 4) < 0.2
-
     def test_small_graph_no_contraction(self):
         g = grid(4)  # 16 vertices < default coarsen_to
         a = multilevel_partition(g, 2, seed=0)
@@ -176,29 +184,24 @@ class TestRegistry:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown partitioner"):
-            make_repartitioner("metis")
-
-    def test_pnr_repartition_coarsest_switch_rejected(self):
-        """The registry strategies implement the default algorithm only; a
-        ``PNR`` ablation switch must fail loudly, not be dropped."""
-        from repro.core.pnr import PNR
-
-        with pytest.raises(ValueError, match="PNR.repartition_coarsest=True"):
-            make_repartitioner("pnr", pnr=PNR(repartition_coarsest=True))
+            make_repartitioner("metis", PNR())
 
     def test_pnr_constrain_matching_switch_rejected(self):
-        from repro.core.pnr import PNR
-
-        with pytest.raises(ValueError, match="PNR.constrain_matching=False"):
-            make_repartitioner("dkl", pnr=PNR(constrain_matching=False))
-        # the parameters the strategies do take still pass through
-        r = make_repartitioner("pnr", pnr=PNR(alpha=0.3, seed=5))
-        assert (r.alpha, r.seed) == (0.3, 5)
+        """Only ``pnr`` runs the V-cycle the ablation switches configure; a
+        strategy that cannot honour one must fail loudly, not drop it."""
+        for name in ("mlkl", "sfc", "dkl", "dkl-ml"):
+            with pytest.raises(ValueError, match="constrain_matching=False"):
+                make_repartitioner(name, pnr=PNR(constrain_matching=False))
+            with pytest.raises(ValueError, match="repartition_coarsest=True"):
+                make_repartitioner(name, pnr=PNR(repartition_coarsest=True))
+        # the parameter object travels whole
+        pnr = PNR(alpha=0.3, seed=5, constrain_matching=False)
+        assert make_repartitioner("pnr", pnr=pnr).pnr is pnr
 
     @pytest.mark.parametrize("name", ("pnr", "mlkl", "sfc", "dkl", "dkl-ml"))
     def test_initial_conformance(self, name):
         g, coords = grid_with_coords(8)
-        a = make_repartitioner(name).initial(g, self.P, coords=coords)
+        a = make_repartitioner(name, PNR()).initial(g, self.P, coords=coords)
         validate_assignment(g, a, self.P)
         assert set(np.unique(a)) == set(range(self.P))
         assert graph_imbalance(g, a, self.P) < 0.35
@@ -209,7 +212,7 @@ class TestRegistry:
         vw = np.ones(64)
         vw[:16] = 5.0
         g, coords = grid_with_coords(8, vweights=vw)
-        r = make_repartitioner(name)
+        r = make_repartitioner(name, PNR())
         a0 = r.initial(g, self.P, coords=coords)
         a1 = r.repartition(g, self.P, a0, coords=coords)
         validate_assignment(g, a1, self.P)
@@ -221,7 +224,7 @@ class TestRegistry:
         g, coords = grid_with_coords(8)
         runs = []
         for _ in range(2):
-            r = make_repartitioner(name)
+            r = make_repartitioner(name, PNR())
             a0 = r.initial(g, self.P, coords=coords)
             runs.append(r.repartition(g, self.P, a0, coords=coords))
         assert np.array_equal(runs[0], runs[1])
@@ -229,20 +232,20 @@ class TestRegistry:
     @pytest.mark.parametrize("curve", ("morton", "hilbert"))
     def test_sfc_curve_selection(self, curve):
         g, coords = grid_with_coords(8)
-        r = make_repartitioner("sfc", curve=curve)
+        r = make_repartitioner("sfc", PNR(), curve=curve)
         a = r.initial(g, self.P, coords=coords)
         validate_assignment(g, a, self.P)
 
     def test_sfc_requires_coords(self):
         g, _ = grid_with_coords(8)
         with pytest.raises(ValueError, match="coords"):
-            make_repartitioner("sfc").initial(g, self.P)
+            make_repartitioner("sfc", PNR()).initial(g, self.P)
 
     def test_sfc_repartition_reuses_curve_order(self):
         """The curve is fitted once; a weight change only slides cuts, so
         most vertices keep their part between rounds."""
         g0, coords = grid_with_coords(8)
-        r = make_repartitioner("sfc")
+        r = make_repartitioner("sfc", PNR())
         a0 = r.initial(g0, self.P, coords=coords)
         vw = np.ones(64)
         vw[:8] = 4.0
@@ -255,5 +258,187 @@ class TestRegistry:
         historical direct ``multilevel_partition(graph, p, seed=seed)``
         call — the golden PARED metrics pin that path."""
         g, coords = grid_with_coords(8)
-        a = make_repartitioner("pnr").initial(g, self.P, coords=coords)
+        a = make_repartitioner("pnr", PNR()).initial(g, self.P, coords=coords)
         assert np.array_equal(a, multilevel_partition(g, self.P, seed=0))
+
+
+# ---------------------------------------------------------------------- #
+# one door: every route into repartitioning G is a registry strategy
+# ---------------------------------------------------------------------- #
+
+
+def _ladder(amesh, exact, rungs=4, fraction=0.15):
+    """``G`` after each rung of a corner-refinement ladder, plus the root
+    centroids — what a PARED run hands a strategy round after round."""
+    coords = coarse_root_centroids(amesh.mesh)
+    graphs = [coarse_dual_graph(amesh.mesh)]
+    for _ in range(rungs - 1):
+        ind = interpolation_error_indicator(amesh, exact)
+        amesh.refine(mark_top_fraction(amesh, ind, fraction))
+        graphs.append(coarse_dual_graph(amesh.mesh))
+    return amesh, graphs, coords
+
+
+@pytest.fixture(scope="module")
+def ladders():
+    return {
+        "2d": _ladder(AdaptiveMesh.unit_square(14), CornerLaplace2D().exact),
+        "3d": _ladder(AdaptiveMesh.unit_cube(4), CornerLaplace3D().exact),
+    }
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha1()
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=np.int64)).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _bootstrap(graph, p=4):
+    return make_repartitioner("pnr", PNR(seed=3)).initial(graph, p)
+
+
+class TestPinnedStrategies:
+    """Owner arrays of every route, captured at the commit *before* the
+    routes were folded into the registry (two V-cycle loops, four dkl
+    drivers, three ways into ``multilevel_repartition``): folding them may
+    not move a single root."""
+
+    REGISTRY = {
+        "2d-dkl-2": "18d7b5f512852c8c",
+        "2d-dkl-4": "1ff10d907553928d",
+        "2d-dkl-8": "b6b5f311a0fe235d",
+        "2d-dkl-ml-2": "45bd7dd4fc68feff",
+        "2d-dkl-ml-4": "1dcc77f08ddea544",
+        "2d-dkl-ml-8": "e4810345aa55d614",
+        "2d-mlkl-2": "11b7961925995928",
+        "2d-mlkl-4": "1f65940c700d574b",
+        "2d-mlkl-8": "a1f07e5f688a5b8b",
+        "2d-pnr-2": "8895a259d6014406",
+        "2d-pnr-4": "8e4c48c5095a0e07",
+        "2d-pnr-8": "0465727d93cb2340",
+        "2d-sfc-2": "e4063c2ed624bd5a",
+        "2d-sfc-4": "a6324a288e2617e7",
+        "2d-sfc-8": "527b651b8855a023",
+        "3d-dkl-2": "81b88d97905185e3",
+        "3d-dkl-4": "a6a27f76d2100d6e",
+        "3d-dkl-8": "b2b1bf92485a2ea6",
+        "3d-dkl-ml-2": "efbc8835baeadd98",
+        "3d-dkl-ml-4": "a3388d0a52db72eb",
+        "3d-dkl-ml-8": "f5a1e4fdad4c2265",
+        "3d-mlkl-2": "91b192419c1335e2",
+        "3d-mlkl-4": "ad55d87a17b21ede",
+        "3d-mlkl-8": "8bcfe1bcd7415033",
+        "3d-pnr-2": "e158a53f1168f7b8",
+        "3d-pnr-4": "ea771fd1eb715faf",
+        "3d-pnr-8": "35f041c8f28d6589",
+        "3d-sfc-2": "89cf8b1f3a82c297",
+        "3d-sfc-4": "5a12093a4535eb50",
+        "3d-sfc-8": "83579656807e9200",
+    }
+
+    ABLATION = {
+        "2d-both": "5f631d93c393dfb7",
+        "2d-default": "5d6eb9b1afd96bdb",
+        "2d-repartition_coarsest": "0a8c679c9cb13ffc",
+        "2d-unconstrained": "0e8e950c23fb05b3",
+        "3d-both": "fb8e3156e04b7927",
+        "3d-default": "93ba37827ef1444b",
+        "3d-repartition_coarsest": "5f5888d13cf47669",
+        "3d-unconstrained": "c0be4253fbd2f212",
+    }
+
+    RECOVERY = {
+        "2d-live023": "df38e1a0740ece69",
+        "2d-live13": "9377b65dc3a37b41",
+        "3d-live023": "2454ab4350e98121",
+        "3d-live13": "be778296806a7fb3",
+    }
+
+    ABLATIONS = {
+        "default": {},
+        "repartition_coarsest": {"repartition_coarsest": True},
+        "unconstrained": {"constrain_matching": False},
+        "both": {"repartition_coarsest": True, "constrain_matching": False},
+    }
+
+    @pytest.mark.parametrize("p", (2, 4, 8))
+    @pytest.mark.parametrize("name", ("pnr", "mlkl", "sfc", "dkl", "dkl-ml"))
+    @pytest.mark.parametrize("dim", ("2d", "3d"))
+    def test_registry_walk(self, ladders, dim, name, p):
+        _, graphs, coords = ladders[dim]
+        repart = make_repartitioner(name, pnr=PNR(seed=3))
+        owners = [repart.initial(graphs[0], p, coords=coords)]
+        for g in graphs[1:]:
+            owners.append(repart.repartition(g, p, owners[-1], coords=coords))
+        assert _digest(owners) == self.REGISTRY[f"{dim}-{name}-{p}"]
+
+    @pytest.mark.parametrize("label", sorted(ABLATIONS))
+    @pytest.mark.parametrize("dim", ("2d", "3d"))
+    def test_pnr_repartition_ablations(self, ladders, dim, label):
+        amesh, graphs, _ = ladders[dim]
+        pnr = PNR(seed=3, **self.ABLATIONS[label])
+        new = pnr.repartition(amesh, 4, _bootstrap(graphs[0]))
+        assert _digest([new]) == self.ABLATION[f"{dim}-{label}"]
+
+    @pytest.mark.parametrize("live", ([0, 2, 3], [1, 3]))
+    @pytest.mark.parametrize("dim", ("2d", "3d"))
+    def test_recovery_assignment(self, ladders, dim, live):
+        _, graphs, _ = ladders[dim]
+        g = graphs[-1]
+        owner = make_repartitioner("pnr", PNR(seed=3)).repartition(
+            g, 4, _bootstrap(graphs[0])
+        )
+        pnr = PNR(alpha=0.2, beta=0.7, seed=3, balance_tol=0.04)
+        new = plan_recovery_assignment(g, owner, live, pnr)
+        key = f"{dim}-live{''.join(map(str, live))}"
+        assert _digest([new]) == self.RECOVERY[key]
+
+
+class TestOneDoor:
+    def test_three_former_routes_agree(self, ladders):
+        """``PNR.repartition`` on the mesh, the registry on
+        ``coarse_dual_graph(mesh)`` and recovery's call (no rank dead: no
+        orphan to adopt) are one call."""
+        for dim, (amesh, graphs, _) in ladders.items():
+            pnr = PNR(seed=3, alpha=0.2)
+            current = _bootstrap(graphs[0])
+            on_mesh = pnr.repartition(amesh, 4, current)
+            on_graph = make_repartitioner("pnr", pnr).repartition(
+                coarse_dual_graph(amesh.mesh), 4, current
+            )
+            recovery = plan_recovery_assignment(graphs[-1], current, range(4), pnr)
+            assert np.array_equal(on_mesh, on_graph), dim
+            assert np.array_equal(on_mesh, recovery), dim
+            assert not np.array_equal(on_mesh, current), dim
+
+    @pytest.mark.parametrize(
+        "switch", ({"repartition_coarsest": True}, {"constrain_matching": False})
+    )
+    def test_ablation_switch_reaches_the_coordinator(self, switch):
+        """``ParedConfig(pnr=PNR(<switch>))`` used to be rejected by the
+        registry's guard (and, before that, silently dropped): now the
+        coordinator's V-cycle runs the ablation, and returns what the
+        mesh-level ``PNR.repartition`` returns."""
+        exact = CornerLaplace2D().exact
+
+        def marker(amesh, rnd):
+            ind = interpolation_error_indicator(amesh, exact)
+            return mark_top_fraction(amesh, ind, 0.3), []
+
+        def run(pnr):
+            cfg = ParedConfig(
+                p=4, make_mesh=lambda: AdaptiveMesh.unit_square(14),
+                marker=marker, rounds=1, pnr=pnr, transport="thread",
+            )
+            return run_pared(cfg)[0][0][0]
+
+        ablated, default = PNR(seed=3, **switch), PNR(seed=3)
+        rec = run(ablated)
+        assert rec["imbalance_before"] > 0.05  # the repartition did run
+        amesh = AdaptiveMesh.unit_square(14)
+        owner0 = _bootstrap(coarse_dual_graph(amesh.mesh))
+        assert np.array_equal(rec["old_owner"], owner0)
+        amesh.refine(marker(amesh, 0)[0])
+        assert np.array_equal(rec["owner"], ablated.repartition(amesh, 4, owner0))
+        assert not np.array_equal(rec["owner"], run(default)["owner"])

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import PNR, repartition_cost
-from repro.core.repartition_kl import multilevel_repartition
+from repro.core import PNR
 from repro.graph.generators import grid_graph, weighted_refinement_profile
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
-from repro.partition import graph_imbalance
+from repro.partition import graph_imbalance, multilevel_repartition, repartition_cost
 from repro.partition.kl import KLConfig, kl_refine
 from repro.partition.metrics import graph_cut
 
@@ -27,7 +26,7 @@ def test_repartition_never_worse_than_identity(seed, p):
     rng = np.random.default_rng(seed)
     g = grid_graph(10, vweights=weighted_refinement_profile(100, seed=seed))
     current = rng.integers(0, p, 100)
-    new = multilevel_repartition(g, p, current, alpha=0.1, beta=0.8, seed=seed)
+    new = multilevel_repartition(g, p, current, PNR(alpha=0.1, beta=0.8, seed=seed))
     c_new = repartition_cost(g, current, new, p, 0.1, 0.8).total
     c_id = repartition_cost(g, current, current, p, 0.1, 0.8).total
     assert c_new <= c_id + 1e-9
@@ -111,7 +110,7 @@ def test_repartition_balances_within_granularity(seed, alpha):
     vw = weighted_refinement_profile(100, hot_weight=8.0, seed=seed)
     g = grid_graph(10, vweights=vw)
     current = rng.integers(0, p, 100)
-    new = multilevel_repartition(g, p, current, alpha=alpha, beta=0.8, seed=seed)
+    new = multilevel_repartition(g, p, current, PNR(alpha=alpha, beta=0.8, seed=seed))
     mean = vw.sum() / p
     band = max(0.02 * mean, 0.5 * vw.max())
     # final max load within the granularity-aware envelope (plus slack for

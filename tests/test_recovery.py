@@ -178,7 +178,7 @@ class TestOwnerCompaction:
         owner = rng.integers(0, 4, size=grid_graph.n_vertices).astype(np.int64)
         live = [0, 2, 3]  # rank 1 died
         new = plan_recovery_assignment(
-            grid_graph, owner, live, alpha=1.0, beta=1.0
+            grid_graph, owner, live, PNR(alpha=1.0, beta=1.0, balance_tol=0.05)
         )
         check_recovery_partition(new, live, grid_graph.n_vertices)
         # survivors' roots were not gratuitously shuffled away from them
