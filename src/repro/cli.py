@@ -298,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--partitioner", choices=available_partitioners(), default="pnr",
         help="repartitioning strategy: pnr (Equation-1 KL on the "
              "coordinator, default), mlkl (scratch Multilevel-KL), sfc "
-             "(space-filling-curve splitting), dkl (distributed "
-             "boundary refinement, no coordinator in the loop), or "
-             "dkl-ml (multilevel dkl: intra-part coarsening around the "
-             "same tournament)",
+             "(space-filling-curve splitting), or dkl (distributed "
+             "boundary refinement, no coordinator in the loop)",
     )
     pa.add_argument(
         "--sfc-curve", choices=("morton", "hilbert"), default="morton",

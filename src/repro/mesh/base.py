@@ -32,11 +32,6 @@ def pair_key(a: int, b: int) -> int:
     return (a << 32) | b if a < b else (b << 32) | a
 
 
-def split_pair_key(key: int) -> tuple:
-    """Inverse of :func:`pair_key`: ``(lo, hi)``."""
-    return key >> 32, key & 0xFFFFFFFF
-
-
 def id_array(ids) -> np.ndarray:
     """Any iterable of element ids as an int64 array."""
     if not isinstance(ids, np.ndarray):
@@ -204,9 +199,6 @@ class SimplexMesh:
     # ------------------------------------------------------------------ #
     # vertices
     # ------------------------------------------------------------------ #
-
-    def add_vertex(self, xyz) -> int:
-        return self._pts.append(xyz)
 
     def midpoint(self, a: int, b: int) -> int:
         """Vertex id of the midpoint of edge ``(a, b)``; created and memoized

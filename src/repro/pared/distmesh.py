@@ -59,9 +59,6 @@ class DistributedMesh:
             if live is not None
             else list(range(comm.size))
         )
-        # None while the full communicator is alive, so collectives take
-        # their original (zero-overhead) path; the live list otherwise
-        self.group = self.live if len(self.live) < comm.size else None
 
     # ------------------------------------------------------------------ #
     # ownership queries
@@ -116,9 +113,6 @@ class DistributedMesh:
         ids = ids[(ids >= 0) & (ids < len(forest))]
         mine = self.owner[forest.root_array[ids]] == self.rank
         return ids[mine & (forest.status_array[ids] == LEAF)]
-
-    def owned_roots(self) -> np.ndarray:
-        return np.nonzero(self.owner == self.rank)[0]
 
     def local_load(self) -> int:
         """Number of owned leaf elements (the rank's workload)."""
@@ -210,7 +204,7 @@ class DistributedMesh:
                 if src != comm.rank:
                     received.append(comm.recv(src, tag=10))
             local_targets = sorted_unique(np.concatenate(received))
-            all_targets = comm.allgather(local_targets, tag=11, ranks=self.group)
+            all_targets = comm.allgather(local_targets, tag=11, ranks=self.live)
         union = sorted_unique(np.concatenate(all_targets)) if all_targets else []
         return self.amesh.refine(union)
 
@@ -220,7 +214,7 @@ class DistributedMesh:
         have marked their children, exactly as in the serial rule)."""
         local = sorted_unique(np.asarray(marked_owned, dtype=np.int64))
         with PERF.span("pared.P0.exchange"):
-            all_marked = self.comm.allgather(local, tag=12, ranks=self.group)
+            all_marked = self.comm.allgather(local, tag=12, ranks=self.live)
         union = np.concatenate(all_marked) if all_marked else []
         return self.amesh.coarsen(union)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh.forest import LEAF
 from repro.partition.registry import make_repartitioner
 from repro.runtime.faults import recv_with_retry
 from repro.runtime.recovery import compact_owner, expand_owner
@@ -66,7 +67,6 @@ def pack_tree_payloads(mesh, roots) -> dict:
     ``leaf_offsets`` likewise for the active leaves).
     """
     forest = mesh.forest
-    from repro.mesh.forest import LEAF
 
     roots = np.unique(np.asarray(list(roots), dtype=np.int64))
     root_of = forest.root_array
@@ -142,16 +142,13 @@ def execute_migration(
     Returns accounting: trees moved, leaf elements moved, how many trees
     this rank sent/received/reconstructed, and the broadcast ``extra``.
     """
-    live = getattr(dmesh, "live", None)
-    if live is None:
-        live = list(range(comm.size))
-    group = live if len(live) < comm.size else None
     payload0 = (
         (np.asarray(new_owner, dtype=np.int64), extra)
         if comm.rank == coordinator
         else None
     )
-    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=group)
+    live = dmesh.live
+    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=live)
     old_owner = np.asarray(dmesh.owner)
     new_owner = np.asarray(new_owner)
     moved = np.nonzero(old_owner != new_owner)[0]

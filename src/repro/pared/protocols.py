@@ -11,9 +11,8 @@ strategy's family, and the only thing about a round that varies with it:
   merges them into its :class:`_CoordinatorGraph` and runs the registry
   strategy on it.  Round state: the delta baseline on every rank, ``G`` on
   ``P_C`` — both checkpointed.
-* :class:`_HaloProtocol` (``halo = True``: ``dkl``/``dkl-ml``): boundary
-  slices of the full
-  report travel neighbor-to-neighbor into a
+* :class:`_HaloProtocol` (``halo = True``: ``dkl``): boundary slices of
+  the full report travel neighbor-to-neighbor into a
   :class:`~repro.partition.distributed.PartView`, ``P_C`` keeps only an
   O(p) gather of load sums, and the tournament runs SPMD on every rank
   (phase label ``dkl``).  No state survives a round, so nothing is
@@ -252,7 +251,7 @@ class _HaloProtocol(_WeightProtocol):
         wsum = float(full["v_wts"].sum())
         wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
         gathered = comm.gather(
-            (wsum, wmax_local), root=self.C, tag=42, ranks=dmesh.group
+            (wsum, wmax_local), root=self.C, tag=42, ranks=live
         )
         measured = None
         if comm.rank == self.C:
@@ -260,7 +259,7 @@ class _HaloProtocol(_WeightProtocol):
             loads[live] = [s for s, _ in gathered]
             wmax = max(m for _, m in gathered)
             measured = (loads, float(wmax), imbalance(loads[live]))
-        return comm.bcast(measured, root=self.C, tag=43, ranks=dmesh.group)
+        return comm.bcast(measured, root=self.C, tag=43, ranks=live)
 
     def decide(self, dmesh, measured):
         comm = self.comm
@@ -271,8 +270,7 @@ class _HaloProtocol(_WeightProtocol):
             comm.set_phase("dkl")
             loads = np.asarray(loads, dtype=np.float64)
             assign = self.repart.refine_spmd(
-                comm, self.view, dmesh.owner, loads, wmax, dmesh.live,
-                group=dmesh.group,
+                comm, self.view, dmesh.owner, loads, wmax, dmesh.live
             )
             comm.set_phase("P3")
         # every rank computed the identical assignment; the migration

@@ -65,7 +65,6 @@ from repro.testing import (
     check_history_agreement,
     check_leaf_adjacency,
     check_migration_conservation,
-    check_partition_validity,
     check_recovery_partition,
     check_replica_agreement,
 )
@@ -135,13 +134,11 @@ class ParedConfig:
         space-filling-curve splitting of the coarse-root centroids —
         O(n log n), incremental, the cheap high-throughput baseline), or
         ``"dkl"`` (distributed boundary refinement,
-        :mod:`repro.partition.distributed`), or ``"dkl-ml"`` (its
-        multilevel flavour: intra-part coarsening around the same
-        tournament).  Under the dkl family the round is restructured: P2
-        weight exchange is neighbor-to-neighbor halo traffic instead of
-        all-to-coordinator, the coordinator keeps only the O(p) scalar
-        imbalance check, and refinement runs SPMD on every rank (phase
-        label ``dkl``).
+        :mod:`repro.partition.distributed`).  Under ``dkl`` the round is
+        restructured: P2 weight exchange is neighbor-to-neighbor halo
+        traffic instead of all-to-coordinator, the coordinator keeps only
+        the O(p) scalar imbalance check, and refinement runs SPMD on every
+        rank (phase label ``dkl``).
     sfc_curve:
         Curve of the ``sfc`` strategy: ``"morton"`` (default) or
         ``"hilbert"``.  Ignored by the graph-based strategies.
@@ -198,8 +195,7 @@ def _pared_setup(comm, cfg: ParedConfig, live) -> _RankState:
     comm.set_phase("P3")
     proto = _weight_protocol(comm, cfg, C, amesh)
     owner0 = proto.initial_owner(amesh, live) if comm.rank == C else None
-    group = live if len(live) < comm.size else None
-    owner = comm.bcast(owner0, root=C, tag=40, ranks=group)
+    owner = comm.bcast(owner0, root=C, tag=40, ranks=live)
     return _RankState(DistributedMesh(comm, amesh, owner, live=live), proto, [])
 
 
@@ -240,12 +236,10 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
     if cfg.audit:
         comm.set_phase("audit")
         with PERF.span("pared.audit"):
-            check_partition_validity(dmesh.owner, comm.size, amesh.n_roots)
-            if dmesh.group is not None:
-                check_recovery_partition(dmesh.owner, dmesh.live, amesh.n_roots)
-            check_replica_agreement(comm, dmesh.owner, ranks=dmesh.group)
+            check_recovery_partition(dmesh.owner, dmesh.live, amesh.n_roots)
+            check_replica_agreement(comm, dmesh.owner, ranks=dmesh.live)
             owned_all = comm.allgather(
-                dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.group
+                dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.live
             )
             check_migration_conservation(leaves_before, amesh.leaf_ids(), owned_all)
             check_leaf_adjacency(amesh.mesh)
@@ -373,7 +367,7 @@ def _pared_rank(comm, cfg: ParedConfig, mark=None):
                 # rank got through all rounds, so a crash in the final
                 # round still finds every survivor reachable for recovery
                 comm.set_phase("commit")
-                comm.allgather(("commit", rnd), tag=COMMIT_TAG, ranks=st.dmesh.group)
+                comm.allgather(("commit", rnd), tag=COMMIT_TAG, ranks=st.dmesh.live)
             return st.history
         except PeerCrashed:
             if not recover:

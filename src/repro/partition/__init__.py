@@ -20,12 +20,12 @@ And the pieces they share: the p-way Kernighan–Lin refinement engine
 (:mod:`repro.partition.kl`, also the host of PNR's modified gain function),
 the distributed propose/resolve/rebalance refinement pass
 (:mod:`repro.partition.distributed` — the coordinator-free ``dkl``
-strategy and its multilevel ``dkl-ml`` flavour), greedy graph growing for
+strategy), greedy graph growing for
 coarsest-level partitions, the Biswas–Oliker subset permutation that
 minimizes data movement [5], partition metrics with the Equation-1
 objective (:func:`~repro.partition.metrics.repartition_cost`), and the
 named repartitioner registry (:mod:`repro.partition.registry`:
-``pnr``/``mlkl``/``sfc``/``dkl``/``dkl-ml``) — the one door through which
+``pnr``/``mlkl``/``sfc``/``dkl``) — the one door through which
 the PARED round engine, crash recovery, ``PNR.repartition`` and the CLI
 repartition ``G``.
 """
@@ -35,7 +35,6 @@ from repro.partition.metrics import (
     graph_subset_weights,
     graph_imbalance,
     graph_migration,
-    partition_targets,
     repartition_cost,
     validate_assignment,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "graph_subset_weights",
     "graph_imbalance",
     "graph_migration",
-    "partition_targets",
     "repartition_cost",
     "validate_assignment",
     "KLConfig",

@@ -70,11 +70,10 @@ job is the O(p) scalar imbalance check.
 
 :func:`dkl_refine_serial` drives the identical propose/resolve/rebalance
 code from a single thread (a rank loop instead of an allgather).  It backs
-the ``dkl`` / ``dkl-ml`` registry strategies and is the reference the SPMD
-path (:func:`dkl_refine_comm`) is tested bit-identical against.  Both
-drivers run the multilevel wrapper (:func:`_ml_refine`); ``dkl`` is its
-``ml_levels=0`` case, in which no level is built and no level-change
-message sent.
+the ``dkl`` registry strategy and is the reference the SPMD path
+(:func:`dkl_refine_comm`) is tested bit-identical against.  There is one
+engine, :func:`_refine_loop`; the two drivers differ in the one thing they
+inject into it — the proposal ``exchange``.
 """
 
 from __future__ import annotations
@@ -83,8 +82,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import WeightedGraph
-from repro.graph.matching import heavy_edge_matching
 from repro.perf import PERF
 
 __all__ = [
@@ -99,13 +96,6 @@ __all__ = [
 #: allgather tag of the proposal rounds (propose and rebalance share it:
 #: the wire is tag-matched FIFO, so alternating batches cannot cross)
 PROPOSAL_TAG = 45
-#: point-to-point tag of the multilevel projection handoff (losers ship
-#: the fine payloads of roots the coarse tournament moved away)
-HANDOFF_TAG = 46
-#: allgather tag of the per-part matchings (one per coarsening level)
-MATCHING_TAG = 47
-#: allreduce tag of the coarse-level max-vertex-weight reduction
-REDUCE_TAG = 48
 
 
 def edge_keys(a, b, n_roots: int) -> np.ndarray:
@@ -156,10 +146,6 @@ class DKLConfig:
     #: a pass must keep at least this much objective improvement for
     #: another pass to start
     min_gain: float = 1e-9
-    #: coarsening levels around the tournament: each level halves the
-    #: boundary subgraph by intra-part heavy-edge matching before it runs.
-    #: 0 is the flat engine (``dkl``), 1 the multilevel flavour (``dkl-ml``)
-    ml_levels: int = 0
 
 
 class PartView:
@@ -795,10 +781,13 @@ def _resolve(
 # ---------------------------------------------------------------------- #
 
 
-def _refine_loop(
-    n_roots, p, views, assign, home, loads, live, cfg, wmax, exchange,
-    my_parts, trace=None,
-):
+def _refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace=None):
+    """The one engine: refine ``assign`` in place from the parts in ``views``
+    (all of them in the serial driver, this rank's in the SPMD one);
+    ``exchange`` is the only thing the drivers inject.  Migration is charged
+    against the entry assignment."""
+    n_roots, p, my_parts = assign.size, loads.size, list(views)
+    home = assign.copy()
     live = sorted(int(r) for r in live)
     mean = float(loads[live].sum()) / len(live) if live else 0.0
     # vertex-granularity balance band, same rule as the KL engine: the
@@ -929,12 +918,12 @@ def _refine_loop(
 
 
 # ---------------------------------------------------------------------- #
-# exchange plumbing (serial rank loop vs SPMD allgather)
+# the two drivers and the exchange each injects (rank loop vs allgather)
 # ---------------------------------------------------------------------- #
 
 
 def _serial_exchange(live):
-    """Exchange for the serial drivers: all parts live in this process, so
+    """Exchange for the serial driver: all parts live in this process, so
     the allgather is a list comprehension in live-rank order — the same
     order :meth:`SimComm.allgather` assembles its blocks in."""
 
@@ -944,8 +933,8 @@ def _serial_exchange(live):
     return exchange
 
 
-def _comm_exchange(comm, group):
-    """Exchange for the SPMD drivers: pack this rank's proposal into the
+def _comm_exchange(comm, live):
+    """Exchange for the SPMD driver: pack this rank's proposal into the
     struct-of-arrays frame, allgather on :data:`PROPOSAL_TAG`, and account
     the posted bytes against the round (``dkl.proposals`` in
     :class:`~repro.runtime.stats.TrafficStats`)."""
@@ -955,7 +944,7 @@ def _comm_exchange(comm, group):
             req = comm.iallgather(
                 pack_proposal_frame(local[comm.rank]),
                 tag=PROPOSAL_TAG,
-                ranks=group,
+                ranks=live,
             )
             comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
             frames = req.wait()
@@ -964,185 +953,12 @@ def _comm_exchange(comm, group):
     return exchange
 
 
-# ---------------------------------------------------------------------- #
-# multilevel (dkl-ml): intra-part coarsening around the same tournament
-# ---------------------------------------------------------------------- #
-
-
-def _match_part(view: PartView, assign, seed: int):
-    """Deterministic heavy-edge matching of this part's *internal*
-    subgraph (both endpoints members), as global root-id pair arrays
-    ``(a, b)`` with ``a < b``.  A pure function of ``(view, assign, seed)``,
-    so every rank can rebuild the global coarse map from the allgathered
-    pairs without exchanging the subgraphs themselves."""
-    i = view.part
-    assign = np.asarray(assign)
-    mine = np.flatnonzero(assign == i)
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if mine.size < 2:
-        return empty
-    a, b = split_edge_keys(view.e_keys, view.n)
-    keep = (assign[a] == i) & (assign[b] == i)
-    if not keep.any():
-        return empty
-    la = np.searchsorted(mine, a[keep])
-    lb = np.searchsorted(mine, b[keep])
-    sub = WeightedGraph.from_edges(
-        mine.size,
-        np.column_stack([la, lb]),
-        view.e_wts[keep],
-        view.vwts[mine],
-    )
-    mate = heavy_edge_matching(sub, seed=seed)
-    loc = np.flatnonzero(mate > np.arange(mine.size))
-    return mine[loc], mine[mate[loc]]
-
-
-def _combine_matchings(n: int, pairs_list):
-    """Global coarse map from the allgathered per-part matchings: merge the
-    (disjoint — parts partition the roots) pair sets into one involution,
-    name each coarse vertex by its minimum member, and densify the names in
-    sorted order.  Identical on every rank given the same gathered pairs."""
-    mate = np.arange(n, dtype=np.int64)
-    for a, b in pairs_list:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        mate[a] = b
-        mate[b] = a
-    reps = np.minimum(np.arange(n, dtype=np.int64), mate)
-    uniq, cmap = np.unique(reps, return_inverse=True)
-    return cmap.astype(np.int64), int(uniq.size)
-
-
-def _contract_view(view: PartView, cmap, nc: int, assign):
-    """This part's halo view of the contracted graph: incident edges mapped
-    through ``cmap`` (collapsed pairs dropped, parallels merged), member
-    weights summed per coarse vertex.  Matching is intra-part, so every
-    coarse vertex with a member constituent is *entirely* made of members —
-    the coarse view keeps the exact-incident-set invariant of the fine one."""
-    i = view.part
-    assign = np.asarray(assign)
-    a, b = split_edge_keys(view.e_keys, view.n)
-    ca, cb = cmap[a], cmap[b]
-    keep = ca != cb
-    lo = np.minimum(ca[keep], cb[keep])
-    hi = np.maximum(ca[keep], cb[keep])
-    keys = lo * np.int64(nc) + hi
-    uniq, inv = np.unique(keys, return_inverse=True)
-    wts = np.bincount(inv, weights=view.e_wts[keep], minlength=uniq.size)
-    mine = np.flatnonzero(assign == i)
-    cw = np.bincount(cmap[mine], weights=view.vwts[mine], minlength=nc)
-    ids = np.unique(cmap[mine])
-    return PartView(nc, i, ids, cw[ids], uniq, wts)
-
-
-def _handoff_reports(view: PartView, old_assign, new_assign):
-    """Per-destination fine payloads for the roots this part lost in the
-    coarser stage: each lost root's weight and full incident edge set, read
-    off the loser's view (authoritative for its members).  Keyed by
-    destination part."""
-    i = view.part
-    old_assign = np.asarray(old_assign)
-    new_assign = np.asarray(new_assign)
-    lost = np.flatnonzero((old_assign == i) & (new_assign != i))
-    out = {}
-    if lost.size == 0:
-        return out
-    a, b = split_edge_keys(view.e_keys, view.n)
-    for dst in np.unique(new_assign[lost]):
-        vs = lost[new_assign[lost] == dst]
-        pick = np.isin(a, vs) | np.isin(b, vs)
-        out[int(dst)] = {
-            "v_ids": vs,
-            "v_wts": view.vwts[vs],
-            "e_keys": view.e_keys[pick],
-            "e_wts": view.e_wts[pick],
-        }
-    return out
-
-
-def _ml_refine(
-    n, p, views, assign, loads, live, cfg, wmax, my_parts, exchange,
-    gather_pairs, reduce_max, handoff, trace=None,
-):
-    """The multilevel wrapper around :func:`_refine_loop`: coarsen up to
-    ``cfg.ml_levels`` times by intra-part matching, run the tournament at
-    the coarsest level (where each accepted move relocates a whole cluster
-    and the balance envelope widens to the coarse vertex granularity), then
-    project down level by level — losers hand the fine payloads of departed
-    roots to the winners — re-refining at each finer level.  ``home`` at
-    every level is the entry assignment coarsened to that level: migration
-    cost is always charged against where the weight actually lives.
-
-    The injected ``gather_pairs``/``reduce_max``/``handoff`` callables are
-    the level-change collectives (a rank loop in the serial driver, real
-    messages in the SPMD one); ``exchange`` is the usual proposal exchange,
-    shared by every level's round loop.
-    """
-    stack = []
-    cur_views, cur_assign, cur_n, cur_wmax = views, assign, n, wmax
-    for lvl in range(max(int(cfg.ml_levels), 0)):
-        with PERF.span("dkl.coarsen"):
-            pairs = {
-                part: _match_part(cur_views[part], cur_assign, cfg.seed + lvl)
-                for part in my_parts
-            }
-        all_pairs = gather_pairs(pairs, lvl)
-        if sum(a.size for a, _ in all_pairs) == 0:
-            break  # nothing matched anywhere: deeper levels are identical
-        with PERF.span("dkl.coarsen"):
-            cmap, nc = _combine_matchings(cur_n, all_pairs)
-            nxt_views = {
-                part: _contract_view(cur_views[part], cmap, nc, cur_assign)
-                for part in my_parts
-            }
-            nxt_assign = np.zeros(nc, dtype=np.int64)
-            nxt_assign[cmap] = np.asarray(cur_assign, dtype=np.int64)
-            local_wmax = max(
-                (float(v.vwts.max()) for v in nxt_views.values()), default=0.0
-            )
-        nxt_wmax = reduce_max(local_wmax, lvl)
-        stack.append((cur_views, cur_assign, cur_n, cur_wmax, cmap))
-        cur_views, cur_assign, cur_n, cur_wmax = (
-            nxt_views, nxt_assign, nc, nxt_wmax,
-        )
-
-    # coarsest-level tournament (home == the coarsened entry assignment)
-    _refine_loop(
-        cur_n, p, cur_views, cur_assign, cur_assign.copy(), loads, live,
-        cfg, cur_wmax, exchange, my_parts=my_parts, trace=trace,
-    )
-
-    # project down: hand fine payloads across the new boundaries, then
-    # re-refine at the finer granularity
-    for fviews, fassign, fn_, fwmax, cmap in reversed(stack):
-        with PERF.span("dkl.project"):
-            projected = cur_assign[cmap]
-        fhome = np.asarray(fassign, dtype=np.int64).copy()
-        handoff(fviews, fhome, projected)
-        fassign[:] = projected
-        _refine_loop(
-            fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax,
-            exchange, my_parts=my_parts, trace=trace,
-        )
-        cur_assign = fassign
-    return assign
-
-
-# ---------------------------------------------------------------------- #
-# drivers
-# ---------------------------------------------------------------------- #
-
-
 def dkl_refine_serial(
     graph, p, current, cfg: DKLConfig = None, live=None, return_trace=False
 ):
-    """Single-thread reference engine: every part's propose step and the
-    level-change collectives of the multilevel wrapper run in a rank loop
-    instead of over messages, through the exact code the SPMD path runs —
-    the two are bit-identical by construction (and by test).
-    ``cfg.ml_levels`` selects the flavour: 0 is ``dkl``, the flat
-    tournament; 1 is ``dkl-ml``.
+    """Single-thread reference engine: every part's propose step runs in a
+    rank loop instead of over messages, through the exact code the SPMD
+    path runs — the two are bit-identical by construction (and by test).
 
     Returns the refined assignment, or ``(assignment, trace)`` with
     ``return_trace=True`` where ``trace[k]`` records round ``k``'s accepted
@@ -1150,52 +966,24 @@ def dkl_refine_serial(
     """
     cfg = cfg if cfg is not None else DKLConfig()
     assign = np.asarray(current, dtype=np.int64).copy()
-    n = graph.n_vertices
     live = sorted(int(r) for r in (live if live is not None else range(p)))
     views = {part: PartView.from_graph(graph, part, assign) for part in live}
-    loads = np.bincount(
-        assign, weights=graph.vwts, minlength=p
-    ).astype(np.float64)
-    wmax = float(graph.vwts.max()) if n else 0.0
+    loads = np.bincount(assign, weights=graph.vwts, minlength=p).astype(np.float64)
+    wmax = float(graph.vwts.max()) if graph.n_vertices else 0.0
     trace = [] if return_trace else None
-
-    def gather_pairs(local, lvl):
-        return [local[part] for part in live]
-
-    def reduce_max(x, lvl):
-        return x  # the serial local max is already global (all parts here)
-
-    def handoff(vws, old, new):
-        for part in live:
-            reports = _handoff_reports(vws[part], old, new)
-            for dst in sorted(reports):
-                rep = reports[dst]
-                vws[dst].absorb(
-                    rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
-                )
-
-    _ml_refine(
-        n, p, views, assign, loads, live, cfg, wmax, live,
-        _serial_exchange(live), gather_pairs, reduce_max, handoff, trace=trace,
+    _refine_loop(
+        views, assign, loads, live, cfg, wmax, _serial_exchange(live), trace
     )
     return (assign, trace) if return_trace else assign
 
 
-def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=None):
+def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
     """SPMD distributed refinement: this rank proposes for its own part,
-    proposals travel by allgather (tag :data:`PROPOSAL_TAG`), and every
-    rank replays the same resolve — the returned assignment is
-    replica-identical without coordinator involvement.
-
-    With ``cfg.ml_levels > 0`` (``dkl-ml``) each rank first matches its own
-    part's internal subgraph, the matchings travel by allgather (tag
-    :data:`MATCHING_TAG`) so every rank derives the identical coarse map,
-    the coarse tournament runs through the usual proposal exchange, and at
-    each projection the losers ship the fine payloads of departed roots
-    point-to-point (tag :data:`HANDOFF_TAG`) before the fine-level rounds.
-    At ``ml_levels=0`` none of those messages exist: the call *is* the flat
-    tournament.  Deterministic end to end: every collective input is
-    replicated.
+    proposals travel by allgather over the ``live`` ranks (tag
+    :data:`PROPOSAL_TAG` — the only frames a call puts on the wire), and
+    every rank replays the same resolve — the returned assignment is
+    replica-identical without coordinator involvement.  Deterministic end
+    to end: every collective input is replicated.
 
     ``view`` is this rank's halo view (from
     :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
@@ -1205,34 +993,7 @@ def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=N
     """
     assign = np.asarray(owner, dtype=np.int64).copy()
     loads = np.asarray(loads, dtype=np.float64).copy()
-    views = {comm.rank: view}
-
-    def gather_pairs(local, lvl):
-        a, b = local[comm.rank]
-        packed = np.concatenate([a, b])  # (a ++ b): split at the midpoint
-        out = comm.allgather(packed, tag=MATCHING_TAG, ranks=group)
-        return [(arr[: arr.size // 2], arr[arr.size // 2 :]) for arr in out]
-
-    def reduce_max(x, lvl):
-        return comm.allreduce(x, op=max, tag=REDUCE_TAG, ranks=group)
-
-    def handoff(vws, old, new):
-        mine = vws[comm.rank]
-        reports = _handoff_reports(mine, old, new)
-        for dst in sorted(reports):
-            comm.send(reports[dst], dst, HANDOFF_TAG)
-        old = np.asarray(old)
-        gained = np.unique(
-            old[(np.asarray(new) == comm.rank) & (old != comm.rank)]
-        )
-        for src in sorted(int(s) for s in gained):
-            rep = comm.recv(src, HANDOFF_TAG)
-            mine.absorb(
-                rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
-            )
-
-    return _ml_refine(
-        view.n, loads.size, views, assign, loads, live, cfg, wmax,
-        [comm.rank], _comm_exchange(comm, group), gather_pairs, reduce_max,
-        handoff,
+    return _refine_loop(
+        {comm.rank: view}, assign, loads, live, cfg, wmax,
+        _comm_exchange(comm, live),
     )

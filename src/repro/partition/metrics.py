@@ -130,12 +130,3 @@ def summarize_partition(graph: WeightedGraph, assignment, p: int) -> dict:
         "min_weight": float(w.min()),
         "max_weight": float(w.max()),
     }
-
-
-def partition_targets(total_weight: float, p: int, proportions=None) -> np.ndarray:
-    """Target subset weights; uniform unless ``proportions`` given (used by
-    recursive bisection with odd part counts)."""
-    if proportions is None:
-        return np.full(p, total_weight / p)
-    proportions = np.asarray(proportions, dtype=float)
-    return total_weight * proportions / proportions.sum()

@@ -3,9 +3,9 @@
 Everything that repartitions the coarse dual graph — the PARED round engine
 (:mod:`repro.pared.protocols`), crash recovery, the mesh-level
 :meth:`PNR.repartition <repro.core.pnr.PNR.repartition>` and the CLI — makes
-a strategy here by name (``pnr`` / ``mlkl`` / ``sfc`` / ``dkl`` /
-``dkl-ml``, described on the classes below) and calls it.  A strategy is a
-small stateful object built from the whole Equation-1 parameter object
+a strategy here by name (``pnr`` / ``mlkl`` / ``sfc`` / ``dkl``, described
+on the classes below) and calls it.  A strategy is a small stateful object
+built from the whole Equation-1 parameter object
 (:class:`repro.core.pnr.PNR`) with two operations on the graph:
 
 ``initial(graph, p, coords=...)``
@@ -27,7 +27,7 @@ this module tests a strategy *name*:
 ``monotone``
     Whether the monotone-or-rollback audit applies (a property of the
     Equation-1 V-cycle; the other strategies optimize other objectives).
-``refine_spmd(comm, view, owner, loads, wmax, live, group=...)``
+``refine_spmd(comm, view, owner, loads, wmax, live)``
     Halo strategies only: the SPMD form of ``repartition``.
 """
 
@@ -135,39 +135,26 @@ class DKLRepartitioner(_Strategy):
 
     name = "dkl"
     halo = True
-    ml_levels = 0
 
     def _config(self) -> DKLConfig:
         pnr = self.pnr
         return DKLConfig(
             alpha=pnr.alpha, beta=pnr.beta, seed=pnr.seed,
-            balance_tol=pnr.balance_tol, ml_levels=self.ml_levels,
+            balance_tol=pnr.balance_tol,
         )
 
     def repartition(self, graph, p, current, coords=None):
         return dkl_refine_serial(graph, p, current, self._config())
 
-    def refine_spmd(self, comm, view, owner, loads, wmax, live, group=None):
-        return dkl_refine_comm(
-            comm, view, owner, loads, wmax, live, self._config(), group=group
-        )
-
-
-class DKLMLRepartitioner(DKLRepartitioner):
-    """``dkl`` around one level of intra-part heavy-edge coarsening: the
-    tournament moves whole clusters on the coarse view, then the result is
-    projected and re-refined — the multilevel fix for the residual cut gap
-    on heavy-imbalance starts."""
-
-    name = "dkl-ml"
-    ml_levels = 1
+    def refine_spmd(self, comm, view, owner, loads, wmax, live):
+        return dkl_refine_comm(comm, view, owner, loads, wmax, live, self._config())
 
 
 #: name -> strategy class; the CLI's ``--partitioner`` choices come from here
 PARTITIONERS = {
     cls.name: cls
     for cls in (PNRRepartitioner, MLKLRepartitioner, SFCRepartitioner,
-                DKLRepartitioner, DKLMLRepartitioner)
+                DKLRepartitioner)
 }
 
 

@@ -66,7 +66,7 @@ class FaultToleranceExhausted(TimeoutError):
     """A receive timed out and every configured retry was used up.
 
     Subclasses :class:`TimeoutError` so callers treating timeouts generically
-    (``Request.test``) keep working; the message documents rank, peer, tag
+    keep working; the message documents rank, peer, tag
     and the attempt schedule, which is the "documented error" a degraded run
     must end in.
     """
@@ -123,12 +123,6 @@ class FaultPlan:
     def channel_rng(self, src: int, dst: int) -> random.Random:
         """Decision stream for the ordered channel ``src -> dst``."""
         return random.Random(f"faultplan:{self.seed}:{src}:{dst}")
-
-    @property
-    def perturbs_wire(self) -> bool:
-        return bool(
-            self.reorder_rate or self.duplicate_rate or self.delay_rate
-        )
 
 
 class FaultLog:

@@ -800,10 +800,6 @@ def _shm_worker_main(rank, size, segment, ring_bytes, pair_socks,
 # ---------------------------------------------------------------------- #
 
 
-class _PoolBroken(RuntimeError):
-    """A pool was found dead before dispatch (rebuild and retry)."""
-
-
 class ShmPool:
     """A set of forked rank workers plus their segment and sockets.
 

@@ -4,7 +4,7 @@
 ...)`` on its own thread; ranks communicate only through their
 :class:`SimComm`, which provides blocking point-to-point ``send``/``recv``
 (tag-matched, per-pair FIFO order) and the collectives PARED uses
-(``bcast``, ``gather``, ``scatter``, ``allgather``, ``allreduce``,
+(``bcast``, ``gather``, ``allgather``, ``iallgather``, ``allreduce``,
 ``barrier``).  Payloads travel as typed frames of
 :mod:`repro.runtime.codec` — raw numpy buffers plus a small tag header,
 with pickle retained as the fallback leaf for arbitrary objects — and the
@@ -185,11 +185,11 @@ class _Shared:
 
 
 class Request:
-    """Handle of a nonblocking operation (mpi4py's ``isend``/``irecv``).
+    """Handle of a posted :meth:`SimComm.iallgather`.
 
     ``sent_bytes`` is the total frame bytes the operation already put on
-    the wire when it was posted (nonzero for ``isend``/``iallgather``) —
-    the hook per-round traffic accounting reads without re-encoding."""
+    the wire when it was posted — the hook per-round traffic accounting
+    reads without re-encoding."""
 
     __slots__ = ("_fn", "_done", "_value", "sent_bytes")
 
@@ -200,24 +200,12 @@ class Request:
         self.sent_bytes = sent_bytes
 
     def wait(self, timeout: float = _DEFAULT_TIMEOUT):
-        """Complete the operation; returns the received object for
-        ``irecv`` requests, ``None`` for ``isend``."""
+        """Complete the operation and return its result.  A wait that
+        times out may be retried: the operation resumes where it stopped."""
         if not self._done:
             self._value = self._fn(timeout)
             self._done = True
         return self._value
-
-    def test(self):
-        """``(done, value)`` without blocking (best-effort: tries with a
-        tiny timeout)."""
-        if self._done:
-            return True, self._value
-        try:
-            self._value = self._fn(0.05)
-            self._done = True
-            return True, self._value
-        except TimeoutError:
-            return False, None
 
 
 class SimComm:
@@ -410,17 +398,6 @@ class SimComm:
                     f"rank {self.rank} timed out receiving from {source} tag {tag}"
                 )
 
-    def isend(self, obj, dest: int, tag: int = 0) -> "Request":
-        """Nonblocking send.  The simulated send buffers immediately, so the
-        request completes at once — the API exists for mpi4py parity."""
-        self.send(obj, dest, tag)
-        return Request(lambda timeout: None)
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Nonblocking receive: returns a :class:`Request`; ``wait()``
-        yields the object."""
-        return Request(lambda timeout: self.recv(source, tag, timeout=timeout))
-
     # ------------------------------------------------------------------ #
     # collectives (built on point-to-point so they are accounted)
     # ------------------------------------------------------------------ #
@@ -446,16 +423,6 @@ class SimComm:
             ]
         self.send(obj, root, tag)
         return None
-
-    def scatter(self, objs, root: int = 0, tag: int = -3):
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("root must scatter one object per rank")
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(objs[dst], dst, tag)
-            return objs[root]
-        return self.recv(root, tag)
 
     def allgather(self, obj, tag: int = -4, ranks=None):
         """Allgather by direct pairwise exchange — no root rank in the
@@ -518,16 +485,22 @@ class SimComm:
         for step in range(1, k):
             nbytes += self.send((me, obj), group[(me + step) % k], tag)
 
+        # the request's progress lives outside ``complete``: a wait that
+        # timed out keeps the blocks it consumed and a retry resumes at the
+        # first peer still owed, instead of re-receiving from one whose
+        # block is gone (or stealing its next round's frame)
+        blocks = [None] * k
+        blocks[me] = obj
+        owed = [group[(me - step) % k] for step in range(1, k)]
+
         def complete(timeout):
             remaining = timeout if timeout is not None else _DEFAULT_TIMEOUT
-            blocks = [None] * k
-            blocks[me] = obj
-            for step in range(1, k):
-                src = group[(me - step) % k]
+            while owed:
                 tick = perf_counter()
-                pos, blk = self.recv(src, tag, timeout=max(remaining, 0.001))
+                pos, blk = self.recv(owed[0], tag, timeout=max(remaining, 0.001))
                 remaining -= perf_counter() - tick
                 blocks[pos] = blk
+                del owed[0]
             return blocks
 
         return Request(complete, sent_bytes=nbytes)
@@ -543,32 +516,6 @@ class SimComm:
         for item in data[1:]:
             acc = (acc + item) if op is None else op(acc, item)
         return acc
-
-    def reduce(self, obj, op=None, root: int = 0, tag: int = -6):
-        """Reduce to ``root`` with ``op`` (binary callable, default ``+``);
-        non-root ranks get ``None``."""
-        data = self.gather(obj, root=root, tag=tag)
-        if self.rank != root:
-            return None
-        acc = data[0]
-        for item in data[1:]:
-            acc = (acc + item) if op is None else op(acc, item)
-        return acc
-
-    def alltoall(self, objs, tag: int = -7):
-        """Each rank sends ``objs[d]`` to rank ``d`` and receives one object
-        from every rank; returns the received list indexed by source."""
-        if objs is None or len(objs) != self.size:
-            raise ValueError("alltoall needs one object per rank")
-        for dst in range(self.size):
-            if dst != self.rank:
-                self.send(objs[dst], dst, tag)
-        out = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        for src in range(self.size):
-            if src != self.rank:
-                out[src] = self.recv(src, tag)
-        return out
 
     def barrier(self) -> None:
         if self._transport.aborted():

@@ -126,18 +126,6 @@ class TrafficStats:
                 for ph in sorted(set(self.messages) | set(self.bytes))
             }
 
-    def phase_share(self) -> dict:
-        """``{phase: fraction of total payload bytes}`` — where the wire
-        traffic of a run actually went (e.g. how much of a ``dkl`` round
-        is halo exchange vs proposal allgathers vs migration)."""
-        with self._lock:
-            total = sum(self.bytes.values())
-            if not total:
-                return {}
-            return {
-                ph: self.bytes[ph] / total for ph in sorted(self.bytes)
-            }
-
     def wire_report(self) -> dict:
         """Plain-dict snapshot of the physical-channel counters."""
         with self._lock:

@@ -38,10 +38,6 @@ from repro.mesh.base import SimplexMesh
 from repro.partition.distributed import (
     DKLConfig,
     PartView,
-    _combine_matchings,
-    _contract_view,
-    _handoff_reports,
-    _match_part,
     _phi,
     edge_keys,
 )
@@ -1118,70 +1114,3 @@ def _serial_exchange(live):
 
     return exchange
 
-
-def _ml_refine(
-    n, p, views, assign, loads, live, cfg, wmax, my_parts, exchange,
-    gather_pairs, reduce_max, handoff, trace=None,
-):
-    """The multilevel wrapper around :func:`_refine_loop`: coarsen up to
-    ``cfg.ml_levels`` times by intra-part matching, run the tournament at
-    the coarsest level (where each accepted move relocates a whole cluster
-    and the balance envelope widens to the coarse vertex granularity), then
-    project down level by level — losers hand the fine payloads of departed
-    roots to the winners — re-refining at each finer level.  ``home`` at
-    every level is the entry assignment coarsened to that level: migration
-    cost is always charged against where the weight actually lives.
-
-    The injected ``gather_pairs``/``reduce_max``/``handoff`` callables are
-    the level-change collectives (a rank loop in the serial driver, real
-    messages in the SPMD one); ``exchange`` is the usual proposal exchange,
-    shared by every level's round loop.
-    """
-    stack = []
-    cur_views, cur_assign, cur_n, cur_wmax = views, assign, n, wmax
-    for lvl in range(max(int(cfg.ml_levels), 0)):
-        with PERF.span("dkl.coarsen"):
-            pairs = {
-                part: _match_part(cur_views[part], cur_assign, cfg.seed + lvl)
-                for part in my_parts
-            }
-        all_pairs = gather_pairs(pairs, lvl)
-        if sum(a.size for a, _ in all_pairs) == 0:
-            break  # nothing matched anywhere: deeper levels are identical
-        with PERF.span("dkl.coarsen"):
-            cmap, nc = _combine_matchings(cur_n, all_pairs)
-            nxt_views = {
-                part: _contract_view(cur_views[part], cmap, nc, cur_assign)
-                for part in my_parts
-            }
-            nxt_assign = np.zeros(nc, dtype=np.int64)
-            nxt_assign[cmap] = np.asarray(cur_assign, dtype=np.int64)
-            local_wmax = max(
-                (float(v.vwts.max()) for v in nxt_views.values()), default=0.0
-            )
-        nxt_wmax = reduce_max(local_wmax, lvl)
-        stack.append((cur_views, cur_assign, cur_n, cur_wmax, cmap))
-        cur_views, cur_assign, cur_n, cur_wmax = (
-            nxt_views, nxt_assign, nc, nxt_wmax,
-        )
-
-    # coarsest-level tournament (home == the coarsened entry assignment)
-    _refine_loop(
-        cur_n, p, cur_views, cur_assign, cur_assign.copy(), loads, live,
-        cfg, cur_wmax, exchange, my_parts, trace=trace,
-    )
-
-    # project down: hand fine payloads across the new boundaries, then
-    # re-refine at the finer granularity
-    for fviews, fassign, fn_, fwmax, cmap in reversed(stack):
-        with PERF.span("dkl.project"):
-            projected = cur_assign[cmap]
-        fhome = np.asarray(fassign, dtype=np.int64).copy()
-        handoff(fviews, fhome, projected)
-        fassign[:] = projected
-        _refine_loop(
-            fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax,
-            exchange, my_parts, trace=trace,
-        )
-        cur_assign = fassign
-    return assign

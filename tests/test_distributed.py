@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.graph.csr import WeightedGraph
 from repro.partition import validate_assignment
 from repro.partition.distributed import (
+    PROPOSAL_TAG,
     DKLConfig,
     PartView,
     _PartState,
@@ -208,32 +209,24 @@ class TestTournamentProperties:
 # --------------------------------------------------------------------- #
 
 
-def _traffic_rank(comm, ml_levels, graph, p, a0):
-    """Module-level so the shm pool can run it: ``ml_levels=None`` drives
-    the bare round loop the way the flat driver used to, an integer the
-    folded driver at that many levels."""
-    from repro.partition.distributed import _comm_exchange, _refine_loop
+def _tagged_rank(comm, graph, p, a0):
+    """Module-level so the shm pool can run it: one ``dkl_refine_comm``
+    call with every ``send`` of this rank's communicator recorded by tag."""
+    tags = []
+    send = comm.send
 
+    def spy(obj, dest, tag=0):
+        tags.append(tag)
+        return send(obj, dest, tag)
+
+    comm.send = spy
     loads = np.bincount(a0, weights=graph.vwts, minlength=p).astype(np.float64)
-    wmax = float(graph.vwts.max())
     view = PartView.from_graph(graph, comm.rank, a0)
-    if ml_levels is not None:
-        cfg = DKLConfig(ml_levels=ml_levels)
-        return dkl_refine_comm(comm, view, a0, loads, wmax, list(range(p)), cfg)
-    return _refine_loop(
-        graph.n_vertices, p, {comm.rank: view}, a0.copy(), a0.copy(), loads,
-        list(range(p)), DKLConfig(), wmax, _comm_exchange(comm, None),
-        my_parts=[comm.rank],
+    owner = dkl_refine_comm(
+        comm, view, a0, loads, float(graph.vwts.max()), list(range(p)),
+        DKLConfig(),
     )
-
-
-def _spmd_traffic(ml_levels, graph, p, a0, transport):
-    owners, stats = spmd_run(
-        p, _traffic_rank, ml_levels, graph, p, a0,
-        transport=transport, return_stats=True,
-    )
-    assert all(np.array_equal(owners[0], o) for o in owners)
-    return owners[0].tolist(), stats.phase_report(), dict(stats.by_pair)
+    return owner, tags
 
 
 class TestSerialSPMDParity:
@@ -279,19 +272,21 @@ class TestSerialSPMDParity:
             assert np.array_equal(ref, r)
 
     @pytest.mark.parametrize("transport", ["thread", "shm"])
-    def test_ml_levels_zero_adds_no_message(self, transport):
-        """The flat driver was folded into the multilevel one: at
-        ``ml_levels=0`` the wrapper must put exactly the frames on the wire
-        that the bare round loop does — no matching allgather, no max
-        reduction, no handoff — and ``ml_levels=1`` must add some."""
+    def test_only_proposal_frames_on_the_wire(self, transport):
+        """A ``dkl`` call is one exchange seam: every frame it sends is a
+        proposal allgather block on ``PROPOSAL_TAG`` — no other tag, and
+        nothing the spy did not see in the ledger."""
         p = 3
         g = skewed_grid(8, seed=2)
         a0 = start(g, p)
-        loop, ml0, ml1 = (
-            _spmd_traffic(levels, g, p, a0, transport) for levels in (None, 0, 1)
+        out, stats = spmd_run(
+            p, _tagged_rank, g, p, a0, transport=transport, return_stats=True
         )
-        assert loop == ml0  # owners, phase_report and by_pair
-        assert ml1[1]["default"][0] > ml0[1]["default"][0] > 0
+        assert all(np.array_equal(out[0][0], owner) for owner, _ in out)
+        assert np.array_equal(out[0][0], dkl_refine_serial(g, p, a0, DKLConfig()))
+        for _, tags in out:
+            assert tags and set(tags) == {PROPOSAL_TAG}
+        assert stats.total_messages == sum(len(tags) for _, tags in out)
 
 
 # --------------------------------------------------------------------- #
@@ -354,10 +349,8 @@ class TestPartView:
         assign = a0.copy()
         loads = np.bincount(assign, weights=g.vwts, minlength=p).astype(float)
         _refine_loop(
-            g.n_vertices, p, views, assign, a0.copy(), loads,
-            list(range(p)), cfg, float(g.vwts.max()),
+            views, assign, loads, list(range(p)), cfg, float(g.vwts.max()),
             _serial_exchange(list(range(p))),
-            my_parts=list(range(p)),
         )
         for r in range(p):
             fresh = PartView.from_graph(g, r, assign)
@@ -557,114 +550,3 @@ class TestProposalFrame:
         # the dict the exchange used to ship had no escape offer in it
         legacy = {k: prop[k] for k in prop if k not in ("n_reg", "esc")}
         assert len(encode(pack_proposal_frame(prop))) < len(encode(legacy))
-
-
-# --------------------------------------------------------------------- #
-# the multilevel flavour (dkl-ml)
-# --------------------------------------------------------------------- #
-
-
-class TestMultilevel:
-    """``dkl-ml`` is the same two drivers at ``ml_levels=1``."""
-
-    def _spmd(self, graph, p, a0, cfg, transport):
-        loads = np.bincount(a0, weights=graph.vwts, minlength=p)
-        wmax = float(graph.vwts.max())
-
-        def rank_fn(comm, _):
-            view = PartView.from_graph(graph, comm.rank, a0)
-            return dkl_refine_comm(
-                comm, view, a0, loads, wmax, list(range(p)), cfg
-            )
-
-        return spmd_run(p, rank_fn, None, transport=transport)
-
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_thread_backend_matches_serial(self, p):
-        g = skewed_grid(8, seed=2)
-        a0 = start(g, p)
-        cfg = DKLConfig(ml_levels=1)
-        ref = dkl_refine_serial(g, p, a0, cfg)
-        for r in self._spmd(g, p, a0, cfg, "thread"):
-            assert np.array_equal(ref, r)
-
-    def test_shm_backend_matches_serial(self):
-        p = 3
-        g = skewed_grid(8, seed=2)
-        a0 = start(g, p)
-        cfg = DKLConfig(ml_levels=1)
-        ref = dkl_refine_serial(g, p, a0, cfg)
-        for r in self._spmd(g, p, a0, cfg, "shm"):
-            assert np.array_equal(ref, r)
-
-    @given(seed=st.integers(0, 200))
-    @settings(max_examples=8, deadline=None)
-    def test_parity_across_seeds(self, seed):
-        p = 3
-        g = skewed_grid(8, seed=seed % 5)
-        a0 = start(g, p)
-        cfg = DKLConfig(seed=seed, ml_levels=1)
-        ref = dkl_refine_serial(g, p, a0, cfg)
-        for r in self._spmd(g, p, a0, cfg, "thread"):
-            assert np.array_equal(ref, r)
-
-    def test_valid_and_balanced(self):
-        g = skewed_grid(10, seed=1)
-        p = 4
-        a0 = start(g, p)
-        cfg = DKLConfig(ml_levels=1)
-        a1 = dkl_refine_serial(g, p, a0, cfg)
-        validate_assignment(g, a1, p)
-        maxcap, _ = envelope(g, p, cfg)
-        loads = np.bincount(a1, weights=g.vwts, minlength=p)
-        assert np.all(loads <= maxcap + 1e-9)
-
-    def test_deterministic(self):
-        g = skewed_grid(10, seed=4)
-        p = 4
-        a0 = start(g, p)
-        runs = [
-            dkl_refine_serial(g, p, a0, DKLConfig(ml_levels=1)) for _ in range(2)
-        ]
-        assert np.array_equal(runs[0], runs[1])
-
-    def test_cut_no_worse_than_flat_on_heavy_imbalance(self):
-        """The acceptance claim: intra-part coarsening closes (never
-        widens) the residual cut gap on heavy-imbalance starts —
-        aggregated over the scenario family, the multilevel pass must not
-        lose to the flat one."""
-        flat_total = 0.0
-        ml_total = 0.0
-        for seed in range(6):
-            g = skewed_grid(12, seed=seed, hot=8.0)
-            p = 4
-            a0 = start(g, p)
-            flat_total += graph_cut(g, dkl_refine_serial(g, p, a0, DKLConfig()))
-            ml_total += graph_cut(
-                g, dkl_refine_serial(g, p, a0, DKLConfig(ml_levels=1))
-            )
-        assert ml_total <= flat_total
-
-    def test_ml_levels_zero_is_flat(self):
-        """ml_levels=0 — the default — must reduce exactly to the flat
-        engine: the round loop driven directly (same rounds, same
-        tournament, same result)."""
-        from repro.partition.distributed import _refine_loop, _serial_exchange
-
-        g = skewed_grid(8, seed=3)
-        p = 4
-        a0 = start(g, p)
-        assert DKLConfig().ml_levels == 0
-        ml0, trace = dkl_refine_serial(g, p, a0, DKLConfig(), return_trace=True)
-        flat, flat_trace = a0.copy(), []
-        _refine_loop(
-            g.n_vertices, p,
-            {r: PartView.from_graph(g, r, a0) for r in range(p)},
-            flat, a0.copy(),
-            np.bincount(a0, weights=g.vwts, minlength=p).astype(float),
-            list(range(p)), DKLConfig(), float(g.vwts.max()),
-            _serial_exchange(list(range(p))),
-            my_parts=list(range(p)), trace=flat_trace,
-        )
-        assert np.array_equal(flat, ml0)
-        assert len(trace) == len(flat_trace) > 0

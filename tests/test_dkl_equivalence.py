@@ -15,22 +15,20 @@ that leave a part and return.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import WeightedGraph
 from repro.partition import distributed as engine
-from repro.partition.distributed import DKLConfig, PartView, _handoff_reports
+from repro.partition.distributed import DKLConfig, PartView
 
 from tests import _reference_kernels as frozen
 
 
-def run_serial(eng, graph, p, a0, cfg, live, ml):
-    """Drive ``eng``'s round loop (flat) or multilevel wrapper the way the
-    serial drivers do, but keep the views: ``(assignment, trace, views)``."""
+def run_serial(eng, graph, p, a0, cfg, live):
+    """Drive ``eng``'s round loop the way the serial driver does, but keep
+    the views: ``(assignment, trace, views)``."""
     assign = np.asarray(a0, dtype=np.int64).copy()
-    n = graph.n_vertices
     views = {part: PartView.from_graph(graph, part, assign) for part in live}
     loads = np.bincount(assign, weights=graph.vwts, minlength=p).astype(
         np.float64
@@ -38,32 +36,13 @@ def run_serial(eng, graph, p, a0, cfg, live, ml):
     wmax = float(graph.vwts.max())
     trace = []
     exchange = eng._serial_exchange(live)
-    if not ml:
+    if eng is frozen:  # the frozen loop keeps the signature it was frozen with
         eng._refine_loop(
-            n, p, views, assign, assign.copy(), loads, live, cfg, wmax,
-            exchange, my_parts=live, trace=trace,
+            graph.n_vertices, p, views, assign, assign.copy(), loads, live,
+            cfg, wmax, exchange, live, trace=trace,
         )
-        return assign, trace, views
-
-    def gather_pairs(local, lvl):
-        return [local[part] for part in live]
-
-    def reduce_max(x, lvl):
-        return x
-
-    def handoff(vws, old, new):
-        for part in live:
-            reports = _handoff_reports(vws[part], old, new)
-            for dst in sorted(reports):
-                rep = reports[dst]
-                vws[dst].absorb(
-                    rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
-                )
-
-    eng._ml_refine(
-        n, p, views, assign, loads, live, cfg, wmax, live, exchange,
-        gather_pairs, reduce_max, handoff, trace=trace,
-    )
+    else:
+        eng._refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace)
     return assign, trace, views
 
 
@@ -165,16 +144,14 @@ def tally(trace):
     p=st.sampled_from([2, 3, 8]),
     start=st.sampled_from(["striped", "skewed", "random"]),
     dead=st.booleans(),
-    ml_levels=st.sampled_from([None, 0, 1, 2]),
     alpha=st.sampled_from([0.0, 0.1, 0.37]),
 )
 @settings(max_examples=60, deadline=None)
-def test_engine_equals_frozen_engine(seed, p, start, dead, ml_levels, alpha):
+def test_engine_equals_frozen_engine(seed, p, start, dead, alpha):
     graph, live, a0 = random_case(seed, p, start, dead)
-    cfg = DKLConfig(seed=seed % 17, alpha=alpha, ml_levels=ml_levels or 0)
-    ml = ml_levels is not None
-    want = run_serial(frozen, graph, p, a0, cfg, live, ml)
-    got = run_serial(engine, graph, p, a0, cfg, live, ml)
+    cfg = DKLConfig(seed=seed % 17, alpha=alpha)
+    want = run_serial(frozen, graph, p, a0, cfg, live)
+    got = run_serial(engine, graph, p, a0, cfg, live)
     assert_same_run(got, want, live)
 
 
@@ -191,8 +168,8 @@ def test_the_property_reaches_the_hard_cases():
         for start in ("striped", "skewed"):
             graph, live, a0 = random_case(seed, 3, start, dead=False)
             cfg = DKLConfig(seed=seed)
-            want = run_serial(frozen, graph, 3, a0, cfg, live, ml=False)
-            got = run_serial(engine, graph, 3, a0, cfg, live, ml=False)
+            want = run_serial(frozen, graph, 3, a0, cfg, live)
+            got = run_serial(engine, graph, 3, a0, cfg, live)
             assert_same_run(got, want, live)
             seen = tally(got[1])
             most_passes = max(most_passes, seen.pop("passes"))
@@ -202,8 +179,7 @@ def test_the_property_reaches_the_hard_cases():
     assert most_passes >= 2
 
 
-@pytest.mark.parametrize("ml", [False, True])
-def test_integer_weights_and_grid(ml):
+def test_integer_weights_and_grid():
     """The shape PARED feeds it: unit edges, integer leaf-count weights."""
     side = 10
     ids = np.arange(side * side).reshape(side, side)
@@ -219,9 +195,9 @@ def test_integer_weights_and_grid(ml):
     p = 4
     rows, cols = np.divmod(ids.ravel(), side)
     a0 = (rows // 5 * 2 + cols // 5).astype(np.int64)  # four quadrants
-    cfg = DKLConfig(ml_levels=int(ml))
+    cfg = DKLConfig()
     live = list(range(p))
-    want = run_serial(frozen, graph, p, a0, cfg, live, ml)
-    got = run_serial(engine, graph, p, a0, cfg, live, ml)
+    want = run_serial(frozen, graph, p, a0, cfg, live)
+    got = run_serial(engine, graph, p, a0, cfg, live)
     assert_same_run(got, want, live)
     assert tally(got[1])["moves"] > 0

@@ -104,71 +104,6 @@ class TestSvg:
         assert path.read_text().startswith("<svg")
 
 
-class TestRuntimeExtensions:
-    def test_isend_irecv(self):
-        from repro.runtime import spmd_run
-
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend("hello", 1)
-                req.wait()
-                return None
-            req = comm.irecv(0)
-            return req.wait()
-
-        res = spmd_run(2, prog)
-        assert res[1] == "hello"
-
-    def test_irecv_test_polls(self):
-        from repro.runtime import spmd_run
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.barrier()
-                comm.send(42, 1)
-                return None
-            req = comm.irecv(0)
-            done, _ = req.test()
-            assert not done  # nothing sent yet
-            comm.barrier()
-            while True:
-                done, val = req.test()
-                if done:
-                    return val
-
-        res = spmd_run(2, prog)
-        assert res[1] == 42
-
-    def test_reduce(self):
-        from repro.runtime import spmd_run
-
-        def prog(comm):
-            return comm.reduce(comm.rank + 1, root=1)
-
-        res = spmd_run(4, prog)
-        assert res[1] == 10 and res[0] is None
-
-    def test_alltoall(self):
-        from repro.runtime import spmd_run
-
-        def prog(comm):
-            objs = [f"{comm.rank}->{d}" for d in range(comm.size)]
-            return comm.alltoall(objs)
-
-        res = spmd_run(3, prog)
-        for r in range(3):
-            assert res[r] == [f"{s}->{r}" for s in range(3)]
-
-    def test_alltoall_validates(self):
-        from repro.runtime import spmd_run
-
-        def prog(comm):
-            comm.alltoall([1])
-
-        with pytest.raises(RuntimeError):
-            spmd_run(2, prog)
-
-
 class TestDistributedSolver:
     def test_matches_serial_direct(self):
         from repro.fem import CornerLaplace2D, solve_poisson

@@ -350,11 +350,11 @@ class TestFullLoop:
         traces = []
         real_loop = distributed._refine_loop
 
-        def traced_loop(*args, **kwargs):
-            if kwargs["my_parts"] == [0]:  # one replica's record is enough
+        def traced_loop(views, *args, **kwargs):
+            if list(views) == [0]:  # one replica's record is enough
                 kwargs["trace"] = []
                 traces.append(kwargs["trace"])
-            return real_loop(*args, **kwargs)
+            return real_loop(views, *args, **kwargs)
 
         monkeypatch.setattr(distributed, "_refine_loop", traced_loop)
         cfg = ParedConfig(

@@ -296,16 +296,15 @@ class TestCrashRecoveryLadder:
         h2, _ = run_pared(_cfg(plan))
         assert _canon(h1) == _canon(h2)
 
-    @pytest.mark.parametrize("partitioner", ["dkl", "dkl-ml"])
+    @pytest.mark.parametrize("partitioner", ["dkl"])
     @pytest.mark.parametrize("crash_rank", [0, 1, 2])
     def test_crash_under_dkl_replays_bit_identically(
         self, crash_rank, partitioner
     ):
-        """Crash recovery with the distributed refinement strategies (flat
-        and multilevel): every crash point (including the coordinator,
-        whose only dkl-round job is the imbalance check) must be
-        survivable and two same-seed runs must recover onto identical
-        histories."""
+        """Crash recovery under the halo protocol family (today: ``dkl``):
+        every crash point (including the coordinator, whose only dkl-round
+        job is the imbalance check) must be survivable and two same-seed
+        runs must recover onto identical histories."""
         plan = FaultPlan(seed=0, crash_rank=crash_rank, crash_at_op=12)
         h1, s1 = run_pared(_cfg(plan, partitioner=partitioner))
         h2, _ = run_pared(_cfg(plan, partitioner=partitioner))
