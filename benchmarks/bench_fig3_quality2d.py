@@ -22,6 +22,7 @@ from repro.experiments import (
     quality_headers,
     run_quality_ladder,
 )
+from repro.experiments.paper_data import FIG3_2D_PNR, FIG3_PROCS
 
 
 def check_fig3(benchmark, write_result, dim: int):
@@ -53,3 +54,37 @@ def check_fig3(benchmark, write_result, dim: int):
 
 def test_fig3_2d(benchmark, write_result):
     check_fig3(benchmark, write_result, 2)
+
+
+def test_fig3_paper_scale_p32(benchmark, write_result):
+    """The one direct numerical comparison with the paper: PNR's shared
+    vertices at p = 32 on the paper-scale 2-D ladder (12,482 triangles,
+    levels 0–5) next to Figure 3's own PNR column — always at paper scale
+    (≈ 2 s), whatever ``REPRO_PAPER_SCALE`` says."""
+    p, levels = 32, 5
+    rows = benchmark.pedantic(
+        run_quality_ladder,
+        args=(mlkl_stepper(seed=1), pnr_stepper(seed=1), [p]),
+        kwargs={"dim": 2, "paper_scale": True, "levels": levels},
+        rounds=1,
+        iterations=1,
+    )
+    col = FIG3_PROCS.index(p)
+    table = [
+        (level, elems, mlkl, pnr, FIG3_2D_PNR[level][col],
+         f"{pnr / FIG3_2D_PNR[level][col]:.2f}")
+        for level, elems, mlkl, pnr in rows
+    ]
+    write_result(
+        "paper_scale_fig3_p32",
+        format_table(
+            ["level", "elems", f"MLKL p={p}", f"PNR p={p}", "paper PNR", "ratio"],
+            table,
+            title="Figure 3 (2D) at paper scale: shared vertices vs the paper's PNR column",
+        ),
+        paper=True,
+    )
+    ratios = np.array([float(r[-1]) for r in table])
+    assert len(rows) == levels + 1
+    assert np.all((ratios > 2 / 3) & (ratios < 1.5)), f"PNR/paper ratios {ratios}"
+    benchmark.extra_info["pnr_over_paper"] = ratios.tolist()

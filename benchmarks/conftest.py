@@ -42,16 +42,20 @@ def provenance() -> str:
     ).stdout.strip() or "unknown"
     return (
         f"# git {sha}, {effective_cpu_count()} cpus, "
-        f"native KL {'on' if _klnative.load() else 'off'}, "
-        f"{'paper' if paper_scale() else 'reduced'} scale"
+        f"native KL {'on' if _klnative.load() else 'off'}"
     )
 
 
 @pytest.fixture()
 def write_result(results_dir, provenance):
-    def _write(name: str, text: str) -> None:
+    def _write(name: str, text: str, paper: bool = None) -> None:
+        """``paper`` states the scale of a bench that runs at one scale
+        only; by default it is the session's (``REPRO_PAPER_SCALE``)."""
+        scale = paper_scale() if paper is None else paper
         path = results_dir / f"{name}.txt"
-        path.write_text(f"{provenance}\n{text}\n")
+        path.write_text(
+            f"{provenance}, {'paper' if scale else 'reduced'} scale\n{text}\n"
+        )
         print(f"\n{text}\n[written to {path}]")
 
     return _write

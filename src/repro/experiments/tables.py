@@ -33,6 +33,10 @@ def format_table(headers, rows, title: str = "") -> str:
 #: the PARED round phases, in pipeline order
 _ROUND_PHASES = ("pared.P0", "pared.P1", "pared.P2", "pared.P3", "pared.audit")
 
+#: event counters credited with zero seconds (``PERF.add(name, 0.0,
+#: calls=count)``): their ``calls`` column is the count
+_KL_COUNTS = ("kl.moves", "kl.kept")
+
 
 def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> str:
     """The per-phase wall-clock profile of a PARED run as aligned columns.
@@ -47,10 +51,12 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
     weights); under P3 ``pared.repartition.serial`` (the
     coordinator's serial merge+repartition), the two halves of its
     multilevel V-cycle (``multilevel.coarsen`` / ``multilevel.refine``;
-    the initial partition at launch counts in too) and the ``dkl.*``
-    tournament steps — whose shares read as fractions of the same total,
-    so where P0 goes and the coordinator-serial share of wall time are
-    visible at a glance.
+    the initial partition at launch counts in too), the KL refinement
+    inside it (``kl.*``) and the ``dkl.*`` tournament steps — whose shares
+    read as fractions of the same total, so where P0 goes and the
+    coordinator-serial share of wall time are visible at a glance.  Two
+    rows are counts, not spans: ``kl.moves`` (KL moves tried) and
+    ``kl.kept`` (moves not rolled back), whose share is of ``kl.moves``.
     """
     kernel_perf = kernel_perf or {}
     phases = [n for n in _ROUND_PHASES if n in kernel_perf]
@@ -58,15 +64,21 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
         n
         for n in sorted(kernel_perf)
         if n == "pared.repartition.serial"
-        or n.startswith(("dkl.", "mesh.", "multilevel.", "pared.P0."))
+        or n.startswith(("dkl.", "kl.", "mesh.", "multilevel.", "pared.P0."))
     ]
     total = sum(kernel_perf[n][1] for n in phases)
     rows = []
     for name in phases + nested:
         calls, secs = kernel_perf[name]
+        label = name if name in phases else "  " + name
+        if name in _KL_COUNTS:
+            moves = kernel_perf.get("kl.moves", (0, 0.0))[0]
+            share = f"{calls / moves:.1%}" if name == "kl.kept" and moves else "-"
+            rows.append((label, calls, "-", share, "-"))
+            continue
         rows.append(
             (
-                name if name in phases else "  " + name,
+                label,
                 calls,
                 f"{secs:.4f}",
                 f"{secs / total:.1%}" if total else "-",

@@ -372,7 +372,8 @@ typedef struct {
     const int64_t *xadj, *adjncy, *hom;
     const double *ewts, *vw;
     double alpha, beta, mean, maxcap, floor_w, min_gain;
-    int64_t deadband, window_n, stall_limit;
+    int64_t deadband, window_n, stall_limit, in_band_tail;
+    int64_t moves, kept; /* over all passes: moves applied, moves not rolled back */
 
     int64_t *asg;     /* n: the live assignment */
     double *wt;       /* p: live subset weights */
@@ -455,6 +456,7 @@ static int kl_pass(klws *w, double *kept)
     const double alpha = w->alpha, beta = w->beta, maxcap = w->maxcap;
     const double floor_w = w->floor_w, min_gain = w->min_gain;
     const int64_t window_n = w->window_n, stall_limit = w->stall_limit;
+    const int64_t in_band_tail = w->in_band_tail;
     int64_t *asg = w->asg, *gen = w->gen;
     double *wt = w->wt, *connf = w->connf;
     unsigned char *locked = w->locked;
@@ -572,9 +574,21 @@ static int kl_pass(klws *w, double *kept)
      * move: same candidates in the same order, without ~2*window heap
      * operations per move. */
     while (heap->len > 0 || ncarry > 0) {
-        int64_t ci = 0;
-        if (stall_limit && nmoves - best_len >= stall_limit)
-            break;
+        int64_t ci = 0, tail = nmoves - best_len;
+        if (stall_limit) {
+            /* converged: the remaining tail would be rolled back.  Inside
+             * the balance band a short tail suffices, outside it the
+             * climb may still be crossing a valley toward balance. */
+            if (tail >= stall_limit)
+                break;
+            if (tail >= in_band_tail) {
+                for (s = 0; s < p; s++)
+                    if (!(wt[s] >= floor_w && wt[s] <= maxcap))
+                        break;
+                if (s == p)
+                    break;
+            }
+        }
         wlen = 0;
         while (wlen < window_n) {
             entry e;
@@ -738,6 +752,8 @@ static int kl_pass(klws *w, double *kept)
     for (t = nmoves - 1; t >= best_len; t--)
         asg[w->mv_v[t]] = w->mv_i[t];
     *kept = best_cum;
+    w->moves += nmoves;
+    w->kept += best_len;
     status = 0;
 
 done:
@@ -749,15 +765,16 @@ done:
 /* kl.py: the pass loop of kl_refine with its monotone-or-rollback guard.
  * ``asg`` holds the start assignment and receives the result; ``stats``
  * receives (passes run, seconds inside them, best objective seen — the
- * returned partition's unless a tie kept a later one).  Returns 0, or -1 if an
- * allocation failed (``asg`` is then unspecified — pass a copy). */
+ * returned partition's unless a tie kept a later one —, moves tried, moves
+ * kept).  Returns 0, or -1 if an allocation failed (``asg`` is then
+ * unspecified — pass a copy). */
 int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   const int64_t *adjncy, const double *ewts, const double *vw,
                   const int64_t *hom, double alpha, double beta,
                   int64_t deadband, double mean, double maxcap,
                   double floor_w, int64_t window_n, int64_t stall_limit,
-                  double min_gain, int64_t max_passes, int64_t *asg,
-                  double *stats)
+                  int64_t in_band_tail, double min_gain, int64_t max_passes,
+                  int64_t *asg, double *stats)
 {
     klws w;
     int64_t nnz = xadj[n], wcap = window_n > 0 ? window_n : 1, s, it;
@@ -786,6 +803,7 @@ int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
     w.floor_w = floor_w;
     w.window_n = window_n;
     w.stall_limit = stall_limit;
+    w.in_band_tail = in_band_tail;
     w.min_gain = min_gain;
     w.asg = asg;
 
@@ -846,6 +864,8 @@ int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
     stats[0] = (double)passes;
     stats[1] = seconds;
     stats[2] = best_obj;
+    stats[3] = (double)w.moves;
+    stats[4] = (double)w.kept;
     status = 0;
 
 done:

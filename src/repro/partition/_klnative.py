@@ -68,7 +68,8 @@ def _configure(lib) -> None:
         i64p, c_f64,                   # hom, alpha
         c_f64, c_i64,                  # beta, deadband
         c_f64, c_f64, c_f64,           # mean, maxcap, floor_w
-        c_i64, c_i64, c_f64, c_i64,    # window, stall_limit, min_gain, max_passes
+        c_i64, c_i64, c_i64,           # window, stall_limit, in_band_tail
+        c_f64, c_i64,                  # min_gain, max_passes
         i64p, f64p,                    # asg (in/out), stats (out)
     ]
     lib.klcore_fail_after.restype = None
@@ -166,23 +167,27 @@ def contract(graph, match):
     return cxadj[: nc + 1], cadj[:end], cew[:end], cvw[:nc], cmap
 
 
-def kl_refine(state):
+def kl_refine(state, in_band_tail: int):
     """Run every pass of one ``kl_refine`` call in the compiled core and
     return the refined assignment; ``None`` means "fall back".
+    ``in_band_tail`` is :data:`repro.partition.kl.IN_BAND_TAIL`.
 
     The kernel works on a private copy, so a ``None`` return leaves
     ``state`` untouched.
     """
-    out = _kl_refine_stats(state)
+    out = _kl_refine_stats(state, in_band_tail)
     if out is None:
         return None
-    asg, (passes, seconds, _) = out
+    asg, (passes, seconds, _, moves, kept) = out
     PERF.add("kl.pass", float(seconds), calls=int(passes))
+    PERF.add("kl.moves", 0.0, calls=int(moves))
+    PERF.add("kl.kept", 0.0, calls=int(kept))
     return asg
 
 
-def _kl_refine_stats(state):
-    """``(assignment, [passes, seconds in them, best objective])``."""
+def _kl_refine_stats(state, in_band_tail: int):
+    """``(assignment, [passes, seconds in them, best objective, moves
+    tried, moves kept])``."""
     lib = load()
     if lib is None:
         return None
@@ -193,14 +198,14 @@ def _kl_refine_stats(state):
     else:
         hom = _DUMMY_I64  # never dereferenced when alpha == 0
     asg = state.assign.copy()
-    stats = np.zeros(3, dtype=np.float64)
+    stats = np.zeros(5, dtype=np.float64)
     status = lib.kl_refine(
         state.graph.n_vertices, state.p, *_csr(state.graph),
         hom, alpha,
         float(cfg.beta), int(cfg.balance_mode == "deadband"),
         state.mean, state.maxcap, state.mean - state.band,
-        int(cfg.window), int(cfg.stall_limit), float(cfg.min_gain),
-        int(cfg.max_passes),
+        int(cfg.window), int(cfg.stall_limit), int(in_band_tail),
+        float(cfg.min_gain), int(cfg.max_passes),
         asg, stats,
     )
     if status:  # allocation failure inside the kernel

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import shutil
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, settings
 
 from repro.graph.csr import WeightedGraph
 from repro.mesh.adapt import AdaptiveMesh
-from repro.partition import _klnative
+from repro.partition import _klnative, kl
+from repro.perf import PERF
 
 # Tier-1 (`python -m pytest`) must be the same run every time and the same
 # run as CI: the default profile derives each test's examples from the test
@@ -62,6 +64,58 @@ def pure_path():
         yield
     finally:
         _klnative._DISABLED = saved
+
+
+def kl_counted(fn):
+    """``fn()`` and the KL counters it credited to ``PERF``: ``(passes,
+    moves tried, moves kept)``, read off ``kl.pass`` / ``kl.moves`` /
+    ``kl.kept`` (the registry is reset first)."""
+    PERF.reset()
+    out = fn()
+    snap = PERF.snapshot()
+    names = ("kl.pass", "kl.moves", "kl.kept")
+    return out, tuple(snap.get(name, (0, 0.0))[0] for name in names)
+
+
+def kl_starts(graph: WeightedGraph, p: int, rng) -> dict:
+    """Two starting assignments for a KL parity draw: ``"balanced"`` —
+    heaviest vertex first onto the lightest part, so every part starts
+    inside the balance band (and the cut is arbitrary) — and
+    ``"unbalanced"`` — parts drawn with probabilities halving from one
+    part to the next."""
+    load = np.zeros(p)
+    balanced = np.empty(graph.n_vertices, dtype=np.int64)
+    for v in np.argsort(-graph.vwts, kind="stable"):
+        j = int(np.argmin(load))
+        balanced[v] = j
+        load[j] += graph.vwts[v]
+    skew = 0.5 ** np.arange(p)
+    unbalanced = rng.choice(p, graph.n_vertices, p=skew / skew.sum())
+    return {"balanced": balanced, "unbalanced": unbalanced}
+
+
+_NEVER = 1 << 40  # a tail bound no pass reaches
+
+
+def kl_tail_arms(run, cfg) -> set:
+    """Which tail bounds decided ``run(cfg)``: ``"band"`` (the short tail
+    inside the balance band, ``kl.IN_BAND_TAIL``) and/or ``"stall"``
+    (``cfg.stall_limit``).  An arm *fired* iff lifting it alone changes
+    the KL counters of the call."""
+    base = kl_counted(lambda: run(cfg))[1]
+    arms = set()
+    saved = kl.IN_BAND_TAIL
+    kl.IN_BAND_TAIL = _NEVER
+    try:
+        if kl_counted(lambda: run(cfg))[1] != base:
+            arms.add("band")
+    finally:
+        kl.IN_BAND_TAIL = saved
+    if cfg.stall_limit:
+        lifted = replace(cfg, stall_limit=_NEVER)
+        if kl_counted(lambda: run(lifted))[1] != base:
+            arms.add("stall")
+    return arms
 
 
 @pytest.fixture()

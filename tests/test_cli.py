@@ -105,7 +105,8 @@ class TestCommands:
             assert col in out
         for row in ("pared.P0", "pared.P3", "pared.P0.mark", "pared.P0.lepp",
                     "pared.P0.exchange", "mesh.refine", "mesh.coarsen",
-                    "multilevel.coarsen", "multilevel.refine"):
+                    "multilevel.coarsen", "multilevel.refine", "kl.refine",
+                    "kl.pass", "kl.moves", "kl.kept"):
             assert row in out
 
     def test_pared_dkl_partitioner(self, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import WeightedGraph
-from repro.partition.kl import KLConfig, kl_refine
+from repro.partition.kl import IN_BAND_TAIL, KLConfig, _kl_pass, _KLState, kl_refine
 from repro.partition.metrics import graph_cut, graph_imbalance, repartition_cost
 
 
@@ -138,6 +138,38 @@ class TestMigrationGain:
         before = repartition_cost(g, home, a, 4, 0.1, 0.8).total
         after = repartition_cost(g, home, refined, 4, 0.1, 0.8).total
         assert after <= before + 1e-9
+
+
+class TestInBandTail:
+    """Once every subset weight is inside the balance band a pass stops
+    ``IN_BAND_TAIL`` non-improving moves past its best prefix."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("beta", [0.0, 0.8])
+    def test_balanced_start_rolls_back_at_most_the_tail(self, alpha, beta):
+        # two parts under the hard envelope: W_1 ≤ W̄ + band forces
+        # W_0 ≥ W̄ − band, so a start inside the band stays inside it
+        g = grid(10)
+        rng = np.random.default_rng(int(10 * alpha + beta))
+        longest = 0
+        for _trial in range(4):
+            a = (rng.permutation(100) % 2).astype(np.int64)
+            home = a.copy()
+            cfg = KLConfig(alpha=alpha, beta=beta, balance_mode="deadband")
+            state = _KLState(g, 2, a.copy(), home, cfg)
+            start_obj = state.objective()
+            for _ in range(cfg.max_passes):
+                improved, tried, kept = _kl_pass(state)
+                assert tried - kept <= IN_BAND_TAIL
+                longest = max(longest, tried - kept)
+                w = np.bincount(state.assign, minlength=2)
+                assert np.all(np.abs(w - state.mean) <= state.band)
+                if improved <= cfg.min_gain:
+                    break
+            refined = kl_refine(g, a, 2, home=home, config=cfg)
+            end = _KLState(g, 2, refined, home, cfg)
+            assert end.objective() <= start_obj
+        assert longest == IN_BAND_TAIL, "the in-band stop never decided a pass"
 
 
 class TestValidation:

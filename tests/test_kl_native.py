@@ -15,7 +15,7 @@ from repro.graph.csr import WeightedGraph
 from repro.partition import _klnative
 from repro.partition.kl import KLConfig, kl_refine
 
-from tests.conftest import pure_path
+from tests.conftest import kl_counted, kl_starts, kl_tail_arms, pure_path
 
 
 def _rand_graph(n, avg_deg, rng):
@@ -41,12 +41,16 @@ def _both_paths(graph, asg, p, home, cfg):
 @pytest.mark.usefixtures("native_core")
 class TestNativeParity:
     def test_randomized_configs(self):
+        """Balanced and unbalanced starts, so that both tail bounds decide
+        some calls; native ≡ pure array for array and counter for counter."""
         rng = np.random.default_rng(42)
+        fired = {"band": 0, "stall": 0}
         for trial in range(25):
             n = int(rng.integers(20, 300))
             p = int(rng.integers(2, 7))
             graph = _rand_graph(n, 6, rng)
-            asg = rng.integers(0, p, n)
+            start = "balanced" if trial % 3 == 0 else "unbalanced"
+            asg = kl_starts(graph, p, rng)[start]
             home = asg.copy() if trial % 2 else None
             cfg = KLConfig(
                 alpha=float(rng.choice([0.0, 0.5, 2.0])),
@@ -55,10 +59,20 @@ class TestNativeParity:
                 window=int(rng.choice([1, 4, 8])),
                 stall_limit=int(rng.choice([0, 64, 256])),
             )
-            out_native, out_pure = _both_paths(graph, asg, p, home, cfg)
+
+            def run(c):
+                return kl_refine(graph, asg, p, home=home, config=c)
+
+            out_native, counts_native = kl_counted(lambda: run(cfg))
+            with pure_path():
+                out_pure, counts_pure = kl_counted(lambda: run(cfg))
             assert np.array_equal(out_native, out_pure), (
                 f"trial {trial}: native/pure divergence with {cfg}"
             )
+            assert counts_native == counts_pure, f"trial {trial}: {cfg}"
+            for arm in kl_tail_arms(run, cfg):
+                fired[arm] += 1
+        assert fired["band"] and fired["stall"], fired
 
     def test_pnr_shaped_config(self):
         # the configuration the PARED rounds actually run: alpha + deadband

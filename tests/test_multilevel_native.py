@@ -30,14 +30,14 @@ from repro.graph.matching import _match_rounds, heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
 from repro.partition import _klnative
-from repro.partition.kl import KLConfig, kl_refine
+from repro.partition.kl import IN_BAND_TAIL, KLConfig, kl_refine
 from repro.partition.multilevel import (
     build_hierarchy,
     multilevel_partition,
     multilevel_repartition,
 )
 
-from tests.conftest import pure_path
+from tests.conftest import kl_counted, kl_starts, kl_tail_arms, pure_path
 
 needs_native = pytest.mark.usefixtures("native_core")
 
@@ -252,11 +252,16 @@ class TestKLRefine:
     @pytest.mark.parametrize("with_home", [False, True])
     @pytest.mark.parametrize("mode", ["quadratic", "deadband"])
     def test_matrix(self, p, with_home, mode):
+        """Balanced and unbalanced starts: at p ≥ 2 both tail bounds decide
+        some calls (at p = 1 no move exists); native ≡ pure array for array
+        and counter for counter."""
         rng = np.random.default_rng(1000 * p + 10 * with_home + (mode == "deadband"))
+        fired = {"band": 0, "stall": 0}
+        moves = 0
         for trial in range(25):
             n = int(rng.integers(20, 300))
             graph = _rand_graph(n, 6, rng, float_weights=trial % 3 != 0)
-            asg = rng.integers(0, p, n)
+            asg = kl_starts(graph, p, rng)["balanced" if trial % 2 else "unbalanced"]
             home = rng.integers(0, p, n) if with_home else None
             cfg = KLConfig(
                 alpha=float(rng.choice([0.0, 0.5, 2.0])),
@@ -264,12 +269,26 @@ class TestKLRefine:
                 balance_mode=mode,
                 balance_tol=float(rng.choice([0.02, 0.05, 0.3])),
                 window=int(rng.choice([1, 4, 16])),
-                stall_limit=int(rng.choice([0, 16, 256])),
+                stall_limit=int(rng.choice([0, 16, 64, 256])),
                 max_passes=int(rng.choice([1, 3, 10])),
             )
-            native, pure = _kl_both(graph, asg, p, home, cfg)
+
+            def run(c):
+                return kl_refine(graph, asg, p, home=home, config=c)
+
+            native, counts_native = kl_counted(lambda: run(cfg))
+            with pure_path():
+                pure, counts_pure = kl_counted(lambda: run(cfg))
             assert native.dtype == pure.dtype
             assert np.array_equal(native, pure), f"trial {trial}: {cfg}"
+            assert counts_native == counts_pure, f"trial {trial}: {cfg}"
+            moves += counts_native[1]
+            for arm in kl_tail_arms(run, cfg):
+                fired[arm] += 1
+        if p == 1:
+            assert moves == 0 and not any(fired.values())
+        else:
+            assert fired["band"] and fired["stall"], fired
 
     @pytest.mark.parametrize("mode", ["quadratic", "deadband"])
     def test_overweight_subset_seeds_interior_vertices(self, mode):
@@ -331,7 +350,7 @@ class TestKLRefine:
                 home = rng.integers(0, p, n)
                 cfg = KLConfig(alpha=0.37, beta=0.81, balance_mode=mode, max_passes=0)
                 state = _KLState(graph, p, asg, home, cfg)
-                out, stats = _klnative._kl_refine_stats(state)
+                out, stats = _klnative._kl_refine_stats(state, IN_BAND_TAIL)
                 assert np.array_equal(out, asg)
                 assert stats[2] == state.objective(), (p, n)
 
