@@ -226,13 +226,13 @@ class DistributedMesh:
         """Full packed vertex/edge weight report of ``G`` for this rank's
         owned roots (phase P1): flat sorted arrays, see
         :mod:`repro.pared.weights`.  What travels in P2 is the protocol's
-        business — a delta of it, or its boundary slices; the dual graph it
-        was cut from is kept for :meth:`exchange_halo_weights`.
+        business — a delta of it, or its boundary slices.
 
         Edge ``(a, b)`` (with ``a < b``) is reported by the owner of ``a``.
         """
-        self._dual = coarse_dual_graph(self.amesh.mesh)
-        return full_weight_report(self._dual, self.owner, self.rank)
+        return full_weight_report(
+            coarse_dual_graph(self.amesh.mesh), self.owner, self.rank
+        )
 
     def exchange_halo_weights(self, full: dict):
         """Phase P2, ``dkl`` variant: neighbor-to-neighbor halo exchange.
@@ -249,15 +249,15 @@ class DistributedMesh:
         rank's assembled :class:`~repro.partition.distributed.PartView`.
         """
         n = self.amesh.n_roots
-        graph = self._dual
+        skeleton = self.amesh.mesh.coarse_skeleton()
         payloads = split_report_by_owner(full, self.owner, n, self.rank)
         for t in sorted(payloads):
             self.comm.send(payloads[t], t, tag=21)
         # expected sources: owners of `a` for canonical edges (a, b) with
         # a < b, owner[b] == rank, owner[a] != rank — the mirror image of
-        # the send rule above, read off the replicated adjacency
-        src = graph.edge_src
-        dst = graph.adjncy
+        # the send rule above, read off M^0's adjacency
+        src = skeleton.edge_src
+        dst = skeleton.adjncy
         mask = (
             (src < dst)
             & (self.owner[dst] == self.rank)

@@ -29,14 +29,7 @@ import numpy as np
 
 from repro.graph.csr import WeightedGraph
 from repro.mesh.dualgraph import coarse_dual_graph, coarse_root_centroids
-from repro.mesh.base import sorted_unique
-from repro.pared.weights import (
-    diff_weight_report,
-    in_sorted,
-    keep_last,
-    merge_fresh_values,
-    split_edge_keys,
-)
+from repro.pared.weights import diff_weight_report
 from repro.partition.metrics import imbalance
 from repro.partition.registry import make_repartitioner
 from repro.perf import PERF
@@ -60,67 +53,49 @@ def _on_live(live, size: int, fn, *owners):
 
 
 class _CoordinatorGraph:
-    """P_C's view of ``G``, built purely from packed P2 weight messages.
+    """P_C's view of ``G``: the CSR skeleton of ``M^0`` re-weighed with
+    values that arrive *only* in packed P2 messages.
 
-    State is struct-of-arrays: a dense vertex-weight vector plus sorted
-    packed edge keys (:func:`~repro.pared.weights.edge_keys`) with aligned
-    weights — merges and deletions are sorted-int64 array ops, no per-entry
-    Python loops.  ``G``'s structure is ``M^0``'s, so the key *set* only
-    moves on the first full report, a tombstone or a recovery: the CSR
-    skeleton :meth:`graph` derives from it is kept until then.
+    ``G``'s key set is ``M^0``'s and never changes, so the state is two
+    dense arrays: one weight per root (``vwts``) and one per skeleton slot
+    (``ewts``, aligned with the skeleton's ``adjncy``).  A merge scatters
+    each reported key ``a * n + b`` (``a < b``) into its ``a→b`` and
+    ``b→a`` slots; a key the skeleton lacks, or a slot no report has filled,
+    raises ``ValueError`` — the loud-failure rule of
+    :func:`~repro.mesh.dualgraph.coarse_dual_graph`.
     """
 
-    def __init__(self, n_roots: int):
-        self.n = n_roots
-        self.vwts = np.zeros(n_roots)
-        self.ekeys = np.empty(0, dtype=np.int64)
-        self.ewts = np.empty(0, dtype=np.float64)
-        #: (keys it was built for, unit-weight CSR, slot of a→b, of b→a)
-        self._skeleton = None
+    def __init__(self, skeleton: WeightedGraph):
+        self.skeleton = skeleton
+        n = skeleton.n_vertices
+        src, dst = skeleton.edge_src, skeleton.adjncy
+        slots = src * n + dst  # ascending: the skeleton's rows are sorted
+        self._fwd = np.nonzero(src < dst)[0]
+        self._keys = slots[self._fwd]
+        self._rev = np.searchsorted(slots, dst[self._fwd] * n + src[self._fwd])
+        self.vwts = np.zeros(n)
+        self.ewts = np.zeros(dst.shape[0])
 
     def merge(self, messages) -> None:
-        """Apply one round's deltas.  A key in a ``v_dead``/``e_dead``
-        array is a *tombstone*: the reporter's owned set no longer contains
-        it (the root was handed to another rank, or coarsening collapsed it
-        away).  Values are applied first and a tombstone only wins when no
-        message of the same batch re-reported the key, so an ownership
-        handoff — old owner sending the tombstone, new owner the fresh
-        value — merges to the same state in any arrival order.
-        """
-        fv_ids = np.concatenate([m["v_ids"] for m in messages])
-        fv_wts = np.concatenate([m["v_wts"] for m in messages])
-        fe_keys = np.concatenate([m["e_keys"] for m in messages])
-        fe_wts = np.concatenate([m["e_wts"] for m in messages])
-        dv = np.concatenate([m["v_dead"] for m in messages])
-        de = np.concatenate([m["e_dead"] for m in messages])
-        uids, uw = keep_last(fv_ids, fv_wts)
-        self.vwts[uids] = uw
-        self.vwts[dv[~in_sorted(uids, dv)]] = 0.0
-        self.ekeys, self.ewts = merge_fresh_values(
-            self.ekeys, self.ewts, fe_keys, fe_wts
-        )
-        if de.size:
-            dead_e = sorted_unique(de[~in_sorted(sorted_unique(fe_keys), de)])
-            keep = ~in_sorted(dead_e, self.ekeys)
-            self.ekeys = self.ekeys[keep]
-            self.ewts = self.ewts[keep]
+        """Apply one round's deltas.  Every key has exactly one reporter
+        (the owner of its root, or of the edge's lower endpoint), so the
+        arrival order does not matter."""
+        def cat(field):
+            return np.concatenate([m[field] for m in messages])
+
+        self.vwts[cat("v_ids")] = cat("v_wts")
+        keys = cat("e_keys")
+        pos = np.searchsorted(self._keys, keys)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        if not hit.all():
+            raise ValueError(f"edge key {int(keys[~hit][0])} is no shared facet of M^0")
+        self.ewts[self._fwd[pos]] = self.ewts[self._rev[pos]] = cat("e_wts")
+        if not (self.vwts.all() and self.ewts.all()):
+            raise ValueError("a root or shared facet of M^0 was never reported")
 
     def graph(self) -> WeightedGraph:
-        held = self._skeleton
-        if held is None or not np.array_equal(held[0], self.ekeys):
-            a, b = split_edge_keys(self.ekeys, self.n)
-            csr = WeightedGraph.from_edges(self.n, np.column_stack([a, b]))
-            slots = csr.edge_src * self.n + csr.adjncy  # ascending
-            held = self._skeleton = (
-                self.ekeys,
-                csr,
-                np.searchsorted(slots, self.ekeys),
-                np.searchsorted(slots, b * self.n + a),
-            )
-        _, csr, fwd, rev = held
-        ewts = np.empty(csr.adjncy.shape[0])
-        ewts[fwd] = ewts[rev] = self.ewts
-        return csr.with_weights(ewts, self.vwts.copy())
+        return self.skeleton.with_weights(self.ewts.copy(), self.vwts.copy())
 
 
 class _WeightProtocol:
@@ -160,9 +135,13 @@ class _CoordinatorProtocol(_WeightProtocol):
         super().__init__(comm, cfg, coordinator, amesh, repart)
         #: last round's full report — the baseline P2 deltas are cut against
         self.prev_full = None
-        #: assembled *only* from P2 messages, never from the replica
-        self.G = _CoordinatorGraph(amesh.n_roots) if comm.rank == coordinator else None
-        self.graph = None  # G as of this round's merge (P_C only)
+        #: weights *only* from P2 messages, structure from M^0
+        self.G = (
+            _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+            if comm.rank == coordinator
+            else None
+        )
+        self.graph = None  # G as of the latest merge (P_C only)
 
     def weigh(self, dmesh) -> dict:
         full = dmesh.local_weight_update()
@@ -217,19 +196,18 @@ class _CoordinatorProtocol(_WeightProtocol):
 
     def snapshot(self) -> dict:
         snap = {"prev_full": self.prev_full}
-        if self.G is not None:
-            snap["coord_vwts"] = self.G.vwts.copy()
-            snap["coord_edges"] = (self.G.ekeys.copy(), self.G.ewts.copy())
+        # no weights before P_C's first merge: a replay from the setup
+        # checkpoint then plans on the replica, as a failover does
+        if self.graph is not None:
+            snap["coord_vwts"] = self.G.vwts
+            snap["coord_ewts"] = self.G.ewts
         return snap
 
     def restore(self, ckpt):
         self.prev_full = ckpt.prev_full
-        if self.G is None:
+        if self.G is None or ckpt.coord_vwts is None:
             return None
-        self.G.vwts = np.asarray(ckpt.coord_vwts, dtype=float).copy()
-        ekeys, ewts = ckpt.coord_edges
-        self.G.ekeys = np.asarray(ekeys, dtype=np.int64).copy()
-        self.G.ewts = np.asarray(ewts, dtype=np.float64).copy()
+        self.G.vwts, self.G.ewts = ckpt.coord_vwts, ckpt.coord_ewts
         return self.G.graph()
 
 

@@ -10,9 +10,10 @@ phases run symmetrically on every rank.
 The coordinator's copy of ``G`` is assembled *only* from P2 messages — it
 never peeks at the replica — so the test-suite can verify the distributed
 weight protocol against the directly computed dual graph.  (The single
-exception is coordinator *failover*: a freshly promoted ``P_C`` bootstraps
-the recovery re-assignment from its replica, then rebuilds ``G`` from full
-P2 reports on the next round.)
+exception is a recovery before ``P_C`` holds any weights — a freshly
+promoted ``P_C``, or a replay from the setup checkpoint: it bootstraps the
+re-assignment from its replica, then fills ``G`` from full P2 reports on
+the next round.)
 
 A round is one staged pipeline — mark → adapt (P0) → weigh (P1) → exchange
 (P2) → decide → migrate (P3) → audit → record — in which two things vary,
@@ -313,7 +314,7 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     leaves_before = amesh.leaf_ids().copy()
     new_owner = None
     if comm.rank == C:
-        # a P_C holding no G of its own bootstraps from its replica
+        # a P_C holding no merged G of its own bootstraps from its replica
         graph = known if known is not None else coarse_dual_graph(amesh.mesh)
         new_owner = plan_recovery_assignment(graph, ckpt.owner, live, cfg.pnr)
     mig = execute_migration(comm, dmesh, new_owner, coordinator=C)

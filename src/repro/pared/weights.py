@@ -9,16 +9,15 @@ message:
 ``e_keys`` / ``e_wts``
     Sorted packed edge keys with their fresh edge weights.  Edge ``(a, b)``
     with ``a < b`` packs to ``a * n_roots + b`` (:func:`edge_keys`), so a
-    report is self-contained given ``n_roots`` and every array op —
-    diff, dedup, merge — is a sorted-int64 primitive.
-``v_dead`` / ``e_dead``
-    Tombstones: keys present in the previous report but absent from the
-    current one (ownership handoff or coarsening).  A tombstone carries no
-    weight; the coordinator zeroes/deletes the entry unless another message
-    of the same batch re-reports it (see
-    :meth:`~repro.pared.protocols._CoordinatorGraph.merge`).
+    report is self-contained given ``n_roots`` and every array op is a
+    sorted-int64 primitive.
 
-All arrays in a report are sorted ascending and duplicate-free.
+All arrays in a report are sorted ascending and duplicate-free.  ``G``'s
+key set is ``M^0``'s and never changes, and every root has exactly one
+owner, so a delta needs no deletions: a key a rank stops reporting is
+reported by its new owner, and the coordinator
+(:class:`~repro.pared.protocols._CoordinatorGraph`) keeps one dense slot per
+vertex and edge of ``M^0``'s skeleton for the values to land in.
 """
 
 from __future__ import annotations
@@ -28,18 +27,6 @@ import numpy as np
 from repro.partition.distributed import edge_keys, split_edge_keys
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
-
-
-def empty_report() -> dict:
-    return {
-        "v_ids": _EMPTY_I,
-        "v_wts": _EMPTY_F,
-        "e_keys": _EMPTY_I,
-        "e_wts": _EMPTY_F,
-        "v_dead": _EMPTY_I,
-        "e_dead": _EMPTY_I,
-    }
 
 
 def full_weight_report(graph, owner: np.ndarray, rank: int) -> dict:
@@ -61,14 +48,7 @@ def full_weight_report(graph, owner: np.ndarray, rank: int) -> dict:
     order = np.argsort(keys)  # CSR row-major order is already sorted, but
     keys = keys[order]  # don't rely on it: reports promise sorted keys
     wts = wts[order]
-    return {
-        "v_ids": v_ids,
-        "v_wts": v_wts,
-        "e_keys": keys,
-        "e_wts": wts,
-        "v_dead": _EMPTY_I,
-        "e_dead": _EMPTY_I,
-    }
+    return {"v_ids": v_ids, "v_wts": v_wts, "e_keys": keys, "e_wts": wts}
 
 
 def _changed(ids, wts, prev_ids, prev_wts):
@@ -81,26 +61,9 @@ def _changed(ids, wts, prev_ids, prev_wts):
     return ids[~same], wts[~same]
 
 
-def in_sorted(sorted_ids, ids) -> np.ndarray:
-    """Mask of the ``ids`` present in ``sorted_ids`` (ascending,
-    duplicate-free): ``np.isin`` by binary search, without its sort and
-    hash-``unique``."""
-    if sorted_ids.size == 0:
-        return np.zeros(ids.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
-    return sorted_ids[pos] == ids
-
-
-def _gone(prev_ids, ids):
-    """Previous keys absent from the current report (→ tombstones)."""
-    return prev_ids[~in_sorted(ids, prev_ids)]
-
-
 def diff_weight_report(full: dict, prev) -> dict:
-    """Delta of ``full`` against the previous full report ``prev``.
-
-    Changed/new entries carry their weights; keys present in ``prev`` but
-    gone from ``full`` land in the dead arrays.  ``prev=None`` means no
+    """Delta of ``full`` against the previous full report ``prev``: the
+    entries that are new or whose weight changed.  ``prev=None`` means no
     baseline: the full report travels verbatim.
     """
     if prev is None:
@@ -109,45 +72,7 @@ def diff_weight_report(full: dict, prev) -> dict:
     e_keys, e_wts = _changed(
         full["e_keys"], full["e_wts"], prev["e_keys"], prev["e_wts"]
     )
-    return {
-        "v_ids": v_ids,
-        "v_wts": v_wts,
-        "e_keys": e_keys,
-        "e_wts": e_wts,
-        "v_dead": _gone(prev["v_ids"], full["v_ids"]),
-        "e_dead": _gone(prev["e_keys"], full["e_keys"]),
-    }
-
-
-def keep_last(keys, vals):
-    """Deduplicate (keys, vals) keeping the *last* occurrence of each key —
-    the array analogue of dict insertion order (later messages win).
-    Returns sorted unique int64 keys with their surviving values.
-
-    Always returns freshly owned arrays with canonical dtypes, including on
-    the empty path — callers may mutate the result without aliasing the
-    input (or the shared module-level empties)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    vals = np.asarray(vals)
-    if keys.size == 0:
-        return keys.copy(), vals.copy()
-    rev_keys = keys[::-1]
-    uniq, first = np.unique(rev_keys, return_index=True)
-    return uniq, vals[::-1][first]
-
-
-def merge_fresh_values(keys, vals, fresh_keys, fresh_vals):
-    """Overlay fresh (key, value) pairs onto a sorted key/value store:
-    existing keys are overwritten, new keys inserted, order kept sorted.
-    Like :func:`keep_last`, never returns a view of its inputs."""
-    keys = np.asarray(keys, dtype=np.int64)
-    vals = np.asarray(vals)
-    fresh_keys, fresh_vals = keep_last(fresh_keys, fresh_vals)
-    if fresh_keys.size == 0:
-        return keys.copy(), vals.copy()
-    cat_keys = np.concatenate([keys, fresh_keys])
-    cat_vals = np.concatenate([vals, fresh_vals])
-    return keep_last(cat_keys, cat_vals)
+    return {"v_ids": v_ids, "v_wts": v_wts, "e_keys": e_keys, "e_wts": e_wts}
 
 
 def split_report_by_owner(full: dict, owner, n_roots: int, rank: int) -> dict:

@@ -91,8 +91,10 @@ class RoundCheckpoint:
 
     ``round`` is the last completed round (``-1`` = setup finished, round 0
     not yet run).  The last three fields are the weight protocol's: the P2
-    delta baseline, and ``coord_vwts``/``coord_edges``, the coordinator's
-    ``G`` (``None`` on every other rank, and all ``None`` under ``dkl``).
+    delta baseline, and ``coord_vwts``/``coord_ewts``, the weights of the
+    coordinator's ``G`` over ``M^0``'s skeleton (one per root, one per
+    ``adjncy`` slot; ``None`` on every other rank, before ``P_C``'s first
+    merge, and all ``None`` under ``dkl``).
     The adaptation inputs need no checkpointing: markers are pure functions
     of ``(mesh, round)`` and the repartitioner is seeded, so replaying from
     here is deterministic.
@@ -105,7 +107,7 @@ class RoundCheckpoint:
     coordinator: int
     prev_full: Optional[dict] = None
     coord_vwts: Optional[np.ndarray] = None
-    coord_edges: Optional[tuple] = None  # (sorted packed edge keys, weights)
+    coord_ewts: Optional[np.ndarray] = None
 
 
 class CheckpointStore:

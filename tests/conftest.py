@@ -118,6 +118,19 @@ def kl_tail_arms(run, cfg) -> set:
     return arms
 
 
+def rank_deltas(graph: WeightedGraph, owner, prev: list) -> list:
+    """Every rank's P2 delta of ``graph`` under ``owner``, cut against its
+    baseline in ``prev`` (one slot per rank, updated in place)."""
+    from repro.pared.weights import diff_weight_report, full_weight_report
+
+    out = []
+    for r in range(len(prev)):
+        full = full_weight_report(graph, owner, r)
+        out.append(diff_weight_report(full, prev[r]))
+        prev[r] = full
+    return out
+
+
 @pytest.fixture()
 def square8() -> AdaptiveMesh:
     """128-triangle square, unrefined."""

@@ -19,6 +19,7 @@ from repro.pared import (
 from repro.runtime import FaultPlan
 from repro.runtime.shm import pool_stats, shutdown_pools
 from repro.runtime.simmpi import spmd_run
+from tests.conftest import rank_deltas
 
 
 class TestDirectives:
@@ -418,11 +419,9 @@ class TestFullLoop:
         assert histories[0][-1]["leaves"] > 0
 
 
-def _packed_report(v, e, n, v_dead=(), e_dead=()):
+def _packed_report(v, e, n):
     """Build a packed weight report from ``{root: w}`` / ``{(a, b): w}``
     dicts — test-side sugar over the array wire format."""
-    from repro.pared.weights import edge_keys
-
     v_ids = np.array(sorted(v), dtype=np.int64)
     e_ab = sorted(e)
     return {
@@ -430,132 +429,71 @@ def _packed_report(v, e, n, v_dead=(), e_dead=()):
         "v_wts": np.array([v[a] for a in v_ids], dtype=np.float64),
         "e_keys": np.array([a * n + b for a, b in e_ab], dtype=np.int64),
         "e_wts": np.array([e[k] for k in e_ab], dtype=np.float64),
-        "v_dead": np.array(sorted(v_dead), dtype=np.int64),
-        "e_dead": np.array(
-            sorted(int(edge_keys(a, b, n)) for a, b in e_dead), dtype=np.int64
-        ),
     }
 
 
 class TestDeltaTombstones:
-    """The P2 delta protocol must *delete* state at the coordinator, not
-    just overwrite it: a key a rank stops reporting (handoff, coarsening)
-    travels in the report's ``v_dead``/``e_dead`` tombstone arrays and the
-    coordinator drops it."""
+    """Why the P2 delta protocol needs no tombstones: ``G``'s key set is
+    ``M^0``'s, every root has one owner, so a key a rank stops reporting is
+    re-reported by its new owner and the coordinator only ever overwrites
+    dense slots of ``M^0``'s skeleton."""
 
-    @staticmethod
-    def _full_report(mesh):
-        """The single-owner full weight report of a mesh: every vertex and
-        every ``a < b`` edge of its coarse dual graph."""
-        from repro.pared.weights import full_weight_report
-
-        g = coarse_dual_graph(mesh)
-        owner = np.zeros(g.n_vertices, dtype=np.int64)
-        return full_weight_report(g, owner, 0)
-
-    def test_diff_update_emits_tombstones(self):
+    def test_diff_update_sends_only_changes(self):
         from repro.pared.weights import diff_weight_report, edge_keys
 
         n = 8
         prev = _packed_report({0: 1.0, 1: 2.0}, {(0, 1): 3.0, (1, 2): 1.0}, n)
         full = _packed_report({0: 1.0, 2: 4.0}, {(0, 1): 5.0}, n)
         delta = diff_weight_report(full, prev)
-        # 0 unchanged: not resent; 1 gone: tombstoned
+        # 0 unchanged and 1 handed away: neither is sent
         assert delta["v_ids"].tolist() == [2]
         assert delta["v_wts"].tolist() == [4.0]
-        assert delta["v_dead"].tolist() == [1]
         assert delta["e_keys"].tolist() == [int(edge_keys(0, 1, n))]
         assert delta["e_wts"].tolist() == [5.0]
-        assert delta["e_dead"].tolist() == [int(edge_keys(1, 2, n))]
+        assert sorted(delta) == ["e_keys", "e_wts", "v_ids", "v_wts"]
 
     def test_merge_handoff_is_order_independent(self):
         from repro.pared.protocols import _CoordinatorGraph
-        from repro.pared.weights import edge_keys
 
-        # root 3 moves from the old owner (tombstone) to a new owner
-        # (fresh value); both reports land in the same round's batch
-        n = 8
-        tomb = _packed_report({}, {}, n, v_dead=[3], e_dead=[(3, 4)])
-        fresh = _packed_report({3: 7.0}, {(3, 4): 2.0}, n)
-        for batch in ([tomb, fresh], [fresh, tomb]):
-            cg = _CoordinatorGraph(n)
-            cg.merge([_packed_report({3: 1.0, 4: 1.0}, {(3, 4): 1.0}, n)])
-            cg.merge(batch)
-            assert cg.vwts[3] == 7.0
-            pos = np.searchsorted(cg.ekeys, int(edge_keys(3, 4, n)))
-            assert cg.ekeys[pos] == int(edge_keys(3, 4, n))
-            assert cg.ewts[pos] == 2.0
-
-    def test_stale_entries_are_dropped_at_coordinator(self):
-        """Regression for the unbounded-growth bug: before tombstones, a
-        key that left a rank's owned set survived forever in the
-        coordinator's ``G``.  Re-reporting against a baseline whose edge
-        set shrank must leave ``G`` exactly mirroring the mesh — verified
-        by the same audit the PARED loop runs."""
-        from repro.geometry.generators import structured_tri_mesh
-        from repro.mesh.mesh2d import TriMesh
-        from repro.pared.protocols import _CoordinatorGraph
-        from repro.pared.weights import diff_weight_report
-        from repro.testing import check_dual_graph_weights
-
-        grid = AdaptiveMesh.unit_square(2)  # 8 roots, ring adjacency
-        strip = AdaptiveMesh(TriMesh(*structured_tri_mesh(4, 1)))  # 8 roots
-        full_grid = self._full_report(grid.mesh)
-        full_strip = self._full_report(strip.mesh)
-        # precondition: the baseline has edges the new report lacks, so a
-        # diff without tombstones would leave them stale
-        gone = np.setdiff1d(full_grid["e_keys"], full_strip["e_keys"])
-        assert gone.size, "meshes must differ in coarse adjacency"
-
-        cg = _CoordinatorGraph(8)
-        cg.merge([full_grid])
-        cg.merge([diff_weight_report(full_strip, full_grid)])
-        assert not np.isin(cg.ekeys, gone).any()
-        check_dual_graph_weights(strip.mesh, cg.graph())
+        # root 3 (and every edge it is the lower endpoint of) moves from
+        # rank 0 to rank 1 as it refines: the old owner goes silent about
+        # it, the new one reports it fresh
+        amesh = AdaptiveMesh.unit_square(2)
+        owner = np.zeros(amesh.n_roots, dtype=np.int64)
+        prev = [None, None]
+        first = rank_deltas(coarse_dual_graph(amesh.mesh), owner, prev)
+        amesh.refine([3])
+        owner[3] = 1
+        graph = coarse_dual_graph(amesh.mesh)
+        batch = rank_deltas(graph, owner, prev)
+        assert 3 not in batch[0]["v_ids"] and 3 in batch[1]["v_ids"]
+        for order in (batch, batch[::-1]):
+            cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+            cg.merge(first)
+            cg.merge(order)
+            assert np.array_equal(cg.vwts, graph.vwts)
+            assert np.array_equal(cg.ewts, graph.ewts)
 
     def test_coordinator_graph_reuses_its_skeleton(self):
-        """``graph()`` scatters weights into a kept CSR skeleton and
-        re-derives it only when the key *set* moved; either way it equals
-        ``from_edges`` over the keys it holds."""
-        from repro.graph.csr import WeightedGraph
+        """``graph()`` re-weighs ``M^0``'s skeleton: it shares the CSR
+        arrays with :func:`coarse_dual_graph` and equals it array for
+        array."""
         from repro.pared.protocols import _CoordinatorGraph
-        from repro.pared.weights import split_edge_keys
 
-        def check(cg):
-            graph = cg.graph()
-            a, b = split_edge_keys(cg.ekeys, cg.n)
-            want = WeightedGraph.from_edges(
-                cg.n, np.column_stack([a, b]), cg.ewts, cg.vwts
-            )
+        amesh = AdaptiveMesh.unit_square(3)
+        skeleton = amesh.mesh.coarse_skeleton()
+        cg = _CoordinatorGraph(skeleton)
+        owner = np.arange(amesh.n_roots, dtype=np.int64) % 3
+        prev = [None] * 3
+        for rnd in range(3):
+            amesh.refine(amesh.leaf_ids()[rnd :: 5].tolist())
+            want = coarse_dual_graph(amesh.mesh)
+            cg.merge(rank_deltas(want, owner, prev))
+            got = cg.graph()
+            assert got.xadj is skeleton.xadj and got.adjncy is skeleton.adjncy
             for name in ("xadj", "adjncy", "ewts", "vwts"):
-                assert np.array_equal(getattr(graph, name), getattr(want, name))
-            return graph
-
-        n = 6
-        cg = _CoordinatorGraph(n)
-        edges = {(0, 1): 1.0, (0, 3): 2.0, (1, 2): 3.0, (2, 5): 4.0, (3, 4): 5.0}
-        cg.merge([_packed_report(dict.fromkeys(range(n), 1.0), edges, n)])
-        first = check(cg)
-        # same key set, new weights: the structure arrays are shared
-        cg.merge([_packed_report({1: 2.0}, {(0, 3): 7.0, (2, 5): 1.0}, n)])
-        second = check(cg)
-        assert second.adjncy is first.adjncy and second.xadj is first.xadj
-        assert second.ewts.sum() != first.ewts.sum()
-        # ownership hand-off: tombstone and fresh value in one batch
-        cg.merge(
-            [
-                _packed_report({}, {}, n, v_dead=[3], e_dead=[(3, 4)]),
-                _packed_report({3: 9.0}, {(3, 4): 6.0}, n),
-            ]
-        )
-        assert check(cg).adjncy is first.adjncy
-        # a tombstone nobody answers removes the edge: structure re-derived
-        cg.merge([_packed_report({}, {}, n, e_dead=[(1, 2)])])
-        shrunk = check(cg)
-        assert shrunk.n_edges == first.n_edges - 1
-        # and the removed edge coming back re-derives it again
-        cg.merge([_packed_report({}, {(1, 2): 3.0}, n)])
-        assert np.array_equal(check(cg).adjncy, first.adjncy)
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            owner = np.roll(owner, 1)
 
     def test_coarsen_heavy_audited_run_keeps_graph_exact(self):
         """End-to-end: a refine-then-coarsen ladder with migrations keeps

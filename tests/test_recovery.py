@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.pnr import PNR
 from repro.mesh.adapt import AdaptiveMesh
+from repro.mesh.dualgraph import coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
 from repro.pared.migrate import plan_recovery_assignment
 from repro.runtime import (
@@ -289,6 +290,30 @@ class TestCrashRecoveryLadder:
         _assert_survivable_outcome(histories, stats, crash_rank=0)
         final = histories[1][-1]
         assert set(np.unique(final["owner"]).tolist()) <= {1, 2}
+
+    def test_crash_before_first_merge_plans_on_the_mesh(self):
+        """A death before round 0's P2 merge replays from the setup
+        checkpoint, where ``P_C`` holds no weights yet: the recovery plan
+        must be taken on ``M^0``'s dual graph, not on an all-zero ``G``."""
+        def make_mesh():
+            return AdaptiveMesh.unit_square(10)
+
+        cfg = ParedConfig(
+            p=_P,
+            make_mesh=make_mesh,
+            marker=_marker,
+            rounds=1,
+            pnr=PNR(seed=1),
+            faults=FaultPlan(seed=0, crash_rank=2, crash_at_op=10),
+            recover=True,
+        )
+        histories, _ = run_pared(cfg)
+        rec = next(r for r in histories[0] if r.get("recovery"))
+        assert rec["round"] == -1
+        want = plan_recovery_assignment(
+            coarse_dual_graph(make_mesh().mesh), rec["old_owner"], [0, 1], cfg.pnr
+        )
+        assert np.array_equal(rec["owner"], want)
 
     def test_recovery_is_replayable_from_seed(self):
         plan = FaultPlan(seed=0, crash_rank=2, crash_at_op=12)

@@ -1,123 +1,38 @@
 """Direct unit tests of the packed weight-report primitives
-(:mod:`repro.pared.weights`) — previously exercised only indirectly
-through the P2 protocol.  The focus is the edge cases a round can hit:
-empty arrays, all-duplicate keys, and the no-aliasing guarantee the
-coordinator's merge relies on (it mutates what these functions return).
+(:mod:`repro.pared.weights`) and of the coordinator's merge of them
+(:class:`~repro.pared.protocols._CoordinatorGraph`) — the P2 protocol
+without running one.  The focus is the edge cases a round can hit: empty
+arrays, ownership handoffs, refinement and coarsening between rounds, and
+reports that do not fit ``M^0``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.pared import weights as W
+from repro.mesh import AdaptiveMesh, coarse_dual_graph
+from repro.pared.protocols import _CoordinatorGraph
 from repro.pared.weights import (
     diff_weight_report,
     edge_keys,
-    empty_report,
-    in_sorted,
-    keep_last,
-    merge_fresh_values,
+    full_weight_report,
     split_edge_keys,
     split_report_by_owner,
 )
+from tests.conftest import rank_deltas
 
 I = np.int64
 F = np.float64
 
 
-class TestKeepLast:
-    def test_later_occurrence_wins(self):
-        keys = np.array([3, 1, 3, 2, 1], dtype=I)
-        vals = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
-        k, v = keep_last(keys, vals)
-        assert k.tolist() == [1, 2, 3]
-        assert v.tolist() == [14.0, 13.0, 12.0]
-
-    def test_empty_input(self):
-        k, v = keep_last(np.empty(0, dtype=I), np.empty(0, dtype=F))
-        assert k.size == 0 and v.size == 0
-        assert k.dtype == I and v.dtype == F
-
-    def test_empty_returns_fresh_arrays_not_aliases(self):
-        """The empty path must not hand back the caller's arrays (or the
-        module-level shared empties): the coordinator mutates the result."""
-        keys = np.empty(0, dtype=I)
-        vals = np.empty(0, dtype=F)
-        k, v = keep_last(keys, vals)
-        assert k is not keys and v is not vals
-        assert k is not W._EMPTY_I and v is not W._EMPTY_F
-        k2, _ = keep_last(W._EMPTY_I, W._EMPTY_F)
-        assert k2 is not W._EMPTY_I
-
-    def test_empty_keys_coerced_to_int64(self):
-        """An empty float array (np.concatenate of float sources) must come
-        back as int64 keys, not leak the float dtype downstream."""
-        k, v = keep_last(np.empty(0, dtype=F), np.empty(0, dtype=F))
-        assert k.dtype == I
-
-    def test_all_duplicate_keys_collapse_to_one(self):
-        keys = np.full(7, 42, dtype=I)
-        vals = np.arange(7, dtype=F)
-        k, v = keep_last(keys, vals)
-        assert k.tolist() == [42]
-        assert v.tolist() == [6.0]
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.floats(0, 100)), max_size=30
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_dict_insertion_semantics(self, pairs):
-        keys = np.array([k for k, _ in pairs], dtype=I)
-        vals = np.array([v for _, v in pairs], dtype=F)
-        k, v = keep_last(keys, vals)
-        want = dict(pairs)
-        assert dict(zip(k.tolist(), v.tolist())) == want
-        assert np.all(np.diff(k) > 0)  # sorted, duplicate-free
-
-
-class TestMergeFreshValues:
-    def test_overlay_overwrites_and_inserts(self):
-        k, v = merge_fresh_values(
-            np.array([1, 3, 5], dtype=I),
-            np.array([1.0, 3.0, 5.0]),
-            np.array([3, 4], dtype=I),
-            np.array([30.0, 40.0]),
-        )
-        assert k.tolist() == [1, 3, 4, 5]
-        assert v.tolist() == [1.0, 30.0, 40.0, 5.0]
-
-    def test_empty_fresh_returns_copy_of_store(self):
-        keys = np.array([1, 2], dtype=I)
-        vals = np.array([1.0, 2.0])
-        k, v = merge_fresh_values(
-            keys, vals, np.empty(0, dtype=I), np.empty(0, dtype=F)
-        )
-        assert np.array_equal(k, keys) and np.array_equal(v, vals)
-        assert k is not keys and v is not vals
-        k[0] = 99  # mutating the result must not touch the store
-        assert keys[0] == 1
-
-    def test_both_empty(self):
-        k, v = merge_fresh_values(
-            np.empty(0, dtype=I),
-            np.empty(0, dtype=F),
-            np.empty(0, dtype=I),
-            np.empty(0, dtype=F),
-        )
-        assert k.size == 0 and k.dtype == I
-
-    def test_all_duplicate_fresh_keys_last_wins(self):
-        k, v = merge_fresh_values(
-            np.array([7], dtype=I),
-            np.array([0.0]),
-            np.array([7, 7, 7], dtype=I),
-            np.array([1.0, 2.0, 3.0]),
-        )
-        assert k.tolist() == [7]
-        assert v.tolist() == [3.0]
+def _report(v_ids=(), e_keys=(), v_wts=None, e_wts=None):
+    return {
+        "v_ids": np.array(v_ids, dtype=I),
+        "v_wts": np.ones(len(v_ids)) if v_wts is None else np.asarray(v_wts, F),
+        "e_keys": np.array(e_keys, dtype=I),
+        "e_wts": np.ones(len(e_keys)) if e_wts is None else np.asarray(e_wts, F),
+    }
 
 
 _SORTED_IDS = st.lists(st.integers(0, 60), unique=True, max_size=25).map(
@@ -126,55 +41,100 @@ _SORTED_IDS = st.lists(st.integers(0, 60), unique=True, max_size=25).map(
 
 
 class TestSortedMembership:
-    """The ``searchsorted`` membership behind the P2 diff and the
-    coordinator's merge, against ``np.isin``."""
+    """The ``searchsorted`` membership behind the P2 diff, against
+    ``np.isin``."""
 
     @settings(max_examples=100, deadline=None)
-    @given(haystack=_SORTED_IDS, ids=st.lists(st.integers(-5, 70), max_size=25))
-    def test_matches_isin(self, haystack, ids):
-        ids = np.array(ids, dtype=I)  # any order, repeats allowed
-        assert np.array_equal(in_sorted(haystack, ids), np.isin(ids, haystack))
+    @given(prev=_SORTED_IDS, ids=_SORTED_IDS, data=st.data())
+    def test_matches_isin(self, prev, ids, data):
+        bumped = np.array(
+            data.draw(st.lists(st.booleans(), min_size=ids.size, max_size=ids.size)),
+            dtype=bool,
+        )
+        full = _report(ids, ids, v_wts=1.0 + bumped, e_wts=1.0 + bumped)
+        delta = diff_weight_report(full, _report(prev, prev))
+        want = ids[~np.isin(ids, prev) | bumped]
+        assert np.array_equal(delta["v_ids"], want)
+        assert np.array_equal(delta["e_keys"], want)
 
-    @settings(max_examples=100, deadline=None)
-    @given(prev=_SORTED_IDS, ids=_SORTED_IDS)
-    def test_tombstones_are_the_set_difference(self, prev, ids):
-        gone = W._gone(prev, ids)
-        assert gone.dtype == I
-        assert np.array_equal(gone, np.setdiff1d(prev, ids))
-
-    @staticmethod
-    def _report(v_ids, e_keys):
-        return {
-            **empty_report(),
-            "v_ids": np.array(v_ids, dtype=I),
-            "v_wts": np.ones(len(v_ids)),
-            "e_keys": np.array(e_keys, dtype=I),
-            "e_wts": np.ones(len(e_keys)),
-        }
-
-    def test_diff_with_empty_current_report_tombstones_everything(self):
-        prev = self._report([1, 4], [14, 41])
-        delta = diff_weight_report(self._report([], []), prev)
+    def test_diff_with_empty_current_report_sends_nothing(self):
+        delta = diff_weight_report(_report(), _report([1, 4], [14, 41]))
         assert delta["v_ids"].size == delta["e_keys"].size == 0
-        assert delta["v_dead"].tolist() == [1, 4]
-        assert delta["e_dead"].tolist() == [14, 41]
 
     def test_diff_against_empty_previous_report_sends_everything(self):
-        full = self._report([1, 4], [14, 41])
-        delta = diff_weight_report(full, self._report([], []))
+        full = _report([1, 4], [14, 41])
+        delta = diff_weight_report(full, _report())
         assert delta["v_ids"].tolist() == [1, 4]
         assert delta["e_keys"].tolist() == [14, 41]
-        assert delta["v_dead"].size == delta["e_dead"].size == 0
-        assert delta["v_dead"].dtype == delta["e_dead"].dtype == I
 
     def test_diff_with_disjoint_reports_all_gone_all_new(self):
-        delta = diff_weight_report(
-            self._report([2, 3], [23]), self._report([0, 1], [1, 10])
-        )
+        delta = diff_weight_report(_report([2, 3], [23]), _report([0, 1], [1, 10]))
         assert delta["v_ids"].tolist() == [2, 3]
-        assert delta["v_dead"].tolist() == [0, 1]
         assert delta["e_keys"].tolist() == [23]
-        assert delta["e_dead"].tolist() == [1, 10]
+
+
+class TestCoordinatorMerge:
+    """``P_C``'s ``G`` from P2 deltas alone equals the mesh's
+    :func:`coarse_dual_graph` every round, whoever owns what and in
+    whatever order the deltas arrive."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(p=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_merged_deltas_equal_the_mesh_graph(self, p, data):
+        amesh = AdaptiveMesh.unit_square(3)
+        n = amesh.n_roots
+        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        prev = [None] * p
+        owner = None
+        for _ in range(4):
+            leaves = amesh.leaf_ids()
+            pick = data.draw(
+                st.lists(st.integers(0, leaves.size - 1), max_size=6, unique=True)
+            )
+            amesh.refine(leaves[pick].tolist())
+            trees = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+            amesh.coarsen(amesh.leaf_ids()[np.isin(amesh.leaf_roots(), trees)].tolist())
+            new = np.array(
+                data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+                dtype=I,
+            )
+            if owner is not None and np.array_equal(new, owner):
+                at = data.draw(st.integers(0, n - 1))
+                new[at] = (new[at] + 1) % p  # hand at least one root over
+            owner = new
+            want = coarse_dual_graph(amesh.mesh)
+            cg.merge(data.draw(st.permutations(rank_deltas(want, owner, prev))))
+            got = cg.graph()
+            for name in ("xadj", "adjncy", "ewts", "vwts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_foreign_key_raises(self):
+        amesh = AdaptiveMesh.unit_square(2)
+        graph = coarse_dual_graph(amesh.mesh)
+        n = amesh.n_roots
+        full = full_weight_report(graph, np.zeros(n, dtype=I), 0)
+        a, b = next(
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if b not in graph.neighbors(a)
+        )
+        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        with pytest.raises(ValueError, match="no shared facet"):
+            cg.merge([full, _report(e_keys=[int(edge_keys(a, b, n))])])
+
+    def test_unfilled_slot_raises(self):
+        amesh = AdaptiveMesh.unit_square(2)
+        graph = coarse_dual_graph(amesh.mesh)
+        owner = np.arange(amesh.n_roots, dtype=I) % 2
+        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        # rank 1's report never arrives
+        with pytest.raises(ValueError, match="never reported"):
+            cg.merge([full_weight_report(graph, owner, 0)])
 
 
 class TestEdgeKeyPacking:
@@ -209,8 +169,7 @@ class TestSplitReportByOwner:
         b = np.array([e[1] for e in edges], dtype=I)
         keys = edge_keys(a, b, n)
         order = np.argsort(keys)
-        r = empty_report()
-        r = dict(r)
+        r = _report()
         r["e_keys"] = keys[order]
         r["e_wts"] = np.array([e[2] for e in edges], dtype=F)[order]
         return r
@@ -237,7 +196,7 @@ class TestSplitReportByOwner:
 
     def test_empty_report(self):
         owner = np.array([0, 1], dtype=I)
-        assert split_report_by_owner(empty_report(), owner, 2, rank=0) == {}
+        assert split_report_by_owner(_report(), owner, 2, rank=0) == {}
 
     def test_send_recv_channels_are_symmetric(self):
         """Every payload rank r sends to rank t is exactly what t expects
