@@ -4,9 +4,10 @@ mpi4py is the natural backend for PARED's communication, but the algorithms
 under study are defined by their *communication structure* — who sends what
 to whom in phases P0–P3 — not by the wall-clock of a particular
 interconnect.  :class:`~repro.runtime.simmpi.SimComm` provides an
-mpi4py-flavoured API (``send``/``recv``/``bcast``/``gather``/``scatter``/
-``allgather``/``allreduce``/``barrier``) over in-process threads and queues,
-with full per-phase traffic accounting
+mpi4py-flavoured API (``send``/``recv``/``bcast``/``gather``/``allgather``/
+``iallgather``/``allreduce``/``barrier``) over in-process threads and
+queues or forked rank processes over shared-memory rings, with full
+per-phase traffic accounting
 (:class:`~repro.runtime.stats.TrafficStats`), so every experiment reports
 exact message and byte counts deterministically.
 """

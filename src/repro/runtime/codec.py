@@ -32,11 +32,8 @@ else is never unpickled.
 Sizes reported to :class:`~repro.runtime.stats.TrafficStats` are simply
 ``len(frame)``: the accounting rule is unchanged ("bytes put on the wire
 for this logical message"), only the wire format is new.  Decoded arrays
-own their memory (they are copied out of the frame), so receivers may
-mutate them freely.
-
-Zero-copy path (shared-memory transport)
-----------------------------------------
+own their memory (they are copied out of the frame) on every transport,
+so receivers may mutate and keep them freely.
 
 :func:`encode_parts` returns the frame as a *scatter-gather list* of
 buffers instead of one joined ``bytes`` — array payloads stay memoryviews
@@ -44,16 +41,6 @@ of the live array, so a transport that can write segments directly into
 its destination (the shm ring) skips the join copy entirely.
 ``b"".join(encode_parts(obj)) == encode(obj)`` always, so the ledger rule
 (record ``sum(part sizes)``) accounts identically on every backend.
-
-:func:`decode_view` is the matching receive side, and the same decoder
-as :func:`decode` with one switch thrown: given a *read-only memoryview*
-of a frame (a ring slot), arrays of at least :data:`ZERO_COPY_MIN` bytes
-come back as **read-only views into the frame memory** instead of copies
-(smaller ones are cheaper to copy than to pin).  A view pins its frame —
-the ring cannot recycle the slot while any view is alive; see
-:mod:`repro.runtime.shm` — which is what makes handing out views safe.
-Receivers that need to mutate, or to keep an array past the communication
-epoch, take a private copy via :func:`materialize` (or ``np.array(x)``).
 """
 
 from __future__ import annotations
@@ -67,16 +54,9 @@ __all__ = [
     "encode",
     "encode_parts",
     "decode",
-    "decode_view",
-    "materialize",
     "parts_nbytes",
     "MAGIC",
-    "ZERO_COPY_MIN",
 ]
-
-#: arrays at least this many bytes decode as zero-copy views in
-#: :func:`decode_view`; smaller ones are copied (cheaper than pinning)
-ZERO_COPY_MIN = 1024
 
 #: first byte of every typed frame; not b'\x80' (pickle's PROTO opcode) and
 #: not printable ASCII, so a stray whole-message pickle is never misdetected
@@ -201,11 +181,9 @@ def parts_nbytes(parts) -> int:
     return sum(p.nbytes if isinstance(p, memoryview) else len(p) for p in parts)
 
 
-def _decode_node(buf, pos: int, on_view, zero_copy: bool):
-    """Decode the node at ``buf[pos]`` -> ``(object, next pos)``.  ``buf``
-    is ``bytes`` or a memoryview; with ``zero_copy`` arrays of at least
-    :data:`ZERO_COPY_MIN` bytes come back as read-only views into ``buf``
-    (each reported to ``on_view``), everything else is copied out."""
+def _decode_node(buf, pos: int):
+    """Decode the node at ``buf[pos]`` -> ``(object, next pos)``; arrays
+    are copied out of ``buf``."""
     tag = buf[pos]
     pos += 1
     if tag == _NONE:
@@ -231,7 +209,7 @@ def _decode_node(buf, pos: int, on_view, zero_copy: bool):
         pos += 4
         items = []
         for _ in range(n):
-            item, pos = _decode_node(buf, pos, on_view, zero_copy)
+            item, pos = _decode_node(buf, pos)
             items.append(item)
         return (items if tag == _LIST else tuple(items)), pos
     if tag == _DICT:
@@ -239,8 +217,8 @@ def _decode_node(buf, pos: int, on_view, zero_copy: bool):
         pos += 4
         d = {}
         for _ in range(n):
-            k, pos = _decode_node(buf, pos, on_view, zero_copy)
-            v, pos = _decode_node(buf, pos, on_view, zero_copy)
+            k, pos = _decode_node(buf, pos)
+            v, pos = _decode_node(buf, pos)
             d[k] = v
         return d, pos
     if tag == _ARRAY:
@@ -259,19 +237,8 @@ def _decode_node(buf, pos: int, on_view, zero_copy: bool):
             count *= s
         nbytes = count * dtype.itemsize
         arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        if zero_copy and nbytes >= ZERO_COPY_MIN:
-            # the array aliases the frame memory and pins it (its .base
-            # chain holds the frame view); read-only so the alias can
-            # never corrupt the wire
-            arr = arr.reshape(shape)
-            arr.flags.writeable = False
-            if on_view is not None:
-                on_view(arr)
-        else:
-            # copy out of the frame: receivers own (and may mutate) their
-            # data — for a small array that is also cheaper than a pin
-            arr = arr.reshape(shape).copy()
-        return arr, pos + nbytes
+        # copy out of the frame: receivers own (and may mutate) their data
+        return arr.reshape(shape).copy(), pos + nbytes
     if tag == _INTLIST:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
@@ -284,56 +251,17 @@ def _decode_node(buf, pos: int, on_view, zero_copy: bool):
     raise ValueError(f"corrupt typed frame: unknown tag 0x{tag:02x} at {pos - 1}")
 
 
-def _decode_frame(frame, on_view, zero_copy: bool):
+def decode(frame: bytes):
+    """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
+    raises ``ValueError`` naming its first byte."""
     if len(frame) == 0 or frame[0] != MAGIC:
         first = f"first byte 0x{frame[0]:02x}" if len(frame) else "empty"
         raise ValueError(
             f"not a typed frame: {first}, expected MAGIC 0x{MAGIC:02x}"
         )
-    obj, pos = _decode_node(frame, 1, on_view, zero_copy)
+    obj, pos = _decode_node(frame, 1)
     if pos != len(frame):
         raise ValueError(
             f"corrupt typed frame: {len(frame) - pos} trailing bytes"
         )
-    return obj
-
-
-def decode(frame: bytes):
-    """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
-    raises ``ValueError`` naming its first byte."""
-    return _decode_frame(frame, None, False)
-
-
-def decode_view(frame, on_view=None):
-    """Decode a frame from a memoryview, returning zero-copy read-only
-    array views for payloads of at least :data:`ZERO_COPY_MIN` bytes.
-
-    ``decode_view(mv)`` equals :func:`decode` ``(bytes(mv))`` value-wise for
-    every frame; only the memory ownership of large arrays differs (views
-    alias — and pin — the frame buffer instead of owning a copy, and each is
-    passed to ``on_view``).
-    Pass a *read-only* memoryview so the views come out read-only; a
-    ``bytes`` frame simply delegates to :func:`decode`.
-    """
-    if isinstance(frame, (bytes, bytearray)):
-        return decode(bytes(frame))
-    return _decode_frame(frame, on_view, True)
-
-
-def materialize(obj):
-    """Deep-copy any frame-aliasing arrays in ``obj`` into private,
-    writable memory.  Use this to keep a :func:`decode_view` result past
-    the life of its frame (e.g. across repartition rounds) — everything
-    non-array is returned as is (containers are rebuilt only when they
-    hold arrays that needed copying)."""
-    if isinstance(obj, np.ndarray):
-        if obj.base is not None or not obj.flags.writeable:
-            return np.array(obj)
-        return obj
-    if isinstance(obj, list):
-        return [materialize(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(materialize(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: materialize(v) for k, v in obj.items()}
     return obj

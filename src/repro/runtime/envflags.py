@@ -18,7 +18,6 @@ __all__ = [
     "effective_cpu_count",
     "env_bool",
     "env_choice",
-    "env_int",
     "FALSEY",
     "TRUTHY",
 ]
@@ -52,27 +51,6 @@ def env_bool(name: str, default: bool = False) -> bool:
         f"{name}={raw!r} is not a recognized boolean "
         f"(true: {sorted(TRUTHY)}, false: {sorted(v for v in FALSEY if v)})"
     )
-
-
-def env_int(name: str, default: int) -> int:
-    """Integer environment flag (sizes, counts).
-
-    Unset/empty returns ``default``; a base-10 integer (optionally
-    underscore-grouped, e.g. ``4_194_304``) returns its value; anything
-    else raises ``ValueError`` naming the variable.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip()
-    if value == "":
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"{name}={raw!r} is not an integer"
-        ) from None
 
 
 def effective_cpu_count() -> int:

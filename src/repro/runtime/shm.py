@@ -7,9 +7,10 @@ runs through **shared-memory ring buffers** — one
 single-producer/single-consumer ring per *ordered* rank pair, all carved
 out of a single :class:`multiprocessing.shared_memory.SharedMemory`
 segment.  Senders gather codec parts straight into the ring
-(:func:`repro.runtime.codec.encode_parts`, no intermediate join) and
-receivers decode large arrays as zero-copy read-only views of ring memory
-(:func:`repro.runtime.codec.decode_view`).  Every rank pair is also
+(:func:`repro.runtime.codec.encode_parts`, no intermediate join);
+receivers copy each record out as ``bytes`` when they read it and decode
+that with :func:`repro.runtime.codec.decode`, so a received array is the
+receiver's own, exactly as on the threaded wire.  Every rank pair is also
 joined by a Unix socketpair — the **spill and control channel**.  It
 carries whatever cannot ride the ring (a frame bigger than half the ring,
 or any frame while the ring is full), so correctness never depends on
@@ -24,20 +25,15 @@ Ring layout (all offsets byte offsets into the pair's region)::
 
     0   head  u64   monotonic byte counter, written by the producer only
     8   tail  u64   monotonic byte counter, written by the consumer only
-    64  data  ring_bytes bytes (REPRO_SHM_RING, default 4 MiB)
+    64  data  ring_bytes bytes (RING_BYTES, 4 MiB)
 
 ``head % ring_bytes`` is the producer's write position.  A record is
 ``32-byte header [tag i64][job u64][seq u64][len u64]`` followed by the
 frame payload padded to 8 bytes; records never wrap — when one would, the
 producer writes an 8-byte wrap sentinel and continues at offset 0.  The
 producer publishes ``head`` only after the whole record is in place; the
-consumer advances ``tail`` only once a record's frame can no longer be
-referenced.  Small frames (<= :data:`RING_COPY_MAX`) are copied out at
-delivery and release their slot immediately; larger frames are delivered
-as :class:`RingFrame` pins and the slot recycles only when the frame
-object *and* every zero-copy array view decoded from it have died
-(tracked by weak references) — an array stashed across rounds therefore
-pins its slot instead of being corrupted by slot reuse.
+consumer copies every published record out and publishes ``tail`` in the
+same :meth:`Ring.poll`, so a slot is free as soon as it has been read.
 
 Frames carry a ``(job, seq)`` stamp: ``seq`` restores per-pair FIFO order
 across the two physical channels (ring and spill socket), and ``job``
@@ -79,14 +75,11 @@ import socket
 import struct
 import threading
 import time
-import weakref
 from collections import deque
 from multiprocessing import shared_memory
 from time import perf_counter
 
 from repro.perf import PERF
-from repro.runtime.codec import decode_view
-from repro.runtime.envflags import env_int
 from repro.runtime.transport import (
     FrameAssembler,
     SimMPIAborted,
@@ -98,19 +91,14 @@ from repro.runtime.transport import (
 
 __all__ = [
     "Ring",
-    "RingFrame",
     "ShmTransport",
     "shm_spmd_run",
     "shutdown_pools",
-    "RING_COPY_MAX",
-    "default_ring_bytes",
+    "RING_BYTES",
 ]
 
-#: ring frames at most this long are copied out at delivery (cheap memcpy,
-#: instant slot recycle); longer frames are pinned zero-copy views.  Kept
-#: at the codec's ZERO_COPY_MIN so every frame that could yield a
-#: zero-copy array view is delivered as a view.
-RING_COPY_MAX = 1024
+#: data bytes of each per-pair ring (a multiple of 8)
+RING_BYTES = 4 << 20
 
 #: bytes reserved at the start of each pair region for the head/tail line
 _RING_HDR = 64
@@ -155,74 +143,27 @@ def _close_quietly(sock) -> None:
         pass
 
 
-def default_ring_bytes() -> int:
-    """Per-pair ring capacity: ``REPRO_SHM_RING`` (bytes), default 4 MiB,
-    floored at 4 KiB and rounded up to a multiple of 8."""
-    n = env_int("REPRO_SHM_RING", 4 << 20)
-    n = max(4096, n)
-    return (n + 7) & ~7
-
-
-class RingFrame:
-    """One in-ring frame delivered zero-copy.
-
-    Wraps a read-only memoryview of ring memory.  :meth:`decode` hands the
-    codec an ``on_view`` hook that collects a weak reference per zero-copy
-    array view; the consumer's ring recycles the slot only once this
-    object and all leased views are dead.
-    """
-
-    __slots__ = ("mv", "leases", "__weakref__")
-
-    def __init__(self, mv):
-        self.mv = mv
-        self.leases = []
-
-    def _lease(self, arr) -> None:
-        self.leases.append(weakref.ref(arr))
-
-    def decode(self):
-        return decode_view(self.mv, on_view=self._lease)
-
-    def __len__(self) -> int:
-        return len(self.mv)
-
-
 class Ring:
-    """Single-producer/single-consumer byte ring over one pair region.
+    """Single-producer/single-consumer byte pipe over one pair region.
 
     Each process constructs its own ``Ring`` over the shared region and
     uses exactly one role: the producer calls :meth:`try_write`, the
-    consumer :meth:`poll`/:meth:`reclaim`.  ``head`` and ``tail`` are
-    monotonic byte counters in shared memory (position = counter modulo
-    capacity), so no reset coordination is ever needed between jobs.
+    consumer :meth:`poll`.  ``head`` and ``tail`` are monotonic byte
+    counters in shared memory (position = counter modulo capacity), so no
+    reset coordination is ever needed between jobs.
     """
 
-    __slots__ = (
-        "_mv",
-        "_data",
-        "_ro",
-        "cap",
-        "_head",
-        "_read",
-        "_tail",
-        "_stored_tail",
-        "_pending",
-    )
+    __slots__ = ("_mv", "_data", "cap", "_head", "_tail")
 
     def __init__(self, region_mv):
         self._mv = region_mv
         self._data = region_mv[_RING_HDR:]
-        self._ro = self._data.toreadonly()
         self.cap = len(region_mv) - _RING_HDR
         self._head = _U64.unpack_from(self._mv, 0)[0]  # producer cursor
         # the consumer resumes at the shared *tail*, never the head: the
         # producer may have been forked first and published records before
         # this side constructed its Ring, and those must still be read
-        self._read = _U64.unpack_from(self._mv, 8)[0]  # consumer cursor
-        self._tail = _U64.unpack_from(self._mv, 8)[0]
-        self._stored_tail = self._tail
-        self._pending = deque()  # (end_counter, frame weakref|None, leases)
+        self._tail = _U64.unpack_from(self._mv, 8)[0]  # consumer cursor
 
     # ------------------------------------------------------------------ #
     # producer
@@ -267,65 +208,29 @@ class Ring:
     # ------------------------------------------------------------------ #
 
     def poll(self, sink) -> None:
-        """Deliver every published record to ``sink(tag, job, seq,
-        payload)`` — payload is ``bytes`` for small frames, a pinned
-        :class:`RingFrame` otherwise — then recycle whatever it can."""
+        """Copy every published record out as ``bytes``, hand it to
+        ``sink(tag, job, seq, payload)``, and publish the tail past all of
+        them, so every slot read here is free when this returns."""
         head = _U64.unpack_from(self._mv, 0)[0]
-        while self._read < head:
-            pos = self._read % self.cap
-            if _I64.unpack_from(self._data, pos)[0] == _WRAP:
-                self._consumed(self._read + self.cap - pos)
-                self._read += self.cap - pos
+        tail = self._tail
+        if tail == head:
+            return
+        data = self._data
+        while tail < head:
+            pos = tail % self.cap
+            if _I64.unpack_from(data, pos)[0] == _WRAP:
+                tail += self.cap - pos
                 continue
-            tag, job, seq, length = _REC.unpack_from(self._data, pos)
+            tag, job, seq, length = _REC.unpack_from(data, pos)
             start = pos + _REC.size
-            end = self._read + _REC.size + ((length + 7) & ~7)
-            if length <= RING_COPY_MAX:
-                payload = bytes(self._data[start : start + length])
-                self._consumed(end)
-            else:
-                payload = RingFrame(self._ro[start : start + length])
-                self._pending.append(
-                    (end, weakref.ref(payload), payload.leases)
-                )
-            self._read = end
+            payload = bytes(data[start : start + length])
+            tail += _REC.size + ((length + 7) & ~7)
             sink(tag, job, seq, payload)
-        self.reclaim()
-
-    def _consumed(self, end: int) -> None:
-        if self._pending:
-            self._pending.append((end, None, ()))
-        else:
-            self._tail = end
-
-    def reclaim(self) -> None:
-        """Advance the shared tail over every leading record whose frame
-        and decoded views are all dead (copy-out records release at once).
-        A frame held across rounds simply keeps its slot pinned — the
-        producer spills past it if the ring fills."""
-        pending = self._pending
-        while pending:
-            end, wref, leases = pending[0]
-            if wref is not None:
-                if wref() is not None:
-                    break
-                if any(w() is not None for w in leases):
-                    break
-            pending.popleft()
-            self._tail = end
-        if self._tail != self._stored_tail:
-            self._stored_tail = self._tail
-            _U64.pack_into(self._mv, 8, self._tail)
-
-    @property
-    def pinned(self) -> int:
-        """Records consumed but not yet recyclable (observability)."""
-        return sum(1 for _, w, _l in self._pending if w is not None)
+        self._tail = tail
+        _U64.pack_into(self._mv, 8, tail)
 
     def release_views(self) -> None:
         """Drop this object's views of the segment (pre-close hygiene)."""
-        self._pending.clear()
-        self._ro.release()
         self._data.release()
         self._mv.release()
 
@@ -333,8 +238,8 @@ class Ring:
 class ShmTransport:
     """The forked backend's wire, one instance per rank process.
 
-    Data frames go ring-first (shared memory, zero-copy receive) and
-    spill to the Unix stream socket shared with the peer; the same
+    Data frames go ring-first (shared memory) and spill to the Unix
+    stream socket shared with the peer; the same
     sockets carry the barrier's control frames, and ``ctrl`` is the
     framed channel to the parent (job dispatch, abort, job-stamped
     release, result).  All sockets are non-blocking, and every wait — a
@@ -347,7 +252,7 @@ class ShmTransport:
     def __init__(self, rank, size, peers, ctrl, rings_in, rings_out):
         self.rank = rank
         self.size = size
-        #: physical-channel counters (frames/bytes per channel, memcpy'd
+        #: physical-channel counters (frames/bytes per channel, copied
         #: bytes), folded into ``stats.wire`` by the worker at end of run
         self.wire = {}
         self._peers = dict(peers)  # rank -> socket shared with that peer
@@ -501,14 +406,11 @@ class ShmTransport:
                 if ring.try_write(tag, self._job, seq, parts, total):
                     wire["ring_frames"] = wire.get("ring_frames", 0) + 1
                     wire["ring_bytes"] = wire.get("ring_bytes", 0) + total
-                    if total <= RING_COPY_MAX:
-                        # the consumer detaches these by copy
-                        wire["copied_bytes"] = (
-                            wire.get("copied_bytes", 0) + total
-                        )
+                    # the consumer copies every record out when it reads it
+                    wire["copied_bytes"] = wire.get("copied_bytes", 0) + total
                     PERF.add("transport.ring", perf_counter() - t0)
                     return
-                # ring full (receiver busy or pinning slots): drain our own
+                # ring full (receiver busy or not yet polled): drain our own
                 # inbound so the global send graph cannot wedge, then retry
                 # briefly before falling through to the spill channel
                 self._drain(0.001)
@@ -661,10 +563,7 @@ class ShmTransport:
         for s in (*self._peers.values(), self._ctrl):
             _close_quietly(s)
         for ring in (*self._rings_in.values(), *self._rings_out.values()):
-            try:
-                ring.release_views()
-            except BufferError:
-                pass  # an application still holds zero-copy views
+            ring.release_views()
 
 
 # ---------------------------------------------------------------------- #
@@ -789,9 +688,9 @@ def _shm_worker_main(rank, size, segment, ring_bytes, pair_socks,
 
         sys.stdout.flush()
         sys.stderr.flush()
-        # skip interpreter teardown: user code may still hold zero-copy
-        # views of the segment, and finalizing those exports would raise
-        # noisy BufferErrors from SharedMemory.close on the way out
+        # leave without multiprocessing's exit path (finalizers, joining
+        # threads a job left behind): the result is reported and every
+        # channel is closed and flushed above, so nothing is left to wait for
         os._exit(0)
 
 
@@ -1044,7 +943,6 @@ def shm_spmd_run(size, fn, args, kwargs, return_stats=False):
     Picklable functions reuse the persistent pool; unpicklable ones run on
     a one-shot fork that inherits them.
     """
-    ring_bytes = default_ring_bytes()
     try:
         blob = pickle.dumps(
             (fn, args, kwargs), protocol=pickle.HIGHEST_PROTOCOL
@@ -1057,12 +955,12 @@ def shm_spmd_run(size, fn, args, kwargs, return_stats=False):
     except Exception:
         blob = None
     if blob is None:
-        run = ShmPool(size, ring_bytes, oneshot=(fn, args, kwargs))
+        run = ShmPool(size, RING_BYTES, oneshot=(fn, args, kwargs))
         try:
             return run.run_job(None, return_stats=return_stats)
         finally:
             run.shutdown()
-    pool = _get_pool(size, ring_bytes)
+    pool = _get_pool(size, RING_BYTES)
     try:
         return pool.run_job(blob, return_stats=return_stats)
     finally:

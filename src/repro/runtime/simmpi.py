@@ -75,7 +75,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.recovery import MembershipChange, PeerCrashed
 from repro.runtime.stats import TrafficStats
-from repro.runtime.shm import RingFrame, shm_spmd_run
+from repro.runtime.shm import shm_spmd_run
 from repro.runtime.transport import (  # noqa: F401  (re-exported API)
     SimMPIAborted,
     SimMPITimeout,
@@ -320,10 +320,7 @@ class SimComm:
 
     def _decode_timed(self, payload):
         tick = perf_counter()
-        if isinstance(payload, RingFrame):
-            obj = payload.decode()  # zero-copy views pin the ring slot
-        else:
-            obj = _decode(payload)
+        obj = _decode(payload)
         PERF.add("codec.decode." + self.phase, perf_counter() - tick)
         return obj
 
@@ -544,9 +541,9 @@ def spmd_run(
     ``transport`` selects the wire backend: ``"thread"`` (the default —
     one thread per rank, in-process queues) or ``"shm"`` (one forked
     process per rank, for real multi-core wall-clock: pooled workers
-    exchanging frames through shared-memory rings with zero-copy receive,
-    sockets as the spill channel; see :mod:`repro.runtime.shm`).  When
-    omitted, the ``REPRO_TRANSPORT`` environment variable decides.  Fault
+    exchanging frames through shared-memory rings, sockets as the spill
+    channel; see :mod:`repro.runtime.shm`).  When omitted, the
+    ``REPRO_TRANSPORT`` environment variable decides.  Fault
     injection and ``recover=True`` are thread-backend features: an
     environment preference for the shm backend falls back to threads,
     while an explicit ``transport="shm"`` with either active raises.  On

@@ -37,9 +37,9 @@ class TrafficStats:
         self.backend = None
         # wire-level channel counters, orthogonal to the logical ledger
         # above: which physical channel each frame actually travelled
-        # (``queue_*`` on thread, ``ring_*`` / ``spill_*`` on shm) plus
-        # ``copied_bytes`` — payload bytes that crossed the channel by
-        # copy rather than as a zero-copy view
+        # (``queue_*`` on thread, ``ring_*`` / ``spill_*`` on shm) plus,
+        # on shm, ``copied_bytes`` — payload bytes copied across the
+        # process boundary (every ring and spill frame, in full)
         self.wire = defaultdict(int)
 
     def record(self, src: int, dst: int, nbytes: int, phase: str) -> None:
@@ -48,13 +48,11 @@ class TrafficStats:
             self.bytes[phase] += nbytes
             self.by_pair[(src, dst)] += 1
 
-    def record_wire(self, channel: str, nbytes: int, copied: int) -> None:
-        """Count one frame on a physical channel: ``nbytes`` on the wire,
-        of which ``copied`` crossed by memcpy (zero for zero-copy views)."""
+    def record_wire(self, channel: str, nbytes: int) -> None:
+        """Count one frame of ``nbytes`` on a physical channel."""
         with self._lock:
             self.wire[channel + "_frames"] += 1
             self.wire[channel + "_bytes"] += nbytes
-            self.wire["copied_bytes"] += copied
 
     def record_round(self, label: str, rnd: int, nbytes: int) -> None:
         """Accumulate ``nbytes`` against round ``rnd`` of an iterative

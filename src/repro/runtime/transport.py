@@ -12,7 +12,8 @@ transport object with four operations:
     length; the transport gathers them once, wherever its frames live (a
     joined ``bytes`` on the queue wire, the ring slot itself on shm).
 ``pull(source, slice_s)``
-    Return the next ``(tag, payload)`` from ``source`` or raise
+    Return the next ``(tag, frame)`` from ``source`` — the frame is
+    ``bytes`` the receiver owns, on every backend — or raise
     :class:`TransportEmpty` after waiting at most ``slice_s`` seconds.
 ``barrier(timeout)``
     Full rendezvous of all ranks.
@@ -214,7 +215,7 @@ class ThreadTransport:
     def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
         # the joined frame crosses by reference — nothing is memcpy'd on
         # this channel
-        self._shared.stats.record_wire("queue", total, 0)
+        self._shared.stats.record_wire("queue", total)
         self._shared.queues[(self._rank, dest)].put((tag, b"".join(parts)))
 
     def pull(self, source: int, slice_s: float):

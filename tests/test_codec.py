@@ -40,18 +40,6 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _arrays_in(obj):
-    """Every ndarray reachable through lists, tuples and dict values."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _arrays_in(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            yield from _arrays_in(item)
-
-
 _dtypes = st.sampled_from(
     [np.int8, np.uint8, np.int32, np.int64, np.float32, np.float64, np.bool_]
 )
@@ -98,8 +86,8 @@ class TestRoundTrip:
         assert out.dtype == arr.dtype
         assert out.shape == arr.shape
         assert np.array_equal(out, arr, equal_nan=True)
-        # receivers own their memory: decoded arrays must be writable
-        assert out.flags.writeable
+        # receivers own their memory: decoded arrays are writable copies
+        assert out.flags.writeable and out.base is None
 
     def test_noncontiguous_array(self):
         arr = np.arange(24).reshape(4, 6)[::2, ::3]
@@ -222,143 +210,19 @@ class TestWireAccounting:
         assert stats.total_bytes == len(encode(payload))
 
 
-class TestZeroCopyViews:
-    """The scatter-gather side of the codec: ``encode_parts`` must
-    produce the exact bytes of ``encode``, and ``decode_view`` must return
-    read-only aliases of the frame buffer for large arrays — aliases that
-    survive the frame's ring slot being pinned, and that ``materialize``
-    detaches into private writable copies."""
+class TestScatterGather:
+    """``encode_parts`` is the send side every transport gathers from: its
+    parts must concatenate to exactly ``encode``'s frame."""
 
     @settings(max_examples=150, deadline=None)
     @given(_payloads)
-    def test_encode_parts_matches_encode_bitwise(self, obj):
+    def test_parts_join_to_the_encoded_frame_bitwise(self, obj):
         from repro.runtime.codec import encode_parts, parts_nbytes
 
         frame = encode(obj)
         parts = encode_parts(obj)
         assert parts_nbytes(parts) == len(frame)
         assert b"".join(parts) == frame
-
-    @settings(max_examples=150, deadline=None)
-    @given(_payloads)
-    def test_decode_view_equals_decode(self, obj):
-        from repro.runtime.codec import decode_view
-
-        frame = encode(obj)
-        out = decode_view(memoryview(frame).toreadonly())
-        assert _same(out, decode(frame))
-
-    @settings(max_examples=60, deadline=None)
-    @given(_payloads)
-    def test_decode_view_of_legacy_pickle_frame(self, obj):
-        """The view decoder rejects a plain pickle (no MAGIC) exactly as
-        ``decode`` does, and accepts the same payload framed by ``encode``."""
-        from repro.runtime.codec import decode_view
-
-        with pytest.raises(ValueError, match="not a typed frame"):
-            decode_view(memoryview(pickle.dumps(obj)).toreadonly())
-        out = decode_view(memoryview(encode(obj)).toreadonly())
-        assert _same(out, obj)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_payloads)
-    def test_memory_ownership_of_both_entry_points(self, obj):
-        """One decoder, two contracts: ``decode`` hands out owned writable
-        arrays; ``decode_view`` hands out read-only frame views for arrays
-        of at least ``ZERO_COPY_MIN`` bytes — each reported to ``on_view``
-        exactly once — and owned copies below it."""
-        from repro.runtime.codec import ZERO_COPY_MIN, decode_view
-
-        edge = ZERO_COPY_MIN // 8  # int64 elements at the threshold
-        obj = [
-            obj,
-            np.arange(edge),
-            (np.arange(edge - 1), {"big": np.arange(2.0 * edge).reshape(2, -1)}),
-        ]
-        frame = encode(obj)
-        for arr in _arrays_in(decode(frame)):
-            assert arr.flags.writeable and arr.base is None
-
-        seen = []
-        out = decode_view(memoryview(frame).toreadonly(), on_view=seen.append)
-        large = [a for a in _arrays_in(out) if a.nbytes >= ZERO_COPY_MIN]
-        assert len(large) == 2
-        assert sorted(map(id, seen)) == sorted(map(id, large))
-        for arr in _arrays_in(out):
-            if arr.nbytes >= ZERO_COPY_MIN:
-                assert not arr.flags.writeable and arr.base is not None
-            else:
-                assert arr.flags.writeable and arr.base is None
-
-    def test_large_array_view_aliases_frame(self):
-        from repro.runtime.codec import ZERO_COPY_MIN, decode_view
-
-        arr = np.arange(ZERO_COPY_MIN // 8 + 64, dtype=np.int64) + 123456789
-        assert arr.nbytes >= ZERO_COPY_MIN
-        frame = bytearray(encode({"a": arr, "small": np.arange(3)}))
-        out = decode_view(memoryview(frame).toreadonly())
-        # the large array is a read-only view of the frame buffer ...
-        assert not out["a"].flags.writeable
-        assert out["a"].base is not None
-        with pytest.raises(ValueError):
-            out["a"][0] = 99
-        # ... proven by aliasing: a frame-buffer poke shows through
-        before = int(out["a"][0])
-        frame[frame.find(arr.tobytes())] ^= 0xFF
-        assert int(out["a"][0]) != before
-        # the small array owns its memory and is writable
-        assert out["small"].flags.writeable
-        out["small"][0] = 5
-
-    def test_views_survive_ring_slot_pinning(self):
-        """A decoded view keeps its ring slot pinned: while the view is
-        alive the producer cannot recycle the slot over it, and the data
-        stays intact; releasing the view releases the slot."""
-        from repro.runtime.codec import encode_parts, parts_nbytes
-        from repro.runtime.shm import Ring
-
-        cap = 8192
-        region = memoryview(bytearray(64 + cap))
-        prod, cons = Ring(region), Ring(region)
-        arr = np.arange(cap // 16, dtype=np.int64)  # ~4 KiB > max_frame/2
-        parts = encode_parts(arr)
-        total = parts_nbytes(parts)
-        assert prod.try_write(1, 1, 0, parts, total)
-        got = []
-        cons.poll(lambda t, j, s, p: got.append(p))
-        [frame] = got
-        got.clear()
-        view = frame.decode()
-        del frame  # only the decoded view pins the slot now
-        cons.reclaim()
-        assert cons.pinned == 1
-        # the producer is refused while the view lives, so no overwrite
-        refused = 0
-        while not prod.try_write(1, 1, 1, parts, total):
-            refused += 1
-            cons.poll(lambda t, j, s, p: got.append(p))
-            if refused > 2:
-                break
-        assert refused > 2, "pinned slot must refuse recycling writes"
-        assert np.array_equal(view, arr)
-        del view
-        cons.reclaim()
-        assert cons.pinned == 0
-        assert prod.try_write(1, 1, 1, parts, total)
-
-    def test_materialize_detaches_views_into_writable_copies(self):
-        from repro.runtime.codec import ZERO_COPY_MIN, decode_view, materialize
-
-        arr = np.arange(ZERO_COPY_MIN, dtype=np.float64)
-        frame = bytearray(encode([arr, "tagged"]))
-        out = decode_view(memoryview(frame).toreadonly())
-        kept = materialize(out)
-        del out
-        frame[:] = b"\x00" * len(frame)  # simulate slot reuse
-        assert kept[1] == "tagged"
-        assert kept[0].flags.writeable
-        assert np.array_equal(kept[0], arr)
-        kept[0][0] = -1.0  # private memory: writable without error
 
 
 class TestFrameAssembly:

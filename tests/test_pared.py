@@ -16,7 +16,7 @@ from repro.pared import (
     run_pared,
     run_workflow,
 )
-from repro.runtime import FaultPlan
+from repro.runtime import FaultPlan, shm
 from repro.runtime.shm import pool_stats, shutdown_pools
 from repro.runtime.simmpi import spmd_run
 from tests.conftest import rank_deltas
@@ -569,7 +569,7 @@ class TestTransportParity:
     ):
         hist_t, stats_t = run_pared(self._cfg("thread", partitioner))
         if route == "spill":
-            monkeypatch.setenv("REPRO_SHM_RING", "4096")
+            monkeypatch.setattr(shm, "RING_BYTES", 4096)
         shutdown_pools()
         try:
             hist_s, stats_s = run_pared(

@@ -2,7 +2,7 @@
 
 The cross-backend *semantics* of shm live in the conformance suite
 (`test_simmpi.py`); this file covers what is unique to the backend: the
-SPSC ring protocol itself (wrap, refusal, zero-copy pinning, the
+SPSC ring protocol itself (copy-out delivery, wrap, refusal, the
 producer-forked-first startup race), the persistent rank pool (reuse,
 poisoning on death, shutdown hygiene), the ring/spill split of the
 data plane and the socket send discipline.
@@ -11,19 +11,20 @@ data plane and the socket send discipline.
 import multiprocessing
 import os
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.runtime import shm
 from repro.runtime.shm import (
     _CTRL_ABORT,
-    RING_COPY_MAX,
     Ring,
-    RingFrame,
     ShmTransport,
-    default_ring_bytes,
     pool_stats,
     shutdown_pools,
 )
@@ -45,6 +46,11 @@ def _collect(ring):
     return got
 
 
+def _counters(region):
+    """The shared ``(head, tail)`` byte counters of a ring region."""
+    return struct.unpack_from("<QQ", region, 0)
+
+
 # ---------------------------------------------------------------------- #
 # the ring protocol
 # ---------------------------------------------------------------------- #
@@ -59,38 +65,28 @@ class TestRing:
         assert (tag, job, seq) == (7, 1, 0)
         assert isinstance(payload, bytes) and payload == b"hello"
 
-    def test_large_record_is_pinned_ringframe(self):
+    def test_large_record_arrives_as_bytes_and_frees_its_slot(self):
         region = _region()
         prod, cons = Ring(region), Ring(region)
-        blob = bytes(range(256)) * 8  # 2048 B > RING_COPY_MAX
-        assert len(blob) > RING_COPY_MAX
+        blob = bytes(range(256)) * 8
         assert prod.try_write(1, 1, 0, (blob,), len(blob))
-        [(_, _, _, frame)] = _collect(cons)
-        assert isinstance(frame, RingFrame)
-        assert bytes(frame.mv) == blob
-        assert frame.mv.readonly
-        # the slot stays pinned while the frame lives ...
-        assert cons.pinned == 1
-        cons.reclaim()
-        assert cons.pinned == 1
-        # ... and recycles once it dies
-        del frame
-        cons.reclaim()
-        assert cons.pinned == 0
+        [(_, _, _, payload)] = _collect(cons)
+        assert isinstance(payload, bytes) and payload == blob
+        # the record was copied out: its slot is free once poll returns
+        head, tail = _counters(region)
+        assert tail == head > 0
 
-    def test_pinned_slot_blocks_overwrite_until_released(self):
+    def test_full_ring_refuses_until_polled(self):
         cap = 4096
         region = _region(cap)
         prod, cons = Ring(region), Ring(region)
-        big = b"x" * (cap // 2 - 64)
+        big = b"x" * prod.max_frame
         assert prod.try_write(1, 1, 0, (big,), len(big))
         assert prod.try_write(1, 1, 1, (big,), len(big))
-        frames = [p for _, _, _, p in _collect(cons)]
-        assert len(frames) == 2
-        # ring now full of pinned slots: a third write must be refused
+        # two unpolled records fill the ring: a third write is refused
         assert not prod.try_write(1, 1, 2, (big,), len(big))
-        del frames
-        cons.reclaim()
+        assert [p for _, _, _, p in _collect(cons)] == [big, big]
+        # one poll freed every slot it read
         assert prod.try_write(1, 1, 2, (big,), len(big))
 
     def test_records_wrap_via_sentinel(self):
@@ -104,10 +100,7 @@ class TestRing:
 
         def take():
             for _, _, seq, payload in _collect(cons):
-                body = payload if isinstance(payload, bytes) else bytes(
-                    payload.mv
-                )
-                assert body == bytes([seq % 256]) * len(body)
+                assert payload == bytes([seq % 256]) * len(payload)
                 delivered.append(seq)
 
         sent = 0
@@ -144,24 +137,49 @@ class TestRing:
         cons = Ring(region)  # constructed after the writes
         got = _collect(cons)
         assert [(t, s) for t, _, s, _ in got] == [(5, 0), (5, 1), (5, 2)]
-        assert [bytes(p) for _, _, _, p in got] == [
-            b"late-0", b"late-1", b"late-2",
-        ]
+        assert [p for _, _, _, p in got] == [b"late-0", b"late-1", b"late-2"]
 
     def test_counters_are_monotonic_across_reuse(self):
         """head/tail never reset: slots recycle by modulo position while
         the shared counters only grow (no cross-job reset coordination)."""
         region = _region(4096)
         prod, cons = Ring(region), Ring(region)
-        import struct
-
         for seq in range(50):
             assert prod.try_write(1, 1, seq, (b"y" * 100,), 100)
             _collect(cons)
-        head = struct.unpack_from("<Q", region, 0)[0]
-        tail = struct.unpack_from("<Q", region, 8)[0]
+        head, tail = _counters(region)
         assert head == tail  # fully drained
         assert head > 4096  # wrapped at least once, counters kept growing
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_sizes_and_polls_arrive_in_order_byte_exact(self, data):
+        """Record sizes drawn from [0, max_frame], written and polled in a
+        random interleaving through a 4 KiB ring: every record arrives
+        once, in order, byte-exact, and a poll leaves tail == head."""
+        region = _region(4096)
+        prod, cons = Ring(region), Ring(region)
+        sizes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=prod.max_frame),
+            min_size=1, max_size=40,
+        ))
+        blobs = [bytes([seq % 251]) * n for seq, n in enumerate(sizes)]
+        got = []
+
+        def poll():
+            got.extend(_collect(cons))
+            head, tail = _counters(region)
+            assert tail == head
+
+        for seq, blob in enumerate(blobs):
+            if not prod.try_write(2, 1, seq, (blob,), len(blob)):
+                poll()  # a polled ring is empty and takes any max_frame
+                assert prod.try_write(2, 1, seq, (blob,), len(blob))
+            if data.draw(st.booleans()):
+                poll()
+        poll()
+        assert [s for _, _, s, _ in got] == list(range(len(blobs)))
+        assert [p for _, _, _, p in got] == blobs
 
 
 # ---------------------------------------------------------------------- #
@@ -279,9 +297,9 @@ class TestRingSpillSplit:
         assert wire.get("spill_frames", 0) == 0
 
     def test_oversized_frame_spills_and_arrives(self):
-        """An 8 MiB frame exceeds half the default 4 MiB ring: it must
-        ride the socket spill channel, bit-exact."""
-        assert (1 << 23) > default_ring_bytes() // 2
+        """An 8 MiB frame exceeds half the 4 MiB ring: it must ride the
+        socket spill channel, bit-exact."""
+        assert (1 << 23) > shm.RING_BYTES // 2
         shutdown_pools()
         res, stats = spmd_run(
             2, _big_frame_prog, transport="shm", return_stats=True
@@ -290,33 +308,30 @@ class TestRingSpillSplit:
         wire = stats.wire_report()
         assert wire.get("spill_frames", 0) >= 1
         assert wire.get("spill_bytes", 0) >= 1 << 23
-        # a spilled frame crosses the socket by memcpy, every byte of it
-        assert wire.get("copied_bytes", 0) >= 1 << 23
+        # a spilled frame crosses the socket, a ring record is copied out
+        # when read: every byte of both is copied exactly once
+        assert wire["copied_bytes"] == (
+            wire.get("ring_bytes", 0) + wire["spill_bytes"]
+        )
 
     def test_tiny_ring_spills_midsize_frames(self, monkeypatch):
-        """REPRO_SHM_RING floors at 4 KiB, a ~2 KiB max_frame: the
-        ~3.3 KiB exchange payloads cannot ride it and the run must
-        transparently complete over the spill channel."""
-        monkeypatch.setenv("REPRO_SHM_RING", "4096")
+        """A 4 KiB ring has a ~2 KiB max_frame: the ~3.3 KiB exchange
+        payloads cannot ride it and the run must transparently complete
+        over the spill channel."""
+        monkeypatch.setattr(shm, "RING_BYTES", 4096)
         shutdown_pools()
         try:
             res, stats = spmd_run(
                 2, _midsize_prog, transport="shm", return_stats=True
             )
             assert res[0] == res[1]
-            assert stats.wire_report().get("spill_frames", 0) > 0
+            wire = stats.wire_report()
+            assert wire.get("spill_frames", 0) > 0
+            assert wire["copied_bytes"] == (
+                wire.get("ring_bytes", 0) + wire["spill_bytes"]
+            )
         finally:
             shutdown_pools()  # do not leave a 4 KiB-ring pool behind
-
-    def test_zero_copy_view_is_read_only(self):
-        shutdown_pools()
-        res, stats = spmd_run(
-            2, _view_prog, transport="shm", return_stats=True
-        )
-        assert res == [True, True]
-        # the 32 KiB frame rode the ring as a view: on the wire, not copied
-        wire = stats.wire_report()
-        assert wire.get("copied_bytes", 0) < 4096 * 8 < wire["ring_bytes"]
 
     def test_wire_counters_name_the_backend_channel(self):
         progs = {"thread": "queue", "shm": "ring"}
@@ -326,22 +341,6 @@ class TestRingSpillSplit:
             )
             wire = stats.wire_report()
             assert wire.get(f"{channel}_frames", 0) > 0, (backend, wire)
-
-
-def _view_prog(comm):
-    comm.set_phase("view")
-    if comm.rank == 0:
-        comm.send(np.arange(4096, dtype=np.int64), 1, tag=4)
-        return True
-    arr = comm.recv(0, tag=4, timeout=30.0)
-    # a ring-delivered array >= ZERO_COPY_MIN is a read-only view of
-    # ring memory; writes must be refused, values must be right
-    ok = not arr.flags.writeable and arr[4095] == 4095
-    try:
-        arr[0] = 1
-        return False
-    except ValueError:
-        return ok
 
 
 # ---------------------------------------------------------------------- #

@@ -106,6 +106,33 @@ class TestPointToPoint:
         res = run(backend, 2, prog)
         assert np.array_equal(res[1], np.arange(100))
 
+    def test_received_arrays_are_private_and_writable(self, backend):
+        """mpi4py's receive contract: the receiver owns what it got.  Rank 1
+        writes into a 32 KiB and a 64-byte array, keeps the large one while
+        5 MiB more — over the 4 MiB shm ring, so its old slot is reused —
+        crosses the same pair, then reads its own writes back."""
+        fill = 160  # 160 frames of 32 KiB: 5 MiB
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(np.arange(4096, dtype=np.int64), 1, tag=1)
+                comm.send(np.arange(8, dtype=np.int64), 1, tag=1)
+                for k in range(fill):
+                    comm.send(np.full(4096, k, dtype=np.int64), 1, tag=2)
+                return None
+            big = comm.recv(0, tag=1)
+            small = comm.recv(0, tag=1)
+            big[:] = -1
+            small[:] = -2
+            streamed = [int(comm.recv(0, tag=2)[-1]) for _ in range(fill)]
+            return (
+                streamed == list(range(fill)),
+                bool((big == -1).all()),
+                bool((small == -2).all()),
+            )
+
+        assert run(backend, 2, prog)[1] == (True, True, True)
+
     def test_large_payload_exceeds_socket_buffer(self, backend):
         """Multi-megabyte frames force partial reads (and, on the forked
         backend's spill socket, blocked non-blocking sends) — reassembly
