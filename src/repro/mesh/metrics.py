@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.mesh.dualgraph import _leaf_adjacency_pairs
+from repro.partition import metrics as partition_metrics
 
 
 def subset_weights(assignment: np.ndarray, p: int, weights=None) -> np.ndarray:
@@ -31,11 +32,7 @@ def subset_weights(assignment: np.ndarray, p: int, weights=None) -> np.ndarray:
 
 def imbalance(assignment: np.ndarray, p: int, weights=None) -> float:
     """``max_i W_i / (W/p) - 1`` — the ε of the balance constraint."""
-    w = subset_weights(assignment, p, weights)
-    mean = w.sum() / p
-    if mean == 0:
-        return 0.0
-    return float(w.max() / mean - 1.0)
+    return partition_metrics.imbalance(subset_weights(assignment, p, weights))
 
 
 def cut_size(mesh, assignment: np.ndarray) -> int:

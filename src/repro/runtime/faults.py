@@ -24,7 +24,7 @@ plan — independent of thread scheduling — so every failing schedule can be
 replayed from its seed.
 
 Injection is a *decorator over the transport seam*
-(:class:`FaultyTransport`, the four operations of
+(:class:`FaultyTransport`, the three operations of
 :mod:`repro.runtime.transport`): ``spmd_run`` wraps each rank's transport
 in one iff a plan is present.  Its ``push_parts`` prepends a fixed ``(seq,
 not_before)`` header part to the frame and pushes it once or twice through
@@ -94,8 +94,8 @@ class FaultPlan:
         than :attr:`recv_timeout` to force at least one retry.
     crash_rank:
         If not ``None``, this rank raises :class:`SimRankCrashed` when its
-        communication-operation counter (sends + receives + barriers)
-        reaches :attr:`crash_at_op`.
+        communication-operation counter (sends + receives, a barrier's
+        token frames included) reaches :attr:`crash_at_op`.
     crash_at_op:
         Operation count at which :attr:`crash_rank` dies.
     recv_timeout:
@@ -165,7 +165,7 @@ class FaultLog:
 
 
 class FaultyTransport:
-    """The plan's wire perturbations, as a decorator over the 4-op seam.
+    """The plan's wire perturbations, as a decorator over the 3-op seam.
 
     ``inner`` is any transport; ``log`` the run's :class:`FaultLog`.
     Physical frames (what ``inner`` pushes, duplicates and the 16-byte
@@ -183,7 +183,6 @@ class FaultyTransport:
         self._next_seq = {}  # src -> next sequence number to deliver
         self._held = {}  # src -> {seq: (tag, not_before, payload)}
         self.aborted = inner.aborted
-        self.barrier = inner.barrier
 
     def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
         plan, log = self._plan, self._log

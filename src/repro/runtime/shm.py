@@ -1,6 +1,6 @@
 """The forked backend of SimMPI: rank processes over shared-memory rings.
 
-This is the second backend behind the 4-op transport seam
+This is the second backend behind the 3-op transport seam
 (:mod:`repro.runtime.transport`): one forked OS process per rank, so
 phases execute on real cores with no GIL serialization.  The data plane
 runs through **shared-memory ring buffers** — one
@@ -11,14 +11,13 @@ segment.  Senders gather codec parts straight into the ring
 receivers copy each record out as ``bytes`` when they read it and decode
 that with :func:`repro.runtime.codec.decode`, so a received array is the
 receiver's own, exactly as on the threaded wire.  Every rank pair is also
-joined by a Unix socketpair — the **spill and control channel**.  It
-carries whatever cannot ride the ring (a frame bigger than half the ring,
-or any frame while the ring is full), so correctness never depends on
-ring capacity, plus the barrier's control frames; a further socketpair
-per rank is the control channel to the parent.  Socket messages are the
-typed codec frames of :mod:`repro.runtime.codec` behind the 16-byte
-``(tag, length)`` header of :data:`~repro.runtime.transport.HEADER`,
-reassembled from partial reads by
+joined by a Unix socketpair — the **spill channel**.  It carries whatever
+cannot ride the ring (a frame bigger than half the ring, or any frame
+while the ring is full), so correctness never depends on ring capacity;
+a further socketpair per rank is the control channel to the parent.
+Socket messages are the typed codec frames of :mod:`repro.runtime.codec`
+behind the 16-byte ``(tag, length)`` header of
+:data:`~repro.runtime.transport.HEADER`, reassembled from partial reads by
 :class:`~repro.runtime.transport.FrameAssembler`.
 
 Ring layout (all offsets byte offsets into the pair's region)::
@@ -38,7 +37,9 @@ same :meth:`Ring.poll`, so a slot is free as soon as it has been read.
 Frames carry a ``(job, seq)`` stamp: ``seq`` restores per-pair FIFO order
 across the two physical channels (ring and spill socket), and ``job``
 isolates pool runs from each other — stragglers of an aborted earlier run
-are dropped, early frames of the next run are held.
+are dropped, early frames of the next run are held.  A barrier is
+ordinary frames (``SimComm.barrier`` is an allgather), so the stamps
+isolate its tokens too.
 
 Why sends never deadlock: sockets are non-blocking, and a sender that
 finds the ring or the kernel buffer full drains its *own* receive side
@@ -73,7 +74,6 @@ import pickle
 import selectors
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from multiprocessing import shared_memory
@@ -115,12 +115,7 @@ _I64 = struct.Struct("<q")
 #: wrap sentinel tag: "rest of the ring is dead space, continue at 0"
 _WRAP = -(2**61)
 
-#: reserved tag for barrier control frames between peers — routed inside
-#: the transport, never surfaced to SimComm, never recorded on the ledger
-_BARRIER_TAG = -(2**62)
-
-# framed control-channel tags (parent <-> worker); disjoint from user tags
-# by magnitude, and from _BARRIER_TAG which never crosses the ctrl channel
+# framed control-channel tags (parent <-> worker), disjoint from user tags
 _CTRL_JOB = -(2**62) + 11
 _CTRL_ABORT = -(2**62) + 12
 _CTRL_RELEASE = -(2**62) + 13
@@ -132,7 +127,7 @@ _PARENT = -1
 #: how long a sender courts a full ring before spilling to the socket
 _RING_PATIENCE = 0.005
 
-#: select slice of the parked loops (between jobs, barrier, release)
+#: select slice of the parked loops (between jobs, release)
 _POLL = 0.05
 
 
@@ -239,13 +234,12 @@ class ShmTransport:
     """The forked backend's wire, one instance per rank process.
 
     Data frames go ring-first (shared memory) and spill to the Unix
-    stream socket shared with the peer; the same
-    sockets carry the barrier's control frames, and ``ctrl`` is the
-    framed channel to the parent (job dispatch, abort, job-stamped
-    release, result).  All sockets are non-blocking, and every wait — a
-    full ring, a full socket buffer, an empty inbox — drains this rank's
-    *own* inbound side into per-source inboxes, so sends always make
-    progress (see the module docstring).  ``(job, seq)`` stamps isolate
+    stream socket shared with the peer; ``ctrl`` is the framed channel to
+    the parent (job dispatch, job-stamped abort and release, result).  All
+    sockets are non-blocking, and every wait — a full ring, a full socket
+    buffer, an empty inbox — drains this rank's *own* inbound side into
+    per-source inboxes, so sends always make progress (see the module
+    docstring).  ``(job, seq)`` stamps isolate
     pooled runs and restore per-pair FIFO order across the two channels.
     """
 
@@ -266,7 +260,6 @@ class ShmTransport:
         self._asm = {r: FrameAssembler() for r in (*self._peers, _PARENT)}
         self._inbox = {r: deque() for r in self._peers}
         self._inbox[rank] = deque()  # self-sends loop back locally
-        self._barrier_seen = {r: 0 for r in self._peers}
         self._eof: set = set()
         self._aborted = False
         self._rings_in = dict(rings_in)  # src  -> Ring (consumer role)
@@ -276,10 +269,13 @@ class ShmTransport:
         self._next_seq = {r: 0 for r in self._rings_in}
         self._held = {r: {} for r in self._rings_in}
         self._early = deque()  # frames stamped for a job we're not in yet
-        self._early_barriers = []
         self._jobs = deque()  # job payloads from the parent, undispatched
         self._parent_gone = False
         self._released_job = 0
+        # an abort can overtake the start of its job (a fast peer failed
+        # while this rank was still parked), so it is job-stamped like the
+        # release and re-applied by begin_job
+        self._aborted_job = 0
         self._sinks = {
             src: (lambda t, j, s, p, _src=src: self._sequence(_src, j, s, t, p))
             for src in self._rings_in
@@ -316,23 +312,20 @@ class ShmTransport:
             ring.poll(self._sinks[src])
 
     def _on_socket_frame(self, src, tag, payload) -> None:
-        """Route one reassembled socket frame: a parent control frame, a
-        peer's barrier stamp, or a spilled (job/seq-prefixed) data frame."""
+        """Route one reassembled socket frame: a parent control frame or a
+        spilled (job/seq-prefixed) data frame."""
         if src == _PARENT:
             if tag == _CTRL_ABORT:
-                self._aborted = True
+                job = _U64.unpack(payload)[0]
+                self._aborted_job = max(self._aborted_job, job)
+                if job == self._job:
+                    self._aborted = True
             elif tag == _CTRL_RELEASE:
                 job = _U64.unpack(payload)[0]
                 if job > self._released_job:
                     self._released_job = job
             elif tag == _CTRL_JOB:
                 self._jobs.append(payload)
-        elif tag == _BARRIER_TAG:
-            job = _U64.unpack(payload)[0]
-            if job == self._job:
-                self._barrier_seen[src] += 1
-            elif job > self._job:
-                self._early_barriers.append((job, src))
         else:
             job, seq = _SPILL.unpack_from(payload, 0)
             self._sequence(src, job, seq, tag, payload[_SPILL.size :])
@@ -362,10 +355,10 @@ class ShmTransport:
 
     def _send_frame(self, sock, frame) -> bool:
         """Write one whole :func:`pack_frame` frame to a non-blocking
-        socket — the only socket send loop on the worker side (spill,
-        barrier and result frames all come through here).  While the far
-        buffer is full we keep draining our own inbound side so the global
-        send graph cannot wedge.  A frame once started is always finished,
+        socket — the only socket send loop on the worker side (spill and
+        result frames both come through here).  While the far buffer is
+        full we keep draining our own inbound side so the global send
+        graph cannot wedge.  A frame once started is always finished,
         even with an abort pending: pooled sockets outlive the job, and the
         stream must stay parseable for the next one — callers check the
         abort flag *before* the first byte.  Returns ``False`` when the far
@@ -464,53 +457,16 @@ class ShmTransport:
     def aborted(self) -> bool:
         return self._aborted
 
-    def barrier(self, timeout: float) -> None:
-        """Flat rendezvous through rank 0 over the sockets, using control
-        frames the traffic ledger never sees (the threaded barrier records
-        none either); job-stamped, so an aborted run's stragglers cannot
-        satisfy the next pooled run's barrier."""
-        if self.size == 1:
-            return
-        deadline = time.monotonic() + timeout
-        if self.rank == 0:
-            for r in self._peers:
-                self._await_barrier_frame(r, deadline)
-            for r in self._peers:
-                self._send_barrier_frame(r)
-        else:
-            self._send_barrier_frame(0)
-            self._await_barrier_frame(0, deadline)
-
-    def _send_barrier_frame(self, dest: int) -> None:
-        self._drain(0)
-        if self._aborted:
-            raise SimMPIAborted("run aborted")
-        if dest in self._eof:
-            return
-        frame = pack_frame(_BARRIER_TAG, _U64.pack(self._job))
-        if not self._send_frame(self._peers[dest], frame):
-            self._eof.add(dest)
-
-    def _await_barrier_frame(self, r: int, deadline: float) -> None:
-        while self._barrier_seen[r] == 0:
-            if self._aborted:
-                raise SimMPIAborted("run aborted")
-            if r in self._eof:
-                raise SimRankDied(f"rank {r} terminated during barrier")
-            if time.monotonic() >= deadline:
-                raise threading.BrokenBarrierError
-            self._drain(_POLL)
-        self._barrier_seen[r] -= 1
-
     # ------------------------------------------------------------------ #
     # run lifecycle (worker side)
     # ------------------------------------------------------------------ #
 
     def begin_job(self, job: int) -> None:
-        """Reset per-run state and replay any frames that arrived early
-        (a peer may start job N+1 while we are still releasing job N)."""
+        """Reset per-run state and replay any frames — or the abort — that
+        arrived early (a peer may start job N+1 while we are still
+        releasing job N)."""
         self._job = job
-        self._aborted = False
+        self._aborted = self._aborted_job == job
         self.wire.clear()
         for box in self._inbox.values():
             box.clear()
@@ -519,17 +475,9 @@ class ShmTransport:
             self._held[r].clear()
         for r in self._out_seq:
             self._out_seq[r] = 0
-        for r in self._barrier_seen:
-            self._barrier_seen[r] = 0
         early, self._early = self._early, deque()
         for j, src, seq, tag, payload in early:
             self._sequence(src, j, seq, tag, payload)
-        early_b, self._early_barriers = self._early_barriers, []
-        for j, src in early_b:
-            if j == job:
-                self._barrier_seen[src] += 1
-            elif j > job:
-                self._early_barriers.append((j, src))
 
     def wait_job(self):
         """Park between runs: keep draining (so peers finishing the last
@@ -795,7 +743,7 @@ class ShmPool:
         asm = [FrameAssembler() for _ in range(size)]
         stats = TrafficStats()
         stats.backend = "shm"
-        abort_frame = pack_frame(_CTRL_ABORT, b"")
+        abort_frame = pack_frame(_CTRL_ABORT, _U64.pack(job))
 
         def abort_all():
             for r, pe in enumerate(self.parent_ends):

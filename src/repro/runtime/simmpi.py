@@ -5,10 +5,10 @@
 :class:`SimComm`, which provides blocking point-to-point ``send``/``recv``
 (tag-matched, per-pair FIFO order) and the collectives PARED uses
 (``bcast``, ``gather``, ``allgather``, ``iallgather``, ``allreduce``,
-``barrier``).  Payloads travel as typed frames of
-:mod:`repro.runtime.codec` — raw numpy buffers plus a small tag header,
-with pickle retained as the fallback leaf for arbitrary objects — and the
-frame size is recorded per phase in a shared
+``barrier`` — every one built from ``send``/``recv``).  Payloads travel
+as typed frames of :mod:`repro.runtime.codec` — raw numpy buffers plus a
+small tag header, with pickle retained as the fallback leaf for arbitrary
+objects — and the frame size is recorded per phase in a shared
 :class:`~repro.runtime.stats.TrafficStats` (the accounting rule is
 unchanged: one record of ``len(frame)`` bytes per logical message).
 Encode, decode and receive-wait time land in :data:`repro.perf.PERF`
@@ -36,20 +36,22 @@ exactly-once in-order delivery guarantee — see :mod:`repro.runtime.faults`.
 The perturbation is a decorator over the transport seam
 (:class:`~repro.runtime.faults.FaultyTransport`); ``SimComm`` keeps only
 the plan's semantics — the crash clock, ticking once per ``send`` /
-``recv`` / ``barrier`` call, and the receive patience.  There is one
-message path either way: with ``faults=None`` (the default) no decorator
-is constructed, so fault support costs nothing when disabled.
+``recv`` call (a barrier's token frames included), and the receive
+patience.  There is one message path either way: with ``faults=None``
+(the default) no decorator is constructed, so fault support costs
+nothing when disabled.
 
 Crash survival: ``spmd_run(..., recover=True)`` converts a rank dying of
 :class:`SimRankCrashed` or :class:`FaultToleranceExhausted` into a
 :class:`~repro.runtime.recovery.MembershipChange` on a shared ledger
 instead of aborting the run.  Surviving ranks observe the change as a
 :class:`~repro.runtime.recovery.PeerCrashed` raised from their next
-blocked receive, sends to dead ranks are silently dropped, and the group
-barrier releases on the live count.  The application decides what recovery
-means (see :mod:`repro.pared.system`); the runtime only guarantees clean,
-typed detection.  With ``recover=False`` (the default) behaviour is
-exactly the original fail-stop semantics.
+blocked receive — a barrier's included — and sends to dead ranks are
+silently dropped; a barrier after ``acknowledge_membership()`` runs over
+the survivors.  The application decides what recovery means (see
+:mod:`repro.pared.system`); the runtime only guarantees clean, typed
+detection.  With ``recover=False`` (the default) behaviour is exactly the
+original fail-stop semantics.
 """
 
 from __future__ import annotations
@@ -88,56 +90,9 @@ from repro.runtime.transport import (  # noqa: F401  (re-exported API)
 
 _DEFAULT_TIMEOUT = 120.0
 
-
-class _LiveBarrier:
-    """Membership-aware rendezvous used when ``recover=True``.
-
-    Releases once every *live* rank is waiting; a death while ranks wait
-    wakes the waiters (via :meth:`wake` from ``mark_dead``) so the lowered
-    live count is re-evaluated instead of deadlocking on a rank that will
-    never arrive.  API-compatible with :class:`threading.Barrier` for the
-    two methods the runtime uses (``wait``/``abort``).
-    """
-
-    def __init__(self, shared: "_Shared"):
-        self._shared = shared
-        self._cond = threading.Condition()
-        self._waiting = 0
-        self._generation = 0
-        self._aborted = False
-
-    def wait(self, timeout: float = None) -> None:
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else _DEFAULT_TIMEOUT
-        )
-        with self._cond:
-            if self._aborted:
-                raise threading.BrokenBarrierError
-            gen = self._generation
-            self._waiting += 1
-            while self._generation == gen:
-                if self._aborted:
-                    raise threading.BrokenBarrierError
-                live = self._shared.size - len(self._shared.dead)
-                if self._waiting >= live:
-                    self._waiting = 0
-                    self._generation += 1
-                    self._cond.notify_all()
-                    return
-                if time.monotonic() >= deadline:
-                    self._waiting -= 1
-                    raise threading.BrokenBarrierError
-                # short tick: re-check the live count even without a wake
-                self._cond.wait(timeout=0.05)
-
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
+#: tag of a barrier's token frames (the other collectives use -1, -2, -4
+#: and -5)
+BARRIER_TAG = -3
 
 
 class _Shared:
@@ -161,11 +116,9 @@ class _Shared:
         self.epoch = 0
         self.membership_events: list = []
         self.membership_lock = threading.Lock()
-        self.barrier = _LiveBarrier(self) if recover else threading.Barrier(size)
 
     def mark_dead(self, rank: int, cause: str, op: int = -1) -> None:
-        """Record a rank's death on the membership ledger (idempotent) and
-        wake any barrier waiters so the live count is re-evaluated."""
+        """Record a rank's death on the membership ledger (idempotent)."""
         with self.membership_lock:
             if rank in self.dead:
                 return
@@ -176,8 +129,6 @@ class _Shared:
             )
         if self.fault_log is not None:
             self.fault_log.record("dead", rank, seq=op)
-        if isinstance(self.barrier, _LiveBarrier):
-            self.barrier.wake()
 
     def events_after(self, epoch: int) -> list:
         with self.membership_lock:
@@ -215,7 +166,7 @@ class SimComm:
         self._shared = shared
         self.rank = rank
         self.size = shared.size
-        # the wire itself: the four operations of repro.runtime.transport
+        # the wire itself: the three operations of repro.runtime.transport
         self._transport = transport
         self.phase = "default"
         # out-of-order tag buffer per source
@@ -515,11 +466,10 @@ class SimComm:
         return acc
 
     def barrier(self) -> None:
-        if self._transport.aborted():
-            raise SimMPIAborted("run aborted")
-        if self._faults is not None:
-            self._count_op()
-        self._transport.barrier(_DEFAULT_TIMEOUT)
+        """Rendezvous of the live ranks: an allgather of ``None`` tokens,
+        whose frames are ordinary messages — aborted, dropped, accounted
+        and turned into :class:`PeerCrashed` like any other."""
+        self.allgather(None, tag=BARRIER_TAG, ranks=self.live_ranks())
 
 
 def spmd_run(
@@ -590,11 +540,9 @@ def spmd_run(
                 shared.mark_dead(rank, cause, op=comm._ops)
             else:
                 shared.abort.set()
-                shared.barrier.abort()
         except BaseException as exc:  # noqa: BLE001 - must not deadlock peers
             errors[rank] = exc
             shared.abort.set()
-            shared.barrier.abort()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}")

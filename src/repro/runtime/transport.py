@@ -3,7 +3,7 @@
 :class:`~repro.runtime.simmpi.SimComm` owns everything *semantic* about
 message passing — tag matching, the stash, collectives, phase accounting,
 the crash clock and membership — and delegates the raw wire to a
-transport object with four operations:
+transport object with three operations:
 
 ``push_parts(dest, tag, parts, total)``
     Put one framed message on the wire (non-blocking, buffered).
@@ -15,32 +15,29 @@ transport object with four operations:
     Return the next ``(tag, frame)`` from ``source`` — the frame is
     ``bytes`` the receiver owns, on every backend — or raise
     :class:`TransportEmpty` after waiting at most ``slice_s`` seconds.
-``barrier(timeout)``
-    Full rendezvous of all ranks.
 ``aborted()``
     True once the run is cancelled (a peer failed).
 
-The seam is deliberately small: even the pairwise collectives
-(recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``)
-are built entirely from these four operations.  ``push_parts`` being
-non-blocking and buffered is what makes ``iallgather`` legal — a rank
-posts all its first-step frames immediately and returns a ``Request``;
-the deferred ``wait()`` only ever *pulls*, so no new wire primitive
-(and no per-backend code) was needed for overlap.
+The seam is deliberately small: every collective — the pairwise
+recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``,
+and ``barrier``, an allgather of ``None`` tokens — is built entirely
+from these three operations.  ``push_parts`` being non-blocking and
+buffered is what makes ``iallgather`` legal — a rank posts all its
+first-step frames immediately and returns a ``Request``; the deferred
+``wait()`` only ever *pulls*, so no new wire primitive (and no
+per-backend code) was needed for overlap.
 
 Two backends implement the seam (:data:`BACKENDS`):
 
 * :class:`ThreadTransport` — the in-process wire: one ``queue.Queue`` per
-  ordered rank pair, a ``threading.Barrier``, the shared abort event.
-  This is the default and the only backend that supports fault injection
-  and crash recovery.
+  ordered rank pair and the shared abort event.  This is the default and
+  the only backend that supports fault injection and crash recovery.
 * :class:`~repro.runtime.shm.ShmTransport` — the forked backend: one OS
   process per rank (pooled, or a one-shot fork for unpicklable jobs),
   frames through per-rank-pair shared-memory rings with a Unix socketpair
-  per pair as the spill and control channel.  See
-  :mod:`repro.runtime.shm`.
+  per pair as the spill channel.  See :mod:`repro.runtime.shm`.
 
-Fault injection is a *decorator* over the same four operations
+Fault injection is a *decorator* over the same three operations
 (:class:`~repro.runtime.faults.FaultyTransport`, wrapped around a rank's
 transport by ``spmd_run`` iff a plan is present): it never looks behind
 the seam, and ``SimComm`` never looks at it.
@@ -62,7 +59,6 @@ from __future__ import annotations
 
 import queue
 import struct
-import threading
 import warnings
 
 from repro.runtime.envflags import env_choice
@@ -229,9 +225,6 @@ class ThreadTransport:
     def aborted(self) -> bool:
         return self._shared.abort.is_set()
 
-    def barrier(self, timeout: float) -> None:
-        self._shared.barrier.wait(timeout=timeout)
-
 
 def finish_spmd_run(results, errors, deaths, stats, return_stats):
     """Apply a finished run's error precedence and return shape (both
@@ -241,26 +234,22 @@ def finish_spmd_run(results, errors, deaths, stats, return_stats):
     dying, or every rank of a ``recover=True`` run — and surface first,
     typed and clean; survivors' SimRankDied views of the same death are
     its consequences.  Otherwise the lowest-rank *primary* error wins:
-    SimMPIAborted and BrokenBarrierError on peers are consequences of the
-    abort, not causes.  A plan-injected crash is an expected diagnostic,
-    not a wrapped failure, and is re-raised as itself.
+    SimMPIAborted on peers is a consequence of the abort, not a cause.  A
+    plan-injected crash is an expected diagnostic, not a wrapped failure,
+    and is re-raised as itself.
     """
     if deaths:
         raise deaths[0]
-    secondary = (SimMPIAborted, threading.BrokenBarrierError)
     primary = [
         (r, e)
         for r, e in enumerate(errors)
-        if e is not None and not isinstance(e, secondary)
+        if e is not None and not isinstance(e, SimMPIAborted)
     ]
     if primary:
         rank, exc = primary[0]
         if isinstance(exc, SimRankCrashed):
             raise exc
         raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    for rank, exc in enumerate(errors):
-        if exc is not None and not isinstance(exc, SimMPIAborted):
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
     if return_stats:
         return results, stats
     return results

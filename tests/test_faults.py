@@ -128,56 +128,98 @@ _PIN_PLANS = {
 }
 
 #: the complete ``FaultLog.events`` of ``spmd_run(3, _pingpong)`` per (plan,
-#: seed), captured at the commit *before* injection became a decorator over
+#: seed), as ``(data, tokens)``.  One token per event; kind initial (r/d/l =
+#: reorder/duplicate/delay), and ``attempt`` is -1 throughout.
+#:
+#: ``data`` — rank 0's twelve messages (source 0, channel seq < 12) in log
+#: order, captured at the commit *before* injection became a decorator over
 #: the transport seam (PR 21's parent, where ``SimComm._send_faulty`` wrote
-#: envelopes into the queues itself).  One token per event, in log order:
-#: kind initial (r/d/l = reorder/duplicate/delay), destination, ``.``,
-#: channel sequence number; the source is rank 0 (the only sender, so the
-#: order is its program order) and ``attempt`` is -1 throughout.
+#: envelopes into the queues itself): destination, ``.``, channel seq.
+#:
+#: ``tokens`` — the closing barrier's token frames (an allgather over a
+#: ring of three: each rank sends two to its right neighbour), captured
+#: when the barrier became one: source, destination, ``.``, channel seq,
+#: grouped by source.  Each sender logs its own channels in program order;
+#: the senders interleave by schedule, so only per-source order is pinned.
 _PINNED = {
-    ("reorder", 3): "r1.1 r2.1 r1.3 r1.4 r2.4 r2.5 r1.6 r1.7 r2.8 r1.10 r1.11 r2.11",
-    ("reorder", 11): "r2.0 r1.1 r1.2 r2.2 r2.3 r2.4 r1.5 r2.7 r1.8 r2.8 r1.9 r2.9 r2.10 r2.11",
-    ("reorder", 29): "r1.0 r2.0 r1.1 r2.1 r2.2 r2.3 r1.5 r1.6 r1.7 r2.8 r1.11 r2.11",
-    ("duplicate", 3): "d1.0 d1.1 d2.3 d2.4 d1.7 d1.9 d1.10 d1.11",
-    ("duplicate", 11): "d2.1 d1.2 d1.3 d2.4 d2.7 d1.8 d1.11 d2.11",
-    ("duplicate", 29): "d1.1 d2.2 d2.3 d2.4 d2.5 d1.6 d2.7 d1.8 d1.10 d2.10 d2.11",
-    ("delay", 3): "l2.1 l2.4 l2.5 l2.7 l1.8 l2.8",
-    ("delay", 11): "l2.6 l1.8 l1.9",
-    ("delay", 29): "l1.0 l2.0 l2.6 l1.8 l2.9",
-    ("combined", 3): "d1.0 r1.1 d1.1 l2.1 r1.3 d2.3 r1.4 l2.4 d2.4 l2.5 r1.6 r1.7 d1.7 l2.7 l1.8 l2.8 d1.9 r1.10 d1.10 r1.11 d1.11 r2.11",
-    ("combined", 11): "r2.0 r1.1 d2.1 r1.2 d1.2 r2.2 d1.3 r2.3 r2.4 d2.4 r1.5 l2.6 r2.7 d2.7 l1.8 d1.8 r2.8 l1.9 r2.9 r2.10 d1.11 r2.11 d2.11",
-    ("combined", 29): "l1.0 l2.0 r1.1 d1.1 r2.1 r2.2 d2.2 r2.3 d2.3 d2.4 r1.5 d2.5 r1.6 d1.6 l2.6 r1.7 d2.7 l1.8 d1.8 r2.8 l2.9 d1.10 d2.10 r1.11 r2.11 d2.11",
+    ("reorder", 3): (
+        "r1.1 r2.1 r1.3 r1.4 r2.4 r2.5 r1.6 r1.7 r2.8 r1.10 r1.11 r2.11",
+        "r20.0",
+    ),
+    ("reorder", 11): (
+        "r2.0 r1.1 r1.2 r2.2 r2.3 r2.4 r1.5 r2.7 r1.8 r2.8 r1.9 r2.9 r2.10 r2.11",
+        "r01.12 r20.0 r20.1",
+    ),
+    ("reorder", 29): (
+        "r1.0 r2.0 r1.1 r2.1 r2.2 r2.3 r1.5 r1.6 r1.7 r2.8 r1.11 r2.11",
+        "r20.0 r20.1",
+    ),
+    ("duplicate", 3): (
+        "d1.0 d1.1 d2.3 d2.4 d1.7 d1.9 d1.10 d1.11",
+        "d01.12 d01.13 d12.1 d20.0",
+    ),
+    ("duplicate", 11): ("d2.1 d1.2 d1.3 d2.4 d2.7 d1.8 d1.11 d2.11", ""),
+    ("duplicate", 29): (
+        "d1.1 d2.2 d2.3 d2.4 d2.5 d1.6 d2.7 d1.8 d1.10 d2.10 d2.11",
+        "d01.12 d12.1",
+    ),
+    ("delay", 3): ("l2.1 l2.4 l2.5 l2.7 l1.8 l2.8", ""),
+    ("delay", 11): ("l2.6 l1.8 l1.9", ""),
+    ("delay", 29): ("l1.0 l2.0 l2.6 l1.8 l2.9", "l20.1"),
+    ("combined", 3): (
+        "d1.0 r1.1 d1.1 l2.1 r1.3 d2.3 r1.4 l2.4 d2.4 l2.5 r1.6 r1.7 d1.7 l2.7 l1.8 l2.8 d1.9 r1.10 d1.10 r1.11 d1.11 r2.11",
+        "d01.12 d01.13 d12.1 r20.0 d20.0",
+    ),
+    ("combined", 11): (
+        "r2.0 r1.1 d2.1 r1.2 d1.2 r2.2 d1.3 r2.3 r2.4 d2.4 r1.5 l2.6 r2.7 d2.7 l1.8 d1.8 r2.8 l1.9 r2.9 r2.10 d1.11 r2.11 d2.11",
+        "r01.12 r20.0 r20.1",
+    ),
+    ("combined", 29): (
+        "l1.0 l2.0 r1.1 d1.1 r2.1 r2.2 d2.2 r2.3 d2.3 d2.4 r1.5 d2.5 r1.6 d1.6 l2.6 r1.7 d2.7 l1.8 d1.8 r2.8 l2.9 d1.10 d2.10 r1.11 r2.11 d2.11",
+        "d01.12 d12.1 r20.0 l20.1",
+    ),
 }
 
 _KINDS = {"r": "reorder", "d": "duplicate", "l": "delay"}
 
 
-def _expand(tokens: str) -> list:
-    return [
-        (_KINDS[t[0]], 0, int(t[1]), int(t[3:]), -1) for t in tokens.split()
-    ]
+def _expand(tokens: str, sourced: bool = False) -> list:
+    """Events of a pin string; without ``sourced`` the source is rank 0."""
+    events = []
+    for t in tokens.split():
+        src, t = (int(t[1]), t[0] + t[2:]) if sourced else (0, t)
+        events.append((_KINDS[t[0]], src, int(t[1]), int(t[3:]), -1))
+    return events
 
 
 class TestPinnedLogs:
-    """Same faults, event for event, as the pre-decorator implementation."""
+    """Same data-message faults, event for event, as the pre-decorator
+    implementation, plus the barrier's token frames."""
 
     @pytest.mark.parametrize("shape,seed", sorted(_PINNED))
     def test_event_log_matches_parent(self, shape, seed):
         plan = FaultPlan(seed=seed, **_PIN_PLANS[shape])
         results, stats = spmd_run(3, _pingpong, return_stats=True, faults=plan)
-        assert stats.fault_log.events == _expand(_PINNED[(shape, seed)])
+        data, tokens = _PINNED[(shape, seed)]
+        events = stats.fault_log.events
+        is_data = [e[1] == 0 and e[3] < 12 for e in events]
+        assert [e for e, d in zip(events, is_data) if d] == _expand(data)
+        barrier = [e for e, d in zip(events, is_data) if not d]
+        # a stable sort by source keeps each sender's program order
+        assert sorted(barrier, key=lambda e: e[1]) == _expand(tokens, True)
         assert results == spmd_run(3, _pingpong)
         # physical frames are what the decorator really pushed: one per
         # message plus one per duplicate, each 16 header bytes longer than
-        # the logical frame the ledger recorded (once) above the seam
+        # the logical frame the ledger recorded (once) above the seam; the
+        # barrier adds two token messages per rank
         wire = stats.wire_report()
-        assert stats.total_messages == 24
-        assert wire["queue_frames"] == 24 + stats.fault_log.count("duplicate")
+        assert stats.total_messages == 24 + 6
+        assert wire["queue_frames"] == 30 + stats.fault_log.count("duplicate")
         assert wire["queue_bytes"] > stats.total_bytes
 
 
 class _FakeWire:
-    """A 20-line in-memory implementation of the four seam operations —
+    """A 20-line in-memory implementation of the three seam operations —
     no ``_Shared``, no queues, no threads.  ``pull`` on an empty channel
     sleeps out its slice like a real wire would."""
 
@@ -196,16 +238,13 @@ class _FakeWire:
             raise TransportEmpty()
         return box.popleft()
 
-    def barrier(self, timeout):
-        self.calls.append(("barrier", timeout))
-
     def aborted(self):
         self.calls.append(("aborted",))
         return False
 
 
 class TestSeamConformance:
-    """``FaultyTransport`` needs nothing but the four operations."""
+    """``FaultyTransport`` needs nothing but the three operations."""
 
     def test_exactly_once_fifo_holds_and_dedup_over_a_fake_seam(self):
         plan = FaultPlan(
@@ -246,10 +285,11 @@ class TestSeamConformance:
         for kind, _, _, seq, _ in log.events:
             if kind in hold:
                 assert got_at[seq] - pushed_at[seq] >= hold[kind]
-        # the other two operations are the inner transport's own
-        rx.barrier(3.0)
+        # ``aborted`` is the inner transport's own, and there is no barrier
+        # on the seam to pass through: SimComm's is token messages
         assert rx.aborted() is False
-        assert calls == [("barrier", 3.0), ("aborted",)]
+        assert calls == [("aborted",)]
+        assert not hasattr(rx, "barrier")
 
 
 class TestZeroOverhead:
@@ -305,6 +345,7 @@ class TestErrorPrecedence:
         assert isinstance(ei.value.__cause__, ValueError)
 
     def test_injected_crash_alone_surfaces_bare(self):
+        # op 1 is the send of rank 1's barrier token
         with pytest.raises(SimRankCrashed, match="communication op 1") as ei:
             spmd_run(2, lambda comm: comm.barrier(), faults=self.CRASH_1)
         assert type(ei.value) is SimRankCrashed

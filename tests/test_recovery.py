@@ -4,6 +4,8 @@ partition no matter which rank dies, and two same-seed runs must recover
 bit-identically.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,7 @@ from repro.runtime import (
     expand_owner,
     spmd_run,
 )
-from repro.runtime.recovery import NO_CHECKPOINT
+from repro.runtime.recovery import NO_CHECKPOINT, flush_channels
 from repro.testing import (
     InvariantViolation,
     check_history_agreement,
@@ -248,6 +250,36 @@ class TestMembershipRuntime:
 
         results = spmd_run(2, prog, faults=plan, recover=True)
         assert results[0] == [1]
+
+    def test_blocked_barrier_raises_then_runs_over_survivors(self):
+        """A survivor blocked in ``barrier()`` when a peer dies gets
+        :class:`PeerCrashed` like any other blocked receive — the barrier
+        does not quietly release on the lowered live count — and once it
+        has acknowledged the death, a barrier over the survivors
+        completes.  The interrupted barrier's tokens are messages like any
+        other, so the survivors flush them first (the recovery protocol's
+        rendezvous): a fast survivor's new token must not land in a slow
+        one's old barrier."""
+        plan = FaultPlan(seed=0, crash_rank=1, crash_at_op=1)
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(0.2)  # the others are blocked in the barrier
+                comm.barrier()  # op 1, its first token send: dies
+                return "unreachable"
+            try:
+                comm.barrier()
+            except PeerCrashed as e:
+                dead = [ev.rank for ev in e.events]
+            else:
+                return "released without rank 1"
+            comm.acknowledge_membership()
+            flush_channels(comm, comm.live_ranks(), comm.ack_epoch)
+            comm.barrier()
+            return dead, comm.live_ranks()
+
+        results = spmd_run(3, prog, faults=plan, recover=True)
+        assert results == [([1], [0, 2]), None, ([1], [0, 2])]
 
     def test_recover_false_keeps_failstop_semantics(self):
         cfg = _cfg(

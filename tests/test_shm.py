@@ -275,10 +275,37 @@ class TestShmPool:
         assert pool_stats()[2][0] == 3
 
 
+    def test_aborted_barrier_leaks_no_token_into_the_next_job(self):
+        """Rank 0's barrier token of an aborted pooled job must not release
+        the next job's barrier early: the ``(job, seq)`` stamps drop it."""
+        shutdown_pools()
+        with pytest.raises(RuntimeError, match="rank 1 failed"):
+            spmd_run(2, _raise_after_peer_barrier_prog, transport="shm")
+        waited = spmd_run(2, _late_barrier_prog, transport="shm")[0]
+        assert waited >= 0.15
+        assert pool_stats()[2][0] == 2  # both jobs ran on one pool
+
+
 def _raise_prog(comm):
     if comm.rank == 1:
         raise RuntimeError("job-level boom")
     comm.barrier()
+
+
+def _raise_after_peer_barrier_prog(comm):
+    if comm.rank == 1:
+        time.sleep(0.1)  # rank 0 is in its barrier: its token is out
+        raise RuntimeError("boom before the barrier")
+    comm.barrier()
+
+
+def _late_barrier_prog(comm):
+    """Rank 0's barrier wait, with rank 1 arriving 0.2 s late."""
+    if comm.rank == 1:
+        time.sleep(0.2)
+    t0 = time.monotonic()
+    comm.barrier()
+    return time.monotonic() - t0
 
 
 # ---------------------------------------------------------------------- #
@@ -371,7 +398,7 @@ class TestSendDiscipline:
         thread = threading.Thread(target=reader, daemon=True)
         try:
             # read by the drain of the first blocked send
-            parent.sendall(pack_frame(_CTRL_ABORT, b""))
+            parent.sendall(pack_frame(_CTRL_ABORT, struct.pack("<Q", 0)))
             thread.start()
             assert transport._send_frame(near, pack_frame(7, body))
             assert transport.aborted()
@@ -383,3 +410,25 @@ class TestSendDiscipline:
             far.close()
             parent.close()
         assert got == [(7, body), (8, b"next job")]
+
+
+class TestControlFrames:
+    def test_abort_that_overtakes_its_job_is_applied(self):
+        """A fast peer fails job 2 while this rank is still parked after
+        job 1, so job 2's abort arrives before ``begin_job(2)``: the job
+        must start aborted (not wait out its receive timeout), and job 3
+        must not inherit the abort."""
+        ctrl, parent = socket.socketpair()
+        transport = ShmTransport(0, 2, {}, ctrl, {}, {})
+        try:
+            transport.begin_job(1)
+            parent.sendall(pack_frame(_CTRL_ABORT, struct.pack("<Q", 2)))
+            transport._drain(5.0)
+            assert not transport.aborted()  # job 1 is not the one cancelled
+            transport.begin_job(2)
+            assert transport.aborted()
+            transport.begin_job(3)
+            assert not transport.aborted()
+        finally:
+            transport.close()
+            parent.close()

@@ -570,7 +570,8 @@ class TestLedgerConformance:
         payload = comm.bcast(
             np.arange(comm.size) if comm.rank == 0 else None, root=0, tag=30
         )
-        comm.barrier()  # barriers are control traffic: never on the ledger
+        # a barrier's token frames are logical messages, on every backend
+        comm.barrier()
         return int(payload.sum())
 
     def test_ledger_identical_across_backends(self):
