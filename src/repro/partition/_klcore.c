@@ -1,10 +1,18 @@
 /* Compiled core of the multilevel V-cycle: heavy-edge matching, graph
- * contraction and the whole p-way KL refinement.  Each kernel has a
- * numpy/Python reference that stays the fallback and the parity oracle:
+ * contraction, the whole p-way KL refinement, and the two fused entries
+ * that run a V-cycle in two calls.  Each kernel has a numpy/Python
+ * reference that stays the fallback and the parity oracle:
  *
- *   hem_match   ~ repro.graph.matching._match_rounds
- *   contract    ~ repro.graph.contract._contract_py
- *   kl_refine   ~ repro.partition.kl._kl_refine_py
+ *   hem_match          ~ repro.graph.matching._match_rounds
+ *   contract           ~ repro.graph.contract._contract_py
+ *   kl_refine          ~ repro.partition.kl._kl_refine_py
+ *   pcg64_permutation  ~ numpy.random.default_rng(seed).permutation(m)
+ *   coarsen            ~ repro.partition.multilevel.build_hierarchy
+ *                        (heavy_edge_matching's filter and tie order,
+ *                        contract, _project_down)
+ *   refine             ~ repro.partition.multilevel.v_cycle as configured by
+ *                        multilevel_partition / multilevel_repartition, with
+ *                        the latter's repartition_cost identity guard
  *
  * and every kernel must stay *bit-identical* to its reference
  * (tests/test_multilevel_native.py, tests/test_kl_native.py).
@@ -15,30 +23,43 @@
  * scan in descending rank build the same matching (the best surviving edge
  * is always mutual; induct on rounds), so the scan needs no float at all.
  *
+ * pcg64_permutation: numpy's Generator.permutation(m) is a Fisher-Yates
+ * shuffle of arange(m) from the top, each index drawn by random_interval
+ * (masked rejection over 32-bit draws, two per 64-bit PCG64 output).  The
+ * port starts from the state numpy's seeding produced (read once per seed
+ * in Python), so the tie order of every matching is numpy's; the wrapper
+ * checks a few draws against numpy when the core loads and disables the
+ * fused entries on any mismatch.
+ *
  * kl_refine: the Python engine orders its heap by the tuple (-gain,
  * counter): the counter is unique, so the ordering is *total* and the pop
  * sequence is independent of the heap's internal layout.  This kernel
  * assigns counters in the same program order and compares (key, counter)
- * the same way, so any correct binary heap — including this one — pops in
- * exactly the order heapq does.  All gain arithmetic is IEEE double in the
- * same operation order as the Python expressions (no -ffast-math, no FMA
- * contraction; see _klnative.py), so keys are bit-identical and the chosen
- * moves match the pure path exactly.
+ * the same way, so any correct heap — including this 4-ary one — pops in
+ * exactly the order heapq's binary heap does.  All gain arithmetic is IEEE
+ * double in the same operation order as the Python expressions (no
+ * -ffast-math, no FMA contraction; see _klnative.py), so keys are
+ * bit-identical and the chosen moves match the pure path exactly.
  *
  * Summation-order rule: wherever the reference reduces floats with numpy,
  * the kernel reduces in numpy's order.  ``bincount`` adds sequentially in
  * index order; ``ndarray.sum()`` is ``pairwise_sum`` below over the whole
  * array; ``np.add.reduceat`` is ``first + pairwise_sum(rest)`` per segment.
  *
- * Every kernel writes only to caller-provided output buffers; the two that
- * allocate scratch return a negative status if that failed, and the caller
- * then falls back to the reference on its untouched inputs.
+ * Every kernel writes only to caller-provided output buffers.  A kernel
+ * that allocates scratch returns KL_REFERENCE if that failed, and the
+ * caller then falls back to the reference on its untouched inputs;
+ * ``coarsen`` returns KL_GROW when an output buffer is too small, and the
+ * caller grows them all and calls again.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
+
+#define KL_REFERENCE (-1) /* the caller runs its reference */
+#define KL_GROW (-2)      /* an output buffer is too small: grow, call again */
 
 /* ------------------------------------------------------------------ */
 /* allocation (with a test hook that makes the k-th request fail)      */
@@ -57,6 +78,13 @@ static void *xrealloc(void *ptr, size_t size)
 }
 
 #define ALLOC(type, count) ((type *)xrealloc(NULL, (size_t)(count) * sizeof(type)))
+
+static double now_s(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
 
 /* ------------------------------------------------------------------ */
 /* numpy's pairwise summation (loops_utils.h.src), contiguous doubles  */
@@ -89,16 +117,115 @@ static double pairwise_sum(const double *a, int64_t n)
     }
 }
 
+/* np.bincount(asg, weights=vw, minlength=p): sequential, index order */
+static void part_weights(int64_t n, int64_t p, const int64_t *asg,
+                         const double *vw, double *w)
+{
+    int64_t v, s;
+    for (s = 0; s < p; s++)
+        w[s] = 0.0;
+    for (v = 0; v < n; v++)
+        w[asg[v]] += vw[v];
+}
+
+/* ------------------------------------------------------------------ */
+/* numpy's PCG64 (XSL-RR 128/64) and Generator.permutation             */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    uint64_t hi, lo, inc_hi, inc_lo;
+    int has32;
+    uint32_t buf32;
+} pcg64;
+
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+
+static uint64_t mulhi64(uint64_t a, uint64_t b)
+{
+    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* state = state * MULT + inc (mod 2^128), then XSL-RR of the new state */
+static uint64_t pcg_next64(pcg64 *g)
+{
+    uint64_t lo = g->lo * PCG_MULT_LO;
+    uint64_t hi = mulhi64(g->lo, PCG_MULT_LO) + g->lo * PCG_MULT_HI +
+                  g->hi * PCG_MULT_LO;
+    uint64_t x;
+    unsigned rot;
+    g->lo = lo + g->inc_lo;
+    g->hi = hi + g->inc_hi + (g->lo < lo);
+    x = g->hi ^ g->lo;
+    rot = (unsigned)(g->hi >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* the low half of a 64-bit draw now, the high half on the next call */
+static uint32_t pcg_next32(pcg64 *g)
+{
+    uint64_t next;
+    if (g->has32) {
+        g->has32 = 0;
+        return g->buf32;
+    }
+    next = pcg_next64(g);
+    g->has32 = 1;
+    g->buf32 = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* numpy's random_interval: uniform on [0, max] by masked rejection */
+static uint64_t random_interval(pcg64 *g, uint64_t max)
+{
+    uint64_t mask = max, value;
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (pcg_next32(g) & mask)) > max)
+            ;
+    } else {
+        while ((value = (pcg_next64(g) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* default_rng(seed).permutation(m) into ``out``, from that generator's
+ * state ``st`` = (state_hi, state_lo, inc_hi, inc_lo) */
+void pcg64_permutation(const uint64_t *st, int64_t m, int64_t *out)
+{
+    pcg64 g = {st[0], st[1], st[2], st[3], 0, 0};
+    int64_t i;
+    for (i = 0; i < m; i++)
+        out[i] = i;
+    for (i = m - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(&g, (uint64_t)i), t = out[i];
+        out[i] = out[j];
+        out[j] = t;
+    }
+}
+
 /* ------------------------------------------------------------------ */
 /* heavy-edge matching: one greedy scan in descending rank             */
 /* ------------------------------------------------------------------ */
 
 /* ``order`` lists the m candidate edges (es[e], ed[e]) by ascending
- * priority; ``match`` receives the involution (unmatched: itself). */
-void hem_match(int64_t n, int64_t m, const int64_t *es, const int64_t *ed,
-               const int64_t *order, int64_t *match)
+ * priority; ``match`` receives the involution (unmatched: itself).
+ * Returns the number of matched vertices. */
+int64_t hem_match(int64_t n, int64_t m, const int64_t *es, const int64_t *ed,
+                  const int64_t *order, int64_t *match)
 {
-    int64_t t, v;
+    int64_t t, v, matched = 0;
     for (v = 0; v < n; v++)
         match[v] = -1;
     for (t = m - 1; t >= 0; t--) {
@@ -106,11 +233,13 @@ void hem_match(int64_t n, int64_t m, const int64_t *es, const int64_t *ed,
         if (match[a] < 0 && match[b] < 0) {
             match[a] = b;
             match[b] = a;
+            matched += 2;
         }
     }
     for (v = 0; v < n; v++)
         if (match[v] < 0)
             match[v] = v;
+    return matched;
 }
 
 /* ------------------------------------------------------------------ */
@@ -138,28 +267,29 @@ static void sort_i64(int64_t *a, int64_t n)
     }
 }
 
-/* Collapse ``match``.  Outputs: cmap[n], cvw[n] (coarse vertex weights),
- * cxadj[n+1], cadj/cew[nnz] (coarse CSR, rows and neighbours ascending —
- * exactly what WeightedGraph.from_edges emits for the reference's edge
- * list, parallel edges summed in reduceat's order: the entries of the
- * *lower* coarse endpoint's fine rows, in CSR order).  Returns the number
- * of coarse vertices, or -1 if the reference must run instead (``match``
- * is not an involution, the adjacency is asymmetric, or an allocation
- * failed). */
-int64_t contract(int64_t n, const int64_t *xadj, const int64_t *adjncy,
-                 const double *ewts, const double *vwts, const int64_t *match,
-                 int64_t *cmap, double *cvw, int64_t *cxadj, int64_t *cadj,
-                 double *cew)
+/* Collapse ``match`` into cmap[n], cvw[nc], cxadj[nc+1] and at most
+ * ``cap_e`` entries of cadj/cew (coarse CSR, rows and neighbours
+ * ascending — exactly what WeightedGraph.from_edges emits for the
+ * reference's edge list, parallel edges summed in reduceat's order: the
+ * entries of the *lower* coarse endpoint's fine rows, in CSR order).
+ * Returns the number of coarse vertices; KL_REFERENCE if ``match`` is not
+ * an involution, the adjacency is asymmetric or an allocation failed;
+ * KL_GROW if the coarse CSR needs more than ``cap_e`` entries. */
+static int64_t contract_into(int64_t n, const int64_t *xadj,
+                             const int64_t *adjncy, const double *ewts,
+                             const double *vwts, const int64_t *match,
+                             int64_t *cmap, double *cvw, int64_t *cxadj,
+                             int64_t *cadj, double *cew, int64_t cap_e)
 {
     int64_t nnz = xadj[n], nc = 0, nf = 0, nfmax = nnz / 2 + 1, v, c, t, k;
     int64_t *ibuf = NULL, *owner, *frow, *fcol, *slot, *stamp, *pos;
     int64_t *gcol, *gcnt, *goff, *tcol;
     double *dbuf = NULL, *fw, *tw, *buf;
-    int64_t maxrow = 0, status = -1;
+    int64_t maxrow = 0, status = KL_REFERENCE;
 
     for (v = 0; v < n; v++)
         if (match[v] < 0 || match[v] >= n || match[match[v]] != v)
-            return -1;
+            return KL_REFERENCE;
 
     /* coarse ids: the smaller endpoint of a pair owns it, ids dealt in
      * owner order; bincount-order weight accumulation */
@@ -253,6 +383,10 @@ int64_t contract(int64_t n, const int64_t *xadj, const int64_t *adjncy,
             cxadj[d + 1]++;
         }
     }
+    if (2 * nf > cap_e) {
+        status = KL_GROW;
+        goto done;
+    }
 
     for (c = 0; c < nc; c++)
         cxadj[c + 1] += cxadj[c];
@@ -274,6 +408,243 @@ done:
     return status;
 }
 
+/* Outputs: cmap[n], cvw[n] (coarse vertex weights), cxadj[n+1] and
+ * cadj/cew[nnz]; returns the number of coarse vertices or KL_REFERENCE. */
+int64_t contract(int64_t n, const int64_t *xadj, const int64_t *adjncy,
+                 const double *ewts, const double *vwts, const int64_t *match,
+                 int64_t *cmap, double *cvw, int64_t *cxadj, int64_t *cadj,
+                 double *cew)
+{
+    return contract_into(n, xadj, adjncy, ewts, vwts, match, cmap, cvw,
+                         cxadj, cadj, cew, xadj[n]);
+}
+
+/* ------------------------------------------------------------------ */
+/* coarsen: every level of build_hierarchy in one call                 */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    double w;  /* candidate edge weight */
+    int64_t e; /* candidate edge index */
+} witem;
+
+/* numpy's float order: NaN sorts after every number */
+static inline int w_lt(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* Stable sort of ``a`` by weight (insertion-sorted runs of 16, then
+ * bottom-up merges); returns whichever of ``a`` / ``tmp`` holds the
+ * result. */
+static witem *stable_sort(witem *a, witem *tmp, int64_t n)
+{
+    int64_t i, j, width;
+    for (i = 0; i < n; i += 16) {
+        int64_t hi = i + 16 < n ? i + 16 : n;
+        for (j = i + 1; j < hi; j++) {
+            witem x = a[j];
+            int64_t k = j;
+            while (k > i && w_lt(x.w, a[k - 1].w)) {
+                a[k] = a[k - 1];
+                k--;
+            }
+            a[k] = x;
+        }
+    }
+    for (width = 16; width < n; width *= 2) {
+        witem *sw;
+        for (i = 0; i < n; i += 2 * width) {
+            int64_t mid = i + width < n ? i + width : n;
+            int64_t hi = i + 2 * width < n ? i + 2 * width : n;
+            int64_t l = i, r = mid, k = i;
+            while (l < mid && r < hi)
+                tmp[k++] = w_lt(a[r].w, a[l].w) ? a[r++] : a[l++];
+            while (l < mid)
+                tmp[k++] = a[l++];
+            while (r < hi)
+                tmp[k++] = a[r++];
+        }
+        sw = a;
+        a = tmp;
+        tmp = sw;
+    }
+    return a;
+}
+
+/* Stable counting sort of ``a`` by weight into ``out`` when every weight
+ * is an integer in [0, range) — dual-graph weights count shared facets —
+ * which is the comparison sort's order in linear time; ``count`` holds
+ * range + 1 entries.  Returns NULL (``out`` untouched) otherwise. */
+static witem *counting_sort(const witem *a, witem *out, int64_t n,
+                            int64_t *count, int64_t range)
+{
+    int64_t i, top = 0;
+    for (i = 0; i < n; i++) {
+        double x = a[i].w;
+        if (!(x >= 0.0 && x < (double)range) || x != (double)(int64_t)x)
+            return NULL;
+        if ((int64_t)x > top)
+            top = (int64_t)x;
+    }
+    memset(count, 0, (size_t)(top + 2) * sizeof(int64_t));
+    for (i = 0; i < n; i++)
+        count[(int64_t)a[i].w + 1]++;
+    for (i = 1; i <= top; i++) /* count[w]: first slot of weight w */
+        count[i] += count[i - 1];
+    for (i = 0; i < n; i++)
+        out[count[(int64_t)a[i].w]++] = a[i];
+    return out;
+}
+
+/* One heavy_edge_matching on the graph (n, xadj, adjncy, ewts) with the
+ * constraint ``label`` (NULL: none) and the tie order of the generator
+ * state ``st``; returns the number of matched vertices.  ``es``/``ed``/
+ * ``tie``/``count`` hold at least xadj[n] entries (``count`` one more),
+ * ``items``/``tmp`` too. */
+static int64_t hem_level(int64_t n, const int64_t *xadj, const int64_t *adjncy,
+                         const double *ewts, const int64_t *label,
+                         const uint64_t *st, int64_t *es, int64_t *ed,
+                         int64_t *tie, int64_t *count, witem *items,
+                         witem *tmp, int64_t *match)
+{
+    int64_t m = 0, v, t, k;
+    witem *sorted;
+    /* _candidate_edges: each undirected edge once, in CSR order */
+    for (v = 0; v < n; v++)
+        for (t = xadj[v]; t < xadj[v + 1]; t++) {
+            int64_t u = adjncy[t];
+            if (v < u && (!label || label[v] == label[u])) {
+                es[m] = v;
+                ed[m] = u;
+                items[m].w = ewts[t]; /* staged: ew[e] */
+                m++;
+            }
+        }
+    /* the edges laid out in tie order, stable-sorted by weight */
+    pcg64_permutation(st, m, tie);
+    for (k = 0; k < m; k++)
+        tmp[tie[k]].e = k; /* by_tie */
+    for (k = 0; k < m; k++)
+        tmp[k].w = items[tmp[k].e].w;
+    sorted = counting_sort(tmp, items, m, count, xadj[n] + 1);
+    if (!sorted)
+        sorted = stable_sort(tmp, items, m);
+    for (k = 0; k < m; k++)
+        tie[k] = sorted[k].e; /* order */
+    return hem_match(n, m, es, ed, tie, match);
+}
+
+/* build_hierarchy(graph, coarsen_to, seed, home, constrain) with its loop
+ * bounds ``max_levels`` / ``min_shrink``.  ``states`` holds the PCG64
+ * state of default_rng(seed + l) for l < nstates (4 words each).
+ *
+ * Outputs, level-concatenated (level 0 is the input and is not copied):
+ * nv/ne[l] vertex and CSR-entry counts per level; the CSR of levels 1, 2,
+ * … back to back in cxadj (n_l + 1 entries each; capacity cap_v +
+ * max_levels), cadj/cew (capacity cap_e) and cvw (capacity cap_v); cmap
+ * the maps of levels 0, 1, … (capacity n + cap_v); chome the projected
+ * home of levels 1, 2, … (capacity cap_v; unused without ``home``).
+ * ``stats`` receives (matchings tried, levels built, seconds matching,
+ * seconds contracting).  Returns the number of levels including level 0,
+ * KL_REFERENCE, or KL_GROW. */
+int64_t coarsen(int64_t n, const int64_t *xadj, const int64_t *adjncy,
+                const double *ewts, const double *vwts, const int64_t *home,
+                int64_t constrain, int64_t coarsen_to, int64_t max_levels,
+                double min_shrink, const uint64_t *states, int64_t nstates,
+                int64_t cap_v, int64_t cap_e, int64_t *nv, int64_t *ne,
+                int64_t *cxadj, int64_t *cadj, double *cew, double *cvw,
+                int64_t *cmap, int64_t *chome, double *stats)
+{
+    int64_t nnz0 = xadj[n], levels = 1, tried = 0, status = KL_REFERENCE;
+    int64_t voff = 0, xoff = 0, eoff = 0, moff = 0;
+    const int64_t *X = xadj, *A = adjncy, *H = home;
+    const double *EW = ewts, *VW = vwts;
+    int64_t *ibuf = NULL, *es, *ed, *tie, *count, *match;
+    witem *wbuf = NULL;
+    double t_hem = 0.0, t_con = 0.0;
+
+    nv[0] = n;
+    ne[0] = nnz0;
+    ibuf = ALLOC(int64_t, 4 * nnz0 + 2 + n);
+    wbuf = ALLOC(witem, 2 * nnz0);
+    if (!ibuf || !wbuf)
+        goto done;
+    es = ibuf;
+    ed = es + nnz0;
+    tie = ed + nnz0;
+    count = tie + nnz0;
+    match = count + nnz0 + 2;
+
+    while (nv[levels - 1] > coarsen_to && levels - 1 < max_levels) {
+        int64_t l = levels - 1, nl = nv[l], nc, matched, v;
+        double t0 = now_s(), t1;
+        if (l >= nstates)
+            goto done;
+        matched = hem_level(nl, X, A, EW, constrain ? H : NULL, states + 4 * l,
+                            es, ed, tie, count, wbuf, wbuf + nnz0, match);
+        tried++;
+        t1 = now_s();
+        t_hem += t1 - t0;
+        /* every matched pair removes one vertex: decide before contracting */
+        nc = nl - matched / 2;
+        if ((double)nc >= (double)nl * min_shrink)
+            break;
+        if (voff + nc > cap_v) {
+            status = KL_GROW;
+            goto done;
+        }
+        nc = contract_into(nl, X, A, EW, VW, match, cmap + moff, cvw + voff,
+                           cxadj + xoff, cadj + eoff, cew + eoff, cap_e - eoff);
+        if (nc < 0) {
+            status = nc;
+            goto done;
+        }
+        if (H) {
+            const int64_t *cm = cmap + moff;
+            int64_t *dst = chome + voff;
+            if (constrain) {
+                for (v = 0; v < nl; v++)
+                    dst[cm[v]] = H[v]; /* all constituents agree */
+            } else {
+                /* _project_down: the heavier constituent's subset, ties to
+                 * the lower-indexed one */
+                for (v = 0; v < nl; v++) {
+                    int64_t f2 = match[v], s1, s2;
+                    if (v > f2)
+                        continue;
+                    s1 = H[v];
+                    s2 = H[f2];
+                    dst[cm[v]] = (s2 != s1 && VW[f2] > VW[v]) ? s2 : s1;
+                }
+            }
+        }
+        t_con += now_s() - t1;
+        nv[levels] = nc;
+        ne[levels] = cxadj[xoff + nc];
+        X = cxadj + xoff;
+        A = cadj + eoff;
+        EW = cew + eoff;
+        VW = cvw + voff;
+        H = H ? chome + voff : NULL;
+        moff += nl;
+        xoff += nc + 1;
+        eoff += ne[levels];
+        voff += nc;
+        levels++;
+    }
+    stats[0] = (double)tried;
+    stats[1] = (double)(levels - 1);
+    stats[2] = t_hem;
+    stats[3] = t_con;
+    status = levels;
+
+done:
+    free(ibuf);
+    free(wbuf);
+    return status;
+}
+
 /* ------------------------------------------------------------------ */
 /* KL refinement                                                       */
 /* ------------------------------------------------------------------ */
@@ -281,8 +652,8 @@ done:
 typedef struct {
     double key; /* -static_gain: min-heap top = best candidate */
     int64_t k;  /* unique push counter: total order, heapq-compatible */
-    int64_t v;  /* vertex */
-    int64_t j;  /* destination subset */
+    int32_t v;  /* vertex (klws_init refuses n >= 2^31) */
+    int32_t j;  /* destination subset */
     int64_t s;  /* generation stamp at push time */
 } entry;
 
@@ -315,19 +686,22 @@ static inline int entry_lt(const entry *x, const entry *y)
     return x->k < y->k;
 }
 
+/* A 4-ary min-heap: half the levels of a binary one, and pushes (twice as
+ * many as pops in a KL pass) sift up through fewer of them. */
 static void sift_down(entry *a, int64_t n, int64_t i)
 {
     entry t = a[i];
     for (;;) {
-        int64_t c = 2 * i + 1;
+        int64_t c = 4 * i + 1, m = c, end = c + 4 < n ? c + 4 : n;
         if (c >= n)
             break;
-        if (c + 1 < n && entry_lt(&a[c + 1], &a[c]))
-            c++;
-        if (!entry_lt(&a[c], &t))
+        for (c++; c < end; c++)
+            if (entry_lt(&a[c], &a[m]))
+                m = c;
+        if (!entry_lt(&a[m], &t))
             break;
-        a[i] = a[c];
-        i = c;
+        a[i] = a[m];
+        i = m;
     }
     a[i] = t;
 }
@@ -336,7 +710,7 @@ static void sift_up(entry *a, int64_t i)
 {
     entry t = a[i];
     while (i > 0) {
-        int64_t par = (i - 1) / 2;
+        int64_t par = (i - 1) / 4;
         if (!entry_lt(&t, &a[par]))
             break;
         a[i] = a[par];
@@ -364,9 +738,11 @@ static entry heap_pop(vec *h)
     return top;
 }
 
-/* The immutable problem plus one workspace, allocated per kl_refine and
- * reset between passes by touched lists (move log, row stamps), never by
- * clearing O(n*p) memory. */
+/* One kl_refine call's problem (graph, configuration, balance bounds) and
+ * a workspace sized for the largest graph it will see.  The workspace
+ * outlives the call — ``refine`` binds every level to one — and is reset
+ * by touched lists (move log, row stamps against a pass counter that only
+ * grows), never by clearing O(n*p) memory. */
 typedef struct {
     int64_t n, p;
     const int64_t *xadj, *adjncy, *hom;
@@ -376,6 +752,7 @@ typedef struct {
     int64_t moves, kept; /* over all passes: moves applied, moves not rolled back */
 
     int64_t *asg;     /* n: the live assignment */
+    int64_t *best;    /* n: the best assignment seen */
     double *wt;       /* p: live subset weights */
     double *connf;    /* n*p: conn[v,s], row valid iff rowstamp[v]==pass */
     int64_t *gen;     /* n*p: candidate stamps, valid with the row */
@@ -388,7 +765,69 @@ typedef struct {
     entry *went, *carry;   /* and the leftovers carried between moves */
     vec heap, *def_tgt, *def_src;
     double *sumbuf; /* max(nnz, n, p): operand gather of exact reductions */
+
+    int64_t *ibuf; /* the blocks the pointers above are carved from */
+    double *dbuf;
+    entry *ebuf;
+    vec *vbuf;
+    unsigned char *bbuf;
 } klws;
+
+static void klws_free(klws *w)
+{
+    int64_t s;
+    free(w->heap.a);
+    for (s = 0; w->vbuf && s < 2 * w->p; s++)
+        free(w->vbuf[s].a);
+    free(w->ibuf);
+    free(w->dbuf);
+    free(w->ebuf);
+    free(w->vbuf);
+    free(w->bbuf);
+}
+
+/* Workspace for graphs of up to n vertices and nnz CSR entries, p parts
+ * and look-ahead windows of up to wcap.  Returns -1 if an allocation
+ * failed (klws_free is still due). */
+static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
+{
+    int64_t sumcap = nnz > n ? nnz : n;
+    if (sumcap < p)
+        sumcap = p;
+    if (wcap < 1)
+        wcap = 1;
+    memset(w, 0, sizeof(*w));
+    w->p = p;
+    if (n > INT32_MAX || p > INT32_MAX)
+        return -1; /* heap entries hold int32 vertex and subset ids */
+    w->ibuf = ALLOC(int64_t, 4 * n + n * p);
+    w->dbuf = ALLOC(double, p + n * p + wcap + sumcap);
+    w->ebuf = ALLOC(entry, 2 * wcap);
+    w->vbuf = ALLOC(vec, 2 * p);
+    w->bbuf = ALLOC(unsigned char, n + p);
+    if (w->vbuf) /* before any exit: klws_free frees what the vectors hold */
+        memset(w->vbuf, 0, (size_t)(2 * p) * sizeof(vec));
+    if (!w->ibuf || !w->dbuf || !w->ebuf || !w->vbuf || !w->bbuf)
+        return -1;
+    w->best = w->ibuf;
+    w->rowstamp = w->best + n;
+    w->mv_v = w->rowstamp + n;
+    w->mv_i = w->mv_v + n;
+    w->gen = w->mv_i + n;
+    w->wt = w->dbuf;
+    w->wfull = w->wt + p;
+    w->sumbuf = w->wfull + wcap;
+    w->connf = w->sumbuf + sumcap;
+    w->went = w->ebuf;
+    w->carry = w->ebuf + wcap;
+    w->def_tgt = w->vbuf;
+    w->def_src = w->vbuf + p;
+    w->locked = w->bbuf;
+    w->over = w->bbuf + n;
+    memset(w->rowstamp, 0, (size_t)n * sizeof(int64_t));
+    memset(w->locked, 0, (size_t)n);
+    return 0;
+}
 
 /* conn row of v from the live assignment, in bincount's add order */
 static void build_row(klws *w, int64_t v)
@@ -402,32 +841,46 @@ static void build_row(klws *w, int64_t v)
     w->rowstamp[v] = w->pass;
 }
 
+/* graph_cut: the crossing entries in CSR order, pairwise-summed, halved
+ * (gathered without a branch: every entry is written, only crossing ones
+ * advance the cursor) */
+static double cut_of(klws *w, const int64_t *asg)
+{
+    int64_t v, t, k = 0;
+    double *buf = w->sumbuf;
+    for (v = 0; v < w->n; v++) {
+        int64_t a = asg[v];
+        for (t = w->xadj[v]; t < w->xadj[v + 1]; t++) {
+            buf[k] = w->ewts[t];
+            k += asg[w->adjncy[t]] != a;
+        }
+    }
+    return pairwise_sum(buf, k) / 2.0;
+}
+
+/* graph_migration: float(vwts[moved].sum()) */
+static double migration_of(klws *w, const int64_t *asg, const int64_t *hom)
+{
+    int64_t v, k = 0;
+    for (v = 0; v < w->n; v++) {
+        w->sumbuf[k] = w->vw[v];
+        k += asg[v] != hom[v];
+    }
+    return pairwise_sum(w->sumbuf, k);
+}
+
 /* _KLState.objective(): C_cut + alpha*C_migrate + beta*sum(phi(W_i)),
  * each reduction in numpy's order */
 static double objective(klws *w)
 {
-    int64_t n = w->n, p = w->p, v, t, k = 0, s;
+    int64_t p = w->p, s;
     double *buf = w->sumbuf, obj;
-    for (v = 0; v < n; v++) {
-        int64_t a = w->asg[v];
-        for (t = w->xadj[v]; t < w->xadj[v + 1]; t++)
-            if (w->asg[w->adjncy[t]] != a)
-                buf[k++] = w->ewts[t];
-    }
-    obj = pairwise_sum(buf, k) / 2.0;
-    if (w->alpha != 0.0) {
-        k = 0;
-        for (v = 0; v < n; v++)
-            if (w->asg[v] != w->hom[v])
-                buf[k++] = w->vw[v];
-        obj += w->alpha * pairwise_sum(buf, k);
-    }
+    obj = cut_of(w, w->asg);
+    if (w->alpha != 0.0)
+        obj += w->alpha * migration_of(w, w->asg, w->hom);
     if (w->beta != 0.0) {
         double *sw = w->wt; /* scratch between passes */
-        for (s = 0; s < p; s++)
-            sw[s] = 0.0;
-        for (v = 0; v < n; v++)
-            sw[w->asg[v]] += w->vw[v];
+        part_weights(w->n, p, w->asg, w->vw, sw);
         for (s = 0; s < p; s++) {
             if (w->deadband) {
                 double over = sw[s] - w->maxcap, under = w->floor_w - sw[s];
@@ -469,12 +922,10 @@ static int kl_pass(klws *w, double *kept)
     w->pass++;
     heap->len = 0;
     for (s = 0; s < p; s++) {
-        wt[s] = 0.0;
         w->def_tgt[s].len = 0;
         w->def_src[s].len = 0;
     }
-    for (v = 0; v < n; v++)
-        wt[asg[v]] += vw[v];
+    part_weights(n, p, asg, vw, wt);
     if (beta != 0.0) {
         /* under heavy imbalance the boundary alone may not free enough
          * weight: also seed every vertex of an overweight subset, and
@@ -521,8 +972,8 @@ static int kl_pass(klws *w, double *kept)
             }
         }
     }
-    for (t = heap->len / 2 - 1; t >= 0; t--)
-        sift_down(heap->a, heap->len, t);
+    for (t = heap->len > 1 ? (heap->len - 2) / 4 : -1; t >= 0; t--)
+        sift_down(heap->a, heap->len, t); /* from the last parent */
 
 /* re-stamp destination JT of u after its gain changed (kl.py `touch`) */
 #define TOUCH(JT)                                                        \
@@ -762,12 +1213,64 @@ done:
     return status;
 }
 
-/* kl.py: the pass loop of kl_refine with its monotone-or-rollback guard.
- * ``asg`` holds the start assignment and receives the result; ``stats``
- * receives (passes run, seconds inside them, best objective seen — the
- * returned partition's unless a tie kept a later one —, moves tried, moves
- * kept).  Returns 0, or -1 if an allocation failed (``asg`` is then
- * unspecified — pass a copy). */
+/* kl.py: the pass loop of kl_refine with its monotone-or-rollback guard,
+ * on the problem bound to ``w``; ``w->asg`` holds the start assignment and
+ * receives the result.  ``stats`` receives (passes run, seconds inside
+ * them, best objective seen — the returned partition's unless a tie kept a
+ * later one —, moves tried, moves kept).  Returns 0, or -1 if an
+ * allocation failed (``w->asg`` is then unspecified). */
+static int kl_run(klws *w, int64_t max_passes, double *stats)
+{
+    int64_t n = w->n, passes = 0, it;
+    double best_obj, obj, seconds = 0.0;
+
+    w->moves = w->kept = 0;
+    /* Track the best-seen partition under the *full* objective: a pass
+     * whose bookkeeping drifts, or a later pass that trades away an
+     * earlier gain, can never make the result worse than the best state
+     * ever reached — in particular never worse than the input. */
+    memcpy(w->best, w->asg, (size_t)n * sizeof(int64_t));
+    best_obj = obj = objective(w);
+    for (it = 0; it < max_passes; it++) {
+        double improved, t0 = now_s();
+        int64_t kept_before = w->kept;
+        if (kl_pass(w, &improved))
+            return -1;
+        seconds += now_s() - t0;
+        passes++;
+        if (w->kept != kept_before) /* else rolled back to the same state */
+            obj = objective(w);
+        if (obj < best_obj - w->min_gain) {
+            best_obj = obj;
+            memcpy(w->best, w->asg, (size_t)n * sizeof(int64_t));
+        }
+        if (improved <= w->min_gain)
+            break;
+    }
+    if (obj > best_obj + w->min_gain)
+        memcpy(w->asg, w->best, (size_t)n * sizeof(int64_t));
+    stats[0] = (double)passes;
+    stats[1] = seconds;
+    stats[2] = best_obj;
+    stats[3] = (double)w->moves;
+    stats[4] = (double)w->kept;
+    return 0;
+}
+
+static void bind_graph(klws *w, int64_t n, const int64_t *xadj,
+                       const int64_t *adjncy, const double *ewts,
+                       const double *vw)
+{
+    w->n = n;
+    w->xadj = xadj;
+    w->adjncy = adjncy;
+    w->ewts = ewts;
+    w->vw = vw;
+}
+
+/* ``asg`` holds the start assignment and receives the result (pass a
+ * copy: after a failed allocation, -1, it is unspecified); ``stats`` as
+ * kl_run's.  ``mean``/``maxcap``/``floor_w`` are _KLState's. */
 int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   const int64_t *adjncy, const double *ewts, const double *vw,
                   const int64_t *hom, double alpha, double beta,
@@ -777,105 +1280,194 @@ int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   int64_t *asg, double *stats)
 {
     klws w;
-    int64_t nnz = xadj[n], wcap = window_n > 0 ? window_n : 1, s, it;
-    int64_t sumcap = nnz > n ? nnz : n, passes = 0, status = -1;
-    int64_t *ibuf = NULL, *best;
-    double *dbuf = NULL, best_obj, obj, seconds = 0.0;
-    entry *ebuf = NULL;
-    vec *vbuf = NULL;
-    unsigned char *bbuf = NULL;
-
-    if (sumcap < p)
-        sumcap = p;
-    memset(&w, 0, sizeof(w));
-    w.n = n;
-    w.p = p;
-    w.xadj = xadj;
-    w.adjncy = adjncy;
-    w.ewts = ewts;
-    w.vw = vw;
-    w.hom = hom;
-    w.alpha = alpha;
-    w.beta = beta;
-    w.deadband = deadband;
-    w.mean = mean;
-    w.maxcap = maxcap;
-    w.floor_w = floor_w;
-    w.window_n = window_n;
-    w.stall_limit = stall_limit;
-    w.in_band_tail = in_band_tail;
-    w.min_gain = min_gain;
-    w.asg = asg;
-
-    /* the workspace, carved from one block per element type */
-    ibuf = ALLOC(int64_t, 4 * n + n * p);
-    dbuf = ALLOC(double, p + n * p + wcap + sumcap);
-    ebuf = ALLOC(entry, 2 * wcap);
-    vbuf = ALLOC(vec, 2 * p);
-    bbuf = ALLOC(unsigned char, n + p);
-    if (vbuf) /* before any exit: `done` frees what the vectors hold */
-        memset(vbuf, 0, (size_t)(2 * p) * sizeof(vec));
-    if (!ibuf || !dbuf || !ebuf || !vbuf || !bbuf)
-        goto done;
-    best = ibuf;
-    w.rowstamp = best + n;
-    w.mv_v = w.rowstamp + n;
-    w.mv_i = w.mv_v + n;
-    w.gen = w.mv_i + n;
-    w.wt = dbuf;
-    w.wfull = w.wt + p;
-    w.sumbuf = w.wfull + wcap;
-    w.connf = w.sumbuf + sumcap;
-    w.went = ebuf;
-    w.carry = ebuf + wcap;
-    w.def_tgt = vbuf;
-    w.def_src = vbuf + p;
-    w.locked = bbuf;
-    w.over = bbuf + n;
-    memset(w.rowstamp, 0, (size_t)n * sizeof(int64_t));
-    memset(w.locked, 0, (size_t)n);
-
-    /* Track the best-seen partition under the *full* objective: a pass
-     * whose bookkeeping drifts, or a later pass that trades away an
-     * earlier gain, can never make the result worse than the best state
-     * ever reached — in particular never worse than the input. */
-    memcpy(best, asg, (size_t)n * sizeof(int64_t));
-    best_obj = obj = objective(&w);
-    for (it = 0; it < max_passes; it++) {
-        struct timespec t0, t1;
-        double improved;
-        clock_gettime(CLOCK_MONOTONIC, &t0);
-        if (kl_pass(&w, &improved))
-            goto done;
-        clock_gettime(CLOCK_MONOTONIC, &t1);
-        seconds += (double)(t1.tv_sec - t0.tv_sec) +
-                   1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
-        passes++;
-        obj = objective(&w);
-        if (obj < best_obj - min_gain) {
-            best_obj = obj;
-            memcpy(best, asg, (size_t)n * sizeof(int64_t));
-        }
-        if (improved <= min_gain)
-            break;
+    int64_t status = -1;
+    if (klws_init(&w, n, xadj[n], p, window_n) == 0) {
+        bind_graph(&w, n, xadj, adjncy, ewts, vw);
+        w.hom = hom;
+        w.alpha = alpha;
+        w.beta = beta;
+        w.deadband = deadband;
+        w.mean = mean;
+        w.maxcap = maxcap;
+        w.floor_w = floor_w;
+        w.window_n = window_n;
+        w.stall_limit = stall_limit;
+        w.in_band_tail = in_band_tail;
+        w.min_gain = min_gain;
+        w.asg = asg;
+        status = kl_run(&w, max_passes, stats);
     }
-    if (obj > best_obj + min_gain)
-        memcpy(asg, best, (size_t)n * sizeof(int64_t));
-    stats[0] = (double)passes;
-    stats[1] = seconds;
-    stats[2] = best_obj;
-    stats[3] = (double)w.moves;
-    stats[4] = (double)w.kept;
+    klws_free(&w);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* refine: project and refine every level in one call                  */
+/* ------------------------------------------------------------------ */
+
+/* one KLConfig as the wrapper packs it */
+enum { C_ALPHA, C_BETA, C_TOL, C_MIN_GAIN, C_DEADBAND, C_WINDOW, C_STALL,
+       C_PASSES, C_FIELDS };
+
+/* kl_refine(graph bound to w, w->asg, p, home=hom, config=cfg): bind the
+ * configuration and _KLState's bounds, then run; the counters add to acc
+ * (kl_refine calls, seconds in them, passes, seconds in those, moves
+ * tried, moves kept). */
+static int kl_call(klws *w, const double *cfg, const int64_t *hom,
+                   int64_t in_band_tail, double *acc)
+{
+    int64_t v, p = w->p;
+    double band, wmax = 0.0, stats[5], t0 = now_s();
+    part_weights(w->n, p, w->asg, w->vw, w->wt);
+    w->mean = pairwise_sum(w->wt, p) / (double)p;
+    for (v = 0; v < w->n; v++)
+        if (v == 0 || w->vw[v] > wmax)
+            wmax = w->vw[v];
+    /* the envelope cannot be tighter than the vertex-weight granularity */
+    band = cfg[C_TOL] * w->mean;
+    if (0.5 * wmax > band)
+        band = 0.5 * wmax;
+    w->maxcap = w->mean + band;
+    w->floor_w = w->mean - band;
+    w->hom = hom;
+    w->alpha = hom ? cfg[C_ALPHA] : 0.0;
+    w->beta = cfg[C_BETA];
+    w->min_gain = cfg[C_MIN_GAIN];
+    w->deadband = (int64_t)cfg[C_DEADBAND];
+    w->window_n = (int64_t)cfg[C_WINDOW];
+    w->stall_limit = (int64_t)cfg[C_STALL];
+    w->in_band_tail = in_band_tail;
+    if (kl_run(w, (int64_t)cfg[C_PASSES], stats))
+        return -1;
+    acc[0] += 1.0;
+    acc[1] += now_s() - t0;
+    acc[2] += stats[0];
+    acc[3] += stats[1];
+    acc[4] += stats[3];
+    acc[5] += stats[4];
+    return 0;
+}
+
+/* graph_imbalance(graph bound to w, w->asg, p) */
+static double imbalance_of(klws *w)
+{
+    int64_t s, p = w->p;
+    double mean, wmax;
+    part_weights(w->n, p, w->asg, w->vw, w->wt);
+    mean = pairwise_sum(w->wt, p) / (double)p;
+    wmax = w->wt[0];
+    for (s = 1; s < p; s++)
+        if (w->wt[s] > wmax)
+            wmax = w->wt[s];
+    return mean != 0.0 ? wmax / mean - 1.0 : 0.0;
+}
+
+/* repartition_cost(graph bound to w, hom, asg, p, alpha, beta).total */
+static double eq1_cost(klws *w, const int64_t *hom, const int64_t *asg,
+                       double alpha, double beta)
+{
+    int64_t s, p = w->p;
+    double cut = cut_of(w, asg), migrate = migration_of(w, asg, hom), mean;
+    part_weights(w->n, p, asg, w->vw, w->wt);
+    mean = pairwise_sum(w->wt, p) / (double)p;
+    for (s = 0; s < p; s++) {
+        double d = w->wt[s] - mean;
+        w->sumbuf[s] = d * d;
+    }
+    return cut + alpha * migrate + beta * pairwise_sum(w->sumbuf, p);
+}
+
+/* The project-and-refine half of the V-cycle over a hierarchy ``coarsen``
+ * built (nlev levels; level 0 is the graph xadj/adjncy/ewts/vwts, the rest
+ * the level-concatenated outputs), from the coarsest assignment ``start``.
+ *
+ * Without ``home`` (multilevel_partition), each level runs cfgs[0] if
+ * graph_imbalance exceeds ``rebalance_above`` and then cfgs[1].  With it
+ * (multilevel_repartition), each level runs cfgs[0] against the level's
+ * home (``home`` on level 0, ``chome`` above), and the result must not
+ * score worse under Equation 1 (cfgs[0]'s alpha and beta) than ``home``
+ * itself, else ``out`` receives ``home``.  ``stats`` receives the KL
+ * counters of kl_call.  Returns 0 or KL_REFERENCE (an allocation failed,
+ * or ``start`` has a label outside [0, p)). */
+int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
+               const int64_t *xadj, const int64_t *adjncy, const double *ewts,
+               const double *vwts, const int64_t *cxadj, const int64_t *cadj,
+               const double *cew, const double *cvw, const int64_t *cmap,
+               const int64_t *home, const int64_t *chome, int64_t p,
+               const double *cfgs, int64_t ncfg, double rebalance_above,
+               int64_t in_band_tail, const int64_t *start, int64_t *out,
+               double *stats)
+{
+    int64_t n0 = nv[0], top = nlev - 1, l, v, k, wcap = 1, status = KL_REFERENCE;
+    int64_t *off = NULL, *cur, *nxt, *sw;
+    klws w;
+
+    memset(&w, 0, sizeof(w));
+    if (p < 1)
+        return KL_REFERENCE;
+    for (v = 0; v < nv[top]; v++)
+        if (start[v] < 0 || start[v] >= p)
+            return KL_REFERENCE; /* the reference raises on it */
+    for (k = 0; k < ncfg; k++)
+        if ((int64_t)cfgs[k * C_FIELDS + C_WINDOW] > wcap)
+            wcap = (int64_t)cfgs[k * C_FIELDS + C_WINDOW];
+    /* per level: first vertex, first CSR entry, first cmap entry */
+    off = ALLOC(int64_t, 3 * nlev + 2 * n0);
+    if (!off || klws_init(&w, n0, ne[0], p, wcap))
+        goto done;
+    for (l = 1; l < nlev; l++) {
+        off[l] = l > 1 ? off[l - 1] + nv[l - 1] : 0;
+        off[nlev + l] = l > 1 ? off[nlev + l - 1] + ne[l - 1] : 0;
+    }
+    for (l = 0; l < nlev; l++)
+        off[2 * nlev + l] = l ? off[2 * nlev + l - 1] + nv[l - 1] : 0;
+    cur = off + 3 * nlev;
+    nxt = cur + n0;
+    for (k = 0; k < 6; k++)
+        stats[k] = 0.0;
+    memcpy(cur, start, (size_t)nv[top] * sizeof(int64_t));
+
+    for (l = top; l >= 0; l--) {
+        const int64_t *hom = NULL;
+        if (l < top) {
+            const int64_t *cm = cmap + off[2 * nlev + l];
+            for (v = 0; v < nv[l]; v++)
+                nxt[v] = cur[cm[v]];
+            sw = cur;
+            cur = nxt;
+            nxt = sw;
+        }
+        if (l == 0) {
+            bind_graph(&w, n0, xadj, adjncy, ewts, vwts);
+            hom = home;
+        } else {
+            int64_t vo = off[l], eo = off[nlev + l];
+            bind_graph(&w, nv[l], cxadj + vo + (l - 1), cadj + eo, cew + eo,
+                       cvw + vo);
+            hom = home ? chome + vo : NULL;
+        }
+        w.asg = cur;
+        if (home) {
+            if (kl_call(&w, cfgs, hom, in_band_tail, stats))
+                goto done;
+        } else {
+            if (ncfg > 1 && imbalance_of(&w) > rebalance_above &&
+                kl_call(&w, cfgs, NULL, in_band_tail, stats))
+                goto done;
+            if (kl_call(&w, cfgs + C_FIELDS * (ncfg - 1), NULL, in_band_tail,
+                        stats))
+                goto done;
+        }
+    }
+    /* monotone-or-rollback: identity is always a candidate */
+    if (home && eq1_cost(&w, home, cur, cfgs[C_ALPHA], cfgs[C_BETA]) >
+                    eq1_cost(&w, home, home, cfgs[C_ALPHA], cfgs[C_BETA]) + 1e-9)
+        cur = (int64_t *)home;
+    memcpy(out, cur, (size_t)n0 * sizeof(int64_t));
     status = 0;
 
 done:
-    free(w.heap.a);
-    for (s = 0; vbuf && s < 2 * p; s++)
-        free(vbuf[s].a);
-    free(ibuf);
-    free(dbuf);
-    free(ebuf);
-    free(vbuf);
-    free(bbuf);
+    klws_free(&w);
+    free(off);
     return status;
 }

@@ -12,6 +12,11 @@ Three phases (Section 3.1), written once:
    projecting the assignment through each contraction map and applying the
    caller's per-level refine step.
 
+With the compiled core loaded, phases 1 and 3 are one call each
+(``_klnative.coarsen`` / ``_klnative.refine``) and only phase 2 runs in
+Python between them; :func:`build_hierarchy` + :func:`v_cycle` are their
+reference and the path without the core, bit for bit the same partition.
+
 Two configurations of that one driver:
 
 * :func:`multilevel_partition` — partition from scratch: free contraction,
@@ -40,6 +45,7 @@ import numpy as np
 from repro.graph.contract import contract
 from repro.graph.csr import WeightedGraph
 from repro.graph.matching import heavy_edge_matching
+from repro.partition import _klnative, kl
 from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import KLConfig, kl_refine
 from repro.partition.metrics import (
@@ -153,10 +159,28 @@ def v_cycle(hierarchy: Hierarchy, coarsest, refine) -> np.ndarray:
     return assignment
 
 
+def _fused_v_cycle(graph, p, seed, home, constrain, coarsest, cfgs, rebalance_above=0.0):
+    """The V-cycle in two compiled calls — every level built, then every
+    level projected and refined — with only ``coarsest`` run in Python
+    between them; ``None`` means the caller runs the reference."""
+    levels = _klnative.coarsen(
+        graph, coarsen_target(p), seed, home, constrain, MAX_LEVELS, MIN_SHRINK
+    )
+    if levels is None:
+        return None
+    top = levels.nlev - 1
+    start = coarsest(levels.level_graph(top), levels.level_home(top))
+    return _klnative.refine(levels, start, p, cfgs, rebalance_above, kl.IN_BAND_TAIL)
+
+
 def multilevel_partition(
     graph: WeightedGraph, p: int, seed: int = 0, balance_tol: float = 0.03
 ) -> np.ndarray:
     """Partition ``graph`` into ``p`` subsets with the multilevel-KL scheme."""
+    if p == 1:
+        # what the V-cycle returns too: growing gives all zeros, and KL
+        # finds no boundary to move
+        return np.zeros(graph.n_vertices, dtype=np.int64)
     # Two alternating refinement modes per level, Metis-style: a balancing
     # sweep with a dominant quadratic term (the paper's β = 0.8 makes
     # balance gains dwarf cut gains, which is how ε < 0.01 is reached even
@@ -164,16 +188,21 @@ def multilevel_partition(
     rebalance_cfg = KLConfig(balance_tol=balance_tol, max_passes=3, beta=0.8, window=16)
     cut_cfg = KLConfig(balance_tol=balance_tol, max_passes=6, beta=0.0)
 
+    def coarsest(g, _home):
+        return greedy_graph_growing(g, p, seed=seed)
+
+    new = _fused_v_cycle(
+        graph, p, seed, None, True, coarsest, [rebalance_cfg, cut_cfg], balance_tol
+    )
+    if new is not None:
+        return new
+
     def refine(g, assignment, _home):
         if graph_imbalance(g, assignment, p) > balance_tol:
             assignment = kl_refine(g, assignment, p, config=rebalance_cfg)
         return kl_refine(g, assignment, p, config=cut_cfg)
 
-    return v_cycle(
-        build_hierarchy(graph, coarsen_target(p), seed=seed),
-        lambda g, _home: greedy_graph_growing(g, p, seed=seed),
-        refine,
-    )
+    return v_cycle(build_hierarchy(graph, coarsen_target(p), seed=seed), coarsest, refine)
 
 
 def multilevel_repartition(graph: WeightedGraph, p: int, current, pnr) -> np.ndarray:
@@ -201,6 +230,17 @@ def multilevel_repartition(graph: WeightedGraph, p: int, current, pnr) -> np.nda
             return greedy_graph_growing(g, p, seed=pnr.seed)
         return home.copy()
 
+    # Monotone-or-rollback: the repartitioner hill-climbs from ``current``,
+    # so identity is always a candidate.  KL optimizes the deadband form of
+    # the balance term; under the literal quadratic Equation 1 an in-band
+    # rebalance can still score worse than doing nothing, in which case
+    # doing nothing is what we return (the compiled ``refine`` applies the
+    # same guard, with ``cfg``'s alpha and beta).
+    new = _fused_v_cycle(
+        graph, p, pnr.seed, current, pnr.constrain_matching, coarsest, [cfg]
+    )
+    if new is not None:
+        return new
     new = v_cycle(
         build_hierarchy(
             graph, coarsen_target(p), seed=pnr.seed, home=current,
@@ -209,11 +249,6 @@ def multilevel_repartition(graph: WeightedGraph, p: int, current, pnr) -> np.nda
         coarsest,
         lambda g, assignment, home: kl_refine(g, assignment, p, home=home, config=cfg),
     )
-    # Monotone-or-rollback: the repartitioner hill-climbs from ``current``,
-    # so identity is always a candidate.  KL optimizes the deadband form of
-    # the balance term; under the literal quadratic Equation 1 an in-band
-    # rebalance can still score worse than doing nothing, in which case
-    # doing nothing is what we return.
     if (
         repartition_cost(graph, current, new, p, pnr.alpha, pnr.beta).total
         > repartition_cost(graph, current, current, p, pnr.alpha, pnr.beta).total + 1e-9

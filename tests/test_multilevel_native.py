@@ -12,9 +12,15 @@ order of float additions separates them:
   edges summed in ``np.add.reduceat``'s order;
 * ``kl_refine``: prelude, hill-climb, best-state tracking and the
   monotone-or-rollback guard, reductions in numpy's pairwise order;
+* the fused V-cycle (``coarsen`` + ``refine``, the routes of
+  ``multilevel_partition`` / ``multilevel_repartition``) ≡ ``build_hierarchy``
+  + ``v_cycle``, with the port of numpy's PCG64 permutation behind the
+  matchings' tie order, partitions and ``PERF`` counters alike;
 * end to end through ``multilevel_partition`` / ``multilevel_repartition``
   and a PARED run.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -29,13 +35,19 @@ from repro.graph.generators import grid_graph, star_graph
 from repro.graph.matching import _match_rounds, heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
-from repro.partition import _klnative
+from repro.partition import _klnative, multilevel
+from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import IN_BAND_TAIL, KLConfig, kl_refine
 from repro.partition.multilevel import (
+    MAX_LEVELS,
+    MIN_SHRINK,
     build_hierarchy,
+    coarsen_target,
     multilevel_partition,
     multilevel_repartition,
+    v_cycle,
 )
+from repro.perf import PERF
 
 from tests.conftest import kl_counted, kl_starts, kl_tail_arms, pure_path
 
@@ -375,27 +387,31 @@ class TestKLRefine:
 @needs_native
 class TestAllocationFailure:
     @staticmethod
-    def _sweep(native_core, monkeypatch, name, run, expect_equal):
-        """Make the k-th allocation inside kernel ``name`` fail, for every k
-        until the kernel gets through: each time the wrapper must report
-        "fall back" and the public function must still return ``expect``."""
+    def _sweep(native_core, monkeypatch, name, run, check):
+        """Make the k-th allocation inside the wrapper ``_klnative.<name>``
+        fail, for every k until the kernel gets through: each time the
+        wrapper must report "fall back" and ``check`` must accept what the
+        public call ``run()`` returned."""
         verdicts = []
         real = getattr(_klnative, name)
+        armed = [0]
 
         def spy(*args):
-            out = real(*args)
+            native_core.klcore_fail_after(armed[0])
+            try:
+                out = real(*args)
+            finally:
+                native_core.klcore_fail_after(-1)
             verdicts.append(out is not None)
             return out
 
         monkeypatch.setattr(_klnative, name, spy)
         failures = 0
         for k in range(200):
-            native_core.klcore_fail_after(k)
-            try:
-                out = run()
-            finally:
-                native_core.klcore_fail_after(-1)
-            expect_equal(out)
+            armed[0] = k
+            calls = len(verdicts)
+            check(run())
+            assert len(verdicts) == calls + 1, f"{name} was not called once"
             if verdicts[-1]:
                 break
             failures += 1
@@ -437,6 +453,248 @@ class TestAllocationFailure:
             native_core, monkeypatch, "contract", lambda: contract(g, match), check
         )
         assert failures == 2  # its two scratch blocks
+
+    @pytest.mark.parametrize("name", ["coarsen", "refine"])
+    @pytest.mark.parametrize("which", ["partition", "repartition"])
+    def test_fused_entries(self, native_core, monkeypatch, name, which):
+        """Every allocation of either fused entry, failed in turn: the
+        public call still returns the reference partition, and neither the
+        graph nor ``current`` is touched."""
+        rng = np.random.default_rng(23)
+        g = _rand_graph(700, 6, rng)
+        current = rng.integers(0, 4, 700)
+        before = [a.copy() for a in (g.xadj, g.adjncy, g.ewts, g.vwts, current)]
+
+        def run():
+            if which == "partition":
+                return multilevel_partition(g, 4, seed=2)
+            return multilevel_repartition(g, 4, current, PNR(seed=2))
+
+        with pure_path():
+            expect = run()
+
+        def check(out):
+            assert np.array_equal(out, expect)
+            for a, b in zip(before, (g.xadj, g.adjncy, g.ewts, g.vwts, current)):
+                assert np.array_equal(a, b), "an input was touched"
+
+        failures = self._sweep(native_core, monkeypatch, name, run, check)
+        # coarsen: two scratch blocks, then contraction's two per level;
+        # refine: the level offsets and five workspace blocks, then growth
+        assert failures >= (6 if name == "coarsen" else 7)
+
+
+# --------------------------------------------------------------------- #
+# the fused V-cycle: coarsen + refine
+# --------------------------------------------------------------------- #
+
+#: the ``PERF`` names a V-cycle credits, on either path
+_VCYCLE_COUNTERS = (
+    "multilevel.coarsen", "multilevel.refine", "matching.hem", "contract",
+    "kl.refine", "kl.pass", "kl.moves", "kl.kept",
+)
+
+
+def _counted(fn):
+    """``fn()`` and the call counts it credited to ``_VCYCLE_COUNTERS``."""
+    PERF.reset()
+    out = fn()
+    snap = PERF.snapshot()
+    return out, {name: snap.get(name, (0, 0.0))[0] for name in _VCYCLE_COUNTERS}
+
+
+def _fused_equals_reference(fn):
+    """``fn()`` on the fused path and on the reference path agree array for
+    array and counter for counter."""
+    native, counts_native = _counted(fn)
+    with pure_path():
+        pure, counts_pure = _counted(fn)
+    assert native.dtype == pure.dtype == np.int64
+    assert np.array_equal(native, pure)
+    assert counts_native == counts_pure
+    return native, counts_native
+
+
+def _require_native():
+    if _klnative.load() is None:
+        pytest.skip("no compiled core")
+
+
+@given(seed=st.integers(0, 2**40), m=st.integers(0, 10**5))
+@settings(max_examples=60, deadline=None)
+def test_permutation_port_equals_numpy(seed, m):
+    """The tie order of every fused matching: the C draw is
+    ``default_rng(seed).permutation(m)``, element for element."""
+    _require_native()
+    expect = np.random.default_rng(seed).permutation(m)
+    assert np.array_equal(_klnative.permutation(seed, m), expect)
+
+
+@given(
+    n=st.integers(1, 600),
+    deg=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p=st.sampled_from([1, 2, 3, 16]),
+    float_weights=st.booleans(),
+    constrain=st.booleans(),
+    repartition_coarsest=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fused_equals_reference(n, deg, seed, p, float_weights, constrain,
+                                repartition_coarsest):
+    """Random graphs — float weights (merge sort of the ranks) and integer
+    weights (counting sort) — at every p the registry meets, both PNR
+    ablation switches, unbalanced and empty-part starts."""
+    _require_native()
+    rng = np.random.default_rng(seed)
+    g = _rand_graph(n, deg, rng, float_weights)
+    assert _klnative.coarsen(
+        g, coarsen_target(p), seed, None, True, MAX_LEVELS, MIN_SHRINK
+    ) is not None
+    _fused_equals_reference(lambda: multilevel_partition(g, p, seed=seed))
+    current = rng.integers(0, p, n)
+    pnr = PNR(seed=seed, constrain_matching=constrain,
+              repartition_coarsest=repartition_coarsest)
+    _fused_equals_reference(lambda: multilevel_repartition(g, p, current, pnr))
+
+
+@needs_native
+class TestFusedVCycle:
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_levels_equal_build_hierarchy(self, constrain):
+        """``coarsen``'s level-concatenated arrays are ``build_hierarchy``'s
+        graphs, contraction maps and projected homes, level for level."""
+        rng = np.random.default_rng(4)
+        g = _rand_graph(900, 6, rng, float_weights=False)
+        home = rng.integers(0, 4, 900)
+        for h in (None, home):
+            levels = _klnative.coarsen(g, 20, 1, h, constrain, MAX_LEVELS, MIN_SHRINK)
+            with pure_path():
+                graphs, cmaps, homes = build_hierarchy(
+                    g, coarsen_to=20, seed=1, home=h, constrain=constrain
+                )
+            assert levels.nlev == len(graphs) > 3
+            offset = 0
+            for level in range(levels.nlev):
+                _same_graph(levels.level_graph(level), graphs[level])
+                got = levels.level_home(level)
+                assert (got is None and homes[level] is None) or np.array_equal(
+                    got, homes[level]
+                )
+                if level < len(cmaps):
+                    n = graphs[level].n_vertices
+                    assert np.array_equal(levels.cmap[offset : offset + n], cmaps[level])
+                    offset += n
+
+    def test_star_and_stalled_hierarchies(self):
+        """A star loses one vertex a level; a path whose home alternates has
+        no same-subset edge at all — both stop on MIN_SHRINK, and the
+        stalled try is one more matching than levels built."""
+        star = star_graph(300)
+        path = WeightedGraph.from_edges(300, np.c_[np.arange(299), np.arange(1, 300)])
+        alternating = np.arange(300) % 2
+        for p in (2, 3):
+            _, counts = _fused_equals_reference(lambda: multilevel_partition(star, p, seed=1))
+            assert counts["matching.hem"] == counts["contract"] + 1
+            _fused_equals_reference(
+                lambda: multilevel_repartition(star, 2, alternating, PNR(seed=p))
+            )
+        _, counts = _fused_equals_reference(
+            lambda: multilevel_repartition(path, 2, alternating, PNR(seed=1))
+        )
+        assert (counts["matching.hem"], counts["contract"]) == (1, 0)
+
+    @pytest.mark.parametrize("max_levels", [0, 1, 2])
+    def test_max_levels(self, monkeypatch, max_levels):
+        monkeypatch.setattr(multilevel, "MAX_LEVELS", max_levels)
+        g = grid_graph(30)
+        current = (np.arange(900) // 225).astype(np.int64)
+        _, counts = _fused_equals_reference(lambda: multilevel_partition(g, 4, seed=3))
+        assert counts["contract"] == max_levels
+        _fused_equals_reference(lambda: multilevel_repartition(g, 4, current, PNR(seed=3)))
+
+    def test_buffers_grow_until_every_level_fits(self, native_core, monkeypatch):
+        """Room for one coarse vertex and one CSR entry: the kernel answers
+        "grow" until the wrapper's buffers hold the hierarchy — never a
+        truncated one."""
+        calls = []
+        real = native_core.coarsen
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(native_core, "coarsen", spy)
+        monkeypatch.setattr(_klnative, "_first_capacity", lambda n, nnz: (1, 1))
+        g = _rand_graph(800, 6, np.random.default_rng(6))
+        _fused_equals_reference(lambda: multilevel_partition(g, 4, seed=0))
+        assert calls[:-1] == [_klnative._GROW] * (len(calls) - 1) and len(calls) > 3
+
+    @pytest.mark.parametrize("p", [2, 16])
+    def test_perf_counts_match_the_reference(self, e2e_graphs, p):
+        """``repro pared --phase-report`` reads the same call counts on both
+        paths: hierarchies, matchings tried, levels built, KL calls, passes,
+        moves tried and kept."""
+        g = e2e_graphs["2d"]
+        current = multilevel_partition(g, p, seed=0)
+        for fn in (
+            lambda: multilevel_partition(g, p, seed=4),
+            lambda: multilevel_repartition(g, p, current, PNR(seed=4)),
+            lambda: multilevel_repartition(g, p, current, PNR(seed=4, constrain_matching=False)),
+        ):
+            _, counts = _fused_equals_reference(fn)
+            assert counts["multilevel.coarsen"] == counts["multilevel.refine"] == 1
+            assert counts["matching.hem"] >= counts["contract"] >= 1
+            assert counts["kl.pass"] >= counts["kl.refine"] > counts["contract"]
+
+    def test_self_check_mismatch_runs_the_reference(self, native_core, monkeypatch):
+        """A C draw that differs from numpy's — here a generator started on
+        another stream — fails the load-time self-check: the fused entries
+        stay off and the per-level reference runs, with the same answer."""
+        real = _klnative._pcg_state
+
+        def other_stream(seed):
+            s_hi, s_lo, inc_hi, inc_lo = real(seed)
+            return s_hi, s_lo, inc_hi, inc_lo ^ 2
+
+        monkeypatch.setattr(_klnative, "_pcg_state", other_stream)
+        monkeypatch.setattr(_klnative, "_TRIED", False)
+        monkeypatch.setattr(_klnative, "_LIB", None)
+        monkeypatch.setattr(_klnative, "_FUSED", True)
+        assert _klnative.load() is not None
+        assert _klnative._FUSED is False
+        built = []
+        real_build = multilevel.build_hierarchy
+        monkeypatch.setattr(
+            multilevel, "build_hierarchy",
+            lambda *a, **k: built.append(1) or real_build(*a, **k),
+        )
+        g = _rand_graph(500, 6, np.random.default_rng(8))
+        assert _klnative.coarsen(g, 100, 0, None, True, MAX_LEVELS, MIN_SHRINK) is None
+        native = multilevel_partition(g, 4, seed=0)
+        assert built == [1]
+        with pure_path():
+            assert np.array_equal(native, multilevel_partition(g, 4, seed=0))
+
+
+def test_p1_partition_builds_no_hierarchy():
+    """At p = 1 the V-cycle's answer is known: greedy growing returns all
+    zeros and KL finds no boundary.  ``multilevel_partition`` returns it
+    without building anything."""
+    g = _rand_graph(900, 6, np.random.default_rng(9))
+    out, counts = _counted(lambda: multilevel_partition(g, 1, seed=5))
+    assert out.dtype == np.int64 and np.array_equal(out, np.zeros(900))
+    assert not any(counts.values())
+    # the V-cycle it skips (one part is never out of balance: no rebalance)
+    cut_cfg = KLConfig(balance_tol=0.03, max_passes=6, beta=0.0)
+    for path in (pure_path, nullcontext):
+        with path():
+            full = v_cycle(
+                build_hierarchy(g, coarsen_target(1), seed=5),
+                lambda h, _home: greedy_graph_growing(h, 1, seed=5),
+                lambda h, a, _home: kl_refine(h, a, 1, config=cut_cfg),
+            )
+        assert np.array_equal(full, out)
 
 
 # --------------------------------------------------------------------- #
