@@ -97,7 +97,7 @@ def _noop_rank(comm):
 
 def test_pared_round_8192_shm(benchmark):
     """Same fixture on the shm backend: pooled rank processes exchanging
-    codec frames through shared-memory rings, sockets only for spill and
+    codec frames through shared-memory rings, a socket only for
     control.  The committed `benchmarks/BENCH_pared_shm.json` is the
     baseline CI gates against (median, 25% tolerance) on runners with
     >= 4 usable cores; elsewhere the timing is recorded ungated.

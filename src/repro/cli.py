@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--transport", choices=BACKENDS, default=None,
         help="rank backend: threads (default), or shm (one OS process per "
-             "rank exchanging frames through shared-memory rings, sockets "
-             "as the spill channel; also via REPRO_TRANSPORT)",
+             "rank exchanging frames through shared-memory rings; also "
+             "via REPRO_TRANSPORT)",
     )
 
     pa.add_argument(

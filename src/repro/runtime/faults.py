@@ -24,7 +24,7 @@ plan — independent of thread scheduling — so every failing schedule can be
 replayed from its seed.
 
 Injection is a *decorator over the transport seam*
-(:class:`FaultyTransport`, the three operations of
+(:class:`FaultyTransport`, the two operations of
 :mod:`repro.runtime.transport`): ``spmd_run`` wraps each rank's transport
 in one iff a plan is present.  Its ``push_parts`` prepends a fixed ``(seq,
 not_before)`` header part to the frame and pushes it once or twice through
@@ -48,6 +48,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.runtime.transport import SimRankCrashed, TransportEmpty
+
 #: seconds a "reordered" message is held — long enough for the receiver's
 #: 50 ms poll to observe the inversion, short enough never to trip a
 #: default timeout
@@ -56,10 +58,6 @@ _REORDER_HOLD = 0.12
 #: the header part a :class:`FaultyTransport` prepends to every frame:
 #: channel sequence number (int64) + monotonic ``not_before`` (float64)
 _ENVELOPE = struct.Struct("<qd")
-
-
-class SimRankCrashed(RuntimeError):
-    """A rank was killed by the fault plan (crash-at-op)."""
 
 
 class FaultToleranceExhausted(TimeoutError):
@@ -165,12 +163,14 @@ class FaultLog:
 
 
 class FaultyTransport:
-    """The plan's wire perturbations, as a decorator over the 3-op seam.
+    """The plan's wire perturbations, as a decorator over the 2-op seam.
 
     ``inner`` is any transport; ``log`` the run's :class:`FaultLog`.
     Physical frames (what ``inner`` pushes, duplicates and the 16-byte
     header included) are the wrapped transport's to count; the *logical*
-    message is recorded exactly once, above the seam.
+    message is recorded exactly once, above the seam.  An aborted run is
+    the wrapped transport's to report: both operations call it before
+    they log an event or hand a held frame up.
     """
 
     def __init__(self, inner, plan: FaultPlan, log: FaultLog, rank: int):
@@ -182,56 +182,65 @@ class FaultyTransport:
         self._rng = {}  # dst -> per-channel decision stream
         self._next_seq = {}  # src -> next sequence number to deliver
         self._held = {}  # src -> {seq: (tag, not_before, payload)}
-        self.aborted = inner.aborted
 
     def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
         plan, log = self._plan, self._log
         seq = self._out_seq.get(dest, 0)
-        self._out_seq[dest] = seq + 1
         rng = self._rng.get(dest)
         if rng is None:
             rng = self._rng[dest] = plan.channel_rng(self._rank, dest)
         # one draw per knob, always, so decision streams stay aligned
         # across plans that differ only in rates
         u_dup, u_reorder, u_delay = rng.random(), rng.random(), rng.random()
-        not_before = 0.0
+        not_before, hold = 0.0, None
         if plan.delay_rate and u_delay < plan.delay_rate:
-            not_before = time.monotonic() + plan.delay
-            log.record("delay", self._rank, dest, seq)
+            not_before, hold = time.monotonic() + plan.delay, "delay"
         elif plan.reorder_rate and u_reorder < plan.reorder_rate:
             # held just long enough for the channel's next message to
             # overtake it on the wire
-            not_before = time.monotonic() + _REORDER_HOLD
-            log.record("reorder", self._rank, dest, seq)
+            not_before, hold = time.monotonic() + _REORDER_HOLD, "reorder"
         framed = [_ENVELOPE.pack(seq, not_before), *parts]
         total += _ENVELOPE.size
+        # the wrapped push comes first: on an aborted run it raises
+        # before the message takes a sequence number or logs an event
         self._inner.push_parts(dest, tag, framed, total)
+        self._out_seq[dest] = seq + 1
+        if hold:
+            log.record(hold, self._rank, dest, seq)
         if plan.duplicate_rate and u_dup < plan.duplicate_rate:
             self._inner.push_parts(dest, tag, framed, total)
             log.record("duplicate", self._rank, dest, seq)
 
     def pull(self, source: int, slice_s: float):
         """The next in-sequence ``(tag, payload)`` whose injected latency
-        has elapsed.  An empty inner wire raises ``TransportEmpty`` straight
-        through — the caller owns the deadline and simply pulls again."""
+        has elapsed.  The wrapped ``pull`` runs first on every pass — with
+        no wait when a held frame is due — so an aborted run raises before
+        a held frame is handed up.  An empty inner wire with nothing due
+        raises ``TransportEmpty`` straight through: the caller owns the
+        deadline and simply pulls again."""
         held = self._held.setdefault(source, {})
         deadline = time.monotonic() + slice_s
         while True:
             nxt = self._next_seq.get(source, 0)
             entry = held.get(nxt)
             now = time.monotonic()
-            wake = deadline
-            if entry is not None:
-                tag, due, payload = entry
-                if due <= now:
-                    del held[nxt]
-                    self._next_seq[source] = nxt + 1
-                    return tag, payload
-                wake = min(deadline, due)
-            tag, frame = self._inner.pull(source, max(wake - now, 0.0))
-            seq, not_before = _ENVELOPE.unpack_from(frame)
-            if seq >= nxt and seq not in held:  # else a duplicate: drop
-                held[seq] = (tag, not_before, frame[_ENVELOPE.size :])
+            due = entry is not None and entry[1] <= now
+            wake = deadline if entry is None else min(deadline, entry[1])
+            try:
+                tag, frame = self._inner.pull(
+                    source, 0.0 if due else max(wake - now, 0.0)
+                )
+            except TransportEmpty:
+                if not due:
+                    raise
+            else:
+                seq, not_before = _ENVELOPE.unpack_from(frame)
+                if seq >= nxt and seq not in held:  # else a duplicate: drop
+                    held[seq] = (tag, not_before, frame[_ENVELOPE.size :])
+            if due:
+                del held[nxt]
+                self._next_seq[source] = nxt + 1
+                return entry[0], entry[2]
 
 
 def patient_recv(attempt, rank, source, tag, timeout, retries, backoff, log):

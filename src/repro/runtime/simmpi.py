@@ -21,10 +21,10 @@ per rank over in-process queues — deterministic, cheap, and the substrate
 for fault injection and crash recovery.  ``spmd_run(...,
 transport="shm")`` (or ``REPRO_TRANSPORT=shm``) runs one forked *process*
 per rank instead (:mod:`repro.runtime.shm`), so phases execute on real
-cores with no GIL serialization; frames cross through shared-memory rings
-or, behind a 16-byte length prefix, the spill sockets — the same typed
-codec bytes either way — and per-worker traffic ledgers are merged at the
-end of the run, so accounting is identical on both backends.
+cores with no GIL serialization; frames cross through one shared-memory
+ring per ordered rank pair — the same typed codec bytes as the queues —
+and per-worker traffic ledgers are merged at the end of the run, so
+accounting is identical on both backends.
 
 Error containment: an exception on any rank cancels the run and is re-raised
 in the caller (with the originating rank), instead of deadlocking the other
@@ -166,7 +166,7 @@ class SimComm:
         self._shared = shared
         self.rank = rank
         self.size = shared.size
-        # the wire itself: the three operations of repro.runtime.transport
+        # the wire itself: the two operations of repro.runtime.transport
         self._transport = transport
         self.phase = "default"
         # out-of-order tag buffer per source
@@ -247,9 +247,9 @@ class SimComm:
     def send(self, obj, dest: int, tag: int = 0) -> int:
         """Send a picklable object to ``dest`` (non-blocking, buffered).
         Returns the frame length in bytes (0 for a dropped send to a dead
-        rank) — the same number the traffic ledger recorded."""
-        if self._transport.aborted():
-            raise SimMPIAborted("run aborted")
+        rank) — the same number the traffic ledger recorded.  On an
+        aborted run the transport raises :class:`SimMPIAborted` and the
+        message is not recorded."""
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid dest {dest}")
         if self._recover and dest in self._shared.dead:
@@ -258,15 +258,15 @@ class SimComm:
             return 0
         if self._faults is not None:
             self._count_op()
-        # the ledger records the *logical* message exactly once, at its
-        # exact frame length (the parts concatenate to the very bytes
-        # ``encode`` would produce) — whatever the wire below does with it
         tick = perf_counter()
         parts = _encode_parts(obj)
         n = _parts_nbytes(parts)
         PERF.add("codec.encode." + self.phase, perf_counter() - tick)
-        self._shared.stats.record(self.rank, dest, n, self.phase)
         self._transport.push_parts(dest, tag, parts, n)
+        # the ledger records the *logical* message exactly once, at its
+        # exact frame length (the parts concatenate to the very bytes
+        # ``encode`` would produce) — whatever the wire below did with it
+        self._shared.stats.record(self.rank, dest, n, self.phase)
         return n
 
     def _decode_timed(self, payload):
@@ -324,8 +324,6 @@ class SimComm:
         remaining = max(timeout, 0.0)
         deadline = time.monotonic() + remaining
         while True:
-            if self._transport.aborted():
-                raise SimMPIAborted("run aborted")
             try:
                 got_tag, payload = self._transport.pull(
                     source, min(0.05, remaining)
@@ -491,8 +489,8 @@ def spmd_run(
     ``transport`` selects the wire backend: ``"thread"`` (the default —
     one thread per rank, in-process queues) or ``"shm"`` (one forked
     process per rank, for real multi-core wall-clock: pooled workers
-    exchanging frames through shared-memory rings, sockets as the spill
-    channel; see :mod:`repro.runtime.shm`).  When omitted, the
+    exchanging frames through shared-memory rings; see
+    :mod:`repro.runtime.shm`).  When omitted, the
     ``REPRO_TRANSPORT`` environment variable decides.  Fault
     injection and ``recover=True`` are thread-backend features: an
     environment preference for the shm backend falls back to threads,

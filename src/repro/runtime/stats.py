@@ -37,9 +37,9 @@ class TrafficStats:
         self.backend = None
         # wire-level channel counters, orthogonal to the logical ledger
         # above: which physical channel each frame actually travelled
-        # (``queue_*`` on thread, ``ring_*`` / ``spill_*`` on shm) plus,
-        # on shm, ``copied_bytes`` — payload bytes copied across the
-        # process boundary (every ring and spill frame, in full)
+        # (``queue_*`` on thread, ``ring_*`` on shm) plus, on shm,
+        # ``copied_bytes`` — payload bytes copied across the process
+        # boundary (every ring frame, in full)
         self.wire = defaultdict(int)
 
     def record(self, src: int, dst: int, nbytes: int, phase: str) -> None:

@@ -3,26 +3,30 @@
 :class:`~repro.runtime.simmpi.SimComm` owns everything *semantic* about
 message passing — tag matching, the stash, collectives, phase accounting,
 the crash clock and membership — and delegates the raw wire to a
-transport object with three operations:
+transport object with two operations:
 
 ``push_parts(dest, tag, parts, total)``
-    Put one framed message on the wire (non-blocking, buffered).
-    ``parts`` is the scatter-gather list of
-    :func:`~repro.runtime.codec.encode_parts` and ``total`` its byte
-    length; the transport gathers them once, wherever its frames live (a
-    joined ``bytes`` on the queue wire, the ring slot itself on shm).
+    Put one framed message on the wire (buffered; on shm a full ring
+    blocks the sender while it drains its own side).  ``parts`` is the
+    scatter-gather list of :func:`~repro.runtime.codec.encode_parts` and
+    ``total`` its byte length; the transport gathers them once, wherever
+    its frames live (a joined ``bytes`` on the queue wire, the ring
+    records themselves on shm).
 ``pull(source, slice_s)``
     Return the next ``(tag, frame)`` from ``source`` — the frame is
     ``bytes`` the receiver owns, on every backend — or raise
     :class:`TransportEmpty` after waiting at most ``slice_s`` seconds.
-``aborted()``
-    True once the run is cancelled (a peer failed).
+
+Both raise :class:`SimMPIAborted` once the run is cancelled (a peer
+failed), before they do anything else: an aborted send puts nothing on
+the wire, and an aborted receive hands nothing up.
 
 The seam is deliberately small: every collective — the pairwise
 recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``,
 and ``barrier``, an allgather of ``None`` tokens — is built entirely
-from these three operations.  ``push_parts`` being non-blocking and
-buffered is what makes ``iallgather`` legal — a rank posts all its
+from these two operations.  ``push_parts`` being buffered — a full shm
+ring holds its sender only until the receiver next drains, never until a
+matching receive — is what makes ``iallgather`` legal: a rank posts all its
 first-step frames immediately and returns a ``Request``; the deferred
 ``wait()`` only ever *pulls*, so no new wire primitive (and no
 per-backend code) was needed for overlap.
@@ -34,17 +38,17 @@ Two backends implement the seam (:data:`BACKENDS`):
   the only backend that supports fault injection and crash recovery.
 * :class:`~repro.runtime.shm.ShmTransport` — the forked backend: one OS
   process per rank (pooled, or a one-shot fork for unpicklable jobs),
-  frames through per-rank-pair shared-memory rings with a Unix socketpair
-  per pair as the spill channel.  See :mod:`repro.runtime.shm`.
+  frames through one shared-memory ring per ordered rank pair.  See
+  :mod:`repro.runtime.shm`.
 
-Fault injection is a *decorator* over the same three operations
+Fault injection is a *decorator* over the same two operations
 (:class:`~repro.runtime.faults.FaultyTransport`, wrapped around a rank's
 transport by ``spmd_run`` iff a plan is present): it never looks behind
 the seam, and ``SimComm`` never looks at it.
 
 This module holds the seam's vocabulary: the exceptions, backend
-selection (:func:`resolve_backend`), the socket framing the forked
-backend speaks (:data:`HEADER`, :func:`pack_frame`,
+selection (:func:`resolve_backend`), the socket framing of the forked
+backend's control channel (:data:`HEADER`, :func:`pack_frame`,
 :class:`FrameAssembler`) and the error precedence of a finished run on
 either backend (:func:`finish_spmd_run`).
 
@@ -62,7 +66,6 @@ import struct
 import warnings
 
 from repro.runtime.envflags import env_choice
-from repro.runtime.faults import SimRankCrashed
 
 __all__ = [
     "BACKENDS",
@@ -70,6 +73,7 @@ __all__ = [
     "FrameAssembler",
     "SimMPIAborted",
     "SimMPITimeout",
+    "SimRankCrashed",
     "SimRankDied",
     "ThreadTransport",
     "TransportEmpty",
@@ -93,6 +97,10 @@ class SimMPIAborted(RuntimeError):
 
 class SimRankDied(SimMPIAborted):
     """A rank's worker process terminated mid-run (forked backend)."""
+
+
+class SimRankCrashed(RuntimeError):
+    """A rank was killed by the fault plan (crash-at-op)."""
 
 
 class SimMPITimeout(TimeoutError):
@@ -209,21 +217,22 @@ class ThreadTransport:
         self._rank = rank
 
     def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
+        if self._shared.abort.is_set():
+            raise SimMPIAborted("run aborted")
         # the joined frame crosses by reference — nothing is memcpy'd on
         # this channel
         self._shared.stats.record_wire("queue", total)
         self._shared.queues[(self._rank, dest)].put((tag, b"".join(parts)))
 
     def pull(self, source: int, slice_s: float):
+        if self._shared.abort.is_set():
+            raise SimMPIAborted("run aborted")
         try:
             return self._shared.queues[(source, self._rank)].get(
                 timeout=slice_s
             )
         except queue.Empty:
             raise TransportEmpty() from None
-
-    def aborted(self) -> bool:
-        return self._shared.abort.is_set()
 
 
 def finish_spmd_run(results, errors, deaths, stats, return_stats):

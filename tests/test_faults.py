@@ -26,7 +26,8 @@ from repro.runtime import (
     spmd_run,
 )
 from repro.runtime.faults import _REORDER_HOLD, FaultyTransport
-from repro.runtime.transport import TransportEmpty
+from repro.runtime.simmpi import SimComm, _Shared
+from repro.runtime.transport import SimMPIAborted, TransportEmpty
 
 #: decision events are a pure function of the plan; 'retry' events depend on
 #: wall-clock scheduling and are excluded from determinism comparisons
@@ -219,41 +220,42 @@ class TestPinnedLogs:
 
 
 class _FakeWire:
-    """A 20-line in-memory implementation of the three seam operations —
+    """A 20-line in-memory implementation of the two seam operations —
     no ``_Shared``, no queues, no threads.  ``pull`` on an empty channel
-    sleeps out its slice like a real wire would."""
+    sleeps out its slice like a real wire would, and both operations
+    raise first once ``aborted`` is set."""
 
-    def __init__(self, rank, channels, calls):
-        self.rank, self.channels, self.calls = rank, channels, calls
+    def __init__(self, rank, channels):
+        self.rank, self.channels, self.aborted = rank, channels, False
 
     def push_parts(self, dest, tag, parts, total):
+        if self.aborted:
+            raise SimMPIAborted("run aborted")
         frame = b"".join(parts)
         assert len(frame) == total
         self.channels.setdefault((self.rank, dest), deque()).append((tag, frame))
 
     def pull(self, source, slice_s):
+        if self.aborted:
+            raise SimMPIAborted("run aborted")
         box = self.channels.get((source, self.rank))
         if not box:
             time.sleep(slice_s)
             raise TransportEmpty()
         return box.popleft()
 
-    def aborted(self):
-        self.calls.append(("aborted",))
-        return False
-
 
 class TestSeamConformance:
-    """``FaultyTransport`` needs nothing but the three operations."""
+    """``FaultyTransport`` needs nothing but the two operations."""
 
     def test_exactly_once_fifo_holds_and_dedup_over_a_fake_seam(self):
         plan = FaultPlan(
             seed=7, reorder_rate=0.4, duplicate_rate=0.5, delay_rate=0.2,
             delay=0.2,
         )
-        log, channels, calls = FaultLog(), {}, []
-        tx = FaultyTransport(_FakeWire(0, channels, calls), plan, log, 0)
-        rx = FaultyTransport(_FakeWire(1, channels, calls), plan, log, 1)
+        log, channels = FaultLog(), {}
+        tx = FaultyTransport(_FakeWire(0, channels), plan, log, 0)
+        rx = FaultyTransport(_FakeWire(1, channels), plan, log, 1)
         n = 20
         pushed_at = []
         for i in range(n):
@@ -285,11 +287,47 @@ class TestSeamConformance:
         for kind, _, _, seq, _ in log.events:
             if kind in hold:
                 assert got_at[seq] - pushed_at[seq] >= hold[kind]
-        # ``aborted`` is the inner transport's own, and there is no barrier
-        # on the seam to pass through: SimComm's is token messages
-        assert rx.aborted() is False
-        assert calls == [("aborted",)]
+        # the seam is two operations: no abort query and no barrier to
+        # pass through (SimComm's barrier is token messages)
+        assert not hasattr(rx, "aborted")
         assert not hasattr(rx, "barrier")
+
+    def test_aborted_run_logs_nothing_and_hands_up_no_held_frame(self):
+        """An abort reaches the decorator only through the wrapped
+        operations: a send on an aborted run draws no event, and a frame
+        the decorator already holds — due or not — is never handed up."""
+        plan = FaultPlan(seed=1, delay_rate=1.0, delay=0.0)
+        log, channels = FaultLog(), {}
+        wires = [_FakeWire(0, channels), _FakeWire(1, channels)]
+        tx = FaultyTransport(wires[0], plan, log, 0)
+        rx = FaultyTransport(wires[1], plan, log, 1)
+        tx.push_parts(1, 5, [b"held"], 4)
+        tx.push_parts(1, 5, [b"next"], 4)
+        assert log.count("delay") == 2
+        # seq 1 arrives first, so it is in the decorator's hold (and due)
+        # once seq 0 has been handed up
+        channels[(0, 1)].rotate(1)
+        assert rx.pull(0, 0.0) == (5, b"held")
+        assert not channels[(0, 1)]
+        for wire in wires:
+            wire.aborted = True
+        with pytest.raises(SimMPIAborted):
+            rx.pull(0, 0.0)  # seq 1 is held and due, but the run is over
+        with pytest.raises(SimMPIAborted):
+            tx.push_parts(1, 5, [b"late"], 4)
+        assert log.count("delay") == 2
+
+    def test_aborted_send_is_not_recorded(self):
+        """``SimComm.send`` records the message after the wire took it: a
+        send the transport refuses as aborted never reaches the ledger."""
+        shared = _Shared(2)
+        wire = _FakeWire(0, {})
+        comm = SimComm(shared, 0, wire)
+        assert comm.send("kept", 1) > 0
+        wire.aborted = True
+        with pytest.raises(SimMPIAborted):
+            comm.send("dropped", 1)
+        assert shared.stats.total_messages == 1
 
 
 class TestZeroOverhead:

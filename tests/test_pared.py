@@ -542,8 +542,8 @@ class TestTransportParity:
     changes only how bytes move between ranks — never what they say.
     Covered once per way a frame can travel on shm: a one-shot fork (the
     closure config cannot be pickled), pooled workers over the ring, and
-    pooled workers whose 4 KiB ring sends every mid-size frame down the
-    spill socket."""
+    pooled workers whose 4 KiB ring cuts every mid-size frame into
+    continuation records and blocks its sender while full."""
 
     @staticmethod
     def _cfg(transport, partitioner, picklable=False):
@@ -563,12 +563,12 @@ class TestTransportParity:
         )
 
     @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
-    @pytest.mark.parametrize("route", ["oneshot", "pooled", "spill"])
+    @pytest.mark.parametrize("route", ["oneshot", "pooled", "tiny_ring"])
     def test_shm_run_matches_thread_bit_for_bit(
         self, monkeypatch, route, partitioner
     ):
         hist_t, stats_t = run_pared(self._cfg("thread", partitioner))
-        if route == "spill":
+        if route == "tiny_ring":
             monkeypatch.setattr(shm, "RING_BYTES", 4096)
         shutdown_pools()
         try:
@@ -582,7 +582,8 @@ class TestTransportParity:
         assert jobs == ({} if route == "oneshot" else {3: 1})
         wire = stats_s.wire_report()
         assert wire.get("ring_frames", 0) > 0
-        assert (wire.get("spill_frames", 0) > 0) == (route == "spill")
+        assert wire["copied_bytes"] == wire["ring_bytes"]
+        assert not [k for k in wire if k.startswith("spill_")]
 
         for per_rank_t, per_rank_s in zip(hist_t, hist_s):
             assert len(per_rank_t) == len(per_rank_s)

@@ -3,9 +3,10 @@
 The cross-backend *semantics* of shm live in the conformance suite
 (`test_simmpi.py`); this file covers what is unique to the backend: the
 SPSC ring protocol itself (copy-out delivery, wrap, refusal, the
-producer-forked-first startup race), the persistent rank pool (reuse,
-poisoning on death, shutdown hygiene), the ring/spill split of the
-data plane and the socket send discipline.
+producer-forked-first startup race, continuation records), the
+persistent rank pool (reuse, poisoning on death, isolation of an aborted
+job, shutdown hygiene), the ring as the one data channel and the control
+channel's send discipline.
 """
 
 import multiprocessing
@@ -23,12 +24,13 @@ from hypothesis import strategies as st
 from repro.runtime import shm
 from repro.runtime.shm import (
     _CTRL_ABORT,
+    _CTRL_RESULT,
     Ring,
     ShmTransport,
     pool_stats,
     shutdown_pools,
 )
-from repro.runtime.simmpi import spmd_run
+from repro.runtime.simmpi import SimMPIAborted, spmd_run
 from repro.runtime.transport import FrameAssembler, pack_frame
 
 _RING_HDR = 64
@@ -40,8 +42,8 @@ def _region(cap=4096):
 
 def _collect(ring):
     got = []
-    ring.poll(lambda tag, job, seq, payload: got.append(
-        (tag, job, seq, payload)
+    ring.poll(lambda tag, job, more, payload: got.append(
+        (tag, job, more, payload)
     ))
     return got
 
@@ -61,8 +63,8 @@ class TestRing:
         region = _region()
         prod, cons = Ring(region), Ring(region)
         assert prod.try_write(7, 1, 0, (b"hello",), 5)
-        [(tag, job, seq, payload)] = _collect(cons)
-        assert (tag, job, seq) == (7, 1, 0)
+        [(tag, job, more, payload)] = _collect(cons)
+        assert (tag, job, more) == (7, 1, 0)
         assert isinstance(payload, bytes) and payload == b"hello"
 
     def test_large_record_arrives_as_bytes_and_frees_its_slot(self):
@@ -82,12 +84,12 @@ class TestRing:
         prod, cons = Ring(region), Ring(region)
         big = b"x" * prod.max_frame
         assert prod.try_write(1, 1, 0, (big,), len(big))
-        assert prod.try_write(1, 1, 1, (big,), len(big))
+        assert prod.try_write(1, 1, 0, (big,), len(big))
         # two unpolled records fill the ring: a third write is refused
-        assert not prod.try_write(1, 1, 2, (big,), len(big))
+        assert not prod.try_write(1, 1, 0, (big,), len(big))
         assert [p for _, _, _, p in _collect(cons)] == [big, big]
         # one poll freed every slot it read
-        assert prod.try_write(1, 1, 2, (big,), len(big))
+        assert prod.try_write(1, 1, 0, (big,), len(big))
 
     def test_records_wrap_via_sentinel(self):
         """Many differently-sized records cross the wrap boundary intact
@@ -99,15 +101,15 @@ class TestRing:
         delivered = []
 
         def take():
-            for _, _, seq, payload in _collect(cons):
-                assert payload == bytes([seq % 256]) * len(payload)
-                delivered.append(seq)
+            for _, _, _, payload in _collect(cons):
+                assert payload == payload[:1] * len(payload)
+                delivered.append(payload[0])
 
         sent = 0
         for seq in range(200):
             n = int(rng.integers(1, 900))
             blob = bytes([seq % 256]) * n
-            while not prod.try_write(3, 1, seq, (blob,), n):
+            while not prod.try_write(3, 1, 0, (blob,), n):
                 take()  # consumer keeps up, slots recycle
             sent += 1
         while len(delivered) < sent:
@@ -116,7 +118,7 @@ class TestRing:
             assert len(delivered) > before, (
                 "producer published records the consumer never saw"
             )
-        assert delivered == list(range(sent))
+        assert delivered == [seq % 256 for seq in range(sent)]
 
     def test_refuses_oversized_frame(self):
         region = _region(4096)
@@ -133,10 +135,10 @@ class TestRing:
         region = _region()
         prod = Ring(region)
         for seq in range(3):
-            assert prod.try_write(5, 1, seq, (b"late-%d" % seq,), 6)
+            assert prod.try_write(5, 1, 0, (b"late-%d" % seq,), 6)
         cons = Ring(region)  # constructed after the writes
         got = _collect(cons)
-        assert [(t, s) for t, _, s, _ in got] == [(5, 0), (5, 1), (5, 2)]
+        assert [t for t, _, _, _ in got] == [5, 5, 5]
         assert [p for _, _, _, p in got] == [b"late-0", b"late-1", b"late-2"]
 
     def test_counters_are_monotonic_across_reuse(self):
@@ -144,8 +146,8 @@ class TestRing:
         the shared counters only grow (no cross-job reset coordination)."""
         region = _region(4096)
         prod, cons = Ring(region), Ring(region)
-        for seq in range(50):
-            assert prod.try_write(1, 1, seq, (b"y" * 100,), 100)
+        for _ in range(50):
+            assert prod.try_write(1, 1, 0, (b"y" * 100,), 100)
             _collect(cons)
         head, tail = _counters(region)
         assert head == tail  # fully drained
@@ -171,15 +173,60 @@ class TestRing:
             head, tail = _counters(region)
             assert tail == head
 
-        for seq, blob in enumerate(blobs):
-            if not prod.try_write(2, 1, seq, (blob,), len(blob)):
+        for blob in blobs:
+            if not prod.try_write(2, 1, 0, (blob,), len(blob)):
                 poll()  # a polled ring is empty and takes any max_frame
-                assert prod.try_write(2, 1, seq, (blob,), len(blob))
+                assert prod.try_write(2, 1, 0, (blob,), len(blob))
             if data.draw(st.booleans()):
                 poll()
         poll()
-        assert [s for _, _, s, _ in got] == list(range(len(blobs)))
         assert [p for _, _, _, p in got] == blobs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_frames_up_to_three_rings_arrive_once_in_order_byte_exact(
+        self, data
+    ):
+        """Frame sizes drawn from [0, 3 x cap] cross a 4 KiB ring the way
+        ``push_parts`` sends them — cut into continuation records, each
+        part sliced, never joined — with polls of the receiving transport
+        interleaved at random: every frame arrives once, in order,
+        byte-exact, and every poll leaves tail == head."""
+        region = _region(4096)
+        prod = Ring(region)
+        ctrl, parent = socket.socketpair()
+        rx = ShmTransport(1, ctrl, {0: Ring(region)}, {})
+        rx.begin_job(1)
+        sizes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=3 * prod.cap),
+            min_size=1, max_size=12,
+        ))
+        blobs = [
+            ((np.arange(n) + seq) % 251).astype(np.uint8).tobytes()
+            for seq, n in enumerate(sizes)
+        ]
+
+        def poll():
+            rx._drain(0)
+            head, tail = _counters(region)
+            assert tail == head
+
+        try:
+            for seq, blob in enumerate(blobs):
+                cut = data.draw(st.integers(0, len(blob)))
+                parts = [blob[:cut], memoryview(blob)[cut:]]
+                for rec, n, more in shm._records(
+                    parts, len(blob), prod.max_frame
+                ):
+                    while not prod.try_write(seq, 1, more, rec, n):
+                        poll()
+                    if data.draw(st.booleans()):
+                        poll()
+            poll()
+            assert list(rx._inbox[0]) == list(enumerate(blobs))
+        finally:
+            rx.close()
+            parent.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -277,13 +324,53 @@ class TestShmPool:
 
     def test_aborted_barrier_leaks_no_token_into_the_next_job(self):
         """Rank 0's barrier token of an aborted pooled job must not release
-        the next job's barrier early: the ``(job, seq)`` stamps drop it."""
+        the next job's barrier early: the ``job`` stamp drops it."""
         shutdown_pools()
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             spmd_run(2, _raise_after_peer_barrier_prog, transport="shm")
         waited = spmd_run(2, _late_barrier_prog, transport="shm")[0]
         assert waited >= 0.15
         assert pool_stats()[2][0] == 2  # both jobs ran on one pool
+
+    def test_aborted_frame_fragment_leaks_nothing_into_the_next_job(
+        self, monkeypatch
+    ):
+        """Rank 0 is aborted between two continuation records of a frame
+        into rank 1's 4 KiB ring: the next job on the same pool must see
+        none of that fragment — its own multi-record frames arrive whole
+        and exact."""
+        monkeypatch.setattr(shm, "RING_BYTES", 4096)
+        shutdown_pools()
+        try:
+            with pytest.raises(RuntimeError, match="rank 1 failed"):
+                spmd_run(2, _fail_during_big_frame_prog, transport="shm")
+            assert spmd_run(2, _midsize_pair_prog, transport="shm") == [
+                None, int(np.arange(700).sum()),
+            ]
+            assert pool_stats()[2][0] == 2  # both jobs ran on one pool
+        finally:
+            shutdown_pools()  # do not leave a 4 KiB-ring pool behind
+
+    def test_death_while_peer_blocks_on_its_full_ring(self, monkeypatch):
+        """Rank 1 dies while rank 0 is blocked writing an 8 MiB frame into
+        rank 1's 4 KiB ring: the parent sees the death, rank 0's blocked
+        send is aborted, and the caller gets SimRankDied — never a hang.
+        The next run gets a fresh pool."""
+        from repro.runtime.simmpi import SimRankDied
+
+        monkeypatch.setattr(shm, "RING_BYTES", 4096)
+        shutdown_pools()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(SimRankDied, match="rank 1 process died"):
+                spmd_run(2, _die_during_big_frame_prog, transport="shm")
+            assert time.monotonic() - t0 < 20.0
+            assert spmd_run(2, _pool_prog, transport="shm") == [
+                2 * int(np.arange(200).sum()) + 200,
+            ] * 2
+            assert pool_stats()[2][0] == 1
+        finally:
+            shutdown_pools()
 
 
 def _raise_prog(comm):
@@ -308,12 +395,49 @@ def _late_barrier_prog(comm):
     return time.monotonic() - t0
 
 
+def _fail_during_big_frame_prog(comm):
+    if comm.rank == 1:
+        time.sleep(0.2)  # rank 0 is blocked on the full ring, mid-frame
+        raise RuntimeError("boom while a frame is half across")
+    comm.send(np.arange(1 << 20, dtype=np.int64), 1, tag=9)
+
+
+def _die_during_big_frame_prog(comm):
+    if comm.rank == 1:
+        time.sleep(0.2)  # rank 0 is blocked on the full ring, mid-frame
+        os._exit(13)
+    comm.send(np.arange(1 << 20, dtype=np.int64), 1, tag=9)
+
+
+def _socket_count():
+    fds = os.listdir("/proc/self/fd")
+    links = []
+    for fd in fds:
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return sum(link.startswith("socket:") for link in links)
+
+
+def _socket_count_prog(comm):
+    return _socket_count()
+
+
+def _midsize_pair_prog(comm):
+    """One ~5.6 KiB frame (three records of a 4 KiB ring), rank 0 to 1."""
+    if comm.rank == 0:
+        comm.send(np.arange(700, dtype=np.int64), 1, tag=9)
+        return None
+    return int(comm.recv(0, tag=9, timeout=30.0).sum())
+
+
 # ---------------------------------------------------------------------- #
-# data-plane split: ring vs spill
+# the ring: the one data channel
 # ---------------------------------------------------------------------- #
 
 
-class TestRingSpillSplit:
+class TestOneDataChannel:
     def test_ring_carries_small_frames(self):
         shutdown_pools()
         _, stats = spmd_run(
@@ -321,11 +445,12 @@ class TestRingSpillSplit:
         )
         wire = stats.wire_report()
         assert wire.get("ring_frames", 0) > 0
-        assert wire.get("spill_frames", 0) == 0
+        assert not [k for k in wire if k.startswith("spill_")]
 
-    def test_oversized_frame_spills_and_arrives(self):
-        """An 8 MiB frame exceeds half the 4 MiB ring: it must ride the
-        socket spill channel, bit-exact."""
+    def test_oversized_frame_crosses_as_continuation_records(self):
+        """An 8 MiB frame exceeds half the 4 MiB ring: it crosses as
+        continuation records and arrives bit-exact; every byte is copied
+        out of the ring exactly once."""
         assert (1 << 23) > shm.RING_BYTES // 2
         shutdown_pools()
         res, stats = spmd_run(
@@ -333,18 +458,15 @@ class TestRingSpillSplit:
         )
         assert res == [0, 0]
         wire = stats.wire_report()
-        assert wire.get("spill_frames", 0) >= 1
-        assert wire.get("spill_bytes", 0) >= 1 << 23
-        # a spilled frame crosses the socket, a ring record is copied out
-        # when read: every byte of both is copied exactly once
-        assert wire["copied_bytes"] == (
-            wire.get("ring_bytes", 0) + wire["spill_bytes"]
-        )
+        assert wire["ring_frames"] == 1
+        assert wire["ring_bytes"] >= 1 << 23
+        assert wire["copied_bytes"] == wire["ring_bytes"]
+        assert not [k for k in wire if k.startswith("spill_")]
 
-    def test_tiny_ring_spills_midsize_frames(self, monkeypatch):
+    def test_tiny_ring_carries_midsize_frames(self, monkeypatch):
         """A 4 KiB ring has a ~2 KiB max_frame: the ~3.3 KiB exchange
-        payloads cannot ride it and the run must transparently complete
-        over the spill channel."""
+        payloads cross it as continuation records, with both ranks
+        sending at once into each other's full rings."""
         monkeypatch.setattr(shm, "RING_BYTES", 4096)
         shutdown_pools()
         try:
@@ -353,12 +475,23 @@ class TestRingSpillSplit:
             )
             assert res[0] == res[1]
             wire = stats.wire_report()
-            assert wire.get("spill_frames", 0) > 0
-            assert wire["copied_bytes"] == (
-                wire.get("ring_bytes", 0) + wire["spill_bytes"]
-            )
+            assert wire["ring_frames"] > 0
+            assert wire["copied_bytes"] == wire["ring_bytes"]
         finally:
             shutdown_pools()  # do not leave a 4 KiB-ring pool behind
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_each_worker_holds_one_socket(self):
+        """No socket joins two rank processes: a worker holds the sockets
+        it inherited from the caller plus exactly one, its control
+        channel."""
+        shutdown_pools()
+        inherited = _socket_count()
+        assert spmd_run(3, _socket_count_prog, transport="shm") == [
+            inherited + 1
+        ] * 3
 
     def test_wire_counters_name_the_backend_channel(self):
         progs = {"thread": "queue", "shm": "ring"}
@@ -371,45 +504,44 @@ class TestRingSpillSplit:
 
 
 # ---------------------------------------------------------------------- #
-# the one socket send loop
+# the control channel
 # ---------------------------------------------------------------------- #
 
 
 class TestSendDiscipline:
     def test_started_frame_is_finished_across_an_abort(self):
-        """The abort lands while a frame is half-written into a full
-        socket buffer: the send loop must still complete it, because a
-        pooled socket outlives the job and the next job's frames follow on
-        the same stream."""
-        near, far = socket.socketpair()
+        """The abort lands while a result frame is half-written into the
+        full control socket: the send loop must still complete it, because
+        the control stream outlives the job and the next job's frames
+        follow on the same stream."""
         ctrl, parent = socket.socketpair()
-        far.settimeout(20.0)
-        transport = ShmTransport(0, 2, {1: near}, ctrl, {}, {})
+        parent.settimeout(20.0)
+        transport = ShmTransport(0, ctrl, {}, {})
         body = bytes(range(256)) * (1 << 14)  # 4 MiB: no buffer holds it
         got = []
 
         def reader():
-            while not transport.aborted():  # i.e. the frame is half-sent
+            while not transport._aborted:  # i.e. the frame is half-sent
                 time.sleep(0.001)
             asm = FrameAssembler()
             while len(got) < 2:
-                got.extend(asm.feed(far.recv(1 << 16)))
+                got.extend(asm.feed(parent.recv(1 << 16)))
 
         thread = threading.Thread(target=reader, daemon=True)
         try:
             # read by the drain of the first blocked send
             parent.sendall(pack_frame(_CTRL_ABORT, struct.pack("<Q", 0)))
             thread.start()
-            assert transport._send_frame(near, pack_frame(7, body))
-            assert transport.aborted()
-            assert transport._send_frame(near, pack_frame(8, b"next job"))
+            transport.send_result(body)
+            with pytest.raises(SimMPIAborted):
+                transport.pull(0, 0.0)
+            transport.send_result(b"next job")
             thread.join(timeout=30.0)
             assert not thread.is_alive()
         finally:
             transport.close()
-            far.close()
             parent.close()
-        assert got == [(7, body), (8, b"next job")]
+        assert got == [(_CTRL_RESULT, body), (_CTRL_RESULT, b"next job")]
 
 
 class TestControlFrames:
@@ -417,18 +549,26 @@ class TestControlFrames:
         """A fast peer fails job 2 while this rank is still parked after
         job 1, so job 2's abort arrives before ``begin_job(2)``: the job
         must start aborted (not wait out its receive timeout), and job 3
-        must not inherit the abort."""
+        must not inherit the abort.  Once job 3 is aborted too, a frame
+        already in its inbox is not handed up."""
         ctrl, parent = socket.socketpair()
-        transport = ShmTransport(0, 2, {}, ctrl, {}, {})
+        transport = ShmTransport(0, ctrl, {}, {})
         try:
             transport.begin_job(1)
             parent.sendall(pack_frame(_CTRL_ABORT, struct.pack("<Q", 2)))
             transport._drain(5.0)
-            assert not transport.aborted()  # job 1 is not the one cancelled
+            assert not transport._aborted  # job 1 is not the one cancelled
             transport.begin_job(2)
-            assert transport.aborted()
+            with pytest.raises(SimMPIAborted):
+                transport.push_parts(0, 1, [b"x"], 1)
             transport.begin_job(3)
-            assert not transport.aborted()
+            transport.push_parts(0, 1, [b"x"], 1)
+            assert transport.pull(0, 0.0) == (1, b"x")
+            transport.push_parts(0, 1, [b"y"], 1)
+            parent.sendall(pack_frame(_CTRL_ABORT, struct.pack("<Q", 3)))
+            transport._drain(5.0)
+            with pytest.raises(SimMPIAborted):
+                transport.pull(0, 0.0)
         finally:
             transport.close()
             parent.close()

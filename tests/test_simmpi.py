@@ -1,9 +1,9 @@
 """Transport conformance suite for the simulated message-passing runtime.
 
 Every semantic case runs on *both* backends — ``thread`` (in-process
-queues) and ``shm`` (forked ranks over shared-memory rings, sockets as the
-spill channel) — through the ``backend`` fixture, and the traffic-ledger
-cases assert byte-for-byte identical accounting across them.  A new
+queues) and ``shm`` (forked ranks over shared-memory rings) — through the
+``backend`` fixture, and the traffic-ledger cases assert byte-for-byte
+identical accounting across them.  A new
 transport earns its place by passing this file unchanged.
 """
 
@@ -135,8 +135,8 @@ class TestPointToPoint:
 
     def test_large_payload_exceeds_socket_buffer(self, backend):
         """Multi-megabyte frames force partial reads (and, on the forked
-        backend's spill socket, blocked non-blocking sends) — reassembly
-        must be exact."""
+        backend, continuation records through a ring the sender blocks
+        on) — reassembly must be exact."""
         big = np.arange(1_000_000, dtype=np.int64)  # ~8 MB on the wire
 
         def prog(comm):
