@@ -7,8 +7,9 @@ the two system-level properties the paper claims:
 * parallel refinement produces the same mesh as serial refinement (the
   replicas' metrics agree across ranks, and the leaf count matches a serial
   replay);
-* the coordinator protocol keeps the load balanced while migrating few
-  elements per round.
+* the round protocol — every rank merges ``G`` and takes the same
+  decision — keeps the load balanced while migrating few elements per
+  round.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def test_pared_system(benchmark, write_result):
     for phase in ("P0", "P2", "P3"):
         assert phase in report and report[phase][0] > 0, f"no traffic in {phase}"
     # the migration exchange is sparse (only non-empty channels carry a
-    # message): total P3 traffic — setup + per-round owner broadcasts +
-    # payloads — must stay below the dense all-pairs exchange it replaced,
+    # message, and no rank broadcasts the owner map): total P3 traffic
+    # must stay below the dense all-pairs exchange it replaced,
     # whose payload legs alone cost p*(p-1) messages per round
     p3_msgs = report["P3"][0]
     dense_payload_msgs = rounds * p * (p - 1)

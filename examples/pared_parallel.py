@@ -5,8 +5,10 @@ over the simulated message-passing runtime.
 Four ranks share an adaptively refined mesh (one refinement tree per coarse
 element).  Each round: ranks refine their owned marked leaves (P0, with
 cross-boundary propagation requests), recompute the coarse dual graph's
-weights for owned trees (P1), ship the deltas to the coordinator (P2), which
-repartitions ``G`` with PNR and directs tree migrations (P3).  The script
+weights for owned trees (P1), and send the deltas to every peer (P2).  Every
+rank then merges them into its own ``G`` and repartitions it with PNR — the
+same decision on every rank, with no coordinator — and the ranks migrate
+the trees that changed owner (P3).  The script
 prints the per-round metrics and the per-phase traffic accounting.
 
 Run:  python examples/pared_parallel.py

@@ -24,7 +24,7 @@ Repartitioning (PNR)** — together with every substrate it rests on:
 :mod:`repro.runtime`   simulated message-passing runtime (mpi4py-flavoured)
                        with traffic accounting
 :mod:`repro.pared`     the PARED system: distributed ownership, parallel
-                       refinement, coordinator protocol, tree migration
+                       refinement, symmetric round protocol, migration
 :mod:`repro.experiments` drivers and formatters for every table/figure
 =====================  =====================================================
 

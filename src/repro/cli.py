@@ -296,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa.add_argument(
         "--partitioner", choices=available_partitioners(), default="pnr",
-        help="repartitioning strategy: pnr (Equation-1 KL on the "
-             "coordinator, default), mlkl (scratch Multilevel-KL), sfc "
-             "(space-filling-curve splitting), or dkl (distributed "
-             "boundary refinement, no coordinator in the loop)",
+        help="repartitioning strategy, run identically on every rank: "
+             "pnr (Equation-1 KL, default), mlkl (scratch Multilevel-KL), "
+             "sfc (space-filling-curve splitting), or dkl (distributed "
+             "boundary refinement over neighbor halos)",
     )
     pa.add_argument(
         "--sfc-curve", choices=("morton", "hilbert"), default="morton",

@@ -73,8 +73,8 @@ class PNR:
 
     def initial_partition(self, mesh, p: int) -> np.ndarray:
         """Partition the coarse dual graph of ``mesh`` into ``p`` subsets
-        with the standard multilevel algorithm (used by the coordinator
-        before the simulation starts)."""
+        with the standard multilevel algorithm (what every PARED rank
+        computes before the simulation starts)."""
         mesh = getattr(mesh, "mesh", mesh)
         graph = coarse_dual_graph(mesh)
         return multilevel_partition(

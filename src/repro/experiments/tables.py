@@ -48,13 +48,13 @@ def format_phase_table(kernel_perf: dict, title: str = "PARED phase timing") -> 
     *inside* them — under P0 the marker, the LEPP walk, the request
     exchange (``pared.P0.*``) and the mesh kernel (``mesh.refine`` /
     ``mesh.coarsen``); under P1 ``mesh.dual_graph`` (the recount of ``G``'s
-    weights); under P3 ``pared.repartition.serial`` (the
-    coordinator's serial merge+repartition), the two halves of its
+    weights); under P3 ``pared.repartition.serial`` (every rank's merge +
+    repartition, summed over ranks), the two halves of its
     multilevel V-cycle (``multilevel.coarsen`` / ``multilevel.refine``;
     the initial partition at launch counts in too), the KL refinement
     inside it (``kl.*``) and the ``dkl.*`` tournament steps — whose shares
     read as fractions of the same total, so where P0 goes and the
-    coordinator-serial share of wall time are visible at a glance.  Two
+    repartition share of wall time are visible at a glance.  Two
     rows are counts, not spans: ``kl.moves`` (KL moves tried) and
     ``kl.kept`` (moves not rolled back), whose share is of ``kl.moves``.
     """

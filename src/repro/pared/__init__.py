@@ -12,15 +12,17 @@ communicate in the phases of Figure 2:
   refinement (tested).
 * **P1** — each rank recomputes vertex/edge weights of the coarse dual
   graph ``G`` for its owned roots.
-* **P2** — changed weights travel to the coordinator ``P_C``.
-* **P3** — the coordinator updates ``G``, repartitions it (PNR by default),
-  and directs tree migrations; ranks execute the moves.
+* **P2** — changed weights travel to every peer.
+* **P3** — every rank updates its copy of ``G``, repartitions it (PNR by
+  default) and executes the tree migrations.  The strategy is seeded and
+  deterministic, so every rank takes the same decision: there is no
+  coordinator, and no message carries a decision.
 
 There is one round engine (:mod:`repro.pared.system`): :func:`run_pared`
 marks from a user marker, :func:`run_workflow` from a distributed solve and
 an a-posteriori estimate, and P1–P3 follow the weight protocol of the
-chosen strategy's family (:mod:`repro.pared.protocols` — the coordinator
-shape above, or neighbor halos plus an SPMD tournament under ``dkl``).  All
+chosen strategy's family (:mod:`repro.pared.protocols` — the delta
+exchange above, or neighbor halos plus an SPMD tournament under ``dkl``).  All
 traffic is counted per phase by the runtime's
 :class:`~repro.runtime.stats.TrafficStats`.
 """

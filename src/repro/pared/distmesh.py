@@ -9,8 +9,8 @@ tree — to a rank.  Ranks *decide* only about owned trees; decisions that
 affect other ranks' trees travel as messages:
 
 * refinement propagation requests (P0),
-* weight updates to the coordinator (P1/P2),
-* migration directives and tree payloads (P3).
+* weight updates to every peer (P1/P2),
+* tree payloads (P3).
 
 The replicated-apply trick keeps the simulation honest where it matters
 (what is communicated, by whom, and that parallel refinement equals serial
@@ -237,8 +237,8 @@ class DistributedMesh:
     def exchange_halo_weights(self, full: dict):
         """Phase P2, ``dkl`` variant: neighbor-to-neighbor halo exchange.
 
-        Instead of funnelling every report through the coordinator, each
-        rank sends the slice of ``full`` (this round's
+        Instead of sending its whole report to every peer, each rank sends
+        the slice of ``full`` (this round's
         :meth:`local_weight_update`) incident to a neighbor's roots
         directly to that neighbor
         (:func:`~repro.pared.weights.split_report_by_owner`) and receives
@@ -269,19 +269,20 @@ class DistributedMesh:
         ]
         return PartView.from_reports(n, self.rank, full, received)
 
-    def send_weights_to_coordinator(self, update: dict, coordinator: int = 0):
-        """Phase P2: ship the weight deltas to ``P_C``.
+    def exchange_weights(self, update: dict) -> list:
+        """Phase P2: send this rank's weight delta to every live peer and
+        return every live rank's delta (this rank's own included), in live
+        order.
 
-        The coordinator's receives use the PARED-side retry/backoff
-        discipline (:func:`~repro.runtime.faults.recv_with_retry`): under an
-        active fault plan a delayed delivery costs retries, not the run; on
-        the plain runtime this is a single receive, unchanged.
+        The receives use the PARED-side retry/backoff discipline
+        (:func:`~repro.runtime.faults.recv_with_retry`): under an active
+        fault plan a delayed delivery costs retries, not the run; on the
+        plain runtime this is a single receive per peer, unchanged.
         """
-        if self.rank == coordinator:
-            msgs = [update]
-            for src in self.live:
-                if src != coordinator:
-                    msgs.append(recv_with_retry(self.comm, src, tag=20))
-            return msgs
-        self.comm.send(update, coordinator, tag=20)
-        return None
+        for dst in self.live:
+            if dst != self.rank:
+                self.comm.send(update, dst, tag=20)
+        return [
+            update if src == self.rank else recv_with_retry(self.comm, src, tag=20)
+            for src in self.live
+        ]

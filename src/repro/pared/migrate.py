@@ -1,14 +1,14 @@
 """Tree migration (the tail of phase P3, Figure 2).
 
-The coordinator computes a new assignment of coarse roots to ranks and
-turns the difference into *directives*: ``(root, src, dst)`` triples.  Each
-source rank packages the refinement trees of every directed root — all
-descendants migrate with them — into **one struct-of-arrays frame per
-destination** (MPI-style message coalescing; the typed codec ships the
-arrays as raw buffers).  Receivers acknowledge by adopting ownership; since
-the mesh structure is replicated, the payload stands in for the
-element/vertex records PARED would transfer, and its encoded size is what
-the traffic statistics count.
+Every rank computes the same new assignment of coarse roots to ranks, so
+each one turns the difference into the same *directives*: ``(root, src,
+dst)`` triples.  Each source rank packages the refinement trees of every
+directed root — all descendants migrate with them — into **one
+struct-of-arrays frame per destination** (MPI-style message coalescing; the
+typed codec ships the arrays as raw buffers).  Receivers acknowledge by
+adopting ownership; since the mesh structure is replicated, the payload
+stands in for the element/vertex records PARED would transfer, and its
+encoded size is what the traffic statistics count.
 """
 
 from __future__ import annotations
@@ -119,38 +119,31 @@ def unpack_tree_payloads(payload: dict) -> list:
     return out
 
 
-def execute_migration(
-    comm, dmesh, new_owner: np.ndarray, coordinator: int = 0, extra=None
-) -> dict:
+def execute_migration(comm, dmesh, new_owner: np.ndarray) -> dict:
     """Carry out phase P3's moves on every rank.
 
-    The coordinator broadcasts the new ownership (plus ``extra``, a small
-    replica-identical payload such as the measured imbalance, which rides
-    the same message); each source rank sends the tree payloads it owes,
-    aggregated per destination; each destination receives them.  Every rank
-    then installs the new ownership map.
+    Every live rank passes the same ``new_owner`` — each computed it from
+    the same inputs — so no message carries the decision: each source rank
+    sends the tree payloads it owes, aggregated per destination; each
+    destination receives them.  Every rank then installs the new ownership
+    map.
 
     The exchange is *sparse*: every rank holds both the old and the new
     owner map, so the exact send/recv sets follow from the directives and
-    empty channels cost nothing — O(moves) messages instead of O(p²).
+    empty channels cost nothing — O(moves) messages instead of O(p²), and
+    none at all when nothing moves.
 
     During crash recovery a directive's source may be a dead rank; the
     destination then reconstructs the tree payload from its own mesh
     replica instead of receiving it (the replicated structure *is* the
     checkpoint of the mesh data).
 
-    Returns accounting: trees moved, leaf elements moved, how many trees
-    this rank sent/received/reconstructed, and the broadcast ``extra``.
+    Returns accounting: trees moved, leaf elements moved, and how many
+    trees this rank sent/received/reconstructed.
     """
-    payload0 = (
-        (np.asarray(new_owner, dtype=np.int64), extra)
-        if comm.rank == coordinator
-        else None
-    )
     live = dmesh.live
-    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=live)
     old_owner = np.asarray(dmesh.owner)
-    new_owner = np.asarray(new_owner)
+    new_owner = np.asarray(new_owner, dtype=np.int64)
     moved = np.nonzero(old_owner != new_owner)[0]
     mesh = dmesh.amesh.mesh
 
@@ -201,7 +194,6 @@ def execute_migration(
         "sent_here": sent,
         "received_here": received,
         "reconstructed_here": reconstructed,
-        "extra": extra,
     }
 
 

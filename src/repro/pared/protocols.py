@@ -2,21 +2,25 @@
 
 Between adaptation (P0) and migration, a round must learn the new weights
 of the coarse dual graph ``G``, measure the imbalance and — past the
-trigger — choose a new owner map.  How is a property of the repartitioning
-strategy's family, and the only thing about a round that varies with it:
+trigger — choose a new owner map.  No rank coordinates: every live rank
+feeds the same inputs to the same seeded strategy, so each one computes
+the same owner map and no message carries a decision.  How the inputs
+travel is a property of the repartitioning strategy's family, and the only
+thing about a round that varies with it:
 
-* :class:`_CoordinatorProtocol` (strategies with ``halo = False``:
-  ``pnr``/``mlkl``/``sfc``): every rank diffs
-  its report against last round's, the deltas travel to ``P_C``, which
-  merges them into its :class:`_CoordinatorGraph` and runs the registry
-  strategy on it.  Round state: the delta baseline on every rank, ``G`` on
-  ``P_C`` — both checkpointed.
+* :class:`_DeltaProtocol` (strategies with ``halo = False``:
+  ``pnr``/``mlkl``/``sfc``): every rank diffs its report against last
+  round's and sends the delta to every live peer; each rank merges all of
+  them into its own :class:`_MergedGraph` and runs the registry strategy
+  on it.  Round state: the delta baseline and ``G``.  Neither is
+  checkpointed: a recovery starts a fresh protocol, whose first P2 carries
+  full reports.
 * :class:`_HaloProtocol` (``halo = True``: ``dkl``): boundary slices of
   the full report travel neighbor-to-neighbor into a
-  :class:`~repro.partition.distributed.PartView`, ``P_C`` keeps only an
-  O(p) gather of load sums, and the tournament runs SPMD on every rank
-  (phase label ``dkl``).  No state survives a round, so nothing is
-  checkpointed.
+  :class:`~repro.partition.distributed.PartView`, one allgather of the
+  per-rank load sums gives every rank the imbalance, and the tournament
+  runs SPMD on every rank (phase label ``dkl``).  No state survives a
+  round.
 
 The round engine (:mod:`repro.pared.system`) calls ``weigh`` (P1),
 ``exchange`` (P2), ``decide`` (P3, up to the migration) and ``audit`` on
@@ -52,8 +56,8 @@ def _on_live(live, size: int, fn, *owners):
     return out if out is None else expand_owner(out, live)
 
 
-class _CoordinatorGraph:
-    """P_C's view of ``G``: the CSR skeleton of ``M^0`` re-weighed with
+class _MergedGraph:
+    """A rank's copy of ``G``: the CSR skeleton of ``M^0`` re-weighed with
     values that arrive *only* in packed P2 messages.
 
     ``G``'s key set is ``M^0``'s and never changes, so the state is two
@@ -99,18 +103,15 @@ class _CoordinatorGraph:
 
 
 class _WeightProtocol:
-    """What both protocols share: the registry strategy (on ``P_C`` it
-    carries the sfc curve-order cache across rounds) and, on ``P_C``, the
-    root centroids for the initial partition."""
+    """What both protocols share: the registry strategy (it carries the sfc
+    curve-order cache across rounds) and the root centroids it reads."""
 
-    def __init__(self, comm, cfg, coordinator: int, amesh, repart):
-        self.comm, self.cfg, self.C = comm, cfg, coordinator
-        self.repart, self.root_coords = repart, None
-        if comm.rank == coordinator:
-            self.root_coords = coarse_root_centroids(amesh.mesh)
+    def __init__(self, comm, cfg, amesh, repart):
+        self.comm, self.cfg, self.repart = comm, cfg, repart
+        self.root_coords = coarse_root_centroids(amesh.mesh)
 
     def initial_owner(self, amesh, live) -> np.ndarray:
-        """``P_C`` only: partition of the unrefined coarse dual graph."""
+        """Partition of the unrefined coarse dual graph."""
         graph0 = coarse_dual_graph(amesh.mesh)
         return _on_live(
             live,
@@ -118,30 +119,15 @@ class _WeightProtocol:
             lambda k: self.repart.initial(graph0, k, coords=self.root_coords),
         )
 
-    def snapshot(self) -> dict:
-        """The :class:`~repro.runtime.recovery.RoundCheckpoint` fields this
-        protocol owns."""
-        return {}
 
-    def restore(self, ckpt):
-        """Adopt the checkpointed round state (only called while ``P_C`` is
-        who it was at the checkpoint).  Returns the ``G`` that ``P_C`` held
-        then, when the protocol keeps one."""
-        return None
-
-
-class _CoordinatorProtocol(_WeightProtocol):
-    def __init__(self, comm, cfg, coordinator: int, amesh, repart):
-        super().__init__(comm, cfg, coordinator, amesh, repart)
+class _DeltaProtocol(_WeightProtocol):
+    def __init__(self, comm, cfg, amesh, repart):
+        super().__init__(comm, cfg, amesh, repart)
         #: last round's full report — the baseline P2 deltas are cut against
         self.prev_full = None
         #: weights *only* from P2 messages, structure from M^0
-        self.G = (
-            _CoordinatorGraph(amesh.mesh.coarse_skeleton())
-            if comm.rank == coordinator
-            else None
-        )
-        self.graph = None  # G as of the latest merge (P_C only)
+        self.G = _MergedGraph(amesh.mesh.coarse_skeleton())
+        self.graph = None  # G as of the latest merge
 
     def weigh(self, dmesh) -> dict:
         full = dmesh.local_weight_update()
@@ -150,13 +136,11 @@ class _CoordinatorProtocol(_WeightProtocol):
         return delta
 
     def exchange(self, dmesh, delta):
-        return dmesh.send_weights_to_coordinator(delta, self.C)
+        return dmesh.exchange_weights(delta)
 
     def decide(self, dmesh, msgs):
-        """``(new_owner, imbalance)`` on ``P_C``, ``(None, None)`` elsewhere."""
+        """``(new_owner, imbalance)``, the same on every live rank."""
         comm = self.comm
-        if comm.rank != self.C:
-            return None, None
         with PERF.span("pared.repartition.serial"):
             self.G.merge(msgs)
             graph = self.graph = self.G.graph()
@@ -175,8 +159,6 @@ class _CoordinatorProtocol(_WeightProtocol):
         return new_owner, imb
 
     def audit(self, dmesh, old_owner, imb) -> None:
-        if self.comm.rank != self.C:
-            return
         # G was assembled purely from P2 messages — auditing it against a
         # brute-force recount verifies the weight protocol end to end
         check_dual_graph_weights(dmesh.amesh.mesh, self.graph)
@@ -194,22 +176,6 @@ class _CoordinatorProtocol(_WeightProtocol):
                 dmesh.owner,
             )
 
-    def snapshot(self) -> dict:
-        snap = {"prev_full": self.prev_full}
-        # no weights before P_C's first merge: a replay from the setup
-        # checkpoint then plans on the replica, as a failover does
-        if self.graph is not None:
-            snap["coord_vwts"] = self.G.vwts
-            snap["coord_ewts"] = self.G.ewts
-        return snap
-
-    def restore(self, ckpt):
-        self.prev_full = ckpt.prev_full
-        if self.G is None or ckpt.coord_vwts is None:
-            return None
-        self.G.vwts, self.G.ewts = ckpt.coord_vwts, ckpt.coord_ewts
-        return self.G.graph()
-
 
 class _HaloProtocol(_WeightProtocol):
     view = None  # this round's PartView (the audit reads it)
@@ -217,43 +183,36 @@ class _HaloProtocol(_WeightProtocol):
     def weigh(self, dmesh) -> dict:
         # no delta machinery: the halo exchange ships each round's full
         # (small, per-neighbor) boundary slices, so there is no baseline
-        # to diff against and nothing for a coordinator to accumulate
+        # to diff against and no G to accumulate
         return dmesh.local_weight_update()
 
     def exchange(self, dmesh, full):
-        """Halo slices to the neighbors; ``P_C``'s only job is the O(p)
-        scalar imbalance check on gathered load sums.  Returns the
-        replica-identical ``(loads, wmax, imbalance)``."""
+        """Halo slices to the neighbors, then one allgather of every rank's
+        ``(load, max root weight)``.  Returns the replica-identical
+        ``(loads, wmax, imbalance)``."""
         comm, live = self.comm, dmesh.live
         self.view = dmesh.exchange_halo_weights(full)
         wsum = float(full["v_wts"].sum())
         wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
-        gathered = comm.gather(
-            (wsum, wmax_local), root=self.C, tag=42, ranks=live
-        )
-        measured = None
-        if comm.rank == self.C:
-            loads = np.zeros(comm.size)
-            loads[live] = [s for s, _ in gathered]
-            wmax = max(m for _, m in gathered)
-            measured = (loads, float(wmax), imbalance(loads[live]))
-        return comm.bcast(measured, root=self.C, tag=43, ranks=live)
+        gathered = comm.allgather((wsum, wmax_local), tag=42, ranks=live)
+        loads = np.zeros(comm.size)
+        loads[live] = [s for s, _ in gathered]
+        wmax = max(m for _, m in gathered)
+        return loads, float(wmax), imbalance(loads[live])
 
     def decide(self, dmesh, measured):
+        """``(new_owner, imbalance)``: the tournament is replica-identical,
+        so every rank returns the same map."""
         comm = self.comm
         loads, wmax, imb = measured
         if imb <= self.cfg.imbalance_trigger:
-            assign = dmesh.owner.copy()
-        else:
-            comm.set_phase("dkl")
-            loads = np.asarray(loads, dtype=np.float64)
-            assign = self.repart.refine_spmd(
-                comm, self.view, dmesh.owner, loads, wmax, dmesh.live
-            )
-            comm.set_phase("P3")
-        # every rank computed the identical assignment; the migration
-        # machinery still takes it from the coordinator side unchanged
-        return (assign if comm.rank == self.C else None), imb
+            return dmesh.owner.copy(), imb
+        comm.set_phase("dkl")
+        assign = self.repart.refine_spmd(
+            comm, self.view, dmesh.owner, loads, wmax, dmesh.live
+        )
+        comm.set_phase("P3")
+        return assign, imb
 
     def audit(self, dmesh, old_owner, imb) -> None:
         # every rank's halo view was assembled purely from P2 neighbor
@@ -263,9 +222,9 @@ class _HaloProtocol(_WeightProtocol):
         check_halo_weights(dmesh.amesh.mesh, self.view, dmesh.owner, self.comm.rank)
 
 
-def _weight_protocol(comm, cfg, coordinator: int, amesh) -> _WeightProtocol:
+def _weight_protocol(comm, cfg, amesh) -> _WeightProtocol:
     """The protocol of ``cfg.partitioner``'s family, with fresh round state
     and a fresh strategy object."""
     repart = make_repartitioner(cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve)
-    cls = _HaloProtocol if repart.halo else _CoordinatorProtocol
-    return cls(comm, cfg, coordinator, amesh, repart)
+    cls = _HaloProtocol if repart.halo else _DeltaProtocol
+    return cls(comm, cfg, amesh, repart)

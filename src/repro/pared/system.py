@@ -1,19 +1,19 @@
 """The PARED driver: the solve→estimate→adapt→repartition→migrate loop of
 Section 2, run SPMD over the simulated runtime.
 
-``run_pared`` launches ``p`` ranks.  Rank ``coordinator`` plays ``P_C``: it
-computes the initial partition of the coarse dual graph, maintains ``G``
-from the weight deltas of phases P1/P2, repartitions it when the measured
-imbalance exceeds the trigger, and directs tree migrations (P3).  All other
-phases run symmetrically on every rank.
+``run_pared`` launches ``p`` ranks, and no rank is special.  Every rank
+computes the initial partition of the coarse dual graph, merges the weight
+deltas of phases P1/P2 into its own copy of ``G``, measures the imbalance,
+repartitions ``G`` when it exceeds the trigger, and executes the tree
+migrations (P3).  All of it is deterministic, so every rank takes the same
+decision and no message carries one (the paper's Fig. 2 sends P2 to a
+coordinator ``P_C`` instead; DESIGN.md records the substitution).
 
-The coordinator's copy of ``G`` is assembled *only* from P2 messages — it
-never peeks at the replica — so the test-suite can verify the distributed
-weight protocol against the directly computed dual graph.  (The single
-exception is a recovery before ``P_C`` holds any weights — a freshly
-promoted ``P_C``, or a replay from the setup checkpoint: it bootstraps the
-re-assignment from its replica, then fills ``G`` from full P2 reports on
-the next round.)
+Each rank's ``G`` is assembled *only* from P2 messages — it never peeks at
+the replica — so the test-suite can verify the distributed weight protocol
+against the directly computed dual graph.  (The single exception is crash
+recovery, which plans the re-assignment on the replica's dual graph and
+then rebuilds ``G`` from full P2 reports on the next round.)
 
 A round is one staged pipeline — mark → adapt (P0) → weigh (P1) → exchange
 (P2) → decide → migrate (P3) → audit → record — in which two things vary,
@@ -25,14 +25,14 @@ distributed solve + a-posteriori estimate) and the *weight protocol*
 family).  docs/runtime.md describes both.
 
 Crash survival (``ParedConfig(recover=True)``): every rank checkpoints its
-protocol state at each round barrier (:class:`~repro.runtime.recovery.
-CheckpointStore`).  When a peer dies, the runtime raises
-:class:`~repro.runtime.recovery.PeerCrashed` from the survivors' blocked
-receives; they then flush their channels, agree on the newest checkpoint
-every survivor holds, re-assign the dead rank's coarse roots via the
-ordinary repartition/migration machinery (tree payloads owed by the dead
-rank are reconstructed from the replicated mesh), and replay the
-interrupted round with ``p-1`` ranks.  All of it is deterministic given the
+mesh, owner map and history at each round barrier
+(:class:`~repro.runtime.recovery.CheckpointStore`).  When a peer dies, the
+runtime raises :class:`~repro.runtime.recovery.PeerCrashed` from the
+survivors' blocked receives; they then flush their channels, agree on the
+newest checkpoint every survivor holds, each re-assign the dead rank's
+coarse roots the same way via the ordinary repartition/migration machinery
+(tree payloads owed by the dead rank are reconstructed from the replicated
+mesh), and replay the interrupted round with ``p-1`` ranks.  All of it is deterministic given the
 fault plan's seed, so two runs of the same configuration produce identical
 recovered histories.
 """
@@ -94,14 +94,12 @@ class ParedConfig:
     pnr:
         The Equation-1 parameter object, handed whole to the registry
         strategy (and to crash recovery).  Its ablation switches reach the
-        coordinator's V-cycle under ``partitioner="pnr"``; any other
-        strategy raises on a non-default one.
+        V-cycle under ``partitioner="pnr"``; any other strategy raises on a
+        non-default one.
     imbalance_trigger:
-        Repartition only when the coordinator's measured imbalance exceeds
-        this (the paper's "user-supplied workload imbalance").
-    coordinator:
-        Rank playing ``P_C``.  If it dies (with ``recover=True``) the
-        lowest surviving rank is promoted.
+        Repartition only when the measured imbalance (every rank measures
+        the same one) exceeds this (the paper's "user-supplied workload
+        imbalance").
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` perturbing the
         simulated wire (``None`` — the default — keeps the runtime on its
@@ -130,16 +128,16 @@ class ParedConfig:
     partitioner:
         Repartitioning strategy by registry name
         (:data:`repro.partition.PARTITIONERS`): ``"pnr"`` (default — the
-        paper's Equation-1 multilevel KL on the coordinator), ``"mlkl"``
+        paper's Equation-1 multilevel KL, run on every rank), ``"mlkl"``
         (scratch Multilevel-KL, label-aligned), ``"sfc"`` (Morton/Hilbert
         space-filling-curve splitting of the coarse-root centroids —
         O(n log n), incremental, the cheap high-throughput baseline), or
         ``"dkl"`` (distributed boundary refinement,
         :mod:`repro.partition.distributed`).  Under ``dkl`` the round is
         restructured: P2 weight exchange is neighbor-to-neighbor halo
-        traffic instead of all-to-coordinator, the coordinator keeps only
-        the O(p) scalar imbalance check, and refinement runs SPMD on every
-        rank (phase label ``dkl``).
+        traffic instead of every delta to every rank, the imbalance comes
+        from one allgather of per-rank load sums, and refinement runs SPMD
+        on every rank (phase label ``dkl``).
     sfc_curve:
         Curve of the ``sfc`` strategy: ``"morton"`` (default) or
         ``"hilbert"``.  Ignored by the graph-based strategies.
@@ -151,7 +149,6 @@ class ParedConfig:
     rounds: int = 4
     pnr: PNR = field(default_factory=PNR)
     imbalance_trigger: float = 0.05
-    coordinator: int = 0
     faults: Optional[FaultPlan] = None
     audit: bool = False
     recover: bool = False
@@ -159,6 +156,8 @@ class ParedConfig:
     partitioner: str = "pnr"
     sfc_curve: str = "morton"
 
+    # not a field: bench/replay.py reads it as the rank whose P2 stays local
+    coordinator = 0
 
 
 def _replica_mark(cfg: ParedConfig):
@@ -173,30 +172,22 @@ def _replica_mark(cfg: ParedConfig):
 
 @dataclass
 class _RankState:
-    """Everything a rank mutates across rounds (checkpointed wholesale)."""
+    """Everything a rank mutates across rounds.  A checkpoint keeps the
+    mesh, owner map and history; recovery rebuilds the protocol."""
 
     dmesh: DistributedMesh
-    #: the weight protocol with its round state; knows who ``P_C`` is
+    #: the weight protocol with its round state
     proto: _WeightProtocol
     history: list
 
 
-def _elect(cfg: ParedConfig, live) -> int:
-    """``P_C``: the configured rank while it lives, else the lowest live."""
-    return cfg.coordinator if cfg.coordinator in live else live[0]
-
-
 def _pared_setup(comm, cfg: ParedConfig, live) -> _RankState:
-    """Initial (or post-wipeout re-initial) partition and distribution."""
+    """Initial (or post-wipeout re-initial) partition and distribution:
+    every rank partitions the unrefined mesh itself, identically."""
     live = sorted(live)
-    C = _elect(cfg, live)
     amesh = cfg.make_mesh()
-
-    # initial partition at the coordinator (the mesh "is loaded into P_C")
-    comm.set_phase("P3")
-    proto = _weight_protocol(comm, cfg, C, amesh)
-    owner0 = proto.initial_owner(amesh, live) if comm.rank == C else None
-    owner = comm.bcast(owner0, root=C, tag=40, ranks=live)
+    proto = _weight_protocol(comm, cfg, amesh)
+    owner = proto.initial_owner(amesh, live)
     return _RankState(DistributedMesh(comm, amesh, owner, live=live), proto, [])
 
 
@@ -228,10 +219,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
     with PERF.span("pared.P3"):
         new_owner, imb = proto.decide(dmesh, inbox)
         old_owner = dmesh.owner.copy()
-        mig = execute_migration(comm, dmesh, new_owner, coordinator=proto.C, extra=imb)
-        # the measured imbalance rides the owner broadcast, so the per-round
-        # record is replica-identical on every rank (not just P_C)
-        imb = mig["extra"]
+        mig = execute_migration(comm, dmesh, new_owner)
 
     # ---- audit: executable invariants of the round ----------------- #
     if cfg.audit:
@@ -274,8 +262,6 @@ def _save_checkpoint(store: CheckpointStore, rnd: int, st: _RankState) -> None:
             amesh=st.dmesh.amesh,
             owner=st.dmesh.owner,
             history=st.history,
-            coordinator=st.proto.C,
-            **st.proto.snapshot(),
         )
     )
 
@@ -298,26 +284,22 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     ckpt = store.restore(decision)
     store.discard_after(decision)
     amesh = ckpt.amesh
-    C = _elect(cfg, live)
     # fresh round state and a fresh strategy object (the sfc curve-order
-    # cache rebuilds deterministically from the static root centroids).  It
-    # stays fresh under a newly promoted P_C: every survivor starts without
-    # a delta baseline, so the next round's P2 carries full reports and G
-    # is rebuilt from messages alone.
-    proto = _weight_protocol(comm, cfg, C, amesh)
-    known = proto.restore(ckpt) if C == ckpt.coordinator else None
+    # cache rebuilds deterministically from the static root centroids):
+    # no survivor has a delta baseline, so the next round's P2 carries full
+    # reports and G is rebuilt from messages alone
+    proto = _weight_protocol(comm, cfg, amesh)
     dmesh = DistributedMesh(comm, amesh, ckpt.owner, live=live)
 
-    # coordinator-led re-assignment of the dead rank's roots, executed by
-    # the ordinary migration machinery; payloads owed by the dead rank are
-    # reconstructed from the replica inside execute_migration
+    # every survivor plans the same re-assignment of the dead rank's roots
+    # on its replica's dual graph (equal to the G merged at the checkpoint),
+    # executed by the ordinary migration machinery; payloads owed by the
+    # dead rank are reconstructed from the replica inside execute_migration
     leaves_before = amesh.leaf_ids().copy()
-    new_owner = None
-    if comm.rank == C:
-        # a P_C holding no merged G of its own bootstraps from its replica
-        graph = known if known is not None else coarse_dual_graph(amesh.mesh)
-        new_owner = plan_recovery_assignment(graph, ckpt.owner, live, cfg.pnr)
-    mig = execute_migration(comm, dmesh, new_owner, coordinator=C)
+    new_owner = plan_recovery_assignment(
+        coarse_dual_graph(amesh.mesh), ckpt.owner, live, cfg.pnr
+    )
+    mig = execute_migration(comm, dmesh, new_owner)
 
     # recovery invariants: the survivors hold a valid p-1 partition and the
     # leaf multiset is untouched

@@ -15,9 +15,9 @@ message:
 All arrays in a report are sorted ascending and duplicate-free.  ``G``'s
 key set is ``M^0``'s and never changes, and every root has exactly one
 owner, so a delta needs no deletions: a key a rank stops reporting is
-reported by its new owner, and the coordinator
-(:class:`~repro.pared.protocols._CoordinatorGraph`) keeps one dense slot per
-vertex and edge of ``M^0``'s skeleton for the values to land in.
+reported by its new owner, and every rank's
+:class:`~repro.pared.protocols._MergedGraph` keeps one dense slot per vertex
+and edge of ``M^0``'s skeleton for the values to land in.
 """
 
 from __future__ import annotations

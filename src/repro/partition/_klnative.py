@@ -33,8 +33,8 @@ arrays first (:func:`_csr`, ``ascontiguousarray``) and :func:`_ptr` only
 asserts dtype and C-contiguity before taking the address.
 
 A welcome side effect of the ctypes boundary: the GIL is released for the
-duration of a kernel, so under the threaded SimMPI runtime worker ranks keep
-running while the coordinator repartitions.
+duration of a kernel, so under the threaded SimMPI runtime the ranks'
+repartitions run in parallel.
 """
 
 from __future__ import annotations

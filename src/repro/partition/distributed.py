@@ -1,8 +1,8 @@
 """Distributed boundary refinement — the ``dkl`` strategy.
 
 The last serial stage of a PARED round was the coordinator's KL pass:
-phases P2/P3 funnel every weight report through ``P_C``, which then refines
-the coarse partition alone while ``p - 1`` ranks idle.  This module
+phases P2/P3 funnelled every weight report through ``P_C``, which then
+refined the coarse partition alone while ``p - 1`` ranks idled.  This module
 decentralizes that stage in the spirit of Sanders & Seemaier's
 unconstrained distributed local search (arXiv:2406.03169):
 
@@ -65,8 +65,8 @@ in which nothing moves still costs a single allgather.
 
 Every rank executes the same resolve on the same allgathered inputs, so
 the final assignment is replica-identical with **no coordinator
-involvement** — in a ``dkl`` PARED round the coordinator's only remaining
-job is the O(p) scalar imbalance check.
+involvement** — in a ``dkl`` PARED round the only other collective is the
+O(p) allgather of load sums behind the imbalance check.
 
 :func:`dkl_refine_serial` drives the identical propose/resolve/rebalance
 code from a single thread (a rank loop instead of an allgather).  It backs
@@ -989,7 +989,7 @@ def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
     :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
     it is updated in place as roots change hands and pruned to the final
     assignment on return, ready for the honesty audit.  ``loads``/``wmax``
-    come from the coordinator's imbalance-check broadcast.
+    come from the imbalance check's allgather.
     """
     assign = np.asarray(owner, dtype=np.int64).copy()
     loads = np.asarray(loads, dtype=np.float64).copy()

@@ -21,9 +21,10 @@ It also owns what a PARED round needs to know about it, so nothing outside
 this module tests a strategy *name*:
 
 ``halo``
-    Which weight protocol the round runs: ``False`` — deltas to ``P_C``,
-    which calls ``repartition`` on its ``G``; ``True`` — neighbor-to-
-    neighbor halo slices, then ``refine_spmd`` on every rank.
+    Which weight protocol the round runs: ``False`` — every rank's deltas
+    to every rank, each of which calls ``repartition`` on its own ``G``;
+    ``True`` — neighbor-to-neighbor halo slices, then ``refine_spmd`` on
+    every rank.
 ``monotone``
     Whether the monotone-or-rollback audit applies (a property of the
     Equation-1 V-cycle; the other strategies optimize other objectives).

@@ -3,10 +3,11 @@ survivor-side rendezvous protocol.
 
 PARED's replicated coarse structure makes rank failure survivable almost for
 free: every rank already holds the full mesh and the ownership map, so the
-only state that must be rolled back after a death is the *protocol* state —
-the owner map, the P2 delta baseline (``prev_full``), the coordinator's
-``G``, and the round counter.  :class:`CheckpointStore` keeps a deep copy of
-exactly that at every round barrier.
+only state that must be rolled back after a death is the mesh, the owner
+map, the history and the round counter.  :class:`CheckpointStore` keeps a
+deep copy of exactly that at every round barrier.  The weight protocol's
+round state is not checkpointed: survivors start a fresh one, whose first
+P2 carries full reports.
 
 The runtime half lives in :mod:`repro.runtime.simmpi`: with
 ``spmd_run(..., recover=True)`` a rank dying of
@@ -21,10 +22,12 @@ aborting the run, and every surviving rank's next receive raises
    stamped marker exchange that doubles as the recovery rendezvous barrier
    and discards in-flight messages of the interrupted round;
 3. **agree** on the replay round with :func:`agree_replay_round` — the
-   minimum checkpointed round across survivors (round skew between ranks is
-   at most one, so a two-deep checkpoint store always has it);
+   minimum checkpointed round across survivors, which every survivor
+   computes from the others' reports (round skew between ranks is at most
+   one, so a two-deep checkpoint store always has it);
 4. **restore** that checkpoint, re-assign the dead rank's coarse roots to
-   survivors, and replay from the following round with ``p - 1`` ranks.
+   survivors (every survivor plans the same map), and replay from the
+   following round with ``p - 1`` ranks.
 
 Everything here is deterministic given the fault plan's seed, so a
 recovered run is replayable bit-for-bit.
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from repro.runtime.faults import recv_with_retry
 #: dedicated tags of the recovery protocol (PARED uses 10..50 and 90/91)
 FLUSH_TAG = 70
 AGREE_TAG = 71
-DECIDE_TAG = 72
 
 #: sentinel "round" reported by a rank that has no checkpoint yet; strictly
 #: smaller than the setup checkpoint's round (-1), so an agreement that
@@ -90,24 +91,15 @@ class RoundCheckpoint:
     """A rank's recoverable state at one round barrier.
 
     ``round`` is the last completed round (``-1`` = setup finished, round 0
-    not yet run).  The last three fields are the weight protocol's: the P2
-    delta baseline, and ``coord_vwts``/``coord_ewts``, the weights of the
-    coordinator's ``G`` over ``M^0``'s skeleton (one per root, one per
-    ``adjncy`` slot; ``None`` on every other rank, before ``P_C``'s first
-    merge, and all ``None`` under ``dkl``).
-    The adaptation inputs need no checkpointing: markers are pure functions
-    of ``(mesh, round)`` and the repartitioner is seeded, so replaying from
-    here is deterministic.
+    not yet run).  The adaptation inputs need no checkpointing: markers are
+    pure functions of ``(mesh, round)`` and the repartitioner is seeded, so
+    replaying from here is deterministic.
     """
 
     round: int
     amesh: object
     owner: np.ndarray
     history: list
-    coordinator: int
-    prev_full: Optional[dict] = None
-    coord_vwts: Optional[np.ndarray] = None
-    coord_ewts: Optional[np.ndarray] = None
 
 
 class CheckpointStore:
@@ -223,20 +215,14 @@ def flush_channels(comm, live, epoch: int, seen: dict = None) -> dict:
 
 def agree_replay_round(comm, live, my_latest: int) -> int:
     """Survivors agree on the round to restore: the minimum of their latest
-    checkpoint rounds, decided by the lowest live rank and broadcast back.
+    checkpoint rounds.  Every survivor sends its own to every other and
+    takes the minimum of all, so each decides the same with no root.
     :data:`NO_CHECKPOINT` means some survivor never finished setup, so all
     of them re-run it from scratch."""
-    live = sorted(live)
-    root = live[0]
-    if comm.rank == root:
-        rounds = [my_latest]
-        for src in live:
-            if src != root:
-                rounds.append(recv_with_retry(comm, src, tag=AGREE_TAG))
-        decision = min(rounds)
-        for dst in live:
-            if dst != root:
-                comm.send(decision, dst, tag=DECIDE_TAG)
-        return decision
-    comm.send(my_latest, root, tag=AGREE_TAG)
-    return recv_with_retry(comm, root, tag=DECIDE_TAG)
+    for dst in live:
+        if dst != comm.rank:
+            comm.send(my_latest, dst, tag=AGREE_TAG)
+    return min(
+        my_latest if src == comm.rank else recv_with_retry(comm, src, tag=AGREE_TAG)
+        for src in live
+    )

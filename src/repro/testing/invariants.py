@@ -214,7 +214,7 @@ def check_replica_agreement(comm, owner, tag: int = 90, ranks=None) -> None:
 
 
 def check_recovery_partition(owner, live, n_roots: int = None) -> None:
-    """After coordinator-led crash recovery the owner map must be a total
+    """After crash recovery the owner map must be a total
     function onto the *surviving* ranks: a valid ``p-1`` (or smaller)
     partition with no root stranded on a dead rank."""
     live_set = {int(r) for r in live}

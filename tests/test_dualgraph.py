@@ -201,7 +201,6 @@ class TestSkeletonRecount:
                 amesh=am,
                 owner=np.zeros(am.n_roots, dtype=np.int64),
                 history=[],
-                coordinator=0,
             )
         )
         _adapt(am, (False, 2, 1.0))  # the live mesh moves on

@@ -130,34 +130,34 @@ class TestFrameCoalescing:
             owner[: am.n_roots // 2] = 1
             dmesh = DistributedMesh(comm, am, owner)
             new_owner = owner.copy()
-            if comm.rank == 0:
-                for root, dst in move_plan:
-                    new_owner[root] = dst
+            for root, dst in move_plan:
+                new_owner[root] = dst
             comm.set_phase("P3")
-            return execute_migration(comm, dmesh, new_owner, coordinator=0)
+            return execute_migration(comm, dmesh, new_owner)
 
         return prog
 
     def test_one_frame_per_src_dst_pair(self):
-        # idle baseline: the owner bcast is the only P3 traffic
+        # every rank holds the new owner map: a migration that moves
+        # nothing sends nothing
         _, idle = spmd_run(3, self._migration_prog([]), return_stats=True)
+        assert idle.total_messages == 0
         # 6 moved roots but only 2 communicating pairs: 0→1 (roots of rank
         # 0's half) and 1→2 (roots of rank 1's half)
         plan = [(70, 1), (74, 1), (80, 1), (2, 2), (5, 2), (9, 2)]
         res, loaded = spmd_run(3, self._migration_prog(plan), return_stats=True)
         assert res[0]["trees_moved"] == 6
-        extra = loaded.total_messages - idle.total_messages
-        assert extra == 2, "migration must ship one packed frame per channel"
-        assert loaded.by_pair[(0, 1)] - idle.by_pair.get((0, 1), 0) == 1
-        assert loaded.by_pair[(1, 2)] - idle.by_pair.get((1, 2), 0) == 1
+        assert loaded.total_messages == 2, (
+            "migration must ship one packed frame per channel"
+        )
+        assert loaded.by_pair[(0, 1)] == loaded.by_pair[(1, 2)] == 1
 
     def test_migration_frame_bytes_match_encoder(self):
         plan = [(70, 1), (74, 1), (80, 1)]
-        _, idle = spmd_run(3, self._migration_prog([]), return_stats=True)
         _, loaded = spmd_run(3, self._migration_prog(plan), return_stats=True)
         am = AdaptiveMesh.unit_square(8)
         frame = encode(pack_tree_payloads(am.mesh, [r for r, _ in plan]))
-        assert loaded.total_bytes - idle.total_bytes == len(frame)
+        assert loaded.total_bytes == len(frame)
 
     def test_p2_one_report_per_rank(self):
         def prog(comm):
@@ -166,7 +166,14 @@ class TestFrameCoalescing:
             dmesh = DistributedMesh(comm, am, owner)
             comm.set_phase("P2")
             update = dmesh.local_weight_update()
-            return dmesh.send_weights_to_coordinator(update, 0)
+            return dmesh.exchange_weights(update)
 
-        _, stats = spmd_run(4, prog, return_stats=True)
-        assert stats.phase_report()["P2"][0] == 3  # one frame per worker
+        results, stats = spmd_run(4, prog, return_stats=True)
+        # one frame per ordered pair of ranks
+        assert stats.phase_report()["P2"][0] == 4 * 3
+        # every rank holds every report, in rank order
+        for msgs in results:
+            assert [m["v_ids"].tolist() for m in msgs] == [
+                r["v_ids"].tolist() for r in results[0]
+            ]
+            assert [int(m["v_ids"][0]) for m in msgs] == [0, 1, 2, 3]

@@ -228,7 +228,7 @@ class TestMigration:
             dm = DistributedMesh(comm, am, owner)
             new_owner = owner.copy()
             new_owner[:5] = 1
-            stats = execute_migration(comm, dm, new_owner if comm.rank == 0 else None)
+            stats = execute_migration(comm, dm, new_owner)
             assert np.array_equal(dm.owner, new_owner)
             return stats
 
@@ -249,7 +249,7 @@ class TestMigration:
             g = coarse_dual_graph(am.mesh)
             rng = np.random.default_rng(0)
             new_owner = rng.integers(0, comm.size, am.n_roots)
-            stats = execute_migration(comm, dm, new_owner if comm.rank == 0 else None)
+            stats = execute_migration(comm, dm, new_owner)
             expected = g.vwts[np.asarray(owner) != new_owner].sum()
             assert stats["elements_moved"] == expected
             return True
@@ -294,7 +294,7 @@ class TestFullLoop:
         for rnd in range(3):
             loads = [h[rnd]["local_load"] for h in histories]
             assert sum(loads) == histories[0][rnd]["leaves"]
-        # coordinator graph was maintained purely from P2 messages and the
+        # every rank's G was maintained purely from P2 messages and the
         # repartitions kept balance reasonable
         final = histories[0][-1]
         p = cfg.p
@@ -302,7 +302,8 @@ class TestFullLoop:
         loads = [h[-1]["local_load"] for h in histories]
         assert max(loads) / mean - 1 < 0.6
         report = stats.phase_report()
-        assert report.get("P2", (0, 0))[0] >= 3 * 2  # 2 senders x 3 rounds
+        # every rank sends its delta to both peers, every round
+        assert report["P2"][0] == 3 * 2 * 3
 
     @pytest.mark.parametrize("partitioner", ["mlkl", "sfc", "dkl"])
     def test_run_pared_alternate_partitioners(self, partitioner):
@@ -419,6 +420,60 @@ class TestFullLoop:
         assert histories[0][-1]["leaves"] > 0
 
 
+class TestSymmetricProtocol:
+    """No rank coordinates: every rank merges ``G`` and computes the owner
+    map itself, so no frame carries a decision.  Observed with a spy on
+    every ``send`` of a thread run at p = 3."""
+
+    @staticmethod
+    def _sends(monkeypatch, partitioner, **kw):
+        from repro.runtime.simmpi import SimComm
+
+        sent = []
+        real_send = SimComm.send
+
+        def spy(comm, obj, dest, tag=0):
+            sent.append((comm.rank, dest, tag, comm.phase))
+            return real_send(comm, obj, dest, tag)
+
+        monkeypatch.setattr(SimComm, "send", spy)
+        cfg = ParedConfig(
+            p=3,
+            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            marker=_moving_peak_marker,
+            rounds=3,
+            pnr=PNR(seed=1),
+            partitioner=partitioner,
+            transport="thread",
+            **kw,
+        )
+        histories, _ = run_pared(cfg)
+        return histories[0], sent
+
+    @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
+    def test_no_frame_carries_a_decision(self, monkeypatch, partitioner):
+        # tags of the retired owner broadcasts: initial (40), per round
+        # (30), and the halo imbalance (43)
+        history, sent = self._sends(monkeypatch, partitioner)
+        assert any(rec["trees_moved"] for rec in history)
+        assert not [s for s in sent if s[2] in (30, 40, 43)]
+
+    def test_p2_sends_every_delta_to_every_peer(self, monkeypatch):
+        history, sent = self._sends(monkeypatch, "pnr")
+        p2 = [(src, dst) for src, dst, tag, _ in sent if tag == 20]
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+        assert sorted(p2) == sorted(pairs * len(history))
+        assert {phase for _, _, tag, phase in sent if tag == 20} == {"P2"}
+
+    @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
+    def test_p3_that_moves_nothing_sends_nothing(self, monkeypatch, partitioner):
+        history, sent = self._sends(
+            monkeypatch, partitioner, imbalance_trigger=10.0
+        )
+        assert not any(rec["trees_moved"] for rec in history)
+        assert not [s for s in sent if s[3] in ("P3", "dkl")]
+
+
 def _packed_report(v, e, n):
     """Build a packed weight report from ``{root: w}`` / ``{(a, b): w}``
     dicts — test-side sugar over the array wire format."""
@@ -435,7 +490,7 @@ def _packed_report(v, e, n):
 class TestDeltaTombstones:
     """Why the P2 delta protocol needs no tombstones: ``G``'s key set is
     ``M^0``'s, every root has one owner, so a key a rank stops reporting is
-    re-reported by its new owner and the coordinator only ever overwrites
+    re-reported by its new owner and a rank's merge only ever overwrites
     dense slots of ``M^0``'s skeleton."""
 
     def test_diff_update_sends_only_changes(self):
@@ -453,7 +508,7 @@ class TestDeltaTombstones:
         assert sorted(delta) == ["e_keys", "e_wts", "v_ids", "v_wts"]
 
     def test_merge_handoff_is_order_independent(self):
-        from repro.pared.protocols import _CoordinatorGraph
+        from repro.pared.protocols import _MergedGraph
 
         # root 3 (and every edge it is the lower endpoint of) moves from
         # rank 0 to rank 1 as it refines: the old owner goes silent about
@@ -468,7 +523,7 @@ class TestDeltaTombstones:
         batch = rank_deltas(graph, owner, prev)
         assert 3 not in batch[0]["v_ids"] and 3 in batch[1]["v_ids"]
         for order in (batch, batch[::-1]):
-            cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+            cg = _MergedGraph(amesh.mesh.coarse_skeleton())
             cg.merge(first)
             cg.merge(order)
             assert np.array_equal(cg.vwts, graph.vwts)
@@ -478,11 +533,11 @@ class TestDeltaTombstones:
         """``graph()`` re-weighs ``M^0``'s skeleton: it shares the CSR
         arrays with :func:`coarse_dual_graph` and equals it array for
         array."""
-        from repro.pared.protocols import _CoordinatorGraph
+        from repro.pared.protocols import _MergedGraph
 
         amesh = AdaptiveMesh.unit_square(3)
         skeleton = amesh.mesh.coarse_skeleton()
-        cg = _CoordinatorGraph(skeleton)
+        cg = _MergedGraph(skeleton)
         owner = np.arange(amesh.n_roots, dtype=np.int64) % 3
         prev = [None] * 3
         for rnd in range(3):
@@ -497,7 +552,7 @@ class TestDeltaTombstones:
 
     def test_coarsen_heavy_audited_run_keeps_graph_exact(self):
         """End-to-end: a refine-then-coarsen ladder with migrations keeps
-        the coordinator's ``G`` bit-exact against brute-force recounts
+        every rank's ``G`` bit-exact against brute-force recounts
         every round (``audit=True`` trips on any stale entry)."""
 
         def marker(amesh, rnd):

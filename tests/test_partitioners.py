@@ -167,7 +167,7 @@ def test_rsb_covers_all_labels(p, seed):
 
 def grid_with_coords(n, vweights=None):
     """The ``grid`` graph plus the (i, j) centroid of every vertex — what
-    the PARED coordinator hands a strategy: coarse dual graph + root
+    a PARED rank hands a strategy: coarse dual graph + root
     centroids."""
     g = grid(n, vweights=vweights)
     ij = np.indices((n, n)).reshape(2, -1).T.astype(np.float64)
@@ -417,8 +417,8 @@ class TestOneDoor:
     )
     def test_ablation_switch_reaches_the_coordinator(self, switch):
         """``ParedConfig(pnr=PNR(<switch>))`` used to be rejected by the
-        registry's guard (and, before that, silently dropped): now the
-        coordinator's V-cycle runs the ablation, and returns what the
+        registry's guard (and, before that, silently dropped): now every
+        rank's V-cycle runs the ablation, and returns what the
         mesh-level ``PNR.repartition`` returns."""
         exact = CornerLaplace2D().exact
 

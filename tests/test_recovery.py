@@ -119,9 +119,7 @@ class TestCheckpointStore:
             round=rnd,
             amesh={"mesh": tag},
             owner=np.array([0, 1, 2]),
-            prev_full={"v": {0: 1.0}, "e": {}},
             history=[{"round": rnd}],
-            coordinator=0,
         )
 
     def test_empty_store_has_no_checkpoint(self):
@@ -315,7 +313,7 @@ class TestCrashRecoveryLadder:
         histories, stats = run_pared(cfg)
         _assert_survivable_outcome(histories, stats, crash_rank=1)
 
-    def test_coordinator_failover(self):
+    def test_rank0_crash_recovers_on_the_survivors(self):
         cfg = _cfg(FaultPlan(seed=0, crash_rank=0, crash_at_op=8))
         histories, stats = run_pared(cfg)
         assert histories[0] is None
@@ -323,10 +321,11 @@ class TestCrashRecoveryLadder:
         final = histories[1][-1]
         assert set(np.unique(final["owner"]).tolist()) <= {1, 2}
 
-    def test_crash_before_first_merge_plans_on_the_mesh(self):
-        """A death before round 0's P2 merge replays from the setup
-        checkpoint, where ``P_C`` holds no weights yet: the recovery plan
-        must be taken on ``M^0``'s dual graph, not on an all-zero ``G``."""
+    @staticmethod
+    def _planned_on_the_mesh(crash_rank, crash_at_op, rounds):
+        """Run to the crash; return the survivors' recovery record and the
+        plan ``plan_recovery_assignment`` makes on the dual graph of the
+        checkpointed mesh, re-adapted serially."""
         def make_mesh():
             return AdaptiveMesh.unit_square(10)
 
@@ -334,17 +333,40 @@ class TestCrashRecoveryLadder:
             p=_P,
             make_mesh=make_mesh,
             marker=_marker,
-            rounds=1,
+            rounds=rounds,
             pnr=PNR(seed=1),
-            faults=FaultPlan(seed=0, crash_rank=2, crash_at_op=10),
+            faults=FaultPlan(seed=0, crash_rank=crash_rank, crash_at_op=crash_at_op),
             recover=True,
         )
         histories, _ = run_pared(cfg)
-        rec = next(r for r in histories[0] if r.get("recovery"))
-        assert rec["round"] == -1
+        assert histories[crash_rank] is None
+        survivor = next(h for h in histories if h is not None)
+        rec = next(r for r in survivor if r.get("recovery"))
+        amesh = make_mesh()
+        for rnd in range(rec["round"] + 1):
+            amesh.refine(_marker(amesh, rnd)[0])
+        live = [r for r in range(_P) if r != crash_rank]
         want = plan_recovery_assignment(
-            coarse_dual_graph(make_mesh().mesh), rec["old_owner"], [0, 1], cfg.pnr
+            coarse_dual_graph(amesh.mesh), rec["old_owner"], live, cfg.pnr
         )
+        return rec, want
+
+    def test_crash_before_first_merge_plans_on_the_mesh(self):
+        """A death before round 0's P2 merge replays from the setup
+        checkpoint: the recovery plan is taken on ``M^0``'s dual graph, not
+        on an all-zero ``G``."""
+        rec, want = self._planned_on_the_mesh(2, 10, rounds=1)
+        assert rec["round"] == -1
+        assert np.array_equal(rec["owner"], want)
+
+    @pytest.mark.parametrize("crash_rank", [0, 2])
+    def test_crash_after_first_merge_plans_on_the_mesh(self, crash_rank):
+        """A death in round 1 replays from round 0's checkpoint.  No
+        checkpoint holds ``G``: every survivor plans on its replica's dual
+        graph, which equals the ``G`` merged in round 0 — the mesh
+        re-adapted serially with the same marker."""
+        rec, want = self._planned_on_the_mesh(crash_rank, 24, rounds=2)
+        assert rec["round"] == 0
         assert np.array_equal(rec["owner"], want)
 
     def test_recovery_is_replayable_from_seed(self):
@@ -359,8 +381,7 @@ class TestCrashRecoveryLadder:
         self, crash_rank, partitioner
     ):
         """Crash recovery under the halo protocol family (today: ``dkl``):
-        every crash point (including the coordinator, whose only dkl-round
-        job is the imbalance check) must be survivable and two same-seed
+        every crash point, rank 0 included, must be survivable and two same-seed
         runs must recover onto identical histories."""
         plan = FaultPlan(seed=0, crash_rank=crash_rank, crash_at_op=12)
         h1, s1 = run_pared(_cfg(plan, partitioner=partitioner))

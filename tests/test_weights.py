@@ -1,6 +1,6 @@
 """Direct unit tests of the packed weight-report primitives
-(:mod:`repro.pared.weights`) and of the coordinator's merge of them
-(:class:`~repro.pared.protocols._CoordinatorGraph`) — the P2 protocol
+(:mod:`repro.pared.weights`) and of every rank's merge of them
+(:class:`~repro.pared.protocols._MergedGraph`) — the P2 protocol
 without running one.  The focus is the edge cases a round can hit: empty
 arrays, ownership handoffs, refinement and coarsening between rounds, and
 reports that do not fit ``M^0``.
@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
-from repro.pared.protocols import _CoordinatorGraph
+from repro.pared.protocols import _MergedGraph
 from repro.pared.weights import (
     diff_weight_report,
     edge_keys,
@@ -74,7 +74,7 @@ class TestSortedMembership:
 
 
 class TestCoordinatorMerge:
-    """``P_C``'s ``G`` from P2 deltas alone equals the mesh's
+    """A rank's ``G`` from P2 deltas alone equals the mesh's
     :func:`coarse_dual_graph` every round, whoever owns what and in
     whatever order the deltas arrive."""
 
@@ -87,7 +87,7 @@ class TestCoordinatorMerge:
     def test_merged_deltas_equal_the_mesh_graph(self, p, data):
         amesh = AdaptiveMesh.unit_square(3)
         n = amesh.n_roots
-        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        cg = _MergedGraph(amesh.mesh.coarse_skeleton())
         prev = [None] * p
         owner = None
         for _ in range(4):
@@ -123,7 +123,7 @@ class TestCoordinatorMerge:
             for b in range(a + 1, n)
             if b not in graph.neighbors(a)
         )
-        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        cg = _MergedGraph(amesh.mesh.coarse_skeleton())
         with pytest.raises(ValueError, match="no shared facet"):
             cg.merge([full, _report(e_keys=[int(edge_keys(a, b, n))])])
 
@@ -131,7 +131,7 @@ class TestCoordinatorMerge:
         amesh = AdaptiveMesh.unit_square(2)
         graph = coarse_dual_graph(amesh.mesh)
         owner = np.arange(amesh.n_roots, dtype=I) % 2
-        cg = _CoordinatorGraph(amesh.mesh.coarse_skeleton())
+        cg = _MergedGraph(amesh.mesh.coarse_skeleton())
         # rank 1's report never arrives
         with pytest.raises(ValueError, match="never reported"):
             cg.merge([full_weight_report(graph, owner, 0)])
