@@ -68,14 +68,6 @@ def test_pared_system(benchmark, write_result):
     phase_rows = [
         (phase, msgs, bts) for phase, (msgs, bts) in stats.phase_report().items()
     ]
-    # estimated communication time on the paper-era and modern networks
-    from repro.runtime import compare_profiles
-
-    est = compare_profiles(stats)
-    est_rows = [
-        (name, *(f"{times.get(ph, 0.0)*1e3:.3f}" for ph in ("P0", "P2", "P3")))
-        for name, times in est.items()
-    ]
     write_result(
         "pared_system",
         format_table(
@@ -84,13 +76,7 @@ def test_pared_system(benchmark, write_result):
             title=f"A3: PARED rounds (p={p})",
         )
         + "\n\n"
-        + format_table(["phase", "messages", "bytes"], phase_rows, title="traffic by phase")
-        + "\n\n"
-        + format_table(
-            ["network", "P0 ms", "P2 ms", "P3 ms"],
-            est_rows,
-            title="estimated communication time (alpha-beta model)",
-        ),
+        + format_table(["phase", "messages", "bytes"], phase_rows, title="traffic by phase"),
     )
 
     # parallel == serial refinement

@@ -17,7 +17,8 @@ from pathlib import Path
 from repro.core import PNR
 from repro.experiments.laplace import laplace_ladder
 from repro.experiments.transient import transient_mesh_sequence
-from repro.viz import partition_to_svg, save_svg
+from repro.mesh.quality import quality_report
+from repro.viz import mesh_to_svg, partition_to_svg, save_svg
 
 OUT = Path(__file__).resolve().parent.parent / "results"
 OUT.mkdir(exist_ok=True)
@@ -29,14 +30,18 @@ pnr = PNR(seed=0)
 fine = pnr.induced_fine(amesh, pnr.initial_partition(amesh, 8))
 save_svg(OUT / "fig1_mesh.svg", partition_to_svg(amesh, fine))
 print(f"fig1_mesh.svg: {amesh.n_leaves} elements, 8 subsets")
+# Figure 1's shape claim in numbers: Rivara bisection keeps angles bounded
+rep = quality_report(amesh)
+print(f"  min angle {rep['min_angle_deg']:.1f} deg, depth <= {rep['depth_max']}, "
+      f"quality min/mean {rep['quality_min']:.3f}/{rep['quality_mean']:.3f}")
 
 # Figure 6 analogs: transient mesh at the first and last step
 first = last = None
 for step, t, am in transient_mesh_sequence(n=14, steps=16):
     if first is None:
-        first = partition_to_svg(am)
+        first = mesh_to_svg(am)
         n_first = am.n_leaves
-    last = partition_to_svg(am)
+    last = mesh_to_svg(am)
     n_last = am.n_leaves
 save_svg(OUT / "fig6a.svg", first)
 save_svg(OUT / "fig6b.svg", last)

@@ -21,7 +21,6 @@ from repro.fem.estimate import (
     mark_under_threshold,
 )
 from repro.fem.problems import CornerLaplace2D, CornerLaplace3D, MovingPeakPoisson2D
-from repro.fem.quadrature import integrate, quad_load_vector
 
 __all__ = [
     "stiffness_matrix",
@@ -39,6 +38,4 @@ __all__ = [
     "CornerLaplace2D",
     "CornerLaplace3D",
     "MovingPeakPoisson2D",
-    "integrate",
-    "quad_load_vector",
 ]

@@ -34,7 +34,6 @@ from repro.geometry.generators import (
 )
 from repro.geometry.unstructured import (
     delaunay_square_mesh,
-    delaunay_disk_mesh,
     lshape_mesh,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "unit_square_mesh",
     "unit_cube_mesh",
     "delaunay_square_mesh",
-    "delaunay_disk_mesh",
     "lshape_mesh",
 ]

@@ -7,8 +7,6 @@ deterministic), this module produces genuinely irregular meshes:
 * :func:`delaunay_square_mesh` — Delaunay triangulation of a jittered
   lattice of ``(-1,1)²`` (boundary points kept on the boundary so the
   domain is tiled exactly);
-* :func:`delaunay_disk_mesh` — Delaunay triangulation of concentric rings
-  of a disk;
 * :func:`lshape_mesh` — structured triangulation of the L-shaped domain
   ``(-1,1)² \\ [0,1)²`` (the classic re-entrant-corner singularity domain).
 
@@ -52,28 +50,6 @@ def delaunay_square_mesh(n: int, jitter: float = 0.35, seed: int = 0):
     shift[on_xb, 0] = 0.0
     shift[on_yb, 1] = 0.0
     pts = pts + shift
-    cells = _delaunay_cells(pts)
-    return pts, cells
-
-
-def delaunay_disk_mesh(n_rings: int, seed: int = 0, radius: float = 1.0):
-    """Irregular triangulation of a disk from concentric point rings.
-
-    Ring ``k`` (of ``n_rings``) carries ``max(6k, 1)`` points with a small
-    deterministic angular jitter; the convex hull of the point set is the
-    outer ring, so Delaunay tiles the disk polygonally.
-    """
-    if n_rings < 1:
-        raise ValueError("need at least one ring")
-    rng = np.random.default_rng(seed)
-    pts = [(0.0, 0.0)]
-    for k in range(1, n_rings + 1):
-        r = radius * k / n_rings
-        m = 6 * k
-        jit = rng.uniform(-0.2, 0.2, m) * (2 * np.pi / m) * (0 if k == n_rings else 1)
-        ang = np.arange(m) * 2 * np.pi / m + jit
-        pts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-    pts = np.asarray(pts)
     cells = _delaunay_cells(pts)
     return pts, cells
 

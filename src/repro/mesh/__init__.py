@@ -29,16 +29,6 @@ from repro.mesh.dualgraph import (
     fine_dual_graph,
     leaf_assignment_from_roots,
 )
-from repro.mesh.io import (
-    load_checkpoint,
-    load_npz,
-    load_state,
-    load_triangle_mesh,
-    save_checkpoint,
-    save_npz,
-    save_state,
-    save_triangle_mesh,
-)
 from repro.mesh.metrics import (
     shared_vertex_count,
     cut_size,
@@ -66,12 +56,4 @@ __all__ = [
     "imbalance",
     "migrated_weight",
     "processor_graph",
-    "save_npz",
-    "load_npz",
-    "save_state",
-    "load_state",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_triangle_mesh",
-    "load_triangle_mesh",
 ]

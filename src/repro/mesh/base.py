@@ -8,7 +8,7 @@ reproduces identical vertex ids (PARED's persistent-tree behaviour).
 
 Subclasses mirror the active leaf set in a facet adjacency that the
 adaptation kernels keep current, and rebuild it from cells + forest in
-``_rebuild_adjacency`` (construction and restart).
+``_rebuild_adjacency`` at construction.
 :class:`~repro.mesh.mesh2d.TriMesh` holds it in flat arrays and adapts whole
 batches (``_split_many`` / ``_merge_many``);
 :class:`~repro.mesh.mesh3d.TetMesh` still keeps dictionaries updated one
@@ -83,8 +83,7 @@ class SimplexMesh:
         """(Re)derive everything that follows from cells + forest: the
         per-version leaf caches and the longest-edge memo here, the facet
         adjacency of the current leaves in the subclass override.  Called
-        at construction and by the restart loader, which builds meshes via
-        ``__new__``."""
+        at construction."""
         #: memo: element id -> sorted global vertex pair of its longest edge
         self._longest: dict = {}
         self._leaf_cells_cache = None

@@ -55,13 +55,7 @@ class RefinementForest:
         self._n_roots = 0
         #: number of currently active leaves (maintained incrementally)
         self._n_leaves = 0
-        self._init_caches()
-
-    def _init_caches(self) -> None:
-        """(Re)initialize the structure-version counter and derived-query
-        caches; also called by the restart loader, which builds forests via
-        ``__new__``."""
-        #: bumped on every structural change (add_root/split/merge); any
+        #: bumped on every structural change (add_roots/split/merge); any
         #: derived data keyed on this value stays valid exactly as long as
         #: the leaf set does
         self._version = 0
@@ -80,25 +74,12 @@ class RefinementForest:
     # construction
     # ------------------------------------------------------------------ #
 
-    def add_root(self) -> int:
-        """Create a level-0 element; it starts as a LEAF of its own tree."""
-        eid = self._parent.append(_NO)
-        self._child0.append(_NO)
-        self._child1.append(_NO)
-        self._root.append(eid)
-        self._depth.append(0)
-        self._status.append(LEAF)
-        self._n_roots += 1
-        self._n_leaves += 1
-        self._version += 1
-        return eid
-
     def add_roots(self, k: int) -> range:
         """Create ``k`` level-0 elements; returns their id range.
 
-        Bulk path of :meth:`add_root`: one vectorized extend per storage
-        array instead of ``6k`` scalar appends (initial-mesh construction
-        is a measurable slice of a PARED round at bench scale)."""
+        One vectorized extend per storage array instead of ``6k`` scalar
+        appends (initial-mesh construction is a measurable slice of a PARED
+        round at bench scale)."""
         first = len(self._parent)
         if k > 0:
             no = np.full(k, _NO, dtype=np.int64)
@@ -351,29 +332,6 @@ class RefinementForest:
         leaves = np.concatenate(found)
         leaves.sort()
         return leaves.tolist()
-
-    def subtree_size(self, eid: int) -> int:
-        """Number of tree nodes (any state) in the subtree rooted at ``eid``.
-        Approximates the data volume moved when the tree migrates."""
-        count = 0
-        stack = [eid]
-        while stack:
-            e = stack.pop()
-            count += 1
-            c0 = self._child0[e]
-            if c0 != _NO:
-                stack.append(int(c0))
-                stack.append(int(self._child1[e]))
-        return count
-
-    def ancestors(self, eid: int) -> list:
-        """Path of ancestors of ``eid`` up to (and including) its root."""
-        out = []
-        p = self._parent[eid]
-        while p != _NO:
-            out.append(int(p))
-            p = self._parent[p]
-        return out
 
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on failure.

@@ -10,7 +10,7 @@ All metrics take a *leaf assignment*: an integer array, aligned with
 * ``migrated_weight`` — ``C_migrate``: number of leaf elements whose
   assignment differs between two partitions.
 * ``processor_graph`` — the processor-connectivity graph ``H^t`` of
-  Section 8, plus its BFS distances for the migration lower bound.
+  Section 8 (its hop distances feed :mod:`repro.core.bounds`).
 """
 
 from __future__ import annotations
@@ -87,18 +87,3 @@ def processor_graph(mesh, assignment: np.ndarray, p: int) -> sp.csr_matrix:
     mat.sum_duplicates()
     mat.data[:] = True
     return mat
-
-
-def processor_distances(hgraph: sp.csr_matrix, source: int) -> np.ndarray:
-    """BFS hop distances ``d_{source,j}`` in ``H^t`` (np.inf if unreachable)."""
-    dist = sp.csgraph.shortest_path(
-        hgraph.astype(float), method="D", unweighted=True, indices=source
-    )
-    return dist
-
-
-def subdomain_connectivity(mesh, assignment: np.ndarray, p: int) -> np.ndarray:
-    """Number of adjacent subdomains per processor (the latency-sensitive
-    secondary cost mentioned in Section 3)."""
-    h = processor_graph(mesh, assignment, p)
-    return np.diff(h.indptr)

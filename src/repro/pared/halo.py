@@ -1,4 +1,4 @@
-"""Halo (ghost) analysis of a distributed mesh partition.
+"""Halo analysis of a distributed mesh partition.
 
 On a mesh partitioned by elements, vertices on subdomain boundaries are
 *shared*: several ranks hold copies and must exchange/accumulate values at
@@ -7,14 +7,10 @@ This module computes, for any leaf assignment:
 
 * per-vertex toucher sets (which ranks' elements use the vertex);
 * the **shared-vertex exchange lists** per ordered rank pair (sorted, so
-  the two sides of every exchange agree on the ordering);
-* **ghost elements**: for each rank, the off-rank leaf elements adjacent
-  to its owned ones (what a halo-exchange of element data would transfer);
-* volume estimates: floats per CG iteration, elements per ghost refresh.
+  the two sides of every exchange agree on the ordering).
 
 :class:`~repro.pared.solver.DistributedPoissonSolver` builds its exchange
-plan from :func:`vertex_exchange_lists`; the A3 bench reports the derived
-volumes.
+plan from :func:`vertex_exchange_lists`.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
-
-from repro.mesh.dualgraph import _leaf_adjacency_pairs
 
 
 def vertex_touchers(mesh, leaf_owners: np.ndarray) -> dict:
@@ -48,51 +42,3 @@ def vertex_exchange_lists(mesh, leaf_owners: np.ndarray, rank: int) -> dict:
                 if q != rank:
                     out[q].append(v)
     return {q: np.array(sorted(vs), dtype=np.int64) for q, vs in out.items()}
-
-
-def ghost_elements(mesh, leaf_owners: np.ndarray, rank: int) -> np.ndarray:
-    """Leaf *positions* (indices into ``leaf_ids()``) of off-rank elements
-    adjacent (by facet) to this rank's owned elements — the ghost layer a
-    neighbor-exchange would keep fresh."""
-    owners = np.asarray(leaf_owners)
-    pairs = _leaf_adjacency_pairs(mesh)
-    a, b = pairs[:, 0], pairs[:, 1]
-    ghosts = set()
-    mine_a = owners[a] == rank
-    mine_b = owners[b] == rank
-    for other in b[mine_a & (owners[b] != rank)]:
-        ghosts.add(int(other))
-    for other in a[mine_b & (owners[a] != rank)]:
-        ghosts.add(int(other))
-    return np.array(sorted(ghosts), dtype=np.int64)
-
-
-def halo_report(mesh, leaf_owners: np.ndarray, p: int) -> dict:
-    """Aggregate halo volumes of a partition.
-
-    Returns per-rank ghost-element counts, per-rank shared-vertex counts,
-    the total shared-vertex count (the paper's quality metric equals the
-    number of vertices with ≥ 2 touchers), and the total floats moved per
-    halo accumulation (each shared vertex is sent once per (owner, peer)
-    pair).
-    """
-    touch = vertex_touchers(mesh, leaf_owners)
-    shared_per_rank = np.zeros(p, dtype=np.int64)
-    accumulation_volume = 0
-    total_shared = 0
-    for v, ranks in touch.items():
-        if len(ranks) > 1:
-            total_shared += 1
-            accumulation_volume += len(ranks) * (len(ranks) - 1)
-            for r in ranks:
-                shared_per_rank[r] += 1
-    ghost_counts = np.array(
-        [ghost_elements(mesh, leaf_owners, r).size for r in range(p)],
-        dtype=np.int64,
-    )
-    return {
-        "shared_vertices_total": total_shared,
-        "shared_per_rank": shared_per_rank,
-        "ghost_elements_per_rank": ghost_counts,
-        "floats_per_accumulation": int(accumulation_volume),
-    }

@@ -12,9 +12,9 @@ The *standard* partitioning algorithms the paper compares against:
 
 Plus the high-throughput geometric baseline:
 
-* :func:`~repro.partition.sfc.sfc_partition` — Morton/Hilbert
+* :class:`~repro.partition.sfc.SFCPartitioner` — Morton/Hilbert
   space-filling-curve splitting of element centroids, O(n log n) and
-  incrementally re-splittable (:class:`~repro.partition.sfc.SFCPartitioner`).
+  incrementally re-splittable.
 
 And the pieces they share: the p-way Kernighan–Lin refinement engine
 (:mod:`repro.partition.kl`, also the host of PNR's modified gain function),
@@ -56,7 +56,6 @@ from repro.partition.sfc import (
     morton_keys_from_quantized,
     quantize_coords,
     sfc_keys,
-    sfc_partition,
     weighted_curve_splits,
 )
 from repro.partition.spectral import recursive_spectral_bisection, spectral_bisect
@@ -85,7 +84,6 @@ __all__ = [
     "morton_keys_from_quantized",
     "quantize_coords",
     "sfc_keys",
-    "sfc_partition",
     "weighted_curve_splits",
     "recursive_spectral_bisection",
     "spectral_bisect",

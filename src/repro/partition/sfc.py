@@ -34,7 +34,6 @@ __all__ = [
     "sfc_keys",
     "weighted_curve_splits",
     "assignment_from_splits",
-    "sfc_partition",
     "SFCPartitioner",
 ]
 
@@ -210,51 +209,8 @@ def assignment_from_splits(
 
 
 # ---------------------------------------------------------------------- #
-# one-shot and incremental entry points
+# incremental entry point
 # ---------------------------------------------------------------------- #
-
-
-def sfc_partition(
-    coords: np.ndarray,
-    weights,
-    p: int,
-    curve: str = "morton",
-    bits: int = DEFAULT_BITS,
-) -> np.ndarray:
-    """Partition points into ``p`` weight-balanced curve segments.
-
-    Parameters
-    ----------
-    coords:
-        ``(n, dim)`` centroids (2-D or 3-D).
-    weights:
-        Per-point weights (``None`` for unit weights) — refinement-tree
-        leaf counts in the coarse-dual-graph setting.
-    p:
-        Number of subsets.
-    curve:
-        ``"morton"`` (default) or ``"hilbert"``.
-    bits:
-        Quantization bits per axis (key determinism is per ``bits``).
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    n = coords.shape[0]
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape[0] != n:
-        raise ValueError("weights must have one entry per point")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    keys = sfc_keys(coords, curve=curve, bits=bits)
-    with PERF.span("sfc.sort"):
-        order = np.argsort(keys, kind="stable")
-    with PERF.span("sfc.split"):
-        splits = weighted_curve_splits(weights[order], p)
-    return assignment_from_splits(order, splits, n, p)
 
 
 class SFCPartitioner:

@@ -15,10 +15,10 @@ Usage::
     with PERF.span("kl.pass"):
         ...
 
-    print(PERF.report())
+    print(PERF.snapshot())
 
 Spans nest; times are *inclusive* (a ``multilevel.refine`` span contains
-its ``kl.pass`` children), so the report is read per-name, not summed
+its ``kl.pass`` children), so the snapshot is read per-name, not summed
 across names.  Counters are thread-safe — the SimMPI ranks are threads, so
 PARED runs aggregate over all ranks.  Overhead is two ``perf_counter``
 calls plus a lock acquire per span, which is why spans wrap *phases*
@@ -31,7 +31,7 @@ import threading
 import time
 from collections import defaultdict
 
-__all__ = ["PerfRegistry", "PERF", "span", "snapshot", "reset", "report"]
+__all__ = ["PerfRegistry", "PERF"]
 
 
 class PerfRegistry:
@@ -77,17 +77,6 @@ class PerfRegistry:
             self.seconds.clear()
             self.calls.clear()
 
-    def report(self) -> str:
-        """Human-readable table of the snapshot (empty string when idle)."""
-        snap = self.snapshot()
-        if not snap:
-            return ""
-        width = max(len(name) for name in snap)
-        lines = [f"{'phase':<{width}}  {'calls':>8}  {'seconds':>10}"]
-        for name, (calls, secs) in snap.items():
-            lines.append(f"{name:<{width}}  {calls:>8}  {secs:>10.4f}")
-        return "\n".join(lines)
-
 
 class _Span:
     __slots__ = ("_registry", "_name", "_t0")
@@ -107,9 +96,3 @@ class _Span:
 
 #: the process-wide registry the library kernels report into
 PERF = PerfRegistry()
-
-# module-level conveniences mirroring the singleton
-span = PERF.span
-snapshot = PERF.snapshot
-reset = PERF.reset
-report = PERF.report

@@ -4,8 +4,8 @@ mpi4py is the natural backend for PARED's communication, but the algorithms
 under study are defined by their *communication structure* — who sends what
 to whom in phases P0–P3 — not by the wall-clock of a particular
 interconnect.  :class:`~repro.runtime.simmpi.SimComm` provides an
-mpi4py-flavoured API (``send``/``recv``/``bcast``/``gather``/``allgather``/
-``iallgather``/``allreduce``/``barrier``) over in-process threads and
+mpi4py-flavoured API (``send``/``recv``/``allgather``/``iallgather``/
+``allreduce``/``barrier``) over in-process threads and
 queues or forked rank processes over shared-memory rings, with full
 per-phase traffic accounting
 (:class:`~repro.runtime.stats.TrafficStats`), so every experiment reports
@@ -39,15 +39,6 @@ from repro.runtime.transport import (
     pack_frame,
     resolve_backend,
 )
-from repro.runtime.costmodel import (
-    IBM_SP,
-    MODERN_HPC,
-    NOW_ETHERNET,
-    PROFILES,
-    NetworkProfile,
-    compare_profiles,
-    estimate_phase_times,
-)
 
 __all__ = [
     "encode",
@@ -74,11 +65,4 @@ __all__ = [
     "compact_owner",
     "expand_owner",
     "TrafficStats",
-    "NetworkProfile",
-    "IBM_SP",
-    "NOW_ETHERNET",
-    "MODERN_HPC",
-    "PROFILES",
-    "estimate_phase_times",
-    "compare_profiles",
 ]

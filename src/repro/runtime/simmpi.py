@@ -4,8 +4,8 @@
 ...)`` on its own thread; ranks communicate only through their
 :class:`SimComm`, which provides blocking point-to-point ``send``/``recv``
 (tag-matched, per-pair FIFO order) and the collectives PARED uses
-(``bcast``, ``gather``, ``allgather``, ``iallgather``, ``allreduce``,
-``barrier`` — every one built from ``send``/``recv``).  Payloads travel
+(``allgather``, ``iallgather``, ``allreduce``, ``barrier`` — every one
+built from ``send``/``recv``).  Payloads travel
 as typed frames of :mod:`repro.runtime.codec` — raw numpy buffers plus a
 small tag header, with pickle retained as the fallback leaf for arbitrary
 objects — and the frame size is recorded per phase in a shared
@@ -90,8 +90,7 @@ from repro.runtime.transport import (  # noqa: F401  (re-exported API)
 
 _DEFAULT_TIMEOUT = 120.0
 
-#: tag of a barrier's token frames (the other collectives use -1, -2, -4
-#: and -5)
+#: tag of a barrier's token frames (the other collectives use -4 and -5)
 BARRIER_TAG = -3
 
 
@@ -348,38 +347,16 @@ class SimComm:
     # collectives (built on point-to-point so they are accounted)
     # ------------------------------------------------------------------ #
 
-    def bcast(self, obj, root: int = 0, tag: int = -1, ranks=None):
-        """Broadcast from ``root``.  ``ranks`` restricts the collective to a
-        subgroup (e.g. the live ranks after a crash); ``None`` is the full
-        communicator."""
-        if self.rank == root:
-            for dst in range(self.size) if ranks is None else ranks:
-                if dst != root:
-                    self.send(obj, dst, tag)
-            return obj
-        return self.recv(root, tag)
-
-    def gather(self, obj, root: int = 0, tag: int = -2, ranks=None):
-        """Gather to ``root``.  With ``ranks`` the result list is aligned
-        with (and only covers) the subgroup, in the given order."""
-        if self.rank == root:
-            return [
-                obj if src == root else self.recv(src, tag)
-                for src in (range(self.size) if ranks is None else ranks)
-            ]
-        self.send(obj, root, tag)
-        return None
-
     def allgather(self, obj, tag: int = -4, ranks=None):
         """Allgather by direct pairwise exchange — no root rank in the
-        pattern, unlike the historical gather+bcast funnel.
+        pattern.
 
         Power-of-two group sizes use *recursive doubling*: ``log2(k)``
         rounds, each rank swapping everything it holds with its partner
         across one address bit.  Other sizes use a *ring*: ``k - 1`` steps
         forwarding one block to the clockwise neighbor.  Both deliver the
         result list aligned with the group order (``ranks`` order, or rank
-        order for the full communicator), identical to the old path.
+        order for the full communicator).
         Blocks travel as ``(position, block)`` pairs, so ``None`` is a
         legal payload.  Sends buffer without blocking, so the symmetric
         send-then-receive step cannot deadlock on either transport.
@@ -455,8 +432,8 @@ class SimComm:
         """Reduce with ``op`` (binary callable, default ``+``), result on
         every rank: a pairwise allgather of the operands, then each rank
         folds them locally in group order.  The fold order is identical
-        everywhere (and identical to the old root-funneled reduce), so
-        floating-point results stay bitwise replica-identical."""
+        everywhere, so floating-point results stay bitwise
+        replica-identical."""
         data = self.allgather(obj, tag=tag, ranks=ranks)
         acc = data[0]
         for item in data[1:]:

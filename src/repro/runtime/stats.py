@@ -129,11 +129,3 @@ class TrafficStats:
         with self._lock:
             return dict(self.wire)
 
-    def reset(self) -> None:
-        with self._lock:
-            self.messages.clear()
-            self.bytes.clear()
-            self.by_pair.clear()
-            self.round_bytes.clear()
-            self.wire.clear()
-

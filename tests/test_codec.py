@@ -171,9 +171,12 @@ class TestWireAccounting:
             for src in range(1, comm.size):
                 comm.recv(src, tag=20)
         comm.set_phase("P3")
-        payload = comm.bcast(
-            np.arange(comm.size) if comm.rank == 0 else None, root=0, tag=30
-        )
+        if comm.rank == 0:
+            payload = np.arange(comm.size)
+            for dst in range(1, comm.size):
+                comm.send(payload, dst, tag=30)
+        else:
+            payload = comm.recv(0, tag=30)
         return int(payload.sum())
 
     def test_exactly_once_accounting_under_faults(self):

@@ -14,7 +14,6 @@ from repro.mesh.dualgraph import (
     fine_dual_graph,
     leaf_assignment_from_roots,
 )
-from repro.mesh.io import load_state, save_state
 from repro.runtime.recovery import CheckpointStore, RoundCheckpoint
 from repro.testing import check_dual_graph_weights
 
@@ -173,22 +172,6 @@ class TestSkeletonRecount:
         assert g1.xadj is g0.xadj and g1.adjncy is g0.adjncy
         assert g1.edge_src is g0.edge_src
         assert g1.ewts is not g0.ewts and g1.ewts.sum() > g0.ewts.sum()
-
-    @pytest.mark.parametrize("kind", sorted(_MESHES))
-    def test_right_after_state_round_trip(self, kind, tmp_path):
-        am = _MESHES[kind]()
-        _adapt(am, (False, 1, 0.3))
-        coarse_dual_graph(am.mesh)  # the skeleton exists before the save
-        save_state(tmp_path / "state.npz", am)
-        restored = AdaptiveMesh(load_state(tmp_path / "state.npz"))
-        _assert_recount_exact(restored.mesh)
-        for step in ((False, 2, 0.3), (True, 3, 1.0)):
-            _adapt(am, step)
-            _adapt(restored, step)
-            _assert_recount_exact(restored.mesh)
-            _assert_same_graph(
-                coarse_dual_graph(restored.mesh), coarse_dual_graph(am.mesh)
-            )
 
     def test_right_after_checkpoint_restore(self):
         am = _MESHES["delaunay"]()

@@ -1,59 +1,8 @@
-"""Tests for the extension modules: quadrature, SVG rendering,
-nonblocking runtime ops, and the distributed solver."""
+"""Tests for the extension modules: SVG rendering and the distributed
+solver."""
 
 import numpy as np
 import pytest
-
-from repro.fem.quadrature import integrate, quad_load_vector, rule_for
-
-
-class TestQuadrature:
-    def test_weights_sum_to_one(self):
-        for npc, names in ((3, ("vertex", "midpoint", "deg3", "deg5")),
-                           (4, ("vertex", "deg2", "deg3"))):
-            for name in names:
-                pts, wts = rule_for(npc, name)
-                assert wts.sum() == pytest.approx(1.0)
-                assert np.allclose(pts.sum(axis=1), 1.0)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            rule_for(3, "deg99")
-
-    def test_integrate_constant(self, square8):
-        val = integrate(square8.verts, square8.leaf_cells(), lambda p: np.ones(len(p)))
-        assert val == pytest.approx(4.0)
-
-    def test_integrate_polynomial_exact(self, square8):
-        # x^2 over (-1,1)^2 = 4/3; midpoint rule (deg 2) is exact
-        f = lambda p: p[:, 0] ** 2
-        val = integrate(square8.verts, square8.leaf_cells(), f, rule="midpoint")
-        assert val == pytest.approx(4.0 / 3.0, rel=1e-12)
-
-    def test_deg5_beats_vertex_on_smooth(self, square8):
-        f = lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1])
-        exact = (np.e - 1 / np.e) * 2 * (np.exp(0.5) - np.exp(-0.5))
-        e_vertex = abs(integrate(square8.verts, square8.leaf_cells(), f, "vertex") - exact)
-        e_deg5 = abs(integrate(square8.verts, square8.leaf_cells(), f, "deg5") - exact)
-        assert e_deg5 < 0.02 * e_vertex
-
-    def test_quad_load_matches_vertex_rule(self, square8):
-        from repro.fem.p1 import load_vector
-
-        f = lambda p: p[:, 0] + 1.3
-        b1 = load_vector(square8.verts, square8.leaf_cells(), f)
-        b2 = quad_load_vector(square8.verts, square8.leaf_cells(), f, rule="vertex")
-        assert np.allclose(b1, b2)
-
-    def test_quad_load_partition_of_unity(self, cube3):
-        b = quad_load_vector(cube3.verts, cube3.leaf_cells(),
-                             lambda p: np.ones(len(p)), rule="deg2")
-        assert b.sum() == pytest.approx(8.0)
-
-    def test_tet_integrate_volume(self, cube3):
-        val = integrate(cube3.verts, cube3.leaf_cells(),
-                        lambda p: np.ones(len(p)), rule="deg3")
-        assert val == pytest.approx(8.0)
 
 
 class TestSvg:

@@ -42,7 +42,7 @@ class TestConstruction:
         g0, g1, _ = forest3.split(c0)
         assert forest3.depth(g0) == 2
         assert forest3.root(g0) == 1
-        assert forest3.ancestors(g0) == [c0, 1]
+        assert forest3.parent(g0) == c0 and forest3.parent(c0) == 1
 
 
 class TestMerge:
@@ -107,11 +107,6 @@ class TestQueries:
         c0, c1, _ = forest3.split(0)
         forest3.merge(0)
         assert forest3.subtree_leaves(0) == [0]
-
-    def test_subtree_size_counts_all_states(self, forest3):
-        forest3.split(0)
-        forest3.merge(0)
-        assert forest3.subtree_size(0) == 3  # parent + 2 inactive children
 
     def test_children_none_when_never_split(self, forest3):
         assert forest3.children(1) is None

@@ -4,8 +4,8 @@ Key properties (Hypothesis): Morton and Hilbert keys are injective on
 distinct quantized centroids (both curves are grid bijections) and the key
 *order* is invariant under coordinate translation and uniform scaling.
 Splitter properties: non-empty weight-balanced segments whenever ``n >= p``,
-index-order fallback on degenerate weights, and the incremental
-:class:`SFCPartitioner` path is bit-identical to the one-shot function.
+index-order fallback on degenerate weights, and a re-split of a fitted
+:class:`SFCPartitioner` is bit-identical to a fresh fit's.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.partition import (
     hilbert_keys_from_quantized,
     morton_keys_from_quantized,
     sfc_keys,
-    sfc_partition,
     weighted_curve_splits,
 )
 
@@ -172,7 +171,7 @@ def test_splitter_one_giant_weight():
 
 
 # ---------------------------------------------------------------------- #
-# one-shot and incremental partitioning
+# partitioning
 # ---------------------------------------------------------------------- #
 
 
@@ -186,7 +185,7 @@ def cloud(n=200, dim=2, seed=0):
 def test_partition_valid_and_balanced(curve, p):
     pts = cloud()
     w = np.random.default_rng(1).uniform(0.5, 2.0, pts.shape[0])
-    a = sfc_partition(pts, w, p, curve=curve)
+    a = SFCPartitioner(curve=curve).fit(pts).partition(w, p)
     assert set(np.unique(a)) == set(range(p))
     loads = np.bincount(a, weights=w, minlength=p)
     assert loads.max() / (w.sum() / p) - 1 < 0.25
@@ -194,8 +193,8 @@ def test_partition_valid_and_balanced(curve, p):
 
 def test_partition_deterministic():
     pts = cloud(seed=3)
-    a1 = sfc_partition(pts, None, 6, curve="hilbert")
-    a2 = sfc_partition(pts, None, 6, curve="hilbert")
+    a1 = SFCPartitioner(curve="hilbert").fit(pts).partition(None, 6)
+    a2 = SFCPartitioner(curve="hilbert").fit(pts).partition(None, 6)
     assert np.array_equal(a1, a2)
 
 
@@ -204,7 +203,9 @@ def test_incremental_matches_one_shot(curve):
     pts = cloud(n=300, dim=3, seed=5)
     w = np.random.default_rng(6).uniform(1.0, 4.0, 300)
     part = SFCPartitioner(curve=curve).fit(pts)
-    assert np.array_equal(part.partition(w, 8), sfc_partition(pts, w, 8, curve=curve))
+    part.partition(np.ones(300), 8)  # an earlier round's weights
+    fresh = SFCPartitioner(curve=curve).fit(pts).partition(w, 8)
+    assert np.array_equal(part.partition(w, 8), fresh)
 
 
 def test_incremental_resplit_moves_few_elements():
@@ -226,9 +227,10 @@ def test_partitioner_requires_fit():
 
 
 def test_partition_edge_cases():
-    assert sfc_partition(np.empty((0, 2)), None, 3).size == 0
-    assert np.all(sfc_partition(cloud(10), None, 1) == 0)
+    assert SFCPartitioner().fit(np.empty((0, 2))).partition(None, 3).size == 0
+    part = SFCPartitioner().fit(cloud(10))
+    assert np.all(part.partition(None, 1) == 0)
     with pytest.raises(ValueError):
-        sfc_partition(cloud(10), None, 0)
+        part.partition(None, 0)
     with pytest.raises(ValueError):
-        sfc_partition(cloud(10), np.ones(9), 2)
+        part.partition(np.ones(9), 2)

@@ -165,49 +165,6 @@ class TestPointToPoint:
 
 
 class TestCollectives:
-    def test_bcast(self, backend):
-        def prog(comm):
-            return comm.bcast("payload" if comm.rank == 0 else None, root=0)
-
-        assert run(backend, 3, prog) == ["payload"] * 3
-
-    def test_bcast_nonzero_root(self, backend):
-        def prog(comm):
-            return comm.bcast(comm.rank if comm.rank == 2 else None, root=2)
-
-        assert run(backend, 4, prog) == [2, 2, 2, 2]
-
-    def test_bcast_rank_subset(self, backend):
-        def prog(comm):
-            group = [0, 2, 3]
-            if comm.rank in group:
-                return comm.bcast(
-                    "sub" if comm.rank == 0 else None, root=0, ranks=group
-                )
-            return "outside"
-
-        assert run(backend, 4, prog) == ["sub", "outside", "sub", "sub"]
-
-    def test_gather(self, backend):
-        def prog(comm):
-            return comm.gather(comm.rank * 10, root=1)
-
-        res = run(backend, 3, prog)
-        assert res[1] == [0, 10, 20]
-        assert res[0] is None and res[2] is None
-
-    def test_gather_rank_subset(self, backend):
-        def prog(comm):
-            group = [1, 3]
-            if comm.rank in group:
-                return comm.gather(comm.rank * 10, root=1, ranks=group)
-            return "outside"
-
-        res = run(backend, 4, prog)
-        assert res[1] == [10, 30]
-        assert res[0] == res[2] == "outside"
-        assert res[3] is None
-
     def test_allgather(self, backend):
         def prog(comm):
             return comm.allgather(comm.rank**2)
@@ -261,7 +218,6 @@ class TestCollectives:
     def test_single_rank(self, backend):
         def prog(comm):
             assert comm.allgather(5) == [5]
-            assert comm.bcast(7, root=0) == 7
             comm.barrier()
             return "ok"
 
@@ -271,23 +227,29 @@ class TestCollectives:
 class TestPairwiseCollectives:
     """The pairwise `allgather`/`allreduce` (recursive doubling at
     power-of-two group sizes, ring otherwise) and the nonblocking
-    `iallgather` must be drop-in for the old root-funneled gather+bcast
-    composition: identical results, same ``ranks=`` semantics, same
-    exactly-once ledger rule, and `Request.wait` timeouts typed like any
-    other receive timeout."""
+    `iallgather`: the same result as a root-funneled exchange, the same
+    ``ranks=`` semantics, the exactly-once ledger rule, and `Request.wait`
+    timeouts typed like any other receive timeout."""
 
     @pytest.mark.parametrize("size", (2, 3, 4, 5))
     def test_allgather_parity_with_root_funneled(self, backend, size):
-        """Pairwise result == gather-to-root + bcast of the same payloads
-        (the implementation this path replaced), at both a power-of-two
-        size (recursive doubling) and general sizes (ring)."""
+        """Pairwise result == every block sent to rank 0 and the gathered
+        list sent back to every rank, written as plain send/recv loops, at
+        both a power-of-two size (recursive doubling) and general sizes
+        (ring)."""
 
         def prog(comm):
             obj = (comm.rank, "x" * comm.rank)
             pairwise = comm.allgather(obj, tag=60)
-            funneled = comm.bcast(
-                comm.gather(obj, root=0, tag=61), root=0, tag=62
-            )
+            if comm.rank == 0:
+                funneled = [obj] + [
+                    comm.recv(src, tag=61) for src in range(1, comm.size)
+                ]
+                for dst in range(1, comm.size):
+                    comm.send(funneled, dst, tag=62)
+            else:
+                comm.send(obj, 0, tag=61)
+                funneled = comm.recv(0, tag=62)
             return pairwise == funneled
 
         assert all(run(backend, size, prog))
@@ -567,9 +529,12 @@ class TestLedgerConformance:
             for src in range(1, comm.size):
                 comm.recv(src, tag=20)
         comm.set_phase("P3")
-        payload = comm.bcast(
-            np.arange(comm.size) if comm.rank == 0 else None, root=0, tag=30
-        )
+        if comm.rank == 0:
+            payload = np.arange(comm.size)
+            for dst in range(1, comm.size):
+                comm.send(payload, dst, tag=30)
+        else:
+            payload = comm.recv(0, tag=30)
         # a barrier's token frames are logical messages, on every backend
         comm.barrier()
         return int(payload.sum())
@@ -815,15 +780,6 @@ class TestBackendSelection:
 
 
 class TestStatsObjects:
-    def test_traffic_stats_reset(self):
-        s = TrafficStats()
-        s.record(0, 1, 100, "P1")
-        s.record(1, 0, 50, "P1")
-        assert s.total_messages == 2
-        assert s.by_pair[(0, 1)] == 1
-        s.reset()
-        assert s.total_messages == 0
-
     def test_traffic_stats_merge_dict(self):
         a, b = TrafficStats(), TrafficStats()
         a.record(0, 1, 100, "P1")

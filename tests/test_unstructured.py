@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
-    delaunay_disk_mesh,
     delaunay_square_mesh,
     lshape_mesh,
     tri_areas,
@@ -45,26 +44,6 @@ class TestDelaunaySquare:
         am.refine_where(lambda c: c[:, 0] > 0)
         am.mesh.check_conformal()
         assert am.mesh.leaf_areas().sum() == pytest.approx(4.0)
-
-
-class TestDelaunayDisk:
-    def test_area_close_to_circle(self):
-        verts, tris = delaunay_disk_mesh(8, seed=0)
-        area = tri_areas(verts, tris).sum()
-        # polygonal boundary: slightly below pi
-        assert 0.95 * np.pi < area < np.pi
-
-    def test_refinable(self):
-        verts, tris = delaunay_disk_mesh(4, seed=0)
-        am = AdaptiveMesh(TriMesh(verts, tris))
-        area0 = am.mesh.leaf_areas().sum()
-        am.refine_where(lambda c: c[:, 0] ** 2 + c[:, 1] ** 2 < 0.25)
-        am.mesh.check_conformal()
-        assert am.mesh.leaf_areas().sum() == pytest.approx(area0)
-
-    def test_ring_validation(self):
-        with pytest.raises(ValueError):
-            delaunay_disk_mesh(0)
 
 
 class TestLShape:
