@@ -2,12 +2,16 @@
 named repartitioner registry (pnr / mlkl / sfc / dkl)."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import PNR
 from repro.fem import (
     CornerLaplace2D,
@@ -107,6 +111,33 @@ class TestRSB:
         raw = recursive_spectral_bisection(g, 4, seed=1, refine=False)
         pol = recursive_spectral_bisection(g, 4, seed=1, refine=True)
         assert graph_cut(g, pol) <= graph_cut(g, raw) + 2
+
+    def test_same_bytes_in_fresh_interpreters(self):
+        # 2048 vertices, so the sparse (Lanczos) path; the refined square's
+        # dual graph has λ₂ ≈ λ₃, where a solver that lands anywhere in the
+        # eigenspace gives each process its own partition
+        script = (
+            "import hashlib\n"
+            "from repro.mesh import AdaptiveMesh\n"
+            "from repro.mesh.dualgraph import coarse_dual_graph\n"
+            "from repro.partition import recursive_spectral_bisection\n"
+            "am = AdaptiveMesh.unit_square(32)\n"
+            "am.refine(am.leaf_ids()[::7])\n"
+            "a = recursive_spectral_bisection(coarse_dual_graph(am.mesh), 16)\n"
+            "print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        # one BLAS thread per child: the two run side by side, and threaded
+        # BLAS on an oversubscribed host turns ~1 s into ~10 s
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        runs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env,
+                             stdout=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        outs = [r.communicate(timeout=60)[0] for r in runs]
+        assert all(r.returncode == 0 for r in runs)
+        assert outs[0] == outs[1]
 
 
 class TestGreedy:
