@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh.forest import RefinementForest, LEAF
-from repro.mesh.growable import GrowableMatrix
+from repro.mesh.growable import GrowableMatrix, IntMap
 
 
 def pair_key(a: int, b: int) -> int:
@@ -75,8 +75,10 @@ class SimplexMesh:
         self._cells.extend(cells)
         self.forest = RefinementForest()
         self.forest.add_roots(cells.shape[0])
-        #: memo: pair_key(a, b) -> midpoint vertex id
-        self._midpoint: dict = {}
+        #: memo: pair_key(a, b) -> midpoint vertex id (a dict-like
+        #: :class:`~repro.mesh.growable.IntMap` the 2-D kernel extends in C);
+        #: every entry is a vertex, so it starts as large as the vertex buffer
+        self._midpoint = IntMap(capacity=self._pts.buffer.shape[0])
         self._rebuild_adjacency()
 
     def _rebuild_adjacency(self) -> None:
@@ -214,15 +216,14 @@ class SimplexMesh:
         """Bulk :meth:`midpoint` for distinct :func:`pair_key` edge keys.
         Missing midpoints are created in one ``extend``, in the order given,
         with the same arithmetic as the scalar path."""
-        memo = self._midpoint
-        mids = np.array([memo.get(k, -1) for k in keys.tolist()], dtype=np.int64)
+        mids = self._midpoint.lookup(keys)
         new = np.nonzero(mids < 0)[0]
         if new.size:
             pts = self._pts.data
             nk = keys[new]
             first = self._pts.extend(0.5 * (pts[nk >> 32] + pts[nk & 0xFFFFFFFF]))
             mids[new] = np.arange(first, first + new.size)
-            memo.update(zip(nk.tolist(), mids[new].tolist()))
+            self._midpoint.add_new(nk, mids[new])
         return mids
 
     # ------------------------------------------------------------------ #

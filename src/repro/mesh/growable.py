@@ -4,50 +4,66 @@ Adaptive refinement appends elements and vertices continuously; reallocating
 a fresh numpy array per append would be quadratic.  These small wrappers keep
 a capacity-doubling backing array and expose a zero-copy view of the live
 prefix, following the "be easy on the memory: use views, not copies" rule.
+
+The backing arrays are also what the compiled mesh kernel
+(:mod:`repro.mesh._meshnative`) writes in place: its wrapper reserves room
+(:meth:`~GrowableVector.reserve`), the kernel appends past the live
+prefix, and :meth:`~GrowableVector.commit` publishes the new length.
+:class:`IntMap` is the midpoint memo in the same form — a hash map the
+kernel probes and inserts into directly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 
-class GrowableMatrix:
-    """A 2-D array of fixed column count that supports amortized O(1) row
-    appends.  ``data`` returns a *view* of the live rows."""
+class GrowableVector:
+    """An array that grows along its first axis: amortized O(1) appends,
+    ``data`` a *view* of the live prefix (invalidated by the next append
+    that grows)."""
 
-    __slots__ = ("_buf", "_n", "_cols")
+    __slots__ = ("_buf", "_n")
 
-    def __init__(self, cols: int, dtype, capacity: int = 16):
-        self._cols = int(cols)
-        self._buf = np.empty((max(capacity, 1), self._cols), dtype=dtype)
+    def __init__(self, dtype, capacity: int = 16, row_shape: tuple = ()):
+        self._buf = np.empty((max(capacity, 1), *row_shape), dtype=dtype)
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
     @property
-    def cols(self) -> int:
-        return self._cols
-
-    @property
     def data(self) -> np.ndarray:
-        """View of the live rows; invalidated by the next append that grows."""
         return self._buf[: self._n]
 
-    def _ensure(self, extra: int) -> None:
+    @property
+    def buffer(self) -> np.ndarray:
+        """The whole backing array, capacity rows long."""
+        return self._buf
+
+    def reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows (capacity doubles)."""
         need = self._n + extra
         if need <= self._buf.shape[0]:
             return
         cap = self._buf.shape[0]
         while cap < need:
             cap *= 2
-        new = np.empty((cap, self._cols), dtype=self._buf.dtype)
+        new = np.empty((cap, *self._buf.shape[1:]), dtype=self._buf.dtype)
         new[: self._n] = self._buf[: self._n]
         self._buf = new
 
+    def commit(self, n: int) -> None:
+        """Set the live length to ``n`` after rows were written in place
+        into :attr:`buffer`."""
+        assert self._n <= n <= self._buf.shape[0]
+        self._n = n
+
     def append(self, row) -> int:
         """Append one row; returns its index."""
-        self._ensure(1)
+        self.reserve(1)
         self._buf[self._n] = row
         self._n += 1
         return self._n - 1
@@ -55,10 +71,8 @@ class GrowableMatrix:
     def extend(self, rows) -> int:
         """Append multiple rows; returns the index of the first one."""
         rows = np.asarray(rows)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
         k = rows.shape[0]
-        self._ensure(k)
+        self.reserve(k)
         self._buf[self._n : self._n + k] = rows
         first = self._n
         self._n += k
@@ -71,50 +85,153 @@ class GrowableMatrix:
         self.data[idx] = value
 
 
-class GrowableVector:
-    """A 1-D growable array (amortized O(1) appends, live-prefix view)."""
+class GrowableMatrix(GrowableVector):
+    """A growable 2-D array of fixed column count (rows appended)."""
 
-    __slots__ = ("_buf", "_n")
+    __slots__ = ()
 
-    def __init__(self, dtype, capacity: int = 16):
-        self._buf = np.empty(max(capacity, 1), dtype=dtype)
-        self._n = 0
+    def __init__(self, cols: int, dtype, capacity: int = 16):
+        super().__init__(dtype, capacity, (int(cols),))
 
-    def __len__(self) -> int:
-        return self._n
+    def extend(self, rows) -> int:
+        rows = np.asarray(rows)
+        return super().extend(rows.reshape(1, -1) if rows.ndim == 1 else rows)
+
+
+_GOLD = 0x9E3779B97F4A7C15  # Fibonacci hashing: 2**64 / golden ratio
+_M64 = (1 << 64) - 1
+
+
+class IntMap(Mapping):
+    """Non-negative int64 keys to int64 values, in numpy arrays a compiled
+    kernel can probe and extend in place.
+
+    Open addressing with linear probing over a power-of-two ``slot`` table
+    (at most half full) of positions into two insertion-ordered vectors,
+    :attr:`keys_array` and :attr:`values_array`; a key hashes to the top
+    bits of ``key * 0x9E3779B97F4A7C15 mod 2**64``.  The compiled kernel
+    (``mesh/_meshcore.c``) uses the same hash and probe, so either side
+    finds what the other inserted.  Entries are never removed.
+    """
+
+    __slots__ = ("_slot", "_shift", "_keys", "_vals")
+
+    def __init__(self, capacity: int = 16):
+        self._keys = GrowableVector(np.int64, capacity)
+        self._vals = GrowableVector(np.int64, capacity)
+        self._resize(max(16, 2 * capacity))
+
+    def _resize(self, size: int) -> None:
+        bits = (size - 1).bit_length()
+        self._slot = np.full(1 << bits, -1, dtype=np.int64)
+        self._shift = 64 - bits
+        self._place(np.arange(len(self._keys), dtype=np.int64))
+
+    def _hash(self, keys: np.ndarray) -> np.ndarray:
+        h = keys.astype(np.uint64) * np.uint64(_GOLD)
+        return (h >> np.uint64(self._shift)).astype(np.int64)
+
+    def _place(self, pos: np.ndarray) -> None:
+        """Enter distinct absent keys, by position, into the slot table:
+        every key claims the first free slot on its probe path (where
+        several claim one, one wins and the rest probe on)."""
+        slot = self._slot
+        mask = slot.shape[0] - 1
+        h = self._hash(self._keys.data[pos])
+        while pos.size:
+            free = slot[h] < 0
+            slot[h[free]] = pos[free]
+            lost = slot[h] != pos
+            pos, h = pos[lost], (h[lost] + 1) & mask
+
+    def _probe(self, key: int) -> tuple:
+        """``(slot index, position)``: where ``key`` sits, or the free slot
+        that ends its probe path and -1."""
+        slot, keys = self._slot, self._keys.buffer
+        mask = slot.shape[0] - 1
+        h = ((key * _GOLD) & _M64) >> self._shift
+        while True:
+            i = int(slot[h])
+            if i < 0 or keys[i] == key:
+                return h, i
+            h = (h + 1) & mask
+
+    def reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more entries without a rehash."""
+        self._keys.reserve(extra)
+        self._vals.reserve(extra)
+        need = 2 * (len(self._keys) + extra)
+        if need > self._slot.shape[0]:
+            self._resize(need)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Value of every key in the int64 array ``keys``, ``-1`` where absent."""
+        out = np.full(keys.shape[0], -1, dtype=np.int64)
+        slot, stored = self._slot, self._keys.buffer
+        mask = slot.shape[0] - 1
+        pos = np.arange(keys.shape[0])
+        h = self._hash(keys)
+        while pos.size:
+            i = slot[h]
+            hit = (i >= 0) & (stored[i] == keys[pos])
+            out[pos[hit]] = self._vals.buffer[i[hit]]
+            go = (i >= 0) & ~hit
+            pos, h = pos[go], (h[go] + 1) & mask
+        return out
+
+    def add_new(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Insert distinct keys none of which is present yet."""
+        self.reserve(keys.shape[0])
+        first = self._keys.extend(keys)
+        self._vals.extend(values)
+        self._place(np.arange(first, first + keys.shape[0], dtype=np.int64))
 
     @property
-    def data(self) -> np.ndarray:
-        return self._buf[: self._n]
+    def keys_array(self) -> np.ndarray:
+        """Every key, in insertion order."""
+        return self._keys.data
 
-    def _ensure(self, extra: int) -> None:
-        need = self._n + extra
-        if need <= self._buf.shape[0]:
+    @property
+    def values_array(self) -> np.ndarray:
+        """Every value, aligned with :attr:`keys_array`."""
+        return self._vals.data
+
+    def commit(self, n: int) -> None:
+        """Publish entries ``len(self)..n-1`` that a kernel appended to the
+        vectors and entered into the slot table itself."""
+        self._keys.commit(n)
+        self._vals.commit(n)
+
+    def get(self, key, default=None):
+        i = self._probe(int(key))[1]
+        return default if i < 0 else int(self._vals.buffer[i])
+
+    def __getitem__(self, key):
+        i = self._probe(int(key))[1]
+        if i < 0:
+            raise KeyError(key)
+        return int(self._vals.buffer[i])
+
+    def __setitem__(self, key, value) -> None:
+        key = int(key)
+        h, i = self._probe(key)
+        if i >= 0:
+            self._vals.buffer[i] = value
             return
-        cap = self._buf.shape[0]
-        while cap < need:
-            cap *= 2
-        new = np.empty(cap, dtype=self._buf.dtype)
-        new[: self._n] = self._buf[: self._n]
-        self._buf = new
+        if 2 * (len(self) + 1) > self._slot.shape[0]:
+            self.reserve(1)
+            h = self._probe(key)[0]
+        self._slot[h] = self._keys.append(key)
+        self._vals.append(value)
 
-    def append(self, value) -> int:
-        self._ensure(1)
-        self._buf[self._n] = value
-        self._n += 1
-        return self._n - 1
+    def __contains__(self, key) -> bool:
+        return self._probe(int(key))[1] >= 0
 
-    def extend(self, values) -> int:
-        values = np.asarray(values)
-        k = values.shape[0]
-        self._ensure(k)
-        self._buf[self._n : self._n + k] = values
-        first = self._n
-        self._n += k
-        return first
+    def __len__(self) -> int:
+        return len(self._keys)
 
-    def __getitem__(self, idx):
-        return self.data[idx]
+    def __iter__(self):
+        return iter(self._keys.data.tolist())
 
-    def __setitem__(self, idx, value):
-        self.data[idx] = value
+    def items(self):
+        return zip(self._keys.data.tolist(), self._vals.data.tolist())

@@ -19,7 +19,10 @@ The adaptation kernels (:mod:`repro.mesh.rivara2d`,
 through :meth:`TriMesh._split_many` / :meth:`TriMesh._merge_many`; each
 batch ends in one :meth:`TriMesh._stitch`, which pairs the edges of the
 elements that entered the leaf set with each other and with the surviving
-neighbours of those that left by sorting packed edge keys.
+neighbours of those that left by their packed edge keys.  With the
+compiled kernel (:mod:`repro.mesh._meshnative`) a whole refinement is one
+C call that writes these arrays in place, and the stitch is compiled too;
+the numpy methods here are its reference.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.primitives import tri_areas
+from repro.mesh import _meshnative
 from repro.mesh.base import SimplexMesh, pair_key, sorted_unique
 from repro.mesh.forest import LEAF
 from repro.mesh.growable import GrowableMatrix, GrowableVector
@@ -103,8 +107,14 @@ class TriMesh(SimplexMesh):
         """Make ``_nbr`` current after ``born`` entered and ``died`` left
         the leaf set: every edge of a born element and every edge through
         which a surviving leaf saw a died element is reset to boundary,
-        then equal packed keys are paired by one sort.  Works on flat
-        *slots* ``3 * element + local index``."""
+        then equal packed keys are paired.  Compiled when available, else
+        :meth:`_stitch_py`."""
+        if not _meshnative.stitch(self, born, died):
+            self._stitch_py(born, died)
+
+    def _stitch_py(self, born: np.ndarray, died: np.ndarray) -> None:
+        """The reference stitch: pairs equal packed keys by one sort.  Works
+        on flat *slots* ``3 * element + local index``."""
         nbr = self._nbr.data
         flat = nbr.reshape(-1)
         dslot = (3 * died[:, None] + _LOCAL).ravel()

@@ -18,12 +18,19 @@ parent / edge-key order, so element and vertex ids — not only the refined
 geometry — are independent of the order, multiplicity and redundancy of
 ``targets`` (the property PARED relies on for its parallel refinement; see
 :mod:`repro.pared.distmesh`).
+
+The waves run in one compiled call (:mod:`repro.mesh._meshnative`) when
+the C kernel is available; the numpy loop below is its reference and
+finishes whatever the compiled call left — all of it without a compiler
+or under ``REPRO_KL_NATIVE=0``.  Because a wave depends only on the
+remaining leaf targets, that hand-over is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh._meshnative import refine_waves
 from repro.mesh.base import id_array, sorted_unique
 from repro.mesh.forest import LEAF
 from repro.mesh.mesh2d import TriMesh
@@ -57,8 +64,9 @@ def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
     """
     targets = sorted_unique(id_array(targets))
     limit = max(1000, max_steps_factor * max(mesh.n_leaves, 1))
-    steps = 0
     bisected: list = []
+    # the compiled waves, then the numpy waves from where they stopped
+    steps = refine_waves(mesh, targets, limit, bisected)
     while True:
         # re-read per wave: a batch may regrow the forest storage
         cur = targets = targets[mesh.forest.status_array[targets] == LEAF]

@@ -1,10 +1,9 @@
-"""Build & load the compiled multilevel core (:mod:`_klcore.c`).
+"""Wrappers of the compiled multilevel core (:mod:`_klcore.c`).
 
 The core — heavy-edge matching, contraction, the whole KL refinement, and
-the fused V-cycle entries :func:`coarsen` / :func:`refine` — is compiled on
-first use with the system C compiler into a content-hashed shared object
-next to the source (or a temporary directory when the package directory is
-read-only) and loaded through :mod:`ctypes`.  Everything degrades
+the fused V-cycle entries :func:`coarsen` / :func:`refine` — is built on
+first use by :func:`repro._native.build` (content-hashed shared object,
+ctypes, GIL released, no float reassociation).  Everything degrades
 gracefully: no compiler, a failed build, a failed allocation inside a
 kernel, or ``REPRO_KL_NATIVE=0`` make every wrapper here return ``None``,
 and the caller runs its numpy/Python reference instead
@@ -22,45 +21,31 @@ numpy's seeding produced.  When the core loads, a few C draws are compared
 with numpy's; on a mismatch :func:`coarsen` and :func:`refine` stay off and
 the per-level path runs, so native ≡ pure cannot break silently.
 
-The build deliberately avoids ``-ffast-math`` and FMA contraction (any flag
-that would let the compiler reassociate or fuse float expressions): gain
-keys and merged weights must be bit-identical to the Python/numpy
-arithmetic or heap pop order — and therefore the refinement output — could
-drift.
-
 Arrays cross the boundary as raw addresses: every wrapper normalises its
 arrays first (:func:`_csr`, ``ascontiguousarray``) and :func:`_ptr` only
 asserts dtype and C-contiguity before taking the address.
-
-A welcome side effect of the ctypes boundary: the GIL is released for the
-duration of a kernel, so under the threaded SimMPI runtime the ranks'
-repartitions run in parallel.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
+from repro import _native
+from repro._native import ptr as _ptr
 from repro.graph.csr import WeightedGraph
 from repro.perf import PERF
-from repro.runtime.envflags import env_bool
 
 _SRC = Path(__file__).with_name("_klcore.c")
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
 _LOCK = threading.Lock()
 _LIB = None
 _TRIED = False
-_DISABLED = not env_bool("REPRO_KL_NATIVE", default=True)
+_DISABLED = not _native.ENABLED
 #: whether the fused entries passed the load-time PCG64 self-check
 _FUSED = False
 
@@ -72,12 +57,6 @@ _DUMMY_I64 = np.zeros(1, dtype=np.int64)  # stands in for hom when alpha == 0
 
 #: kernel status: an output buffer is too small — grow them all, call again
 _GROW = -2
-
-
-def _ptr(a: np.ndarray, dtype) -> int:
-    """The address of an array a wrapper has already normalised."""
-    assert a.dtype == dtype and a.flags.c_contiguous
-    return a.ctypes.data
 
 
 def _configure(lib) -> None:
@@ -127,31 +106,6 @@ def _configure(lib) -> None:
     lib.klcore_fail_after.argtypes = [i64]
 
 
-def _compile_and_load():
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    cc = os.environ.get("CC", "cc")
-    so = _SRC.with_name(f"_klcore-{tag}.so")
-    if not so.exists():
-        with tempfile.TemporaryDirectory() as td:
-            tmp = Path(td) / "klcore.so"
-            subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC)],
-                check=True, capture_output=True,
-            )
-            try:
-                os.replace(tmp, so)  # atomic publish for future imports
-            except OSError:
-                # package dir read-only: dlopen from the tempdir — on
-                # POSIX the mapping survives the directory's deletion
-                lib = ctypes.CDLL(str(tmp))
-                _configure(lib)
-                return lib
-    lib = ctypes.CDLL(str(so))
-    _configure(lib)
-    return lib
-
-
 def load():
     """The compiled core, built on first call; ``None`` if unavailable."""
     global _LIB, _TRIED, _FUSED
@@ -162,7 +116,7 @@ def load():
     with _LOCK:
         if not _TRIED:
             try:
-                _LIB = _compile_and_load()
+                _LIB = _native.build(_SRC, _configure)
                 _FUSED = _draws_agree(_LIB)
             except Exception:
                 _LIB = None

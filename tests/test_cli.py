@@ -15,6 +15,7 @@ from repro.experiments import (
     run_quality_ladder,
     run_repartition_protocol,
 )
+from repro.runtime.transport import resolve_backend
 
 
 class TestParser:
@@ -93,7 +94,8 @@ class TestCommands:
         assert main(["pared", "--p", "2", "--n", "6", "--rounds", "2"]) == 0
         out = capsys.readouterr().out
         assert "PARED on 2 ranks" in out
-        assert "thread backend" in out
+        # no --transport: the run takes whatever REPRO_TRANSPORT resolves to
+        assert f"{resolve_backend()} backend" in out
         assert "P2:" in out
 
     def test_pared_phase_report(self, capsys):

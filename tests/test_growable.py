@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.growable import GrowableMatrix, GrowableVector
+from repro.mesh.growable import GrowableMatrix, GrowableVector, IntMap
 
 
 class TestGrowableMatrix:
@@ -69,3 +69,30 @@ class TestGrowableVector:
         v = GrowableVector(np.int64, capacity=1)
         v.extend(np.arange(1000))
         assert np.array_equal(v.data, np.arange(1000))
+
+
+class TestIntMap:
+    def test_behaves_like_a_dict(self):
+        rng = np.random.default_rng(0)
+        m, ref = IntMap(capacity=1), {}
+        for key in rng.integers(0, 1 << 40, 3000).tolist():
+            m[key] = ref[key] = len(ref)  # an overwrite where a key repeats
+        assert len(m) == len(ref) and dict(m) == ref and m == ref
+        probe = rng.integers(0, 1 << 40, 500).tolist() + list(ref)[:500]
+        for key in probe:
+            assert m.get(key) == ref.get(key)
+            assert (key in m) == (key in ref)
+        with pytest.raises(KeyError):
+            m[-5]
+
+    def test_bulk_insert_and_lookup(self):
+        keys = np.random.default_rng(1).choice(1 << 50, 5000, replace=False)
+        m = IntMap()
+        m.add_new(keys[:4000], np.arange(4000))
+        got = m.lookup(keys)
+        assert np.array_equal(got[:4000], np.arange(4000))
+        assert np.all(got[4000:] == -1)
+        # insertion order is kept, and the table stays at most half full
+        assert np.array_equal(m.keys_array, keys[:4000])
+        assert 2 * len(m) <= m._slot.shape[0]
+        assert dict(m.items()) == dict(zip(keys[:4000].tolist(), range(4000)))
