@@ -80,10 +80,10 @@ def test_fig8_transient_migration(benchmark, write_result):
 @pytest.mark.xfail(
     not paper_scale(),
     strict=True,
-    reason="reduced scale, p=8, step 17 (3 242 leaves): PNR moves 1 312 "
-    "elements (0.405) after carrying imbalance 0.69 / 0.65 through steps "
-    "15-16 - a catch-up rebalance at the tree-weight granularity limit of "
-    "an 800-root mesh; RSB-perm's worst step is 0.383 (ROADMAP item 1)",
+    reason="reduced scale, p=8, step 16 (3 226 leaves): PNR moves 1 493 "
+    "elements (0.463) after carrying imbalance 0.40 / 0.61 through steps "
+    "14-15 - a catch-up rebalance at the tree-weight granularity limit of "
+    "an 800-root mesh; RSB-perm's worst step is 0.384 (ROADMAP item 6)",
 )
 def test_fig8_pnr_smoothness():
     """The repo's own smoothness check, not a number in the paper: PNR's

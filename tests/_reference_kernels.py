@@ -21,6 +21,11 @@ persistent part state (from-scratch ``_conn_matrix`` / ``_score_moves`` /
 view absorption); ``tests/test_dkl_equivalence.py`` requires the engine in
 ``src/repro/partition/distributed.py`` to reproduce it bit for bit.
 
+The end is the per-edge interpolation error indicator (one gather and one
+``exact`` call per edge, then the centroid) that the single-pass
+``fem/estimate.py::interpolation_error_indicator`` replaced;
+``tests/test_estimate.py`` requires identical bytes from both.
+
 Do not "improve" this file: its value is being exactly the old behavior.
 """
 
@@ -1114,3 +1119,27 @@ def _serial_exchange(live):
 
     return exchange
 
+
+# --------------------------------------------------------------------- #
+# reference interpolation error indicator (one exact() call per edge)
+# --------------------------------------------------------------------- #
+
+
+def interpolation_error_indicator_reference(mesh, exact) -> np.ndarray:
+    mesh = getattr(mesh, "mesh", mesh)
+    verts = mesh.verts
+    cells = mesh.leaf_cells()
+    npc = cells.shape[1]
+    uv = np.asarray(exact(verts))  # nodal values (vectorized over all verts)
+    err = np.zeros(cells.shape[0])
+    # edge midpoints
+    for i in range(npc):
+        for j in range(i + 1, npc):
+            mid = 0.5 * (verts[cells[:, i]] + verts[cells[:, j]])
+            interp = 0.5 * (uv[cells[:, i]] + uv[cells[:, j]])
+            e = np.abs(np.asarray(exact(mid)) - interp)
+            np.maximum(err, e, out=err)
+    cent = verts[cells].mean(axis=1)
+    interp_c = uv[cells].mean(axis=1)
+    np.maximum(err, np.abs(np.asarray(exact(cent)) - interp_c), out=err)
+    return err
