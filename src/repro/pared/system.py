@@ -39,6 +39,7 @@ recovered histories.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -241,6 +242,9 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
         {
             "round": rnd,
             "leaves": amesh.n_leaves,
+            # id-level fingerprint: runs that agree here numbered every
+            # element alike, not only refined the same geometry
+            "leaf_crc": zlib.crc32(amesh.leaf_ids()),
             "cut": cut_size(amesh.mesh, fine),
             "shared_vertices": shared_vertex_count(amesh.mesh, fine),
             "elements_moved": mig["elements_moved"],

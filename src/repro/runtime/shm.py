@@ -751,8 +751,12 @@ def pool_stats() -> dict:
 
 def shutdown_pools() -> None:
     """Explicitly stop every pooled worker and unlink their segments.
-    Safe to call at any time; pools rebuild lazily on next use."""
-    for pool in list(_POOLS.values()):
+    Safe to call at any time; pools rebuild lazily on next use.
+
+    Newest first: a pool's workers inherit the parent's control ends of
+    every pool forked before it, so an older pool's workers see their
+    hang-up only once the younger pools' workers are gone."""
+    for pool in reversed(list(_POOLS.values())):
         pool.shutdown()
     _POOLS.clear()
 
