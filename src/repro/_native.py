@@ -10,15 +10,12 @@ directory is read-only) and loads it through :class:`ctypes.CDLL`, so the
 GIL is released for the duration of every call and the threaded SimMPI
 ranks run their kernels in parallel.
 
-The flags deliberately avoid ``-ffast-math`` and FMA contraction (any flag
-that would let the compiler reassociate or fuse float expressions): every
-kernel is bit-identical to its numpy/Python reference, which stays both
-the fallback and the parity oracle.
-
-``REPRO_KL_NATIVE=0`` is the one switch that turns every compiled kernel
-off: each wrapper module starts its ``_DISABLED`` flag from
-:data:`ENABLED`, and a disabled, unbuildable or failing kernel makes its
-wrapper return "fall back" to the reference.
+A C compiler is a requirement: the compiled kernels are the package's
+only implementation of what they do, and a failed build raises
+``ImportError``.  The flags deliberately avoid ``-ffast-math`` and FMA
+contraction (any flag that would let the compiler reassociate or fuse
+float expressions): every kernel is bit-identical to its numpy/Python
+oracle under ``tests/``.
 """
 
 from __future__ import annotations
@@ -30,12 +27,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from repro.runtime.envflags import env_bool
-
 CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
-
-#: ``REPRO_KL_NATIVE`` as read at import: False runs every numpy reference
-ENABLED = env_bool("REPRO_KL_NATIVE", default=True)
 
 
 def ptr(a, dtype) -> int:
@@ -46,18 +38,16 @@ def ptr(a, dtype) -> int:
 
 def build(src: Path, configure):
     """Compile ``src`` (unless its ``<stem>-<hash>.so`` already exists),
-    load it and let ``configure`` declare its signatures.  Raises on any
-    failure; the caller caches the outcome."""
+    load it and let ``configure`` declare its signatures.  Raises
+    ``ImportError`` naming the compiler, with the tail of its output, if
+    the build fails."""
     code = src.read_bytes()
     tag = hashlib.sha256(code + " ".join(CFLAGS).encode()).hexdigest()[:16]
     so = src.with_name(f"{src.stem}-{tag}.so")
     if not so.exists():
         with tempfile.TemporaryDirectory() as td:
             tmp = Path(td) / so.name
-            subprocess.run(
-                [os.environ.get("CC", "cc"), *CFLAGS, "-o", str(tmp), str(src)],
-                check=True, capture_output=True,
-            )
+            _compile(src, tmp)
             try:
                 os.replace(tmp, so)  # atomic publish for future imports
             except OSError:
@@ -65,6 +55,21 @@ def build(src: Path, configure):
                 # POSIX the mapping survives the directory's deletion
                 return _load(tmp, configure)
     return _load(so, configure)
+
+
+def _compile(src: Path, out: Path) -> None:
+    cc = os.environ.get("CC", "cc")
+    try:
+        subprocess.run(
+            [cc, *CFLAGS, "-o", str(out), str(src)],
+            check=True, capture_output=True, text=True,
+        )
+    except (OSError, subprocess.CalledProcessError) as exc:
+        tail = (getattr(exc, "stderr", None) or str(exc)).strip()[-2000:]
+        raise ImportError(
+            f"cannot build {src.name} with the C compiler {cc!r} (set $CC to "
+            f"another): repro needs one for its compiled kernels\n{tail}"
+        ) from exc
 
 
 def _load(so: Path, configure):

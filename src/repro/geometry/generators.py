@@ -106,13 +106,3 @@ def structured_tet_mesh(nx: int, ny: int, nz: int, lo=(-1.0, -1.0, -1.0), hi=(1.
                     tets[t] = tuple(corner[c] for c in tet)
                     t += 1
     return verts, tets
-
-
-def unit_square_mesh(n: int):
-    """Convenience: ``n x n`` alternating-diagonal triangulation of ``(-1,1)^2``."""
-    return structured_tri_mesh(n, n)
-
-
-def unit_cube_mesh(n: int):
-    """Convenience: ``n^3``-cube Kuhn tetrahedralization of ``(-1,1)^3``."""
-    return structured_tet_mesh(n, n, n)

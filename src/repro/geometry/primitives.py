@@ -1,10 +1,9 @@
 """Vectorized geometric primitives for simplicial meshes.
 
-All batch functions take a vertex coordinate array ``verts`` of shape
+All functions take a vertex coordinate array ``verts`` of shape
 ``(nv, dim)`` and a connectivity array of element vertex indices, and return
 numpy arrays; they never copy coordinates beyond the fancy-indexed gathers
-they need.  Scalar convenience wrappers (``tri_area``, ``tet_volume``) are
-provided for single-element callers such as the bisection kernels.
+they need.
 
 Local index conventions
 -----------------------
@@ -61,11 +60,6 @@ def tri_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cr, axis=1)
 
 
-def tri_area(verts: np.ndarray, tri) -> float:
-    """Unsigned area of a single triangle (convenience wrapper)."""
-    return float(tri_areas(verts, np.asarray(tri).reshape(1, 3))[0])
-
-
 def tet_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Unsigned volumes of a batch of tetrahedra.
 
@@ -85,87 +79,21 @@ def tet_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.abs(det) / 6.0
 
 
-def tet_volume(verts: np.ndarray, tet) -> float:
-    """Unsigned volume of a single tetrahedron."""
-    return float(tet_volumes(verts, np.asarray(tet).reshape(1, 4))[0])
-
-
-def edge_lengths(verts: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of a batch of edges given as ``(ne, 2)`` indices."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    d = verts[edges[:, 0]] - verts[edges[:, 1]]
-    return np.linalg.norm(d, axis=1)
-
-
-def tri_edge_lengths(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Lengths of the three local edges of each triangle.
-
-    Returns ``(nt, 3)`` where column ``i`` is the length of the edge opposite
-    local vertex ``i`` (see :data:`TRI_EDGES`).
-    """
-    tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
-    out = np.empty((tris.shape[0], 3), dtype=float)
-    for i, (p, q) in enumerate(TRI_EDGES):
-        d = verts[tris[:, p]] - verts[tris[:, q]]
+def _edge_lengths(verts: np.ndarray, cells: np.ndarray, local_edges) -> np.ndarray:
+    """Lengths of every cell's local edges, one column per pair of
+    ``local_edges``."""
+    out = np.empty((cells.shape[0], len(local_edges)), dtype=float)
+    for i, (p, q) in enumerate(local_edges):
+        d = verts[cells[:, p]] - verts[cells[:, q]]
         out[:, i] = np.linalg.norm(d, axis=1)
     return out
-
-
-def tet_edge_lengths(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Lengths of the six local edges of each tetrahedron, order :data:`TET_EDGES`."""
-    tets = np.asarray(tets, dtype=np.int64).reshape(-1, 4)
-    out = np.empty((tets.shape[0], 6), dtype=float)
-    for i, (p, q) in enumerate(TET_EDGES):
-        d = verts[tets[:, p]] - verts[tets[:, q]]
-        out[:, i] = np.linalg.norm(d, axis=1)
-    return out
-
-
-def _tie_break_longest(lengths: np.ndarray, vpairs: list) -> int:
-    """Pick the index of the longest edge; break exact ties by the smallest
-    (sorted) global vertex pair so that two elements sharing an edge agree on
-    which of their edges is 'longest'.  Deterministic across runs."""
-    lmax = lengths.max()
-    best = None
-    best_key = None
-    for i, ln in enumerate(lengths):
-        # Relative tolerance keeps float noise from making neighbors disagree.
-        if ln >= lmax * (1.0 - 1e-12):
-            key = tuple(sorted(vpairs[i]))
-            if best is None or key < best_key:
-                best = i
-                best_key = key
-    return best
-
-
-def tri_longest_edge(verts: np.ndarray, tri) -> int:
-    """Local index of the longest edge of one triangle (ties broken by
-    global vertex ids so neighbors agree)."""
-    tri = list(tri)
-    pairs = [(tri[p], tri[q]) for p, q in TRI_EDGES]
-    lens = edge_lengths(verts, np.asarray(pairs))
-    return _tie_break_longest(lens, pairs)
-
-
-def tet_longest_edge(verts: np.ndarray, tet) -> int:
-    """Local index (into :data:`TET_EDGES`) of the longest edge of one tet."""
-    tet = list(tet)
-    pairs = [(tet[p], tet[q]) for p, q in TET_EDGES]
-    lens = edge_lengths(verts, np.asarray(pairs))
-    return _tie_break_longest(lens, pairs)
-
-
-def centroids(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Centroids of a batch of simplices, ``(nc, dim)``."""
-    cells = np.asarray(cells, dtype=np.int64)
-    return verts[cells].mean(axis=1)
 
 
 def tri_quality(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Shape quality of triangles in ``(0, 1]``: normalized ratio of area to
     squared RMS edge length (equilateral = 1, degenerate = 0)."""
     areas = tri_areas(verts, tris)
-    lens = tri_edge_lengths(verts, tris)
+    lens = _edge_lengths(verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3), TRI_EDGES)
     denom = (lens**2).sum(axis=1)
     # 4*sqrt(3) normalizes the equilateral triangle to quality 1.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -177,15 +105,9 @@ def tet_quality(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Shape quality of tets in ``(0, 1]``: normalized volume over cubed RMS
     edge length (regular tet = 1)."""
     vols = tet_volumes(verts, tets)
-    lens = tet_edge_lengths(verts, tets)
+    lens = _edge_lengths(verts, np.asarray(tets, dtype=np.int64).reshape(-1, 4), TET_EDGES)
     rms = np.sqrt((lens**2).mean(axis=1))
     # Regular tet with edge a has volume a^3 / (6*sqrt(2)).
     with np.errstate(divide="ignore", invalid="ignore"):
         q = vols * 6.0 * np.sqrt(2.0) / rms**3
     return np.where(rms > 0, q, 0.0)
-
-
-def bounding_box(verts: np.ndarray):
-    """``(lo, hi)`` corner coordinates of the vertex set."""
-    v = np.asarray(verts, dtype=float)
-    return v.min(axis=0), v.max(axis=0)

@@ -1,14 +1,15 @@
 /* Compiled core of the 2-D mesh kernel: the whole Rivara wave loop of
  * repro.mesh.rivara2d.refine2d in one call, and the adjacency stitch that
- * refinement and coarsening (TriMesh._merge_many) end in.  The numpy code
- * stays the fallback and the parity oracle:
+ * refinement and coarsening (TriMesh._merge_many) end in.  It is the only
+ * implementation the package runs; the numpy code it replaced is its
+ * oracle in tests/_mesh_oracle.py:
  *
- *   refine2d  ~ the wave loop of repro.mesh.rivara2d.refine2d:
- *               TriMesh.lepp_next, bisect_many, midpoints, _split_many,
- *               RefinementForest.split_many, _grow_adjacency, _stitch
- *   stitch    ~ repro.mesh.mesh2d.TriMesh._stitch
+ *   refine2d  ~ the numpy wave loop refine2d: TriMesh.lepp_next,
+ *               bisect_many, midpoints, _split_many,
+ *               RefinementForest.split_many, _grow_adjacency, _stitch_py
+ *   stitch    ~ _stitch_py
  *
- * and both must leave every array *id for id* as the numpy path leaves it
+ * and both must leave every array *id for id* as the oracle leaves it
  * (tests/test_mesh_native.py).
  *
  * Determinism contract
@@ -28,17 +29,21 @@
  * cells, vertices, _nbr / _le / _ekey and the midpoint IntMap, passed with
  * their capacities.  A wave is planned read-only (walk, guards, midpoint
  * lookups) and applied only if it fits and its scratch is allocated, so a
- * wave applies completely or not at all:
+ * wave applies completely or not at all, and a call that stops early
+ * leaves a conformal mesh of whole waves behind:
  *
- *   MESH_GROW       a wave needs more capacity: st[S_NEED_*] say what is
- *                   short and by how much;
- *                   the caller grows and calls again (the walk is replayed
- *                   from the remaining LEAF targets, hence exactly);
- *   MESH_REFERENCE  a scratch allocation failed, a guard failed (a non-LEAF
- *                   parent, reactivated children that are not INACTIVE) or
- *                   the step limit would be exceeded: the caller finishes
- *                   the call on the numpy path from st[S_STEPS], which raises
- *                   the same error the numpy path raises.
+ *   MESH_GROW   a wave needs more capacity: st[S_NEED_*] say what is short
+ *               and by how much; the caller grows and calls again (the
+ *               walk is replayed from the remaining LEAF targets, hence
+ *               exactly);
+ *   MESH_NOMEM  a scratch allocation failed;
+ *   MESH_LIMIT  the next wave would walk past the step limit;
+ *   MESH_GUARD  a guard failed (a non-LEAF parent, reactivated children
+ *               that are not INACTIVE): the mesh is corrupt;
+ *
+ * and the caller raises on the last three.  The stitch alone returns
+ * MESH_NOMEM, or MESH_NONMANIFOLD when an edge key occurs three times, and
+ * writes nothing then.
  */
 
 #include <stdint.h>
@@ -46,8 +51,11 @@
 #include <string.h>
 
 #define MESH_DONE 0
-#define MESH_REFERENCE (-1)
+#define MESH_NOMEM (-1)
 #define MESH_GROW (-2)
+#define MESH_LIMIT (-3)
+#define MESH_GUARD (-4)
+#define MESH_NONMANIFOLD (-5)
 
 enum { LEAF = 0, INTERIOR = 1, INACTIVE = 2 };
 
@@ -216,7 +224,7 @@ static int stitch_reserve(StitchScratch *s, int64_t cap)
  * and every slot through which a surviving LEAF saw a died element, is
  * reset to boundary; then equal edge keys are paired.  Returns the number
  * of keys met a third time (0 on a conformal mesh); with ``strict`` set,
- * such a call writes nothing, so the caller can hand it to the reference. */
+ * such a call writes nothing. */
 static int64_t stitch_run(const int64_t *born, int64_t nborn,
                           const int64_t *died, int64_t ndied, int64_t *nbr,
                           const int64_t *ekey, const uint8_t *status,
@@ -271,18 +279,18 @@ static int64_t stitch_run(const int64_t *born, int64_t nborn,
     return triples;
 }
 
-/* The stitch alone: MESH_DONE, or MESH_REFERENCE (scratch allocation
- * failed, or a key occurs three times) with nothing written. */
+/* The stitch alone: MESH_DONE, or MESH_NOMEM / MESH_NONMANIFOLD (a key
+ * occurs three times) with nothing written. */
 int64_t stitch(const int64_t *born, int64_t nborn, const int64_t *died,
                int64_t ndied, int64_t *nbr, const int64_t *ekey,
                const uint8_t *status)
 {
     StitchScratch s = {0};
     if (stitch_reserve(&s, 3 * (nborn + ndied)) < 0)
-        return MESH_REFERENCE;
+        return MESH_NOMEM;
     int64_t triples = stitch_run(born, nborn, died, ndied, nbr, ekey, status, &s, 1);
     stitch_free(&s);
-    return triples ? MESH_REFERENCE : MESH_DONE;
+    return triples ? MESH_NONMANIFOLD : MESH_DONE;
 }
 
 /* ------------------------------------------------------------------ */
@@ -363,7 +371,7 @@ int64_t refine2d(void **arr, int64_t *st)
     if (!w.targets || !w.cur || !w.nxt || !w.ready || !w.miss || !w.tmp ||
         !w.born || !w.seen || !w.inready) {
         scratch_free(&w);
-        return MESH_REFERENCE;
+        return MESH_NOMEM;
     }
     memcpy(w.targets, arr[A_TARGETS], (size_t)nt * sizeof(int64_t));
     memset(w.seen, 0, (size_t)ecap * sizeof(int32_t));
@@ -418,7 +426,7 @@ int64_t refine2d(void **arr, int64_t *st)
             ncur = nn;
         }
         if (over) {
-            result = MESH_REFERENCE;
+            result = MESH_LIMIT;
             break;
         }
         sort_ids(w.ready, nready, w.tmp);
@@ -438,7 +446,7 @@ int64_t refine2d(void **arr, int64_t *st)
                 w.miss[nmiss++] = key;
         }
         if (over) {
-            result = MESH_REFERENCE;
+            result = MESH_GUARD;
             break;
         }
         sort_ids(w.miss, nmiss, w.tmp);
@@ -460,7 +468,7 @@ int64_t refine2d(void **arr, int64_t *st)
         }
         /* born slots, then at most three survivor slots per parent */
         if (stitch_reserve(&ss, 9 * nready) < 0) {
-            result = MESH_REFERENCE;
+            result = MESH_NOMEM;
             break;
         }
 

@@ -5,11 +5,13 @@
 midpoints, ``_nbr`` / ``_le`` / ``_ekey`` rows and the stitch — in one
 call, writing straight into the mesh's growable storage; :func:`stitch` is
 :meth:`~repro.mesh.mesh2d.TriMesh._stitch` alone, which coarsening ends
-in.  Both are built on first use by :func:`repro._native.build` and leave
-every array id for id as the numpy path leaves it
-(``tests/test_mesh_native.py``).  No compiler, a failed build, a failed
-scratch allocation, a failed guard, or ``REPRO_KL_NATIVE=0`` hand the work
-to the numpy path, which then raises whatever the numpy path raises.
+in.  Both are built on first use by :func:`repro._native.build` (a failed
+build raises ``ImportError``) and leave every array id for id as their
+numpy oracle in ``tests/_mesh_oracle.py`` leaves it
+(``tests/test_mesh_native.py``).  A failed scratch allocation raises
+``MemoryError``, the step limit :class:`~repro.mesh.base.PropagationLimitError`
+and a failed guard ``AssertionError``; a refinement applies whole waves
+only, so whatever it raises, the mesh it leaves is conformal.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ import numpy as np
 
 from repro import _native
 from repro._native import ptr as _ptr
+from repro.mesh.base import PropagationLimitError
 
 _SRC = Path(__file__).with_name("_meshcore.c")
 _LOCK = threading.Lock()
 _LIB = None
-_TRIED = False
-_DISABLED = not _native.ENABLED
 
 _I64 = np.dtype(np.int64)
 
-#: kernel status: finished / finish on the numpy path / grow and call again
-_DONE, _REFERENCE, _GROW = 0, -1, -2
+#: kernel status: finished / scratch allocation failed / grow and call
+#: again / step limit / failed guard / an edge key met three times
+_DONE, _NOMEM, _GROW, _STEP_LIMIT, _CORRUPT, _NONMANIFOLD = 0, -1, -2, -3, -4, -5
 
 # state words of ``refine2d`` (the S_* enum of _meshcore.c)
 (_ECAP, _VCAP, _MCAP, _MBITS, _NTARGETS, _LIMIT, _NELEM, _NVERTS, _NMEMO,
@@ -52,19 +54,13 @@ def _configure(lib) -> None:
 
 
 def load():
-    """The compiled kernel, built on first call; ``None`` if unavailable."""
-    global _LIB, _TRIED
-    if _DISABLED:
-        return None
-    if _TRIED:
-        return _LIB
-    with _LOCK:
-        if not _TRIED:
-            try:
+    """The compiled kernel, built on first call (``ImportError`` if it does
+    not build)."""
+    global _LIB
+    if _LIB is None:
+        with _LOCK:
+            if _LIB is None:
                 _LIB = _native.build(_SRC, _configure)
-            except Exception:
-                _LIB = None
-            _TRIED = True
     return _LIB
 
 
@@ -75,23 +71,23 @@ def _element_storage(mesh) -> list:
             mesh._cells, mesh._nbr, mesh._le, mesh._ekey]
 
 
-def refine_waves(mesh, targets: np.ndarray, limit: int, bisected: list) -> int:
-    """Apply whole waves of ``refine2d(mesh, targets)`` (``targets`` sorted
-    and unique) in C, appending each wave's parents to ``bisected``;
-    returns the path steps walked.  Stops at the first wave it must leave
-    to the numpy loop — which then resumes exactly, since a wave is a
-    function of the remaining LEAF targets — or when none is left."""
+def refine_waves(mesh, targets: np.ndarray, limit: int) -> list:
+    """Run the waves of ``refine2d(mesh, targets)`` (``targets`` sorted,
+    unique and in range) in C until no target is a leaf; returns every
+    bisected parent, wave by wave.  Raises if a wave would walk past
+    ``limit`` path steps, fails a guard or cannot allocate its scratch —
+    after committing the waves applied before it."""
     lib = load()
     n_elem = mesh.n_elements
-    if lib is None or not targets.size or targets[0] < 0 or targets[-1] >= n_elem:
-        return 0
+    bisected: list = []
+    if not targets.size:
+        return bisected
     forest, memo, pts = mesh.forest, mesh._midpoint, mesh._pts
     assert len(forest) == n_elem, "forest and cell ids must stay in lockstep"
     storage = _element_storage(mesh)
     st = np.zeros(_NSTATE, dtype=np.int64)
     st[_NTARGETS], st[_LIMIT] = targets.shape[0], limit
     st[_NELEM], st[_NVERTS], st[_NMEMO] = n_elem, mesh.n_verts, len(memo)
-    done = len(bisected)
     while True:
         bufs = [s.buffer for s in storage]
         # every bisected id is below the element capacity
@@ -115,21 +111,32 @@ def refine_waves(mesh, targets: np.ndarray, limit: int, bisected: list) -> int:
             for s in grow if st[need] else ():
                 s.reserve(max(int(st[need]), len(s)))
     # split_many's counters: one version per wave, one leaf per bisection
-    forest._n_leaves += len(bisected) - done
+    forest._n_leaves += len(bisected)
     forest._version += int(st[_WAVES])
-    return int(st[_STEPS])
+    if status == _STEP_LIMIT:
+        raise PropagationLimitError(
+            f"2-D propagation exceeded {limit} steps; mesh corrupt?"
+        )
+    if status == _CORRUPT:
+        raise AssertionError("can only split LEAF elements whose children are INACTIVE")
+    if status == _NOMEM:
+        raise MemoryError(f"{_SRC.name}: refine2d could not allocate its scratch")
+    return bisected
 
 
-def stitch(mesh, born: np.ndarray, died: np.ndarray) -> bool:
-    """:meth:`~repro.mesh.mesh2d.TriMesh._stitch` in C; False means "run
-    the numpy stitch" (nothing was written)."""
-    lib = load()
-    if lib is None:
-        return False
+def stitch(mesh, born: np.ndarray, died: np.ndarray) -> None:
+    """:meth:`~repro.mesh.mesh2d.TriMesh._stitch` in C.  An edge shared by
+    three of the slots it rewrites raises ``ValueError`` (a non-manifold
+    triangulation) and a failed allocation ``MemoryError``, with nothing
+    written."""
     born = np.ascontiguousarray(born, dtype=np.int64)
     died = np.ascontiguousarray(died, dtype=np.int64)
-    return lib.stitch(
+    status = load().stitch(
         _ptr(born, _I64), born.shape[0], _ptr(died, _I64), died.shape[0],
         mesh._nbr.buffer.ctypes.data, mesh._ekey.buffer.ctypes.data,
         mesh.forest._status.buffer.ctypes.data,
-    ) == _DONE
+    )
+    if status == _NONMANIFOLD:
+        raise ValueError("non-manifold triangulation: an edge bounds three triangles")
+    if status == _NOMEM:
+        raise MemoryError(f"{_SRC.name}: stitch could not allocate its scratch")

@@ -10,7 +10,7 @@ Subclasses mirror the active leaf set in a facet adjacency that the
 adaptation kernels keep current, and rebuild it from cells + forest in
 ``_rebuild_adjacency`` at construction.
 :class:`~repro.mesh.mesh2d.TriMesh` holds it in flat arrays and adapts whole
-batches (``_split_many`` / ``_merge_many``);
+batches (one compiled call per refinement, ``_merge_many``);
 :class:`~repro.mesh.mesh3d.TetMesh` still keeps dictionaries updated one
 element at a time through the ``_on_activate`` / ``_on_deactivate`` hooks
 behind ``_new_children`` / ``_merge_children``.
@@ -37,6 +37,24 @@ def id_array(ids) -> np.ndarray:
     if not isinstance(ids, np.ndarray):
         ids = list(ids)
     return np.asarray(ids, dtype=np.int64)
+
+
+def element_ids(mesh, ids) -> np.ndarray:
+    """``ids`` as an int64 array, checked against ``mesh``: an id outside
+    ``[0, n_elements)`` raises ``ValueError`` naming it, before a kernel
+    writes anything."""
+    ids = id_array(ids)
+    bad = (ids < 0) | (ids >= mesh.n_elements)
+    if bad.any():
+        raise ValueError(
+            f"element id {int(ids[bad][0])} is outside [0, {mesh.n_elements})"
+        )
+    return ids
+
+
+class PropagationLimitError(RuntimeError):
+    """Raised if longest-edge propagation fails to terminate (should never
+    happen on a valid conformal mesh; acts as a corruption guard)."""
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:

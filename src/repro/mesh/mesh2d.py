@@ -14,15 +14,15 @@ Three arrays grow in lockstep with the element connectivity:
   edge, fixed at creation: what the stitch sorts and the midpoint memo is
   keyed by, so neither recomputes it.
 
-The adaptation kernels (:mod:`repro.mesh.rivara2d`,
-:mod:`repro.mesh.coarsen`) change the leaf set a whole batch at a time
-through :meth:`TriMesh._split_many` / :meth:`TriMesh._merge_many`; each
-batch ends in one :meth:`TriMesh._stitch`, which pairs the edges of the
-elements that entered the leaf set with each other and with the surviving
-neighbours of those that left by their packed edge keys.  With the
-compiled kernel (:mod:`repro.mesh._meshnative`) a whole refinement is one
-C call that writes these arrays in place, and the stitch is compiled too;
-the numpy methods here are its reference.
+The adaptation kernels change the leaf set a whole batch at a time: a
+refinement (:mod:`repro.mesh.rivara2d`) is one compiled call
+(:mod:`repro.mesh._meshnative`) that writes these arrays in place, and a
+coarsening (:mod:`repro.mesh.coarsen`) goes through
+:meth:`TriMesh._merge_many`.  Each batch ends in one stitch, which pairs
+the edges of the elements that entered the leaf set with each other and
+with the surviving neighbours of those that left by their packed edge
+keys — compiled too.  The numpy split and stitch they replaced are their
+oracle in ``tests/_mesh_oracle.py``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ import numpy as np
 
 from repro.geometry.primitives import tri_areas
 from repro.mesh import _meshnative
-from repro.mesh.base import SimplexMesh, pair_key, sorted_unique
+from repro.mesh.base import SimplexMesh, pair_key
 from repro.mesh.forest import LEAF
 from repro.mesh.growable import GrowableMatrix, GrowableVector
 
 
-_LOCAL = np.arange(3)
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
@@ -107,71 +106,17 @@ class TriMesh(SimplexMesh):
         """Make ``_nbr`` current after ``born`` entered and ``died`` left
         the leaf set: every edge of a born element and every edge through
         which a surviving leaf saw a died element is reset to boundary,
-        then equal packed keys are paired.  Compiled when available, else
-        :meth:`_stitch_py`."""
-        if not _meshnative.stitch(self, born, died):
-            self._stitch_py(born, died)
-
-    def _stitch_py(self, born: np.ndarray, died: np.ndarray) -> None:
-        """The reference stitch: pairs equal packed keys by one sort.  Works
-        on flat *slots* ``3 * element + local index``."""
-        nbr = self._nbr.data
-        flat = nbr.reshape(-1)
-        dslot = (3 * died[:, None] + _LOCAL).ravel()
-        surv = flat[dslot]
-        keep = (surv >= 0) & (self.forest.status_array[surv] == LEAF)
-        surv, dslot = surv[keep], dslot[keep]
-        back = (nbr[surv] == (dslot // 3)[:, None]).argmax(axis=1)
-        slot = np.concatenate([(3 * born[:, None] + _LOCAL).ravel(), 3 * surv + back])
-        keys = self._ekey.data.reshape(-1)[slot]
-        flat[slot] = -1
-        order = np.argsort(keys)  # equal keys pair up whatever their order
-        keys = keys[order]
-        same = np.nonzero(keys[1:] == keys[:-1])[0]
-        lo, hi = slot[order[same]], slot[order[same + 1]]
-        flat[lo] = hi // 3
-        flat[hi] = lo // 3
-
-    def _split_many(self, parents: np.ndarray, kids: np.ndarray) -> tuple:
-        """Bisect ascending leaves ``parents`` in one batch: forest split,
-        geometry ``kids[j] = (cell0, cell1)`` for the freshly created
-        children (reactivated children keep theirs), one stitch.  Returns
-        the child id arrays."""
-        c0, c1, created = self.forest.split_many(parents)
-        if created.any():
-            fresh = kids[created].reshape(-1, 3)
-            first = self._cells.extend(fresh)
-            assert first == c0[created][0], "forest and cell ids must stay in lockstep"
-            self._grow_adjacency(fresh)
-        self._stitch(np.concatenate([c0, c1]), parents)
-        return c0, c1
-
-    def bisect_many(self, parents: np.ndarray) -> tuple:
-        """Bisect ascending leaves ``parents`` across their longest edges
-        (both elements of a terminal pair must be in the batch).  Returns
-        the child id arrays."""
-        i = self._le.data[parents]
-        base = 3 * parents
-        cells = self._cells.data.reshape(-1)
-        apex, a, b = cells[base + i], cells[base + _NEXT[i]], cells[base + _PREV[i]]
-        keys = self._ekey.data.reshape(-1)[base + i]
-        ukeys = sorted_unique(keys)
-        m = self.midpoints(ukeys)[np.searchsorted(ukeys, keys)]
-        # (a, m, apex) and (m, b, apex) inherit the parent's orientation
-        kids = np.empty((parents.shape[0], 2, 3), dtype=np.int64)
-        kids[:, 0, 0] = a
-        kids[:, 0, 1] = kids[:, 1, 0] = m
-        kids[:, 1, 1] = b
-        kids[:, :, 2] = apex[:, None]
-        return self._split_many(parents, kids)
-
-    def _new_children(self, parent: int, cell0, cell1) -> tuple:
-        c0, c1 = self._split_many(np.array([parent]), np.array([[cell0, cell1]]))
-        return int(c0[0]), int(c1[0])
+        then equal packed keys are paired (compiled; an edge of three
+        triangles raises ``ValueError``)."""
+        _meshnative.stitch(self, born, died)
 
     def _merge_many(self, parents: np.ndarray) -> None:
         c0, c1 = self.forest.merge_many(parents)
-        self._stitch(parents, np.concatenate([c0, c1]))
+        try:
+            self._stitch(parents, np.concatenate([c0, c1]))
+        except MemoryError:
+            self.forest.split_many(parents)  # the whole batch or none of it
+            raise
 
     def lepp_next(self, elems: np.ndarray) -> tuple:
         """One step of every longest-edge propagation path: ``(nb,

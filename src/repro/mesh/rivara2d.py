@@ -19,26 +19,17 @@ geometry — are independent of the order, multiplicity and redundancy of
 ``targets`` (the property PARED relies on for its parallel refinement; see
 :mod:`repro.pared.distmesh`).
 
-The waves run in one compiled call (:mod:`repro.mesh._meshnative`) when
-the C kernel is available; the numpy loop below is its reference and
-finishes whatever the compiled call left — all of it without a compiler
-or under ``REPRO_KL_NATIVE=0``.  Because a wave depends only on the
-remaining leaf targets, that hand-over is exact.
+The waves run in one compiled call (:mod:`repro.mesh._meshnative`); the
+numpy wave loop it replaced is its oracle in ``tests/_mesh_oracle.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mesh._meshnative import refine_waves
-from repro.mesh.base import id_array, sorted_unique
-from repro.mesh.forest import LEAF
+from repro.mesh.base import PropagationLimitError, element_ids, sorted_unique
 from repro.mesh.mesh2d import TriMesh
 
-
-class PropagationLimitError(RuntimeError):
-    """Raised if longest-edge propagation fails to terminate (should never
-    happen on a valid conformal triangulation; acts as a corruption guard)."""
+__all__ = ["PropagationLimitError", "refine2d"]
 
 
 def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
@@ -50,8 +41,9 @@ def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
     mesh:
         The nested triangle mesh.
     targets:
-        Iterable of leaf element ids to refine, in any order.  Ids that are
-        not (or stop being) leaves are skipped.
+        Iterable of element ids to refine, in any order.  Ids that are not
+        (or stop being) leaves are skipped; an id outside ``[0,
+        n_elements)`` raises ``ValueError`` before anything is written.
     max_steps_factor:
         Safety cap on the total number of path steps walked per call, as a
         multiple of the initial leaf count.
@@ -62,27 +54,6 @@ def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
         Ids of every element bisected by this call (targets and propagated
         neighbors), wave by wave, ascending within a wave.
     """
-    targets = sorted_unique(id_array(targets))
+    targets = sorted_unique(element_ids(mesh, targets))
     limit = max(1000, max_steps_factor * max(mesh.n_leaves, 1))
-    bisected: list = []
-    # the compiled waves, then the numpy waves from where they stopped
-    steps = refine_waves(mesh, targets, limit, bisected)
-    while True:
-        # re-read per wave: a batch may regrow the forest storage
-        cur = targets = targets[mesh.forest.status_array[targets] == LEAF]
-        if not cur.size:
-            return bisected
-        ready = []
-        while cur.size:
-            steps += cur.size
-            if steps > limit:
-                raise PropagationLimitError(
-                    f"2-D propagation exceeded {limit} steps; mesh corrupt?"
-                )
-            nb, terminal = mesh.lepp_next(cur)
-            ready += [cur[terminal], nb[terminal]]
-            cur = sorted_unique(nb[~terminal])
-        ready = sorted_unique(np.concatenate(ready))
-        ready = ready[ready >= 0]  # boundary terminals have no partner
-        mesh.bisect_many(ready)
-        bisected += ready.tolist()
+    return refine_waves(mesh, targets, limit)

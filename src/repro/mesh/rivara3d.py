@@ -13,8 +13,8 @@ non-terminating propagation into an exception.
 
 from __future__ import annotations
 
+from repro.mesh.base import PropagationLimitError, element_ids
 from repro.mesh.mesh3d import TetMesh
-from repro.mesh.rivara2d import PropagationLimitError
 
 
 def _bisect_tet(mesh: TetMesh, eid: int, a: int, b: int, m: int) -> tuple:
@@ -29,13 +29,15 @@ def _bisect_tet(mesh: TetMesh, eid: int, a: int, b: int, m: int) -> tuple:
 
 def refine3d(mesh: TetMesh, targets, max_steps_factor: int = 1000) -> list:
     """Bisect each leaf tet in ``targets`` once, propagating star bisections
-    to keep the mesh conformal.  Returns the ids of all bisected tets."""
+    to keep the mesh conformal.  Returns the ids of all bisected tets.  An
+    id outside ``[0, n_elements)`` raises ``ValueError`` before anything is
+    written."""
+    targets = element_ids(mesh, targets).tolist()
     bisected: list = []
     limit = max(2000, max_steps_factor * max(mesh.n_leaves, 1))
     steps = 0
     forest = mesh.forest
     for t in targets:
-        t = int(t)
         if not forest.is_leaf(t):
             continue
         stack = [t]

@@ -1,20 +1,20 @@
 /* Compiled core of the multilevel V-cycle: heavy-edge matching, graph
  * contraction, the whole p-way KL refinement, and the two fused entries
- * that run a V-cycle in two calls.  Each kernel has a numpy/Python
- * reference that stays the fallback and the parity oracle:
+ * that run a V-cycle in two calls.  It is the only implementation the
+ * package runs; each kernel has one numpy/Python oracle under tests/
+ * (tests/_kl_oracle.py):
  *
- *   hem_match          ~ repro.graph.matching._match_rounds
- *   contract           ~ repro.graph.contract._contract_py
- *   kl_refine          ~ repro.partition.kl._kl_refine_py
+ *   hem_match          ~ _match_rounds
+ *   contract           ~ _contract_py
+ *   kl_refine          ~ _kl_refine_py
  *   pcg64_permutation  ~ numpy.random.default_rng(seed).permutation(m)
- *   coarsen            ~ repro.partition.multilevel.build_hierarchy
- *                        (heavy_edge_matching's filter and tie order,
- *                        contract, _project_down)
- *   refine             ~ repro.partition.multilevel.v_cycle as configured by
- *                        multilevel_partition / multilevel_repartition, with
- *                        the latter's repartition_cost identity guard
+ *   coarsen            ~ build_hierarchy (heavy_edge_matching's filter and
+ *                        tie order, contract, _project_down)
+ *   refine             ~ v_cycle as configured by multilevel_partition /
+ *                        multilevel_repartition, with the latter's
+ *                        repartition_cost identity guard
  *
- * and every kernel must stay *bit-identical* to its reference
+ * and every kernel must stay *bit-identical* to its oracle
  * (tests/test_multilevel_native.py, tests/test_kl_native.py).
  *
  * Determinism contract
@@ -28,10 +28,10 @@
  * (masked rejection over 32-bit draws, two per 64-bit PCG64 output).  The
  * port starts from the state numpy's seeding produced (read once per seed
  * in Python), so the tie order of every matching is numpy's; the wrapper
- * checks a few draws against numpy when the core loads and disables the
- * fused entries on any mismatch.
+ * checks a few draws against numpy when the core loads and refuses to
+ * load on any mismatch.
  *
- * kl_refine: the Python engine orders its heap by the tuple (-gain,
+ * kl_refine: the oracle engine orders its heap by the tuple (-gain,
  * counter): the counter is unique, so the ordering is *total* and the pop
  * sequence is independent of the heap's internal layout.  This kernel
  * assigns counters in the same program order and compares (key, counter)
@@ -39,18 +39,19 @@
  * exactly the order heapq's binary heap does.  All gain arithmetic is IEEE
  * double in the same operation order as the Python expressions (no
  * -ffast-math, no FMA contraction; see _klnative.py), so keys are
- * bit-identical and the chosen moves match the pure path exactly.
+ * bit-identical and the chosen moves match the oracle's exactly.
  *
- * Summation-order rule: wherever the reference reduces floats with numpy,
+ * Summation-order rule: wherever the oracle reduces floats with numpy,
  * the kernel reduces in numpy's order.  ``bincount`` adds sequentially in
  * index order; ``ndarray.sum()`` is ``pairwise_sum`` below over the whole
  * array; ``np.add.reduceat`` is ``first + pairwise_sum(rest)`` per segment.
  *
  * Every kernel writes only to caller-provided output buffers.  A kernel
- * that allocates scratch returns KL_REFERENCE if that failed, and the
- * caller then falls back to the reference on its untouched inputs;
- * ``coarsen`` returns KL_GROW when an output buffer is too small, and the
- * caller grows them all and calls again.
+ * that allocates scratch returns KL_NOMEM if that failed, and one that
+ * validates its input returns KL_BADARG on one it cannot take (a match
+ * that is no involution, an asymmetric adjacency, a start label outside
+ * [0, p)); either way the caller's inputs are untouched and it raises.  ``coarsen`` returns KL_GROW when an output buffer is too
+ * small, and the caller grows them all and calls again.
  */
 
 #include <stdint.h>
@@ -58,8 +59,9 @@
 #include <string.h>
 #include <time.h>
 
-#define KL_REFERENCE (-1) /* the caller runs its reference */
-#define KL_GROW (-2)      /* an output buffer is too small: grow, call again */
+#define KL_NOMEM (-1)  /* a scratch allocation failed */
+#define KL_GROW (-2)   /* an output buffer is too small: grow, call again */
+#define KL_BADARG (-3) /* an input the kernel cannot take */
 
 /* ------------------------------------------------------------------ */
 /* allocation (with a test hook that makes the k-th request fail)      */
@@ -270,11 +272,11 @@ static void sort_i64(int64_t *a, int64_t n)
 /* Collapse ``match`` into cmap[n], cvw[nc], cxadj[nc+1] and at most
  * ``cap_e`` entries of cadj/cew (coarse CSR, rows and neighbours
  * ascending — exactly what WeightedGraph.from_edges emits for the
- * reference's edge list, parallel edges summed in reduceat's order: the
+ * oracle's edge list, parallel edges summed in reduceat's order: the
  * entries of the *lower* coarse endpoint's fine rows, in CSR order).
- * Returns the number of coarse vertices; KL_REFERENCE if ``match`` is not
- * an involution, the adjacency is asymmetric or an allocation failed;
- * KL_GROW if the coarse CSR needs more than ``cap_e`` entries. */
+ * Returns the number of coarse vertices; KL_BADARG if ``match`` is not
+ * an involution or the adjacency is asymmetric, KL_NOMEM if an allocation
+ * failed, KL_GROW if the coarse CSR needs more than ``cap_e`` entries. */
 static int64_t contract_into(int64_t n, const int64_t *xadj,
                              const int64_t *adjncy, const double *ewts,
                              const double *vwts, const int64_t *match,
@@ -285,11 +287,11 @@ static int64_t contract_into(int64_t n, const int64_t *xadj,
     int64_t *ibuf = NULL, *owner, *frow, *fcol, *slot, *stamp, *pos;
     int64_t *gcol, *gcnt, *goff, *tcol;
     double *dbuf = NULL, *fw, *tw, *buf;
-    int64_t maxrow = 0, status = KL_REFERENCE;
+    int64_t maxrow = 0, status = KL_NOMEM;
 
     for (v = 0; v < n; v++)
         if (match[v] < 0 || match[v] >= n || match[match[v]] != v)
-            return KL_REFERENCE;
+            return KL_BADARG;
 
     /* coarse ids: the smaller endpoint of a pair owns it, ids dealt in
      * owner order; bincount-order weight accumulation */
@@ -368,8 +370,10 @@ static int64_t contract_into(int64_t n, const int64_t *xadj,
             goff[k] = goff[k - 1] + gcnt[k - 1];
         for (k = 0; k < nt; k++) /* stable: encounter order per group */
             buf[goff[slot[tcol[k]]]++] = tw[k];
-        if (2 * (nf + ng) > nnz)
-            goto done; /* asymmetric adjacency: would overrun cadj/cew */
+        if (2 * (nf + ng) > nnz) {
+            status = KL_BADARG; /* asymmetric adjacency: would overrun cadj/cew */
+            goto done;
+        }
         for (k = 0; k < ng; k++) {
             int64_t d = gcol[k], start = goff[k] - gcnt[k];
             /* np.add.reduceat: first element, plus the pairwise rest */
@@ -409,7 +413,8 @@ done:
 }
 
 /* Outputs: cmap[n], cvw[n] (coarse vertex weights), cxadj[n+1] and
- * cadj/cew[nnz]; returns the number of coarse vertices or KL_REFERENCE. */
+ * cadj/cew[nnz]; returns the number of coarse vertices, KL_BADARG or
+ * KL_NOMEM. */
 int64_t contract(int64_t n, const int64_t *xadj, const int64_t *adjncy,
                  const double *ewts, const double *vwts, const int64_t *match,
                  int64_t *cmap, double *cvw, int64_t *cxadj, int64_t *cadj,
@@ -547,7 +552,8 @@ static int64_t hem_level(int64_t n, const int64_t *xadj, const int64_t *adjncy,
  * home of levels 1, 2, … (capacity cap_v; unused without ``home``).
  * ``stats`` receives (matchings tried, levels built, seconds matching,
  * seconds contracting).  Returns the number of levels including level 0,
- * KL_REFERENCE, or KL_GROW. */
+ * KL_NOMEM, KL_BADARG (fewer ``states`` than levels to build), or
+ * KL_GROW. */
 int64_t coarsen(int64_t n, const int64_t *xadj, const int64_t *adjncy,
                 const double *ewts, const double *vwts, const int64_t *home,
                 int64_t constrain, int64_t coarsen_to, int64_t max_levels,
@@ -556,7 +562,7 @@ int64_t coarsen(int64_t n, const int64_t *xadj, const int64_t *adjncy,
                 int64_t *cxadj, int64_t *cadj, double *cew, double *cvw,
                 int64_t *cmap, int64_t *chome, double *stats)
 {
-    int64_t nnz0 = xadj[n], levels = 1, tried = 0, status = KL_REFERENCE;
+    int64_t nnz0 = xadj[n], levels = 1, tried = 0, status = KL_NOMEM;
     int64_t voff = 0, xoff = 0, eoff = 0, moff = 0;
     const int64_t *X = xadj, *A = adjncy, *H = home;
     const double *EW = ewts, *VW = vwts;
@@ -579,8 +585,10 @@ int64_t coarsen(int64_t n, const int64_t *xadj, const int64_t *adjncy,
     while (nv[levels - 1] > coarsen_to && levels - 1 < max_levels) {
         int64_t l = levels - 1, nl = nv[l], nc, matched, v;
         double t0 = now_s(), t1;
-        if (l >= nstates)
+        if (l >= nstates) {
+            status = KL_BADARG;
             goto done;
+        }
         matched = hem_level(nl, X, A, EW, constrain ? H : NULL, states + 4 * l,
                             es, ed, tie, count, wbuf, wbuf + nnz0, match);
         tried++;
@@ -1018,7 +1026,7 @@ static int kl_pass(klws *w, double *kept)
         dv_->len = 0;                                                    \
     } while (0)
 
-    /* The reference pops up to `window` valid candidates per move, takes
+    /* The oracle pops up to `window` valid candidates per move, takes
      * the best by full gain and pushes the rest back.  Pop order is the
      * total order on (key, counter), so the rest can wait in a sorted
      * side list (`carry`) and be merged with the heap's top on the next
@@ -1269,7 +1277,7 @@ static void bind_graph(klws *w, int64_t n, const int64_t *xadj,
 }
 
 /* ``asg`` holds the start assignment and receives the result (pass a
- * copy: after a failed allocation, -1, it is unspecified); ``stats`` as
+ * copy: after a failed allocation, KL_NOMEM, it is unspecified); ``stats`` as
  * kl_run's.  ``mean``/``maxcap``/``floor_w`` are _KLState's. */
 int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   const int64_t *adjncy, const double *ewts, const double *vw,
@@ -1280,7 +1288,7 @@ int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   int64_t *asg, double *stats)
 {
     klws w;
-    int64_t status = -1;
+    int64_t status = KL_NOMEM;
     if (klws_init(&w, n, xadj[n], p, window_n) == 0) {
         bind_graph(&w, n, xadj, adjncy, ewts, vw);
         w.hom = hom;
@@ -1387,8 +1395,8 @@ static double eq1_cost(klws *w, const int64_t *hom, const int64_t *asg,
  * home (``home`` on level 0, ``chome`` above), and the result must not
  * score worse under Equation 1 (cfgs[0]'s alpha and beta) than ``home``
  * itself, else ``out`` receives ``home``.  ``stats`` receives the KL
- * counters of kl_call.  Returns 0 or KL_REFERENCE (an allocation failed,
- * or ``start`` has a label outside [0, p)). */
+ * counters of kl_call.  Returns 0, KL_NOMEM (an allocation failed) or
+ * KL_BADARG (``p`` < 1, or ``start`` has a label outside [0, p)). */
 int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
                const int64_t *xadj, const int64_t *adjncy, const double *ewts,
                const double *vwts, const int64_t *cxadj, const int64_t *cadj,
@@ -1398,16 +1406,16 @@ int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
                int64_t in_band_tail, const int64_t *start, int64_t *out,
                double *stats)
 {
-    int64_t n0 = nv[0], top = nlev - 1, l, v, k, wcap = 1, status = KL_REFERENCE;
+    int64_t n0 = nv[0], top = nlev - 1, l, v, k, wcap = 1, status = KL_NOMEM;
     int64_t *off = NULL, *cur, *nxt, *sw;
     klws w;
 
     memset(&w, 0, sizeof(w));
     if (p < 1)
-        return KL_REFERENCE;
+        return KL_BADARG;
     for (v = 0; v < nv[top]; v++)
         if (start[v] < 0 || start[v] >= p)
-            return KL_REFERENCE; /* the reference raises on it */
+            return KL_BADARG;
     for (k = 0; k < ncfg; k++)
         if ((int64_t)cfgs[k * C_FIELDS + C_WINDOW] > wcap)
             wcap = (int64_t)cfgs[k * C_FIELDS + C_WINDOW];

@@ -3,23 +3,19 @@
 The core — heavy-edge matching, contraction, the whole KL refinement, and
 the fused V-cycle entries :func:`coarsen` / :func:`refine` — is built on
 first use by :func:`repro._native.build` (content-hashed shared object,
-ctypes, GIL released, no float reassociation).  Everything degrades
-gracefully: no compiler, a failed build, a failed allocation inside a
-kernel, or ``REPRO_KL_NATIVE=0`` make every wrapper here return ``None``,
-and the caller runs its numpy/Python reference instead
-(:func:`repro.graph.matching._match_rounds`,
-:func:`repro.graph.contract._contract_py`,
-:func:`repro.partition.kl._kl_refine_py`,
-:func:`repro.partition.multilevel.build_hierarchy` +
-:func:`~repro.partition.multilevel.v_cycle`).
-``tests/test_kl_native.py`` and ``tests/test_multilevel_native.py`` assert
-the two paths agree array for array.
+ctypes, GIL released, no float reassociation) and is the only
+implementation: a failed build raises ``ImportError``, a failed scratch
+allocation inside a kernel ``MemoryError``, an input a kernel cannot take
+``ValueError``.  ``tests/test_kl_native.py`` and
+``tests/test_multilevel_native.py`` hold every kernel to its numpy/Python
+oracle in ``tests/_kl_oracle.py``, array for array.
 
 The fused entries draw the matchings' seeded tie order with a C port of
 numpy's PCG64 ``Generator.permutation``, started from the generator state
 numpy's seeding produced.  When the core loads, a few C draws are compared
-with numpy's; on a mismatch :func:`coarsen` and :func:`refine` stay off and
-the per-level path runs, so native ≡ pure cannot break silently.
+with numpy's; a mismatch (a numpy whose ``permutation`` changed) fails the
+load, so the compiled V-cycle cannot drift from numpy's tie order
+silently.
 
 Arrays cross the boundary as raw addresses: every wrapper normalises its
 arrays first (:func:`_csr`, ``ascontiguousarray``) and :func:`_ptr` only
@@ -44,10 +40,6 @@ from repro.perf import PERF
 _SRC = Path(__file__).with_name("_klcore.c")
 _LOCK = threading.Lock()
 _LIB = None
-_TRIED = False
-_DISABLED = not _native.ENABLED
-#: whether the fused entries passed the load-time PCG64 self-check
-_FUSED = False
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
@@ -55,8 +47,9 @@ _U64 = np.dtype(np.uint64)
 _M64 = (1 << 64) - 1
 _DUMMY_I64 = np.zeros(1, dtype=np.int64)  # stands in for hom when alpha == 0
 
-#: kernel status: an output buffer is too small — grow them all, call again
-_GROW = -2
+#: kernel status: a scratch allocation failed / an output buffer is too
+#: small (grow them all, call again) / an input the kernel cannot take
+_NOMEM, _GROW, _BADARG = -1, -2, -3
 
 
 def _configure(lib) -> None:
@@ -107,21 +100,30 @@ def _configure(lib) -> None:
 
 
 def load():
-    """The compiled core, built on first call; ``None`` if unavailable."""
-    global _LIB, _TRIED, _FUSED
-    if _DISABLED:
-        return None
-    if _TRIED:
+    """The compiled core, built on first call.  Raises ``ImportError`` if
+    it does not build or its PCG64 port disagrees with numpy."""
+    global _LIB
+    if _LIB is not None:
         return _LIB
     with _LOCK:
-        if not _TRIED:
-            try:
-                _LIB = _native.build(_SRC, _configure)
-                _FUSED = _draws_agree(_LIB)
-            except Exception:
-                _LIB = None
-            _TRIED = True
+        if _LIB is None:
+            lib = _native.build(_SRC, _configure)
+            if not _draws_agree(lib):
+                raise ImportError(
+                    f"{_SRC.name}: the PCG64 port disagrees with numpy "
+                    f"{np.__version__}'s Generator.permutation"
+                )
+            _LIB = lib
     return _LIB
+
+
+def _check(status: int, kernel: str) -> int:
+    """``status`` unless it reports a failure, which raises."""
+    if status == _NOMEM:
+        raise MemoryError(f"{_SRC.name}: {kernel} could not allocate its scratch")
+    if status == _BADARG:
+        raise ValueError(f"{_SRC.name}: {kernel} was given an input it cannot take")
+    return status
 
 
 def _csr(graph) -> tuple:
@@ -142,10 +144,8 @@ def _csr_ptrs(csr) -> list:
 
 def hem_match(n: int, es, ed, order):
     """Greedy matching over candidate edges ``(es, ed)`` listed in ``order``
-    by ascending priority; ``None`` means "fall back"."""
+    by ascending priority."""
     lib = load()
-    if lib is None:
-        return None
     es = np.ascontiguousarray(es, dtype=np.int64)
     ed = np.ascontiguousarray(ed, dtype=np.int64)
     order = np.ascontiguousarray(order, dtype=np.int64)
@@ -160,10 +160,9 @@ def hem_match(n: int, es, ed, order):
 def contract(graph, match):
     """Contract ``graph`` along ``match`` (normalised by the caller):
     ``(xadj, adjncy, ewts, vwts, cmap)`` of the coarse graph (the first
-    four as views of fine-sized buffers), or ``None`` for "fall back"."""
+    four as views of fine-sized buffers).  A ``match`` that is no
+    involution raises ``ValueError``."""
     lib = load()
-    if lib is None:
-        return None
     n = graph.n_vertices
     nnz = graph.adjncy.shape[0]
     csr = _csr(graph)
@@ -177,24 +176,21 @@ def contract(graph, match):
         _ptr(cmap, _I64), _ptr(cvw, _F64), _ptr(cxadj, _I64),
         _ptr(cadj, _I64), _ptr(cew, _F64),
     )
-    if nc < 0:
-        return None
+    _check(nc, "contract")
     end = int(cxadj[nc])
     return cxadj[: nc + 1], cadj[:end], cew[:end], cvw[:nc], cmap
 
 
-def kl_refine(state, in_band_tail: int):
-    """Run every pass of one ``kl_refine`` call in the compiled core and
-    return the refined assignment; ``None`` means "fall back".
-    ``in_band_tail`` is :data:`repro.partition.kl.IN_BAND_TAIL`.
+def kl_refine(graph, assign, p: int, home, cfg, in_band_tail: int):
+    """Run every pass of one ``kl_refine`` call (validated ``assign`` and
+    ``home``, a ``KLConfig``) in the compiled core and return the refined
+    assignment.  ``in_band_tail`` is :data:`repro.partition.kl.IN_BAND_TAIL`.
 
-    The kernel works on a private copy, so a ``None`` return leaves
-    ``state`` untouched.
+    The kernel works on a private copy: the inputs are never written.
     """
-    out = _kl_refine_stats(state, in_band_tail)
-    if out is None:
-        return None
-    asg, (passes, seconds, _, moves, kept) = out
+    asg, (passes, seconds, _, moves, kept) = _kl_refine_stats(
+        graph, assign, p, home, cfg, in_band_tail
+    )
     _credit_kl(passes, seconds, moves, kept)
     return asg
 
@@ -205,32 +201,35 @@ def _credit_kl(passes, seconds, moves, kept) -> None:
     PERF.add("kl.kept", 0.0, calls=int(kept))
 
 
-def _kl_refine_stats(state, in_band_tail: int):
+def _kl_refine_stats(graph, assign, p: int, home, cfg, in_band_tail: int):
     """``(assignment, [passes, seconds in them, best objective, moves
     tried, moves kept])``."""
     lib = load()
-    if lib is None:
-        return None
-    cfg = state.cfg
-    alpha = float(cfg.alpha) if state.home is not None else 0.0
+    alpha = float(cfg.alpha) if home is not None else 0.0
     if alpha:
-        hom = np.ascontiguousarray(state.home, dtype=np.int64)
+        hom = np.ascontiguousarray(home, dtype=np.int64)
     else:
         hom = _DUMMY_I64  # never dereferenced when alpha == 0
-    asg = state.assign.copy()
+    asg = np.array(assign, dtype=np.int64)
+    vwts = graph.vwts
+    mean = float(np.bincount(asg, weights=vwts, minlength=p).sum()) / p
+    # The balance envelope cannot be tighter than the vertex-weight
+    # granularity: with indivisible trees of weight up to w_max, subset
+    # weights are only controllable to ~w_max/2.  Chasing a tighter band
+    # would churn migration without ever converging.
+    wmax = float(vwts.max()) if vwts.size else 0.0
+    band = max(cfg.balance_tol * mean, 0.5 * wmax)
     stats = np.zeros(5, dtype=np.float64)
-    csr = _csr(state.graph)
     status = lib.kl_refine(
-        state.graph.n_vertices, state.p, *_csr_ptrs(csr),
+        graph.n_vertices, p, *_csr_ptrs(_csr(graph)),
         _ptr(hom, _I64), alpha,
         float(cfg.beta), int(cfg.balance_mode == "deadband"),
-        state.mean, state.maxcap, state.mean - state.band,
+        mean, mean + band, mean - band,
         int(cfg.window), int(cfg.stall_limit), int(in_band_tail),
         float(cfg.min_gain), int(cfg.max_passes),
         _ptr(asg, _I64), _ptr(stats, _F64),
     )
-    if status:  # allocation failure inside the kernel
-        return None
+    _check(status, "kl_refine")
     return asg, stats
 
 
@@ -260,11 +259,8 @@ def _seed_block(seed: int, levels: int) -> np.ndarray:
 
 
 def permutation(seed: int, m: int, lib=None):
-    """``default_rng(seed).permutation(m)`` drawn by the compiled port;
-    ``None`` without a compiled core."""
+    """``default_rng(seed).permutation(m)`` drawn by the compiled port."""
     lib = lib or load()
-    if lib is None:
-        return None
     state = np.array(_pcg_state(seed), dtype=np.uint64)
     out = np.empty(m, dtype=np.int64)
     lib.pcg64_permutation(_ptr(state, _U64), m, _ptr(out, _I64))
@@ -304,7 +300,7 @@ class Levels:
                  "cxadj", "cadj", "cew", "cvw", "cmap", "chome")
 
     def level_graph(self, level: int) -> WeightedGraph:
-        """``graphs[level]`` of :func:`~repro.partition.multilevel.build_hierarchy`."""
+        """The graph of ``level`` (0: the input, then ever coarser)."""
         if level == 0:
             return self.graph
         v0 = int(self.nv[1:level].sum())
@@ -317,7 +313,8 @@ class Levels:
         )
 
     def level_home(self, level: int):
-        """``homes[level]`` of the same hierarchy."""
+        """The home assignment projected to ``level`` (``None`` without a
+        home)."""
         if self.home is None or level == 0:
             return self.home
         v0 = int(self.nv[1:level].sum())
@@ -326,16 +323,16 @@ class Levels:
 
 def coarsen(graph, coarsen_to: int, seed, home, constrain: bool,
             max_levels: int, min_shrink: float):
-    """Every level of ``build_hierarchy(graph, coarsen_to, seed, home,
-    constrain)`` (under its ``MAX_LEVELS`` / ``MIN_SHRINK``) in one
-    compiled call, as :class:`Levels`; ``None`` means "run the reference".
+    """Every level of the contraction hierarchy of ``graph`` — heavy-edge
+    matchings seeded ``seed``, ``seed + 1``, … (constrained to ``home``'s
+    subsets with ``constrain``), contracted until ``coarsen_to`` vertices,
+    ``max_levels`` levels or a level keeping ``min_shrink`` of its
+    vertices — in one compiled call, as :class:`Levels`.
 
     Credits ``multilevel.coarsen`` once and ``matching.hem`` / ``contract``
-    with the matchings tried and the levels built, as the reference does.
+    with the matchings tried and the levels built.
     """
     lib = load()
-    if lib is None or not _FUSED or not isinstance(seed, (int, np.integer)) or seed < 0:
-        return None
     t0 = perf_counter()
     n = graph.n_vertices
     csr = _csr(graph)
@@ -368,9 +365,7 @@ def coarsen(graph, coarsen_to: int, seed, home, constrain: bool,
         if status != _GROW:
             break
         cap_v, cap_e = 2 * cap_v, 2 * cap_e
-    if status < 0:
-        return None
-    lv.nlev = int(status)
+    lv.nlev = _check(int(status), "coarsen")
     tried, built, t_hem, t_contract = stats
     PERF.add("matching.hem", float(t_hem), calls=int(tried))
     PERF.add("contract", float(t_contract), calls=int(built))
@@ -381,20 +376,18 @@ def coarsen(graph, coarsen_to: int, seed, home, constrain: bool,
 def refine(levels: Levels, start, p: int, cfgs: list, rebalance_above: float,
            in_band_tail: int):
     """Project ``start`` (an assignment of the coarsest level) up through
-    ``levels`` and refine every level in one compiled call; ``None`` means
-    "run the reference".
+    ``levels`` and refine every level in one compiled call.  A ``start``
+    label outside ``[0, p)`` raises ``ValueError``.
 
     Without a home (``multilevel_partition``), each level runs ``cfgs[0]``
     while ``graph_imbalance`` exceeds ``rebalance_above``, then ``cfgs[1]``;
     with one (``multilevel_repartition``), ``cfgs[0]`` against the level's
     home, and the result falls back to the home if it scores worse under
     Equation 1 (``cfgs[0].alpha`` / ``.beta``).  Credits
-    ``multilevel.refine`` once and the ``kl.*`` counters as the reference's
-    ``kl_refine`` calls would.
+    ``multilevel.refine`` once and the ``kl.*`` counters as one
+    ``kl_refine`` call per level and configuration would.
     """
     lib = load()
-    if lib is None or not _FUSED:
-        return None
     t0 = perf_counter()
     start = np.ascontiguousarray(start, dtype=np.int64)
     packed = np.array(
@@ -415,8 +408,7 @@ def refine(levels: Levels, start, p: int, cfgs: list, rebalance_above: float,
         p, _ptr(packed, _F64), len(cfgs), float(rebalance_above), int(in_band_tail),
         _ptr(start, _I64), _ptr(out, _I64), _ptr(stats, _F64),
     )
-    if status:
-        return None
+    _check(status, "refine")
     calls, seconds, passes, pass_seconds, moves, kept = stats
     PERF.add("kl.refine", float(seconds), calls=int(calls))
     _credit_kl(passes, pass_seconds, moves, kept)

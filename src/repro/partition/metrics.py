@@ -118,15 +118,3 @@ def repartition_cost(
         alpha=alpha,
         beta=beta,
     )
-
-
-def summarize_partition(graph: WeightedGraph, assignment, p: int) -> dict:
-    """Quick report dict: cut, subset weights and their spread."""
-    w = graph_subset_weights(graph, assignment, p)
-    return {
-        "cut": graph_cut(graph, assignment),
-        "weights": w,
-        "imbalance": imbalance(w),
-        "min_weight": float(w.min()),
-        "max_weight": float(w.max()),
-    }

@@ -2,8 +2,7 @@
 
 Before this module every consumer rolled its own: ``REPRO_PAPER_SCALE``
 compared against ``("0", "", "false")`` (so ``False`` — capital F — read as
-*true*), ``REPRO_KL_NATIVE`` against ``("0", "false", "no")``, and
-``REPRO_TRANSPORT`` did raw string matching.  All env-flag reads now go
+*true*), and ``REPRO_TRANSPORT`` did raw string matching.  All env-flag reads now go
 through :func:`env_bool` / :func:`env_choice`: case-insensitive,
 whitespace-tolerant, and *strict* — a value that is neither recognizably
 true nor false raises instead of being silently (mis)interpreted, because a

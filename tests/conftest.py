@@ -3,9 +3,6 @@ test-suite."""
 
 from __future__ import annotations
 
-import os
-import shutil
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.graph.csr import WeightedGraph
 from repro.mesh.adapt import AdaptiveMesh
-from repro.partition import _klnative, kl
+from repro.partition import kl
 from repro.perf import PERF
 
 # Tier-1 (`python -m pytest`) must be the same run every time and the same
@@ -35,35 +32,6 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@pytest.fixture()
-def native_core():
-    """The compiled multilevel core, for the native ≡ pure parity suites.
-
-    Skips where the core is legitimately absent (``REPRO_KL_NATIVE=0``, or
-    no C compiler on ``PATH``); *fails* when a compiler is present but the
-    build broke — a parity suite that silently skips would leave the
-    bit-identity contract unchecked exactly when it is most at risk."""
-    lib = _klnative.load()
-    if lib is None:
-        if _klnative._DISABLED:
-            pytest.skip("compiled core disabled (REPRO_KL_NATIVE=0)")
-        if shutil.which(os.environ.get("CC", "cc")) is None:
-            pytest.skip("no C compiler on PATH")
-        pytest.fail("a C compiler is present but _klcore.c failed to build/load")
-    return lib
-
-
-@contextmanager
-def pure_path():
-    """Run the body on the numpy/Python reference path."""
-    saved = _klnative._DISABLED
-    _klnative._DISABLED = True
-    try:
-        yield
-    finally:
-        _klnative._DISABLED = saved
 
 
 def kl_counted(fn):

@@ -13,7 +13,6 @@ from repro.partition import (
     multilevel_repartition,
     repartition_cost,
 )
-from repro.partition.metrics import summarize_partition
 
 
 @pytest.fixture()
@@ -48,13 +47,6 @@ class TestCostModel:
         new[moved_root] = (current[moved_root] + 1) % p
         cost = repartition_cost(g, current, new, p)
         assert cost.migrate == g.vwts[moved_root]
-
-    def test_summarize(self, workload):
-        am, pnr, p, current = workload
-        g = coarse_dual_graph(am.mesh)
-        rep = summarize_partition(g, current, p)
-        assert rep["weights"].sum() == pytest.approx(am.n_leaves)
-        assert rep["cut"] == graph_cut(g, current)
 
 
 class TestRepartition:

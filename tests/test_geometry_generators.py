@@ -8,8 +8,6 @@ from repro.geometry import (
     structured_tri_mesh,
     tet_volumes,
     tri_areas,
-    unit_cube_mesh,
-    unit_square_mesh,
 )
 
 
@@ -51,10 +49,6 @@ class TestTriGenerator:
         with pytest.raises(ValueError):
             structured_tri_mesh(0, 4)
 
-    def test_unit_square_shortcut(self):
-        verts, tris = unit_square_mesh(3)
-        assert tris.shape[0] == 18
-
 
 class TestTetGenerator:
     def test_counts(self):
@@ -88,7 +82,3 @@ class TestTetGenerator:
     def test_invalid_grid_raises(self):
         with pytest.raises(ValueError):
             structured_tet_mesh(1, 1, 0)
-
-    def test_unit_cube_shortcut(self):
-        verts, tets = unit_cube_mesh(2)
-        assert tets.shape[0] == 48

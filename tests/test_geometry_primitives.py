@@ -1,4 +1,5 @@
-"""Unit and property tests for the geometric kernel."""
+"""Unit and property tests for the geometric kernel, and for the meshes'
+longest-edge rule (what steers Rivara bisection)."""
 
 import numpy as np
 import pytest
@@ -9,20 +10,21 @@ from repro.geometry import (
     TET_EDGES,
     TET_FACES,
     TRI_EDGES,
-    bounding_box,
-    centroids,
-    edge_lengths,
-    tet_edge_lengths,
-    tet_longest_edge,
     tet_quality,
-    tet_volume,
     tet_volumes,
-    tri_area,
     tri_areas,
-    tri_edge_lengths,
-    tri_longest_edge,
     tri_quality,
 )
+from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh3d import TetMesh
+
+
+def tri_area(verts, tri) -> float:
+    return float(tri_areas(verts, [tri])[0])
+
+
+def tet_volume(verts, tet) -> float:
+    return float(tet_volumes(verts, [tet])[0])
 
 
 class TestTriAreas:
@@ -40,7 +42,9 @@ class TestTriAreas:
         tris = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         batch = tri_areas(verts, tris)
         for k, t in enumerate(tris):
-            assert batch[k] == pytest.approx(tri_area(verts, t))
+            a, b, c = verts[t]
+            cross = (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]
+            assert batch[k] == pytest.approx(0.5 * abs(cross))
 
     def test_degenerate_zero(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -80,27 +84,6 @@ class TestTetVolumes:
 
 
 class TestEdges:
-    def test_edge_lengths(self):
-        verts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert edge_lengths(verts, [[0, 1]])[0] == pytest.approx(5.0)
-
-    def test_tri_edge_lengths_opposite_convention(self):
-        # edge i is opposite vertex i
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        lens = tri_edge_lengths(verts, [[0, 1, 2]])[0]
-        assert lens[0] == pytest.approx(np.sqrt(2))  # opposite vertex 0
-        assert lens[1] == pytest.approx(1.0)
-        assert lens[2] == pytest.approx(1.0)
-
-    def test_tet_edge_lengths_order(self):
-        verts = np.array(
-            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float
-        )
-        lens = tet_edge_lengths(verts, [[0, 1, 2, 3]])[0]
-        for k, (p, q) in enumerate(TET_EDGES):
-            d = np.linalg.norm(verts[p] - verts[q])
-            assert lens[k] == pytest.approx(d)
-
     def test_local_edge_tables(self):
         assert len(TRI_EDGES) == 3
         assert len(TET_EDGES) == 6
@@ -111,11 +94,13 @@ class TestEdges:
 
 
 class TestLongestEdge:
+    """``longest_edge`` is the sorted global vertex pair; exact ties go to
+    the smallest pair, so two elements sharing an edge agree on it."""
+
     def test_tri_longest(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        # longest edge is (v0... hypotenuse between vertex 1 and 2? lengths:
-        # (1,2): sqrt(5), (2,0): 1, (0,1): 2 -> local edge 0
-        assert tri_longest_edge(verts, [0, 1, 2]) == 0
+        # (1,2): sqrt(5), (2,0): 1, (0,1): 2
+        assert TriMesh(verts, np.array([[0, 1, 2]])).longest_edge(0) == (1, 2)
 
     def test_tie_break_agrees_between_orders(self):
         # equilateral: all edges tie; the chosen global pair must not depend
@@ -123,11 +108,10 @@ class TestLongestEdge:
         verts = np.array(
             [[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]
         )
-        pairs = set()
-        for cell in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
-            i = tri_longest_edge(verts, cell)
-            p, q = TRI_EDGES[i]
-            pairs.add(tuple(sorted((cell[p], cell[q]))))
+        pairs = {
+            TriMesh(verts, np.array([cell])).longest_edge(0)
+            for cell in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])
+        }
         assert pairs == {(0, 1)}
 
     def test_tet_longest(self):
@@ -136,17 +120,13 @@ class TestLongestEdge:
         verts = np.array(
             [[0, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float
         )
-        i = tet_longest_edge(verts, [0, 1, 2, 3])
-        p, q = TET_EDGES[i]
-        assert {p, q} == {1, 2}
+        assert TetMesh(verts, np.array([[0, 1, 2, 3]])).longest_edge(0) == (1, 2)
 
     def test_tet_longest_unique(self):
         verts = np.array(
             [[0, 0, 0], [5, 0, 0], [0.1, 0.2, 0], [0.1, 0, 0.3]], dtype=float
         )
-        i = tet_longest_edge(verts, [0, 1, 2, 3])
-        p, q = TET_EDGES[i]
-        assert {p, q} == {0, 1}
+        assert TetMesh(verts, np.array([[0, 1, 2, 3]])).longest_edge(0) == (0, 1)
 
 
 class TestQualityAndMisc:
@@ -166,16 +146,6 @@ class TestQualityAndMisc:
             dtype=float,
         )
         assert tet_quality(verts, [[0, 1, 2, 3]])[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_centroids(self):
-        verts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-        c = centroids(verts, [[0, 1, 2]])
-        assert np.allclose(c[0], [1.0, 1.0])
-
-    def test_bounding_box(self):
-        verts = np.array([[0.0, -2.0], [3.0, 5.0], [1.0, 1.0]])
-        lo, hi = bounding_box(verts)
-        assert np.allclose(lo, [0, -2]) and np.allclose(hi, [3, 5])
 
 
 @given(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import WeightedGraph
-from repro.partition.kl import IN_BAND_TAIL, KLConfig, _kl_pass, _KLState, kl_refine
+from repro.partition.kl import IN_BAND_TAIL, KLConfig, kl_refine
 from repro.partition.metrics import graph_cut, graph_imbalance, repartition_cost
+
+from tests._kl_oracle import _kl_pass, _KLState
 
 
 def grid(n=8, vweights=None):

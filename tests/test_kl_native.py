@@ -1,21 +1,18 @@
 """Parity of the compiled KL refinement (:mod:`repro.partition._klnative`)
-with the pure-Python reference loop (the whole-V-cycle suite is
-``tests/test_multilevel_native.py``).
+with its pure-Python oracle (``tests/_kl_oracle.py``; the whole-V-cycle
+suite is ``tests/test_multilevel_native.py``).
 
 The compiled kernel must be *decision-for-decision* identical: same heap pop
 order (total order on ``(key, counter)``), same float arithmetic, same
-deferral/revival bookkeeping — so refinement output matches bit-for-bit and
-the golden-pinned partitions stay stable whether or not a C compiler is
-present."""
+deferral/revival bookkeeping — so refinement output matches bit-for-bit."""
 
 import numpy as np
-import pytest
 
 from repro.graph.csr import WeightedGraph
-from repro.partition import _klnative
 from repro.partition.kl import KLConfig, kl_refine
 
-from tests.conftest import kl_counted, kl_starts, kl_tail_arms, pure_path
+from tests import _kl_oracle as oracle
+from tests.conftest import kl_counted, kl_starts, kl_tail_arms
 
 
 def _rand_graph(n, avg_deg, rng):
@@ -33,12 +30,10 @@ def _rand_graph(n, avg_deg, rng):
 
 def _both_paths(graph, asg, p, home, cfg):
     out_native = kl_refine(graph, asg, p, home=home, config=cfg)
-    with pure_path():
-        out_pure = kl_refine(graph, asg, p, home=home, config=cfg)
+    out_pure = oracle.kl_refine(graph, asg, p, home=home, config=cfg)
     return out_native, out_pure
 
 
-@pytest.mark.usefixtures("native_core")
 class TestNativeParity:
     def test_randomized_configs(self):
         """Balanced and unbalanced starts, so that both tail bounds decide
@@ -60,12 +55,11 @@ class TestNativeParity:
                 stall_limit=int(rng.choice([0, 64, 256])),
             )
 
-            def run(c):
-                return kl_refine(graph, asg, p, home=home, config=c)
+            def run(c, refine=kl_refine):
+                return refine(graph, asg, p, home=home, config=c)
 
             out_native, counts_native = kl_counted(lambda: run(cfg))
-            with pure_path():
-                out_pure, counts_pure = kl_counted(lambda: run(cfg))
+            out_pure, counts_pure = kl_counted(lambda: run(cfg, oracle.kl_refine))
             assert np.array_equal(out_native, out_pure), (
                 f"trial {trial}: native/pure divergence with {cfg}"
             )
@@ -95,7 +89,3 @@ class TestNativeParity:
         out_native, out_pure = _both_paths(graph, asg, 2, None, KLConfig())
         assert np.array_equal(out_native, asg)
         assert np.array_equal(out_pure, asg)
-
-    def test_env_escape_hatch_forces_pure(self, monkeypatch):
-        monkeypatch.setattr(_klnative, "_DISABLED", True)
-        assert _klnative.load() is None

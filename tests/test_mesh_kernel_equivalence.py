@@ -1,18 +1,15 @@
-"""The batched 2-D mesh kernel against the frozen per-element one.
+"""The compiled 2-D mesh kernel against its numpy oracle
+(``tests/_mesh_oracle.py``) under random refine / coarsen scripts, and
+the properties PARED relies on.
 
-``tests/_reference_kernels.py`` keeps the kernel this repository shipped
-before the array adjacency (dict-of-sets edge map, stack-driven LEPP,
-per-leaf coarsening sweep).  Element and vertex *ids* differ between the
-two — the old kernel numbers children in discovery order, the batched one
-in ascending-parent order per wave — so both sides are compared through
-geometry: an element is the sorted tuple of its vertex coordinates, which
-are bit-identical on both sides (same midpoint arithmetic).
-
-Exact longest-edge ties are broken by vertex id, and vertex ids are part
-of what changed, so on a mesh full of exact ties (``_tie_strip``) the two
-kernels may legitimately pick different — equally valid — bisections.
-That mesh is used where no reference is involved: the tie rule itself on
-identical ids, and id-exact order independence.
+``tests/test_mesh_native.py`` compares the two on fixed scripts; here
+Hypothesis draws the scripts (operation, fraction of leaves), and both
+meshes must agree id for id after every step — so the same marked ids hit
+the same elements — and stay conformal, with a valid forest and a
+current adjacency.  The longest-edge rule of every element the compiled
+wave created is checked against the scalar statement of the rule, exact
+ties included (``_tie_strip``); element and vertex ids must not depend on
+the order, multiplicity or redundancy of the targets.
 """
 
 import numpy as np
@@ -26,17 +23,7 @@ from repro.mesh.coarsen import coarsen
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.rivara2d import refine2d
 
-from tests._reference_kernels import (
-    RefTriMesh,
-    coarsen_reference,
-    refine2d_reference,
-)
-
-
-def _geo(mesh, ids) -> list:
-    """Geometric identity of elements: sorted vertex-coordinate triples."""
-    tri = mesh.verts[mesh.cells[np.asarray(ids, dtype=np.int64)]]
-    return [tuple(sorted(map(tuple, t.tolist()))) for t in tri]
+from tests import _mesh_oracle as oracle
 
 
 def _tie_strip(n: int = 5):
@@ -56,37 +43,38 @@ def _pair(kind: str, seed: int):
         verts, cells = _tie_strip()
     else:
         verts, cells = delaunay_square_mesh(5, seed=seed)
-    return TriMesh(verts, cells), RefTriMesh(verts, cells)
+    return TriMesh(verts, cells), oracle.OracleTriMesh(verts, cells)
 
 
-def _same_leaves(new, ref) -> dict:
-    """Assert equal leaf geometry; returns ``geometry -> reference leaf id``."""
-    ref_ids = ref.leaf_ids()
-    ref_of = dict(zip(_geo(ref, ref_ids), ref_ids.tolist()))
-    assert new.n_leaves == ref.n_leaves
-    assert set(_geo(new, new.leaf_ids())) == set(ref_of)
-    return ref_of
+def _full_state(mesh) -> list:
+    f = mesh.forest
+    return [
+        f.parent_array, f.child0_array, f.child1_array, f.root_array,
+        f.depth_array, f.status_array, mesh.cells, mesh.verts,
+        mesh._nbr.data, mesh._le.data, mesh._ekey.data,
+        mesh._midpoint.keys_array, mesh._midpoint.values_array,
+    ]
+
+
+def _assert_same_state(a, b) -> None:
+    for x, y in zip(_full_state(a), _full_state(b), strict=True):
+        assert np.array_equal(x, y)
 
 
 def _step(new, ref, rng, op: str, frac: float) -> None:
-    """Apply one operation to geometrically identical target sets on both
-    meshes and compare everything observable."""
-    ref_of = _same_leaves(new, ref)
+    """Apply one operation to the same target set on both meshes and
+    compare everything observable."""
     leaves = new.leaf_ids()
+    assert np.array_equal(leaves, ref.leaf_ids())
     k = max(1, int(frac * leaves.size))
     marked = rng.choice(leaves, size=k, replace=False)
-    ref_marked = [ref_of[g] for g in _geo(new, marked)]
     if op == "refine":
         done = refine2d(new, marked)
-        ref_done = refine2d_reference(ref, ref_marked)
-        assert len(done) == len(set(done)) == len(ref_done)
+        assert done == oracle.refine2d(ref, marked)
+        assert len(done) == len(set(done))
     else:
-        done = coarsen(new, marked)
-        ref_done = coarsen_reference(ref, ref_marked)
-    assert set(_geo(new, done)) == set(_geo(ref, ref_done))
-    _same_leaves(new, ref)
-    assert new.n_elements == ref.n_elements  # reactivation, not re-creation
-    assert new.n_verts == ref.n_verts
+        assert coarsen(new, marked) == coarsen(ref, marked)
+    _assert_same_state(new, ref)
     new.check_adjacency()
     new.check_conformal()
     new.forest.validate()
@@ -121,8 +109,8 @@ def test_refine_coarsen_refine_reactivates_like_reference(kind, seed):
     _step(new, ref, rng, "refine", 0.3)
     n_elements = new.n_elements
     while coarsen(new, new.leaf_ids()):
-        coarsen_reference(ref, ref.leaf_ids())
-    assert not coarsen_reference(ref, ref.leaf_ids())
+        coarsen(ref, ref.leaf_ids())
+    assert not coarsen(ref, ref.leaf_ids())
     assert new.n_leaves == new.n_roots == ref.n_leaves
     new.check_adjacency()
     _step(new, ref, rng, "refine", 0.5)
@@ -131,38 +119,37 @@ def test_refine_coarsen_refine_reactivates_like_reference(kind, seed):
     assert new.n_elements >= n_elements
 
 
+def _scalar_longest_edge(verts, cell) -> tuple:
+    """The rule stated one element at a time: scan the local edges in
+    order; a later edge wins when longer by more than ``1e-12`` relative,
+    or within that band of the running best with a smaller vertex pair."""
+    v0, v1, v2 = cell
+    best, best_len = None, -1.0
+    for p, q in ((v1, v2), (v2, v0), (v0, v1)):
+        d = verts[p] - verts[q]
+        ln = float(d[0] * d[0] + d[1] * d[1])
+        key = (p, q) if p < q else (q, p)
+        if ln > best_len * (1.0 + 1e-12):
+            best, best_len = key, ln
+        elif ln >= best_len * (1.0 - 1e-12) and key < best:
+            best = key
+    return best
+
+
 @pytest.mark.parametrize("kind", ["structured", "delaunay", "ties"])
 def test_vectorised_longest_edge_is_the_scalar_rule(kind):
-    """Same cells, same vertex ids: the array tie rule (``1e-12`` band,
-    smallest vertex pair) picks the edge the scalar scan picked."""
-    new, ref = _pair(kind, 11)
+    """Every element — roots from the vectorised rule at construction,
+    children from the compiled wave's — takes the edge the scalar scan
+    takes (``1e-12`` band, smallest vertex pair)."""
+    new, _ = _pair(kind, 11)
     refine2d(new, new.leaf_ids())
-    verts, cells = new.verts.copy(), new.cells.copy()
-    new, ref = TriMesh(verts, cells), RefTriMesh(verts, cells)
+    refine2d(new, new.leaf_ids()[::2])
+    assert new.n_elements > 3 * new.n_roots
     for e in range(new.n_elements):
-        assert new.longest_edge(e) == ref.longest_edge(e)
+        assert new.longest_edge(e) == _scalar_longest_edge(new.verts, new.cell(e))
     if kind == "ties":
-        ends = verts[[ref.longest_edge(e) for e in range(2 * 5 - 1)]]
+        ends = new.verts[[new.longest_edge(e) for e in range(2 * 5 - 1)]]
         assert np.all(ends[:, 0, 1] != ends[:, 1, 1])  # a slanted edge, not the base
-
-
-def _state(mesh) -> tuple:
-    f = mesh.forest
-    return (
-        mesh.cells.copy(),
-        mesh.verts.copy(),
-        f.parent_array.copy(),
-        f.child0_array.copy(),
-        f.child1_array.copy(),
-        f.status_array.copy(),
-        f.depth_array.copy(),
-        dict(mesh._midpoint),
-    )
-
-
-def _assert_same_state(a, b) -> None:
-    for x, y in zip(_state(a), _state(b)):
-        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 
 
 @pytest.mark.parametrize("kind", ["structured", "delaunay", "ties"])

@@ -1,19 +1,18 @@
-"""The compiled 2-D mesh kernel (``mesh/_meshcore.c``) against the numpy
-wave it replaces, id for id.
+"""The compiled 2-D mesh kernel (``mesh/_meshcore.c``) against its numpy
+oracle (``tests/_mesh_oracle.py``), id for id.
 
-Every script runs twice from the same input — once with the compiled
-kernel, once on the numpy path (``_meshnative._DISABLED``) — and the two
-meshes must agree on every array the kernel writes: the forest's six
-arrays and counters, cells, vertices, ``_nbr`` (stale rows of refined
-elements included), ``_le``, ``_ekey``, the midpoint memo in insertion
-order, and the bisected / merged lists the calls return.  The compiled
-kernel must also hand over to the numpy path exactly: after growing its
-storage, after a failed scratch allocation part-way through a call, and
-when the propagation limit trips.
+Every script runs twice from the same input — a :class:`TriMesh` refined
+by the compiled ``refine2d``, and an ``OracleTriMesh`` refined by the numpy
+waves, both coarsened by ``coarsen`` (whose stitch is compiled on the
+first and numpy on the second) — and the two meshes must agree on every
+array the kernel writes: the forest's six arrays and counters, cells,
+vertices, ``_nbr`` (stale rows of refined elements included), ``_le``,
+``_ekey``, the midpoint memo in insertion order, and the bisected / merged
+lists the calls return.  The compiled call must also grow its storage
+exactly, and whatever it raises — the propagation limit, a failed scratch
+allocation — leave whole waves behind: the oracle's state after the same
+waves, a conformal mesh.
 """
-
-import os
-import shutil
 
 import numpy as np
 import pytest
@@ -26,21 +25,8 @@ from repro.mesh.growable import IntMap
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.rivara2d import PropagationLimitError, refine2d
 
+from tests import _mesh_oracle as oracle
 from tests.test_mesh_kernel_equivalence import _tie_strip
-
-
-@pytest.fixture()
-def mesh_core():
-    """The compiled mesh kernel; skips where it is legitimately absent,
-    fails where a compiler is present but the build broke."""
-    lib = _meshnative.load()
-    if lib is None:
-        if _meshnative._DISABLED:
-            pytest.skip("compiled kernels disabled (REPRO_KL_NATIVE=0)")
-        if shutil.which(os.environ.get("CC", "cc")) is None:
-            pytest.skip("no C compiler on PATH")
-        pytest.fail("a C compiler is present but _meshcore.c failed to build/load")
-    return lib
 
 
 class _Recorder:
@@ -61,10 +47,9 @@ class _Recorder:
 
 
 @pytest.fixture()
-def recorder(mesh_core, monkeypatch):
-    rec = _Recorder(mesh_core)
+def recorder(monkeypatch):
+    rec = _Recorder(_meshnative.load())
     monkeypatch.setattr(_meshnative, "_LIB", rec)
-    monkeypatch.setattr(_meshnative, "_TRIED", True)
     return rec
 
 
@@ -93,7 +78,7 @@ def _assert_same(a, b) -> None:
         assert np.array_equal(x, y)
 
 
-def _script(mesh, seed: int, ops: str) -> list:
+def _script(mesh, seed: int, ops: str, refine=refine2d) -> list:
     """``r`` refines, ``c`` coarsens a random 30 % of the leaves; returns
     what every call returned."""
     rng = np.random.default_rng(seed)
@@ -101,19 +86,18 @@ def _script(mesh, seed: int, ops: str) -> list:
     for op in ops:
         leaves = mesh.leaf_ids()
         marked = rng.choice(leaves, size=max(1, int(0.3 * leaves.size)), replace=False)
-        out.append(refine2d(mesh, marked) if op == "r" else coarsen(mesh, marked))
+        out.append(refine(mesh, marked) if op == "r" else coarsen(mesh, marked))
     return out
 
 
-def _both(monkeypatch, build, run):
-    """``run(build())`` on the compiled path, then on the numpy path:
-    ``(native mesh, native result, numpy mesh, numpy result)``."""
-    native = build()
-    got = run(native)
-    monkeypatch.setattr(_meshnative, "_DISABLED", True)
-    reference = build()
-    want = run(reference)
-    monkeypatch.setattr(_meshnative, "_DISABLED", False)
+def _both(build, run):
+    """``run(mesh, refine)`` on ``build(TriMesh)`` with the compiled
+    ``refine2d``, then on ``build(OracleTriMesh)`` with the numpy waves:
+    ``(native mesh, native result, oracle mesh, oracle result)``."""
+    native = build(TriMesh)
+    got = run(native, refine2d)
+    reference = build(oracle.OracleTriMesh)
+    want = run(reference, oracle.refine2d)
     return native, got, reference, want
 
 
@@ -123,10 +107,10 @@ SCRIPTS = ["rrcr", "rrccrrcr", "rcrcrc"]
 @pytest.mark.parametrize("kind", ["structured", "delaunay", "ties"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("ops", SCRIPTS)
-def test_scripts_are_id_exact(mesh_core, monkeypatch, kind, seed, ops):
+def test_scripts_are_id_exact(kind, seed, ops):
     verts, cells = _input(kind, seed)
     native, got, reference, want = _both(
-        monkeypatch, lambda: TriMesh(verts, cells), lambda m: _script(m, seed, ops)
+        lambda cls: cls(verts, cells), lambda m, refine: _script(m, seed, ops, refine)
     )
     assert got == want
     _assert_same(native, reference)
@@ -136,24 +120,24 @@ def test_scripts_are_id_exact(mesh_core, monkeypatch, kind, seed, ops):
 
 
 @pytest.mark.parametrize("kind", ["structured", "delaunay"])
-def test_coarsen_to_roots_then_refine_reactivates(mesh_core, monkeypatch, kind):
+def test_coarsen_to_roots_then_refine_reactivates(kind):
     """Refine, coarsen until nothing merges, refine again: the compiled
     wave reactivates INACTIVE children and reuses memoized midpoints."""
     verts, cells = _input(kind, 3)
 
-    def run(mesh):
-        out = _script(mesh, 3, "rrr")
+    def run(mesh, refine):
+        out = _script(mesh, 3, "rrr", refine)
         while coarsen(mesh, mesh.leaf_ids()):
             pass
         assert mesh.n_leaves == mesh.n_roots
         stored = mesh.n_elements
-        out += _script(mesh, 4, "r")
+        out += _script(mesh, 4, "r", refine)
         # most parents got their stored children back, not new ones
         assert mesh.n_elements - stored < len(out[-1])
-        out += _script(mesh, 5, "rr")
+        out += _script(mesh, 5, "rr", refine)
         return out
 
-    native, got, reference, want = _both(monkeypatch, lambda: TriMesh(verts, cells), run)
+    native, got, reference, want = _both(lambda cls: cls(verts, cells), run)
     assert got == want
     _assert_same(native, reference)
 
@@ -173,14 +157,13 @@ def _squeeze(mesh, elements: int) -> None:
 
 
 def _first_wave_elements(build, targets, monkeypatch) -> int:
-    """``n_elements`` after the first wave of ``refine2d(build(), targets)``."""
-    mesh = build()
+    """``n_elements`` after the first wave of the oracle's
+    ``refine2d(build(OracleTriMesh), targets)``."""
+    mesh = build(oracle.OracleTriMesh)
     sizes = []
     real = mesh.bisect_many
     monkeypatch.setattr(mesh, "bisect_many", lambda p: (real(p), sizes.append(mesh.n_elements)))
-    monkeypatch.setattr(_meshnative, "_DISABLED", True)
-    refine2d(mesh, targets)
-    monkeypatch.setattr(_meshnative, "_DISABLED", False)
+    oracle.refine2d(mesh, targets)
     assert len(sizes) > 1
     return sizes[0]
 
@@ -188,12 +171,12 @@ def _first_wave_elements(build, targets, monkeypatch) -> int:
 def _setup(seed):
     verts, cells = _input("delaunay", seed)
 
-    def base():
-        mesh = TriMesh(verts, cells)
+    def base(cls):
+        mesh = cls(verts, cells)
         _script(mesh, seed, "rr")
         return mesh
 
-    return base, base().leaf_ids()[::2].copy()
+    return base, base(TriMesh).leaf_ids()[::2].copy()
 
 
 @pytest.mark.parametrize("room", ["none", "one_wave"])
@@ -203,121 +186,150 @@ def test_grow_and_resume_is_exact(recorder, monkeypatch, room):
     base, targets = _setup(5)
     rows = 0 if room == "none" else _first_wave_elements(base, targets, monkeypatch)
 
-    def build():
-        mesh = base()
+    def build(cls):
+        mesh = base(cls)
         _squeeze(mesh, max(rows, mesh.n_elements))
         return mesh
 
-    native, got, reference, want = _both(monkeypatch, build, lambda m: refine2d(m, targets))
+    native, got, reference, want = _both(build, lambda m, refine: refine(m, targets))
     assert recorder.statuses[0] == _meshnative._GROW
     assert recorder.statuses[-1] == _meshnative._DONE
     assert got == want
     _assert_same(native, reference)
 
 
-def test_failed_scratch_allocation_finishes_on_numpy(recorder, monkeypatch):
+def test_failed_scratch_allocation_raises_after_whole_waves(recorder, monkeypatch):
     """Fail the k-th scratch allocation of one refine call, for every k
     until the call gets through.  The call applies one wave, grows its
-    storage and resumes, so later failures stop the compiled waves
-    part-way; the numpy waves must finish to the same arrays."""
+    storage and resumes, so later failures stop it part-way: each time it
+    raises ``MemoryError``, leaving a conformal mesh whose arrays are the
+    oracle's after the waves it applied; once through, the oracle's after
+    all of them."""
     base, targets = _setup(7)
     rows = _first_wave_elements(base, targets, monkeypatch)
 
-    def build():
-        mesh = base()
+    def build(cls):
+        mesh = base(cls)
         _squeeze(mesh, rows)
         mesh._pts.reserve(10_000)
         mesh._midpoint.reserve(10_000)
         return mesh
 
-    monkeypatch.setattr(_meshnative, "_DISABLED", True)
-    reference = build()
-    want = refine2d(reference, targets)
-    monkeypatch.setattr(_meshnative, "_DISABLED", False)
+    reference = build(oracle.OracleTriMesh)
+    want = oracle.refine2d(reference, targets)
+    before = build(oracle.OracleTriMesh)
     part_way = 0
     for k in range(200):
-        native = build()
+        native = build(TriMesh)
         recorder.statuses.clear()
         recorder.lib.meshcore_fail_after(k)
         try:
             got = refine2d(native, targets)
+        except MemoryError:
+            got = None
         finally:
             recorder.lib.meshcore_fail_after(-1)
-        assert got == want
-        _assert_same(native, reference)
-        if recorder.statuses[-1] == _meshnative._DONE:
+        if got is not None:
+            assert got == want
+            _assert_same(native, reference)
             break
-        assert recorder.statuses[-1] == _meshnative._REFERENCE
-        part_way += _meshnative._GROW in recorder.statuses
+        assert recorder.statuses[-1] == _meshnative._NOMEM
+        native.check_adjacency()
+        native.check_conformal()
+        native.forest.validate()
+        if _meshnative._GROW in recorder.statuses:
+            part_way += 1
+            assert native.n_leaves > before.n_leaves
+        else:
+            _assert_same(native, before)
     else:
         pytest.fail("the compiled call never got through")
     assert k > 0 and part_way > 0
 
 
 @pytest.mark.parametrize("n_targets, first_wave", [(900, True), (500, False)])
-def test_propagation_limit_raises_on_both_paths(recorder, monkeypatch, n_targets, first_wave):
+def test_propagation_limit_raises_on_both_paths(recorder, n_targets, first_wave):
     """``max_steps_factor=0`` caps a call at 1000 path steps.  900 targets
     overrun it in the first wave; 500 walk ~840 steps in the first wave
-    and overrun it in the second, so the compiled call applies one wave
-    and the numpy loop raises in the next."""
+    and overrun it in the second, so both the compiled call and the oracle
+    apply one wave and raise in the next."""
     verts, cells = delaunay_square_mesh(24, seed=1)
     rng = np.random.default_rng(0)
 
-    def build():
-        mesh = TriMesh(verts, cells)
+    def build(cls):
+        mesh = cls(verts, cells)
         draw = np.random.default_rng(0)
+        refine = refine2d if cls is TriMesh else oracle.refine2d
         for _ in range(3):
-            refine2d(mesh, draw.choice(mesh.leaf_ids(), mesh.n_leaves // 4, replace=False))
+            refine(mesh, draw.choice(mesh.leaf_ids(), mesh.n_leaves // 4, replace=False))
         return mesh
 
-    start = build()
+    start = build(TriMesh)
     targets = rng.choice(start.leaf_ids(), n_targets, replace=False)
 
-    def run(mesh):
+    def run(mesh, refine):
         recorder.statuses.clear()
         with pytest.raises(PropagationLimitError):
-            refine2d(mesh, targets, max_steps_factor=0)
+            refine(mesh, targets, max_steps_factor=0)
         return len(mesh.forest), list(recorder.statuses)
 
-    native, got, reference, want = _both(monkeypatch, build, run)
-    assert got[1][-1] == _meshnative._REFERENCE and want[1] == []
+    native, got, reference, want = _both(build, run)
+    assert got[1][-1] == _meshnative._STEP_LIMIT and want[1] == []
     assert got[0] == want[0]
     assert (got[0] == len(start.forest)) == first_wave
     _assert_same(native, reference)
+    native.check_conformal()
 
 
-def test_extra_targets_on_the_path_change_nothing(mesh_core, monkeypatch):
+def test_extra_targets_on_the_path_change_nothing():
     """Targets that are already on a path, repeated, or no longer leaves
-    do not move an id — on either path."""
+    do not move an id — compiled or on the oracle."""
     verts, cells = _input("delaunay", 9)
 
-    def run(mesh):
-        _script(mesh, 9, "rr")
+    def run(mesh, refine):
+        _script(mesh, 9, "rr", refine)
         leaves = mesh.leaf_ids()
         targets = np.concatenate([leaves[::4], leaves[::8], [0, 1, 2]])
-        return refine2d(mesh, targets[::-1].tolist())
+        return refine(mesh, targets[::-1].tolist())
 
-    native, got, reference, want = _both(monkeypatch, lambda: TriMesh(verts, cells), run)
+    native, got, reference, want = _both(lambda cls: cls(verts, cells), run)
     assert got == want
     _assert_same(native, reference)
 
 
-def test_stitch_of_a_non_manifold_edge_falls_back(mesh_core, monkeypatch):
-    """Three triangles on one edge: numpy's pairing of a key met three
-    times depends on its sort, so the compiled stitch writes nothing and
-    hands the call to it."""
+def test_stitch_of_a_non_manifold_edge_raises():
+    """Three triangles on one edge: the compiled stitch writes nothing and
+    refuses the triangulation."""
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.4, 2.0]])
     cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    native, _, reference, _ = _both(monkeypatch, lambda: TriMesh(verts, cells), lambda m: None)
-    leaves = native.leaf_ids()
-    died = np.empty(0, dtype=np.int64)
-    assert not _meshnative.stitch(native, leaves, died)
-    assert np.array_equal(native._nbr.data, reference._nbr.data)
+    with pytest.raises(ValueError, match="non-manifold"):
+        TriMesh(verts, cells)
+    mesh = oracle.OracleTriMesh(verts, cells)
+    nbr = mesh._nbr.data.copy()
+    with pytest.raises(ValueError, match="non-manifold"):
+        _meshnative.stitch(mesh, mesh.leaf_ids(), np.empty(0, dtype=np.int64))
+    assert np.array_equal(mesh._nbr.data, nbr)
 
 
-def test_off_switch_runs_the_numpy_path(monkeypatch):
-    monkeypatch.setattr(_meshnative, "_DISABLED", True)
-    assert _meshnative.load() is None
-    mesh = TriMesh(*_input("structured"))
-    assert _meshnative.refine_waves(mesh, mesh.leaf_ids().copy(), 10**6, []) == 0
-    assert _meshnative.stitch(mesh, mesh.leaf_ids(), np.empty(0, dtype=np.int64)) is False
+def test_failed_stitch_allocation_raises_and_merges_nothing(recorder):
+    """The stitch coarsening ends in: a failed scratch allocation raises
+    ``MemoryError`` and the batch is undone, so the mesh is the one before
+    the call (the forest's version counter aside) and conformal."""
+    verts, cells = _input("structured")
+    mesh = TriMesh(verts, cells)
+    refine2d(mesh, mesh.leaf_ids()[::3])
+    before = [a.copy() for a in _state(mesh)]
+    recorder.lib.meshcore_fail_after(0)
+    try:
+        with pytest.raises(MemoryError):
+            coarsen(mesh, mesh.leaf_ids())
+    finally:
+        recorder.lib.meshcore_fail_after(-1)
+    after = _state(mesh)
+    before[6][2] = after[6][2]  # the forest's version counter moved on
+    for x, y in zip(before, after, strict=True):
+        assert np.array_equal(x, y)
+    mesh.check_adjacency()
+    mesh.check_conformal()
+    mesh.forest.validate()
+    assert coarsen(mesh, mesh.leaf_ids())  # and the next call goes through

@@ -1,11 +1,13 @@
 """Tests for the multilevel contraction hierarchy itself (invariants the
-partitioners rely on)."""
+partitioners rely on), on the per-level oracle the compiled ``coarsen`` is
+held to level for level (``tests/test_multilevel_native.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import grid_graph, star_graph
-from repro.partition.multilevel import build_hierarchy, project_up
+
+from tests._kl_oracle import build_hierarchy, project_up
 
 
 class TestHierarchy:

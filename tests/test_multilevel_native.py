@@ -1,11 +1,10 @@
-"""Native ≡ pure, array for array, for the whole multilevel V-cycle.
+"""Compiled ≡ oracle, array for array, for the whole multilevel V-cycle.
 
 ``_klcore.c`` compiles heavy-edge matching, contraction and the KL
-refinement; every kernel keeps its numpy/Python reference as the fallback
-(``REPRO_KL_NATIVE=0``, no compiler, a failed allocation).  The goldens pin
-partitions without saying which path produced them, so the two paths must
-agree *bit for bit* — including on non-integer weights, where only the
-order of float additions separates them:
+refinement, and is the package's only implementation of them; each kernel
+is held to its numpy/Python oracle in ``tests/_kl_oracle.py`` *bit for
+bit* — including on non-integer weights, where only the order of float
+additions separates them:
 
 * ``hem_match``: one greedy scan in descending rank ≡ mutual-proposal rounds;
 * ``contract``: cmap, coarse vertex weights and the merged CSR, parallel
@@ -13,14 +12,14 @@ order of float additions separates them:
 * ``kl_refine``: prelude, hill-climb, best-state tracking and the
   monotone-or-rollback guard, reductions in numpy's pairwise order;
 * the fused V-cycle (``coarsen`` + ``refine``, the routes of
-  ``multilevel_partition`` / ``multilevel_repartition``) ≡ ``build_hierarchy``
-  + ``v_cycle``, with the port of numpy's PCG64 permutation behind the
-  matchings' tie order, partitions and ``PERF`` counters alike;
+  ``multilevel_partition`` / ``multilevel_repartition``) ≡ the oracle's
+  ``build_hierarchy`` + ``v_cycle``, with the port of numpy's PCG64
+  permutation behind the matchings' tie order, partitions and ``PERF``
+  counters alike;
 * end to end through ``multilevel_partition`` / ``multilevel_repartition``
-  and a PARED run.
+  and a PARED run;
+* a failed scratch allocation raises ``MemoryError`` and touches no input.
 """
-
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,26 +31,32 @@ from repro.fem import CornerLaplace2D, interpolation_error_indicator, mark_top_f
 from repro.graph.contract import contract
 from repro.graph.csr import WeightedGraph
 from repro.graph.generators import grid_graph, star_graph
-from repro.graph.matching import _match_rounds, heavy_edge_matching
+from repro.graph.matching import heavy_edge_matching
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
-from repro.partition import _klnative, multilevel
+from repro.partition import _klnative, multilevel, registry
 from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import IN_BAND_TAIL, KLConfig, kl_refine
 from repro.partition.multilevel import (
     MAX_LEVELS,
     MIN_SHRINK,
-    build_hierarchy,
     coarsen_target,
     multilevel_partition,
     multilevel_repartition,
-    v_cycle,
 )
 from repro.perf import PERF
 
-from tests.conftest import kl_counted, kl_starts, kl_tail_arms, pure_path
+from tests import _kl_oracle as oracle
+from tests.conftest import kl_counted, kl_starts, kl_tail_arms
 
-needs_native = pytest.mark.usefixtures("native_core")
+#: every public entry point of the core, and its oracle
+ORACLE = {
+    heavy_edge_matching: oracle.heavy_edge_matching,
+    contract: oracle.contract,
+    kl_refine: oracle.kl_refine,
+    multilevel_partition: oracle.multilevel_partition,
+    multilevel_repartition: oracle.multilevel_repartition,
+}
 
 
 def _rand_graph(n, avg_deg, rng, float_weights=True):
@@ -64,12 +69,9 @@ def _rand_graph(n, avg_deg, rng, float_weights=True):
     return WeightedGraph.from_edges(n, edges, ewts, vwts)
 
 
-def _both(fn):
-    """``fn()`` on the compiled path and on the reference path."""
-    native = fn()
-    with pure_path():
-        pure = fn()
-    return native, pure
+def _both(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` compiled, and on its oracle."""
+    return fn(*args, **kwargs), ORACLE[fn](*args, **kwargs)
 
 
 def _same_graph(a: WeightedGraph, b: WeightedGraph) -> None:
@@ -83,7 +85,6 @@ def _same_graph(a: WeightedGraph, b: WeightedGraph) -> None:
 # --------------------------------------------------------------------- #
 
 
-@needs_native
 class TestMatching:
     @pytest.mark.parametrize("fn", [heavy_edge_matching])
     @pytest.mark.parametrize("constrained", [False, True])
@@ -93,24 +94,22 @@ class TestMatching:
             n = int(rng.integers(2, 250))
             g = _rand_graph(n, int(rng.integers(1, 8)), rng, trial % 2 == 0)
             constraint = rng.integers(0, 4, n) if constrained else None
-            native, pure = _both(lambda: fn(g, seed=trial, constraint=constraint))
+            native, pure = _both(fn, g, seed=trial, constraint=constraint)
             assert native.dtype == pure.dtype
             assert np.array_equal(native, pure), f"trial {trial}"
 
     def test_empty_edge_set_and_isolated_vertices(self):
         lonely = WeightedGraph.from_edges(5, np.empty((0, 2), dtype=np.int64))
-        native, pure = _both(lambda: heavy_edge_matching(lonely, seed=0))
+        native, pure = _both(heavy_edge_matching, lonely, seed=0)
         assert np.array_equal(native, np.arange(5))
         assert np.array_equal(pure, np.arange(5))
         # one edge among isolated vertices; a constraint that forbids it
         g = WeightedGraph.from_edges(6, np.array([[1, 4]]))
-        native, pure = _both(lambda: heavy_edge_matching(g, seed=0))
+        native, pure = _both(heavy_edge_matching, g, seed=0)
         assert np.array_equal(native, [0, 4, 2, 3, 1, 5])
         assert np.array_equal(native, pure)
         labels = np.array([0, 0, 0, 0, 1, 1])
-        native, pure = _both(
-            lambda: heavy_edge_matching(g, seed=0, constraint=labels)
-        )
+        native, pure = _both(heavy_edge_matching, g, seed=0, constraint=labels)
         assert np.array_equal(native, np.arange(6))
         assert np.array_equal(pure, np.arange(6))
 
@@ -118,14 +117,14 @@ class TestMatching:
         g = grid_graph(9)
         seen = set()
         for seed in range(6):
-            native, pure = _both(lambda: heavy_edge_matching(g, seed=seed))
+            native, pure = _both(heavy_edge_matching, g, seed=seed)
             assert np.array_equal(native, pure)
             seen.add(native.tobytes())
         assert len(seen) > 1, "the seeded tie-break must matter on unit weights"
 
     def test_star_matches_exactly_one_leaf(self):
         g = star_graph(30)
-        native, pure = _both(lambda: heavy_edge_matching(g, seed=3))
+        native, pure = _both(heavy_edge_matching, g, seed=3)
         assert np.array_equal(native, pure)
         assert np.count_nonzero(native != np.arange(g.n_vertices)) == 2
 
@@ -161,9 +160,8 @@ def test_greedy_scan_equals_match_rounds(n, m, seed, nlabels):
     es, ed = edges[keep, 0], edges[keep, 1]
     rank = rng.permutation(es.size).astype(np.int64)
     expect = _greedy_scan(n, es, ed, rank)
-    assert np.array_equal(_match_rounds(n, es, ed, rank), expect)
-    if _klnative.load() is not None:
-        assert np.array_equal(_klnative.hem_match(n, es, ed, np.argsort(rank)), expect)
+    assert np.array_equal(oracle._match_rounds(n, es, ed, rank), expect)
+    assert np.array_equal(_klnative.hem_match(n, es, ed, np.argsort(rank)), expect)
 
 
 # --------------------------------------------------------------------- #
@@ -171,7 +169,6 @@ def test_greedy_scan_equals_match_rounds(n, m, seed, nlabels):
 # --------------------------------------------------------------------- #
 
 
-@needs_native
 class TestContract:
     @pytest.mark.parametrize("float_weights", [False, True])
     def test_random_graphs(self, float_weights):
@@ -181,20 +178,20 @@ class TestContract:
             g = _rand_graph(n, int(rng.integers(1, 9)), rng, float_weights)
             constraint = rng.integers(0, 3, n) if trial % 3 == 0 else None
             match = heavy_edge_matching(g, seed=trial, constraint=constraint)
-            (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+            (cn, mn), (cp, mp) = _both(contract, g, match)
             assert np.array_equal(mn, mp), f"trial {trial}: cmap"
             _same_graph(cn, cp)
 
     def test_identity_and_perfect_matchings(self):
         g = _rand_graph(40, 5, np.random.default_rng(2))
         for match in (np.arange(40), np.arange(40) ^ 1):
-            (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+            (cn, mn), (cp, mp) = _both(contract, g, match)
             assert np.array_equal(mn, mp)
             _same_graph(cn, cp)
 
     def test_edgeless_graph(self):
         g = WeightedGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))
-        (cn, mn), (cp, mp) = _both(lambda: contract(g, np.array([1, 0, 2, 3])))
+        (cn, mn), (cp, mp) = _both(contract, g, np.array([1, 0, 2, 3]))
         assert np.array_equal(mn, mp)
         _same_graph(cn, cp)
 
@@ -217,28 +214,30 @@ class TestContract:
         xadj = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=4))])
         g = WeightedGraph(xadj, cols, wts, rng.uniform(0.5, 2.0, 4))
         match = np.array([1, 0, 3, 2])
-        (cn, mn), (cp, mp) = _both(lambda: contract(g, match))
+        (cn, mn), (cp, mp) = _both(contract, g, match)
         assert np.array_equal(mn, mp)
         _same_graph(cn, cp)
         assert cn.n_vertices == 2 and cn.n_edges == 1
 
-    def test_non_involution_takes_the_reference_path(self):
+    def test_non_involution_raises(self):
         g = _rand_graph(12, 4, np.random.default_rng(0))
         bad = np.arange(12)
         bad[0] = 5  # 5 does not point back
-        assert _klnative.contract(g, bad) is None
-        (cn, mn), (cp, mp) = _both(lambda: contract(g, bad))
-        assert np.array_equal(mn, mp)
-        _same_graph(cn, cp)
+        with pytest.raises(ValueError, match="contract"):
+            contract(g, bad)
 
-    def test_hierarchy_identical_level_by_level(self):
+    def test_hierarchy_identical_level_by_level(self, monkeypatch):
+        """The oracle's per-level hierarchy, built once with the compiled
+        matching and contraction and once with its own."""
         rng = np.random.default_rng(4)
         g = _rand_graph(600, 6, rng)
         constraint = rng.integers(0, 4, 600)
         for c in (None, constraint):
-            (gn, mn, hn), (gp, mp, hp) = _both(
-                lambda: build_hierarchy(g, coarsen_to=20, seed=1, home=c)
-            )
+            gp, mp, hp = oracle.build_hierarchy(g, coarsen_to=20, seed=1, home=c)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "heavy_edge_matching", heavy_edge_matching)
+                m.setattr(oracle, "contract", contract)
+                gn, mn, hn = oracle.build_hierarchy(g, coarsen_to=20, seed=1, home=c)
             assert len(hn) == len(gn)
             for a, b in zip(hn, hp):
                 assert (a is None and b is None) or np.array_equal(a, b)
@@ -255,10 +254,9 @@ class TestContract:
 
 
 def _kl_both(graph, asg, p, home, cfg):
-    return _both(lambda: kl_refine(graph, asg, p, home=home, config=cfg))
+    return _both(kl_refine, graph, asg, p, home=home, config=cfg)
 
 
-@needs_native
 class TestKLRefine:
     @pytest.mark.parametrize("p", [1, 2, 16])
     @pytest.mark.parametrize("with_home", [False, True])
@@ -285,12 +283,11 @@ class TestKLRefine:
                 max_passes=int(rng.choice([1, 3, 10])),
             )
 
-            def run(c):
-                return kl_refine(graph, asg, p, home=home, config=c)
+            def run(c, refine=kl_refine):
+                return refine(graph, asg, p, home=home, config=c)
 
             native, counts_native = kl_counted(lambda: run(cfg))
-            with pure_path():
-                pure, counts_pure = kl_counted(lambda: run(cfg))
+            pure, counts_pure = kl_counted(lambda: run(cfg, oracle.kl_refine))
             assert native.dtype == pure.dtype
             assert np.array_equal(native, pure), f"trial {trial}: {cfg}"
             assert counts_native == counts_pure, f"trial {trial}: {cfg}"
@@ -348,12 +345,11 @@ class TestKLRefine:
     def test_objective_reductions_follow_numpy_order(self, mode):
         """The guard compares objectives to 1e-9, so a reordered float sum
         almost never changes a decision — which is why the kernel's
-        objective is checked here directly, bit for bit, against
-        ``_KLState.objective()`` on non-integer weights: the cut over 1 to
-        ~4000 crossing edges, the migration term, and the balance term
-        over p from 1 through numpy's unrolled and recursive blocks."""
-        from repro.partition.kl import _KLState
-
+        objective is checked here directly, bit for bit, against the
+        oracle's ``_KLState.objective()`` on non-integer weights: the cut
+        over 1 to ~4000 crossing edges, the migration term, and the
+        balance term over p from 1 through numpy's unrolled and recursive
+        blocks."""
         rng = np.random.default_rng(77)
         for p in (1, 2, 7, 8, 9, 16, 40, 130, 300):
             for n in (p, 3 * p + 5, 1200):
@@ -361,8 +357,8 @@ class TestKLRefine:
                 asg = rng.integers(0, p, n)
                 home = rng.integers(0, p, n)
                 cfg = KLConfig(alpha=0.37, beta=0.81, balance_mode=mode, max_passes=0)
-                state = _KLState(graph, p, asg, home, cfg)
-                out, stats = _klnative._kl_refine_stats(state, IN_BAND_TAIL)
+                state = oracle._KLState(graph, p, asg, home, cfg)
+                out, stats = _klnative._kl_refine_stats(graph, asg, p, home, cfg, IN_BAND_TAIL)
                 assert np.array_equal(out, asg)
                 assert stats[2] == state.objective(), (p, n)
 
@@ -380,105 +376,103 @@ class TestKLRefine:
 
 
 # --------------------------------------------------------------------- #
-# a failing allocation falls back without touching caller state
+# a failing allocation raises without touching caller state
 # --------------------------------------------------------------------- #
 
 
-@needs_native
 class TestAllocationFailure:
     @staticmethod
-    def _sweep(native_core, monkeypatch, name, run, check):
+    def _sweep(monkeypatch, name, run, check):
         """Make the k-th allocation inside the wrapper ``_klnative.<name>``
         fail, for every k until the kernel gets through: each time the
-        wrapper must report "fall back" and ``check`` must accept what the
-        public call ``run()`` returned."""
-        verdicts = []
+        public call ``run()`` must raise ``MemoryError`` and ``check(None)``
+        must find the inputs untouched; then ``check`` must accept what the
+        call returned.  Returns the number of failed calls."""
+        lib = _klnative.load()
         real = getattr(_klnative, name)
         armed = [0]
+        calls = [0]
 
         def spy(*args):
-            native_core.klcore_fail_after(armed[0])
+            calls[0] += 1
+            lib.klcore_fail_after(armed[0])
             try:
-                out = real(*args)
+                return real(*args)
             finally:
-                native_core.klcore_fail_after(-1)
-            verdicts.append(out is not None)
-            return out
+                lib.klcore_fail_after(-1)
 
         monkeypatch.setattr(_klnative, name, spy)
-        failures = 0
         for k in range(200):
             armed[0] = k
-            calls = len(verdicts)
-            check(run())
-            assert len(verdicts) == calls + 1, f"{name} was not called once"
-            if verdicts[-1]:
-                break
-            failures += 1
-        else:
-            pytest.fail("the kernel never got through")
-        return failures
+            before = calls[0]
+            try:
+                out = run()
+            except MemoryError:
+                assert calls[0] == before + 1, f"{name} was not called once"
+                check(None)
+                continue
+            assert calls[0] == before + 1, f"{name} was not called once"
+            check(out)
+            return k
+        pytest.fail("the kernel never got through")
 
-    def test_kl_refine(self, native_core, monkeypatch):
+    def test_kl_refine(self, monkeypatch):
         rng = np.random.default_rng(21)
         graph = _rand_graph(200, 6, rng)
         asg = rng.integers(0, 4, 200)
         asg0 = asg.copy()
         cfg = KLConfig(alpha=0.5, beta=0.8, balance_mode="deadband", window=16)
-        with pure_path():
-            expect = kl_refine(graph, asg, 4, home=asg, config=cfg)
+        expect = oracle.kl_refine(graph, asg, 4, home=asg, config=cfg)
         assert not np.array_equal(expect, asg), "the case must move something"
 
         def check(out):
-            assert np.array_equal(out, expect)
+            assert out is None or np.array_equal(out, expect)
             assert np.array_equal(asg, asg0), "caller's assignment touched"
 
         failures = self._sweep(
-            native_core, monkeypatch, "kl_refine",
+            monkeypatch, "kl_refine",
             lambda: kl_refine(graph, asg, 4, home=asg, config=cfg), check,
         )
         assert failures >= 6  # five workspace blocks, then heap growth
 
-    def test_contract(self, native_core, monkeypatch):
+    def test_contract(self, monkeypatch):
         g = _rand_graph(150, 6, np.random.default_rng(22))
         match = heavy_edge_matching(g, seed=0)
-        with pure_path():
-            coarse, cmap = contract(g, match)
+        coarse, cmap = oracle.contract(g, match)
 
         def check(out):
-            assert np.array_equal(out[1], cmap)
-            _same_graph(out[0], coarse)
+            if out is not None:
+                assert np.array_equal(out[1], cmap)
+                _same_graph(out[0], coarse)
 
-        failures = self._sweep(
-            native_core, monkeypatch, "contract", lambda: contract(g, match), check
-        )
+        failures = self._sweep(monkeypatch, "contract", lambda: contract(g, match), check)
         assert failures == 2  # its two scratch blocks
 
     @pytest.mark.parametrize("name", ["coarsen", "refine"])
     @pytest.mark.parametrize("which", ["partition", "repartition"])
-    def test_fused_entries(self, native_core, monkeypatch, name, which):
+    def test_fused_entries(self, monkeypatch, name, which):
         """Every allocation of either fused entry, failed in turn: the
-        public call still returns the reference partition, and neither the
-        graph nor ``current`` is touched."""
+        public call raises ``MemoryError`` until it gets through, then
+        returns the oracle's partition, and neither the graph nor
+        ``current`` is ever touched."""
         rng = np.random.default_rng(23)
         g = _rand_graph(700, 6, rng)
         current = rng.integers(0, 4, 700)
         before = [a.copy() for a in (g.xadj, g.adjncy, g.ewts, g.vwts, current)]
 
-        def run():
+        def run(fns=(multilevel_partition, multilevel_repartition)):
             if which == "partition":
-                return multilevel_partition(g, 4, seed=2)
-            return multilevel_repartition(g, 4, current, PNR(seed=2))
+                return fns[0](g, 4, seed=2)
+            return fns[1](g, 4, current, PNR(seed=2))
 
-        with pure_path():
-            expect = run()
+        expect = run((oracle.multilevel_partition, oracle.multilevel_repartition))
 
         def check(out):
-            assert np.array_equal(out, expect)
+            assert out is None or np.array_equal(out, expect)
             for a, b in zip(before, (g.xadj, g.adjncy, g.ewts, g.vwts, current)):
                 assert np.array_equal(a, b), "an input was touched"
 
-        failures = self._sweep(native_core, monkeypatch, name, run, check)
+        failures = self._sweep(monkeypatch, name, run, check)
         # coarsen: two scratch blocks, then contraction's two per level;
         # refine: the level offsets and five workspace blocks, then growth
         assert failures >= (6 if name == "coarsen" else 7)
@@ -488,36 +482,31 @@ class TestAllocationFailure:
 # the fused V-cycle: coarsen + refine
 # --------------------------------------------------------------------- #
 
-#: the ``PERF`` names a V-cycle credits, on either path
+#: the ``PERF`` names a V-cycle credits, compiled or on the oracle
 _VCYCLE_COUNTERS = (
     "multilevel.coarsen", "multilevel.refine", "matching.hem", "contract",
     "kl.refine", "kl.pass", "kl.moves", "kl.kept",
 )
 
 
-def _counted(fn):
-    """``fn()`` and the call counts it credited to ``_VCYCLE_COUNTERS``."""
+def _counted(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the call counts it credited to
+    ``_VCYCLE_COUNTERS``."""
     PERF.reset()
-    out = fn()
+    out = fn(*args, **kwargs)
     snap = PERF.snapshot()
     return out, {name: snap.get(name, (0, 0.0))[0] for name in _VCYCLE_COUNTERS}
 
 
-def _fused_equals_reference(fn):
-    """``fn()`` on the fused path and on the reference path agree array for
+def _fused_equals_oracle(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` compiled and on its oracle agree array for
     array and counter for counter."""
-    native, counts_native = _counted(fn)
-    with pure_path():
-        pure, counts_pure = _counted(fn)
+    native, counts_native = _counted(fn, *args, **kwargs)
+    pure, counts_pure = _counted(ORACLE[fn], *args, **kwargs)
     assert native.dtype == pure.dtype == np.int64
     assert np.array_equal(native, pure)
     assert counts_native == counts_pure
     return native, counts_native
-
-
-def _require_native():
-    if _klnative.load() is None:
-        pytest.skip("no compiled core")
 
 
 @given(seed=st.integers(0, 2**40), m=st.integers(0, 10**5))
@@ -525,7 +514,6 @@ def _require_native():
 def test_permutation_port_equals_numpy(seed, m):
     """The tie order of every fused matching: the C draw is
     ``default_rng(seed).permutation(m)``, element for element."""
-    _require_native()
     expect = np.random.default_rng(seed).permutation(m)
     assert np.array_equal(_klnative.permutation(seed, m), expect)
 
@@ -544,35 +532,31 @@ def test_fused_equals_reference(n, deg, seed, p, float_weights, constrain,
                                 repartition_coarsest):
     """Random graphs — float weights (merge sort of the ranks) and integer
     weights (counting sort) — at every p the registry meets, both PNR
-    ablation switches, unbalanced and empty-part starts."""
-    _require_native()
+    ablation switches, unbalanced and empty-part starts, against the
+    oracle's per-level V-cycle."""
     rng = np.random.default_rng(seed)
     g = _rand_graph(n, deg, rng, float_weights)
-    assert _klnative.coarsen(
-        g, coarsen_target(p), seed, None, True, MAX_LEVELS, MIN_SHRINK
-    ) is not None
-    _fused_equals_reference(lambda: multilevel_partition(g, p, seed=seed))
+    _fused_equals_oracle(multilevel_partition, g, p, seed=seed)
     current = rng.integers(0, p, n)
     pnr = PNR(seed=seed, constrain_matching=constrain,
               repartition_coarsest=repartition_coarsest)
-    _fused_equals_reference(lambda: multilevel_repartition(g, p, current, pnr))
+    _fused_equals_oracle(multilevel_repartition, g, p, current, pnr)
 
 
-@needs_native
 class TestFusedVCycle:
     @pytest.mark.parametrize("constrain", [False, True])
     def test_levels_equal_build_hierarchy(self, constrain):
-        """``coarsen``'s level-concatenated arrays are ``build_hierarchy``'s
-        graphs, contraction maps and projected homes, level for level."""
+        """``coarsen``'s level-concatenated arrays are the oracle
+        ``build_hierarchy``'s graphs, contraction maps and projected homes,
+        level for level."""
         rng = np.random.default_rng(4)
         g = _rand_graph(900, 6, rng, float_weights=False)
         home = rng.integers(0, 4, 900)
         for h in (None, home):
             levels = _klnative.coarsen(g, 20, 1, h, constrain, MAX_LEVELS, MIN_SHRINK)
-            with pure_path():
-                graphs, cmaps, homes = build_hierarchy(
-                    g, coarsen_to=20, seed=1, home=h, constrain=constrain
-                )
+            graphs, cmaps, homes = oracle.build_hierarchy(
+                g, coarsen_to=20, seed=1, home=h, constrain=constrain
+            )
             assert levels.nlev == len(graphs) > 3
             offset = 0
             for level in range(levels.nlev):
@@ -594,13 +578,11 @@ class TestFusedVCycle:
         path = WeightedGraph.from_edges(300, np.c_[np.arange(299), np.arange(1, 300)])
         alternating = np.arange(300) % 2
         for p in (2, 3):
-            _, counts = _fused_equals_reference(lambda: multilevel_partition(star, p, seed=1))
+            _, counts = _fused_equals_oracle(multilevel_partition, star, p, seed=1)
             assert counts["matching.hem"] == counts["contract"] + 1
-            _fused_equals_reference(
-                lambda: multilevel_repartition(star, 2, alternating, PNR(seed=p))
-            )
-        _, counts = _fused_equals_reference(
-            lambda: multilevel_repartition(path, 2, alternating, PNR(seed=1))
+            _fused_equals_oracle(multilevel_repartition, star, 2, alternating, PNR(seed=p))
+        _, counts = _fused_equals_oracle(
+            multilevel_repartition, path, 2, alternating, PNR(seed=1)
         )
         assert (counts["matching.hem"], counts["contract"]) == (1, 0)
 
@@ -609,48 +591,50 @@ class TestFusedVCycle:
         monkeypatch.setattr(multilevel, "MAX_LEVELS", max_levels)
         g = grid_graph(30)
         current = (np.arange(900) // 225).astype(np.int64)
-        _, counts = _fused_equals_reference(lambda: multilevel_partition(g, 4, seed=3))
+        _, counts = _fused_equals_oracle(multilevel_partition, g, 4, seed=3)
         assert counts["contract"] == max_levels
-        _fused_equals_reference(lambda: multilevel_repartition(g, 4, current, PNR(seed=3)))
+        _fused_equals_oracle(multilevel_repartition, g, 4, current, PNR(seed=3))
 
-    def test_buffers_grow_until_every_level_fits(self, native_core, monkeypatch):
+    def test_buffers_grow_until_every_level_fits(self, monkeypatch):
         """Room for one coarse vertex and one CSR entry: the kernel answers
         "grow" until the wrapper's buffers hold the hierarchy — never a
         truncated one."""
+        lib = _klnative.load()
         calls = []
-        real = native_core.coarsen
+        real = lib.coarsen
 
         def spy(*args):
             calls.append(real(*args))
             return calls[-1]
 
-        monkeypatch.setattr(native_core, "coarsen", spy)
+        monkeypatch.setattr(lib, "coarsen", spy)
         monkeypatch.setattr(_klnative, "_first_capacity", lambda n, nnz: (1, 1))
         g = _rand_graph(800, 6, np.random.default_rng(6))
-        _fused_equals_reference(lambda: multilevel_partition(g, 4, seed=0))
+        _fused_equals_oracle(multilevel_partition, g, 4, seed=0)
         assert calls[:-1] == [_klnative._GROW] * (len(calls) - 1) and len(calls) > 3
 
     @pytest.mark.parametrize("p", [2, 16])
     def test_perf_counts_match_the_reference(self, e2e_graphs, p):
-        """``repro pared --phase-report`` reads the same call counts on both
-        paths: hierarchies, matchings tried, levels built, KL calls, passes,
-        moves tried and kept."""
+        """``repro pared --phase-report`` reads the call counts the oracle
+        credits: hierarchies, matchings tried, levels built, KL calls,
+        passes, moves tried and kept."""
         g = e2e_graphs["2d"]
         current = multilevel_partition(g, p, seed=0)
-        for fn in (
-            lambda: multilevel_partition(g, p, seed=4),
-            lambda: multilevel_repartition(g, p, current, PNR(seed=4)),
-            lambda: multilevel_repartition(g, p, current, PNR(seed=4, constrain_matching=False)),
+        for args in (
+            (multilevel_partition, g, p, 4),
+            (multilevel_repartition, g, p, current, PNR(seed=4)),
+            (multilevel_repartition, g, p, current, PNR(seed=4, constrain_matching=False)),
         ):
-            _, counts = _fused_equals_reference(fn)
+            _, counts = _fused_equals_oracle(*args)
             assert counts["multilevel.coarsen"] == counts["multilevel.refine"] == 1
             assert counts["matching.hem"] >= counts["contract"] >= 1
             assert counts["kl.pass"] >= counts["kl.refine"] > counts["contract"]
 
-    def test_self_check_mismatch_runs_the_reference(self, native_core, monkeypatch):
+    def test_self_check_mismatch_fails_the_load(self, monkeypatch):
         """A C draw that differs from numpy's — here a generator started on
-        another stream — fails the load-time self-check: the fused entries
-        stay off and the per-level reference runs, with the same answer."""
+        another stream — fails the load-time self-check: the core refuses
+        to load, naming numpy's version, rather than drift from numpy's tie
+        order."""
         real = _klnative._pcg_state
 
         def other_stream(seed):
@@ -658,23 +642,10 @@ class TestFusedVCycle:
             return s_hi, s_lo, inc_hi, inc_lo ^ 2
 
         monkeypatch.setattr(_klnative, "_pcg_state", other_stream)
-        monkeypatch.setattr(_klnative, "_TRIED", False)
         monkeypatch.setattr(_klnative, "_LIB", None)
-        monkeypatch.setattr(_klnative, "_FUSED", True)
-        assert _klnative.load() is not None
-        assert _klnative._FUSED is False
-        built = []
-        real_build = multilevel.build_hierarchy
-        monkeypatch.setattr(
-            multilevel, "build_hierarchy",
-            lambda *a, **k: built.append(1) or real_build(*a, **k),
-        )
-        g = _rand_graph(500, 6, np.random.default_rng(8))
-        assert _klnative.coarsen(g, 100, 0, None, True, MAX_LEVELS, MIN_SHRINK) is None
-        native = multilevel_partition(g, 4, seed=0)
-        assert built == [1]
-        with pure_path():
-            assert np.array_equal(native, multilevel_partition(g, 4, seed=0))
+        with pytest.raises(ImportError, match=f"numpy {np.__version__}"):
+            _klnative.load()
+        assert _klnative._LIB is None
 
 
 def test_p1_partition_builds_no_hierarchy():
@@ -682,19 +653,17 @@ def test_p1_partition_builds_no_hierarchy():
     zeros and KL finds no boundary.  ``multilevel_partition`` returns it
     without building anything."""
     g = _rand_graph(900, 6, np.random.default_rng(9))
-    out, counts = _counted(lambda: multilevel_partition(g, 1, seed=5))
+    out, counts = _counted(multilevel_partition, g, 1, seed=5)
     assert out.dtype == np.int64 and np.array_equal(out, np.zeros(900))
     assert not any(counts.values())
     # the V-cycle it skips (one part is never out of balance: no rebalance)
     cut_cfg = KLConfig(balance_tol=0.03, max_passes=6, beta=0.0)
-    for path in (pure_path, nullcontext):
-        with path():
-            full = v_cycle(
-                build_hierarchy(g, coarsen_target(1), seed=5),
-                lambda h, _home: greedy_graph_growing(h, 1, seed=5),
-                lambda h, a, _home: kl_refine(h, a, 1, config=cut_cfg),
-            )
-        assert np.array_equal(full, out)
+    full = oracle.v_cycle(
+        oracle.build_hierarchy(g, coarsen_target(1), seed=5),
+        lambda h, _home: greedy_graph_growing(h, 1, seed=5),
+        lambda h, a, _home: oracle.kl_refine(h, a, 1, config=cut_cfg),
+    )
+    assert np.array_equal(full, out)
 
 
 # --------------------------------------------------------------------- #
@@ -723,13 +692,12 @@ def e2e_graphs():
     }
 
 
-@needs_native
 class TestEndToEnd:
     @pytest.mark.parametrize("kind", ["2d", "3d", "random"])
     @pytest.mark.parametrize("p", [2, 16])
     def test_multilevel_partition(self, e2e_graphs, kind, p):
         g = e2e_graphs[kind]
-        native, pure = _both(lambda: multilevel_partition(g, p, seed=3))
+        native, pure = _both(multilevel_partition, g, p, seed=3)
         assert np.array_equal(native, pure)
 
     @pytest.mark.parametrize("kind", ["2d", "3d", "random"])
@@ -744,11 +712,13 @@ class TestEndToEnd:
         )
         for kwargs in ({}, {"constrain_matching": False}, {"repartition_coarsest": True}):
             native, pure = _both(
-                lambda: multilevel_repartition(drifted, p, current, PNR(seed=5, **kwargs))
+                multilevel_repartition, drifted, p, current, PNR(seed=5, **kwargs)
             )
             assert np.array_equal(native, pure), kwargs
 
-    def test_run_pared_histories(self):
+    def test_run_pared_histories(self, monkeypatch):
+        """A threaded PARED run whose registry strategies call the oracle
+        V-cycle makes the compiled run's history."""
         prob = CornerLaplace2D()
 
         def marker(amesh, rnd):
@@ -763,7 +733,10 @@ class TestEndToEnd:
             pnr=PNR(seed=0),
             transport="thread",
         )
-        (hn, _), (hp, _) = _both(lambda: run_pared(cfg))
+        hn, _ = run_pared(cfg)
+        monkeypatch.setattr(registry, "multilevel_partition", oracle.multilevel_partition)
+        monkeypatch.setattr(registry, "multilevel_repartition", oracle.multilevel_repartition)
+        hp, _ = run_pared(cfg)
         for a, b in zip(hn[0], hp[0]):
             assert a["leaves"] == b["leaves"] and a["cut"] == b["cut"]
             assert np.array_equal(a["owner"], b["owner"])

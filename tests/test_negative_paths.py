@@ -7,6 +7,8 @@ import pytest
 from repro.mesh import AdaptiveMesh
 from repro.mesh.mesh2d import TriMesh
 
+from tests._mesh_oracle import OracleTriMesh
+
 
 class TestConformalityChecker:
     def test_hanging_node_detected(self):
@@ -14,7 +16,7 @@ class TestConformalityChecker:
         into the internals, as a corruption would) and verify the checker
         fires."""
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+        mesh = OracleTriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
         # manually split triangle 0 across the shared diagonal (0, 2)
         m = mesh.midpoint(0, 2)
         mesh._new_children(0, (1, m, 0), (1, 2, m))
@@ -135,3 +137,29 @@ class TestVizEdgeCases:
         square8.coarsen(square8.leaf_ids())
         svg = mesh_to_svg(square8)
         assert svg.count("<polygon") == square8.n_leaves
+
+
+class TestOutOfRangeElementIds:
+    """``refine2d`` / ``refine3d`` check every id against ``[0,
+    n_elements)`` before writing anything: a bad id raises ``ValueError``
+    naming it, and the mesh keeps its leaf and element counts."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("ids", ["minus_one", "minus_one_and_three", "n_elements"])
+    def test_raises_before_writing(self, dim, ids):
+        from repro.mesh.rivara2d import refine2d
+        from repro.mesh.rivara3d import refine3d
+
+        if dim == 2:
+            mesh, refine = AdaptiveMesh.unit_square(3).mesh, refine2d
+        else:
+            mesh, refine = AdaptiveMesh.unit_cube(2).mesh, refine3d
+        n = mesh.n_elements
+        targets = {"minus_one": [-1], "minus_one_and_three": [-1, 3], "n_elements": [n]}[ids]
+        bad = targets[0]
+        leaves = mesh.n_leaves
+        with pytest.raises(ValueError, match=rf"element id {bad} is outside \[0, {n}\)"):
+            refine(mesh, targets)
+        assert (mesh.n_leaves, mesh.n_elements) == (leaves, n)
+        refine(mesh, [3])  # the mesh is intact: a valid call still works
+        mesh.check_conformal()
