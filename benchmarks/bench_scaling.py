@@ -76,8 +76,8 @@ def test_scaling(benchmark, write_result):
     )
     for leaves, p, t_rep, t_solve, ratio, frac in rows:
         # a ratio of two wall times: measured 0.14-1.1x one direct sparse
-        # solve on 2 vCPUs with the compiled core (7-16x on the pure-Python
-        # fallback), bounded a decade above the former
+        # solve on 2 vCPUs with the compiled core; the bound dates from a
+        # pure-Python KL path (7-16x) the package no longer has
         assert ratio < 25, f"repartitioning disproportionately slow: {ratio}x solve"
         assert frac < 0.3
     # near-linear complexity: doubling the mesh must not quadruple the
