@@ -81,14 +81,12 @@ def check_migration_conservation(
 
 
 def check_leaf_adjacency(mesh) -> None:
-    """The incrementally stitched array adjacency of a 2-D mesh equals a
-    from-scratch recount of the leaf mesh (3-D meshes keep dictionaries
-    and have no such array; they pass trivially)."""
-    if mesh.dim == 2:
-        try:
-            mesh.check_adjacency()
-        except AssertionError as exc:
-            _fail("leaf-adjacency", str(exc))
+    """The incrementally stitched ``_nbr`` adjacency of the mesh equals a
+    from-scratch recount of the leaf mesh."""
+    try:
+        mesh.check_adjacency()
+    except AssertionError as exc:
+        _fail("leaf-adjacency", str(exc))
 
 
 def check_dual_graph_weights(mesh, graph) -> None:

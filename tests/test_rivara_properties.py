@@ -71,6 +71,7 @@ def test_3d_adaptation_invariants(script):
         else:
             am.coarsen(marked)
         am.mesh.check_conformal()
+        am.mesh.check_adjacency()
         am.mesh.forest.validate()
         assert am.mesh.leaf_volumes().sum() == pytest.approx(8.0)
 
