@@ -13,8 +13,8 @@ trees are ``τ_a`` and ``τ_b``.
 leaves exactly when their roots share a facet, because conformal refinement
 and coarsening tile a shared coarse facet from both sides and never join
 trees whose roots do not touch.  So the CSR skeleton is derived once per
-mesh (:meth:`~repro.mesh.base.SimplexMesh.coarse_skeleton`, one sort over
-the facets of ``M^0``) and
+mesh (:meth:`~repro.mesh.base.SimplexMesh.coarse_skeleton`, read off the
+roots' ``_nbr`` rows at construction) and
 :func:`coarse_dual_graph` — phase P1 of Fig. 2 — is a *recount*: every
 cross-tree leaf adjacency is classified to its skeleton slot and counted,
 O(leaves), and successive graphs share the skeleton arrays.  A leaf
@@ -41,10 +41,9 @@ def _leaf_adjacency_pairs(mesh) -> np.ndarray:
 
 
 def _compute_leaf_adjacency_pairs(mesh) -> np.ndarray:
-    """The sort-based leaf adjacency: 3-D's path behind
-    :meth:`~repro.mesh.base.SimplexMesh.leaf_adjacency_pairs` and the
-    brute-force oracle of :meth:`~repro.mesh.mesh2d.TriMesh.check_adjacency`
-    (2-D reads its pairs off ``_nbr``)."""
+    """The sort-based leaf adjacency: the brute-force oracle of
+    :meth:`~repro.mesh.base.SimplexMesh.check_adjacency` (the mesh reads
+    its pairs off ``_nbr``)."""
     return _facet_adjacency_pairs(mesh.leaf_cells(), mesh.n_verts)
 
 

@@ -22,6 +22,12 @@ from repro.runtime.simmpi import spmd_run
 from tests.conftest import rank_deltas
 
 
+class _OneRankOfTwo:
+    """Just enough of a communicator for a rank's read-only queries."""
+
+    rank, size = 0, 2
+
+
 class TestDirectives:
     def test_no_change_no_directives(self):
         owner = np.array([0, 1, 2, 0])
@@ -142,6 +148,38 @@ class TestDistributedMesh:
             return sum(map(len, got.values()))
 
         assert sum(spmd_run(3, prog)) > 0
+
+    def test_3d_requests_are_the_serial_walk_the_peer_owns(self, monkeypatch):
+        """At p = 2 on a refined cube, the refine requests a rank sends are
+        the tets of the serial walk (the Python first wave from its marked
+        leaves) that its peer owns; past ``refine3d``'s step limit the walk
+        raises instead of returning a short request set."""
+        from repro.mesh import rivara3d
+        from repro.mesh.base import PropagationLimitError
+        from repro.mesh.dualgraph import coarse_root_centroids
+        from tests import _mesh_oracle as oracle
+
+        am = AdaptiveMesh.unit_cube(4)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            am.refine(rng.choice(am.leaf_ids(), size=am.n_leaves // 5, replace=False))
+        mesh = am.mesh
+        owner = (coarse_root_centroids(mesh)[:, 0] > 0).astype(np.int64)
+
+        def prog(comm):
+            dm = DistributedMesh(comm, am, owner)
+            mine = dm.owned_leaf_ids()[::3]
+            walk = oracle.star_walk(mesh, mine)
+            peer = 1 - comm.rank
+            want = walk[owner[mesh.forest.root_array[walk]] == peer].tolist()
+            assert dm._lepp_remote_targets(mine) == {peer: want}
+            return len(want)
+
+        assert all(n > 0 for n in spmd_run(2, prog))
+        monkeypatch.setattr(rivara3d, "_step_limit", lambda mesh, factor: 10)
+        dm = DistributedMesh(_OneRankOfTwo(), am, owner)
+        with pytest.raises(PropagationLimitError):
+            dm._lepp_remote_targets(dm.owned_leaf_ids())
 
     def test_parallel_refine_is_id_exact(self):
         """Element and vertex ids, not only geometry: the kernel numbers
@@ -384,6 +422,26 @@ class TestFullLoop:
         profile = stats.round_profile("dkl.proposals")
         assert len(profile) == max(len(r) for r in rounds)
         assert all(nbytes > 0 for nbytes in profile)
+
+    def test_3d_round_never_sorts_the_leaf_facets(self, monkeypatch):
+        """The same in 3-D: P1 and the cut read ``_nbr``, refinement walks
+        edge stars over it, and coarsening stitches."""
+        from repro.mesh import dualgraph
+
+        def no_sort(mesh):
+            raise AssertionError("whole-mesh facet sort reached from a round")
+
+        monkeypatch.setattr(dualgraph, "_compute_leaf_adjacency_pairs", no_sort)
+        cfg = ParedConfig(
+            p=2,
+            make_mesh=lambda: AdaptiveMesh.unit_cube(3),
+            marker=lambda am, rnd: (am.leaf_ids()[rnd::5], am.leaf_ids()[1::3]),
+            rounds=3,
+            pnr=PNR(seed=1),
+            transport="thread",
+        )
+        histories, _ = run_pared(cfg)
+        assert histories[0][-1]["cut"] > 0
 
     @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
     def test_2d_round_never_sorts_the_leaf_facets(self, monkeypatch, partitioner):

@@ -1,8 +1,10 @@
 """The ``run_pared`` grid: every partitioner × transport × p × problem.
 
-64 cells — {pnr, mlkl, sfc, dkl} × {thread, shm} × p ∈ {1..4} × {corner,
-peak} — each the benchmark's ``ParedWorkload`` at n = 24 for 4 rounds,
-seed 0.  Two contracts per (partitioner, p, problem):
+64 2-D cells — {pnr, mlkl, sfc, dkl} × {thread, shm} × p ∈ {1..4} ×
+{corner, peak} — each the benchmark's ``ParedWorkload`` at n = 24 for 4
+rounds, seed 0; and 12 3-D cells — {pnr, sfc} × {thread, shm} × p ∈ {1, 2,
+3} — on ``unit_cube(5)`` with the top 15 % of leaves by the 3-D corner
+indicator marked, 3 rounds.  Two contracts per (partitioner, p, problem):
 
 * the thread and shm runs agree exactly, history for history (every
   field, ``local_load`` included) and phase ledger for phase ledger —
@@ -12,6 +14,9 @@ seed 0.  Two contracts per (partitioner, p, problem):
   ``phase_report()`` — equals the one committed in
   ``tests/golden/pared_grid.json``.  A change that moves a digest names
   the moved cells and the reason in its description.
+
+In 3-D the test also requires ``leaf_crc`` to agree across p in every
+round: parallel refinement numbers every element as serial refinement does.
 
 Regenerate after an *intentional* change with::
 
@@ -25,7 +30,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from bench.workloads import ParedWorkload
+from bench.workloads import CORNER_FRACTION, ParedWorkload
+from repro.core import PNR
+from repro.fem import CornerLaplace3D, interpolation_error_indicator, mark_top_fraction
+from repro.mesh import AdaptiveMesh
+from repro.pared import ParedConfig, run_pared
 from repro.runtime.shm import shutdown_pools
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "pared_grid.json"
@@ -33,6 +42,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "pared_grid.json"
 PARTITIONERS = ("pnr", "mlkl", "sfc", "dkl")
 PROBLEMS = ("corner", "peak")
 RANKS = (1, 2, 3, 4)
+CUBE_PARTITIONERS = ("pnr", "sfc")
+CUBE_RANKS = (1, 2, 3)
+_CORNER_3D = CornerLaplace3D()
 
 
 def run_cell(partitioner: str, problem: str, p: int, transport: str):
@@ -43,6 +55,23 @@ def run_cell(partitioner: str, problem: str, p: int, transport: str):
     )
     w.generate(0)
     return w.call()
+
+
+def cube_mesh() -> AdaptiveMesh:
+    return AdaptiveMesh.unit_cube(5)
+
+
+def cube_marker(amesh, rnd):
+    ind = interpolation_error_indicator(amesh, _CORNER_3D.exact)
+    return mark_top_fraction(amesh, ind, CORNER_FRACTION), []
+
+
+def run_cube_cell(partitioner: str, p: int, transport: str):
+    """``(histories, stats)`` of one 3-D grid cell."""
+    return run_pared(ParedConfig(
+        p=p, make_mesh=cube_mesh, marker=cube_marker, rounds=3, pnr=PNR(seed=0),
+        transport=transport, partitioner=partitioner,
+    ))
 
 
 def _feed(h, value) -> None:
@@ -105,6 +134,20 @@ def test_cell(golden, partitioner, problem, p):
     assert digest(thread) == golden[_key(partitioner, problem, p)]
 
 
+@pytest.mark.parametrize("partitioner", CUBE_PARTITIONERS)
+def test_cube_cells(golden, partitioner):
+    crcs = []
+    for p in CUBE_RANKS:
+        thread = run_cube_cell(partitioner, p, "thread")
+        _assert_same_run(thread, run_cube_cell(partitioner, p, "shm"))
+        assert digest(thread) == golden[_key(partitioner, "cube", p)]
+        crcs.append([[rec["leaf_crc"] for rec in rank] for rank in thread[0]])
+    # every rank of every p numbers every round's leaves alike
+    rounds = [{crc for per_p in crcs for rank in per_p for crc in [rank[r]]}
+              for r in range(3)]
+    assert all(len(ids) == 1 for ids in rounds), rounds
+
+
 def compute_golden() -> dict:
     out = {}
     try:
@@ -114,6 +157,11 @@ def compute_golden() -> dict:
                     thread = run_cell(partitioner, problem, p, "thread")
                     _assert_same_run(thread, run_cell(partitioner, problem, p, "shm"))
                     out[_key(partitioner, problem, p)] = digest(thread)
+        for partitioner in CUBE_PARTITIONERS:
+            for p in CUBE_RANKS:
+                thread = run_cube_cell(partitioner, p, "thread")
+                _assert_same_run(thread, run_cube_cell(partitioner, p, "shm"))
+                out[_key(partitioner, "cube", p)] = digest(thread)
     finally:
         shutdown_pools()
     return out
