@@ -2,8 +2,8 @@
 
 Each kernel is one C file next to its ctypes wrapper —
 ``partition/_klcore.c`` (matching, contraction, KL refinement, the fused
-V-cycle) and ``mesh/_meshcore.c`` (the 2-D Rivara wave loop and the
-adjacency stitch).  :func:`build` compiles one on first use with the
+V-cycle) and ``mesh/_meshcore.c`` (the 2-D and 3-D Rivara wave loops
+and the adjacency stitch).  :func:`build` compiles one on first use with the
 system C compiler (``$CC``, default ``cc``) into a content-hashed shared
 object next to the source (or a temporary directory when the package
 directory is read-only) and loads it through :class:`ctypes.CDLL`, so the
