@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.geometry import structured_tet_mesh
+from repro.mesh.base import pair_key
 from repro.mesh.mesh3d import TetMesh
 from repro.mesh.rivara3d import refine3d
+
+from tests import _mesh_oracle as oracle
 
 
 def single_tet():
@@ -33,21 +36,24 @@ class TestConstruction:
 
     def test_edge_star(self):
         m = cube_mesh(1)  # 6 Kuhn tets around the main diagonal
-        # corner 0 and corner 7 of the cube: the main diagonal is in all 6
-        star = m.edge_star(0, 7)
-        assert len(star) == 6
+        # corner 0 and corner 7 of the cube: the main diagonal is in all 6,
+        # the longest edge of each, and the walk around it over _nbr meets
+        # every one of them
+        star, key = oracle._star(m, 0)
+        assert key == pair_key(0, 7)
+        assert sorted(star) == list(range(6))
 
     def test_face_adjacency(self):
         m = cube_mesh(1)
-        # every face belongs to one (boundary) or two tets, and
-        # face_elements finds exactly the leaves that contain it
+        # every face belongs to one (boundary) or two tets, and a tet with
+        # its neighbour across the face are exactly the leaves containing it
         from itertools import combinations
 
         leaves = m.leaf_ids().tolist()
         for eid in leaves:
             for face in combinations(m.cell(eid), 3):
-                elems = m.face_elements(face)
-                assert eid in elems and 1 <= len(elems) <= 2
+                nb = m.neighbor_across(eid, face)
+                elems = {eid} if nb is None else {eid, nb}
                 assert elems == {e for e in leaves if set(face) <= set(m.cell(e))}
 
     def test_neighbor_across(self):

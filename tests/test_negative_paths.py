@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.mesh import AdaptiveMesh
+from repro.mesh.base import pair_key
 from repro.mesh.mesh2d import TriMesh
 
-from tests._mesh_oracle import OracleTriMesh
+from tests._mesh_oracle import OracleTriMesh, midpoints
 
 
 class TestConformalityChecker:
@@ -18,7 +19,7 @@ class TestConformalityChecker:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         mesh = OracleTriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
         # manually split triangle 0 across the shared diagonal (0, 2)
-        m = mesh.midpoint(0, 2)
+        m = int(midpoints(mesh, np.array([pair_key(0, 2)]))[0])
         mesh._new_children(0, (1, m, 0), (1, 2, m))
         with pytest.raises(AssertionError, match="hanging node"):
             mesh.check_conformal()
