@@ -1,6 +1,6 @@
-"""The compiled 2-D mesh kernel against its numpy oracle
+"""The compiled mesh kernels against their numpy/Python oracle
 (``tests/_mesh_oracle.py``) under random refine / coarsen scripts, and
-the properties PARED relies on.
+the properties PARED relies on — in 2-D and, at the end, in 3-D.
 
 ``tests/test_mesh_native.py`` compares the two on fixed scripts; here
 Hypothesis draws the scripts (operation, fraction of leaves), and both
@@ -18,10 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import delaunay_square_mesh
-from repro.geometry.generators import structured_tri_mesh
+from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
 from repro.mesh.coarsen import coarsen
 from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh3d import TetMesh
 from repro.mesh.rivara2d import refine2d
+from repro.mesh.rivara3d import refine3d
 
 from tests import _mesh_oracle as oracle
 
@@ -51,9 +53,9 @@ def _full_state(mesh) -> list:
     return [
         f.parent_array, f.child0_array, f.child1_array, f.root_array,
         f.depth_array, f.status_array, mesh.cells, mesh.verts,
-        mesh._nbr.data, mesh._le.data, mesh._ekey.data,
+        mesh._nbr.data, mesh._le.data,
         mesh._midpoint.keys_array, mesh._midpoint.values_array,
-    ]
+    ] + ([mesh._ekey.data] if mesh.dim == 2 else [])
 
 
 def _assert_same_state(a, b) -> None:
@@ -69,8 +71,11 @@ def _step(new, ref, rng, op: str, frac: float) -> None:
     k = max(1, int(frac * leaves.size))
     marked = rng.choice(leaves, size=k, replace=False)
     if op == "refine":
-        done = refine2d(new, marked)
-        assert done == oracle.refine2d(ref, marked)
+        if new.dim == 2:
+            done, want = refine2d(new, marked), oracle.refine2d(ref, marked)
+        else:
+            done, want = refine3d(new, marked), oracle.refine3d(ref, marked)
+        assert done == want
         assert len(done) == len(set(done))
     else:
         assert coarsen(new, marked) == coarsen(ref, marked)
@@ -190,3 +195,82 @@ def test_extra_targets_on_the_path_change_nothing():
     refine2d(a, targets)
     refine2d(b, np.concatenate(path))
     _assert_same_state(a, b)
+
+
+# ---------------------------------------------------------------------- #
+# 3-D: the compiled refine3d against the Python waves
+# ---------------------------------------------------------------------- #
+
+
+def _cube(kind: str, seed: int) -> tuple:
+    """Two ``TetMesh`` of a 2 x 2 x 2 Kuhn cube, lattice or with the
+    interior vertex jittered (fewer exact length ties)."""
+    verts, cells = structured_tet_mesh(2, 2, 2)
+    if kind == "jittered":
+        verts = verts.copy()
+        verts[np.all(verts == 0.0, axis=1)] += np.random.default_rng(seed).uniform(-0.2, 0.2, 3)
+    return TetMesh(verts, cells), TetMesh(verts, cells)
+
+
+@pytest.mark.parametrize("kind", ["structured", "jittered"])
+@given(
+    seed=st.integers(0, 10_000),
+    script=st.lists(
+        st.tuples(st.sampled_from(["refine", "coarsen"]), st.floats(0.05, 0.5)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_3d_random_scripts_match_the_python_waves(kind, seed, script):
+    rng = np.random.default_rng(seed)
+    new, ref = _cube(kind, seed)
+    for op, frac in script:
+        _step(new, ref, rng, op, frac)
+
+
+def _scalar_longest_edge_3d(verts, cell) -> tuple:
+    """The 3-D rule one element at a time, edges in ``combinations``
+    order."""
+    best, best_len = None, -1.0
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        p, q = cell[i], cell[j]
+        d = verts[p] - verts[q]
+        ln = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        key = (p, q) if p < q else (q, p)
+        if ln > best_len * (1.0 + 1e-12):
+            best, best_len = key, ln
+        elif ln >= best_len * (1.0 - 1e-12) and key < best:
+            best = key
+    return best
+
+
+@pytest.mark.parametrize("kind", ["structured", "jittered"])
+def test_3d_longest_edge_is_the_scalar_rule(kind):
+    """Roots from the vectorised rule, children from the compiled wave's:
+    every tet takes the edge the scalar scan takes."""
+    new, _ = _cube(kind, 11)
+    refine3d(new, new.leaf_ids())
+    refine3d(new, new.leaf_ids()[::2])
+    assert new.n_elements > 3 * new.n_roots
+    for e in range(new.n_elements):
+        assert new.longest_edge(e) == _scalar_longest_edge_3d(new.verts, new.cell(e))
+
+
+@pytest.mark.parametrize("kind", ["structured", "jittered"])
+@given(seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_3d_ids_independent_of_target_order(kind, seed, rounds):
+    """``refine3d(m, T)`` and ``refine3d(m, any permutation of T, with
+    repeats)`` build identical arrays."""
+    rng = np.random.default_rng(seed)
+    a, b = _cube(kind, seed)
+    for _ in range(rounds):
+        leaves = a.leaf_ids()
+        marked = rng.choice(leaves, size=max(1, leaves.size // 3), replace=False)
+        done = refine3d(a, np.sort(marked))
+        shuffled = rng.permutation(np.concatenate([marked, marked[:2]]))
+        assert sorted(done) == sorted(refine3d(b, shuffled.tolist()))
+        _assert_same_state(a, b)
+        a.check_adjacency()
+        a.check_conformal()
