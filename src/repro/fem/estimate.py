@@ -22,7 +22,6 @@ import itertools
 import numpy as np
 
 from repro.fem.p1 import gradients
-from repro.mesh.dualgraph import _leaf_adjacency_pairs
 
 
 def interpolation_error_indicator(mesh, exact) -> np.ndarray:
@@ -83,7 +82,7 @@ def gradient_jump_indicator(mesh, u: np.ndarray) -> np.ndarray:
     # constant per-element gradient of u
     ue = np.asarray(u)[cells]  # (ne, npc)
     gu = np.einsum("eid,ei->ed", grads, ue)  # (ne, dim)
-    pairs = _leaf_adjacency_pairs(mesh)
+    pairs = mesh.leaf_adjacency_pairs()
     jump = np.linalg.norm(gu[pairs[:, 0]] - gu[pairs[:, 1]], axis=1)
     dim = verts.shape[1]
     hface = 0.5 * (

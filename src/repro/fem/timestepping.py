@@ -23,31 +23,31 @@ from repro.fem.bc import apply_dirichlet
 from repro.fem.p1 import load_vector, mass_matrix, stiffness_matrix
 
 
-def transfer_nodal(mesh, u_old: np.ndarray) -> np.ndarray:
-    """Extend a nodal vector to vertices created since it was computed.
+def transfer_nodal(mesh, u_old: np.ndarray, used=None) -> np.ndarray:
+    """Carry a nodal vector to the current mesh: every vertex its mesh did
+    not use gets the P1 interpolant.
 
     Every vertex of a nested bisection mesh is either original or the
     midpoint of a (recursively midpointed) edge; midpoint values are the
     averages of their edge endpoints, which *is* the P1 interpolant.  The
-    mesh keeps its midpoint memo forever, so transfer is a single sweep in
-    creation order.  Coarsening needs nothing: old vertices keep their ids.
+    mesh keeps its midpoint memo forever, in creation order, so transfer is
+    a single sweep over it.  ``used`` marks the vertices ``u_old``'s mesh
+    used (default: all ``len(u_old)`` of them); a midpoint it did not use —
+    one created since, or one that coarsening retired and a refinement
+    brought back under the same id — is interpolated.  Coarsening needs
+    nothing: old vertices keep their ids.
     """
     mesh = getattr(mesh, "mesh", mesh)
-    nv = mesh.n_verts
-    u = np.zeros(nv)
+    u = np.zeros(mesh.n_verts)
     n_old = u_old.shape[0]
     u[:n_old] = u_old
-    # midpoints are created in increasing id order; a single ordered sweep
-    # fills every new vertex from (already filled) parents
-    mids = sorted(
-        (
-            (vid, key >> 32, key & 0xFFFFFFFF)
-            for key, vid in mesh._midpoint.items()
-            if vid >= n_old
-        ),
-    )
-    for vid, a, b in mids:
-        u[vid] = 0.5 * (u[a] + u[b])
+    stale = np.ones(mesh.n_verts, dtype=bool)
+    stale[:n_old] = False if used is None else ~np.asarray(used, dtype=bool)
+    memo = mesh._midpoint
+    # creation order: a midpoint's endpoints are filled before it
+    pick = np.flatnonzero(stale[memo.values_array])
+    for key, vid in zip(memo.keys_array[pick].tolist(), memo.values_array[pick].tolist()):
+        u[vid] = 0.5 * (u[key >> 32] + u[key & 0xFFFFFFFF])
     return u
 
 
@@ -69,15 +69,20 @@ class HeatEquationSolver:
         self.amesh = amesh
         self.source = source
         self.dirichlet = dirichlet
+        #: the vertices the mesh of the last step's solution used (``None``:
+        #: all, as for an initial condition)
+        self._used = None
 
     def initial_condition(self, u0) -> np.ndarray:
         """Nodal interpolation of ``u0(points)`` on the current mesh."""
         mesh = getattr(self.amesh, "mesh", self.amesh)
+        self._used = None
         return np.asarray(u0(mesh.verts))
 
     def transfer(self, u_old: np.ndarray) -> np.ndarray:
-        """Carry a solution across a mesh adaptation."""
-        return transfer_nodal(self.amesh, u_old)
+        """Carry the last solution across a mesh adaptation (vertices its
+        mesh did not use, which :meth:`step` pinned to 0, are interpolated)."""
+        return transfer_nodal(self.amesh, u_old, self._used)
 
     def step(self, u_old: np.ndarray, t_new: float, dt: float) -> np.ndarray:
         """One backward-Euler step: ``(M + dt·A) u = M u_old + dt·b(t_new)``."""
@@ -103,6 +108,7 @@ class HeatEquationSolver:
         lhs, rhs = apply_dirichlet(lhs, rhs, bnodes, bvals)
         used = np.zeros(verts.shape[0], dtype=bool)
         used[np.unique(cells.ravel())] = True
+        self._used = used
         unused = np.nonzero(~used)[0]
         if unused.size:
             lhs, rhs = apply_dirichlet(lhs, rhs, unused, np.zeros(unused.size))

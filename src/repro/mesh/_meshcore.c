@@ -1,18 +1,16 @@
 /* Compiled core of the mesh kernels: the whole Rivara wave loop of
- * repro.mesh.rivara2d.refine2d and of repro.mesh.rivara3d.refine3d in one
- * call each, the read-only first-wave walk of the latter, and the
- * adjacency stitch that refinement and coarsening
- * (SimplexMesh._merge_many) end in, in both dimensions.  It is the only
- * implementation the package runs; the numpy/Python code it replaced is
- * its oracle in tests/_mesh_oracle.py:
+ * repro.mesh.rivara2d.refine2d and repro.mesh.rivara3d.refine3d in one
+ * call, its read-only first-wave walk, and the adjacency stitch that
+ * refinement and coarsening (SimplexMesh._merge_many) end in, in both
+ * dimensions.  It is the only implementation the package runs; the
+ * numpy/Python code it replaced is its oracle in tests/_mesh_oracle.py:
  *
- *   refine2d    ~ the numpy wave loop refine2d: TriMesh.lepp_next,
- *                 bisect_many, midpoints, _split_many,
- *                 RefinementForest.split_many, _grow_adjacency, _stitch_py
- *   refine3d    ~ the Python wave loop refine3d: _star, _walk,
- *                 _bisect_stars
- *   walk3d_once ~ star_walk
- *   stitch      ~ _stitch_py (2-D); check_adjacency's brute force (3-D)
+ *   refine     ~ 2-D: the numpy wave loop refine2d (_walk2d, bisect_many,
+ *                midpoints, _split_many, RefinementForest.split_many,
+ *                _grow_adjacency, _stitch_py); 3-D: the Python wave loop
+ *                refine3d (_star, _walk3d, _bisect_stars)
+ *   walk_once  ~ walk
+ *   stitch     ~ _stitch_py (2-D); check_adjacency's brute force (3-D)
  *
  * and each must leave every array *id for id* as the oracle leaves it
  * (tests/test_mesh_native.py).
@@ -20,22 +18,22 @@
  * Determinism contract
  * --------------------
  * A wave is a function of the set of remaining LEAF targets: walk every
- * target to the terminal pairs (2-D: along longest-edge paths) or
- * terminal stars (3-D: a star whose members all have its edge as their
- * longest; a non-terminal star walks on from its other members), then
- * bisect their union in ascending id order.  Fresh children take
- * consecutive id pairs in that order (INACTIVE children are reactivated
- * instead), missing midpoints are created in ascending edge-key order as
- * 0.5 * (a + b) per coordinate, and the longest-edge rule of new cells is
- * SimplexMesh._longest_local's, operation for operation (no -ffast-math,
- * no FMA contraction; see repro/_native.py).  The stitch pairs equal
- * facets; on a conformal mesh a facet occurs at most twice among the slots
- * it rewrites, so the pairing does not depend on the order they are
- * visited.
+ * target to the terminal stars of longest edges (a star whose members all
+ * have its edge as their longest: in 2-D a pair, or one triangle on the
+ * boundary; a non-terminal star walks on from its other members, each
+ * element at most once per wave), then bisect their union in ascending id
+ * order.  Fresh children take consecutive id pairs in that order
+ * (INACTIVE children are reactivated instead), missing midpoints are
+ * created in ascending edge-key order as 0.5 * (a + b) per coordinate, and
+ * the longest-edge rule of new cells is SimplexMesh._longest_local's,
+ * operation for operation (no -ffast-math, no FMA contraction; see
+ * repro/_native.py).  The stitch pairs equal facets; on a conformal mesh a
+ * facet occurs at most twice among the slots it rewrites, so the pairing
+ * does not depend on the order they are visited.
  *
  * Storage is the Python side's: the growable arrays of the forest, the
- * cells, vertices, _nbr / _le (and the 2-D _ekey) and the midpoint IntMap,
- * passed with their capacities.  A wave is planned read-only (walk,
+ * cells, vertices, _nbr / _le and the midpoint IntMap, passed with their
+ * capacities.  A wave is planned read-only (walk,
  * guards, midpoint lookups) and applied only if it fits and its scratch is
  * allocated, so a wave applies completely or not at all, and a call that
  * stops early leaves a conformal mesh of whole waves behind:
@@ -71,7 +69,7 @@ enum { LEAF = 0, INTERIOR = 1, INACTIVE = 2 };
 /* the wave loop's arrays, in the order of the pointer table */
 enum {
     A_PARENT, A_CHILD0, A_CHILD1, A_ROOT, A_DEPTH, A_STATUS,
-    A_CELLS, A_NBR, A_LE, A_EKEY, A_PTS,
+    A_CELLS, A_NBR, A_LE, A_PTS,
     A_MSLOT, A_MKEYS, A_MVALS, A_TARGETS, A_BISECTED, A_COUNT
 };
 
@@ -323,7 +321,7 @@ int64_t stitch(const int64_t *born, int64_t nborn, const int64_t *died,
 }
 
 /* ------------------------------------------------------------------ */
-/* the wave loop: refine2d and refine3d                                 */
+/* the wave loop and its walk                                           */
 /* ------------------------------------------------------------------ */
 
 /* local edge j joins local vertices EA[j] and EB[j]: a triangle's edge j
@@ -337,9 +335,19 @@ typedef struct {
     int dim, npc, nedges;
     const int *ea, *eb;
     uint8_t *status;
-    int64_t *cells, *nbr, *le, *ekey;
+    int64_t *cells, *nbr, *le;
     double *pts;
 } Mesh;
+
+/* the element arrays of the pointer table as a mesh of dimension dim
+ * (pts, which the walk does not read, left NULL) */
+static Mesh mesh_view(void **arr, int64_t dim)
+{
+    Mesh m = {(int)dim, (int)dim + 1, dim == 2 ? 3 : 6, dim == 2 ? EA2 : EA3,
+              dim == 2 ? EB2 : EB3, arr[A_STATUS], arr[A_CELLS], arr[A_NBR],
+              arr[A_LE], NULL};
+    return m;
+}
 
 /* packed key of local edge j of element e */
 static inline int64_t edge_key(const Mesh *m, int64_t e, int j)
@@ -381,51 +389,55 @@ static int64_t longest_local(const Mesh *m, const int64_t *cell)
     return best;
 }
 
+/* A wave's scratch over ids below ecap: the walk's queue, seen marks and
+ * edge star (at most two members in 2-D); a refinement's also the ready
+ * set, the missing midpoint keys, a sort buffer and the born children
+ * (NULL in a read-only walk). */
 typedef struct {
-    int64_t *targets, *cur, *nxt, *ready, *miss, *tmp, *born, *star;
+    int64_t *queue, *star, *ready, *miss, *tmp, *born;
     int32_t *seen, *inready;
-    int32_t step_id, wave_id;
-    int64_t ecap;
+    int32_t wave_id;
+    int64_t starcap;
 } Scratch;
 
 static void scratch_free(Scratch *w)
 {
-    free(w->targets);
-    free(w->cur);
-    free(w->nxt);
+    free(w->queue);
+    free(w->star);
     free(w->ready);
     free(w->miss);
     free(w->tmp);
     free(w->born);
-    free(w->star);
     free(w->seen);
     free(w->inready);
 }
 
-/* every id a wave handles is below ecap, and so is every list */
-static int scratch_alloc(Scratch *w, int64_t ecap, const int64_t *targets, int64_t nt)
+/* The walk's scratch, and a refinement's too when ``waves`` is set; every
+ * id a wave handles is below ecap, and so is every list. */
+static int scratch_alloc(Scratch *w, int dim, int64_t ecap, int waves)
 {
     size_t ids = (size_t)ecap * sizeof(int64_t);
     memset(w, 0, sizeof(*w));
-    w->ecap = ecap;
-    w->targets = xalloc((size_t)nt * sizeof(int64_t));
-    w->cur = xalloc(ids);
-    w->nxt = xalloc(ids);
-    w->ready = xalloc(ids);
-    w->miss = xalloc(ids);
-    w->tmp = xalloc(ids);
-    w->born = xalloc(2 * ids);
-    w->star = xalloc(ids);
+    w->starcap = dim == 2 ? 2 : ecap;
+    w->queue = xalloc(ids);
+    w->star = xalloc((size_t)w->starcap * sizeof(int64_t));
     w->seen = xalloc((size_t)ecap * sizeof(int32_t));
-    w->inready = xalloc((size_t)ecap * sizeof(int32_t));
-    if (!w->targets || !w->cur || !w->nxt || !w->ready || !w->miss || !w->tmp ||
-        !w->born || !w->star || !w->seen || !w->inready) {
+    int ok = w->queue && w->star && w->seen;
+    if (ok && waves) {
+        w->ready = xalloc(ids);
+        w->miss = xalloc(ids);
+        w->tmp = xalloc(ids);
+        w->born = xalloc(2 * ids);
+        w->inready = xalloc((size_t)ecap * sizeof(int32_t));
+        ok = w->ready && w->miss && w->tmp && w->born && w->inready;
+    }
+    if (!ok) {
         scratch_free(w);
         return -1;
     }
-    memcpy(w->targets, targets, (size_t)nt * sizeof(int64_t));
     memset(w->seen, 0, (size_t)ecap * sizeof(int32_t));
-    memset(w->inready, 0, (size_t)ecap * sizeof(int32_t));
+    if (waves)
+        memset(w->inready, 0, (size_t)ecap * sizeof(int32_t));
     return 0;
 }
 
@@ -437,53 +449,27 @@ static inline void mark_ready(Scratch *w, int64_t e, int64_t *nready)
     }
 }
 
-/* 2-D: walk every path from the nt targets to its terminal pair; the
- * pairs' elements go to w->ready.  MESH_DONE or MESH_LIMIT. */
-static int64_t walk2d(const Mesh *m, Scratch *w, int64_t nt, int64_t *steps,
-                      int64_t limit, int64_t *nready)
-{
-    const int64_t *nbr = m->nbr, *le = m->le;
-    int64_t ncur = nt, *cur = w->cur, *nxt = w->nxt;
-    memcpy(cur, w->targets, (size_t)nt * sizeof(int64_t));
-    while (ncur) {
-        *steps += ncur;
-        if (*steps > limit)
-            return MESH_LIMIT;
-        w->step_id++;
-        int64_t nn = 0;
-        for (int64_t i = 0; i < ncur; i++) {
-            int64_t e = cur[i], nb = nbr[3 * e + le[e]];
-            if (nb < 0 || nbr[3 * nb + le[nb]] == e) {
-                mark_ready(w, e, nready);
-                if (nb >= 0)
-                    mark_ready(w, nb, nready);
-            } else if (w->seen[nb] != w->step_id) {
-                w->seen[nb] = w->step_id;
-                nxt[nn++] = nb;
-            }
-        }
-        int64_t *t = cur;
-        cur = nxt;
-        nxt = t;
-        ncur = nn;
-    }
-    return MESH_DONE;
-}
-
-/* 3-D: the leaves around the longest edge of leaf e into w->star, walked
- * face to face over _nbr (both ways from e when the edge is on the
- * boundary); returns their number, -1 if the walk does not close. */
-static int64_t star3d(const Mesh *m, Scratch *w, int64_t e)
+/* The leaves around the longest edge of leaf e into w->star, e first: in
+ * 2-D e and the leaf across that edge (none on the boundary), in 3-D
+ * walked face to face over _nbr (both ways from e when the edge is on the
+ * boundary); returns their number, -1 if a 3-D walk does not close. */
+static int64_t edge_star(const Mesh *m, Scratch *w, int64_t e)
 {
     const int64_t *cells = m->cells, *nbr = m->nbr;
     int j = (int)m->le[e];
-    int64_t a = cells[4 * e + EA3[j]], b = cells[4 * e + EB3[j]];
     int64_t ns = 0;
     w->star[ns++] = e;
+    if (m->dim == 2) {
+        int64_t nb = nbr[3 * e + j];
+        if (nb >= 0)
+            w->star[ns++] = nb;
+        return ns;
+    }
+    int64_t a = cells[4 * e + EA3[j]], b = cells[4 * e + EB3[j]];
     for (int dir = 0; dir < 2; dir++) {
         int64_t prev = e, t = nbr[4 * e + OFF3[j][dir]];
         while (t >= 0 && t != e) {
-            if (ns == w->ecap)
+            if (ns == w->starcap)
                 return -1;
             w->star[ns++] = t;
             int off[2], k = 0;
@@ -508,47 +494,58 @@ static int64_t star3d(const Mesh *m, Scratch *w, int64_t e)
     return ns;
 }
 
-/* 3-D: walk from the nt targets; a star whose members all share its edge
- * as their longest goes to w->ready whole, any other sends its
- * non-conforming members on (each tet walks at most once per wave; the
- * walked tets are those w->seen marks with the wave).  MESH_DONE,
- * MESH_LIMIT or MESH_GUARD (a star walk that does not close). */
-static int64_t walk3d(const Mesh *m, Scratch *w, int64_t nt, int64_t *steps,
-                      int64_t limit, int64_t *nready)
+/* whether s, a member of the star of e's longest edge, has that edge as
+ * its longest too (in 2-D: its longest edge is the one it shares with e) */
+static inline int shares_longest(const Mesh *m, int64_t e, int64_t s)
 {
-    int64_t ncur = nt, *cur = w->cur, *nxt = w->nxt;
-    memcpy(cur, w->targets, (size_t)nt * sizeof(int64_t));
-    for (int64_t i = 0; i < nt; i++)
-        w->seen[cur[i]] = w->wave_id;
-    while (ncur) {
-        *steps += ncur;
+    if (m->dim == 2)
+        return m->nbr[3 * s + m->le[s]] == e;
+    return edge_key(m, s, (int)m->le[s]) == edge_key(m, e, (int)m->le[e]);
+}
+
+/* Walk breadth-first from the nt targets that are LEAF (in any order,
+ * repeats walk once): a walker's star whose members all have its edge as
+ * their longest is terminal and goes to w->ready whole (a refinement's
+ * walk), any other sends its non-conforming members on.  Each element
+ * walks at most once per wave, one step per walker; the walked ones end in
+ * w->queue, their number in *nwalked.  MESH_DONE, MESH_LIMIT or MESH_GUARD
+ * (a 3-D star walk that does not close). */
+static int64_t walk(const Mesh *m, Scratch *w, const int64_t *targets, int64_t nt,
+                    int64_t *steps, int64_t limit, int64_t *nready, int64_t *nwalked)
+{
+    int64_t *queue = w->queue, tail = 0;
+    for (int64_t i = 0; i < nt; i++) {
+        int64_t t = targets[i];
+        if (m->status[t] == LEAF && w->seen[t] != w->wave_id) {
+            w->seen[t] = w->wave_id;
+            queue[tail++] = t;
+        }
+    }
+    for (int64_t head = 0, end; head < tail; head = end) {
+        end = tail; /* one path step: every walker queued so far */
+        *steps += end - head;
         if (*steps > limit)
             return MESH_LIMIT;
-        int64_t nn = 0;
-        for (int64_t i = 0; i < ncur; i++) {
-            int64_t e = cur[i], ns = star3d(m, w, e);
+        for (int64_t i = head; i < end; i++) {
+            int64_t e = queue[i], ns = edge_star(m, w, e);
             if (ns < 0)
                 return MESH_GUARD;
-            int64_t key = edge_key(m, e, (int)m->le[e]);
             int terminal = 1;
-            for (int64_t k = 0; k < ns; k++) {
+            for (int64_t k = 1; k < ns; k++) {
                 int64_t s = w->star[k];
-                if (edge_key(m, s, (int)m->le[s]) == key)
+                if (shares_longest(m, e, s))
                     continue;
                 terminal = 0;
                 if (w->seen[s] != w->wave_id) {
                     w->seen[s] = w->wave_id;
-                    nxt[nn++] = s;
+                    queue[tail++] = s;
                 }
             }
-            for (int64_t k = 0; terminal && k < ns; k++)
+            for (int64_t k = 0; terminal && w->ready && k < ns; k++)
                 mark_ready(w, w->star[k], nready);
         }
-        int64_t *t = cur;
-        cur = nxt;
-        nxt = t;
-        ncur = nn;
     }
+    *nwalked = tail;
     return MESH_DONE;
 }
 
@@ -575,44 +572,38 @@ static void children(const Mesh *m, const int64_t *c, int j, int64_t mid,
     kid[0][3] = kid[1][3] = c[OFF3[j][1]];
 }
 
-static int64_t refine(void **arr, int64_t *st, int dim)
+/* The Rivara wave loop of a mesh of dimension dim (2 or 3) from the
+ * st[S_NTARGETS] targets of the pointer table, until no target is a LEAF;
+ * see the head of this file for what it returns. */
+int64_t refine(void **arr, int64_t *st, int64_t dim)
 {
     int64_t *parent = arr[A_PARENT], *child0 = arr[A_CHILD0];
     int64_t *child1 = arr[A_CHILD1], *root = arr[A_ROOT];
     int32_t *depth = arr[A_DEPTH];
     int64_t *bisected = arr[A_BISECTED];
-    Mesh m = {dim, dim + 1, dim == 2 ? 3 : 6, dim == 2 ? EA2 : EA3,
-              dim == 2 ? EB2 : EB3, arr[A_STATUS], arr[A_CELLS], arr[A_NBR],
-              arr[A_LE], arr[A_EKEY], arr[A_PTS]};
+    Mesh m = mesh_view(arr, dim);
+    m.pts = arr[A_PTS];
     uint8_t *status = m.status;
     const int npc = m.npc;
     Memo memo = {arr[A_MSLOT], arr[A_MKEYS], arr[A_MVALS], (int)st[S_MBITS], st[S_NMEMO]};
     const int64_t ecap = st[S_ECAP];
     int64_t nelem = st[S_NELEM], nverts = st[S_NVERTS];
-    int64_t nt = st[S_NTARGETS];
+    const int64_t *targets = arr[A_TARGETS];
+    const int64_t nt = st[S_NTARGETS];
 
     Scratch w;
-    if (scratch_alloc(&w, ecap, arr[A_TARGETS], nt) < 0)
+    if (scratch_alloc(&w, m.dim, ecap, 1) < 0)
         return MESH_NOMEM;
     int64_t result = MESH_DONE;
     StitchScratch ss = {0};
 
     for (;;) {
-        /* the remaining LEAF targets */
-        int64_t k = 0;
-        for (int64_t i = 0; i < nt; i++)
-            if (status[w.targets[i]] == LEAF)
-                w.targets[k++] = w.targets[i];
-        nt = k;
-        if (!nt)
-            break;
-
-        /* walk (read-only) to the terminal pairs / stars */
-        int64_t steps = st[S_STEPS], nready = 0;
+        /* walk (read-only) from the targets still LEAF to the terminal
+         * stars; none left: done */
+        int64_t steps = st[S_STEPS], nready = 0, nwalked;
         w.wave_id++;
-        result = dim == 2 ? walk2d(&m, &w, nt, &steps, st[S_LIMIT], &nready)
-                          : walk3d(&m, &w, nt, &steps, st[S_LIMIT], &nready);
-        if (result != MESH_DONE)
+        result = walk(&m, &w, targets, nt, &steps, st[S_LIMIT], &nready, &nwalked);
+        if (result != MESH_DONE || !nwalked)
             break;
         sort_ids(w.ready, nready, w.tmp);
 
@@ -636,7 +627,7 @@ static int64_t refine(void **arr, int64_t *st, int dim)
             break;
         }
         sort_ids(w.miss, nmiss, w.tmp);
-        k = 0;
+        int64_t k = 0;
         for (int64_t i = 0; i < nmiss; i++)
             if (!k || w.miss[i] != w.miss[k - 1])
                 w.miss[k++] = w.miss[i];
@@ -662,8 +653,8 @@ static int64_t refine(void **arr, int64_t *st, int dim)
         double *pts = m.pts;
         for (int64_t i = 0; i < nmiss; i++) {
             int64_t key = w.miss[i], a = key >> 32, b = key & 0xFFFFFFFF;
-            for (int d = 0; d < dim; d++)
-                pts[dim * nverts + d] = 0.5 * (pts[dim * a + d] + pts[dim * b + d]);
+            for (int d = 0; d < m.dim; d++)
+                pts[m.dim * nverts + d] = 0.5 * (pts[m.dim * a + d] + pts[m.dim * b + d]);
             memo_add(&memo, key, nverts++);
         }
         /* split in ascending parent order */
@@ -687,9 +678,6 @@ static int64_t refine(void **arr, int64_t *st, int dim)
                         cell[v] = kid[c][v];
                         m.nbr[npc * e + v] = -1;
                     }
-                    if (m.ekey)
-                        for (int v = 0; v < npc; v++)
-                            m.ekey[npc * e + v] = edge_key(&m, e, v);
                     m.le[e] = longest_local(&m, cell);
                 }
                 child0[r] = c0;
@@ -717,31 +705,24 @@ static int64_t refine(void **arr, int64_t *st, int dim)
     return result;
 }
 
-int64_t refine2d(void **arr, int64_t *st) { return refine(arr, st, 2); }
-
-/* A_EKEY is NULL: a tet's edge keys are read off its cell */
-int64_t refine3d(void **arr, int64_t *st) { return refine(arr, st, 3); }
-
-/* The tets the first wave of refine3d from the nt sorted LEAF targets
- * walks, read-only: written ascending to ``walked`` (room for every
- * element), their number returned; MESH_NOMEM, MESH_LIMIT past ``limit``
- * steps, or MESH_GUARD. */
-int64_t walk3d_once(void **arr, int64_t nelem, const int64_t *targets, int64_t nt,
-                    int64_t limit, int64_t *walked)
+/* The elements the first wave of refine(dim) from the nt targets walks,
+ * read-only (the pointer table needs only the element arrays): written
+ * ascending to ``walked`` (room for every element), their number
+ * returned; MESH_NOMEM, MESH_LIMIT past ``limit`` steps, or MESH_GUARD. */
+int64_t walk_once(void **arr, int64_t dim, int64_t nelem, const int64_t *targets,
+                  int64_t nt, int64_t limit, int64_t *walked)
 {
-    Mesh m = {3, 4, 6, EA3, EB3, arr[A_STATUS], arr[A_CELLS], arr[A_NBR],
-              arr[A_LE], NULL, NULL};
+    Mesh m = mesh_view(arr, dim);
     Scratch w;
-    if (scratch_alloc(&w, nelem, targets, nt) < 0)
+    if (scratch_alloc(&w, m.dim, nelem, 0) < 0)
         return MESH_NOMEM;
-    int64_t steps = 0, nready = 0;
+    int64_t steps = 0, nwalked = 0;
     w.wave_id = 1;
-    int64_t result = walk3d(&m, &w, nt, &steps, limit, &nready);
+    int64_t result = walk(&m, &w, targets, nt, &steps, limit, NULL, &nwalked);
     if (result == MESH_DONE) {
-        result = 0;
-        for (int64_t e = 0; e < nelem; e++)
-            if (w.seen[e] == w.wave_id)
-                walked[result++] = e;
+        memcpy(walked, w.queue, (size_t)nwalked * sizeof(int64_t));
+        sort_ids(walked, nwalked, w.queue);
+        result = nwalked;
     }
     scratch_free(&w);
     return result;

@@ -1,11 +1,11 @@
 """Wrappers of the compiled mesh kernels (:mod:`_meshcore.c`).
 
 :func:`refine_waves` runs the wave loop of
-:func:`~repro.mesh.rivara2d.refine2d` or
+:func:`~repro.mesh.rivara2d.refine2d` and
 :func:`~repro.mesh.rivara3d.refine3d` — walk, bisection, forest split,
-midpoints, ``_nbr`` / ``_le`` (/ ``_ekey``) rows and the stitch — in one
-call, writing straight into the mesh's growable storage; :func:`walk3d` is
-the first 3-D wave's walk alone, read-only; :func:`stitch` is
+midpoints, ``_nbr`` / ``_le`` rows and the stitch — in one call, writing
+straight into the mesh's growable storage; :func:`walk` is its first
+wave's walk alone, read-only; :func:`stitch` is
 :meth:`~repro.mesh.base.SimplexMesh._stitch`, which construction and
 coarsening end in.  All are built on first use by
 :func:`repro._native.build` (a failed build raises ``ImportError``) and
@@ -35,6 +35,9 @@ _LIB = None
 
 _I64 = np.dtype(np.int64)
 
+#: default cap on the path steps walked per call, per initial leaf
+MAX_STEPS_FACTOR = 1000
+
 #: kernel status: finished / scratch allocation failed / grow and call
 #: again / step limit / failed guard / a facet met three times
 _DONE, _NOMEM, _GROW, _STEP_LIMIT, _CORRUPT, _NONMANIFOLD = 0, -1, -2, -3, -4, -5
@@ -48,11 +51,10 @@ _DONE, _NOMEM, _GROW, _STEP_LIMIT, _CORRUPT, _NONMANIFOLD = 0, -1, -2, -3, -4, -
 def _configure(lib) -> None:
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
-    for entry in (lib.refine2d, lib.refine3d):
-        entry.restype = i64
-        entry.argtypes = [ptr, ptr]
-    lib.walk3d_once.restype = i64
-    lib.walk3d_once.argtypes = [ptr, i64, ptr, i64, i64, ptr]
+    lib.refine.restype = i64
+    lib.refine.argtypes = [ptr, ptr, i64]
+    lib.walk_once.restype = i64
+    lib.walk_once.argtypes = [ptr, i64, i64, ptr, i64, i64, ptr]
     lib.stitch.restype = i64
     lib.stitch.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr]
     lib.meshcore_fail_after.restype = None
@@ -71,18 +73,22 @@ def load():
 
 
 def _element_storage(mesh) -> list:
-    """Every array indexed by element id, in the kernel's pointer order
-    (``_ekey``, the last, in 2-D only)."""
+    """Every array indexed by element id, in the kernel's pointer order."""
     f = mesh.forest
-    storage = [f._parent, f._child0, f._child1, f._root, f._depth, f._status,
-               mesh._cells, mesh._nbr, mesh._le]
-    return storage + [mesh._ekey] if mesh.dim == 2 else storage
+    return [f._parent, f._child0, f._child1, f._root, f._depth, f._status,
+            mesh._cells, mesh._nbr, mesh._le]
 
 
-def _raise_for(status: int, dim: int, limit: int) -> None:
+def _max_steps(mesh, max_steps_factor: int) -> int:
+    """The path steps a refinement or its walk may take: ``max_steps_factor``
+    per leaf at the call, at least the mesh class's ``MIN_STEPS``."""
+    return max(mesh.MIN_STEPS, max_steps_factor * max(mesh.n_leaves, 1))
+
+
+def _raise_for(status: int, mesh, limit: int) -> None:
     if status == _STEP_LIMIT:
         raise base.PropagationLimitError(
-            f"{dim}-D propagation exceeded {limit} steps; mesh corrupt?"
+            f"{mesh.dim}-D propagation exceeded {limit} steps; mesh corrupt?"
         )
     if status == _CORRUPT:
         raise AssertionError(
@@ -90,21 +96,25 @@ def _raise_for(status: int, dim: int, limit: int) -> None:
             "along edge stars that close"
         )
     if status == _NOMEM:
-        raise MemoryError(f"{_SRC.name}: a {dim}-D refinement could not allocate its scratch")
+        raise MemoryError(
+            f"{_SRC.name}: a {mesh.dim}-D wave could not allocate its scratch"
+        )
 
 
-def refine_waves(mesh, targets: np.ndarray, limit: int) -> list:
+def refine_waves(mesh, targets, max_steps_factor: int) -> list:
     """Run the waves of ``refine2d(mesh, targets)`` or ``refine3d(mesh,
-    targets)`` (``targets`` sorted, unique and in range) in C until no
-    target is a leaf; returns every bisected parent, wave by wave.  Raises
-    if a wave would walk past ``limit`` path steps, fails a guard or cannot
-    allocate its scratch — after committing the waves applied before it."""
+    targets)`` in C until no target is a leaf; returns every bisected
+    parent, wave by wave.  An id outside ``[0, n_elements)`` raises
+    ``ValueError`` before anything is written; a wave that would walk past
+    the step limit, fails a guard or cannot allocate its scratch raises
+    after the waves applied before it are committed."""
+    targets = base.element_ids(mesh, targets)
     lib = load()
-    entry = lib.refine2d if mesh.dim == 2 else lib.refine3d
     n_elem = mesh.n_elements
     bisected: list = []
     if not targets.size:
         return bisected
+    limit = _max_steps(mesh, max_steps_factor)
     forest, memo, pts = mesh.forest, mesh._midpoint, mesh._pts
     assert len(forest) == n_elem, "forest and cell ids must stay in lockstep"
     storage = _element_storage(mesh)
@@ -119,13 +129,13 @@ def refine_waves(mesh, targets: np.ndarray, limit: int) -> list:
         st[_MCAP] = min(memo._keys.buffer.shape[0], memo._vals.buffer.shape[0])
         st[_MBITS] = 64 - memo._shift
         st[_NBISECTED] = 0
-        addrs = [b.ctypes.data for b in bufs]
-        if mesh.dim == 3:
-            addrs.append(0)  # no _ekey: a tet's edge keys are read off its cell
-        addrs += [b.ctypes.data for b in (pts.buffer, memo._slot, memo._keys.buffer,
-                                          memo._vals.buffer, targets, out)]
-        table = np.array(addrs, dtype=np.uint64)
-        status = entry(table.ctypes.data, st.ctypes.data)
+        table = np.array(
+            [b.ctypes.data for b in bufs]
+            + [b.ctypes.data for b in (pts.buffer, memo._slot, memo._keys.buffer,
+                                       memo._vals.buffer, targets, out)],
+            dtype=np.uint64,
+        )
+        status = lib.refine(table.ctypes.data, st.ctypes.data, mesh.dim)
         for s in storage:
             s.commit(int(st[_NELEM]))
         pts.commit(int(st[_NVERTS]))
@@ -140,23 +150,26 @@ def refine_waves(mesh, targets: np.ndarray, limit: int) -> list:
     # split_many's counters: one version per wave, one leaf per bisection
     forest._n_leaves += len(bisected)
     forest._version += int(st[_WAVES])
-    _raise_for(status, mesh.dim, limit)
+    _raise_for(status, mesh, limit)
     return bisected
 
 
-def walk3d(mesh, targets: np.ndarray, limit: int) -> np.ndarray:
-    """The tets the first wave of ``refine3d(mesh, targets)`` walks from
-    the sorted LEAF ``targets``, ascending, read-only; raises where
-    :func:`refine_waves` would."""
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
+def walk(mesh, targets) -> np.ndarray:
+    """The elements the first wave of a refinement of ``mesh`` from
+    ``targets`` walks, ascending, read-only — the targets that are leaves
+    and every element a path or star from them walks on to (PARED's refine
+    requests).  An id outside ``[0, n_elements)`` raises ``ValueError``;
+    past the step limit the walk raises where the refinement would."""
+    targets = base.element_ids(mesh, targets)
+    limit = _max_steps(mesh, MAX_STEPS_FACTOR)
     n_elem = mesh.n_elements
     walked = np.empty(n_elem, dtype=np.int64)
     table = np.array([s.buffer.ctypes.data for s in _element_storage(mesh)], dtype=np.uint64)
-    count = load().walk3d_once(
-        table.ctypes.data, n_elem, _ptr(targets, _I64), targets.shape[0], limit,
-        _ptr(walked, _I64),
+    count = load().walk_once(
+        table.ctypes.data, mesh.dim, n_elem, _ptr(targets, _I64), targets.shape[0],
+        limit, _ptr(walked, _I64),
     )
-    _raise_for(count, 3, limit)
+    _raise_for(count, mesh, limit)
     return walked[:count]
 
 

@@ -30,16 +30,6 @@ from repro.graph.csr import WeightedGraph
 from repro.perf import PERF
 
 
-def _leaf_adjacency_pairs(mesh) -> np.ndarray:
-    """``(k, 2)`` array of leaf-*position* pairs (indices into
-    ``mesh.leaf_ids()``) for every shared facet of the leaf mesh.
-
-    Served from the mesh's per-version cache: the dual graphs, cut size,
-    processor graph and ghost layer all consume this, and between
-    structural changes they share one computation."""
-    return mesh.leaf_adjacency_pairs()
-
-
 def _compute_leaf_adjacency_pairs(mesh) -> np.ndarray:
     """The sort-based leaf adjacency: the brute-force oracle of
     :meth:`~repro.mesh.base.SimplexMesh.check_adjacency` (the mesh reads
@@ -102,7 +92,7 @@ def fine_dual_graph(mesh) -> tuple:
     of the graph is the leaf ``leaf_ids[i]``.
     """
     leaf_ids = mesh.leaf_ids()
-    pairs = _leaf_adjacency_pairs(mesh)
+    pairs = mesh.leaf_adjacency_pairs()
     graph = WeightedGraph.from_edges(
         leaf_ids.shape[0], pairs, np.ones(pairs.shape[0]), np.ones(leaf_ids.shape[0])
     )
@@ -119,7 +109,7 @@ def coarse_dual_graph(mesh) -> WeightedGraph:
         skeleton = mesh.coarse_skeleton()
         xadj, adjncy = skeleton.xadj, skeleton.adjncy
         leaf_roots = mesh.leaf_roots()
-        pairs = _leaf_adjacency_pairs(mesh)
+        pairs = mesh.leaf_adjacency_pairs()
         ra = leaf_roots[pairs[:, 0]]
         rb = leaf_roots[pairs[:, 1]]
         cross = ra != rb

@@ -55,9 +55,9 @@ class RefinementForest:
         self._n_roots = 0
         #: number of currently active leaves (maintained incrementally)
         self._n_leaves = 0
-        #: bumped on every structural change (add_roots/split/merge); any
-        #: derived data keyed on this value stays valid exactly as long as
-        #: the leaf set does
+        #: bumped on every structural change (add_roots / split_many /
+        #: merge_many); any derived data keyed on this value stays valid
+        #: exactly as long as the leaf set does
         self._version = 0
         self._leaves_cache = None
         self._leaves_version = -1
@@ -94,75 +94,16 @@ class RefinementForest:
             self._version += 1
         return range(first, first + k)
 
-    def split(self, parent: int) -> tuple:
-        """Refine ``parent``.
-
-        If ``parent`` has never been refined, two fresh child ids are created.
-        If it was refined before and later coarsened (children INACTIVE), the
-        existing children are *reactivated*.  Either way ``parent`` becomes
-        INTERIOR and the two children become LEAF.
-
-        Returns ``(child0, child1, created)`` where ``created`` is True iff
-        new ids were allocated (the caller must then assign geometry).
-        """
-        st = self._status[parent]
-        if st != LEAF:
-            raise ValueError(f"can only split a LEAF element, got status {st} for {parent}")
-        c0 = self._child0[parent]
-        if c0 != _NO:
-            c1 = self._child1[parent]
-            # Reactivate the memoized children.
-            if self._status[c0] != INACTIVE or self._status[c1] != INACTIVE:
-                raise AssertionError("children of a LEAF must be INACTIVE")
-            self._status[c0] = LEAF
-            self._status[c1] = LEAF
-            self._status[parent] = INTERIOR
-            self._n_leaves += 1
-            self._version += 1
-            return int(c0), int(c1), False
-        root = self._root[parent]
-        depth = self._depth[parent] + 1
-        c0 = self._parent.append(parent)
-        self._child0.append(_NO)
-        self._child1.append(_NO)
-        self._root.append(root)
-        self._depth.append(depth)
-        self._status.append(LEAF)
-        c1 = self._parent.append(parent)
-        self._child0.append(_NO)
-        self._child1.append(_NO)
-        self._root.append(root)
-        self._depth.append(depth)
-        self._status.append(LEAF)
-        self._child0[parent] = c0
-        self._child1[parent] = c1
-        self._status[parent] = INTERIOR
-        self._n_leaves += 1
-        self._version += 1
-        return int(c0), int(c1), True
-
-    def merge(self, parent: int) -> tuple:
-        """Coarsen: deactivate both children of ``parent`` (which must be
-        LEAF) and make ``parent`` a LEAF again.  Returns the child ids."""
-        if self._status[parent] != INTERIOR:
-            raise ValueError("can only merge an INTERIOR element")
-        c0 = int(self._child0[parent])
-        c1 = int(self._child1[parent])
-        if self._status[c0] != LEAF or self._status[c1] != LEAF:
-            raise ValueError("both children must be LEAF to merge")
-        self._status[c0] = INACTIVE
-        self._status[c1] = INACTIVE
-        self._status[parent] = LEAF
-        self._n_leaves -= 1
-        self._version += 1
-        return c0, c1
-
     def split_many(self, parents) -> tuple:
-        """Batched :meth:`split` of strictly ascending LEAF ids: one
-        ``extend`` per storage array.  Fresh children take consecutive id
-        pairs in parent order, so ids depend on the *set* split, never on
-        how it was discovered.  Returns ``(child0, child1, created)``
-        arrays aligned with ``parents``."""
+        """Refine the strictly ascending LEAF ids ``parents``, one
+        ``extend`` per storage array.  A parent never refined gets two
+        fresh children; one refined before and later coarsened (children
+        INACTIVE) gets its children back, *reactivated*.  Either way the
+        parent becomes INTERIOR and both children LEAF.  Fresh children
+        take consecutive id pairs in parent order, so ids depend on the
+        *set* split, never on how it was discovered.  Returns ``(child0,
+        child1, created)`` arrays aligned with ``parents``, ``created``
+        true where the ids are new (the caller then assigns geometry)."""
         parents = np.asarray(parents, dtype=np.int64)
         if np.any(parents[1:] <= parents[:-1]):
             raise ValueError("split_many needs strictly ascending element ids")
@@ -200,8 +141,9 @@ class RefinementForest:
         return c0, c1, created
 
     def merge_many(self, parents) -> tuple:
-        """Batched :meth:`merge` of strictly ascending INTERIOR ids whose
-        children are all LEAF.  Returns the ``(child0, child1)`` arrays."""
+        """Coarsen the strictly ascending INTERIOR ids ``parents``, whose
+        children must all be LEAF: the children become INACTIVE and each
+        parent a LEAF again.  Returns the ``(child0, child1)`` arrays."""
         parents = np.asarray(parents, dtype=np.int64)
         if np.any(parents[1:] <= parents[:-1]):
             raise ValueError("merge_many needs strictly ascending element ids")
@@ -235,12 +177,6 @@ class RefinementForest:
     def n_leaves(self) -> int:
         return self._n_leaves
 
-    def status(self, eid: int) -> int:
-        return int(self._status[eid])
-
-    def is_leaf(self, eid: int) -> bool:
-        return self._status[eid] == LEAF
-
     def parent(self, eid: int) -> int:
         return int(self._parent[eid])
 
@@ -250,12 +186,6 @@ class RefinementForest:
         if c0 == _NO:
             return None
         return int(c0), int(self._child1[eid])
-
-    def root(self, eid: int) -> int:
-        return int(self._root[eid])
-
-    def depth(self, eid: int) -> int:
-        return int(self._depth[eid])
 
     @property
     def status_array(self) -> np.ndarray:

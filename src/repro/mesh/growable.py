@@ -15,8 +15,6 @@ kernel probes and inserts into directly.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 
@@ -61,13 +59,6 @@ class GrowableVector:
         assert self._n <= n <= self._buf.shape[0]
         self._n = n
 
-    def append(self, row) -> int:
-        """Append one row; returns its index."""
-        self.reserve(1)
-        self._buf[self._n] = row
-        self._n += 1
-        return self._n - 1
-
     def extend(self, rows) -> int:
         """Append multiple rows; returns the index of the first one."""
         rows = np.asarray(rows)
@@ -80,9 +71,6 @@ class GrowableVector:
 
     def __getitem__(self, idx):
         return self.data[idx]
-
-    def __setitem__(self, idx, value):
-        self.data[idx] = value
 
 
 class GrowableMatrix(GrowableVector):
@@ -99,10 +87,9 @@ class GrowableMatrix(GrowableVector):
 
 
 _GOLD = 0x9E3779B97F4A7C15  # Fibonacci hashing: 2**64 / golden ratio
-_M64 = (1 << 64) - 1
 
 
-class IntMap(Mapping):
+class IntMap:
     """Non-negative int64 keys to int64 values, in numpy arrays a compiled
     kernel can probe and extend in place.
 
@@ -143,18 +130,6 @@ class IntMap(Mapping):
             slot[h[free]] = pos[free]
             lost = slot[h] != pos
             pos, h = pos[lost], (h[lost] + 1) & mask
-
-    def _probe(self, key: int) -> tuple:
-        """``(slot index, position)``: where ``key`` sits, or the free slot
-        that ends its probe path and -1."""
-        slot, keys = self._slot, self._keys.buffer
-        mask = slot.shape[0] - 1
-        h = ((key * _GOLD) & _M64) >> self._shift
-        while True:
-            i = int(slot[h])
-            if i < 0 or keys[i] == key:
-                return h, i
-            h = (h + 1) & mask
 
     def reserve(self, extra: int) -> None:
         """Make room for ``extra`` more entries without a rehash."""
@@ -202,36 +177,5 @@ class IntMap(Mapping):
         self._keys.commit(n)
         self._vals.commit(n)
 
-    def get(self, key, default=None):
-        i = self._probe(int(key))[1]
-        return default if i < 0 else int(self._vals.buffer[i])
-
-    def __getitem__(self, key):
-        i = self._probe(int(key))[1]
-        if i < 0:
-            raise KeyError(key)
-        return int(self._vals.buffer[i])
-
-    def __setitem__(self, key, value) -> None:
-        key = int(key)
-        h, i = self._probe(key)
-        if i >= 0:
-            self._vals.buffer[i] = value
-            return
-        if 2 * (len(self) + 1) > self._slot.shape[0]:
-            self.reserve(1)
-            h = self._probe(key)[0]
-        self._slot[h] = self._keys.append(key)
-        self._vals.append(value)
-
-    def __contains__(self, key) -> bool:
-        return self._probe(int(key))[1] >= 0
-
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __iter__(self):
-        return iter(self._keys.data.tolist())
-
-    def items(self):
-        return zip(self._keys.data.tolist(), self._vals.data.tolist())

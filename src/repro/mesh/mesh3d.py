@@ -25,22 +25,13 @@ class TetMesh(SimplexMesh):
     nodes_per_cell = 4
     _EDGE_A = np.array([0, 0, 0, 1, 1, 2])
     _EDGE_B = np.array([1, 2, 3, 2, 3, 3])
+    MIN_STEPS = 2000
 
     def __init__(self, verts, cells):
         super().__init__(verts, cells)
         vols = tet_volumes(self.verts, self.cells)
         if np.any(vols <= 0):
             raise ValueError("input mesh contains degenerate (zero-volume) tets")
-
-    # -- facet adjacency -------------------------------------------------- #
-
-    def neighbor_across(self, eid: int, face):
-        """The other active tet across ``face``, or ``None`` on the boundary."""
-        for i, v in enumerate(self.cell(eid)):
-            if v not in face:
-                nb = int(self._nbr.data[eid, i])
-                return None if nb < 0 else nb
-        raise ValueError(f"{tuple(face)} is not a face of element {eid}")
 
     # -- geometry --------------------------------------------------------- #
 

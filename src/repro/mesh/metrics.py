@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mesh.dualgraph import _leaf_adjacency_pairs
 from repro.partition import metrics as partition_metrics
 
 
@@ -37,7 +36,7 @@ def imbalance(assignment: np.ndarray, p: int, weights=None) -> float:
 
 def cut_size(mesh, assignment: np.ndarray) -> int:
     """Number of fine dual-graph edges crossing subsets (``C_cut``)."""
-    pairs = _leaf_adjacency_pairs(mesh)
+    pairs = mesh.leaf_adjacency_pairs()
     assignment = np.asarray(assignment)
     return int(np.count_nonzero(assignment[pairs[:, 0]] != assignment[pairs[:, 1]]))
 
@@ -75,7 +74,7 @@ def processor_graph(mesh, assignment: np.ndarray, p: int) -> sp.csr_matrix:
     """The processor-connectivity graph ``H^t`` (Section 8): one vertex per
     processor, an edge between processors owning adjacent leaf elements.
     Returned as a sparse boolean adjacency matrix."""
-    pairs = _leaf_adjacency_pairs(mesh)
+    pairs = mesh.leaf_adjacency_pairs()
     assignment = np.asarray(assignment)
     a = assignment[pairs[:, 0]]
     b = assignment[pairs[:, 1]]

@@ -28,22 +28,11 @@ Python wave loop it replaced is its oracle in ``tests/_mesh_oracle.py``.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.mesh._meshnative import refine_waves, walk3d
-from repro.mesh.base import PropagationLimitError, element_ids, sorted_unique
-from repro.mesh.forest import LEAF
+from repro.mesh._meshnative import MAX_STEPS_FACTOR, refine_waves
+from repro.mesh.base import PropagationLimitError
 from repro.mesh.mesh3d import TetMesh
 
-__all__ = ["PropagationLimitError", "refine3d", "star_walk"]
-
-
-#: default cap on the walkers stepped per call, per initial leaf
-MAX_STEPS_FACTOR = 1000
-
-
-def _step_limit(mesh: TetMesh, max_steps_factor: int) -> int:
-    return max(2000, max_steps_factor * max(mesh.n_leaves, 1))
+__all__ = ["PropagationLimitError", "refine3d"]
 
 
 def refine3d(mesh: TetMesh, targets, max_steps_factor: int = MAX_STEPS_FACTOR) -> list:
@@ -51,17 +40,7 @@ def refine3d(mesh: TetMesh, targets, max_steps_factor: int = MAX_STEPS_FACTOR) -
     to keep the mesh conformal.  Ids that are not (or stop being) leaves
     are skipped; an id outside ``[0, n_elements)`` raises ``ValueError``
     before anything is written.  ``max_steps_factor`` caps the walkers
-    stepped per call, as a multiple of the initial leaf count.  Returns the
-    ids of all bisected tets, wave by wave, ascending within a wave."""
-    targets = sorted_unique(element_ids(mesh, targets))
-    return refine_waves(mesh, targets, _step_limit(mesh, max_steps_factor))
-
-
-def star_walk(mesh: TetMesh, targets) -> np.ndarray:
-    """The tets the first wave of ``refine3d(mesh, targets)`` walks, sorted,
-    read-only (PARED's refine requests); raises
-    :class:`~repro.mesh.base.PropagationLimitError` where ``refine3d``
-    would."""
-    targets = sorted_unique(element_ids(mesh, targets))
-    targets = targets[mesh.forest.status_array[targets] == LEAF]
-    return walk3d(mesh, targets, _step_limit(mesh, MAX_STEPS_FACTOR))
+    stepped per call, as a multiple of the initial leaf count (at least
+    ``TetMesh.MIN_STEPS``).  Returns the ids of all bisected tets, wave by
+    wave, ascending within a wave."""
+    return refine_waves(mesh, targets, max_steps_factor)

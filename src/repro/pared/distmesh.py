@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh import _meshnative
 from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.base import sorted_unique
 from repro.mesh.dualgraph import coarse_dual_graph
 from repro.mesh.forest import LEAF
-from repro.mesh.rivara3d import star_walk
 from repro.pared.weights import full_weight_report, split_report_by_owner
 from repro.partition.distributed import PartView
 from repro.perf import PERF
@@ -124,34 +124,18 @@ class DistributedMesh:
     # ------------------------------------------------------------------ #
 
     def _lepp_remote_targets(self, marked) -> dict:
-        """Walk the LEPP of each marked owned leaf read-only and collect the
-        path elements owned by other ranks — the refine requests the real
-        protocol would send across processor boundaries."""
+        """Walk the first refinement wave from the marked owned leaves
+        read-only and collect the walked elements owned by other ranks —
+        the refine requests the real protocol would send across processor
+        boundaries.  Raises past the refinement's step limit."""
         mesh = self.amesh.mesh
-        forest = mesh.forest
-        marked = np.asarray(marked, dtype=np.int64)
-        marked = marked[forest.status_array[marked] == LEAF]
-        # 3-D: the first wave of refine3d, read-only; raises past its step limit
-        path = self._lepp_2d(marked) if mesh.dim == 2 else star_walk(mesh, marked)
-        own = self.owner[forest.root_array[path]]
+        path = _meshnative.walk(mesh, marked)
+        own = self.owner[mesh.forest.root_array[path]]
         return {
             r: path[own == r].tolist()
             for r in range(self.comm.size)
             if r != self.rank
         }
-
-    def _lepp_2d(self, marked: np.ndarray) -> np.ndarray:
-        """Sorted union of the 2-D paths from ``marked``: all walkers step
-        together along :meth:`~repro.mesh.mesh2d.TriMesh.lepp_next`."""
-        mesh = self.amesh.mesh
-        seen = np.zeros(mesh.n_elements, dtype=bool)
-        cur = sorted_unique(marked)
-        while cur.size:
-            seen[cur] = True
-            nb, terminal = mesh.lepp_next(cur)
-            nxt = nb[~terminal]
-            cur = sorted_unique(nxt[~seen[nxt]])
-        return np.nonzero(seen)[0]
 
     def parallel_refine(self, marked_owned) -> list:
         """Refine the marked owned leaves with cross-rank propagation.

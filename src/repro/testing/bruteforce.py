@@ -16,12 +16,13 @@ from repro.mesh.forest import LEAF
 
 
 def brute_force_leaf_counts(forest) -> np.ndarray:
-    """Leaves per root, counted one element at a time through the scalar
-    accessors (vs. the vectorized ``leaf_counts_by_root``)."""
+    """Leaves per root, counted one element at a time (vs. the vectorized
+    ``leaf_counts_by_root``)."""
     counts = np.zeros(forest.n_roots, dtype=np.int64)
+    status, root = forest.status_array.tolist(), forest.root_array.tolist()
     for eid in range(len(forest)):
-        if forest.status(eid) == LEAF:
-            counts[forest.root(eid)] += 1
+        if status[eid] == LEAF:
+            counts[root[eid]] += 1
     return counts
 
 
@@ -32,7 +33,7 @@ def brute_force_cross_root_edges(mesh) -> dict:
     facets: dict = defaultdict(list)
     leaf_ids = mesh.leaf_ids()
     cells = mesh.leaf_cells()
-    forest = mesh.forest
+    root = mesh.forest.root_array.tolist()
     for pos in range(cells.shape[0]):
         cell = [int(v) for v in cells[pos]]
         if len(cell) == 3:
@@ -50,7 +51,7 @@ def brute_force_cross_root_edges(mesh) -> dict:
     for owners in facets.values():
         if len(owners) != 2:
             continue
-        ra, rb = forest.root(owners[0]), forest.root(owners[1])
+        ra, rb = root[owners[0]], root[owners[1]]
         if ra != rb:
             key = (ra, rb) if ra < rb else (rb, ra)
             out[key] += 1

@@ -3,19 +3,24 @@
 
 2-D: the numpy wave loop of :func:`repro.mesh.rivara2d.refine2d` and the
 numpy split and stitch of :class:`~repro.mesh.mesh2d.TriMesh`, moved here
-verbatim when the compiler became a requirement.  :class:`OracleTriMesh`
-is a :class:`~repro.mesh.mesh2d.TriMesh` whose stitch — at construction, in
-every refinement batch and in every coarsening — is the numpy one, and
+verbatim when the compiler became a requirement (since then the 2-D walk
+takes 3-D's rule that an element walks at most once per wave, and edge keys
+are read off the cells).  :class:`OracleTriMesh` is a
+:class:`~repro.mesh.mesh2d.TriMesh` whose stitch — at construction, in every
+refinement batch and in every coarsening — is the numpy one, and
 :func:`refine2d` runs the numpy waves on it; ``tests/test_mesh_native.py``
 requires the compiled kernel to leave every array of a ``TriMesh`` id for id
 as these leave an ``OracleTriMesh``.
 
-3-D: the Python wave loop of :func:`repro.mesh.rivara3d.refine3d` and its
-read-only first wave :func:`star_walk`, moved here verbatim when the loop
-was compiled.  They run on a plain :class:`~repro.mesh.mesh3d.TetMesh`
-(whose compiled stitch ``check_adjacency`` checks against a brute-force
-recount), and the compiled calls must leave every array of a second
-``TetMesh`` id for id as they leave the first.
+3-D: the Python wave loop of :func:`repro.mesh.rivara3d.refine3d`, moved
+here verbatim when the loop was compiled.  It runs on a plain
+:class:`~repro.mesh.mesh3d.TetMesh` (whose compiled stitch
+``check_adjacency`` checks against a brute-force recount), and the compiled
+calls must leave every array of a second ``TetMesh`` id for id as it leaves
+the first.
+
+:func:`walk` is the read-only first wave of either dimension (PARED's
+refine requests).
 
 Change the kernel and its oracle together, never one alone.
 """
@@ -70,7 +75,7 @@ class OracleTriMesh(TriMesh):
         surv, dslot = surv[keep], dslot[keep]
         back = (nbr[surv] == (dslot // 3)[:, None]).argmax(axis=1)
         slot = np.concatenate([(3 * born[:, None] + _LOCAL).ravel(), 3 * surv + back])
-        keys = self._ekey.data.reshape(-1)[slot]
+        keys = self._slot_keys(slot)
         flat[slot] = -1
         order = np.argsort(keys)  # equal keys pair up whatever their order
         keys = keys[order]
@@ -78,6 +83,14 @@ class OracleTriMesh(TriMesh):
         lo, hi = slot[order[same]], slot[order[same + 1]]
         flat[lo] = hi // 3
         flat[hi] = lo // 3
+
+    def _slot_keys(self, slot: np.ndarray) -> np.ndarray:
+        """Packed key of the edge at each flat slot ``3 * element + i``:
+        the edge opposite local vertex ``i``."""
+        cells = self._cells.data
+        e, i = slot // 3, slot % 3
+        a, b = cells[e, _NEXT[i]], cells[e, _PREV[i]]
+        return (np.minimum(a, b) << 32) | np.maximum(a, b)
 
     def _split_many(self, parents: np.ndarray, kids: np.ndarray) -> tuple:
         """Bisect ascending leaves ``parents`` in one batch: forest split,
@@ -101,7 +114,7 @@ class OracleTriMesh(TriMesh):
         base = 3 * parents
         cells = self._cells.data.reshape(-1)
         apex, a, b = cells[base + i], cells[base + _NEXT[i]], cells[base + _PREV[i]]
-        keys = self._ekey.data.reshape(-1)[base + i]
+        keys = self._slot_keys(base + i)
         ukeys = sorted_unique(keys)
         m = midpoints(self, ukeys)[np.searchsorted(ukeys, keys)]
         # (a, m, apex) and (m, b, apex) inherit the parent's orientation
@@ -115,6 +128,48 @@ class OracleTriMesh(TriMesh):
     def _new_children(self, parent: int, cell0, cell1) -> tuple:
         c0, c1 = self._split_many(np.array([parent]), np.array([[cell0, cell1]]))
         return int(c0[0]), int(c1[0])
+
+
+def _step_limit(mesh, max_steps_factor: int) -> int:
+    return max(mesh.MIN_STEPS, max_steps_factor * max(mesh.n_leaves, 1))
+
+
+def _lepp_next(mesh: TriMesh, elems: np.ndarray) -> tuple:
+    """One step of every longest-edge propagation path: ``(nb, terminal)``
+    where ``nb`` is the leaf across the longest edge of each leaf in
+    ``elems`` (``-1`` on the boundary) and ``terminal`` flags the elements
+    that can be bisected now — boundary edge, or ``nb`` has the same
+    longest edge."""
+    nbr = mesh._nbr.data
+    le = mesh._le.data
+    nb = nbr[elems, le[elems]]
+    return nb, (nb < 0) | (nbr[nb, le[nb]] == elems)
+
+
+def _walk2d(mesh: TriMesh, targets: np.ndarray, steps: int, limit: int) -> tuple:
+    """One wave's walk along the longest-edge paths from the sorted leaves
+    ``targets``, all walkers stepping together, read-only: ``(ready,
+    walked, steps)`` — the elements of every terminal pair reached and
+    every element walked, both sorted, and the step count (one step per
+    walker) after it.  Each element walks at most once per wave.  Raises
+    past ``limit`` steps."""
+    seen = np.zeros(mesh.n_elements, dtype=bool)
+    ready = [np.empty(0, dtype=np.int64)]
+    cur = targets
+    while cur.size:
+        seen[cur] = True
+        steps += cur.size
+        if steps > limit:
+            raise PropagationLimitError(
+                f"2-D propagation exceeded {limit} steps; mesh corrupt?"
+            )
+        nb, terminal = _lepp_next(mesh, cur)
+        ready += [cur[terminal], nb[terminal]]
+        nxt = nb[~terminal]
+        cur = sorted_unique(nxt[~seen[nxt]])
+    ready = sorted_unique(np.concatenate(ready))
+    # boundary terminals have no partner
+    return ready[ready >= 0], np.flatnonzero(seen), steps
 
 
 def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
@@ -139,26 +194,15 @@ def refine2d(mesh: TriMesh, targets, max_steps_factor: int = 1000) -> list:
         neighbors), wave by wave, ascending within a wave.
     """
     targets = sorted_unique(id_array(targets))
-    limit = max(1000, max_steps_factor * max(mesh.n_leaves, 1))
+    limit = _step_limit(mesh, max_steps_factor)
     bisected: list = []
     steps = 0
     while True:
         # re-read per wave: a batch may regrow the forest storage
-        cur = targets = targets[mesh.forest.status_array[targets] == LEAF]
-        if not cur.size:
+        targets = targets[mesh.forest.status_array[targets] == LEAF]
+        if not targets.size:
             return bisected
-        ready = []
-        while cur.size:
-            steps += cur.size
-            if steps > limit:
-                raise PropagationLimitError(
-                    f"2-D propagation exceeded {limit} steps; mesh corrupt?"
-                )
-            nb, terminal = mesh.lepp_next(cur)
-            ready += [cur[terminal], nb[terminal]]
-            cur = sorted_unique(nb[~terminal])
-        ready = sorted_unique(np.concatenate(ready))
-        ready = ready[ready >= 0]  # boundary terminals have no partner
+        ready, _, steps = _walk2d(mesh, targets, steps, limit)
         mesh.bisect_many(ready)
         bisected += ready.tolist()
 
@@ -168,14 +212,17 @@ _EDGE_A, _EDGE_B = TetMesh._EDGE_A, TetMesh._EDGE_B
 _OFF = np.array([[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]])
 
 
-def _step_limit(mesh: TetMesh, max_steps_factor: int) -> int:
-    return max(2000, max_steps_factor * max(mesh.n_leaves, 1))
+def longest_edge(mesh, e: int) -> tuple:
+    """Sorted vertex pair of the longest edge of ``e`` (local edge
+    ``_le[e]``)."""
+    j = mesh._le.data[e]
+    p, q = (int(v) for v in mesh._cells.data[e, [mesh._EDGE_A[j], mesh._EDGE_B[j]]])
+    return (p, q) if p < q else (q, p)
 
 
 def _le_key(mesh: TetMesh, e: int) -> int:
     """Packed key of the longest edge of ``e``."""
-    cell, j = mesh._cells.data[e], mesh._le.data[e]
-    return pair_key(int(cell[_EDGE_A[j]]), int(cell[_EDGE_B[j]]))
+    return pair_key(*longest_edge(mesh, e))
 
 
 def _star(mesh: TetMesh, e: int) -> tuple:
@@ -200,7 +247,7 @@ def _star(mesh: TetMesh, e: int) -> tuple:
     return star, pair_key(a, b)
 
 
-def _walk(mesh: TetMesh, targets: np.ndarray, steps: int, limit: int) -> tuple:
+def _walk3d(mesh: TetMesh, targets: np.ndarray, steps: int, limit: int) -> tuple:
     """One wave's walk from the sorted leaves ``targets``, read-only:
     ``(ready, walked, steps)`` — the members of every terminal star reached
     and every tet walked, both sorted, and the step count (one step per
@@ -274,16 +321,17 @@ def refine3d(mesh: TetMesh, targets, max_steps_factor: int = 1000) -> list:
         targets = targets[mesh.forest.status_array[targets] == LEAF]
         if not targets.size:
             return bisected
-        ready, _, steps = _walk(mesh, targets, steps, limit)
+        ready, _, steps = _walk3d(mesh, targets, steps, limit)
         _bisect_stars(mesh, ready)
         bisected += ready.tolist()
 
 
-def star_walk(mesh: TetMesh, targets, max_steps_factor: int = 1000) -> np.ndarray:
-    """The tets the first wave of ``refine3d(mesh, targets)`` walks, sorted,
-    read-only (PARED's refine requests); raises
-    :class:`~repro.mesh.base.PropagationLimitError` where ``refine3d``
-    would."""
+def walk(mesh, targets, max_steps_factor: int = 1000) -> np.ndarray:
+    """The elements the first wave of ``refine2d(mesh, targets)`` or
+    ``refine3d(mesh, targets)`` walks, sorted, read-only (PARED's refine
+    requests); raises :class:`~repro.mesh.base.PropagationLimitError`
+    where the refinement would."""
     targets = sorted_unique(element_ids(mesh, targets))
     targets = targets[mesh.forest.status_array[targets] == LEAF]
-    return _walk(mesh, targets, 0, _step_limit(mesh, max_steps_factor))[1]
+    wave = _walk2d if mesh.dim == 2 else _walk3d
+    return wave(mesh, targets, 0, _step_limit(mesh, max_steps_factor))[1]

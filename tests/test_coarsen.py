@@ -5,6 +5,7 @@ import pytest
 
 from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.coarsen import coarsen
+from repro.mesh.forest import LEAF
 from repro.mesh.rivara2d import refine2d
 
 
@@ -40,7 +41,7 @@ class TestCoarsen2D:
         kids = m.forest.children(0)
         merged = coarsen(m, [kids[0]])
         assert merged == []
-        assert m.forest.is_leaf(kids[0])
+        assert m.forest.status_array[kids[0]] == LEAF
 
     def test_conformality_blocks_coarsening(self, square8):
         """A parent whose midpoint is still used by a deeper neighbor must
@@ -65,7 +66,7 @@ class TestCoarsen2D:
         n_elems = m.n_elements
         # mark everything so the bisection pair coarsens as a group
         coarsen(m, m.leaf_ids())
-        assert m.forest.is_leaf(0)
+        assert m.forest.status_array[0] == LEAF
         refine2d(m, [0])
         assert m.forest.children(0) == kids_before
         assert m.n_elements == n_elems  # no new storage allocated
@@ -75,7 +76,7 @@ class TestCoarsen2D:
         refine2d(m, list(m.leaf_ids()))
         merged = coarsen(m, m.leaf_ids())
         for p in merged:
-            assert m.forest.is_leaf(p)
+            assert m.forest.status_array[p] == LEAF
 
 
 class TestCoarsen3D:

@@ -58,9 +58,7 @@ class TestCoarseDual:
         # element 0's tree has 2 leaves now (bisection pair partner too)
         assert g.vwts.max() == 2
         # total edge weight equals the number of cross-root fine adjacencies
-        from repro.mesh.dualgraph import _leaf_adjacency_pairs
-
-        pairs = _leaf_adjacency_pairs(am.mesh)
+        pairs = am.mesh.leaf_adjacency_pairs()
         roots = am.mesh.leaf_roots()
         cross = roots[pairs[:, 0]] != roots[pairs[:, 1]]
         assert g.ewts.sum() / 2 == pytest.approx(cross.sum())

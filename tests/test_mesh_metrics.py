@@ -54,9 +54,7 @@ class TestCutAndShared:
     def test_every_element_own_subset(self, square8):
         n = square8.n_leaves
         a = np.arange(n)
-        from repro.mesh.dualgraph import _leaf_adjacency_pairs
-
-        pairs = _leaf_adjacency_pairs(square8.mesh)
+        pairs = square8.mesh.leaf_adjacency_pairs()
         assert cut_size(square8.mesh, a) == pairs.shape[0]
 
     def test_shared_vertices_brute_force(self, adapted_square):

@@ -8,8 +8,9 @@ the first and numpy on the second); in 3-D two :class:`TetMesh` refined by
 the compiled ``refine3d`` and by the Python waves — and the two meshes must
 agree on every array the kernel writes: the forest's six arrays and
 counters, cells, vertices, ``_nbr`` (stale rows of refined elements
-included), ``_le``, the 2-D ``_ekey``, the midpoint memo in insertion
-order, and the bisected / merged lists the calls return.  The compiled call
+included), ``_le``, the midpoint memo in insertion order, and the bisected
+/ merged lists the calls return; the read-only walk must visit what the
+oracle's first wave walks.  The compiled call
 must also grow its storage exactly, and whatever it raises — the
 propagation limit, a failed scratch allocation — leave whole waves behind:
 the oracle's state after the same waves, a conformal mesh.
@@ -22,11 +23,12 @@ from repro.geometry import delaunay_square_mesh
 from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
 from repro.mesh import _meshnative
 from repro.mesh.coarsen import coarsen
+from repro.mesh.forest import LEAF
 from repro.mesh.growable import IntMap
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
 from repro.mesh.rivara2d import PropagationLimitError, refine2d
-from repro.mesh.rivara3d import refine3d, star_walk
+from repro.mesh.rivara3d import refine3d
 
 from tests import _mesh_oracle as oracle
 from tests.test_mesh_kernel_equivalence import _tie_strip
@@ -34,19 +36,14 @@ from tests.test_mesh_kernel_equivalence import _tie_strip
 
 class _Recorder:
     """Stands in for the loaded library and records the status codes of
-    ``refine2d`` and ``refine3d``."""
+    ``refine``."""
 
     def __init__(self, lib):
         self.lib = lib
         self.statuses = []
 
-    def refine2d(self, *args):
-        status = self.lib.refine2d(*args)
-        self.statuses.append(status)
-        return status
-
-    def refine3d(self, *args):
-        status = self.lib.refine3d(*args)
+    def refine(self, *args):
+        status = self.lib.refine(*args)
         self.statuses.append(status)
         return status
 
@@ -77,7 +74,7 @@ def _state(mesh) -> list:
         np.array([f.n_roots, f.n_leaves, f.version, len(f)]),
         mesh.cells, mesh.verts, mesh._nbr.data, mesh._le.data,
         mesh._midpoint.keys_array, mesh._midpoint.values_array,
-    ] + ([mesh._ekey.data] if mesh.dim == 2 else [])
+    ]
 
 
 def _assert_same(a, b) -> None:
@@ -282,12 +279,29 @@ def test_failed_scratch_allocation_raises_after_whole_waves(recorder, monkeypatc
     _allocation_sweep(recorder, monkeypatch, 2)
 
 
+def _limit_walks(monkeypatch, mesh, targets, first_wave) -> None:
+    """The read-only walk, compiled and on the oracle, raises at
+    ``max_steps_factor=0`` exactly when the refinement's first wave does."""
+    walks = (lambda: _meshnative.walk(mesh, targets),
+             lambda: oracle.walk(mesh, targets, max_steps_factor=0))
+    with monkeypatch.context() as patch:
+        patch.setattr(_meshnative, "MAX_STEPS_FACTOR", 0)
+        for walk in walks:
+            if first_wave:
+                with pytest.raises(PropagationLimitError):
+                    walk()
+            else:
+                walk()
+
+
 @pytest.mark.parametrize("n_targets, first_wave", [(900, True), (500, False)])
-def test_propagation_limit_raises_on_both_paths(recorder, n_targets, first_wave):
+def test_propagation_limit_raises_on_both_paths(recorder, monkeypatch, n_targets,
+                                                first_wave):
     """``max_steps_factor=0`` caps a call at 1000 path steps.  900 targets
-    overrun it in the first wave; 500 walk ~840 steps in the first wave
-    and overrun it in the second, so both the compiled call and the oracle
-    apply one wave and raise in the next."""
+    overrun it in the first wave (and so does the read-only walk); 500 walk
+    801 steps in the first wave (each triangle once) and overrun it in the
+    second, so both the compiled call and the oracle apply one wave and
+    raise in the next."""
     verts, cells = delaunay_square_mesh(24, seed=1)
     rng = np.random.default_rng(0)
 
@@ -301,6 +315,7 @@ def test_propagation_limit_raises_on_both_paths(recorder, n_targets, first_wave)
 
     start = build(TriMesh)
     targets = rng.choice(start.leaf_ids(), n_targets, replace=False)
+    _limit_walks(monkeypatch, start, targets, first_wave)
 
     def run(mesh, refine):
         recorder.statuses.clear()
@@ -423,7 +438,8 @@ def test_3d_failed_scratch_allocation_raises_after_whole_waves(recorder, monkeyp
 
 
 @pytest.mark.parametrize("n_targets, first_wave", [(1200, True), (900, False)])
-def test_3d_propagation_limit_raises_on_both_paths(recorder, n_targets, first_wave):
+def test_3d_propagation_limit_raises_on_both_paths(recorder, monkeypatch, n_targets,
+                                                   first_wave):
     """``max_steps_factor=0`` caps a 3-D call at 2000 walker steps.  1200
     targets overrun it in the first wave (and so does the read-only walk);
     900 walk ~1650 steps in the first wave and overrun it in the second, so
@@ -440,14 +456,7 @@ def test_3d_propagation_limit_raises_on_both_paths(recorder, n_targets, first_wa
 
     start = build(TetMesh)
     targets = np.random.default_rng(0).choice(start.leaf_ids(), n_targets, replace=False)
-    walks = (lambda: _meshnative.walk3d(start, np.sort(targets), 2000),
-             lambda: oracle.star_walk(start, targets, max_steps_factor=0))
-    for walk in walks:
-        if first_wave:
-            with pytest.raises(PropagationLimitError):
-                walk()
-        else:
-            walk()
+    _limit_walks(monkeypatch, start, targets, first_wave)
 
     def run(mesh, refine):
         recorder.statuses.clear()
@@ -480,22 +489,40 @@ def test_3d_extra_targets_on_the_path_change_nothing():
     _assert_same(native, reference)
 
 
-@pytest.mark.parametrize("kind", KINDS_3D)
-def test_3d_star_walk_is_the_first_wave(kind):
-    """The compiled read-only walk visits exactly the tets the Python
-    waves' first wave walks, and writes nothing; ids outside the forest
-    raise ``ValueError``."""
-    verts, cells = _input3d(kind, 4)
-    mesh = TetMesh(verts, cells)
-    _script(mesh, 4, "rr", refine3d)
+def _walk_is_the_first_wave(mesh, refine) -> None:
+    """Leaf targets in random order, with repeats and with refined
+    elements among them (which do not walk)."""
+    _script(mesh, 4, "rr", refine)
     before = [a.copy() for a in _state(mesh)]
     rng = np.random.default_rng(4)
+    refined = np.flatnonzero(mesh.forest.status_array != LEAF)[:5]
+    beyond = False
     for size in (1, 10, mesh.n_leaves // 3):
-        targets = rng.choice(mesh.leaf_ids(), size, replace=False)
-        got = star_walk(mesh, targets)
-        assert np.array_equal(got, oracle.star_walk(mesh, targets))
-        assert np.all(np.isin(targets, got))
+        leaves = rng.choice(mesh.leaf_ids(), size, replace=False)
+        targets = rng.permutation(np.concatenate([leaves, leaves[:3], refined]))
+        got = _meshnative.walk(mesh, targets)
+        assert np.array_equal(got, oracle.walk(mesh, targets))
+        assert np.all(np.isin(leaves, got)) and not np.isin(refined, got).any()
+        beyond |= got.size > size
+    assert beyond  # some walk went on past its targets
     for x, y in zip(before, _state(mesh), strict=True):
         assert np.array_equal(x, y)
     with pytest.raises(ValueError, match="outside"):
-        star_walk(mesh, [mesh.n_elements])
+        _meshnative.walk(mesh, [mesh.n_elements])
+
+
+@pytest.mark.parametrize("kind", ["structured", "delaunay", "ties"])
+def test_walk_is_the_first_wave(kind):
+    """The compiled read-only walk visits exactly the triangles the numpy
+    waves' first wave walks, and writes nothing; ids outside the forest
+    raise ``ValueError``."""
+    verts, cells = _input(kind, 4)
+    _walk_is_the_first_wave(TriMesh(verts, cells), refine2d)
+
+
+@pytest.mark.parametrize("kind", KINDS_3D)
+def test_3d_star_walk_is_the_first_wave(kind):
+    """The same walk in 3-D visits exactly the tets the Python waves'
+    first wave walks."""
+    verts, cells = _input3d(kind, 4)
+    _walk_is_the_first_wave(TetMesh(verts, cells), refine3d)

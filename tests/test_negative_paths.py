@@ -7,8 +7,9 @@ import pytest
 from repro.mesh import AdaptiveMesh
 from repro.mesh.base import pair_key
 from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh3d import TetMesh
 
-from tests._mesh_oracle import OracleTriMesh, midpoints
+from tests._mesh_oracle import OracleTriMesh, _bisect_stars, midpoints
 
 
 class TestConformalityChecker:
@@ -24,6 +25,18 @@ class TestConformalityChecker:
         with pytest.raises(AssertionError, match="hanging node"):
             mesh.check_conformal()
 
+    def test_hanging_node_detected_3d(self):
+        """Two tets on the face (0, 1, 2), whose edge (0, 1) is the longest
+        of both: bisect one of them alone, not the whole edge star, and
+        the checker fires."""
+        verts = np.array([[0.0, 0, 0], [2, 0, 0], [1, 1, 0], [1, 0.5, 1], [1, 0.5, -1]])
+        mesh = TetMesh(verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4]]))
+        mesh.check_conformal()
+        _bisect_stars(mesh, np.array([0]))
+        assert mesh.n_leaves == 3
+        with pytest.raises(AssertionError, match="hanging node"):
+            mesh.check_conformal()
+
     def test_checker_passes_after_proper_refinement(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
@@ -36,12 +49,12 @@ class TestConformalityChecker:
 class TestForestCorruption:
     def test_validate_catches_bad_status(self, square8):
         f = square8.mesh.forest
-        f.split(0)
+        f.split_many([0])
         # corrupt: flip a child to INACTIVE while the parent is INTERIOR
         from repro.mesh.forest import INACTIVE
 
         c0, _ = f.children(0)
-        f._status[c0] = INACTIVE
+        f.status_array[c0] = INACTIVE
         with pytest.raises(AssertionError):
             f.validate()
 

@@ -58,7 +58,7 @@ class TestVectorizedEquivalence:
 
         def reference(eid):
             # plain recursive DFS over the child arrays
-            if forest.is_leaf(eid):
+            if forest.status_array[eid] == LEAF:
                 return [int(eid)]
             kids = forest.children(eid)
             if kids is None or forest.status_array[eid] != 1:  # not INTERIOR

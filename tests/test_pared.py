@@ -119,64 +119,35 @@ class TestDistributedMesh:
             assert n == serial.n_leaves
             assert geo == serial_geo
 
-    def test_lepp_remote_targets_match_scalar_walk(self):
-        """The array walk collects exactly the off-rank path elements the
-        element-at-a-time walk over the scalar accessors finds."""
-        am = AdaptiveMesh.unit_square(5)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            am.refine(rng.choice(am.leaf_ids(), size=am.n_leaves // 4, replace=False))
-        mesh = am.mesh
-        owner = np.arange(am.n_roots) % 3
-
-        def prog(comm):
-            dm = DistributedMesh(comm, am, owner)
-            mine = dm.owned_leaf_ids()[::2]
-            expect = {r: set() for r in range(3) if r != comm.rank}
-            for e in mine.tolist():
-                while True:
-                    own = owner[mesh.forest.root(e)]
-                    if own != comm.rank:
-                        expect[own].add(e)
-                    a, b = mesh.longest_edge(e)
-                    nb = mesh.neighbor_across(e, a, b)
-                    if nb is None or mesh.longest_edge(nb) == (a, b):
-                        break
-                    e = nb
-            got = dm._lepp_remote_targets(mine)
-            assert got == {r: sorted(v) for r, v in expect.items()}
-            return sum(map(len, got.values()))
-
-        assert sum(spmd_run(3, prog)) > 0
-
-    def test_3d_requests_are_the_serial_walk_the_peer_owns(self, monkeypatch):
-        """At p = 2 on a refined cube, the refine requests a rank sends are
-        the tets of the serial walk (the Python first wave from its marked
-        leaves) that its peer owns; past ``refine3d``'s step limit the walk
+    @pytest.mark.parametrize("dim", [2, 3], ids=["square", "cube"])
+    def test_requests_are_the_serial_walk_the_peer_owns(self, monkeypatch, dim):
+        """At p = 2 (roots dealt round robin) on a refined square and a
+        refined cube, the refine requests a rank sends are the elements of
+        the serial walk (the oracle's first wave from its marked leaves)
+        that its peer owns; past the refinement's step limit the walk
         raises instead of returning a short request set."""
-        from repro.mesh import rivara3d
+        from repro.mesh import _meshnative
         from repro.mesh.base import PropagationLimitError
-        from repro.mesh.dualgraph import coarse_root_centroids
         from tests import _mesh_oracle as oracle
 
-        am = AdaptiveMesh.unit_cube(4)
+        am = AdaptiveMesh.unit_square(6) if dim == 2 else AdaptiveMesh.unit_cube(4)
         rng = np.random.default_rng(3)
         for _ in range(2):
             am.refine(rng.choice(am.leaf_ids(), size=am.n_leaves // 5, replace=False))
         mesh = am.mesh
-        owner = (coarse_root_centroids(mesh)[:, 0] > 0).astype(np.int64)
+        owner = np.arange(am.n_roots) % 2
 
         def prog(comm):
             dm = DistributedMesh(comm, am, owner)
             mine = dm.owned_leaf_ids()[::3]
-            walk = oracle.star_walk(mesh, mine)
+            walk = oracle.walk(mesh, mine)
             peer = 1 - comm.rank
             want = walk[owner[mesh.forest.root_array[walk]] == peer].tolist()
             assert dm._lepp_remote_targets(mine) == {peer: want}
             return len(want)
 
         assert all(n > 0 for n in spmd_run(2, prog))
-        monkeypatch.setattr(rivara3d, "_step_limit", lambda mesh, factor: 10)
+        monkeypatch.setattr(_meshnative, "_max_steps", lambda mesh, factor: 10)
         dm = DistributedMesh(_OneRankOfTwo(), am, owner)
         with pytest.raises(PropagationLimitError):
             dm._lepp_remote_targets(dm.owned_leaf_ids())

@@ -61,6 +61,25 @@ class TestQuality:
             angle_bound_check(cube3)
 
 
+def _p1_interpolant(verts, cells, u, points) -> np.ndarray:
+    """The P1 function ``u`` on triangles ``cells`` evaluated at
+    ``points``, each through barycentric coordinates in a triangle that
+    contains it."""
+    a, b, c = (verts[cells[:, i]] for i in range(3))
+
+    def cross(x, y):
+        return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+    det = cross(b - a, c - a)
+    out = np.empty(points.shape[0])
+    for k, p in enumerate(points):
+        l1, l2 = cross(p - a, c - a) / det, cross(b - a, p - a) / det
+        lam = np.column_stack([1 - l1 - l2, l1, l2])
+        t = np.flatnonzero((lam >= -1e-12).all(axis=1))[0]
+        out[k] = lam[t] @ u[cells[t]]
+    return out
+
+
 class TestTransfer:
     def test_transfer_linear_exact(self):
         am = AdaptiveMesh.unit_square(4)
@@ -78,6 +97,25 @@ class TestTransfer:
         am.uniform_refine(3)  # several generations of midpoints at once
         u2 = transfer_nodal(am, u)
         assert np.allclose(u2, lin(am.verts))
+
+    def test_transfer_interpolates_reactivated_midpoints(self):
+        """Refine, step, coarsen, step, refine: the midpoints the second
+        refinement brings back under their old ids (which the step on the
+        coarse mesh pinned to 0) get the P1 interpolant of the last
+        solution, as the fresh ones do — at every vertex the mesh uses."""
+        am = AdaptiveMesh.unit_square(4)
+        solver = HeatEquationSolver(am)
+        u = solver.initial_condition(lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2)
+        am.refine(am.leaf_ids())
+        u = solver.step(solver.transfer(u), 0.05, 0.05)
+        am.coarsen(am.leaf_ids())
+        u = solver.step(solver.transfer(u), 0.1, 0.05)
+        cells, verts = am.leaf_cells().copy(), am.verts.copy()
+        am.refine(am.leaf_ids())
+        got = solver.transfer(u)
+        used = np.unique(am.leaf_cells())
+        assert np.count_nonzero(used < u.shape[0]) > np.unique(cells).size  # reactivated
+        assert np.allclose(got[used], _p1_interpolant(verts, cells, u, am.verts[used]))
 
     def test_transfer_idempotent_without_adaptation(self, square8):
         u = np.arange(square8.mesh.n_verts, dtype=float)
