@@ -5,9 +5,10 @@ Each rank holds a replica of the nested mesh plus a shared ownership map
 (coarse root -> rank); ranks act only on owned refinement trees and
 communicate in the phases of Figure 2:
 
-* **P0** — parallel adaptation: marked owned leaves are refined; longest-
-  edge propagation paths crossing ownership boundaries generate refine
-  *requests* to the owning ranks; the union of targets is applied
+* **P0** — parallel adaptation: marked owned leaves are refined; the
+  elements the refinement's first wave walks from them (longest-edge paths
+  in 2-D, edge stars in 3-D) that other ranks own become refine
+  *requests* to those ranks; the union of targets is applied
   deterministically on every replica, which provably matches the serial
   refinement (tested).
 * **P1** — each rank recomputes vertex/edge weights of the coarse dual
