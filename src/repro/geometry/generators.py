@@ -36,26 +36,17 @@ def structured_tri_mesh(nx: int, ny: int, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for i in range(nx):
-        for j in range(ny):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                # diagonal v00-v11
-                tris[t] = (v00, v10, v11)
-                tris[t + 1] = (v00, v11, v01)
-            else:
-                # diagonal v10-v01
-                tris[t] = (v00, v10, v01)
-                tris[t + 1] = (v10, v11, v01)
-            t += 2
+    # cell (i, j) of the i-major grid: corners v00, v10, v01, v11, and its
+    # two triangles split along v00-v11 on even cells, v10-v01 on odd ones
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    v00 = i * (ny + 1) + j
+    v10 = v00 + (ny + 1)
+    v01 = v00 + 1
+    v11 = v10 + 1
+    even = ((i + j) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([v00, v10, v11], -1), np.stack([v00, v10, v01], -1))
+    second = np.where(even, np.stack([v00, v11, v01], -1), np.stack([v10, v11, v01], -1))
+    tris = np.stack([first, second], axis=2).reshape(-1, 3).astype(np.int64)
     return verts, tris
 
 
@@ -90,19 +81,11 @@ def structured_tet_mesh(nx: int, ny: int, nz: int, lo=(-1.0, -1.0, -1.0), hi=(1.
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    tets = np.empty((6 * nx * ny * nz, 4), dtype=np.int64)
-    t = 0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corner = [
-                    vid(i + (c & 1), j + ((c >> 1) & 1), k + ((c >> 2) & 1))
-                    for c in range(8)
-                ]
-                for tet in _KUHN_TETS:
-                    tets[t] = tuple(corner[c] for c in tet)
-                    t += 1
+    # the vertex of corner c of a cube, relative to the cube's corner 0,
+    # then every cube (i-major, then j, then k) with its six tetrahedra
+    c = np.arange(8)
+    corner = ((c & 1) * (ny + 1) + ((c >> 1) & 1)) * (nz + 1) + ((c >> 2) & 1)
+    i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    base = ((i * (ny + 1) + j) * (nz + 1) + k).reshape(-1, 1, 1)
+    tets = (base + corner[np.array(_KUHN_TETS)]).reshape(-1, 4).astype(np.int64)
     return verts, tets

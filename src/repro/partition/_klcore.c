@@ -7,12 +7,16 @@
  *   hem_match          ~ _match_rounds
  *   contract           ~ _contract_py
  *   kl_refine          ~ _kl_refine_py
+ *   grow               ~ greedy_graph_growing
  *   pcg64_permutation  ~ numpy.random.default_rng(seed).permutation(m)
+ *   pcg64_integers     ~ numpy.random.default_rng(seed).integers(high), drawn
+ *                        in turn
  *   coarsen            ~ build_hierarchy (heavy_edge_matching's filter and
  *                        tie order, contract, _project_down)
  *   refine             ~ v_cycle as configured by multilevel_partition /
- *                        multilevel_repartition, with the latter's
- *                        repartition_cost identity guard
+ *                        multilevel_repartition (the coarsest rule — greedy
+ *                        growing or the projected home — included), with
+ *                        the latter's repartition_cost identity guard
  *
  * and every kernel must stay *bit-identical* to its oracle
  * (tests/test_multilevel_native.py, tests/test_kl_native.py).
@@ -25,18 +29,30 @@
  *
  * pcg64_permutation: numpy's Generator.permutation(m) is a Fisher-Yates
  * shuffle of arange(m) from the top, each index drawn by random_interval
- * (masked rejection over 32-bit draws, two per 64-bit PCG64 output).  The
- * port starts from the state numpy's seeding produced (read once per seed
- * in Python), so the tie order of every matching is numpy's; the wrapper
- * checks a few draws against numpy when the core loads and refuses to
- * load on any mismatch.
+ * (masked rejection over 32-bit draws, two per 64-bit PCG64 output).
+ * pcg64_integers: Generator.integers(high) is Lemire's bounded draw over
+ * the same 32-bit draws.  The ports start from the state numpy's seeding
+ * produced (read once per seed in Python), so the tie order of every
+ * matching and the start vertices of greedy growing are numpy's; the
+ * wrapper checks a few draws of each against numpy when the core loads
+ * and refuses to load on any mismatch.
+ *
+ * grow: heapq orders the oracle's growth heap by the tuple (-gain,
+ * vertex), a total order up to identical tuples, so this kernel's heap on
+ * the same pair pops the same sequence.
  *
  * kl_refine: the oracle engine orders its heap by the tuple (-gain,
  * counter): the counter is unique, so the ordering is *total* and the pop
  * sequence is independent of the heap's internal layout.  This kernel
  * assigns counters in the same program order and compares (key, counter)
- * the same way, so any correct heap — including this 4-ary one — pops in
- * exactly the order heapq's binary heap does.  All gain arithmetic is IEEE
+ * the same way, so any correct set of heaps — here a 4-ary one popped
+ * bottom-up, a side heap of revived candidates and the window's carry,
+ * merged at their tops — pops in exactly the order heapq's binary heap
+ * does.  A heap entry is just (key, counter); the counter indexes the
+ * candidate's vertex, destination and stamp.  A refresh visits only the
+ * parts in a row's mask, a superset of the parts with a nonzero
+ * connection or a live stamp (a touch of any other part does nothing),
+ * plus the lightest, in ascending order.  All gain arithmetic is IEEE
  * double in the same operation order as the Python expressions (no
  * -ffast-math, no FMA contraction; see _klnative.py), so keys are
  * bit-identical and the chosen moves match the oracle's exactly.
@@ -49,9 +65,10 @@
  * Every kernel writes only to caller-provided output buffers.  A kernel
  * that allocates scratch returns KL_NOMEM if that failed, and one that
  * validates its input returns KL_BADARG on one it cannot take (a match
- * that is no involution, an asymmetric adjacency, a start label outside
- * [0, p)); either way the caller's inputs are untouched and it raises.  ``coarsen`` returns KL_GROW when an output buffer is too
- * small, and the caller grows them all and calls again.
+ * that is no involution, an asymmetric adjacency, p < 1); either way the
+ * caller's inputs are untouched and it raises.  ``coarsen`` returns
+ * KL_GROW when an output buffer is too small, and the caller grows them
+ * all and calls again.
  */
 
 #include <stdint.h>
@@ -131,7 +148,7 @@ static void part_weights(int64_t n, int64_t p, const int64_t *asg,
 }
 
 /* ------------------------------------------------------------------ */
-/* numpy's PCG64 (XSL-RR 128/64) and Generator.permutation             */
+/* numpy's PCG64 (XSL-RR 128/64), Generator.permutation and .integers  */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -215,6 +232,38 @@ void pcg64_permutation(const uint64_t *st, int64_t m, int64_t *out)
         out[i] = out[j];
         out[j] = t;
     }
+}
+
+/* numpy's bounded draw behind Generator.integers(high) for 1 <= high <=
+ * 2^32: Lemire's multiply-shift of one 32-bit draw, redrawn while the low
+ * half of the product falls below the threshold that would bias it */
+static int64_t random_below(pcg64 *g, int64_t high)
+{
+    uint32_t rng = (uint32_t)(high - 1), excl;
+    uint64_t m;
+    if (rng == 0)
+        return 0;
+    if (rng == UINT32_MAX)
+        return pcg_next32(g);
+    excl = rng + 1;
+    m = (uint64_t)pcg_next32(g) * excl;
+    if ((uint32_t)m < excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)pcg_next32(g) * excl;
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* out[k] = default_rng(seed).integers(highs[k]) for k < count, drawn in
+ * turn from one generator started at ``st`` (as pcg64_permutation's) */
+void pcg64_integers(const uint64_t *st, int64_t count, const int64_t *highs,
+                    int64_t *out)
+{
+    pcg64 g = {st[0], st[1], st[2], st[3], 0, 0};
+    int64_t k;
+    for (k = 0; k < count; k++)
+        out[k] = random_below(&g, highs[k]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -657,13 +706,37 @@ done:
 /* KL refinement                                                       */
 /* ------------------------------------------------------------------ */
 
+/* What a heap orders: 16 bytes.  The rest of the candidate sits in the
+ * pass's table (cand) at index ``k``, its unique push counter. */
 typedef struct {
-    double key; /* -static_gain: min-heap top = best candidate */
-    int64_t k;  /* unique push counter: total order, heapq-compatible */
+    uint64_t key; /* key_of(-static_gain): min-heap top = best candidate */
+    int64_t k;    /* push counter: total order, heapq-compatible */
+} entry;
+
+/* A float key as an integer that orders like it: the sign bit flipped on
+ * numbers >= 0, every bit on negative ones.  -0.0 first becomes 0.0, which
+ * it equals; no key is NaN (weights are finite). */
+static inline uint64_t key_of(double x)
+{
+    uint64_t u;
+    x += 0.0;
+    memcpy(&u, &x, sizeof u);
+    return u >> 63 ? ~u : u | (1ULL << 63);
+}
+
+static inline double key_value(uint64_t key)
+{
+    double x;
+    key = key >> 63 ? key & ~(1ULL << 63) : ~key;
+    memcpy(&x, &key, sizeof x);
+    return x;
+}
+
+typedef struct {
     int32_t v;  /* vertex (klws_init refuses n >= 2^31) */
     int32_t j;  /* destination subset */
     int64_t s;  /* generation stamp at push time */
-} entry;
+} cand;
 
 typedef struct {
     entry *a;
@@ -684,14 +757,29 @@ static int vec_push(vec *h, entry e)
     return 0;
 }
 
-/* strict "less" on (key, counter) — the tuple order heapq sees */
+/* strict "less" on (key, counter) — the tuple order heapq sees — as one
+ * 128-bit comparison, without the branches a heap's comparisons of random
+ * keys would mispredict */
 static inline int entry_lt(const entry *x, const entry *y)
 {
-    if (x->key < y->key)
-        return 1;
-    if (x->key > y->key)
-        return 0;
-    return x->k < y->k;
+    return (((unsigned __int128)x->key << 64) | (uint64_t)x->k) <
+           (((unsigned __int128)y->key << 64) | (uint64_t)y->k);
+}
+
+/* the least of the children a[c], ..., a[min(c + 4, n) - 1]: a full set
+ * as two pairs, then their winners */
+static inline int64_t least_child(const entry *a, int64_t c, int64_t n)
+{
+    int64_t m = c, x, y;
+    if (c + 4 <= n) {
+        x = c + entry_lt(&a[c + 1], &a[c]);
+        y = c + 2 + entry_lt(&a[c + 3], &a[c + 2]);
+        return entry_lt(&a[y], &a[x]) ? y : x;
+    }
+    for (x = c + 1; x < n; x++)
+        if (entry_lt(&a[x], &a[m]))
+            m = x;
+    return m;
 }
 
 /* A 4-ary min-heap: half the levels of a binary one, and pushes (twice as
@@ -700,12 +788,10 @@ static void sift_down(entry *a, int64_t n, int64_t i)
 {
     entry t = a[i];
     for (;;) {
-        int64_t c = 4 * i + 1, m = c, end = c + 4 < n ? c + 4 : n;
-        if (c >= n)
+        int64_t m;
+        if (4 * i + 1 >= n)
             break;
-        for (c++; c < end; c++)
-            if (entry_lt(&a[c], &a[m]))
-                m = c;
+        m = least_child(a, 4 * i + 1, n);
         if (!entry_lt(&a[m], &t))
             break;
         a[i] = a[m];
@@ -735,22 +821,84 @@ static int heap_push(vec *h, entry e)
     return 0;
 }
 
+/* Bottom-up pop: the hole left at the root descends along the least
+ * children to a leaf without comparing against the last entry, which then
+ * sifts up from there (it belongs near the bottom). */
 static entry heap_pop(vec *h)
 {
-    entry top = h->a[0];
-    h->len--;
-    if (h->len > 0) {
-        h->a[0] = h->a[h->len];
-        sift_down(h->a, h->len, 0);
+    entry *a = h->a, top = a[0], last;
+    int64_t n = --h->len, i = 0;
+    if (n == 0)
+        return top;
+    last = a[n];
+    for (;;) {
+        int64_t m;
+        if (4 * i + 1 >= n)
+            break;
+        m = least_child(a, 4 * i + 1, n);
+        a[i] = a[m];
+        i = m;
     }
+    while (i > 0) {
+        int64_t par = (i - 1) / 4;
+        if (!entry_lt(&last, &a[par]))
+            break;
+        a[i] = a[par];
+        i = par;
+    }
+    a[i] = last;
     return top;
+}
+
+/* the parts a row may hold: ceil(p/64) words per vertex */
+#define SET_PART(M, S) ((M)[(S) >> 6] |= (uint64_t)1 << ((S)&63))
+
+/* every part S of the mask row M (MW words), ascending: the loop head of
+ * a block that reads S (BITS and WD are the caller's scratch) */
+#define FOR_PARTS(M, MW, WD, BITS, S)                                    \
+    for (WD = 0; WD < (MW); WD++)                                        \
+        for (BITS = (M)[WD];                                             \
+             BITS && ((S) = 64 * WD + __builtin_ctzll(BITS), 1);         \
+             BITS &= BITS - 1)
+
+/* pairwise_sum(row + lo, n) of a row that is 0.0 outside the parts in m:
+ * numpy's additions in numpy's order, skipping only exact zeros (x + 0.0
+ * is x; no row entry is -0.0).  ``lo`` is a multiple of 8. */
+static double mask_sum(const double *row, const uint64_t *m, int64_t lo,
+                       int64_t n)
+{
+    double r[8] = {0.0}, tail[8], res;
+    int64_t hi = lo + n, split = hi - (n < 8 ? n : n % 8), nt = 0, wd, k;
+    if (n > 128) {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return mask_sum(row, m, lo, n2) + mask_sum(row, m, lo + n2, n - n2);
+    }
+    for (wd = lo >> 6; wd <= (hi - 1) >> 6; wd++) {
+        uint64_t bits;
+        for (bits = m[wd]; bits; bits &= bits - 1) {
+            int64_t s = 64 * wd + __builtin_ctzll(bits);
+            if (s < lo)
+                continue;
+            if (s >= hi)
+                break;
+            if (s < split)
+                r[(s - lo) & 7] += row[s];
+            else
+                tail[nt++] = row[s]; /* added after the 8 lanes combine */
+        }
+    }
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (k = 0; k < nt; k++)
+        res += tail[k];
+    return res;
 }
 
 /* One kl_refine call's problem (graph, configuration, balance bounds) and
  * a workspace sized for the largest graph it will see.  The workspace
  * outlives the call — ``refine`` binds every level to one — and is reset
  * by touched lists (move log, row stamps against a pass counter that only
- * grows), never by clearing O(n*p) memory. */
+ * grows, row masks), never by clearing O(n*p) memory. */
 typedef struct {
     int64_t n, p;
     const int64_t *xadj, *adjncy, *hom;
@@ -764,6 +912,9 @@ typedef struct {
     double *wt;       /* p: live subset weights */
     double *connf;    /* n*p: conn[v,s], row valid iff rowstamp[v]==pass */
     int64_t *gen;     /* n*p: candidate stamps, valid with the row */
+    uint64_t *mask;   /* n*mw: a superset of the parts where a row's conn
+                       * or gen entry is nonzero (all zero outside it) */
+    int64_t mw;
     int64_t *rowstamp; /* n */
     int64_t pass;
     unsigned char *locked; /* n: moved this pass; cleared from the log */
@@ -771,7 +922,9 @@ typedef struct {
     int64_t *mv_v, *mv_i;  /* n: move log */
     double *wfull;         /* look-ahead window: full gains, entries, */
     entry *went, *carry;   /* and the leftovers carried between moves */
-    vec heap, *def_tgt, *def_src;
+    vec heap, side, *def_tgt, *def_src; /* side: revived candidates */
+    cand *tab;             /* the pass's candidates, by push counter */
+    int64_t ncand, tabcap;
     double *sumbuf; /* max(nnz, n, p): operand gather of exact reductions */
 
     int64_t *ibuf; /* the blocks the pointers above are carved from */
@@ -785,6 +938,8 @@ static void klws_free(klws *w)
 {
     int64_t s;
     free(w->heap.a);
+    free(w->side.a);
+    free(w->tab);
     for (s = 0; w->vbuf && s < 2 * w->p; s++)
         free(w->vbuf[s].a);
     free(w->ibuf);
@@ -792,6 +947,7 @@ static void klws_free(klws *w)
     free(w->ebuf);
     free(w->vbuf);
     free(w->bbuf);
+    free(w->mask);
 }
 
 /* Workspace for graphs of up to n vertices and nnz CSR entries, p parts
@@ -806,16 +962,18 @@ static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
         wcap = 1;
     memset(w, 0, sizeof(*w));
     w->p = p;
+    w->mw = (p + 63) / 64;
     if (n > INT32_MAX || p > INT32_MAX)
-        return -1; /* heap entries hold int32 vertex and subset ids */
+        return -1; /* candidates hold int32 vertex and subset ids */
     w->ibuf = ALLOC(int64_t, 4 * n + n * p);
     w->dbuf = ALLOC(double, p + n * p + wcap + sumcap);
     w->ebuf = ALLOC(entry, 2 * wcap);
     w->vbuf = ALLOC(vec, 2 * p);
     w->bbuf = ALLOC(unsigned char, n + p);
+    w->mask = ALLOC(uint64_t, n * w->mw);
     if (w->vbuf) /* before any exit: klws_free frees what the vectors hold */
         memset(w->vbuf, 0, (size_t)(2 * p) * sizeof(vec));
-    if (!w->ibuf || !w->dbuf || !w->ebuf || !w->vbuf || !w->bbuf)
+    if (!w->ibuf || !w->dbuf || !w->ebuf || !w->vbuf || !w->bbuf || !w->mask)
         return -1;
     w->best = w->ibuf;
     w->rowstamp = w->best + n;
@@ -837,16 +995,54 @@ static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
     return 0;
 }
 
-/* conn row of v from the live assignment, in bincount's add order */
+/* conn row of v from the live assignment, in bincount's add order.  A
+ * row built before is cleared through its mask, a row never built (stamp
+ * 0) whole. */
 static void build_row(klws *w, int64_t v)
 {
-    int64_t p = w->p, vb = v * p, t;
-    double *row = w->connf + vb;
-    memset(row, 0, (size_t)p * sizeof(double));
-    memset(w->gen + vb, 0, (size_t)p * sizeof(int64_t));
-    for (t = w->xadj[v]; t < w->xadj[v + 1]; t++)
-        row[w->asg[w->adjncy[t]]] += w->ewts[t];
+    int64_t p = w->p, mw = w->mw, t, s, wd;
+    double *row = w->connf + v * p;
+    int64_t *gen = w->gen + v * p;
+    uint64_t *m = w->mask + v * mw, bits;
+    if (w->rowstamp[v] == 0) {
+        memset(row, 0, (size_t)p * sizeof(double));
+        memset(gen, 0, (size_t)p * sizeof(int64_t));
+    } else {
+        FOR_PARTS(m, mw, wd, bits, s) {
+            row[s] = 0.0;
+            gen[s] = 0;
+        }
+    }
+    memset(m, 0, (size_t)mw * sizeof(uint64_t));
+    for (t = w->xadj[v]; t < w->xadj[v + 1]; t++) {
+        s = w->asg[w->adjncy[t]];
+        row[s] += w->ewts[t];
+        SET_PART(m, s);
+    }
     w->rowstamp[v] = w->pass;
+}
+
+/* A new candidate (v, j, stamp s) keyed ``key``: its table row and heap
+ * entry ``e``.  Returns -1 if the table could not grow. */
+static inline int new_cand(klws *w, uint64_t key, int64_t v, int64_t j,
+                           int64_t s, entry *e)
+{
+    int64_t k = w->ncand;
+    if (k == w->tabcap) {
+        int64_t nc = w->tabcap ? 2 * w->tabcap : 1024;
+        cand *nt = (cand *)xrealloc(w->tab, (size_t)nc * sizeof(cand));
+        if (!nt)
+            return -1;
+        w->tab = nt;
+        w->tabcap = nc;
+    }
+    w->tab[k].v = (int32_t)v;
+    w->tab[k].j = (int32_t)j;
+    w->tab[k].s = s;
+    w->ncand = k + 1;
+    e->key = key;
+    e->k = k;
+    return 0;
 }
 
 /* graph_cut: the crossing entries in CSR order, pairwise-summed, halved
@@ -911,7 +1107,7 @@ static double objective(klws *w)
  * kept cumulative gain; returns -1 if an allocation failed. */
 static int kl_pass(klws *w, double *kept)
 {
-    const int64_t n = w->n, p = w->p;
+    const int64_t n = w->n, p = w->p, mw = w->mw;
     const int64_t *xadj = w->xadj, *adjncy = w->adjncy, *hom = w->hom;
     const double *ewts = w->ewts, *vw = w->vw;
     const double alpha = w->alpha, beta = w->beta, maxcap = w->maxcap;
@@ -921,14 +1117,17 @@ static int kl_pass(klws *w, double *kept)
     int64_t *asg = w->asg, *gen = w->gen;
     double *wt = w->wt, *connf = w->connf;
     unsigned char *locked = w->locked;
-    vec *heap = &w->heap;
+    vec *heap = &w->heap, *side = &w->side;
     double best_cum = 0.0, cum = 0.0;
-    int64_t nmoves = 0, best_len = 0, counter = 0, ncarry = 0, wlen, t, v, s;
+    int64_t nmoves = 0, best_len = 0, ncarry = 0, wlen, t, v, s, wd;
     int64_t light0 = -1, any_over = 0;
+    uint64_t bits;
     int status = -1;
 
     w->pass++;
+    w->ncand = 0;
     heap->len = 0;
+    side->len = 0;
     for (s = 0; s < p; s++) {
         w->def_tgt[s].len = 0;
         w->def_src[s].len = 0;
@@ -947,9 +1146,12 @@ static int kl_pass(klws *w, double *kept)
         }
     }
 
-    /* initial candidates in np.nonzero order: v ascending, j ascending */
+    /* initial candidates in np.nonzero order: v ascending, j ascending
+     * over the row's parts (every other destination has conn 0 and is no
+     * candidate unless it is the lightest) */
     for (v = 0; v < n; v++) {
         int64_t i = asg[v], vb = v * p, j;
+        uint64_t *m = w->mask + v * mw;
         int ext = 0, seeded = any_over && w->over[i];
         for (t = xadj[v]; t < xadj[v + 1]; t++)
             if (asg[adjncy[t]] != i) {
@@ -959,11 +1161,13 @@ static int kl_pass(klws *w, double *kept)
         if (!ext && !seeded)
             continue; /* row sum == internal degree exactly: not boundary */
         build_row(w, v);
-        if (!seeded &&
-            !(pairwise_sum(connf + vb, p) - connf[vb + i] > 0.0))
+        if (!seeded && !(mask_sum(connf + vb, m, 0, p) - connf[vb + i] > 0.0))
             continue;
-        for (j = 0; j < p; j++) {
+        if (light0 >= 0)
+            SET_PART(m, light0);
+        FOR_PARTS(m, mw, wd, bits, j) {
             double cw = connf[vb + j], g;
+            entry e;
             if (j == i || !(cw > 0.0 || j == light0))
                 continue;
             g = cw - connf[vb + i];
@@ -973,55 +1177,54 @@ static int kl_pass(klws *w, double *kept)
                             ((double)(j != hh) - (double)(i != hh));
             }
             gen[vb + j] = 1;
-            {
-                entry e = {-g, counter++, v, j, 1};
-                if (vec_push(heap, e))
-                    goto done;
-            }
+            if (new_cand(w, key_of(-g), v, j, 1, &e) || vec_push(heap, e))
+                goto done;
         }
     }
     for (t = heap->len > 1 ? (heap->len - 2) / 4 : -1; t >= 0; t--)
         sift_down(heap->a, heap->len, t); /* from the last parent */
 
-/* re-stamp destination JT of u after its gain changed (kl.py `touch`) */
+/* re-stamp destination JT of u after its gain changed (kl.py `touch`);
+ * JT is in u's mask */
 #define TOUCH(JT)                                                        \
     do {                                                                 \
         int64_t idx_ = ub + (JT);                                        \
         double cw_ = connf[idx_];                                        \
         if (cw_ > 0.0 || (JT) == light) {                                \
             double g_ = cw_ - base;                                      \
+            int64_t s_;                                                  \
+            entry ne_;                                                   \
             if (alpha != 0.0) {                                          \
                 int64_t hu_ = hom[u];                                    \
                 double t1_ = ((JT) != hu_) ? alpha * vw[u] : 0.0;        \
                 double t2_ = (au != hu_) ? alpha * vw[u] : 0.0;          \
                 g_ -= (t1_ - t2_);                                       \
             }                                                            \
-            int64_t s_ = gen[idx_] + 1;                                  \
+            s_ = gen[idx_] + 1;                                          \
             gen[idx_] = s_;                                              \
-            entry ne_ = {-g_, counter++, u, (JT), s_};                   \
-            if (heap_push(heap, ne_))                                    \
+            if (new_cand(w, key_of(-g_), u, (JT), s_, &ne_) ||           \
+                heap_push(heap, ne_))                                    \
                 goto done;                                               \
         } else if (gen[idx_]) {                                          \
             gen[idx_] += 1;                                              \
         }                                                                \
     } while (0)
 
-/* wake the candidates deferred on subset S (kl.py `revive`) */
+/* wake the candidates deferred on subset S (kl.py `revive`) into the
+ * side heap */
 #define REVIVE(DEF, S)                                                   \
     do {                                                                 \
         vec *dv_ = &(DEF)[S];                                            \
         for (t = 0; t < dv_->len; t++) {                                 \
-            entry le_ = dv_->a[t];                                       \
-            int64_t idx_ = le_.v * p + le_.j, s2_;                       \
-            if (locked[le_.v] || gen[idx_] != le_.s)                     \
+            entry le_ = dv_->a[t], ne_;                                  \
+            cand c_ = w->tab[le_.k];                                     \
+            int64_t idx_ = c_.v * p + c_.j;                              \
+            if (locked[c_.v] || gen[idx_] != c_.s)                       \
                 continue; /* superseded (dedups the twin listing) */     \
-            s2_ = gen[idx_] + 1;                                         \
-            gen[idx_] = s2_;                                             \
-            {                                                            \
-                entry ne_ = {le_.key, counter++, le_.v, le_.j, s2_};     \
-                if (heap_push(heap, ne_))                                \
-                    goto done;                                           \
-            }                                                            \
+            gen[idx_] = c_.s + 1;                                        \
+            if (new_cand(w, le_.key, c_.v, c_.j, c_.s + 1, &ne_) ||      \
+                heap_push(side, ne_))                                    \
+                goto done;                                               \
         }                                                                \
         dv_->len = 0;                                                    \
     } while (0)
@@ -1029,10 +1232,10 @@ static int kl_pass(klws *w, double *kept)
     /* The oracle pops up to `window` valid candidates per move, takes
      * the best by full gain and pushes the rest back.  Pop order is the
      * total order on (key, counter), so the rest can wait in a sorted
-     * side list (`carry`) and be merged with the heap's top on the next
-     * move: same candidates in the same order, without ~2*window heap
-     * operations per move. */
-    while (heap->len > 0 || ncarry > 0) {
+     * side list (`carry`), and revived candidates in a side heap, each
+     * merged with the heap's top as entries are drawn: same candidates
+     * in the same order, without ~2*window heap operations per move. */
+    while (heap->len > 0 || side->len > 0 || ncarry > 0) {
         int64_t ci = 0, tail = nmoves - best_len;
         if (stall_limit) {
             /* converged: the remaining tail would be rolled back.  Inside
@@ -1051,20 +1254,24 @@ static int kl_pass(klws *w, double *kept)
         wlen = 0;
         while (wlen < window_n) {
             entry e;
+            cand c;
+            vec *top = heap->len > 0 ? heap : NULL;
             int64_t j, i;
             double wv, wj_after, full, Wi, Wj, bg, d;
-            if (ci < ncarry &&
-                (heap->len == 0 || entry_lt(&w->carry[ci], &heap->a[0])))
+            if (side->len > 0 && (!top || entry_lt(&side->a[0], &top->a[0])))
+                top = side;
+            if (ci < ncarry && (!top || entry_lt(&w->carry[ci], &top->a[0])))
                 e = w->carry[ci++];
-            else if (heap->len > 0)
-                e = heap_pop(heap);
+            else if (top)
+                e = heap_pop(top);
             else
                 break;
-            v = e.v;
+            c = w->tab[e.k];
+            v = c.v;
             if (locked[v])
                 continue;
-            j = e.j;
-            if (gen[v * p + j] != e.s)
+            j = c.j;
+            if (gen[v * p + j] != c.s)
                 continue; /* stale: superseded by a fresher entry */
             i = asg[v];
             wv = vw[v];
@@ -1074,7 +1281,7 @@ static int kl_pass(klws *w, double *kept)
                     goto done;
                 continue;
             }
-            full = -e.key;
+            full = -key_value(e.key);
             if (beta == 0.0) {
                 w->wfull[wlen] = full;
                 w->went[wlen] = e;
@@ -1128,16 +1335,14 @@ static int kl_pass(klws *w, double *kept)
         {
             int64_t best_t = 0, j, i, light, nb;
             double bf = w->wfull[0], full, wv;
-            entry e;
             for (t = 1; t < wlen; t++)
                 if (w->wfull[t] > bf) {
                     bf = w->wfull[t];
                     best_t = t;
                 }
             full = w->wfull[best_t];
-            e = w->went[best_t];
-            v = e.v;
-            j = e.j;
+            v = w->tab[w->went[best_t].k].v;
+            j = w->tab[w->went[best_t].k].j;
             i = asg[v];
             wv = vw[v];
             /* neighbours not seen yet this pass get their row now, while
@@ -1171,20 +1376,26 @@ static int kl_pass(klws *w, double *kept)
 
             for (nb = xadj[v]; nb < xadj[v + 1]; nb++) {
                 int64_t u = adjncy[nb], ub, au;
+                uint64_t *mu;
                 double w_uv = ewts[nb], base;
                 if (locked[u])
                     continue; /* its row is never read again this pass */
                 ub = u * p;
-                connf[ub + i] -= w_uv;
+                mu = w->mask + u * mw;
+                connf[ub + i] -= w_uv; /* i is in u's mask: v sat there */
                 connf[ub + j] += w_uv;
+                SET_PART(mu, j);
+                if (light >= 0)
+                    SET_PART(mu, light);
                 au = asg[u];
                 base = connf[ub + au];
                 if (au == i || au == j) {
-                    /* u's internal degree changed: every destination */
-                    for (t = 0; t < p; t++) {
+                    /* u's internal degree changed: every destination in
+                     * u's mask (elsewhere conn and stamp are 0, and a
+                     * touch does nothing) */
+                    FOR_PARTS(mu, mw, wd, bits, t)
                         if (t != au)
                             TOUCH(t);
-                    }
                 } else {
                     TOUCH(i);
                     TOUCH(j);
@@ -1310,6 +1521,122 @@ int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
 }
 
 /* ------------------------------------------------------------------ */
+/* greedy graph growing: the coarsest assignment from scratch          */
+/* ------------------------------------------------------------------ */
+
+/* The first vertex of the last level of a breadth-first search from
+ * ``from`` over the unassigned vertices (asg -1), neighbours in CSR order;
+ * ``seen`` is stamped with ``mark``, ``q`` holds n. */
+static int64_t bfs_last(const int64_t *xadj, const int64_t *adjncy,
+                        const int64_t *asg, int64_t from, int64_t *seen,
+                        int64_t mark, int64_t *q)
+{
+    int64_t lo = 0, hi = 1, tail = 1, last = from, k, t;
+    q[0] = from;
+    seen[from] = mark;
+    while (lo < hi) {
+        for (k = lo; k < hi; k++)
+            for (t = xadj[q[k]]; t < xadj[q[k] + 1]; t++) {
+                int64_t u = adjncy[t];
+                if (asg[u] == -1 && seen[u] != mark) {
+                    seen[u] = mark;
+                    q[tail++] = u;
+                }
+            }
+        if (tail > hi)
+            last = q[hi];
+        lo = hi;
+        hi = tail;
+    }
+    return last;
+}
+
+/* greedy_graph_growing(graph, p, seed, targets) (tests/_kl_oracle.py)
+ * into asg[n].  Subsets 0 .. p-2 grow in turn from a pseudo-peripheral
+ * unassigned vertex (two sweeps from one drawn with Generator.integers),
+ * best first in heapq's (-gain, vertex) order, until they reach their
+ * target — skipping a vertex that would overshoot it by a quarter — and
+ * whatever is left goes to subset p-1.  ``st`` is default_rng(seed)'s
+ * state; ``targets`` NULL means W/p each.  Returns 0, KL_NOMEM with
+ * ``asg`` untouched, or KL_BADARG (p < 1, n >= 2^31). */
+int64_t grow(int64_t n, const int64_t *xadj, const int64_t *adjncy,
+             const double *ewts, const double *vwts, int64_t p,
+             const uint64_t *st, const double *targets, int64_t *asg)
+{
+    pcg64 g = {st[0], st[1], st[2], st[3], 0, 0};
+    int64_t *ibuf, *seen, *q, *gpart, part, v, t, nrem = n, mark = 0;
+    double *gain, even;
+    vec heap = {NULL, 0, xadj[n] + 1};
+    if (p < 1 || n > INT32_MAX)
+        return KL_BADARG;
+    if (p == 1 || n == 0) {
+        for (v = 0; v < n; v++)
+            asg[v] = 0;
+        return 0;
+    }
+    ibuf = ALLOC(int64_t, 3 * n);
+    gain = ALLOC(double, n);
+    heap.a = ALLOC(entry, heap.cap);
+    if (!ibuf || !gain || !heap.a) {
+        free(ibuf);
+        free(gain);
+        free(heap.a);
+        return KL_NOMEM;
+    }
+    seen = ibuf;
+    q = seen + n;
+    gpart = q + n; /* the part whose growth set gain[v] */
+    for (v = 0; v < n; v++) {
+        asg[v] = -1;
+        seen[v] = -1;
+        gpart[v] = -1;
+    }
+    even = targets ? 0.0 : pairwise_sum(vwts, n) / (double)p;
+    for (part = 0; part < p - 1 && nrem > 0; part++) {
+        double target = targets ? targets[part] : even, wpart = 0.0;
+        int64_t r = random_below(&g, nrem), far, got = 0;
+        for (far = 0; asg[far] != -1 || r-- > 0; far++)
+            ; /* the r-th unassigned vertex */
+        far = bfs_last(xadj, adjncy, asg, far, seen, mark++, q);
+        far = bfs_last(xadj, adjncy, asg, far, seen, mark++, q);
+        heap.len = 0;
+        heap.a[heap.len++] = (entry){key_of(-0.0), far};
+        while (heap.len > 0 && wpart < target) {
+            v = heap_pop(&heap).k;
+            if (asg[v] != -1)
+                continue;
+            /* stop growing rather than badly overshoot on a heavy vertex */
+            if (wpart > 0.0 && wpart + vwts[v] > target * 1.25)
+                continue;
+            asg[v] = part;
+            wpart += vwts[v];
+            got++;
+            nrem--;
+            for (t = xadj[v]; t < xadj[v + 1]; t++) {
+                int64_t u = adjncy[t];
+                if (asg[u] == -1) {
+                    gain[u] = (gpart[u] == part ? gain[u] : 0.0) + ewts[t];
+                    gpart[u] = part;
+                    /* fits: a part pushes at most nnz + 1 */
+                    heap_push(&heap, (entry){key_of(-gain[u]), u});
+                }
+            }
+        }
+        if (!got) { /* target too small for any vertex: the seed anyway */
+            asg[far] = part;
+            nrem--;
+        }
+    }
+    for (v = 0; v < n; v++)
+        if (asg[v] == -1)
+            asg[v] = p - 1;
+    free(ibuf);
+    free(gain);
+    free(heap.a);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* refine: project and refine every level in one call                  */
 /* ------------------------------------------------------------------ */
 
@@ -1387,7 +1714,9 @@ static double eq1_cost(klws *w, const int64_t *hom, const int64_t *asg,
 
 /* The project-and-refine half of the V-cycle over a hierarchy ``coarsen``
  * built (nlev levels; level 0 is the graph xadj/adjncy/ewts/vwts, the rest
- * the level-concatenated outputs), from the coarsest assignment ``start``.
+ * the level-concatenated outputs).  The coarsest level starts from
+ * greedy growing with the generator state ``grow_state`` or, when that is
+ * NULL, from its home.
  *
  * Without ``home`` (multilevel_partition), each level runs cfgs[0] if
  * graph_imbalance exceeds ``rebalance_above`` and then cfgs[1].  With it
@@ -1396,26 +1725,23 @@ static double eq1_cost(klws *w, const int64_t *hom, const int64_t *asg,
  * score worse under Equation 1 (cfgs[0]'s alpha and beta) than ``home``
  * itself, else ``out`` receives ``home``.  ``stats`` receives the KL
  * counters of kl_call.  Returns 0, KL_NOMEM (an allocation failed) or
- * KL_BADARG (``p`` < 1, or ``start`` has a label outside [0, p)). */
+ * KL_BADARG (``p`` < 1, or neither a grow state nor a home). */
 int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
                const int64_t *xadj, const int64_t *adjncy, const double *ewts,
                const double *vwts, const int64_t *cxadj, const int64_t *cadj,
                const double *cew, const double *cvw, const int64_t *cmap,
                const int64_t *home, const int64_t *chome, int64_t p,
                const double *cfgs, int64_t ncfg, double rebalance_above,
-               int64_t in_band_tail, const int64_t *start, int64_t *out,
-               double *stats)
+               int64_t in_band_tail, const uint64_t *grow_state,
+               int64_t *out, double *stats)
 {
     int64_t n0 = nv[0], top = nlev - 1, l, v, k, wcap = 1, status = KL_NOMEM;
     int64_t *off = NULL, *cur, *nxt, *sw;
     klws w;
 
     memset(&w, 0, sizeof(w));
-    if (p < 1)
+    if (p < 1 || (!grow_state && !home))
         return KL_BADARG;
-    for (v = 0; v < nv[top]; v++)
-        if (start[v] < 0 || start[v] >= p)
-            return KL_BADARG;
     for (k = 0; k < ncfg; k++)
         if ((int64_t)cfgs[k * C_FIELDS + C_WINDOW] > wcap)
             wcap = (int64_t)cfgs[k * C_FIELDS + C_WINDOW];
@@ -1433,7 +1759,6 @@ int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
     nxt = cur + n0;
     for (k = 0; k < 6; k++)
         stats[k] = 0.0;
-    memcpy(cur, start, (size_t)nv[top] * sizeof(int64_t));
 
     for (l = top; l >= 0; l--) {
         const int64_t *hom = NULL;
@@ -1453,6 +1778,13 @@ int64_t refine(int64_t nlev, const int64_t *nv, const int64_t *ne,
             bind_graph(&w, nv[l], cxadj + vo + (l - 1), cadj + eo, cew + eo,
                        cvw + vo);
             hom = home ? chome + vo : NULL;
+        }
+        if (l == top) { /* the coarsest assignment */
+            if (!grow_state)
+                memcpy(cur, hom, (size_t)w.n * sizeof(int64_t));
+            else if (grow(w.n, w.xadj, w.adjncy, w.ewts, w.vw, p, grow_state,
+                          NULL, cur))
+                goto done; /* KL_NOMEM: n and p passed klws_init */
         }
         w.asg = cur;
         if (home) {

@@ -11,11 +11,12 @@ allocation inside a kernel ``MemoryError``, an input a kernel cannot take
 oracle in ``tests/_kl_oracle.py``, array for array.
 
 The fused entries draw the matchings' seeded tie order with a C port of
-numpy's PCG64 ``Generator.permutation``, started from the generator state
-numpy's seeding produced.  When the core loads, a few C draws are compared
-with numpy's; a mismatch (a numpy whose ``permutation`` changed) fails the
-load, so the compiled V-cycle cannot drift from numpy's tie order
-silently.
+numpy's PCG64 ``Generator.permutation``, and greedy growing its start
+vertices with a port of ``Generator.integers``, both started from the
+generator state numpy's seeding produced.  When the core loads, a few C
+draws of each are compared with numpy's; a mismatch (a numpy whose
+``permutation`` or ``integers`` changed) fails the load, so the compiled
+V-cycle cannot drift from numpy's draws silently.
 
 Arrays cross the boundary as raw addresses: every wrapper normalises its
 arrays first (:func:`_csr`, ``ascontiguousarray``) and :func:`_ptr` only
@@ -34,7 +35,6 @@ import numpy as np
 
 from repro import _native
 from repro._native import ptr as _ptr
-from repro.graph.csr import WeightedGraph
 from repro.perf import PERF
 
 _SRC = Path(__file__).with_name("_klcore.c")
@@ -76,6 +76,13 @@ def _configure(lib) -> None:
     ]
     lib.pcg64_permutation.restype = None
     lib.pcg64_permutation.argtypes = [ptr, i64, ptr]
+    lib.pcg64_integers.restype = None
+    lib.pcg64_integers.argtypes = [ptr, i64, ptr, ptr]
+    lib.grow.restype = i64
+    lib.grow.argtypes = [
+        i64, ptr, ptr, ptr, ptr,       # n, CSR, vwts
+        i64, ptr, ptr, ptr,            # p, state, targets, out
+    ]
     lib.coarsen.restype = i64
     lib.coarsen.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr,  # n, CSR, vwts, home
@@ -93,7 +100,7 @@ def _configure(lib) -> None:
         ptr, ptr, ptr, ptr,            # coarse cxadj, cadj, cew, cvw
         ptr, ptr, ptr,                 # cmap, home, chome
         i64, ptr, i64, f64,            # p, cfgs, ncfg, rebalance_above
-        i64, ptr, ptr, ptr,            # in_band_tail, start, out, stats
+        i64, ptr, ptr, ptr,            # in_band_tail, grow state, out, stats
     ]
     lib.klcore_fail_after.restype = None
     lib.klcore_fail_after.argtypes = [i64]
@@ -108,11 +115,13 @@ def load():
     with _LOCK:
         if _LIB is None:
             lib = _native.build(_SRC, _configure)
-            if not _draws_agree(lib):
-                raise ImportError(
-                    f"{_SRC.name}: the PCG64 port disagrees with numpy "
-                    f"{np.__version__}'s Generator.permutation"
-                )
+            for name, agree in (("permutation", _permutation_agrees),
+                                ("integers", _integers_agree)):
+                if not agree(lib):
+                    raise ImportError(
+                        f"{_SRC.name}: the PCG64 port disagrees with numpy "
+                        f"{np.__version__}'s Generator.{name}"
+                    )
             _LIB = lib
     return _LIB
 
@@ -267,9 +276,28 @@ def permutation(seed: int, m: int, lib=None):
     return out
 
 
-def _draws_agree(lib) -> bool:
-    """The load-time self-check of the port against numpy (every size hits
-    a different mix of buffered 32-bit draws and rejections)."""
+def integers(seed: int, highs, lib=None):
+    """``[rng.integers(h) for h in highs]`` with ``rng =
+    default_rng(seed)``, drawn by the compiled port (1 <= h <= 2**32)."""
+    lib = lib or load()
+    state = np.array(_pcg_state(seed), dtype=np.uint64)
+    highs = np.ascontiguousarray(highs, dtype=np.int64)
+    out = np.empty(highs.shape[0], dtype=np.int64)
+    lib.pcg64_integers(_ptr(state, _U64), highs.shape[0], _ptr(highs, _I64),
+                       _ptr(out, _I64))
+    return out
+
+
+#: bounds the self-check draws in turn: no draw (1), small ones, ones that
+#: reject about every other draw (2**31 + 1, 3 * 2**30 + 1) and the full
+#: 32-bit range, in an order that shifts the buffered half-draw
+_CHECK_HIGHS = (1, 2, 7, 126, 2**31 + 1, 1000, 3 * 2**30 + 1, 2**32, 5) * 3
+
+
+def _permutation_agrees(lib) -> bool:
+    """The load-time self-check of the permutation port against numpy
+    (every size hits a different mix of buffered 32-bit draws and
+    rejections)."""
     for seed in (0, 41, 2**40 + 3):
         for m in (0, 1, 2, 7, 1000):
             if not np.array_equal(
@@ -277,6 +305,36 @@ def _draws_agree(lib) -> bool:
             ):
                 return False
     return True
+
+
+def _integers_agree(lib) -> bool:
+    """The load-time self-check of the bounded-draw port against numpy."""
+    for seed in (0, 41, 2**40 + 3):
+        rng = np.random.default_rng(seed)
+        expect = [int(rng.integers(h)) for h in _CHECK_HIGHS]
+        if integers(seed, _CHECK_HIGHS, lib).tolist() != expect:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------- #
+# greedy growing
+# ---------------------------------------------------------------------- #
+
+
+def grow(graph, p: int, seed: int, targets=None):
+    """``greedy_graph_growing(graph, p, seed, targets)`` in the compiled
+    core (``targets``: ``None``, meaning W/p each, or ``p`` weights)."""
+    lib = load()
+    state = np.array(_pcg_state(seed), dtype=np.uint64)
+    if targets is not None:
+        targets = np.ascontiguousarray(targets, dtype=np.float64)
+    out = np.empty(graph.n_vertices, dtype=np.int64)
+    _check(lib.grow(
+        graph.n_vertices, *_csr_ptrs(_csr(graph)), p, _ptr(state, _U64),
+        None if targets is None else _ptr(targets, _F64), _ptr(out, _I64),
+    ), "grow")
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -298,27 +356,6 @@ class Levels:
 
     __slots__ = ("graph", "csr", "home", "nlev", "nv", "ne",
                  "cxadj", "cadj", "cew", "cvw", "cmap", "chome")
-
-    def level_graph(self, level: int) -> WeightedGraph:
-        """The graph of ``level`` (0: the input, then ever coarser)."""
-        if level == 0:
-            return self.graph
-        v0 = int(self.nv[1:level].sum())
-        e0 = int(self.ne[1:level].sum())
-        n, nnz = int(self.nv[level]), int(self.ne[level])
-        x0 = v0 + level - 1
-        return WeightedGraph(
-            self.cxadj[x0 : x0 + n + 1], self.cadj[e0 : e0 + nnz],
-            self.cew[e0 : e0 + nnz], self.cvw[v0 : v0 + n],
-        )
-
-    def level_home(self, level: int):
-        """The home assignment projected to ``level`` (``None`` without a
-        home)."""
-        if self.home is None or level == 0:
-            return self.home
-        v0 = int(self.nv[1:level].sum())
-        return self.chome[v0 : v0 + int(self.nv[level])]
 
 
 def coarsen(graph, coarsen_to: int, seed, home, constrain: bool,
@@ -373,11 +410,12 @@ def coarsen(graph, coarsen_to: int, seed, home, constrain: bool,
     return lv
 
 
-def refine(levels: Levels, start, p: int, cfgs: list, rebalance_above: float,
-           in_band_tail: int):
-    """Project ``start`` (an assignment of the coarsest level) up through
-    ``levels`` and refine every level in one compiled call.  A ``start``
-    label outside ``[0, p)`` raises ``ValueError``.
+def refine(levels: Levels, p: int, cfgs: list, rebalance_above: float,
+           in_band_tail: int, grow_seed=None):
+    """Assign the coarsest level of ``levels`` — greedy growing seeded
+    ``grow_seed`` or, when that is ``None``, the projected home — then
+    project it up through every level and refine each, in one compiled
+    call.
 
     Without a home (``multilevel_partition``), each level runs ``cfgs[0]``
     while ``graph_imbalance`` exceeds ``rebalance_above``, then ``cfgs[1]``;
@@ -389,7 +427,7 @@ def refine(levels: Levels, start, p: int, cfgs: list, rebalance_above: float,
     """
     lib = load()
     t0 = perf_counter()
-    start = np.ascontiguousarray(start, dtype=np.int64)
+    state = None if grow_seed is None else np.array(_pcg_state(grow_seed), dtype=np.uint64)
     packed = np.array(
         [[c.alpha, c.beta, c.balance_tol, c.min_gain, c.balance_mode == "deadband",
           c.window, c.stall_limit, c.max_passes] for c in cfgs],
@@ -406,7 +444,8 @@ def refine(levels: Levels, start, p: int, cfgs: list, rebalance_above: float,
         None if home is None else _ptr(home, _I64),
         None if home is None else _ptr(levels.chome, _I64),
         p, _ptr(packed, _F64), len(cfgs), float(rebalance_above), int(in_band_tail),
-        _ptr(start, _I64), _ptr(out, _I64), _ptr(stats, _F64),
+        None if state is None else _ptr(state, _U64), _ptr(out, _I64),
+        _ptr(stats, _F64),
     )
     _check(status, "refine")
     calls, seconds, passes, pass_seconds, moves, kept = stats

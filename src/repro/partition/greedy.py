@@ -4,43 +4,22 @@ scheme.
 Grows each subset by best-first search (prefer the frontier vertex with the
 strongest connection to the growing region, the classic GGGP criterion) from
 a pseudo-peripheral seed until the subset reaches its weight target, then
-moves on.  Leftover stragglers (disconnected remainders) are appended to the
-lightest subset.  Cheap, decent quality — exactly what a coarsest graph of a
-few hundred vertices needs before KL polishing.
+moves on.  Leftover stragglers (disconnected remainders, and whatever the
+first p − 1 subsets did not take) go to subset p − 1.  Cheap, decent
+quality — exactly what a coarsest graph of a few hundred vertices needs
+before KL polishing.
+
+It runs in the compiled core (``_klnative.grow``, also the coarsest rule
+inside the V-cycle's ``refine``); its Python oracle is
+``tests/_kl_oracle.py: greedy_graph_growing``.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.graph.csr import WeightedGraph
-
-
-def _pseudo_peripheral(graph: WeightedGraph, candidates: np.ndarray, rng) -> int:
-    """A vertex far from a random start — two BFS sweeps restricted to
-    ``candidates`` (unassigned vertices)."""
-    cand = set(int(c) for c in candidates)
-    start = int(candidates[rng.integers(candidates.size)])
-    far = start
-    for _ in range(2):
-        seen = {far}
-        frontier = [far]
-        last = far
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in graph.neighbors(v):
-                    u = int(u)
-                    if u in cand and u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            if nxt:
-                last = nxt[0]
-            frontier = nxt
-        far = last
-    return far
+from repro.partition import _klnative
 
 
 def greedy_graph_growing(
@@ -51,55 +30,15 @@ def greedy_graph_growing(
 ) -> np.ndarray:
     """Partition ``graph`` into ``p`` subsets by greedy region growing.
 
-    ``targets`` optionally sets per-subset weight goals (defaults to W/p).
+    ``targets`` optionally sets per-subset weight goals (defaults to W/p);
+    it must hold exactly ``p`` of them.
     """
-    n = graph.n_vertices
     if p < 1:
         raise ValueError("p must be >= 1")
-    assignment = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if p == 1:
-        return np.zeros(n, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    total = graph.total_vweight
-    if targets is None:
-        targets = np.full(p, total / p)
-    else:
-        targets = np.asarray(targets, dtype=float)
-
-    weights = np.zeros(p)
-    for part in range(p - 1):
-        remaining = np.nonzero(assignment == -1)[0]
-        if remaining.size == 0:
-            break
-        seed_v = _pseudo_peripheral(graph, remaining, rng)
-        heap = [(-0.0, seed_v)]
-        gain = {seed_v: 0.0}
-        while heap and weights[part] < targets[part]:
-            _, v = heapq.heappop(heap)
-            if assignment[v] != -1:
-                continue
-            # stop growing rather than badly overshoot on a heavy vertex
-            if (
-                weights[part] > 0
-                and weights[part] + graph.vwts[v] > targets[part] * 1.25
-            ):
-                continue
-            assignment[v] = part
-            weights[part] += graph.vwts[v]
-            for idx in range(graph.xadj[v], graph.xadj[v + 1]):
-                u = int(graph.adjncy[idx])
-                if assignment[u] == -1:
-                    g = gain.get(u, 0.0) + graph.ewts[idx]
-                    gain[u] = g
-                    heapq.heappush(heap, (-g, u))
-        if not np.any(assignment == part):
-            # target too small for any vertex; place the seed anyway
-            assignment[seed_v] = part
-            weights[part] += graph.vwts[seed_v]
-
-    rest = np.nonzero(assignment == -1)[0]
-    assignment[rest] = p - 1
-    weights[p - 1] += graph.vwts[rest].sum()
-    return assignment
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (p,):
+            raise ValueError(
+                f"targets has {targets.size} entries, p = {p} subsets need {p}"
+            )
+    return _klnative.grow(graph, p, int(seed), targets)

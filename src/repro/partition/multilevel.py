@@ -7,13 +7,15 @@ Three phases (Section 3.1), written once:
 1. **Contraction** — a series ``G_0, G_1, …, G_k`` built by collapsing
    heavy-edge matchings until the graph is small (or stops shrinking):
    one compiled call, ``_klnative.coarsen``.
-2. **Coarsest assignment** — a rule the caller supplies, run in Python.
-3. **Projection & improvement** — walk back up, projecting the assignment
-   through each contraction map and refining every level with KL: one
-   compiled call, ``_klnative.refine``.
+2. **Coarsest assignment** — greedy graph growing or the projected home,
+   whichever rule the caller names,
+3. **Projection & improvement** — then walk back up, projecting the
+   assignment through each contraction map and refining every level with
+   KL: 2 and 3 are one compiled call, ``_klnative.refine``.
 
 The per-level numpy/Python V-cycle these calls replaced (``build_hierarchy``
-+ ``v_cycle``) is their oracle in ``tests/_kl_oracle.py``.
++ ``v_cycle``, with the Python greedy growing) is their oracle in
+``tests/_kl_oracle.py``.
 
 Two configurations of that one V-cycle (:func:`_v_cycle`):
 
@@ -40,7 +42,6 @@ import numpy as np
 
 from repro.graph.csr import WeightedGraph
 from repro.partition import _klnative, kl
-from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import KLConfig
 from repro.partition.metrics import validate_assignment
 
@@ -56,16 +57,16 @@ def coarsen_target(p: int) -> int:
     return max(100, 4 * p)
 
 
-def _v_cycle(graph, p, seed, home, constrain, coarsest, cfgs, rebalance_above=0.0):
-    """The V-cycle in two compiled calls — every level built, then every
-    level projected and refined — with only ``coarsest(graph, home)`` run
-    in Python between them."""
+def _v_cycle(graph, p, seed, home, constrain, grow, cfgs, rebalance_above=0.0):
+    """The V-cycle in two compiled calls: every level built, then the
+    coarsest assigned — greedy growing seeded ``seed`` if ``grow``, else
+    the projected home — and every level projected and refined."""
     levels = _klnative.coarsen(
         graph, coarsen_target(p), seed, home, constrain, MAX_LEVELS, MIN_SHRINK
     )
-    top = levels.nlev - 1
-    start = coarsest(levels.level_graph(top), levels.level_home(top))
-    return _klnative.refine(levels, start, p, cfgs, rebalance_above, kl.IN_BAND_TAIL)
+    return _klnative.refine(
+        levels, p, cfgs, rebalance_above, kl.IN_BAND_TAIL, int(seed) if grow else None
+    )
 
 
 def multilevel_partition(
@@ -83,13 +84,10 @@ def multilevel_partition(
     rebalance_cfg = KLConfig(balance_tol=balance_tol, max_passes=3, beta=0.8, window=16)
     cut_cfg = KLConfig(balance_tol=balance_tol, max_passes=6, beta=0.0)
 
-    def coarsest(g, _home):
-        return greedy_graph_growing(g, p, seed=seed)
-
-    # per level: the rebalancing sweep while the imbalance exceeds
-    # balance_tol, then the cut sweep
+    # greedy growing on the coarsest graph; per level the rebalancing sweep
+    # while the imbalance exceeds balance_tol, then the cut sweep
     return _v_cycle(
-        graph, p, seed, None, True, coarsest, [rebalance_cfg, cut_cfg], balance_tol
+        graph, p, seed, None, True, True, [rebalance_cfg, cut_cfg], balance_tol
     )
 
 
@@ -113,17 +111,15 @@ def multilevel_repartition(graph: WeightedGraph, p: int, current, pnr) -> np.nda
         balance_mode="deadband",
     )
 
-    def coarsest(g, home):
-        if pnr.repartition_coarsest:
-            return greedy_graph_growing(g, p, seed=pnr.seed)
-        return home.copy()
-
-    # Monotone-or-rollback: the repartitioner hill-climbs from ``current``,
-    # so identity is always a candidate.  KL optimizes the deadband form of
-    # the balance term; under the literal quadratic Equation 1 an in-band
-    # rebalance can still score worse than doing nothing, in which case
-    # doing nothing is what we return (the compiled ``refine`` applies that
-    # guard, with ``cfg``'s alpha and beta).
+    # The coarsest graph keeps its projected home, or is grown afresh under
+    # the repartition_coarsest ablation.  Monotone-or-rollback: the
+    # repartitioner hill-climbs from ``current``, so identity is always a
+    # candidate.  KL optimizes the deadband form of the balance term; under
+    # the literal quadratic Equation 1 an in-band rebalance can still score
+    # worse than doing nothing, in which case doing nothing is what we
+    # return (the compiled ``refine`` applies that guard, with ``cfg``'s
+    # alpha and beta).
     return _v_cycle(
-        graph, p, pnr.seed, current, pnr.constrain_matching, coarsest, [cfg]
+        graph, p, pnr.seed, current, pnr.constrain_matching,
+        pnr.repartition_coarsest, [cfg],
     )

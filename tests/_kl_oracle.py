@@ -4,8 +4,8 @@
 These are the implementations the package ran before the compiler became a
 requirement, moved here verbatim: the mutual-proposal matching rounds, the
 numpy contraction, the pure-Python KL engine (vectorized prelude, heap
-hill-climb, best-state tracking) and the per-level V-cycle
-(``build_hierarchy`` + ``v_cycle``).  The public functions at the bottom
+hill-climb, best-state tracking), greedy graph growing and the per-level
+V-cycle (``build_hierarchy`` + ``v_cycle``).  The public functions at the bottom
 mirror the package's entry points — same validation, same ``PERF`` spans
 and counters — so ``tests/test_kl_native.py`` and
 ``tests/test_multilevel_native.py`` can require the compiled kernels to
@@ -16,6 +16,7 @@ Change a kernel and its oracle together, never one alone.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 from typing import NamedTuple
@@ -25,7 +26,6 @@ import numpy as np
 from repro.graph.csr import WeightedGraph
 from repro.graph.matching import _priority_order
 from repro.partition import kl, multilevel
-from repro.partition.greedy import greedy_graph_growing
 from repro.partition.kl import KLConfig
 from repro.partition.metrics import (
     graph_cut,
@@ -141,6 +141,11 @@ def _contract_py(graph: WeightedGraph, match: np.ndarray) -> tuple:
 # --------------------------------------------------------------------- #
 # KL refinement
 # --------------------------------------------------------------------- #
+
+#: candidates the Python engine deferred on the balance envelope and
+#: revived, over every pass since the last ``clear()`` — tests read it to
+#: show that a case reaches that bookkeeping
+EVENTS = collections.Counter()
 
 
 class _KLState:
@@ -365,6 +370,7 @@ def _kl_pass_py(state: _KLState, conn2d, weights_np, gs, vs, cs) -> tuple:
             return  # superseded meanwhile (also dedups the twin listing)
         s = gen[idx] + 1
         gen[idx] = s
+        EVENTS["revived"] += 1
         heappush(heap, (e[0], nxt(), lv, lj, s))
 
     while heap:
@@ -395,6 +401,7 @@ def _kl_pass_py(state: _KLState, conn2d, weights_np, gs, vs, cs) -> tuple:
             # candidate is *deferred*, not dropped: admissibility depends on
             # the live subset weights, so a later move can unblock it.
             if not (wj_after <= maxcap or wj_after <= wt[i]):
+                EVENTS["deferred"] += 1
                 defer_tgt[j].append(e)
                 defer_src[i].append(e)
                 continue
@@ -577,6 +584,97 @@ def _kl_refine_py(state: _KLState) -> np.ndarray:
     if obj > best_obj + cfg.min_gain:
         return best
     return state.assign
+
+
+# --------------------------------------------------------------------- #
+# greedy graph growing
+# --------------------------------------------------------------------- #
+
+
+def _pseudo_peripheral(graph: WeightedGraph, candidates: np.ndarray, rng) -> int:
+    """A vertex far from a random start — two BFS sweeps restricted to
+    ``candidates`` (unassigned vertices)."""
+    cand = set(int(c) for c in candidates)
+    start = int(candidates[rng.integers(candidates.size)])
+    far = start
+    for _ in range(2):
+        seen = {far}
+        frontier = [far]
+        last = far
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in graph.neighbors(v):
+                    u = int(u)
+                    if u in cand and u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            if nxt:
+                last = nxt[0]
+            frontier = nxt
+        far = last
+    return far
+
+
+def greedy_graph_growing(
+    graph: WeightedGraph,
+    p: int,
+    seed: int = 0,
+    targets=None,
+) -> np.ndarray:
+    """:func:`repro.partition.greedy.greedy_graph_growing` in Python (the
+    reference of ``_klcore.c: grow``): subsets 0 … p − 2 grown in turn,
+    leftover stragglers to subset p − 1."""
+    n = graph.n_vertices
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    assignment = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p == 1:
+        return np.zeros(n, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    total = graph.total_vweight
+    if targets is None:
+        targets = np.full(p, total / p)
+    else:
+        targets = np.asarray(targets, dtype=float)
+
+    weights = np.zeros(p)
+    for part in range(p - 1):
+        remaining = np.nonzero(assignment == -1)[0]
+        if remaining.size == 0:
+            break
+        seed_v = _pseudo_peripheral(graph, remaining, rng)
+        heap = [(-0.0, seed_v)]
+        gain = {seed_v: 0.0}
+        while heap and weights[part] < targets[part]:
+            _, v = heapq.heappop(heap)
+            if assignment[v] != -1:
+                continue
+            # stop growing rather than badly overshoot on a heavy vertex
+            if (
+                weights[part] > 0
+                and weights[part] + graph.vwts[v] > targets[part] * 1.25
+            ):
+                continue
+            assignment[v] = part
+            weights[part] += graph.vwts[v]
+            for idx in range(graph.xadj[v], graph.xadj[v + 1]):
+                u = int(graph.adjncy[idx])
+                if assignment[u] == -1:
+                    g = gain.get(u, 0.0) + graph.ewts[idx]
+                    gain[u] = g
+                    heapq.heappush(heap, (-g, u))
+        if not np.any(assignment == part):
+            # target too small for any vertex; place the seed anyway
+            assignment[seed_v] = part
+            weights[part] += graph.vwts[seed_v]
+
+    rest = np.nonzero(assignment == -1)[0]
+    assignment[rest] = p - 1
+    weights[p - 1] += graph.vwts[rest].sum()
+    return assignment
 
 
 # --------------------------------------------------------------------- #

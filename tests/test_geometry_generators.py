@@ -82,3 +82,49 @@ class TestTetGenerator:
     def test_invalid_grid_raises(self):
         with pytest.raises(ValueError):
             structured_tet_mesh(1, 1, 0)
+
+
+def _tris_by_loop(nx, ny):
+    """The cell-by-cell checkerboard the array expression replaced."""
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v01 = i * (ny + 1) + j, i * (ny + 1) + j + 1
+            v10, v11 = v00 + ny + 1, v01 + ny + 1
+            if (i + j) % 2 == 0:
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                tris += [(v00, v10, v01), (v10, v11, v01)]
+    return np.array(tris, dtype=np.int64)
+
+
+def _tets_by_loop(nx, ny, nz):
+    """The cube-by-cube Kuhn split the array expression replaced."""
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    kuhn = ((0, 1, 3, 7), (0, 1, 5, 7), (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7), (0, 4, 6, 7))
+    tets = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                corner = [
+                    vid(i + (c & 1), j + ((c >> 1) & 1), k + ((c >> 2) & 1))
+                    for c in range(8)
+                ]
+                tets += [tuple(corner[c] for c in tet) for tet in kuhn]
+    return np.array(tets, dtype=np.int64)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (4, 3), (2, 7), (6, 6)])
+def test_tri_connectivity_equals_the_loop(nx, ny):
+    _, tris = structured_tri_mesh(nx, ny)
+    expect = _tris_by_loop(nx, ny)
+    assert tris.dtype == expect.dtype and np.array_equal(tris, expect)
+
+
+@pytest.mark.parametrize("nx, ny, nz", [(1, 1, 1), (1, 2, 3), (4, 1, 2), (3, 5, 2), (2, 2, 2)])
+def test_tet_connectivity_equals_the_loop(nx, ny, nz):
+    _, tets = structured_tet_mesh(nx, ny, nz)
+    expect = _tets_by_loop(nx, ny, nz)
+    assert tets.dtype == expect.dtype and np.array_equal(tets, expect)

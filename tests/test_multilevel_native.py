@@ -11,6 +11,8 @@ additions separates them:
   edges summed in ``np.add.reduceat``'s order;
 * ``kl_refine``: prelude, hill-climb, best-state tracking and the
   monotone-or-rollback guard, reductions in numpy's pairwise order;
+* ``grow``: greedy graph growing, with the port of numpy's
+  ``Generator.integers`` behind its start vertices;
 * the fused V-cycle (``coarsen`` + ``refine``, the routes of
   ``multilevel_partition`` / ``multilevel_repartition``) ≡ the oracle's
   ``build_hierarchy`` + ``v_cycle``, with the port of numpy's PCG64
@@ -362,6 +364,42 @@ class TestKLRefine:
                 assert np.array_equal(out, asg)
                 assert stats[2] == state.objective(), (p, n)
 
+    @pytest.mark.parametrize("p", [16, 70])
+    def test_row_masks_and_split_heaps(self, p):
+        """What the masks, the 16-byte heap entries and the side heap of
+        revived candidates change, stressed: integer edge weights (many
+        equal keys), heavy vertices under a tight band (deferred, then
+        revived), and p = 70, whose row masks take two words."""
+        rng = np.random.default_rng(p)
+        oracle.EVENTS.clear()
+        for trial in range(6):
+            n = 600
+            graph = _rand_graph(n, 6, rng, float_weights=False)
+            heavy = rng.random(n) < 0.05
+            graph = WeightedGraph(
+                graph.xadj, graph.adjncy, graph.ewts,
+                np.where(heavy, 25.0, graph.vwts),
+            )
+            asg = kl_starts(graph, p, rng)["balanced" if trial % 2 else "unbalanced"]
+            home = asg.copy() if trial % 3 else None
+            cfg = KLConfig(
+                alpha=float(rng.choice([0.0, 0.5])),
+                beta=float(rng.choice([0.5, 1.0])),
+                balance_mode=("quadratic", "deadband")[trial % 2],
+                balance_tol=0.02,
+                window=int(rng.choice([4, 16])),
+                max_passes=4,
+            )
+
+            def run(refine):
+                return refine(graph, asg, p, home=home, config=cfg)
+
+            native, counts_native = kl_counted(lambda: run(kl_refine))
+            pure, counts_pure = kl_counted(lambda: run(oracle.kl_refine))
+            assert np.array_equal(native, pure), f"trial {trial}: {cfg}"
+            assert counts_native == counts_pure, f"trial {trial}: {cfg}"
+        assert oracle.EVENTS["deferred"] and oracle.EVENTS["revived"], oracle.EVENTS
+
     def test_inputs_are_never_mutated(self):
         rng = np.random.default_rng(13)
         graph = _rand_graph(100, 6, rng)
@@ -433,7 +471,53 @@ class TestAllocationFailure:
             monkeypatch, "kl_refine",
             lambda: kl_refine(graph, asg, 4, home=asg, config=cfg), check,
         )
-        assert failures >= 6  # five workspace blocks, then heap growth
+        assert failures >= 7  # six workspace blocks, then the table and heaps
+
+    def test_kl_refine_tables_and_side_heap(self, monkeypatch):
+        """A call whose candidate table outgrows its first block and whose
+        side heap fills with revived candidates: every one of those
+        allocations failed in turn, too."""
+        rng = np.random.default_rng(24)
+        graph = _rand_graph(600, 6, rng, float_weights=False)
+        graph = WeightedGraph(
+            graph.xadj, graph.adjncy, graph.ewts,
+            np.where(rng.random(600) < 0.05, 25.0, graph.vwts),
+        )
+        asg = kl_starts(graph, 16, rng)["unbalanced"]
+        asg0 = asg.copy()
+        cfg = KLConfig(alpha=0.5, beta=1.0, balance_tol=0.02, window=16, max_passes=2)
+        oracle.EVENTS.clear()
+        expect = oracle.kl_refine(graph, asg, 16, home=asg, config=cfg)
+        assert oracle.EVENTS["revived"], "the case must revive candidates"
+
+        def check(out):
+            assert out is None or np.array_equal(out, expect)
+            assert np.array_equal(asg, asg0), "caller's assignment touched"
+
+        failures = self._sweep(
+            monkeypatch, "kl_refine",
+            lambda: kl_refine(graph, asg, 16, home=asg, config=cfg), check,
+        )
+        # six workspace blocks, the table, the heap, the side heap, the
+        # deferral lists, then growth
+        assert failures >= 10
+
+    def test_grow(self, monkeypatch):
+        g = _rand_graph(300, 4, np.random.default_rng(25))
+        targets = np.full(5, g.total_vweight / 6)
+        expect = oracle.greedy_graph_growing(g, 5, seed=3, targets=targets)
+        before = [a.copy() for a in (g.xadj, g.adjncy, g.ewts, g.vwts, targets)]
+
+        def check(out):
+            assert out is None or np.array_equal(out, expect)
+            for a, b in zip(before, (g.xadj, g.adjncy, g.ewts, g.vwts, targets)):
+                assert np.array_equal(a, b), "an input was touched"
+
+        failures = self._sweep(
+            monkeypatch, "grow",
+            lambda: greedy_graph_growing(g, 5, seed=3, targets=targets), check,
+        )
+        assert failures == 3  # its three scratch blocks
 
     def test_contract(self, monkeypatch):
         g = _rand_graph(150, 6, np.random.default_rng(22))
@@ -474,8 +558,9 @@ class TestAllocationFailure:
 
         failures = self._sweep(monkeypatch, name, run, check)
         # coarsen: two scratch blocks, then contraction's two per level;
-        # refine: the level offsets and five workspace blocks, then growth
-        assert failures >= (6 if name == "coarsen" else 7)
+        # refine: the level offsets and six workspace blocks, then the
+        # candidate table and the heaps (and growing's three blocks)
+        assert failures >= (6 if name == "coarsen" else 8)
 
 
 # --------------------------------------------------------------------- #
@@ -519,6 +604,80 @@ def test_permutation_port_equals_numpy(seed, m):
 
 
 @given(
+    seed=st.integers(0, 2**40),
+    highs=st.lists(st.integers(1, 2**32), max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_integers_port_equals_numpy(seed, highs):
+    """The start vertices of greedy growing: the C draws are
+    ``default_rng(seed).integers(h)`` for each ``h`` in turn, sharing the
+    generator's buffered half-draw."""
+    rng = np.random.default_rng(seed)
+    expect = [int(rng.integers(h)) for h in highs]
+    assert _klnative.integers(seed, highs).tolist() == expect
+
+
+class TestGreedyGrowing:
+    @staticmethod
+    def _graph(rng, n, shape, weights):
+        """A random graph on ``n`` vertices — ``"one"`` random edge set,
+        or ``"pieces"``: two random halves and two isolated vertices —
+        with ``weights`` ``"float"``, ``"zero"`` (half of them 0),
+        ``"none"`` (all 0) or ``"heavy"`` (one in ten 40 times the rest)."""
+        if shape == "pieces" and n >= 8:
+            half = n // 2
+            edges = np.concatenate([
+                rng.integers(0, half, size=(2 * half, 2)),
+                rng.integers(half, n - 2, size=(2 * (n - half), 2)),
+            ])
+        else:
+            edges = rng.integers(0, n, size=(max(1, n * int(rng.integers(1, 5)) // 2), 2))
+        ewts = rng.uniform(0.5, 3.0, len(edges)) if n % 2 else rng.integers(1, 4, len(edges))
+        vwts = rng.uniform(0.5, 4.0, n)
+        if weights == "zero":
+            vwts[rng.random(n) < 0.5] = 0.0
+        elif weights == "none":
+            vwts[:] = 0.0
+        elif weights == "heavy":
+            vwts[rng.random(n) < 0.1] *= 40.0
+        return WeightedGraph.from_edges(n, edges, ewts, vwts)
+
+    def test_equals_oracle(self):
+        """Connected and disconnected graphs, zero and heavy vertex
+        weights, p > n, default and explicit targets (a zero one among
+        them), several seeds: compiled growing ≡ the Python oracle."""
+        rng = np.random.default_rng(17)
+        for trial in range(80):
+            if trial % 5 == 0:
+                n, p = int(rng.integers(1, 8)), int(rng.choice([8, 16]))
+            else:
+                n, p = int(rng.integers(2, 250)), int(rng.choice([2, 3, 5, 16, 40]))
+            g = self._graph(rng, n, ("one", "pieces")[trial % 2],
+                            ("float", "zero", "none", "heavy")[trial // 2 % 4])
+            targets = None
+            if trial % 3 == 1:
+                targets = rng.uniform(0.0, 2.0 * g.total_vweight / p, p)
+                targets[int(rng.integers(p))] = 0.0
+            for seed in (trial, 2**33 + 7 * trial):
+                native = greedy_graph_growing(g, p, seed=seed, targets=targets)
+                pure = oracle.greedy_graph_growing(g, p, seed=seed, targets=targets)
+                assert native.dtype == pure.dtype == np.int64
+                assert np.array_equal(native, pure), (trial, seed)
+
+    def test_integers_self_check_mismatch_fails_the_load(self, monkeypatch):
+        """A bounded draw that differs from numpy's fails the load-time
+        self-check, naming ``Generator.integers`` and numpy's version."""
+        real = _klnative.integers
+        monkeypatch.setattr(
+            _klnative, "integers", lambda seed, highs, lib=None: real(seed, highs, lib) ^ 1
+        )
+        monkeypatch.setattr(_klnative, "_LIB", None)
+        with pytest.raises(ImportError, match=rf"numpy {np.__version__}'s Generator\.integers"):
+            _klnative.load()
+        assert _klnative._LIB is None
+
+
+@given(
     n=st.integers(1, 600),
     deg=st.integers(1, 8),
     seed=st.integers(0, 10_000),
@@ -543,6 +702,29 @@ def test_fused_equals_reference(n, deg, seed, p, float_weights, constrain,
     _fused_equals_oracle(multilevel_repartition, g, p, current, pnr)
 
 
+def _level_graph(levels, level: int) -> WeightedGraph:
+    """The graph of ``level`` in a hierarchy ``_klnative.coarsen`` built
+    (0: the input, then ever coarser)."""
+    if level == 0:
+        return levels.graph
+    v0 = int(levels.nv[1:level].sum())
+    e0 = int(levels.ne[1:level].sum())
+    n, nnz = int(levels.nv[level]), int(levels.ne[level])
+    x0 = v0 + level - 1
+    return WeightedGraph(
+        levels.cxadj[x0 : x0 + n + 1], levels.cadj[e0 : e0 + nnz],
+        levels.cew[e0 : e0 + nnz], levels.cvw[v0 : v0 + n],
+    )
+
+
+def _level_home(levels, level: int):
+    """The home projected to ``level`` (``None`` without a home)."""
+    if levels.home is None or level == 0:
+        return levels.home
+    v0 = int(levels.nv[1:level].sum())
+    return levels.chome[v0 : v0 + int(levels.nv[level])]
+
+
 class TestFusedVCycle:
     @pytest.mark.parametrize("constrain", [False, True])
     def test_levels_equal_build_hierarchy(self, constrain):
@@ -560,8 +742,8 @@ class TestFusedVCycle:
             assert levels.nlev == len(graphs) > 3
             offset = 0
             for level in range(levels.nlev):
-                _same_graph(levels.level_graph(level), graphs[level])
-                got = levels.level_home(level)
+                _same_graph(_level_graph(levels, level), graphs[level])
+                got = _level_home(levels, level)
                 assert (got is None and homes[level] is None) or np.array_equal(
                     got, homes[level]
                 )

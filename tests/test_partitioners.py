@@ -158,6 +158,21 @@ class TestGreedy:
     def test_p1(self, grid_graph):
         assert np.all(greedy_graph_growing(grid_graph, 1) == 0)
 
+    @pytest.mark.parametrize("targets", [[1], [1, 1], [2, 2, 2, 9]])
+    def test_targets_need_one_entry_per_subset(self, targets):
+        path = WeightedGraph.from_edges(6, np.c_[np.arange(5), np.arange(1, 6)])
+        with pytest.raises(ValueError, match=f"{len(targets)} entries, p = 3"):
+            greedy_graph_growing(path, 3, targets=targets)
+
+    def test_leftovers_go_to_the_last_subset(self):
+        """Stragglers go to subset p - 1 even when it is the heaviest: two
+        4-vertex paths, the first two subsets stop at one vertex each."""
+        edges = [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [6, 7]]
+        g = WeightedGraph.from_edges(8, np.array(edges))
+        for seed in range(4):
+            a = greedy_graph_growing(g, 3, seed=seed, targets=[1, 1, 1])
+            assert np.bincount(a, minlength=3).tolist() == [1, 1, 6]
+
 
 class TestMultilevel:
     @pytest.mark.parametrize("p", [2, 4, 8])
