@@ -45,14 +45,10 @@
  * counter): the counter is unique, so the ordering is *total* and the pop
  * sequence is independent of the heap's internal layout.  This kernel
  * assigns counters in the same program order and compares (key, counter)
- * the same way, so any correct set of heaps — here a 4-ary one popped
- * bottom-up, a side heap of revived candidates and the window's carry,
- * merged at their tops — pops in exactly the order heapq's binary heap
- * does.  A heap entry is just (key, counter); the counter indexes the
- * candidate's vertex, destination and stamp.  A refresh visits only the
- * parts in a row's mask, a superset of the parts with a nonzero
- * connection or a live stamp (a touch of any other part does nothing),
- * plus the lightest, in ascending order.  All gain arithmetic is IEEE
+ * the same way, so any correct heap — here a 4-ary one popped bottom-up,
+ * its top merged with the window's carry — pops in exactly the order
+ * heapq's binary heap does.  A heap entry is just (key, counter); the counter indexes the
+ * candidate's vertex, destination and stamp.  All gain arithmetic is IEEE
  * double in the same operation order as the Python expressions (no
  * -ffast-math, no FMA contraction; see _klnative.py), so keys are
  * bit-identical and the chosen moves match the oracle's exactly.
@@ -850,55 +846,11 @@ static entry heap_pop(vec *h)
     return top;
 }
 
-/* the parts a row may hold: ceil(p/64) words per vertex */
-#define SET_PART(M, S) ((M)[(S) >> 6] |= (uint64_t)1 << ((S)&63))
-
-/* every part S of the mask row M (MW words), ascending: the loop head of
- * a block that reads S (BITS and WD are the caller's scratch) */
-#define FOR_PARTS(M, MW, WD, BITS, S)                                    \
-    for (WD = 0; WD < (MW); WD++)                                        \
-        for (BITS = (M)[WD];                                             \
-             BITS && ((S) = 64 * WD + __builtin_ctzll(BITS), 1);         \
-             BITS &= BITS - 1)
-
-/* pairwise_sum(row + lo, n) of a row that is 0.0 outside the parts in m:
- * numpy's additions in numpy's order, skipping only exact zeros (x + 0.0
- * is x; no row entry is -0.0).  ``lo`` is a multiple of 8. */
-static double mask_sum(const double *row, const uint64_t *m, int64_t lo,
-                       int64_t n)
-{
-    double r[8] = {0.0}, tail[8], res;
-    int64_t hi = lo + n, split = hi - (n < 8 ? n : n % 8), nt = 0, wd, k;
-    if (n > 128) {
-        int64_t n2 = n / 2;
-        n2 -= n2 % 8;
-        return mask_sum(row, m, lo, n2) + mask_sum(row, m, lo + n2, n - n2);
-    }
-    for (wd = lo >> 6; wd <= (hi - 1) >> 6; wd++) {
-        uint64_t bits;
-        for (bits = m[wd]; bits; bits &= bits - 1) {
-            int64_t s = 64 * wd + __builtin_ctzll(bits);
-            if (s < lo)
-                continue;
-            if (s >= hi)
-                break;
-            if (s < split)
-                r[(s - lo) & 7] += row[s];
-            else
-                tail[nt++] = row[s]; /* added after the 8 lanes combine */
-        }
-    }
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (k = 0; k < nt; k++)
-        res += tail[k];
-    return res;
-}
-
 /* One kl_refine call's problem (graph, configuration, balance bounds) and
  * a workspace sized for the largest graph it will see.  The workspace
  * outlives the call — ``refine`` binds every level to one — and is reset
  * by touched lists (move log, row stamps against a pass counter that only
- * grows, row masks), never by clearing O(n*p) memory. */
+ * grows), never by clearing O(n*p) memory. */
 typedef struct {
     int64_t n, p;
     const int64_t *xadj, *adjncy, *hom;
@@ -912,9 +864,6 @@ typedef struct {
     double *wt;       /* p: live subset weights */
     double *connf;    /* n*p: conn[v,s], row valid iff rowstamp[v]==pass */
     int64_t *gen;     /* n*p: candidate stamps, valid with the row */
-    uint64_t *mask;   /* n*mw: a superset of the parts where a row's conn
-                       * or gen entry is nonzero (all zero outside it) */
-    int64_t mw;
     int64_t *rowstamp; /* n */
     int64_t pass;
     unsigned char *locked; /* n: moved this pass; cleared from the log */
@@ -922,7 +871,7 @@ typedef struct {
     int64_t *mv_v, *mv_i;  /* n: move log */
     double *wfull;         /* look-ahead window: full gains, entries, */
     entry *went, *carry;   /* and the leftovers carried between moves */
-    vec heap, side, *def_tgt, *def_src; /* side: revived candidates */
+    vec heap, *def_tgt, *def_src;
     cand *tab;             /* the pass's candidates, by push counter */
     int64_t ncand, tabcap;
     double *sumbuf; /* max(nnz, n, p): operand gather of exact reductions */
@@ -938,7 +887,6 @@ static void klws_free(klws *w)
 {
     int64_t s;
     free(w->heap.a);
-    free(w->side.a);
     free(w->tab);
     for (s = 0; w->vbuf && s < 2 * w->p; s++)
         free(w->vbuf[s].a);
@@ -947,7 +895,6 @@ static void klws_free(klws *w)
     free(w->ebuf);
     free(w->vbuf);
     free(w->bbuf);
-    free(w->mask);
 }
 
 /* Workspace for graphs of up to n vertices and nnz CSR entries, p parts
@@ -962,7 +909,6 @@ static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
         wcap = 1;
     memset(w, 0, sizeof(*w));
     w->p = p;
-    w->mw = (p + 63) / 64;
     if (n > INT32_MAX || p > INT32_MAX)
         return -1; /* candidates hold int32 vertex and subset ids */
     w->ibuf = ALLOC(int64_t, 4 * n + n * p);
@@ -970,10 +916,9 @@ static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
     w->ebuf = ALLOC(entry, 2 * wcap);
     w->vbuf = ALLOC(vec, 2 * p);
     w->bbuf = ALLOC(unsigned char, n + p);
-    w->mask = ALLOC(uint64_t, n * w->mw);
     if (w->vbuf) /* before any exit: klws_free frees what the vectors hold */
         memset(w->vbuf, 0, (size_t)(2 * p) * sizeof(vec));
-    if (!w->ibuf || !w->dbuf || !w->ebuf || !w->vbuf || !w->bbuf || !w->mask)
+    if (!w->ibuf || !w->dbuf || !w->ebuf || !w->vbuf || !w->bbuf)
         return -1;
     w->best = w->ibuf;
     w->rowstamp = w->best + n;
@@ -995,30 +940,15 @@ static int klws_init(klws *w, int64_t n, int64_t nnz, int64_t p, int64_t wcap)
     return 0;
 }
 
-/* conn row of v from the live assignment, in bincount's add order.  A
- * row built before is cleared through its mask, a row never built (stamp
- * 0) whole. */
+/* conn row of v from the live assignment, in bincount's add order */
 static void build_row(klws *w, int64_t v)
 {
-    int64_t p = w->p, mw = w->mw, t, s, wd;
-    double *row = w->connf + v * p;
-    int64_t *gen = w->gen + v * p;
-    uint64_t *m = w->mask + v * mw, bits;
-    if (w->rowstamp[v] == 0) {
-        memset(row, 0, (size_t)p * sizeof(double));
-        memset(gen, 0, (size_t)p * sizeof(int64_t));
-    } else {
-        FOR_PARTS(m, mw, wd, bits, s) {
-            row[s] = 0.0;
-            gen[s] = 0;
-        }
-    }
-    memset(m, 0, (size_t)mw * sizeof(uint64_t));
-    for (t = w->xadj[v]; t < w->xadj[v + 1]; t++) {
-        s = w->asg[w->adjncy[t]];
-        row[s] += w->ewts[t];
-        SET_PART(m, s);
-    }
+    int64_t p = w->p, vb = v * p, t;
+    double *row = w->connf + vb;
+    memset(row, 0, (size_t)p * sizeof(double));
+    memset(w->gen + vb, 0, (size_t)p * sizeof(int64_t));
+    for (t = w->xadj[v]; t < w->xadj[v + 1]; t++)
+        row[w->asg[w->adjncy[t]]] += w->ewts[t];
     w->rowstamp[v] = w->pass;
 }
 
@@ -1107,7 +1037,7 @@ static double objective(klws *w)
  * kept cumulative gain; returns -1 if an allocation failed. */
 static int kl_pass(klws *w, double *kept)
 {
-    const int64_t n = w->n, p = w->p, mw = w->mw;
+    const int64_t n = w->n, p = w->p;
     const int64_t *xadj = w->xadj, *adjncy = w->adjncy, *hom = w->hom;
     const double *ewts = w->ewts, *vw = w->vw;
     const double alpha = w->alpha, beta = w->beta, maxcap = w->maxcap;
@@ -1117,17 +1047,15 @@ static int kl_pass(klws *w, double *kept)
     int64_t *asg = w->asg, *gen = w->gen;
     double *wt = w->wt, *connf = w->connf;
     unsigned char *locked = w->locked;
-    vec *heap = &w->heap, *side = &w->side;
+    vec *heap = &w->heap;
     double best_cum = 0.0, cum = 0.0;
-    int64_t nmoves = 0, best_len = 0, ncarry = 0, wlen, t, v, s, wd;
+    int64_t nmoves = 0, best_len = 0, ncarry = 0, wlen, t, v, s;
     int64_t light0 = -1, any_over = 0;
-    uint64_t bits;
     int status = -1;
 
     w->pass++;
     w->ncand = 0;
     heap->len = 0;
-    side->len = 0;
     for (s = 0; s < p; s++) {
         w->def_tgt[s].len = 0;
         w->def_src[s].len = 0;
@@ -1146,12 +1074,9 @@ static int kl_pass(klws *w, double *kept)
         }
     }
 
-    /* initial candidates in np.nonzero order: v ascending, j ascending
-     * over the row's parts (every other destination has conn 0 and is no
-     * candidate unless it is the lightest) */
+    /* initial candidates in np.nonzero order: v ascending, j ascending */
     for (v = 0; v < n; v++) {
         int64_t i = asg[v], vb = v * p, j;
-        uint64_t *m = w->mask + v * mw;
         int ext = 0, seeded = any_over && w->over[i];
         for (t = xadj[v]; t < xadj[v + 1]; t++)
             if (asg[adjncy[t]] != i) {
@@ -1161,11 +1086,10 @@ static int kl_pass(klws *w, double *kept)
         if (!ext && !seeded)
             continue; /* row sum == internal degree exactly: not boundary */
         build_row(w, v);
-        if (!seeded && !(mask_sum(connf + vb, m, 0, p) - connf[vb + i] > 0.0))
+        if (!seeded &&
+            !(pairwise_sum(connf + vb, p) - connf[vb + i] > 0.0))
             continue;
-        if (light0 >= 0)
-            SET_PART(m, light0);
-        FOR_PARTS(m, mw, wd, bits, j) {
+        for (j = 0; j < p; j++) {
             double cw = connf[vb + j], g;
             entry e;
             if (j == i || !(cw > 0.0 || j == light0))
@@ -1184,8 +1108,7 @@ static int kl_pass(klws *w, double *kept)
     for (t = heap->len > 1 ? (heap->len - 2) / 4 : -1; t >= 0; t--)
         sift_down(heap->a, heap->len, t); /* from the last parent */
 
-/* re-stamp destination JT of u after its gain changed (kl.py `touch`);
- * JT is in u's mask */
+/* re-stamp destination JT of u after its gain changed (kl.py `touch`) */
 #define TOUCH(JT)                                                        \
     do {                                                                 \
         int64_t idx_ = ub + (JT);                                        \
@@ -1210,8 +1133,7 @@ static int kl_pass(klws *w, double *kept)
         }                                                                \
     } while (0)
 
-/* wake the candidates deferred on subset S (kl.py `revive`) into the
- * side heap */
+/* wake the candidates deferred on subset S (kl.py `revive`) */
 #define REVIVE(DEF, S)                                                   \
     do {                                                                 \
         vec *dv_ = &(DEF)[S];                                            \
@@ -1223,7 +1145,7 @@ static int kl_pass(klws *w, double *kept)
                 continue; /* superseded (dedups the twin listing) */     \
             gen[idx_] = c_.s + 1;                                        \
             if (new_cand(w, le_.key, c_.v, c_.j, c_.s + 1, &ne_) ||      \
-                heap_push(side, ne_))                                    \
+                heap_push(heap, ne_))                                    \
                 goto done;                                               \
         }                                                                \
         dv_->len = 0;                                                    \
@@ -1232,10 +1154,10 @@ static int kl_pass(klws *w, double *kept)
     /* The oracle pops up to `window` valid candidates per move, takes
      * the best by full gain and pushes the rest back.  Pop order is the
      * total order on (key, counter), so the rest can wait in a sorted
-     * side list (`carry`), and revived candidates in a side heap, each
-     * merged with the heap's top as entries are drawn: same candidates
-     * in the same order, without ~2*window heap operations per move. */
-    while (heap->len > 0 || side->len > 0 || ncarry > 0) {
+     * side list (`carry`) and be merged with the heap's top on the next
+     * move: same candidates in the same order, without ~2*window heap
+     * operations per move. */
+    while (heap->len > 0 || ncarry > 0) {
         int64_t ci = 0, tail = nmoves - best_len;
         if (stall_limit) {
             /* converged: the remaining tail would be rolled back.  Inside
@@ -1255,15 +1177,13 @@ static int kl_pass(klws *w, double *kept)
         while (wlen < window_n) {
             entry e;
             cand c;
-            vec *top = heap->len > 0 ? heap : NULL;
             int64_t j, i;
             double wv, wj_after, full, Wi, Wj, bg, d;
-            if (side->len > 0 && (!top || entry_lt(&side->a[0], &top->a[0])))
-                top = side;
-            if (ci < ncarry && (!top || entry_lt(&w->carry[ci], &top->a[0])))
+            if (ci < ncarry &&
+                (heap->len == 0 || entry_lt(&w->carry[ci], &heap->a[0])))
                 e = w->carry[ci++];
-            else if (top)
-                e = heap_pop(top);
+            else if (heap->len > 0)
+                e = heap_pop(heap);
             else
                 break;
             c = w->tab[e.k];
@@ -1376,26 +1296,20 @@ static int kl_pass(klws *w, double *kept)
 
             for (nb = xadj[v]; nb < xadj[v + 1]; nb++) {
                 int64_t u = adjncy[nb], ub, au;
-                uint64_t *mu;
                 double w_uv = ewts[nb], base;
                 if (locked[u])
                     continue; /* its row is never read again this pass */
                 ub = u * p;
-                mu = w->mask + u * mw;
-                connf[ub + i] -= w_uv; /* i is in u's mask: v sat there */
+                connf[ub + i] -= w_uv;
                 connf[ub + j] += w_uv;
-                SET_PART(mu, j);
-                if (light >= 0)
-                    SET_PART(mu, light);
                 au = asg[u];
                 base = connf[ub + au];
                 if (au == i || au == j) {
-                    /* u's internal degree changed: every destination in
-                     * u's mask (elsewhere conn and stamp are 0, and a
-                     * touch does nothing) */
-                    FOR_PARTS(mu, mw, wd, bits, t)
+                    /* u's internal degree changed: every destination */
+                    for (t = 0; t < p; t++) {
                         if (t != au)
                             TOUCH(t);
+                    }
                 } else {
                     TOUCH(i);
                     TOUCH(j);

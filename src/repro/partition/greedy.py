@@ -31,10 +31,14 @@ def greedy_graph_growing(
     """Partition ``graph`` into ``p`` subsets by greedy region growing.
 
     ``targets`` optionally sets per-subset weight goals (defaults to W/p);
-    it must hold exactly ``p`` of them.
+    it must hold exactly ``p`` of them.  ``seed`` must be an integer: the
+    compiled core starts from ``default_rng(seed)``'s state, so ``None``
+    (fresh entropy) or a ``SeedSequence`` raise ``ValueError``.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, not {type(seed).__name__}")
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != (p,):

@@ -365,11 +365,11 @@ class TestKLRefine:
                 assert stats[2] == state.objective(), (p, n)
 
     @pytest.mark.parametrize("p", [16, 70])
-    def test_row_masks_and_split_heaps(self, p):
-        """What the masks, the 16-byte heap entries and the side heap of
-        revived candidates change, stressed: integer edge weights (many
-        equal keys), heavy vertices under a tight band (deferred, then
-        revived), and p = 70, whose row masks take two words."""
+    def test_equal_keys_and_revived_candidates(self, p):
+        """What the 16-byte heap entries and the candidate table change,
+        stressed: integer edge weights (many equal keys, ordered by the
+        counter alone), heavy vertices under a tight band (deferred, then
+        revived), at p = 16 and at p = 70."""
         rng = np.random.default_rng(p)
         oracle.EVENTS.clear()
         for trial in range(6):
@@ -471,12 +471,12 @@ class TestAllocationFailure:
             monkeypatch, "kl_refine",
             lambda: kl_refine(graph, asg, 4, home=asg, config=cfg), check,
         )
-        assert failures >= 7  # six workspace blocks, then the table and heaps
+        assert failures >= 7  # five workspace blocks, then the table and heap
 
-    def test_kl_refine_tables_and_side_heap(self, monkeypatch):
+    def test_kl_refine_table_growth(self, monkeypatch):
         """A call whose candidate table outgrows its first block and whose
-        side heap fills with revived candidates: every one of those
-        allocations failed in turn, too."""
+        heap takes revived candidates: every one of those allocations
+        failed in turn, too."""
         rng = np.random.default_rng(24)
         graph = _rand_graph(600, 6, rng, float_weights=False)
         graph = WeightedGraph(
@@ -498,9 +498,9 @@ class TestAllocationFailure:
             monkeypatch, "kl_refine",
             lambda: kl_refine(graph, asg, 16, home=asg, config=cfg), check,
         )
-        # six workspace blocks, the table, the heap, the side heap, the
-        # deferral lists, then growth
-        assert failures >= 10
+        # five workspace blocks, the table, the heap, the deferral lists,
+        # then growth
+        assert failures >= 8
 
     def test_grow(self, monkeypatch):
         g = _rand_graph(300, 4, np.random.default_rng(25))
@@ -558,8 +558,8 @@ class TestAllocationFailure:
 
         failures = self._sweep(monkeypatch, name, run, check)
         # coarsen: two scratch blocks, then contraction's two per level;
-        # refine: the level offsets and six workspace blocks, then the
-        # candidate table and the heaps (and growing's three blocks)
+        # refine: the level offsets and five workspace blocks, then the
+        # candidate table and the heap (and growing's three blocks)
         assert failures >= (6 if name == "coarsen" else 8)
 
 

@@ -164,6 +164,16 @@ class TestGreedy:
         with pytest.raises(ValueError, match=f"{len(targets)} entries, p = 3"):
             greedy_graph_growing(path, 3, targets=targets)
 
+    @pytest.mark.parametrize("seed", [None, np.random.SeedSequence(0), 1.5])
+    def test_seed_must_be_an_integer(self, seed):
+        path = WeightedGraph.from_edges(6, np.c_[np.arange(5), np.arange(1, 6)])
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            greedy_graph_growing(path, 3, seed=seed)
+        assert np.array_equal(
+            greedy_graph_growing(path, 3, seed=np.int64(4)),
+            greedy_graph_growing(path, 3, seed=4),
+        )
+
     def test_leftovers_go_to_the_last_subset(self):
         """Stragglers go to subset p - 1 even when it is the heaviest: two
         4-vertex paths, the first two subsets stop at one vertex each."""
