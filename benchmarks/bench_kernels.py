@@ -1,170 +1,187 @@
-"""Kernel microbenchmarks: throughput of the library's hot paths.
+"""Paired-ratio gates: each compiled kernel timed against its own oracle.
 
-Unlike the experiment benches (one pedantic round regenerating a paper
-table), these measure the kernels with proper multi-round timing so
-regressions in the refinement, dual-graph, partitioning, KL and assembly
-code paths are visible — the "no optimization without measuring" rule the
-project follows.
+A median compared with a number recorded on another machine measures the
+machine.  These gates compare the compiled kernels with their numpy/Python
+oracles (``tests/_mesh_oracle.py``, ``tests/_kl_oracle.py``) instead: both
+sides run in one process, on the same input, ``PAIRS`` times, alternating
+which side goes first, and each gate asserts the median of ``t_compiled /
+t_oracle`` against a bound written here before the runs that validated it.
+A host that is uniformly slower or faster scales both sides, so the ratio
+stays where the code puts it; a compiled kernel twice as slow roughly
+doubles it, which every bound below is set to fail.
+
+* :func:`test_refine_vs_oracle` — the mesh kernel: three rounds of
+  ``AdaptiveMesh.refine`` against the oracle's ``refine2d`` (numpy waves on
+  an ``OracleTriMesh``) or ``refine3d`` (Python waves), each side on a fresh
+  copy of the same mesh with the same targets.
+* :func:`test_v_cycle_vs_oracle` — the V-cycle: ``multilevel_repartition``
+  against the oracle's per-level V-cycle on the ``adapted`` fixture's
+  coarse dual graph at p = 8.
+
+Both sides must return the same result, so neither can go fast by being
+wrong.  End-to-end timing lives in ``bench/`` (``python3 -m bench``), in
+calibrated seconds against ``BENCHMARK.json``'s bounds.  Run::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -s
 """
 
 from __future__ import annotations
 
 import copy
+import gc
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from repro.core import PNR
-from repro.fem import CornerLaplace2D, interpolation_error_indicator
-from repro.fem.p1 import stiffness_matrix
-from repro.graph import fiedler_vector
-from repro.graph.contract import contract
-from repro.graph.csr import WeightedGraph
-from repro.graph.matching import heavy_edge_matching
-from repro.mesh import AdaptiveMesh, coarse_dual_graph, fine_dual_graph
-from repro.mesh.metrics import shared_vertex_count
-from repro.partition import (
-    KLConfig,
-    kl_refine,
-    multilevel_partition,
-    multilevel_repartition,
+from repro.fem import (
+    CornerLaplace2D,
+    CornerLaplace3D,
+    interpolation_error_indicator,
+    mark_top_fraction,
 )
-from repro.runtime.envflags import effective_cpu_count
+from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
+from repro.graph.csr import WeightedGraph
+from repro.mesh import AdaptiveMesh, TetMesh, TriMesh, _meshnative, coarse_dual_graph
+from repro.partition import multilevel_partition, multilevel_repartition
+
+from tests import _kl_oracle, _mesh_oracle
+
+#: timed pairs per gate (odd, so the median is one of them)
+PAIRS = 15
+#: seconds each side of a pair runs for, at least one run
+SAMPLE_S = 0.02
+
+#: Bounds on the median ``t_compiled / t_oracle``, each above every pre-run
+#: pair's ratio and below twice the median over those pairs; a C entry made
+#: 2x slower moves the ratios about 1.9x, past them.  Pre-runs: 6 runs of 15
+#: pairs, 3 on an idle 2-vCPU Xeon host and 3 beside a CPU-bound process,
+#: Python 3.11.7:
+#:   refine 2-D: run medians 0.3011-0.3319; all pairs 0.3133 median, 0.4631 max
+#:   refine 3-D: run medians 0.0129-0.0147; all pairs 0.0138 median, 0.0197 max
+#:   V-cycle:    run medians 0.0261-0.0289; all pairs 0.0273 median, 0.0364 max
+REFINE_BOUND = {2: 0.47, 3: 0.020}
+V_CYCLE_BOUND = 0.037
 
 
-@pytest.fixture(autouse=True)
-def _record_cores(request):
-    """Every entry carries the cores the run could actually use (the
-    committed baselines are only comparable between like hosts)."""
-    if "benchmark" in request.fixturenames:
-        bench = request.getfixturevalue("benchmark")
-        bench.extra_info["effective_cpu_count"] = effective_cpu_count()
-    yield
+def _timed(side) -> tuple:
+    """``(seconds, result)`` of one run of ``side``, a ``(make, run)``
+    pair: ``make()`` builds a fresh input, untimed, and only
+    ``run(input)`` is timed."""
+    make, run = side
+    x = make()
+    t0 = perf_counter()
+    out = run(x)
+    return perf_counter() - t0, out
+
+
+def _paired_times(compiled, oracle) -> np.ndarray:
+    """``PAIRS`` rows ``(t_compiled, t_oracle)``, the side that goes first
+    alternating from pair to pair.  An untimed warm-up of each side checks
+    that both return the same result and sizes each side of a pair: enough
+    runs back to back to fill ``SAMPLE_S`` (at least one), read as the
+    fastest of them — the run a preemption or a neighbour's burst did not
+    stretch.  The cyclic collector is off while the pairs run, so a
+    collection the oracle's garbage triggers lands in neither side."""
+    t_oracle, want = _timed(oracle)
+    t_compiled, got = _timed(compiled)
+    assert got == want if isinstance(got, list) else np.array_equal(got, want)
+    sides = (compiled, oracle)
+    reps = [max(1, round(SAMPLE_S / t)) for t in (t_compiled, t_oracle)]
+    times = []
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(PAIRS):
+            best = [0.0, 0.0]
+            for j in ((0, 1) if i % 2 == 0 else (1, 0)):
+                best[j] = min(_timed(sides[j])[0] for _ in range(reps[j]))
+            times.append(best)
+    finally:
+        gc.enable()
+    return np.array(times)
+
+
+def _check(name: str, times: np.ndarray, bound: float) -> None:
+    ratios = times[:, 0] / times[:, 1]
+    median = float(np.median(ratios))
+    t_compiled, t_oracle = np.median(times, axis=0) * 1e3
+    report = (
+        f"{name}: median ratio {median:.4f} (bound {bound}; compiled "
+        f"{t_compiled:.2f} ms, oracle {t_oracle:.2f} ms), ratios "
+        + " ".join(f"{r:.4f}" for r in ratios)
+    )
+    print(f"\n{report}")
+    assert median < bound, report
+
+
+# --------------------------------------------------------------------- #
+# the mesh kernel
+# --------------------------------------------------------------------- #
+
+
+def _with_room(mesh, grown):
+    """``mesh`` with the rows ``grown`` (``mesh`` refined) holds reserved in
+    its storage, so that a copy refines without reallocating: allocation
+    and first-touch page faults are the host's cost, not the kernel's."""
+    for s, g in zip(_meshnative._element_storage(mesh), _meshnative._element_storage(grown)):
+        s.reserve(len(g) - len(s))
+    mesh._pts.reserve(len(grown._pts) - len(mesh._pts))
+    mesh._midpoint.reserve(len(grown._midpoint) - len(mesh._midpoint))
+    return mesh
+
+
+def _refine_input(dim: int):
+    """A coarse mesh, an oracle-side copy of it, and the targets of three
+    rounds of corner refinement (top 10 % of the interpolation indicator),
+    taken from one compiled run."""
+    if dim == 2:
+        verts, cells = structured_tri_mesh(64, 64)
+        mesh, ref = TriMesh(verts, cells), _mesh_oracle.OracleTriMesh(verts, cells)
+        prob = CornerLaplace2D()
+    else:
+        verts, cells = structured_tet_mesh(12, 12, 12)
+        mesh, ref = TetMesh(verts, cells), TetMesh(verts, cells)
+        prob = CornerLaplace3D()
+    amesh = AdaptiveMesh(copy.deepcopy(mesh))
+    rounds = []
+    for _ in range(3):
+        ind = interpolation_error_indicator(amesh, prob.exact)
+        rounds.append(mark_top_fraction(amesh, ind, 0.1))
+        amesh.refine(rounds[-1])
+    return _with_room(mesh, amesh.mesh), _with_room(ref, amesh.mesh), rounds
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refine_vs_oracle(dim):
+    mesh, ref, rounds = _refine_input(dim)
+    refine_oracle = _mesh_oracle.refine2d if dim == 2 else _mesh_oracle.refine3d
+
+    compiled = (
+        lambda: AdaptiveMesh(copy.deepcopy(mesh)),
+        lambda amesh: [amesh.refine(targets) for targets in rounds],
+    )
+    oracle = (
+        lambda: copy.deepcopy(ref),
+        lambda m: [refine_oracle(m, targets) for targets in rounds],
+    )
+    _check(f"refine {dim}-D", _paired_times(compiled, oracle), REFINE_BOUND[dim])
+
+
+# --------------------------------------------------------------------- #
+# the V-cycle
+# --------------------------------------------------------------------- #
 
 
 @pytest.fixture(scope="module")
 def adapted():
     am = AdaptiveMesh.unit_square(20)
     prob = CornerLaplace2D()
-    from repro.fem import mark_top_fraction
-
     for _ in range(3):
         ind = interpolation_error_indicator(am, prob.exact)
         am.refine(mark_top_fraction(am, ind, 0.2))
     return am
-
-
-@pytest.fixture(scope="module")
-def adapted_large():
-    """10× the default bench mesh (8192 vs 800 coarse elements) — the
-    scale at which the vectorized kernels are demonstrated."""
-    am = AdaptiveMesh.unit_square(64)
-    prob = CornerLaplace2D()
-    from repro.fem import mark_top_fraction
-
-    for _ in range(2):
-        ind = interpolation_error_indicator(am, prob.exact)
-        am.refine(mark_top_fraction(am, ind, 0.2))
-    return am
-
-
-def test_kernel_refinement(benchmark):
-    """Uniform bisection throughput (elements created per call)."""
-
-    def run():
-        am = AdaptiveMesh.unit_square(12)
-        am.uniform_refine(2)
-        return am.n_leaves
-
-    leaves = benchmark(run)
-    assert leaves == 288 * 4
-
-
-def _one_bisection_later(adapted):
-    """Pedantic set-up for the dual-graph kernels: a copy of the fixture
-    with one more leaf bisected.  On an unchanged mesh the leaf adjacency
-    comes from the per-forest-version cache and the timed call never
-    computes it; a round of PARED always follows a structural change, so
-    each timed call here pays one too (the one-off ``M^0`` skeleton rides
-    along in the copy, as it does across rounds)."""
-    coarse_dual_graph(adapted.mesh)
-
-    def setup():
-        am = copy.deepcopy(adapted)
-        am.refine(am.leaf_ids()[:1])
-        return (am.mesh,), {}
-
-    return setup
-
-
-def test_kernel_coarse_dual_graph(benchmark, adapted):
-    g = benchmark.pedantic(
-        coarse_dual_graph, setup=_one_bisection_later(adapted), rounds=200
-    )
-    assert g.vwts.sum() > adapted.n_leaves
-
-
-def test_kernel_fine_dual_graph(benchmark, adapted):
-    g, _ = benchmark.pedantic(
-        fine_dual_graph, setup=_one_bisection_later(adapted), rounds=200
-    )
-    assert g.n_vertices > adapted.n_leaves
-
-
-def test_kernel_shared_vertices(benchmark, adapted):
-    a = (np.arange(adapted.n_leaves) % 8).astype(np.int64)
-    sv = benchmark(shared_vertex_count, adapted.mesh, a)
-    assert sv > 0
-
-
-def test_kernel_fiedler(benchmark, adapted):
-    g = coarse_dual_graph(adapted.mesh)
-    fv = benchmark(fiedler_vector, g, 0)
-    assert np.all(np.isfinite(fv))
-
-
-def test_kernel_multilevel_partition(benchmark, adapted):
-    g = coarse_dual_graph(adapted.mesh)
-    a = benchmark(multilevel_partition, g, 8, 0)
-    assert len(np.unique(a)) == 8
-
-
-def test_kernel_kl_refine(benchmark, adapted):
-    g = coarse_dual_graph(adapted.mesh)
-    rng = np.random.default_rng(0)
-    a0 = rng.integers(0, 8, g.n_vertices)
-    cfg = KLConfig(beta=0.8, balance_tol=0.05, max_passes=2)
-    a = benchmark(kl_refine, g, a0, 8, None, cfg)
-    assert a.shape == a0.shape
-
-
-def test_kernel_heavy_edge_matching(benchmark, adapted):
-    g = coarse_dual_graph(adapted.mesh)
-    m = benchmark(heavy_edge_matching, g, 0)
-    assert np.array_equal(m[m], np.arange(g.n_vertices))
-
-
-def test_kernel_contract(benchmark, adapted):
-    g = coarse_dual_graph(adapted.mesh)
-    m = heavy_edge_matching(g, seed=0)
-    coarse, cmap = benchmark(contract, g, m)
-    assert coarse.vwts.sum() == pytest.approx(g.vwts.sum())
-    assert cmap.shape == (g.n_vertices,)
-
-
-def test_kernel_kl_refine_large(benchmark, adapted_large):
-    g = coarse_dual_graph(adapted_large.mesh)
-    rng = np.random.default_rng(0)
-    a0 = rng.integers(0, 8, g.n_vertices)
-    cfg = KLConfig(beta=0.8, balance_tol=0.05, max_passes=2)
-    a = benchmark(kl_refine, g, a0, 8, None, cfg)
-    assert a.shape == a0.shape
-
-
-def test_kernel_multilevel_partition_large(benchmark, adapted_large):
-    g = coarse_dual_graph(adapted_large.mesh)
-    a = benchmark(multilevel_partition, g, 8, 0)
-    assert len(np.unique(a)) == 8
 
 
 def _drifted(graph, p):
@@ -176,36 +193,16 @@ def _drifted(graph, p):
     return WeightedGraph(graph.xadj, graph.adjncy, graph.ewts, grown), current
 
 
-def test_kernel_multilevel_repartition(benchmark, adapted):
-    """The paper's kernel (Section 9): constrained HEM hierarchy + KL with
-    the Equation-1 gain, from the current partition."""
-    g, current = _drifted(coarse_dual_graph(adapted.mesh), 8)
-    a = benchmark(multilevel_repartition, g, 8, current, PNR())
-    assert len(np.unique(a)) == 8
+def test_v_cycle_vs_oracle(adapted):
+    p = 8
+    graph, current = _drifted(coarse_dual_graph(adapted.mesh), p)
+    assert len(np.unique(current)) == p
 
+    def side(repartition):
+        return lambda: None, lambda _: repartition(graph, p, current, PNR())
 
-def test_kernel_multilevel_repartition_large(benchmark, adapted_large):
-    g, current = _drifted(coarse_dual_graph(adapted_large.mesh), 8)
-    a = benchmark(multilevel_repartition, g, 8, current, PNR())
-    assert len(np.unique(a)) == 8
-
-
-def test_kernel_multilevel_repartition_3d_k16(benchmark):
-    """One rung of the repo benchmark's ladder: 10 368 tets, k = 16."""
-    am = AdaptiveMesh.unit_cube(12)
-    am.refine_where(lambda c: c.sum(axis=1) > 2.2)
-    g, current = _drifted(coarse_dual_graph(am.mesh), 16)
-    a = benchmark(multilevel_repartition, g, 16, current, PNR())
-    assert len(np.unique(a)) == 16
-
-
-def test_kernel_stiffness_assembly(benchmark, adapted):
-    mesh = adapted.mesh
-    A = benchmark(stiffness_matrix, mesh.verts, mesh.leaf_cells())
-    assert A.shape[0] == mesh.n_verts
-
-
-def test_kernel_error_indicator(benchmark, adapted):
-    prob = CornerLaplace2D()
-    ind = benchmark(interpolation_error_indicator, adapted, prob.exact)
-    assert ind.shape[0] == adapted.n_leaves
+    times = _paired_times(
+        side(multilevel_repartition), side(_kl_oracle.multilevel_repartition)
+    )
+    assert len(np.unique(multilevel_repartition(graph, p, current, PNR()))) == p
+    _check("V-cycle", times, V_CYCLE_BOUND)

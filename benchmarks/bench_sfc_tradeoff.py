@@ -9,7 +9,7 @@ registry it reports **wall time**, **edge cut**, **migration volume**
 ====================  =========  ==============================
 scale                 elements   mesh
 ====================  =========  ==============================
-reduced (CI gate)     8,192      ``unit_square(64)``
+reduced (CI)          8,192      ``unit_square(64)``
 paper                 135,200    ``unit_square(260)`` ≈ 135,371
 million               1,008,200  ``unit_square(710)``
 ====================  =========  ==============================
@@ -24,12 +24,11 @@ silently, the table says so).
 
 Two modes:
 
-* **pytest-benchmark** (reduced scale): three gated timings, compared in CI
-  against the committed baseline ``benchmarks/BENCH_sfc.json`` at
-  ``median:25%``.  Re-baseline after an intentional change with::
-
-      PYTHONPATH=src python -m pytest benchmarks/bench_sfc_tradeoff.py \
-          --benchmark-json=benchmarks/BENCH_sfc.json
+* **pytest** (reduced scale): one round per strategy, asserting a valid
+  assignment within the imbalance bound and sfc >= 10x faster than mlkl
+  (timed side by side in one process).  CI runs it with
+  ``--benchmark-disable``; without the flag pytest-benchmark also times
+  each round.
 
 * **script** (nightly smoke)::
 
@@ -102,7 +101,7 @@ def one_round(name: str, graph0, graph1, coords, p: int) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# pytest-benchmark mode: the reduced-scale CI gate
+# pytest mode: the reduced-scale CI assertions
 # ---------------------------------------------------------------------- #
 
 

@@ -34,7 +34,6 @@ from repro.mesh.metrics import (
     cut_size,
     subset_weights,
     imbalance,
-    migrated_weight,
     processor_graph,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "cut_size",
     "subset_weights",
     "imbalance",
-    "migrated_weight",
     "processor_graph",
 ]

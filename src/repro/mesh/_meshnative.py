@@ -1,11 +1,10 @@
 """Wrappers of the compiled mesh kernels (:mod:`_meshcore.c`).
 
-:func:`refine_waves` runs the wave loop of
-:func:`~repro.mesh.rivara2d.refine2d` and
-:func:`~repro.mesh.rivara3d.refine3d` — walk, bisection, forest split,
-midpoints, ``_nbr`` / ``_le`` rows and the stitch — in one call, writing
-straight into the mesh's growable storage; :func:`walk` is its first
-wave's walk alone, read-only; :func:`stitch` is
+:func:`refine_waves` runs the wave loop of :func:`~repro.mesh.rivara.refine`
+in either dimension — walk, bisection, forest split, midpoints, ``_nbr`` /
+``_le`` rows and the stitch — in one call, writing straight into the
+mesh's growable storage; :func:`walk` is its first wave's walk alone,
+read-only; :func:`stitch` is
 :meth:`~repro.mesh.base.SimplexMesh._stitch`, which construction and
 coarsening end in.  All are built on first use by
 :func:`repro._native.build` (a failed build raises ``ImportError``) and
@@ -102,9 +101,9 @@ def _raise_for(status: int, mesh, limit: int) -> None:
 
 
 def refine_waves(mesh, targets, max_steps_factor: int) -> list:
-    """Run the waves of ``refine2d(mesh, targets)`` or ``refine3d(mesh,
-    targets)`` in C until no target is a leaf; returns every bisected
-    parent, wave by wave.  An id outside ``[0, n_elements)`` raises
+    """Run the waves of ``rivara.refine(mesh, targets)`` in C until no
+    target is a leaf; returns every bisected parent, wave by wave.  An id
+    outside ``[0, n_elements)`` raises
     ``ValueError`` before anything is written; a wave that would walk past
     the step limit, fails a guard or cannot allocate its scratch raises
     after the waves applied before it are committed."""

@@ -13,8 +13,7 @@ from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
 from repro.mesh.coarsen import coarsen as _coarsen
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
-from repro.mesh.rivara2d import refine2d
-from repro.mesh.rivara3d import refine3d
+from repro.mesh.rivara import refine as _refine
 from repro.perf import PERF
 
 
@@ -29,11 +28,7 @@ class AdaptiveMesh:
     """
 
     def __init__(self, mesh):
-        if isinstance(mesh, TriMesh):
-            self._refine = refine2d
-        elif isinstance(mesh, TetMesh):
-            self._refine = refine3d
-        else:
+        if not isinstance(mesh, (TriMesh, TetMesh)):
             raise TypeError("mesh must be TriMesh or TetMesh")
         self.mesh = mesh
         #: number of completed adaptation rounds (the ``t`` of ``M^t``)
@@ -63,7 +58,7 @@ class AdaptiveMesh:
         """Bisect the given leaf elements once (with conformality
         propagation); returns all bisected element ids."""
         with PERF.span("mesh.refine"):
-            out = self._refine(self.mesh, leaf_ids)
+            out = _refine(self.mesh, leaf_ids)
         self.time_step += 1
         return out
 
@@ -95,20 +90,12 @@ class AdaptiveMesh:
     # ------------------------------------------------------------------ #
 
     @property
-    def dim(self) -> int:
-        return self.mesh.dim
-
-    @property
     def n_leaves(self) -> int:
         return self.mesh.n_leaves
 
     @property
     def n_roots(self) -> int:
         return self.mesh.n_roots
-
-    @property
-    def verts(self) -> np.ndarray:
-        return self.mesh.verts
 
     def leaf_ids(self) -> np.ndarray:
         return self.mesh.leaf_ids()
@@ -124,9 +111,3 @@ class AdaptiveMesh:
 
     def leaf_depths(self) -> np.ndarray:
         return self.mesh.forest.depth_array[self.leaf_ids()]
-
-    def __repr__(self) -> str:
-        return (
-            f"AdaptiveMesh(dim={self.dim}, roots={self.n_roots}, "
-            f"leaves={self.n_leaves}, t={self.time_step})"
-        )

@@ -3,7 +3,7 @@
 A triangle keeps the ``_nbr`` / ``_le`` rows every
 :class:`~repro.mesh.base.SimplexMesh` keeps: ``_nbr[e, i]`` is the leaf
 across the edge opposite local vertex ``i``, which is also local edge
-``i``.  A refinement (:mod:`repro.mesh.rivara2d`) is one compiled call
+``i``.  A refinement (:mod:`repro.mesh.rivara`) is one compiled call
 (:mod:`repro.mesh._meshnative`) that writes these arrays in place; the
 numpy split and stitch it replaced are its oracle in
 ``tests/_mesh_oracle.py``.

@@ -5,7 +5,7 @@ A tetrahedron keeps the ``_nbr`` / ``_le`` rows every
 across the face opposite local vertex ``i`` and ``_le[e]`` indexes the six
 local edges in ``itertools.combinations`` order, ``(0, 1), (0, 2), (0, 3),
 (1, 2), (1, 3), (2, 3)``.  The 3-D Rivara kernel
-(:mod:`repro.mesh.rivara3d`) bisects the whole *edge star* at once and
+(:mod:`repro.mesh.rivara`) bisects the whole *edge star* at once and
 finds it by walking ``_nbr`` around the edge, face to face.
 """
 

@@ -7,8 +7,6 @@ All metrics take a *leaf assignment*: an integer array, aligned with
   Figures 3 and 7: mesh vertices adjacent to elements in different subsets.
 * ``cut_size`` — cut edges of the fine dual graph (edge/face adjacencies
   crossing subsets), the classic ``C_cut``.
-* ``migrated_weight`` — ``C_migrate``: number of leaf elements whose
-  assignment differs between two partitions.
 * ``processor_graph`` — the processor-connectivity graph ``H^t`` of
   Section 8 (its hop distances feed :mod:`repro.core.bounds`).
 """
@@ -56,18 +54,6 @@ def shared_vertex_count(mesh, assignment: np.ndarray) -> int:
     shared = np.zeros(mesh.n_verts, dtype=bool)
     shared[verts[parts != ref[verts]]] = True
     return int(np.count_nonzero(shared))
-
-
-def migrated_weight(old_assignment, new_assignment, weights=None) -> float:
-    """``C_migrate(Π, Π̂)``: total weight of elements that change processor."""
-    old = np.asarray(old_assignment)
-    new = np.asarray(new_assignment)
-    if old.shape != new.shape:
-        raise ValueError("assignments must be aligned")
-    moved = old != new
-    if weights is None:
-        return float(np.count_nonzero(moved))
-    return float(np.asarray(weights)[moved].sum())
 
 
 def processor_graph(mesh, assignment: np.ndarray, p: int) -> sp.csr_matrix:

@@ -1,8 +1,8 @@
 """The numpy/Python oracle of the compiled mesh kernels
 (``src/repro/mesh/_meshcore.c``).
 
-2-D: the numpy wave loop of :func:`repro.mesh.rivara2d.refine2d` and the
-numpy split and stitch of :class:`~repro.mesh.mesh2d.TriMesh`, moved here
+2-D: the numpy wave loop :func:`repro.mesh.rivara.refine` ran on
+triangles and the numpy split and stitch of :class:`~repro.mesh.mesh2d.TriMesh`, moved here
 verbatim when the compiler became a requirement (since then the 2-D walk
 takes 3-D's rule that an element walks at most once per wave, and edge keys
 are read off the cells).  :class:`OracleTriMesh` is a
@@ -12,7 +12,7 @@ refinement batch and in every coarsening — is the numpy one, and
 requires the compiled kernel to leave every array of a ``TriMesh`` id for id
 as these leave an ``OracleTriMesh``.
 
-3-D: the Python wave loop of :func:`repro.mesh.rivara3d.refine3d`, moved
+3-D: the Python wave loop :func:`repro.mesh.rivara.refine` ran on tets, moved
 here verbatim when the loop was compiled.  It runs on a plain
 :class:`~repro.mesh.mesh3d.TetMesh` (whose compiled stitch
 ``check_adjacency`` checks against a brute-force recount), and the compiled

@@ -6,13 +6,13 @@ import pytest
 from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.coarsen import coarsen
 from repro.mesh.forest import LEAF
-from repro.mesh.rivara2d import refine2d
+from repro.mesh.rivara import refine
 
 
 class TestCoarsen2D:
     def test_full_roundtrip(self, square8):
         m = square8.mesh
-        refine2d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         n_after = m.n_leaves
         merged = coarsen(m, m.leaf_ids())
         assert merged, "uniformly refined mesh must coarsen"
@@ -24,7 +24,7 @@ class TestCoarsen2D:
     def test_coarsen_to_initial(self, square8):
         m = square8.mesh
         n0 = m.n_leaves
-        refine2d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         for _ in range(5):
             if not coarsen(m, m.leaf_ids()):
                 break
@@ -36,7 +36,7 @@ class TestCoarsen2D:
 
     def test_partial_marking_blocks_pair(self, square8):
         m = square8.mesh
-        refine2d(m, [0])
+        refine(m, [0])
         # after a pair bisection, mark only one child of one parent
         kids = m.forest.children(0)
         merged = coarsen(m, [kids[0]])
@@ -47,10 +47,10 @@ class TestCoarsen2D:
         """A parent whose midpoint is still used by a deeper neighbor must
         not merge."""
         m = square8.mesh
-        refine2d(m, list(m.leaf_ids()))  # level 1 everywhere
+        refine(m, list(m.leaf_ids()))  # level 1 everywhere
         # refine one leaf further
         deep = int(m.leaf_ids()[0])
-        refine2d(m, [deep])
+        refine(m, [deep])
         n = m.n_leaves
         # try to coarsen everything except the deep region's children
         deep_kids = set(m.forest.children(deep) or ())
@@ -61,19 +61,19 @@ class TestCoarsen2D:
 
     def test_coarsen_then_refine_reuses_ids(self, square8):
         m = square8.mesh
-        refine2d(m, [0])
+        refine(m, [0])
         kids_before = m.forest.children(0)
         n_elems = m.n_elements
         # mark everything so the bisection pair coarsens as a group
         coarsen(m, m.leaf_ids())
         assert m.forest.status_array[0] == LEAF
-        refine2d(m, [0])
+        refine(m, [0])
         assert m.forest.children(0) == kids_before
         assert m.n_elements == n_elems  # no new storage allocated
 
     def test_returns_merged_parents(self, square8):
         m = square8.mesh
-        refine2d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         merged = coarsen(m, m.leaf_ids())
         for p in merged:
             assert m.forest.status_array[p] == LEAF
@@ -82,9 +82,7 @@ class TestCoarsen2D:
 class TestCoarsen3D:
     def test_roundtrip_volume(self, cube3):
         m = cube3.mesh
-        from repro.mesh.rivara3d import refine3d
-
-        refine3d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         coarsen(m, m.leaf_ids())
         m.check_conformal()
         m.forest.validate()
@@ -92,9 +90,7 @@ class TestCoarsen3D:
 
     def test_partial_star_blocks(self, cube3):
         m = cube3.mesh
-        from repro.mesh.rivara3d import refine3d
-
-        refine3d(m, [0])
+        refine(m, [0])
         # mark children of only one parent of the bisected star
         kids = m.forest.children(0)
         assert coarsen(m, list(kids)) == []

@@ -141,7 +141,7 @@ class TestIndicatorParity:
         """The peak input really exercises vertices no leaf uses."""
         am = _peak_coarsened()
         used = np.unique(am.leaf_cells())
-        assert used.size < am.verts.shape[0]
+        assert used.size < am.mesh.verts.shape[0]
 
     @pytest.mark.parametrize("name", ["corner2d", "cube3d"])
     def test_exact_returning_a_list(self, name):
@@ -167,7 +167,7 @@ class TestIndicatorCalls:
         n, npc = mesh.leaf_cells().shape
         # the vertices, then every midpoint and centroid at once
         assert [len(pts) for pts in counted.calls] == [
-            mesh.verts.shape[0],
+            getattr(mesh, "mesh", mesh).n_verts,
             (npc * (npc - 1) // 2 + 1) * n,
         ]
 

@@ -32,35 +32,35 @@ class TestAssembly:
         assert np.allclose(A, expected)
 
     def test_stiffness_symmetric_psd(self, adapted_square):
-        A = stiffness_matrix(adapted_square.verts, adapted_square.leaf_cells())
+        A = stiffness_matrix(adapted_square.mesh.verts, adapted_square.leaf_cells())
         assert abs(A - A.T).max() < 1e-12
         # kernel = constants: row sums zero
         assert np.allclose(np.asarray(A.sum(axis=1)).ravel(), 0.0, atol=1e-12)
 
     def test_stiffness_kills_constants_3d(self, adapted_cube):
-        A = stiffness_matrix(adapted_cube.verts, adapted_cube.leaf_cells())
+        A = stiffness_matrix(adapted_cube.mesh.verts, adapted_cube.leaf_cells())
         ones = np.ones(A.shape[0])
         assert np.abs(A @ ones).max() < 1e-10
 
     def test_mass_matrix_integrates_one(self, square8):
-        M = mass_matrix(square8.verts, square8.leaf_cells())
+        M = mass_matrix(square8.mesh.verts, square8.leaf_cells())
         ones = np.ones(M.shape[0])
         assert ones @ M @ ones == pytest.approx(4.0)  # domain area
 
     def test_mass_matrix_3d_volume(self, cube3):
-        M = mass_matrix(cube3.verts, cube3.leaf_cells())
+        M = mass_matrix(cube3.mesh.verts, cube3.leaf_cells())
         ones = np.ones(M.shape[0])
         assert ones @ M @ ones == pytest.approx(8.0)
 
     def test_load_vector_constant(self, square8):
-        b = load_vector(square8.verts, square8.leaf_cells(), lambda p: np.ones(len(p)))
+        b = load_vector(square8.mesh.verts, square8.leaf_cells(), lambda p: np.ones(len(p)))
         assert b.sum() == pytest.approx(4.0)
 
     def test_gradients_of_linear_exact(self, square8):
-        g, meas = gradients(square8.verts, square8.leaf_cells())
+        g, meas = gradients(square8.mesh.verts, square8.leaf_cells())
         cells = square8.leaf_cells()
         # u = 3x - 2y: each element's reconstructed gradient is (3, -2)
-        u = 3 * square8.verts[:, 0] - 2 * square8.verts[:, 1]
+        u = 3 * square8.mesh.verts[:, 0] - 2 * square8.mesh.verts[:, 1]
         gu = np.einsum("eid,ei->ed", g, u[cells])
         assert np.allclose(gu, [3.0, -2.0])
 
@@ -195,7 +195,7 @@ class TestEstimators:
         assert worst[0] > 0.5 and worst[1] > 0.5
 
     def test_gradient_jump_zero_for_linear(self, square8):
-        u = 2 * square8.verts[:, 0] - square8.verts[:, 1]
+        u = 2 * square8.mesh.verts[:, 0] - square8.mesh.verts[:, 1]
         eta = gradient_jump_indicator(square8, u)
         assert np.abs(eta).max() < 1e-10
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.mesh2d import TriMesh
-from repro.mesh.rivara2d import refine2d
+from repro.mesh.rivara import refine
 
 from tests._mesh_oracle import longest_edge
 
@@ -53,7 +53,7 @@ class TestLongestEdge:
 class TestBisection:
     def test_boundary_bisection(self):
         m = single_triangle()
-        bisected = refine2d(m, [0])
+        bisected = refine(m, [0])
         assert bisected == [0]
         assert m.n_leaves == 2
         assert m.n_verts == 4  # midpoint added
@@ -63,7 +63,7 @@ class TestBisection:
 
     def test_pair_bisection(self):
         m = two_triangles()
-        bisected = refine2d(m, [0])
+        bisected = refine(m, [0])
         # neighbor shares the longest edge -> both bisect
         assert sorted(bisected) == [0, 1]
         assert m.n_leaves == 4
@@ -72,13 +72,13 @@ class TestBisection:
 
     def test_midpoint_shared_between_pair(self):
         m = two_triangles()
-        refine2d(m, [0])
+        refine(m, [0])
         # exactly one midpoint vertex created
         assert m.n_verts == 5
 
     def test_orientation_preserved(self):
         m = two_triangles()
-        refine2d(m, [0, 1])
+        refine(m, [0, 1])
         cells = m.leaf_cells()
         a = m.verts[cells[:, 0]]
         b = m.verts[cells[:, 1]]
@@ -90,10 +90,10 @@ class TestBisection:
 
     def test_refining_refined_element_skipped(self):
         m = two_triangles()
-        refine2d(m, [0])
+        refine(m, [0])
         n = m.n_leaves
         # element 0 is INTERIOR now; asking again is a no-op
-        assert refine2d(m, [0]) == []
+        assert refine(m, [0]) == []
         assert m.n_leaves == n
 
     def test_propagation_keeps_conformality(self):
@@ -106,9 +106,19 @@ class TestBisection:
         for _ in range(6):
             leaves = m.leaf_ids()
             target = leaves[rng.integers(len(leaves))]
-            refine2d(m, [target])
+            refine(m, [target])
             m.check_conformal()
         assert m.leaf_areas().sum() == pytest.approx(4.0)
+
+    def test_every_leaf_bisected_once(self):
+        # two rounds over every leaf of the 288-triangle square: the
+        # propagated bisections are exactly the targets, nothing more
+        from repro.geometry import structured_tri_mesh
+
+        m = TriMesh(*structured_tri_mesh(12, 12))
+        for _ in range(2):
+            refine(m, m.leaf_ids())
+        assert m.n_leaves == 4 * 288
 
     def test_deterministic_result_any_order(self):
         from repro.geometry import structured_tri_mesh
@@ -117,8 +127,8 @@ class TestBisection:
         m1 = TriMesh(verts.copy(), tris.copy())
         m2 = TriMesh(verts.copy(), tris.copy())
         marked = [0, 5, 11, 17]
-        refine2d(m1, marked)
-        refine2d(m2, list(reversed(marked)))
+        refine(m1, marked)
+        refine(m2, list(reversed(marked)))
 
         # ids are numbered from the target *set*, so the arrays agree
         assert np.array_equal(m1.cells, m2.cells)
@@ -126,11 +136,11 @@ class TestBisection:
 
     def test_propagation_limit_caps_total_walk_steps(self):
         from repro.geometry import structured_tri_mesh
-        from repro.mesh.rivara2d import PropagationLimitError
+        from repro.mesh.rivara import PropagationLimitError
 
         m = TriMesh(*structured_tri_mesh(24, 24))  # 1152 walkers > 1000 steps
         with pytest.raises(PropagationLimitError):
-            refine2d(m, m.leaf_ids(), max_steps_factor=0)
+            refine(m, m.leaf_ids(), max_steps_factor=0)
         # the cap fires while walking, before the wave's batch is applied
         assert m.n_leaves == m.n_roots
         m.check_adjacency()
@@ -154,7 +164,7 @@ class TestBoundary:
 
         verts, tris = structured_tri_mesh(2, 2)
         m = TriMesh(verts, tris)
-        refine2d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         b = m.boundary_vertices()
         coords = m.verts[b]
         assert np.all((np.abs(coords[:, 0]) == 1) | (np.abs(coords[:, 1]) == 1))

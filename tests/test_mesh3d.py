@@ -6,7 +6,7 @@ import pytest
 from repro.geometry import structured_tet_mesh
 from repro.mesh.base import pair_key
 from repro.mesh.mesh3d import TetMesh
-from repro.mesh.rivara3d import refine3d
+from repro.mesh.rivara import refine
 
 from tests import _mesh_oracle as oracle
 
@@ -72,7 +72,7 @@ class TestConstruction:
 class TestBisection:
     def test_single_tet_bisection(self):
         m = single_tet()
-        refine3d(m, [0])
+        refine(m, [0])
         assert m.n_leaves == 2
         assert m.leaf_volumes().sum() == pytest.approx(1 / 6)
         m.check_conformal()
@@ -80,7 +80,7 @@ class TestBisection:
 
     def test_star_bisected_together(self):
         m = cube_mesh(1)
-        refine3d(m, [0])
+        refine(m, [0])
         # the whole 6-tet star around the main diagonal splits -> 12 leaves
         assert m.n_leaves == 12
         assert m.leaf_volumes().sum() == pytest.approx(8.0)
@@ -92,28 +92,28 @@ class TestBisection:
         for _ in range(5):
             leaves = m.leaf_ids()
             marked = leaves[rng.choice(len(leaves), size=4, replace=False)]
-            refine3d(m, marked)
+            refine(m, marked)
             assert m.leaf_volumes().sum() == pytest.approx(8.0)
             m.check_conformal()
         m.forest.validate()
 
     def test_no_degenerate_children(self):
         m = cube_mesh(2)
-        refine3d(m, list(m.leaf_ids()))
+        refine(m, list(m.leaf_ids()))
         assert m.leaf_volumes().min() > 0
 
     def test_refined_element_skipped(self):
         m = cube_mesh(1)
-        refine3d(m, [0])
+        refine(m, [0])
         n = m.n_leaves
-        assert refine3d(m, [0]) == []
+        assert refine(m, [0]) == []
         assert m.n_leaves == n
 
 
 class TestBoundary:
     def test_boundary_vertices_on_cube_surface(self):
         m = cube_mesh(2)
-        refine3d(m, list(m.leaf_ids()[:10]))
+        refine(m, list(m.leaf_ids()[:10]))
         b = m.boundary_vertices()
         coords = m.verts[b]
         on_surface = (

@@ -22,8 +22,7 @@ from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
 from repro.mesh.coarsen import coarsen
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
-from repro.mesh.rivara2d import refine2d
-from repro.mesh.rivara3d import refine3d
+from repro.mesh.rivara import refine
 
 from tests import _mesh_oracle as oracle
 
@@ -71,10 +70,8 @@ def _step(new, ref, rng, op: str, frac: float) -> None:
     k = max(1, int(frac * leaves.size))
     marked = rng.choice(leaves, size=k, replace=False)
     if op == "refine":
-        if new.dim == 2:
-            done, want = refine2d(new, marked), oracle.refine2d(ref, marked)
-        else:
-            done, want = refine3d(new, marked), oracle.refine3d(ref, marked)
+        refine_oracle = oracle.refine2d if new.dim == 2 else oracle.refine3d
+        done, want = refine(new, marked), refine_oracle(ref, marked)
         assert done == want
         assert len(done) == len(set(done))
     else:
@@ -147,8 +144,8 @@ def test_vectorised_longest_edge_is_the_scalar_rule(kind):
     children from the compiled wave's — takes the edge the scalar scan
     takes (``1e-12`` band, smallest vertex pair)."""
     new, _ = _pair(kind, 11)
-    refine2d(new, new.leaf_ids())
-    refine2d(new, new.leaf_ids()[::2])
+    refine(new, new.leaf_ids())
+    refine(new, new.leaf_ids()[::2])
     assert new.n_elements > 3 * new.n_roots
     for e in range(new.n_elements):
         assert oracle.longest_edge(new, e) == _scalar_longest_edge(new.verts, new.cell(e))
@@ -161,7 +158,7 @@ def test_vectorised_longest_edge_is_the_scalar_rule(kind):
 @given(seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_ids_independent_of_target_order(kind, seed, rounds):
-    """``refine2d(m, T)`` and ``refine2d(m, any permutation of T, with
+    """``refine(m, T)`` and ``refine(m, any permutation of T, with
     repeats)`` build identical arrays."""
     rng = np.random.default_rng(seed)
     a, _ = _pair(kind, seed)
@@ -169,9 +166,9 @@ def test_ids_independent_of_target_order(kind, seed, rounds):
     for _ in range(rounds):
         leaves = a.leaf_ids()
         marked = rng.choice(leaves, size=max(1, leaves.size // 3), replace=False)
-        done = refine2d(a, np.sort(marked))
+        done = refine(a, np.sort(marked))
         shuffled = rng.permutation(np.concatenate([marked, marked[:2]]))
-        done_b = refine2d(b, shuffled.tolist())
+        done_b = refine(b, shuffled.tolist())
         assert sorted(done) == sorted(done_b)
         _assert_same_state(a, b)
         a.check_adjacency()
@@ -185,17 +182,17 @@ def test_extra_targets_on_the_path_change_nothing():
     a, _ = _pair("delaunay", 3)
     b, _ = _pair("delaunay", 3)
     for m in (a, b):
-        refine2d(m, m.leaf_ids()[::3])
+        refine(m, m.leaf_ids()[::3])
     targets = a.leaf_ids()[::5]
     path = oracle.walk(a, targets)
     assert path.size > targets.size
-    refine2d(a, targets)
-    refine2d(b, path)
+    refine(a, targets)
+    refine(b, path)
     _assert_same_state(a, b)
 
 
 # ---------------------------------------------------------------------- #
-# 3-D: the compiled refine3d against the Python waves
+# 3-D: the compiled refine against the Python waves
 # ---------------------------------------------------------------------- #
 
 
@@ -247,8 +244,8 @@ def test_3d_longest_edge_is_the_scalar_rule(kind):
     """Roots from the vectorised rule, children from the compiled wave's:
     every tet takes the edge the scalar scan takes."""
     new, _ = _cube(kind, 11)
-    refine3d(new, new.leaf_ids())
-    refine3d(new, new.leaf_ids()[::2])
+    refine(new, new.leaf_ids())
+    refine(new, new.leaf_ids()[::2])
     assert new.n_elements > 3 * new.n_roots
     for e in range(new.n_elements):
         assert oracle.longest_edge(new, e) == _scalar_longest_edge_3d(new.verts, new.cell(e))
@@ -258,16 +255,16 @@ def test_3d_longest_edge_is_the_scalar_rule(kind):
 @given(seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_3d_ids_independent_of_target_order(kind, seed, rounds):
-    """``refine3d(m, T)`` and ``refine3d(m, any permutation of T, with
+    """``refine(m, T)`` and ``refine(m, any permutation of T, with
     repeats)`` build identical arrays."""
     rng = np.random.default_rng(seed)
     a, b = _cube(kind, seed)
     for _ in range(rounds):
         leaves = a.leaf_ids()
         marked = rng.choice(leaves, size=max(1, leaves.size // 3), replace=False)
-        done = refine3d(a, np.sort(marked))
+        done = refine(a, np.sort(marked))
         shuffled = rng.permutation(np.concatenate([marked, marked[:2]]))
-        assert sorted(done) == sorted(refine3d(b, shuffled.tolist()))
+        assert sorted(done) == sorted(refine(b, shuffled.tolist()))
         _assert_same_state(a, b)
         a.check_adjacency()
         a.check_conformal()

@@ -10,7 +10,6 @@ from repro.mesh import AdaptiveMesh, TriMesh
 from repro.mesh.metrics import (
     cut_size,
     imbalance,
-    migrated_weight,
     processor_graph,
     shared_vertex_count,
     subset_weights,
@@ -100,26 +99,6 @@ class TestSharedVerticesProperty:
                 touching.setdefault(v, set()).add(part)
         expected = sum(1 for parts in touching.values() if len(parts) >= 2)
         assert shared_vertex_count(mesh, a) == expected
-
-
-class TestMigration:
-    def test_no_move(self):
-        a = np.array([0, 1, 2])
-        assert migrated_weight(a, a) == 0
-
-    def test_counts_moves(self):
-        old = np.array([0, 0, 1, 1])
-        new = np.array([0, 1, 1, 0])
-        assert migrated_weight(old, new) == 2
-
-    def test_weighted(self):
-        old = np.array([0, 1])
-        new = np.array([1, 1])
-        assert migrated_weight(old, new, weights=[7.0, 3.0]) == 7.0
-
-    def test_mismatched_raises(self):
-        with pytest.raises(ValueError):
-            migrated_weight(np.zeros(3), np.zeros(4))
 
 
 class TestProcessorGraph:

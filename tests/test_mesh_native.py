@@ -2,11 +2,11 @@
 numpy/Python oracle (``tests/_mesh_oracle.py``), id for id.
 
 Every script runs twice from the same input — in 2-D a :class:`TriMesh`
-refined by the compiled ``refine2d`` and an ``OracleTriMesh`` refined by
-the numpy waves, both coarsened by ``coarsen`` (whose stitch is compiled on
-the first and numpy on the second); in 3-D two :class:`TetMesh` refined by
-the compiled ``refine3d`` and by the Python waves — and the two meshes must
-agree on every array the kernel writes: the forest's six arrays and
+refined by the compiled ``rivara.refine`` and an ``OracleTriMesh`` refined
+by the numpy waves, both coarsened by ``coarsen`` (whose stitch is compiled
+on the first and numpy on the second); in 3-D two :class:`TetMesh` refined
+by the compiled ``rivara.refine`` and by the Python waves — and the two
+meshes must agree on every array the kernel writes: the forest's six arrays and
 counters, cells, vertices, ``_nbr`` (stale rows of refined elements
 included), ``_le``, the midpoint memo in insertion order, and the bisected
 / merged lists the calls return; the read-only walk must visit what the
@@ -27,8 +27,8 @@ from repro.mesh.forest import LEAF
 from repro.mesh.growable import IntMap
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
-from repro.mesh.rivara2d import PropagationLimitError, refine2d
-from repro.mesh.rivara3d import refine3d
+from repro.mesh import rivara
+from repro.mesh.rivara import PropagationLimitError
 
 from tests import _mesh_oracle as oracle
 from tests.test_mesh_kernel_equivalence import _tie_strip
@@ -83,7 +83,7 @@ def _assert_same(a, b) -> None:
         assert np.array_equal(x, y)
 
 
-def _script(mesh, seed: int, ops: str, refine=refine2d) -> list:
+def _script(mesh, seed: int, ops: str, refine=rivara.refine) -> list:
     """``r`` refines, ``c`` coarsens a random 30 % of the leaves; returns
     what every call returned."""
     rng = np.random.default_rng(seed)
@@ -95,21 +95,21 @@ def _script(mesh, seed: int, ops: str, refine=refine2d) -> list:
     return out
 
 
-#: per dimension: (mesh class, compiled refine, oracle mesh class, oracle refine)
+#: per dimension: (mesh class, oracle mesh class, oracle refine)
 KERNELS = {
-    2: (TriMesh, refine2d, oracle.OracleTriMesh, oracle.refine2d),
-    3: (TetMesh, refine3d, TetMesh, oracle.refine3d),
+    2: (TriMesh, oracle.OracleTriMesh, oracle.refine2d),
+    3: (TetMesh, TetMesh, oracle.refine3d),
 }
 
 
 def _both(build, run, dim=2):
     """``run(mesh, refine)`` on ``build(TriMesh)`` with the compiled
-    ``refine2d``, then on ``build(OracleTriMesh)`` with the numpy waves (in
-    3-D: two ``TetMesh``, the compiled ``refine3d`` and the Python waves):
-    ``(native mesh, native result, oracle mesh, oracle result)``."""
-    cls, refine, oracle_cls, oracle_refine = KERNELS[dim]
+    ``rivara.refine``, then on ``build(OracleTriMesh)`` with the numpy waves
+    (in 3-D: two ``TetMesh``, the compiled ``rivara.refine`` and the Python
+    waves): ``(native mesh, native result, oracle mesh, oracle result)``."""
+    cls, oracle_cls, oracle_refine = KERNELS[dim]
     native = build(cls)
-    got = run(native, refine)
+    got = run(native, rivara.refine)
     reference = build(oracle_cls)
     want = run(reference, oracle_refine)
     return native, got, reference, want
@@ -196,7 +196,7 @@ def _setup(seed, dim=2):
 
     def base(cls):
         mesh = cls(verts, cells)
-        _script(mesh, seed, "rr", KERNELS[dim][1])
+        _script(mesh, seed, "rr")
         return mesh
 
     return base, base(KERNELS[dim][0]).leaf_ids()[::2].copy()
@@ -226,7 +226,7 @@ def test_grow_and_resume_is_exact(recorder, monkeypatch, room):
 
 
 def _allocation_sweep(recorder, monkeypatch, dim):
-    cls, refine, oracle_cls, oracle_refine = KERNELS[dim]
+    cls, oracle_cls, oracle_refine = KERNELS[dim]
     base, targets = _setup(7, dim)
     rows = _first_wave_elements(base, targets, monkeypatch, dim)
 
@@ -246,7 +246,7 @@ def _allocation_sweep(recorder, monkeypatch, dim):
         recorder.statuses.clear()
         recorder.lib.meshcore_fail_after(k)
         try:
-            got = refine(native, targets)
+            got = rivara.refine(native, targets)
         except MemoryError:
             got = None
         finally:
@@ -308,7 +308,7 @@ def test_propagation_limit_raises_on_both_paths(recorder, monkeypatch, n_targets
     def build(cls):
         mesh = cls(verts, cells)
         draw = np.random.default_rng(0)
-        refine = refine2d if cls is TriMesh else oracle.refine2d
+        refine = rivara.refine if cls is TriMesh else oracle.refine2d
         for _ in range(3):
             refine(mesh, draw.choice(mesh.leaf_ids(), mesh.n_leaves // 4, replace=False))
         return mesh
@@ -367,7 +367,7 @@ def test_failed_stitch_allocation_raises_and_merges_nothing(recorder):
     the call (the forest's version counter aside) and conformal."""
     verts, cells = _input("structured")
     mesh = TriMesh(verts, cells)
-    refine2d(mesh, mesh.leaf_ids()[::3])
+    rivara.refine(mesh, mesh.leaf_ids()[::3])
     before = [a.copy() for a in _state(mesh)]
     recorder.lib.meshcore_fail_after(0)
     try:
@@ -386,7 +386,7 @@ def test_failed_stitch_allocation_raises_and_merges_nothing(recorder):
 
 
 # ---------------------------------------------------------------------- #
-# 3-D: the compiled refine3d against the Python waves
+# 3-D: the compiled rivara.refine against the Python waves
 # ---------------------------------------------------------------------- #
 
 
@@ -451,7 +451,7 @@ def test_3d_propagation_limit_raises_on_both_paths(recorder, monkeypatch, n_targ
         mesh = cls(verts, cells)
         draw = np.random.default_rng(0)
         for _ in range(2):
-            refine3d(mesh, draw.choice(mesh.leaf_ids(), mesh.n_leaves // 4, replace=False))
+            rivara.refine(mesh, draw.choice(mesh.leaf_ids(), mesh.n_leaves // 4, replace=False))
         return mesh
 
     start = build(TetMesh)
@@ -489,10 +489,10 @@ def test_3d_extra_targets_on_the_path_change_nothing():
     _assert_same(native, reference)
 
 
-def _walk_is_the_first_wave(mesh, refine) -> None:
+def _walk_is_the_first_wave(mesh) -> None:
     """Leaf targets in random order, with repeats and with refined
     elements among them (which do not walk)."""
-    _script(mesh, 4, "rr", refine)
+    _script(mesh, 4, "rr")
     before = [a.copy() for a in _state(mesh)]
     rng = np.random.default_rng(4)
     refined = np.flatnonzero(mesh.forest.status_array != LEAF)[:5]
@@ -517,7 +517,7 @@ def test_walk_is_the_first_wave(kind):
     waves' first wave walks, and writes nothing; ids outside the forest
     raise ``ValueError``."""
     verts, cells = _input(kind, 4)
-    _walk_is_the_first_wave(TriMesh(verts, cells), refine2d)
+    _walk_is_the_first_wave(TriMesh(verts, cells))
 
 
 @pytest.mark.parametrize("kind", KINDS_3D)
@@ -525,4 +525,4 @@ def test_3d_star_walk_is_the_first_wave(kind):
     """The same walk in 3-D visits exactly the tets the Python waves'
     first wave walks."""
     verts, cells = _input3d(kind, 4)
-    _walk_is_the_first_wave(TetMesh(verts, cells), refine3d)
+    _walk_is_the_first_wave(TetMesh(verts, cells))

@@ -40,9 +40,9 @@ class TestConformalityChecker:
     def test_checker_passes_after_proper_refinement(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
-        from repro.mesh.rivara2d import refine2d
+        from repro.mesh.rivara import refine
 
-        refine2d(mesh, [0])
+        refine(mesh, [0])
         mesh.check_conformal()
 
 
@@ -154,20 +154,16 @@ class TestVizEdgeCases:
 
 
 class TestOutOfRangeElementIds:
-    """``refine2d`` / ``refine3d`` check every id against ``[0,
+    """``rivara.refine`` checks every id against ``[0,
     n_elements)`` before writing anything: a bad id raises ``ValueError``
     naming it, and the mesh keeps its leaf and element counts."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("ids", ["minus_one", "minus_one_and_three", "n_elements"])
     def test_raises_before_writing(self, dim, ids):
-        from repro.mesh.rivara2d import refine2d
-        from repro.mesh.rivara3d import refine3d
+        from repro.mesh.rivara import refine
 
-        if dim == 2:
-            mesh, refine = AdaptiveMesh.unit_square(3).mesh, refine2d
-        else:
-            mesh, refine = AdaptiveMesh.unit_cube(2).mesh, refine3d
+        mesh = (AdaptiveMesh.unit_square(3) if dim == 2 else AdaptiveMesh.unit_cube(2)).mesh
         n = mesh.n_elements
         targets = {"minus_one": [-1], "minus_one_and_three": [-1, 3], "n_elements": [n]}[ids]
         bad = targets[0]

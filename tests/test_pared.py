@@ -104,7 +104,7 @@ class TestDistributedMesh:
             mine = [e for e in marked_global if e in owned]
             dm.parallel_refine(mine)
             return am.n_leaves, {
-                tuple(sorted(map(tuple, np.round(am.verts[c], 12))))
+                tuple(sorted(map(tuple, np.round(am.mesh.verts[c], 12))))
                 for c in am.leaf_cells()
             }
 
@@ -112,7 +112,7 @@ class TestDistributedMesh:
         serial = AdaptiveMesh.unit_square(4)
         serial.refine(marked_global)
         serial_geo = {
-            tuple(sorted(map(tuple, np.round(serial.verts[c], 12))))
+            tuple(sorted(map(tuple, np.round(serial.mesh.verts[c], 12))))
             for c in serial.leaf_cells()
         }
         for n, geo in results:
@@ -168,7 +168,7 @@ class TestDistributedMesh:
                 remote += sum(map(len, dm._lepp_remote_targets(mine).values()))
                 dm.parallel_refine(mine)
             f = am.mesh.forest
-            return remote, am.mesh.cells.copy(), am.verts.copy(), f.parent_array.copy()
+            return remote, am.mesh.cells.copy(), am.mesh.verts.copy(), f.parent_array.copy()
 
         results = spmd_run(3, prog)
         serial = AdaptiveMesh.unit_square(4)
@@ -177,7 +177,7 @@ class TestDistributedMesh:
         assert sum(r[0] for r in results) > 0  # requests did cross ranks
         for _, cells, verts, parent in results:
             assert np.array_equal(cells, serial.mesh.cells)
-            assert np.array_equal(verts, serial.verts)
+            assert np.array_equal(verts, serial.mesh.verts)
             assert np.array_equal(parent, serial.mesh.forest.parent_array)
 
     def test_parallel_coarsen_equals_serial(self):

@@ -84,19 +84,19 @@ class TestTransfer:
     def test_transfer_linear_exact(self):
         am = AdaptiveMesh.unit_square(4)
         lin = lambda p: 3 * p[:, 0] - p[:, 1] + 0.5
-        u = lin(am.verts)
+        u = lin(am.mesh.verts)
         am.refine(am.leaf_ids())
         u2 = transfer_nodal(am, u)
         # linear functions are reproduced exactly by midpoint interpolation
-        assert np.allclose(u2, lin(am.verts))
+        assert np.allclose(u2, lin(am.mesh.verts))
 
     def test_transfer_nested_midpoints(self):
         am = AdaptiveMesh.unit_square(2)
         lin = lambda p: p[:, 0] ** 1  # x
-        u = lin(am.verts)
+        u = lin(am.mesh.verts)
         am.uniform_refine(3)  # several generations of midpoints at once
         u2 = transfer_nodal(am, u)
-        assert np.allclose(u2, lin(am.verts))
+        assert np.allclose(u2, lin(am.mesh.verts))
 
     def test_transfer_interpolates_reactivated_midpoints(self):
         """Refine, step, coarsen, step, refine: the midpoints the second
@@ -110,12 +110,12 @@ class TestTransfer:
         u = solver.step(solver.transfer(u), 0.05, 0.05)
         am.coarsen(am.leaf_ids())
         u = solver.step(solver.transfer(u), 0.1, 0.05)
-        cells, verts = am.leaf_cells().copy(), am.verts.copy()
+        cells, verts = am.leaf_cells().copy(), am.mesh.verts.copy()
         am.refine(am.leaf_ids())
         got = solver.transfer(u)
         used = np.unique(am.leaf_cells())
         assert np.count_nonzero(used < u.shape[0]) > np.unique(cells).size  # reactivated
-        assert np.allclose(got[used], _p1_interpolant(verts, cells, u, am.verts[used]))
+        assert np.allclose(got[used], _p1_interpolant(verts, cells, u, am.mesh.verts[used]))
 
     def test_transfer_idempotent_without_adaptation(self, square8):
         u = np.arange(square8.mesh.n_verts, dtype=float)

@@ -83,13 +83,13 @@ def test_2d_quality_bounded(seed):
     minimum quality after repeated local refinement stays above a fixed
     fraction of the initial minimum quality."""
     am = AdaptiveMesh.unit_square(4)
-    q0 = tri_quality(am.verts, am.leaf_cells()).min()
+    q0 = tri_quality(am.mesh.verts, am.leaf_cells()).min()
     rng = np.random.default_rng(seed)
     for _ in range(5):
         leaves = am.leaf_ids()
         marked = leaves[rng.choice(len(leaves), size=max(1, len(leaves) // 8), replace=False)]
         am.refine(marked)
-    q = tri_quality(am.verts, am.leaf_cells()).min()
+    q = tri_quality(am.mesh.verts, am.leaf_cells()).min()
     assert q > 0.2 * q0
 
 
@@ -106,7 +106,7 @@ def test_refine_coarsen_refine_idempotent_geometry(seed):
 
     def geo():
         return {
-            tuple(sorted(map(tuple, np.round(am.verts[c], 12))))
+            tuple(sorted(map(tuple, np.round(am.mesh.verts[c], 12))))
             for c in am.leaf_cells()
         }
 
