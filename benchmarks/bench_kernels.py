@@ -17,6 +17,10 @@ doubles it, which every bound below is set to fail.
 * :func:`test_v_cycle_vs_oracle` — the V-cycle: ``multilevel_repartition``
   against the oracle's per-level V-cycle on the ``adapted`` fixture's
   coarse dual graph at p = 8.
+* :func:`test_weigh_vs_oracle` — phase P1's recount: ``coarse_dual_graph``
+  (the compiled ``weigh``) against the oracle's numpy slot walk over
+  ``leaf_adjacency_pairs()``, on a corner-refined Delaunay square whose
+  per-version caches are stale before every run, as after an adaptation.
 
 Both sides must return the same result, so neither can go fast by being
 wrong.  End-to-end timing lives in ``bench/`` (``python3 -m bench``), in
@@ -42,6 +46,7 @@ from repro.fem import (
     mark_top_fraction,
 )
 from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
+from repro.geometry.unstructured import delaunay_square_mesh
 from repro.graph.csr import WeightedGraph
 from repro.mesh import AdaptiveMesh, TetMesh, TriMesh, _meshnative, coarse_dual_graph
 from repro.partition import multilevel_partition, multilevel_repartition
@@ -61,8 +66,14 @@ SAMPLE_S = 0.02
 #:   refine 2-D: run medians 0.3011-0.3319; all pairs 0.3133 median, 0.4631 max
 #:   refine 3-D: run medians 0.0129-0.0147; all pairs 0.0138 median, 0.0197 max
 #:   V-cycle:    run medians 0.0261-0.0289; all pairs 0.0273 median, 0.0364 max
+#:   weigh:      run medians 0.2412-0.3023; all pairs 0.249 median, 0.4030 max
+#: (weigh: the six runs above plus four of the whole file, one of them in a
+#: slow host phase; with its C call followed by a busy wait as long as the
+#: call, the run medians read 0.4549-0.5604 idle and 0.4670-0.4924 beside
+#: a CPU-bound process)
 REFINE_BOUND = {2: 0.47, 3: 0.020}
 V_CYCLE_BOUND = 0.037
+WEIGH_BOUND = 0.43
 
 
 def _timed(side) -> tuple:
@@ -206,3 +217,42 @@ def test_v_cycle_vs_oracle(adapted):
     )
     assert len(np.unique(multilevel_repartition(graph, p, current, PNR()))) == p
     _check("V-cycle", times, V_CYCLE_BOUND)
+
+
+# --------------------------------------------------------------------- #
+# phase P1's recount
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def corner():
+    """The repo benchmark's corner problem: a Delaunay square of 3 200
+    triangles refined five times at the top 15 % of the indicator."""
+    am = AdaptiveMesh(TriMesh(*delaunay_square_mesh(40, seed=0)))
+    prob = CornerLaplace2D()
+    for _ in range(5):
+        ind = interpolation_error_indicator(am, prob.exact)
+        am.refine(mark_top_fraction(am, ind, 0.15))
+    return am
+
+
+def test_weigh_vs_oracle(corner):
+    mesh = corner.mesh
+
+    def stale():
+        """The mesh as an adaptation leaves it: every per-version cache
+        (leaf pairs, leaf roots, leaf counts) stale; the leaf ids, which
+        the marker has read by then, current."""
+        mesh.forest._version += 1
+        mesh.leaf_ids()
+        return mesh
+
+    def side(recount):
+        def run(m):
+            graph = recount(m)
+            return np.concatenate([graph.vwts, graph.ewts])
+
+        return stale, run
+
+    times = _paired_times(side(coarse_dual_graph), side(_mesh_oracle.coarse_dual_graph))
+    _check("weigh", times, WEIGH_BOUND)

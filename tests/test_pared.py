@@ -397,12 +397,7 @@ class TestFullLoop:
     def test_3d_round_never_sorts_the_leaf_facets(self, monkeypatch):
         """The same in 3-D: P1 and the cut read ``_nbr``, refinement walks
         edge stars over it, and coarsening stitches."""
-        from repro.mesh import dualgraph
-
-        def no_sort(mesh):
-            raise AssertionError("whole-mesh facet sort reached from a round")
-
-        monkeypatch.setattr(dualgraph, "_compute_leaf_adjacency_pairs", no_sort)
+        _forbid_leaf_pair_lists(monkeypatch)
         cfg = ParedConfig(
             p=2,
             make_mesh=lambda: AdaptiveMesh.unit_cube(3),
@@ -419,12 +414,7 @@ class TestFullLoop:
         """P1, the cut and every other consumer of the leaf adjacency read
         it off ``_nbr`` in 2-D: with the audit (whose oracle is the sort)
         off, a round with refinement and coarsening never reaches it."""
-        from repro.mesh import dualgraph
-
-        def no_sort(mesh):
-            raise AssertionError("whole-mesh facet sort reached from a round")
-
-        monkeypatch.setattr(dualgraph, "_compute_leaf_adjacency_pairs", no_sort)
+        _forbid_leaf_pair_lists(monkeypatch)
         cfg = ParedConfig(
             p=2,
             make_mesh=lambda: AdaptiveMesh.unit_square(8),
@@ -447,6 +437,21 @@ class TestFullLoop:
         )
         histories, _ = run_pared(cfg)
         assert histories[0][-1]["leaves"] > 0
+
+
+def _forbid_leaf_pair_lists(monkeypatch) -> None:
+    """Make building a whole-mesh leaf-pair list raise: the facet sort
+    (the audit's oracle) and the list read off ``_nbr``.  A round's P1 and
+    its record count in compiled passes over the leaves' ``_nbr`` rows and
+    need neither."""
+    from repro.mesh import dualgraph
+    from repro.mesh.base import SimplexMesh
+
+    def no_list(mesh):
+        raise AssertionError("whole-mesh leaf-pair list built in a round")
+
+    monkeypatch.setattr(dualgraph, "_compute_leaf_adjacency_pairs", no_list)
+    monkeypatch.setattr(SimplexMesh, "_leaf_adjacency_pairs_uncached", no_list)
 
 
 class TestSymmetricProtocol:
