@@ -16,13 +16,22 @@
 Each problem exposes ``exact(points)``, ``source(points)`` (``None`` for
 Laplace), and ``dirichlet(points)`` so the solver and the error indicators
 can be driven uniformly.
+
+Every problem here is a value: a frozen dataclass whose fields cannot be
+assigned (``MovingPeakPoisson2D.at(t)`` is how time moves), and whose
+point functions are elementwise, so a point's value depends on nothing
+but the point.  :func:`repro.fem.estimate.interpolation_error_indicator`
+relies on both to keep a mesh's samples of these functions between calls.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
+@dataclass(frozen=True)
 class CornerLaplace2D:
     """Section 6's 2-D test problem; ``Δu = 0``, activity at corner (1,1)."""
 
@@ -40,6 +49,7 @@ class CornerLaplace2D:
         return self.exact(pts)
 
 
+@dataclass(frozen=True)
 class CornerLaplace3D:
     """3-D analog of the corner problem on ``(-1,1)³``.
 
@@ -70,18 +80,22 @@ class CornerLaplace3D:
         return self.exact(pts)
 
 
+@dataclass(frozen=True)
 class MovingPeakPoisson2D:
     """Section 10's transient problem: ``−Δu = f`` with the moving peak
     ``u(x,y,t) = 1/(1 + 100(x+t)² + 100(y+t)²)``.
 
-    ``at(t)`` freezes the time so the frozen problem quacks like the static
-    ones (``exact``/``source``/``dirichlet``).
+    ``t`` is read-only; ``at(t)`` returns the problem at another time, so
+    each instance quacks like the static ones (``exact``/``source``/
+    ``dirichlet``).
     """
 
     dim = 2
 
-    def __init__(self, t: float = -0.5):
-        self.t = float(t)
+    t: float = -0.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", float(self.t))
 
     def at(self, t: float) -> "MovingPeakPoisson2D":
         return MovingPeakPoisson2D(t)

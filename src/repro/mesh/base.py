@@ -129,6 +129,9 @@ class SimplexMesh:
         self._grow_adjacency(cells)
         self._stitch(self.forest.leaves(), np.empty(0, dtype=np.int64))
         self._coarse_skeleton = self._skeleton_from_nbr()
+        #: opaque to the mesh: what ``fem.estimate.interpolation_error_indicator``
+        #: keeps of its samples, so that they live and die with the mesh
+        self._indicator_store = None
 
     def _grow_adjacency(self, cells: np.ndarray) -> None:
         """Extend ``_nbr`` / ``_le`` for freshly stored ``cells``."""

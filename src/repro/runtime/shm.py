@@ -160,6 +160,13 @@ def _send_all(sock, data, wait) -> None:
             wait()
 
 
+def _wait_writable(sock) -> None:
+    """Wait at most ``_POLL`` for ``sock`` to take more bytes."""
+    with selectors.DefaultSelector() as sel:
+        sel.register(sock, selectors.EVENT_WRITE)
+        sel.select(_POLL)
+
+
 def _records(parts, total, limit):
     """Cut one frame's scatter-gather ``parts`` into ring records of at
     most ``limit`` payload bytes, slicing the parts instead of joining
@@ -288,7 +295,11 @@ class ShmTransport:
         self.wire = {}
         self._ctrl = ctrl
         ctrl.setblocking(False)
-        self._sel = selectors.DefaultSelector()
+        # select(2), not epoll: epoll rounds a timeout up to whole
+        # milliseconds, which turned pull's 0.5 ms slices into 1.1 ms sleeps
+        # (select takes fds below FD_SETSIZE, 1024, only: a pool started
+        # in a process holding more open files fails its first run)
+        self._sel = selectors.SelectSelector()
         self._sel.register(ctrl, selectors.EVENT_READ)
         self._asm = FrameAssembler()
         self._rings_in = dict(rings_in)  # src  -> Ring (consumer role)
@@ -314,8 +325,9 @@ class ShmTransport:
     def _drain(self, timeout: float) -> None:
         """Read whatever the parent sent (waiting at most ``timeout``),
         then poll every inbound ring, completing frames into the
-        per-source inboxes."""
-        if self._sel.select(timeout):
+        per-source inboxes.  The wait also ends when the control socket
+        can take more bytes, while :meth:`send_result` asks for that."""
+        if any(ev & selectors.EVENT_READ for _, ev in self._sel.select(timeout)):
             frames, hung_up = _recv_frames(self._ctrl, self._asm)
             for tag, payload in frames:
                 self._on_ctrl_frame(tag, payload)
@@ -431,13 +443,18 @@ class ShmTransport:
 
     def send_result(self, frame: bytes) -> None:
         """Ship this run's result frame on the control channel — the only
-        socket write a worker makes — draining our own inbound side while
-        the parent's buffer is full, so no peer blocks on us."""
+        socket write a worker makes.  While the parent's buffer is full it
+        waits for the socket to take more bytes, draining our own inbound
+        side meanwhile, so no peer blocks on us."""
+        self._sel.modify(self._ctrl, selectors.EVENT_READ | selectors.EVENT_WRITE)
         try:
             _send_all(self._ctrl, pack_frame(_CTRL_RESULT, frame),
                       partial(self._drain, 0.002))
         except OSError:
             pass  # the parent is gone: nobody left to report to
+        finally:
+            if not self._parent_gone:  # else _drain unregistered it
+                self._sel.modify(self._ctrl, selectors.EVENT_READ)
 
     def wait_release(self) -> None:
         """Keep draining the rings until the parent stamps this job
@@ -613,8 +630,9 @@ class ShmPool:
         return not self.broken and all(p.is_alive() for p in self.procs)
 
     def _send_ctrl(self, pe, data) -> None:
-        # workers always drain their control channel: a brief backoff
-        _send_all(pe, data, partial(time.sleep, 0.0005))
+        # workers always drain their control channel: wait until it takes
+        # more bytes (a dead worker's socket reports ready, then raises)
+        _send_all(pe, data, partial(_wait_writable, pe))
 
     def run_job(self, blob, return_stats=False):
         """Drive one spmd run: dispatch (pooled mode), collect per-rank

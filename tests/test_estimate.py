@@ -6,11 +6,21 @@ replaced is frozen in ``tests/_reference_kernels.py``, and both must give
 the same bytes on adapted, coarsened, 3-D and one-element meshes.  The
 call count is a machine-independent gate on that pass: a refactor back to
 one ``exact`` call per sample fails here on any host.
+
+A mesh keeps its samples of a problem's bound method between calls, so
+a later call samples only the leaves it has not seen.  The parity scripts
+below interleave refinement, coarsening (and so reactivated elements) and
+calls with the same problem, another instance and a plain callable, and
+hold every call to the reference's bytes; the sample counts are asserted
+through ``PERF``.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.transient import adapt_step
@@ -26,6 +36,7 @@ from repro.geometry.unstructured import delaunay_square_mesh
 from repro.mesh import AdaptiveMesh
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
+from repro.perf import PERF
 
 from tests._reference_kernels import interpolation_error_indicator_reference
 
@@ -200,3 +211,170 @@ class TestMarkTopFraction:
         hit = np.isin(leaves, marked)
         if not hit.all():
             assert indicator[hit].min() >= indicator[~hit].max()
+
+
+# ---------------------------------------------------------------------- #
+# the samples a mesh keeps between calls
+# ---------------------------------------------------------------------- #
+
+
+def _counted(fn):
+    """``fn()`` and the leaves it sampled and returned, read off the
+    ``PERF`` counters."""
+    names = ("fem.indicator.sampled", "fem.indicator.leaves")
+    before = [PERF.calls[n] for n in names]
+    out = fn()
+    sampled, leaves = (PERF.calls[n] - b for n, b in zip(names, before))
+    return out, sampled, leaves
+
+
+def _check_call(am, exact, *, bare=False):
+    """One indicator call held to the reference's bytes; returns the
+    leaves it sampled."""
+    mesh = am.mesh if bare else am
+    got, sampled, leaves = _counted(lambda: interpolation_error_indicator(mesh, exact))
+    assert _same_bytes(got, interpolation_error_indicator_reference(am, exact))
+    assert leaves == len(am.leaf_ids())
+    return sampled
+
+
+#: (mesh factory, problem, another instance of its class)
+STORE_CASES = {
+    "corner2d": (lambda: AdaptiveMesh.unit_square(4), CornerLaplace2D(), CornerLaplace2D()),
+    "peak2d": (
+        lambda: AdaptiveMesh.unit_square(4),
+        MovingPeakPoisson2D(-0.3),
+        MovingPeakPoisson2D(0.1),
+    ),
+    "corner3d": (lambda: AdaptiveMesh.unit_cube(2), CornerLaplace3D(), CornerLaplace3D()),
+}
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["refine", "coarsen", "same", "other", "plain"]),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestIndicatorStore:
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=_STEPS)
+    def test_scripts_match_the_reference(self, name, steps):
+        """Refine / coarsen scripts with calls in between: every call has
+        the reference's bytes, whichever callable the previous call used,
+        reactivated elements included."""
+        make, prob, other = STORE_CASES[name]
+        am = make()
+        for op, seed in steps:
+            rng = np.random.default_rng(seed)
+            leaves = am.leaf_ids()
+            if op == "refine":
+                am.refine(leaves[rng.random(leaves.size) < 0.3])
+            elif op == "coarsen":
+                am.coarsen(leaves[rng.random(leaves.size) < 0.9])
+            else:
+                exact = {
+                    "same": prob.exact,
+                    "other": other.exact,
+                    "plain": lambda pts: prob.exact(pts),
+                }[op]
+                _check_call(am, exact, bare=bool(seed & 1))
+
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_counts(self, name):
+        """A call samples exactly the leaves no earlier call returned: a
+        repeat call none, a call after ``refine`` the new leaves, and
+        coarsening then refining the same parents (which reactivates
+        their children) only what was never a leaf at a call."""
+        make, prob, _ = STORE_CASES[name]
+        am = make()
+        seen = set()
+
+        def call(bare=False):
+            leaves = set(am.leaf_ids().tolist())
+            sampled = _check_call(am, prob.exact, bare=bare)
+            assert sampled == len(leaves - seen)
+            seen.update(leaves)
+            return sampled
+
+        assert call() == len(am.leaf_ids())
+        assert call() == 0
+        for _ in range(3):  # the store's spare capacity gets used too
+            am.refine(am.leaf_ids()[::5])
+            assert call() > 0
+        parents = am.coarsen(am.leaf_ids())
+        assert parents
+        call()
+        n = am.mesh.n_elements
+        am.refine(parents)
+        reactivated = am.leaf_ids()[am.leaf_ids() < n]
+        assert len(reactivated) > len(parents)
+        call(bare=True)
+        assert call() == 0
+
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_only_the_same_instance_and_method_hit(self, name):
+        make, prob, _ = STORE_CASES[name]
+        am = make()
+        n = len(am.leaf_ids())
+        twin = dataclasses.replace(prob)  # equal value, another instance
+        assert twin == prob and twin is not prob
+        _check_call(am, prob.exact)
+        assert _check_call(am, twin.exact) == n
+        assert _check_call(am, prob.exact) == n
+        assert _check_call(am, prob.dirichlet) == n  # another method
+        assert _check_call(am, prob.dirichlet) == 0
+
+    def test_other_callables_sample_every_leaf_and_keep_nothing(self):
+        am = AdaptiveMesh.unit_square(4)
+        prob = CornerLaplace2D()
+        n = len(am.leaf_ids())
+        _check_call(am, prob.exact)
+        for exact in (
+            lambda pts: prob.exact(pts),
+            functools.partial(CornerLaplace2D.exact, prob),
+            _Recorder(prob.exact),
+            _rough,
+        ):
+            assert _check_call(am, exact) == n
+            assert am.mesh._indicator_store is None
+            assert _check_call(am, exact) == n
+        assert _check_call(am, prob.exact) == n
+
+
+_PROBLEMS = [
+    CornerLaplace2D(),
+    CornerLaplace3D(),
+    MovingPeakPoisson2D(-0.3),
+    MovingPeakPoisson2D(0.27),
+]
+
+
+class TestProblemsAreValues:
+    @pytest.mark.parametrize("prob", _PROBLEMS, ids=repr)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exact_is_elementwise(self, prob, data):
+        """A point's value does not depend on the other points of the call:
+        any subset, in any order, gives the full array's bits."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 300))
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, prob.dim))
+        full = prob.exact(pts)
+        pick = rng.permutation(n)[: data.draw(st.integers(1, n))]
+        assert _same_bytes(prob.exact(pts[pick]), full[pick])
+        assert _same_bytes(prob.exact(np.ascontiguousarray(pts[pick[::-1]])), full[pick[::-1]])
+
+    @pytest.mark.parametrize("prob", _PROBLEMS, ids=repr)
+    def test_fields_are_read_only(self, prob):
+        with pytest.raises(AttributeError):
+            prob.dim = 5
+        if isinstance(prob, MovingPeakPoisson2D):
+            with pytest.raises(AttributeError):
+                prob.t = 0.0
+            assert prob.at(0.0).t == 0.0 and prob.t != 0.0

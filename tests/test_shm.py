@@ -240,6 +240,13 @@ def _pool_prog(comm):
     return int(sum(int(a.sum()) for a in got))
 
 
+def _big_result_prog(comm):
+    """A 1 MiB result per rank: about five times the control socket's
+    buffer, so shipping it waits on the socket more than once."""
+    rng = np.random.default_rng(comm.rank)
+    return rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+
+
 def _big_frame_prog(comm):
     comm.set_phase("big")
     if comm.rank == 0:
@@ -542,6 +549,15 @@ class TestSendDiscipline:
             transport.close()
             parent.close()
         assert got == [(_CTRL_RESULT, body), (_CTRL_RESULT, b"next job")]
+
+
+    def test_one_mib_result_arrives_intact(self):
+        """Each rank's result is larger than the control socket holds: the
+        worker waits for the socket to drain and finishes the frame."""
+        got = spmd_run(2, _big_result_prog, transport="shm")
+        for rank, blob in enumerate(got):
+            want = np.random.default_rng(rank).integers(0, 256, 1 << 20, dtype=np.uint8)
+            assert blob == want.tobytes()
 
 
 class TestControlFrames:
