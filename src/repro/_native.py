@@ -8,7 +8,8 @@ system C compiler (``$CC``, default ``cc``) into a content-hashed shared
 object next to the source (or a temporary directory when the package
 directory is read-only) and loads it through :class:`ctypes.CDLL`, so the
 GIL is released for the duration of every call and the threaded SimMPI
-ranks run their kernels in parallel.
+ranks run their kernels in parallel.  :func:`load` is the one loader the
+wrappers call: it builds a kernel once per process and caches it.
 
 A C compiler is a requirement: the compiled kernels are the package's
 only implementation of what they do, and a failed build raises
@@ -25,9 +26,30 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
+
+_LOCK = threading.Lock()
+_LIBS: dict = {}  # source path -> its loaded, checked library
+
+
+def load(src: Path, configure, check=None):
+    """:func:`build` ``src`` on the first call, then let ``check(lib)``
+    refuse it by raising ``ImportError``; later calls return the same
+    library.  A failed build or check is not cached: the next call tries
+    again."""
+    lib = _LIBS.get(src)
+    if lib is None:
+        with _LOCK:
+            lib = _LIBS.get(src)
+            if lib is None:
+                lib = build(src, configure)
+                if check is not None:
+                    check(lib)
+                _LIBS[src] = lib
+    return lib
 
 
 def ptr(a, dtype) -> int:

@@ -35,7 +35,6 @@ from repro.partition.metrics import (
 )
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.registry import make_repartitioner
-from repro.testing import check_monotone_refinement, check_partition_validity
 
 
 @dataclass
@@ -56,11 +55,6 @@ class PNR:
         Ablation switches of
         :func:`repro.partition.multilevel.multilevel_repartition`; only the
         ``pnr`` strategy honours them, the others raise.
-    audit:
-        When True, every :meth:`repartition` result is checked against the
-        :mod:`repro.testing` invariants (partition validity,
-        monotone-or-rollback cost) before it is returned; violations raise
-        :class:`~repro.testing.InvariantViolation`.
     """
 
     alpha: float = 0.1
@@ -69,7 +63,6 @@ class PNR:
     seed: int = 0
     repartition_coarsest: bool = False
     constrain_matching: bool = True
-    audit: bool = False
 
     def initial_partition(self, mesh, p: int) -> np.ndarray:
         """Partition the coarse dual graph of ``mesh`` into ``p`` subsets
@@ -87,11 +80,7 @@ class PNR:
         ``current`` (the assignment of coarse trees to processors)."""
         mesh = getattr(mesh, "mesh", mesh)
         graph = coarse_dual_graph(mesh)
-        new = make_repartitioner("pnr", pnr=self).repartition(graph, p, current)
-        if self.audit:
-            check_partition_validity(new, p, graph.n_vertices)
-            check_monotone_refinement(graph, p, current, new, self.alpha, self.beta)
-        return new
+        return make_repartitioner("pnr", pnr=self).repartition(graph, p, current)
 
     @staticmethod
     def induced_fine(mesh, coarse_assignment: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ raises, the mesh it leaves is conformal.
 from __future__ import annotations
 
 import ctypes
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,6 @@ from repro._native import ptr as _ptr
 from repro.mesh import base
 
 _SRC = Path(__file__).with_name("_meshcore.c")
-_LOCK = threading.Lock()
-_LIB = None
 
 _I64 = np.dtype(np.int64)
 
@@ -75,12 +72,7 @@ def _configure(lib) -> None:
 def load():
     """The compiled kernel, built on first call (``ImportError`` if it does
     not build)."""
-    global _LIB
-    if _LIB is None:
-        with _LOCK:
-            if _LIB is None:
-                _LIB = _native.build(_SRC, _configure)
-    return _LIB
+    return _native.load(_SRC, _configure)
 
 
 def _element_storage(mesh) -> list:

@@ -243,7 +243,7 @@ class SimplexMesh:
         forest version; read-only."""
         version = self.forest.version
         if self._leaf_cells_version != version:
-            cells = self._cells.data[self.leaf_ids()]
+            cells = self._cells.data.take(self.leaf_ids(), axis=0)
             cells.setflags(write=False)
             self._leaf_cells_cache = cells
             self._leaf_cells_version = version

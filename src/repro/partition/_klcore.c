@@ -4,7 +4,8 @@
  * package runs; each kernel has one numpy/Python oracle under tests/
  * (tests/_kl_oracle.py):
  *
- *   hem_match          ~ _match_rounds
+ *   hem                ~ heavy_edge_matching (its filter and tie order,
+ *                        then mutual-proposal rounds: _match_rounds)
  *   contract           ~ _contract_py
  *   kl_refine          ~ _kl_refine_py
  *   grow               ~ greedy_graph_growing
@@ -23,7 +24,7 @@
  *
  * Determinism contract
  * --------------------
- * hem_match: with unique edge ranks, mutual-proposal rounds and one greedy
+ * hem: with unique edge ranks, mutual-proposal rounds and one greedy
  * scan in descending rank build the same matching (the best surviving edge
  * is always mutual; induct on rounds), so the scan needs no float at all.
  *
@@ -269,8 +270,9 @@ void pcg64_integers(const uint64_t *st, int64_t count, const int64_t *highs,
 /* ``order`` lists the m candidate edges (es[e], ed[e]) by ascending
  * priority; ``match`` receives the involution (unmatched: itself).
  * Returns the number of matched vertices. */
-int64_t hem_match(int64_t n, int64_t m, const int64_t *es, const int64_t *ed,
-                  const int64_t *order, int64_t *match)
+static int64_t hem_match(int64_t n, int64_t m, const int64_t *es,
+                         const int64_t *ed, const int64_t *order,
+                         int64_t *match)
 {
     int64_t t, v, matched = 0;
     for (v = 0; v < n; v++)
@@ -550,7 +552,7 @@ static witem *counting_sort(const witem *a, witem *out, int64_t n,
 /* One heavy_edge_matching on the graph (n, xadj, adjncy, ewts) with the
  * constraint ``label`` (NULL: none) and the tie order of the generator
  * state ``st``; returns the number of matched vertices.  ``es``/``ed``/
- * ``tie``/``count`` hold at least xadj[n] entries (``count`` one more),
+ * ``tie``/``count`` hold at least xadj[n] entries (``count`` two more),
  * ``items``/``tmp`` too. */
 static int64_t hem_level(int64_t n, const int64_t *xadj, const int64_t *adjncy,
                          const double *ewts, const int64_t *label,
@@ -583,6 +585,24 @@ static int64_t hem_level(int64_t n, const int64_t *xadj, const int64_t *adjncy,
     for (k = 0; k < m; k++)
         tie[k] = sorted[k].e; /* order */
     return hem_match(n, m, es, ed, tie, match);
+}
+
+/* heavy_edge_matching(graph, seed, constraint): hem_level with scratch of
+ * its own.  Returns the number of matched vertices or KL_NOMEM. */
+int64_t hem(int64_t n, const int64_t *xadj, const int64_t *adjncy,
+            const double *ewts, const int64_t *label, const uint64_t *st,
+            int64_t *match)
+{
+    int64_t nnz = xadj[n], status = KL_NOMEM;
+    int64_t *ibuf = ALLOC(int64_t, 4 * nnz + 2);
+    witem *wbuf = ALLOC(witem, 2 * nnz);
+    if (ibuf && wbuf)
+        status = hem_level(n, xadj, adjncy, ewts, label, st, ibuf, ibuf + nnz,
+                           ibuf + 2 * nnz, ibuf + 3 * nnz, wbuf, wbuf + nnz,
+                           match);
+    free(ibuf);
+    free(wbuf);
+    return status;
 }
 
 /* build_hierarchy(graph, coarsen_to, seed, home, constrain) with its loop
@@ -1401,37 +1421,79 @@ static void bind_graph(klws *w, int64_t n, const int64_t *xadj,
     w->vw = vw;
 }
 
-/* ``asg`` holds the start assignment and receives the result (pass a
- * copy: after a failed allocation, KL_NOMEM, it is unspecified); ``stats`` as
- * kl_run's.  ``mean``/``maxcap``/``floor_w`` are _KLState's. */
+/* one KLConfig as the wrapper packs it (_klnative._pack) */
+enum { C_ALPHA, C_BETA, C_TOL, C_MIN_GAIN, C_DEADBAND, C_WINDOW, C_STALL,
+       C_PASSES, C_FIELDS };
+
+/* kl_refine(graph bound to w, w->asg, p, home=hom, config=cfg): bind the
+ * configuration and _KLState's bounds — the subset weights, their mean and
+ * the balance envelope around it. */
+static void kl_bind(klws *w, const double *cfg, const int64_t *hom,
+                    int64_t in_band_tail)
+{
+    int64_t v, p = w->p;
+    double band, wmax = 0.0;
+    part_weights(w->n, p, w->asg, w->vw, w->wt);
+    w->mean = pairwise_sum(w->wt, p) / (double)p;
+    for (v = 0; v < w->n; v++)
+        if (v == 0 || w->vw[v] > wmax)
+            wmax = w->vw[v];
+    /* the envelope cannot be tighter than the vertex-weight granularity:
+     * subset weights are only controllable to ~wmax/2, and chasing a
+     * tighter band would churn migration without ever converging */
+    band = cfg[C_TOL] * w->mean;
+    if (0.5 * wmax > band)
+        band = 0.5 * wmax;
+    w->maxcap = w->mean + band;
+    w->floor_w = w->mean - band;
+    w->hom = hom;
+    w->alpha = hom ? cfg[C_ALPHA] : 0.0;
+    w->beta = cfg[C_BETA];
+    w->min_gain = cfg[C_MIN_GAIN];
+    w->deadband = (int64_t)cfg[C_DEADBAND];
+    w->window_n = (int64_t)cfg[C_WINDOW];
+    w->stall_limit = (int64_t)cfg[C_STALL];
+    w->in_band_tail = in_band_tail;
+}
+
+/* kl_refine(graph, asg, p, home=hom, config=cfg), ``hom`` NULL for none:
+ * ``asg`` holds the start assignment and receives the result (pass a copy:
+ * after a failed allocation, KL_NOMEM, it is unspecified); ``stats`` as
+ * kl_run's. */
 int64_t kl_refine(int64_t n, int64_t p, const int64_t *xadj,
                   const int64_t *adjncy, const double *ewts, const double *vw,
-                  const int64_t *hom, double alpha, double beta,
-                  int64_t deadband, double mean, double maxcap,
-                  double floor_w, int64_t window_n, int64_t stall_limit,
-                  int64_t in_band_tail, double min_gain, int64_t max_passes,
+                  const int64_t *hom, const double *cfg, int64_t in_band_tail,
                   int64_t *asg, double *stats)
 {
     klws w;
     int64_t status = KL_NOMEM;
-    if (klws_init(&w, n, xadj[n], p, window_n) == 0) {
+    if (klws_init(&w, n, xadj[n], p, (int64_t)cfg[C_WINDOW]) == 0) {
         bind_graph(&w, n, xadj, adjncy, ewts, vw);
-        w.hom = hom;
-        w.alpha = alpha;
-        w.beta = beta;
-        w.deadband = deadband;
-        w.mean = mean;
-        w.maxcap = maxcap;
-        w.floor_w = floor_w;
-        w.window_n = window_n;
-        w.stall_limit = stall_limit;
-        w.in_band_tail = in_band_tail;
-        w.min_gain = min_gain;
         w.asg = asg;
-        status = kl_run(&w, max_passes, stats);
+        kl_bind(&w, cfg, hom, in_band_tail);
+        status = kl_run(&w, (int64_t)cfg[C_PASSES], stats);
     }
     klws_free(&w);
     return status;
+}
+
+/* kl_refine inside ``refine``, on the graph bound to w; the counters add
+ * to acc (kl_refine calls, seconds in them, passes, seconds in those,
+ * moves tried, moves kept). */
+static int kl_call(klws *w, const double *cfg, const int64_t *hom,
+                   int64_t in_band_tail, double *acc)
+{
+    double stats[5], t0 = now_s();
+    kl_bind(w, cfg, hom, in_band_tail);
+    if (kl_run(w, (int64_t)cfg[C_PASSES], stats))
+        return -1;
+    acc[0] += 1.0;
+    acc[1] += now_s() - t0;
+    acc[2] += stats[0];
+    acc[3] += stats[1];
+    acc[4] += stats[3];
+    acc[5] += stats[4];
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1553,49 +1615,6 @@ int64_t grow(int64_t n, const int64_t *xadj, const int64_t *adjncy,
 /* ------------------------------------------------------------------ */
 /* refine: project and refine every level in one call                  */
 /* ------------------------------------------------------------------ */
-
-/* one KLConfig as the wrapper packs it */
-enum { C_ALPHA, C_BETA, C_TOL, C_MIN_GAIN, C_DEADBAND, C_WINDOW, C_STALL,
-       C_PASSES, C_FIELDS };
-
-/* kl_refine(graph bound to w, w->asg, p, home=hom, config=cfg): bind the
- * configuration and _KLState's bounds, then run; the counters add to acc
- * (kl_refine calls, seconds in them, passes, seconds in those, moves
- * tried, moves kept). */
-static int kl_call(klws *w, const double *cfg, const int64_t *hom,
-                   int64_t in_band_tail, double *acc)
-{
-    int64_t v, p = w->p;
-    double band, wmax = 0.0, stats[5], t0 = now_s();
-    part_weights(w->n, p, w->asg, w->vw, w->wt);
-    w->mean = pairwise_sum(w->wt, p) / (double)p;
-    for (v = 0; v < w->n; v++)
-        if (v == 0 || w->vw[v] > wmax)
-            wmax = w->vw[v];
-    /* the envelope cannot be tighter than the vertex-weight granularity */
-    band = cfg[C_TOL] * w->mean;
-    if (0.5 * wmax > band)
-        band = 0.5 * wmax;
-    w->maxcap = w->mean + band;
-    w->floor_w = w->mean - band;
-    w->hom = hom;
-    w->alpha = hom ? cfg[C_ALPHA] : 0.0;
-    w->beta = cfg[C_BETA];
-    w->min_gain = cfg[C_MIN_GAIN];
-    w->deadband = (int64_t)cfg[C_DEADBAND];
-    w->window_n = (int64_t)cfg[C_WINDOW];
-    w->stall_limit = (int64_t)cfg[C_STALL];
-    w->in_band_tail = in_band_tail;
-    if (kl_run(w, (int64_t)cfg[C_PASSES], stats))
-        return -1;
-    acc[0] += 1.0;
-    acc[1] += now_s() - t0;
-    acc[2] += stats[0];
-    acc[3] += stats[1];
-    acc[4] += stats[3];
-    acc[5] += stats[4];
-    return 0;
-}
 
 /* graph_imbalance(graph bound to w, w->asg, p) */
 static double imbalance_of(klws *w)

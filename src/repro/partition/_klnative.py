@@ -2,7 +2,7 @@
 
 The core — heavy-edge matching, contraction, the whole KL refinement, and
 the fused V-cycle entries :func:`coarsen` / :func:`refine` — is built on
-first use by :func:`repro._native.build` (content-hashed shared object,
+first use by :func:`repro._native.load` (content-hashed shared object,
 ctypes, GIL released, no float reassociation) and is the only
 implementation: a failed build raises ``ImportError``, a failed scratch
 allocation inside a kernel ``MemoryError``, an input a kernel cannot take
@@ -10,13 +10,15 @@ allocation inside a kernel ``MemoryError``, an input a kernel cannot take
 ``tests/test_multilevel_native.py`` hold every kernel to its numpy/Python
 oracle in ``tests/_kl_oracle.py``, array for array.
 
-The fused entries draw the matchings' seeded tie order with a C port of
-numpy's PCG64 ``Generator.permutation``, and greedy growing its start
-vertices with a port of ``Generator.integers``, both started from the
-generator state numpy's seeding produced.  When the core loads, a few C
-draws of each are compared with numpy's; a mismatch (a numpy whose
-``permutation`` or ``integers`` changed) fails the load, so the compiled
-V-cycle cannot drift from numpy's draws silently.
+The standalone :func:`hem` and :func:`kl_refine` run the V-cycle's own C
+code: one level's matching, and KL bound through the same ``kl_bind``.
+Every matching draws its seeded tie order with a C port of numpy's PCG64
+``Generator.permutation``, and greedy growing its start vertices with a
+port of ``Generator.integers``, both started from the generator state
+numpy's seeding produced.  When the core loads, a few C draws of each are
+compared with numpy's; a mismatch (a numpy whose ``permutation`` or
+``integers`` changed) fails the load, so the compiled V-cycle cannot drift
+from numpy's draws silently.
 
 Arrays cross the boundary as raw addresses: every wrapper normalises its
 arrays first (:func:`_csr`, ``ascontiguousarray``) and :func:`_ptr` only
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -38,14 +39,11 @@ from repro._native import ptr as _ptr
 from repro.perf import PERF
 
 _SRC = Path(__file__).with_name("_klcore.c")
-_LOCK = threading.Lock()
-_LIB = None
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
 _U64 = np.dtype(np.uint64)
 _M64 = (1 << 64) - 1
-_DUMMY_I64 = np.zeros(1, dtype=np.int64)  # stands in for hom when alpha == 0
 
 #: kernel status: a scratch allocation failed / an output buffer is too
 #: small (grow them all, call again) / an input the kernel cannot take
@@ -56,8 +54,8 @@ def _configure(lib) -> None:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     ptr = ctypes.c_void_p
-    lib.hem_match.restype = i64
-    lib.hem_match.argtypes = [i64, i64, ptr, ptr, ptr, ptr]
+    lib.hem.restype = i64
+    lib.hem.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]  # n, CSR, label, state, match
     lib.contract.restype = i64
     lib.contract.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr,  # n, CSR, vwts, match
@@ -67,11 +65,7 @@ def _configure(lib) -> None:
     lib.kl_refine.argtypes = [
         i64, i64,                      # n, p
         ptr, ptr, ptr, ptr,            # xadj, adjncy, ewts, vw
-        ptr, f64,                      # hom, alpha
-        f64, i64,                      # beta, deadband
-        f64, f64, f64,                 # mean, maxcap, floor_w
-        i64, i64, i64,                 # window, stall_limit, in_band_tail
-        f64, i64,                      # min_gain, max_passes
+        ptr, ptr, i64,                 # hom, cfg, in_band_tail
         ptr, ptr,                      # asg (in/out), stats (out)
     ]
     lib.pcg64_permutation.restype = None
@@ -109,21 +103,18 @@ def _configure(lib) -> None:
 def load():
     """The compiled core, built on first call.  Raises ``ImportError`` if
     it does not build or its PCG64 port disagrees with numpy."""
-    global _LIB
-    if _LIB is not None:
-        return _LIB
-    with _LOCK:
-        if _LIB is None:
-            lib = _native.build(_SRC, _configure)
-            for name, agree in (("permutation", _permutation_agrees),
-                                ("integers", _integers_agree)):
-                if not agree(lib):
-                    raise ImportError(
-                        f"{_SRC.name}: the PCG64 port disagrees with numpy "
-                        f"{np.__version__}'s Generator.{name}"
-                    )
-            _LIB = lib
-    return _LIB
+    return _native.load(_SRC, _configure, _self_check)
+
+
+def _self_check(lib) -> None:
+    """Refuse ``lib`` if a few of its PCG64 draws differ from numpy's."""
+    for name, agree in (("permutation", _permutation_agrees),
+                        ("integers", _integers_agree)):
+        if not agree(lib):
+            raise ImportError(
+                f"{_SRC.name}: the PCG64 port disagrees with numpy "
+                f"{np.__version__}'s Generator.{name}"
+            )
 
 
 def _check(status: int, kernel: str) -> int:
@@ -151,18 +142,18 @@ def _csr_ptrs(csr) -> list:
     return [_ptr(xadj, _I64), _ptr(adjncy, _I64), _ptr(ewts, _F64), _ptr(vwts, _F64)]
 
 
-def hem_match(n: int, es, ed, order):
-    """Greedy matching over candidate edges ``(es, ed)`` listed in ``order``
-    by ascending priority."""
+def hem(graph, seed: int, constraint):
+    """``heavy_edge_matching(graph, seed, constraint)``: the matching one
+    level of :func:`coarsen` builds (``constraint``: ``None`` or one int64
+    subset id per vertex, normalised by the caller)."""
     lib = load()
-    es = np.ascontiguousarray(es, dtype=np.int64)
-    ed = np.ascontiguousarray(ed, dtype=np.int64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    match = np.empty(n, dtype=np.int64)
-    lib.hem_match(
-        n, es.shape[0], _ptr(es, _I64), _ptr(ed, _I64), _ptr(order, _I64),
-        _ptr(match, _I64),
-    )
+    state = np.array(_pcg_state(int(seed)), dtype=np.uint64)
+    match = np.empty(graph.n_vertices, dtype=np.int64)
+    _check(lib.hem(
+        graph.n_vertices, *_csr_ptrs(_csr(graph))[:3],
+        None if constraint is None else _ptr(constraint, _I64),
+        _ptr(state, _U64), _ptr(match, _I64),
+    ), "hem")
     return match
 
 
@@ -214,32 +205,26 @@ def _kl_refine_stats(graph, assign, p: int, home, cfg, in_band_tail: int):
     """``(assignment, [passes, seconds in them, best objective, moves
     tried, moves kept])``."""
     lib = load()
-    alpha = float(cfg.alpha) if home is not None else 0.0
-    if alpha:
-        hom = np.ascontiguousarray(home, dtype=np.int64)
-    else:
-        hom = _DUMMY_I64  # never dereferenced when alpha == 0
+    if home is not None:
+        home = np.ascontiguousarray(home, dtype=np.int64)
     asg = np.array(assign, dtype=np.int64)
-    vwts = graph.vwts
-    mean = float(np.bincount(asg, weights=vwts, minlength=p).sum()) / p
-    # The balance envelope cannot be tighter than the vertex-weight
-    # granularity: with indivisible trees of weight up to w_max, subset
-    # weights are only controllable to ~w_max/2.  Chasing a tighter band
-    # would churn migration without ever converging.
-    wmax = float(vwts.max()) if vwts.size else 0.0
-    band = max(cfg.balance_tol * mean, 0.5 * wmax)
     stats = np.zeros(5, dtype=np.float64)
-    status = lib.kl_refine(
+    _check(lib.kl_refine(
         graph.n_vertices, p, *_csr_ptrs(_csr(graph)),
-        _ptr(hom, _I64), alpha,
-        float(cfg.beta), int(cfg.balance_mode == "deadband"),
-        mean, mean + band, mean - band,
-        int(cfg.window), int(cfg.stall_limit), int(in_band_tail),
-        float(cfg.min_gain), int(cfg.max_passes),
-        _ptr(asg, _I64), _ptr(stats, _F64),
-    )
-    _check(status, "kl_refine")
+        None if home is None else _ptr(home, _I64), _ptr(_pack([cfg]), _F64),
+        int(in_band_tail), _ptr(asg, _I64), _ptr(stats, _F64),
+    ), "kl_refine")
     return asg, stats
+
+
+def _pack(cfgs) -> np.ndarray:
+    """``KLConfig`` rows as the core reads them (the ``C_*`` fields of
+    ``_klcore.c``)."""
+    return np.array(
+        [[c.alpha, c.beta, c.balance_tol, c.min_gain, c.balance_mode == "deadband",
+          c.window, c.stall_limit, c.max_passes] for c in cfgs],
+        dtype=np.float64,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -428,11 +413,7 @@ def refine(levels: Levels, p: int, cfgs: list, rebalance_above: float,
     lib = load()
     t0 = perf_counter()
     state = None if grow_seed is None else np.array(_pcg_state(grow_seed), dtype=np.uint64)
-    packed = np.array(
-        [[c.alpha, c.beta, c.balance_tol, c.min_gain, c.balance_mode == "deadband",
-          c.window, c.stall_limit, c.max_passes] for c in cfgs],
-        dtype=np.float64,
-    )
+    packed = _pack(cfgs)
     home = levels.home
     out = np.empty(levels.graph.n_vertices, dtype=np.int64)
     stats = np.zeros(6, dtype=np.float64)

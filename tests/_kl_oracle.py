@@ -2,7 +2,8 @@
 (``src/repro/partition/_klcore.c``).
 
 These are the implementations the package ran before the compiler became a
-requirement, moved here verbatim: the mutual-proposal matching rounds, the
+requirement, moved here verbatim: the heavy-edge matching's numpy
+candidate edges and seeded tie order and its mutual-proposal rounds, the
 numpy contraction, the pure-Python KL engine (vectorized prelude, heap
 hill-climb, best-state tracking), greedy graph growing and the per-level
 V-cycle (``build_hierarchy`` + ``v_cycle``).  The public functions at the bottom
@@ -24,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.graph.csr import WeightedGraph
-from repro.graph.matching import _priority_order
 from repro.partition import kl, multilevel
 from repro.partition.kl import KLConfig
 from repro.partition.metrics import (
@@ -38,8 +38,32 @@ from repro.perf import PERF
 
 
 # --------------------------------------------------------------------- #
-# heavy-edge matching: mutual-proposal rounds
+# heavy-edge matching: the seeded tie order, then mutual-proposal rounds
 # --------------------------------------------------------------------- #
+
+
+def _candidate_edges(graph: WeightedGraph, constraint):
+    """One row per undirected constraint-respecting edge: (src, dst, ewts)."""
+    src = graph.edge_src
+    dst = graph.adjncy
+    keep = src < dst  # CSR stores each undirected edge twice
+    if constraint is not None:
+        constraint = np.asarray(constraint)
+        keep &= constraint[src] == constraint[dst]
+    return src[keep], dst[keep], graph.ewts[keep]
+
+
+def _priority_order(graph: WeightedGraph, seed: int, constraint) -> tuple:
+    """``(es, ed, order)``: the candidate edges and their order by
+    ascending priority — heavier edges last, a seeded shuffle breaking
+    ties.  ``tie`` is a permutation, so laying the edges out in tie order
+    and stable-sorting by weight is ``np.lexsort((tie, ew))`` at half the
+    cost."""
+    es, ed, ew = _candidate_edges(graph, constraint)
+    tie = np.random.default_rng(seed).permutation(es.size)
+    by_tie = np.empty(es.size, dtype=np.int64)
+    by_tie[tie] = np.arange(es.size, dtype=np.int64)
+    return es, ed, by_tie[np.argsort(ew[by_tie], kind="stable")]
 
 
 def _match_rounds(n: int, es, ed, rank) -> np.ndarray:
@@ -87,9 +111,12 @@ def heavy_edge_matching(
     seed: int = 0,
     constraint=None,
 ) -> np.ndarray:
-    """:func:`repro.graph.matching.heavy_edge_matching` with the rounds in
+    """:func:`repro.graph.matching.heavy_edge_matching` in numpy: the edge
+    filter and tie order of :func:`_priority_order`, then the rounds in
     place of the compiled greedy scan."""
     with PERF.span("matching.hem"):
+        if constraint is not None and np.shape(constraint) != (graph.n_vertices,):
+            raise ValueError("constraint must have one label per vertex")
         es, ed, order = _priority_order(graph, seed, constraint)
         rank = np.empty(order.size, dtype=np.int64)
         rank[order] = np.arange(order.size, dtype=np.int64)

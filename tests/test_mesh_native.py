@@ -54,7 +54,7 @@ class _Recorder:
 @pytest.fixture()
 def recorder(monkeypatch):
     rec = _Recorder(_meshnative.load())
-    monkeypatch.setattr(_meshnative, "_LIB", rec)
+    monkeypatch.setattr(_meshnative, "load", lambda: rec)
     return rec
 
 

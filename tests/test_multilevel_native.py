@@ -6,7 +6,8 @@ is held to its numpy/Python oracle in ``tests/_kl_oracle.py`` *bit for
 bit* — including on non-integer weights, where only the order of float
 additions separates them:
 
-* ``hem_match``: one greedy scan in descending rank ≡ mutual-proposal rounds;
+* ``hem``: the edge filter, the seeded tie order and one greedy scan in
+  descending rank ≡ numpy's filter and order, then mutual-proposal rounds;
 * ``contract``: cmap, coarse vertex weights and the merged CSR, parallel
   edges summed in ``np.add.reduceat``'s order;
 * ``kl_refine``: prelude, hill-climb, best-state tracking and the
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.core import PNR
 from repro.fem import CornerLaplace2D, interpolation_error_indicator, mark_top_fraction
 from repro.graph.contract import contract
@@ -83,7 +85,7 @@ def _same_graph(a: WeightedGraph, b: WeightedGraph) -> None:
 
 
 # --------------------------------------------------------------------- #
-# hem_match
+# hem
 # --------------------------------------------------------------------- #
 
 
@@ -114,6 +116,42 @@ class TestMatching:
         native, pure = _both(heavy_edge_matching, g, seed=0, constraint=labels)
         assert np.array_equal(native, np.arange(6))
         assert np.array_equal(pure, np.arange(6))
+
+    def test_integer_weights_straddling_the_counting_sort_range(self):
+        """The core sorts a level's candidate edges by counting when every
+        weight is an integer in ``[0, nnz + 1)`` and by comparison
+        otherwise.  One graph carries weights 0, nnz and nnz + 1: alone,
+        the nnz + 1 edge sends it to the comparison sort; under a
+        constraint that cuts that edge, the rest span the counting sort's
+        whole range.  Either way the order must be numpy's."""
+        rng = np.random.default_rng(23)
+        n = 80
+        pairs = {tuple(sorted(e)) for e in rng.integers(0, n, (60, 2)) if e[0] != e[1]}
+        pairs |= {(v, v + 1) for v in range(n - 1)}
+        edges = np.array(sorted(pairs))
+        nnz = 2 * len(edges)
+        ewts = rng.integers(0, 3, len(edges)).astype(float)
+        far = [i for i, (a, b) in enumerate(edges) if min(a, b) > 40]
+        ewts[edges[:, 0] == 5] = nnz
+        ewts[far[0]] = nnz + 1
+        g = WeightedGraph.from_edges(n, edges, ewts)
+        assert g.adjncy.size == nnz
+        assert {0.0, nnz, nnz + 1} <= set(g.ewts.tolist())
+        labels = np.zeros(n, dtype=np.int64)
+        labels[edges[far[0], 1]] = 1  # cuts the nnz + 1 edge, not the nnz ones
+        kept = labels[edges[:, 0]] == labels[edges[:, 1]]
+        assert not kept[far[0]] and (ewts[kept] == nnz).any() and (ewts[kept] == 0).any()
+        for seed in range(4):
+            for constraint in (None, labels):
+                native, pure = _both(heavy_edge_matching, g, seed=seed, constraint=constraint)
+                assert np.array_equal(native, pure), (seed, constraint is None)
+
+    @pytest.mark.parametrize("fn", [heavy_edge_matching, oracle.heavy_edge_matching])
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_constraint_of_another_length_raises(self, fn, size):
+        g = grid_graph(2, 3)  # 6 vertices
+        with pytest.raises(ValueError, match="one label per vertex"):
+            fn(g, seed=0, constraint=np.zeros(size, dtype=np.int64))
 
     def test_all_equal_weights_only_the_seed_orders_edges(self):
         g = grid_graph(9)
@@ -154,7 +192,9 @@ def _greedy_scan(n, es, ed, rank):
 def test_greedy_scan_equals_match_rounds(n, m, seed, nlabels):
     """The argument the compiled matching rests on: with unique ranks the
     greedy descending-rank scan and the mutual-proposal rounds build the
-    same matching (multigraphs and constraint-filtered edge sets too)."""
+    same matching (multigraphs and constraint-filtered edge sets too).  The
+    compiled scan itself is held to the rounds through ``hem``
+    (:class:`TestMatching`)."""
     rng = np.random.default_rng(seed)
     edges = rng.integers(0, n, size=(m, 2))
     labels = rng.integers(0, nlabels, n)
@@ -163,7 +203,6 @@ def test_greedy_scan_equals_match_rounds(n, m, seed, nlabels):
     rank = rng.permutation(es.size).astype(np.int64)
     expect = _greedy_scan(n, es, ed, rank)
     assert np.array_equal(oracle._match_rounds(n, es, ed, rank), expect)
-    assert np.array_equal(_klnative.hem_match(n, es, ed, np.argsort(rank)), expect)
 
 
 # --------------------------------------------------------------------- #
@@ -671,10 +710,10 @@ class TestGreedyGrowing:
         monkeypatch.setattr(
             _klnative, "integers", lambda seed, highs, lib=None: real(seed, highs, lib) ^ 1
         )
-        monkeypatch.setattr(_klnative, "_LIB", None)
+        monkeypatch.delitem(_native._LIBS, _klnative._SRC, raising=False)
         with pytest.raises(ImportError, match=rf"numpy {np.__version__}'s Generator\.integers"):
             _klnative.load()
-        assert _klnative._LIB is None
+        assert _klnative._SRC not in _native._LIBS
 
 
 @given(
@@ -824,10 +863,10 @@ class TestFusedVCycle:
             return s_hi, s_lo, inc_hi, inc_lo ^ 2
 
         monkeypatch.setattr(_klnative, "_pcg_state", other_stream)
-        monkeypatch.setattr(_klnative, "_LIB", None)
+        monkeypatch.delitem(_native._LIBS, _klnative._SRC, raising=False)
         with pytest.raises(ImportError, match=f"numpy {np.__version__}"):
             _klnative.load()
-        assert _klnative._LIB is None
+        assert _klnative._SRC not in _native._LIBS
 
 
 def test_p1_partition_builds_no_hierarchy():
