@@ -183,6 +183,15 @@ class DistributedMesh:
     # P1/P2: weight computation and reporting
     # ------------------------------------------------------------------ #
 
+    def owned_weights(self) -> tuple:
+        """This rank's P1 recount (Fig. 2's local weights): ``(vwts,
+        ewts)``, int64, one entry per root and per skeleton slot, counted
+        on the owned rows only and 0 everywhere else
+        (:func:`~repro.mesh._meshnative.weigh` at the owned roots)."""
+        owned = np.flatnonzero(self.owner == self.rank)
+        with PERF.span("mesh.dual_graph"):
+            return _meshnative.weigh(self.amesh.mesh, owned)
+
     def local_weight_update(self) -> dict:
         """Full packed vertex/edge weight report of ``G`` for this rank's
         owned roots (phase P1): flat sorted arrays, see

@@ -131,7 +131,9 @@ def execute_migration(comm, dmesh, new_owner: np.ndarray) -> dict:
     The exchange is *sparse*: every rank holds both the old and the new
     owner map, so the exact send/recv sets follow from the directives and
     empty channels cost nothing — O(moves) messages instead of O(p²), and
-    none at all when nothing moves.
+    none at all when nothing moves: then the call returns before any pass
+    over the forest and leaves the owner map (and the caches keyed on it)
+    as it is.
 
     During crash recovery a directive's source may be a dead rank; the
     destination then reconstructs the tree payload from its own mesh
@@ -144,7 +146,10 @@ def execute_migration(comm, dmesh, new_owner: np.ndarray) -> dict:
     live = dmesh.live
     old_owner = np.asarray(dmesh.owner)
     new_owner = np.asarray(new_owner, dtype=np.int64)
-    moved = np.nonzero(old_owner != new_owner)[0]
+    moved = np.flatnonzero(old_owner != new_owner)
+    if not moved.size:
+        return {"trees_moved": 0, "elements_moved": 0, "sent_here": 0,
+                "received_here": 0, "reconstructed_here": 0}
     mesh = dmesh.amesh.mesh
 
     # group directives per (src, dst) channel — one packed frame each

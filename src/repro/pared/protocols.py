@@ -9,12 +9,12 @@ travel is a property of the repartitioning strategy's family, and the only
 thing about a round that varies with it:
 
 * :class:`_DeltaProtocol` (strategies with ``halo = False``:
-  ``pnr``/``mlkl``/``sfc``): every rank diffs its report against last
-  round's and sends the delta to every live peer; each rank merges all of
-  them into its own :class:`_MergedGraph` and runs the registry strategy
-  on it.  Round state: the delta baseline and ``G``.  Neither is
-  checkpointed: a recovery starts a fresh protocol, whose first P2 carries
-  full reports.
+  ``pnr``/``mlkl``/``sfc``): every rank diffs its own counts against last
+  round's, slot by slot, and sends the delta to every live peer; each rank
+  merges all of them into its own :class:`_MergedGraph` and runs the
+  registry strategy on it.  Round state: the delta baseline and ``G``.
+  Neither is checkpointed: a recovery starts a fresh protocol, whose zero
+  baseline makes its first P2 carry full reports.
 * :class:`_HaloProtocol` (``halo = True``: ``dkl``): boundary slices of
   the full report travel neighbor-to-neighbor into a
   :class:`~repro.partition.distributed.PartView`, one allgather of the
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.graph.csr import WeightedGraph
 from repro.mesh.dualgraph import coarse_dual_graph, coarse_root_centroids
-from repro.pared.weights import diff_weight_report
 from repro.partition.metrics import imbalance
 from repro.partition.registry import make_repartitioner
 from repro.perf import PERF
@@ -74,9 +73,11 @@ class _MergedGraph:
         n = skeleton.n_vertices
         src, dst = skeleton.edge_src, skeleton.adjncy
         slots = src * n + dst  # ascending: the skeleton's rows are sorted
-        self._fwd = np.nonzero(src < dst)[0]
-        self._keys = slots[self._fwd]
-        self._rev = np.searchsorted(slots, dst[self._fwd] * n + src[self._fwd])
+        #: the forward slots (``a→b``, ``a < b``) and their keys, ascending —
+        #: the one slot map of a report, on the sending side too
+        self.fwd = np.flatnonzero(src < dst)
+        self.keys = slots[self.fwd]
+        self._rev = np.searchsorted(slots, dst[self.fwd] * n + src[self.fwd])
         self.vwts = np.zeros(n)
         self.ewts = np.zeros(dst.shape[0])
 
@@ -89,12 +90,12 @@ class _MergedGraph:
 
         self.vwts[cat("v_ids")] = cat("v_wts")
         keys = cat("e_keys")
-        pos = np.searchsorted(self._keys, keys)
-        hit = pos < self._keys.size
-        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
         if not hit.all():
             raise ValueError(f"edge key {int(keys[~hit][0])} is no shared facet of M^0")
-        self.ewts[self._fwd[pos]] = self.ewts[self._rev[pos]] = cat("e_wts")
+        self.ewts[self.fwd[pos]] = self.ewts[self._rev[pos]] = cat("e_wts")
         if not (self.vwts.all() and self.ewts.all()):
             raise ValueError("a root or shared facet of M^0 was never reported")
 
@@ -104,11 +105,14 @@ class _MergedGraph:
 
 class _WeightProtocol:
     """What both protocols share: the registry strategy (it carries the sfc
-    curve-order cache across rounds) and the root centroids it reads."""
+    curve-order cache across rounds) and the root centroids, computed only
+    for a strategy that reads them (``None`` for the others)."""
 
     def __init__(self, comm, cfg, amesh, repart):
         self.comm, self.cfg, self.repart = comm, cfg, repart
-        self.root_coords = coarse_root_centroids(amesh.mesh)
+        self.root_coords = (
+            coarse_root_centroids(amesh.mesh) if repart.reads_coords else None
+        )
 
     def initial_owner(self, amesh, live) -> np.ndarray:
         """Partition of the unrefined coarse dual graph."""
@@ -123,17 +127,34 @@ class _WeightProtocol:
 class _DeltaProtocol(_WeightProtocol):
     def __init__(self, comm, cfg, amesh, repart):
         super().__init__(comm, cfg, amesh, repart)
-        #: last round's full report — the baseline P2 deltas are cut against
-        self.prev_full = None
         #: weights *only* from P2 messages, structure from M^0
         self.G = _MergedGraph(amesh.mesh.coarse_skeleton())
         self.graph = None  # G as of the latest merge
+        #: last round's own counts per root and per forward slot — the
+        #: baseline P2 deltas are cut against; 0 = not reported
+        self._prev = (np.zeros(amesh.n_roots, dtype=np.int64),
+                      np.zeros(self.G.fwd.shape[0], dtype=np.int64))
 
     def weigh(self, dmesh) -> dict:
-        full = dmesh.local_weight_update()
-        delta = diff_weight_report(full, self.prev_full)
-        self.prev_full = full
-        return delta
+        """This rank's P2 delta: the entries of its report that are new or
+        changed since last round, diffed slot by slot.  A count is nonzero
+        exactly on the owned rows (every tree has a leaf, and ``weigh``
+        raises on an empty slot of a counted row), so ``!= 0`` is "in the
+        report" and ``!= prev`` is "not reported with this value": a root
+        that comes back after a round elsewhere is re-reported, and the
+        zero baseline of a fresh protocol sends the full report."""
+        vwts, ewts = dmesh.owned_weights()
+        ewts = ewts[self.G.fwd]
+        prev_v, prev_e = self._prev
+        self._prev = vwts, ewts
+        v_ids = np.flatnonzero((vwts != prev_v) & (vwts != 0))
+        e_pos = np.flatnonzero((ewts != prev_e) & (ewts != 0))
+        return {
+            "v_ids": v_ids,
+            "v_wts": vwts[v_ids].astype(np.float64),
+            "e_keys": self.G.keys[e_pos],
+            "e_wts": ewts[e_pos].astype(np.float64),
+        }
 
     def exchange(self, dmesh, delta):
         return dmesh.exchange_weights(delta)

@@ -68,7 +68,9 @@ def _changed(ids, wts, prev_ids, prev_wts):
 def diff_weight_report(full: dict, prev) -> dict:
     """Delta of ``full`` against the previous full report ``prev``: the
     entries that are new or whose weight changed.  ``prev=None`` means no
-    baseline: the full report travels verbatim.
+    baseline: the full report travels verbatim.  A round cuts the same
+    delta in slot space (:meth:`~repro.pared.protocols._DeltaProtocol.weigh`);
+    this sorted-key form is its test oracle and the benchmark replay's.
     """
     if prev is None:
         return full

@@ -15,7 +15,7 @@ built from the whole Equation-1 parameter object
 
 ``coords`` carries the coarse-element centroids — only the geometric
 ``sfc`` strategy reads them; the graph-based strategies ignore the
-argument, so callers can always pass what they have.
+argument, so callers can always pass what they have (``None`` included).
 
 It also owns what a PARED round needs to know about it, so nothing outside
 this module tests a strategy *name*:
@@ -28,6 +28,9 @@ this module tests a strategy *name*:
 ``monotone``
     Whether the monotone-or-rollback audit applies (a property of the
     Equation-1 V-cycle; the other strategies optimize other objectives).
+``reads_coords``
+    Whether ``coords`` is read: a round computes the centroids once for
+    such a strategy and passes ``None`` to every other.
 ``refine_spmd(comm, view, owner, loads, wmax, live)``
     Halo strategies only: the SPMD form of ``repartition``.
 """
@@ -51,6 +54,7 @@ class _Strategy:
 
     halo = False
     monotone = False
+    reads_coords = False
     honours_ablations = False
 
     def __init__(self, pnr, curve):
@@ -111,6 +115,7 @@ class SFCRepartitioner(_Strategy):
     only the elements the cut points slid across."""
 
     name = "sfc"
+    reads_coords = True
     _state = None
 
     def initial(self, graph, p, coords=None):

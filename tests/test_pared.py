@@ -427,6 +427,28 @@ class TestFullLoop:
         histories, _ = run_pared(cfg)
         assert histories[0][-1]["cut"] > 0
 
+    def test_round_that_moves_no_tree_makes_no_forest_pass_in_p3(self, monkeypatch):
+        """At p = 1 no root changes owner: P3's migration returns before
+        any pass over the forest (the leaf counts per root, the channel
+        bookkeeping) while P0 refines and coarsens every round."""
+        from repro.mesh.forest import RefinementForest
+
+        def no_pass(forest):
+            raise AssertionError("forest-wide leaf count in a round that moves nothing")
+
+        monkeypatch.setattr(RefinementForest, "leaf_counts_by_root", no_pass)
+        cfg = ParedConfig(
+            p=1,
+            make_mesh=lambda: AdaptiveMesh.unit_square(8),
+            marker=_moving_peak_marker,
+            rounds=3,
+            pnr=PNR(seed=1),
+            transport="thread",
+        )
+        (history,), _ = run_pared(cfg)
+        assert [rec["trees_moved"] for rec in history] == [0, 0, 0]
+        assert [rec["elements_moved"] for rec in history] == [0, 0, 0]
+
     def test_marker_with_coarsening(self):
         cfg = ParedConfig(
             p=2,

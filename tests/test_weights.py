@@ -1,9 +1,10 @@
 """Direct unit tests of the packed weight-report primitives
-(:mod:`repro.pared.weights`) and of every rank's merge of them
-(:class:`~repro.pared.protocols._MergedGraph`) — the P2 protocol
-without running one.  The focus is the edge cases a round can hit: empty
-arrays, ownership handoffs, refinement and coarsening between rounds, and
-reports that do not fit ``M^0``.
+(:mod:`repro.pared.weights`), of a rank's P1 delta
+(:meth:`~repro.pared.protocols._DeltaProtocol.weigh`) and of every rank's
+merge of them (:class:`~repro.pared.protocols._MergedGraph`) — the P2
+protocol without running one.  The focus is the edge cases a round can
+hit: empty arrays, ownership handoffs, refinement and coarsening between
+rounds, and reports that do not fit ``M^0``.
 """
 
 import numpy as np
@@ -11,8 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
+from repro.core import PNR
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
-from repro.pared.protocols import _MergedGraph
+from repro.pared import DistributedMesh
+from repro.pared.protocols import _DeltaProtocol, _MergedGraph
 from repro.pared.weights import (
     diff_weight_report,
     edge_keys,
@@ -20,6 +25,8 @@ from repro.pared.weights import (
     split_edge_keys,
     split_report_by_owner,
 )
+from repro.partition.registry import make_repartitioner
+from repro.runtime.codec import encode
 from tests.conftest import rank_deltas
 
 I = np.int64
@@ -71,6 +78,116 @@ class TestSortedMembership:
         delta = diff_weight_report(_report([2, 3], [23]), _report([0, 1], [1, 10]))
         assert delta["v_ids"].tolist() == [2, 3]
         assert delta["e_keys"].tolist() == [23]
+
+
+class _Ranks:
+    """Every rank's delta protocol over one shared mesh, side by side with
+    the oracle: its full report of the whole mesh's ``G`` diffed against
+    the previous one (``diff_weight_report(full_weight_report(...),
+    prev)``)."""
+
+    def __init__(self, amesh, p):
+        self.amesh, self.p = amesh, p
+        repart = make_repartitioner("pnr", pnr=PNR())
+        self.protos = [_DeltaProtocol(None, None, amesh, repart) for _ in range(p)]
+        self.prev = [None] * p
+
+    def round(self, owner) -> list:
+        """Each rank's ``(delta, oracle)`` under ``owner``, after checking
+        that the two are the same arrays and encode to the same bytes."""
+        graph = coarse_dual_graph(self.amesh.mesh)
+        out = []
+        for r, proto in enumerate(self.protos):
+            dmesh = DistributedMesh(SimpleNamespace(rank=r, size=self.p), self.amesh, owner)
+            got = proto.weigh(dmesh)
+            full = full_weight_report(graph, owner, r)
+            want = diff_weight_report(full, self.prev[r])
+            self.prev[r] = full
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype, name
+                assert np.array_equal(got[name], want[name]), name
+            assert encode(got) == encode(want)
+            out.append((got, want))
+        return out
+
+
+def _adapt(amesh, data):
+    """One drawn refine/coarsen step: a few leaves bisected, then every
+    leaf of a few drawn trees marked for coarsening."""
+    leaves = amesh.leaf_ids()
+    pick = data.draw(st.lists(st.integers(0, leaves.size - 1), max_size=6, unique=True))
+    amesh.refine(leaves[pick].tolist())
+    trees = data.draw(st.lists(st.integers(0, amesh.n_roots - 1), max_size=6))
+    amesh.coarsen(amesh.leaf_ids()[np.isin(amesh.leaf_roots(), trees)].tolist())
+
+
+class TestDenseDelta:
+    """A rank's P1 delta, diffed slot by slot against its own last counts,
+    is the sorted-report diff byte for byte: over 2-D and 3-D
+    refine/coarsen scripts and any sequence of owner maps."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        make=st.sampled_from([lambda: AdaptiveMesh.unit_square(3),
+                              lambda: AdaptiveMesh.unit_cube(2)]),
+        p=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+    )
+    def test_equals_the_report_diff(self, make, p, data):
+        amesh = make()
+        ranks = _Ranks(amesh, p)
+        for _ in range(4):
+            _adapt(amesh, data)
+            owner = np.array(
+                data.draw(st.lists(st.integers(0, p - 1), min_size=amesh.n_roots,
+                                   max_size=amesh.n_roots)),
+                dtype=I,
+            )
+            ranks.round(owner)
+
+    def test_returning_root_is_re_reported(self):
+        """A root handed to rank 1 and back, unchanged in between, comes
+        back with the very count rank 0 reported before it left: the old
+        report lacks it, so the delta must carry it again."""
+        amesh = AdaptiveMesh.unit_square(3)
+        amesh.refine([0, 5])
+        ranks = _Ranks(amesh, 2)
+        owner = np.zeros(amesh.n_roots, dtype=I)
+        ranks.round(owner)
+        away = owner.copy()
+        away[0] = 1
+        (d0, _), (d1, _) = ranks.round(away)
+        assert 0 not in d0["v_ids"] and d1["v_ids"].tolist() == [0]
+        (d0, _), (d1, _) = ranks.round(owner)
+        assert d0["v_ids"].tolist() == [0]
+        assert d0["v_wts"].tolist() == [coarse_dual_graph(amesh.mesh).vwts[0]]
+        assert d1["v_ids"].size == d1["e_keys"].size == 0
+
+    def test_empty_owned_set(self):
+        """A rank that owns no root sends an empty delta, in its first
+        round and after it gave its roots away."""
+        amesh = AdaptiveMesh.unit_cube(2)
+        ranks = _Ranks(amesh, 3)
+        owner = np.arange(amesh.n_roots, dtype=I) % 2  # rank 2 owns nothing
+        for got, _ in (ranks.round(owner)[2], ranks.round(owner // 2 * 2)[1]):
+            assert all(got[name].size == 0 for name in got)
+
+    def test_first_round_is_the_full_report(self):
+        """The zero baseline of a fresh protocol (a run's start, or a
+        recovery) equals ``prev=None``: the full report travels."""
+        amesh = AdaptiveMesh.unit_square(4)
+        amesh.refine([1, 2, 3])
+        owner = np.arange(amesh.n_roots, dtype=I) % 2
+        graph = coarse_dual_graph(amesh.mesh)
+        for r, (got, _) in enumerate(_Ranks(amesh, 2).round(owner)):
+            full = full_weight_report(graph, owner, r)
+            assert encode(got) == encode(full)
+            assert got["v_ids"].size and got["e_keys"].size
 
 
 class TestCoordinatorMerge:

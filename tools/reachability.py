@@ -17,7 +17,9 @@ no driver entered is unreached, and a function nested in an unreached one
 counts under it.  The C kernels are not traced.
 
 The drivers rewrite ``results/`` and build the kernels, so run it on a
-fresh copy of the tree (``git archive HEAD | tar -x -C <dir>``)::
+fresh copy of the tree (``git archive HEAD | tar -x -C <dir>``); it refuses
+a tree whose kernels are already built, where the build function
+``_native._compile`` would read as unreached::
 
     python tools/reachability.py [OUT]
 
@@ -152,6 +154,10 @@ def unreached(reached: set) -> tuple:
 def main(argv: list) -> int:
     if len(argv) > 1:
         raise SystemExit(__doc__)
+    built = sorted(SRC.rglob("_*core-*.so"))
+    if built:
+        raise SystemExit(f"{built[0].relative_to(ROOT)} is already built: run the "
+                         "audit on a fresh copy (git archive HEAD | tar -x -C DIR)")
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
