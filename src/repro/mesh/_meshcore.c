@@ -37,8 +37,9 @@
  * does not depend on the order they are visited.
  *
  * Storage is the Python side's: the growable arrays of the forest, the
- * cells, vertices, _nbr / _le and the midpoint IntMap, passed with their
- * capacities.  A wave is planned read-only (walk,
+ * cells, vertices, _nbr / _le and the midpoint IntMap, whose addresses
+ * every entry takes first as one pointer table (the A_* enum), then the
+ * mesh's dimension.  A wave is planned read-only (walk,
  * guards, midpoint lookups) and applied only if it fits and its scratch is
  * allocated, so a wave applies completely or not at all, and a call that
  * stops early leaves a conformal mesh of whole waves behind:
@@ -75,11 +76,11 @@
 
 enum { LEAF = 0, INTERIOR = 1, INACTIVE = 2 };
 
-/* the wave loop's arrays, in the order of the pointer table */
+/* the mesh's storage, in the order of the pointer table every entry takes
+ * first (repro.mesh._meshnative._table) */
 enum {
     A_PARENT, A_CHILD0, A_CHILD1, A_ROOT, A_DEPTH, A_STATUS,
-    A_CELLS, A_NBR, A_LE, A_PTS,
-    A_MSLOT, A_MKEYS, A_MVALS, A_TARGETS, A_BISECTED, A_COUNT
+    A_CELLS, A_NBR, A_LE, A_PTS, A_MKEYS, A_MVALS, A_MSLOT, A_COUNT
 };
 
 /* the wave loop's state words: inputs, then in/out lengths and counters */
@@ -316,15 +317,14 @@ static int64_t stitch_run(const int64_t *born, int64_t nborn,
 
 /* The stitch alone: MESH_DONE, or MESH_NOMEM / MESH_NONMANIFOLD (a facet
  * occurs three times) with nothing written. */
-int64_t stitch(const int64_t *born, int64_t nborn, const int64_t *died,
-               int64_t ndied, int64_t *nbr, const int64_t *cells, int64_t npc,
-               const uint8_t *status)
+int64_t stitch(void **arr, int64_t dim, const int64_t *born, int64_t nborn,
+               const int64_t *died, int64_t ndied)
 {
     StitchScratch s = {0};
-    if (stitch_reserve(&s, npc * (nborn + ndied)) < 0)
+    if (stitch_reserve(&s, (dim + 1) * (nborn + ndied)) < 0)
         return MESH_NOMEM;
-    int64_t triples = stitch_run(born, nborn, died, ndied, nbr, cells, (int)npc,
-                                 status, &s, 1);
+    int64_t triples = stitch_run(born, nborn, died, ndied, arr[A_NBR], arr[A_CELLS],
+                                 (int)dim + 1, arr[A_STATUS], &s, 1);
     stitch_free(&s);
     return triples ? MESH_NONMANIFOLD : MESH_DONE;
 }
@@ -348,13 +348,12 @@ typedef struct {
     double *pts;
 } Mesh;
 
-/* the element arrays of the pointer table as a mesh of dimension dim
- * (pts, which the walk does not read, left NULL) */
+/* the pointer table as a mesh of dimension dim */
 static Mesh mesh_view(void **arr, int64_t dim)
 {
     Mesh m = {(int)dim, (int)dim + 1, dim == 2 ? 3 : 6, dim == 2 ? EA2 : EA3,
               dim == 2 ? EB2 : EB3, arr[A_STATUS], arr[A_CELLS], arr[A_NBR],
-              arr[A_LE], NULL};
+              arr[A_LE], arr[A_PTS]};
     return m;
 }
 
@@ -582,22 +581,20 @@ static void children(const Mesh *m, const int64_t *c, int j, int64_t mid,
 }
 
 /* The Rivara wave loop of a mesh of dimension dim (2 or 3) from the
- * st[S_NTARGETS] targets of the pointer table, until no target is a LEAF;
- * see the head of this file for what it returns. */
-int64_t refine(void **arr, int64_t *st, int64_t dim)
+ * st[S_NTARGETS] targets until no target is a LEAF, each wave's parents
+ * appended to ``bisected``; see the head of this file for what it returns. */
+int64_t refine(void **arr, int64_t dim, const int64_t *targets, int64_t *bisected,
+               int64_t *st)
 {
     int64_t *parent = arr[A_PARENT], *child0 = arr[A_CHILD0];
     int64_t *child1 = arr[A_CHILD1], *root = arr[A_ROOT];
     int32_t *depth = arr[A_DEPTH];
-    int64_t *bisected = arr[A_BISECTED];
     Mesh m = mesh_view(arr, dim);
-    m.pts = arr[A_PTS];
     uint8_t *status = m.status;
     const int npc = m.npc;
     Memo memo = {arr[A_MSLOT], arr[A_MKEYS], arr[A_MVALS], (int)st[S_MBITS], st[S_NMEMO]};
     const int64_t ecap = st[S_ECAP];
     int64_t nelem = st[S_NELEM], nverts = st[S_NVERTS];
-    const int64_t *targets = arr[A_TARGETS];
     const int64_t nt = st[S_NTARGETS];
 
     Scratch w;
@@ -715,9 +712,9 @@ int64_t refine(void **arr, int64_t *st, int64_t dim)
 }
 
 /* The elements the first wave of refine(dim) from the nt targets walks,
- * read-only (the pointer table needs only the element arrays): written
- * ascending to ``walked`` (room for every element), their number
- * returned; MESH_NOMEM, MESH_LIMIT past ``limit`` steps, or MESH_GUARD. */
+ * read-only: written ascending to ``walked`` (room for every element),
+ * their number returned; MESH_NOMEM, MESH_LIMIT past ``limit`` steps, or
+ * MESH_GUARD. */
 int64_t walk_once(void **arr, int64_t dim, int64_t nelem, const int64_t *targets,
                   int64_t nt, int64_t limit, int64_t *walked)
 {
@@ -757,9 +754,7 @@ int64_t weigh(void **arr, int64_t dim, int64_t nelem, const int64_t *roots, int6
               const int64_t *xadj, const int64_t *adjncy, int64_t *vw, int64_t *ew)
 {
     const int64_t *child0 = arr[A_CHILD0], *child1 = arr[A_CHILD1], *root = arr[A_ROOT];
-    const uint8_t *status = arr[A_STATUS];
-    const int64_t *nbr = arr[A_NBR];
-    const int npc = (int)dim + 1;
+    const Mesh m = mesh_view(arr, dim);
     int64_t *stack = xalloc((size_t)nelem * sizeof(int64_t));
     if (!stack)
         return MESH_NOMEM;
@@ -772,18 +767,18 @@ int64_t weigh(void **arr, int64_t dim, int64_t nelem, const int64_t *roots, int6
         stack[top++] = r;
         while (top && result == MESH_DONE) {
             int64_t x = stack[--top];
-            if (status[x] == INTERIOR) {
+            if (m.status[x] == INTERIOR) {
                 stack[top++] = child1[x];
                 stack[top++] = child0[x];
                 continue;
             }
-            if (status[x] != LEAF) {
+            if (m.status[x] != LEAF) {
                 result = MESH_GUARD;
                 break;
             }
             leaves++;
-            for (int j = 0; j < npc; j++) {
-                int64_t y = nbr[npc * x + j];
+            for (int j = 0; j < m.npc; j++) {
+                int64_t y = m.nbr[m.npc * x + j];
                 if (y < 0 || root[y] == r)
                     continue;
                 /* the slot of root[y] in the sorted row: the entries below it */
@@ -810,16 +805,17 @@ int64_t weigh(void **arr, int64_t dim, int64_t nelem, const int64_t *roots, int6
 }
 
 /* The cut of the labels ``part`` (any int64 values) on the nleaves
- * leaves (ascending ids) of a mesh of npc-vertex cells: the facets whose
+ * leaves (ascending ids) of a mesh of dimension dim: the facets whose
  * two leaves carry different labels (repro.mesh.metrics.cut_size).  Each
  * facet is read from its higher-numbered side's label and counted from
  * the lower side; a boundary or lower neighbour reads the leaf's own
  * label, which adds nothing, so the sweep does not branch on the labels.
  * Returns the count, MESH_NOMEM, or MESH_GUARD when a leaf's higher
  * neighbour is no leaf. */
-int64_t cut_count(const uint8_t *status, const int64_t *nbr, int64_t npc, int64_t nelem,
-                  const int64_t *leaves, int64_t nleaves, const int64_t *part)
+int64_t cut_count(void **arr, int64_t dim, int64_t nelem, const int64_t *leaves,
+                  int64_t nleaves, const int64_t *part)
 {
+    const Mesh m = mesh_view(arr, dim);
     int64_t *label = xalloc((size_t)nelem * sizeof(int64_t));
     if (!label)
         return MESH_NOMEM;
@@ -829,9 +825,9 @@ int64_t cut_count(const uint8_t *status, const int64_t *nbr, int64_t npc, int64_
     uint8_t stale = 0;
     for (int64_t i = 0; i < nleaves; i++) {
         int64_t x = leaves[i], px = part[i];
-        for (int j = 0; j < npc; j++) {
-            int64_t y = nbr[npc * x + j], z = y > x ? y : x;
-            stale |= status[z]; /* LEAF is 0 */
+        for (int j = 0; j < m.npc; j++) {
+            int64_t y = m.nbr[m.npc * x + j], z = y > x ? y : x;
+            stale |= m.status[z]; /* LEAF is 0 */
             cut += label[z] != px;
         }
     }
@@ -839,14 +835,15 @@ int64_t cut_count(const uint8_t *status, const int64_t *nbr, int64_t npc, int64_
     return stale ? MESH_GUARD : cut;
 }
 
-/* The vertices of the same leaves whose incident leaves carry more than
- * one label (repro.mesh.metrics.shared_vertex_count): one reference label
- * per vertex (the last scattered), then every incidence compared with it,
- * so a vertex is shared iff one differs.  Returns the count or
- * MESH_NOMEM. */
-int64_t shared_count(const int64_t *cells, int64_t npc, int64_t nverts,
-                     const int64_t *leaves, int64_t nleaves, const int64_t *part)
+/* The vertices (nverts of them) of the same leaves whose incident leaves
+ * carry more than one label (repro.mesh.metrics.shared_vertex_count): one
+ * reference label per vertex (the last scattered), then every incidence
+ * compared with it, so a vertex is shared iff one differs.  Returns the
+ * count or MESH_NOMEM. */
+int64_t shared_count(void **arr, int64_t dim, int64_t nverts, const int64_t *leaves,
+                     int64_t nleaves, const int64_t *part)
 {
+    const Mesh m = mesh_view(arr, dim);
     int64_t *ref = xalloc((size_t)nverts * sizeof(int64_t));
     uint8_t *shared = xalloc((size_t)nverts);
     if (!ref || !shared) {
@@ -856,11 +853,11 @@ int64_t shared_count(const int64_t *cells, int64_t npc, int64_t nverts,
     }
     memset(shared, 0, (size_t)nverts);
     for (int64_t i = 0; i < nleaves; i++)
-        for (int j = 0; j < npc; j++)
-            ref[cells[npc * leaves[i] + j]] = part[i];
+        for (int j = 0; j < m.npc; j++)
+            ref[m.cells[m.npc * leaves[i] + j]] = part[i];
     for (int64_t i = 0; i < nleaves; i++)
-        for (int j = 0; j < npc; j++) {
-            int64_t v = cells[npc * leaves[i] + j];
+        for (int j = 0; j < m.npc; j++) {
+            int64_t v = m.cells[m.npc * leaves[i] + j];
             shared[v] |= ref[v] != part[i];
         }
     int64_t count = 0;

@@ -10,7 +10,9 @@ coarsening end in; :func:`weigh` is phase P1's recount of the coarse dual
 graph's weights, over every tree or over some roots' trees only, and
 :func:`cut_count` and :func:`shared_count` the cut and shared-vertex
 counts of a leaf assignment, read off the leaves' ``_nbr`` rows and
-cells.  All are built on first use by
+cells.  Each C entry takes the mesh's pointer table (:func:`_table`) and
+its dimension first, and one check (:func:`_check`) turns a failed status
+into its exception.  All are built on first use by
 :func:`repro._native.build` (a failed build raises ``ImportError``) and
 leave every array id for id as their numpy/Python oracle in
 ``tests/_mesh_oracle.py`` leaves it (``tests/test_mesh_native.py``).  A
@@ -23,6 +25,7 @@ raises, the mesh it leaves is conformal.
 from __future__ import annotations
 
 import ctypes
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +56,17 @@ MAX_STEPS_FACTOR = 1000
 def _configure(lib) -> None:
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
-    lib.refine.restype = i64
-    lib.refine.argtypes = [ptr, ptr, i64]
-    lib.walk_once.restype = i64
-    lib.walk_once.argtypes = [ptr, i64, i64, ptr, i64, i64, ptr]
-    lib.stitch.restype = i64
-    lib.stitch.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr]
-    lib.weigh.restype = i64
-    lib.weigh.argtypes = [ptr, i64, i64, ptr, i64, ptr, ptr, ptr, ptr]
-    lib.cut_count.restype = i64
-    lib.cut_count.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr]
-    lib.shared_count.restype = i64
-    lib.shared_count.argtypes = [ptr, i64, i64, ptr, i64, ptr]
+    # every entry: (pointer table, dimension, its own arguments) -> status
+    for name, own in (
+        ("refine", [ptr, ptr, ptr]),
+        ("walk_once", [i64, ptr, i64, i64, ptr]),
+        ("stitch", [ptr, i64, ptr, i64]),
+        ("weigh", [i64, ptr, i64, ptr, ptr, ptr, ptr]),
+        ("cut_count", [i64, ptr, i64, ptr]),
+        ("shared_count", [i64, ptr, i64, ptr]),
+    ):
+        entry = getattr(lib, name)
+        entry.argtypes, entry.restype = [ptr, i64, *own], i64
     lib.meshcore_fail_after.restype = None
     lib.meshcore_fail_after.argtypes = [i64]
 
@@ -82,32 +84,45 @@ def _element_storage(mesh) -> list:
             mesh._cells, mesh._nbr, mesh._le]
 
 
-def _element_table(mesh) -> np.ndarray:
-    """The addresses of :func:`_element_storage`'s buffers, the pointer
-    table of the read-only entries."""
-    return np.array([s.buffer.ctypes.data for s in _element_storage(mesh)], dtype=np.uint64)
+def _table(mesh) -> array:
+    """The mesh's pointer table: its storage's addresses, recorded where each
+    buffer was allocated (:mod:`~repro.mesh.growable`), in the order of the
+    ``A_*`` enum; an ``array`` of uint64 packs in half a numpy array's time."""
+    memo = mesh._midpoint
+    storage = (*_element_storage(mesh), mesh._pts, memo._keys, memo._vals)
+    return array("Q", [s.address for s in storage] + [memo.slot_address])
+
+
+def _call(entry: str, mesh, *args, limit: int = 0, check: bool = True) -> int:
+    """Call the C ``entry`` as each is called — pointer table, dimension, then
+    ``args`` — and return its status, checked unless ``check`` is off."""
+    table = _table(mesh)  # referenced until the C call returns
+    status = getattr(load(), entry)(table.buffer_info()[0], mesh.dim, *args)
+    return _check(status, entry, mesh, limit) if check else status
+
+
+def _check(status: int, entry: str, mesh, limit: int = 0) -> int:
+    """``status`` (a count, or ``_DONE``) if the C entry ``entry`` got
+    through, else raise what it stands for."""
+    if status >= 0:
+        return status
+    exc, message = {
+        _NOMEM: (MemoryError, f"{_SRC.name}: {entry} could not allocate its scratch"),
+        _STEP_LIMIT: (base.PropagationLimitError,
+                      f"{mesh.dim}-D propagation exceeded {limit} steps; mesh corrupt?"),
+        _CORRUPT: (AssertionError, f"{entry}: a LEAF / INACTIVE status or a 3-D edge "
+                   "star that breaks the forest"),
+        _NONMANIFOLD: (ValueError, "non-manifold mesh: a facet bounds three cells"),
+        _NOSLOT: (ValueError, "adjacent leaves in trees whose coarse elements share no facet"),
+        _EMPTY_SLOT: (ValueError, "coarse elements share a facet but their trees no leaf pair"),
+    }[status]
+    raise exc(message)
 
 
 def _max_steps(mesh, max_steps_factor: int) -> int:
     """The path steps a refinement or its walk may take: ``max_steps_factor``
     per leaf at the call, at least the mesh class's ``MIN_STEPS``."""
     return max(mesh.MIN_STEPS, max_steps_factor * max(mesh.n_leaves, 1))
-
-
-def _raise_for(status: int, mesh, limit: int) -> None:
-    if status == _STEP_LIMIT:
-        raise base.PropagationLimitError(
-            f"{mesh.dim}-D propagation exceeded {limit} steps; mesh corrupt?"
-        )
-    if status == _CORRUPT:
-        raise AssertionError(
-            "can only split LEAF elements whose children are INACTIVE, "
-            "along edge stars that close"
-        )
-    if status == _NOMEM:
-        raise MemoryError(
-            f"{_SRC.name}: a {mesh.dim}-D wave could not allocate its scratch"
-        )
 
 
 def refine_waves(mesh, targets, max_steps_factor: int) -> list:
@@ -118,7 +133,6 @@ def refine_waves(mesh, targets, max_steps_factor: int) -> list:
     the step limit, fails a guard or cannot allocate its scratch raises
     after the waves applied before it are committed."""
     targets = base.element_ids(mesh, targets)
-    lib = load()
     n_elem = mesh.n_elements
     bisected: list = []
     if not targets.size:
@@ -131,20 +145,14 @@ def refine_waves(mesh, targets, max_steps_factor: int) -> list:
     st[_NTARGETS], st[_LIMIT] = targets.shape[0], limit
     st[_NELEM], st[_NVERTS], st[_NMEMO] = n_elem, mesh.n_verts, len(memo)
     while True:
-        bufs = [s.buffer for s in storage]
         # every bisected id is below the element capacity
-        out = np.empty(min(b.shape[0] for b in bufs), dtype=np.int64)
-        st[_ECAP], st[_VCAP] = out.shape[0], pts.buffer.shape[0]
-        st[_MCAP] = min(memo._keys.buffer.shape[0], memo._vals.buffer.shape[0])
+        out = np.empty(min(s.capacity for s in storage), dtype=np.int64)
+        st[_ECAP], st[_VCAP] = out.shape[0], pts.capacity
+        st[_MCAP] = min(memo._keys.capacity, memo._vals.capacity)
         st[_MBITS] = 64 - memo._shift
         st[_NBISECTED] = 0
-        table = np.array(
-            [b.ctypes.data for b in bufs]
-            + [b.ctypes.data for b in (pts.buffer, memo._slot, memo._keys.buffer,
-                                       memo._vals.buffer, targets, out)],
-            dtype=np.uint64,
-        )
-        status = lib.refine(table.ctypes.data, st.ctypes.data, mesh.dim)
+        status = _call("refine", mesh, _ptr(targets, _I64), _ptr(out, _I64),
+                       _ptr(st, _I64), check=False)
         for s in storage:
             s.commit(int(st[_NELEM]))
         pts.commit(int(st[_NVERTS]))
@@ -159,7 +167,7 @@ def refine_waves(mesh, targets, max_steps_factor: int) -> list:
     # split_many's counters: one version per wave, one leaf per bisection
     forest._n_leaves += len(bisected)
     forest._version += int(st[_WAVES])
-    _raise_for(status, mesh, limit)
+    _check(status, "refine", mesh, limit)
     return bisected
 
 
@@ -173,12 +181,8 @@ def walk(mesh, targets) -> np.ndarray:
     limit = _max_steps(mesh, MAX_STEPS_FACTOR)
     n_elem = mesh.n_elements
     walked = np.empty(n_elem, dtype=np.int64)
-    table = _element_table(mesh)
-    count = load().walk_once(
-        table.ctypes.data, mesh.dim, n_elem, _ptr(targets, _I64), targets.shape[0],
-        limit, _ptr(walked, _I64),
-    )
-    _raise_for(count, mesh, limit)
+    count = _call("walk_once", mesh, n_elem, _ptr(targets, _I64), targets.shape[0],
+                  limit, _ptr(walked, _I64), limit=limit)
     return walked[:count]
 
 
@@ -188,15 +192,7 @@ def stitch(mesh, born: np.ndarray, died: np.ndarray) -> None:
     mesh) and a failed allocation ``MemoryError``, with nothing written."""
     born = np.ascontiguousarray(born, dtype=np.int64)
     died = np.ascontiguousarray(died, dtype=np.int64)
-    status = load().stitch(
-        _ptr(born, _I64), born.shape[0], _ptr(died, _I64), died.shape[0],
-        mesh._nbr.buffer.ctypes.data, mesh._cells.buffer.ctypes.data,
-        mesh.nodes_per_cell, mesh.forest._status.buffer.ctypes.data,
-    )
-    if status == _NONMANIFOLD:
-        raise ValueError("non-manifold mesh: a facet bounds three cells")
-    if status == _NOMEM:
-        raise MemoryError(f"{_SRC.name}: stitch could not allocate its scratch")
+    _call("stitch", mesh, _ptr(born, _I64), born.shape[0], _ptr(died, _I64), died.shape[0])
 
 
 def weigh(mesh, roots=None) -> tuple:
@@ -216,22 +212,11 @@ def weigh(mesh, roots=None) -> tuple:
             raise ValueError(f"a root id is outside [0, {n})")
     vwts = np.zeros(n, dtype=np.int64)
     ewts = np.zeros(skeleton.adjncy.shape[0], dtype=np.int64)
-    table = _element_table(mesh)
-    status = load().weigh(
-        table.ctypes.data, mesh.dim, mesh.n_elements,
-        None if roots is None else _ptr(roots, _I64),
-        n if roots is None else roots.shape[0],
-        _ptr(skeleton.xadj, _I64), _ptr(skeleton.adjncy, _I64),
-        _ptr(vwts, _I64), _ptr(ewts, _I64),
+    _call(
+        "weigh", mesh, mesh.n_elements, None if roots is None else _ptr(roots, _I64),
+        n if roots is None else roots.shape[0], _ptr(skeleton.xadj, _I64),
+        _ptr(skeleton.adjncy, _I64), _ptr(vwts, _I64), _ptr(ewts, _I64),
     )
-    if status == _NOSLOT:
-        raise ValueError("adjacent leaves in trees whose coarse elements share no facet")
-    if status == _EMPTY_SLOT:
-        raise ValueError("coarse elements share a facet but their trees no leaf pair")
-    if status == _CORRUPT:
-        raise AssertionError("a refinement tree reaches an INACTIVE element")
-    if status == _NOMEM:
-        raise MemoryError(f"{_SRC.name}: weigh could not allocate its scratch")
     return vwts, ewts
 
 
@@ -249,26 +234,13 @@ def cut_count(mesh, assignment) -> int:
     ``assignment`` (one label per leaf, aligned with ``leaf_ids()``, any
     integers)."""
     leaves, part = _leaf_labels(mesh, assignment)
-    count = load().cut_count(
-        mesh.forest._status.buffer.ctypes.data, mesh._nbr.buffer.ctypes.data,
-        mesh.nodes_per_cell, mesh.n_elements,
-        _ptr(leaves, _I64), leaves.shape[0], _ptr(part, _I64),
-    )
-    if count == _CORRUPT:
-        raise AssertionError("a leaf's neighbour is no LEAF")
-    if count == _NOMEM:
-        raise MemoryError(f"{_SRC.name}: cut_count could not allocate its scratch")
-    return int(count)
+    return _call("cut_count", mesh, mesh.n_elements, _ptr(leaves, _I64), leaves.shape[0],
+                 _ptr(part, _I64))
 
 
 def shared_count(mesh, assignment) -> int:
     """The vertices whose incident leaves carry more than one label in
     ``assignment`` (as for :func:`cut_count`)."""
     leaves, part = _leaf_labels(mesh, assignment)
-    count = load().shared_count(
-        mesh._cells.buffer.ctypes.data, mesh.nodes_per_cell, mesh.n_verts,
-        _ptr(leaves, _I64), leaves.shape[0], _ptr(part, _I64),
-    )
-    if count == _NOMEM:
-        raise MemoryError(f"{_SRC.name}: shared_count could not allocate its scratch")
-    return int(count)
+    return _call("shared_count", mesh, mesh.n_verts, _ptr(leaves, _I64), leaves.shape[0],
+                 _ptr(part, _I64))

@@ -113,7 +113,7 @@ class SimplexMesh:
         #: memo: pair_key(a, b) -> midpoint vertex id (an
         #: :class:`~repro.mesh.growable.IntMap` the kernels extend in C);
         #: every entry is a vertex, so it starts as large as the vertex buffer
-        self._midpoint = IntMap(capacity=self._pts.buffer.shape[0])
+        self._midpoint = IntMap(capacity=self._pts.capacity)
         # what follows from cells + forest: the per-version leaf caches,
         # _nbr / _le (one stitch of the roots) and the coarse skeleton
         self._leaf_cells_cache = None

@@ -23,11 +23,27 @@ class GrowableVector:
     ``data`` a *view* of the live prefix (invalidated by the next append
     that grows)."""
 
-    __slots__ = ("_buf", "_n")
+    __slots__ = ("_buf", "_n", "address")
 
     def __init__(self, dtype, capacity: int = 16, row_shape: tuple = ()):
-        self._buf = np.empty((max(capacity, 1), *row_shape), dtype=dtype)
-        self._n = 0
+        self._buf, self._n = np.empty((0, *row_shape), dtype=dtype), 0
+        self._allocate(max(capacity, 1))
+
+    def _allocate(self, capacity: int) -> None:
+        """The one place the backing array is replaced: a new one of
+        ``capacity`` rows takes over the live rows, and its address is
+        recorded in :attr:`address`, where the compiled kernels read it."""
+        buf = np.empty((capacity, *self._buf.shape[1:]), dtype=self._buf.dtype)
+        buf[: self._n] = self._buf[: self._n]
+        self._buf, self.address = buf, buf.ctypes.data
+
+    def __getstate__(self):
+        return self.data, self.capacity
+
+    def __setstate__(self, state) -> None:  # a copy allocates its own
+        self._buf, capacity = state
+        self._n = self._buf.shape[0]
+        self._allocate(capacity)
 
     def __len__(self) -> int:
         return self._n
@@ -41,17 +57,19 @@ class GrowableVector:
         """The whole backing array, capacity rows long."""
         return self._buf
 
+    @property
+    def capacity(self) -> int:
+        """Rows the backing array holds."""
+        return self._buf.shape[0]
+
     def reserve(self, extra: int) -> None:
         """Make room for ``extra`` more rows (capacity doubles)."""
         need = self._n + extra
-        if need <= self._buf.shape[0]:
-            return
-        cap = self._buf.shape[0]
-        while cap < need:
-            cap *= 2
-        new = np.empty((cap, *self._buf.shape[1:]), dtype=self._buf.dtype)
-        new[: self._n] = self._buf[: self._n]
-        self._buf = new
+        cap = self.capacity
+        if need > cap:
+            while cap < need:
+                cap *= 2
+            self._allocate(cap)
 
     def commit(self, n: int) -> None:
         """Set the live length to ``n`` after rows were written in place
@@ -101,7 +119,7 @@ class IntMap:
     finds what the other inserted.  Entries are never removed.
     """
 
-    __slots__ = ("_slot", "_shift", "_keys", "_vals")
+    __slots__ = ("_slot", "_shift", "_keys", "_vals", "slot_address")
 
     def __init__(self, capacity: int = 16):
         self._keys = GrowableVector(np.int64, capacity)
@@ -109,10 +127,19 @@ class IntMap:
         self._resize(max(16, 2 * capacity))
 
     def _resize(self, size: int) -> None:
+        """Rehash into a new slot table of at least ``size`` slots."""
         bits = (size - 1).bit_length()
         self._slot = np.full(1 << bits, -1, dtype=np.int64)
+        self.slot_address = self._slot.ctypes.data
         self._shift = 64 - bits
         self._place(np.arange(len(self._keys), dtype=np.int64))
+
+    def __getstate__(self):
+        return self._keys, self._vals, self._slot.shape[0]
+
+    def __setstate__(self, state) -> None:
+        self._keys, self._vals, size = state
+        self._resize(size)
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
         h = keys.astype(np.uint64) * np.uint64(_GOLD)

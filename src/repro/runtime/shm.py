@@ -296,10 +296,11 @@ class ShmTransport:
         self._ctrl = ctrl
         ctrl.setblocking(False)
         # select(2), not epoll: epoll rounds a timeout up to whole
-        # milliseconds, which turned pull's 0.5 ms slices into 1.1 ms sleeps
-        # (select takes fds below FD_SETSIZE, 1024, only: a pool started
-        # in a process holding more open files fails its first run)
-        self._sel = selectors.SelectSelector()
+        # milliseconds, which turned pull's 0.5 ms slices into 1.1 ms sleeps.
+        # select takes fds below FD_SETSIZE (1024) only: a control socket
+        # numbered past it (a parent holding many files) parks in poll(2)
+        small = ctrl.fileno() < 1024
+        self._sel = (selectors.SelectSelector if small else selectors.PollSelector)()
         self._sel.register(ctrl, selectors.EVENT_READ)
         self._asm = FrameAssembler()
         self._rings_in = dict(rings_in)  # src  -> Ring (consumer role)

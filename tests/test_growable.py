@@ -1,5 +1,8 @@
 """Tests for the grow-in-place storage."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,72 @@ class TestIntMap:
         assert np.array_equal(m.keys_array, keys[:4000])
         assert 2 * len(m) <= m._slot.shape[0]
         assert np.array_equal(m.values_array, np.arange(4000))
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _check_addresses(store) -> None:
+    """Every address ``store`` recorded is its buffer's."""
+    if isinstance(store, IntMap):
+        assert store.slot_address == store._slot.ctypes.data
+        _check_addresses(store._keys)
+        _check_addresses(store._vals)
+    else:
+        assert store.address == store.buffer.ctypes.data
+
+
+class TestRecordedAddresses:
+    """The compiled mesh kernels read each buffer at the address recorded
+    where it was allocated: it must be the buffer's after every operation,
+    and a copy's the copy's own."""
+
+    def test_vector_after_every_operation(self):
+        v = GrowableMatrix(2, np.int64, capacity=1)
+        _check_addresses(v)
+        for k in range(1, 30):
+            v.reserve(k)
+            _check_addresses(v)
+            v.extend(np.full((k, 2), k))
+            _check_addresses(v)
+            v.reserve(1)
+            v.buffer[len(v)] = [-k, -k]
+            v.commit(len(v) + 1)
+            _check_addresses(v)
+        assert v.data[-1].tolist() == [-29, -29]
+
+    def test_intmap_after_every_operation(self):
+        rng = np.random.default_rng(2)
+        m = IntMap(capacity=1)
+        _check_addresses(m)
+        for k in range(1, 40):
+            keys = np.setdiff1d(rng.choice(1 << 40, k, replace=False), m.keys_array)
+            m.add_new(keys, np.arange(keys.size))
+            _check_addresses(m)
+            m.reserve(3 * k)
+            _check_addresses(m)
+            m._resize(4 * len(m))  # a rehash into a table of its own
+            _check_addresses(m)
+        assert np.array_equal(m.lookup(m.keys_array), m.values_array)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+    def test_copies_record_their_own_buffers(self, duplicate):
+        v = GrowableMatrix(3, float, capacity=5)
+        v.extend(np.arange(12.0).reshape(4, 3))
+        m = IntMap(capacity=3)
+        keys = np.arange(0, 1 << 45, 1 << 38)
+        m.add_new(keys, keys // 7)
+        dv, dm = duplicate(v), duplicate(m)
+        _check_addresses(dv)
+        _check_addresses(dm)
+        assert dv.address != v.address and dm.slot_address != m.slot_address
+        assert dv.capacity == v.capacity and np.array_equal(dv.data, v.data)
+        assert np.array_equal(dm.keys_array, m.keys_array)
+        assert np.array_equal(dm.lookup(keys), keys // 7)
+        # the copy grows on its own
+        dv.extend(np.ones((9, 3)))
+        dm.add_new(keys + 1, keys)
+        _check_addresses(dv)
+        _check_addresses(dm)
+        assert len(v) == 4 and len(m) == keys.size

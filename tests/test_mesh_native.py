@@ -16,6 +16,9 @@ propagation limit, a failed scratch allocation — leave whole waves behind:
 the oracle's state after the same waves, a conformal mesh.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -157,13 +160,36 @@ def test_coarsen_to_roots_then_refine_reactivates(kind):
     _assert_same(native, reference)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+)
+def test_a_copied_mesh_refines_like_the_original(dim, duplicate):
+    """A deep copy and a pickled-and-loaded copy of a refined mesh own
+    their storage: refining and coarsening the copy leaves the original as
+    it was, and the original, run the same way, ends id for id where the
+    copy did."""
+    verts, cells = _input("delaunay", 6) if dim == 2 else _input3d("jittered", 6)
+    mesh = KERNELS[dim][0](verts, cells)
+    _script(mesh, 6, "rrc")
+    twin = duplicate(mesh)
+    before = [a.copy() for a in _state(mesh)]
+    got = _script(twin, 7, "rrcr")
+    for x, y in zip(before, _state(mesh), strict=True):
+        assert np.array_equal(x, y)
+    assert _script(mesh, 7, "rrcr") == got
+    _assert_same(twin, mesh)
+    twin.check_adjacency()
+    twin.check_conformal()
+
+
 def _squeeze(mesh, elements: int) -> None:
     """Shrink the element-indexed buffers to ``elements`` rows and the
-    vertex buffer and memo to their live length."""
+    vertex buffer and memo to their live length, through the storage's
+    one allocation point (which records each new buffer's address)."""
     for g in _meshnative._element_storage(mesh):
-        g._buf = g._buf[: len(g)].copy()
-        g._buf.resize((elements, *g._buf.shape[1:]), refcheck=False)
-    mesh._pts._buf = mesh._pts._buf[: len(mesh._pts)].copy()
+        g._allocate(elements)
+    mesh._pts._allocate(len(mesh._pts))
     memo = IntMap(capacity=1)
     memo.add_new(mesh._midpoint.keys_array.copy(), mesh._midpoint.values_array.copy())
     mesh._midpoint = memo

@@ -9,10 +9,13 @@ job, shutdown hygiene), the ring as the one data channel and the control
 channel's send discipline.
 """
 
+import json
 import multiprocessing
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.runtime import shm
 from repro.runtime.shm import (
     _CTRL_ABORT,
@@ -317,6 +321,36 @@ class TestShmPool:
             time.sleep(0.05)
         assert not left, [p.name for p in left]
         assert pool_stats() == {}
+
+    def test_pool_runs_in_a_process_holding_many_files(self):
+        """select(2) takes fds below 1024 only.  A child interpreter opens
+        1100 more files (raising its own soft limit, up to the hard one, if
+        it must), so its workers' control sockets are numbered past that:
+        both of its pooled jobs must still succeed."""
+        script = (
+            "import json, os, resource\n"
+            "from repro.runtime.shm import pool_stats\n"
+            "from repro.runtime.simmpi import spmd_run\n"
+            "from tests.test_shm import _pool_prog\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "want = 1100 + 256\n"
+            "if hard != resource.RLIM_INFINITY and hard < want:\n"
+            "    raise SystemExit('SKIP: hard RLIMIT_NOFILE %d' % hard)\n"
+            "if soft != resource.RLIM_INFINITY and soft < want:\n"
+            "    resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))\n"
+            "held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]\n"
+            "runs = [spmd_run(2, _pool_prog, transport='shm') for _ in range(2)]\n"
+            "print(json.dumps([runs, pool_stats()[2][0], max(held) >= 1024]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join([src, os.path.dirname(src)])  # repro, and tests
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        if run.stderr.startswith("SKIP"):
+            pytest.skip(run.stderr.strip())
+        assert run.returncode == 0, run.stderr[-2000:]
+        want = 2 * int(np.arange(200).sum()) + 200
+        assert json.loads(run.stdout) == [[[want, want]] * 2, 2, True]
 
     def test_exception_in_job_keeps_pool_alive(self):
         shutdown_pools()
