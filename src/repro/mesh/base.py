@@ -12,9 +12,9 @@ dimensions:
 * ``_nbr[e, i]`` — the active leaf across the facet of ``e`` opposite its
   local vertex ``i`` (``-1`` on the domain boundary).  Rows are current
   for leaves only; a row is rewritten whenever its element (re)enters the
-  leaf set.  :meth:`SimplexMesh.leaf_adjacency_pairs` — hence the dual
-  graphs and the cut — and :meth:`SimplexMesh.coarse_skeleton` are read
-  off these rows.
+  leaf set.  :meth:`SimplexMesh.leaf_adjacency_pairs`,
+  :meth:`SimplexMesh.coarse_skeleton` and the compiled weight, cut and
+  shared-vertex counts are read off these rows.
 * ``_le[e]`` — local index of the longest edge of ``e`` (local edge ``j``
   joins local vertices ``_EDGE_A[j]`` and ``_EDGE_B[j]``), fixed at
   creation; ties go to the smallest vertex pair, so the elements sharing
@@ -264,10 +264,10 @@ class SimplexMesh:
     def leaf_adjacency_pairs(self) -> np.ndarray:
         """``(k, 2)`` leaf-position pairs (indices into :meth:`leaf_ids`)
         for every shared facet of the leaf mesh, each pair once.  Cached per
-        forest version — the fine adjacency is recomputed once per
-        structural change instead of once per consumer (dual graph, cut
-        size, processor graph, ghost layer, the jump estimator all read
-        it)."""
+        forest version.  No PARED round reads it: the coarse dual graph and
+        the cut and shared-vertex counts are compiled passes over ``_nbr``.
+        Its readers are the fine dual graph, the processor graph and the
+        jump estimator, which experiments and the solve-driven loop use."""
         version = self.forest.version
         if self._adj_pairs_version != version:
             pairs = self._leaf_adjacency_pairs_uncached()

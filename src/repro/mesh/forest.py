@@ -61,8 +61,6 @@ class RefinementForest:
         self._version = 0
         self._leaves_cache = None
         self._leaves_version = -1
-        self._counts_cache = None
-        self._counts_version = -1
 
     @property
     def version(self) -> int:
@@ -225,16 +223,8 @@ class RefinementForest:
 
     def leaf_counts_by_root(self) -> np.ndarray:
         """Vertex weights of the coarse dual graph: for each root, the number
-        of active leaves of its tree (Section 5).  Cached per structure
-        version; read-only."""
-        if self._counts_version != self._version:
-            counts = np.bincount(
-                self._root.data[self.leaves()], minlength=self._n_roots
-            )
-            counts.setflags(write=False)
-            self._counts_cache = counts
-            self._counts_version = self._version
-        return self._counts_cache
+        of active leaves of its tree (Section 5)."""
+        return np.bincount(self._root.data[self.leaves()], minlength=self._n_roots)
 
     def subtree_leaves(self, eid: int) -> list:
         """Active leaves of the subtree rooted at ``eid`` (eid included if it

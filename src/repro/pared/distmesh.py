@@ -44,14 +44,6 @@ class DistributedMesh:
             raise ValueError("owner rank out of range")
         self.comm = comm
         self.amesh = amesh
-        # leaf_owners/owned_leaf_ids cache, keyed on (forest structure
-        # version, ownership revision); `owner` is a property so any
-        # assignment bumps the revision
-        self._owner_rev = -1
-        self._lo_cache = None
-        self._lo_key = None
-        self._owned_cache = None
-        self._owned_key = None
         self.owner = owner.copy()
         # ranks participating in collectives/exchanges; after a crash the
         # recovery protocol rebuilds the mesh view over the survivors only
@@ -69,40 +61,14 @@ class DistributedMesh:
     def rank(self) -> int:
         return self.comm.rank
 
-    @property
-    def owner(self) -> np.ndarray:
-        return self._owner
-
-    @owner.setter
-    def owner(self, value) -> None:
-        self._owner = np.asarray(value, dtype=np.int64)
-        self._owner_rev += 1
-
-    def _cache_key(self) -> tuple:
-        return (self.amesh.mesh.forest.version, self._owner_rev)
-
     def leaf_owners(self) -> np.ndarray:
         """Owning rank of every leaf (via its root), aligned with
-        ``leaf_ids()``.  Cached until the forest or the ownership map
-        changes; the returned array is read-only."""
-        key = self._cache_key()
-        if self._lo_key != key:
-            lo = self.owner[self.amesh.leaf_roots()]
-            lo.setflags(write=False)
-            self._lo_cache = lo
-            self._lo_key = key
-        return self._lo_cache
+        ``leaf_ids()``."""
+        return self.owner[self.amesh.leaf_roots()]
 
     def owned_leaf_ids(self) -> np.ndarray:
-        """Sorted ids of the leaves this rank owns (cached, read-only)."""
-        key = self._cache_key()
-        if self._owned_key != key:
-            leaf_ids = self.amesh.leaf_ids()
-            owned = leaf_ids[self.leaf_owners() == self.rank]
-            owned.setflags(write=False)
-            self._owned_cache = owned
-            self._owned_key = key
-        return self._owned_cache
+        """Sorted ids of the leaves this rank owns."""
+        return self.amesh.leaf_ids()[self.leaf_owners() == self.rank]
 
     def owned_leaves_among(self, ids) -> np.ndarray:
         """The ids in ``ids`` that are leaves this rank owns, sorted and

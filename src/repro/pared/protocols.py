@@ -10,11 +10,12 @@ thing about a round that varies with it:
 
 * :class:`_DeltaProtocol` (strategies with ``halo = False``:
   ``pnr``/``mlkl``/``sfc``): every rank diffs its own counts against last
-  round's, slot by slot, and sends the delta to every live peer; each rank
-  merges all of them into its own :class:`_MergedGraph` and runs the
-  registry strategy on it.  Round state: the delta baseline and ``G``.
-  Neither is checkpointed: a recovery starts a fresh protocol, whose zero
-  baseline makes its first P2 carry full reports.
+  round's, slot by slot, and sends the delta to every live peer in slot
+  space (int32 root ids and forward-slot positions with their counts);
+  each rank scatters all of them into its own :class:`_MergedGraph` and
+  runs the registry strategy on it.  Round state: the delta baseline and
+  ``G``.  Neither is checkpointed: a recovery starts a fresh protocol,
+  whose zero baseline makes its first P2 carry full reports.
 * :class:`_HaloProtocol` (``halo = True``: ``dkl``): boundary slices of
   the full report travel neighbor-to-neighbor into a
   :class:`~repro.partition.distributed.PartView`, one allgather of the
@@ -57,15 +58,16 @@ def _on_live(live, size: int, fn, *owners):
 
 class _MergedGraph:
     """A rank's copy of ``G``: the CSR skeleton of ``M^0`` re-weighed with
-    values that arrive *only* in packed P2 messages.
+    values that arrive *only* in P2 frames.
 
     ``G``'s key set is ``M^0``'s and never changes, so the state is two
     dense arrays: one weight per root (``vwts``) and one per skeleton slot
-    (``ewts``, aligned with the skeleton's ``adjncy``).  A merge scatters
-    each reported key ``a * n + b`` (``a < b``) into its ``a→b`` and
-    ``b→a`` slots; a key the skeleton lacks, or a slot no report has filled,
-    raises ``ValueError`` — the loud-failure rule of
-    :func:`~repro.mesh.dualgraph.coarse_dual_graph`.
+    (``ewts``, aligned with the skeleton's ``adjncy``).  A frame names both
+    by position: root ids, and indices into ``fwd``, the skeleton's forward
+    slots.  A merge range-checks every index, then scatters each forward
+    slot's count into its ``a→b`` and ``b→a`` slots; an index out of range,
+    or a slot no frame has filled, raises ``ValueError`` — the
+    loud-failure rule of :func:`~repro.mesh.dualgraph.coarse_dual_graph`.
     """
 
     def __init__(self, skeleton: WeightedGraph):
@@ -73,29 +75,31 @@ class _MergedGraph:
         n = skeleton.n_vertices
         src, dst = skeleton.edge_src, skeleton.adjncy
         slots = src * n + dst  # ascending: the skeleton's rows are sorted
-        #: the forward slots (``a→b``, ``a < b``) and their keys, ascending —
-        #: the one slot map of a report, on the sending side too
+        #: the forward slots (``a→b``, ``a < b``), ascending — what a
+        #: frame's ``e_pos`` indexes, on the sending side too
         self.fwd = np.flatnonzero(src < dst)
-        self.keys = slots[self.fwd]
+        #: each forward slot's mirror ``b→a``
         self._rev = np.searchsorted(slots, dst[self.fwd] * n + src[self.fwd])
         self.vwts = np.zeros(n)
         self.ewts = np.zeros(dst.shape[0])
 
-    def merge(self, messages) -> None:
-        """Apply one round's deltas.  Every key has exactly one reporter
+    def merge(self, frames) -> None:
+        """Apply one round's frames.  Every entry has exactly one reporter
         (the owner of its root, or of the edge's lower endpoint), so the
         arrival order does not matter."""
         def cat(field):
-            return np.concatenate([m[field] for m in messages])
+            return np.concatenate([f[field] for f in frames])
 
-        self.vwts[cat("v_ids")] = cat("v_wts")
-        keys = cat("e_keys")
-        pos = np.searchsorted(self.keys, keys)
-        hit = pos < self.keys.size
-        hit[hit] = self.keys[pos[hit]] == keys[hit]
-        if not hit.all():
-            raise ValueError(f"edge key {int(keys[~hit][0])} is no shared facet of M^0")
-        self.ewts[self.fwd[pos]] = self.ewts[self._rev[pos]] = cat("e_wts")
+        v_ids, e_pos = cat("v_ids"), cat("e_pos")
+        for field, ids, bound in (("v_ids", v_ids, self.vwts.shape[0]),
+                                  ("e_pos", e_pos, self.fwd.shape[0])):
+            bad = (ids < 0) | (ids >= bound)
+            if bad.any():
+                raise ValueError(
+                    f"{field} entry {int(ids[bad][0])} is outside [0, {bound})"
+                )
+        self.vwts[v_ids] = cat("v_wts")
+        self.ewts[self.fwd[e_pos]] = self.ewts[self._rev[e_pos]] = cat("e_wts")
         if not (self.vwts.all() and self.ewts.all()):
             raise ValueError("a root or shared facet of M^0 was never reported")
 
@@ -136,13 +140,16 @@ class _DeltaProtocol(_WeightProtocol):
                       np.zeros(self.G.fwd.shape[0], dtype=np.int64))
 
     def weigh(self, dmesh) -> dict:
-        """This rank's P2 delta: the entries of its report that are new or
-        changed since last round, diffed slot by slot.  A count is nonzero
-        exactly on the owned rows (every tree has a leaf, and ``weigh``
-        raises on an empty slot of a counted row), so ``!= 0`` is "in the
-        report" and ``!= prev`` is "not reported with this value": a root
-        that comes back after a round elsewhere is re-reported, and the
-        zero baseline of a fresh protocol sends the full report."""
+        """This rank's P2 frame: the entries of its counts that are new or
+        changed since last round, diffed slot by slot, as four int32
+        arrays — root ids ``v_ids`` with their leaf counts ``v_wts``, and
+        positions in ``G.fwd`` ``e_pos`` with their facet counts ``e_wts``.
+        A count is nonzero exactly on the owned rows (every tree has a
+        leaf, and ``weigh`` raises on an empty slot of a counted row), so
+        ``!= 0`` is "in the report" and ``!= prev`` is "not reported with
+        this value": a root that comes back after a round elsewhere is
+        re-reported, and the zero baseline of a fresh protocol sends the
+        full report."""
         vwts, ewts = dmesh.owned_weights()
         ewts = ewts[self.G.fwd]
         prev_v, prev_e = self._prev
@@ -150,10 +157,10 @@ class _DeltaProtocol(_WeightProtocol):
         v_ids = np.flatnonzero((vwts != prev_v) & (vwts != 0))
         e_pos = np.flatnonzero((ewts != prev_e) & (ewts != 0))
         return {
-            "v_ids": v_ids,
-            "v_wts": vwts[v_ids].astype(np.float64),
-            "e_keys": self.G.keys[e_pos],
-            "e_wts": ewts[e_pos].astype(np.float64),
+            "v_ids": v_ids.astype(np.int32),
+            "v_wts": vwts[v_ids].astype(np.int32),
+            "e_pos": e_pos.astype(np.int32),
+            "e_wts": ewts[e_pos].astype(np.int32),
         }
 
     def exchange(self, dmesh, delta):

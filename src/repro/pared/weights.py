@@ -1,8 +1,9 @@
-"""Packed (struct-of-arrays) weight reports for PARED phases P1/P2.
+"""Packed (struct-of-arrays) weight reports in key form.
 
-A weight report is a dict of flat numpy arrays — the wire format the typed
-codec (:mod:`repro.runtime.codec`) ships as raw buffers, one frame per
-message:
+A weight report is a dict of flat numpy arrays — the form the ``dkl`` halo
+protocol ships (:func:`split_report_by_owner`), and the oracle of the delta
+protocol's slot-space frames, which name edges by skeleton slot instead
+(:meth:`~repro.pared.protocols._DeltaProtocol.weigh`):
 
 ``v_ids`` / ``v_wts``
     Sorted coarse-root ids with their fresh vertex weights.
@@ -15,9 +16,7 @@ message:
 All arrays in a report are sorted ascending and duplicate-free.  ``G``'s
 key set is ``M^0``'s and never changes, and every root has exactly one
 owner, so a delta needs no deletions: a key a rank stops reporting is
-reported by its new owner, and every rank's
-:class:`~repro.pared.protocols._MergedGraph` keeps one dense slot per vertex
-and edge of ``M^0``'s skeleton for the values to land in.
+reported by its new owner.
 """
 
 from __future__ import annotations

@@ -86,15 +86,34 @@ def kl_tail_arms(run, cfg) -> set:
     return arms
 
 
+def slot_frame(report: dict, graph: WeightedGraph) -> dict:
+    """A key-form weight report as the P2 frame the delta protocol sends:
+    four int32 arrays, each edge key ``a * n + b`` turned into its position
+    among ``graph``'s forward slots (``a→b``, ``a < b``, CSR order) by a
+    ``searchsorted`` — the oracle of
+    :meth:`~repro.pared.protocols._DeltaProtocol.weigh`'s slot-space cut.
+    ``graph`` is ``M^0``'s skeleton or any graph weighed on it."""
+    n = graph.n_vertices
+    src, dst = graph.edge_src, graph.adjncy
+    keys = (src * n + dst)[src < dst]
+    assert np.isin(report["e_keys"], keys).all()
+    return {
+        "v_ids": report["v_ids"].astype(np.int32),
+        "v_wts": report["v_wts"].astype(np.int32),
+        "e_pos": np.searchsorted(keys, report["e_keys"]).astype(np.int32),
+        "e_wts": report["e_wts"].astype(np.int32),
+    }
+
+
 def rank_deltas(graph: WeightedGraph, owner, prev: list) -> list:
-    """Every rank's P2 delta of ``graph`` under ``owner``, cut against its
-    baseline in ``prev`` (one slot per rank, updated in place)."""
+    """Every rank's P2 frame of ``graph`` under ``owner``, cut against its
+    baseline report in ``prev`` (one slot per rank, updated in place)."""
     from repro.pared.weights import diff_weight_report, full_weight_report
 
     out = []
     for r in range(len(prev)):
         full = full_weight_report(graph, owner, r)
-        out.append(diff_weight_report(full, prev[r]))
+        out.append(slot_frame(diff_weight_report(full, prev[r]), graph))
         prev[r] = full
     return out
 

@@ -21,6 +21,9 @@ round: parallel refinement numbers every element as serial refinement does.
 Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python -m tests.test_pared_grid --regen
+
+which prints, for each cell whose digest changed, which half moved
+(``history`` / ``phases``) before it writes the file.
 """
 
 import hashlib
@@ -171,5 +174,10 @@ if __name__ == "__main__":
     import sys
 
     if "--regen" in sys.argv:
-        GOLDEN.write_text(json.dumps(compute_golden(), indent=2) + "\n")
+        old, new = json.loads(GOLDEN.read_text()), compute_golden()
+        for key, halves in new.items():
+            moved = [h for h in halves if old.get(key, {}).get(h) != halves[h]]
+            if moved:
+                print(f"{key}: {' '.join(moved)} moved")
+        GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
         print(f"wrote {GOLDEN}")

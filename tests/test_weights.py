@@ -4,7 +4,9 @@
 merge of them (:class:`~repro.pared.protocols._MergedGraph`) — the P2
 protocol without running one.  The focus is the edge cases a round can
 hit: empty arrays, ownership handoffs, refinement and coarsening between
-rounds, and reports that do not fit ``M^0``.
+rounds, and frames that do not fit ``M^0``.  A delta travels as a slot
+frame; the key-form report diff, turned into one by
+:func:`tests.conftest.slot_frame`, is its oracle.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.pared.weights import (
 )
 from repro.partition.registry import make_repartitioner
 from repro.runtime.codec import encode
-from tests.conftest import rank_deltas
+from tests.conftest import rank_deltas, slot_frame
 
 I = np.int64
 F = np.float64
@@ -83,8 +85,8 @@ class TestSortedMembership:
 class _Ranks:
     """Every rank's delta protocol over one shared mesh, side by side with
     the oracle: its full report of the whole mesh's ``G`` diffed against
-    the previous one (``diff_weight_report(full_weight_report(...),
-    prev)``)."""
+    the previous one and turned into a slot frame
+    (``slot_frame(diff_weight_report(full_weight_report(...), prev))``)."""
 
     def __init__(self, amesh, p):
         self.amesh, self.p = amesh, p
@@ -101,7 +103,7 @@ class _Ranks:
             dmesh = DistributedMesh(SimpleNamespace(rank=r, size=self.p), self.amesh, owner)
             got = proto.weigh(dmesh)
             full = full_weight_report(graph, owner, r)
-            want = diff_weight_report(full, self.prev[r])
+            want = slot_frame(diff_weight_report(full, self.prev[r]), graph)
             self.prev[r] = full
             assert list(got) == list(want)
             for name in want:
@@ -124,8 +126,9 @@ def _adapt(amesh, data):
 
 class TestDenseDelta:
     """A rank's P1 delta, diffed slot by slot against its own last counts,
-    is the sorted-report diff byte for byte: over 2-D and 3-D
-    refine/coarsen scripts and any sequence of owner maps."""
+    is the sorted-report diff's slot frame byte for byte (four int32
+    arrays): over 2-D and 3-D refine/coarsen scripts and any sequence of
+    owner maps."""
 
     @settings(
         max_examples=30,
@@ -166,7 +169,7 @@ class TestDenseDelta:
         (d0, _), (d1, _) = ranks.round(owner)
         assert d0["v_ids"].tolist() == [0]
         assert d0["v_wts"].tolist() == [coarse_dual_graph(amesh.mesh).vwts[0]]
-        assert d1["v_ids"].size == d1["e_keys"].size == 0
+        assert d1["v_ids"].size == d1["e_pos"].size == 0
 
     def test_empty_owned_set(self):
         """A rank that owns no root sends an empty delta, in its first
@@ -186,8 +189,9 @@ class TestDenseDelta:
         graph = coarse_dual_graph(amesh.mesh)
         for r, (got, _) in enumerate(_Ranks(amesh, 2).round(owner)):
             full = full_weight_report(graph, owner, r)
-            assert encode(got) == encode(full)
-            assert got["v_ids"].size and got["e_keys"].size
+            assert encode(got) == encode(slot_frame(full, graph))
+            assert got["v_ids"].size and got["e_pos"].size
+            assert all(got[name].dtype == np.int32 for name in got)
 
 
 class TestCoordinatorMerge:
@@ -229,29 +233,56 @@ class TestCoordinatorMerge:
             for name in ("xadj", "adjncy", "ewts", "vwts"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    def test_foreign_key_raises(self):
+    @pytest.mark.parametrize(
+        "ids, wts, at",
+        [
+            ("v_ids", "v_wts", -1),  # numpy would write the last root
+            ("v_ids", "v_wts", "n_roots"),
+            ("e_pos", "e_wts", -1),
+            ("e_pos", "e_wts", "n_fwd"),
+        ],
+        ids=["negative_root", "root_past_n", "negative_pos", "pos_past_fwd"],
+    )
+    def test_out_of_range_index_raises(self, ids, wts, at):
+        """A root id outside ``[0, n_roots)`` or a position outside
+        ``[0, len(fwd))`` is refused before anything is written."""
         amesh = AdaptiveMesh.unit_square(2)
         graph = coarse_dual_graph(amesh.mesh)
-        n = amesh.n_roots
-        full = full_weight_report(graph, np.zeros(n, dtype=I), 0)
-        a, b = next(
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if b not in graph.neighbors(a)
-        )
         cg = _MergedGraph(amesh.mesh.coarse_skeleton())
-        with pytest.raises(ValueError, match="no shared facet"):
-            cg.merge([full, _report(e_keys=[int(edge_keys(a, b, n))])])
+        full = slot_frame(
+            full_weight_report(graph, np.zeros(amesh.n_roots, dtype=I), 0), graph
+        )
+        at = {"n_roots": amesh.n_roots, "n_fwd": cg.fwd.size}.get(at, at)
+        bad = {name: arr[:0] for name, arr in full.items()}
+        bad[ids] = np.array([at], dtype=np.int32)
+        bad[wts] = np.array([99], dtype=np.int32)
+        with pytest.raises(ValueError, match=f"{ids} entry {at} is outside"):
+            cg.merge([full, bad])
+        assert not cg.vwts.any() and not cg.ewts.any()
 
     def test_unfilled_slot_raises(self):
         amesh = AdaptiveMesh.unit_square(2)
         graph = coarse_dual_graph(amesh.mesh)
         owner = np.arange(amesh.n_roots, dtype=I) % 2
         cg = _MergedGraph(amesh.mesh.coarse_skeleton())
-        # rank 1's report never arrives
+        # rank 1's frame never arrives
         with pytest.raises(ValueError, match="never reported"):
-            cg.merge([full_weight_report(graph, owner, 0)])
+            cg.merge([slot_frame(full_weight_report(graph, owner, 0), graph)])
+
+
+class TestSlotFrameBytes:
+    def test_p2_bytes_bound(self):
+        """A slot frame entry is two int32s, where a key-form entry was an
+        int64 key and a float64 weight: the corner workload's P2 traffic
+        (n = 40, p = 2, seed 71, ``pnr``) is bounded at 0.55 of the
+        180 902 B the key form sent."""
+        from bench.workloads import ParedWorkload
+
+        w = ParedWorkload("corner", problem="corner", n=40, rounds=5, p=2,
+                          transport="thread", partitioner="pnr")
+        w.generate(71)
+        _, stats = w.call()
+        assert stats.phase_report()["P2"][1] <= 0.55 * 180_902
 
 
 class TestEdgeKeyPacking:
@@ -265,19 +296,6 @@ class TestEdgeKeyPacking:
         keys = edge_keys(a, b, 20)
         ra, rb = split_edge_keys(keys, 20)
         assert np.array_equal(ra, a) and np.array_equal(rb, b)
-
-    def test_partition_layer_packing_is_identical(self):
-        """repro.partition.distributed keeps a local copy of the packing
-        rule (to stay importable without the pared package) — the two must
-        never drift apart."""
-        from repro.partition import distributed as D
-
-        a = np.array([0, 3, 5], dtype=I)
-        b = np.array([2, 4, 9], dtype=I)
-        assert np.array_equal(edge_keys(a, b, 10), D.edge_keys(a, b, 10))
-        ka, kb = split_edge_keys(edge_keys(a, b, 10), 10)
-        da, db = D.split_edge_keys(D.edge_keys(a, b, 10), 10)
-        assert np.array_equal(ka, da) and np.array_equal(kb, db)
 
 
 class TestSplitReportByOwner:
