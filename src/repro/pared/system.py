@@ -201,8 +201,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
     with PERF.span("pared.P0"):
         with PERF.span("pared.P0.mark"):
             refine_ids, coarsen_ids, extras = mark(dmesh, rnd)
-        dmesh.parallel_refine(dmesh.owned_leaves_among(refine_ids))
-        dmesh.parallel_coarsen(dmesh.owned_leaves_among(coarsen_ids))
+        dmesh.parallel_adapt(dmesh.owned_leaves_among(refine_ids), coarsen_ids)
         leaves_before = amesh.leaf_ids().copy() if cfg.audit else None
 
     # ---- P1: weigh — local weights of owned roots ------------------- #
@@ -252,7 +251,6 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int, mark) -> None
             "imbalance_before": imb,
             "local_load": dmesh.local_load(),
             "owner": dmesh.owner.copy(),
-            "old_owner": old_owner,
             "p_live": len(dmesh.live),
             **extras,
         }
@@ -321,7 +319,6 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
             "elements_moved": mig["elements_moved"],
             "trees_moved": mig["trees_moved"],
             "owner": dmesh.owner.copy(),
-            "old_owner": ckpt.owner.copy(),
             "p_live": len(live),
             "dead": comm.dead_ranks(),
         }

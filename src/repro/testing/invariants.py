@@ -266,10 +266,9 @@ def check_history_agreement(histories) -> None:
                         f"rank {r0} has {a.get(key)!r}, rank {r} has "
                         f"{b.get(key)!r}",
                     )
-            for key in ("owner", "old_owner"):
-                if key in a and not np.array_equal(a[key], b[key]):
-                    _fail(
-                        "history-agreement",
-                        f"round {a.get('round')}: '{key}' arrays differ "
-                        f"between rank {r0} and rank {r}",
-                    )
+            if "owner" in a and not np.array_equal(a["owner"], b["owner"]):
+                _fail(
+                    "history-agreement",
+                    f"round {a.get('round')}: 'owner' arrays differ "
+                    f"between rank {r0} and rank {r}",
+                )

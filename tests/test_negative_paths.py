@@ -103,12 +103,12 @@ class TestDistMeshEdgeCases:
         def prog(comm):
             am = AdaptiveMesh.unit_square(3)
             dm = DistributedMesh(comm, am, np.zeros(am.n_roots, dtype=np.int64))
-            out = dm.parallel_refine([])
+            out = dm.parallel_adapt([], [])
             return (out, am.n_leaves)
 
         results = spmd_run(2, prog)
         for out, n in results:
-            assert out == [] and n == 18
+            assert out == ([], []) and n == 18
 
     def test_coarsen_unrefined_mesh(self):
         from repro.pared import DistributedMesh
@@ -117,7 +117,7 @@ class TestDistMeshEdgeCases:
         def prog(comm):
             am = AdaptiveMesh.unit_square(3)
             dm = DistributedMesh(comm, am, np.zeros(am.n_roots, dtype=np.int64))
-            merged = dm.parallel_coarsen([int(e) for e in dm.owned_leaf_ids()])
+            _, merged = dm.parallel_adapt([], dm.owned_leaf_ids())
             return merged
 
         assert spmd_run(2, prog) == [[], []]

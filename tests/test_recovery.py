@@ -16,6 +16,7 @@ from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.dualgraph import coarse_dual_graph
 from repro.pared import ParedConfig, run_pared
 from repro.pared.migrate import plan_recovery_assignment
+from repro.partition import make_repartitioner
 from repro.runtime import (
     CheckpointStore,
     FaultPlan,
@@ -325,7 +326,9 @@ class TestCrashRecoveryLadder:
     def _planned_on_the_mesh(crash_rank, crash_at_op, rounds):
         """Run to the crash; return the survivors' recovery record and the
         plan ``plan_recovery_assignment`` makes on the dual graph of the
-        checkpointed mesh, re-adapted serially."""
+        checkpointed mesh, re-adapted serially, from the checkpointed owner
+        map: the checkpointed round's record, or the bootstrap partition
+        before round 0."""
         def make_mesh():
             return AdaptiveMesh.unit_square(10)
 
@@ -341,13 +344,21 @@ class TestCrashRecoveryLadder:
         histories, _ = run_pared(cfg)
         assert histories[crash_rank] is None
         survivor = next(h for h in histories if h is not None)
-        rec = next(r for r in survivor if r.get("recovery"))
+        at = next(i for i, r in enumerate(survivor) if r.get("recovery"))
+        rec = survivor[at]
         amesh = make_mesh()
+        if at:
+            assert survivor[at - 1]["round"] == rec["round"]
+            owner = survivor[at - 1]["owner"]
+        else:
+            owner = make_repartitioner("pnr", cfg.pnr).initial(
+                coarse_dual_graph(amesh.mesh), _P
+            )
         for rnd in range(rec["round"] + 1):
             amesh.refine(_marker(amesh, rnd)[0])
         live = [r for r in range(_P) if r != crash_rank]
         want = plan_recovery_assignment(
-            coarse_dual_graph(amesh.mesh), rec["old_owner"], live, cfg.pnr
+            coarse_dual_graph(amesh.mesh), owner, live, cfg.pnr
         )
         return rec, want
 
@@ -365,7 +376,7 @@ class TestCrashRecoveryLadder:
         checkpoint holds ``G``: every survivor plans on its replica's dual
         graph, which equals the ``G`` merged in round 0 — the mesh
         re-adapted serially with the same marker."""
-        rec, want = self._planned_on_the_mesh(crash_rank, 24, rounds=2)
+        rec, want = self._planned_on_the_mesh(crash_rank, 14, rounds=2)
         assert rec["round"] == 0
         assert np.array_equal(rec["owner"], want)
 
