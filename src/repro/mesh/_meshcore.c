@@ -1,7 +1,8 @@
 /* Compiled core of the mesh kernels: the whole Rivara wave loop of
  * repro.mesh.rivara2d.refine2d and repro.mesh.rivara3d.refine3d in one
- * call, its read-only first-wave walk, the adjacency stitch that
- * refinement and coarsening (SimplexMesh._merge_many) end in, and the
+ * call, its read-only first-wave walk, the rows of freshly stored cells
+ * (a mesh's roots), the adjacency stitch that construction, refinement
+ * and coarsening (SimplexMesh._merge_many) end in, and the
  * counts read off the leaves' _nbr rows (phase P1's weights of the coarse
  * dual graph, the cut and the shared vertices), in both dimensions.  It is
  * the only implementation the package runs; the numpy/Python code it
@@ -9,9 +10,10 @@
  *
  *   refine     ~ 2-D: the numpy wave loop refine2d (_walk2d, bisect_many,
  *                midpoints, _split_many, RefinementForest.split_many,
- *                _grow_adjacency, _stitch_py); 3-D: the Python wave loop
- *                refine3d (_star, _walk3d, _bisect_stars)
+ *                grow_adjacency, _stitch_py); 3-D: the Python wave loop
+ *                refine3d (_star, _walk3d, _bisect_stars, grow_adjacency)
  *   walk_once  ~ walk
+ *   fresh      ~ grow_adjacency (the numpy longest_local)
  *   stitch     ~ _stitch_py (2-D); check_adjacency's brute force (3-D)
  *   weigh      ~ coarse_dual_graph (the numpy slot walk)
  *   cut_count  ~ cut_size
@@ -30,11 +32,11 @@
  * order.  Fresh children take consecutive id pairs in that order
  * (INACTIVE children are reactivated instead), missing midpoints are
  * created in ascending edge-key order as 0.5 * (a + b) per coordinate, and
- * the longest-edge rule of new cells is SimplexMesh._longest_local's,
- * operation for operation (no -ffast-math, no FMA contraction; see
- * repro/_native.py).  The stitch pairs equal facets; on a conformal mesh a
- * facet occurs at most twice among the slots it rewrites, so the pairing
- * does not depend on the order they are visited.
+ * the longest-edge rule of every cell, roots included, is the oracle's
+ * longest_local, operation for operation (no -ffast-math, no FMA
+ * contraction; see repro/_native.py).  The stitch pairs equal facets; on
+ * a conformal mesh a facet occurs at most twice among the slots it
+ * rewrites, so the pairing does not depend on the order they are visited.
  *
  * Storage is the Python side's: the growable arrays of the forest, the
  * cells, vertices, _nbr / _le and the midpoint IntMap, whose addresses
@@ -364,7 +366,7 @@ static inline int64_t edge_key(const Mesh *m, int64_t e, int j)
     return pair_key(c[m->ea[j]], c[m->eb[j]]);
 }
 
-/* SimplexMesh._longest_local for one cell */
+/* the longest-edge rule for one cell (the oracle's longest_local) */
 static int64_t longest_local(const Mesh *m, const int64_t *cell)
 {
     double lens[6];
@@ -395,6 +397,25 @@ static int64_t longest_local(const Mesh *m, const int64_t *cell)
             best_len = lj;
     }
     return best;
+}
+
+/* the rows of the n freshly stored cells [first, first + n): _nbr all
+ * boundary, _le each cell's longest local edge */
+static void fresh_rows(const Mesh *m, int64_t first, int64_t n)
+{
+    for (int64_t e = first; e < first + n; e++) {
+        for (int v = 0; v < m->npc; v++)
+            m->nbr[m->npc * e + v] = -1;
+        m->le[e] = longest_local(m, m->cells + m->npc * e);
+    }
+}
+
+/* fresh_rows for a mesh's roots at construction; MESH_DONE */
+int64_t fresh(void **arr, int64_t dim, int64_t first, int64_t n)
+{
+    Mesh m = mesh_view(arr, dim);
+    fresh_rows(&m, first, n);
+    return MESH_DONE;
 }
 
 /* A wave's scratch over ids below ecap: the walk's queue, seen marks and
@@ -675,17 +696,14 @@ int64_t refine(void **arr, int64_t dim, const int64_t *targets, int64_t *bisecte
                 children(&m, m.cells + npc * r, j,
                          memo_get(&memo, edge_key(&m, r, j)), kid);
                 for (int c = 0; c < 2; c++) {
-                    int64_t e = c0 + c, *cell = m.cells + npc * e;
+                    int64_t e = c0 + c;
                     parent[e] = r;
                     child0[e] = child1[e] = -1;
                     root[e] = root[r];
                     depth[e] = depth[r] + 1;
-                    for (int v = 0; v < npc; v++) {
-                        cell[v] = kid[c][v];
-                        m.nbr[npc * e + v] = -1;
-                    }
-                    m.le[e] = longest_local(&m, cell);
+                    memcpy(m.cells + npc * e, kid[c], (size_t)npc * sizeof(int64_t));
                 }
+                fresh_rows(&m, c0, 2);
                 child0[r] = c0;
                 child1[r] = c1;
             } else {

@@ -4,7 +4,8 @@
 in either dimension — walk, bisection, forest split, midpoints, ``_nbr`` /
 ``_le`` rows and the stitch — in one call, writing straight into the
 mesh's growable storage; :func:`walk` is its first wave's walk alone,
-read-only; :func:`stitch` is
+read-only; :func:`fresh` writes the same ``_nbr`` / ``_le`` rows for cells
+stored outside a refinement (a mesh's roots); :func:`stitch` is
 :meth:`~repro.mesh.base.SimplexMesh._stitch`, which construction and
 coarsening end in; :func:`weigh` is phase P1's recount of the coarse dual
 graph's weights, over every tree or over some roots' trees only, and
@@ -60,6 +61,7 @@ def _configure(lib) -> None:
     for name, own in (
         ("refine", [ptr, ptr, ptr]),
         ("walk_once", [i64, ptr, i64, i64, ptr]),
+        ("fresh", [i64, i64]),
         ("stitch", [ptr, i64, ptr, i64]),
         ("weigh", [i64, ptr, i64, ptr, ptr, ptr, ptr]),
         ("cut_count", [i64, ptr, i64, ptr]),
@@ -184,6 +186,12 @@ def walk(mesh, targets) -> np.ndarray:
     count = _call("walk_once", mesh, n_elem, _ptr(targets, _I64), targets.shape[0],
                   limit, _ptr(walked, _I64), limit=limit)
     return walked[:count]
+
+
+def fresh(mesh, first: int, n: int) -> None:
+    """Write the ``_nbr`` / ``_le`` rows (committed, unwritten) of the ``n``
+    cells stored from id ``first`` on, as a refinement writes its children's."""
+    _call("fresh", mesh, first, n)
 
 
 def stitch(mesh, born: np.ndarray, died: np.ndarray) -> None:

@@ -17,8 +17,9 @@ dimensions:
   shared-vertex counts are read off these rows.
 * ``_le[e]`` — local index of the longest edge of ``e`` (local edge ``j``
   joins local vertices ``_EDGE_A[j]`` and ``_EDGE_B[j]``), fixed at
-  creation; ties go to the smallest vertex pair, so the elements sharing
-  an edge agree on "longest".
+  creation by one compiled rule, for the roots (:meth:`_grow_adjacency`)
+  and for every child a refinement creates; ties go to the smallest
+  vertex pair, so the elements sharing an edge agree on "longest".
 
 The adaptation kernels change the leaf set a whole batch at a time: a
 refinement is one compiled call that writes these arrays in place, and a
@@ -134,37 +135,13 @@ class SimplexMesh:
         self._indicator_store = None
 
     def _grow_adjacency(self, cells: np.ndarray) -> None:
-        """Extend ``_nbr`` / ``_le`` for freshly stored ``cells``."""
-        self._nbr.extend(np.full(cells.shape, -1, dtype=np.int64))
-        self._le.extend(self._longest_local(cells, self._edge_keys(cells)))
-
-    def _edge_keys(self, cells: np.ndarray) -> np.ndarray:
-        """Packed :func:`pair_key` of every local edge of ``cells``."""
-        a = cells[:, self._EDGE_A]
-        b = cells[:, self._EDGE_B]
-        return (np.minimum(a, b) << 32) | np.maximum(a, b)
-
-    def _longest_local(self, cells: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Local index of each cell's longest edge: edges are scanned in
-        local order; a later edge wins when longer by more than ``1e-12``
-        relative, or within that band of the running best length with a
-        smaller vertex pair (``keys`` are the cells' packed edge keys)."""
-        p = self.verts[cells]
-        d = p[:, self._EDGE_A] - p[:, self._EDGE_B]
-        lens = d[:, :, 0] * d[:, :, 0]
-        for k in range(1, self.dim):
-            lens = lens + d[:, :, k] * d[:, :, k]
-        best = np.zeros(cells.shape[0], dtype=np.int64)
-        best_len = lens[:, 0]
-        best_key = keys[:, 0]
-        for j in range(1, lens.shape[1]):
-            lj, kj = lens[:, j], keys[:, j]
-            longer = lj > best_len * (1.0 + 1e-12)
-            take = longer | ((lj >= best_len * (1.0 - 1e-12)) & (kj < best_key))
-            best = np.where(take, j, best)
-            best_key = np.where(take, kj, best_key)
-            best_len = np.where(longer, lj, best_len)
-        return best
+        """Extend ``_nbr`` / ``_le`` for ``cells``, the rows last stored
+        (compiled: the rule a refinement's children get)."""
+        first, n = len(self._le), cells.shape[0]
+        for rows in (self._nbr, self._le):
+            rows.reserve(n)
+            rows.commit(first + n)
+        _meshnative.fresh(self, first, n)
 
     def _stitch(self, born: np.ndarray, died: np.ndarray) -> None:
         """Make ``_nbr`` current after ``born`` entered and ``died`` left

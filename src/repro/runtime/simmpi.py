@@ -195,13 +195,6 @@ class SimComm:
         """True when this run converts rank deaths into membership events."""
         return self._recover
 
-    def _membership_check(self) -> None:
-        """Raise :class:`PeerCrashed` if the ledger moved past the epoch
-        this rank acknowledged — called from every blocking receive so a
-        survivor can never block forever on a dead peer."""
-        if self._recover and self._shared.epoch > self._ack_epoch:
-            raise PeerCrashed(self._shared.events_after(self._ack_epoch))
-
     def acknowledge_membership(self) -> list:
         """Accept the current membership epoch; returns the events newly
         acknowledged.  Receives stop raising :class:`PeerCrashed` until the
@@ -328,10 +321,13 @@ class SimComm:
                     source, min(0.05, remaining)
                 )
             except TransportEmpty:
-                # only raise PeerCrashed when actually stuck: available
-                # messages are always drained first, so ranks whose answer
-                # already arrived make progress through a membership change
-                self._membership_check()
+                # the ledger moved past the epoch this rank acknowledged:
+                # a survivor never blocks forever on a dead peer.  Only
+                # raised when actually stuck: available messages are always
+                # drained first, so ranks whose answer already arrived make
+                # progress through a membership change
+                if self._recover and self._shared.epoch > self._ack_epoch:
+                    raise PeerCrashed(self._shared.events_after(self._ack_epoch))
             else:
                 if got_tag == tag:
                     PERF.add("simmpi.wait." + self.phase, perf_counter() - tick)

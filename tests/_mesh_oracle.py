@@ -1,23 +1,30 @@
 """The numpy/Python oracle of the compiled mesh kernels
 (``src/repro/mesh/_meshcore.c``).
 
+Both dimensions: :func:`longest_local` is the numpy longest-edge rule
+``SimplexMesh`` applied to a mesh's roots until the compiled ``fresh``
+took them over, and :func:`grow_adjacency` writes a fresh cell's
+``_nbr`` / ``_le`` rows with it — the roots' rows of both oracle meshes and
+the children's rows of both oracle wave loops.
+
 2-D: the numpy wave loop :func:`repro.mesh.rivara.refine` ran on
 triangles and the numpy split and stitch of :class:`~repro.mesh.mesh2d.TriMesh`, moved here
 verbatim when the compiler became a requirement (since then the 2-D walk
 takes 3-D's rule that an element walks at most once per wave, and edge keys
 are read off the cells).  :class:`OracleTriMesh` is a
-:class:`~repro.mesh.mesh2d.TriMesh` whose stitch — at construction, in every
-refinement batch and in every coarsening — is the numpy one, and
+:class:`~repro.mesh.mesh2d.TriMesh` whose rows and stitch — at construction, in every
+refinement batch and in every coarsening — are the numpy ones, and
 :func:`refine2d` runs the numpy waves on it; ``tests/test_mesh_native.py``
 requires the compiled kernel to leave every array of a ``TriMesh`` id for id
 as these leave an ``OracleTriMesh``.
 
 3-D: the Python wave loop :func:`repro.mesh.rivara.refine` ran on tets, moved
-here verbatim when the loop was compiled.  It runs on a plain
-:class:`~repro.mesh.mesh3d.TetMesh` (whose compiled stitch
+here verbatim when the loop was compiled.  It runs on an
+:class:`OracleTetMesh`, a :class:`~repro.mesh.mesh3d.TetMesh` whose roots'
+rows are the numpy ones (its stitch is the compiled one, which
 ``check_adjacency`` checks against a brute-force recount), and the compiled
-calls must leave every array of a second ``TetMesh`` id for id as it leaves
-the first.
+calls must leave every array of a ``TetMesh`` id for id as it leaves the
+``OracleTetMesh``.
 
 :func:`walk` is the read-only first wave of either dimension (PARED's
 refine requests).
@@ -65,8 +72,48 @@ def midpoints(mesh, keys: np.ndarray) -> np.ndarray:
     return mids
 
 
+def _edge_keys(mesh, cells: np.ndarray) -> np.ndarray:
+    """Packed :func:`pair_key` of every local edge of ``cells``."""
+    a = cells[:, mesh._EDGE_A]
+    b = cells[:, mesh._EDGE_B]
+    return (np.minimum(a, b) << 32) | np.maximum(a, b)
+
+
+def longest_local(mesh, cells: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Local index of each cell's longest edge: edges are scanned in
+    local order; a later edge wins when longer by more than ``1e-12``
+    relative, or within that band of the running best length with a
+    smaller vertex pair (``keys`` are the cells' packed edge keys)."""
+    p = mesh.verts[cells]
+    d = p[:, mesh._EDGE_A] - p[:, mesh._EDGE_B]
+    lens = d[:, :, 0] * d[:, :, 0]
+    for k in range(1, mesh.dim):
+        lens = lens + d[:, :, k] * d[:, :, k]
+    best = np.zeros(cells.shape[0], dtype=np.int64)
+    best_len = lens[:, 0]
+    best_key = keys[:, 0]
+    for j in range(1, lens.shape[1]):
+        lj, kj = lens[:, j], keys[:, j]
+        longer = lj > best_len * (1.0 + 1e-12)
+        take = longer | ((lj >= best_len * (1.0 - 1e-12)) & (kj < best_key))
+        best = np.where(take, j, best)
+        best_key = np.where(take, kj, best_key)
+        best_len = np.where(longer, lj, best_len)
+    return best
+
+
+def grow_adjacency(mesh, cells: np.ndarray) -> None:
+    """Extend ``_nbr`` / ``_le`` for freshly stored ``cells`` (the compiled
+    ``fresh``, and the rows of refinement's children)."""
+    mesh._nbr.extend(np.full(cells.shape, -1, dtype=np.int64))
+    mesh._le.extend(longest_local(mesh, cells, _edge_keys(mesh, cells)))
+
+
 class OracleTriMesh(TriMesh):
-    """A :class:`~repro.mesh.mesh2d.TriMesh` on the numpy split and stitch."""
+    """A :class:`~repro.mesh.mesh2d.TriMesh` on the numpy rows, split and
+    stitch."""
+
+    _grow_adjacency = grow_adjacency
 
     def _stitch(self, born: np.ndarray, died: np.ndarray) -> None:
         self._stitch_py(born, died)
@@ -227,6 +274,13 @@ def longest_edge(mesh, e: int) -> tuple:
     return (p, q) if p < q else (q, p)
 
 
+class OracleTetMesh(TetMesh):
+    """A :class:`~repro.mesh.mesh3d.TetMesh` whose roots' rows are the
+    numpy ones."""
+
+    _grow_adjacency = grow_adjacency
+
+
 def _le_key(mesh: TetMesh, e: int) -> int:
     """Packed key of the longest edge of ``e``."""
     return pair_key(*longest_edge(mesh, e))
@@ -309,7 +363,7 @@ def _bisect_stars(mesh: TetMesh, parents: np.ndarray) -> None:
         fresh = kids[created].reshape(-1, 4)
         first = mesh._cells.extend(fresh)
         assert first == c0[created][0], "forest and cell ids must stay in lockstep"
-        mesh._grow_adjacency(fresh)
+        grow_adjacency(mesh, fresh)
     mesh._stitch(np.concatenate([c0, c1]), parents)
 
 

@@ -6,11 +6,15 @@ the properties PARED relies on — in 2-D and, at the end, in 3-D.
 Hypothesis draws the scripts (operation, fraction of leaves), and both
 meshes must agree id for id after every step — so the same marked ids hit
 the same elements — and stay conformal, with a valid forest and a
-current adjacency.  The longest-edge rule of every element the compiled
-wave created is checked against the scalar statement of the rule, exact
-ties included (``_tie_strip``); element and vertex ids must not depend on
-the order, multiplicity or redundancy of the targets.
+current adjacency.  The longest-edge rule of every element, roots and
+children, is checked against the scalar statement of the rule, exact ties
+included (``_tie_strip``), and on drawn meshes whose tied edges differ by
+less than the ``1e-12`` band, so that the band decides; element and
+vertex ids must not depend on the order, multiplicity or redundancy of the
+targets.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import delaunay_square_mesh
 from repro.geometry.generators import structured_tet_mesh, structured_tri_mesh
+from repro.geometry.primitives import tet_volumes
 from repro.mesh.coarsen import coarsen
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
@@ -121,34 +126,72 @@ def test_refine_coarsen_refine_reactivates_like_reference(kind, seed):
     assert new.n_elements >= n_elements
 
 
-def _scalar_longest_edge(verts, cell) -> tuple:
+#: local edges in scan order: a triangle's opposite each vertex, a tet's
+#: in ``combinations`` order
+_SCAN = {3: ((1, 2), (2, 0), (0, 1)), 4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
+
+
+def _scalar_longest_edge(verts, cell, band: float = 1e-12) -> tuple:
     """The rule stated one element at a time: scan the local edges in
-    order; a later edge wins when longer by more than ``1e-12`` relative,
+    order; a later edge wins when longer by more than ``band`` relative,
     or within that band of the running best with a smaller vertex pair."""
-    v0, v1, v2 = cell
     best, best_len = None, -1.0
-    for p, q in ((v1, v2), (v2, v0), (v0, v1)):
+    for i, j in _SCAN[len(cell)]:
+        p, q = cell[i], cell[j]
         d = verts[p] - verts[q]
-        ln = float(d[0] * d[0] + d[1] * d[1])
+        ln = 0.0
+        for dk in d:
+            ln += float(dk * dk)
         key = (p, q) if p < q else (q, p)
-        if ln > best_len * (1.0 + 1e-12):
+        if ln > best_len * (1.0 + band):
             best, best_len = key, ln
-        elif ln >= best_len * (1.0 - 1e-12) and key < best:
+        elif ln >= best_len * (1.0 - band) and key < best:
             best = key
     return best
 
 
-@pytest.mark.parametrize("kind", ["structured", "delaunay", "ties"])
-def test_vectorised_longest_edge_is_the_scalar_rule(kind):
-    """Every element — roots from the vectorised rule at construction,
-    children from the compiled wave's — takes the edge the scalar scan
-    takes (``1e-12`` band, smallest vertex pair)."""
-    new, _ = _pair(kind, 11)
+def _is_the_scalar_rule(new, in_band: bool) -> None:
+    """Refine every leaf of ``new``, then every other leaf: every element —
+    roots and children alike, from the compiled rule — takes the edge the
+    scalar scan takes.  On an input drawn ``in_band`` the ``1e-12`` band
+    must decide some element (a scan without it takes another edge)."""
     refine(new, new.leaf_ids())
     refine(new, new.leaf_ids()[::2])
     assert new.n_elements > 3 * new.n_roots
     for e in range(new.n_elements):
         assert oracle.longest_edge(new, e) == _scalar_longest_edge(new.verts, new.cell(e))
+    if in_band:
+        assert any(
+            _scalar_longest_edge(new.verts, c) != _scalar_longest_edge(new.verts, c, 0.0)
+            for c in new.cells
+        )
+
+
+def _band_strip(shifts) -> tuple:
+    """The tie strip with apex ``i`` moved ``shifts[i] * 1e-13`` along x
+    (``|shifts| <= 15``, none zero): the two slanted edges of a triangle
+    differ by at most 0.71e-12 relative, so where the later edge is the
+    longer with a larger vertex pair, or the shorter with a smaller one,
+    the band decides — in an upward triangle when its apex moved left, in
+    a downward one when its two apexes moved right on balance."""
+    verts, cells = _tie_strip(len(shifts))
+    verts[len(shifts) + 1 :, 0] += np.array(shifts) * 1e-13
+    return verts, cells
+
+
+@pytest.mark.parametrize("kind", ["structured", "delaunay", "ties", "band"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_vectorised_longest_edge_is_the_scalar_rule(kind, data):
+    """Every triangle takes the edge the scalar scan takes (``1e-12`` band,
+    smallest vertex pair), on fixed meshes and on drawn strips whose
+    slanted edges differ inside the band (only ``band`` draws)."""
+    if kind == "band":
+        shifts = st.lists(st.integers(-15, 15).filter(bool), min_size=2, max_size=8)
+        new = TriMesh(*_band_strip(data.draw(shifts)))
+    else:
+        new, _ = _pair(kind, 11)
+    _is_the_scalar_rule(new, kind == "band")
     if kind == "ties":
         ends = new.verts[[oracle.longest_edge(new, e) for e in range(2 * 5 - 1)]]
         assert np.all(ends[:, 0, 1] != ends[:, 1, 1])  # a slanted edge, not the base
@@ -197,13 +240,14 @@ def test_extra_targets_on_the_path_change_nothing():
 
 
 def _cube(kind: str, seed: int) -> tuple:
-    """Two ``TetMesh`` of a 2 x 2 x 2 Kuhn cube, lattice or with the
-    interior vertex jittered (fewer exact length ties)."""
+    """A ``TetMesh`` and an ``OracleTetMesh`` of a 2 x 2 x 2 Kuhn cube,
+    lattice or with the interior vertex jittered (fewer exact length
+    ties)."""
     verts, cells = structured_tet_mesh(2, 2, 2)
     if kind == "jittered":
         verts = verts.copy()
         verts[np.all(verts == 0.0, axis=1)] += np.random.default_rng(seed).uniform(-0.2, 0.2, 3)
-    return TetMesh(verts, cells), TetMesh(verts, cells)
+    return TetMesh(verts, cells), oracle.OracleTetMesh(verts, cells)
 
 
 @pytest.mark.parametrize("kind", ["structured", "jittered"])
@@ -223,32 +267,45 @@ def test_3d_random_scripts_match_the_python_waves(kind, seed, script):
         _step(new, ref, rng, op, frac)
 
 
-def _scalar_longest_edge_3d(verts, cell) -> tuple:
-    """The 3-D rule one element at a time, edges in ``combinations``
-    order."""
-    best, best_len = None, -1.0
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        p, q = cell[i], cell[j]
-        d = verts[p] - verts[q]
-        ln = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        key = (p, q) if p < q else (q, p)
-        if ln > best_len * (1.0 + 1e-12):
-            best, best_len = key, ln
-        elif ln >= best_len * (1.0 - 1e-12) and key < best:
-            best = key
-    return best
+def _five_tet_cubes(n: int, axis: int, stretch: float) -> tuple:
+    """``n``^3 unit cubes, each cut into five tets — the one on its four
+    corners of even coordinate sum and one around each other corner — so
+    that every tet's longest edges are face diagonals tied exactly; then
+    ``axis`` is stretched by ``1 + stretch``, which parts the diagonals
+    across it from the others by ``stretch`` relative."""
+    g = np.arange(n + 1)
+    verts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3) * 1.0
+    vid = lambda p: (p[0] * (n + 1) + p[1]) * (n + 1) + p[2]  # noqa: E731
+    cells = []
+    for cube in itertools.product(range(n), repeat=3):
+        corners = [tuple(np.add(cube, c)) for c in itertools.product((0, 1), repeat=3)]
+        even = [p for p in corners if sum(p) % 2 == 0]
+        cells.append([vid(p) for p in even])
+        for p in corners:
+            if sum(p) % 2:
+                near = [q for q in even if np.abs(np.subtract(p, q)).sum() == 1]
+                cells.append([vid(p)] + [vid(q) for q in near])
+    cells = np.array(cells)
+    flip = tet_volumes(verts, cells) < 0
+    cells[flip, 2:] = cells[flip, 3:1:-1]
+    verts[:, axis] *= 1.0 + stretch
+    return verts, cells
 
 
-@pytest.mark.parametrize("kind", ["structured", "jittered"])
-def test_3d_longest_edge_is_the_scalar_rule(kind):
-    """Roots from the vectorised rule, children from the compiled wave's:
-    every tet takes the edge the scalar scan takes."""
-    new, _ = _cube(kind, 11)
-    refine(new, new.leaf_ids())
-    refine(new, new.leaf_ids()[::2])
-    assert new.n_elements > 3 * new.n_roots
-    for e in range(new.n_elements):
-        assert oracle.longest_edge(new, e) == _scalar_longest_edge_3d(new.verts, new.cell(e))
+@pytest.mark.parametrize("kind", ["structured", "jittered", "band"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_3d_longest_edge_is_the_scalar_rule(kind, data):
+    """Every tet takes the edge the scalar scan takes, on the Kuhn cubes
+    and on drawn five-tet cubes whose tied diagonals a stretch of less than
+    the band parts (only ``band`` draws)."""
+    if kind == "band":
+        n, axis = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2))
+        stretch = data.draw(st.integers(-80, 80).filter(bool)) * 1e-14
+        new = TetMesh(*_five_tet_cubes(n, axis, stretch))
+    else:
+        new, _ = _cube(kind, 11)
+    _is_the_scalar_rule(new, kind == "band")
 
 
 @pytest.mark.parametrize("kind", ["structured", "jittered"])

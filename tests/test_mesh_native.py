@@ -4,13 +4,14 @@ numpy/Python oracle (``tests/_mesh_oracle.py``), id for id.
 Every script runs twice from the same input — in 2-D a :class:`TriMesh`
 refined by the compiled ``rivara.refine`` and an ``OracleTriMesh`` refined
 by the numpy waves, both coarsened by ``coarsen`` (whose stitch is compiled
-on the first and numpy on the second); in 3-D two :class:`TetMesh` refined
-by the compiled ``rivara.refine`` and by the Python waves — and the two
-meshes must agree on every array the kernel writes: the forest's six arrays and
-counters, cells, vertices, ``_nbr`` (stale rows of refined elements
-included), ``_le``, the midpoint memo in insertion order, and the bisected
-/ merged lists the calls return; the read-only walk must visit what the
-oracle's first wave walks.  The compiled call
+on the first and numpy on the second); in 3-D a :class:`TetMesh` refined
+by the compiled ``rivara.refine`` and an ``OracleTetMesh`` refined by the
+Python waves — and the two meshes must agree on every array the kernels
+write: the forest's six arrays and counters, cells, vertices, ``_nbr``
+(stale rows of refined elements included), ``_le`` (the roots' from the
+compiled ``fresh`` against the oracle's numpy rule), the midpoint memo in
+insertion order, and the bisected / merged lists the calls return; the
+read-only walk must visit what the oracle's first wave walks.  The compiled call
 must also grow its storage exactly, and whatever it raises — the
 propagation limit, a failed scratch allocation — leave whole waves behind:
 the oracle's state after the same waves, a conformal mesh.
@@ -101,15 +102,16 @@ def _script(mesh, seed: int, ops: str, refine=rivara.refine) -> list:
 #: per dimension: (mesh class, oracle mesh class, oracle refine)
 KERNELS = {
     2: (TriMesh, oracle.OracleTriMesh, oracle.refine2d),
-    3: (TetMesh, TetMesh, oracle.refine3d),
+    3: (TetMesh, oracle.OracleTetMesh, oracle.refine3d),
 }
 
 
 def _both(build, run, dim=2):
     """``run(mesh, refine)`` on ``build(TriMesh)`` with the compiled
     ``rivara.refine``, then on ``build(OracleTriMesh)`` with the numpy waves
-    (in 3-D: two ``TetMesh``, the compiled ``rivara.refine`` and the Python
-    waves): ``(native mesh, native result, oracle mesh, oracle result)``."""
+    (in 3-D: ``TetMesh`` and ``OracleTetMesh``, the compiled
+    ``rivara.refine`` and the Python waves): ``(native mesh, native result,
+    oracle mesh, oracle result)``."""
     cls, oracle_cls, oracle_refine = KERNELS[dim]
     native = build(cls)
     got = run(native, rivara.refine)
@@ -198,7 +200,7 @@ def _squeeze(mesh, elements: int) -> None:
 def _first_wave_elements(build, targets, monkeypatch, dim=2) -> int:
     """``n_elements`` after the first wave of the oracle's
     ``refine2d(build(OracleTriMesh), targets)`` (in 3-D: of
-    ``refine3d(build(TetMesh), targets)``)."""
+    ``refine3d(build(OracleTetMesh), targets)``)."""
     sizes = []
     if dim == 2:
         mesh = build(oracle.OracleTriMesh)
@@ -206,7 +208,7 @@ def _first_wave_elements(build, targets, monkeypatch, dim=2) -> int:
         monkeypatch.setattr(mesh, "bisect_many", lambda p: (real(p), sizes.append(mesh.n_elements)))
         oracle.refine2d(mesh, targets)
     else:
-        mesh = build(TetMesh)
+        mesh = build(oracle.OracleTetMesh)
         real = oracle._bisect_stars
         oracle._bisect_stars = lambda m, p: (real(m, p), sizes.append(m.n_elements))
         try:
