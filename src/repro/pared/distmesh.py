@@ -32,7 +32,6 @@ from repro.mesh.forest import LEAF
 from repro.pared.weights import full_weight_report, split_report_by_owner
 from repro.partition.distributed import PartView
 from repro.perf import PERF
-from repro.runtime.faults import recv_with_retry
 
 
 class DistributedMesh:
@@ -185,25 +184,5 @@ class DistributedMesh:
             & (self.owner[src] != self.rank)
         )
         sources = np.unique(self.owner[src[mask]])
-        received = [
-            recv_with_retry(self.comm, int(s), tag=21) for s in sources
-        ]
+        received = [self.comm.recv(int(s), tag=21) for s in sources]
         return PartView.from_reports(n, self.rank, full, received)
-
-    def exchange_weights(self, update: dict) -> list:
-        """Phase P2: send this rank's weight delta to every live peer and
-        return every live rank's delta (this rank's own included), in live
-        order.
-
-        The receives use the PARED-side retry/backoff discipline
-        (:func:`~repro.runtime.faults.recv_with_retry`): under an active
-        fault plan a delayed delivery costs retries, not the run; on the
-        plain runtime this is a single receive per peer, unchanged.
-        """
-        for dst in self.live:
-            if dst != self.rank:
-                self.comm.send(update, dst, tag=20)
-        return [
-            update if src == self.rank else recv_with_retry(self.comm, src, tag=20)
-            for src in self.live
-        ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.mesh.forest import LEAF
 from repro.partition.registry import make_repartitioner
-from repro.runtime.faults import recv_with_retry
 from repro.runtime.recovery import compact_owner, expand_owner
 
 
@@ -176,9 +175,7 @@ def execute_migration(comm, dmesh, new_owner: np.ndarray) -> dict:
         comm.send(payload, d, tag=31)
         sent += int(payload["roots"].shape[0])
     for s in recv_srcs:
-        # tree payloads ride the retry/backoff discipline: a delayed
-        # delivery under fault injection is retried, not fatal
-        payload = recv_with_retry(comm, s, tag=31)
+        payload = comm.recv(s, tag=31)
         received += int(payload["roots"].shape[0])
     recon_roots = moved[
         ~np.isin(src, np.fromiter(live_set, dtype=np.int64, count=len(live_set)))

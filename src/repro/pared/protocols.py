@@ -164,7 +164,7 @@ class _DeltaProtocol(_WeightProtocol):
         }
 
     def exchange(self, dmesh, delta):
-        return dmesh.exchange_weights(delta)
+        return self.comm.allgather(delta, tag=20, ranks=dmesh.live)
 
     def decide(self, dmesh, msgs):
         """``(new_owner, imbalance)``, the same on every live rank."""

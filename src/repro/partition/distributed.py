@@ -827,7 +827,7 @@ def _refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace=None):
                     )
                     for part in my_parts
                 }
-            props = exchange(local, grnd)
+            props = exchange(local)
             with PERF.span("dkl.resolve"):
                 moved = _resolve(
                     props, assign, loads, counts, locked, maxcap, floor,
@@ -855,7 +855,7 @@ def _refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace=None):
                         )
                         for part in my_parts
                     }
-                props = exchange(local, grnd)
+                props = exchange(local)
                 with PERF.span("dkl.rebalance"):
                     rb = _resolve(
                         props, assign, loads, counts, locked, maxcap, floor,
@@ -927,7 +927,7 @@ def _serial_exchange(live):
     the allgather is a list comprehension in live-rank order — the same
     order :meth:`SimComm.allgather` assembles its blocks in."""
 
-    def exchange(local, rnd):
+    def exchange(local):
         return [local[part] for part in live]
 
     return exchange
@@ -935,19 +935,15 @@ def _serial_exchange(live):
 
 def _comm_exchange(comm, live):
     """Exchange for the SPMD driver: pack this rank's proposal into the
-    struct-of-arrays frame, allgather on :data:`PROPOSAL_TAG`, and account
-    the posted bytes against the round (``dkl.proposals`` in
-    :class:`~repro.runtime.stats.TrafficStats`)."""
+    struct-of-arrays frame and allgather it on :data:`PROPOSAL_TAG`."""
 
-    def exchange(local, rnd):
+    def exchange(local):
         with PERF.span("dkl.exchange"):
-            req = comm.iallgather(
+            frames = comm.allgather(
                 pack_proposal_frame(local[comm.rank]),
                 tag=PROPOSAL_TAG,
                 ranks=live,
             )
-            comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
-            frames = req.wait()
         return [unpack_proposal_frame(f) for f in frames]
 
     return exchange

@@ -4,8 +4,8 @@ mpi4py is the natural backend for PARED's communication, but the algorithms
 under study are defined by their *communication structure* — who sends what
 to whom in phases P0–P3 — not by the wall-clock of a particular
 interconnect.  :class:`~repro.runtime.simmpi.SimComm` provides an
-mpi4py-flavoured API (``send``/``recv``/``allgather``/``iallgather``/
-``allreduce``/``barrier``) over in-process threads and
+mpi4py-flavoured API (``send``/``recv``/``allgather``/``allreduce``/
+``barrier``) over in-process threads and
 queues or forked rank processes over shared-memory rings, with full
 per-phase traffic accounting
 (:class:`~repro.runtime.stats.TrafficStats`), so every experiment reports
@@ -18,8 +18,6 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultToleranceExhausted,
     SimRankCrashed,
-    attempt_schedule,
-    recv_with_retry,
 )
 from repro.runtime.recovery import (
     CheckpointStore,
@@ -29,7 +27,7 @@ from repro.runtime.recovery import (
     compact_owner,
     expand_owner,
 )
-from repro.runtime.simmpi import Request, SimComm, spmd_run
+from repro.runtime.simmpi import SimComm, spmd_run
 from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import (
     FrameAssembler,
@@ -44,7 +42,6 @@ __all__ = [
     "encode",
     "decode",
     "SimComm",
-    "Request",
     "spmd_run",
     "SimMPIAborted",
     "SimMPITimeout",
@@ -56,8 +53,6 @@ __all__ = [
     "FaultLog",
     "FaultToleranceExhausted",
     "SimRankCrashed",
-    "attempt_schedule",
-    "recv_with_retry",
     "PeerCrashed",
     "MembershipChange",
     "RoundCheckpoint",

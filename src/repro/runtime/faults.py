@@ -246,67 +246,19 @@ class FaultyTransport:
 def patient_recv(attempt, rank, source, tag, timeout, retries, backoff, log):
     """The one retry schedule: call ``attempt(timeout)`` up to ``retries +
     1`` times, multiplying the per-attempt timeout by ``backoff`` and
-    logging a ``retry`` event after each :class:`TimeoutError`; when the
-    budget is spent raise :class:`FaultToleranceExhausted` naming the full
-    attempt schedule.  ``timeout=None`` means the runtime default patience
-    per attempt."""
-    attempt_timeout = timeout
-    for i in range(retries + 1):
+    logging a ``retry`` event after each :class:`TimeoutError` but the
+    last; then raise :class:`FaultToleranceExhausted` naming the full
+    attempt schedule — what the receive actually waited, first to last."""
+    schedule = [timeout * backoff**i for i in range(retries + 1)]
+    for i, attempt_timeout in enumerate(schedule):
         try:
             return attempt(attempt_timeout)
-        except FaultToleranceExhausted:
-            raise  # the attempt already ran a schedule of its own
         except TimeoutError:
-            if i == retries:
-                raise FaultToleranceExhausted(
-                    f"rank {rank} gave up receiving from rank {source} "
-                    f"tag {tag} after {retries + 1} attempts "
-                    f"(attempt timeouts: {attempt_schedule(timeout, retries, backoff)})"
-                )
-            if log is not None:
+            if i < retries:
                 log.record("retry", rank, source, attempt=i)
-            if attempt_timeout is not None:
-                attempt_timeout *= backoff
-
-
-def recv_with_retry(
-    comm,
-    source: int,
-    tag: int = 0,
-    timeout: float = None,
-    retries: int = None,
-    backoff: float = None,
-):
-    """Receive with the PARED-side timeout/retry/backoff discipline.
-
-    On a plain (fault-free) communicator this is exactly one ``recv`` with
-    the default patience — zero behavioural change.  Under an active
-    :class:`FaultPlan` the per-attempt timeout, retry budget and backoff
-    default to the plan's values, so the distributed phases (P2 weight
-    gather, P3 tree payloads) survive injected delivery delays by retrying
-    instead of dying on the first timeout.
-
-    Raises :class:`FaultToleranceExhausted` when the budget is spent —
-    even a budget of zero retries, unlike a bare ``comm.recv()``, whose
-    unretried timeout stays a plain ``SimMPITimeout``.
-    """
-    plan = getattr(comm, "fault_plan", None)
-    if timeout is None:
-        timeout = plan.recv_timeout if plan is not None else None
-    if retries is None:
-        retries = plan.max_retries if plan is not None else 0
-    if backoff is None:
-        backoff = plan.backoff if plan is not None else 2.0
-    return patient_recv(
-        lambda t: comm.recv(source, tag, timeout=t), comm.rank, source, tag,
-        timeout, retries, backoff, getattr(comm, "fault_log", None),
+    raise FaultToleranceExhausted(
+        f"rank {rank} gave up receiving from rank {source} tag {tag} after "
+        f"{retries + 1} attempts (attempt timeouts: "
+        + ", ".join(f"{t:g}s" for t in schedule)
+        + ")"
     )
-
-
-def attempt_schedule(timeout, retries: int, backoff: float) -> str:
-    """Human-readable full schedule of per-attempt timeouts, first to last
-    — what an exhausted receive actually waited, not just the final
-    backed-off value."""
-    if timeout is None:
-        return f"{retries + 1} x default patience"
-    return ", ".join(f"{timeout * backoff ** i:g}s" for i in range(retries + 1))

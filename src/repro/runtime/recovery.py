@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.faults import recv_with_retry
-
 #: dedicated tags of the recovery protocol (PARED uses 10..50 and 90/91)
 FLUSH_TAG = 70
 AGREE_TAG = 71
@@ -199,7 +197,7 @@ def flush_channels(comm, live, epoch: int, seen: dict = None) -> dict:
         if peer == comm.rank:
             continue
         while seen.get(peer, NO_CHECKPOINT) < epoch:
-            marker, marker_epoch = recv_with_retry(comm, peer, tag=FLUSH_TAG)
+            marker, marker_epoch = comm.recv(peer, tag=FLUSH_TAG)
             if marker != "flush":
                 raise RuntimeError(
                     f"rank {comm.rank} expected a flush marker from {peer}, "
@@ -215,14 +213,7 @@ def flush_channels(comm, live, epoch: int, seen: dict = None) -> dict:
 
 def agree_replay_round(comm, live, my_latest: int) -> int:
     """Survivors agree on the round to restore: the minimum of their latest
-    checkpoint rounds.  Every survivor sends its own to every other and
-    takes the minimum of all, so each decides the same with no root.
-    :data:`NO_CHECKPOINT` means some survivor never finished setup, so all
-    of them re-run it from scratch."""
-    for dst in live:
-        if dst != comm.rank:
-            comm.send(my_latest, dst, tag=AGREE_TAG)
-    return min(
-        my_latest if src == comm.rank else recv_with_retry(comm, src, tag=AGREE_TAG)
-        for src in live
-    )
+    checkpoint rounds, allgathered over ``live``, so each decides the same
+    with no root.  :data:`NO_CHECKPOINT` means some survivor never finished
+    setup, so all of them re-run it from scratch."""
+    return min(comm.allgather(my_latest, tag=AGREE_TAG, ranks=live))

@@ -4,8 +4,8 @@
 ...)`` on its own thread; ranks communicate only through their
 :class:`SimComm`, which provides blocking point-to-point ``send``/``recv``
 (tag-matched, per-pair FIFO order) and the collectives PARED uses
-(``allgather``, ``iallgather``, ``allreduce``, ``barrier`` — every one
-built from ``send``/``recv``).  Payloads travel
+(``allgather``, ``allreduce``, ``barrier`` — every one built from
+``send``/``recv``).  Payloads travel
 as typed frames of :mod:`repro.runtime.codec` — raw numpy buffers plus a
 small tag header, with pickle retained as the fallback leaf for arbitrary
 objects — and the frame size is recorded per phase in a shared
@@ -134,30 +134,6 @@ class _Shared:
             return [e for e in self.membership_events if e.epoch > epoch]
 
 
-class Request:
-    """Handle of a posted :meth:`SimComm.iallgather`.
-
-    ``sent_bytes`` is the total frame bytes the operation already put on
-    the wire when it was posted — the hook per-round traffic accounting
-    reads without re-encoding."""
-
-    __slots__ = ("_fn", "_done", "_value", "sent_bytes")
-
-    def __init__(self, fn, sent_bytes: int = 0):
-        self._fn = fn
-        self._done = False
-        self._value = None
-        self.sent_bytes = sent_bytes
-
-    def wait(self, timeout: float = _DEFAULT_TIMEOUT):
-        """Complete the operation and return its result.  A wait that
-        times out may be retried: the operation resumes where it stopped."""
-        if not self._done:
-            self._value = self._fn(timeout)
-            self._done = True
-        return self._value
-
-
 class SimComm:
     """Per-rank communicator handle."""
 
@@ -175,16 +151,6 @@ class SimComm:
         self._faults = shared.faults
         # the plan's crash clock: communication ops so far (-1: no plan)
         self._ops = 0 if self._faults is not None else -1
-
-    @property
-    def fault_plan(self) -> FaultPlan:
-        """The active :class:`FaultPlan`, or ``None``."""
-        return self._faults
-
-    @property
-    def fault_log(self) -> FaultLog:
-        """Shared log of injected fault events (``None`` without a plan)."""
-        return self._shared.fault_log
 
     # ------------------------------------------------------------------ #
     # membership (active only with spmd_run(..., recover=True))
@@ -227,10 +193,6 @@ class SimComm:
     def set_phase(self, phase: str) -> None:
         """Label subsequent traffic with the given phase (P0..P3 in PARED)."""
         self.phase = phase
-
-    @property
-    def stats(self) -> TrafficStats:
-        return self._shared.stats
 
     # ------------------------------------------------------------------ #
     # point to point
@@ -286,8 +248,7 @@ class SimComm:
         has the plan's patience: ``recv_timeout`` per attempt, and with
         ``max_retries`` the retry/backoff schedule that ends in
         :class:`FaultToleranceExhausted` (a documented error, never a
-        hang).  An explicit ``timeout`` is one attempt — the caller manages
-        its own retries (:func:`repro.runtime.faults.recv_with_retry`)."""
+        hang).  An explicit ``timeout`` is one attempt."""
         if not (0 <= source < self.size):
             raise ValueError(f"invalid source {source}")
         plan = self._faults
@@ -344,89 +305,21 @@ class SimComm:
     # ------------------------------------------------------------------ #
 
     def allgather(self, obj, tag: int = -4, ranks=None):
-        """Allgather by direct pairwise exchange — no root rank in the
-        pattern.
-
-        Power-of-two group sizes use *recursive doubling*: ``log2(k)``
-        rounds, each rank swapping everything it holds with its partner
-        across one address bit.  Other sizes use a *ring*: ``k - 1`` steps
-        forwarding one block to the clockwise neighbor.  Both deliver the
-        result list aligned with the group order (``ranks`` order, or rank
-        order for the full communicator).
-        Blocks travel as ``(position, block)`` pairs, so ``None`` is a
-        legal payload.  Sends buffer without blocking, so the symmetric
-        send-then-receive step cannot deadlock on either transport.
-        """
+        """Allgather by direct exchange — no root rank in the pattern: this
+        rank sends its bare ``obj`` to every other group member, then
+        receives one frame from each, and returns the blocks in group order
+        (``ranks`` order, or rank order for the full communicator).  ``None``
+        is a legal payload.  Sends buffer without blocking, so the symmetric
+        send-then-receive pattern cannot deadlock on either transport."""
         group = list(range(self.size)) if ranks is None else list(ranks)
-        k = len(group)
-        if k == 1:
-            return [obj]
-        me = group.index(self.rank)
-        blocks = [None] * k
-        blocks[me] = obj
-        if k & (k - 1) == 0:
-            dim = 1
-            while dim < k:
-                # this rank holds exactly the blocks of its low-bit subcube
-                partner = group[me ^ dim]
-                self.send(
-                    [(pos, blocks[pos]) for pos in (me ^ m for m in range(dim))],
-                    partner,
-                    tag,
-                )
-                for pos, blk in self.recv(partner, tag):
-                    blocks[pos] = blk
-                dim <<= 1
-        else:
-            right = group[(me + 1) % k]
-            left = group[(me - 1) % k]
-            self.send((me, obj), right, tag)
-            for step in range(k - 1):
-                pos, blk = self.recv(left, tag)
-                blocks[pos] = blk
-                if step < k - 2:
-                    self.send((pos, blk), right, tag)
-        return blocks
-
-    def iallgather(self, obj, tag: int = -4, ranks=None) -> "Request":
-        """Nonblocking allgather.  This rank's block goes out to every
-        other group member immediately (simulated sends buffer without
-        blocking), and the returned :class:`Request` performs the ``k - 1``
-        receives on ``wait()`` — so local work scheduled between post and
-        wait genuinely overlaps the peers' sends on the forked backend.
-        ``wait(timeout=...)`` budgets the timeout across the receives and
-        raises :class:`SimMPITimeout` like a blocking ``recv`` would;
-        ``req.sent_bytes`` is the total frame bytes posted."""
-        group = list(range(self.size)) if ranks is None else list(ranks)
-        k = len(group)
-        me = group.index(self.rank)
-        nbytes = 0
-        for step in range(1, k):
-            nbytes += self.send((me, obj), group[(me + step) % k], tag)
-
-        # the request's progress lives outside ``complete``: a wait that
-        # timed out keeps the blocks it consumed and a retry resumes at the
-        # first peer still owed, instead of re-receiving from one whose
-        # block is gone (or stealing its next round's frame)
-        blocks = [None] * k
-        blocks[me] = obj
-        owed = [group[(me - step) % k] for step in range(1, k)]
-
-        def complete(timeout):
-            remaining = timeout if timeout is not None else _DEFAULT_TIMEOUT
-            while owed:
-                tick = perf_counter()
-                pos, blk = self.recv(owed[0], tag, timeout=max(remaining, 0.001))
-                remaining -= perf_counter() - tick
-                blocks[pos] = blk
-                del owed[0]
-            return blocks
-
-        return Request(complete, sent_bytes=nbytes)
+        for dst in group:
+            if dst != self.rank:
+                self.send(obj, dst, tag)
+        return [obj if src == self.rank else self.recv(src, tag) for src in group]
 
     def allreduce(self, obj, op=None, tag: int = -5, ranks=None):
         """Reduce with ``op`` (binary callable, default ``+``), result on
-        every rank: a pairwise allgather of the operands, then each rank
+        every rank: an allgather of the operands, then each rank
         folds them locally in group order.  The fold order is identical
         everywhere, so floating-point results stay bitwise
         replica-identical."""

@@ -20,11 +20,6 @@ class TrafficStats:
         self.messages = defaultdict(int)  # phase -> count
         self.bytes = defaultdict(int)  # phase -> payload bytes
         self.by_pair = defaultdict(int)  # (src, dst) -> count
-        # label -> {round index -> bytes}: per-round wire accounting for
-        # iterative exchanges (the dkl proposal rounds record here); an
-        # accumulating dict keyed by round index, not an append-log, so
-        # concurrent ranks recording the same round stay order-independent
-        self.round_bytes = defaultdict(lambda: defaultdict(int))
         #: set by spmd_run when a FaultPlan is active (a
         #: :class:`~repro.runtime.faults.FaultLog`), else None
         self.fault_log = None
@@ -54,25 +49,6 @@ class TrafficStats:
             self.wire[channel + "_frames"] += 1
             self.wire[channel + "_bytes"] += nbytes
 
-    def record_round(self, label: str, rnd: int, nbytes: int) -> None:
-        """Accumulate ``nbytes`` against round ``rnd`` of an iterative
-        exchange ``label`` — every rank adds its own sent bytes, so the
-        total per round is the whole group's wire cost for that round."""
-        with self._lock:
-            self.round_bytes[label][int(rnd)] += int(nbytes)
-
-    def round_profile(self, label: str) -> list:
-        """Bytes per round for ``label``, as a dense list indexed by round
-        (missing rounds are 0)."""
-        with self._lock:
-            rounds = self.round_bytes.get(label)
-            if not rounds:
-                return []
-            out = [0] * (max(rounds) + 1)
-            for rnd, n in rounds.items():
-                out[rnd] = n
-            return out
-
     @property
     def total_messages(self) -> int:
         return sum(self.messages.values())
@@ -92,10 +68,6 @@ class TrafficStats:
                 "by_pair": [
                     [src, dst, n] for (src, dst), n in self.by_pair.items()
                 ],
-                "round_bytes": {
-                    label: [[rnd, n] for rnd, n in rounds.items()]
-                    for label, rounds in self.round_bytes.items()
-                },
                 "wire": dict(self.wire),
             }
 
@@ -110,9 +82,6 @@ class TrafficStats:
                 self.bytes[phase] += n
             for src, dst, n in snap["by_pair"]:
                 self.by_pair[(src, dst)] += n
-            for label, rounds in snap.get("round_bytes", {}).items():
-                for rnd, n in rounds:
-                    self.round_bytes[label][rnd] += n
             for channel, n in snap.get("wire", {}).items():
                 self.wire[channel] += n
 

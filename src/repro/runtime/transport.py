@@ -21,15 +21,14 @@ Both raise :class:`SimMPIAborted` once the run is cancelled (a peer
 failed), before they do anything else: an aborted send puts nothing on
 the wire, and an aborted receive hands nothing up.
 
-The seam is deliberately small: every collective — the pairwise
-recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``,
-and ``barrier``, an allgather of ``None`` tokens — is built entirely
-from these two operations.  ``push_parts`` being buffered — a full shm
-ring holds its sender only until the receiver next drains, never until a
-matching receive — is what makes ``iallgather`` legal: a rank posts all its
-first-step frames immediately and returns a ``Request``; the deferred
-``wait()`` only ever *pulls*, so no new wire primitive (and no
-per-backend code) was needed for overlap.
+The seam is deliberately small: every collective — ``allgather``, a
+direct exchange (each member sends its block to every other, then
+receives one from each), ``allreduce`` over it, and ``barrier``, an
+allgather of ``None`` tokens — is built entirely from these two
+operations.  ``push_parts`` being buffered — a full shm ring holds its
+sender only until the receiver next drains, never until a matching
+receive — is what lets every member send all its frames before it
+receives any.
 
 Two backends implement the seam (:data:`BACKENDS`):
 

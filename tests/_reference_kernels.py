@@ -410,8 +410,8 @@ def _absorb_accepted(views, accepted) -> None:
 class _Ready:
     """Already-completed exchange handle — the serial drivers' rank loop
     has the full proposal set the moment it is built, but presents the
-    same post/``wait`` surface as the SPMD iallgather so :func:`_refine_loop`
-    is written once."""
+    same post/``wait`` surface as the SPMD exchange had when this engine
+    was frozen, so :func:`_refine_loop` is written once."""
 
     __slots__ = ("_props",)
 

@@ -4,7 +4,7 @@ Covers the wire semantics (exactly-once, in-order delivery under reorder /
 duplication / delay), decision determinism (pinned event logs), the
 decorator's conformance to the bare transport seam, the zero-overhead
 guarantee of the disabled path, crash diagnostics and error precedence,
-and the PARED-side retry helper.
+and the receive's retry schedule.
 """
 
 import time
@@ -22,7 +22,6 @@ from repro.runtime import (
     FaultToleranceExhausted,
     SimMPITimeout,
     SimRankCrashed,
-    recv_with_retry,
     spmd_run,
 )
 from repro.runtime.faults import _REORDER_HOLD, FaultyTransport
@@ -137,47 +136,48 @@ _PIN_PLANS = {
 #: the transport seam (PR 21's parent, where ``SimComm._send_faulty`` wrote
 #: envelopes into the queues itself): destination, ``.``, channel seq.
 #:
-#: ``tokens`` — the closing barrier's token frames (an allgather over a
-#: ring of three: each rank sends two to its right neighbour), captured
-#: when the barrier became one: source, destination, ``.``, channel seq,
-#: grouped by source.  Each sender logs its own channels in program order;
-#: the senders interleave by schedule, so only per-source order is pinned.
+#: ``tokens`` — the closing barrier's token frames (a direct exchange
+#: among three: each rank sends one to each other rank), captured when
+#: the allgather became a direct exchange: source, destination, ``.``,
+#: channel seq, grouped by source.  Each sender logs its own channels in
+#: program order; the senders interleave by schedule, so only per-source
+#: order is pinned.
 _PINNED = {
     ("reorder", 3): (
         "r1.1 r2.1 r1.3 r1.4 r2.4 r2.5 r1.6 r1.7 r2.8 r1.10 r1.11 r2.11",
-        "r20.0",
+        "r20.0 r21.0",
     ),
     ("reorder", 11): (
         "r2.0 r1.1 r1.2 r2.2 r2.3 r2.4 r1.5 r2.7 r1.8 r2.8 r1.9 r2.9 r2.10 r2.11",
-        "r01.12 r20.0 r20.1",
+        "r01.12 r02.12 r20.0 r21.0",
     ),
     ("reorder", 29): (
         "r1.0 r2.0 r1.1 r2.1 r2.2 r2.3 r1.5 r1.6 r1.7 r2.8 r1.11 r2.11",
-        "r20.0 r20.1",
+        "r20.0 r21.0",
     ),
     ("duplicate", 3): (
         "d1.0 d1.1 d2.3 d2.4 d1.7 d1.9 d1.10 d1.11",
-        "d01.12 d01.13 d12.1 d20.0",
+        "d01.12 d10.0 d20.0",
     ),
-    ("duplicate", 11): ("d2.1 d1.2 d1.3 d2.4 d2.7 d1.8 d1.11 d2.11", ""),
+    ("duplicate", 11): ("d2.1 d1.2 d1.3 d2.4 d2.7 d1.8 d1.11 d2.11", "d10.0"),
     ("duplicate", 29): (
         "d1.1 d2.2 d2.3 d2.4 d2.5 d1.6 d2.7 d1.8 d1.10 d2.10 d2.11",
-        "d01.12 d12.1",
+        "d01.12",
     ),
-    ("delay", 3): ("l2.1 l2.4 l2.5 l2.7 l1.8 l2.8", ""),
+    ("delay", 3): ("l2.1 l2.4 l2.5 l2.7 l1.8 l2.8", "l21.0"),
     ("delay", 11): ("l2.6 l1.8 l1.9", ""),
-    ("delay", 29): ("l1.0 l2.0 l2.6 l1.8 l2.9", "l20.1"),
+    ("delay", 29): ("l1.0 l2.0 l2.6 l1.8 l2.9", "l21.0"),
     ("combined", 3): (
         "d1.0 r1.1 d1.1 l2.1 r1.3 d2.3 r1.4 l2.4 d2.4 l2.5 r1.6 r1.7 d1.7 l2.7 l1.8 l2.8 d1.9 r1.10 d1.10 r1.11 d1.11 r2.11",
-        "d01.12 d01.13 d12.1 r20.0 d20.0",
+        "d01.12 d10.0 r20.0 d20.0 l21.0",
     ),
     ("combined", 11): (
         "r2.0 r1.1 d2.1 r1.2 d1.2 r2.2 d1.3 r2.3 r2.4 d2.4 r1.5 l2.6 r2.7 d2.7 l1.8 d1.8 r2.8 l1.9 r2.9 r2.10 d1.11 r2.11 d2.11",
-        "r01.12 r20.0 r20.1",
+        "r01.12 r02.12 d10.0 r20.0 r21.0",
     ),
     ("combined", 29): (
         "l1.0 l2.0 r1.1 d1.1 r2.1 r2.2 d2.2 r2.3 d2.3 d2.4 r1.5 d2.5 r1.6 d1.6 l2.6 r1.7 d2.7 l1.8 d1.8 r2.8 l2.9 d1.10 d2.10 r1.11 r2.11 d2.11",
-        "d01.12 d12.1 r20.0 l20.1",
+        "d01.12 r20.0 l21.0",
     ),
 }
 
@@ -391,9 +391,10 @@ class TestErrorPrecedence:
 
 
 class TestRetry:
-    #: a patience with no retry budgeted — the two entry points differ here
-    #: and only here (pinned at the parent)
+    #: a patience with no retry budgeted: one attempt, a plain timeout
     NO_RETRY = FaultPlan(recv_timeout=0.05)
+    #: the same patience with one retry: exhaustion
+    ONE_RETRY = FaultPlan(recv_timeout=0.05, max_retries=1)
 
     @staticmethod
     def _starved(receive):
@@ -414,49 +415,24 @@ class TestRetry:
         assert kind is SimMPITimeout
         assert msg == "rank 0 timed out receiving from 1 tag 9"
 
-    def test_helper_without_retry_budget_is_exhaustion(self):
-        kind, msg = spmd_run(
-            2,
-            self._starved(lambda c: recv_with_retry(c, 1, tag=9)),
-            faults=self.NO_RETRY,
-        )[0]
-        assert kind is FaultToleranceExhausted
-        assert msg == (
-            "rank 0 gave up receiving from rank 1 tag 9 after 1 attempts "
-            "(attempt timeouts: 0.05s)"
-        )
-
     def test_only_exhaustion_is_a_rank_death_under_recover(self):
         """``recover=True`` absorbs :class:`FaultToleranceExhausted` into a
         membership change; a plain timeout stays a run failure."""
 
-        def bare(comm):
+        def starved(comm):
             if comm.rank == 0:
                 comm.recv(1, tag=9)
-
-        def helper(comm):
-            if comm.rank == 0:
-                recv_with_retry(comm, 1, tag=9)
             return comm.rank
 
         with pytest.raises(RuntimeError, match="rank 0 failed: SimMPITimeout"):
-            spmd_run(2, bare, faults=self.NO_RETRY, recover=True)
+            spmd_run(2, starved, faults=self.NO_RETRY, recover=True)
         results, stats = spmd_run(
-            2, helper, faults=self.NO_RETRY, recover=True, return_stats=True
+            2, starved, faults=self.ONE_RETRY, recover=True, return_stats=True
         )
         assert results == [None, 1]
         assert [(e.rank, e.cause) for e in stats.membership_events] == [
             (0, "timeout")
         ]
-
-    def test_plain_comm_single_attempt(self):
-        def fn(comm):
-            if comm.rank == 0:
-                with pytest.raises(TimeoutError):
-                    recv_with_retry(comm, 1, tag=99, timeout=0.1)
-            return True
-
-        assert spmd_run(2, fn) == [True, True]
 
     def test_exhaustion_is_documented_error(self):
         plan = FaultPlan(seed=0, recv_timeout=0.06, max_retries=2)

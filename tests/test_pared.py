@@ -469,10 +469,6 @@ class TestFullLoop:
         # at p=2 an allgather is one message each way
         messages = stats.phase_report()["dkl"][0]
         assert messages == 2 * (n_rounds + n_rebalances)
-        # and the per-round byte ledger saw every round of the longest call
-        profile = stats.round_profile("dkl.proposals")
-        assert len(profile) == max(len(r) for r in rounds)
-        assert all(nbytes > 0 for nbytes in profile)
 
     def test_3d_round_never_sorts_the_leaf_facets(self, monkeypatch):
         """The same in 3-D: P1 and the cut read ``_nbr``, refinement walks
@@ -559,8 +555,8 @@ def _forbid_leaf_pair_lists(monkeypatch) -> None:
 class TestP0Traffic:
     def test_corner_p2_sends_one_frame_per_rank_per_round(self):
         """The benchmark's corner problem (n = 40, 5 rounds, seed 71) at
-        p = 2 on threads: P0 is one recursive-doubling allgather per round,
-        one frame each way, so 10 messages."""
+        p = 2 on threads: P0 is one allgather per round, one frame each
+        way, so 10 messages."""
         from bench.workloads import ParedWorkload
 
         w = ParedWorkload(

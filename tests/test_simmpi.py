@@ -225,22 +225,20 @@ class TestCollectives:
 
 
 class TestPairwiseCollectives:
-    """The pairwise `allgather`/`allreduce` (recursive doubling at
-    power-of-two group sizes, ring otherwise) and the nonblocking
-    `iallgather`: the same result as a root-funneled exchange, the same
-    ``ranks=`` semantics, the exactly-once ledger rule, and `Request.wait`
-    timeouts typed like any other receive timeout."""
+    """The `allgather` — a direct exchange, one frame per ordered pair —
+    and the `allreduce` over it: the same result as a root-funneled
+    exchange, the same ``ranks=`` semantics, and one bare frame per pair
+    on the exactly-once ledger."""
 
-    @pytest.mark.parametrize("size", (2, 3, 4, 5))
+    @pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 8))
     def test_allgather_parity_with_root_funneled(self, backend, size):
-        """Pairwise result == every block sent to rank 0 and the gathered
-        list sent back to every rank, written as plain send/recv loops, at
-        both a power-of-two size (recursive doubling) and general sizes
-        (ring)."""
+        """Direct-exchange result == every block sent to rank 0 and the
+        gathered list sent back to every rank, written as plain send/recv
+        loops."""
 
         def prog(comm):
             obj = (comm.rank, "x" * comm.rank)
-            pairwise = comm.allgather(obj, tag=60)
+            direct = comm.allgather(obj, tag=60)
             if comm.rank == 0:
                 funneled = [obj] + [
                     comm.recv(src, tag=61) for src in range(1, comm.size)
@@ -250,17 +248,33 @@ class TestPairwiseCollectives:
             else:
                 comm.send(obj, 0, tag=61)
                 funneled = comm.recv(0, tag=62)
-            return pairwise == funneled
+            return direct == funneled
 
         assert all(run(backend, size, prog))
 
-    def test_allgather_eight_ranks_recursive_doubling(self):
-        """Three doubling rounds (thread backend: cheap at p=8)."""
+    def test_allgather_ledger_one_bare_frame_per_pair(self, backend):
+        """Each member sends exactly ``k - 1`` frames, each the length of
+        its bare payload's encoding, and ``by_pair`` holds one frame per
+        ordered pair."""
+        from repro.runtime.codec import encode
+
+        k = 4
+
+        def payload(rank):
+            return np.arange(10 * (rank + 1))
 
         def prog(comm):
-            return comm.allgather(comm.rank**2)
+            comm.set_phase(f"r{comm.rank}")
+            return len(comm.allgather(payload(comm.rank), tag=72))
 
-        assert run("thread", 8, prog) == [[r**2 for r in range(8)]] * 8
+        res, stats = run(backend, k, prog, return_stats=True)
+        assert res == [k] * k
+        assert stats.phase_report() == {
+            f"r{r}": (k - 1, (k - 1) * len(encode(payload(r)))) for r in range(k)
+        }
+        assert dict(stats.by_pair) == {
+            (s, d): 1 for s in range(k) for d in range(k) if s != d
+        }
 
     def test_allgather_none_payload(self, backend):
         """``None`` is a legal contribution (dkl ranks with no proposal
@@ -298,86 +312,6 @@ class TestPairwiseCollectives:
 
         assert run(backend, 4, prog) == ["outside", 3, 3, 3]
 
-    def test_iallgather_matches_allgather(self, backend):
-        """Post, do local work while frames are in flight, then wait —
-        same result as the blocking collective."""
-
-        def prog(comm):
-            req = comm.iallgather(comm.rank * 11, tag=65)
-            local = sum(range(1000))  # overlap window
-            got = req.wait()
-            return got == [0, 11, 22] and local == 499500
-
-        assert all(run(backend, 3, prog))
-
-    def test_iallgather_rank_subset(self, backend):
-        def prog(comm):
-            group = [0, 3]
-            if comm.rank in group:
-                return comm.iallgather(comm.rank, ranks=group).wait()
-            return "outside"
-
-        res = run(backend, 4, prog)
-        assert res[0] == res[3] == [0, 3]
-        assert res[1] == res[2] == "outside"
-
-    def test_iallgather_sent_bytes(self, backend):
-        """``Request.sent_bytes`` is the posted wire cost: zero for a
-        single-rank group (nothing travels), positive otherwise, and
-        equal on ranks sending identical payloads."""
-
-        def prog(comm):
-            req = comm.iallgather(np.arange(64), tag=66)
-            req.wait()
-            solo = comm.iallgather("alone", ranks=[comm.rank])
-            assert solo.wait() == ["alone"]
-            assert solo.sent_bytes == 0
-            return req.sent_bytes
-
-        sent = run(backend, 3, prog)
-        assert sent[0] > 0 and len(set(sent)) == 1
-
-    def test_iallgather_wait_timeout_typing(self, backend):
-        """A starved ``wait(timeout=...)`` raises the same
-        :class:`SimMPITimeout` (a :class:`TimeoutError`) as a plain
-        receive — overlap never changes the failure surface."""
-
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.iallgather(0, tag=67)
-                try:
-                    req.wait(timeout=0.2)
-                except Exception as exc:  # noqa: BLE001 - capturing
-                    return type(exc).__name__, isinstance(exc, TimeoutError)
-                return "no exception"
-            # rank 1 posts too late for rank 0's patience
-            time.sleep(0.6)
-            comm.iallgather(1, tag=67).wait()
-            return None
-
-        name, is_timeout = run(backend, 2, prog)[0]
-        assert name == "SimMPITimeout"
-        assert is_timeout
-
-    def test_iallgather_timed_out_wait_resumes(self, backend):
-        """A ``wait`` that times out after consuming some peers' blocks
-        keeps them: the retry resumes at the first peer still owed instead
-        of receiving again from one whose block is gone.  Rank 1 holds rank
-        0's block when it times out on the late rank 2."""
-
-        def prog(comm):
-            if comm.rank == 2:
-                time.sleep(0.8)
-            req = comm.iallgather(comm.rank * 3, tag=71)
-            try:
-                return False, req.wait(timeout=0.1)
-            except TimeoutError:
-                return True, req.wait(timeout=5.0)
-
-        res = run(backend, 3, prog)
-        assert [blocks for _, blocks in res] == [[0, 3, 6]] * 3
-        assert res[1][0], "rank 1 never timed out: the case was not exercised"
-
     def test_ledger_exactly_once_under_faults(self):
         """Reordering and duplicate delivery must not change the sender-
         side ledger: one record of the frame length per logical message,
@@ -389,8 +323,7 @@ class TestPairwiseCollectives:
             comm.allgather(np.arange(30) + comm.rank, tag=68)
             comm.set_phase("B")
             comm.allreduce(float(comm.rank), tag=69)
-            req = comm.iallgather(comm.rank, tag=70)
-            return req.wait()
+            return comm.allgather(comm.rank, tag=70)
 
         plan = FaultPlan(
             seed=5, reorder_rate=0.4, duplicate_rate=0.4,
