@@ -151,26 +151,8 @@ class WeightedGraph:
         return (WeightedGraph, (self.xadj, self.adjncy, self.ewts, self.vwts))
 
     @property
-    def n_edges(self) -> int:
-        """Number of undirected edges."""
-        return self.adjncy.shape[0] // 2
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
-
-    def edge_weights(self, v: int) -> np.ndarray:
-        return self.ewts[self.xadj[v] : self.xadj[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.xadj[v + 1] - self.xadj[v])
-
-    @property
     def total_vweight(self) -> float:
         return float(self.vwts.sum())
-
-    @property
-    def total_eweight(self) -> float:
-        return float(self.ewts.sum()) / 2.0
 
     def to_scipy(self) -> sp.csr_matrix:
         """Adjacency matrix as scipy CSR (edge weights as entries)."""
@@ -182,16 +164,6 @@ class WeightedGraph:
     # ------------------------------------------------------------------ #
     # structure
     # ------------------------------------------------------------------ #
-
-    def connected_components(self) -> np.ndarray:
-        """Component label per vertex (scipy BFS)."""
-        ncomp, labels = sp.csgraph.connected_components(self.to_scipy(), directed=False)
-        return labels
-
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        return sp.csgraph.connected_components(self.to_scipy(), directed=False)[0] == 1
 
     def subgraph(self, vertices) -> tuple:
         """Induced subgraph on ``vertices``.
@@ -213,9 +185,3 @@ class WeightedGraph:
         assert np.all(self.ewts > 0), "nonpositive edge weight"
         assert np.all(self.vwts >= 0), "negative vertex weight"
         assert not np.any(self.adjncy == self.edge_src), "self loop"
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightedGraph(nv={self.n_vertices}, ne={self.n_edges}, "
-            f"W={self.total_vweight:g})"
-        )

@@ -108,6 +108,3 @@ class AdaptiveMesh:
 
     def leaf_centroids(self) -> np.ndarray:
         return self.mesh.verts[self.leaf_cells()].mean(axis=1)
-
-    def leaf_depths(self) -> np.ndarray:
-        return self.mesh.forest.depth_array[self.leaf_ids()]

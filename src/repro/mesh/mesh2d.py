@@ -38,8 +38,3 @@ class TriMesh(SimplexMesh):
         areas = tri_areas(self.verts, self.cells)
         if np.any(areas <= 0):
             raise ValueError("input mesh contains degenerate (zero-area) triangles")
-
-    # -- geometry --------------------------------------------------------- #
-
-    def leaf_areas(self) -> np.ndarray:
-        return tri_areas(self.verts, self.leaf_cells())

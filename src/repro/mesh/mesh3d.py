@@ -32,8 +32,3 @@ class TetMesh(SimplexMesh):
         vols = tet_volumes(self.verts, self.cells)
         if np.any(vols <= 0):
             raise ValueError("input mesh contains degenerate (zero-volume) tets")
-
-    # -- geometry --------------------------------------------------------- #
-
-    def leaf_volumes(self) -> np.ndarray:
-        return tet_volumes(self.verts, self.leaf_cells())

@@ -631,7 +631,7 @@ def _pseudo_peripheral(graph: WeightedGraph, candidates: np.ndarray, rng) -> int
         while frontier:
             nxt = []
             for v in frontier:
-                for u in graph.neighbors(v):
+                for u in graph.adjncy[graph.xadj[v] : graph.xadj[v + 1]]:
                     u = int(u)
                     if u in cand and u not in seen:
                         seen.add(u)

@@ -36,7 +36,7 @@ class TestLadder:
     def test_growth_concentrates_at_corner(self):
         gen = laplace_ladder(dim=2, n=8, levels=3)
         _, am = list(gen)[-1]
-        depths = am.leaf_depths()
+        depths = am.mesh.forest.depth_array[am.leaf_ids()]
         cents = am.leaf_centroids()
         deep = depths >= depths.max() - 1
         assert cents[deep][:, 0].mean() > 0.2
@@ -75,7 +75,7 @@ class TestTransientSequence:
         peaks = []
         for step, t, am in transient_mesh_sequence(n=10, steps=6):
             sizes.append(am.n_leaves)
-            depths = am.leaf_depths()
+            depths = am.mesh.forest.depth_array[am.leaf_ids()]
             cents = am.leaf_centroids()
             deep = depths >= depths.max() - 1
             peaks.append(cents[deep].mean(axis=0))

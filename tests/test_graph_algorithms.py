@@ -75,7 +75,7 @@ class TestMatching:
         m = heavy_edge_matching(grid_graph, seed=0)
         for v in range(grid_graph.n_vertices):
             if m[v] != v:
-                assert m[v] in grid_graph.neighbors(v)
+                assert m[v] in grid_graph.adjncy[grid_graph.xadj[v] : grid_graph.xadj[v + 1]]
 
     def test_prefers_heavy_edges(self):
         # star with one heavy edge: the heavy edge must be matched
@@ -112,8 +112,8 @@ class TestContraction:
         m = np.array([1, 0, 3, 2])
         coarse, cmap = contract(g, m)
         assert coarse.n_vertices == 2
-        assert coarse.n_edges == 1
-        assert coarse.edge_weights(0)[0] == 2.0
+        assert coarse.adjncy.tolist() == [1, 0]
+        assert coarse.ewts.tolist() == [2.0, 2.0]
 
     def test_cut_preserved_under_projection(self, grid_graph):
         """Contracting within subsets preserves the cut exactly."""
@@ -145,4 +145,4 @@ def test_contraction_conserves_total_edge_weight_minus_internal(seed):
     m = heavy_edge_matching(g, seed=seed)
     coarse, cmap = contract(g, m)
     internal = sum(1 for (u, v) in edges if cmap[u] == cmap[v])
-    assert coarse.total_eweight == pytest.approx(g.total_eweight - internal)
+    assert coarse.ewts.sum() / 2 == pytest.approx(g.ewts.sum() / 2 - internal)

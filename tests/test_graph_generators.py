@@ -3,6 +3,7 @@ their known structures."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.graph.generators import (
     caterpillar_graph,
@@ -26,7 +27,7 @@ class TestGenerators:
     def test_grid_counts(self):
         g = grid_graph(4, 5)
         assert g.n_vertices == 20
-        assert g.n_edges == 4 * 4 + 3 * 5  # vertical strips + horizontal
+        assert g.adjncy.size == 2 * (4 * 4 + 3 * 5)  # vertical strips + horizontal
 
     def test_torus_regular(self):
         g = torus_graph(5)
@@ -36,26 +37,24 @@ class TestGenerators:
     def test_torus_small_wrap_merges(self):
         # 2-wide torus: wraparound duplicates edges, which merge
         g = torus_graph(2, 4)
-        assert g.is_connected()
+        assert connected_components(g.to_scipy(), directed=False)[0] == 1
 
     def test_path(self):
         g = path_graph(6)
-        assert g.n_edges == 5
-        assert g.degree(0) == 1 and g.degree(3) == 2
+        assert np.diff(g.xadj).tolist() == [1, 2, 2, 2, 2, 1]
 
     def test_star(self):
         g = star_graph(10)
-        assert g.degree(0) == 9
-        assert all(g.degree(i) == 1 for i in range(1, 10))
+        assert np.diff(g.xadj).tolist() == [9] + [1] * 9
 
     def test_caterpillar(self):
         g = caterpillar_graph(4, 3)
         assert g.n_vertices == 4 + 12
-        assert g.degree(0) == 1 + 3  # spine end + legs
+        assert np.diff(g.xadj)[0] == 1 + 3  # spine end + legs
 
     def test_random_geometric_connected_at_default_radius(self):
         g = random_geometric_graph(200, seed=1)
-        assert g.is_connected()
+        assert connected_components(g.to_scipy(), directed=False)[0] == 1
 
     def test_weight_profile(self):
         w = weighted_refinement_profile(100, hot_fraction=0.1, hot_weight=8.0, seed=0)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import PNR
 from repro.fem import gradient_jump_indicator, mark_top_fraction, solve_poisson
-from repro.geometry import lshape_mesh
+from repro.geometry import lshape_mesh, tri_areas
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.mesh.mesh2d import TriMesh
 from repro.partition import graph_imbalance
@@ -32,7 +32,7 @@ def lshape_adapted():
 
 def test_refinement_concentrates_at_reentrant_corner(lshape_adapted):
     am = lshape_adapted
-    depths = am.leaf_depths()
+    depths = am.mesh.forest.depth_array[am.leaf_ids()]
     cents = am.leaf_centroids()
     deep = depths >= depths.max() - 1
     assert deep.any()
@@ -46,7 +46,7 @@ def test_refinement_concentrates_at_reentrant_corner(lshape_adapted):
 def test_mesh_stays_conformal_and_exact(lshape_adapted):
     am = lshape_adapted
     am.mesh.check_conformal()
-    assert am.mesh.leaf_areas().sum() == pytest.approx(3.0)
+    assert tri_areas(am.mesh.verts, am.mesh.leaf_cells()).sum() == pytest.approx(3.0)
 
 
 def test_solution_value_reasonable(lshape_adapted):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import tri_areas
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.rivara import refine
 
@@ -57,7 +58,7 @@ class TestBisection:
         assert bisected == [0]
         assert m.n_leaves == 2
         assert m.n_verts == 4  # midpoint added
-        assert m.leaf_areas().sum() == pytest.approx(0.5)
+        assert tri_areas(m.verts, m.leaf_cells()).sum() == pytest.approx(0.5)
         m.check_conformal()
         m.forest.validate()
 
@@ -67,7 +68,7 @@ class TestBisection:
         # neighbor shares the longest edge -> both bisect
         assert sorted(bisected) == [0, 1]
         assert m.n_leaves == 4
-        assert m.leaf_areas().sum() == pytest.approx(1.0)
+        assert tri_areas(m.verts, m.leaf_cells()).sum() == pytest.approx(1.0)
         m.check_conformal()
 
     def test_midpoint_shared_between_pair(self):
@@ -108,7 +109,7 @@ class TestBisection:
             target = leaves[rng.integers(len(leaves))]
             refine(m, [target])
             m.check_conformal()
-        assert m.leaf_areas().sum() == pytest.approx(4.0)
+        assert tri_areas(m.verts, m.leaf_cells()).sum() == pytest.approx(4.0)
 
     def test_every_leaf_bisected_once(self):
         # two rounds over every leaf of the 288-triangle square: the

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import structured_tet_mesh
+from repro.geometry import structured_tet_mesh, tet_volumes
 from repro.mesh.base import pair_key
 from repro.mesh.mesh3d import TetMesh
 from repro.mesh.rivara import refine
@@ -74,7 +74,7 @@ class TestBisection:
         m = single_tet()
         refine(m, [0])
         assert m.n_leaves == 2
-        assert m.leaf_volumes().sum() == pytest.approx(1 / 6)
+        assert tet_volumes(m.verts, m.leaf_cells()).sum() == pytest.approx(1 / 6)
         m.check_conformal()
         m.forest.validate()
 
@@ -83,7 +83,7 @@ class TestBisection:
         refine(m, [0])
         # the whole 6-tet star around the main diagonal splits -> 12 leaves
         assert m.n_leaves == 12
-        assert m.leaf_volumes().sum() == pytest.approx(8.0)
+        assert tet_volumes(m.verts, m.leaf_cells()).sum() == pytest.approx(8.0)
         m.check_conformal()
 
     def test_volume_preserved_random_refinement(self):
@@ -93,14 +93,14 @@ class TestBisection:
             leaves = m.leaf_ids()
             marked = leaves[rng.choice(len(leaves), size=4, replace=False)]
             refine(m, marked)
-            assert m.leaf_volumes().sum() == pytest.approx(8.0)
+            assert tet_volumes(m.verts, m.leaf_cells()).sum() == pytest.approx(8.0)
             m.check_conformal()
         m.forest.validate()
 
     def test_no_degenerate_children(self):
         m = cube_mesh(2)
         refine(m, list(m.leaf_ids()))
-        assert m.leaf_volumes().min() > 0
+        assert tet_volumes(m.verts, m.leaf_cells()).min() > 0
 
     def test_refined_element_skipped(self):
         m = cube_mesh(1)

@@ -130,7 +130,8 @@ class TestWeigh:
         """A leaf pair across trees whose roots share no facet of ``M^0``."""
         mesh = _MESHES[kind]().mesh
         far = mesh.n_roots - 1
-        assert far not in mesh.coarse_skeleton().neighbors(0)
+        skeleton = mesh.coarse_skeleton()
+        assert far not in skeleton.adjncy[: skeleton.xadj[1]]
         local = int(np.argmax(mesh._nbr.data[0] >= 0))
         mesh._nbr.data[0, local] = far
         for roots in (None, [0]):

@@ -1,34 +1,41 @@
 """The ``run_pared`` grid: every partitioner × transport × p × problem.
 
-64 2-D cells — {pnr, mlkl, sfc, dkl} × {thread, shm} × p ∈ {1..4} ×
-{corner, peak} — each the benchmark's ``ParedWorkload`` at n = 24 for 4
-rounds, seed 0; and 12 3-D cells — {pnr, sfc} × {thread, shm} × p ∈ {1, 2,
-3} — on ``unit_cube(5)`` with the top 15 % of leaves by the 3-D corner
-indicator marked, 3 rounds.  Two contracts per (partitioner, p, problem):
+39 cells, each run on thread and on shm: 32 2-D cells — {pnr, mlkl, sfc,
+dkl} × p ∈ {1..4} × {corner, peak} — each the benchmark's ``ParedWorkload``
+at n = 24 for 4 rounds, seed 0; 6 3-D cells — {pnr, sfc} × p ∈ {1, 2, 3} —
+on ``unit_cube(5)`` with the top 15 % of leaves by the 3-D corner indicator
+marked, 3 rounds; and ``corner2d_p2_shm_pnr``, the benchmark workload's own
+config (corner, n = 40, 5 rounds, p = 2, ``pnr``, seed 71).  Two contracts
+per cell:
 
 * the thread and shm runs agree exactly, history for history (every
   field, ``local_load`` included) and phase ledger for phase ledger —
   asserted here, no stored value;
-* their digest — every rank's history without ``local_load`` (whose
-  ``leaf_crc`` pins element ids, not only the refined geometry), and
-  ``phase_report()`` — equals the one committed in
-  ``tests/golden/pared_grid.json``.  A change that moves a digest names
-  the moved cells and the reason in its description.
+* the thread run's record equals the cell's entry in
+  ``tests/golden/pared_grid.json`` exactly: ``phases``, the literal
+  ``{phase: [messages, bytes]}``; ``rounds``, rank 0's scalar fields per
+  round (``imbalance_before`` as the JSON number ``float.__repr__``
+  writes, which reads back bit-exact); and ``history``, the sha256 of every
+  rank's history without ``local_load`` (owner maps included; ``leaf_crc``
+  pins element ids, not only the refined geometry).
 
 In 3-D the test also requires ``leaf_crc`` to agree across p in every
 round: parallel refinement numbers every element as serial refinement does.
+And over the golden itself, P0 sends ``p·(p−1)`` frames a round, as does P2
+under every partitioner but ``dkl``.
 
 Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python -m tests.test_pared_grid --regen
 
-which prints, for each cell whose digest changed, which half moved
-(``history`` / ``phases``) before it writes the file.
+which writes one line per phase table and per round record, so ``git diff``
+of the golden shows which cells and rounds moved.
 """
 
 import hashlib
 import json
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,16 +54,20 @@ PROBLEMS = ("corner", "peak")
 RANKS = (1, 2, 3, 4)
 CUBE_PARTITIONERS = ("pnr", "sfc")
 CUBE_RANKS = (1, 2, 3)
+BENCH_CELL = "corner2d_p2_shm_pnr"
+INT_FIELDS = ("round", "leaves", "leaf_crc", "cut", "shared_vertices",
+              "elements_moved", "trees_moved", "p_live")
 _CORNER_3D = CornerLaplace3D()
 
 
-def run_cell(partitioner: str, problem: str, p: int, transport: str):
-    """``(histories, stats)`` of one grid cell."""
+def run_cell(partitioner: str, problem: str, p: int, transport: str, *,
+             n: int = 24, rounds: int = 4, seed: int = 0):
+    """``(histories, stats)`` of one 2-D grid cell."""
     w = ParedWorkload(
-        f"{problem}_p{p}_{transport}_{partitioner}", problem=problem, n=24,
-        rounds=4, p=p, transport=transport, partitioner=partitioner,
+        f"{problem}_p{p}_{transport}_{partitioner}", problem=problem, n=n,
+        rounds=rounds, p=p, transport=transport, partitioner=partitioner,
     )
-    w.generate(0)
+    w.generate(seed)
     return w.call()
 
 
@@ -93,20 +104,34 @@ def _feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-def digest(out) -> dict:
-    """``{"history": sha256 of every rank's history minus local_load,
-    "phases": sha256 of phase_report()}``."""
+def record(out) -> dict:
+    """A cell's golden entry: ``phases``, rank 0's ``rounds`` and the
+    ``history`` hash."""
     histories, stats = out
     h = hashlib.sha256()
     _feed(h, [[{k: v for k, v in rec.items() if k != "local_load"} for rec in rank]
                for rank in histories])
-    ph = hashlib.sha256()
-    _feed(ph, stats.phase_report())
-    return {"history": h.hexdigest(), "phases": ph.hexdigest()}
+    return {
+        "phases": {ph: list(mb) for ph, mb in stats.phase_report().items()},
+        "rounds": [{**{k: int(rec[k]) for k in INT_FIELDS},
+                    "imbalance_before": float(rec["imbalance_before"])}
+                   for rec in histories[0]],
+        "history": h.hexdigest(),
+    }
 
 
 def _key(partitioner: str, problem: str, p: int) -> str:
     return f"{partitioner}/{problem}/p{p}"
+
+
+def cells() -> dict:
+    """``{key: run(transport)}``, every cell in the golden's order."""
+    out = {_key(pa, pr, p): partial(run_cell, pa, pr, p)
+           for pa in PARTITIONERS for pr in PROBLEMS for p in RANKS}
+    out.update({_key(pa, "cube", p): partial(run_cube_cell, pa, p)
+                for pa in CUBE_PARTITIONERS for p in CUBE_RANKS})
+    out[BENCH_CELL] = partial(run_cell, "pnr", "corner", 2, n=40, rounds=5, seed=71)
+    return out
 
 
 def _assert_same_run(thread, shm) -> None:
@@ -121,6 +146,13 @@ def _assert_same_run(thread, shm) -> None:
     assert stats_t.phase_report() == stats_s.phase_report()
 
 
+def run_checked(run):
+    """A cell's thread run, once its shm run is asserted equal to it."""
+    thread = run("thread")
+    _assert_same_run(thread, run("shm"))
+    return thread
+
+
 @pytest.fixture(scope="module")
 def golden():
     yield json.loads(GOLDEN.read_text())
@@ -131,19 +163,21 @@ def golden():
 @pytest.mark.parametrize("problem", PROBLEMS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 def test_cell(golden, partitioner, problem, p):
-    thread = run_cell(partitioner, problem, p, "thread")
-    shm = run_cell(partitioner, problem, p, "shm")
-    _assert_same_run(thread, shm)
-    assert digest(thread) == golden[_key(partitioner, problem, p)]
+    key = _key(partitioner, problem, p)
+    assert record(run_checked(cells()[key])) == golden[key]
+
+
+def test_bench_cell(golden):
+    assert record(run_checked(cells()[BENCH_CELL])) == golden[BENCH_CELL]
 
 
 @pytest.mark.parametrize("partitioner", CUBE_PARTITIONERS)
 def test_cube_cells(golden, partitioner):
     crcs = []
     for p in CUBE_RANKS:
-        thread = run_cube_cell(partitioner, p, "thread")
-        _assert_same_run(thread, run_cube_cell(partitioner, p, "shm"))
-        assert digest(thread) == golden[_key(partitioner, "cube", p)]
+        key = _key(partitioner, "cube", p)
+        thread = run_checked(cells()[key])
+        assert record(thread) == golden[key]
         crcs.append([[rec["leaf_crc"] for rec in rank] for rank in thread[0]])
     # every rank of every p numbers every round's leaves alike
     rounds = [{crc for per_p in crcs for rank in per_p for crc in [rank[r]]}
@@ -151,33 +185,41 @@ def test_cube_cells(golden, partitioner):
     assert all(len(ids) == 1 for ids in rounds), rounds
 
 
+def test_one_frame_per_pair_per_round(golden):
+    """P0 is one allgather a round, so ``p·(p−1)`` frames (none at p = 1);
+    every weight protocol but ``dkl``'s sends P2 the same way."""
+    for key, cell in golden.items():
+        p, rounds = cell["rounds"][0]["p_live"], len(cell["rounds"])
+        frames = p * (p - 1) * rounds
+        assert cell["phases"].get("P0", [0, 0])[0] == frames, key
+        if not key.startswith("dkl/"):
+            assert cell["phases"].get("P2", [0, 0])[0] == frames, key
+
+
 def compute_golden() -> dict:
-    out = {}
     try:
-        for partitioner in PARTITIONERS:
-            for problem in PROBLEMS:
-                for p in RANKS:
-                    thread = run_cell(partitioner, problem, p, "thread")
-                    _assert_same_run(thread, run_cell(partitioner, problem, p, "shm"))
-                    out[_key(partitioner, problem, p)] = digest(thread)
-        for partitioner in CUBE_PARTITIONERS:
-            for p in CUBE_RANKS:
-                thread = run_cube_cell(partitioner, p, "thread")
-                _assert_same_run(thread, run_cube_cell(partitioner, p, "shm"))
-                out[_key(partitioner, "cube", p)] = digest(thread)
+        return {key: record(run_checked(run)) for key, run in cells().items()}
     finally:
         shutdown_pools()
-    return out
+
+
+def dumps(table: dict) -> str:
+    """The golden's text: one line per phase table and per round record."""
+    entries = []
+    for key, cell in table.items():
+        rounds = ",\n".join(f"      {json.dumps(rec)}" for rec in cell["rounds"])
+        entries.append(
+            f"  {json.dumps(key)}: {{\n"
+            f'    "phases": {json.dumps(cell["phases"])},\n'
+            f'    "rounds": [\n{rounds}\n    ],\n'
+            f'    "history": {json.dumps(cell["history"])}\n  }}'
+        )
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 if __name__ == "__main__":
     import sys
 
     if "--regen" in sys.argv:
-        old, new = json.loads(GOLDEN.read_text()), compute_golden()
-        for key, halves in new.items():
-            moved = [h for h in halves if old.get(key, {}).get(h) != halves[h]]
-            if moved:
-                print(f"{key}: {' '.join(moved)} moved")
-        GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
+        GOLDEN.write_text(dumps(compute_golden()))
         print(f"wrote {GOLDEN}")

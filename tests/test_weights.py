@@ -270,21 +270,6 @@ class TestCoordinatorMerge:
             cg.merge([slot_frame(full_weight_report(graph, owner, 0), graph)])
 
 
-class TestSlotFrameBytes:
-    def test_p2_bytes_bound(self):
-        """A slot frame entry is two int32s, where a key-form entry was an
-        int64 key and a float64 weight: the corner workload's P2 traffic
-        (n = 40, p = 2, seed 71, ``pnr``) is bounded at 0.55 of the
-        180 902 B the key form sent."""
-        from bench.workloads import ParedWorkload
-
-        w = ParedWorkload("corner", problem="corner", n=40, rounds=5, p=2,
-                          transport="thread", partitioner="pnr")
-        w.generate(71)
-        _, stats = w.call()
-        assert stats.phase_report()["P2"][1] <= 0.55 * 180_902
-
-
 class TestEdgeKeyPacking:
     @given(
         st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=20)
