@@ -298,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--partitioner", choices=available_partitioners(), default="pnr",
         help="repartitioning strategy, run identically on every rank: "
              "pnr (Equation-1 KL, default), mlkl (scratch Multilevel-KL), "
-             "sfc (space-filling-curve splitting), or dkl (distributed "
-             "boundary refinement over neighbor halos)",
+             "sfc (space-filling-curve splitting), or dkl (boundary "
+             "refinement by propose/resolve tournament); every strategy "
+             "repartitions the same merged weight graph",
     )
     pa.add_argument(
         "--sfc-curve", choices=("morton", "hilbert"), default="morton",

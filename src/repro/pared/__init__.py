@@ -21,10 +21,9 @@ communicate in the phases of Figure 2:
 
 There is one round engine (:mod:`repro.pared.system`): :func:`run_pared`
 marks from a user marker, :func:`run_workflow` from a distributed solve and
-an a-posteriori estimate, and P1–P3 follow the weight protocol of the
-chosen strategy's family (:mod:`repro.pared.protocols` — the delta
-exchange above, or neighbor halos plus an SPMD tournament under ``dkl``).  All
-traffic is counted per phase by the runtime's
+an a-posteriori estimate, and P1–P3 follow one weight protocol
+(:mod:`repro.pared.protocols` — the delta exchange above) whatever the
+strategy.  All traffic is counted per phase by the runtime's
 :class:`~repro.runtime.stats.TrafficStats`.
 """
 

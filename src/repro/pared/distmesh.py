@@ -27,10 +27,7 @@ import numpy as np
 from repro.mesh import _meshnative
 from repro.mesh.adapt import AdaptiveMesh
 from repro.mesh.base import sorted_unique
-from repro.mesh.dualgraph import coarse_dual_graph
 from repro.mesh.forest import LEAF
-from repro.pared.weights import full_weight_report, split_report_by_owner
-from repro.partition.distributed import PartView
 from repro.perf import PERF
 
 
@@ -127,7 +124,7 @@ class DistributedMesh:
         return bisected, self.amesh.coarsen(np.concatenate(marks))
 
     # ------------------------------------------------------------------ #
-    # P1/P2: weight computation and reporting
+    # P1: weight computation
     # ------------------------------------------------------------------ #
 
     def owned_weights(self) -> tuple:
@@ -138,51 +135,3 @@ class DistributedMesh:
         owned = np.flatnonzero(self.owner == self.rank)
         with PERF.span("mesh.dual_graph"):
             return _meshnative.weigh(self.amesh.mesh, owned)
-
-    def local_weight_update(self) -> dict:
-        """Full packed vertex/edge weight report of ``G`` for this rank's
-        owned roots (phase P1): flat sorted arrays, see
-        :mod:`repro.pared.weights`.  What travels in P2 is the protocol's
-        business — a delta of it, or its boundary slices.
-
-        Only the owned trees are recounted (their rows of ``G``,
-        :func:`~repro.mesh.dualgraph.coarse_dual_graph` at ``owned``); edge
-        ``(a, b)`` (with ``a < b``) is reported by the owner of ``a``.
-        """
-        owned = np.flatnonzero(self.owner == self.rank)
-        return full_weight_report(
-            coarse_dual_graph(self.amesh.mesh, owned), self.owner, self.rank
-        )
-
-    def exchange_halo_weights(self, full: dict):
-        """Phase P2, ``dkl`` variant: neighbor-to-neighbor halo exchange.
-
-        Instead of sending its whole report to every peer, each rank sends
-        the slice of ``full`` (this round's
-        :meth:`local_weight_update`) incident to a neighbor's roots
-        directly to that neighbor
-        (:func:`~repro.pared.weights.split_report_by_owner`) and receives
-        the symmetric slices back.  The set of ranks to expect messages
-        from is computed from the *replicated structure* (which edges
-        cross the ownership boundary is public knowledge; only the
-        weights travel), so no handshake round is needed.  Returns this
-        rank's assembled :class:`~repro.partition.distributed.PartView`.
-        """
-        n = self.amesh.n_roots
-        skeleton = self.amesh.mesh.coarse_skeleton()
-        payloads = split_report_by_owner(full, self.owner, n, self.rank)
-        for t in sorted(payloads):
-            self.comm.send(payloads[t], t, tag=21)
-        # expected sources: owners of `a` for canonical edges (a, b) with
-        # a < b, owner[b] == rank, owner[a] != rank — the mirror image of
-        # the send rule above, read off M^0's adjacency
-        src = skeleton.edge_src
-        dst = skeleton.adjncy
-        mask = (
-            (src < dst)
-            & (self.owner[dst] == self.rank)
-            & (self.owner[src] != self.rank)
-        )
-        sources = np.unique(self.owner[src[mask]])
-        received = [self.comm.recv(int(s), tag=21) for s in sources]
-        return PartView.from_reports(n, self.rank, full, received)

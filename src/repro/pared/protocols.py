@@ -1,31 +1,21 @@
-"""The two weight protocols of a PARED round.
+"""The weight protocol of a PARED round.
 
 Between adaptation (P0) and migration, a round must learn the new weights
 of the coarse dual graph ``G``, measure the imbalance and — past the
 trigger — choose a new owner map.  No rank coordinates: every live rank
 feeds the same inputs to the same seeded strategy, so each one computes
-the same owner map and no message carries a decision.  How the inputs
-travel is a property of the repartitioning strategy's family, and the only
-thing about a round that varies with it:
-
-* :class:`_DeltaProtocol` (strategies with ``halo = False``:
-  ``pnr``/``mlkl``/``sfc``): every rank diffs its own counts against last
-  round's, slot by slot, and sends the delta to every live peer in slot
-  space (int32 root ids and forward-slot positions with their counts);
-  each rank scatters all of them into its own :class:`_MergedGraph` and
-  runs the registry strategy on it.  Round state: the delta baseline and
-  ``G``.  Neither is checkpointed: a recovery starts a fresh protocol,
-  whose zero baseline makes its first P2 carry full reports.
-* :class:`_HaloProtocol` (``halo = True``: ``dkl``): boundary slices of
-  the full report travel neighbor-to-neighbor into a
-  :class:`~repro.partition.distributed.PartView`, one allgather of the
-  per-rank load sums gives every rank the imbalance, and the tournament
-  runs SPMD on every rank (phase label ``dkl``).  No state survives a
-  round.
+the same owner map and no message carries a decision.  There is one
+protocol, whatever the strategy (:class:`_WeightProtocol`): every rank
+diffs its own counts against last round's, slot by slot, and sends the
+delta to every live peer in slot space (int32 root ids and forward-slot
+positions with their counts); each rank scatters all of them into its own
+:class:`_MergedGraph` and runs the registry strategy on it.  Round state:
+the delta baseline and ``G``.  Neither is checkpointed: a recovery starts
+a fresh protocol, whose zero baseline makes its first P2 carry full
+reports.
 
 The round engine (:mod:`repro.pared.system`) calls ``weigh`` (P1),
-``exchange`` (P2), ``decide`` (P3, up to the migration) and ``audit`` on
-whichever :func:`_weight_protocol` picked, and never asks which.
+``exchange`` (P2), ``decide`` (P3, up to the migration) and ``audit``.
 """
 
 from __future__ import annotations
@@ -38,11 +28,7 @@ from repro.partition.metrics import imbalance
 from repro.partition.registry import make_repartitioner
 from repro.perf import PERF
 from repro.runtime.recovery import compact_owner, expand_owner
-from repro.testing import (
-    check_dual_graph_weights,
-    check_halo_weights,
-    check_monotone_refinement,
-)
+from repro.testing import check_dual_graph_weights, check_monotone_refinement
 
 
 def _on_live(live, size: int, fn, *owners):
@@ -108,15 +94,27 @@ class _MergedGraph:
 
 
 class _WeightProtocol:
-    """What both protocols share: the registry strategy (it carries the sfc
-    curve-order cache across rounds) and the root centroids, computed only
-    for a strategy that reads them (``None`` for the others)."""
+    """P1–P3 up to the migration, with its round state: the registry
+    strategy (it carries the sfc curve-order cache across rounds), the
+    root centroids (computed only for a strategy that reads them, ``None``
+    for the others), the merged ``G`` and the delta baseline.  Built
+    fresh, with a fresh strategy object, at setup and at every recovery."""
 
-    def __init__(self, comm, cfg, amesh, repart):
-        self.comm, self.cfg, self.repart = comm, cfg, repart
+    def __init__(self, comm, cfg, amesh):
+        self.comm, self.cfg = comm, cfg
+        self.repart = repart = make_repartitioner(
+            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
+        )
         self.root_coords = (
             coarse_root_centroids(amesh.mesh) if repart.reads_coords else None
         )
+        #: weights *only* from P2 messages, structure from M^0
+        self.G = _MergedGraph(amesh.mesh.coarse_skeleton())
+        self.graph = None  # G as of the latest merge
+        #: last round's own counts per root and per forward slot — the
+        #: baseline P2 deltas are cut against; 0 = not reported
+        self._prev = (np.zeros(amesh.n_roots, dtype=np.int64),
+                      np.zeros(self.G.fwd.shape[0], dtype=np.int64))
 
     def initial_owner(self, amesh, live) -> np.ndarray:
         """Partition of the unrefined coarse dual graph."""
@@ -126,18 +124,6 @@ class _WeightProtocol:
             self.comm.size,
             lambda k: self.repart.initial(graph0, k, coords=self.root_coords),
         )
-
-
-class _DeltaProtocol(_WeightProtocol):
-    def __init__(self, comm, cfg, amesh, repart):
-        super().__init__(comm, cfg, amesh, repart)
-        #: weights *only* from P2 messages, structure from M^0
-        self.G = _MergedGraph(amesh.mesh.coarse_skeleton())
-        self.graph = None  # G as of the latest merge
-        #: last round's own counts per root and per forward slot — the
-        #: baseline P2 deltas are cut against; 0 = not reported
-        self._prev = (np.zeros(amesh.n_roots, dtype=np.int64),
-                      np.zeros(self.G.fwd.shape[0], dtype=np.int64))
 
     def weigh(self, dmesh) -> dict:
         """This rank's P2 frame: the entries of its counts that are new or
@@ -203,56 +189,3 @@ class _DeltaProtocol(_WeightProtocol):
                 old_owner,
                 dmesh.owner,
             )
-
-
-class _HaloProtocol(_WeightProtocol):
-    view = None  # this round's PartView (the audit reads it)
-
-    def weigh(self, dmesh) -> dict:
-        # no delta machinery: the halo exchange ships each round's full
-        # (small, per-neighbor) boundary slices, so there is no baseline
-        # to diff against and no G to accumulate
-        return dmesh.local_weight_update()
-
-    def exchange(self, dmesh, full):
-        """Halo slices to the neighbors, then one allgather of every rank's
-        ``(load, max root weight)``.  Returns the replica-identical
-        ``(loads, wmax, imbalance)``."""
-        comm, live = self.comm, dmesh.live
-        self.view = dmesh.exchange_halo_weights(full)
-        wsum = float(full["v_wts"].sum())
-        wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
-        gathered = comm.allgather((wsum, wmax_local), tag=42, ranks=live)
-        loads = np.zeros(comm.size)
-        loads[live] = [s for s, _ in gathered]
-        wmax = max(m for _, m in gathered)
-        return loads, float(wmax), imbalance(loads[live])
-
-    def decide(self, dmesh, measured):
-        """``(new_owner, imbalance)``: the tournament is replica-identical,
-        so every rank returns the same map."""
-        comm = self.comm
-        loads, wmax, imb = measured
-        if imb <= self.cfg.imbalance_trigger:
-            return dmesh.owner.copy(), imb
-        comm.set_phase("dkl")
-        assign = self.repart.refine_spmd(
-            comm, self.view, dmesh.owner, loads, wmax, dmesh.live
-        )
-        comm.set_phase("P3")
-        return assign, imb
-
-    def audit(self, dmesh, old_owner, imb) -> None:
-        # every rank's halo view was assembled purely from P2 neighbor
-        # messages (plus proposal payloads as roots changed hands) — audit
-        # it against a brute-force recount of the incident set of the
-        # roots it now owns
-        check_halo_weights(dmesh.amesh.mesh, self.view, dmesh.owner, self.comm.rank)
-
-
-def _weight_protocol(comm, cfg, amesh) -> _WeightProtocol:
-    """The protocol of ``cfg.partitioner``'s family, with fresh round state
-    and a fresh strategy object."""
-    repart = make_repartitioner(cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve)
-    cls = _HaloProtocol if repart.halo else _DeltaProtocol
-    return cls(comm, cfg, amesh, repart)

@@ -21,8 +21,8 @@ each behind one private seam: the *mark* stage (``mark(dmesh, rnd) ->
 (refine_ids, coarsen_ids, record_extras)``; the default evaluates
 ``cfg.marker`` on the replica, :mod:`repro.pared.workflow` substitutes a
 distributed solve + a-posteriori estimate) and the *weight protocol*
-(:mod:`repro.pared.protocols`, chosen once from ``cfg.partitioner``'s
-family).  docs/runtime.md describes both.
+(:mod:`repro.pared.protocols`, one for every strategy).  docs/runtime.md
+describes both.
 
 Crash survival (``ParedConfig(recover=True)``): every rank checkpoints its
 mesh, owner map and history at each round barrier
@@ -51,7 +51,7 @@ from repro.mesh.dualgraph import coarse_dual_graph, leaf_assignment_from_roots
 from repro.mesh.metrics import cut_size, shared_vertex_count
 from repro.pared.distmesh import DistributedMesh
 from repro.pared.migrate import execute_migration, plan_recovery_assignment
-from repro.pared.protocols import _weight_protocol, _WeightProtocol
+from repro.pared.protocols import _WeightProtocol
 from repro.perf import PERF
 from repro.runtime.faults import FaultPlan
 from repro.runtime.recovery import (
@@ -133,12 +133,10 @@ class ParedConfig:
         (scratch Multilevel-KL, label-aligned), ``"sfc"`` (Morton/Hilbert
         space-filling-curve splitting of the coarse-root centroids —
         O(n log n), incremental, the cheap high-throughput baseline), or
-        ``"dkl"`` (distributed boundary refinement,
-        :mod:`repro.partition.distributed`).  Under ``dkl`` the round is
-        restructured: P2 weight exchange is neighbor-to-neighbor halo
-        traffic instead of every delta to every rank, the imbalance comes
-        from one allgather of per-rank load sums, and refinement runs SPMD
-        on every rank (phase label ``dkl``).
+        ``"dkl"`` (boundary refinement by a propose / resolve / rebalance
+        tournament, :mod:`repro.partition.distributed`).  Every strategy
+        runs the same round: P2 sends each rank's weight delta to every
+        rank, and each rank repartitions its own merged ``G``.
     sfc_curve:
         Curve of the ``sfc`` strategy: ``"morton"`` (default) or
         ``"hilbert"``.  Ignored by the graph-based strategies.
@@ -187,7 +185,7 @@ def _pared_setup(comm, cfg: ParedConfig, live) -> _RankState:
     every rank partitions the unrefined mesh itself, identically."""
     live = sorted(live)
     amesh = cfg.make_mesh()
-    proto = _weight_protocol(comm, cfg, amesh)
+    proto = _WeightProtocol(comm, cfg, amesh)
     owner = proto.initial_owner(amesh, live)
     return _RankState(DistributedMesh(comm, amesh, owner, live=live), proto, [])
 
@@ -290,7 +288,7 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     # cache rebuilds deterministically from the static root centroids):
     # no survivor has a delta baseline, so the next round's P2 carries full
     # reports and G is rebuilt from messages alone
-    proto = _weight_protocol(comm, cfg, amesh)
+    proto = _WeightProtocol(comm, cfg, amesh)
     dmesh = DistributedMesh(comm, amesh, ckpt.owner, live=live)
 
     # every survivor plans the same re-assignment of the dead rank's roots

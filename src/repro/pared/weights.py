@@ -1,9 +1,8 @@
 """Packed (struct-of-arrays) weight reports in key form.
 
-A weight report is a dict of flat numpy arrays — the form the ``dkl`` halo
-protocol ships (:func:`split_report_by_owner`), and the oracle of the delta
+A weight report is a dict of flat numpy arrays — the oracle of the weight
 protocol's slot-space frames, which name edges by skeleton slot instead
-(:meth:`~repro.pared.protocols._DeltaProtocol.weigh`):
+(:meth:`~repro.pared.protocols._WeightProtocol.weigh`):
 
 ``v_ids`` / ``v_wts``
     Sorted coarse-root ids with their fresh vertex weights.
@@ -68,7 +67,7 @@ def diff_weight_report(full: dict, prev) -> dict:
     """Delta of ``full`` against the previous full report ``prev``: the
     entries that are new or whose weight changed.  ``prev=None`` means no
     baseline: the full report travels verbatim.  A round cuts the same
-    delta in slot space (:meth:`~repro.pared.protocols._DeltaProtocol.weigh`);
+    delta in slot space (:meth:`~repro.pared.protocols._WeightProtocol.weigh`);
     this sorted-key form is its test oracle and the benchmark replay's.
     """
     if prev is None:
@@ -82,7 +81,8 @@ def diff_weight_report(full: dict, prev) -> dict:
 
 def split_report_by_owner(full: dict, owner, n_roots: int, rank: int) -> dict:
     """Split this rank's canonical edge report by the *other* endpoint's
-    owner — the per-neighbor halo payloads of the ``dkl`` P2 variant.
+    owner: the per-neighbor slices of ``full`` (the benchmark's replay
+    reads them; no round ships them).
 
     Edge ``(a, b)`` (``a < b``) in ``full`` has ``owner[a] == rank``; the
     entry belongs to neighbor ``t = owner[b]`` when ``t != rank``.  Returns

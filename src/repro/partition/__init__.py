@@ -18,9 +18,9 @@ Plus the high-throughput geometric baseline:
 
 And the pieces they share: the p-way Kernighan–Lin refinement engine
 (:mod:`repro.partition.kl`, also the host of PNR's modified gain function),
-the distributed propose/resolve/rebalance refinement pass
-(:mod:`repro.partition.distributed` — the coordinator-free ``dkl``
-strategy), greedy graph growing for
+the propose/resolve/rebalance tournament refinement
+(:mod:`repro.partition.distributed` — the ``dkl`` strategy), greedy
+graph growing for
 coarsest-level partitions, the Biswas–Oliker subset permutation that
 minimizes data movement [5], partition metrics with the Equation-1
 objective (:func:`~repro.partition.metrics.repartition_cost`), and the
@@ -42,7 +42,6 @@ from repro.partition.kl import KLConfig, kl_refine
 from repro.partition.distributed import (
     DKLConfig,
     PartView,
-    dkl_refine_comm,
     dkl_refine_serial,
 )
 from repro.partition.registry import (
@@ -74,7 +73,6 @@ __all__ = [
     "kl_refine",
     "DKLConfig",
     "PartView",
-    "dkl_refine_comm",
     "dkl_refine_serial",
     "PARTITIONERS",
     "available_partitioners",

@@ -1,14 +1,14 @@
-"""Distributed boundary refinement — the ``dkl`` strategy.
+"""Boundary refinement by tournament — the ``dkl`` strategy.
 
-The last serial stage of a PARED round was the coordinator's KL pass:
-phases P2/P3 funnelled every weight report through ``P_C``, which then
-refined the coarse partition alone while ``p - 1`` ranks idled.  This module
-decentralizes that stage in the spirit of Sanders & Seemaier's
-unconstrained distributed local search (arXiv:2406.03169):
+The propose / resolve / rebalance tournament of Sanders & Seemaier's
+unconstrained distributed local search (arXiv:2406.03169), run under the
+Equation-1 gain on the merged coarse dual graph ``G`` that every rank of a
+PARED round holds.  Each part of the current assignment has a
+:class:`PartView` of ``G`` (its roots and every edge incident to them):
 
-1. **propose** — each rank scans the boundary roots of *its own part* on
-   its halo view of ``G`` and evaluates, for every live destination part
-   ``j``, the Equation-1 gain of moving root ``v`` from its part ``i``::
+1. **propose** — each part scans its own boundary roots and evaluates, for
+   every live destination part ``j``, the Equation-1 gain of moving root
+   ``v`` from its part ``i``::
 
        gain(v, i->j) = [conn(v, j) - conn(v, i)]                  (cut)
                      - a*w(v)*[(j != home(v)) - (i != home(v))]   (migration)
@@ -21,9 +21,9 @@ unconstrained distributed local search (arXiv:2406.03169):
    per root.  Only boundary moves (``conn(v, j) > 0``) are proposed here;
    teleports are the rebalance step's business.
 
-2. **resolve** — proposals are allgathered and every rank replays the same
+2. **resolve** — the parts' proposals, in live-part order, go through one
    deterministic tournament: sort by ``(-gain, (part + seed + round) mod
-   p, vertex id)`` — highest gain wins, the seeded rank rotation breaks
+   p, vertex id)`` — highest gain wins, the seeded part rotation breaks
    ties fairly across rounds, the vertex id makes the order total — then
    accept greedily under the KL balance envelope.  A mover is locked for
    the rest of the round (no root moves twice), and a candidate whose
@@ -35,45 +35,36 @@ unconstrained distributed local search (arXiv:2406.03169):
    part is never accepted (every live part must keep at least one root).
 
 3. **rebalance** — when some part exceeds the balance envelope, the
-   overweight ranks propose bounded donations (least cut damage first,
+   overweight parts propose bounded donations (least cut damage first,
    toward any strictly lighter live part so weight *diffuses* along part
    boundaries, teleporting only when no lighter neighbor exists) resolved
    by the same tournament rule, restoring the constraint the
    unconstrained pass may have stretched.
 
 Rounds are grouped into KL-style **passes** (a vertex moves at most once
-per pass), and the loop hill-climbs like the serial engine: when a round
+per pass), and the loop hill-climbs like the serial KL engine: when a round
 accepts no positive move, an **escape** round offers each part's single
 least-damaging move regardless of sign and the tournament accepts the best
-one — every accepted gain is the *exact* objective delta, so all ranks
-track the same cumulative objective and, at pass end, roll the suffix
-after the best prefix back in lockstep.  Positive-only batch acceptance is
-what made early distributed KL variants measurably worse than the serial
-pass (it cannot cross objective ridges); the escape/rollback pair restores
-that ability without a coordinator.
+one — every accepted gain is the *exact* objective delta, so the loop
+tracks the cumulative objective and, at pass end, rolls the suffix after
+the best prefix back.  Positive-only batch acceptance is what made early
+distributed KL variants measurably worse than the serial pass (it cannot
+cross objective ridges); the escape/rollback pair restores that ability.
 
-A round costs **one exchange and O(touched) scoring**.  Each part keeps a
-persistent :class:`_PartState` — the adjacency and part-connectivity rows
-of every root it knows — built once per call from its view and then only
-patched: an accepted (or rolled-back) move changes the connectivity of the
-mover's neighbors alone, so exactly those rows are recomputed, in the
-summation order a from-scratch rebuild would use (bit-identical whatever
-the weights), and scoring reads boundary rows only.  The escape offer is
-scored with the regular proposal and rides in the same frame (an escape
-round only ever resolves against the state that scoring saw), so a round
-in which nothing moves still costs a single allgather.
+A round costs **O(touched) scoring**.  Each part keeps a persistent
+:class:`_PartState` — the adjacency and part-connectivity rows of every
+root it knows — built once per call from its view and then only patched:
+an accepted (or rolled-back) move changes the connectivity of the mover's
+neighbors alone, so exactly those rows are recomputed, in the summation
+order a from-scratch rebuild would use (bit-identical whatever the
+weights), and scoring reads boundary rows only.  The escape offer is scored
+with the regular proposal and rides in it (an escape round only ever
+resolves against the state that scoring saw).
 
-Every rank executes the same resolve on the same allgathered inputs, so
-the final assignment is replica-identical with **no coordinator
-involvement** — in a ``dkl`` PARED round the only other collective is the
-O(p) allgather of load sums behind the imbalance check.
-
-:func:`dkl_refine_serial` drives the identical propose/resolve/rebalance
-code from a single thread (a rank loop instead of an allgather).  It backs
-the ``dkl`` registry strategy and is the reference the SPMD path
-(:func:`dkl_refine_comm`) is tested bit-identical against.  There is one
-engine, :func:`_refine_loop`; the two drivers differ in the one thing they
-inject into it — the proposal ``exchange``.
+:func:`dkl_refine_serial` is the entry the ``dkl`` registry strategy
+calls.  The engine is :func:`_refine_loop`; the one thing its caller
+injects is the proposal ``exchange`` (:func:`_serial_exchange`, the
+parts' proposals in live-part order).
 """
 
 from __future__ import annotations
@@ -88,20 +79,13 @@ __all__ = [
     "DKLConfig",
     "PartView",
     "dkl_refine_serial",
-    "dkl_refine_comm",
-    "pack_proposal_frame",
-    "unpack_proposal_frame",
 ]
-
-#: allgather tag of the proposal rounds (propose and rebalance share it:
-#: the wire is tag-matched FIFO, so alternating batches cannot cross)
-PROPOSAL_TAG = 45
 
 
 def edge_keys(a, b, n_roots: int) -> np.ndarray:
     """Pack edge endpoint arrays (``a < b`` elementwise) into scalar keys —
     the one packing rule of the weight reports (:mod:`repro.pared.weights`
-    re-exports it) and of the halo views here."""
+    re-exports it) and of the part views here."""
     return np.asarray(a, dtype=np.int64) * np.int64(n_roots) + np.asarray(
         b, dtype=np.int64
     )
@@ -115,7 +99,7 @@ def split_edge_keys(keys, n_roots: int):
 
 @dataclass
 class DKLConfig:
-    """Knobs of the distributed refinement pass.  ``alpha``/``beta``/
+    """Knobs of the tournament refinement pass.  ``alpha``/``beta``/
     ``seed``/``balance_tol`` mirror the Equation-1 parameters of
     :class:`repro.core.pnr.PNR`; the rest bound the tournament."""
 
@@ -125,7 +109,7 @@ class DKLConfig:
     seed: int = 0
     #: propose/resolve/rebalance iterations per pass before giving up
     #: (each round accepts an independent set of moves, so heavy imbalance
-    #: needs many; converged rounds exit early and cost one cheap exchange)
+    #: needs many; converged rounds exit early)
     max_rounds: int = 48
     #: most donations a single overweight part may propose per round —
     #: deliberately small: donating the whole excess in one batch at
@@ -139,9 +123,9 @@ class DKLConfig:
     #: accepted moves without a new best prefix before the pass ends (the
     #: hill-climbing tail that would be rolled back anyway)
     stall: int = 32
-    #: escape rounds per pass: each one costs a full exchange for a single
-    #: accepted move, so the hill-climb budget is bounded separately from
-    #: the batch rounds
+    #: escape rounds per pass: each one costs a full scoring round for a
+    #: single accepted move, so the hill-climb budget is bounded separately
+    #: from the batch rounds
     escape_cap: int = 8
     #: a pass must keep at least this much objective improvement for
     #: another pass to start
@@ -149,16 +133,11 @@ class DKLConfig:
 
 
 class PartView:
-    """One part's halo knowledge of the weighted coarse graph ``G``.
-
-    The mesh *structure* is replicated across ranks, but weights are
-    distributed knowledge: a rank knows the vertex weights of the roots in
-    its part plus the weight of every edge incident to them — its own
-    canonical report (owner of ``a`` reports edge ``(a, b)``, ``a < b``)
-    merged with the neighbor halo reports.  Stored flat: a dense
-    vertex-weight vector (zero outside the known set) and sorted packed
-    edge keys with aligned weights, same primitives as
-    :mod:`repro.pared.weights`.
+    """One part's view of the weighted coarse graph ``G``: the vertex
+    weights of the roots in the part plus the weight of every edge incident
+    to them.  Stored flat: a dense vertex-weight vector (zero outside the
+    known set) and sorted packed edge keys with aligned weights, same
+    primitives as :mod:`repro.pared.weights`.
     """
 
     __slots__ = ("n", "part", "vwts", "e_keys", "e_wts")
@@ -177,21 +156,9 @@ class PartView:
         self.e_wts = e_wts[order]
 
     @classmethod
-    def from_reports(cls, n_roots, part, full, received) -> "PartView":
-        """Assemble the view from this rank's canonical report plus the
-        halo payloads received from its neighbors (disjoint key sets by
-        the ownership rule)."""
-        e_keys = np.concatenate(
-            [full["e_keys"]] + [m["e_keys"] for m in received]
-        )
-        e_wts = np.concatenate([full["e_wts"]] + [m["e_wts"] for m in received])
-        return cls(n_roots, part, full["v_ids"], full["v_wts"], e_keys, e_wts)
-
-    @classmethod
     def from_graph(cls, graph, part, assign) -> "PartView":
-        """The serial engine's view: ``G`` restricted to the edges incident
-        to ``part`` — exactly what the halo exchange delivers, read
-        directly from the graph."""
+        """``G`` restricted to the edges incident to ``part``, read directly
+        from the graph."""
         assign = np.asarray(assign, dtype=np.int64)
         n = graph.n_vertices
         counts = np.diff(graph.xadj)
@@ -235,9 +202,8 @@ class PartView:
 
     def prune(self, assign) -> None:
         """Drop edges with no endpoint left in the part and zero the
-        weights of departed roots — the exact incident set again, so the
-        honesty audit (:func:`repro.testing.check_halo_weights`) can
-        compare against a brute-force recount."""
+        weights of departed roots — the exact incident set of the final
+        assignment again."""
         a, b = split_edge_keys(self.e_keys, self.n)
         keep = (assign[a] == self.part) | (assign[b] == self.part)
         self.e_keys = self.e_keys[keep]
@@ -425,9 +391,9 @@ class _PartState:
         )
 
     def _pack(self, v, dst, prio, static, vw, n_reg: int, esc: int):
-        """The wire proposal for roots ``v``: struct-of-arrays plus each
-        mover's adjacency row (CSR), so any rank can lock the neighbors
-        and the winning part can adopt the root sight unseen.  The first
+        """The proposal for roots ``v``: struct-of-arrays plus each mover's
+        adjacency row (CSR), so the resolve can lock the neighbors and the
+        winning part can adopt the root sight unseen.  The first
         ``n_reg`` rows are the regular offer; row ``esc`` (-1: none) is the
         escape offer — one of the regular rows, or the lone row of a
         proposal with no regular ones."""
@@ -560,93 +526,6 @@ class _PartState:
         )
 
 
-def pack_proposal_frame(prop):
-    """Pack one part's proposal into a struct-of-arrays frame
-    ``(head, ints, floats)`` for the wire: the codec serializes three
-    contiguous buffers instead of a dict of objects, and the integer
-    payload rides as int32 whenever every id fits (the common case — root
-    ids are bounded by the mesh size), which halves the index half of the
-    frame.  ``None`` (no proposal) packs to empty arrays.
-
-    Layout: ``head = [part, n_reg, m, int_width, esc]`` (int64;
-    ``int_width`` is 4 or 8).  The frame carries ``n = max(n_reg, esc + 1)``
-    rows: the ``n_reg`` regular ones, or — when there is none but an escape
-    offer exists — that offer alone; ``esc`` is the escape offer's row
-    (-1: none attached), so a round's regular and escape proposals share
-    one head and, when the offer is one of the regular rows, its row.
-    ``ints = v ++ dst ++ e_off(n+1) ++ adj`` at the declared width,
-    ``floats = prio ++ static ++ vw ++ adj_w`` (always float64 — the
-    priorities feed the deterministic tournament, so they must travel
-    bit-exact).
-    """
-    if prop is None:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    v = np.asarray(prop["v"], dtype=np.int64)
-    adj = np.asarray(prop["adj"], dtype=np.int64)
-    ints = np.concatenate(
-        [v, np.asarray(prop["dst"], dtype=np.int64),
-         np.asarray(prop["e_off"], dtype=np.int64), adj]
-    )
-    info = np.iinfo(np.int32)
-    if ints.size == 0 or (
-        int(ints.min()) >= info.min and int(ints.max()) <= info.max
-    ):
-        ints = ints.astype(np.int32)
-        width = 4
-    else:
-        width = 8  # ids beyond int32: ship verbatim (exactness first)
-    head = np.array(
-        [prop["part"], prop["n_reg"], adj.size, width, prop["esc"]],
-        dtype=np.int64,
-    )
-    floats = np.concatenate(
-        [np.asarray(prop["prio"], dtype=np.float64),
-         np.asarray(prop["static"], dtype=np.float64),
-         np.asarray(prop["vw"], dtype=np.float64),
-         np.asarray(prop["adj_w"], dtype=np.float64)]
-    )
-    return head, ints, floats
-
-
-def unpack_proposal_frame(frame):
-    """Inverse of :func:`pack_proposal_frame` — bit-identical round trip
-    (the int32 downcast is applied only when lossless, float64 payloads
-    travel verbatim).  Empty frame -> ``None``."""
-    head, ints, floats = frame
-    head = np.asarray(head, dtype=np.int64)
-    floats = np.asarray(floats, dtype=np.float64)
-    if head.size == 0:
-        return None
-    part, n_reg, m, esc = int(head[0]), int(head[1]), int(head[2]), int(head[4])
-    n = max(n_reg, esc + 1)
-    ints = np.asarray(ints).astype(np.int64)
-    o = 0
-    v = ints[o : o + n]
-    o += n
-    dst = ints[o : o + n]
-    o += n
-    e_off = ints[o : o + n + 1]
-    o += n + 1
-    adj = ints[o : o + m]
-    return {
-        "part": part,
-        "v": v,
-        "dst": dst,
-        "prio": floats[:n],
-        "static": floats[n : 2 * n],
-        "vw": floats[2 * n : 3 * n],
-        "e_off": e_off,
-        "adj": adj,
-        "adj_w": floats[3 * n :],
-        "n_reg": n_reg,
-        "esc": esc,
-    }
-
-
 # ---------------------------------------------------------------------- #
 # resolve
 # ---------------------------------------------------------------------- #
@@ -666,9 +545,9 @@ def _resolve(
     rebalance: bool,
     escape: bool = False,
 ):
-    """Replay the deterministic tournament — identical on every rank given
-    the same allgathered ``props``.  Mutates ``assign``/``loads``/
-    ``counts``/``locked`` in place; returns the accepted move records.
+    """Run the deterministic tournament over the parts' ``props``.
+    Mutates ``assign``/``loads``/``counts``/``locked`` in place; returns
+    the accepted move records.
     The candidates are each proposal's regular rows; with ``escape`` they
     are the escape offers instead, and exactly one admissible candidate is
     accepted regardless of the sign of its gain — the hill-climbing step;
@@ -777,15 +656,14 @@ def _resolve(
 
 
 # ---------------------------------------------------------------------- #
-# the round loop (shared by the serial and SPMD drivers)
+# the round loop
 # ---------------------------------------------------------------------- #
 
 
 def _refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace=None):
-    """The one engine: refine ``assign`` in place from the parts in ``views``
-    (all of them in the serial driver, this rank's in the SPMD one);
-    ``exchange`` is the only thing the drivers inject.  Migration is charged
-    against the entry assignment."""
+    """The one engine: refine ``assign`` in place from the parts in
+    ``views``; ``exchange`` is the only thing the caller injects.  Migration
+    is charged against the entry assignment."""
     n_roots, p, my_parts = assign.size, loads.size, list(views)
     home = assign.copy()
     live = sorted(int(r) for r in live)
@@ -918,14 +796,13 @@ def _refine_loop(views, assign, loads, live, cfg, wmax, exchange, trace=None):
 
 
 # ---------------------------------------------------------------------- #
-# the two drivers and the exchange each injects (rank loop vs allgather)
+# the driver and the exchange it injects
 # ---------------------------------------------------------------------- #
 
 
 def _serial_exchange(live):
-    """Exchange for the serial driver: all parts live in this process, so
-    the allgather is a list comprehension in live-rank order — the same
-    order :meth:`SimComm.allgather` assembles its blocks in."""
+    """The proposal exchange: all parts live in this process, so it is a
+    list comprehension in live-part order."""
 
     def exchange(local):
         return [local[part] for part in live]
@@ -933,28 +810,11 @@ def _serial_exchange(live):
     return exchange
 
 
-def _comm_exchange(comm, live):
-    """Exchange for the SPMD driver: pack this rank's proposal into the
-    struct-of-arrays frame and allgather it on :data:`PROPOSAL_TAG`."""
-
-    def exchange(local):
-        with PERF.span("dkl.exchange"):
-            frames = comm.allgather(
-                pack_proposal_frame(local[comm.rank]),
-                tag=PROPOSAL_TAG,
-                ranks=live,
-            )
-        return [unpack_proposal_frame(f) for f in frames]
-
-    return exchange
-
-
 def dkl_refine_serial(
     graph, p, current, cfg: DKLConfig = None, live=None, return_trace=False
 ):
-    """Single-thread reference engine: every part's propose step runs in a
-    rank loop instead of over messages, through the exact code the SPMD
-    path runs — the two are bit-identical by construction (and by test).
+    """Refine ``current`` on ``graph``: every live part's propose step runs
+    in a loop over the parts, and one tournament resolves them.
 
     Returns the refined assignment, or ``(assignment, trace)`` with
     ``return_trace=True`` where ``trace[k]`` records round ``k``'s accepted
@@ -971,25 +831,3 @@ def dkl_refine_serial(
         views, assign, loads, live, cfg, wmax, _serial_exchange(live), trace
     )
     return (assign, trace) if return_trace else assign
-
-
-def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
-    """SPMD distributed refinement: this rank proposes for its own part,
-    proposals travel by allgather over the ``live`` ranks (tag
-    :data:`PROPOSAL_TAG` — the only frames a call puts on the wire), and
-    every rank replays the same resolve — the returned assignment is
-    replica-identical without coordinator involvement.  Deterministic end
-    to end: every collective input is replicated.
-
-    ``view`` is this rank's halo view (from
-    :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
-    it is updated in place as roots change hands and pruned to the final
-    assignment on return, ready for the honesty audit.  ``loads``/``wmax``
-    come from the imbalance check's allgather.
-    """
-    assign = np.asarray(owner, dtype=np.int64).copy()
-    loads = np.asarray(loads, dtype=np.float64).copy()
-    return _refine_loop(
-        {comm.rank: view}, assign, loads, live, cfg, wmax,
-        _comm_exchange(comm, live),
-    )

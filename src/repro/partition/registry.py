@@ -17,29 +17,24 @@ built from the whole Equation-1 parameter object
 ``sfc`` strategy reads them; the graph-based strategies ignore the
 argument, so callers can always pass what they have (``None`` included).
 
-It also owns what a PARED round needs to know about it, so nothing outside
+Every PARED round runs one weight protocol whatever the strategy: every
+rank merges the same ``G`` from P2 and calls ``repartition`` on it.  A
+strategy also owns what a round needs to know about it, so nothing outside
 this module tests a strategy *name*:
 
-``halo``
-    Which weight protocol the round runs: ``False`` — every rank's deltas
-    to every rank, each of which calls ``repartition`` on its own ``G``;
-    ``True`` — neighbor-to-neighbor halo slices, then ``refine_spmd`` on
-    every rank.
 ``monotone``
     Whether the monotone-or-rollback audit applies (a property of the
     Equation-1 V-cycle; the other strategies optimize other objectives).
 ``reads_coords``
     Whether ``coords`` is read: a round computes the centroids once for
     such a strategy and passes ``None`` to every other.
-``refine_spmd(comm, view, owner, loads, wmax, live)``
-    Halo strategies only: the SPMD form of ``repartition``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.distributed import DKLConfig, dkl_refine_comm, dkl_refine_serial
+from repro.partition.distributed import DKLConfig, dkl_refine_serial
 from repro.partition.multilevel import multilevel_partition, multilevel_repartition
 from repro.partition.permute import apply_permutation, minimize_migration_permutation
 from repro.partition.sfc import SFCPartitioner
@@ -48,11 +43,10 @@ __all__ = ["PARTITIONERS", "available_partitioners", "make_repartitioner"]
 
 
 class _Strategy:
-    """What the strategies share: the parameter object, the protocol family
+    """What the strategies share: the parameter object, the round-facing
     defaults, and the bootstrap — ``multilevel_partition`` at its own
     default tolerance, which the golden PARED metrics pin."""
 
-    halo = False
     monotone = False
     reads_coords = False
     honours_ablations = False
@@ -133,14 +127,11 @@ class SFCRepartitioner(_Strategy):
 
 
 class DKLRepartitioner(_Strategy):
-    """Distributed boundary refinement: the propose / tie-break resolve /
-    bounded rebalance tournament of :mod:`repro.partition.distributed`
-    under the Equation-1 gain, from a single thread (``repartition``, the
-    reference engine) or SPMD over the halo exchange with no coordinator in
-    the loop (``refine_spmd``) — bit-identical."""
+    """Boundary refinement: the propose / tie-break resolve / bounded
+    rebalance tournament of :mod:`repro.partition.distributed` under the
+    Equation-1 gain, every part's proposals scored in one process."""
 
     name = "dkl"
-    halo = True
 
     def _config(self) -> DKLConfig:
         pnr = self.pnr
@@ -151,9 +142,6 @@ class DKLRepartitioner(_Strategy):
 
     def repartition(self, graph, p, current, coords=None):
         return dkl_refine_serial(graph, p, current, self._config())
-
-    def refine_spmd(self, comm, view, owner, loads, wmax, live):
-        return dkl_refine_comm(comm, view, owner, loads, wmax, live, self._config())
 
 
 #: name -> strategy class; the CLI's ``--partitioner`` choices come from here

@@ -17,7 +17,6 @@ from repro.testing.bruteforce import (
 from repro.testing.invariants import (
     InvariantViolation,
     check_dual_graph_weights,
-    check_halo_weights,
     check_history_agreement,
     check_leaf_adjacency,
     check_migration_conservation,
@@ -33,7 +32,6 @@ __all__ = [
     "check_migration_conservation",
     "check_dual_graph_weights",
     "check_leaf_adjacency",
-    "check_halo_weights",
     "check_monotone_refinement",
     "check_replica_agreement",
     "check_recovery_partition",

@@ -130,56 +130,6 @@ def check_dual_graph_weights(mesh, graph) -> None:
             )
 
 
-def check_halo_weights(mesh, view, owner, rank: int) -> None:
-    """A rank's ``dkl`` halo view — assembled purely from P2 neighbor
-    messages plus the proposal payloads of roots it won — matches a
-    brute-force recount of the incident set of the roots it now owns:
-    exact vertex weights on owned roots (zero elsewhere) and the exact
-    weighted edge set with at least one owned endpoint."""
-    owner = np.asarray(owner, dtype=np.int64)
-    n = owner.shape[0]
-    expected_v = brute_force_leaf_counts(mesh.forest)
-    if view.n != n or expected_v.shape[0] != n:
-        _fail(
-            "halo-weights",
-            f"view covers {view.n} roots, owner {n}, forest "
-            f"{expected_v.shape[0]}",
-        )
-    mine = owner == rank
-    want_v = np.where(mine, expected_v, 0.0)
-    if not np.allclose(view.vwts, want_v):
-        bad = np.nonzero(~np.isclose(view.vwts, want_v))[0]
-        _fail(
-            "halo-weights",
-            f"rank {rank} vertex weights differ at roots "
-            f"{bad[:10].tolist()}: {view.vwts[bad[:10]].tolist()} vs "
-            f"{want_v[bad[:10]].tolist()}",
-        )
-    expected_e = {
-        key: w
-        for key, w in brute_force_cross_root_edges(mesh).items()
-        if mine[key[0]] or mine[key[1]]
-    }
-    got_e = {
-        (int(k) // n, int(k) % n): float(w)
-        for k, w in zip(view.e_keys, view.e_wts)
-    }
-    if set(got_e) != set(expected_e):
-        _fail(
-            "halo-weights",
-            f"rank {rank} incident edge sets differ: view-only "
-            f"{sorted(set(got_e) - set(expected_e))[:5]}, bruteforce-only "
-            f"{sorted(set(expected_e) - set(got_e))[:5]}",
-        )
-    for key, count in expected_e.items():
-        if not np.isclose(got_e[key], count):
-            _fail(
-                "halo-weights",
-                f"rank {rank} edge {key} weighs {got_e[key]}, "
-                f"brute-force counts {count}",
-            )
-
-
 def check_monotone_refinement(graph, p: int, old, new, alpha: float, beta: float) -> None:
     """Monotone-or-rollback: a repartitioner that starts from the current
     assignment may never return something scoring worse than identity under

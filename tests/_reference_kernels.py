@@ -83,51 +83,6 @@ def _pack_proposal(part, v, dst, prio, static, vw, rows, adj):
     }
 
 
-def pack_proposal_frame_reference(prop):
-    """Pack one part's proposal into a struct-of-arrays frame
-    ``(head, ints, floats)`` for the wire: the codec serializes three
-    contiguous buffers instead of a dict of nine objects, and the integer
-    payload rides as int32 whenever every id fits (the common case — root
-    ids are bounded by the mesh size), which halves the index half of the
-    frame.  ``None`` (no proposal) packs to empty arrays.
-
-    Layout: ``head = [part, n, m, int_width]`` (int64; ``int_width`` is 4
-    or 8), ``ints = v ++ dst ++ e_off(n+1) ++ adj`` at the declared width,
-    ``floats = prio ++ static ++ vw ++ adj_w`` (always float64 — the
-    priorities feed the deterministic tournament, so they must travel
-    bit-exact).
-    """
-    if prop is None:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    v = np.asarray(prop["v"], dtype=np.int64)
-    adj = np.asarray(prop["adj"], dtype=np.int64)
-    ints = np.concatenate(
-        [v, np.asarray(prop["dst"], dtype=np.int64),
-         np.asarray(prop["e_off"], dtype=np.int64), adj]
-    )
-    info = np.iinfo(np.int32)
-    if ints.size == 0 or (
-        int(ints.min()) >= info.min and int(ints.max()) <= info.max
-    ):
-        ints = ints.astype(np.int32)
-        width = 4
-    else:
-        width = 8  # ids beyond int32: ship verbatim (exactness first)
-    head = np.array([prop["part"], v.size, adj.size, width], dtype=np.int64)
-    floats = np.concatenate(
-        [np.asarray(prop["prio"], dtype=np.float64),
-         np.asarray(prop["static"], dtype=np.float64),
-         np.asarray(prop["vw"], dtype=np.float64),
-         np.asarray(prop["adj_w"], dtype=np.float64)]
-    )
-    return head, ints, floats
-
-
-
 def _score_moves(
     view: PartView, assign, home, loads, live, cfg: DKLConfig, maxcap, floor,
     locked,

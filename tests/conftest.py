@@ -91,7 +91,7 @@ def slot_frame(report: dict, graph: WeightedGraph) -> dict:
     four int32 arrays, each edge key ``a * n + b`` turned into its position
     among ``graph``'s forward slots (``a→b``, ``a < b``, CSR order) by a
     ``searchsorted`` — the oracle of
-    :meth:`~repro.pared.protocols._DeltaProtocol.weigh`'s slot-space cut.
+    :meth:`~repro.pared.protocols._WeightProtocol.weigh`'s slot-space cut.
     ``graph`` is ``M^0``'s skeleton or any graph weighed on it."""
     n = graph.n_vertices
     src, dst = graph.edge_src, graph.adjncy

@@ -116,9 +116,7 @@ class TestCommands:
                      "--partitioner", "dkl", "--phase-report"]) == 0
         out = capsys.readouterr().out
         assert "dkl partitioner" in out
-        # refinement traffic is attributed to its own phase label and the
-        # tournament steps appear in the timing table
-        assert "dkl:" in out
+        # the tournament steps appear in the timing table
         assert "dkl.propose" in out and "dkl.resolve" in out
 
     def test_pared_shm_transport(self, capsys):

@@ -165,7 +165,10 @@ class TestFrameCoalescing:
             owner = np.arange(am.n_roots, dtype=np.int64) % comm.size
             dmesh = DistributedMesh(comm, am, owner)
             comm.set_phase("P2")
-            update = dmesh.local_weight_update()
+            owned = np.flatnonzero(owner == comm.rank)
+            update = full_weight_report(
+                coarse_dual_graph(am.mesh, owned), owner, comm.rank
+            )
             return comm.allgather(update, tag=20, ranks=dmesh.live)
 
         results, stats = spmd_run(4, prog, return_stats=True)

@@ -277,14 +277,16 @@ class TestDistributedMesh:
         assert bisected == [0, 1] and merged == [] and split
 
     def test_weight_update_matches_dual_graph(self):
-        from repro.pared.weights import split_edge_keys
+        from repro.pared.weights import full_weight_report, split_edge_keys
 
         def prog(comm):
             am = AdaptiveMesh.unit_square(4)
             am.refine([0, 3])
             owner = np.arange(am.n_roots) % comm.size
-            dm = DistributedMesh(comm, am, owner)
-            upd = dm.local_weight_update()
+            owned = np.flatnonzero(owner == comm.rank)
+            upd = full_weight_report(
+                coarse_dual_graph(am.mesh, owned), owner, comm.rank
+            )
             all_updates = comm.allgather(upd)
             if comm.rank == 0:
                 g = coarse_dual_graph(am.mesh)
@@ -398,7 +400,7 @@ class TestFullLoop:
     def test_run_pared_alternate_partitioners(self, partitioner):
         """The full P0–P3 loop works with every registry strategy, not just
         the default pnr path.  The dkl leg runs audited, so every round
-        also proves the halo views match a brute-force recount."""
+        also proves the G it merged from P2 matches a brute-force recount."""
         prob = CornerLaplace2D()
 
         def marker(amesh, rnd):
@@ -425,50 +427,6 @@ class TestFullLoop:
         final = histories[0][-1]
         loads = [h[-1]["local_load"] for h in histories]
         assert max(loads) / (final["leaves"] / cfg.p) - 1 < 0.8
-
-    def test_dkl_escape_rounds_cost_no_extra_exchange(self, monkeypatch):
-        """One allgather per scoring round plus one per rebalance: the
-        escape offer rides in the round's proposal frame, so the rounds in
-        which nothing moved and an escape was resolved add no message."""
-        from repro.partition import distributed
-
-        prob = CornerLaplace2D()
-
-        def marker(amesh, rnd):
-            ind = interpolation_error_indicator(amesh, prob.exact)
-            return mark_top_fraction(amesh, ind, 0.2), []
-
-        traces = []
-        real_loop = distributed._refine_loop
-
-        def traced_loop(views, *args, **kwargs):
-            if list(views) == [0]:  # one replica's record is enough
-                kwargs["trace"] = []
-                traces.append(kwargs["trace"])
-            return real_loop(views, *args, **kwargs)
-
-        monkeypatch.setattr(distributed, "_refine_loop", traced_loop)
-        cfg = ParedConfig(
-            p=2,
-            make_mesh=lambda: AdaptiveMesh.unit_square(8),
-            marker=marker,
-            rounds=3,
-            pnr=PNR(seed=0),
-            partitioner="dkl",
-            transport="thread",
-        )
-        _, stats = run_pared(cfg)
-        assert traces, "no repartition ran"
-        rounds = [
-            [rec for rec in trace if "round" in rec] for trace in traces
-        ]
-        n_rounds = sum(len(r) for r in rounds)
-        n_rebalances = sum(bool(rec["rebalance"]) for r in rounds for rec in r)
-        n_escapes = sum(bool(rec["escape"]) for r in rounds for rec in r)
-        assert n_escapes > 0 and n_rebalances > 0
-        # at p=2 an allgather is one message each way
-        messages = stats.phase_report()["dkl"][0]
-        assert messages == 2 * (n_rounds + n_rebalances)
 
     def test_3d_round_never_sorts_the_leaf_facets(self, monkeypatch):
         """The same in 3-D: P1 and the cut read ``_nbr``, refinement walks
@@ -585,7 +543,7 @@ class TestSymmetricProtocol:
     @pytest.mark.parametrize("partitioner", ["pnr", "dkl"])
     def test_no_frame_carries_a_decision(self, monkeypatch, partitioner):
         # tags of the retired owner broadcasts: initial (40), per round
-        # (30), and the halo imbalance (43)
+        # (30), and the retired halo protocol's imbalance (43)
         history, sent = self._sends(monkeypatch, partitioner)
         assert any(rec["trees_moved"] for rec in history)
         assert not [s for s in sent if s[2] in (30, 40, 43)]
@@ -612,7 +570,7 @@ class TestSymmetricProtocol:
             monkeypatch, partitioner, imbalance_trigger=10.0
         )
         assert not any(rec["trees_moved"] for rec in history)
-        assert not [s for s in sent if s[3] in ("P3", "dkl")]
+        assert not [s for s in sent if s[3] == "P3"]
 
 
 def _packed_report(v, e, n):
@@ -723,7 +681,7 @@ _PARITY_PROBLEM = CornerLaplace2D()
 
 
 def _parity_mesh():
-    # large enough that migration and halo frames outgrow a 4 KiB ring
+    # large enough that migration and P2 frames outgrow a 4 KiB ring
     return AdaptiveMesh.unit_square(12)
 
 
@@ -788,11 +746,11 @@ class TestTransportParity:
                 for key in a:
                     assert np.array_equal(a[key], b[key]), key
         # the wire ledger is part of the contract too: same phases, same
-        # message and byte counts, same pair matrix — for dkl that includes
-        # the halo exchange and the proposal allgathers of the tournament
+        # message and byte counts, same pair matrix — and under dkl too the
+        # tournament runs on each rank's merged G, so it sends nothing
         assert stats_t.phase_report() == stats_s.phase_report()
         assert dict(stats_t.by_pair) == dict(stats_s.by_pair)
-        assert ("dkl" in stats_t.phase_report()) == (partitioner == "dkl")
+        assert "dkl" not in stats_t.phase_report()
 
 
 class TestWorkflow:
@@ -831,9 +789,12 @@ class TestWorkflow:
         for rec in histories[0]:
             assert {"owner", "trees_moved", "p_live", "eta_max"} <= set(rec)
 
-    def test_dkl_runs_the_spmd_tournament(self):
+    def test_dkl_round_runs_the_tournament(self):
+        """Audited, so every round checks the merged G against a recount;
+        the tournament runs inside the round's repartition."""
         histories, stats = run_workflow(self._cfg(partitioner="dkl", audit=True))
-        assert stats.phase_report()["dkl"][0] > 0
+        assert stats.kernel_perf["dkl.propose"][0] > 0
+        assert "dkl" not in stats.phase_report()
         assert histories[0][-1]["elements_moved"] > 0
 
     def test_fault_plan_reproduces_clean_history(self):

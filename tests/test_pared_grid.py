@@ -21,8 +21,8 @@ per cell:
 
 In 3-D the test also requires ``leaf_crc`` to agree across p in every
 round: parallel refinement numbers every element as serial refinement does.
-And over the golden itself, P0 sends ``p·(p−1)`` frames a round, as does P2
-under every partitioner but ``dkl``.
+And over the golden itself, P0 and P2 each send ``p·(p−1)`` frames a
+round, under every partitioner.
 
 Regenerate after an *intentional* change with::
 
@@ -186,14 +186,13 @@ def test_cube_cells(golden, partitioner):
 
 
 def test_one_frame_per_pair_per_round(golden):
-    """P0 is one allgather a round, so ``p·(p−1)`` frames (none at p = 1);
-    every weight protocol but ``dkl``'s sends P2 the same way."""
+    """P0 and P2 are one allgather a round each, so ``p·(p−1)`` frames
+    (none at p = 1), whatever the partitioner."""
     for key, cell in golden.items():
         p, rounds = cell["rounds"][0]["p_live"], len(cell["rounds"])
         frames = p * (p - 1) * rounds
         assert cell["phases"].get("P0", [0, 0])[0] == frames, key
-        if not key.startswith("dkl/"):
-            assert cell["phases"].get("P2", [0, 0])[0] == frames, key
+        assert cell["phases"].get("P2", [0, 0])[0] == frames, key
 
 
 def compute_golden() -> dict:

@@ -391,9 +391,10 @@ class TestCrashRecoveryLadder:
     def test_crash_under_dkl_replays_bit_identically(
         self, crash_rank, partitioner
     ):
-        """Crash recovery under the halo protocol family (today: ``dkl``):
-        every crash point, rank 0 included, must be survivable and two same-seed
-        runs must recover onto identical histories."""
+        """Crash recovery under ``dkl``, which after a death refines the
+        survivors' compacted labels like every strategy: every crash point,
+        rank 0 included, must be survivable and two same-seed runs must
+        recover onto identical histories."""
         plan = FaultPlan(seed=0, crash_rank=crash_rank, crash_at_op=12)
         h1, s1 = run_pared(_cfg(plan, partitioner=partitioner))
         h2, _ = run_pared(_cfg(plan, partitioner=partitioner))

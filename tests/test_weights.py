@@ -1,6 +1,6 @@
 """Direct unit tests of the packed weight-report primitives
 (:mod:`repro.pared.weights`), of a rank's P1 delta
-(:meth:`~repro.pared.protocols._DeltaProtocol.weigh`) and of every rank's
+(:meth:`~repro.pared.protocols._WeightProtocol.weigh`) and of every rank's
 merge of them (:class:`~repro.pared.protocols._MergedGraph`) — the P2
 protocol without running one.  The focus is the edge cases a round can
 hit: empty arrays, ownership handoffs, refinement and coarsening between
@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from repro.core import PNR
 from repro.mesh import AdaptiveMesh, coarse_dual_graph
 from repro.pared import DistributedMesh
-from repro.pared.protocols import _DeltaProtocol, _MergedGraph
+from repro.pared.protocols import _MergedGraph, _WeightProtocol
 from repro.pared.weights import (
     diff_weight_report,
     edge_keys,
@@ -27,7 +27,6 @@ from repro.pared.weights import (
     split_edge_keys,
     split_report_by_owner,
 )
-from repro.partition.registry import make_repartitioner
 from repro.runtime.codec import encode
 from tests.conftest import rank_deltas, slot_frame
 
@@ -90,8 +89,8 @@ class _Ranks:
 
     def __init__(self, amesh, p):
         self.amesh, self.p = amesh, p
-        repart = make_repartitioner("pnr", pnr=PNR())
-        self.protos = [_DeltaProtocol(None, None, amesh, repart) for _ in range(p)]
+        cfg = SimpleNamespace(partitioner="pnr", pnr=PNR(), sfc_curve="morton")
+        self.protos = [_WeightProtocol(None, cfg, amesh) for _ in range(p)]
         self.prev = [None] * p
 
     def round(self, owner) -> list:
@@ -320,8 +319,8 @@ class TestSplitReportByOwner:
 
     def test_send_recv_channels_are_symmetric(self):
         """Every payload rank r sends to rank t is exactly what t expects
-        from r under the mirror rule (owner[b] == t, owner[a] == r) — the
-        property exchange_halo_weights' handshake-free receive relies on."""
+        from r under the mirror rule (owner[b] == t, owner[a] == r): a
+        receiver can name its senders from the structure alone."""
         rng = np.random.default_rng(3)
         n = 30
         owner = rng.integers(0, 4, size=n).astype(I)
